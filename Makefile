@@ -57,5 +57,8 @@ bench-check:
 	$(GO) run ./cmd/benchcheck -max-regress 0.05 baselines/BENCH_hotkey.json BENCH_hotkey.json
 	$(GO) run ./cmd/benchcheck -max-regress 0.05 baselines/BENCH_consistency.json BENCH_consistency.json
 
+# Paper-figure benchmarks, plus the simulator substrate's per-event
+# microbenchmarks (engine schedule+step, Server job, PIO write, packet
+# send), which report allocs/op and should all read 0.
 microbench:
-	$(GO) test -bench=. -benchmem -run='^$$' .
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/

@@ -63,6 +63,8 @@ type e2eResult struct {
 	PerCore   []float64 // HERD: per-partition Mops
 	HitRate   float64
 	VerifyErr uint64
+	Completed uint64 // ops completed over warmup and span
+	Events    uint64 // engine events run over warmup and span
 }
 
 // buildSystem constructs the server and clients for cfg on a fresh
@@ -254,6 +256,8 @@ func runE2E(cfg e2eConfig) e2eResult {
 		P5:        rec.Percentile(5),
 		P95:       rec.Percentile(95),
 		VerifyErr: verifyErr,
+		Completed: completed,
+		Events:    cl.Eng.Processed(),
 	}
 	if gets > 0 {
 		res.HitRate = float64(hits) / float64(gets)

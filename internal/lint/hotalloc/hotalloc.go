@@ -13,16 +13,20 @@
 //   - string concatenation with + / +=
 //   - any call into package fmt
 //   - interface boxing: converting, assigning, passing, or returning a
-//     concrete value where an interface is expected
+//     concrete value where an interface is expected (pointer-shaped
+//     values — pointers, maps, chans, funcs — ride in the interface
+//     word and are not flagged)
 //   - calls into in-tree functions that are not themselves annotated
 //     `//herd:hotpath`
 //
 // Infrastructure packages (sim, wire, verbs, nic, pcie, hostmem,
 // cluster, telemetry, kv, fault, stats) are exempt call targets: they
-// model hardware or are nil-safe observability, and the simulator —
-// unlike the real NIC — allocates to model asynchrony. Dynamic calls
-// (interface methods, func values) are not resolved; implementations
-// carry their own annotations.
+// model hardware or are nil-safe observability. They are not exempt
+// from annotation: the simulator substrate's own per-event path (the
+// sim event queue and Server, the pcie and wire stage records, the
+// verbs WRITE/SEND record) is annotated and gated like any model
+// package. Dynamic calls (interface methods, func values) are not
+// resolved; implementations carry their own annotations.
 //
 // A companion testing.AllocsPerRun gate (hotpath_alloc_test.go in each
 // annotated package) measures the same functions at 0 allocs/op, so
@@ -312,7 +316,7 @@ func (c *checker) checkConversion(call *ast.CallExpr, to types.Type) {
 		return
 	}
 	// Conversion to interface type boxes the operand.
-	if types.IsInterface(to) && !types.IsInterface(from) && !isUntypedNil(from) {
+	if types.IsInterface(to) && !types.IsInterface(from) && !isUntypedNil(from) && !pointerShaped(from) {
 		c.pass.Reportf(call.Pos(), "conversion to interface boxes %s on the hot path", from)
 	}
 }
@@ -445,13 +449,32 @@ func (c *checker) checkBox(expr ast.Expr, to types.Type, what string) {
 		return
 	}
 	from := tv.Type
-	if types.IsInterface(from) || isUntypedNil(from) {
+	if types.IsInterface(from) || isUntypedNil(from) || pointerShaped(from) {
 		return
 	}
 	if _, isLit := expr.(*ast.FuncLit); isLit {
 		return // already reported as a closure
 	}
 	c.pass.Reportf(expr.Pos(), "%s boxes %s into %s on the hot path", what, from, to)
+}
+
+// pointerShaped reports whether an interface stores a t value directly
+// in its data word — a pointer, map, chan, func or unsafe.Pointer, or a
+// struct or array wrapping exactly one such value — so converting t to
+// an interface does not allocate. This is how a pooled stage record
+// (*T) rides in a sim.Handler for free.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	case *types.Struct:
+		return u.NumFields() == 1 && pointerShaped(u.Field(0).Type())
+	case *types.Array:
+		return u.Len() == 1 && pointerShaped(u.Elem())
+	}
+	return false
 }
 
 func isString(t types.Type) bool {

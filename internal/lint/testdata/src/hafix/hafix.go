@@ -58,6 +58,12 @@ func heapwork(r *ring, key uint64, s string, b []byte) {
 	_ = r.buf[int(key)&63]
 	_ = ring{n: 1}
 
+	// Pointer-shaped values ride in the interface word: no boxing.
+	sink(r)
+	sink(cold)
+	var j interface{} = r
+	_ = j
+
 	_ = make([]byte, 4) //lint:allow hotalloc — fixture demonstrates the escape hatch
 }
 

@@ -112,6 +112,52 @@ type Bus struct {
 	telPIOWrites, telPIOBytes         *telemetry.Counter
 	telNonPostedTx, telNonPostedBytes *telemetry.Counter
 	telPostedTx, telPostedBytes       *telemetry.Counter
+
+	free []*busJob // recycled transaction records
+}
+
+// busJob is one in-flight transaction: engine occupancy on a data path,
+// then a fixed latency, then done. It is the sim.Handler for both
+// stages, so a transaction schedules its two events without closures.
+type busJob struct {
+	b       *Bus
+	lat     sim.Time
+	done    func(sim.Time)
+	settled bool // occupancy over; the latency event is pending
+}
+
+// Fire runs the job's current stage.
+//
+//herd:hotpath
+func (j *busJob) Fire(at sim.Time) {
+	if !j.settled {
+		j.settled = true
+		j.b.eng.AfterHandler(j.lat, j)
+		return
+	}
+	done := j.done
+	j.b.release(j)
+	if done != nil {
+		done(at)
+	}
+}
+
+// job returns a pooled record for a transaction with latency lat.
+func (b *Bus) job(lat sim.Time, done func(sim.Time)) *busJob {
+	var j *busJob
+	if n := len(b.free); n > 0 {
+		j = b.free[n-1]
+		b.free = b.free[:n-1]
+	} else {
+		j = &busJob{b: b}
+	}
+	j.lat, j.done = lat, done
+	return j
+}
+
+func (b *Bus) release(j *busJob) {
+	j.done, j.settled = nil, false
+	b.free = append(b.free, j)
 }
 
 // NewBus returns a bus on eng with the given parameters.
@@ -174,17 +220,12 @@ func (b *Bus) PIOExtraLatency(n int) sim.Time {
 // PIOWrite submits a PIO write of n bytes (a doorbell carrying an inlined
 // WQE). done, if non-nil, runs when the device has received the full WQE,
 // including the non-pipelined per-cacheline store latency.
+//
+//herd:hotpath
 func (b *Bus) PIOWrite(n int, done func(sim.Time)) {
 	b.telPIOWrites.Inc()
 	b.telPIOBytes.Add(uint64(n))
-	extra := b.PIOExtraLatency(n)
-	b.pio.Submit(b.PIOCost(n), func(sim.Time) {
-		b.eng.After(extra, func() {
-			if done != nil {
-				done(b.eng.Now())
-			}
-		})
-	})
+	b.pio.SubmitHandler(b.PIOCost(n), b.job(b.PIOExtraLatency(n), done))
 }
 
 func (b *Bus) xferTime(n int) sim.Time {
@@ -207,30 +248,22 @@ func (b *Bus) DMAWriteCost(n int) sim.Time { return b.xferTime(n) }
 // DMARead submits a device-initiated read of n bytes from host memory.
 // done runs when the completion data has arrived at the device; it
 // includes the non-posted round-trip latency.
+//
+//herd:hotpath
 func (b *Bus) DMARead(n int, done func(sim.Time)) {
 	b.telNonPostedTx.Inc()
 	b.telNonPostedBytes.Add(uint64(n))
-	b.fromHost.Submit(b.xferTime(n), func(sim.Time) {
-		b.eng.After(b.p.DMAReadLatency, func() {
-			if done != nil {
-				done(b.eng.Now())
-			}
-		})
-	})
+	b.fromHost.SubmitHandler(b.xferTime(n), b.job(b.p.DMAReadLatency, done))
 }
 
 // DMAWrite submits a device-initiated posted write of n bytes to host
 // memory. done runs when the data is visible in host memory.
+//
+//herd:hotpath
 func (b *Bus) DMAWrite(n int, done func(sim.Time)) {
 	b.telPostedTx.Inc()
 	b.telPostedBytes.Add(uint64(n))
-	b.toHost.Submit(b.xferTime(n), func(sim.Time) {
-		b.eng.After(b.p.DMAWriteLatency, func() {
-			if done != nil {
-				done(b.eng.Now())
-			}
-		})
-	})
+	b.toHost.SubmitHandler(b.xferTime(n), b.job(b.p.DMAWriteLatency, done))
 }
 
 // PIOUtilization reports the PIO engine's utilization so far.

@@ -41,7 +41,29 @@ func (s *Server) Utilization() float64 {
 // Submit enqueues a job with the given service time. done (if non-nil)
 // runs when service completes and receives the completion time.
 // Submit returns the scheduled completion time.
+//
+//herd:hotpath
 func (s *Server) Submit(service Time, done func(end Time)) Time {
+	end := s.reserve(service)
+	if done != nil {
+		s.eng.AtHandler(end, completion(done))
+	}
+	return end
+}
+
+// SubmitHandler enqueues a job like Submit and fires h at its
+// completion time.
+//
+//herd:hotpath
+func (s *Server) SubmitHandler(service Time, h Handler) Time {
+	end := s.reserve(service)
+	s.eng.AtHandler(end, h)
+	return end
+}
+
+// reserve books service time on the earliest-free unit and returns the
+// job's completion time.
+func (s *Server) reserve(service Time) Time {
 	if service < 0 {
 		service = 0
 	}
@@ -60,9 +82,6 @@ func (s *Server) Submit(service Time, done func(end Time)) Time {
 	s.freeAt[best] = end
 	s.busy += service
 	s.jobs++
-	if done != nil {
-		s.eng.At(end, func() { done(end) })
-	}
 	return end
 }
 

@@ -78,7 +78,7 @@ func (qp *QP) PostAtomic(wr AtomicWR) error {
 	n.Bus().PIOWrite(n.WQEBytes(qp.transport, 0), func(sim.Time) {
 		puExtra, latExtra := n.TouchSendCtx(qp.globalKey())
 		n.PU(p.TxReadReq+p.RCReqExtra+puExtra, func(sim.Time) {
-			qp.orderedAfter(&qp.txGate, latExtra, func() {
+			qp.host.eng.At(qp.orderedAt(&qp.txGate, latExtra), func() {
 				// Atomic request carries a 28 B ATOMICETH.
 				n.Net().SendWire(n.Node(), dst.host.Node(),
 					n.Net().Params().Header(qp.transport)+28, func(sim.Time) {
@@ -98,7 +98,7 @@ func (qp *QP) deliverAtomic(src *QP, wr AtomicWR) {
 	p := n.Params()
 	puExtra, latExtra := n.TouchRecvCtx(qp.recvCtxKey())
 	n.PU(p.RxAtomic+puExtra, func(sim.Time) {
-		fin := func() {
+		qp.host.eng.At(qp.orderedAt(&qp.rxGate, latExtra), func() {
 			n.Bus().DMARead(8, func(sim.Time) {
 				// Read-modify-write, atomic within this event.
 				buf := wr.Remote.buf[wr.RemoteOff : wr.RemoteOff+8]
@@ -119,8 +119,7 @@ func (qp *QP) deliverAtomic(src *QP, wr AtomicWR) {
 						})
 				})
 			})
-		}
-		qp.orderedAfter(&qp.rxGate, latExtra, fin)
+		})
 	})
 }
 

@@ -41,8 +41,8 @@ func (qp *QP) PostSendBatch(wrs []SendWR) error {
 		totalWQE += qp.host.nic.WQEBytes(qp.transport, inlineBytes)
 		ops = append(ops, op)
 	}
-	qp.opQueue = append(qp.opQueue, ops...)
 	for _, op := range ops {
+		qp.opQueue.push(op)
 		qp.countPost(op.wr.Verb, len(op.payload), op.inline, op.wr.Signaled)
 	}
 
@@ -74,7 +74,9 @@ func (qp *QP) PostSendBatch(wrs []SendWR) error {
 	return nil
 }
 
-// prepareOp validates wr and builds its sendOp without posting it.
+// prepareOp validates wr and builds its sendOp, taken from the host's
+// pool with the payload copied into the record's reused buffer, without
+// posting it.
 func (qp *QP) prepareOp(wr SendWR) (*sendOp, error) {
 	if qp.errored {
 		return nil, ErrQPState
@@ -95,16 +97,11 @@ func (qp *QP) prepareOp(wr SendWR) (*sendOp, error) {
 		}
 		dst = qp.remote
 	}
-	var payload []byte
 	switch wr.Verb {
-	case WRITE, SEND:
-		if wr.Verb == WRITE {
-			if wr.Remote == nil || wr.RemoteOff < 0 || wr.RemoteOff+len(wr.Data) > wr.Remote.Len() {
-				return nil, ErrBounds
-			}
+	case WRITE:
+		if wr.Remote == nil || wr.RemoteOff < 0 || wr.RemoteOff+len(wr.Data) > wr.Remote.Len() {
+			return nil, ErrBounds
 		}
-		payload = make([]byte, len(wr.Data))
-		copy(payload, wr.Data)
 	case READ:
 		if wr.Remote == nil || wr.RemoteOff < 0 || wr.Len < 0 || wr.RemoteOff+wr.Len > wr.Remote.Len() {
 			return nil, ErrBounds
@@ -114,8 +111,13 @@ func (qp *QP) prepareOp(wr SendWR) (*sendOp, error) {
 		}
 	}
 	inline := wr.Inline && wr.Verb != READ
-	if inline && len(payload) > qp.host.nic.Params().InlineMax {
+	if inline && len(wr.Data) > qp.host.nic.Params().InlineMax {
 		return nil, ErrInlineTooLarge
 	}
-	return &sendOp{wr: wr, payload: payload, dst: dst, inline: inline}, nil
+	op := qp.host.getOp()
+	op.qp, op.wr, op.dst, op.inline = qp, wr, dst, inline
+	if wr.Verb != READ {
+		op.payload = append(op.payload, wr.Data...)
+	}
+	return op, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"herdkv/internal/sim"
-	"herdkv/internal/telemetry"
 	"herdkv/internal/wire"
 )
 
@@ -14,12 +13,99 @@ import (
 // ReadWindow outstanding READs stalls (the RNIC fences its send queue),
 // which is the paper's "each queue pair can only service a few
 // outstanding READ requests".
+//
+// A WRITE or SEND keeps its record through the responder's stages too
+// (NIC processing, the order gate, the payload DMA), and the record is
+// the sim.Handler for every one of them, so the verb schedules exactly
+// the events a closure per stage would without allocating any. Records
+// come from the posting host's pool and return to it once, at the
+// verb's last stage; a verb whose packet is dropped, or that meets a QP
+// in the error state, leaves its record to the garbage collector.
 type sendOp struct {
+	qp      *QP // the posting (requester) QP
 	wr      SendWR
-	payload []byte
+	payload []byte // copy of wr.Data taken at post time; storage is reused
 	dst     *QP
 	inline  bool
 	ready   bool
+
+	stage opStage
+	lat   sim.Time // context-miss latency the next gated stage waits out
+	rx    []byte   // the payload as delivered (a damaged copy if corrupt)
+	rb    recvBuf  // the RECV an inbound SEND or WRITE-with-immediate took
+
+	// fire (op.Fire) and arrive are bound once per record, so passing
+	// them as callbacks allocates nothing.
+	fire   func(sim.Time)
+	arrive func(wire.Delivery)
+}
+
+// opStage is the event a sendOp is waiting for.
+type opStage uint8
+
+const (
+	stagePIO   opStage = iota // requester: doorbell + WQE PIO
+	stageFetch                // requester: payload DMA fetch
+	stageTxPU                 // requester: NIC processing
+	stageTx                   // requester: per-QP order gate, then the wire
+	stageRxPU                 // responder: NIC processing
+	stageRxFin                // responder: per-QP order gate
+	stageRxDMA                // responder: payload (+CQE) DMA to host memory
+)
+
+// getOp returns a pooled record with an empty payload buffer.
+func (h *Host) getOp() *sendOp {
+	if n := len(h.opFree); n > 0 {
+		op := h.opFree[n-1]
+		h.opFree = h.opFree[:n-1]
+		return op
+	}
+	op := &sendOp{}
+	op.fire = op.Fire
+	op.arrive = func(d wire.Delivery) { op.dst.deliver(op, d.Corrupt) }
+	return op
+}
+
+// release returns op to its posting host's pool. Nothing may reference
+// op afterwards: the next post may reuse it at once.
+func (op *sendOp) release() {
+	h := op.qp.host
+	*op = sendOp{payload: op.payload[:0], fire: op.fire, arrive: op.arrive}
+	h.opFree = append(h.opFree, op)
+}
+
+// Fire runs op's next stage.
+//
+//herd:hotpath
+func (op *sendOp) Fire(at sim.Time) {
+	switch op.stage {
+	case stagePIO:
+		op.wr.Trace.Mark("pio", at)
+		if !op.inline && len(op.payload) > 0 {
+			// Payload fetched from host memory by DMA before transmit.
+			op.stage = stageFetch
+			op.qp.host.nic.Bus().DMARead(len(op.payload), op.fire)
+			return
+		}
+		op.ready = true
+		op.qp.pump()
+	case stageFetch:
+		op.wr.Trace.Mark("fetch", at)
+		op.ready = true
+		op.qp.pump()
+	case stageTxPU:
+		op.stage = stageTx
+		op.qp.host.eng.AtHandler(op.qp.orderedAt(&op.qp.txGate, op.lat), op)
+	case stageTx:
+		op.qp.transmit(op)
+	case stageRxPU:
+		op.stage = stageRxFin
+		op.dst.host.eng.AtHandler(op.dst.orderedAt(&op.dst.rxGate, op.lat), op)
+	case stageRxFin:
+		op.dst.finishInbound(op)
+	case stageRxDMA:
+		op.dst.landInbound(op, at)
+	}
 }
 
 // PostSend posts wr to the queue pair's send queue. Validation errors
@@ -30,7 +116,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if err != nil {
 		return fmt.Errorf("verbs: %v on %v: %w", wr.Verb, qp.transport, err)
 	}
-	qp.opQueue = append(qp.opQueue, op)
+	qp.opQueue.push(op)
 	qp.countPost(op.wr.Verb, len(op.payload), op.inline, op.wr.Signaled)
 
 	n := qp.host.nic
@@ -38,39 +124,28 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if op.inline {
 		inlineBytes = len(op.payload)
 	}
-	inline := op.inline
-	n.Bus().PIOWrite(n.WQEBytes(qp.transport, inlineBytes), func(at sim.Time) {
-		op.wr.Trace.Mark("pio", at)
-		if !inline && len(op.payload) > 0 {
-			// Payload fetched from host memory by DMA before transmit.
-			n.Bus().DMARead(len(op.payload), func(at sim.Time) {
-				op.wr.Trace.Mark("fetch", at)
-				op.ready = true
-				qp.pump()
-			})
-			return
-		}
-		op.ready = true
-		qp.pump()
-	})
+	op.stage = stagePIO
+	n.Bus().PIOWrite(n.WQEBytes(qp.transport, inlineBytes), op.fire)
 	return nil
 }
 
 // pump issues ready head-of-queue operations in order, respecting the
 // READ window fence.
+//
+//herd:hotpath
 func (qp *QP) pump() {
 	if qp.errored {
 		return // SetError already flushed the queue
 	}
-	for len(qp.opQueue) > 0 {
-		op := qp.opQueue[0]
+	for qp.opQueue.Len() > 0 {
+		op := qp.opQueue.front()
 		if !op.ready {
 			return
 		}
 		if op.wr.Verb == READ && qp.outstandingReads >= qp.host.nic.Params().ReadWindow {
 			return
 		}
-		qp.opQueue = qp.opQueue[1:]
+		qp.opQueue.pop()
 		if op.wr.Verb == READ {
 			qp.outstandingReads++
 		}
@@ -79,6 +154,8 @@ func (qp *QP) pump() {
 }
 
 // issue runs the NIC processing for op and hands it to the wire.
+//
+//herd:hotpath
 func (qp *QP) issue(op *sendOp) {
 	n := qp.host.nic
 	p := n.Params()
@@ -109,22 +186,21 @@ func (qp *QP) issue(op *sendOp) {
 		work += p.SignaledExtra
 	}
 
-	n.PU(work, func(sim.Time) {
-		qp.orderedAfter(&qp.txGate, latExtra, func() { qp.transmit(op) })
-	})
+	op.lat = latExtra
+	op.stage = stageTxPU
+	n.PU(work, op.fire)
 }
 
-// orderedAfter schedules fn at now+delay, but never before the gate's
-// previous schedule; the gate advances so per-QP order is preserved even
+// orderedAt returns now+delay, but never earlier than the gate's
+// previous time; the gate advances so per-QP order is preserved even
 // when one verb stalls on a context fetch and the next does not.
-func (qp *QP) orderedAfter(gate *sim.Time, delay sim.Time, fn func()) {
-	eng := qp.host.eng
-	at := eng.Now() + delay
+func (qp *QP) orderedAt(gate *sim.Time, delay sim.Time) sim.Time {
+	at := qp.host.eng.Now() + delay
 	if at < *gate {
 		at = *gate
 	}
 	*gate = at
-	eng.At(at, fn)
+	return at
 }
 
 func (qp *QP) transmit(op *sendOp) {
@@ -135,22 +211,8 @@ func (qp *QP) transmit(op *sendOp) {
 	op.wr.Trace.Mark("nic", h.eng.Now())
 
 	switch op.wr.Verb {
-	case WRITE:
-		dst := op.dst
-		srcQP := qp
-		wr := op.wr
-		net.SendData(src, dstNode, qp.transport, len(op.payload), func(d wire.Delivery) {
-			dst.deliverWrite(srcQP, damage(op.payload, d.Corrupt), wr)
-		})
-		qp.localSendComplete(op)
-
-	case SEND:
-		dst := op.dst
-		srcQP := qp
-		tr := op.wr.Trace
-		net.SendData(src, dstNode, qp.transport, len(op.payload), func(d wire.Delivery) {
-			dst.deliverSend(srcQP, damage(op.payload, d.Corrupt), tr)
-		})
+	case WRITE, SEND:
+		net.SendData(src, dstNode, qp.transport, len(op.payload), op.arrive)
 		qp.localSendComplete(op)
 
 	case READ:
@@ -190,7 +252,7 @@ func damage(payload []byte, corrupt bool) []byte {
 // on RC, completion waits for the responder's ACK.
 func (qp *QP) localSendComplete(op *sendOp) {
 	if reliable(qp.transport) {
-		qp.awaitingAck = append(qp.awaitingAck, pendingAck{wr: op.wr, bytes: len(op.payload)})
+		qp.awaitingAck.push(pendingAck{wr: op.wr, bytes: len(op.payload)})
 		return
 	}
 	if op.wr.Signaled {
@@ -211,12 +273,11 @@ func (qp *QP) signalCompletion(wr SendWR, bytes int) {
 	})
 }
 
-// deliverWrite handles an inbound WRITE at the responder NIC: context
-// lookup, processing, DMA of the payload into the target region, and an
-// ACK if the transport is reliable. The responder CPU is not involved
-// (memory semantics) — except for WRITE-with-immediate, which also
-// consumes a RECV and raises a completion carrying the immediate.
-func (qp *QP) deliverWrite(src *QP, payload []byte, wr SendWR) {
+// deliver handles an inbound WRITE or SEND at the responder NIC:
+// context lookup and processing, then, in per-QP order, finishInbound.
+//
+//herd:hotpath
+func (qp *QP) deliver(op *sendOp, corrupt bool) {
 	if qp.errored {
 		qp.droppedSends++
 		qp.host.telDropped.Inc()
@@ -224,97 +285,87 @@ func (qp *QP) deliverWrite(src *QP, payload []byte, wr SendWR) {
 	}
 	n := qp.host.nic
 	p := n.Params()
-	wr.Trace.Mark("wire", qp.host.eng.Now())
-	target, off := wr.Remote, wr.RemoteOff
-	puExtra, latExtra := n.TouchRecvCtx(qp.recvCtxKey())
-	work := p.RxWrite + puExtra
-	if reliable(qp.transport) {
-		work += p.RCRespExtra
-	}
-	n.PU(work, func(sim.Time) {
-		fin := func() {
-			var rb recvBuf
-			if wr.HasImm {
-				var ok bool
-				rb, ok = qp.popRecv()
-				if !ok {
-					// No RECV: the whole message is dropped.
-					qp.droppedSends++
-					qp.host.telDropped.Inc()
-					return
-				}
-			}
-			cqe := 0
-			if wr.HasImm {
-				cqe = p.CQEBytes
-			}
-			n.Bus().DMAWrite(len(payload)+cqe, func(at sim.Time) {
-				wr.Trace.Mark("dma", at)
-				copy(target.buf[off:off+len(payload)], payload)
-				target.landed(off, len(payload))
-				if wr.HasImm {
-					qp.host.telCompleted[RECV].Inc()
-					qp.recvCQ.push(Completion{
-						QPN: qp.qpn, WRID: rb.wrid, Verb: RECV,
-						Bytes: len(payload), At: at,
-						SrcQPN: src.qpn, ImmDeliv: true, Imm: wr.Imm,
-						Trace: wr.Trace,
-					})
-				}
-			})
-			if reliable(qp.transport) {
-				qp.sendAck(src)
-			}
-		}
-		qp.orderedAfter(&qp.rxGate, latExtra, fin)
-	})
-}
-
-// deliverSend handles an inbound SEND: it consumes the head RECV, DMAs
-// payload and CQE to host memory, and completes on the recv CQ (channel
-// semantics — the responder CPU posted the RECV and will poll the CQE).
-func (qp *QP) deliverSend(src *QP, payload []byte, tr *telemetry.Trace) {
-	if qp.errored {
-		qp.droppedSends++
-		qp.host.telDropped.Inc()
-		return
-	}
-	n := qp.host.nic
-	p := n.Params()
-	tr.Mark("wire", qp.host.eng.Now())
+	op.wr.Trace.Mark("wire", qp.host.eng.Now())
+	op.rx = damage(op.payload, corrupt)
 	puExtra, latExtra := n.TouchRecvCtx(qp.recvCtxKey())
 	work := p.RxSend + puExtra
+	if op.wr.Verb == WRITE {
+		work = p.RxWrite + puExtra
+	}
 	if reliable(qp.transport) {
 		work += p.RCRespExtra
 	}
-	n.PU(work, func(sim.Time) {
-		fin := func() {
-			rb, ok := qp.popRecv()
-			if !ok {
-				qp.droppedSends++
-				qp.host.telDropped.Inc()
-				return
-			}
-			m := len(payload)
-			if m > rb.len {
-				m = rb.len
-			}
-			n.Bus().DMAWrite(m+p.CQEBytes, func(at sim.Time) {
-				tr.Mark("recv", at)
-				copy(rb.mr.buf[rb.off:rb.off+m], payload[:m])
-				qp.host.telCompleted[RECV].Inc()
-				qp.recvCQ.push(Completion{
-					QPN: qp.qpn, WRID: rb.wrid, Verb: RECV, Bytes: m, At: at,
-					Data: rb.mr.buf[rb.off : rb.off+m], SrcQPN: src.qpn,
-					Trace: tr,
-				})
-			})
-			if reliable(qp.transport) {
-				qp.sendAck(src)
-			}
+	op.lat = latExtra
+	op.stage = stageRxPU
+	n.PU(work, op.fire)
+}
+
+// finishInbound starts the DMA of an inbound WRITE or SEND into host
+// memory and ACKs it on a reliable transport. A WRITE moves memory
+// without the responder CPU (memory semantics) — except
+// WRITE-with-immediate, which, like a SEND (channel semantics), consumes
+// the head RECV and raises a completion on the recv CQ. Without a RECV
+// posted, such a message is dropped whole.
+//
+//herd:hotpath
+func (qp *QP) finishInbound(op *sendOp) {
+	p := qp.host.nic.Params()
+	dmaBytes := len(op.rx)
+	if op.wr.Verb == SEND || op.wr.HasImm {
+		rb, ok := qp.popRecv()
+		if !ok {
+			qp.droppedSends++
+			qp.host.telDropped.Inc()
+			return
 		}
-		qp.orderedAfter(&qp.rxGate, latExtra, fin)
-	})
+		op.rb = rb
+		if op.wr.Verb == SEND {
+			dmaBytes = min(dmaBytes, rb.len) // a SEND is cut to its RECV
+		}
+		dmaBytes += p.CQEBytes
+	}
+	op.stage = stageRxDMA
+	qp.host.nic.Bus().DMAWrite(dmaBytes, op.fire)
+	if reliable(qp.transport) {
+		qp.sendAck(op.qp)
+	}
+}
+
+// landInbound makes an inbound WRITE's or SEND's bytes visible at the
+// DMA's completion time, raises the RECV completion it owes, and
+// releases the verb's record.
+//
+//herd:hotpath
+func (qp *QP) landInbound(op *sendOp, at sim.Time) {
+	tr, src, rb := op.wr.Trace, op.qp, op.rb
+	if op.wr.Verb == SEND {
+		tr.Mark("recv", at)
+		m := min(len(op.rx), rb.len)
+		copy(rb.mr.buf[rb.off:rb.off+m], op.rx[:m])
+		op.release()
+		qp.host.telCompleted[RECV].Inc()
+		qp.recvCQ.push(Completion{
+			QPN: qp.qpn, WRID: rb.wrid, Verb: RECV, Bytes: m, At: at,
+			Data: rb.mr.buf[rb.off : rb.off+m], SrcQPN: src.qpn,
+			Trace: tr,
+		})
+		return
+	}
+	tr.Mark("dma", at)
+	target, off, n := op.wr.Remote, op.wr.RemoteOff, len(op.rx)
+	hasImm, imm := op.wr.HasImm, op.wr.Imm
+	copy(target.buf[off:off+n], op.rx)
+	op.release()
+	target.landed(off, n)
+	if hasImm {
+		qp.host.telCompleted[RECV].Inc()
+		qp.recvCQ.push(Completion{
+			QPN: qp.qpn, WRID: rb.wrid, Verb: RECV,
+			Bytes: n, At: at,
+			SrcQPN: src.qpn, ImmDeliv: true, Imm: imm,
+			Trace: tr,
+		})
+	}
 }
 
 // deliverReadRequest services an inbound READ at the responder NIC: a
@@ -331,7 +382,7 @@ func (qp *QP) deliverReadRequest(src *QP, op *sendOp) {
 	op.wr.Trace.Mark("wire", qp.host.eng.Now())
 	puExtra, latExtra := n.TouchRecvCtx(qp.recvCtxKey())
 	n.PU(p.RxReadReq+puExtra, func(sim.Time) {
-		fin := func() {
+		qp.host.eng.At(qp.orderedAt(&qp.rxGate, latExtra), func() {
 			n.Bus().DMARead(op.wr.Len, func(at sim.Time) {
 				op.wr.Trace.Mark("dma", at)
 				data := make([]byte, op.wr.Len)
@@ -340,8 +391,7 @@ func (qp *QP) deliverReadRequest(src *QP, op *sendOp) {
 					src.deliverReadResponse(op, data)
 				})
 			})
-		}
-		qp.orderedAfter(&qp.rxGate, latExtra, fin)
+		})
 	})
 }
 
@@ -363,10 +413,12 @@ func (qp *QP) deliverReadResponse(op *sendOp, data []byte) {
 		n.Bus().DMAWrite(bytes, func(at sim.Time) {
 			op.wr.Trace.Mark("cqe", at)
 			copy(op.wr.Local.buf[op.wr.LocalOff:op.wr.LocalOff+op.wr.Len], data)
-			if op.wr.Signaled {
+			wrid, signaled := op.wr.WRID, op.wr.Signaled
+			op.release()
+			if signaled {
 				qp.host.telCompleted[READ].Inc()
 				qp.sendCQ.push(Completion{
-					QPN: qp.qpn, WRID: op.wr.WRID, Verb: READ, Bytes: op.wr.Len, At: at,
+					QPN: qp.qpn, WRID: wrid, Verb: READ, Bytes: len(data), At: at,
 				})
 			}
 			qp.outstandingReads--
@@ -391,11 +443,10 @@ func (qp *QP) sendAck(src *QP) {
 func (qp *QP) deliverAck() {
 	n := qp.host.nic
 	n.PU(n.Params().RxAck, func(sim.Time) {
-		if qp.errored || len(qp.awaitingAck) == 0 {
+		if qp.errored || qp.awaitingAck.Len() == 0 {
 			return
 		}
-		pa := qp.awaitingAck[0]
-		qp.awaitingAck = qp.awaitingAck[1:]
+		pa := qp.awaitingAck.pop()
 		if pa.wr.Signaled {
 			qp.signalCompletion(pa.wr, pa.bytes)
 		}

@@ -205,6 +205,7 @@ type Host struct {
 	nic     *nic.NIC
 	qps     map[uint32]*QP
 	nextQPN uint32
+	opFree  []*sendOp // recycled work-request records (see sendOp)
 
 	// Telemetry (nil handles when un-instrumented): per-verb posted and
 	// completed counters, inlined-vs-DMA'd and signaled-vs-unsignaled
@@ -278,12 +279,12 @@ type QP struct {
 
 	remote *QP // connected transports only
 
-	recvQueue []recvBuf
+	recvQueue fifo[recvBuf]
 
 	// opQueue holds posted work requests in strict FIFO order until
 	// their PIO/payload-fetch phase completes and the READ window allows
 	// them to issue.
-	opQueue []*sendOp
+	opQueue fifo[*sendOp]
 
 	// outstandingReads counts in-flight READs against ReadWindow.
 	outstandingReads int
@@ -302,7 +303,7 @@ type QP struct {
 	rxGate sim.Time
 
 	// RC ordering: ACKed completions pop in post order.
-	awaitingAck []pendingAck
+	awaitingAck fifo[pendingAck]
 
 	droppedSends uint64 // inbound SENDs discarded for lack of a RECV
 
@@ -400,27 +401,27 @@ func (qp *QP) SetError() {
 		return
 	}
 	qp.errored = true
-	for _, op := range qp.opQueue {
+	for qp.opQueue.Len() > 0 {
+		op := qp.opQueue.pop()
 		qp.sendCQ.push(Completion{
 			QPN: qp.qpn, WRID: op.wr.WRID, Verb: op.wr.Verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.opQueue = nil
-	for _, pa := range qp.awaitingAck {
+	for qp.awaitingAck.Len() > 0 {
+		pa := qp.awaitingAck.pop()
 		qp.sendCQ.push(Completion{
 			QPN: qp.qpn, WRID: pa.wr.WRID, Verb: pa.wr.Verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.awaitingAck = nil
-	for _, rb := range qp.recvQueue {
+	for qp.recvQueue.Len() > 0 {
+		rb := qp.recvQueue.pop()
 		qp.recvCQ.push(Completion{
 			QPN: qp.qpn, WRID: rb.wrid, Verb: RECV,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.recvQueue = nil
 	qp.outstandingReads = 0
 }
 
@@ -472,12 +473,12 @@ func (qp *QP) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	}
 	qp.host.telPosted[RECV].Inc()
 	qp.qpPosted[RECV].Inc()
-	qp.recvQueue = append(qp.recvQueue, recvBuf{mr: mr, off: off, len: n, wrid: wrid})
+	qp.recvQueue.push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
 
 // RecvQueueLen reports how many RECVs are currently posted.
-func (qp *QP) RecvQueueLen() int { return len(qp.recvQueue) }
+func (qp *QP) RecvQueueLen() int { return qp.recvQueue.Len() }
 
 // SendWR describes a work request for PostSend.
 type SendWR struct {

@@ -154,6 +154,64 @@ type Network struct {
 	sent      uint64
 	dropped   uint64
 	corrupted uint64
+
+	free []*packet // recycled in-flight packet records
+}
+
+// packet is one packet in flight: egress serialization, then
+// propagation, then ingress serialization, then delivery. It is the
+// sim.Handler for all three hops, so a packet schedules its events
+// without closures. At most one of deliver and ctrl is set: deliver
+// sees corrupt arrivals, ctrl (the corruption-blind control path) never
+// runs for them.
+type packet struct {
+	n       *Network
+	dp      *port
+	ser     sim.Time
+	corrupt bool
+	hop     uint8 // hops completed
+	deliver func(Delivery)
+	ctrl    func(sim.Time)
+}
+
+// Fire runs the packet's next hop.
+//
+//herd:hotpath
+func (p *packet) Fire(at sim.Time) {
+	p.hop++
+	switch p.hop {
+	case 1: // off the sender's egress link
+		p.n.eng.AfterHandler(p.n.p.PropDelay, p)
+	case 2: // across the switch
+		p.dp.ingress.SubmitHandler(p.ser, p)
+	default: // fully arrived
+		deliver, ctrl, corrupt := p.deliver, p.ctrl, p.corrupt
+		p.n.release(p)
+		switch {
+		case deliver != nil:
+			deliver(Delivery{At: at, Corrupt: corrupt})
+		case ctrl != nil && !corrupt:
+			ctrl(at)
+		}
+	}
+}
+
+// packet returns a pooled record for a packet bound for port dp.
+func (n *Network) packet(dp *port, ser sim.Time, corrupt bool, deliver func(Delivery), ctrl func(sim.Time)) *packet {
+	var p *packet
+	if k := len(n.free); k > 0 {
+		p = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		p = &packet{n: n}
+	}
+	p.dp, p.ser, p.corrupt, p.deliver, p.ctrl = dp, ser, corrupt, deliver, ctrl
+	return p
+}
+
+func (n *Network) release(p *packet) {
+	p.dp, p.deliver, p.ctrl, p.hop = nil, nil, nil, 0
+	n.free = append(n.free, p)
 }
 
 // NewNetwork returns an empty fabric.
@@ -232,7 +290,7 @@ func (n *Network) Corrupted() uint64 { return n.corrupted }
 // never called if the packet is dropped or corrupted (control-path
 // semantics: hardware CRCs catch corruption and discard the packet).
 func (n *Network) Send(src, dst NodeID, t Transport, payload int, deliver func(sim.Time)) {
-	n.SendData(src, dst, t, payload, dropCorrupt(deliver))
+	n.sendSegmented(src, dst, n.WireBytes(t, payload), nil, deliver)
 }
 
 // SendData transmits like Send but surfaces corruption: deliver runs
@@ -241,7 +299,7 @@ func (n *Network) Send(src, dst NodeID, t Transport, payload int, deliver func(s
 // payloads the application must reject — the paper's Section 7 point
 // that unreliable transports push integrity to the application.
 func (n *Network) SendData(src, dst NodeID, t Transport, payload int, deliver func(Delivery)) {
-	n.sendSegmented(src, dst, n.WireBytes(t, payload), deliver)
+	n.sendSegmented(src, dst, n.WireBytes(t, payload), deliver, nil)
 }
 
 // SendWire transmits a packet of an explicit wire size (used for ACKs and
@@ -250,31 +308,30 @@ func (n *Network) SendData(src, dst NodeID, t Transport, payload int, deliver fu
 // the final segment has fully arrived. Corrupted control packets are
 // discarded (never delivered).
 func (n *Network) SendWire(src, dst NodeID, wireBytes int, deliver func(sim.Time)) {
-	n.sendSegmented(src, dst, wireBytes, dropCorrupt(deliver))
+	n.sendSegmented(src, dst, wireBytes, nil, deliver)
 }
 
-// dropCorrupt adapts a corruption-blind callback: corrupt arrivals are
-// simply discarded.
-func dropCorrupt(deliver func(sim.Time)) func(Delivery) {
-	return func(d Delivery) {
-		if d.Corrupt || deliver == nil {
-			return
-		}
-		deliver(d.At)
-	}
-}
-
-func (n *Network) sendSegmented(src, dst NodeID, wireBytes int, deliver func(Delivery)) {
+// sendSegmented sends one message. At most one of deliver (sees corrupt
+// arrivals) and ctrl (corrupt arrivals are discarded) is set.
+func (n *Network) sendSegmented(src, dst NodeID, wireBytes int, deliver func(Delivery), ctrl func(sim.Time)) {
 	hdr := n.p.HdrUC // segmentation framing approximated by the UC header
 	maxPkt := n.p.MTU + hdr
 	if n.p.MTU <= 0 || wireBytes <= maxPkt {
-		n.sendOne(src, dst, wireBytes, deliver)
+		n.sendOne(src, dst, wireBytes, deliver, ctrl)
 		return
 	}
 	// Split into segments, each with its own header. The message is
 	// delivered only when every segment has arrived — a dropped segment
 	// (which produces no arrival) suppresses delivery entirely, and a
 	// corrupted segment taints the whole message.
+	whole := deliver
+	if ctrl != nil {
+		whole = func(d Delivery) {
+			if !d.Corrupt {
+				ctrl(d.At)
+			}
+		}
+	}
 	var sizes []int
 	rest := wireBytes
 	for rest > maxPkt {
@@ -288,14 +345,18 @@ func (n *Network) sendSegmented(src, dst NodeID, wireBytes int, deliver func(Del
 		n.sendOne(src, dst, sz, func(d Delivery) {
 			arrived++
 			tainted = tainted || d.Corrupt
-			if arrived == len(sizes) && deliver != nil {
-				deliver(Delivery{At: d.At, Corrupt: tainted})
+			if arrived == len(sizes) && whole != nil {
+				whole(Delivery{At: d.At, Corrupt: tainted})
 			}
-		})
+		}, nil)
 	}
 }
 
-func (n *Network) sendOne(src, dst NodeID, wireBytes int, deliver func(Delivery)) {
+// sendOne decides one packet's fate and, unless it is dropped, puts a
+// pooled packet record on the sender's egress link.
+//
+//herd:hotpath
+func (n *Network) sendOne(src, dst NodeID, wireBytes int, deliver func(Delivery), ctrl func(sim.Time)) {
 	sp, dp := n.mustPort(src), n.mustPort(dst)
 	n.sent++
 	corrupt := false
@@ -308,15 +369,7 @@ func (n *Network) sendOne(src, dst NodeID, wireBytes int, deliver func(Delivery)
 		corrupt = true
 	}
 	ser := n.SerializationTime(wireBytes)
-	sp.egress.Submit(ser, func(sim.Time) {
-		n.eng.After(n.p.PropDelay, func() {
-			dp.ingress.Submit(ser, func(end sim.Time) {
-				if deliver != nil {
-					deliver(Delivery{At: end, Corrupt: corrupt})
-				}
-			})
-		})
-	})
+	sp.egress.SubmitHandler(ser, n.packet(dp, ser, corrupt, deliver, ctrl))
 }
 
 // IngressUtilization reports node id's receive-link utilization.
