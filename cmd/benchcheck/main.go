@@ -1,17 +1,20 @@
-// Command benchcheck is the benchmark ratchet: it compares a freshly
-// generated benchmark JSON against a committed baseline and fails when
-// any throughput leaf regressed past the allowed fraction.
+// Command benchcheck is the benchmark ratchet: it compares every
+// committed baseline report against the freshly generated one of the
+// same name and fails when any gated metric regressed.
 //
 // Usage:
 //
-//	benchcheck [-max-regress 0.05] baseline.json fresh.json
+//	benchcheck baselines/ DIR
 //
-// Throughput leaves are numeric JSON fields whose key contains "mops"
-// (the convention every BENCH_*.json in this repo follows). Fields
-// present in the baseline but missing from the fresh file fail the
-// check too — a renamed field silently dropping out of the ratchet is
-// exactly the kind of drift this tool exists to catch. Improvements
-// and new fields are reported but never fail.
+// Every baselines/BENCH_*.json must have a DIR/BENCH_*.json of the same
+// name (written by `herdbench -json DIR`). A metric is gated when its
+// baseline `better` field is "higher" or "lower"; it fails when it is
+// worse than the baseline by more than 5% of |baseline| (so a
+// lower-is-better metric with a zero baseline fails on any rise), and
+// when it is missing from the fresh report — a renamed metric silently
+// dropping out of the ratchet is exactly the drift this tool exists to
+// catch. Informational metrics (empty `better`) are ignored.
+// Improvements and new gated metrics are reported but never fail.
 //
 // The simulator is deterministic, so a regression here is a real code
 // change slowing a measured path, not noise; the slack exists only to
@@ -20,106 +23,128 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"sort"
-	"strings"
+
+	"herdkv/internal/experiments"
 )
 
+// maxRegress is the allowed worsening as a fraction of |baseline|.
+const maxRegress = 0.05
+
 func main() {
-	maxRegress := flag.Float64("max-regress", 0.05,
-		"maximum allowed fractional drop per throughput leaf")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck [-max-regress f] baseline.json fresh.json")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck baselines/ DIR")
 		os.Exit(2)
 	}
-	base, err := loadLeaves(flag.Arg(0))
+	ok, err := check(os.Stdout, os.Args[1], os.Args[2])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fresh, err := loadLeaves(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	failed := false
-	for _, k := range keys {
-		was := base[k]
-		now, ok := fresh[k]
-		if !ok {
-			fmt.Printf("FAIL %s: in baseline (%.3f) but missing from %s\n", k, was, flag.Arg(1))
-			failed = true
-			continue
-		}
-		switch {
-		case was <= 0:
-			fmt.Printf("  ok %s: baseline %.3f not positive, skipped\n", k, was)
-		case now < was*(1-*maxRegress):
-			fmt.Printf("FAIL %s: %.3f -> %.3f (%.1f%% drop, limit %.0f%%)\n",
-				k, was, now, (1-now/was)*100, *maxRegress*100)
-			failed = true
-		default:
-			fmt.Printf("  ok %s: %.3f -> %.3f (%+.1f%%)\n", k, was, now, (now/was-1)*100)
-		}
-	}
-	for k, v := range fresh {
-		if _, ok := base[k]; !ok {
-			fmt.Printf(" new %s: %.3f (no baseline yet)\n", k, v)
-		}
-	}
-	if failed {
-		fmt.Printf("benchcheck: %s regressed vs %s\n", flag.Arg(1), flag.Arg(0))
+	if !ok {
+		fmt.Printf("benchcheck: %s regressed vs %s\n", os.Args[2], os.Args[1])
 		os.Exit(1)
 	}
 }
 
-// loadLeaves extracts every numeric leaf whose key contains "mops"
-// from an arbitrary JSON document (objects and arrays are walked;
-// array indexes become path segments so sweep points stay distinct).
-func loadLeaves(path string) (map[string]float64, error) {
+// check compares every baseline report in baseDir against its namesake
+// in freshDir, printing one line per gated metric. It returns false when
+// a file or gated metric is missing or a metric regressed.
+func check(w io.Writer, baseDir, freshDir string) (bool, error) {
+	files, err := filepath.Glob(filepath.Join(baseDir, "BENCH_*.json"))
+	if err != nil {
+		return false, err
+	}
+	if len(files) == 0 {
+		return false, fmt.Errorf("no BENCH_*.json baselines in %s", baseDir)
+	}
+	ok := true
+	for _, path := range files {
+		file := filepath.Base(path)
+		base, err := load(path)
+		if err != nil {
+			return false, err
+		}
+		fresh, err := load(filepath.Join(freshDir, file))
+		if os.IsNotExist(err) {
+			fmt.Fprintf(w, "FAIL %s: in %s but missing from %s\n", file, baseDir, freshDir)
+			ok = false
+			continue
+		}
+		if err != nil {
+			return false, err
+		}
+		for _, key := range sortedKeys(base) {
+			was := base[key]
+			now, found := fresh[key]
+			name := file + " " + key
+			switch {
+			case !found:
+				fmt.Fprintf(w, "FAIL %s: in baseline (%.6g) but missing\n", name, was.Value)
+				ok = false
+			case worse(was, now.Value) > maxRegress*math.Abs(was.Value):
+				fmt.Fprintf(w, "FAIL %s: %.6g -> %.6g (%s is better, limit %.0f%%)\n",
+					name, was.Value, now.Value, was.Better, maxRegress*100)
+				ok = false
+			default:
+				fmt.Fprintf(w, "  ok %s: %.6g -> %.6g\n", name, was.Value, now.Value)
+			}
+		}
+		for _, key := range sortedKeys(fresh) {
+			if _, found := base[key]; !found {
+				fmt.Fprintf(w, " new %s %s: %.6g (no baseline yet)\n", file, key, fresh[key].Value)
+			}
+		}
+	}
+	return ok, nil
+}
+
+// worse is how far now is from was in the metric's bad direction
+// (negative for an improvement).
+func worse(was experiments.Metric, now float64) float64 {
+	if was.Better == experiments.Lower {
+		return now - was.Value
+	}
+	return was.Value - now
+}
+
+// load reads a report and flattens its gated metrics to "arm.metric"
+// keys; informational metrics are dropped and an unknown direction is an
+// error.
+func load(path string) (map[string]experiments.Metric, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var doc interface{}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	var rep experiments.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	leaves := make(map[string]float64)
-	walk(doc, "", leaves)
-	if len(leaves) == 0 {
-		return nil, fmt.Errorf("%s: no throughput (*mops*) leaves found", path)
+	gated := map[string]experiments.Metric{}
+	for arm, metrics := range rep.Arms {
+		for name, m := range metrics {
+			switch m.Better {
+			case experiments.Higher, experiments.Lower:
+				gated[arm+"."+name] = m
+			case "":
+			default:
+				return nil, fmt.Errorf("%s: %s.%s: unknown better %q", path, arm, name, m.Better)
+			}
+		}
 	}
-	return leaves, nil
+	return gated, nil
 }
 
-func walk(node interface{}, prefix string, out map[string]float64) {
-	switch v := node.(type) {
-	case map[string]interface{}:
-		for k, child := range v {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			if n, ok := child.(float64); ok && strings.Contains(strings.ToLower(k), "mops") {
-				out[p] = n
-				continue
-			}
-			walk(child, p, out)
-		}
-	case []interface{}:
-		for i, child := range v {
-			walk(child, fmt.Sprintf("%s[%d]", prefix, i), out)
-		}
+func sortedKeys(m map[string]experiments.Metric) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
 }

@@ -5,31 +5,19 @@
 //
 //	herdbench [-cluster apt|susitna] [-warmup us] [-span us]
 //	          [-metrics file] [-trace file] [-perqp]
-//	          [-faults script] [targets...]
+//	          [-faults script] [-json dir] [targets...]
 //
 // Targets are table1, table2, fig2..fig7, fig9..fig14, or "all"
-// (default). Figure 9 always covers both clusters. The "chaos" target
-// runs the packaged crash-restart scenario; -faults replaces its
-// schedule with a chaos script (see docs/ROBUSTNESS.md for the format).
-// "fleet-bench" compares single vs sharded vs replicated-fleet
-// deployments (-benchjson also writes the result as JSON) and
-// "fleet-chaos" runs the fleet through a shard crash; see
-// docs/SCALEOUT.md. "overload" sweeps offered load past saturation with
-// and without the overload controller (-overloadjson writes the sweep
-// as JSON); see docs/ROBUSTNESS.md. "clients-sweep" sweeps the client
-// count from 100 to 10k with and without the endpoint multiplexing
-// tier (-clientsjson writes the sweep as JSON); see
-// docs/SCALABILITY.md. "durability" crashes a durable fleet
-// mid-group-commit and compares warm WAL rejoin against cold
-// re-replication (-durabilityjson writes the comparison as JSON); see
-// docs/DURABILITY.md. "hotkey" runs the skewed workload with and
-// without the client near cache + leases + hot-key widening
-// (-hotkeyjson writes the comparison as JSON); see docs/CACHING.md.
-// "consistency" searches nemesis seeds for a schedule under which the
-// first-ack fleet serves a provably stale read, minimizes it, and
-// proves versioned writes + read repair restore linearizability
-// (-consistencyjson writes the comparison as JSON); see
-// docs/ROBUSTNESS.md.
+// (default); -list prints every target. Figure 9 always covers both
+// clusters. The "chaos" target runs the packaged crash-restart scenario;
+// -faults replaces its schedule with a chaos script (see
+// docs/ROBUSTNESS.md for the format). The extension experiments —
+// "fleet-bench" (docs/SCALEOUT.md), "overload" (docs/ROBUSTNESS.md),
+// "clients-sweep" (docs/SCALABILITY.md), "durability"
+// (docs/DURABILITY.md), "hotkey" (docs/CACHING.md) and "consistency"
+// (docs/ROBUSTNESS.md) — also return a report: -json DIR writes each
+// one as DIR/BENCH_<name>.json (schema in EXPERIMENTS.md), which
+// cmd/benchcheck ratchets against baselines/.
 //
 // -metrics dumps the cluster-wide metric registry (per-verb posted and
 // completion counters, PCIe transaction counts, NIC cache hit rates,
@@ -44,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -64,12 +53,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write request-lifecycle spans as Chrome trace_event JSON to this file")
 	perQP := flag.Bool("perqp", false, "with -metrics: also keep per-queue-pair posted counters")
 	faultsFile := flag.String("faults", "", "chaos script for the chaos target (overrides the packaged scenario)")
-	benchJSON := flag.String("benchjson", "", "with the fleet-bench target: also write the comparison as JSON to this file")
-	overloadJSON := flag.String("overloadjson", "", "with the overload target: also write the sweep as JSON to this file")
-	clientsJSON := flag.String("clientsjson", "", "with the clients-sweep target: also write the sweep as JSON to this file")
-	durabilityJSON := flag.String("durabilityjson", "", "with the durability target: also write the comparison as JSON to this file")
-	hotkeyJSON := flag.String("hotkeyjson", "", "with the hotkey target: also write the comparison as JSON to this file")
-	consistencyJSON := flag.String("consistencyjson", "", "with the consistency target: also write the comparison as JSON to this file")
+	jsonDir := flag.String("json", "", "write each run target's report as BENCH_<name>.json into this directory")
 	flag.Parse()
 
 	experiments.Warmup = sim.Time(*warmupUS) * sim.Microsecond
@@ -96,153 +80,55 @@ func main() {
 		os.Exit(2)
 	}
 
-	targets := map[string]func() *experiments.Table{
-		"table1": experiments.Table1Verbs,
-		"table2": experiments.Table2Clusters,
-		"fig1":   experiments.Fig1Steps,
-		"fig2":   func() *experiments.Table { return experiments.Fig2Latency(spec) },
-		"fig3":   func() *experiments.Table { return experiments.Fig3Inbound(spec) },
-		"fig4":   func() *experiments.Table { return experiments.Fig4Outbound(spec) },
-		"fig5":   func() *experiments.Table { return experiments.Fig5Echo(spec) },
-		"fig6":   func() *experiments.Table { return experiments.Fig6AllToAll(spec) },
-		"fig7":   func() *experiments.Table { return experiments.Fig7Prefetch(spec) },
-		"fig8":   experiments.Fig8Layout,
-		"fig9":   experiments.Fig9Throughput,
-		"fig10":  func() *experiments.Table { return experiments.Fig10ValueSize(spec) },
-		"fig11":  func() *experiments.Table { return experiments.Fig11LatencyThroughput(spec) },
-		"fig12":  func() *experiments.Table { return experiments.Fig12ClientScaling(spec) },
-		"fig13":  func() *experiments.Table { return experiments.Fig13CPUCores(spec) },
-		"fig14":  func() *experiments.Table { return experiments.Fig14Skew(spec) },
-
-		// Ablations beyond the paper's figures.
-		"ablation-arch":     func() *experiments.Table { return experiments.AblationArchitecture(spec) },
-		"ablation-inline":   func() *experiments.Table { return experiments.AblationInlineCutoff(spec) },
-		"ablation-window":   func() *experiments.Table { return experiments.AblationWindow(spec) },
-		"ablation-prefetch": func() *experiments.Table { return experiments.AblationPrefetch(spec) },
-		"ablation-doorbell": func() *experiments.Table { return experiments.AblationDoorbell(spec) },
-		"anatomy":           func() *experiments.Table { return experiments.LatencyAnatomy(spec) },
-		"cpuuse":            func() *experiments.Table { return experiments.CPUUse(spec) },
-		"symmetric":         func() *experiments.Table { return experiments.SymmetricStudy(spec) },
-		"classical":         func() *experiments.Table { return experiments.Classical(spec) },
-
-		// Fleet scale-out: single vs sharded vs replicated fleet, and
-		// the fleet under a crash-restart schedule (docs/SCALEOUT.md).
-		"fleet-bench": func() *experiments.Table {
-			tbl, res := experiments.FleetBench(spec)
-			if *benchJSON != "" {
-				writeFile(*benchJSON, res.WriteJSON)
-			}
-			return tbl
-		},
-		"fleet-chaos": func() *experiments.Table { return experiments.FleetChaosScenario(spec) },
-
-		// Overload: goodput and tail latency vs offered load, with and
-		// without admission control + busy pushback + client AIMD
-		// (docs/ROBUSTNESS.md).
-		"overload": func() *experiments.Table {
-			tbl, res := experiments.Overload(spec)
-			if *overloadJSON != "" {
-				writeFile(*overloadJSON, res.WriteJSON)
-			}
-			return tbl
-		},
-
-		// Connection scalability: the Figure 12 cliff at 100..10k clients
-		// and the endpoint multiplexing tier that removes it
-		// (docs/SCALABILITY.md).
-		"clients-sweep": func() *experiments.Table {
-			tbl, res := experiments.Clients(spec)
-			if *clientsJSON != "" {
-				writeFile(*clientsJSON, res.WriteJSON)
-			}
-			return tbl
-		},
-
-		// Durability: the fleet crashed mid-group-commit, warm WAL
-		// rejoin vs cold re-replication (docs/DURABILITY.md).
-		"durability": func() *experiments.Table {
-			tbl, res := experiments.DurabilityScenario(spec)
-			if *durabilityJSON != "" {
-				writeFile(*durabilityJSON, res.WriteJSON)
-			}
-			return tbl
-		},
-
-		// Hot-key survival: the skewed workload with and without the
-		// client near cache + leases + hot-key widening
-		// (docs/CACHING.md).
-		"hotkey": func() *experiments.Table {
-			tbl, res := experiments.Hotkey(spec)
-			if *hotkeyJSON != "" {
-				writeFile(*hotkeyJSON, res.WriteJSON)
-			}
-			return tbl
-		},
-
-		// Consistency: the nemesis-driven linearizability gate —
-		// first-ack divergence vs versioned read repair under a
-		// generated chaos schedule (docs/ROBUSTNESS.md).
-		"consistency": func() *experiments.Table {
-			tbl, res := experiments.ConsistencyScenario(spec)
-			if *consistencyJSON != "" {
-				writeFile(*consistencyJSON, res.WriteJSON)
-			}
-			return tbl
-		},
-
-		// Robustness: HERD under a scripted fault schedule.
-		"chaos": func() *experiments.Table {
-			if *faultsFile == "" {
-				return experiments.ChaosScenario(spec)
-			}
-			script, err := os.ReadFile(*faultsFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			sched, err := fault.ParseSchedule(string(script))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return experiments.Chaos(spec, sched, 1)
-		},
-	}
-	order := []string{
-		"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"ablation-arch", "ablation-inline", "ablation-window", "ablation-prefetch",
-		"ablation-doorbell",
-		"anatomy", "cpuuse", "symmetric", "classical", "chaos",
-		"fleet-bench", "fleet-chaos", "overload", "clients-sweep", "durability",
-		"hotkey", "consistency",
-	}
-
 	if *list {
-		for _, name := range order {
-			fmt.Println(name)
+		for _, t := range experiments.Targets {
+			fmt.Println(t.Name)
 		}
 		return
 	}
 
-	want := flag.Args()
-	if len(want) == 0 || (len(want) == 1 && want[0] == "all") {
-		want = order
+	// Resolve every name (and the -faults script) before running
+	// anything, so a typo fails fast instead of after a long target.
+	var targets []experiments.Target
+	if want := flag.Args(); len(want) == 0 || (len(want) == 1 && want[0] == "all") {
+		targets = experiments.Targets
+	} else {
+		for _, name := range want {
+			t, ok := experiments.FindTarget(name)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown target %q; -list shows options\n", name)
+				os.Exit(2)
+			}
+			targets = append(targets, t)
+		}
 	}
-	for _, name := range want {
-		fn, ok := targets[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown target %q; -list shows options\n", name)
-			os.Exit(2)
+	var faults *fault.Schedule
+	if *faultsFile != "" {
+		script, err := os.ReadFile(*faultsFile)
+		if err == nil {
+			faults, err = fault.ParseSchedule(string(script))
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+
+	for _, t := range targets {
+		if t.Name == "chaos" && faults != nil {
+			t.Table = func(spec cluster.Spec) *experiments.Table { return experiments.Chaos(spec, faults, 1) }
 		}
 		start := time.Now()
-		tbl := fn()
+		tbl, rep := t.Run(spec)
+		if *jsonDir != "" && rep != nil {
+			writeFile(filepath.Join(*jsonDir, "BENCH_"+rep.Name+".json"), rep.WriteJSON)
+		}
 		if *format == "csv" {
 			tbl.FprintCSV(os.Stdout)
 			continue
 		}
 		tbl.Fprint(os.Stdout)
-		fmt.Printf("  [%s generated in %.1fs]\n\n", name, time.Since(start).Seconds())
+		fmt.Printf("  [%s generated in %.1fs]\n\n", t.Name, time.Since(start).Seconds())
 	}
 
 	if *metricsFile != "" {
@@ -253,15 +139,17 @@ func main() {
 	}
 }
 
-// writeFile writes one telemetry artifact via the given writer function.
+// writeFile writes one artifact via the given writer function; a write
+// or close failure exits 1.
 func writeFile(path string, write func(w io.Writer) error) {
 	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	defer f.Close()
-	if err := write(f); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -13,38 +11,6 @@ import (
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
 )
-
-// ClientsPoint is one client-count level of the connection-scalability
-// sweep (Figure 12).
-type ClientsPoint struct {
-	// Clients is the number of logical closed-loop clients offered.
-	Clients int `json:"clients"`
-	// ServerQPs is how many connected QPs the server holds for them —
-	// equal to Clients without muxing, hosts x pool size with it. This
-	// is the quantity the RNIC's context cache is sized against.
-	ServerQPs int `json:"server_qps"`
-	// GoodputMops counts served operations during the measurement span.
-	GoodputMops float64 `json:"goodput_mops"`
-	// P99US is the 99th-percentile served-operation latency in
-	// microseconds (queue-inclusive, so it grows with client count in a
-	// closed loop even at flat throughput).
-	P99US float64 `json:"p99_us"`
-	// RecvCtxHitRate is the server NIC's receive-context-cache hit rate
-	// over the run — the cliff's direct mechanism (nic.ctxcache.recv.*).
-	RecvCtxHitRate float64 `json:"recv_ctx_hit_rate"`
-	// RecvCtxEvicts counts receive-context evictions at the server NIC
-	// (nic.ctxcache.recv.evicts): nonzero means the working set of
-	// connected QPs no longer fits on chip.
-	RecvCtxEvicts uint64 `json:"recv_ctx_evicts"`
-}
-
-// ClientsResult is the machine-readable output of the client-scaling
-// sweep (written as BENCH_clients.json by `make bench`).
-type ClientsResult struct {
-	Cluster string         `json:"cluster"`
-	NoMux   []ClientsPoint `json:"no_mux"`
-	Mux     []ClientsPoint `json:"mux"`
-}
 
 // Client-count sweep: from comfortably inside the ConnectX-3 receive
 // context cache (RecvCtxCap = 280) to 10k clients, far past it.
@@ -88,7 +54,7 @@ func clientsShare(n, host int) int {
 // cluster: `clients` closed-loop GET chains, reaching the server either
 // as one connected QP set each (muxed=false) or as channels over a
 // 4-QP endpoint per host (muxed=true).
-func clientsPoint(spec cluster.Spec, clients int, muxed bool) ClientsPoint {
+func clientsPoint(spec cluster.Spec, clients int, muxed bool) Metrics {
 	maxClients := clients
 	if muxed {
 		maxClients = clientsHosts * clientsMuxQPs
@@ -171,15 +137,28 @@ func clientsPoint(spec cluster.Spec, clients int, muxed bool) ClientsPoint {
 	measuring = false
 	stopped = true
 
+	// server_qps is the quantity the RNIC's context cache is sized
+	// against; the receive-context hit rate and evictions are the cliff's
+	// direct mechanism. p99 is queue-inclusive, so it grows with client
+	// count in a closed loop even at flat throughput; only the muxed arm
+	// under test ratchets it.
 	srvNIC := cl.Machine(0).Verbs.NIC()
-	return ClientsPoint{
-		Clients:        clients,
-		ServerQPs:      serverQPs,
-		GoodputMops:    stats.Throughput(served, Span),
-		P99US:          float64(lat.Percentile(99)) / float64(sim.Microsecond),
-		RecvCtxHitRate: srvNIC.RecvCtxHitRate(),
-		RecvCtxEvicts:  srvNIC.RecvCtxCache().Evictions(),
+	m := Metrics{}
+	p99Better := ""
+	if muxed {
+		p99Better = Lower
 	}
+	m.Set("server_qps", float64(serverQPs), "count", "")
+	m.Set("goodput_mops", stats.Throughput(served, Span), "Mops", Higher)
+	m.Set("p99_us", float64(lat.Percentile(99))/float64(sim.Microsecond), "us", p99Better)
+	m.Set("recv_ctx_hit_rate", srvNIC.RecvCtxHitRate(), "ratio", "")
+	m.Set("recv_ctx_evicts", float64(srvNIC.RecvCtxCache().Evictions()), "count", "")
+	return m
+}
+
+// clientsArm names one sweep point in the report.
+func clientsArm(mode string, clients int) string {
+	return fmt.Sprintf("%s/clients=%d", mode, clients)
 }
 
 // Clients runs the connection-scalability sweep with and without the
@@ -191,33 +170,24 @@ func clientsPoint(spec cluster.Spec, clients int, muxed bool) ClientsPoint {
 // connected-QP count at 128 regardless of client count, so the context
 // working set always fits and throughput stays flat
 // (docs/SCALABILITY.md).
-func Clients(spec cluster.Spec) (*Table, ClientsResult) {
-	res := ClientsResult{Cluster: spec.Name}
-	for _, n := range clientsSweep {
-		res.NoMux = append(res.NoMux, clientsPoint(spec, n, false))
-		res.Mux = append(res.Mux, clientsPoint(spec, n, true))
-	}
-
+func Clients(spec cluster.Spec) (*Table, *Report) {
+	rep := newReport("clients", spec)
 	t := &Table{
 		ID:    "clients",
 		Title: fmt.Sprintf("Client scaling, closed-loop GETs — %s", spec.Name),
 		Columns: []string{"clients", "direct QPs", "direct Mops", "direct ctx hit",
 			"mux QPs", "mux Mops", "mux ctx hit"},
 	}
-	for i, d := range res.NoMux {
-		m := res.Mux[i]
-		t.AddRow(fmt.Sprintf("%d", d.Clients),
-			fmt.Sprintf("%d", d.ServerQPs), cell(d.GoodputMops), fmt.Sprintf("%.3f", d.RecvCtxHitRate),
-			fmt.Sprintf("%d", m.ServerQPs), cell(m.GoodputMops), fmt.Sprintf("%.3f", m.RecvCtxHitRate))
+	for _, n := range clientsSweep {
+		d := clientsPoint(spec, n, false)
+		m := clientsPoint(spec, n, true)
+		rep.Arms[clientsArm("direct", n)] = d
+		rep.Arms[clientsArm("mux", n)] = m
+		t.AddRow(fmt.Sprintf("%d", n),
+			d.itoa("server_qps"), cell(d["goodput_mops"].Value), fmt.Sprintf("%.3f", d["recv_ctx_hit_rate"].Value),
+			m.itoa("server_qps"), cell(m["goodput_mops"].Value), fmt.Sprintf("%.3f", m["recv_ctx_hit_rate"].Value))
 	}
 	t.AddNote("direct: one connected UC QP per client (Figure 12); mux: %d endpoints x %d QPs, channels multiplexed (internal/mux); recv ctx cache %d entries",
 		clientsHosts, clientsMuxQPs, spec.NIC.RecvCtxCap)
-	return t, res
-}
-
-// WriteJSON writes the sweep result as indented JSON.
-func (r ClientsResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return t, rep
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -13,26 +11,17 @@ import (
 // goodput decline from its peak by the deepest sweep point), and the
 // muxed arm must hold >= 95% of its peak at every client count.
 func TestClientsSweepGate(t *testing.T) {
-	shrinkWindows(t)
+	defer short(t)()
 
-	tbl, res := Clients(cluster.Apt())
-	if tbl.String() == "" {
-		t.Fatal("empty clients table")
-	}
-	if len(res.NoMux) != len(clientsSweep) || len(res.Mux) != len(clientsSweep) {
-		t.Fatalf("sweep has %d/%d points, want %d", len(res.NoMux), len(res.Mux), len(clientsSweep))
-	}
-
-	peak := func(pts []ClientsPoint) float64 {
+	_, rep := Clients(cluster.Apt())
+	peak := func(mode string) float64 {
 		best := 0.0
-		for _, p := range pts {
-			if p.GoodputMops > best {
-				best = p.GoodputMops
-			}
+		for _, n := range clientsSweep {
+			best = max(best, metric(t, rep, clientsArm(mode, n), "goodput_mops"))
 		}
 		return best
 	}
-	directPeak, muxPeak := peak(res.NoMux), peak(res.Mux)
+	directPeak, muxPeak := peak("direct"), peak("mux")
 	if directPeak <= 0 || muxPeak <= 0 {
 		t.Fatalf("zero peak goodput: direct %.2f mux %.2f", directPeak, muxPeak)
 	}
@@ -40,63 +29,36 @@ func TestClientsSweepGate(t *testing.T) {
 	// The cliff: the direct arm declines at least 30% from peak by 10k
 	// clients (the model's decline is far steeper — the receive context
 	// cache holds 280 entries against 10k connected QPs).
-	deep := res.NoMux[len(res.NoMux)-1]
-	if deep.GoodputMops > 0.7*directPeak {
+	n := clientsSweep[len(clientsSweep)-1]
+	deep := clientsArm("direct", n)
+	if g := metric(t, rep, deep, "goodput_mops"); g > 0.7*directPeak {
 		t.Errorf("no cliff: direct goodput %.2f Mops at %d clients vs %.2f peak (want >= 30%% decline)",
-			deep.GoodputMops, deep.Clients, directPeak)
+			g, n, directPeak)
 	}
-	if deep.RecvCtxEvicts == 0 {
+	if metric(t, rep, deep, "recv_ctx_evicts") == 0 {
 		t.Error("direct arm at 10k clients saw no recv-context evictions — cache never thrashed")
 	}
-	if deep.ServerQPs != deep.Clients {
-		t.Errorf("direct arm holds %d server QPs for %d clients", deep.ServerQPs, deep.Clients)
+	if qps := metric(t, rep, deep, "server_qps"); qps != float64(n) {
+		t.Errorf("direct arm holds %.0f server QPs for %d clients", qps, n)
 	}
 
-	for i, m := range res.Mux {
+	for _, n := range clientsSweep {
+		m := clientsArm("mux", n)
 		// The engineered fix: muxed goodput stays within 5% of its peak
 		// at every sweep point, because the server-side QP count is
 		// pinned inside the context cache.
-		if m.GoodputMops < 0.95*muxPeak {
-			t.Errorf("muxed goodput %.2f Mops at %d clients < 95%% of %.2f peak",
-				m.GoodputMops, m.Clients, muxPeak)
+		if g := metric(t, rep, m, "goodput_mops"); g < 0.95*muxPeak {
+			t.Errorf("muxed goodput %.2f Mops at %d clients < 95%% of %.2f peak", g, n, muxPeak)
 		}
-		if want := clientsHosts * clientsMuxQPs; m.ServerQPs != want {
-			t.Errorf("muxed arm holds %d server QPs at %d clients, want %d",
-				m.ServerQPs, m.Clients, want)
+		if qps, want := metric(t, rep, m, "server_qps"), clientsHosts*clientsMuxQPs; qps != float64(want) {
+			t.Errorf("muxed arm holds %.0f server QPs at %d clients, want %d", qps, n, want)
 		}
-		if m.RecvCtxHitRate < 0.9 {
-			t.Errorf("muxed recv ctx hit rate %.3f at %d clients < 0.9 — pool does not fit on chip",
-				m.RecvCtxHitRate, m.Clients)
+		if hit := metric(t, rep, m, "recv_ctx_hit_rate"); hit < 0.9 {
+			t.Errorf("muxed recv ctx hit rate %.3f at %d clients < 0.9 — pool does not fit on chip", hit, n)
 		}
 		// Direct-arm hit rate must collapse past cache capacity.
-		if d := res.NoMux[i]; d.Clients > 2*cluster.Apt().NIC.RecvCtxCap && d.RecvCtxHitRate > 0.5 {
-			t.Errorf("direct recv ctx hit rate %.3f at %d clients — no thrash past capacity",
-				d.RecvCtxHitRate, d.Clients)
-		}
-	}
-
-	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"clients"`, `"server_qps"`, `"goodput_mops"`,
-		`"recv_ctx_hit_rate"`, `"recv_ctx_evicts"`, `"no_mux"`, `"mux"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("JSON missing %s:\n%s", want, buf.String())
-		}
-	}
-}
-
-// TestClientsSweepDeterminism replays one past-capacity point in both
-// arms: identical spec and load must reproduce byte-identical
-// measurements.
-func TestClientsSweepDeterminism(t *testing.T) {
-	shrinkWindows(t)
-	for _, muxed := range []bool{false, true} {
-		a := clientsPoint(cluster.Apt(), 1000, muxed)
-		b := clientsPoint(cluster.Apt(), 1000, muxed)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("muxed=%v replay diverged:\n%+v\n%+v", muxed, a, b)
+		if hit := metric(t, rep, clientsArm("direct", n), "recv_ctx_hit_rate"); n > 2*cluster.Apt().NIC.RecvCtxCap && hit > 0.5 {
+			t.Errorf("direct recv ctx hit rate %.3f at %d clients — no thrash past capacity", hit, n)
 		}
 	}
 }

@@ -3,9 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -38,70 +36,6 @@ import (
 //
 // Everything is virtual-time deterministic: the same (spec, seed) pair
 // produces a byte-identical table and JSON under -count=2 -race.
-
-// ConsistencyArm is one run's measurements.
-type ConsistencyArm struct {
-	// Mode is the write path for this arm: "first-ack" or
-	// "versioned-repair".
-	Mode string
-	// Issued/Ok/Failed are fleet-level op outcomes. Failed ops are kept
-	// in the history as indeterminate (a failed write may have landed).
-	Issued uint64
-	Ok     uint64
-	Failed uint64
-	// GoodputMops is served throughput over the whole drained run.
-	GoodputMops float64 `json:"goodput_mops"`
-	// HistOps/HistKeys are the checked history's size after dropping
-	// failed reads.
-	HistOps  int
-	HistKeys int
-	// Violations counts keys whose sub-history admits no linearization;
-	// Linearizable is Violations == 0.
-	Violations   int
-	Linearizable bool
-	// PartialWrites counts writes acked with a failed straggler.
-	PartialWrites uint64
-	// StaleReplicas counts replicas a versioned read round caught
-	// behind the winner; RepairsApplied counts repair write-backs that
-	// landed (both zero for the first-ack arm).
-	StaleReplicas  uint64
-	RepairsApplied uint64
-	// AEAudited/AERepaired count keys the anti-entropy sweep visited
-	// and back-filled (zero for the first-ack arm: no repair machinery).
-	AEAudited  uint64
-	AERepaired uint64
-	// DivergentBefore/DivergentAfter count workload keys whose replicas
-	// disagree after the drain, before and after a final anti-entropy
-	// sweep. The sweep is a no-op on the first-ack arm — divergence is
-	// permanent there.
-	DivergentBefore int
-	DivergentAfter  int
-}
-
-// ConsistencyResult is the exported BENCH_consistency.json payload.
-type ConsistencyResult struct {
-	Cluster string
-	// Schedule is the failing nemesis line the reported arms ran under.
-	Schedule string
-	// Seed is the experiment seed; NemesisSeed is the generation seed
-	// the search landed on (>= Seed), SeedsTried how many it consumed.
-	Seed        int64
-	NemesisSeed int64
-	SeedsTried  int
-	// ScheduleEvents/MinimizedEvents size the failing schedule before
-	// and after fault.Minimize.
-	ScheduleEvents  int
-	MinimizedEvents int
-	Off             ConsistencyArm
-	On              ConsistencyArm
-}
-
-// WriteJSON writes the result as indented JSON.
-func (r ConsistencyResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
 
 // Consistency experiment sizing. Keys × ops stay well under the
 // histcheck per-key cap: consistencyClients*consistencyOps ops spread
@@ -142,8 +76,9 @@ func nemesisLine(cfg fault.NemesisConfig) string {
 }
 
 // consistencyArm runs one arm under the given schedule and checks the
-// recorded history.
-func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair bool) ConsistencyArm {
+// recorded history. The stale/repair and anti-entropy counters are zero
+// for the first-ack arm: it has no repair machinery.
+func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair bool) Metrics {
 	spec.Faults = sched
 	cl := cluster.New(spec, consistencyShards+consistencyClients, seed)
 
@@ -171,10 +106,7 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 		inj.Arm()
 	}
 
-	arm := ConsistencyArm{Mode: "first-ack"}
-	if repair {
-		arm.Mode = "versioned-repair"
-	}
+	var opsIssued, okOps uint64
 	rec := &histcheck.Recorder{}
 	var nextValue uint64
 
@@ -200,7 +132,7 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 			// histcheck 64-op cap even counting failed writes.
 			key := kv.FromUint64(1 + uint64(i*consistencyOps+issued)%consistencyKeys)
 			issued++
-			arm.Issued++
+			opsIssued++
 			next := func() { cl.Eng.After(consistencyGap, issue) }
 			if rnd.Intn(2) == 0 {
 				id := rec.BeginRead(key, cl.Eng.Now())
@@ -208,7 +140,7 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 					if r.Err != nil {
 						rec.Fail(id)
 					} else {
-						arm.Ok++
+						okOps++
 						var v uint64
 						if r.Status == kv.StatusHit && len(r.Value) >= 8 {
 							v = binary.LittleEndian.Uint64(r.Value)
@@ -227,7 +159,7 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 					if r.Err != nil {
 						rec.Fail(id)
 					} else {
-						arm.Ok++
+						okOps++
 						rec.EndWrite(id, cl.Eng.Now())
 					}
 					next()
@@ -239,21 +171,35 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 
 	cl.Eng.Run() // closed loop drains itself: fixed op budget per client
 
+	// Failed ops stay in the history as indeterminate: a failed write
+	// may have landed.
+	var failed, partial, stale, repairs uint64
 	for _, c := range clients {
-		arm.Failed += c.Failed()
-		arm.PartialWrites += c.PartialWrites()
-		arm.StaleReplicas += c.StaleObserved()
-		arm.RepairsApplied += c.RepairsApplied()
+		failed += c.Failed()
+		partial += c.PartialWrites()
+		stale += c.StaleObserved()
+		repairs += c.RepairsApplied()
 	}
+	m := Metrics{}
+	m.Set("issued", float64(opsIssued), "ops", "")
+	m.Set("ok", float64(okOps), "ops", "")
+	m.Set("failed", float64(failed), "ops", "")
+	m.Set("partial_writes", float64(partial), "count", "")
+	m.Set("stale_replicas", float64(stale), "count", "")
+	m.Set("repairs_applied", float64(repairs), "count", "")
 
 	chk, err := histcheck.Check(rec, nil)
 	if err != nil {
 		panic(err) // harness sizing bug: a key exceeded the op cap
 	}
-	arm.HistOps = chk.Ops
-	arm.HistKeys = chk.Keys
-	arm.Violations = len(chk.Violations)
-	arm.Linearizable = chk.Ok
+	linearizable := 0.0
+	if chk.Ok {
+		linearizable = 1
+	}
+	m.Set("hist_ops", float64(chk.Ops), "ops", "")
+	m.Set("hist_keys", float64(chk.Keys), "keys", "")
+	m.Set("violations", float64(len(chk.Violations)), "keys", "")
+	m.Set("linearizable", linearizable, "bool", "")
 
 	// Replica convergence audit: a key is divergent when two replicas
 	// disagree on its stored bytes (value or presence). The repaired arm
@@ -282,30 +228,39 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 		}
 		return n
 	}
-	arm.DivergentBefore = divergent()
+	m.Set("divergent_before", float64(divergent()), "keys", "")
 	d.AntiEntropySweep()
 	cl.Eng.Run()
-	arm.DivergentAfter = divergent()
-	arm.AEAudited, arm.AERepaired = d.AntiEntropyStats()
-	arm.GoodputMops = stats.Throughput(arm.Ok, cl.Eng.Now())
-	return arm
+	m.Set("divergent_after", float64(divergent()), "keys", "")
+	audited, repaired := d.AntiEntropyStats()
+	m.Set("ae_audited", float64(audited), "keys", "")
+	m.Set("ae_repaired", float64(repaired), "keys", "")
+	m.Set("goodput_mops", stats.Throughput(okOps, cl.Eng.Now()), "Mops", Higher)
+	return m
 }
 
 // Consistency searches nemesis seeds for a schedule under which the
 // first-ack arm serves a provably stale read, minimizes it, replays
-// both arms under the failing schedule, and renders the comparison.
-func Consistency(spec cluster.Spec, seed int64) (*Table, ConsistencyResult) {
+// both arms under the failing schedule, and renders the comparison. The
+// report is BENCH_consistency.json: one arm per write path plus a
+// "search" arm sizing the seed search and the minimization.
+func Consistency(spec cluster.Spec, seed int64) (*Table, *Report) {
 	const maxSeeds = 24
-	res := ConsistencyResult{Cluster: spec.Name, Seed: seed}
+	rep := newReport("consistency", spec)
+	rep.Params["seed"] = fmt.Sprint(seed)
+	search := rep.Arm("search")
+	stale := func(s *fault.Schedule) bool {
+		return consistencyArm(spec, seed, s, false)["violations"].Value > 0
+	}
 
 	var failing *fault.Schedule
 	var cfg fault.NemesisConfig
 	for k := 0; k < maxSeeds; k++ {
 		cfg = consistencyNemesis(seed + int64(k))
 		s := cfg.Generate()
-		res.SeedsTried = k + 1
-		res.NemesisSeed = cfg.Seed
-		if consistencyArm(spec, seed, s, false).Violations > 0 {
+		search.Set("seeds_tried", float64(k+1), "count", "")
+		rep.Params["nemesis_seed"] = fmt.Sprint(cfg.Seed)
+		if stale(s) {
 			failing = s
 			break
 		}
@@ -315,13 +270,11 @@ func Consistency(spec cluster.Spec, seed int64) (*Table, ConsistencyResult) {
 		// budget: report the last arm pair and let the gate fail loudly.
 		failing = cfg.Generate()
 	}
-	res.Schedule = nemesisLine(cfg)
-	res.ScheduleEvents = len(failing.Events)
-	res.MinimizedEvents = len(fault.Minimize(failing, func(s *fault.Schedule) bool {
-		return consistencyArm(spec, seed, s, false).Violations > 0
-	}).Events)
-	res.Off = consistencyArm(spec, seed, failing, false)
-	res.On = consistencyArm(spec, seed, failing, true)
+	rep.Params["schedule"] = nemesisLine(cfg)
+	search.Set("schedule_events", float64(len(failing.Events)), "count", "")
+	search.Set("minimized_events", float64(len(fault.Minimize(failing, stale).Events)), "count", "")
+	rep.Arms["first-ack"] = consistencyArm(spec, seed, failing, false)
+	rep.Arms["versioned-repair"] = consistencyArm(spec, seed, failing, true)
 
 	t := &Table{
 		ID: "consistency",
@@ -330,25 +283,25 @@ func Consistency(spec cluster.Spec, seed int64) (*Table, ConsistencyResult) {
 		Columns: []string{"mode", "issued", "ok", "failed", "hist_ops", "keys",
 			"violations", "partial", "stale", "repairs", "ae_fixed", "div_before", "div_after"},
 	}
-	for _, a := range []ConsistencyArm{res.Off, res.On} {
-		t.AddRow(a.Mode,
-			fmt.Sprintf("%d", a.Issued), fmt.Sprintf("%d", a.Ok), fmt.Sprintf("%d", a.Failed),
-			fmt.Sprintf("%d", a.HistOps), fmt.Sprintf("%d", a.HistKeys),
-			fmt.Sprintf("%d", a.Violations), fmt.Sprintf("%d", a.PartialWrites),
-			fmt.Sprintf("%d", a.StaleReplicas), fmt.Sprintf("%d", a.RepairsApplied),
-			fmt.Sprintf("%d", a.AERepaired),
-			fmt.Sprintf("%d", a.DivergentBefore), fmt.Sprintf("%d", a.DivergentAfter),
-		)
+	for _, mode := range []string{"first-ack", "versioned-repair"} {
+		row := []string{mode}
+		for _, name := range []string{"issued", "ok", "failed", "hist_ops", "hist_keys",
+			"violations", "partial_writes", "stale_replicas", "repairs_applied", "ae_repaired",
+			"divergent_before", "divergent_after"} {
+			row = append(row, rep.Arms[mode].itoa(name))
+		}
+		t.AddRow(row...)
 	}
 	t.AddNote("gate: first-ack arm non-linearizable (violations>0), versioned arm linearizable with replicas converged (div_after=0), byte-identical replay across -count=2")
-	t.AddNote("nemesis seed %d found in %d tries; failing schedule %d events, %d after minimization",
-		res.NemesisSeed, res.SeedsTried, res.ScheduleEvents, res.MinimizedEvents)
-	t.AddNote("schedule: %s", res.Schedule)
-	return t, res
+	t.AddNote("nemesis seed %s found in %s tries; failing schedule %s events, %s after minimization",
+		rep.Params["nemesis_seed"], search.itoa("seeds_tried"),
+		search.itoa("schedule_events"), search.itoa("minimized_events"))
+	t.AddNote("schedule: %s", rep.Params["schedule"])
+	return t, rep
 }
 
 // ConsistencyScenario is the packaged run used by herdbench and the CI
 // gate.
-func ConsistencyScenario(spec cluster.Spec) (*Table, ConsistencyResult) {
+func ConsistencyScenario(spec cluster.Spec) (*Table, *Report) {
 	return Consistency(spec, 1)
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-	"sync"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -14,62 +12,32 @@ import (
 // arm must certify linearizable under the same schedule with every
 // replica set converged after the anti-entropy sweep.
 func TestConsistencyGate(t *testing.T) {
-	tab, res := ConsistencyScenario(cluster.Apt())
+	tab, rep := ConsistencyScenario(cluster.Apt())
 	out := tab.String()
-	if res.Off.Violations == 0 || res.Off.Linearizable {
-		t.Fatalf("nemesis search found no stale read in the first-ack arm (%d seeds tried):\n%s",
-			res.SeedsTried, out)
+	m := func(arm, name string) float64 { return metric(t, rep, arm, name) }
+	if m("first-ack", "violations") == 0 || m("first-ack", "linearizable") != 0 {
+		t.Fatalf("nemesis search found no stale read in the first-ack arm (%.0f seeds tried):\n%s",
+			m("search", "seeds_tried"), out)
 	}
-	if res.Off.PartialWrites == 0 {
+	if m("first-ack", "partial_writes") == 0 {
 		t.Fatalf("first-ack arm saw no partial writes — the schedule never split a fan-out:\n%s", out)
 	}
-	if !res.On.Linearizable || res.On.Violations != 0 {
-		t.Fatalf("versioned+repair arm not linearizable (%d violations) under the same schedule:\n%s",
-			res.On.Violations, out)
+	if m("versioned-repair", "linearizable") != 1 || m("versioned-repair", "violations") != 0 {
+		t.Fatalf("versioned+repair arm not linearizable (%.0f violations) under the same schedule:\n%s",
+			m("versioned-repair", "violations"), out)
 	}
-	if res.On.DivergentAfter != 0 {
-		t.Fatalf("versioned+repair arm left %d divergent keys after the anti-entropy sweep:\n%s",
-			res.On.DivergentAfter, out)
+	if div := m("versioned-repair", "divergent_after"); div != 0 {
+		t.Fatalf("versioned+repair arm left %.0f divergent keys after the anti-entropy sweep:\n%s", div, out)
 	}
-	if res.MinimizedEvents == 0 || res.MinimizedEvents > res.ScheduleEvents {
-		t.Fatalf("minimizer produced %d events from %d:\n%s",
-			res.MinimizedEvents, res.ScheduleEvents, out)
+	if got, from := m("search", "minimized_events"), m("search", "schedule_events"); got == 0 || got > from {
+		t.Fatalf("minimizer produced %.0f events from %.0f:\n%s", got, from, out)
 	}
-	for _, a := range []ConsistencyArm{res.Off, res.On} {
-		if a.Issued == 0 || a.Ok == 0 {
-			t.Fatalf("%s arm issued %d / ok %d — the workload did not run:\n%s", a.Mode, a.Issued, a.Ok, out)
+	for _, a := range []string{"first-ack", "versioned-repair"} {
+		if m(a, "issued") == 0 || m(a, "ok") == 0 {
+			t.Fatalf("%s arm issued %.0f / ok %.0f — the workload did not run:\n%s", a, m(a, "issued"), m(a, "ok"), out)
 		}
-		if a.HistOps == 0 || a.HistKeys == 0 {
-			t.Fatalf("%s arm recorded an empty history:\n%s", a.Mode, out)
+		if m(a, "hist_ops") == 0 || m(a, "hist_keys") == 0 {
+			t.Fatalf("%s arm recorded an empty history:\n%s", a, out)
 		}
-	}
-}
-
-// consistencyReplay keeps the first TestConsistencyDeterminism output
-// for the process lifetime; `go test -count=2` re-enters in the same
-// process and compares a complete fresh run byte-for-byte — seed
-// search, minimization, and both arms must replay identically.
-var consistencyReplay struct {
-	sync.Mutex
-	first string
-}
-
-func TestConsistencyDeterminism(t *testing.T) {
-	tab, res := ConsistencyScenario(cluster.Apt())
-	var sb strings.Builder
-	sb.WriteString(tab.String())
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	consistencyReplay.Lock()
-	defer consistencyReplay.Unlock()
-	if consistencyReplay.first == "" {
-		consistencyReplay.first = out
-		return
-	}
-	if out != consistencyReplay.first {
-		t.Fatalf("consistency run diverged from the first in-process run (leaked global state?):\n--- first ---\n%s--- this run ---\n%s",
-			consistencyReplay.first, out)
 	}
 }

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -31,69 +29,13 @@ import (
 // Everything is virtual-time deterministic: the same (spec, seed) pair
 // produces a byte-identical table and JSON under -count=2 -race.
 
-// DurabilityArm is one run's measurements.
-type DurabilityArm struct {
-	// Mode is the durability knob for this arm: "off" or "group-commit".
-	Mode string
-	// Issued/Ok/Failed/Hung are fleet-level op outcomes; Failed and
-	// Hung must be zero (R=2 absorbs the outage either way).
-	Issued uint64
-	Ok     uint64
-	Failed uint64
-	Hung   uint64
-	// LostKeys counts keys no live replica serves with the expected
-	// value after the drain — the zero-data-loss gate.
-	LostKeys int
-	// ShardMissing counts keys the restarted shard should replicate but
-	// does not hold after recovery + catch-up.
-	ShardMissing int
-	// RecoveryUS is the shard's total recovery time in microseconds:
-	// log replay outage plus fleet catch-up.
-	RecoveryUS float64
-	// ReplayUS and CatchupUS split RecoveryUS into the shard's own
-	// log-replay outage and the fleet-side delta/full catch-up.
-	ReplayUS  float64
-	CatchupUS float64
-	// Replayed and SnapshotRecords count what the shard's own log
-	// replay applied (zero for the cold arm).
-	Replayed        int
-	SnapshotRecords int
-	// TornBytes is how much torn log tail the replay truncated (the
-	// flushcrash signature; zero for the cold arm).
-	TornBytes int
-	// CatchupKeys is how many keys the fleet copied to the rejoined
-	// shard: the full replica set cold, the outage delta warm.
-	CatchupKeys int
-	// WALAppends/WALFlushes/WALSnapshots are the shard's log activity
-	// over the run (zero for the cold arm).
-	WALAppends   uint64
-	WALFlushes   uint64
-	WALSnapshots uint64
-}
-
-// DurabilityResult is the exported BENCH_durability.json payload.
-type DurabilityResult struct {
-	Cluster  string
-	Schedule string
-	Seed     int64
-	Cold     DurabilityArm
-	Warm     DurabilityArm
-}
-
-// WriteJSON writes the result as indented JSON.
-func (r DurabilityResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// durabilitySchedule crashes shard 0 mid-group-commit at 2 ms and
+// durabilityScript crashes shard 0 mid-group-commit at 2 ms and
 // restarts it at 3 ms. Crash-only (no packet loss) for the same reason
 // as fleetChaosSchedule: the zero-failures invariant.
+const durabilityScript = "flushcrash node=0 at=2ms restart=3ms"
+
 func durabilitySchedule() *fault.Schedule {
-	sched, err := fault.ParseSchedule(`
-		flushcrash node=0 at=2ms restart=3ms
-	`)
+	sched, err := fault.ParseSchedule(durabilityScript)
 	if err != nil {
 		panic(err)
 	}
@@ -102,7 +44,7 @@ func durabilitySchedule() *fault.Schedule {
 
 // durabilityArm runs one arm: the fleet-chaos deployment with the given
 // durability mode under the flushcrash schedule.
-func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) DurabilityArm {
+func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics {
 	const (
 		nShards    = 4
 		nClients   = 6
@@ -167,10 +109,7 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Durabili
 		clients[i] = c
 	}
 
-	arm := DurabilityArm{Mode: "off"}
-	if mode != core.DurabilityOff {
-		arm.Mode = "group-commit"
-	}
+	var issued, ok uint64
 	stopped := false
 	for i, c := range clients {
 		c := c
@@ -185,10 +124,10 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Durabili
 				return
 			}
 			op := gen.Next()
-			arm.Issued++
+			issued++
 			fin := func(r kv.Result) {
 				if r.Err == nil {
-					arm.Ok++
+					ok++
 				}
 				done()
 			}
@@ -206,30 +145,47 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Durabili
 	stopped = true
 	cl.Eng.Run() // drain in-flight ops AND the recovery catch-up
 
+	// Failed and hung must be zero: R=2 absorbs the outage either way.
+	var failed, hung uint64
 	for _, c := range clients {
-		arm.Failed += c.Failed()
-		arm.Hung += uint64(c.Inflight())
+		failed += c.Failed()
+		hung += uint64(c.Inflight())
 	}
+	m := Metrics{}
+	m.Set("issued", float64(issued), "ops", "")
+	m.Set("ok", float64(ok), "ops", "")
+	m.Set("failed", float64(failed), "ops", "")
+	m.Set("hung", float64(hung), "ops", "")
 
+	// Recovery splits into the shard's own log-replay outage and the
+	// fleet-side catch-up: the full replica set cold, the outage delta
+	// warm. The log counters are zero for the cold arm.
 	rec := d.LastRecovery()
-	arm.RecoveryUS = rec.Duration.Microseconds()
-	arm.ReplayUS = rec.ReplayDuration.Microseconds()
-	arm.CatchupUS = rec.CatchupDuration.Microseconds()
-	arm.Replayed = rec.Replayed
-	arm.SnapshotRecords = rec.SnapshotRecords
-	arm.TornBytes = rec.TornBytes
-	arm.CatchupKeys = rec.CatchupKeys
-	if w := d.Server(0).WAL(); w != nil {
-		arm.WALAppends = w.Appends()
-		arm.WALFlushes = w.Flushes()
-		arm.WALSnapshots = w.Snapshots()
+	recoveryBetter := ""
+	if mode != core.DurabilityOff {
+		recoveryBetter = Lower
 	}
+	m.Set("recovery_us", rec.Duration.Microseconds(), "us", recoveryBetter)
+	m.Set("replay_us", rec.ReplayDuration.Microseconds(), "us", "")
+	m.Set("catchup_us", rec.CatchupDuration.Microseconds(), "us", "")
+	m.Set("replayed", float64(rec.Replayed), "records", "")
+	m.Set("snapshot_records", float64(rec.SnapshotRecords), "records", "")
+	m.Set("torn_bytes", float64(rec.TornBytes), "bytes", "")
+	m.Set("catchup_keys", float64(rec.CatchupKeys), "keys", "")
+	var appends, flushes, snapshots uint64
+	if w := d.Server(0).WAL(); w != nil {
+		appends, flushes, snapshots = w.Appends(), w.Flushes(), w.Snapshots()
+	}
+	m.Set("wal_appends", float64(appends), "records", "")
+	m.Set("wal_flushes", float64(flushes), "count", "")
+	m.Set("wal_snapshots", float64(snapshots), "count", "")
 
 	// Post-drain audit. Every client write used the key's fixed
 	// expected value, so data loss is directly checkable: a key is lost
 	// when no live replica serves that value, and the restarted shard
 	// (shard 0, the flushcrash target) must hold its full replica share
 	// again.
+	lost, missing := 0, 0
 	for k := uint64(0); k < keys; k++ {
 		key := kv.FromUint64(k)
 		want := workload.ExpectedValue(key, valueSize)
@@ -244,26 +200,28 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Durabili
 			}
 		}
 		if !found {
-			arm.LostKeys++
+			lost++
 		}
 		for _, id := range d.Replicas(key) {
 			if id == 0 && !onZero {
-				arm.ShardMissing++
+				missing++
 			}
 		}
 	}
-	return arm
+	m.Set("lost_keys", float64(lost), "keys", "")
+	m.Set("shard_missing", float64(missing), "keys", "")
+	return m
 }
 
-// Durability runs both arms and renders the comparison.
-func Durability(spec cluster.Spec, seed int64) (*Table, DurabilityResult) {
-	res := DurabilityResult{
-		Cluster:  spec.Name,
-		Schedule: "flushcrash node=0 at=2ms restart=3ms",
-		Seed:     seed,
-		Cold:     durabilityArm(spec, seed, core.DurabilityOff),
-		Warm:     durabilityArm(spec, seed, core.DurabilityGroupCommit),
-	}
+// Durability runs both arms, named by durability mode, and renders the
+// comparison. The report is BENCH_durability.json.
+func Durability(spec cluster.Spec, seed int64) (*Table, *Report) {
+	rep := newReport("durability", spec)
+	rep.Params["schedule"] = durabilityScript
+	rep.Params["seed"] = fmt.Sprint(seed)
+	cold := durabilityArm(spec, seed, core.DurabilityOff)
+	warm := durabilityArm(spec, seed, core.DurabilityGroupCommit)
+	rep.Arms["off"], rep.Arms["group-commit"] = cold, warm
 
 	t := &Table{
 		ID:    "durability",
@@ -271,24 +229,25 @@ func Durability(spec cluster.Spec, seed int64) (*Table, DurabilityResult) {
 		Columns: []string{"mode", "recovery_us", "replay_us", "catchup_us",
 			"replayed", "snap_recs", "torn_B", "catchup_keys", "lost", "failed"},
 	}
-	for _, a := range []DurabilityArm{res.Cold, res.Warm} {
-		t.AddRow(a.Mode,
-			cell(a.RecoveryUS), cell(a.ReplayUS), cell(a.CatchupUS),
-			fmt.Sprintf("%d", a.Replayed), fmt.Sprintf("%d", a.SnapshotRecords),
-			fmt.Sprintf("%d", a.TornBytes), fmt.Sprintf("%d", a.CatchupKeys),
-			fmt.Sprintf("%d", a.LostKeys), fmt.Sprintf("%d", a.Failed),
+	for _, mode := range []string{"off", "group-commit"} {
+		a := rep.Arms[mode]
+		t.AddRow(mode,
+			cell(a["recovery_us"].Value), cell(a["replay_us"].Value), cell(a["catchup_us"].Value),
+			a.itoa("replayed"), a.itoa("snapshot_records"),
+			a.itoa("torn_bytes"), a.itoa("catchup_keys"),
+			a.itoa("lost_keys"), a.itoa("failed"),
 		)
 	}
 	t.AddNote("gate: lost=0 both arms, warm recovery strictly faster than cold, torn tail truncated (torn_B>0 warm), replay byte-identical across -count=2")
-	t.AddNote("warm shard 0 WAL: %d appends, %d group commits, %d snapshot compactions",
-		res.Warm.WALAppends, res.Warm.WALFlushes, res.Warm.WALSnapshots)
-	t.AddNote("ops: cold %d issued / %d ok, warm %d issued / %d ok (failed must be 0: R=2 absorbs the outage)",
-		res.Cold.Issued, res.Cold.Ok, res.Warm.Issued, res.Warm.Ok)
-	return t, res
+	t.AddNote("warm shard 0 WAL: %s appends, %s group commits, %s snapshot compactions",
+		warm.itoa("wal_appends"), warm.itoa("wal_flushes"), warm.itoa("wal_snapshots"))
+	t.AddNote("ops: cold %s issued / %s ok, warm %s issued / %s ok (failed must be 0: R=2 absorbs the outage)",
+		cold.itoa("issued"), cold.itoa("ok"), warm.itoa("issued"), warm.itoa("ok"))
+	return t, rep
 }
 
 // DurabilityScenario is the packaged run used by herdbench and the CI
 // gate.
-func DurabilityScenario(spec cluster.Spec) (*Table, DurabilityResult) {
+func DurabilityScenario(spec cluster.Spec) (*Table, *Report) {
 	return Durability(spec, 1)
 }

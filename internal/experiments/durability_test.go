@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-	"sync"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -12,71 +10,41 @@ import (
 // arms, a strictly faster warm rejoin, and proof the flushcrash left a
 // torn tail that replay truncated.
 func TestDurabilityGate(t *testing.T) {
-	tab, res := DurabilityScenario(cluster.Apt())
+	tab, rep := DurabilityScenario(cluster.Apt())
 	out := tab.String()
-	for _, a := range []DurabilityArm{res.Cold, res.Warm} {
-		if a.LostKeys != 0 {
-			t.Fatalf("%s arm lost %d keys (must be 0):\n%s", a.Mode, a.LostKeys, out)
+	m := func(arm, name string) float64 { return metric(t, rep, arm, name) }
+	for _, a := range []string{"off", "group-commit"} {
+		if lost := m(a, "lost_keys"); lost != 0 {
+			t.Fatalf("%s arm lost %.0f keys (must be 0):\n%s", a, lost, out)
 		}
-		if a.ShardMissing != 0 {
-			t.Fatalf("%s arm: %d keys missing from the rejoined shard:\n%s", a.Mode, a.ShardMissing, out)
+		if missing := m(a, "shard_missing"); missing != 0 {
+			t.Fatalf("%s arm: %.0f keys missing from the rejoined shard:\n%s", a, missing, out)
 		}
-		if a.Failed != 0 || a.Hung != 0 {
-			t.Fatalf("%s arm: %d failed, %d hung (must be 0; R=2 absorbs the outage):\n%s",
-				a.Mode, a.Failed, a.Hung, out)
+		if m(a, "failed") != 0 || m(a, "hung") != 0 {
+			t.Fatalf("%s arm: %.0f failed, %.0f hung (must be 0; R=2 absorbs the outage):\n%s",
+				a, m(a, "failed"), m(a, "hung"), out)
 		}
-		if a.Issued == 0 || a.Ok == 0 {
-			t.Fatalf("%s arm issued %d / ok %d — the workload did not run:\n%s", a.Mode, a.Issued, a.Ok, out)
+		if m(a, "issued") == 0 || m(a, "ok") == 0 {
+			t.Fatalf("%s arm issued %.0f / ok %.0f — the workload did not run:\n%s", a, m(a, "issued"), m(a, "ok"), out)
 		}
 	}
-	if res.Warm.Replayed+res.Warm.SnapshotRecords == 0 {
+	if m("group-commit", "replayed")+m("group-commit", "snapshot_records") == 0 {
 		t.Fatalf("warm arm replayed nothing — the WAL was not exercised:\n%s", out)
 	}
-	if res.Warm.TornBytes == 0 {
+	if m("group-commit", "torn_bytes") == 0 {
 		t.Fatalf("flushcrash left no torn tail — CrashTorn not reaching the log:\n%s", out)
 	}
-	if res.Cold.TornBytes != 0 || res.Cold.Replayed != 0 {
-		t.Fatalf("cold arm has WAL activity (torn=%d replayed=%d):\n%s",
-			res.Cold.TornBytes, res.Cold.Replayed, out)
+	if m("off", "torn_bytes") != 0 || m("off", "replayed") != 0 {
+		t.Fatalf("cold arm has WAL activity (torn=%.0f replayed=%.0f):\n%s",
+			m("off", "torn_bytes"), m("off", "replayed"), out)
 	}
-	if res.Warm.RecoveryUS >= res.Cold.RecoveryUS {
-		t.Fatalf("warm rejoin (%v us) not strictly faster than cold re-replication (%v us):\n%s",
-			res.Warm.RecoveryUS, res.Cold.RecoveryUS, out)
+	if warm, cold := m("group-commit", "recovery_us"), m("off", "recovery_us"); warm >= cold {
+		t.Fatalf("warm rejoin (%v us) not strictly faster than cold re-replication (%v us):\n%s", warm, cold, out)
 	}
-	if res.Warm.CatchupKeys >= res.Cold.CatchupKeys {
-		t.Fatalf("warm delta (%d keys) not smaller than cold full recopy (%d keys):\n%s",
-			res.Warm.CatchupKeys, res.Cold.CatchupKeys, out)
+	if warm, cold := m("group-commit", "catchup_keys"), m("off", "catchup_keys"); warm >= cold {
+		t.Fatalf("warm delta (%.0f keys) not smaller than cold full recopy (%.0f keys):\n%s", warm, cold, out)
 	}
-	if res.Warm.WALSnapshots == 0 {
+	if m("group-commit", "wal_snapshots") == 0 {
 		t.Fatalf("warm arm never snapshot-compacted — SnapshotEvery not exercised:\n%s", out)
-	}
-}
-
-// durabilityReplay keeps the first TestDurabilityReplayStable output for
-// the process lifetime; `go test -count=2` re-enters in the same process
-// and compares a complete fresh run byte-for-byte (same mechanism as
-// TestChaosReplayStable). Covers the table AND the JSON payload.
-var durabilityReplay struct {
-	sync.Mutex
-	first string
-}
-
-func TestDurabilityReplayStable(t *testing.T) {
-	tab, res := DurabilityScenario(cluster.Apt())
-	var sb strings.Builder
-	sb.WriteString(tab.String())
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	durabilityReplay.Lock()
-	defer durabilityReplay.Unlock()
-	if durabilityReplay.first == "" {
-		durabilityReplay.first = out
-		return
-	}
-	if out != durabilityReplay.first {
-		t.Fatalf("durability run diverged from the first in-process run (leaked global state?):\n--- first ---\n%s--- this run ---\n%s",
-			durabilityReplay.first, out)
 	}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -15,18 +13,6 @@ import (
 	"herdkv/internal/workload"
 )
 
-// FleetBenchResult is the machine-readable output of the scale-out
-// comparison (written as BENCH_fleet.json by `make bench`).
-type FleetBenchResult struct {
-	Cluster      string  `json:"cluster"`
-	Shards       int     `json:"shards"`
-	Replication  int     `json:"replication"`
-	SingleMops   float64 `json:"single_mops"`
-	ShardedMops  float64 `json:"sharded_mops"`
-	FleetMops    float64 `json:"fleet_mops"`
-	FleetSpeedup float64 `json:"fleet_speedup_vs_single"`
-}
-
 // fleetBenchShards is the deployment size compared against one server.
 const fleetBenchShards = 4
 
@@ -34,8 +20,9 @@ const fleetBenchShards = 4
 // read-intensive closed-loop workload: one HERD server, a 4-shard
 // static ShardedDeployment, and a 4-shard R=2 consistent-hash fleet.
 // The fleet pays replicated writes and ring lookups; the benchmark
-// quantifies what is left of the 4x machine count.
-func FleetBench(spec cluster.Spec) (*Table, FleetBenchResult) {
+// quantifies what is left of the 4x machine count. The report is
+// BENCH_fleet.json.
+func FleetBench(spec cluster.Spec) (*Table, *Report) {
 	const (
 		clientsPerShard = 4
 		keys            = 16384
@@ -49,8 +36,12 @@ func FleetBench(spec cluster.Spec) (*Table, FleetBenchResult) {
 		return cfg
 	}
 
-	// drive measures steady-state Mops over clients (any KV system).
-	drive := func(cl *cluster.Cluster, clients []kv.KV, window int) float64 {
+	rep := newReport("fleet", spec)
+	rep.Params["shards"] = fmt.Sprint(fleetBenchShards)
+	rep.Params["replication"] = "2"
+
+	// drive measures arm's steady-state Mops over clients (any KV system).
+	drive := func(arm string, cl *cluster.Cluster, clients []kv.KV) float64 {
 		var completed uint64
 		stopped := false
 		for i, c := range clients {
@@ -68,13 +59,15 @@ func FleetBench(spec cluster.Spec) (*Table, FleetBenchResult) {
 					mustPost(c.Put(op.Key, workload.ExpectedValue(op.Key, valueSize), fin))
 				}
 			}
-			cl.Eng.At(sim.Time(i)*sim.Microsecond, func() { pump(window, issue) })
+			cl.Eng.At(sim.Time(i)*sim.Microsecond, func() { pump(4, issue) })
 		}
 		cl.Eng.RunFor(Warmup)
 		start := completed
 		cl.Eng.RunFor(Span)
 		stopped = true
-		return stats.Throughput(completed-start, Span)
+		mops := stats.Throughput(completed-start, Span)
+		rep.Arm(arm).Set("goodput_mops", mops, "Mops", Higher)
+		return mops
 	}
 
 	preload := func(insert func(kv.Key, []byte) error) {
@@ -105,7 +98,7 @@ func FleetBench(spec cluster.Spec) (*Table, FleetBenchResult) {
 			}
 			clients[i] = c
 		}
-		return drive(cl, clients, 4)
+		return drive("single", cl, clients)
 	}
 
 	serverMachines := func(cl *cluster.Cluster) []*cluster.Machine {
@@ -132,7 +125,7 @@ func FleetBench(spec cluster.Spec) (*Table, FleetBenchResult) {
 			}
 			clients[i] = c
 		}
-		return drive(cl, clients, 4)
+		return drive("sharded", cl, clients)
 	}
 
 	replicated := func() float64 {
@@ -153,39 +146,27 @@ func FleetBench(spec cluster.Spec) (*Table, FleetBenchResult) {
 			}
 			clients[i] = c
 		}
-		return drive(cl, clients, 4)
+		return drive("fleet", cl, clients)
 	}
 
-	res := FleetBenchResult{
-		Cluster:     spec.Name,
-		Shards:      fleetBenchShards,
-		Replication: 2,
-		SingleMops:  single(),
-		ShardedMops: sharded(),
-		FleetMops:   replicated(),
+	singleMops, shardedMops, fleetMops := single(), sharded(), replicated()
+	speedup := 0.0
+	if singleMops > 0 {
+		speedup = fleetMops / singleMops
 	}
-	if res.SingleMops > 0 {
-		res.FleetSpeedup = res.FleetMops / res.SingleMops
-	}
+	rep.Arm("fleet").Set("speedup_vs_single", speedup, "x", "")
 
 	t := &Table{
 		ID:      "fleet-bench",
 		Title:   fmt.Sprintf("Scale-out comparison, read-intensive 48 B items — %s", spec.Name),
 		Columns: []string{"deployment", "machines", "Mops", "vs single"},
 	}
-	t.AddRow("single HERD server", "1", cell(res.SingleMops), "1.0x")
-	t.AddRow("sharded (no replication)", fmt.Sprintf("%d", res.Shards),
-		cell(res.ShardedMops), fmt.Sprintf("%.1fx", res.ShardedMops/res.SingleMops))
-	t.AddRow(fmt.Sprintf("fleet (R=%d)", res.Replication), fmt.Sprintf("%d", res.Shards),
-		cell(res.FleetMops), fmt.Sprintf("%.1fx", res.FleetSpeedup))
+	t.AddRow("single HERD server", "1", cell(singleMops), "1.0x")
+	t.AddRow("sharded (no replication)", fmt.Sprintf("%d", fleetBenchShards),
+		cell(shardedMops), fmt.Sprintf("%.1fx", shardedMops/singleMops))
+	t.AddRow("fleet (R=2)", fmt.Sprintf("%d", fleetBenchShards),
+		cell(fleetMops), fmt.Sprintf("%.1fx", speedup))
 	t.AddNote("%d clients on the single server, %d on the %d-shard deployments (window 4); fleet pays replicated writes and ring routing",
 		clientsPerShard*fleetBenchShards, clientsPerShard*fleetBenchShards*fleetBenchShards, fleetBenchShards)
-	return t, res
-}
-
-// WriteJSON writes the benchmark result as indented JSON.
-func (r FleetBenchResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return t, rep
 }

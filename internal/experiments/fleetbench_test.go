@@ -1,39 +1,25 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"herdkv/internal/cluster"
-	"herdkv/internal/sim"
 )
 
 func TestFleetBenchSpeedup(t *testing.T) {
 	// Shrink the measurement windows: the assertion is about relative
 	// throughput, which stabilizes quickly.
-	oldW, oldS := Warmup, Span
-	Warmup, Span = 50*sim.Microsecond, 150*sim.Microsecond
-	defer func() { Warmup, Span = oldW, oldS }()
+	defer short(t)()
 
-	tbl, res := FleetBench(cluster.Apt())
-	if res.SingleMops <= 0 || res.ShardedMops <= 0 || res.FleetMops <= 0 {
-		t.Fatalf("zero throughput somewhere: %+v", res)
+	tbl, rep := FleetBench(cluster.Apt())
+	for _, arm := range []string{"single", "sharded", "fleet"} {
+		if metric(t, rep, arm, "goodput_mops") <= 0 {
+			t.Fatalf("zero %s throughput:\n%s", arm, tbl)
+		}
 	}
 	// The acceptance bar: a 4-shard R=2 fleet must deliver at least 3x
 	// one server on the read-intensive mix.
-	if res.FleetSpeedup < 3 {
-		t.Fatalf("fleet speedup %.2fx < 3x over single server: %+v", res.FleetSpeedup, res)
-	}
-	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"fleet_mops"`, `"fleet_speedup_vs_single"`, `"sharded_mops"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("JSON missing %s:\n%s", want, buf.String())
-		}
-	}
-	if tbl.String() == "" {
-		t.Fatal("empty bench table")
+	if s := metric(t, rep, "fleet", "speedup_vs_single"); s < 3 {
+		t.Fatalf("fleet speedup %.2fx < 3x over single server:\n%s", s, tbl)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -21,30 +20,6 @@ func TestFleetChaosZeroFailuresAndDrains(t *testing.T) {
 	}
 	if strings.Contains(out, "failover: 0 reroutes") {
 		t.Fatalf("no failover happened during the outage:\n%s", out)
-	}
-}
-
-// fleetChaosReplay keeps the first TestChaosReplayStableFleet output for
-// the lifetime of the test process; `go test -count=2` re-enters in the
-// same process and compares a complete fresh execution byte-for-byte
-// (same mechanism as TestChaosReplayStable — CI's -run regex matches
-// both).
-var fleetChaosReplay struct {
-	sync.Mutex
-	first string
-}
-
-func TestChaosReplayStableFleet(t *testing.T) {
-	out := FleetChaos(cluster.Apt(), fleetChaosSchedule(), 7).String()
-	fleetChaosReplay.Lock()
-	defer fleetChaosReplay.Unlock()
-	if fleetChaosReplay.first == "" {
-		fleetChaosReplay.first = out
-		return
-	}
-	if out != fleetChaosReplay.first {
-		t.Fatalf("fleet chaos run diverged from the first in-process run (leaked global state?):\n--- first ---\n%s--- this run ---\n%s",
-			fleetChaosReplay.first, out)
 	}
 }
 

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -16,31 +14,6 @@ import (
 	"herdkv/internal/telemetry"
 	"herdkv/internal/workload"
 )
-
-// HotkeyResult is the machine-readable output of the hot-key survival
-// comparison (written as BENCH_hotkey.json by `make bench`).
-type HotkeyResult struct {
-	Cluster     string  `json:"cluster"`
-	Shards      int     `json:"shards"`
-	Replication int     `json:"replication"`
-	ZipfTheta   float64 `json:"zipf_theta"`
-	// UncachedMops / CachedMops are steady-state goodput for the two
-	// arms; CacheSpeedup is their ratio.
-	UncachedMops float64 `json:"uncached_mops"`
-	CachedMops   float64 `json:"cached_mops"`
-	CacheSpeedup float64 `json:"cache_speedup"`
-	// CacheHitRate is cache.hits / (cache.hits + cache.misses) across
-	// all near caches in the cached arm.
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// UncachedOriginGets / CachedOriginGets count GETs the origin
-	// shards actually served during the measurement span — the load the
-	// near cache absorbs.
-	UncachedOriginGets uint64 `json:"uncached_origin_gets"`
-	CachedOriginGets   uint64 `json:"cached_origin_gets"`
-	// HotWidened counts hot reads the fleet steered off-primary in the
-	// cached arm (hot-key detection is on there).
-	HotWidened uint64 `json:"hot_widened"`
-}
 
 // hotkey experiment dimensions.
 const (
@@ -58,7 +31,8 @@ const (
 // keys; the cached arm serves repeats locally inside the lease and
 // spreads the residual hot reads across replicas, so it must beat the
 // uncached arm on goodput while sending the origin shards fewer GETs.
-func Hotkey(spec cluster.Spec) (*Table, HotkeyResult) {
+// The report is BENCH_hotkey.json.
+func Hotkey(spec cluster.Spec) (*Table, *Report) {
 	herdCfg := func() core.Config {
 		cfg := core.DefaultConfig()
 		cfg.MaxClients = hotkeyClients
@@ -75,7 +49,11 @@ func Hotkey(spec cluster.Spec) (*Table, HotkeyResult) {
 		return sum
 	}
 
-	arm := func(cached bool) (mops float64, origin uint64, hitRate float64, widened uint64) {
+	// arm measures goodput and the GETs the origin shards actually
+	// served during the span (the load the near cache absorbs); the
+	// cached arm adds its hit rate and the hot reads the fleet steered
+	// off-primary.
+	arm := func(cached bool) Metrics {
 		cl := cluster.New(spec, hotkeyShards+hotkeyClients, 1)
 		fcfg := fleet.DefaultConfig()
 		fcfg.Herd = herdCfg()
@@ -144,49 +122,49 @@ func Hotkey(spec cluster.Spec) (*Table, HotkeyResult) {
 		cl.Eng.RunFor(Span)
 		stopped = true
 
-		mops = stats.Throughput(completed-start, Span)
-		origin = originGets(d) - originStart
-		hits := tel.Counter("cache.hits").Value()
-		misses := tel.Counter("cache.misses").Value()
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
+		m := Metrics{}
+		m.Set("goodput_mops", stats.Throughput(completed-start, Span), "Mops", Higher)
+		m.Set("origin_gets", float64(originGets(d)-originStart), "count", "")
+		if cached {
+			hitRate := 0.0
+			hits := tel.Counter("cache.hits").Value()
+			misses := tel.Counter("cache.misses").Value()
+			if hits+misses > 0 {
+				hitRate = float64(hits) / float64(hits+misses)
+			}
+			m.Set("cache_hit_rate", hitRate, "ratio", "")
+			var widened uint64
+			for _, fc := range fleetClients {
+				widened += fc.HotWidened()
+			}
+			m.Set("hot_widened", float64(widened), "count", "")
 		}
-		for _, fc := range fleetClients {
-			widened += fc.HotWidened()
-		}
-		return mops, origin, hitRate, widened
+		return m
 	}
 
-	res := HotkeyResult{
-		Cluster:     spec.Name,
-		Shards:      hotkeyShards,
-		Replication: 2,
-		ZipfTheta:   0.99,
+	rep := newReport("hotkey", spec)
+	rep.Params["shards"] = fmt.Sprint(hotkeyShards)
+	rep.Params["replication"] = "2"
+	rep.Params["zipf_theta"] = "0.99"
+	uncached, cached := arm(false), arm(true)
+	rep.Arms["uncached"], rep.Arms["cached"] = uncached, cached
+	speedup := 0.0
+	if u := uncached["goodput_mops"].Value; u > 0 {
+		speedup = cached["goodput_mops"].Value / u
 	}
-	res.UncachedMops, res.UncachedOriginGets, _, _ = arm(false)
-	res.CachedMops, res.CachedOriginGets, res.CacheHitRate, res.HotWidened = arm(true)
-	if res.UncachedMops > 0 {
-		res.CacheSpeedup = res.CachedMops / res.UncachedMops
-	}
+	cached.Set("cache_speedup", speedup, "x", "")
 
 	t := &Table{
 		ID:      "hotkey",
 		Title:   fmt.Sprintf("Hot-key survival, Zipf(.99) 95%% GET, %d B items — %s", hotkeyValueSize+len(kv.Key{}), spec.Name),
 		Columns: []string{"arm", "Mops", "origin GETs", "cache hit rate"},
 	}
-	t.AddRow("fleet, uncached", cell(res.UncachedMops),
-		fmt.Sprintf("%d", res.UncachedOriginGets), "-")
-	t.AddRow("near cache + leases + widening", cell(res.CachedMops),
-		fmt.Sprintf("%d", res.CachedOriginGets),
-		fmt.Sprintf("%.0f%%", res.CacheHitRate*100))
-	t.AddNote("%d clients over %d shards (R=%d); lease TTL %dus; cached arm %.1fx goodput, %d hot reads widened off-primary",
-		hotkeyClients, hotkeyShards, res.Replication, hotkeyLeaseTTL/sim.Microsecond, res.CacheSpeedup, res.HotWidened)
-	return t, res
-}
-
-// WriteJSON writes the benchmark result as indented JSON.
-func (r HotkeyResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	t.AddRow("fleet, uncached", cell(uncached["goodput_mops"].Value),
+		uncached.itoa("origin_gets"), "-")
+	t.AddRow("near cache + leases + widening", cell(cached["goodput_mops"].Value),
+		cached.itoa("origin_gets"),
+		fmt.Sprintf("%.0f%%", cached["cache_hit_rate"].Value*100))
+	t.AddNote("%d clients over %d shards (R=2); lease TTL %dus; cached arm %.1fx goodput, %s hot reads widened off-primary",
+		hotkeyClients, hotkeyShards, hotkeyLeaseTTL/sim.Microsecond, speedup, cached.itoa("hot_widened"))
+	return t, rep
 }

@@ -1,73 +1,30 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"herdkv/internal/cluster"
-	"herdkv/internal/sim"
 )
-
-// shortHotkeyWindows shrinks the measurement windows for test runs;
-// the assertions are relative, which stabilizes quickly.
-func shortHotkeyWindows(t *testing.T) {
-	t.Helper()
-	oldW, oldS := Warmup, Span
-	Warmup, Span = 50*sim.Microsecond, 150*sim.Microsecond
-	t.Cleanup(func() { Warmup, Span = oldW, oldS })
-}
 
 // TestHotkeyGate is the acceptance bar for the near-cache tier: on the
 // paper's skewed workload the cached arm must beat the uncached fleet
 // on goodput while the origin shards serve materially fewer GETs.
 func TestHotkeyGate(t *testing.T) {
-	shortHotkeyWindows(t)
-	tbl, res := Hotkey(cluster.Apt())
-	if res.UncachedMops <= 0 || res.CachedMops <= 0 {
-		t.Fatalf("zero throughput somewhere: %+v", res)
+	defer short(t)()
+	tbl, rep := Hotkey(cluster.Apt())
+	if metric(t, rep, "uncached", "goodput_mops") <= 0 || metric(t, rep, "cached", "goodput_mops") <= 0 {
+		t.Fatalf("zero throughput somewhere:\n%s", tbl)
 	}
-	if res.CacheSpeedup <= 1 {
-		t.Fatalf("cached arm %.2fx uncached, want > 1x: %+v", res.CacheSpeedup, res)
+	if s := metric(t, rep, "cached", "cache_speedup"); s <= 1 {
+		t.Fatalf("cached arm %.2fx uncached, want > 1x:\n%s", s, tbl)
 	}
-	if res.CachedOriginGets >= res.UncachedOriginGets {
-		t.Fatalf("origin GETs did not drop: cached %d >= uncached %d",
-			res.CachedOriginGets, res.UncachedOriginGets)
+	if c, u := metric(t, rep, "cached", "origin_gets"), metric(t, rep, "uncached", "origin_gets"); c >= u {
+		t.Fatalf("origin GETs did not drop: cached %.0f >= uncached %.0f", c, u)
 	}
-	if res.CacheHitRate <= 0.2 {
-		t.Fatalf("cache hit rate %.2f implausibly low for Zipf(.99)", res.CacheHitRate)
+	if h := metric(t, rep, "cached", "cache_hit_rate"); h <= 0.2 {
+		t.Fatalf("cache hit rate %.2f implausibly low for Zipf(.99)", h)
 	}
-	if res.HotWidened == 0 {
-		t.Fatalf("no hot reads widened off-primary: %+v", res)
-	}
-	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"cached_mops"`, `"uncached_mops"`, `"cache_speedup"`,
-		`"cached_origin_gets"`, `"cache_hit_rate"`, `"hot_widened"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("JSON missing %s:\n%s", want, buf.String())
-		}
-	}
-	if tbl.String() == "" {
-		t.Fatal("empty hotkey table")
-	}
-}
-
-// TestHotkeyDeterminism pins replay: the whole two-arm comparison is a
-// pure function of seed and configuration.
-func TestHotkeyDeterminism(t *testing.T) {
-	shortHotkeyWindows(t)
-	runs := make([]string, 2)
-	for i := range runs {
-		var buf strings.Builder
-		_, res := Hotkey(cluster.Apt())
-		if err := res.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = buf.String()
-	}
-	if runs[0] != runs[1] {
-		t.Fatalf("hotkey comparison not deterministic:\n%s\nvs\n%s", runs[0], runs[1])
+	if metric(t, rep, "cached", "hot_widened") == 0 {
+		t.Fatalf("no hot reads widened off-primary:\n%s", tbl)
 	}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -12,39 +10,6 @@ import (
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
 )
-
-// OverloadPoint is one offered-load level of the sweep, measured with a
-// fixed server capacity (one process).
-type OverloadPoint struct {
-	// Chains is the number of closed-loop request chains offered — the
-	// load knob. One chain sustains roughly 1/RTT ops.
-	Chains int `json:"chains"`
-	// GoodputMops counts operations that resolved served (hit or miss)
-	// during the measurement span — duplicated service and terminal
-	// failures contribute nothing.
-	GoodputMops float64 `json:"goodput_mops"`
-	// P99US is the 99th-percentile served-operation latency in
-	// microseconds.
-	P99US float64 `json:"p99_us"`
-	// Shed counts requests refused at poll time with busy pushback.
-	Shed uint64 `json:"shed"`
-	// BusyRx counts busy responses clients received.
-	BusyRx uint64 `json:"busy_rx"`
-	// Failed counts terminally failed operations (timeouts in the
-	// baseline; deadline-on-busy would land here too).
-	Failed uint64 `json:"failed"`
-	// Retries counts application-level request retransmissions — the
-	// retry storm the controller exists to prevent.
-	Retries uint64 `json:"retries"`
-}
-
-// OverloadResult is the machine-readable output of the overload sweep
-// (written as BENCH_overload.json by `make bench`).
-type OverloadResult struct {
-	Cluster    string          `json:"cluster"`
-	Baseline   []OverloadPoint `json:"baseline"`
-	Controlled []OverloadPoint `json:"controlled"`
-}
 
 // Overload sweep shape: one server process (~6 Mops of MICA service
 // capacity) under 16 client machines whose closed-loop chain count
@@ -83,9 +48,15 @@ func overloadConfig(window int, controlled bool) core.Config {
 	return cfg
 }
 
+// overloadArm names one sweep point in the report.
+func overloadArm(mode string, chains int) string {
+	return fmt.Sprintf("%s/chains=%d", mode, chains)
+}
+
 // overloadPoint measures one (chains, controller) combination on a
-// fresh cluster.
-func overloadPoint(spec cluster.Spec, chains int, controlled bool) OverloadPoint {
+// fresh cluster. chains, the closed-loop request chains offered, is the
+// load knob: one chain sustains roughly 1/RTT ops.
+func overloadPoint(spec cluster.Spec, chains int, controlled bool) Metrics {
 	perClient := (chains + overloadClients - 1) / overloadClients
 	cl := cluster.New(spec, 1+overloadClients, 1)
 	srv, err := core.NewServer(cl.Machine(0), overloadConfig(perClient, controlled))
@@ -137,18 +108,28 @@ func overloadPoint(spec cluster.Spec, chains int, controlled bool) OverloadPoint
 	measuring = false
 	stopped = true
 
-	pt := OverloadPoint{
-		Chains:      chains,
-		GoodputMops: stats.Throughput(served, Span),
-		P99US:       float64(lat.Percentile(99)) / float64(sim.Microsecond),
-		Shed:        srv.Shed(),
+	// Goodput counts operations that resolved served (hit or miss) during
+	// the span: duplicated service and terminal failures contribute
+	// nothing. The controlled arm's tail is ratcheted; the baseline's is
+	// the collapse being demonstrated.
+	m := Metrics{}
+	p99Better := ""
+	if controlled {
+		p99Better = Lower
 	}
+	m.Set("goodput_mops", stats.Throughput(served, Span), "Mops", Higher)
+	m.Set("p99_us", float64(lat.Percentile(99))/float64(sim.Microsecond), "us", p99Better)
+	m.Set("shed", float64(srv.Shed()), "count", "")
+	var busy, failed, retries uint64
 	for _, c := range clients {
-		pt.BusyRx += c.BusyResponses()
-		pt.Failed += c.Failed()
-		pt.Retries += c.Retries()
+		busy += c.BusyResponses()
+		failed += c.Failed()
+		retries += c.Retries()
 	}
-	return pt
+	m.Set("busy_rx", float64(busy), "count", "")
+	m.Set("failed", float64(failed), "count", "")
+	m.Set("retries", float64(retries), "count", "")
+	return m
 }
 
 // valueOf builds key's stored value for the overload sweep.
@@ -165,33 +146,24 @@ func valueOf(key kv.Key) []byte {
 // timeouts — while the controller sheds at poll time (~zero CPU per
 // rejected request), paces clients via AIMD, and keeps goodput at the
 // service ceiling with bounded tails.
-func Overload(spec cluster.Spec) (*Table, OverloadResult) {
-	res := OverloadResult{Cluster: spec.Name}
-	for _, chains := range overloadChains {
-		res.Baseline = append(res.Baseline, overloadPoint(spec, chains, false))
-		res.Controlled = append(res.Controlled, overloadPoint(spec, chains, true))
-	}
-
+func Overload(spec cluster.Spec) (*Table, *Report) {
+	rep := newReport("overload", spec)
 	t := &Table{
 		ID:    "overload",
 		Title: fmt.Sprintf("Overload sweep, GETs on one server process — %s", spec.Name),
 		Columns: []string{"chains", "base Mops", "base p99 us", "base failed",
 			"ctl Mops", "ctl p99 us", "ctl shed"},
 	}
-	for i, b := range res.Baseline {
-		c := res.Controlled[i]
-		t.AddRow(fmt.Sprintf("%d", b.Chains),
-			cell(b.GoodputMops), fmt.Sprintf("%.1f", b.P99US), fmt.Sprintf("%d", b.Failed),
-			cell(c.GoodputMops), fmt.Sprintf("%.1f", c.P99US), fmt.Sprintf("%d", c.Shed))
+	for _, chains := range overloadChains {
+		b := overloadPoint(spec, chains, false)
+		c := overloadPoint(spec, chains, true)
+		rep.Arms[overloadArm("baseline", chains)] = b
+		rep.Arms[overloadArm("controlled", chains)] = c
+		t.AddRow(fmt.Sprintf("%d", chains),
+			cell(b["goodput_mops"].Value), fmt.Sprintf("%.1f", b["p99_us"].Value), b.itoa("failed"),
+			cell(c["goodput_mops"].Value), fmt.Sprintf("%.1f", c["p99_us"].Value), c.itoa("shed"))
 	}
 	t.AddNote("baseline: blind windows (up to W=%d/client), 5 us retry timeout; controlled: admission cap %d + busy pushback + client AIMD",
 		overloadChains[len(overloadChains)-1]/overloadClients, overloadAdmission)
-	return t, res
-}
-
-// WriteJSON writes the sweep result as indented JSON.
-func (r OverloadResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return t, rep
 }

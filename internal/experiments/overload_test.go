@@ -1,19 +1,10 @@
 package experiments
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"herdkv/internal/cluster"
-	"herdkv/internal/sim"
 )
-
-func shrinkWindows(t *testing.T) {
-	oldW, oldS := Warmup, Span
-	Warmup, Span = 50*sim.Microsecond, 150*sim.Microsecond
-	t.Cleanup(func() { Warmup, Span = oldW, oldS })
-}
 
 // TestOverloadGate is the acceptance gate for the overload controller:
 // with admission control + busy pushback + AIMD, goodput stays within
@@ -22,27 +13,17 @@ func shrinkWindows(t *testing.T) {
 // baseline's goodput collapses under retry-storm duplication somewhere
 // past saturation.
 func TestOverloadGate(t *testing.T) {
-	shrinkWindows(t)
+	defer short(t)()
 
-	tbl, res := Overload(cluster.Apt())
-	if tbl.String() == "" {
-		t.Fatal("empty overload table")
-	}
-	if len(res.Baseline) != len(overloadChains) || len(res.Controlled) != len(overloadChains) {
-		t.Fatalf("sweep has %d/%d points, want %d",
-			len(res.Baseline), len(res.Controlled), len(overloadChains))
-	}
-
-	peak := func(pts []OverloadPoint) float64 {
+	_, rep := Overload(cluster.Apt())
+	peak := func(mode string) float64 {
 		best := 0.0
-		for _, p := range pts {
-			if p.GoodputMops > best {
-				best = p.GoodputMops
-			}
+		for _, chains := range overloadChains {
+			best = max(best, metric(t, rep, overloadArm(mode, chains), "goodput_mops"))
 		}
 		return best
 	}
-	basePeak, ctlPeak := peak(res.Baseline), peak(res.Controlled)
+	basePeak, ctlPeak := peak("baseline"), peak("controlled")
 	if basePeak <= 0 || ctlPeak <= 0 {
 		t.Fatalf("zero peak goodput: base %.2f ctl %.2f", basePeak, ctlPeak)
 	}
@@ -52,28 +33,25 @@ func TestOverloadGate(t *testing.T) {
 	// 2x saturation offered load.
 	const pastSaturation = 32
 	baseWorst := basePeak
-	var shed, busy, ctlFailed, baseRetries uint64
-	for i, b := range res.Baseline {
-		c := res.Controlled[i]
-		shed += c.Shed
-		busy += c.BusyRx
-		ctlFailed += c.Failed
-		if b.Chains < pastSaturation {
+	var shed, busy, ctlFailed, baseRetries float64
+	for _, chains := range overloadChains {
+		b, c := overloadArm("baseline", chains), overloadArm("controlled", chains)
+		shed += metric(t, rep, c, "shed")
+		busy += metric(t, rep, c, "busy_rx")
+		ctlFailed += metric(t, rep, c, "failed")
+		if chains < pastSaturation {
 			continue
 		}
-		baseRetries += b.Retries
-		if b.GoodputMops < baseWorst {
-			baseWorst = b.GoodputMops
-		}
+		baseRetries += metric(t, rep, b, "retries")
+		baseWorst = min(baseWorst, metric(t, rep, b, "goodput_mops"))
 		// The gate: the controller holds >= 90% of peak goodput at 2x
 		// saturation and every deeper load level.
-		if c.GoodputMops < 0.9*ctlPeak {
-			t.Errorf("controlled goodput %.2f Mops at %d chains < 90%% of %.2f peak",
-				c.GoodputMops, c.Chains, ctlPeak)
+		got := metric(t, rep, c, "goodput_mops")
+		if got < 0.9*ctlPeak {
+			t.Errorf("controlled goodput %.2f Mops at %d chains < 90%% of %.2f peak", got, chains, ctlPeak)
 		}
-		if c.GoodputMops < 0.9*basePeak {
-			t.Errorf("controlled goodput %.2f Mops at %d chains < 90%% of baseline peak %.2f",
-				c.GoodputMops, c.Chains, basePeak)
+		if got < 0.9*basePeak {
+			t.Errorf("controlled goodput %.2f Mops at %d chains < 90%% of baseline peak %.2f", got, chains, basePeak)
 		}
 	}
 	// The baseline must collapse somewhere past saturation: queueing
@@ -86,33 +64,9 @@ func TestOverloadGate(t *testing.T) {
 		t.Error("baseline past saturation never retried — no storm to protect against")
 	}
 	if shed == 0 || busy == 0 {
-		t.Errorf("controller never engaged: shed %d busy_rx %d", shed, busy)
+		t.Errorf("controller never engaged: shed %.0f busy_rx %.0f", shed, busy)
 	}
 	if ctlFailed != 0 {
-		t.Errorf("controlled runs terminally failed %d ops; pushback must not fail work", ctlFailed)
-	}
-
-	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"chains"`, `"goodput_mops"`, `"p99_us"`, `"shed"`, `"busy_rx"`, `"retries"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("JSON missing %s:\n%s", want, buf.String())
-		}
-	}
-}
-
-// TestOverloadDeterminism replays one past-saturation point of the sweep
-// in both modes: identical spec and load must reproduce byte-identical
-// measurements.
-func TestOverloadDeterminism(t *testing.T) {
-	shrinkWindows(t)
-	for _, controlled := range []bool{false, true} {
-		a := overloadPoint(cluster.Apt(), 64, controlled)
-		b := overloadPoint(cluster.Apt(), 64, controlled)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("controlled=%v replay diverged:\n%+v\n%+v", controlled, a, b)
-		}
+		t.Errorf("controlled runs terminally failed %.0f ops; pushback must not fail work", ctlFailed)
 	}
 }
