@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/fifo"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -71,7 +72,7 @@ type pendingOp struct {
 	retries int
 	done    bool
 
-	// attempt is a generation counter for the op's retry timer: every
+	// attempt is a generation counter for the op's timers: every
 	// (re)issue, completion, and failure bumps it, so a timer armed for
 	// an earlier attempt finds a stale generation and does nothing.
 	// Without it, a completion racing a reconnect-reissue would leave
@@ -114,10 +115,10 @@ type Client struct {
 	udQPs  []*verbs.QP
 	respMR *verbs.MR
 
-	reqSeq   []int          // next request sequence number per server process
-	inflight int            // outstanding ops against Window
-	waiting  []*pendingOp   // ops queued for a window slot
-	perProc  [][]*pendingOp // FIFO of outstanding ops per server process
+	reqSeq   []int                  // next request sequence number per server process
+	inflight int                    // outstanding ops against Window
+	waiting  fifo.Queue[*pendingOp] // ops queued for a window slot
+	perProc  [][]*pendingOp         // outstanding ops per server process, in issue order
 
 	// slotFree[proc][r mod W] is the earliest virtual time that window
 	// slot may host a new op. Responses echo only r mod W, so after an op
@@ -129,12 +130,14 @@ type Client struct {
 	// slotWait[proc] holds ops whose next window slot is still occupied
 	// by an outstanding op (one that stalled on retries while younger
 	// ops completed around it). They issue as occupants resolve.
-	slotWait [][]*pendingOp
+	slotWait []fifo.Queue[*pendingOp]
 
 	// opFree is the pendingOp recycling pool: terminally resolved ops
 	// return here and back the next submissions, so the client's
-	// steady-state issue path allocates nothing.
-	opFree []*pendingOp
+	// steady-state issue path allocates nothing. timerFree pools the
+	// records behind every op timer (see opTimer).
+	opFree    []*pendingOp
+	timerFree []*opTimer
 
 	issued, completed, retried uint64
 	dupResponses               uint64
@@ -216,7 +219,7 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 		reqSeq:   make([]int, s.cfg.NS),
 		perProc:  make([][]*pendingOp, s.cfg.NS),
 		slotFree: make([][]sim.Time, s.cfg.NS),
-		slotWait: make([][]*pendingOp, s.cfg.NS),
+		slotWait: make([]fifo.Queue[*pendingOp], s.cfg.NS),
 		rng:      sim.NewRand(m.Seed*4099 + int64(s.nextCli)),
 		cwnd:     float64(s.cfg.Window),
 	}
@@ -334,7 +337,7 @@ func (c *Client) newOp(kind opKind, key kv.Key, cb func(Result)) *pendingOp {
 
 // recycleOp returns a terminally resolved op (done, callback already
 // run, removed from every queue) to the pool. The attempt bump kills
-// any timer or delayed-resubmit closure still holding the pointer.
+// any retry or delayed-resubmit timer still holding the pointer.
 func (c *Client) recycleOp(op *pendingOp) {
 	op.attempt++
 	op.cb = nil
@@ -381,6 +384,88 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	op.value = append(op.value, value...)
 	c.submit(op)
 	return nil
+}
+
+// opTimer is one armed op timer: a pooled sim.Handler carrying the op
+// and the attempt generation it was armed under. It returns to the
+// client's pool when it fires, so every arm takes its own record: a
+// stale timer (the op completed, or busy pushback re-armed it) stays
+// queued on the engine beside the op's live one, holding a record of
+// its own until it fires as a no-op.
+type opTimer struct {
+	c    *Client
+	op   *pendingOp
+	gen  int
+	kind timerKind
+}
+
+// timerKind is what an expiring opTimer does.
+type timerKind uint8
+
+const (
+	// timerRetry retransmits the op, or fails it once the retry budget
+	// is spent (Section 2.2.3's application-level retry).
+	timerRetry timerKind = iota
+	// timerResubmit resubmits an op after a busy pushback's hint.
+	timerResubmit
+	// timerIssue issues an op once its window slot's quarantine ends.
+	timerIssue
+)
+
+// armTimer schedules an opTimer of kind for op at instant at.
+//
+//herd:hotpath
+func (c *Client) armTimer(at sim.Time, op *pendingOp, kind timerKind) {
+	var t *opTimer
+	if n := len(c.timerFree); n > 0 {
+		t = c.timerFree[n-1]
+		c.timerFree = c.timerFree[:n-1]
+	} else {
+		t = &opTimer{c: c} //lint:allow hotalloc — pool miss; the pool grows to the timers in flight
+	}
+	t.op, t.gen, t.kind = op, op.attempt, kind
+	c.machine.Verbs.NIC().Engine().AtHandler(at, t)
+}
+
+// Fire releases the record, then acts on its op. Retry and resubmit
+// timers check the attempt generation, not just done: a completion,
+// terminal failure or reissue since arming bumped it, and an op failed
+// and recycled into a new operation has done false again but a moved-on
+// generation. A quarantine wait is the op's only pending event, so it
+// issues unconditionally.
+//
+//herd:hotpath
+func (t *opTimer) Fire(sim.Time) {
+	c, op, gen, kind := t.c, t.op, t.gen, t.kind
+	t.op = nil
+	c.timerFree = append(c.timerFree, t)
+	if kind == timerIssue {
+		c.issue(op)
+		return
+	}
+	if op.done || op.attempt != gen {
+		return // stale timer: the op completed, failed, or was reissued
+	}
+	if kind == timerResubmit {
+		c.submit(op)
+		return
+	}
+	if op.retries >= c.srv.cfg.maxRetries() {
+		c.failOp(op) //lint:allow hotalloc — terminal failure starts the reconnect handshake
+		return
+	}
+	op.retries++
+	op.attempt++
+	c.retried++
+	c.telRetried.Inc()
+	op.trace.Mark("retry", c.machine.Verbs.NIC().Engine().Now())
+	// The retry may produce a duplicate response (if the original
+	// response, not the request, was lost): post a spare RECV so the
+	// duplicate cannot starve a later operation's completion.
+	respSlot := (op.proc*c.srv.cfg.Window + op.r%c.srv.cfg.Window) * SlotSize
+	postLossy(c.udQPs[op.proc].PostRecv(c.respMR, respSlot, SlotSize, uint64(op.r)))
+	c.writeRequest(op)
+	c.armRetry(op)
 }
 
 // window returns the effective request window: Config.Window when the
@@ -436,25 +521,30 @@ func (c *Client) aimdShrink() {
 // inflight; the break keeps one deferred op from draining the whole
 // queue into parked limbo in a single call.
 func (c *Client) pumpWaiting() {
-	for len(c.waiting) > 0 && c.inflight < c.window() {
+	for c.waiting.Len() > 0 && c.inflight < c.window() {
 		before := c.inflight
-		op := c.waiting[0]
-		c.waiting = c.waiting[1:]
-		c.issue(op)
+		c.issue(c.waiting.Pop())
 		if c.inflight == before {
 			break
 		}
 	}
 }
 
+// submit issues op, or queues it while the window is full.
+//
+//herd:hotpath
 func (c *Client) submit(op *pendingOp) {
 	if c.inflight >= c.window() {
-		c.waiting = append(c.waiting, op)
+		c.waiting.Push(op)
 		return
 	}
 	c.issue(op)
 }
 
+// issue puts op on the wire in its window slot, or parks it while the
+// slot is occupied or quarantined.
+//
+//herd:hotpath
 func (c *Client) issue(op *pendingOp) {
 	cfg := c.srv.cfg
 	proc := mica.Partition(op.key, cfg.NS)
@@ -467,14 +557,14 @@ func (c *Client) issue(op *pendingOp) {
 			// live ops in one slot are indistinguishable and the
 			// occupant would steal this op's response. Park until the
 			// occupant resolves.
-			c.slotWait[proc] = append(c.slotWait[proc], op)
+			c.slotWait[proc].Push(op)
 			return
 		}
 	}
 	if until := c.slotFree[proc][r%cfg.Window]; until > c.machine.Verbs.NIC().Engine().Now() {
 		// The slot is quarantined while duplicates of its previous op may
 		// still arrive; issue once they have drained.
-		c.machine.Verbs.NIC().Engine().At(until, func() { c.issue(op) })
+		c.armTimer(until, op, timerIssue)
 		return
 	}
 	c.reqSeq[proc]++
@@ -515,7 +605,7 @@ func (c *Client) issue(op *pendingOp) {
 		if c.sendQP == nil {
 			// WRITE/DC mode: hand the trace to the server by slot, since
 			// the request travels only as memory bytes.
-			c.srv.noteTrace(cfg.SlotIndex(proc, c.id, r), op.trace)
+			c.srv.noteTrace(cfg.SlotIndex(proc, c.id, r), op.trace) //lint:allow hotalloc — tracing only
 		}
 	}
 	c.writeRequest(op)
@@ -571,6 +661,8 @@ func (c *Client) encodeRequest(op *pendingOp, r int) []byte {
 
 // writeRequest posts (or re-posts) op's request: a WRITE into the
 // request region, or a UD SEND in SEND/SEND mode.
+//
+//herd:hotpath
 func (c *Client) writeRequest(op *pendingOp) {
 	inline := len(op.payload) <= c.machine.Verbs.NIC().Params().InlineMax
 	if c.sendQP != nil {
@@ -610,6 +702,8 @@ func (c *Client) writeRequest(op *pendingOp) {
 // jitter fraction so concurrent clients' retry storms decorrelate. The
 // jitter draw comes from the client's seeded RNG, so a run replays
 // exactly.
+//
+//herd:hotpath
 func (c *Client) retryDelay(k int) sim.Time {
 	cfg := c.srv.cfg
 	d := cfg.RetryTimeout
@@ -628,36 +722,18 @@ func (c *Client) retryDelay(k int) sim.Time {
 }
 
 // armRetry arms the application-level retry timer (Section 2.2.3's
-// answer to the unreliable transports). The timer captures the op's
+// answer to the unreliable transports). The timer records the op's
 // current attempt generation: a completion, terminal failure, or
-// reconnect-reissue bumps the generation, so the captured timer fires
-// as a no-op instead of retransmitting a finished or superseded op.
+// reconnect-reissue bumps the generation, so the timer fires as a no-op
+// instead of retransmitting a finished or superseded op.
+//
+//herd:hotpath
 func (c *Client) armRetry(op *pendingOp) {
 	if c.srv.cfg.RetryTimeout <= 0 {
 		return
 	}
-	gen := op.attempt
-	c.machine.Verbs.NIC().Engine().After(c.retryDelay(op.retries), func() {
-		if op.done || op.attempt != gen {
-			return // stale timer: the op completed, failed, or was reissued
-		}
-		if op.retries >= c.srv.cfg.maxRetries() {
-			c.failOp(op)
-			return
-		}
-		op.retries++
-		op.attempt++
-		c.retried++
-		c.telRetried.Inc()
-		op.trace.Mark("retry", c.machine.Verbs.NIC().Engine().Now())
-		// The retry may produce a duplicate response (if the original
-		// response, not the request, was lost): post a spare RECV so the
-		// duplicate cannot starve a later operation's completion.
-		respSlot := (op.proc*c.srv.cfg.Window + op.r%c.srv.cfg.Window) * SlotSize
-		postLossy(c.udQPs[op.proc].PostRecv(c.respMR, respSlot, SlotSize, uint64(op.r)))
-		c.writeRequest(op)
-		c.armRetry(op)
-	})
+	eng := c.machine.Verbs.NIC().Engine()
+	c.armTimer(eng.Now()+c.retryDelay(op.retries), op, timerRetry)
 }
 
 // quarantineSlot delays reuse of op's (proc, r mod W) window slot after
@@ -682,12 +758,10 @@ func (c *Client) quarantineSlot(op *pendingOp) {
 // occupant resolved. The parked op recomputes its slot on issue and
 // parks again if the next slot is also blocked.
 func (c *Client) releaseSlot(proc int) {
-	if len(c.slotWait[proc]) == 0 {
+	if c.slotWait[proc].Len() == 0 {
 		return
 	}
-	op := c.slotWait[proc][0]
-	c.slotWait[proc] = c.slotWait[proc][1:]
-	c.issue(op)
+	c.issue(c.slotWait[proc].Pop())
 }
 
 // failOp terminates an op that exhausted its retry budget: the caller
@@ -944,18 +1018,7 @@ func (c *Client) handleBusy(op *pendingOp, hint sim.Time) {
 		c.pumpWaiting()
 		return
 	}
-	eng := c.machine.Verbs.NIC().Engine()
-	// The resubmit closure checks the attempt generation, not just done:
-	// if the op fails terminally and is recycled into a new operation
-	// before the delay elapses, done is false again but the generation
-	// has moved on.
-	gen := op.attempt
-	eng.After(delay, func() {
-		if op.done || op.attempt != gen {
-			return
-		}
-		c.submit(op)
-	})
+	c.armTimer(now+delay, op, timerResubmit)
 	c.pumpWaiting()
 }
 

@@ -244,6 +244,7 @@ const (
 
 // Effective retry-policy accessors: zero-valued fields mean defaults.
 
+//herd:hotpath
 func (c Config) maxRetries() int {
 	if c.MaxRetries <= 0 {
 		return 3
@@ -251,6 +252,7 @@ func (c Config) maxRetries() int {
 	return c.MaxRetries
 }
 
+//herd:hotpath
 func (c Config) retryBackoff() float64 {
 	if c.RetryBackoff <= 0 {
 		return 2
@@ -258,6 +260,7 @@ func (c Config) retryBackoff() float64 {
 	return c.RetryBackoff
 }
 
+//herd:hotpath
 func (c Config) retryBackoffCap() sim.Time {
 	if c.RetryBackoffCap <= 0 {
 		return 16 * c.RetryTimeout
@@ -265,6 +268,7 @@ func (c Config) retryBackoffCap() sim.Time {
 	return c.RetryBackoffCap
 }
 
+//herd:hotpath
 func (c Config) retryJitter() float64 {
 	if c.RetryJitter < 0 {
 		return 0
@@ -353,10 +357,13 @@ type Server struct {
 
 	// respScratch[proc] is the process's preallocated response build
 	// buffer. Safe whenever the response is posted before the building
-	// callback returns (verbs copies WR data at post time); responses
-	// that outlive their callback — batched doorbells, sync-durability
-	// acks — get fresh allocations instead (see respFor).
+	// event returns (verbs copies WR data at post time); responses that
+	// outlive it are built elsewhere (see serveRec.respBuf).
 	respScratch [][]byte
+
+	// serveFree pools the records that carry requests through CPU
+	// service (see serveRec).
+	serveFree []*serveRec
 
 	// Admission control (Config.AdmissionLimit > 0): per-process count
 	// of admitted requests awaiting CPU service, and an EWMA of
@@ -604,6 +611,8 @@ func (s *Server) applyRecord(r wal.Record) {
 // state), whether the partition changed (and so the mutation must be
 // WAL-logged), and any storage error. Unstamped values fall back to a
 // plain overwrite so legacy preloads keep working.
+//
+//herd:hotpath
 func (s *Server) applyVersionedPut(part *mica.Cache, key kv.Key, value []byte) (status byte, applied bool, err error) {
 	nv, ntomb, _, ok := kv.SplitVersion(value)
 	if !ok {
@@ -630,6 +639,8 @@ func (s *Server) applyVersionedPut(part *mica.Cache, key kv.Key, value []byte) (
 // versionedStatus maps a versioned PUT's outcome to a response status:
 // a tombstone reports what it deleted (kvtest's delete-of-absent = not
 // found), everything else acks OK.
+//
+//herd:hotpath
 func versionedStatus(tombstone, priorLive bool) byte {
 	if tombstone && !priorLive {
 		return statusNotFound
@@ -740,20 +751,12 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 			return err
 		}
 		if s.wlog != nil {
-			s.wlog.AppendDurable(wal.Record{
-				Op: wal.OpPut, Key: key,
-				Value: append([]byte(nil), value...),
-				Epoch: s.epoch,
-			})
+			s.wlog.AppendDurable(wal.Record{Op: wal.OpPut, Key: key, Value: value, Epoch: s.epoch})
 		}
 		return nil
 	}
 	if s.wlog != nil {
-		s.wlog.AppendDurable(wal.Record{
-			Op: wal.OpPut, Key: key,
-			Value: append([]byte(nil), value...),
-			Epoch: s.epoch,
-		})
+		s.wlog.AppendDurable(wal.Record{Op: wal.OpPut, Key: key, Value: value, Epoch: s.epoch})
 	}
 	return part.Put(key, value)
 }
@@ -1001,29 +1004,26 @@ func encodeRespHeader(dst []byte, status byte, vlen int, rMod uint16) []byte {
 	return h
 }
 
-// respFor returns the buffer a vlen-byte response for proc is built
-// in: the process's preallocated scratch when the response posts
-// before the building callback returns (the default path — verbs
-// copies WR data at post time), a fresh allocation when it must
-// outlive the callback. Batched-doorbell responses sit in respBuf
-// until the flush, and sync-durability acks wait for the group
-// commit; in both cases a later request on the same process would
-// overwrite the scratch before the bytes were read.
-func (s *Server) respFor(proc, vlen int) []byte {
-	if s.cfg.ResponseBatch > 1 || s.cfg.Durability == DurabilitySync {
-		return make([]byte, respHdr+vlen)
-	}
-	return s.respScratch[proc]
-}
-
 // execute runs one request on its process's core: poll/RECV handling,
 // MICA work (with or without the prefetch pipeline), and the response
-// SEND.
+// SEND. The request rides a pooled serveRec through CPU service.
 func (s *Server) execute(req request) {
-	isPut := req.vlen > 0 && req.vlen != lenDelete
-	isDelete := req.vlen == lenDelete
+	r := s.getServe()
+	r.req = req
+	if req.viaSend && req.value != nil {
+		// A SEND-mode value sits in a RECV buffer that is reposted before
+		// service completes: keep a copy in the record.
+		r.val = append(r.val[:0], req.value...)
+		r.req.value = r.val
+	}
+	r.kind = opGet
 	accesses := mica.AccessesPerGet
-	if isPut || isDelete {
+	switch {
+	case req.vlen == lenDelete:
+		r.kind = opDelete
+		accesses = mica.AccessesPerPut
+	case req.vlen > 0:
+		r.kind = opPut
 		accesses = mica.AccessesPerPut
 	}
 	service := s.machine.CPU.RequestService(accesses, s.cfg.Prefetch)
@@ -1031,140 +1031,218 @@ func (s *Server) execute(req request) {
 		service += s.machine.CPU.Params().RecvRepost
 	}
 
-	epoch := s.epoch
+	r.epoch = s.epoch
 	s.queued[req.proc]++
 	s.noteService(req.proc, service)
-	s.machine.CPU.Core(req.proc).Submit(service, func(at sim.Time) {
-		// The admission queue drains regardless of crash state: the
-		// increment happened, so the decrement must too.
-		s.queued[req.proc]--
-		// Work queued before a crash dies with the process.
-		if s.down || s.epoch != epoch {
-			return
-		}
-		// The "cpu" span covers poll detection, MICA service, and
-		// response posting; what follows gets the "resp." prefix.
-		req.trace.SetPrefix("")
-		req.trace.Mark("cpu", at)
-		req.trace.SetPrefix("resp.")
-		part := s.parts[req.proc]
-		var resp []byte
-		// logged is non-nil when this request mutated state that the WAL
-		// must record (a successful PUT or DELETE under durability).
-		var logged *wal.Record
-		switch {
-		case isPut:
-			s.puts++
-			var status byte
-			var applied bool
-			var err error
-			if s.cfg.VersionedValues {
-				status, applied, err = s.applyVersionedPut(part, req.key, req.value)
-			} else {
-				err = part.Put(req.key, req.value)
-				status, applied = statusOK, err == nil
-			}
-			if err != nil {
-				status = statusNotFound
-			} else if applied && s.wlog != nil {
-				// The slot's value bytes are zeroed and reused after the
-				// response; the log record needs its own copy.
-				logged = &wal.Record{
-					Op: wal.OpPut, Key: req.key,
-					Value: append([]byte(nil), req.value...),
-					Epoch: epoch,
-				}
-			}
-			resp = encodeRespHeader(s.respFor(req.proc, 0), status, 0, req.rMod)
-		case isDelete:
-			s.deletes++
-			status := byte(statusNotFound)
-			if part.Delete(req.key) {
-				status = statusOK
-				if s.wlog != nil {
-					logged = &wal.Record{Op: wal.OpDelete, Key: req.key, Epoch: epoch}
-				}
-			}
-			resp = encodeRespHeader(s.respFor(req.proc, 0), status, 0, req.rMod)
-		default:
-			v, ok := part.Get(req.key)
-			s.gets++
-			if ok {
-				s.getHits++
-				ext := 0
-				if s.cfg.LeaseTTL > 0 {
-					ext = leaseBytes
-				}
-				resp = encodeRespHeader(s.respFor(req.proc, len(v)+ext), statusOK, len(v), req.rMod)
-				copy(resp[respHdr:], v)
-				if ext > 0 {
-					// Grant a lease expiring LeaseTTL from now; the header's
-					// vlen stays the value length, the frame just extends.
-					resp = resp[:respHdr+len(v)+ext]
-					binary.LittleEndian.PutUint64(resp[respHdr+len(v):], uint64(at+s.cfg.LeaseTTL))
-				}
-			} else {
-				resp = encodeRespHeader(s.respFor(req.proc, 0), statusNotFound, 0, req.rMod)
-			}
-		}
+	s.machine.CPU.Core(req.proc).SubmitHandler(service, r)
+}
 
-		respond := func() {
-			// Free the slot for the client's next request: zero LEN + key.
-			if req.slotRaw != nil {
-				zeroTail(req.slotRaw)
-			}
+// serveRec carries one request through its server process: it is the
+// sim.Handler the process's core fires when CPU service completes, and
+// — under sync durability — the WAL's durable callback. Records are
+// pooled per Server. A record returns to the pool once: after its
+// response posts (or finds no destination), or when the crash/epoch
+// check discards it. A sync-durability record whose WAL callback died
+// in a crash is never called again and is left to the garbage
+// collector.
+type serveRec struct {
+	s     *Server
+	req   request
+	epoch int // the server epoch the request was admitted under
+	kind  opKind
+	resp  []byte // the framed response, once built
 
-			// Response: unsignaled SEND over UD, inlined below the cutoff.
-			inline := len(resp)-respHdr <= s.cfg.InlineCutoff
-			if inline {
-				s.inlineResponses++
-			} else {
-				s.nonInlineResponses++
-			}
-			dest := s.clientQP(req.client, req.proc)
-			if dest == nil {
-				return
-			}
-			wr := verbs.SendWR{
-				Verb:   verbs.SEND,
-				Data:   resp,
-				Dest:   dest,
-				Inline: inline,
-				Trace:  req.trace,
-			}
-			if s.cfg.ResponseBatch <= 1 {
-				postLossy(s.udQPs[req.proc].PostSend(wr))
-				return
-			}
-			s.bufferResponse(req.proc, wr)
-		}
+	// hdr holds a header-only response (PUT/DELETE acks, GET misses),
+	// which may wait on the WAL past the serving event; val holds a
+	// SEND-mode request's value.
+	hdr [respHdr]byte
+	val []byte
 
-		if logged == nil {
-			respond() // reads and failed mutations: nothing to persist
-			return
+	// durable is onDurable bound once, so handing it to the WAL
+	// allocates nothing.
+	durable func()
+}
+
+// getServe returns a pooled serve record (or a fresh one).
+func (s *Server) getServe() *serveRec {
+	if n := len(s.serveFree); n > 0 {
+		r := s.serveFree[n-1]
+		s.serveFree = s.serveFree[:n-1]
+		return r
+	}
+	r := &serveRec{s: s}
+	r.durable = r.onDurable
+	return r
+}
+
+// release returns r to its server's pool. Nothing may reference r
+// afterwards: the next request may reuse it at once.
+//
+//herd:hotpath
+func (r *serveRec) release() {
+	r.req = request{}
+	r.resp = nil
+	r.s.serveFree = append(r.s.serveFree, r)
+}
+
+// respBuf returns the buffer a vlen-byte response is built in. A
+// header-only response goes in the record, which lives until the
+// response posts — after the WAL's group commit under sync durability.
+// A value-carrying GET hit posts before the serving event returns, so
+// the process's scratch is safe. Batched-doorbell responses sit in
+// respBuf past the record's release and get fresh storage.
+//
+//herd:hotpath
+func (r *serveRec) respBuf(vlen int) []byte {
+	if r.s.cfg.ResponseBatch > 1 {
+		return make([]byte, respHdr+vlen) //lint:allow hotalloc — batched responses outlive the record until the doorbell flush
+	}
+	if vlen == 0 {
+		return r.hdr[:]
+	}
+	return r.s.respScratch[r.req.proc]
+}
+
+// Fire runs at the end of the request's CPU service: the MICA work,
+// the WAL append for a mutation, and the response (at once, or at the
+// group commit under sync durability).
+//
+//herd:hotpath
+func (r *serveRec) Fire(at sim.Time) {
+	s, req := r.s, &r.req
+	// The admission queue drains regardless of crash state: the
+	// increment happened, so the decrement must too.
+	s.queued[req.proc]--
+	// Work queued before a crash dies with the process.
+	if s.down || s.epoch != r.epoch {
+		r.release()
+		return
+	}
+	// The "cpu" span covers poll detection, MICA service, and response
+	// posting; what follows gets the "resp." prefix.
+	req.trace.SetPrefix("")
+	req.trace.Mark("cpu", at)
+	req.trace.SetPrefix("resp.")
+	part := s.parts[req.proc]
+	// logged is set when this request mutated state that the WAL must
+	// record (a successful PUT or DELETE under durability).
+	var logged wal.Record
+	switch r.kind {
+	case opPut:
+		s.puts++
+		var status byte
+		var applied bool
+		var err error
+		if s.cfg.VersionedValues {
+			status, applied, err = s.applyVersionedPut(part, req.key, req.value)
+		} else {
+			err = part.Put(req.key, req.value)
+			status, applied = statusOK, err == nil
 		}
-		if s.cfg.Durability == DurabilitySync {
-			// Log-before-ack: the response waits for the record's group
-			// commit. A crash in between drops the callback with the ack
-			// unsent — the client retries and the operation re-executes
-			// idempotently after recovery.
-			s.wlog.Append(*logged, func() {
-				if s.down || s.epoch != epoch {
-					return
-				}
-				req.trace.Mark("wal.flush", s.now())
-				respond()
-			})
-			s.wlog.Flush()
-			return
+		if err != nil {
+			status = statusNotFound
+		} else if applied && s.wlog != nil {
+			// Append encodes the value into the log before returning, so
+			// the slot may be zeroed and reused after the response.
+			logged = wal.Record{Op: wal.OpPut, Key: req.key, Value: req.value, Epoch: r.epoch}
 		}
-		// Group commit: ack now, persist within the flush window. The
-		// window is the durability exposure — an acked write younger than
-		// the last commit can die with a crash, which is exactly what the
-		// fleet's delta catch-up re-covers from the surviving replica.
-		s.wlog.Append(*logged, nil)
-		respond()
-	})
+		r.resp = encodeRespHeader(r.respBuf(0), status, 0, req.rMod)
+	case opDelete:
+		s.deletes++
+		status := byte(statusNotFound)
+		if part.Delete(req.key) {
+			status = statusOK
+			if s.wlog != nil {
+				logged = wal.Record{Op: wal.OpDelete, Key: req.key, Epoch: r.epoch}
+			}
+		}
+		r.resp = encodeRespHeader(r.respBuf(0), status, 0, req.rMod)
+	default:
+		v, ok := part.Get(req.key)
+		s.gets++
+		if ok {
+			s.getHits++
+			ext := 0
+			if s.cfg.LeaseTTL > 0 {
+				ext = leaseBytes
+			}
+			r.resp = encodeRespHeader(r.respBuf(len(v)+ext), statusOK, len(v), req.rMod)
+			copy(r.resp[respHdr:], v)
+			if ext > 0 {
+				// Grant a lease expiring LeaseTTL from now; the header's
+				// vlen stays the value length, the frame just extends.
+				r.resp = r.resp[:respHdr+len(v)+ext]
+				binary.LittleEndian.PutUint64(r.resp[respHdr+len(v):], uint64(at+s.cfg.LeaseTTL))
+			}
+		} else {
+			r.resp = encodeRespHeader(r.respBuf(0), statusNotFound, 0, req.rMod)
+		}
+	}
+
+	if logged.Op == 0 {
+		r.respond() // reads and failed mutations: nothing to persist
+		return
+	}
+	if s.cfg.Durability == DurabilitySync {
+		// Log-before-ack: the response waits for the record's group
+		// commit. A crash in between drops the callback with the ack
+		// unsent — the client retries and the operation re-executes
+		// idempotently after recovery.
+		s.wlog.Append(logged, r.durable)
+		s.wlog.Flush()
+		return
+	}
+	// Group commit: ack now, persist within the flush window. The window
+	// is the durability exposure — an acked write younger than the last
+	// commit can die with a crash, which is exactly what the fleet's
+	// delta catch-up re-covers from the surviving replica.
+	s.wlog.Append(logged, nil)
+	r.respond()
+}
+
+// onDurable is the sync-durability ack: the record's mutation reached
+// the log device, so the held response may go out.
+func (r *serveRec) onDurable() {
+	s := r.s
+	if s.down || s.epoch != r.epoch {
+		r.release()
+		return
+	}
+	r.req.trace.Mark("wal.flush", s.now())
+	r.respond()
+}
+
+// respond frees the request's slot, posts the response — an unsignaled
+// SEND over UD, inlined below the cutoff — and releases the record.
+//
+//herd:hotpath
+func (r *serveRec) respond() {
+	s, req := r.s, &r.req
+	// Free the slot for the client's next request: zero LEN + key.
+	if req.slotRaw != nil {
+		zeroTail(req.slotRaw)
+	}
+	inline := len(r.resp)-respHdr <= s.cfg.InlineCutoff
+	if inline {
+		s.inlineResponses++
+	} else {
+		s.nonInlineResponses++
+	}
+	if dest := s.clientQP(req.client, req.proc); dest != nil {
+		wr := verbs.SendWR{
+			Verb:   verbs.SEND,
+			Data:   r.resp,
+			Dest:   dest,
+			Inline: inline,
+			Trace:  req.trace,
+		}
+		if s.cfg.ResponseBatch <= 1 {
+			postLossy(s.udQPs[req.proc].PostSend(wr))
+		} else {
+			s.bufferResponse(req.proc, wr) //lint:allow hotalloc — batched doorbells, amortized once per batch
+		}
+	}
+	r.release()
 }
 
 // respFlushDelay bounds how long a buffered response waits for batch
@@ -1249,13 +1327,15 @@ func (s *Server) onSendRequest(proc int, comp verbs.Completion) {
 			s.reject()
 			return
 		}
-		req.value = append([]byte(nil), data[n-sendReqTail-vlen:n-sendReqTail]...)
+		req.value = data[n-sendReqTail-vlen : n-sendReqTail]
 	}
 	s.execute(req)
 }
 
 // clientQP returns the UD QP on which client receives responses from
 // server process proc.
+//
+//herd:hotpath
 func (s *Server) clientQP(client, proc int) *verbs.QP {
 	if client >= len(s.clientUD) {
 		return nil

@@ -131,8 +131,8 @@ func TestWindowLimitsInflight(t *testing.T) {
 	if c.Inflight() != 2 {
 		t.Fatalf("inflight = %d, want window 2", c.Inflight())
 	}
-	if len(c.waiting) != 8 {
-		t.Fatalf("waiting = %d, want 8", len(c.waiting))
+	if c.waiting.Len() != 8 {
+		t.Fatalf("waiting = %d, want 8", c.waiting.Len())
 	}
 	cl.Eng.Run()
 	if c.Completed() != 10 {

@@ -14,8 +14,10 @@ import (
 // recovers (docs/ROBUSTNESS.md), so the error is absorbed here, in one
 // deliberate place. Any other rejection (Table 1 violation, inline
 // overflow, bounds) is a protocol bug and must not limp on silently.
+//
+//herd:hotpath
 func postLossy(err error) {
 	if err != nil && !errors.Is(err, verbs.ErrQPState) {
-		panic(fmt.Sprintf("herd: invalid verbs post: %v", err))
+		panic(fmt.Sprintf("herd: invalid verbs post: %v", err)) //lint:allow hotalloc — a protocol bug, never the steady state
 	}
 }

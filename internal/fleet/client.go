@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"sort"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
@@ -68,6 +67,12 @@ type Client struct {
 	verID  uint64
 	verSeq uint64
 	floors map[kv.Key]kv.Version
+
+	// opFree pools the records of in-flight operations (see op);
+	// repairAck is onRepairAck bound once, the callback of every
+	// read-repair back-fill.
+	opFree    []*op
+	repairAck func(kv.Result)
 
 	partialWrites uint64
 	staleObserved uint64
@@ -159,6 +164,7 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.telRepairIssued = tel.Counter("fleet.repair.issued")
 	c.telRepairApplied = tel.Counter("fleet.repair.applied")
 	c.verID = uint64(len(d.clients))
+	c.repairAck = c.onRepairAck
 	if d.cfg.HotKeyTrack > 0 {
 		c.hot = newHotTracker(d.cfg.HotKeyTrack, d.cfg.HotKeyThreshold, d.cfg.HotKeyWindow)
 	}
@@ -191,6 +197,7 @@ func (c *Client) attach(sh *shard) error {
 	return nil
 }
 
+//herd:hotpath
 func (c *Client) now() sim.Time { return c.machine.Verbs.NIC().Engine().Now() }
 
 // Inflight returns the number of fleet-level operations in flight.
@@ -262,6 +269,8 @@ func (c *Client) BreakerOpen(id int) bool {
 
 // markSuspect starts a read probation for shard id after a terminal
 // failure against it.
+//
+//herd:hotpath
 func (c *Client) markSuspect(id int) {
 	c.suspect[id] = c.now() + c.d.cfg.Probation
 	c.suspected++
@@ -272,6 +281,8 @@ func (c *Client) markSuspect(id int) {
 // shard id: the brownout path. Consecutive busy failures trip the
 // breaker open; a failed half-open probe re-opens it. Probation is
 // never touched — the shard is alive.
+//
+//herd:hotpath
 func (c *Client) noteBusy(id int) {
 	b := &c.brk[id]
 	b.probing = false
@@ -299,6 +310,8 @@ func (c *Client) noteBusy(id int) {
 // noteServed records a successful read or write against shard id: the
 // busy streak resets, and a non-closed breaker (including a half-open
 // probe that just succeeded) fully restores.
+//
+//herd:hotpath
 func (c *Client) noteServed(id int) {
 	b := &c.brk[id]
 	b.fails = 0
@@ -314,6 +327,8 @@ func (c *Client) noteServed(id int) {
 // noteReadIssue runs before a read is issued to shard id: an open
 // breaker whose cooldown lapsed transitions to half-open, and this
 // read becomes its probe.
+//
+//herd:hotpath
 func (c *Client) noteReadIssue(id int) {
 	b := &c.brk[id]
 	if b.state == breakerOpen && b.until <= c.now() && !b.probing {
@@ -327,6 +342,8 @@ func (c *Client) noteReadIssue(id int) {
 // readPreferred reports whether shard id should be in the front tier
 // of a read order: not under probation, and its breaker either closed
 // or due for a half-open probe.
+//
+//herd:hotpath
 func (c *Client) readPreferred(id int, now sim.Time) bool {
 	if c.suspect[id] > now {
 		return false
@@ -340,17 +357,25 @@ func (c *Client) readPreferred(id int, now sim.Time) bool {
 	return true
 }
 
-// readOrder returns key's replica set reordered for a read: healthy
-// replicas first (ring order preserved within each group), then
-// probationed or breaker-open ones — so a recently failed or
-// browned-out primary is tried last instead of eating a full retry
-// budget (or another busy round trip) per read.
-func (c *Client) readOrder(reps []int) []int {
+// readOrder writes key's replica set, reordered for a read, into dst
+// and returns it: healthy replicas first (ring order preserved within
+// each group), then probationed or breaker-open ones — so a recently
+// failed or browned-out primary is tried last instead of eating a full
+// retry budget (or another busy round trip) per read.
+//
+//herd:hotpath
+func (c *Client) readOrder(dst, reps []int) []int {
 	now := c.now()
-	order := make([]int, 0, len(reps))
+	dst = dst[:0]
 	for _, id := range reps {
 		if c.readPreferred(id, now) {
-			order = append(order, id)
+			dst = append(dst, id)
+		}
+	}
+	front := len(dst)
+	for _, id := range reps {
+		if !c.readPreferred(id, now) {
+			dst = append(dst, id)
 		}
 	}
 	// The back tier is NOT ring order: when every replica is suspect,
@@ -358,32 +383,38 @@ func (c *Client) readOrder(reps []int) []int {
 	// whose probation is about to lapse. Sort by probation expiry, then
 	// breaker cooldown, with the shard id as a deterministic tie-break
 	// so replays are stable when several replicas were suspected at the
-	// same instant.
-	tail := make([]int, 0, len(reps))
-	for _, id := range reps {
-		if !c.readPreferred(id, now) {
-			tail = append(tail, id)
+	// same instant. (An insertion sort: the tier holds at most R ids.)
+	tail := dst[front:]
+	for i := 1; i < len(tail); i++ {
+		for j := i; j > 0 && c.triesBefore(tail[j], tail[j-1]); j-- {
+			tail[j], tail[j-1] = tail[j-1], tail[j]
 		}
 	}
-	sort.Slice(tail, func(i, j int) bool {
-		a, b := tail[i], tail[j]
-		if c.suspect[a] != c.suspect[b] {
-			return c.suspect[a] < c.suspect[b]
-		}
-		if c.brk[a].until != c.brk[b].until {
-			return c.brk[a].until < c.brk[b].until
-		}
-		return a < b
-	})
-	return append(order, tail...)
+	return dst
 }
 
+// triesBefore orders the back tier of a read order: earlier probation
+// expiry first, then earlier breaker cooldown, then lower shard id.
+//
+//herd:hotpath
+func (c *Client) triesBefore(a, b int) bool {
+	if c.suspect[a] != c.suspect[b] {
+		return c.suspect[a] < c.suspect[b]
+	}
+	if c.brk[a].until != c.brk[b].until {
+		return c.brk[a].until < c.brk[b].until
+	}
+	return a < b
+}
+
+//herd:hotpath
 func (c *Client) start() {
 	c.issued++
 	c.inflight++
 	c.telIssued.Inc()
 }
 
+//herd:hotpath
 func (c *Client) finish(cb func(kv.Result), res kv.Result, begun sim.Time) {
 	res.Latency = c.now() - begun
 	c.inflight--
@@ -399,9 +430,139 @@ func (c *Client) finish(cb func(kv.Result), res kv.Result, begun sim.Time) {
 	}
 }
 
+// opKind is the path a fleet-level operation takes.
+type opKind uint8
+
+const (
+	opGet            opKind = iota // first-ack read: primary-first with failover
+	opWrite                        // first-ack write: fan-out, one ack suffices
+	opGetVersioned                 // versioned read: every replica, version arbitration
+	opWriteVersioned               // versioned write: stamped fan-out, every ack needed
+)
+
+// op is one fleet-level operation in flight. Ops are pooled per
+// Client, and each carries one callback per sub-operation slot, bound
+// on first use and kept across recycling (as mux.Endpoint.getOp does),
+// so issuing a read or write allocates nothing once the pool is warm.
+// A fan-out's slot i is the replica reps[i]; a first-ack read's slot i
+// is its i-th try, order[i]. An op returns to the pool exactly once:
+// when its last sub-operation resolves, just before the caller's
+// callback runs.
+type op struct {
+	c     *Client
+	kind  opKind
+	key   kv.Key
+	cb    func(kv.Result)
+	begun sim.Time
+
+	// reps is the key's replica set, a shared read-only ring slice
+	// (Ring.Replicas); order is a first-ack read's try order, in a
+	// buffer the op owns.
+	reps  []int
+	order []int
+
+	outstanding, failures int
+	have                  bool      // fan-outs: best holds a served result
+	best                  kv.Result // fan-outs: the result to report
+	lastErr               kv.Result
+
+	// Versioned writes send every replica stored — stamp then value, in
+	// a buffer the op owns (sub-clients copy a PUT's value before
+	// returning). Versioned reads collect each replica's answer.
+	stamp  kv.Version
+	stored []byte
+	states []replicaState
+
+	slots []func(kv.Result)
+}
+
+// replicaState is one replica's answer to a versioned read.
+type replicaState struct {
+	id      int
+	present bool
+	ver     kv.Version
+	tomb    bool
+	payload []byte
+	stored  []byte
+}
+
+// getOp returns a pooled op (or a fresh one) set up for a new
+// operation.
+//
+//herd:hotpath
+func (c *Client) getOp(kind opKind, key kv.Key, cb func(kv.Result)) *op {
+	var o *op
+	if n := len(c.opFree); n > 0 {
+		o = c.opFree[n-1]
+		c.opFree = c.opFree[:n-1]
+	} else {
+		o = &op{c: c} //lint:allow hotalloc — pool miss; the pool grows to the ops in flight
+	}
+	o.kind, o.key, o.cb = kind, key, cb
+	return o
+}
+
+// slot returns the callback that resolves sub-operation slot i.
+//
+//herd:hotpath
+func (o *op) slot(i int) func(kv.Result) {
+	for len(o.slots) <= i {
+		j := len(o.slots)
+		//lint:allow hotalloc — bound once per slot, kept across recycling
+		o.slots = append(o.slots, func(r kv.Result) { o.resolve(j, r) })
+	}
+	return o.slots[i]
+}
+
+// finish returns o to the pool and resolves the fleet-level operation
+// with res. Nothing may touch o afterwards: the caller's callback may
+// start a new operation on it at once.
+//
+//herd:hotpath
+func (o *op) finish(res kv.Result) {
+	c, cb, begun := o.c, o.cb, o.begun
+	clear(o.states) // drop the replicas' value slices
+	*o = op{c: c, order: o.order[:0], stored: o.stored[:0], states: o.states[:0], slots: o.slots}
+	c.opFree = append(c.opFree, o)
+	c.finish(cb, res, begun)
+}
+
+// resolve handles sub-operation slot i's result.
+//
+//herd:hotpath
+func (o *op) resolve(i int, r kv.Result) {
+	switch o.kind {
+	case opGet:
+		o.resolveGet(i, r)
+	case opWrite:
+		o.resolveWrite(i, r)
+	case opGetVersioned:
+		o.resolveGetVersioned(i, r)
+	default:
+		o.resolveWriteVersioned(i, r)
+	}
+}
+
+// noteFailure feeds one failed sub-operation against shard id to the
+// shard's health state. Busy is a brownout: the shard is alive but
+// shedding, so it feeds the circuit breaker and must NOT start a
+// probation — failover churn on overload would amplify the overload.
+// Everything else is a crash-class failure and suspects the shard.
+//
+//herd:hotpath
+func (c *Client) noteFailure(id int, r kv.Result) {
+	if r.Status == kv.StatusBusy {
+		c.noteBusy(id)
+	} else {
+		c.markSuspect(id)
+	}
+}
+
 // Get reads key: primary-first with failover across the replica set in
 // legacy mode, read-all with version arbitration (and optional read
 // repair) in versioned mode.
+//
+//herd:hotpath
 func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
@@ -413,70 +574,76 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 	if c.d.cfg.Versioned {
 		return c.getVersioned(key, reps, cb)
 	}
-	order := c.readOrder(reps)
+	o := c.getOp(opGet, key, cb)
+	o.reps = reps
+	o.order = c.readOrder(o.order, reps)
 	if c.hot != nil {
-		order = c.widen(key, order)
+		c.widen(key, o.order)
 	}
 	c.start()
-	begun := c.now()
-	c.tryGet(key, reps[0], order, 0, begun, cb)
+	o.begun = c.now()
+	c.tryGet(o, 0)
 	return nil
 }
 
-// tryGet issues the read against order[i], failing over to order[i+1]
-// on a terminal error. Each attempt is a fresh sub-operation with the
-// full retry budget.
-func (c *Client) tryGet(key kv.Key, primary int, order []int, i int, begun sim.Time, cb func(kv.Result)) {
-	c.noteReadIssue(order[i])
-	err := c.subs[order[i]].Get(key, func(r kv.Result) {
-		if r.Err == nil {
-			c.noteServed(order[i])
-			if order[i] != primary {
-				c.replicaReads++
-				c.telReplica.Inc()
-			}
-			c.finish(cb, r, begun)
-			return
-		}
-		// Busy is a brownout: the shard is alive but shedding, so it
-		// feeds the circuit breaker and must NOT start a probation —
-		// failover churn on overload would amplify the overload.
-		// Everything else is a crash-class failure and suspects the
-		// shard as before.
-		if r.Status == kv.StatusBusy {
-			c.noteBusy(order[i])
-		} else {
-			c.markSuspect(order[i])
-		}
-		if i+1 < len(order) {
-			c.reroutes++
-			c.telReroutes.Inc()
-			c.tryGet(key, primary, order, i+1, begun, cb)
-			return
-		}
-		r.Err = ErrAllReplicasDown
-		c.finish(cb, r, begun)
-	})
-	if err != nil {
+// tryGet issues a first-ack read against o.order[i]; a terminal error
+// fails over to order[i+1]. Each attempt is a fresh sub-operation with
+// the full retry budget.
+//
+//herd:hotpath
+func (c *Client) tryGet(o *op, i int) {
+	id := o.order[i]
+	c.noteReadIssue(id)
+	if err := c.subs[id].Get(o.key, o.slot(i)); err != nil {
 		// Sub-client validation errors surface asynchronously as a
 		// fleet failure so accounting stays balanced.
-		c.finish(cb, kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err}, begun)
+		o.finish(kv.Result{Key: o.key, IsGet: true, Status: kv.StatusTimeout, Err: err})
 	}
+}
+
+// resolveGet handles a first-ack read's try i.
+//
+//herd:hotpath
+func (o *op) resolveGet(i int, r kv.Result) {
+	c, id := o.c, o.order[i]
+	if r.Err == nil {
+		c.noteServed(id)
+		if id != o.reps[0] {
+			c.replicaReads++
+			c.telReplica.Inc()
+		}
+		o.finish(r)
+		return
+	}
+	c.noteFailure(id, r)
+	if i+1 < len(o.order) {
+		c.reroutes++
+		c.telReroutes.Inc()
+		c.tryGet(o, i+1)
+		return
+	}
+	r.Err = ErrAllReplicasDown
+	o.finish(r)
 }
 
 // Put writes key to every replica in its set; the operation succeeds
 // when at least one replica acknowledges. The reported Result is the
 // first successful replica's, with fleet-level latency (time to the
 // last replica's resolution, since that is when the outcome is known).
+//
+//herd:hotpath
 func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	return c.fanout(key, value, false, cb)
 }
 
 // Delete removes key from every replica in its set.
+//
+//herd:hotpath
 func (c *Client) Delete(key kv.Key, cb func(kv.Result)) error {
 	return c.fanout(key, nil, true, cb)
 }
 
+//herd:hotpath
 func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
@@ -495,63 +662,61 @@ func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Resu
 	if c.d.cfg.Versioned {
 		return c.fanoutVersioned(key, value, isDelete, reps, cb)
 	}
+	o := c.getOp(opWrite, key, cb)
+	o.reps, o.outstanding = reps, len(reps)
 	c.start()
 	c.fanoutPuts++
 	c.telFanout.Inc()
-	begun := c.now()
-	outstanding := len(reps)
-	failures := 0
-	var served *kv.Result
-	var lastErr kv.Result
-	resolve := func(id int, r kv.Result) {
-		outstanding--
-		if r.Err == nil {
-			c.noteServed(id)
-			if served == nil {
-				cp := r
-				served = &cp
-			}
-		} else {
-			// Busy = brownout, not a crash: feed the breaker, skip
-			// probation (mirrors tryGet).
-			if r.Status == kv.StatusBusy {
-				c.noteBusy(id)
-			} else {
-				c.markSuspect(id)
-			}
-			failures++
-			lastErr = r
-		}
-		if outstanding == 0 {
-			if served != nil {
-				if failures > 0 {
-					// First-ack semantics swallow straggler failures:
-					// the op succeeds but the replica set is now
-					// divergent on this key. Count it — repair only
-					// exists in versioned mode.
-					c.partialWrites++
-					c.telPartial.Inc()
-				}
-				c.finish(cb, *served, begun)
-			} else {
-				lastErr.Err = ErrAllReplicasDown
-				c.finish(cb, lastErr, begun)
-			}
-		}
-	}
-	for _, id := range reps {
-		id := id
+	o.begun = c.now()
+	// The last replica's callback may run inside its call and finish o;
+	// the loop reads only locals after each call.
+	for i, id := range reps {
+		done := o.slot(i)
 		var err error
 		if isDelete {
-			err = c.subs[id].Delete(key, func(r kv.Result) { resolve(id, r) })
+			err = c.subs[id].Delete(key, done)
 		} else {
-			err = c.subs[id].Put(key, value, func(r kv.Result) { resolve(id, r) })
+			err = c.subs[id].Put(key, value, done)
 		}
 		if err != nil {
-			resolve(id, kv.Result{Key: key, Status: kv.StatusTimeout, Err: err})
+			done(kv.Result{Key: key, Status: kv.StatusTimeout, Err: err})
 		}
 	}
 	return nil
+}
+
+// resolveWrite handles a first-ack write's replica slot i.
+//
+//herd:hotpath
+func (o *op) resolveWrite(i int, r kv.Result) {
+	c, id := o.c, o.reps[i]
+	o.outstanding--
+	if r.Err == nil {
+		c.noteServed(id)
+		if !o.have {
+			o.best, o.have = r, true
+		}
+	} else {
+		c.noteFailure(id, r)
+		o.failures++
+		o.lastErr = r
+	}
+	if o.outstanding != 0 {
+		return
+	}
+	if !o.have {
+		o.lastErr.Err = ErrAllReplicasDown
+		o.finish(o.lastErr)
+		return
+	}
+	if o.failures > 0 {
+		// First-ack semantics swallow straggler failures: the op
+		// succeeds but the replica set is now divergent on this key.
+		// Count it — repair only exists in versioned mode.
+		c.partialWrites++
+		c.telPartial.Inc()
+	}
+	o.finish(o.best)
 }
 
 // fanoutVersioned is the versioned write path: the value is stamped
@@ -560,77 +725,76 @@ func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Resu
 // every replica acks; a mixed outcome is a partial write (divergence),
 // which fails the op with ErrPartialWrite and hands the key to the
 // anti-entropy queue when repair is enabled.
+//
+//herd:hotpath
 func (c *Client) fanoutVersioned(key kv.Key, value []byte, isDelete bool, reps []int, cb func(kv.Result)) error {
 	c.verSeq++
-	stamp := kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
-	stored := kv.AppendVersion(make([]byte, 0, kv.VersionPrefixLen+len(value)), stamp, isDelete)
-	stored = append(stored, value...)
+	o := c.getOp(opWriteVersioned, key, cb)
+	o.stamp = kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
+	o.stored = append(kv.AppendVersion(o.stored, o.stamp, isDelete), value...)
+	o.reps, o.outstanding = reps, len(reps)
 	c.start()
 	c.fanoutPuts++
 	c.telFanout.Inc()
-	begun := c.now()
-	outstanding := len(reps)
-	failures := 0
-	var best *kv.Result
-	var lastErr kv.Result
-	resolve := func(id int, r kv.Result) {
-		outstanding--
-		if r.Err == nil {
-			c.noteServed(id)
-			// The server answers a tombstone PUT with delete semantics
-			// (Hit: killed a live entry); replicas can only disagree
-			// when already divergent, so prefer the Hit answer.
-			if best == nil || (r.Status == kv.StatusHit && best.Status != kv.StatusHit) {
-				cp := r
-				best = &cp
-			}
-		} else {
-			if r.Status == kv.StatusBusy {
-				c.noteBusy(id)
-			} else {
-				c.markSuspect(id)
-			}
-			failures++
-			lastErr = r
-		}
-		if outstanding != 0 {
-			return
-		}
-		switch {
-		case failures == 0:
-			res := *best
-			res.Key, res.IsGet, res.Value = key, false, nil
-			c.noteFloor(key, stamp)
-			c.finish(cb, res, begun)
-		case best != nil:
-			c.partialWrites++
-			c.telPartial.Inc()
-			if c.d.cfg.ReadRepair {
-				c.d.EnqueueRepair(key)
-			}
-			res := *best
-			res.Key, res.IsGet, res.Value = key, false, nil
-			res.Err = ErrPartialWrite
-			c.finish(cb, res, begun)
-		default:
-			lastErr.Err = ErrAllReplicasDown
-			c.finish(cb, lastErr, begun)
-		}
-	}
-	for _, id := range reps {
-		id := id
-		err := c.subs[id].Put(key, stored, func(r kv.Result) { resolve(id, r) })
-		if err != nil {
-			resolve(id, kv.Result{Key: key, Status: kv.StatusTimeout, Err: err})
+	o.begun = c.now()
+	// As in fanout, only locals are read after each call.
+	stored := o.stored
+	for i, id := range reps {
+		done := o.slot(i)
+		if err := c.subs[id].Put(key, stored, done); err != nil {
+			done(kv.Result{Key: key, Status: kv.StatusTimeout, Err: err})
 		}
 	}
 	return nil
 }
 
+// resolveWriteVersioned handles a versioned write's replica slot i.
+//
+//herd:hotpath
+func (o *op) resolveWriteVersioned(i int, r kv.Result) {
+	c, id := o.c, o.reps[i]
+	o.outstanding--
+	if r.Err == nil {
+		c.noteServed(id)
+		// The server answers a tombstone PUT with delete semantics (Hit:
+		// killed a live entry); replicas can only disagree when already
+		// divergent, so prefer the Hit answer.
+		if !o.have || (r.Status == kv.StatusHit && o.best.Status != kv.StatusHit) {
+			o.best, o.have = r, true
+		}
+	} else {
+		c.noteFailure(id, r)
+		o.failures++
+		o.lastErr = r
+	}
+	if o.outstanding != 0 {
+		return
+	}
+	res := o.best
+	res.Key, res.IsGet, res.Value = o.key, false, nil
+	switch {
+	case o.failures == 0:
+		c.noteFloor(o.key, o.stamp)
+	case o.have:
+		c.partialWrites++
+		c.telPartial.Inc()
+		if c.d.cfg.ReadRepair {
+			c.d.EnqueueRepair(o.key) //lint:allow hotalloc — divergence only; the anti-entropy queue
+		}
+		res.Err = ErrPartialWrite
+	default:
+		res = o.lastErr
+		res.Err = ErrAllReplicasDown
+	}
+	o.finish(res)
+}
+
 // noteFloor raises this client's completed-write floor for key.
+//
+//herd:hotpath
 func (c *Client) noteFloor(key kv.Key, v kv.Version) {
 	if c.floors == nil {
-		c.floors = make(map[kv.Key]kv.Version)
+		c.floors = make(map[kv.Key]kv.Version) //lint:allow hotalloc — once per client
 	}
 	if f, ok := c.floors[key]; !ok || f.Less(v) {
 		c.floors[key] = v
@@ -643,119 +807,125 @@ func (c *Client) noteFloor(key kv.Key, v kv.Version) {
 // behind the winner are counted stale and — with ReadRepair — back-
 // filled inline with the winning bytes; the member server's ordered
 // apply makes a repair racing a fresher write harmless.
+//
+//herd:hotpath
 func (c *Client) getVersioned(key kv.Key, reps []int, cb func(kv.Result)) error {
+	o := c.getOp(opGetVersioned, key, cb)
+	o.reps, o.outstanding = reps, len(reps)
 	c.start()
-	begun := c.now()
-	type replicaState struct {
-		id      int
-		present bool
-		ver     kv.Version
-		tomb    bool
-		payload []byte
-		stored  []byte
-	}
-	outstanding := len(reps)
-	states := make([]replicaState, 0, len(reps))
-	var lastErr kv.Result
-	resolve := func(id int, r kv.Result) {
-		outstanding--
-		if r.Err != nil {
-			if r.Status == kv.StatusBusy {
-				c.noteBusy(id)
-			} else {
-				c.markSuspect(id)
-			}
-			lastErr = r
-		} else {
-			c.noteServed(id)
-			st := replicaState{id: id}
-			if r.Status == kv.StatusHit {
-				st.present = true
-				st.stored = r.Value
-				if v, tomb, payload, ok := kv.SplitVersion(r.Value); ok {
-					st.ver, st.tomb, st.payload = v, tomb, payload
-				} else {
-					// Unversioned legacy bytes rank at version zero.
-					st.payload = r.Value
-				}
-			}
-			states = append(states, st)
-		}
-		if outstanding != 0 {
-			return
-		}
-		if len(states) == 0 {
-			lastErr.Err = ErrAllReplicasDown
-			c.finish(cb, lastErr, begun)
-			return
-		}
-		win := -1
-		for i := range states {
-			if !states[i].present {
-				continue
-			}
-			if win < 0 || states[win].ver.Less(states[i].ver) {
-				win = i
-			}
-		}
-		res := kv.Result{Key: key, IsGet: true, Status: kv.StatusMiss}
-		if win >= 0 {
-			w := &states[win]
-			if !w.tomb {
-				res.Status = kv.StatusHit
-				res.Value = append([]byte(nil), w.payload...)
-			}
-			if f := c.floors[key]; w.ver.Less(f) {
-				// Every replica that answered is behind a write this
-				// client completed: the result is provably stale.
-				c.staleReads++
-				c.telStaleReads.Inc()
-				if c.d.cfg.ReadRepair {
-					c.d.EnqueueRepair(key)
-				}
-			}
-			for i := range states {
-				st := &states[i]
-				if i == win || (st.present && !st.ver.Less(w.ver)) {
-					continue
-				}
-				c.staleObserved++
-				c.telStaleObserved.Inc()
-				if !c.d.cfg.ReadRepair {
-					continue
-				}
-				c.repairIssued++
-				c.telRepairIssued.Inc()
-				fill := append([]byte(nil), w.stored...)
-				if err := c.subs[st.id].Put(key, fill, func(r kv.Result) {
-					if r.Err == nil {
-						c.repairApplied++
-						c.telRepairApplied.Inc()
-					}
-				}); err != nil {
-					// Validation failures just drop the repair; the
-					// anti-entropy sweep will retry the key.
-					c.d.EnqueueRepair(key)
-				}
-			}
-		} else if f := c.floors[key]; !f.IsZero() {
-			c.staleReads++
-			c.telStaleReads.Inc()
-			if c.d.cfg.ReadRepair {
-				c.d.EnqueueRepair(key)
-			}
-		}
-		c.finish(cb, res, begun)
-	}
-	for _, id := range reps {
-		id := id
+	o.begun = c.now()
+	// As in fanout, only locals are read after each call.
+	for i, id := range reps {
+		done := o.slot(i)
 		c.noteReadIssue(id)
-		err := c.subs[id].Get(key, func(r kv.Result) { resolve(id, r) })
-		if err != nil {
-			resolve(id, kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err})
+		if err := c.subs[id].Get(key, done); err != nil {
+			done(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err})
 		}
 	}
 	return nil
+}
+
+// resolveGetVersioned handles a versioned read's replica slot i. The
+// winner's payload is handed to the caller as it is: each replica's
+// Result.Value is already a fresh copy the fleet owns (kv.KV's
+// ownership contract).
+//
+//herd:hotpath
+func (o *op) resolveGetVersioned(i int, r kv.Result) {
+	c, id := o.c, o.reps[i]
+	o.outstanding--
+	if r.Err != nil {
+		c.noteFailure(id, r)
+		o.lastErr = r
+	} else {
+		c.noteServed(id)
+		st := replicaState{id: id}
+		if r.Status == kv.StatusHit {
+			st.present = true
+			st.stored = r.Value
+			if v, tomb, payload, ok := kv.SplitVersion(r.Value); ok {
+				st.ver, st.tomb, st.payload = v, tomb, payload
+			} else {
+				// Unversioned legacy bytes rank at version zero.
+				st.payload = r.Value
+			}
+		}
+		o.states = append(o.states, st)
+	}
+	if o.outstanding != 0 {
+		return
+	}
+	if len(o.states) == 0 {
+		o.lastErr.Err = ErrAllReplicasDown
+		o.finish(o.lastErr)
+		return
+	}
+	key := o.key
+	win := -1
+	for i := range o.states {
+		if !o.states[i].present {
+			continue
+		}
+		if win < 0 || o.states[win].ver.Less(o.states[i].ver) {
+			win = i
+		}
+	}
+	res := kv.Result{Key: key, IsGet: true, Status: kv.StatusMiss}
+	if win < 0 {
+		if f := c.floors[key]; !f.IsZero() {
+			c.noteStaleRead(key) //lint:allow hotalloc — stale reads only; queues the key for repair
+		}
+		o.finish(res)
+		return
+	}
+	w := &o.states[win]
+	if !w.tomb {
+		res.Status = kv.StatusHit
+		res.Value = w.payload
+	}
+	if f := c.floors[key]; w.ver.Less(f) {
+		// Every replica that answered is behind a write this client
+		// completed: the result is provably stale.
+		c.noteStaleRead(key) //lint:allow hotalloc — stale reads only; queues the key for repair
+	}
+	for i := range o.states {
+		st := &o.states[i]
+		if i == win || (st.present && !st.ver.Less(w.ver)) {
+			continue
+		}
+		c.staleObserved++
+		c.telStaleObserved.Inc()
+		if !c.d.cfg.ReadRepair {
+			continue
+		}
+		c.repairIssued++
+		c.telRepairIssued.Inc()
+		// The sub-client copies the winning bytes before Put returns.
+		if err := c.subs[st.id].Put(key, w.stored, c.repairAck); err != nil {
+			// Validation failures just drop the repair; the anti-entropy
+			// sweep will retry the key.
+			c.d.EnqueueRepair(key) //lint:allow hotalloc — divergence only; the anti-entropy queue
+		}
+	}
+	o.finish(res)
+}
+
+// noteStaleRead counts a versioned read whose winner is below this
+// client's floor of completed writes, and queues the key for repair.
+func (c *Client) noteStaleRead(key kv.Key) {
+	c.staleReads++
+	c.telStaleReads.Inc()
+	if c.d.cfg.ReadRepair {
+		c.d.EnqueueRepair(key)
+	}
+}
+
+// onRepairAck counts a read-repair back-fill the replica acknowledged.
+func (c *Client) onRepairAck(r kv.Result) {
+	if r.Err == nil {
+		c.repairApplied++
+		c.telRepairApplied.Inc()
+	}
 }
 
 // MultiGet reads a batch of keys and delivers all results in one

@@ -345,6 +345,8 @@ func (d *Deployment) Server(id int) *core.Server {
 
 // Replication returns the effective replica count: configured R clamped
 // to the ring size.
+//
+//herd:hotpath
 func (d *Deployment) Replication() int {
 	r := d.cfg.Replication
 	if n := d.ring.Size(); r > n {
@@ -353,7 +355,10 @@ func (d *Deployment) Replication() int {
 	return r
 }
 
-// Replicas returns key's current replica set (primary first).
+// Replicas returns key's current replica set (primary first). The
+// slice is shared and read-only (see Ring.Replicas).
+//
+//herd:hotpath
 func (d *Deployment) Replicas(key kv.Key) []int {
 	return d.ring.Replicas(key, d.Replication())
 }

@@ -18,6 +18,8 @@ package fleet
 // in insertion order, never a map walk.
 
 import (
+	"slices"
+
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
 )
@@ -32,6 +34,8 @@ type hotEntry struct {
 
 // count is the sliding-window estimate: the two-epoch sum approximates
 // a window of [window, 2*window) trailing virtual time.
+//
+//herd:hotpath
 func (e *hotEntry) count() int { return e.cur + e.prev }
 
 // hotTracker is the per-client detector. Not safe for use outside the
@@ -52,6 +56,8 @@ func newHotTracker(capN, threshold int, window sim.Time) *hotTracker {
 // prev, so counts age out after at most two windows. Entries that
 // decay to zero leave the table. An idle gap fast-forwards in one step
 // rather than spinning per window.
+//
+//herd:hotpath
 func (h *hotTracker) rotate(now sim.Time) {
 	for now >= h.epoch+h.window {
 		if len(h.entries) == 0 {
@@ -75,6 +81,8 @@ func (h *hotTracker) rotate(now sim.Time) {
 // in insertion order — deterministic) is evicted and the newcomer
 // inherits its count, the space-saving move that lets a genuinely hot
 // new key climb past long-tracked lukewarm ones.
+//
+//herd:hotpath
 func (h *hotTracker) observe(key kv.Key, now sim.Time) *hotEntry {
 	h.rotate(now)
 	for i := range h.entries {
@@ -100,10 +108,14 @@ func (h *hotTracker) observe(key kv.Key, now sim.Time) *hotEntry {
 
 // isHot reports whether an entry's windowed count crossed the
 // threshold.
+//
+//herd:hotpath
 func (h *hotTracker) isHot(e *hotEntry) bool { return e.count() >= h.threshold }
 
 // hotKeys counts currently-hot entries (feeds the fleet.hotkey.hot
 // gauge).
+//
+//herd:hotpath
 func (h *hotTracker) hotKeys() int {
 	n := 0
 	for i := range h.entries {
@@ -115,35 +127,36 @@ func (h *hotTracker) hotKeys() int {
 }
 
 // widen observes key in the hot tracker and, for a hot key, rotates
-// the healthy front of the read order so consecutive reads spread
-// round-robin across replicas instead of hammering the primary.
+// the healthy front of the read order in place so consecutive reads
+// spread round-robin across replicas instead of hammering the primary.
 // Probationed and breaker-open replicas stay at the back: widening
 // recruits healthy capacity, it never steers load onto a struggling
 // shard.
-func (c *Client) widen(key kv.Key, order []int) []int {
+//
+//herd:hotpath
+func (c *Client) widen(key kv.Key, order []int) {
 	now := c.now()
 	e := c.hot.observe(key, now)
 	c.telHotKeys.Set(int64(c.hot.hotKeys()))
 	if !c.hot.isHot(e) {
-		return order
+		return
 	}
 	front := 0
 	for front < len(order) && c.readPreferred(order[front], now) {
 		front++
 	}
 	if front < 2 {
-		return order // nowhere to widen to
+		return // nowhere to widen to
 	}
 	k := e.rr % front
 	e.rr++
 	if k == 0 {
-		return order // this turn of the rotation lands on the primary
+		return // this turn of the rotation lands on the primary
 	}
-	rotated := make([]int, 0, len(order))
-	rotated = append(rotated, order[k:front]...)
-	rotated = append(rotated, order[:k]...)
-	rotated = append(rotated, order[front:]...)
+	// order[:front] becomes order[k:front] then order[:k].
+	slices.Reverse(order[:k])
+	slices.Reverse(order[k:front])
+	slices.Reverse(order[:front])
 	c.hotWidened++
 	c.telHotWidened.Inc()
-	return rotated
 }

@@ -1,0 +1,129 @@
+package fleet
+
+import (
+	"testing"
+
+	"herdkv/internal/cluster"
+	"herdkv/internal/kv"
+	"herdkv/internal/lint/hotalloc/hotgate"
+	"herdkv/internal/sim"
+)
+
+// gateFleet builds a 3-shard fleet and two clients on it: one for live
+// round trips, one whose health state the direct gates may perturb.
+func gateFleet(t *testing.T, cfg Config) (*cluster.Cluster, *Deployment, *Client, *Client) {
+	t.Helper()
+	cl := cluster.New(cluster.Apt(), 5, 1)
+	d, err := NewDeployment([]*cluster.Machine{cl.Machine(0), cl.Machine(1), cl.Machine(2)}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := d.ConnectClient(cl.Machine(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poked, err := d.ConnectClient(cl.Machine(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, d, live, poked
+}
+
+// TestHotpathAllocFree gates the fleet's //herd:hotpath functions at 0
+// allocs/op: the precomputed replica lookup, the read-order and
+// health bookkeeping, the hot-key tracker, and both consistency modes'
+// pooled op records from issue to the caller's callback. The round
+// trips write a key and read an absent one, since a hit's value is the
+// caller's copy and allocates by contract; the first-ack fleet tracks
+// hot keys with a threshold of one, so its reads widen.
+func TestHotpathAllocFree(t *testing.T) {
+	cfg := testConfig()
+	cfg.HotKeyTrack, cfg.HotKeyThreshold, cfg.HotKeyWindow = 4, 1, sim.Millisecond
+	cl, d, c, poked := gateFleet(t, cfg)
+	vcfg := testConfig()
+	vcfg.Versioned, vcfg.ReadRepair = true, true
+	vcl, _, vc, _ := gateFleet(t, vcfg)
+
+	key, absent := kv.FromUint64(7), kv.FromUint64(404)
+	value := []byte("gate value")
+	served := 0
+	cb := func(r kv.Result) {
+		if r.Err == nil {
+			served++
+		}
+	}
+	firstAck := func() {
+		if err := c.Put(key, value, cb); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Get(absent, cb); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Delete(absent, cb); err != nil {
+			t.Fatal(err)
+		}
+		cl.Eng.Run()
+	}
+	versioned := func() {
+		if err := vc.Put(key, value, cb); err != nil {
+			t.Fatal(err)
+		}
+		if err := vc.Get(absent, cb); err != nil {
+			t.Fatal(err)
+		}
+		vcl.Eng.Run()
+	}
+	both := func() { firstAck(); versioned() }
+	ring := d.Ring()
+	order := make([]int, 0, 3)
+	hot := newHotTracker(4, 1, sim.Millisecond)
+	entry := &hotEntry{cur: 2}
+
+	hotgate.Check(t, ".", map[string]func(){
+		"Ring.Replicas":            func() { _ = ring.Replicas(key, 2) },
+		"Ring.Primary":             func() { _ = ring.Primary(key) },
+		"Ring.Size":                func() { _ = ring.Size() },
+		"Deployment.Replication":   func() { _ = d.Replication() },
+		"Deployment.Replicas":      func() { _ = d.Replicas(key) },
+		"Client.now":               func() { _ = poked.now() },
+		"Client.markSuspect":       func() { poked.markSuspect(0) },
+		"Client.noteBusy":          func() { poked.noteBusy(1) },
+		"Client.noteServed":        func() { poked.noteServed(1) },
+		"Client.noteFailure":       func() { poked.noteFailure(2, kv.Result{Status: kv.StatusBusy}) },
+		"Client.noteReadIssue":     func() { poked.noteReadIssue(1) },
+		"Client.readPreferred":     func() { _ = poked.readPreferred(0, 0) },
+		"Client.readOrder":         func() { order = poked.readOrder(order, []int{0, 1, 2}) },
+		"Client.triesBefore":       func() { _ = poked.triesBefore(0, 1) },
+		"Client.noteFloor":         func() { poked.noteFloor(key, kv.Version{Seq: 1}) },
+		"hotEntry.count":           func() { _ = entry.count() },
+		"hotTracker.rotate":        func() { hot.rotate(0) },
+		"hotTracker.observe":       func() { _ = hot.observe(key, 0) },
+		"hotTracker.isHot":         func() { _ = hot.isHot(entry) },
+		"hotTracker.hotKeys":       func() { _ = hot.hotKeys() },
+		"Client.widen":             firstAck,
+		"Client.start":             both,
+		"Client.finish":            both,
+		"Client.getOp":             both,
+		"op.slot":                  both,
+		"op.finish":                both,
+		"op.resolve":               both,
+		"Client.Get":               both,
+		"Client.Put":               both,
+		"Client.Delete":            firstAck,
+		"Client.fanout":            both,
+		"Client.tryGet":            firstAck,
+		"op.resolveGet":            firstAck,
+		"op.resolveWrite":          firstAck,
+		"Client.fanoutVersioned":   versioned,
+		"op.resolveWriteVersioned": versioned,
+		"Client.getVersioned":      versioned,
+		"op.resolveGetVersioned":   versioned,
+	})
+	if served == 0 || c.Inflight() != 0 || vc.Inflight() != 0 || c.Failed() != 0 || vc.Failed() != 0 {
+		t.Fatalf("gate round trips: %d served; first-ack %d in flight, %d failed; versioned %d in flight, %d failed",
+			served, c.Inflight(), c.Failed(), vc.Inflight(), vc.Failed())
+	}
+	if c.HotWidened() == 0 {
+		t.Fatal("the first-ack gate's reads never widened")
+	}
+}

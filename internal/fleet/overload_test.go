@@ -140,7 +140,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !c.BreakerOpen(0) {
 		t.Fatal("breaker closed at threshold")
 	}
-	if got := c.readOrder([]int{0, 1}); got[0] != 1 || got[1] != 0 {
+	if got := c.readOrder(nil, []int{0, 1}); got[0] != 1 || got[1] != 0 {
 		t.Fatalf("readOrder = %v with shard 0 breaker open, want [1 0]", got)
 	}
 
@@ -157,7 +157,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !fired {
 		t.Fatal("engine did not advance")
 	}
-	if got := c.readOrder([]int{0, 1}); got[0] != 0 {
+	if got := c.readOrder(nil, []int{0, 1}); got[0] != 0 {
 		t.Fatalf("readOrder = %v after cooldown, want probe-eligible shard 0 first", got)
 	}
 	c.noteReadIssue(0)
@@ -165,7 +165,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("half-open probe not counted")
 	}
 	// While the probe is in flight the shard is not offered again.
-	if got := c.readOrder([]int{0, 1}); got[0] != 1 {
+	if got := c.readOrder(nil, []int{0, 1}); got[0] != 1 {
 		t.Fatalf("readOrder = %v mid-probe, want shard 0 last", got)
 	}
 
@@ -188,7 +188,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if c.BreakerCloses() != 1 {
 		t.Fatalf("BreakerCloses = %d, want 1", c.BreakerCloses())
 	}
-	if got := c.readOrder([]int{0, 1}); got[0] != 0 {
+	if got := c.readOrder(nil, []int{0, 1}); got[0] != 0 {
 		t.Fatalf("readOrder = %v after close, want ring order restored", got)
 	}
 }

@@ -29,12 +29,17 @@ type ringPoint struct {
 //
 // Rings are immutable once built; Deployment swaps whole rings
 // atomically when a membership change commits, so in-flight routing
-// decisions are never half-updated.
+// decisions are never half-updated. Immutability also lets a ring walk
+// the circle once, at build time: every point's clockwise order of
+// distinct shards is precomputed, and Replicas returns a window of it.
 type Ring struct {
 	seed   uint64
 	vnodes int
 	points []ringPoint // sorted by (hash, shard)
 	shards []int       // member shard ids, ascending
+	// walk[i*len(shards):(i+1)*len(shards)] lists every member shard in
+	// the order a clockwise walk from points[i] first meets it.
+	walk []int
 }
 
 // NewRing returns an empty ring. Virtual-node positions derive from
@@ -66,6 +71,7 @@ func (r *Ring) WithShard(shard int) *Ring {
 		nr.points = append(nr.points, ringPoint{hash: nr.pointHash(shard, v), shard: shard})
 	}
 	nr.sortPoints()
+	nr.index()
 	return nr
 }
 
@@ -82,6 +88,7 @@ func (r *Ring) WithoutShard(shard int) *Ring {
 			nr.points = append(nr.points, p)
 		}
 	}
+	nr.index()
 	return nr
 }
 
@@ -104,10 +111,35 @@ func (r *Ring) sortPoints() {
 	})
 }
 
+// index precomputes walk: from each point, the distinct shards in the
+// order a clockwise walk meets them. Every member owns at least one
+// point, so each walk finds all of them.
+func (r *Ring) index() {
+	n := len(r.shards)
+	r.walk = make([]int, 0, len(r.points)*n)
+	maxID := 0
+	for _, s := range r.shards {
+		maxID = max(maxID, s)
+	}
+	seen := make([]bool, maxID+1)
+	for start := range r.points {
+		clear(seen)
+		from := len(r.walk)
+		for i := start; len(r.walk)-from < n; i = (i + 1) % len(r.points) {
+			if s := r.points[i].shard; !seen[s] {
+				seen[s] = true
+				r.walk = append(r.walk, s)
+			}
+		}
+	}
+}
+
 // Shards returns the member shard ids, ascending.
 func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
 
 // Size returns the member count.
+//
+//herd:hotpath
 func (r *Ring) Size() int { return len(r.shards) }
 
 // Has reports whether shard is a ring member.
@@ -123,34 +155,40 @@ func (r *Ring) Has(shard int) bool {
 // Replicas returns the key's replica set: the first rf distinct shards
 // walking clockwise from the key's position. Index 0 is the primary.
 // Fewer than rf members yields the full membership.
+//
+// The slice is shared by every caller and must not be modified: it is a
+// window of the ring's precomputed walk, capacity-clipped so an append
+// copies instead of writing into the ring.
+//
+//herd:hotpath
 func (r *Ring) Replicas(key kv.Key, rf int) []int {
 	if len(r.points) == 0 {
 		return nil
 	}
-	if rf > len(r.shards) {
-		rf = len(r.shards)
+	n := len(r.shards)
+	if rf > n {
+		rf = n
 	}
 	if rf < 1 {
 		rf = 1
 	}
+	// The first point at or clockwise of the key's hash (sort.Search,
+	// without the closure), wrapping past the last point to the first.
 	h := key.Hash64(r.seed)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, rf)
-	for i := 0; i < len(r.points) && len(out) < rf; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		dup := false
-		for _, s := range out {
-			if s == p.shard {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, p.shard)
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return out
+	base := (lo % len(r.points)) * n
+	return r.walk[base : base+rf : base+rf]
 }
 
 // Primary returns the key's first replica.
+//
+//herd:hotpath
 func (r *Ring) Primary(key kv.Key) int { return r.Replicas(key, 1)[0] }

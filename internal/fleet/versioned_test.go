@@ -280,7 +280,7 @@ func TestReadOrderSuspectTieBreak(t *testing.T) {
 	c.suspect[0] = now + 30*sim.Microsecond
 	c.suspect[1] = now + 10*sim.Microsecond
 	c.suspect[2] = now + 20*sim.Microsecond
-	got := c.readOrder([]int{0, 1, 2})
+	got := c.readOrder(nil, []int{0, 1, 2})
 	want := []int{1, 2, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -292,7 +292,7 @@ func TestReadOrderSuspectTieBreak(t *testing.T) {
 	for i := range c.suspect {
 		c.suspect[i] = now + 10*sim.Microsecond
 	}
-	got = c.readOrder([]int{2, 0, 1})
+	got = c.readOrder(nil, []int{2, 0, 1})
 	want = []int{0, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -302,7 +302,7 @@ func TestReadOrderSuspectTieBreak(t *testing.T) {
 
 	// A healthy replica still outranks every suspect one.
 	c.suspect[1] = 0
-	got = c.readOrder([]int{0, 1, 2})
+	got = c.readOrder(nil, []int{0, 1, 2})
 	if got[0] != 1 {
 		t.Fatalf("readOrder = %v, want healthy shard 1 first", got)
 	}

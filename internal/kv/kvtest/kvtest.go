@@ -78,6 +78,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("ZeroKeyRejected", func(t *testing.T) { zeroKeyRejected(t, mk(t)) })
 	t.Run("CallbackExactlyOnce", func(t *testing.T) { callbackExactlyOnce(t, mk(t)) })
 	t.Run("CounterInvariants", func(t *testing.T) { counterInvariants(t, mk(t)) })
+	t.Run("BufferOwnership", func(t *testing.T) { bufferOwnership(t, mk(t)) })
 	t.Run("BatchGet", func(t *testing.T) {
 		h := mk(t)
 		if _, ok := h.KV.(kv.BatchGetter); !ok {
@@ -243,6 +244,50 @@ func deleteSemantics(t *testing.T, h Harness) {
 	}
 	if del2.Status != kv.StatusMiss {
 		t.Fatalf("DELETE of absent key = %v, want miss", del2.Status)
+	}
+}
+
+// bufferOwnership pins kv.KV's buffer-ownership contract: Put copies
+// its value before returning, so the caller may reuse the buffer at
+// once, and a GET hit's Value belongs to the callback, so mutating it
+// cannot reach the store or any cache.
+func bufferOwnership(t *testing.T, h Harness) {
+	key := kv.FromUint64(31)
+	val := h.value('o')
+	want := append([]byte(nil), val...)
+	var put, first, second *kv.Result
+	firstIntact := false
+	err := h.KV.Put(key, val, func(r kv.Result) {
+		put = &r
+		h.KV.Get(key, func(r kv.Result) {
+			first = &r
+			firstIntact = bytes.Equal(r.Value, want)
+			for i := range r.Value {
+				r.Value[i] ^= 0xff
+			}
+			h.KV.Get(key, func(r kv.Result) { second = &r })
+		})
+	})
+	if err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	for i := range val {
+		val[i] = 'z'
+	}
+	h.Run()
+
+	if put == nil || first == nil || second == nil {
+		t.Fatal("callbacks did not all run")
+	}
+	if h.anyFailed(t, put, first, second) {
+		return
+	}
+	if first.Status != kv.StatusHit || !firstIntact {
+		t.Fatalf("GET after PUT = %v (%q), want the value as Put was called, not the caller's later overwrite",
+			first.Status, first.Value)
+	}
+	if second.Status != kv.StatusHit || !bytes.Equal(second.Value, want) {
+		t.Fatalf("GET after mutating a hit's Value = %v (%q), want the stored value unchanged", second.Status, second.Value)
 	}
 }
 

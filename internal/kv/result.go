@@ -71,7 +71,7 @@ type Result struct {
 	Key     Key
 	IsGet   bool
 	Status  Status
-	Value   []byte // GET hit: the value (copied)
+	Value   []byte // GET hit: the value, owned by the callback (see KV)
 	Latency sim.Time
 	Err     error // terminal failure (e.g. a retry-budget timeout); nil on a served response
 
@@ -94,6 +94,13 @@ type Result struct {
 // runs on the simulation engine when the operation resolves. The
 // returned error reports synchronous rejection (malformed key/value)
 // only — asynchronous failures arrive as Result.Status / Result.Err.
+//
+// Buffer ownership: Put copies value before it returns, so the caller
+// may reuse or overwrite the buffer at once, and layers above may pass
+// pooled buffers down. A Result's Value belongs to the callback that
+// receives it: the callback may keep or modify it, and no backend or
+// cache retains a reference to it. The conformance suite
+// (internal/kv/kvtest) checks both rules for every backend.
 type KV interface {
 	// Get fetches key; cb receives a hit with the value, or a miss.
 	Get(key Key, cb func(Result)) error

@@ -171,6 +171,14 @@ func declKey(fd *ast.FuncDecl) string {
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
 	}
+	// A generic receiver (Queue[T]) keys by its type name, as funcKey
+	// keys a call on any instantiation.
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name + "." + fd.Name.Name
 	}

@@ -3,6 +3,7 @@ package mux
 import (
 	"fmt"
 
+	"herdkv/internal/fifo"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -48,9 +49,8 @@ type Channel struct {
 	ep *Endpoint
 	id int
 
-	queue       []*chanOp // accepted, not yet issued to the pool
-	outstanding int       // issued to the pool, not yet resolved
-	inflight    int       // accepted, not yet resolved (queued + outstanding)
+	queue       fifo.Queue[*chanOp] // accepted, not yet issued to the pool
+	outstanding int                 // issued to the pool, not yet resolved
 	stalled     bool
 
 	issuedOps uint64 // accepted submissions
@@ -66,7 +66,7 @@ func (ch *Channel) ID() int { return ch.id }
 func (ch *Channel) Stalled() bool { return ch.stalled }
 
 // Queued returns this channel's backlog depth.
-func (ch *Channel) Queued() int { return len(ch.queue) }
+func (ch *Channel) Queued() int { return ch.queue.Len() }
 
 // Get fetches key; cb receives a hit with the value, or a miss.
 func (ch *Channel) Get(key kv.Key, cb func(kv.Result)) error {
@@ -109,7 +109,7 @@ func (ch *Channel) Delete(key kv.Key, cb func(kv.Result)) error {
 
 // Inflight returns the number of unresolved operations (queued at the
 // endpoint plus outstanding on the pool).
-func (ch *Channel) Inflight() int { return ch.inflight }
+func (ch *Channel) Inflight() int { return ch.queue.Len() + ch.outstanding }
 
 // Issued counts submissions the channel accepted.
 func (ch *Channel) Issued() uint64 { return ch.issuedOps }

@@ -258,7 +258,7 @@ func (ep *Endpoint) pump() {
 	idle := 0
 	for idle < n {
 		ch := ep.channels[ep.rr%n]
-		if len(ch.queue) == 0 || ch.outstanding >= ep.cfg.ChannelWindow {
+		if ch.queue.Len() == 0 || ch.outstanding >= ep.cfg.ChannelWindow {
 			ep.rr++
 			idle++
 			continue
@@ -281,11 +281,10 @@ func (ep *Endpoint) pump() {
 // the completion closure carrying (ch, op) — which demuxes the response
 // back to the owning channel.
 func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
-	op := ch.queue[0]
-	ch.queue = ch.queue[1:]
+	op := ch.queue.Pop()
 	ep.queued--
 	ep.telQueued.Add(-1)
-	if ch.stalled && len(ch.queue) == 0 {
+	if ch.stalled && ch.queue.Len() == 0 {
 		ch.stalled = false
 		ep.telResumes.Inc()
 		ep.telStalled.Add(-1)
@@ -321,7 +320,6 @@ func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
 // pipe full.
 func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 	ch.outstanding--
-	ch.inflight--
 	r.Latency = ep.now() - op.submitted
 	if r.Err == nil {
 		ch.completed++
@@ -344,9 +342,8 @@ func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 // issue, and record a stall if the op could not go out immediately.
 func (ep *Endpoint) submit(ch *Channel, op *chanOp) {
 	op.submitted = ep.now()
-	ch.inflight++
 	ch.issuedOps++
-	ch.queue = append(ch.queue, op)
+	ch.queue.Push(op)
 	ep.queued++
 	ep.telQueued.Add(1)
 	ep.pump()

@@ -31,8 +31,6 @@
 package nearcache
 
 import (
-	"container/list"
-
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
 	"herdkv/internal/telemetry"
@@ -81,12 +79,15 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// entry is one resident value.
+// entry is one resident value, linked into the LRU list. Entries are
+// reused: one that leaves the cache (evicted, expired, invalidated)
+// goes to the spare list with its value buffer and backs a later
+// insert.
 type entry struct {
-	key     kv.Key
-	value   []byte
-	expires sim.Time      // absolute virtual-time validity bound
-	elem    *list.Element // position in the LRU list
+	key        kv.Key
+	value      []byte
+	expires    sim.Time // absolute virtual-time validity bound
+	prev, next *entry   // LRU neighbors; the list's sentinel closes the ring
 }
 
 // waiter is one caller parked on an in-flight fill (the filler itself
@@ -97,23 +98,41 @@ type waiter struct {
 	served bool // delivered, or detached after HerdWait
 }
 
-// fill is the in-flight promise for one missed key.
+// fill is the in-flight promise for one missed key: a pooled record
+// whose inner-Get callback (resolve) is bound once. A fill returns to
+// the pool when it resolves; gen counts its lives, so a herd-wait timer
+// armed on an earlier life finds a stale generation.
 type fill struct {
-	waiters []*waiter
+	c       *Cache
+	key     kv.Key
+	waiters []waiter
 	stale   bool // a write raced the fill; don't cache its result
+	gen     int
+	resolve func(kv.Result) // bound once to onResult
 }
 
 // Cache is the near cache. It implements kv.KV and kv.BatchGetter.
 // Like every client in this tree it is single-goroutine: all calls and
 // callbacks run on the simulation engine.
+//
+// Per-operation state lives in pooled records — fills, hit deliveries,
+// herd-wait timers, write-throughs — each returned to its pool exactly
+// once, so a steady read mix allocates only the caller's copy of each
+// hit's value.
 type Cache struct {
 	inner kv.KV
 	clk   sim.Clock
 	cfg   Config
 
 	entries map[kv.Key]*entry
-	lru     *list.List // front = most recently used
+	lru     entry // sentinel: lru.next is the most recently used entry
+	spare   []*entry
 	fills   map[kv.Key]*fill
+
+	fillFree  []*fill
+	hitFree   []*hit
+	waitFree  []*herdWait
+	writeFree []*writeThrough
 
 	inflight  int
 	issued    uint64
@@ -145,9 +164,9 @@ func New(inner kv.KV, clk sim.Clock, tel *telemetry.Sink, cfg Config) *Cache {
 		clk:     clk,
 		cfg:     cfg,
 		entries: make(map[kv.Key]*entry),
-		lru:     list.New(),
 		fills:   make(map[kv.Key]*fill),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.telHits = tel.Counter("cache.hits")
 	c.telMisses = tel.Counter("cache.misses")
 	c.telExpired = tel.Counter("cache.lease.expired")
@@ -177,6 +196,8 @@ func (c *Cache) Completed() uint64 { return c.completed }
 func (c *Cache) Failed() uint64 { return c.failed }
 
 // deliver resolves one operation: counters, then the callback.
+//
+//herd:hotpath
 func (c *Cache) deliver(r kv.Result, cb func(kv.Result)) {
 	c.inflight--
 	if r.Err != nil {
@@ -191,6 +212,8 @@ func (c *Cache) deliver(r kv.Result, cb func(kv.Result)) {
 
 // lookup returns the resident, still-valid entry for key, expiring a
 // stale one on the way.
+//
+//herd:hotpath
 func (c *Cache) lookup(key kv.Key) *entry {
 	e := c.entries[key]
 	if e == nil {
@@ -203,19 +226,43 @@ func (c *Cache) lookup(key kv.Key) *entry {
 		c.remove(e)
 		return nil
 	}
-	c.lru.MoveToFront(e.elem)
+	e.unlink()
+	c.pushFront(e)
 	return e
 }
 
-// remove drops a resident entry.
+// pushFront links e in as the most recently used entry.
+//
+//herd:hotpath
+func (c *Cache) pushFront(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	c.lru.next.prev = e
+	c.lru.next = e
+}
+
+// unlink takes e out of the LRU list.
+//
+//herd:hotpath
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// remove drops a resident entry, keeping it (and its value buffer) for
+// a later insert.
+//
+//herd:hotpath
 func (c *Cache) remove(e *entry) {
-	c.lru.Remove(e.elem)
+	e.unlink()
 	delete(c.entries, e.key)
+	c.spare = append(c.spare, e)
 	c.telSize.Set(int64(len(c.entries)))
 }
 
 // insert populates key after a successful fill, evicting LRU entries
 // past capacity.
+//
+//herd:hotpath
 func (c *Cache) insert(key kv.Key, value []byte, expires sim.Time) {
 	if expires <= c.clk.Now() {
 		return // already dead on arrival (e.g. a zero lease in lease mode)
@@ -223,20 +270,25 @@ func (c *Cache) insert(key kv.Key, value []byte, expires sim.Time) {
 	if e := c.entries[key]; e != nil {
 		e.value = append(e.value[:0], value...)
 		e.expires = expires
-		c.lru.MoveToFront(e.elem)
+		e.unlink()
+		c.pushFront(e)
 		c.telFillsDone.Inc()
 		return
 	}
-	for len(c.entries) >= c.cfg.Capacity {
-		oldest := c.lru.Back()
-		if oldest == nil {
-			break
-		}
+	for len(c.entries) >= c.cfg.Capacity && c.lru.prev != &c.lru {
 		c.telEvictions.Inc()
-		c.remove(oldest.Value.(*entry))
+		c.remove(c.lru.prev)
 	}
-	e := &entry{key: key, value: append([]byte(nil), value...), expires: expires}
-	e.elem = c.lru.PushFront(e)
+	var e *entry
+	if n := len(c.spare); n > 0 {
+		e = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		e = &entry{} //lint:allow hotalloc — the cache grows to Capacity entries once
+	}
+	e.key, e.expires = key, expires
+	e.value = append(e.value[:0], value...)
+	c.pushFront(e)
 	c.entries[key] = e
 	c.telFillsDone.Inc()
 	c.telSize.Set(int64(len(c.entries)))
@@ -244,6 +296,8 @@ func (c *Cache) insert(key kv.Key, value []byte, expires sim.Time) {
 
 // validity derives the cache expiry a fill result earns: TTL from now,
 // tightened to the server's lease in lease mode.
+//
+//herd:hotpath
 func (c *Cache) validity(r kv.Result) sim.Time {
 	exp := c.clk.Now() + c.cfg.TTL
 	if c.cfg.Leases && r.Lease > 0 && r.Lease < exp {
@@ -273,32 +327,64 @@ func (c *Cache) Get(key kv.Key, cb func(kv.Result)) error {
 		return kv.ErrZeroKey
 	}
 	if e := c.lookup(key); e != nil {
-		c.telHits.Inc()
-		c.issued++
-		c.inflight++
-		res := c.hitResult(e)
-		c.clk.After(HitLatency, func() { c.deliver(res, cb) })
+		c.serveHit(e, cb)
 		return nil
 	}
 	return c.joinFill(key, cb)
 }
 
+// serveHit answers a read from resident entry e.
+func (c *Cache) serveHit(e *entry, cb func(kv.Result)) {
+	c.telHits.Inc()
+	c.issued++
+	c.inflight++
+	c.deliverLater(c.hitResult(e), cb)
+}
+
+// hit delivers one cached read HitLatency after it was served: a
+// pooled sim.Handler, returned to the pool as it fires.
+type hit struct {
+	c   *Cache
+	res kv.Result
+	cb  func(kv.Result)
+}
+
+// deliverLater schedules res for cb HitLatency from now.
+//
+//herd:hotpath
+func (c *Cache) deliverLater(res kv.Result, cb func(kv.Result)) {
+	var h *hit
+	if n := len(c.hitFree); n > 0 {
+		h = c.hitFree[n-1]
+		c.hitFree = c.hitFree[:n-1]
+	} else {
+		h = &hit{c: c} //lint:allow hotalloc — pool miss; the pool grows to the hits in flight
+	}
+	h.res, h.cb = res, cb
+	c.clk.AfterHandler(HitLatency, h)
+}
+
+// Fire delivers the hit.
+//
+//herd:hotpath
+func (h *hit) Fire(sim.Time) {
+	c, res, cb := h.c, h.res, h.cb
+	h.res, h.cb = kv.Result{}, nil
+	c.hitFree = append(c.hitFree, h)
+	c.deliver(res, cb)
+}
+
 // joinFill parks cb on key's in-flight fill, creating the fill (and
 // issuing the origin fetch) when none is pending.
 func (c *Cache) joinFill(key kv.Key, cb func(kv.Result)) error {
-	w := &waiter{cb: cb, start: c.clk.Now()}
 	if f := c.fills[key]; f != nil {
 		// Herd suppressed: share the promise already in flight.
-		c.telHerdWaits.Inc()
-		c.issued++
-		c.inflight++
-		f.waiters = append(f.waiters, w)
-		c.armHerdWait(key, w)
+		c.park(f, cb)
 		return nil
 	}
-	f := &fill{waiters: []*waiter{w}}
-	err := c.inner.Get(key, func(r kv.Result) { c.resolveFill(key, f, r) })
-	if err != nil {
+	f := c.newFill(key, cb)
+	if err := c.inner.Get(key, f.resolve); err != nil {
+		c.putFill(f)
 		return err
 	}
 	c.telMisses.Inc()
@@ -308,51 +394,185 @@ func (c *Cache) joinFill(key kv.Key, cb func(kv.Result)) error {
 	return nil
 }
 
-// resolveFill completes a promise: populate the cache (unless a write
-// raced the fill) and deliver the shared result to every parked waiter.
-func (c *Cache) resolveFill(key kv.Key, f *fill, r kv.Result) {
-	if c.fills[key] == f {
-		delete(c.fills, key)
+// newFill returns a pooled fill for key whose first waiter is cb.
+func (c *Cache) newFill(key kv.Key, cb func(kv.Result)) *fill {
+	var f *fill
+	if n := len(c.fillFree); n > 0 {
+		f = c.fillFree[n-1]
+		c.fillFree = c.fillFree[:n-1]
+	} else {
+		f = &fill{c: c}
+		f.resolve = f.onResult
+	}
+	f.key = key
+	f.waiters = append(f.waiters, waiter{cb: cb, start: c.clk.Now()})
+	return f
+}
+
+// putFill returns a resolved (or never issued) fill to the pool.
+//
+//herd:hotpath
+func (c *Cache) putFill(f *fill) {
+	clear(f.waiters)
+	f.waiters, f.stale = f.waiters[:0], false
+	f.gen++
+	c.fillFree = append(c.fillFree, f)
+}
+
+// park adds cb as a waiter on the in-flight fill f and arms its
+// HerdWait escape.
+func (c *Cache) park(f *fill, cb func(kv.Result)) {
+	c.telHerdWaits.Inc()
+	c.issued++
+	c.inflight++
+	f.waiters = append(f.waiters, waiter{cb: cb, start: c.clk.Now()})
+	c.armHerdWait(f, len(f.waiters)-1)
+}
+
+// onResult completes a promise: populate the cache (unless a write
+// raced the fill) and deliver the result to every parked waiter. A
+// Result's Value belongs to its callback, so only the last waiter
+// served gets the origin's copy; every earlier one gets a copy of its
+// own, taken before the origin's is handed out.
+//
+//herd:hotpath
+func (f *fill) onResult(r kv.Result) {
+	c := f.c
+	if c.fills[f.key] == f {
+		delete(c.fills, f.key)
 	}
 	if !f.stale && r.Status == kv.StatusHit {
-		c.insert(key, r.Value, c.validity(r))
+		c.insert(f.key, r.Value, c.validity(r))
 	}
 	now := c.clk.Now()
-	for _, w := range f.waiters {
+	last := -1
+	for i := range f.waiters {
+		if !f.waiters[i].served {
+			last = i
+		}
+	}
+	for i := range f.waiters {
+		w := &f.waiters[i]
 		if w.served {
 			continue
 		}
 		w.served = true
 		wr := r
+		if i != last && r.Value != nil {
+			wr.Value = append([]byte(nil), r.Value...)
+		}
 		wr.Latency = now - w.start
 		c.deliver(wr, w.cb)
 	}
+	c.putFill(f)
 }
 
-// armHerdWait bounds a parked waiter's patience: if the promise has
-// not resolved within HerdWait, the waiter detaches and fetches
-// directly (the filler may be wedged behind a crashed shard).
-func (c *Cache) armHerdWait(key kv.Key, w *waiter) {
+// herdWait bounds one parked waiter's patience: if the waiter is still
+// parked when the timer fires (the promise has not resolved within
+// HerdWait), it detaches and fetches directly — the filler may be
+// wedged behind a crashed shard. The record carries the fill life it
+// was armed on and the waiter's index; it returns to the pool when it
+// fires on a resolved fill, or when its direct fetch resolves.
+type herdWait struct {
+	c      *Cache
+	f      *fill
+	gen    int
+	idx    int
+	key    kv.Key
+	cb     func(kv.Result)
+	start  sim.Time
+	direct func(kv.Result) // bound once to onDirect
+}
+
+// armHerdWait arms the HerdWait escape for f's waiter idx.
+func (c *Cache) armHerdWait(f *fill, idx int) {
 	if c.cfg.HerdWait < 0 {
 		return
 	}
-	c.clk.After(c.cfg.HerdWait, func() {
-		if w.served {
-			return
-		}
-		w.served = true
-		c.telHerdAbort.Inc()
-		err := c.inner.Get(key, func(r kv.Result) {
-			r.Latency = c.clk.Now() - w.start
-			c.deliver(r, w.cb)
-		})
-		if err != nil {
-			// The inner client rejected the direct fetch synchronously
-			// (it cannot: the key was already validated) — fail the op
-			// rather than strand it.
-			c.deliver(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err}, w.cb)
-		}
-	})
+	var h *herdWait
+	if n := len(c.waitFree); n > 0 {
+		h = c.waitFree[n-1]
+		c.waitFree = c.waitFree[:n-1]
+	} else {
+		h = &herdWait{c: c}
+		h.direct = h.onDirect
+	}
+	h.f, h.gen, h.idx = f, f.gen, idx
+	c.clk.AfterHandler(c.cfg.HerdWait, h)
+}
+
+// putWait returns a herd-wait record to the pool.
+//
+//herd:hotpath
+func (c *Cache) putWait(h *herdWait) {
+	h.f, h.cb = nil, nil
+	c.waitFree = append(c.waitFree, h)
+}
+
+// Fire detaches a still-parked waiter and fetches its key directly.
+//
+//herd:hotpath
+func (h *herdWait) Fire(sim.Time) {
+	c, f := h.c, h.f
+	if f.gen != h.gen || f.waiters[h.idx].served {
+		c.putWait(h)
+		return
+	}
+	w := &f.waiters[h.idx]
+	w.served = true
+	c.telHerdAbort.Inc()
+	h.f, h.key, h.cb, h.start = nil, f.key, w.cb, w.start
+	if err := c.inner.Get(h.key, h.direct); err != nil {
+		// The inner client rejected the direct fetch synchronously (it
+		// cannot: the key was already validated) — fail the op rather
+		// than strand it.
+		key, cb := h.key, h.cb
+		c.putWait(h)
+		c.deliver(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err}, cb)
+	}
+}
+
+// onDirect delivers a detached waiter's direct fetch.
+func (h *herdWait) onDirect(r kv.Result) {
+	c, cb := h.c, h.cb
+	r.Latency = c.clk.Now() - h.start
+	c.putWait(h)
+	c.deliver(r, cb)
+}
+
+// writeThrough relays one write's origin result to its caller: a
+// pooled record whose callback (done) is bound once.
+type writeThrough struct {
+	c    *Cache
+	cb   func(kv.Result)
+	done func(kv.Result)
+}
+
+// getWrite returns a pooled write-through record for cb.
+func (c *Cache) getWrite(cb func(kv.Result)) *writeThrough {
+	var w *writeThrough
+	if n := len(c.writeFree); n > 0 {
+		w = c.writeFree[n-1]
+		c.writeFree = c.writeFree[:n-1]
+	} else {
+		w = &writeThrough{c: c}
+		w.done = w.onDone
+	}
+	w.cb = cb
+	return w
+}
+
+// putWrite returns a write-through record to the pool.
+func (c *Cache) putWrite(w *writeThrough) {
+	w.cb = nil
+	c.writeFree = append(c.writeFree, w)
+}
+
+// onDone delivers the origin's result.
+func (w *writeThrough) onDone(r kv.Result) {
+	c, cb := w.c, w.cb
+	c.putWrite(w)
+	c.deliver(r, cb)
 }
 
 // invalidate drops key locally and marks any in-flight fill stale, so
@@ -380,8 +600,9 @@ func (c *Cache) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return kv.ErrZeroKey
 	}
-	err := c.inner.Put(key, value, func(r kv.Result) { c.deliver(r, cb) })
-	if err != nil {
+	w := c.getWrite(cb)
+	if err := c.inner.Put(key, value, w.done); err != nil {
+		c.putWrite(w)
 		return err
 	}
 	c.invalidate(key)
@@ -396,8 +617,9 @@ func (c *Cache) Delete(key kv.Key, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return kv.ErrZeroKey
 	}
-	err := c.inner.Delete(key, func(r kv.Result) { c.deliver(r, cb) })
-	if err != nil {
+	w := c.getWrite(cb)
+	if err := c.inner.Delete(key, w.done); err != nil {
+		c.putWrite(w)
 		return err
 	}
 	c.invalidate(key)
@@ -452,25 +674,16 @@ func (c *Cache) MultiGet(keys []kv.Key, cb func([]kv.Result)) error {
 	fetchFills := make(map[kv.Key]*fill)
 	for _, k := range uniq {
 		k := k
+		done := func(r kv.Result) { resolve(k, r) }
 		if e := c.lookup(k); e != nil {
-			c.telHits.Inc()
-			c.issued++
-			c.inflight++
-			res := c.hitResult(e)
-			c.clk.After(HitLatency, func() { c.deliver(res, func(r kv.Result) { resolve(k, r) }) })
+			c.serveHit(e, done)
 			continue
 		}
-		w := &waiter{cb: func(r kv.Result) { resolve(k, r) }, start: c.clk.Now()}
 		if f := c.fills[k]; f != nil {
-			c.telHerdWaits.Inc()
-			c.issued++
-			c.inflight++
-			f.waiters = append(f.waiters, w)
-			c.armHerdWait(k, w)
+			c.park(f, done)
 			continue
 		}
-		f := &fill{waiters: []*waiter{w}}
-		fetchFills[k] = f
+		fetchFills[k] = c.newFill(k, done)
 		fetch = append(fetch, k)
 	}
 	if len(fetch) == 0 {
@@ -479,7 +692,7 @@ func (c *Cache) MultiGet(keys []kv.Key, cb func([]kv.Result)) error {
 	if bg, ok := c.inner.(kv.BatchGetter); ok {
 		err := bg.MultiGet(fetch, func(rs []kv.Result) {
 			for i, k := range fetch {
-				c.resolveFill(k, fetchFills[k], rs[i])
+				fetchFills[k].onResult(rs[i])
 			}
 		})
 		if err != nil {
@@ -494,8 +707,9 @@ func (c *Cache) MultiGet(keys []kv.Key, cb func([]kv.Result)) error {
 		return nil
 	}
 	for _, k := range fetch {
-		k, f := k, fetchFills[k]
-		if err := c.inner.Get(k, func(r kv.Result) { c.resolveFill(k, f, r) }); err != nil {
+		f := fetchFills[k]
+		if err := c.inner.Get(k, f.resolve); err != nil {
+			c.putFill(f)
 			return err
 		}
 		c.telMisses.Inc()

@@ -230,6 +230,39 @@ func TestHerdSuppression(t *testing.T) {
 	}
 }
 
+// Every parked waiter on one fill owns its Result.Value: mutating the
+// first waiter's value must not show through the second's (each waiter
+// after the first gets its own copy of the origin's value).
+func TestHerdWaitersOwnTheirValues(t *testing.T) {
+	eng := sim.New()
+	f := newFake(eng)
+	f.store[k(7)] = []byte("shared fill")
+	c := New(f, eng, nil, Config{TTL: sim.Second})
+
+	var first, second kv.Result
+	c.Get(k(7), func(r kv.Result) {
+		first = r
+		r.Value[0] = 'X'
+	})
+	c.Get(k(7), func(r kv.Result) { second = r })
+	eng.Run()
+	if f.gets != 1 {
+		t.Fatalf("origin saw %d GETs, want 1 (the second read parks on the fill)", f.gets)
+	}
+	if first.Status != kv.StatusHit || second.Status != kv.StatusHit {
+		t.Fatalf("statuses %v / %v, want hits", first.Status, second.Status)
+	}
+	if !bytes.Equal(second.Value, []byte("shared fill")) {
+		t.Fatalf("second waiter's value %q changed with the first waiter's", second.Value)
+	}
+	var third kv.Result
+	c.Get(k(7), func(r kv.Result) { third = r })
+	eng.Run()
+	if !bytes.Equal(third.Value, []byte("shared fill")) {
+		t.Fatalf("cache poisoned by a waiter's mutation: %q", third.Value)
+	}
+}
+
 func TestWriteThroughInvalidates(t *testing.T) {
 	eng := sim.New()
 	f := newFake(eng)

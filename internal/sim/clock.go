@@ -12,6 +12,9 @@ type Clock interface {
 	At(t Time, fn func())
 	// After schedules fn d after the current virtual time.
 	After(d Time, fn func())
+	// AfterHandler schedules h.Fire d after the current virtual time: a
+	// pooled record instead of a fresh closure (see Handler).
+	AfterHandler(d Time, h Handler)
 }
 
 // Engine implements Clock.

@@ -42,7 +42,7 @@ func (qp *QP) PostSendBatch(wrs []SendWR) error {
 		ops = append(ops, op)
 	}
 	for _, op := range ops {
-		qp.opQueue.push(op)
+		qp.opQueue.Push(op)
 		qp.countPost(op.wr.Verb, len(op.payload), op.inline, op.wr.Signaled)
 	}
 

@@ -116,7 +116,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if err != nil {
 		return fmt.Errorf("verbs: %v on %v: %w", wr.Verb, qp.transport, err)
 	}
-	qp.opQueue.push(op)
+	qp.opQueue.Push(op)
 	qp.countPost(op.wr.Verb, len(op.payload), op.inline, op.wr.Signaled)
 
 	n := qp.host.nic
@@ -138,14 +138,14 @@ func (qp *QP) pump() {
 		return // SetError already flushed the queue
 	}
 	for qp.opQueue.Len() > 0 {
-		op := qp.opQueue.front()
+		op := qp.opQueue.Front()
 		if !op.ready {
 			return
 		}
 		if op.wr.Verb == READ && qp.outstandingReads >= qp.host.nic.Params().ReadWindow {
 			return
 		}
-		qp.opQueue.pop()
+		qp.opQueue.Pop()
 		if op.wr.Verb == READ {
 			qp.outstandingReads++
 		}
@@ -252,7 +252,7 @@ func damage(payload []byte, corrupt bool) []byte {
 // on RC, completion waits for the responder's ACK.
 func (qp *QP) localSendComplete(op *sendOp) {
 	if reliable(qp.transport) {
-		qp.awaitingAck.push(pendingAck{wr: op.wr, bytes: len(op.payload)})
+		qp.awaitingAck.Push(pendingAck{wr: op.wr, bytes: len(op.payload)})
 		return
 	}
 	if op.wr.Signaled {
@@ -446,7 +446,7 @@ func (qp *QP) deliverAck() {
 		if qp.errored || qp.awaitingAck.Len() == 0 {
 			return
 		}
-		pa := qp.awaitingAck.pop()
+		pa := qp.awaitingAck.Pop()
 		if pa.wr.Signaled {
 			qp.signalCompletion(pa.wr, pa.bytes)
 		}

@@ -1,5 +1,7 @@
 package verbs
 
+import "herdkv/internal/fifo"
+
 // SRQ is a shared receive queue: many QPs draw their RECVs from one
 // pool, so a server with hundreds of SEND-based connections provisions
 // one buffer pool instead of per-QP pools. (Our SEND/SEND HERD mode
@@ -7,7 +9,7 @@ package verbs
 // substrate for RC/UC SEND servers.)
 type SRQ struct {
 	host  *Host
-	queue fifo[recvBuf]
+	queue fifo.Queue[recvBuf]
 }
 
 // CreateSRQ returns an empty shared receive queue on h.
@@ -18,7 +20,7 @@ func (s *SRQ) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	if off < 0 || n < 0 || off+n > len(mr.buf) {
 		return ErrBounds
 	}
-	s.queue.push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
+	s.queue.Push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
 
@@ -40,5 +42,5 @@ func (qp *QP) popRecv() (recvBuf, bool) {
 	if q.Len() == 0 {
 		return recvBuf{}, false
 	}
-	return q.pop(), true
+	return q.Pop(), true
 }

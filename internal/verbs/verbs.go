@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"herdkv/internal/fifo"
 	"herdkv/internal/nic"
 	"herdkv/internal/sim"
 	"herdkv/internal/telemetry"
@@ -279,12 +280,12 @@ type QP struct {
 
 	remote *QP // connected transports only
 
-	recvQueue fifo[recvBuf]
+	recvQueue fifo.Queue[recvBuf]
 
 	// opQueue holds posted work requests in strict FIFO order until
 	// their PIO/payload-fetch phase completes and the READ window allows
 	// them to issue.
-	opQueue fifo[*sendOp]
+	opQueue fifo.Queue[*sendOp]
 
 	// outstandingReads counts in-flight READs against ReadWindow.
 	outstandingReads int
@@ -303,7 +304,7 @@ type QP struct {
 	rxGate sim.Time
 
 	// RC ordering: ACKed completions pop in post order.
-	awaitingAck fifo[pendingAck]
+	awaitingAck fifo.Queue[pendingAck]
 
 	droppedSends uint64 // inbound SENDs discarded for lack of a RECV
 
@@ -402,21 +403,21 @@ func (qp *QP) SetError() {
 	}
 	qp.errored = true
 	for qp.opQueue.Len() > 0 {
-		op := qp.opQueue.pop()
+		op := qp.opQueue.Pop()
 		qp.sendCQ.push(Completion{
 			QPN: qp.qpn, WRID: op.wr.WRID, Verb: op.wr.Verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
 	for qp.awaitingAck.Len() > 0 {
-		pa := qp.awaitingAck.pop()
+		pa := qp.awaitingAck.Pop()
 		qp.sendCQ.push(Completion{
 			QPN: qp.qpn, WRID: pa.wr.WRID, Verb: pa.wr.Verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
 	for qp.recvQueue.Len() > 0 {
-		rb := qp.recvQueue.pop()
+		rb := qp.recvQueue.Pop()
 		qp.recvCQ.push(Completion{
 			QPN: qp.qpn, WRID: rb.wrid, Verb: RECV,
 			At: qp.host.eng.Now(), Flushed: true,
@@ -473,7 +474,7 @@ func (qp *QP) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	}
 	qp.host.telPosted[RECV].Inc()
 	qp.qpPosted[RECV].Inc()
-	qp.recvQueue.push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
+	qp.recvQueue.Push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
 

@@ -7,16 +7,17 @@ import (
 	"herdkv/internal/sim"
 )
 
-// TestHotpathAllocFree gates the //herd:hotpath functions on the
-// append path at 0 allocs/op. Append's steady state is batch-not-full
-// with the group-commit timer already armed: the pending buffer keeps
-// its capacity across flushes (startFlush truncates instead of
-// dropping it) and armTimer's closure is paid once per batch, so the
-// measured appends never allocate.
+// TestHotpathAllocFree gates the //herd:hotpath functions on the append
+// and group-commit path at 0 allocs/op. Append encodes into the pending
+// buffer, which keeps its capacity across batches, and a commit cycle —
+// appends with sync-durability callbacks, a forced flush, the device
+// write landing, the interval timer firing — reuses pooled flight and
+// timer records, so once warm only the durable log's amortized growth
+// allocates.
 func TestHotpathAllocFree(t *testing.T) {
 	eng := sim.New()
 	cfg := testConfig()
-	cfg.FlushBatch = 1 << 20 // the measurement must never trip a batch flush
+	cfg.FlushBatch = 1 << 20 // the append gate must never trip a batch flush
 	l := New(eng, cfg, nil)
 	r := rec(7, "durable-value")
 	// Warm: grow pending's capacity past everything the gates append
@@ -25,12 +26,34 @@ func TestHotpathAllocFree(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		l.Append(r, nil)
 	}
-	l.pending = l.pending[:0]
+	l.pending, l.npending = l.pending[:0], 0
 	buf := make([]byte, 0, 4*encodedLen(len(r.Value)))
+
+	ceng := sim.New()
+	cl := New(ceng, testConfig(), nil)
+	acked := 0
+	onDurable := func() { acked++ }
+	commit := func() {
+		for i := 0; i < 8; i++ {
+			cl.Append(r, onDurable)
+		}
+		cl.Flush()
+		ceng.Run()
+	}
 	hotgate.Check(t, ".", map[string]func(){
-		"encodedLen":   func() { _ = encodedLen(100) },
-		"appendRecord": func() { buf = appendRecord(buf[:0], r) },
-		"Log.Append":   func() { l.Append(r, nil) },
-		"Log.armTimer": func() { l.armTimer() },
+		"encodedLen":      func() { _ = encodedLen(100) },
+		"appendRecord":    func() { buf = appendRecord(buf[:0], r) },
+		"Log.Append":      func() { l.Append(r, nil) },
+		"Log.armTimer":    func() { l.armTimer() },
+		"Log.xfer":        func() { _ = l.xfer(4096) },
+		"Log.Flush":       commit,
+		"Log.kick":        commit,
+		"Log.startFlush":  commit,
+		"Log.commitFlush": commit,
+		"flight.Fire":     commit,
+		"flushTimer.Fire": commit,
 	})
+	if acked == 0 || acked%8 != 0 || cl.Pending() != 0 {
+		t.Fatalf("commit cycles acked %d appends with %d still pending", acked, cl.Pending())
+	}
 }

@@ -171,19 +171,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pendingRec is one buffered append awaiting group commit.
-type pendingRec struct {
-	rec       Record
-	onDurable func()
-}
-
-// flight is one device write in progress.
+// flight is one group commit's device write: a pooled sim.Handler the
+// device fires at the write's completion. startFlush hands it the
+// pending batch's encoded bytes and durable callbacks, and it returns to
+// the log's pool when its completion event fires — also when a crash
+// cancelled the write, since the event still fires, as a no-op.
 type flight struct {
+	l      *Log
+	gen    int // the log generation the write started under
 	buf    []byte
+	n      int // records in buf
 	cbs    []func()
 	start  sim.Time
 	dur    sim.Time
 	lastAt sim.Time // append instant of the batch's final record
+}
+
+// flushTimer is the group-commit interval timer: a pooled record that
+// carries the generation it was armed under and returns to the log's
+// pool when it fires.
+type flushTimer struct {
+	l   *Log
+	gen int
 }
 
 // RecoverStats summarizes one completed replay.
@@ -211,7 +220,16 @@ type Log struct {
 	cfg Config
 	dev *sim.Server
 
-	pending    []pendingRec
+	// pending is the batch awaiting group commit, already encoded:
+	// Append frames each record into it as the record buffers, so a
+	// value is copied once, into the log, and startFlush hands the bytes
+	// to the device write as they are. npending counts its records,
+	// pendingAt is the newest one's append instant, and pendingCbs holds
+	// the batch's durable callbacks in append order.
+	pending    []byte
+	npending   int
+	pendingAt  sim.Time
+	pendingCbs []func()
 	durable    []byte
 	snapshot   []byte
 	snapBase   int // len(durable) right after the last compaction
@@ -222,6 +240,11 @@ type Log struct {
 	flushDue   bool // interval elapsed while the device was busy
 	maxEpoch   int
 	source     func(emit func(key kv.Key, value []byte))
+
+	// Free flight and timer records; each record is in flight at most
+	// once at a time.
+	flights []*flight
+	timers  []*flushTimer
 
 	// gen cancels scheduled completions across a crash: timers and
 	// device callbacks captured under an older generation are dead.
@@ -257,6 +280,8 @@ func (l *Log) SetSnapshotSource(fn func(emit func(key kv.Key, value []byte))) {
 }
 
 // xfer returns the device time for n sequential bytes.
+//
+//herd:hotpath
 func (l *Log) xfer(n int) sim.Time {
 	if n <= 0 {
 		return 0
@@ -264,13 +289,14 @@ func (l *Log) xfer(n int) sim.Time {
 	return sim.Time(float64(n) / l.cfg.BytesPerSec * float64(sim.Second))
 }
 
-// Append buffers one record for the next group commit. onDurable, if
-// non-nil, runs when the record's batch has persisted — the log-
-// before-ack hook for sync durability. Appends on a crashed log are
-// dropped (the process is dead; nothing should be calling). The
-// steady-state path (batch not yet full, timer already armed) is
-// allocation-free: the pending buffer keeps its capacity across
-// flushes.
+// Append buffers one record for the next group commit, encoding it
+// into the pending batch at once: r.Value is copied into the log before
+// Append returns, so the caller may reuse it. onDurable, if non-nil,
+// runs when the record's batch has persisted — the log-before-ack hook
+// for sync durability. Appends on a crashed log are dropped (the
+// process is dead; nothing should be calling). The whole append and
+// group-commit path is allocation-free once warm: the pending buffer
+// and the flight and timer records are reused across batches.
 //
 //herd:hotpath
 func (l *Log) Append(r Record, onDurable func()) {
@@ -283,9 +309,14 @@ func (l *Log) Append(r Record, onDurable func()) {
 	}
 	l.appends++
 	l.telAppends.Inc()
-	l.pending = append(l.pending, pendingRec{rec: r, onDurable: onDurable})
-	if len(l.pending) >= l.cfg.FlushBatch {
-		l.kick() //lint:allow hotalloc — group-commit flush, amortized once per batch
+	l.pending = appendRecord(l.pending, r)
+	l.npending++
+	l.pendingAt = r.At
+	if onDurable != nil {
+		l.pendingCbs = append(l.pendingCbs, onDurable)
+	}
+	if l.npending >= l.cfg.FlushBatch {
+		l.kick()
 		return
 	}
 	l.armTimer()
@@ -313,6 +344,8 @@ func (l *Log) AppendDurable(r Record) {
 // Flush forces a group commit of everything pending now (sync
 // durability calls this after every append; batches still form while
 // the device is busy with the previous commit).
+//
+//herd:hotpath
 func (l *Log) Flush() {
 	if l.crashed {
 		return
@@ -321,8 +354,7 @@ func (l *Log) Flush() {
 }
 
 // armTimer schedules the group-commit interval flush once per batch;
-// with the timer already armed it is a no-op, so only one append per
-// batch pays for the timer closure.
+// with the timer already armed it is a no-op.
 //
 //herd:hotpath
 func (l *Log) armTimer() {
@@ -330,21 +362,38 @@ func (l *Log) armTimer() {
 		return
 	}
 	l.timerArmed = true
-	gen := l.gen
-	//lint:allow hotalloc — timer closure armed once per group-commit batch
-	l.clk.After(l.cfg.FlushInterval, func() {
-		if gen != l.gen {
-			return
-		}
-		l.timerArmed = false
-		l.kick()
-	})
+	var t *flushTimer
+	if n := len(l.timers); n > 0 {
+		t = l.timers[n-1]
+		l.timers = l.timers[:n-1]
+	} else {
+		t = &flushTimer{l: l} //lint:allow hotalloc — pool miss; the pool grows to the timers in flight
+	}
+	t.gen = l.gen
+	l.clk.AfterHandler(l.cfg.FlushInterval, t)
+}
+
+// Fire runs the interval flush, unless a crash since arming made the
+// timer stale, and returns the timer to the pool.
+//
+//herd:hotpath
+func (t *flushTimer) Fire(sim.Time) {
+	l := t.l
+	live := t.gen == l.gen
+	l.timers = append(l.timers, t)
+	if !live {
+		return
+	}
+	l.timerArmed = false
+	l.kick()
 }
 
 // kick starts a flush if the device is free; otherwise marks one due
 // for when the in-progress write completes.
+//
+//herd:hotpath
 func (l *Log) kick() {
-	if len(l.pending) == 0 {
+	if l.npending == 0 {
 		return
 	}
 	if l.inflight != nil || l.snapInProg {
@@ -358,36 +407,48 @@ func (l *Log) kick() {
 // write of the batch's encoded bytes (bandwidth term) plus the fixed
 // persist latency. The batch becomes durable — and sync-mode acks
 // fire — only at completion; a crash first persists a byte prefix
-// proportional to elapsed time, leaving a torn tail.
+// proportional to elapsed time, leaving a torn tail. The flight takes
+// the pending buffer and callbacks as they are and leaves its own
+// emptied ones behind for the next batch.
+//
+//herd:hotpath
 func (l *Log) startFlush() {
-	var buf []byte
-	var cbs []func()
-	var lastAt sim.Time
-	for _, p := range l.pending {
-		buf = appendRecord(buf, p.rec)
-		if p.onDurable != nil {
-			cbs = append(cbs, p.onDurable)
-		}
-		lastAt = p.rec.At
+	var fl *flight
+	if n := len(l.flights); n > 0 {
+		fl = l.flights[n-1]
+		l.flights = l.flights[:n-1]
+	} else {
+		fl = &flight{l: l} //lint:allow hotalloc — pool miss; the pool grows to the flights in flight
 	}
-	// Keep the buffer's capacity: every record was encoded into buf and
-	// the callbacks captured, so the entries are dead and the next batch
-	// of appends reuses the space allocation-free.
-	l.pending = l.pending[:0]
-	dur := l.xfer(len(buf)) + l.cfg.PersistLatency
-	fl := &flight{buf: buf, cbs: cbs, start: l.clk.Now(), dur: dur, lastAt: lastAt}
+	fl.gen = l.gen
+	fl.buf, l.pending = l.pending, fl.buf
+	fl.cbs, l.pendingCbs = l.pendingCbs, fl.cbs
+	fl.n, l.npending = l.npending, 0
+	fl.lastAt = l.pendingAt
+	fl.start = l.clk.Now()
+	fl.dur = l.xfer(len(fl.buf)) + l.cfg.PersistLatency
 	l.inflight = fl
-	gen := l.gen
-	l.dev.Submit(dur, func(sim.Time) {
-		if gen != l.gen {
-			return
-		}
+	l.dev.SubmitHandler(fl.dur, fl)
+}
+
+// Fire lands the device write, unless a crash since it started made it
+// stale, and returns the flight to the pool.
+//
+//herd:hotpath
+func (fl *flight) Fire(sim.Time) {
+	l := fl.l
+	if fl.gen == l.gen {
 		l.commitFlush(fl)
-	})
+	}
+	clear(fl.cbs)
+	fl.buf, fl.cbs = fl.buf[:0], fl.cbs[:0]
+	l.flights = append(l.flights, fl)
 }
 
 // commitFlush lands one completed device write: the batch is durable,
 // its ack callbacks fire, and a snapshot or follow-on flush may start.
+//
+//herd:hotpath
 func (l *Log) commitFlush(fl *flight) {
 	l.inflight = nil
 	l.durable = append(l.durable, fl.buf...)
@@ -398,11 +459,11 @@ func (l *Log) commitFlush(fl *flight) {
 	for _, cb := range fl.cbs {
 		cb()
 	}
-	l.maybeSnapshot()
-	if l.flushDue || len(l.pending) >= l.cfg.FlushBatch {
+	l.maybeSnapshot() //lint:allow hotalloc — compaction, once per SnapshotEvery durable bytes
+	if l.flushDue || l.npending >= l.cfg.FlushBatch {
 		l.flushDue = false
 		l.kick()
-	} else if len(l.pending) > 0 {
+	} else if l.npending > 0 {
 		l.armTimer()
 	}
 }
@@ -454,7 +515,7 @@ func (l *Log) maybeSnapshot() {
 		}
 		l.durable = tail
 		l.snapBase = len(tail)
-		if l.flushDue || len(l.pending) >= l.cfg.FlushBatch {
+		if l.flushDue || l.npending >= l.cfg.FlushBatch {
 			l.flushDue = false
 			l.kick()
 		}
@@ -480,7 +541,7 @@ func (l *Log) CrashTorn() {
 	if l.crashed {
 		return
 	}
-	if l.inflight == nil && len(l.pending) > 0 && !l.snapInProg {
+	if l.inflight == nil && l.npending > 0 && !l.snapInProg {
 		l.startFlush()
 	}
 	cut := -1
@@ -506,7 +567,9 @@ func (l *Log) crashAt(cut int) {
 	l.timerArmed = false
 	l.flushDue = false
 	l.snapInProg = false
-	l.pending = nil
+	l.pending, l.npending = l.pending[:0], 0
+	clear(l.pendingCbs)
+	l.pendingCbs = l.pendingCbs[:0]
 	if fl := l.inflight; fl != nil {
 		n := cut
 		if n < 0 {
@@ -593,17 +656,16 @@ func (l *Log) RecordsSince(t sim.Time) []Record {
 			out = append(out, r)
 		}
 	}
+	var flying []byte
 	if fl := l.inflight; fl != nil {
-		frecs, _, _ := decodeAll(fl.buf)
-		for _, r := range frecs {
+		flying = fl.buf
+	}
+	for _, buf := range [][]byte{flying, l.pending} {
+		recs, _, _ := decodeAll(buf)
+		for _, r := range recs {
 			if r.At >= t {
 				out = append(out, r)
 			}
-		}
-	}
-	for _, p := range l.pending {
-		if p.rec.At >= t {
-			out = append(out, p.rec)
 		}
 	}
 	return out
@@ -616,10 +678,9 @@ func (l *Log) LastDurableAt() sim.Time { return l.lastDurAt }
 // Pending reports how many appends await group commit (including an
 // in-flight flush).
 func (l *Log) Pending() int {
-	n := len(l.pending)
+	n := l.npending
 	if fl := l.inflight; fl != nil {
-		recs, _, _ := decodeAll(fl.buf)
-		n += len(recs)
+		n += fl.n
 	}
 	return n
 }

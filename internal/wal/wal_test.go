@@ -271,6 +271,24 @@ func TestRecordsSinceCoversPendingAndDurable(t *testing.T) {
 	}
 }
 
+// Append copies the value into the log before it returns: the server
+// appends straight from the request slot, which is zeroed and reused
+// once the response posts.
+func TestAppendCopiesValue(t *testing.T) {
+	eng := sim.New()
+	l := New(eng, testConfig(), nil)
+	r := rec(1, "as appended")
+	l.Append(r, nil)
+	copy(r.Value, "overwritten")
+	if got := l.RecordsSince(0); len(got) != 1 || string(got[0].Value) != "as appended" {
+		t.Fatalf("pending record = %+v, want the value as appended", got)
+	}
+	eng.Run()
+	if got := l.RecordsSince(0); len(got) != 1 || string(got[0].Value) != "as appended" {
+		t.Fatalf("durable record = %+v, want the value as appended", got)
+	}
+}
+
 func TestEpochRestoredFromLog(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testConfig(), nil)
