@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-check microbench
+.PHONY: all build vet lint lint-fix test race bench bench-check microbench loc
 
 all: build vet lint test
 
@@ -45,3 +45,11 @@ bench-check:
 # send), which report allocs/op and should all read 0.
 microbench:
 	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/
+
+# Non-test Go lines per package, so a change that deletes code can
+# report before/after counts (run it on both commits and diff).
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
+	while read pkg dir files; do \
+		[ -z "$$files" ] || printf '%6d %s\n' $$(cd $$dir && cat $$files | wc -l) $$pkg; \
+	done

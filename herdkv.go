@@ -146,18 +146,9 @@ const (
 // persist device (Config.WAL).
 type WALConfig = wal.Config
 
-// MicaConfig sizes each HERD cache partition.
+// MicaConfig sizes each HERD cache partition (a lossy MICA cache:
+// full buckets and the circular log evict).
 type MicaConfig = mica.Config
-
-// MicaMode selects cache (lossy, default) or store (lossless) semantics
-// for HERD's partitions.
-type MicaMode = mica.Mode
-
-// MICA semantics modes.
-const (
-	MicaCache = mica.CacheMode
-	MicaStore = mica.StoreMode
-)
 
 // ShardedDeployment scales HERD across several server machines with
 // client-side key hashing (the memcached-fleet deployment pattern).
@@ -184,8 +175,8 @@ type FleetDeployment = fleet.Deployment
 // view of the fleet.
 type FleetClient = fleet.Client
 
-// FleetConfig parameterizes a fleet (replication factor, virtual
-// nodes, migration pacing, read probation).
+// FleetConfig parameterizes a fleet (replication factor, migration
+// pacing, read probation, hot-key widening, versioned replication).
 type FleetConfig = fleet.Config
 
 // FleetRing is the fleet's consistent-hash ring (virtual nodes, seeded
@@ -246,8 +237,7 @@ type MuxEndpoint = mux.Endpoint
 // so code written against a direct HERD client runs unchanged.
 type MuxChannel = mux.Channel
 
-// MuxConfig parameterizes an endpoint (pool size, per-channel window,
-// channel limit).
+// MuxConfig parameterizes an endpoint (pool size, per-channel window).
 type MuxConfig = mux.Config
 
 // DefaultMuxConfig returns the endpoint defaults: a 2-QP pool and a

@@ -698,27 +698,39 @@ func (c *Client) writeRequest(op *pendingOp) {
 }
 
 // retryDelay computes the delay before retry number k (0-based): the
-// base timeout grown exponentially, capped, then stretched by a random
-// jitter fraction so concurrent clients' retry storms decorrelate. The
-// jitter draw comes from the client's seeded RNG, so a run replays
-// exactly.
+// base timeout grown exponentially, capped, then jittered.
 //
 //herd:hotpath
 func (c *Client) retryDelay(k int) sim.Time {
-	cfg := c.srv.cfg
-	d := cfg.RetryTimeout
-	factor := cfg.retryBackoff()
+	base := c.srv.cfg.RetryTimeout
+	d := base
 	for i := 0; i < k; i++ {
-		d = sim.Time(float64(d) * factor)
-		if d >= cfg.retryBackoffCap() {
-			d = cfg.retryBackoffCap()
+		d *= retryBackoff
+		if d >= retryBackoffCap*base {
+			d = retryBackoffCap * base
 			break
 		}
 	}
-	if j := cfg.retryJitter(); j > 0 {
-		d += sim.Time(c.rng.Float64() * j * float64(d))
+	return c.jitter(d)
+}
+
+// reconnectTimeout computes the timeout of reconnect handshake attempt
+// k (0-based): retries' backoff from a longer base, uncapped, jittered.
+func (c *Client) reconnectTimeout(k int) sim.Time {
+	d := reconnectFactor * c.srv.cfg.RetryTimeout
+	for i := 0; i < k; i++ {
+		d *= retryBackoff
 	}
-	return d
+	return c.jitter(d)
+}
+
+// jitter stretches d by a uniformly random fraction in [0, retryJitter]
+// so concurrent clients' retry storms decorrelate. The draw comes from
+// the client's seeded RNG, so a run replays exactly.
+//
+//herd:hotpath
+func (c *Client) jitter(d sim.Time) sim.Time {
+	return d + sim.Time(c.rng.Float64()*retryJitter*float64(d))
 }
 
 // armRetry arms the application-level retry timer (Section 2.2.3's
@@ -848,14 +860,7 @@ func (c *Client) tryReconnect(gen, attempt int) {
 			c.finishReconnect(at)
 		})
 	})
-	timeout := c.srv.cfg.reconnectTimeout()
-	for i := 0; i < attempt; i++ {
-		timeout = sim.Time(float64(timeout) * c.srv.cfg.retryBackoff())
-	}
-	if j := c.srv.cfg.retryJitter(); j > 0 {
-		timeout += sim.Time(c.rng.Float64() * j * float64(timeout))
-	}
-	eng.After(timeout, func() {
+	eng.After(c.reconnectTimeout(attempt), func() {
 		if done || !c.reconnecting || gen != c.reconnGen {
 			return
 		}
@@ -1009,10 +1014,7 @@ func (c *Client) handleBusy(op *pendingOp, hint sim.Time) {
 	now := c.machine.Verbs.NIC().Engine().Now()
 	op.trace.Mark("busy", now)
 
-	delay := hint
-	if j := c.srv.cfg.retryJitter(); j > 0 {
-		delay += sim.Time(c.rng.Float64() * j * float64(delay))
-	}
+	delay := c.jitter(hint)
 	if op.deadline > 0 && now+delay >= op.deadline {
 		c.failBusy(op, now)
 		c.pumpWaiting()

@@ -41,7 +41,6 @@ func chaosHERD(t *testing.T, script string, cfg Config) (*cluster.Cluster, *Serv
 func chaosConfig() Config {
 	cfg := smallConfig()
 	cfg.RetryTimeout = 30 * sim.Microsecond
-	cfg.ReconnectTimeout = 50 * sim.Microsecond
 	return cfg
 }
 

@@ -143,6 +143,30 @@ func TestRetryTimerNoOpWhenLossless(t *testing.T) {
 	}
 }
 
+// TestRetrySchedule pins the client's fixed retry schedule: retry k
+// waits RetryTimeout·2^k capped at 16×, reconnect attempt k waits
+// 20·RetryTimeout·2^k uncapped, and each delay d is stretched by a
+// seeded jitter in [0, 0.1·d].
+func TestRetrySchedule(t *testing.T) {
+	cfg := smallConfig()
+	cfg.RetryTimeout = 12 * sim.Microsecond
+	c := &Client{srv: &Server{cfg: cfg}, rng: sim.NewRand(7)}
+	ref := sim.NewRand(7) // the client's draws, to pin each jitter exactly
+	check := func(what string, k int, got, d sim.Time) {
+		t.Helper()
+		want := d + sim.Time(ref.Float64()*0.1*float64(d))
+		if got != want || got < d || got > d+d/10 {
+			t.Errorf("%s %d: %d ps, want %d ps (base %d ps + jitter up to %d ps)", what, k, got, want, d, d/10)
+		}
+	}
+	for k, mult := range []sim.Time{1, 2, 4, 8, 16, 16} {
+		check("retry", k, c.retryDelay(k), mult*cfg.RetryTimeout)
+	}
+	for k, mult := range []sim.Time{20, 40, 80, 160, 320, 640} {
+		check("reconnect", k, c.reconnectTimeout(k), mult*cfg.RetryTimeout)
+	}
+}
+
 func TestGapRecovery(t *testing.T) {
 	// Deterministic single-request loss: request 1 is dropped while the
 	// fabric is fully lossy; later requests to the same process complete

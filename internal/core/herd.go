@@ -156,24 +156,9 @@ type Config struct {
 	RetryTimeout sim.Time
 	// MaxRetries is the per-op retry budget (default 3 when retries are
 	// enabled). An op that exhausts it completes with a terminal
-	// Result.Err of ErrTimedOut instead of retrying forever.
+	// Result.Err of ErrTimedOut instead of retrying forever. Attempts
+	// are spaced by a fixed backoff schedule (see retryBackoff).
 	MaxRetries int
-	// RetryBackoff multiplies the retry delay after each attempt
-	// (exponential backoff; default 2 when retries are enabled). 1
-	// restores the fixed-interval behavior.
-	RetryBackoff float64
-	// RetryBackoffCap bounds the backed-off delay (default 16x
-	// RetryTimeout).
-	RetryBackoffCap sim.Time
-	// RetryJitter spreads each retry delay by a uniformly random
-	// fraction in [0, RetryJitter] drawn from the client's seeded RNG,
-	// decorrelating retry storms without breaking determinism (default
-	// 0.1; negative disables).
-	RetryJitter float64
-	// ReconnectTimeout is the per-attempt timeout of the client's
-	// crash-recovery handshake (default 20x RetryTimeout). Reconnect
-	// attempts back off and jitter like retries do.
-	ReconnectTimeout sim.Time
 
 	// AdmissionLimit bounds each server process's queue of admitted
 	// requests awaiting CPU service. A request landing while the queue
@@ -242,48 +227,27 @@ const (
 	DurabilitySync
 )
 
-// Effective retry-policy accessors: zero-valued fields mean defaults.
+// The application-level retry schedule (Section 2.2.3), in units of
+// Config.RetryTimeout: retry k waits RetryTimeout·retryBackoff^k,
+// capped at retryBackoffCap·RetryTimeout; reconnect handshake attempt k
+// waits reconnectFactor·RetryTimeout·retryBackoff^k, uncapped. Every
+// delay, busy-pushback hints included, is then stretched by a seeded
+// jitter of up to retryJitter of itself.
+const (
+	retryBackoff    = 2
+	retryBackoffCap = 16
+	retryJitter     = 0.1
+	reconnectFactor = 20
+)
 
+// maxRetries is the effective retry budget: zero means the default.
+//
 //herd:hotpath
 func (c Config) maxRetries() int {
 	if c.MaxRetries <= 0 {
 		return 3
 	}
 	return c.MaxRetries
-}
-
-//herd:hotpath
-func (c Config) retryBackoff() float64 {
-	if c.RetryBackoff <= 0 {
-		return 2
-	}
-	return c.RetryBackoff
-}
-
-//herd:hotpath
-func (c Config) retryBackoffCap() sim.Time {
-	if c.RetryBackoffCap <= 0 {
-		return 16 * c.RetryTimeout
-	}
-	return c.RetryBackoffCap
-}
-
-//herd:hotpath
-func (c Config) retryJitter() float64 {
-	if c.RetryJitter < 0 {
-		return 0
-	}
-	if c.RetryJitter == 0 {
-		return 0.1
-	}
-	return c.RetryJitter
-}
-
-func (c Config) reconnectTimeout() sim.Time {
-	if c.ReconnectTimeout <= 0 {
-		return 20 * c.RetryTimeout
-	}
-	return c.ReconnectTimeout
 }
 
 // DefaultConfig mirrors the paper's evaluation setup.

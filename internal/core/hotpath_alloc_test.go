@@ -62,9 +62,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		"parseRespHeader":          func() { _, _, _ = parseRespHeader(respBuf[:respHdr]) },
 		"Config.SlotIndex":         func() { _ = cfg.SlotIndex(1, 2, 3) },
 		"Config.maxRetries":        func() { _ = lcfg.maxRetries() },
-		"Config.retryBackoff":      func() { _ = lcfg.retryBackoff() },
-		"Config.retryBackoffCap":   func() { _ = lcfg.retryBackoffCap() },
-		"Config.retryJitter":       func() { _ = lcfg.retryJitter() },
 		"Server.overloaded":        func() { _ = s.overloaded(0) },
 		"Server.retryAfterHint":    func() { _ = s.retryAfterHint(0) },
 		"Server.noteService":       func() { s.noteService(0, 100*sim.Nanosecond) },
@@ -84,6 +81,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Client.writeRequest":      roundTrip,
 		"Client.armRetry":          roundTrip,
 		"Client.retryDelay":        roundTrip,
+		"Client.jitter":            roundTrip,
 		"Client.armTimer":          roundTrip,
 		"opTimer.Fire":             roundTrip,
 	})

@@ -289,21 +289,21 @@ func (c *Client) noteBusy(id int) {
 	switch b.state {
 	case breakerHalfOpen:
 		b.state = breakerOpen
-		b.until = c.now() + c.d.cfg.BreakerCooldown
+		b.until = c.now() + breakerCooldown
 		c.brkOpens++
 		c.telBrkOpened.Inc()
 	case breakerClosed:
 		b.fails++
-		if b.fails >= c.d.cfg.BreakerThreshold {
+		if b.fails >= breakerThreshold {
 			b.state = breakerOpen
-			b.until = c.now() + c.d.cfg.BreakerCooldown
+			b.until = c.now() + breakerCooldown
 			b.fails = 0
 			c.brkOpens++
 			c.telBrkOpened.Inc()
 			c.telBrkState.Add(1)
 		}
 	case breakerOpen:
-		b.until = c.now() + c.d.cfg.BreakerCooldown
+		b.until = c.now() + breakerCooldown
 	}
 }
 

@@ -31,8 +31,6 @@ type Config struct {
 	// Replication is the replica count R per key (default 2, clamped
 	// to the live shard count).
 	Replication int
-	// VirtualNodes per shard on the consistent-hash ring (default 64).
-	VirtualNodes int
 	// MigrationBatch is how many keys one background migration step
 	// copies (default 64).
 	MigrationBatch int
@@ -45,16 +43,6 @@ type Config struct {
 	// still fan out to suspected shards so their caches stay warm for
 	// when they return.
 	Probation sim.Time
-	// BreakerThreshold is how many consecutive StatusBusy (overload
-	// pushback) failures against one shard trip its circuit breaker
-	// open (default 3). Busy is a brownout signal — the shard is alive
-	// but refusing work — so the breaker is separate from Probation,
-	// which marks suspected crashes.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker steers reads away
-	// from a shard before allowing a half-open probe read (default
-	// 200us).
-	BreakerCooldown sim.Time
 	// HotKeyTrack is the number of keys each client's hot-key detector
 	// tracks (a space-saving top-k sketch; see hotkey.go). 0, the
 	// default, disables detection and widening entirely — reads stay
@@ -93,6 +81,19 @@ type Config struct {
 	Mux *mux.Config
 }
 
+// Fixed fleet policy. virtualNodes is each shard's point count on the
+// consistent-hash ring. A shard's brownout circuit breaker opens after
+// breakerThreshold consecutive StatusBusy (overload pushback) failures
+// against it and steers reads away for breakerCooldown before letting a
+// half-open probe read through. Busy is a brownout signal — the shard
+// is alive but refusing work — so the breaker is separate from
+// Config.Probation, which marks suspected crashes.
+const (
+	virtualNodes     = 64
+	breakerThreshold = 3
+	breakerCooldown  = 200 * sim.Microsecond
+)
+
 // DefaultConfig returns the fleet defaults on top of core's HERD
 // defaults (with retries enabled: failover needs terminal timeouts).
 func DefaultConfig() Config {
@@ -101,7 +102,6 @@ func DefaultConfig() Config {
 	return Config{
 		Herd:              hc,
 		Replication:       2,
-		VirtualNodes:      64,
 		MigrationBatch:    64,
 		MigrationInterval: 2 * sim.Microsecond,
 		Probation:         200 * sim.Microsecond,
@@ -118,9 +118,6 @@ func (c *Config) setDefaults() {
 	if c.Replication < 1 {
 		c.Replication = 2
 	}
-	if c.VirtualNodes < 1 {
-		c.VirtualNodes = 64
-	}
 	if c.MigrationBatch < 1 {
 		c.MigrationBatch = 64
 	}
@@ -129,12 +126,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Probation <= 0 {
 		c.Probation = 200 * sim.Microsecond
-	}
-	if c.BreakerThreshold < 1 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 200 * sim.Microsecond
 	}
 	if c.HotKeyTrack > 0 {
 		if c.HotKeyThreshold < 1 {
@@ -263,7 +254,7 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 	d.aeFixed = d.tel.Counter("fleet.antientropy.repaired")
 	d.aePending = d.tel.Gauge("fleet.antientropy.pending")
 	d.aeQueued = make(map[kv.Key]bool)
-	d.ring = NewRing(core.PlacementSeed(machines[0]), cfg.VirtualNodes)
+	d.ring = NewRing(core.PlacementSeed(machines[0]), virtualNodes)
 	for _, m := range machines {
 		srv, err := core.NewServer(m, cfg.Herd)
 		if err != nil {
@@ -410,19 +401,27 @@ func (d *Deployment) AddShard(m *cluster.Machine, done func()) (int, error) {
 			return 0, err
 		}
 	}
-	target := d.ring.WithShard(id)
-	rf := d.cfg.Replication
-	if n := target.Size(); rf > n {
-		rf = n
-	}
 	// The new shard must hold every key whose target replica set
-	// includes it. Writes fan out to all replicas, so scanning each
-	// live shard's partitions covers every such key; a membership set
-	// dedupes the multiple replicas holding the same key.
-	seen := make(map[kv.Key]struct{})
+	// includes it.
+	target := d.ring.WithShard(id)
 	var queue []migEntry
+	d.scanReplicaKeys(target, id, func(key kv.Key, src int) {
+		queue = append(queue, migEntry{key: key, src: src, dests: []int{id}})
+	})
+	d.startMigration(&migration{target: target, queue: queue, removeID: -1, done: done})
+	return id, nil
+}
+
+// scanReplicaKeys calls add once for every key whose replica set on
+// ring includes shard id, naming the first other live, up shard (in id
+// order) that holds it. Writes fan out to all replicas, so scanning
+// every such shard's partitions finds each key; a membership set dedupes
+// the replicas holding the same one. Down shards are skipped: a crash
+// wipes their partitions, and a WAL replay may still be refilling them.
+func (d *Deployment) scanReplicaKeys(ring *Ring, id int, add func(key kv.Key, src int)) {
+	seen := make(map[kv.Key]struct{})
 	for _, src := range d.shards {
-		if !src.live || src.id == id {
+		if !src.live || src.id == id || src.srv.Down() {
 			continue
 		}
 		for p := 0; p < d.cfg.Herd.NS; p++ {
@@ -430,11 +429,10 @@ func (d *Deployment) AddShard(m *cluster.Machine, done func()) (int, error) {
 				if _, dup := seen[key]; dup {
 					return true
 				}
-				reps := target.Replicas(key, rf)
-				for _, rep := range reps {
+				for _, rep := range ring.Replicas(key, d.cfg.Replication) {
 					if rep == id {
 						seen[key] = struct{}{}
-						queue = append(queue, migEntry{key: key, src: src.id, dests: []int{id}})
+						add(key, src.id)
 						break
 					}
 				}
@@ -442,8 +440,6 @@ func (d *Deployment) AddShard(m *cluster.Machine, done func()) (int, error) {
 			})
 		}
 	}
-	d.startMigration(&migration{target: target, queue: queue, removeID: -1, done: done})
-	return id, nil
 }
 
 // RemoveShard drains shard id out of the fleet: its resident keys are
@@ -521,8 +517,8 @@ func (d *Deployment) migrationStep() {
 			if dst == e.src {
 				continue
 			}
-			// Preload is a control-plane insert; mica may still refuse
-			// (store-mode full), which migration treats like eviction.
+			// Preload is a control-plane insert; migration treats a
+			// refusal like eviction.
 			_ = d.shards[dst].srv.Preload(e.key, val)
 		}
 		d.migKeys.Inc()

@@ -391,7 +391,7 @@ func TestFleetValidation(t *testing.T) {
 	_ = cl
 	if cfg := (&Config{}); true {
 		cfg.setDefaults()
-		if cfg.Replication != 2 || cfg.VirtualNodes != 64 {
+		if cfg.Replication != 2 || cfg.MigrationBatch != 64 {
 			t.Fatalf("defaults: %+v", cfg)
 		}
 	}

@@ -126,9 +126,9 @@ func TestTimeoutStillSuspects(t *testing.T) {
 // threshold trips it open, reads steer away, the cooldown admits one
 // half-open probe, a busy probe re-opens, and a served probe closes.
 func TestBreakerStateMachine(t *testing.T) {
-	cl, d, clients := newFleet(t, 2, 1, 13)
+	cl, _, clients := newFleet(t, 2, 1, 13)
 	c := clients[0]
-	th := d.cfg.BreakerThreshold
+	th := breakerThreshold
 
 	for i := 0; i < th-1; i++ {
 		c.noteBusy(0)
@@ -152,7 +152,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Advance past the cooldown; the shard becomes probe-eligible.
 	fired := false
-	cl.Eng.After(d.cfg.BreakerCooldown+sim.Microsecond, func() { fired = true })
+	cl.Eng.After(breakerCooldown+sim.Microsecond, func() { fired = true })
 	cl.Eng.Run()
 	if !fired {
 		t.Fatal("engine did not advance")
@@ -175,7 +175,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 	fired = false
-	cl.Eng.After(d.cfg.BreakerCooldown+sim.Microsecond, func() { fired = true })
+	cl.Eng.After(breakerCooldown+sim.Microsecond, func() { fired = true })
 	cl.Eng.Run()
 	if !fired {
 		t.Fatal("engine did not advance")

@@ -121,31 +121,13 @@ func (d *Deployment) deltaQueue(sh *shard, since sim.Time) []recEntry {
 }
 
 // fullQueue builds a cold rejoin's catch-up: every key whose replica
-// set includes the shard, found by scanning each survivor's partitions
-// (the AddShard population scan, aimed at an old member).
+// set includes the shard (the AddShard population scan, aimed at an old
+// member).
 func (d *Deployment) fullQueue(sh *shard) []recEntry {
-	seen := make(map[kv.Key]struct{})
 	var queue []recEntry
-	for _, src := range d.shards {
-		if !src.live || src.id == sh.id || src.srv.Down() {
-			continue
-		}
-		for p := 0; p < d.cfg.Herd.NS; p++ {
-			src.srv.Partition(p).Range(func(key mica.Key, _ []byte) bool {
-				if _, dup := seen[key]; dup {
-					return true
-				}
-				for _, rep := range d.Replicas(key) {
-					if rep == sh.id {
-						seen[key] = struct{}{}
-						queue = append(queue, recEntry{key: key, src: src.id})
-						break
-					}
-				}
-				return true
-			})
-		}
-	}
+	d.scanReplicaKeys(d.ring, sh.id, func(key kv.Key, src int) {
+		queue = append(queue, recEntry{key: key, src: src})
+	})
 	return queue
 }
 

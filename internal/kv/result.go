@@ -24,8 +24,7 @@ const (
 	// removed a present key.
 	StatusHit
 	// StatusMiss: the operation was served but the key was absent (GET
-	// miss, DELETE of a missing key) or the store rejected the update
-	// (full store-mode partition).
+	// miss, DELETE of a missing key) or the store refused the update.
 	StatusMiss
 	// StatusTimeout: the operation failed terminally after exhausting
 	// its retry budget — the server is crashed, partitioned away, or

@@ -25,7 +25,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Cache.bucketOf": func() { _, _ = c.bucketOf(h) },
 		"Cache.entryAt":  func() { _, _ = c.entryAt(0, key) },
 		"Cache.Get":      func() { _, _ = c.Get(key) },
-		"Cache.append":   func() { _, _ = c.append(key, val) },
+		"Cache.append":   func() { _ = c.append(key, val) },
 		"Cache.Put":      func() { _ = c.Put(key, val) },
 		"Cache.Delete":   func() { _ = c.Delete(key) },
 	})

@@ -48,27 +48,6 @@ func hash64(k Key) uint64 { return k.Hash64(bucketSeed) }
 var (
 	ErrValueTooLarge = errors.New("mica: value exceeds maximum size")
 	ErrZeroKey       = errors.New("mica: zero keyhash is reserved")
-	// ErrIndexFull is returned in store mode when a bucket has no free
-	// slot (store mode never evicts).
-	ErrIndexFull = errors.New("mica: index bucket full (store mode)")
-	// ErrLogFull is returned in store mode when the log is exhausted
-	// (store mode never overwrites live entries).
-	ErrLogFull = errors.New("mica: log full (store mode)")
-)
-
-// Mode selects cache or store semantics (MICA provides both; HERD uses
-// cache mode, Section 2.1).
-type Mode int
-
-// Semantics modes.
-const (
-	// CacheMode may evict: full buckets displace their oldest slot and
-	// the circular log overwrites FIFO. An acknowledged key can
-	// disappear.
-	CacheMode Mode = iota
-	// StoreMode never loses an acknowledged key: full buckets and a
-	// full log reject the PUT instead.
-	StoreMode
 )
 
 // Config sizes a cache partition.
@@ -80,8 +59,6 @@ type Config struct {
 	BucketSlots int
 	// LogBytes is the circular log capacity.
 	LogBytes int
-	// Mode selects cache (default) or store semantics.
-	Mode Mode
 }
 
 // DefaultConfig mirrors the paper's per-process sizing (64 Mi keys,
@@ -221,11 +198,9 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 }
 
 // append writes an entry for key/value and returns its monotonic offset.
-// In store mode the log is append-only and returns ErrLogFull instead of
-// wrapping over live data.
 //
 //herd:hotpath
-func (c *Cache) append(key Key, value []byte) (uint64, error) {
+func (c *Cache) append(key Key, value []byte) uint64 {
 	size := uint64(len(c.log))
 	need := uint64(entryHeader + len(value))
 	pos := c.head % size
@@ -235,9 +210,6 @@ func (c *Cache) append(key Key, value []byte) (uint64, error) {
 		skip = size - pos
 		pos = 0
 	}
-	if c.cfg.Mode == StoreMode && c.head+skip+need > size {
-		return 0, ErrLogFull
-	}
 	c.head += skip
 	off := c.head
 	copy(c.log[pos:], key[:])
@@ -245,7 +217,7 @@ func (c *Cache) append(key Key, value []byte) (uint64, error) {
 	copy(c.log[pos+entryHeader:], value)
 	c.head += need
 	c.stats.SequentialAppends++
-	return off, nil
+	return off
 }
 
 // Put inserts or updates key with value. Inserting into a full bucket
@@ -285,20 +257,14 @@ func (c *Cache) Put(key Key, value []byte) error {
 			}
 		}
 	}
-	if c.cfg.Mode == StoreMode && match < 0 && free < 0 {
-		return ErrIndexFull // store mode never evicts
-	}
-	off, err := c.append(key, value)
-	if err != nil {
-		return err
-	}
+	off := c.append(key, value)
 	switch {
 	case match >= 0:
 		c.slots[base+match].off = off
 	case free >= 0:
 		c.slots[base+free] = slot{used: true, tag: tag, off: off}
 	default:
-		// Full bucket: evict FIFO (lossy index, cache mode only).
+		// Full bucket: evict FIFO (the lossy index).
 		v := int(c.fifoPos[base/c.cfg.BucketSlots]) % c.cfg.BucketSlots
 		c.fifoPos[base/c.cfg.BucketSlots]++
 		c.slots[base+v] = slot{used: true, tag: tag, off: off}

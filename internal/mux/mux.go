@@ -44,9 +44,6 @@ import (
 	"herdkv/internal/telemetry"
 )
 
-// ErrChannelLimit is returned by OpenChannel past Config.MaxChannels.
-var ErrChannelLimit = errors.New("mux: endpoint channel limit reached")
-
 // PoolClient is what the endpoint needs from a pooled transport client:
 // the unified kv.KV operations plus the client's current effective
 // request window (which core's AIMD controller may shrink at runtime).
@@ -66,8 +63,6 @@ type Config struct {
 	// (default 4, mirroring HERD's per-client window W). Submissions
 	// beyond it queue in the channel until completions free slots.
 	ChannelWindow int
-	// MaxChannels bounds OpenChannel (0 = unbounded).
-	MaxChannels int
 }
 
 func (c Config) withDefaults() Config {
@@ -162,11 +157,9 @@ func Connect(srv *core.Server, m *cluster.Machine, cfg Config) (*Endpoint, error
 
 // OpenChannel registers a new logical client channel and returns it.
 // The channel implements kv.KV; its id is the vcid heading every
-// submission-queue entry the channel produces.
+// submission-queue entry the channel produces. An endpoint holds any
+// number of channels, so the error is always nil.
 func (ep *Endpoint) OpenChannel() (*Channel, error) {
-	if ep.cfg.MaxChannels > 0 && len(ep.channels) >= ep.cfg.MaxChannels {
-		return nil, ErrChannelLimit
-	}
 	ch := &Channel{ep: ep, id: len(ep.channels)}
 	ep.channels = append(ep.channels, ch)
 	ep.telChannels.Add(1)

@@ -291,28 +291,15 @@ func TestMuxValidationAndLimits(t *testing.T) {
 	}
 
 	def := DefaultConfig()
-	if def.QPs != 2 || def.ChannelWindow != 4 || def.MaxChannels != 0 {
+	if def.QPs != 2 || def.ChannelWindow != 4 {
 		t.Fatalf("defaults = %+v", def)
 	}
 
-	ep := newFakeEndpoint(t, &fakeClient{window: 4}, Config{MaxChannels: 2})
-	if ep.Config().QPs != 2 || ep.Config().ChannelWindow != 4 {
+	ep := newFakeEndpoint(t, &fakeClient{window: 4}, Config{})
+	if ep.Config() != def {
 		t.Fatalf("withDefaults not applied: %+v", ep.Config())
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := ep.OpenChannel(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ep.OpenChannel(); err != ErrChannelLimit {
-		t.Fatalf("third channel: err = %v, want ErrChannelLimit", err)
-	}
-	if ep.Channels() != 2 {
-		t.Fatalf("Channels() = %d, want 2", ep.Channels())
-	}
-
-	ep2 := newFakeEndpoint(t, &fakeClient{window: 4}, Config{})
-	ch, err := ep2.OpenChannel()
+	ch, err := ep.OpenChannel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +319,7 @@ func TestMuxValidationAndLimits(t *testing.T) {
 	if err := ch.Put(kv.FromUint64(1), make([]byte, mica.MaxValueSize+1), nil); err != mica.ErrValueTooLarge {
 		t.Fatalf("oversize PUT: %v", err)
 	}
-	if ch.Inflight() != 0 || ep2.Issued() != 0 {
+	if ch.Inflight() != 0 || ep.Issued() != 0 {
 		t.Fatal("rejected ops leaked into accounting")
 	}
 }
