@@ -42,9 +42,10 @@ bench-check:
 
 # Paper-figure benchmarks, plus the simulator substrate's per-event
 # microbenchmarks (engine schedule+step, Server job, PIO write, packet
-# send), which report allocs/op and should all read 0.
+# send) and the MICA index's Get/Put, which report allocs/op and should
+# all read 0.
 microbench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/
 
 # Non-test Go lines per package, so a change that deletes code can
 # report before/after counts (run it on both commits and diff).

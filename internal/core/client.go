@@ -139,6 +139,10 @@ type Client struct {
 	opFree    []*pendingOp
 	timerFree []*opTimer
 
+	// vals backs GET-hit values: each is cut from a shared block and
+	// handed to one callback (kv.Slab), so a hit allocates nothing.
+	vals kv.Slab
+
 	issued, completed, retried uint64
 	dupResponses               uint64
 	failed                     uint64 // terminal retry-budget failures
@@ -975,7 +979,7 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 	if op.kind == opGet && res.Status == kv.StatusHit {
 		vlen := int(binary.LittleEndian.Uint16(comp.Data[1:3]))
 		if respHdr+vlen <= len(comp.Data) {
-			res.Value = append([]byte(nil), comp.Data[respHdr:respHdr+vlen]...)
+			res.Value = c.vals.Copy(comp.Data[respHdr : respHdr+vlen])
 			// A lease-granting server appends the absolute expiry after
 			// the value (Config.LeaseTTL). A short frame (corruption
 			// injection truncating the tail) leaves Lease zero — "no

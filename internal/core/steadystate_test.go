@@ -9,10 +9,11 @@ import (
 )
 
 // TestSteadyStateAllocs pins HERD's per-operation allocation budget on
-// a warm closed loop: a GET hit allocates its Result.Value (the
-// caller's copy, by kv.KV's ownership contract) and nothing else, and a
-// PUT allocates nothing — the client's op and timer records, the
-// server's serve records and every verb record are pooled.
+// a warm closed loop: a GET hit's Result.Value (the caller's copy, by
+// kv.KV's ownership contract) is cut from the client's value slab, so
+// GETs allocate only a slab refill per 4 KiB of values, and a PUT
+// allocates nothing — the client's op and timer records, the server's
+// serve records and every verb record are pooled.
 func TestSteadyStateAllocs(t *testing.T) {
 	cfg := smallConfig()
 	cfg.RetryTimeout = 12 * sim.Microsecond // every op arms (and outlives) a retry timer
@@ -35,8 +36,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got.Hits != got.Gets || got.Failed != 0 {
 		t.Fatalf("%+v: want every GET a hit and no failures", got)
 	}
-	if budget := uint64(got.Hits) + kvtest.AllocNoise; got.Mallocs > budget {
-		t.Fatalf("%d allocations over %d GET hits and %d PUTs, budget %d (1 per hit, 0 per PUT, plus runtime noise)",
+	if budget := kvtest.SlabRefills(got.Hits, len(value), len(clients)) + kvtest.AllocNoise; got.Mallocs > budget {
+		t.Fatalf("%d allocations over %d GET hits and %d PUTs, budget %d (slab refills only, plus runtime noise)",
 			got.Mallocs, got.Hits, got.Puts, budget)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
 	"herdkv/internal/fault"
-	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
@@ -61,12 +60,7 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 	if err != nil {
 		panic(err)
 	}
-	for k := uint64(0); k < keys; k++ {
-		key := kv.FromUint64(k)
-		if err := srv.Preload(key, workload.ExpectedValue(key, valueSize)); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(keys, valueSize, srv.Preload)
 	if inj := cl.Faults(); inj != nil {
 		inj.SetCrashTarget(0, srv)
 		inj.Arm()
@@ -125,7 +119,7 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 			if op.IsGet {
 				c.Get(op.Key, fin)
 			} else {
-				c.Put(op.Key, workload.ExpectedValue(op.Key, valueSize), fin)
+				c.Put(op.Key, gen.Value(op.Key), fin)
 			}
 		}
 		stagger := sim.Time(i) * sim.Microsecond

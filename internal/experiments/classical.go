@@ -81,14 +81,10 @@ func classicalKV(serverCores int) (float64, sim.Time) {
 	}
 	cache := mica.New(mica.Config{IndexBuckets: 1 << 12, BucketSlots: 8, LogBytes: 1 << 22})
 	keys := uint64(4096)
-	for k := uint64(0); k < keys; k++ {
-		key := kv.FromUint64(k)
-		if err := cache.Put(key, workload.ExpectedValue(key, 32)); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(keys, 32, cache.Put)
 
 	var served uint64
+	var val []byte // mica's Put copies, so one buffer serves every PUT
 	nextCore := 0
 	// serve runs the whole server-side path for one request and replies.
 	serve := func(client wire.NodeID, isGet bool, key kv.Key, reply func()) {
@@ -99,7 +95,8 @@ func classicalKV(serverCores int) (float64, sim.Time) {
 			if isGet {
 				cache.Get(key)
 			} else {
-				cache.Put(key, workload.ExpectedValue(key, 32))
+				val = workload.AppendExpectedValue(val[:0], key, 32)
+				cache.Put(key, val)
 			}
 			served++
 			net.Send(0, client, wire.UD, 37, func(sim.Time) { reply() })

@@ -83,7 +83,7 @@ func runCPUUse(cfg e2eConfig) cpuUseResult {
 					done()
 				}))
 			} else {
-				mustPost(c.Put(op.Key, valFor(cfg, op), func(kv.Result) {
+				mustPost(c.Put(op.Key, gen.Value(op.Key), func(kv.Result) {
 					completed++
 					clientBusy += perOp(false)
 					done()
@@ -133,9 +133,4 @@ func newGenFor(cfg e2eConfig, i int) *workload.Generator {
 		ValueSize:   cfg.valueSize,
 		Seed:        cfg.seed + int64(i)*1000,
 	})
-}
-
-// valFor returns the deterministic value written for op's key.
-func valFor(cfg e2eConfig, op workload.Op) []byte {
-	return workload.ExpectedValue(op.Key, cfg.valueSize)
 }

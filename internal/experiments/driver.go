@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"herdkv/internal/cluster"
+	"herdkv/internal/kv"
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
+	"herdkv/internal/workload"
 )
 
 // Measurement windows. Experiments warm up (filling pipelines and
@@ -32,6 +34,22 @@ func pump(window int, issue func(done func())) (stop func()) {
 		loop()
 	}
 	return func() { stopped = true }
+}
+
+// preloadKeys inserts keys 0..n-1, each with its
+// workload.ExpectedValue of size bytes, and panics on a refused insert.
+// Every insert path copies the value before it returns (core and fleet
+// Preload, the Pilaf/FaRM Insert, mica's Put), so one buffer serves
+// the whole keyspace.
+func preloadKeys(n uint64, size int, insert func(kv.Key, []byte) error) {
+	var val []byte
+	for k := uint64(0); k < n; k++ {
+		key := kv.FromUint64(k)
+		val = workload.AppendExpectedValue(val[:0], key, size)
+		if err := insert(key, val); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // measureMops runs the engine through warmup then Span, reading counter

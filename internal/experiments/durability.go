@@ -89,12 +89,7 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 	if err != nil {
 		panic(err)
 	}
-	for k := uint64(0); k < keys; k++ {
-		key := kv.FromUint64(k)
-		if err := d.Preload(key, workload.ExpectedValue(key, valueSize)); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(keys, valueSize, d.Preload)
 	if inj := cl.Faults(); inj != nil {
 		d.RegisterCrashTargets(inj)
 		inj.Arm()
@@ -134,7 +129,7 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 			if op.IsGet {
 				c.Get(op.Key, fin)
 			} else {
-				c.Put(op.Key, workload.ExpectedValue(op.Key, valueSize), fin)
+				c.Put(op.Key, gen.Value(op.Key), fin)
 			}
 		}
 		stagger := sim.Time(i) * sim.Microsecond
@@ -186,9 +181,10 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 	// (shard 0, the flushcrash target) must hold its full replica share
 	// again.
 	lost, missing := 0, 0
+	var want []byte
 	for k := uint64(0); k < keys; k++ {
 		key := kv.FromUint64(k)
-		want := workload.ExpectedValue(key, valueSize)
+		want = workload.AppendExpectedValue(want[:0], key, valueSize)
 		part := mica.Partition(key, fcfg.Herd.NS)
 		found, onZero := false, false
 		for _, id := range d.Replicas(key) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"herdkv/internal/cluster"
@@ -11,7 +12,6 @@ import (
 	"herdkv/internal/pilaf"
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
-	"herdkv/internal/workload"
 )
 
 // System names compared in the end-to-end experiments.
@@ -99,12 +99,7 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 		if err != nil {
 			panic(err)
 		}
-		for k := uint64(0); k < cfg.keys; k++ {
-			key := kv.FromUint64(k)
-			if err := srv.Preload(key, workload.ExpectedValue(key, cfg.valueSize)); err != nil {
-				panic(err)
-			}
-		}
+		preloadKeys(cfg.keys, cfg.valueSize, srv.Preload)
 		for i := range clients {
 			c, err := srv.ConnectClient(clientMachine(i))
 			if err != nil {
@@ -132,12 +127,7 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 		if err != nil {
 			panic(err)
 		}
-		for k := uint64(0); k < cfg.keys; k++ {
-			key := kv.FromUint64(k)
-			if err := srv.Insert(key, workload.ExpectedValue(key, cfg.valueSize)); err != nil {
-				panic(err)
-			}
-		}
+		preloadKeys(cfg.keys, cfg.valueSize, srv.Insert)
 		for i := range clients {
 			c, err := srv.ConnectClient(clientMachine(i))
 			if err != nil {
@@ -162,12 +152,7 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 		if err != nil {
 			panic(err)
 		}
-		for k := uint64(0); k < cfg.keys; k++ {
-			key := kv.FromUint64(k)
-			if err := srv.Insert(key, workload.ExpectedValue(key, cfg.valueSize)); err != nil {
-				panic(err)
-			}
-		}
+		preloadKeys(cfg.keys, cfg.valueSize, srv.Insert)
 		for i := range clients {
 			c, err := srv.ConnectClient(clientMachine(i))
 			if err != nil {
@@ -197,13 +182,7 @@ func runE2E(cfg e2eConfig) e2eResult {
 	stagger := 40 * sim.Microsecond / sim.Time(len(clients)+1)
 	for i, c := range clients {
 		i, c := i, c
-		gen := workload.NewGenerator(workload.Config{
-			GetFraction: cfg.getFraction,
-			Keys:        cfg.keys,
-			ZipfTheta:   ternary(cfg.zipf, 0.99, 0),
-			ValueSize:   cfg.valueSize,
-			Seed:        cfg.seed + int64(i)*1000,
-		})
+		gen := newGenFor(cfg, i)
 		nop := 0
 		issue := func(done func()) {
 			op := gen.Next()
@@ -220,16 +199,15 @@ func runE2E(cfg e2eConfig) e2eResult {
 						}
 					}
 					if verify && r.Status == kv.StatusHit {
-						want := workload.ExpectedValue(op.Key, cfg.valueSize)
-						if string(r.Value) != string(want) {
+						if !bytes.Equal(r.Value, gen.Value(op.Key)) {
 							verifyErr++
 						}
 					}
 					done()
 				}))
 			} else {
-				val := workload.ExpectedValue(op.Key, cfg.valueSize)
-				mustPost(c.Put(op.Key, val, func(r kv.Result) {
+				// gen.Value reuses one buffer; Put copies it.
+				mustPost(c.Put(op.Key, gen.Value(op.Key), func(r kv.Result) {
 					completed++
 					if measuring {
 						rec.Record(r.Latency)

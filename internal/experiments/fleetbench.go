@@ -56,7 +56,7 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 				if op.IsGet {
 					mustPost(c.Get(op.Key, fin))
 				} else {
-					mustPost(c.Put(op.Key, workload.ExpectedValue(op.Key, valueSize), fin))
+					mustPost(c.Put(op.Key, gen.Value(op.Key), fin))
 				}
 			}
 			cl.Eng.At(sim.Time(i)*sim.Microsecond, func() { pump(4, issue) })
@@ -70,15 +70,6 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		return mops
 	}
 
-	preload := func(insert func(kv.Key, []byte) error) {
-		for k := uint64(0); k < keys; k++ {
-			key := kv.FromUint64(k)
-			if err := insert(key, workload.ExpectedValue(key, valueSize)); err != nil {
-				panic(err)
-			}
-		}
-	}
-
 	// The single server gets enough load to sit at its ceiling; the
 	// 4-shard deployments get 4x that, so each measures aggregate
 	// capacity rather than offered load.
@@ -89,7 +80,7 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		if err != nil {
 			panic(err)
 		}
-		preload(srv.Preload)
+		preloadKeys(keys, valueSize, srv.Preload)
 		clients := make([]kv.KV, nClients)
 		for i := range clients {
 			c, err := srv.ConnectClient(cl.Machine(1 + i))
@@ -116,7 +107,7 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		if err != nil {
 			panic(err)
 		}
-		preload(d.Preload)
+		preloadKeys(keys, valueSize, d.Preload)
 		clients := make([]kv.KV, nClients)
 		for i := range clients {
 			c, err := d.ConnectClient(cl.Machine(fleetBenchShards + i))
@@ -137,7 +128,7 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		if err != nil {
 			panic(err)
 		}
-		preload(d.Preload)
+		preloadKeys(keys, valueSize, d.Preload)
 		clients := make([]kv.KV, nClients)
 		for i := range clients {
 			c, err := d.ConnectClient(cl.Machine(fleetBenchShards + i))

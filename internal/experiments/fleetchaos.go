@@ -59,12 +59,7 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 	if err != nil {
 		panic(err)
 	}
-	for k := uint64(0); k < keys; k++ {
-		key := kv.FromUint64(k)
-		if err := d.Preload(key, workload.ExpectedValue(key, valueSize)); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(keys, valueSize, d.Preload)
 	if inj := cl.Faults(); inj != nil {
 		d.RegisterCrashTargets(inj)
 		inj.Arm()
@@ -123,7 +118,7 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 			if op.IsGet {
 				c.Get(op.Key, fin)
 			} else {
-				c.Put(op.Key, workload.ExpectedValue(op.Key, valueSize), fin)
+				c.Put(op.Key, gen.Value(op.Key), fin)
 			}
 		}
 		stagger := sim.Time(i) * sim.Microsecond

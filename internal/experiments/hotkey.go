@@ -75,12 +75,7 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 		if err != nil {
 			panic(err)
 		}
-		for k := uint64(0); k < hotkeyKeys; k++ {
-			key := kv.FromUint64(k)
-			if err := d.Preload(key, workload.ExpectedValue(key, hotkeyValueSize)); err != nil {
-				panic(err)
-			}
-		}
+		preloadKeys(hotkeyKeys, hotkeyValueSize, d.Preload)
 		tel := telemetry.New()
 		fleetClients := make([]*fleet.Client, hotkeyClients)
 		clients := make([]kv.KV, hotkeyClients)
@@ -112,7 +107,7 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 				if op.IsGet {
 					mustPost(c.Get(op.Key, fin))
 				} else {
-					mustPost(c.Put(op.Key, workload.ExpectedValue(op.Key, hotkeyValueSize), fin))
+					mustPost(c.Put(op.Key, gen.Value(op.Key), fin))
 				}
 			}
 			cl.Eng.At(sim.Time(i)*sim.Microsecond, func() { pump(4, issue) })

@@ -6,7 +6,6 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
 	"herdkv/internal/farm"
-	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
 	"herdkv/internal/workload"
@@ -51,12 +50,7 @@ func symmetricFarmPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64)
 	if err != nil {
 		panic(err)
 	}
-	for k := uint64(0); k < symKeys; k++ {
-		key := kv.FromUint64(k)
-		if err := sym.Preload(key, workload.ExpectedValue(key, 32)); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(symKeys, 32, sym.Preload)
 	var completed uint64
 	for m := 0; m < n; m++ {
 		m := m
@@ -66,7 +60,7 @@ func symmetricFarmPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64)
 			if op.IsGet {
 				sym.Get(m, op.Key, func(farm.Result) { completed++; done() })
 			} else {
-				sym.Put(m, op.Key, workload.ExpectedValue(op.Key, 32),
+				sym.Put(m, op.Key, gen.Value(op.Key),
 					func(farm.Result) { completed++; done() })
 			}
 		})
@@ -108,12 +102,7 @@ func herdPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64) {
 	if err != nil {
 		panic(err)
 	}
-	for k := uint64(0); k < symKeys; k++ {
-		key := kv.FromUint64(k)
-		if err := srv.Preload(key, workload.ExpectedValue(key, 32)); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(symKeys, 32, srv.Preload)
 	var completed uint64
 	for i := 0; i < nClients; i++ {
 		c, err := srv.ConnectClient(cl.Machine(1 + i/3))
@@ -126,7 +115,7 @@ func herdPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64) {
 			if op.IsGet {
 				c.Get(op.Key, func(core.Result) { completed++; done() })
 			} else {
-				c.Put(op.Key, workload.ExpectedValue(op.Key, 32),
+				c.Put(op.Key, gen.Value(op.Key),
 					func(core.Result) { completed++; done() })
 			}
 		})

@@ -18,6 +18,17 @@ type Queue[T any] struct {
 	n    int
 }
 
+// Init hands ring, whose length must be a power of two, to a queue
+// that has never held storage, so its first pushes need not allocate.
+// A caller holding many queues can cut their first slots from one
+// block.
+func (q *Queue[T]) Init(ring []T) {
+	if q.n != 0 || q.buf != nil || len(ring)&(len(ring)-1) != 0 {
+		panic("fifo: Init needs an empty, unused queue and a power-of-two ring")
+	}
+	q.buf = ring
+}
+
 // Len reports the number of queued values.
 //
 //herd:hotpath

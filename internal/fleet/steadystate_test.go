@@ -10,9 +10,10 @@ import (
 )
 
 // TestSteadyStateAllocs pins the versioned fleet's per-operation
-// allocation budget on a warm closed loop over a group-commit WAL: a
-// GET allocates only the R replica values core copies out for it (the
-// winner's is handed to the caller as it is), and a PUT allocates
+// allocation budget on a warm closed loop over a group-commit WAL: the
+// R replica values core copies out for a GET are cut from the
+// sub-clients' value slabs (the winner's is handed to the caller as it
+// is), so GETs allocate only slab refills, and a PUT allocates
 // nothing — the op record, its per-replica callbacks and stamp buffer,
 // the precomputed replica sets, and the WAL's pending buffer and flight
 // records are all reused. Snapshot compaction, a periodic background
@@ -41,9 +42,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	keys := make([]kv.Key, 64)
 	value := []byte("steady-state value")
+	stored := stampedValue(0, 0, string(value))
 	for i := range keys {
 		keys[i] = kv.FromUint64(uint64(i) + 1)
-		if err := d.Preload(keys[i], stampedValue(0, 0, string(value))); err != nil {
+		if err := d.Preload(keys[i], stored); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,8 +55,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got.Hits != got.Gets || got.Failed != 0 {
 		t.Fatalf("%+v: want every GET a hit and no failures", got)
 	}
-	if budget := uint64(r*got.Gets) + kvtest.AllocNoise; got.Mallocs > budget {
-		t.Fatalf("%d allocations over %d GETs and %d PUTs, budget %d (%d per GET, 0 per PUT, plus runtime noise)",
-			got.Mallocs, got.Gets, got.Puts, budget, r)
+	if budget := kvtest.SlabRefills(r*got.Gets, len(stored), clients*shards) + kvtest.AllocNoise; got.Mallocs > budget {
+		t.Fatalf("%d allocations over %d GETs and %d PUTs, budget %d (slab refills only, plus runtime noise)",
+			got.Mallocs, got.Gets, got.Puts, budget)
 	}
 }

@@ -289,6 +289,75 @@ func bufferOwnership(t *testing.T, h Harness) {
 	if second.Status != kv.StatusHit || !bytes.Equal(second.Value, want) {
 		t.Fatalf("GET after mutating a hit's Value = %v (%q), want the stored value unchanged", second.Status, second.Value)
 	}
+	neighbourValues(t, h)
+}
+
+// neighbourValues checks the ownership rule across results: hits that
+// resolve back to back (which a backend may cut from one shared block)
+// are separate values, so writing into one or appending to one leaves
+// every other unchanged.
+func neighbourValues(t *testing.T, h Harness) {
+	const n = 4
+	keys := make([]kv.Key, n)
+	want := make([][]byte, n)
+	stored := 0
+	for i := range keys {
+		keys[i] = kv.FromUint64(uint64(40 + i))
+		want[i] = h.value(byte('A' + 16*i))
+		if err := h.KV.Put(keys[i], want[i], func(r kv.Result) {
+			if r.Err == nil {
+				stored++
+			}
+		}); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	h.Run()
+	if stored != n {
+		if h.AllowFailures {
+			return
+		}
+		t.Fatalf("stored %d of %d keys", stored, n)
+	}
+	got := make([]*kv.Result, n)
+	for round := 0; round < 2; round++ {
+		for i := range keys {
+			i := i
+			if err := h.KV.Get(keys[i], func(r kv.Result) { got[i] = &r }); err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+		}
+		h.Run()
+		if h.anyFailed(t, got...) {
+			return
+		}
+		for i, r := range got {
+			if r == nil || r.Status != kv.StatusHit || !bytes.Equal(r.Value, want[i]) {
+				t.Fatalf("round %d: GET %d = %+v, want a hit with its stored value", round, i, r)
+			}
+		}
+		// Round 0 grows each value in turn, round 1 scribbles over each;
+		// after each write, every other value must read as before.
+		expect := make([][]byte, n)
+		for i, r := range got {
+			expect[i] = append([]byte(nil), r.Value...)
+		}
+		for i, r := range got {
+			if round == 0 {
+				r.Value = append(r.Value, "-appended-past-the-end"...)
+			} else {
+				for j := range r.Value {
+					r.Value[j] = '#'
+				}
+			}
+			expect[i] = append([]byte(nil), r.Value...)
+			for j, o := range got {
+				if !bytes.Equal(o.Value, expect[j]) {
+					t.Fatalf("round %d: value %d = %q after value %d was written, want %q", round, j, o.Value, i, expect[j])
+				}
+			}
+		}
+	}
 }
 
 func zeroKeyRejected(t *testing.T, h Harness) {

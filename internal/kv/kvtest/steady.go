@@ -30,6 +30,14 @@ type Mix struct {
 // regression of 0.02 still exceeds it.
 const AllocNoise = 128
 
+// SlabRefills bounds the allocations behind n GET-hit values of size
+// bytes spread over slabs kv.Slab values: a block holds at least
+// SlabSize/size values, and each slab may refill once more for a block
+// it left partly used.
+func SlabRefills(n, size, slabs int) uint64 {
+	return uint64(n/(kv.SlabSize/size) + slabs)
+}
+
 // Counts tallies the operations of one measured run and the heap
 // allocations (runtime.MemStats.Mallocs) made while they ran.
 type Counts struct {

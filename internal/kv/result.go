@@ -98,8 +98,12 @@ type Result struct {
 // may reuse or overwrite the buffer at once, and layers above may pass
 // pooled buffers down. A Result's Value belongs to the callback that
 // receives it: the callback may keep or modify it, and no backend or
-// cache retains a reference to it. The conformance suite
-// (internal/kv/kvtest) checks both rules for every backend.
+// cache retains a reference to it. A backend may cut values from a
+// shared block (Slab) rather than allocate each one: every value is
+// cut once and capacity-clipped, so writing into it or appending to it
+// reaches no other value, but a value the callback keeps pins its whole
+// 4 KiB block. The conformance suite (internal/kv/kvtest) checks these
+// rules for every backend.
 type KV interface {
 	// Get fetches key; cb receives a hit with the value, or a miss.
 	Get(key Key, cb func(Result)) error

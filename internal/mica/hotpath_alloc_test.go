@@ -19,9 +19,14 @@ func TestHotpathAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := hash64(key)
+	s := makeSlot(7, 42)
 	hotgate.Check(t, ".", map[string]func(){
 		"hash64":         func() { _ = hash64(key) },
 		"Partition":      func() { _ = Partition(key, 6) },
+		"makeSlot":       func() { _ = makeSlot(7, 42) },
+		"slot.used":      func() { _ = s.used() },
+		"slot.tag":       func() { _ = s.tag() },
+		"slot.off":       func() { _ = s.off() },
 		"Cache.bucketOf": func() { _, _ = c.bucketOf(h) },
 		"Cache.entryAt":  func() { _, _ = c.entryAt(0, key) },
 		"Cache.Get":      func() { _, _ = c.Get(key) },

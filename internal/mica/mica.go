@@ -69,11 +69,37 @@ func DefaultConfig() Config {
 
 const entryHeader = KeySize + 2 // keyhash + value length
 
-type slot struct {
-	used bool
-	tag  uint16
-	off  uint64 // monotonic log offset of the entry
-}
+// slot is one index entry packed into 8 bytes, as in MICA: the top 16
+// bits hold the keyhash tag, the low 48 bits the entry's monotonic log
+// offset plus one, and zero means empty. A bucket of 8 slots is then
+// one 64-byte cache line. Offsets stay below 2^48-1: 256 TiB of
+// appends to one partition.
+type slot uint64
+
+const (
+	offBits = 48
+	offMask = 1<<offBits - 1
+)
+
+// makeSlot packs a used slot for tag and log offset off.
+//
+//herd:hotpath
+func makeSlot(tag uint16, off uint64) slot { return slot(tag)<<offBits | slot(off+1) }
+
+// used reports whether the slot holds an entry.
+//
+//herd:hotpath
+func (s slot) used() bool { return s != 0 }
+
+// tag returns a used slot's keyhash tag.
+//
+//herd:hotpath
+func (s slot) tag() uint16 { return uint16(s >> offBits) }
+
+// off returns a used slot's monotonic log offset.
+//
+//herd:hotpath
+func (s slot) off() uint64 { return uint64(s&offMask) - 1 }
 
 // Stats counts cache activity.
 type Stats struct {
@@ -176,16 +202,16 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 	c.stats.MemAccesses++ // bucket read
 	for i := 0; i < c.cfg.BucketSlots; i++ {
 		s := &c.slots[base+i]
-		if !s.used || s.tag != tag {
+		if !s.used() || s.tag() != tag {
 			continue
 		}
 		c.stats.MemAccesses++ // log entry read
-		v, ok := c.entryAt(s.off, key)
+		v, ok := c.entryAt(s.off(), key)
 		if !ok {
 			// Either overwritten by the circular log or a tag collision.
-			if c.head-s.off > uint64(len(c.log)) {
+			if c.head-s.off() > uint64(len(c.log)) {
 				c.stats.StaleIndexEntries++
-				s.used = false
+				*s = 0
 			} else {
 				c.stats.TagFalsePositives++
 			}
@@ -243,31 +269,31 @@ func (c *Cache) Put(key Key, value []byte) error {
 	// a tag would silently merge.
 	match, free := -1, -1
 	for i := 0; i < c.cfg.BucketSlots; i++ {
-		s := &c.slots[base+i]
-		if !s.used {
+		s := c.slots[base+i]
+		if !s.used() {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if s.tag == tag {
-			if _, same := c.entryAt(s.off, key); same {
+		if s.tag() == tag {
+			if _, same := c.entryAt(s.off(), key); same {
 				match = i
 				break
 			}
 		}
 	}
-	off := c.append(key, value)
+	s := makeSlot(tag, c.append(key, value))
 	switch {
 	case match >= 0:
-		c.slots[base+match].off = off
+		c.slots[base+match] = s
 	case free >= 0:
-		c.slots[base+free] = slot{used: true, tag: tag, off: off}
+		c.slots[base+free] = s
 	default:
 		// Full bucket: evict FIFO (the lossy index).
 		v := int(c.fifoPos[base/c.cfg.BucketSlots]) % c.cfg.BucketSlots
 		c.fifoPos[base/c.cfg.BucketSlots]++
-		c.slots[base+v] = slot{used: true, tag: tag, off: off}
+		c.slots[base+v] = s
 		c.stats.IndexEvictions++
 	}
 	return nil
@@ -286,9 +312,9 @@ func (c *Cache) Delete(key Key) bool {
 	c.stats.MemAccesses++
 	for i := 0; i < c.cfg.BucketSlots; i++ {
 		s := &c.slots[base+i]
-		if s.used && s.tag == tag {
-			if _, ok := c.entryAt(s.off, key); ok {
-				s.used = false
+		if s.used() && s.tag() == tag {
+			if _, ok := c.entryAt(s.off(), key); ok {
+				*s = 0
 				return true
 			}
 		}
@@ -303,15 +329,15 @@ func (c *Cache) Delete(key Key) bool {
 // walk for migration and diagnostics, not a data-path operation.
 func (c *Cache) Range(fn func(key Key, value []byte) bool) {
 	size := uint64(len(c.log))
-	for i := range c.slots {
-		s := &c.slots[i]
-		if !s.used {
+	for _, s := range c.slots {
+		if !s.used() {
 			continue
 		}
-		if s.off >= c.head || c.head-s.off > size {
+		off := s.off()
+		if off >= c.head || c.head-off > size {
 			continue // overwritten by log wraparound
 		}
-		pos := s.off % size
+		pos := off % size
 		if pos+entryHeader > size {
 			continue
 		}
@@ -321,7 +347,7 @@ func (c *Cache) Range(fn func(key Key, value []byte) bool) {
 			continue
 		}
 		vlen := uint64(binary.LittleEndian.Uint16(c.log[pos+KeySize : pos+entryHeader]))
-		if pos+entryHeader+vlen > size || c.head-s.off < entryHeader+vlen {
+		if pos+entryHeader+vlen > size || c.head-off < entryHeader+vlen {
 			continue
 		}
 		if !fn(key, c.log[pos+entryHeader:pos+entryHeader+vlen]) {

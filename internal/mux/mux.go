@@ -94,6 +94,11 @@ type Endpoint struct {
 	pumping bool
 	opFree  []*chanOp // recycled submission-queue entries
 
+	// rings is the unused rest of the block OpenChannel cuts each
+	// channel's first queue slot from, so a channel's first submission
+	// does not allocate: most channels never queue more than one op.
+	rings []*chanOp
+
 	issued, completed, failed uint64
 
 	tel          *telemetry.Sink
@@ -161,6 +166,13 @@ func Connect(srv *core.Server, m *cluster.Machine, cfg Config) (*Endpoint, error
 // number of channels, so the error is always nil.
 func (ep *Endpoint) OpenChannel() (*Channel, error) {
 	ch := &Channel{ep: ep, id: len(ep.channels)}
+	if len(ep.rings) == 0 {
+		// The block doubles with the channel count, so an endpoint's
+		// rings take a logarithmic number of allocations.
+		ep.rings = make([]*chanOp, max(64, len(ep.channels)))
+	}
+	ch.queue.Init(ep.rings[:1:1])
+	ep.rings = ep.rings[1:]
 	ep.channels = append(ep.channels, ch)
 	ep.telChannels.Add(1)
 	return ch, nil

@@ -117,8 +117,8 @@ type fill struct {
 //
 // Per-operation state lives in pooled records — fills, hit deliveries,
 // herd-wait timers, write-throughs — each returned to its pool exactly
-// once, so a steady read mix allocates only the caller's copy of each
-// hit's value.
+// once, and callers' copies of values are cut from a slab, so a steady
+// read mix allocates only a slab refill per 4 KiB of values served.
 type Cache struct {
 	inner kv.KV
 	clk   sim.Clock
@@ -133,6 +133,10 @@ type Cache struct {
 	hitFree   []*hit
 	waitFree  []*herdWait
 	writeFree []*writeThrough
+
+	// vals backs the values handed to callers: hit copies and herd
+	// waiters' copies of a shared fill (kv.Slab).
+	vals kv.Slab
 
 	inflight  int
 	issued    uint64
@@ -307,14 +311,15 @@ func (c *Cache) validity(r kv.Result) sim.Time {
 }
 
 // hitResult builds the Result a cached read serves. The value is
-// copied out of the entry — callers own their Result.Value, and the
-// resident copy must survive caller mutation.
+// copied out of the entry into the cache's value slab — callers own
+// their Result.Value, and the resident copy must survive caller
+// mutation.
 func (c *Cache) hitResult(e *entry) kv.Result {
 	return kv.Result{
 		Key:     e.key,
 		IsGet:   true,
 		Status:  kv.StatusHit,
-		Value:   append([]byte(nil), e.value...),
+		Value:   c.vals.Copy(e.value),
 		Latency: HitLatency,
 		Lease:   e.expires,
 	}
@@ -459,7 +464,7 @@ func (f *fill) onResult(r kv.Result) {
 		w.served = true
 		wr := r
 		if i != last && r.Value != nil {
-			wr.Value = append([]byte(nil), r.Value...)
+			wr.Value = c.vals.Copy(r.Value)
 		}
 		wr.Latency = now - w.start
 		c.deliver(wr, w.cb)

@@ -9,9 +9,10 @@ import (
 )
 
 // TestSteadyStateAllocs pins the near cache's per-hit allocation
-// budget on a warm closed loop over a HERD origin: a hit allocates only
-// the caller's copy of the value. The lookup, the LRU move and the
-// pooled delivery record allocate nothing.
+// budget on a warm closed loop over a HERD origin: the caller's copy of
+// each hit's value is cut from the cache's value slab, so hits allocate
+// only a slab refill per 4 KiB of values. The lookup, the LRU move and
+// the pooled delivery record allocate nothing.
 func TestSteadyStateAllocs(t *testing.T) {
 	cl, srv, _ := herdOrigin(t, 0)
 	cli, err := srv.ConnectClient(cl.Machine(1))
@@ -20,9 +21,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	c := New(cli, cl.Eng, nil, Config{TTL: sim.Second})
 	keys := make([]kv.Key, 64)
+	value := []byte("resident value")
 	for i := range keys {
 		keys[i] = k(uint64(i) + 1)
-		if err := srv.Preload(keys[i], []byte("resident value")); err != nil {
+		if err := srv.Preload(keys[i], value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,8 +34,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got.Hits != got.Gets || got.Failed != 0 || cli.Issued() != uint64(len(keys)) {
 		t.Fatalf("%+v after %d origin GETs: want every GET a hit, and one fill per key", got, cli.Issued())
 	}
-	if budget := uint64(got.Hits) + kvtest.AllocNoise; got.Mallocs > budget {
-		t.Fatalf("%d allocations over %d cached hits, budget %d (1 per hit, plus runtime noise)",
+	if budget := kvtest.SlabRefills(got.Hits, len(value), 1) + kvtest.AllocNoise; got.Mallocs > budget {
+		t.Fatalf("%d allocations over %d cached hits, budget %d (slab refills only, plus runtime noise)",
 			got.Mallocs, got.Hits, budget)
 	}
 }

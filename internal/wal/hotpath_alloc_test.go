@@ -27,7 +27,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		l.Append(r, nil)
 	}
 	l.pending, l.npending = l.pending[:0], 0
-	buf := make([]byte, 0, 4*encodedLen(len(r.Value)))
+	buf := make([]byte, 0, 4*len(appendRecord(nil, r)))
 
 	ceng := sim.New()
 	cl := New(ceng, testConfig(), nil)
@@ -41,7 +41,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		ceng.Run()
 	}
 	hotgate.Check(t, ".", map[string]func(){
-		"encodedLen":      func() { _ = encodedLen(100) },
 		"appendRecord":    func() { buf = appendRecord(buf[:0], r) },
 		"Log.Append":      func() { l.Append(r, nil) },
 		"Log.armTimer":    func() { l.armTimer() },

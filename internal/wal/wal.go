@@ -62,12 +62,6 @@ const (
 	recSum   = 4
 )
 
-// encodedLen returns the full framed size of a record with a vlen-byte
-// value.
-//
-//herd:hotpath
-func encodedLen(vlen int) int { return 2 + recFixed + vlen + recSum }
-
 // appendRecord encodes r onto buf. It allocates only when buf's
 // capacity runs out, so flush loops reusing a grown buffer are
 // allocation-free.
@@ -91,11 +85,12 @@ func appendRecord(buf []byte, r Record) []byte {
 	return append(buf, s[:]...)
 }
 
-// decodeAll walks an encoded stream and returns the records of its
-// longest clean prefix, that prefix's byte length, and how many
-// trailing bytes were torn (framed wrong, cut short, or failing the
-// checksum).
-func decodeAll(buf []byte) (recs []Record, clean int, torn int) {
+// walkFrames calls fn with each frame of buf's longest clean prefix, in
+// order, and returns that prefix's byte length. A frame is clean when
+// its length fits the stream, its checksum holds and its value length
+// agrees with its frame; the first frame that is not (framed wrong,
+// cut short, or damaged) ends the walk. Frames alias buf.
+func walkFrames(buf []byte, fn func(frame []byte)) (clean int) {
 	off := 0
 	for off+2 <= len(buf) {
 		payload := int(binary.LittleEndian.Uint16(buf[off : off+2]))
@@ -112,18 +107,60 @@ func decodeAll(buf []byte) (recs []Record, clean int, torn int) {
 		if vlen != payload-recFixed-recSum {
 			break
 		}
-		var r Record
-		r.Op = Op(body[0])
-		r.Epoch = int(binary.LittleEndian.Uint32(body[1:5]))
-		r.At = sim.Time(binary.LittleEndian.Uint64(body[5:13]))
-		copy(r.Key[:], body[13:13+kv.KeySize])
-		if vlen > 0 {
-			r.Value = append([]byte(nil), body[recFixed:recFixed+vlen]...)
-		}
-		recs = append(recs, r)
+		fn(buf[off:end])
 		off = end
 	}
-	return recs, off, len(buf) - off
+	return off
+}
+
+// frameAt reads a clean frame's append instant without decoding it.
+func frameAt(frame []byte) sim.Time {
+	return sim.Time(binary.LittleEndian.Uint64(frame[7:15]))
+}
+
+// decodeFrame decodes a clean frame, copying its value out.
+func decodeFrame(frame []byte) Record {
+	body := frame[2 : len(frame)-recSum]
+	r := Record{
+		Op:    Op(body[0]),
+		Epoch: int(binary.LittleEndian.Uint32(body[1:5])),
+		At:    sim.Time(binary.LittleEndian.Uint64(body[5:13])),
+	}
+	copy(r.Key[:], body[13:13+kv.KeySize])
+	if len(body) > recFixed {
+		r.Value = append([]byte(nil), body[recFixed:]...)
+	}
+	return r
+}
+
+// decodeAll decodes the records of buf's longest clean prefix, and
+// returns them with that prefix's byte length and how many trailing
+// bytes were torn.
+func decodeAll(buf []byte) (recs []Record, clean int, torn int) {
+	clean = walkFrames(buf, func(f []byte) { recs = append(recs, decodeFrame(f)) })
+	return recs, clean, len(buf) - clean
+}
+
+// framesAfter copies the frames of log appended after t, in log order,
+// into one buffer of exactly their size (nil when none are). Frames are
+// copied as they are: re-encoding a decoded frame gives its bytes back.
+func framesAfter(log []byte, t sim.Time) []byte {
+	n := 0
+	walkFrames(log, func(f []byte) {
+		if frameAt(f) > t {
+			n += len(f)
+		}
+	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, 0, n)
+	walkFrames(log, func(f []byte) {
+		if frameAt(f) > t {
+			out = append(out, f...)
+		}
+	})
+	return out
 }
 
 // Config parameterizes the log's group commit and persist device.
@@ -506,15 +543,8 @@ func (l *Log) maybeSnapshot() {
 		// appended after takenAt (flushed while the snapshot was
 		// persisting, or pending then) survive as the new tail; replay
 		// order (snapshot, then tail) keeps last-writer-wins intact.
-		recs, _, _ := decodeAll(l.durable)
-		var tail []byte
-		for _, r := range recs {
-			if r.At > takenAt {
-				tail = appendRecord(tail, r)
-			}
-		}
-		l.durable = tail
-		l.snapBase = len(tail)
+		l.durable = framesAfter(l.durable, takenAt)
+		l.snapBase = len(l.durable)
 		if l.flushDue || l.npending >= l.cfg.FlushBatch {
 			l.flushDue = false
 			l.kick()
@@ -546,9 +576,9 @@ func (l *Log) CrashTorn() {
 	}
 	cut := -1
 	if fl := l.inflight; fl != nil {
-		recs, _, _ := decodeAll(fl.buf)
-		if n := len(recs); n > 0 {
-			last := encodedLen(len(recs[n-1].Value))
+		last := 0
+		walkFrames(fl.buf, func(f []byte) { last = len(f) })
+		if last > 0 {
 			cut = len(fl.buf) - last + last/2
 		}
 	}
@@ -647,27 +677,20 @@ func (l *Log) Recover(apply func(Record), done func(RecoverStats)) {
 // RecordsSince returns every record (durable and pending) appended at
 // or after t, in append order — the replica-side source for a fleet
 // delta catch-up: a rejoining peer replays its own log, then asks
-// survivors for the writes its lost tail may have missed.
+// survivors for the writes its lost tail may have missed. Only the
+// returned records are decoded.
 func (l *Log) RecordsSince(t sim.Time) []Record {
-	recs, _, _ := decodeAll(l.durable)
 	var out []Record
-	for _, r := range recs {
-		if r.At >= t {
-			out = append(out, r)
+	collect := func(f []byte) {
+		if frameAt(f) >= t {
+			out = append(out, decodeFrame(f))
 		}
 	}
-	var flying []byte
+	walkFrames(l.durable, collect)
 	if fl := l.inflight; fl != nil {
-		flying = fl.buf
+		walkFrames(fl.buf, collect)
 	}
-	for _, buf := range [][]byte{flying, l.pending} {
-		recs, _, _ := decodeAll(buf)
-		for _, r := range recs {
-			if r.At >= t {
-				out = append(out, r)
-			}
-		}
-	}
+	walkFrames(l.pending, collect)
 	return out
 }
 

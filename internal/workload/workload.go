@@ -97,20 +97,24 @@ func (g *Generator) Next() Op {
 // Value returns a deterministic value of the configured size for key:
 // the first bytes identify the key so reads can be verified end-to-end.
 func (g *Generator) Value(key kv.Key) []byte {
-	for i := range g.val {
-		g.val[i] = key[i%kv.KeySize] ^ byte(i)
-	}
+	g.val = AppendExpectedValue(g.val[:0], key, g.cfg.ValueSize)
 	return g.val
 }
 
 // ExpectedValue reports what Value would produce for key with size n —
 // for verification on the read side.
 func ExpectedValue(key kv.Key, n int) []byte {
-	v := make([]byte, n)
-	for i := range v {
-		v[i] = key[i%kv.KeySize] ^ byte(i)
+	return AppendExpectedValue(make([]byte, 0, n), key, n)
+}
+
+// AppendExpectedValue appends ExpectedValue(key, n) to dst and returns
+// the extended slice, so a driver can build every value it preloads,
+// writes or verifies in one reused buffer.
+func AppendExpectedValue(dst []byte, key kv.Key, n int) []byte {
+	for i := 0; i < n; i++ {
+		dst = append(dst, key[i%kv.KeySize]^byte(i))
 	}
-	return v
+	return dst
 }
 
 // Zipf draws ranks 0..n-1 from a Zipf distribution with parameter theta

@@ -129,6 +129,22 @@ func TestValueVerifiable(t *testing.T) {
 	}
 }
 
+// AppendExpectedValue builds ExpectedValue's bytes after whatever dst
+// holds, and reuses dst's capacity.
+func TestAppendExpectedValue(t *testing.T) {
+	k := kv.FromUint64(9)
+	buf := AppendExpectedValue(nil, k, 40)
+	if !bytes.Equal(buf, ExpectedValue(k, 40)) {
+		t.Fatal("AppendExpectedValue and ExpectedValue disagree")
+	}
+	if got := AppendExpectedValue([]byte("head:"), k, 7); !bytes.Equal(got, append([]byte("head:"), ExpectedValue(k, 7)...)) {
+		t.Fatalf("appended after a prefix: %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = AppendExpectedValue(buf[:0], k, 40) }); n != 0 {
+		t.Fatalf("rebuilding into a reused buffer: %.0f allocs, want 0", n)
+	}
+}
+
 func TestSkewedPresetSpreadsHotKeysAcrossPartitions(t *testing.T) {
 	// Section 5.7: hashing ranks scrambles hot keys across partitions, so
 	// partition load imbalance is much milder than key popularity skew.
