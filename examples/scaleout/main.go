@@ -1,13 +1,14 @@
 // Scaleout: when one HERD server's ~26 Mops is not enough, spread keys
-// across a fleet of servers. This example compares the two scale-out
-// shapes herdkv provides on the same closed-loop workload:
+// across a fleet of servers. A FleetDeployment places keys by
+// rendezvous hashing; this example runs it in two shapes on the same
+// closed-loop workload:
 //
-//   - ShardedDeployment: static modulo sharding, no replication — the
-//     classic memcached fleet.
-//   - FleetDeployment: a consistent-hash ring with R=2 replication.
-//     The demo crashes one shard mid-run (reads fail over to replicas
-//     with zero failed operations) and then grows the fleet by one
-//     shard with live background key migration.
+//   - R=1: static sharding, no replication — the classic memcached
+//     fleet.
+//   - R=2: every key on two shards. The demo crashes one shard mid-run
+//     (reads fail over to replicas with zero failed operations) and
+//     then grows the fleet by one shard with live background key
+//     migration.
 //
 // Both are driven through the same herdkv.KV client interface.
 package main
@@ -29,11 +30,11 @@ const (
 func main() {
 	fmt.Printf("%-10s %-8s %12s %14s\n", "mode", "shards", "Mops", "Mops/shard")
 	for _, shards := range []int{1, 2, 4} {
-		mops := runSharded(shards)
+		mops := runFleet(shards, 1)
 		fmt.Printf("%-10s %-8d %12.1f %14.1f\n", "sharded", shards, mops, mops/float64(shards))
 	}
 	for _, shards := range []int{2, 4} {
-		mops := runFleet(shards)
+		mops := runFleet(shards, 2)
 		fmt.Printf("%-10s %-8d %12.1f %14.1f\n", "fleet R=2", shards, mops, mops/float64(shards))
 	}
 	fmt.Println("\nFleet replication costs write fan-out but keeps every key readable")
@@ -82,28 +83,8 @@ func herdConfig(nClients int) herdkv.Config {
 	return cfg
 }
 
-func runSharded(shards int) float64 {
-	nClients := shards * clientsPerShard
-	cl := herdkv.NewCluster(herdkv.Apt(), shards+nClients, 1)
-	servers := make([]*herdkv.Machine, shards)
-	for i := range servers {
-		servers[i] = cl.Machine(i)
-	}
-	d, err := herdkv.NewShardedDeployment(servers, herdConfig(nClients))
-	if err != nil {
-		log.Fatal(err)
-	}
-	preload(d.Preload)
-	clients := make([]herdkv.KV, nClients)
-	for i := range clients {
-		if clients[i], err = d.ConnectClient(cl.Machine(shards + i)); err != nil {
-			log.Fatal(err)
-		}
-	}
-	return drive(cl, clients, 4)
-}
-
-func runFleet(shards int) float64 {
+// runFleet measures a fleet of shards servers at replication r.
+func runFleet(shards, r int) float64 {
 	nClients := shards * clientsPerShard
 	cl := herdkv.NewCluster(herdkv.Apt(), shards+nClients, 1)
 	servers := make([]*herdkv.Machine, shards)
@@ -112,6 +93,7 @@ func runFleet(shards int) float64 {
 	}
 	fcfg := herdkv.DefaultFleetConfig()
 	fcfg.Herd = herdConfig(nClients)
+	fcfg.Replication = r
 	d, err := herdkv.NewFleet(servers, fcfg)
 	if err != nil {
 		log.Fatal(err)

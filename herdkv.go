@@ -45,7 +45,7 @@ import (
 type Key = kv.Key
 
 // KV is the client interface every system implements — HERD
-// (Client, ShardedClient, FleetClient), Pilaf (PilafClient) and FaRM
+// (Client, FleetClient), Pilaf (PilafClient) and FaRM
 // (FarmClient). Drivers written against KV run unchanged on any of
 // them.
 type KV = kv.KV
@@ -150,23 +150,10 @@ type WALConfig = wal.Config
 // full buckets and the circular log evict).
 type MicaConfig = mica.Config
 
-// ShardedDeployment scales HERD across several server machines with
-// client-side key hashing (the memcached-fleet deployment pattern).
-type ShardedDeployment = core.ShardedDeployment
+// Fleet — rendezvous-hashed scale-out with replication and failover
+// (docs/SCALEOUT.md). At Replication 1 a fleet is static sharding.
 
-// ShardedClient is one application host's routed view of a sharded
-// HERD fleet.
-type ShardedClient = core.ShardedClient
-
-// NewShardedDeployment initializes one HERD server per machine.
-func NewShardedDeployment(machines []*Machine, cfg Config) (*ShardedDeployment, error) {
-	return core.NewShardedDeployment(machines, cfg)
-}
-
-// Fleet — consistent-hash scale-out with replication and failover
-// (docs/SCALEOUT.md).
-
-// FleetDeployment is a consistent-hash fleet of HERD servers with
+// FleetDeployment is a rendezvous-hashed fleet of HERD servers with
 // per-key replication, shard add/remove with background migration, and
 // crash failover.
 type FleetDeployment = fleet.Deployment
@@ -176,15 +163,15 @@ type FleetDeployment = fleet.Deployment
 type FleetClient = fleet.Client
 
 // FleetConfig parameterizes a fleet (replication factor, migration
-// pacing, read probation, hot-key widening, versioned replication).
+// pacing, hot-key widening, versioned replication).
 type FleetConfig = fleet.Config
 
-// FleetRing is the fleet's consistent-hash ring (virtual nodes, seeded
-// from the cluster seed).
+// FleetRing is the fleet's rendezvous-hash placement (per-shard
+// scores, seeded from the cluster seed).
 type FleetRing = fleet.Ring
 
-// DefaultFleetConfig returns the fleet defaults (R=2, 64 virtual
-// nodes) over core's HERD defaults with retries enabled.
+// DefaultFleetConfig returns the fleet defaults (R=2) over core's HERD
+// defaults with retries enabled.
 func DefaultFleetConfig() FleetConfig { return fleet.DefaultConfig() }
 
 // NewFleet builds a fleet with one HERD server per machine.

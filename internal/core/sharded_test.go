@@ -1,203 +1,48 @@
-package core
+package core_test
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/fleet"
 	"herdkv/internal/kv"
-	"herdkv/internal/sim"
+	"herdkv/internal/mica"
 )
 
-func newSharded(t *testing.T, nServers, nClients int) (*cluster.Cluster, *ShardedDeployment, []*ShardedClient) {
-	t.Helper()
-	cl := cluster.New(cluster.Apt(), nServers+nClients, 1)
-	cfg := smallConfig()
-	cfg.MaxClients = nClients
-	servers := make([]*cluster.Machine, nServers)
-	for i := range servers {
-		servers[i] = cl.Machine(i)
-	}
-	d, err := NewShardedDeployment(servers, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := make([]*ShardedClient, nClients)
-	for i := range clients {
-		clients[i], err = d.ConnectClient(cl.Machine(nServers + i))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return cl, d, clients
-}
-
-func TestShardedRoundTrip(t *testing.T) {
-	cl, d, clients := newSharded(t, 3, 2)
-	n := 120
-	oks := 0
-	for i := 0; i < n; i++ {
-		clients[i%2].Put(kv.FromUint64(uint64(i+1)), []byte{byte(i)}, func(r Result) {
-			if r.Status == kv.StatusHit {
-				oks++
-			}
-		})
-	}
-	cl.Eng.Run()
-	if oks != n {
-		t.Fatalf("puts = %d/%d", oks, n)
-	}
-	// Reads route to the right shard and find the data.
-	got := 0
-	for i := 0; i < n; i++ {
-		i := i
-		clients[(i+1)%2].Get(kv.FromUint64(uint64(i+1)), func(r Result) {
-			if r.Status == kv.StatusHit && bytes.Equal(r.Value, []byte{byte(i)}) {
-				got++
-			}
-		})
-	}
-	cl.Eng.Run()
-	if got != n {
-		t.Fatalf("gets = %d/%d", got, n)
-	}
-	// Every shard should have served something.
-	for s := 0; s < d.Shards(); s++ {
-		gets, _, puts := d.Server(s).Stats()
-		if gets+puts == 0 {
-			t.Fatalf("shard %d idle", s)
-		}
-	}
-}
-
-func TestShardedRoutingStable(t *testing.T) {
-	_, d, _ := newSharded(t, 4, 1)
-	for i := uint64(0); i < 1000; i++ {
-		k := kv.FromUint64(i)
-		if d.ShardOf(k) != d.ShardOf(k) {
-			t.Fatal("routing unstable")
-		}
-		if s := d.ShardOf(k); s < 0 || s >= 4 {
-			t.Fatalf("shard %d out of range", s)
-		}
-	}
-}
-
-func TestShardedDelete(t *testing.T) {
-	cl, _, clients := newSharded(t, 2, 1)
-	key := kv.FromUint64(5)
-	var gone Result
-	clients[0].Put(key, []byte("x"), func(Result) {
-		clients[0].Delete(key, func(Result) {
-			clients[0].Get(key, func(r Result) { gone = r })
-		})
-	})
-	cl.Eng.Run()
-	if gone.Status == kv.StatusHit {
-		t.Fatal("key survived sharded delete")
-	}
-}
-
-func TestShardedAggregateThroughputScales(t *testing.T) {
-	// The deployment answer to one server's ceiling: aggregate Mops
-	// grows with shard count.
-	measure := func(nServers int) float64 {
-		cfg := smallConfig()
-		cfg.NS = 6
-		nClients := 4 * nServers
-		cfg.MaxClients = nClients
-		cl := cluster.New(cluster.Apt(), nServers+nClients, 1)
-		servers := make([]*cluster.Machine, nServers)
-		for i := range servers {
-			servers[i] = cl.Machine(i)
-		}
-		d, err := NewShardedDeployment(servers, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var completed uint64
-		stop := false
-		for i := 0; i < nClients; i++ {
-			sc, err := d.ConnectClient(cl.Machine(nServers + i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var loop func(k uint64)
-			loop = func(k uint64) {
-				sc.Get(kv.FromUint64(k%4096+1), func(Result) {
-					completed++
-					if !stop {
-						loop(k + 13)
-					}
-				})
-			}
-			for w := 0; w < 4; w++ {
-				loop(uint64(i*100 + w))
-			}
-		}
-		cl.Eng.RunFor(100 * sim.Microsecond)
-		start := completed
-		cl.Eng.RunFor(200 * sim.Microsecond)
-		stop = true
-		return float64(completed-start) / 200e-6 / 1e6
-	}
-	one, three := measure(1), measure(3)
-	if three < one*2.2 {
-		t.Fatalf("3 shards (%.1f Mops) should deliver >2.2x one shard (%.1f)", three, one)
-	}
-}
-
+// TestShardedPlacementFollowsClusterSeed checks that static sharding (a
+// fleet at Replication 1) takes its key placement from the cluster seed.
+// Regression: placement used to come from a hardcoded seed, so two
+// clusters built with different seeds got identical key placement.
 func TestShardedPlacementFollowsClusterSeed(t *testing.T) {
-	// Regression: placement used to come from a hardcoded seed, so two
-	// clusters built with different seeds got identical key placement.
 	shardsOf := func(seed int64) []int {
 		cl := cluster.New(cluster.Apt(), 4, seed)
-		cfg := smallConfig()
+		cfg := fleet.DefaultConfig()
+		cfg.Replication = 1
+		cfg.Herd.NS = 4
+		cfg.Herd.MaxClients = 8
+		cfg.Herd.Window = 4
+		cfg.Herd.Mica = mica.Config{IndexBuckets: 1 << 10, BucketSlots: 8, LogBytes: 1 << 20}
 		machines := []*cluster.Machine{cl.Machine(0), cl.Machine(1), cl.Machine(2), cl.Machine(3)}
-		d, err := NewShardedDeployment(machines, cfg)
+		d, err := fleet.NewDeployment(machines, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]int, 512)
 		for i := range out {
-			out[i] = d.ShardOf(kv.FromUint64(uint64(i + 1)))
+			r := d.Replicas(kv.FromUint64(uint64(i + 1)))
+			if len(r) != 1 {
+				t.Fatalf("key %d has %d replicas at Replication 1", i+1, len(r))
+			}
+			out[i] = r[0]
 		}
 		return out
 	}
 	a, again, b := shardsOf(1), shardsOf(1), shardsOf(2)
-	differs := false
-	for i := range a {
-		if a[i] != again[i] {
-			t.Fatalf("same cluster seed, different placement at key %d", i+1)
-		}
-		if a[i] != b[i] {
-			differs = true
-		}
+	if !slices.Equal(a, again) {
+		t.Fatal("same cluster seed, different placement")
 	}
-	if !differs {
+	if slices.Equal(a, b) {
 		t.Fatal("clusters with different seeds produced identical placement")
-	}
-}
-
-func TestShardedValidation(t *testing.T) {
-	if _, err := NewShardedDeployment(nil, smallConfig()); err == nil {
-		t.Fatal("empty deployment accepted")
-	}
-}
-
-func TestShardedPreloadAndAccessors(t *testing.T) {
-	cl, d, clients := newSharded(t, 2, 1)
-	key := kv.FromUint64(31)
-	if err := d.Preload(key, []byte("warm")); err != nil {
-		t.Fatal(err)
-	}
-	var got Result
-	clients[0].Get(key, func(r Result) { got = r })
-	cl.Eng.Run()
-	if got.Status != kv.StatusHit || string(got.Value) != "warm" {
-		t.Fatalf("preloaded GET = %+v", got)
-	}
-	if clients[0].Completed() == 0 {
-		t.Fatal("Completed accessor")
 	}
 }

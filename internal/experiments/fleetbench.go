@@ -17,9 +17,9 @@ import (
 const fleetBenchShards = 4
 
 // FleetBench compares the three deployment shapes on the same
-// read-intensive closed-loop workload: one HERD server, a 4-shard
-// static ShardedDeployment, and a 4-shard R=2 consistent-hash fleet.
-// The fleet pays replicated writes and ring lookups; the benchmark
+// read-intensive closed-loop workload: one HERD server, a 4-shard fleet
+// at R=1 (static sharding), and a 4-shard R=2 fleet. Both fleets place
+// keys by rendezvous hashing; R=2 pays replicated writes. The benchmark
 // quantifies what is left of the 4x machine count. The report is
 // BENCH_fleet.json.
 func FleetBench(spec cluster.Spec) (*Table, *Report) {
@@ -92,39 +92,19 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		return drive("single", cl, clients)
 	}
 
-	serverMachines := func(cl *cluster.Cluster) []*cluster.Machine {
-		out := make([]*cluster.Machine, fleetBenchShards)
-		for i := range out {
-			out[i] = cl.Machine(i)
-		}
-		return out
-	}
-
-	sharded := func() float64 {
-		nClients := clientsPerShard * fleetBenchShards * fleetBenchShards
-		cl := cluster.New(spec, fleetBenchShards+nClients, 1)
-		d, err := core.NewShardedDeployment(serverMachines(cl), herdCfg(nClients))
-		if err != nil {
-			panic(err)
-		}
-		preloadKeys(keys, valueSize, d.Preload)
-		clients := make([]kv.KV, nClients)
-		for i := range clients {
-			c, err := d.ConnectClient(cl.Machine(fleetBenchShards + i))
-			if err != nil {
-				panic(err)
-			}
-			clients[i] = c
-		}
-		return drive("sharded", cl, clients)
-	}
-
-	replicated := func() float64 {
+	// fleetArm runs a 4-shard fleet at replication r: at r=1 it is
+	// static sharding, every key on one shard.
+	fleetArm := func(arm string, r int) float64 {
 		nClients := clientsPerShard * fleetBenchShards * fleetBenchShards
 		cl := cluster.New(spec, fleetBenchShards+nClients, 1)
 		fcfg := fleet.DefaultConfig()
 		fcfg.Herd = herdCfg(nClients)
-		d, err := fleet.NewDeployment(serverMachines(cl), fcfg)
+		fcfg.Replication = r
+		servers := make([]*cluster.Machine, fleetBenchShards)
+		for i := range servers {
+			servers[i] = cl.Machine(i)
+		}
+		d, err := fleet.NewDeployment(servers, fcfg)
 		if err != nil {
 			panic(err)
 		}
@@ -137,10 +117,11 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 			}
 			clients[i] = c
 		}
-		return drive("fleet", cl, clients)
+		return drive(arm, cl, clients)
 	}
 
-	singleMops, shardedMops, fleetMops := single(), sharded(), replicated()
+	singleMops := single()
+	shardedMops, fleetMops := fleetArm("sharded", 1), fleetArm("fleet", 2)
 	speedup := 0.0
 	if singleMops > 0 {
 		speedup = fleetMops / singleMops
@@ -153,11 +134,11 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		Columns: []string{"deployment", "machines", "Mops", "vs single"},
 	}
 	t.AddRow("single HERD server", "1", cell(singleMops), "1.0x")
-	t.AddRow("sharded (no replication)", fmt.Sprintf("%d", fleetBenchShards),
+	t.AddRow("sharded (fleet R=1)", fmt.Sprintf("%d", fleetBenchShards),
 		cell(shardedMops), fmt.Sprintf("%.1fx", shardedMops/singleMops))
 	t.AddRow("fleet (R=2)", fmt.Sprintf("%d", fleetBenchShards),
 		cell(fleetMops), fmt.Sprintf("%.1fx", speedup))
-	t.AddNote("%d clients on the single server, %d on the %d-shard deployments (window 4); fleet pays replicated writes and ring routing",
+	t.AddNote("%d clients on the single server, %d on the %d-shard deployments (window 4); R=2 pays replicated writes",
 		clientsPerShard*fleetBenchShards, clientsPerShard*fleetBenchShards*fleetBenchShards, fleetBenchShards)
 	return t, rep
 }

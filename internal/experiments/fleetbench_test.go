@@ -17,9 +17,12 @@ func TestFleetBenchSpeedup(t *testing.T) {
 			t.Fatalf("zero %s throughput:\n%s", arm, tbl)
 		}
 	}
-	// The acceptance bar: a 4-shard R=2 fleet must deliver at least 3x
-	// one server on the read-intensive mix.
+	// The acceptance bar: 4 shards, at R=1 and at R=2, must each deliver
+	// at least 3x one server on the read-intensive mix.
 	if s := metric(t, rep, "fleet", "speedup_vs_single"); s < 3 {
 		t.Fatalf("fleet speedup %.2fx < 3x over single server:\n%s", s, tbl)
+	}
+	if s := metric(t, rep, "sharded", "goodput_mops") / metric(t, rep, "single", "goodput_mops"); s < 3 {
+		t.Fatalf("sharded (R=1) speedup %.2fx < 3x over single server:\n%s", s, tbl)
 	}
 }

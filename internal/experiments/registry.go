@@ -58,7 +58,7 @@ var Targets = []Target{
 	// (docs/ROBUSTNESS.md).
 	{Name: "chaos", Table: ChaosScenario},
 
-	// Fleet scale-out: single vs sharded vs replicated fleet, and the
+	// Fleet scale-out: one server vs a fleet at R=1 and R=2, and the
 	// fleet under a crash-restart schedule (docs/SCALEOUT.md).
 	{Name: "fleet-bench", Bench: FleetBench},
 	{Name: "fleet-chaos", Table: FleetChaosScenario},

@@ -214,7 +214,7 @@ func (in *Injector) SetCrashTarget(node wire.NodeID, t CrashTarget) {
 }
 
 // SetCrashTargets registers a batch of crash targets; a convenience for
-// deployments (sharded, fleet) that own several server processes.
+// deployments (a fleet) that own several server processes.
 // Target lookup happens when an event fires, so registering after Arm
 // also works.
 func (in *Injector) SetCrashTargets(targets map[wire.NodeID]CrashTarget) {

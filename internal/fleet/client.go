@@ -31,7 +31,7 @@ var ErrPartialWrite = errors.New("fleet: write applied on only part of the repli
 //   - Writes fan out to every replica and succeed when at least one
 //     replica acknowledges.
 //   - A shard whose operation failed terminally is suspected for
-//     Config.Probation of virtual time: reads prefer other replicas
+//     a fixed probation of virtual time: reads prefer other replicas
 //     until the probation lapses.
 //
 // Counters: Issued/Completed/Failed are fleet-level — an operation
@@ -119,7 +119,7 @@ const (
 
 // breaker tracks one shard's brownout state. Busy pushback means the
 // shard is alive but shedding — a different condition from a suspected
-// crash (Probation), so it gets its own state machine: N consecutive
+// crash (probation), so it gets its own state machine: N consecutive
 // busy failures open the breaker, reads steer away for the cooldown,
 // then a single half-open probe decides between restore and re-open.
 type breaker struct {
@@ -166,7 +166,7 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.verID = uint64(len(d.clients))
 	c.repairAck = c.onRepairAck
 	if d.cfg.HotKeyTrack > 0 {
-		c.hot = newHotTracker(d.cfg.HotKeyTrack, d.cfg.HotKeyThreshold, d.cfg.HotKeyWindow)
+		c.hot = newHotTracker(d.cfg.HotKeyTrack, d.cfg.HotKeyThreshold, hotKeyWindow)
 	}
 	for _, sh := range d.shards {
 		if !sh.live {
@@ -272,7 +272,7 @@ func (c *Client) BreakerOpen(id int) bool {
 //
 //herd:hotpath
 func (c *Client) markSuspect(id int) {
-	c.suspect[id] = c.now() + c.d.cfg.Probation
+	c.suspect[id] = c.now() + probation
 	c.suspected++
 	c.telSuspected.Inc()
 }

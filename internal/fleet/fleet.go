@@ -29,7 +29,8 @@ type Config struct {
 	// Herd configures each member HERD server and its clients.
 	Herd core.Config
 	// Replication is the replica count R per key (default 2, clamped
-	// to the live shard count).
+	// to the live shard count and to 4). At 1 the fleet is static
+	// sharding: every key lives on one shard.
 	Replication int
 	// MigrationBatch is how many keys one background migration step
 	// copies (default 64).
@@ -38,11 +39,6 @@ type Config struct {
 	// steps (default 2us), bounding how much control-plane copying can
 	// interleave with foreground traffic.
 	MigrationInterval sim.Time
-	// Probation is how long a client avoids reading from a shard after
-	// an operation against it failed terminally (default 200us). Writes
-	// still fan out to suspected shards so their caches stay warm for
-	// when they return.
-	Probation sim.Time
 	// HotKeyTrack is the number of keys each client's hot-key detector
 	// tracks (a space-saving top-k sketch; see hotkey.go). 0, the
 	// default, disables detection and widening entirely — reads stay
@@ -52,10 +48,6 @@ type Config struct {
 	// window classify it hot and start widening its reads across the
 	// replica set (default 32 when tracking is on).
 	HotKeyThreshold int
-	// HotKeyWindow is the sliding-window length for hot-key detection
-	// (default 100us when tracking is on). Counts age out after at most
-	// two windows, so a key that cools stops widening.
-	HotKeyWindow sim.Time
 	// Versioned switches the fleet to version-stamped replication:
 	// every write carries a kv.Version prefix ([epoch 8][seq 8]
 	// [flags 1]) inside the stored value, member servers apply
@@ -81,17 +73,22 @@ type Config struct {
 	Mux *mux.Config
 }
 
-// Fixed fleet policy. virtualNodes is each shard's point count on the
-// consistent-hash ring. A shard's brownout circuit breaker opens after
+// Fixed fleet policy. A client avoids reading from a shard for
+// probation after an operation against it failed terminally; writes
+// still fan out to suspected shards so their caches stay warm for when
+// they return. A shard's brownout circuit breaker opens after
 // breakerThreshold consecutive StatusBusy (overload pushback) failures
 // against it and steers reads away for breakerCooldown before letting a
 // half-open probe read through. Busy is a brownout signal — the shard
 // is alive but refusing work — so the breaker is separate from
-// Config.Probation, which marks suspected crashes.
+// probation, which marks suspected crashes. hotKeyWindow is the
+// hot-key detector's sliding window: counts age out after at most two
+// windows, so a key that cools stops widening.
 const (
-	virtualNodes     = 64
+	probation        = 200 * sim.Microsecond
 	breakerThreshold = 3
 	breakerCooldown  = 200 * sim.Microsecond
+	hotKeyWindow     = 100 * sim.Microsecond
 )
 
 // DefaultConfig returns the fleet defaults on top of core's HERD
@@ -104,7 +101,6 @@ func DefaultConfig() Config {
 		Replication:       2,
 		MigrationBatch:    64,
 		MigrationInterval: 2 * sim.Microsecond,
-		Probation:         200 * sim.Microsecond,
 	}
 }
 
@@ -118,22 +114,15 @@ func (c *Config) setDefaults() {
 	if c.Replication < 1 {
 		c.Replication = 2
 	}
+	c.Replication = min(c.Replication, maxDepth)
 	if c.MigrationBatch < 1 {
 		c.MigrationBatch = 64
 	}
 	if c.MigrationInterval <= 0 {
 		c.MigrationInterval = 2 * sim.Microsecond
 	}
-	if c.Probation <= 0 {
-		c.Probation = 200 * sim.Microsecond
-	}
-	if c.HotKeyTrack > 0 {
-		if c.HotKeyThreshold < 1 {
-			c.HotKeyThreshold = 32
-		}
-		if c.HotKeyWindow <= 0 {
-			c.HotKeyWindow = 100 * sim.Microsecond
-		}
+	if c.HotKeyTrack > 0 && c.HotKeyThreshold < 1 {
+		c.HotKeyThreshold = 32
 	}
 	// Repair is meaningless without version stamps to order replica
 	// states, and stamps are only applied server-side when the member
@@ -180,10 +169,10 @@ type migration struct {
 	done     func()
 }
 
-// Deployment is a consistent-hash fleet of HERD servers with per-key
+// Deployment is a rendezvous-hashed fleet of HERD servers with per-key
 // replication. Placement derives from the cluster seed (via
-// core.PlacementSeed), so a deployment replays identically for a given
-// seed and differs across seeds.
+// PlacementSeed), so a deployment replays identically for a given seed
+// and differs across seeds.
 type Deployment struct {
 	cfg     Config
 	eng     *sim.Engine
@@ -254,7 +243,7 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 	d.aeFixed = d.tel.Counter("fleet.antientropy.repaired")
 	d.aePending = d.tel.Gauge("fleet.antientropy.pending")
 	d.aeQueued = make(map[kv.Key]bool)
-	d.ring = NewRing(core.PlacementSeed(machines[0]), virtualNodes)
+	d.ring = NewRing(PlacementSeed(machines[0]), cfg.Replication)
 	for _, m := range machines {
 		srv, err := core.NewServer(m, cfg.Herd)
 		if err != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -16,8 +17,6 @@ func testConfig() Config {
 	cfg.Herd.MaxClients = 8
 	cfg.Herd.Window = 4
 	cfg.Herd.Mica = mica.Config{IndexBuckets: 1 << 10, BucketSlots: 8, LogBytes: 1 << 20}
-	// Long probation so tests can observe it before the engine drains.
-	cfg.Probation = 10 * sim.Millisecond
 	return cfg
 }
 
@@ -45,15 +44,17 @@ func newFleet(t *testing.T, nShards, nClients int, seed int64) (*cluster.Cluster
 	return cl, d, clients
 }
 
-func TestRingPlacement(t *testing.T) {
-	build := func(seed uint64) *Ring {
-		r := NewRing(seed, 32)
-		for s := 0; s < 4; s++ {
-			r = r.WithShard(s)
-		}
-		return r
+// ring4 builds a ring of depth rf over shards 0..3.
+func ring4(seed uint64, rf int) *Ring {
+	r := NewRing(seed, rf)
+	for s := 0; s < 4; s++ {
+		r = r.WithShard(s)
 	}
-	a, b, c := build(7), build(7), build(8)
+	return r
+}
+
+func TestRingPlacement(t *testing.T) {
+	a, b, c := ring4(7, 2), ring4(7, 2), ring4(8, 2)
 	sameAsB, sameAsC := true, true
 	for i := uint64(1); i <= 500; i++ {
 		k := kv.FromUint64(i)
@@ -61,11 +62,14 @@ func TestRingPlacement(t *testing.T) {
 		if len(ra) != 2 || ra[0] == ra[1] {
 			t.Fatalf("replica set %v not 2 distinct shards", ra)
 		}
+		if p := a.Replicas(k, 1); len(p) != 1 || p[0] != ra[0] || a.Primary(k) != ra[0] {
+			t.Fatalf("primary %v / %d is not the head of %v", p, a.Primary(k), ra)
+		}
 		for j := range ra {
 			if ra[j] != rb[j] {
 				sameAsB = false
 			}
-			if j < len(rc) && ra[j] != rc[j] {
+			if ra[j] != rc[j] {
 				sameAsC = false
 			}
 		}
@@ -78,30 +82,90 @@ func TestRingPlacement(t *testing.T) {
 	}
 }
 
+// TestRingMembershipChangeMovesFewKeys checks rendezvous hashing's
+// minimal disruption exactly: growing 4 -> 5 shards changes the replica
+// set of precisely the keys whose top 2 now include shard 4 (and those
+// keep their other replica), and removing a shard changes only the keys
+// it replicated.
 func TestRingMembershipChangeMovesFewKeys(t *testing.T) {
-	r4 := NewRing(3, 64)
-	for s := 0; s < 4; s++ {
-		r4 = r4.WithShard(s)
-	}
+	r4 := ring4(3, 2)
 	r5 := r4.WithShard(4)
-	moved := 0
-	n := 2000
+	if r5.Size() != 5 || !r5.Has(4) {
+		t.Fatalf("WithShard left %v", r5.Shards())
+	}
+	n, moved := 2000, 0
 	for i := 1; i <= n; i++ {
 		k := kv.FromUint64(uint64(i))
-		if r4.Primary(k) != r5.Primary(k) {
-			moved++
+		before, after := r4.Replicas(k, 2), r5.Replicas(k, 2)
+		if !slices.Contains(after, 4) {
+			if !slices.Equal(before, after) {
+				t.Fatalf("key %d moved %v -> %v without shard 4", i, before, after)
+			}
+			continue
+		}
+		moved++
+		other := after[0]
+		if other == 4 {
+			other = after[1]
+		}
+		if !slices.Contains(before, other) {
+			t.Fatalf("key %d lost both replicas: %v -> %v", i, before, after)
 		}
 	}
-	// Consistent hashing moves ~1/5 of primaries when growing 4 -> 5;
-	// modulo hashing would move ~4/5.
-	if moved > n/3 {
-		t.Fatalf("adding a shard moved %d/%d primaries (want ~%d)", moved, n, n/5)
+	// Shard 4 takes its fair 2/5 of the replica sets.
+	if moved < n*2/5-n/20 || moved > n*2/5+n/20 {
+		t.Fatalf("adding a shard moved %d/%d keys (want ~%d)", moved, n, n*2/5)
 	}
-	if moved == 0 {
-		t.Fatal("adding a shard moved nothing")
+
+	r3 := r4.WithoutShard(1)
+	if r3.Size() != 3 || r3.Has(1) {
+		t.Fatalf("WithoutShard left %v", r3.Shards())
 	}
-	if got := r5.WithoutShard(4); got.Size() != 4 || got.Has(4) {
-		t.Fatalf("WithoutShard left %v", got.Shards())
+	if got := r5.WithoutShard(4); !slices.Equal(got.Shards(), r4.Shards()) {
+		t.Fatalf("WithoutShard(4) left %v", got.Shards())
+	}
+	for i := 1; i <= n; i++ {
+		k := kv.FromUint64(uint64(i))
+		before, after := r4.Replicas(k, 2), r3.Replicas(k, 2)
+		if !slices.Contains(before, 1) && !slices.Equal(before, after) {
+			t.Fatalf("key %d moved %v -> %v without shard 1", i, before, after)
+		}
+	}
+}
+
+// TestRingBalance bounds every shard's replica load: on 16k keys at
+// R=2 over 4 shards each shard holds its fair half of the keys within
+// 3%.
+func TestRingBalance(t *testing.T) {
+	const keys = 16384
+	_, d, _ := newFleet(t, 4, 0, 1)
+	load := make([]int, 4)
+	for i := uint64(0); i < keys; i++ {
+		for _, s := range d.Replicas(kv.FromUint64(i)) {
+			load[s]++
+		}
+	}
+	fair := keys * 2 / 4
+	for s, l := range load {
+		if l < fair*97/100 || l > fair*103/100 {
+			t.Fatalf("shard %d holds %d replicas, fair is %d (loads %v)", s, l, fair, load)
+		}
+	}
+}
+
+// TestRingHotKeysSpreadPrimaries is a regression test: when shard
+// positions were hashed with the key hash's seed, the 64 hottest Zipf
+// keys (FromUint64(0..63)) all had shard 0 as primary.
+func TestRingHotKeysSpreadPrimaries(t *testing.T) {
+	_, d, _ := newFleet(t, 4, 0, 1)
+	count := make([]int, 4)
+	for i := uint64(0); i < 64; i++ {
+		count[d.Ring().Primary(kv.FromUint64(i))]++
+	}
+	for s, c := range count {
+		if c == 0 || c > 32 {
+			t.Fatalf("primaries of keys 0..63 per shard = %v (shard %d)", count, s)
+		}
 	}
 }
 
@@ -180,29 +244,29 @@ func TestFleetFailoverOnCrash(t *testing.T) {
 	}
 	primary := d.Replicas(key)[0]
 	d.Server(primary).Crash()
-	var res kv.Result
-	c.Get(key, func(r kv.Result) { res = r })
+	// Probation: a read issued as soon as the first one fails over skips
+	// the dead primary without a fresh timeout (no additional reroute).
+	var res, again kv.Result
+	var rerouted uint64
+	c.Get(key, func(r kv.Result) {
+		res, rerouted = r, c.Reroutes()
+		c.Get(key, func(r kv.Result) { again = r })
+	})
 	cl.Eng.Run()
 	if res.Err != nil || res.Status != kv.StatusHit || string(res.Value) != "v" {
 		t.Fatalf("failover get = %+v", res)
 	}
-	if c.Reroutes() == 0 || c.ReplicaReads() == 0 {
-		t.Fatalf("reroutes=%d replicaReads=%d, want both > 0", c.Reroutes(), c.ReplicaReads())
+	if rerouted == 0 || c.ReplicaReads() == 0 {
+		t.Fatalf("reroutes=%d replicaReads=%d, want both > 0", rerouted, c.ReplicaReads())
 	}
 	if c.Failed() != 0 {
 		t.Fatalf("failed = %d", c.Failed())
 	}
-	// Probation: the next read for the same key skips the dead primary
-	// without a fresh timeout (no additional reroute).
-	before := c.Reroutes()
-	var again kv.Result
-	c.Get(key, func(r kv.Result) { again = r })
-	cl.Eng.Run()
 	if again.Status != kv.StatusHit {
 		t.Fatalf("probation get = %+v", again)
 	}
-	if c.Reroutes() != before {
-		t.Fatalf("suspected primary was retried: reroutes %d -> %d", before, c.Reroutes())
+	if c.Reroutes() != rerouted {
+		t.Fatalf("suspected primary was retried: reroutes %d -> %d", rerouted, c.Reroutes())
 	}
 }
 
@@ -373,6 +437,9 @@ func TestFleetDeterministicReplay(t *testing.T) {
 }
 
 func TestFleetValidation(t *testing.T) {
+	if _, err := NewDeployment(nil, testConfig()); err == nil {
+		t.Fatal("empty deployment accepted")
+	}
 	cl, d, clients := newFleet(t, 2, 1, 1)
 	c := clients[0]
 	var zero kv.Key
@@ -393,6 +460,13 @@ func TestFleetValidation(t *testing.T) {
 		cfg.setDefaults()
 		if cfg.Replication != 2 || cfg.MigrationBatch != 64 {
 			t.Fatalf("defaults: %+v", cfg)
+		}
+	}
+	// Replica sets are ranked in fixed-size arrays: R is clamped to them.
+	if cfg := (&Config{Replication: maxDepth + 1}); true {
+		cfg.setDefaults()
+		if cfg.Replication != maxDepth {
+			t.Fatalf("Replication %d not clamped to %d", cfg.Replication, maxDepth)
 		}
 	}
 }

@@ -4,8 +4,8 @@ package fleet
 // widening.
 //
 // A Zipf-skewed read workload concentrates on a handful of keys, and
-// consistent hashing sends every read of a key to the same primary —
-// so one shard saturates while its replicas idle, even though the
+// placement sends every read of a key to the same primary — so one
+// shard saturates while its replicas idle, even though the
 // fan-out write path keeps those replicas warm. The fleet already has
 // everything it needs to absorb the skew: each hot key's value sits on
 // R shards. The tracker below notices the skew at the client and

@@ -66,7 +66,6 @@ func TestHotKeyWideningSpreadsReads(t *testing.T) {
 	cfg.Replication = 3
 	cfg.HotKeyTrack = 8
 	cfg.HotKeyThreshold = 8
-	cfg.HotKeyWindow = sim.Millisecond
 	d, err := NewDeployment(
 		[]*cluster.Machine{cl.Machine(0), cl.Machine(1), cl.Machine(2)}, cfg)
 	if err != nil {

@@ -38,7 +38,7 @@ func gateFleet(t *testing.T, cfg Config) (*cluster.Cluster, *Deployment, *Client
 // hot keys with a threshold of one, so its reads widen.
 func TestHotpathAllocFree(t *testing.T) {
 	cfg := testConfig()
-	cfg.HotKeyTrack, cfg.HotKeyThreshold, cfg.HotKeyWindow = 4, 1, sim.Millisecond
+	cfg.HotKeyTrack, cfg.HotKeyThreshold = 4, 1
 	cl, d, c, poked := gateFleet(t, cfg)
 	vcfg := testConfig()
 	vcfg.Versioned, vcfg.ReadRepair = true, true
@@ -83,6 +83,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Ring.Replicas":            func() { _ = ring.Replicas(key, 2) },
 		"Ring.Primary":             func() { _ = ring.Primary(key) },
 		"Ring.Size":                func() { _ = ring.Size() },
+		"mix64":                    func() { _ = mix64(uint64(len(order))) },
 		"Deployment.Replication":   func() { _ = d.Replication() },
 		"Deployment.Replicas":      func() { _ = d.Replicas(key) },
 		"Client.now":               func() { _ = poked.now() },

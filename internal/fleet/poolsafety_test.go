@@ -8,7 +8,6 @@ import (
 	"herdkv/internal/core"
 	"herdkv/internal/fault"
 	"herdkv/internal/kv"
-	"herdkv/internal/sim"
 )
 
 // poolValue is the value a pool-safety write stores: the key, then the
@@ -45,7 +44,6 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 	spec.Faults = sched
 	cl := cluster.New(spec, shards+clients, 1)
 	cfg := testConfig()
-	cfg.Probation = 50 * sim.Microsecond // suspected shards come back within the run
 	cfg.Versioned, cfg.ReadRepair = true, true
 	cfg.Herd.Durability = core.DurabilityGroupCommit
 	machines := make([]*cluster.Machine, shards)

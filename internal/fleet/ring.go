@@ -1,141 +1,123 @@
-// Package fleet scales HERD past static sharding: a consistent-hash
-// ring places keys on replica sets of HERD servers, clients fail over
+// Package fleet scales HERD past static sharding: rendezvous hashing
+// places keys on replica sets of HERD servers, clients fail over
 // between replicas when a shard crashes, and shards can join or leave
 // a live deployment with background key migration. This is the fleet
 // deployment story the paper leaves to "standard practice" (Section 7
 // discusses scale-out only as per-machine throughput times machine
 // count); fleet supplies the routing, replication and failover
-// machinery needed to actually run that fleet.
+// machinery needed to actually run that fleet. At Replication 1 a
+// fleet is plain static sharding.
 package fleet
 
 import (
-	"sort"
+	"slices"
 
+	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
 )
 
-// ringPoint is one virtual node: a position on the hash circle owned by
-// a shard.
-type ringPoint struct {
-	hash  uint64
-	shard int
+// maxDepth bounds a ring's replica-set length (its depth): Replicas
+// ranks a key's top shards in fixed-size arrays, and the ring's table
+// of ordered replica sets grows as members^depth.
+const maxDepth = 4
+
+// PlacementSeed derives the key-placement hash seed for a deployment
+// whose first server runs on m. It folds the machine's deterministic
+// seed (itself derived from the cluster seed) through a mixer, so two
+// clusters built with different seeds place keys differently while any
+// one cluster's placement replays exactly.
+func PlacementSeed(m *cluster.Machine) uint64 {
+	var k kv.Key
+	return k.Hash64(uint64(m.Seed) ^ 0x54a6d)
 }
 
-// Ring is a consistent-hash ring with virtual nodes. Placement is fully
-// determined by (seed, vnodes, member set): two rings built from the
-// same cluster seed with the same members agree on every key, and
-// adding or removing one shard moves only the keys adjacent to that
-// shard's virtual nodes.
+// Ring places keys by rendezvous (highest-random-weight) hashing:
+// every member shard gets a score for the key, and the key's replica
+// set is the members with the highest scores, best first. A score
+// depends only on (seed, key, shard), never on the other members, so
+// two rings built from the same seed with the same members agree on
+// every key, and a membership change moves exactly the keys whose top
+// scores include the shard that joined or left.
 //
 // Rings are immutable once built; Deployment swaps whole rings
 // atomically when a membership change commits, so in-flight routing
-// decisions are never half-updated. Immutability also lets a ring walk
-// the circle once, at build time: every point's clockwise order of
-// distinct shards is precomputed, and Replicas returns a window of it.
+// decisions are never half-updated. Immutability also lets a ring
+// build, once, a table of every ordered replica set it can return, so
+// Replicas hands out a shared window of it instead of a fresh slice.
 type Ring struct {
 	seed   uint64
-	vnodes int
-	points []ringPoint // sorted by (hash, shard)
-	shards []int       // member shard ids, ascending
-	// walk[i*len(shards):(i+1)*len(shards)] lists every member shard in
-	// the order a clockwise walk from points[i] first meets it.
-	walk []int
+	depth  int      // longest replica set served, in [1, maxDepth]
+	shards []int    // member shard ids, ascending
+	salts  []uint64 // salts[i] makes shards[i]'s scores
+	// sets holds, for every sequence of k member indexes (k =
+	// min(depth, members)), the k shard ids it names, at k times the
+	// number the sequence spells in base len(shards). Only sequences
+	// of distinct indexes are ever looked up.
+	sets []int
 }
 
-// NewRing returns an empty ring. Virtual-node positions derive from
-// seed, so distinct cluster seeds give distinct placements.
-func NewRing(seed uint64, vnodes int) *Ring {
-	if vnodes < 1 {
-		vnodes = 1
-	}
-	return &Ring{seed: seed, vnodes: vnodes}
+// NewRing returns an empty ring serving replica sets of up to depth
+// shards (clamped to [1, maxDepth]). Scores derive from seed, so
+// distinct cluster seeds give distinct placements.
+func NewRing(seed uint64, depth int) *Ring {
+	return &Ring{seed: seed, depth: min(max(depth, 1), maxDepth)}
 }
 
-// pointHash positions virtual node v of a shard on the circle.
-func (r *Ring) pointHash(shard, v int) uint64 {
-	return kv.FromUint64(uint64(shard)<<20 | uint64(v)).Hash64(r.seed)
+// mix64 is the splitmix64 finalizer: a bijection whose every output
+// bit depends on every input bit.
+//
+//herd:hotpath
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // WithShard returns a copy of the ring with shard added (no-op copy if
 // already a member).
 func (r *Ring) WithShard(shard int) *Ring {
-	nr := r.clone()
-	for _, s := range nr.shards {
-		if s == shard {
-			return nr
-		}
+	shards := slices.Clone(r.shards)
+	if !r.Has(shard) {
+		shards = append(shards, shard)
+		slices.Sort(shards)
 	}
-	nr.shards = append(nr.shards, shard)
-	sort.Ints(nr.shards)
-	for v := 0; v < nr.vnodes; v++ {
-		nr.points = append(nr.points, ringPoint{hash: nr.pointHash(shard, v), shard: shard})
-	}
-	nr.sortPoints()
-	nr.index()
-	return nr
+	return r.with(shards)
 }
 
 // WithoutShard returns a copy of the ring with shard removed.
 func (r *Ring) WithoutShard(shard int) *Ring {
-	nr := &Ring{seed: r.seed, vnodes: r.vnodes}
-	for _, s := range r.shards {
-		if s != shard {
-			nr.shards = append(nr.shards, s)
+	return r.with(slices.DeleteFunc(slices.Clone(r.shards), func(s int) bool { return s == shard }))
+}
+
+// with builds a ring on r's seed and depth over the given ascending
+// members: their salts and the table of every ordered k-tuple.
+func (r *Ring) with(shards []int) *Ring {
+	nr := &Ring{seed: r.seed, depth: r.depth, shards: shards}
+	n := len(shards)
+	for _, s := range shards {
+		// A domain of its own: the key hash already used the seed.
+		nr.salts = append(nr.salts, mix64(r.seed^0x7f4a7c15^uint64(s)*0x9e3779b97f4a7c15))
+	}
+	k := min(r.depth, n)
+	size := k
+	for range k {
+		size *= n
+	}
+	nr.sets = make([]int, size)
+	for off := 0; off < size; off += k {
+		// The digits of off/k, most significant first, are the
+		// member indexes of the tuple stored there.
+		q := off / k
+		for j := k - 1; j >= 0; j-- {
+			nr.sets[off+j] = shards[q%n]
+			q /= n
 		}
 	}
-	for _, p := range r.points {
-		if p.shard != shard {
-			nr.points = append(nr.points, p)
-		}
-	}
-	nr.index()
 	return nr
 }
 
-func (r *Ring) clone() *Ring {
-	return &Ring{
-		seed:   r.seed,
-		vnodes: r.vnodes,
-		points: append([]ringPoint(nil), r.points...),
-		shards: append([]int(nil), r.shards...),
-	}
-}
-
-// sortPoints orders by hash with shard id as a deterministic tiebreak.
-func (r *Ring) sortPoints() {
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].shard < r.points[j].shard
-	})
-}
-
-// index precomputes walk: from each point, the distinct shards in the
-// order a clockwise walk meets them. Every member owns at least one
-// point, so each walk finds all of them.
-func (r *Ring) index() {
-	n := len(r.shards)
-	r.walk = make([]int, 0, len(r.points)*n)
-	maxID := 0
-	for _, s := range r.shards {
-		maxID = max(maxID, s)
-	}
-	seen := make([]bool, maxID+1)
-	for start := range r.points {
-		clear(seen)
-		from := len(r.walk)
-		for i := start; len(r.walk)-from < n; i = (i + 1) % len(r.points) {
-			if s := r.points[i].shard; !seen[s] {
-				seen[s] = true
-				r.walk = append(r.walk, s)
-			}
-		}
-	}
-}
-
 // Shards returns the member shard ids, ascending.
-func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
+func (r *Ring) Shards() []int { return slices.Clone(r.shards) }
 
 // Size returns the member count.
 //
@@ -143,49 +125,51 @@ func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
 func (r *Ring) Size() int { return len(r.shards) }
 
 // Has reports whether shard is a ring member.
-func (r *Ring) Has(shard int) bool {
-	for _, s := range r.shards {
-		if s == shard {
-			return true
-		}
-	}
-	return false
-}
+func (r *Ring) Has(shard int) bool { return slices.Contains(r.shards, shard) }
 
-// Replicas returns the key's replica set: the first rf distinct shards
-// walking clockwise from the key's position. Index 0 is the primary.
-// Fewer than rf members yields the full membership.
+// Replicas returns the key's replica set: the rf members with the
+// highest scores for the key, highest first. Index 0 is the primary.
+// rf is clamped to the ring's depth and member count.
 //
-// The slice is shared by every caller and must not be modified: it is a
-// window of the ring's precomputed walk, capacity-clipped so an append
-// copies instead of writing into the ring.
+// The slice is shared by every caller and must not be modified: it is
+// a window of the ring's table, capacity-clipped so an append copies
+// instead of writing into the ring.
 //
 //herd:hotpath
 func (r *Ring) Replicas(key kv.Key, rf int) []int {
-	if len(r.points) == 0 {
+	n := len(r.shards)
+	if n == 0 {
 		return nil
 	}
-	n := len(r.shards)
-	if rf > n {
-		rf = n
-	}
-	if rf < 1 {
-		rf = 1
-	}
-	// The first point at or clockwise of the key's hash (sort.Search,
-	// without the closure), wrapping past the last point to the first.
+	k := min(r.depth, n)
+	// Keep the k best (score, member index) pairs in descending score
+	// order; a tie goes to the lower index, so to the lower shard id.
+	var best [maxDepth]uint64
+	var top [maxDepth]int
 	h := key.Hash64(r.seed)
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.points[mid].hash < h {
-			lo = mid + 1
+	have := 0
+	for i, salt := range r.salts {
+		s := mix64(h ^ salt)
+		j := have
+		if have < k {
+			have++
+		} else if s <= best[k-1] {
+			continue
 		} else {
-			hi = mid
+			j = k - 1
 		}
+		for ; j > 0 && best[j-1] < s; j-- {
+			best[j], top[j] = best[j-1], top[j-1]
+		}
+		best[j], top[j] = s, i
 	}
-	base := (lo % len(r.points)) * n
-	return r.walk[base : base+rf : base+rf]
+	off := 0
+	for _, i := range top[:k] {
+		off = off*n + i
+	}
+	off *= k
+	rf = min(max(rf, 1), k)
+	return r.sets[off : off+rf : off+rf]
 }
 
 // Primary returns the key's first replica.

@@ -38,11 +38,17 @@ func TestHERDConformance(t *testing.T) {
 	})
 }
 
+// TestShardedConformance runs the suite against static sharding: a
+// fleet at Replication 1, where every key lives on exactly one shard,
+// so reads have no replica to fail over to and writes no fan-out.
 func TestShardedConformance(t *testing.T) {
 	Run(t, func(t *testing.T) Harness {
 		cl := cluster.New(cluster.Apt(), 3, 1)
-		d, err := core.NewShardedDeployment(
-			[]*cluster.Machine{cl.Machine(0), cl.Machine(1)}, herdConfig())
+		cfg := fleet.DefaultConfig()
+		cfg.Herd = herdConfig()
+		cfg.Replication = 1
+		d, err := fleet.NewDeployment(
+			[]*cluster.Machine{cl.Machine(0), cl.Machine(1)}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
 // Package kvtest is a conformance suite for kv.KV implementations.
-// Every backend — HERD, the sharded deployment, the replicated fleet,
+// Every backend — HERD, the fleet (sharded at R=1, replicated above),
 // Pilaf-em and FaRM-em — completes operations with the same kv.Result
 // vocabulary and maintains the same Issued/Completed/Failed counter
 // contract; this suite pins that contract in one place, so a new

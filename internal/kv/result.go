@@ -1,9 +1,9 @@
 // Unified client-facing operation outcome and the common KV client
-// interface. HERD, Pilaf-em, FaRM-em, the sharded deployment and the
-// fleet layer all complete operations with the same Result shape and
-// satisfy the same KV interface, so drivers, experiments and
-// applications are written once against this vocabulary instead of
-// switching on system-specific result types.
+// interface. HERD, Pilaf-em, FaRM-em and the fleet layer all complete
+// operations with the same Result shape and satisfy the same KV
+// interface, so drivers, experiments and applications are written once
+// against this vocabulary instead of switching on system-specific
+// result types.
 package kv
 
 import "herdkv/internal/sim"
@@ -88,11 +88,11 @@ type Result struct {
 }
 
 // KV is the common client interface implemented by every key-value
-// backend: HERD (core.Client), the sharded and fleet deployments, and
-// the Pilaf-em and FaRM-em baselines. Operations are asynchronous; cb
-// runs on the simulation engine when the operation resolves. The
-// returned error reports synchronous rejection (malformed key/value)
-// only — asynchronous failures arrive as Result.Status / Result.Err.
+// backend: HERD (core.Client), the fleet deployment, and the Pilaf-em
+// and FaRM-em baselines. Operations are asynchronous; cb runs on the
+// simulation engine when the operation resolves. The returned error
+// reports synchronous rejection (malformed key/value) only —
+// asynchronous failures arrive as Result.Status / Result.Err.
 //
 // Buffer ownership: Put copies value before it returns, so the caller
 // may reuse or overwrite the buffer at once, and layers above may pass

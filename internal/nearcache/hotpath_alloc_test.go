@@ -65,7 +65,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		eng.Run()
 	}
 	// Two readers of an absent key: the second parks on the first's
-	// fill, and its HerdWait timer fires after the fill resolved.
+	// fill, and its herd-wait timer fires after the fill resolved.
 	herd := func() {
 		for i := 0; i < 2; i++ {
 			if err := c.Get(other, cb); err != nil {

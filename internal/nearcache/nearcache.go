@@ -1,7 +1,7 @@
 // Package nearcache is a client-side near cache: a kv.KV that wraps
-// any other kv.KV (a HERD client, the sharded or fleet deployments, a
-// mux channel) and serves recently read values from client memory, so
-// a Zipf-skewed read mix stops crossing the wire for its hottest keys.
+// any other kv.KV (a HERD client, a fleet deployment, a mux channel)
+// and serves recently read values from client memory, so a Zipf-skewed
+// read mix stops crossing the wire for its hottest keys.
 //
 // Freshness is a *bounded-staleness* contract, not linearizability:
 //
@@ -23,8 +23,9 @@
 // client to miss a key issues the origin fetch and becomes the filler;
 // concurrent missers park on the in-flight promise and share its
 // result instead of dog-piling the origin shard. A parked waiter that
-// outlives Config.HerdWait gives up on the promise and fetches
-// directly, bounding the damage of a slow or crashed filler.
+// stays parked for herdWaitTTLs times Config.TTL gives up on the
+// promise and fetches directly, bounding the damage of a slow or
+// crashed filler.
 //
 // See docs/CACHING.md for the full contract and the cache.* metric
 // rows in docs/OBSERVABILITY.md.
@@ -57,11 +58,12 @@ type Config struct {
 	// Capacity bounds resident entries; the least recently used entry
 	// is evicted first. The default is 1024.
 	Capacity int
-	// HerdWait bounds how long a misser stays parked on another
-	// client's in-flight fill before giving up and fetching directly.
-	// The default is 4x TTL; negative disables the bound.
-	HerdWait sim.Time
 }
+
+// herdWaitTTLs bounds, in TTLs, how long a misser stays parked on
+// another client's in-flight fill before giving up and fetching
+// directly.
+const herdWaitTTLs = 4
 
 // DefaultConfig returns the default near-cache parameters.
 func DefaultConfig() Config { return Config{TTL: 25 * sim.Microsecond, Capacity: 1024} }
@@ -73,9 +75,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = 1024
-	}
-	if c.HerdWait == 0 {
-		c.HerdWait = 4 * c.TTL
 	}
 }
 
@@ -95,7 +94,7 @@ type entry struct {
 type waiter struct {
 	cb     func(kv.Result)
 	start  sim.Time
-	served bool // delivered, or detached after HerdWait
+	served bool // delivered, or detached after the herd wait
 }
 
 // fill is the in-flight promise for one missed key: a pooled record
@@ -425,7 +424,7 @@ func (c *Cache) putFill(f *fill) {
 }
 
 // park adds cb as a waiter on the in-flight fill f and arms its
-// HerdWait escape.
+// herd-wait escape.
 func (c *Cache) park(f *fill, cb func(kv.Result)) {
 	c.telHerdWaits.Inc()
 	c.issued++
@@ -474,8 +473,8 @@ func (f *fill) onResult(r kv.Result) {
 
 // herdWait bounds one parked waiter's patience: if the waiter is still
 // parked when the timer fires (the promise has not resolved within
-// HerdWait), it detaches and fetches directly — the filler may be
-// wedged behind a crashed shard. The record carries the fill life it
+// herdWaitTTLs TTLs), it detaches and fetches directly — the filler
+// may be wedged behind a crashed shard. The record carries the fill life it
 // was armed on and the waiter's index; it returns to the pool when it
 // fires on a resolved fill, or when its direct fetch resolves.
 type herdWait struct {
@@ -489,11 +488,8 @@ type herdWait struct {
 	direct func(kv.Result) // bound once to onDirect
 }
 
-// armHerdWait arms the HerdWait escape for f's waiter idx.
+// armHerdWait arms the herd-wait escape for f's waiter idx.
 func (c *Cache) armHerdWait(f *fill, idx int) {
-	if c.cfg.HerdWait < 0 {
-		return
-	}
 	var h *herdWait
 	if n := len(c.waitFree); n > 0 {
 		h = c.waitFree[n-1]
@@ -503,7 +499,7 @@ func (c *Cache) armHerdWait(f *fill, idx int) {
 		h.direct = h.onDirect
 	}
 	h.f, h.gen, h.idx = f, f.gen, idx
-	c.clk.AfterHandler(c.cfg.HerdWait, h)
+	c.clk.AfterHandler(herdWaitTTLs*c.cfg.TTL, h)
 }
 
 // putWait returns a herd-wait record to the pool.

@@ -374,23 +374,29 @@ func TestHerdWaitAbort(t *testing.T) {
 	f := newFake(eng)
 	f.store[k(8)] = []byte("eventually")
 	f.hang = 1 // the filler's fetch wedges forever
-	c := New(f, eng, nil, Config{TTL: sim.Second, HerdWait: 15 * sim.Microsecond})
+	const ttl = 5 * sim.Microsecond
+	c := New(f, eng, nil, Config{TTL: ttl})
 
-	fillerServed, waiterServed := false, false
+	fillerServed := false
+	var waiterServed sim.Time = -1
 	c.Get(k(8), func(kv.Result) { fillerServed = true })
 	c.Get(k(8), func(r kv.Result) {
 		if r.Status != kv.StatusHit {
 			t.Errorf("aborting waiter got %v", r.Status)
 		}
-		waiterServed = true
+		waiterServed = eng.Now()
 	})
 	eng.Run()
 
 	if fillerServed {
 		t.Fatal("wedged fill resolved somehow")
 	}
-	if !waiterServed {
+	if waiterServed < 0 {
 		t.Fatal("parked waiter never escaped the wedged fill")
+	}
+	// The waiter stays parked for exactly 4 TTLs, then fetches directly.
+	if waiterServed < herdWaitTTLs*ttl {
+		t.Fatalf("waiter escaped at %v, before the %v herd wait", waiterServed, herdWaitTTLs*ttl)
 	}
 	if f.gets != 2 {
 		t.Fatalf("origin GETs = %d, want 2 (wedged fill + direct fetch)", f.gets)

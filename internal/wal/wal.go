@@ -564,14 +564,15 @@ func (l *Log) Crash() {
 // CrashTorn models the worst-case mid-group-commit power loss: the
 // crash lands between append and flush completion, cutting the device
 // write strictly inside the batch's final record. If no flush is in
-// flight it force-starts one over the pending batch first, so a
+// flight it force-starts one over the pending batch first, even while
+// a snapshot holds the device (the crash cancels the snapshot), so a
 // "flushcrash" fault event always produces a torn tail to truncate
 // (provided anything was pending).
 func (l *Log) CrashTorn() {
 	if l.crashed {
 		return
 	}
-	if l.inflight == nil && l.npending > 0 && !l.snapInProg {
+	if l.inflight == nil && l.npending > 0 {
 		l.startFlush()
 	}
 	cut := -1

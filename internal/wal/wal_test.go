@@ -171,6 +171,75 @@ func TestCrashTornForcesTornTail(t *testing.T) {
 	}
 }
 
+// TestCrashTornDuringSnapshot crashes while a compaction holds the
+// device: the pending batch still tears (its flush is forced and cut
+// inside the last record), the in-progress snapshot is cancelled, and
+// recovery replays the old (snapshot, log) pair minus the torn tail.
+func TestCrashTornDuringSnapshot(t *testing.T) {
+	eng := sim.New()
+	cfg := testConfig()
+	cfg.SnapshotEvery = 256
+	l := New(eng, cfg, nil)
+	live := map[kv.Key][]byte{}
+	l.SetSnapshotSource(func(emit func(kv.Key, []byte)) {
+		for i := uint64(1); i <= 8; i++ {
+			k := kv.FromUint64(i)
+			if v, ok := live[k]; ok {
+				emit(k, v)
+			}
+		}
+	})
+	put := func(n uint64, v string) {
+		k := kv.FromUint64(n)
+		live[k] = []byte(v)
+		l.Append(Record{Op: OpPut, Key: k, Value: []byte(v)}, nil)
+	}
+	// One full batch of 80-byte values crosses SnapshotEvery, so its
+	// commit starts a compaction.
+	round := func(r int) {
+		for i := uint64(1); i <= 4; i++ {
+			put(i, fmt.Sprintf("round-%d-%076d", r, i))
+		}
+	}
+	round(0)
+	eng.Run()
+	if l.Snapshots() != 1 {
+		t.Fatalf("snapshots = %d after the first batch, want 1", l.Snapshots())
+	}
+	round(1)
+	for !l.snapInProg {
+		if !eng.Step() {
+			t.Fatal("the second batch started no snapshot")
+		}
+	}
+	put(5, "pending-5")
+	put(6, "pending-6")
+	l.CrashTorn()
+
+	var stats RecoverStats
+	got := map[kv.Key]string{}
+	l.Recover(func(r Record) { got[r.Key] = string(r.Value) }, func(s RecoverStats) { stats = s })
+	eng.Run()
+	if stats.TornBytes == 0 {
+		t.Fatal("a crash during a snapshot left no torn tail")
+	}
+	if l.Snapshots() != 1 || stats.SnapshotRecords != 4 {
+		t.Fatalf("snapshots = %d, replayed %d snapshot records; want the old snapshot's 4",
+			l.Snapshots(), stats.SnapshotRecords)
+	}
+	for i := uint64(1); i <= 4; i++ {
+		if want := fmt.Sprintf("round-1-%076d", i); got[kv.FromUint64(i)] != want {
+			t.Fatalf("key %d recovered %q, want %q", i, got[kv.FromUint64(i)], want)
+		}
+	}
+	if got[kv.FromUint64(5)] != "pending-5" {
+		t.Fatalf("key 5 recovered %q: the whole record before the tear must survive", got[kv.FromUint64(5)])
+	}
+	if _, ok := got[kv.FromUint64(6)]; ok {
+		t.Fatal("the torn record was replayed")
+	}
+}
+
 func TestAppendDurableSurvivesImmediateCrash(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testConfig(), nil)
