@@ -42,10 +42,11 @@ bench-check:
 
 # Paper-figure benchmarks, plus the simulator substrate's per-event
 # microbenchmarks (engine schedule+step, Server job, PIO write, packet
-# send) and the MICA index's Get/Put, which report allocs/op and should
-# all read 0.
+# send), the MICA index's Get/Put and the mux endpoint's scheduler at
+# 64, 2,048 and 65,536 channels, which report allocs/op and should all
+# read 0.
 microbench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/ ./internal/mux/
 
 # Non-test Go lines per package, so a change that deletes code can
 # report before/after counts (run it on both commits and diff).

@@ -23,9 +23,17 @@ func (gateClient) Window() int                               { return 4 }
 // TestHotpathAllocFree gates the //herd:hotpath functions of the
 // endpoint scheduler at 0 allocs/op.
 func TestHotpathAllocFree(t *testing.T) {
-	ep := &Endpoint{pool: []PoolClient{gateClient{}, gateClient{}}}
+	ep := &Endpoint{
+		cfg:   Config{ChannelWindow: 4},
+		pool:  []PoolClient{gateClient{}, gateClient{}},
+		ready: make([]uint64, 3),
+	}
+	ch := &Channel{id: 130}
 	hotgate.Check(t, ".", map[string]func(){
 		"Endpoint.poolWithRoom": func() { _ = ep.poolWithRoom() },
+		"Endpoint.updateReady":  func() { ep.updateReady(ch) },
+		"Endpoint.nextReady":    func() { _ = ep.nextReady(100, 150) },
+		"Endpoint.nextSet":      func() { _ = ep.nextSet(10, 150) },
 		"opKind.kindName":       func() { _ = opPut.kindName() },
 	})
 }

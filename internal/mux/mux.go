@@ -21,7 +21,9 @@
 //     app-to-endpoint hop is an intra-host shared-memory enqueue, unpaid
 //     in the model (well under the ~2 us network RTT).
 //   - The endpoint issues across channels in round-robin order, so one
-//     greedy channel cannot starve the others out of the shared pool.
+//     greedy channel cannot starve the others out of the shared pool. A
+//     bitmap of ready channels lets it skip idle ones without visiting
+//     them: a pump reads one bitmap word per 64 channels.
 //   - Channel-level flow control caps each channel at ChannelWindow
 //     outstanding ops; the pool-level check respects each pooled
 //     client's *effective* window, so when core's AIMD controller
@@ -36,6 +38,7 @@ package mux
 
 import (
 	"errors"
+	"math/bits"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -93,6 +96,11 @@ type Endpoint struct {
 	queued  int // ops waiting in channel queues, endpoint-wide
 	pumping bool
 	opFree  []*chanOp // recycled submission-queue entries
+
+	// ready holds one bit per channel, set exactly when the channel has
+	// queued ops and room under ChannelWindow, so pump finds the next
+	// channel to issue from without visiting the idle ones.
+	ready []uint64
 
 	// rings is the unused rest of the block OpenChannel cuts each
 	// channel's first queue slot from, so a channel's first submission
@@ -173,6 +181,9 @@ func (ep *Endpoint) OpenChannel() (*Channel, error) {
 	}
 	ch.queue.Init(ep.rings[:1:1])
 	ep.rings = ep.rings[1:]
+	if ch.id%64 == 0 {
+		ep.ready = append(ep.ready, 0)
+	}
 	ep.channels = append(ep.channels, ch)
 	ep.telChannels.Add(1)
 	return ch, nil
@@ -248,11 +259,62 @@ func (ep *Endpoint) poolWithRoom() PoolClient {
 	return nil
 }
 
+// updateReady sets ch's ready bit when it has queued ops and room under
+// its ChannelWindow, and clears it otherwise. Every change to a
+// channel's queue length or outstanding count is followed by a call.
+//
+//herd:hotpath
+func (ep *Endpoint) updateReady(ch *Channel) {
+	bit := uint64(1) << (ch.id % 64)
+	if ch.queue.Len() > 0 && ch.outstanding < ep.cfg.ChannelWindow {
+		ep.ready[ch.id/64] |= bit
+	} else {
+		ep.ready[ch.id/64] &^= bit
+	}
+}
+
+// nextReady returns the first ready channel among the first n, visiting
+// them cyclically from channel from, or -1 when none is ready. Channels
+// at or past n (opened by a callback during this pump) do not count.
+//
+//herd:hotpath
+func (ep *Endpoint) nextReady(from, n int) int {
+	if i := ep.nextSet(from, n); i >= 0 {
+		return i
+	}
+	return ep.nextSet(0, from)
+}
+
+// nextSet returns the lowest ready channel in [from, limit), or -1. It
+// reads the bitmap a word at a time, so its cost is O(1 + channels/64).
+//
+//herd:hotpath
+func (ep *Endpoint) nextSet(from, limit int) int {
+	if from >= limit {
+		return -1
+	}
+	w := from / 64
+	word := ep.ready[w] &^ (1<<(from%64) - 1)
+	for word == 0 {
+		if w++; w*64 >= limit {
+			return -1
+		}
+		word = ep.ready[w]
+	}
+	if i := w*64 + bits.TrailingZeros64(word); i < limit {
+		return i
+	}
+	return -1
+}
+
 // pump issues queued ops fairly: channels are visited round-robin, one
 // issue per visit, until every channel is idle (empty queue or at its
-// ChannelWindow) or the pool is saturated. Re-entrant calls (a pooled
-// client rejecting an op synchronously completes it mid-pump) fold into
-// the running loop.
+// ChannelWindow) or the pool is saturated. Idle channels are skipped
+// through the ready bitmap, but the cursor rr still advances by one per
+// channel passed, exactly as a visit to each would, so the issue order
+// does not depend on how the next ready channel is found. Re-entrant
+// calls (a pooled client rejecting an op synchronously completes it
+// mid-pump) fold into the running loop.
 func (ep *Endpoint) pump() {
 	if ep.pumping {
 		return
@@ -260,14 +322,15 @@ func (ep *Endpoint) pump() {
 	ep.pumping = true
 	defer func() { ep.pumping = false }()
 	n := len(ep.channels)
-	idle := 0
-	for idle < n {
-		ch := ep.channels[ep.rr%n]
-		if ch.queue.Len() == 0 || ch.outstanding >= ep.cfg.ChannelWindow {
-			ep.rr++
-			idle++
-			continue
+	for {
+		start := ep.rr % n
+		i := ep.nextReady(start, n)
+		if i < 0 {
+			// Every channel is idle: a full lap of the cursor.
+			ep.rr += n
+			return
 		}
+		ep.rr += (i - start + n) % n
 		cli := ep.poolWithRoom()
 		if cli == nil {
 			// Pool saturated. The cursor stays on this channel so it is
@@ -276,8 +339,7 @@ func (ep *Endpoint) pump() {
 			return
 		}
 		ep.rr++
-		ep.issue(ch, cli)
-		idle = 0
+		ep.issue(ep.channels[i], cli)
 	}
 }
 
@@ -297,6 +359,7 @@ func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
 	op.trace.Mark("mux.resume", ep.now())
 	op.started = true
 	ch.outstanding++
+	ep.updateReady(ch)
 	ep.issued++
 	ep.telIssued.Inc()
 
@@ -325,6 +388,7 @@ func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
 // pipe full.
 func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 	ch.outstanding--
+	ep.updateReady(ch)
 	r.Latency = ep.now() - op.submitted
 	if r.Err == nil {
 		ch.completed++
@@ -349,6 +413,7 @@ func (ep *Endpoint) submit(ch *Channel, op *chanOp) {
 	op.submitted = ep.now()
 	ch.issuedOps++
 	ch.queue.Push(op)
+	ep.updateReady(ch)
 	ep.queued++
 	ep.telQueued.Add(1)
 	ep.pump()

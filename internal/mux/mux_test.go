@@ -31,9 +31,15 @@ type fakeClient struct {
 	reject   bool // fail the next op synchronously
 	order    []kv.Key
 	pending  []func()
+	// onAccept, when set, sees every op handed to the client; ok is
+	// false for a synchronous rejection.
+	onAccept func(key kv.Key, ok bool)
 }
 
 func (f *fakeClient) accept(key kv.Key, isGet bool, cb func(kv.Result)) error {
+	if f.onAccept != nil {
+		f.onAccept(key, !f.reject)
+	}
 	if f.reject {
 		f.reject = false
 		return fmt.Errorf("fake: rejected")
@@ -59,9 +65,12 @@ func (f *fakeClient) Completed() uint64                           { return 0 }
 func (f *fakeClient) Failed() uint64                              { return 0 }
 
 // release resolves the oldest unresolved op.
-func (f *fakeClient) release() {
-	done := f.pending[0]
-	f.pending = f.pending[1:]
+func (f *fakeClient) release() { f.releaseAt(0) }
+
+// releaseAt resolves the i-th oldest unresolved op.
+func (f *fakeClient) releaseAt(i int) {
+	done := f.pending[i]
+	f.pending = append(f.pending[:i], f.pending[i+1:]...)
 	done()
 }
 

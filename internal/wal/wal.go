@@ -523,7 +523,10 @@ func (l *Log) maybeSnapshot() {
 	if epoch < 0 {
 		epoch = 0
 	}
-	var buf []byte
+	// The live state is at most the old snapshot plus every durable
+	// record since, so reserving that much builds the buffer without
+	// regrowth (append still grows it if the source holds more).
+	buf := make([]byte, 0, len(l.snapshot)+len(l.durable))
 	l.source(func(key kv.Key, value []byte) {
 		buf = appendRecord(buf, Record{Op: OpPut, Key: key, Value: value, Epoch: epoch, At: takenAt})
 	})

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
@@ -141,8 +142,34 @@ func NewZipf(n uint64, theta float64, rnd *sim.Rand) *Zipf {
 	return z
 }
 
-// zeta computes the generalized harmonic number H(n, theta).
+// zetaMemo caches zeta per (n, theta): every client generator over the
+// same key space would otherwise redo the O(n) sum.
+var (
+	zetaMu   sync.Mutex
+	zetaMemo = map[zetaKey]float64{}
+)
+
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+// zeta returns the generalized harmonic number H(n, theta), computed
+// once per (n, theta) in the process.
 func zeta(n uint64, theta float64) float64 {
+	zetaMu.Lock()
+	defer zetaMu.Unlock()
+	k := zetaKey{n, theta}
+	v, ok := zetaMemo[k]
+	if !ok {
+		v = zetaSum(n, theta)
+		zetaMemo[k] = v
+	}
+	return v
+}
+
+// zetaSum computes H(n, theta) directly.
+func zetaSum(n uint64, theta float64) float64 {
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)

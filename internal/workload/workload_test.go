@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -169,5 +170,27 @@ func TestKeysNeverZero(t *testing.T) {
 		if g.Next().Key.IsZero() {
 			t.Fatal("generated the reserved zero keyhash")
 		}
+	}
+}
+
+// TestZetaMemoBitIdentical checks that the memoized harmonic number is
+// the same float, bit for bit, as the direct sum, both on the call that
+// fills the memo and on the calls served from it, so memoizing moves no
+// Zipf sample.
+func TestZetaMemoBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		n     uint64
+		theta float64
+	}{{1, 0.99}, {2, 0.99}, {1000, 0.99}, {1 << 16, 0.99}, {1000, 0.5}, {1000, 0}} {
+		want := math.Float64bits(zetaSum(tc.n, tc.theta))
+		for call := 0; call < 3; call++ {
+			if got := math.Float64bits(zeta(tc.n, tc.theta)); got != want {
+				t.Errorf("zeta(%d, %v) call %d = %#x, direct sum %#x", tc.n, tc.theta, call, got, want)
+			}
+		}
+	}
+	z := NewZipf(5000, 0.99, sim.NewRand(7))
+	if got, want := math.Float64bits(z.zetan), math.Float64bits(zetaSum(5000, 0.99)); got != want {
+		t.Errorf("NewZipf zetan %#x, direct sum %#x", got, want)
 	}
 }
