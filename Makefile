@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-check microbench loc
+.PHONY: all build vet lint lint-fix test race bench bench-check tables microbench loc
 
 all: build vet lint test
 
@@ -39,6 +39,12 @@ bench:
 bench-check:
 	$(BENCH)
 	$(GO) run ./cmd/benchcheck baselines .
+
+# Every target's table at the shortened windows, without the wall-clock
+# "generated in" lines, so a refactor's "output unchanged" check is one
+# diff of this output from two commits.
+tables:
+	@$(GO) run ./cmd/herdbench -warmup 50 -span 150 all | sed '/ generated in /d'
 
 # Paper-figure benchmarks, plus the simulator substrate's per-event
 # microbenchmarks (engine schedule+step, Server job, PIO write, packet

@@ -6,6 +6,7 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
 	"herdkv/internal/fault"
+	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
@@ -20,61 +21,49 @@ const chaosBuckets = 10
 // the bucket width so recovery is visible in the table.
 const chaosRetryTimeout = 25 * sim.Microsecond
 
-// Chaos drives a HERD deployment closed-loop while sched injects faults,
-// and reports availability and tail latency through time. Every issued
-// operation is accounted for: it either completes with a served response
-// or fails terminally after its retry budget — the run drains to zero
-// in-flight operations before reporting, and a nonzero hung count is a
-// bug. Rows bucket operations by issue time; an op that spans a bucket
-// boundary counts where it was issued.
-//
-// The run is deterministic: the same (spec, schedule, seed) triple
-// produces a byte-identical table.
-func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
-	const (
-		nClients   = 6
-		perMachine = 3
-		keys       = 4096
-		valueSize  = 32
-	)
+// Shape shared by the fault runs (Chaos, FleetChaos, durability).
+const (
+	chaosClients    = 6
+	chaosPerMachine = 3
+	chaosKeys       = 4096
+	chaosValueSize  = 32
+)
+
+// faultDrive drives clients closed-loop through a fault run: client i
+// keeps window ops in flight from i µs, getFraction of them GETs over
+// the chaos keyspace. After runFor the clients stop issuing and the
+// engine drains, so every op has resolved, served or terminally failed,
+// when faultDrive returns.
+func faultDrive[C kv.KV](eng *sim.Engine, clients []C, window int, getFraction float64,
+	seed int64, runFor sim.Time, observe func(*chain, kv.Result)) *driver {
+	d := newDriver(eng, observe)
+	for i, c := range clients {
+		gen := workload.NewGenerator(workload.Config{
+			GetFraction: getFraction,
+			Keys:        chaosKeys,
+			ValueSize:   chaosValueSize,
+			Seed:        seed + int64(i)*1000,
+		})
+		d.add(c, gen, window, sim.Time(i)*sim.Microsecond)
+	}
+	eng.RunFor(runFor)
+	d.stopped = true
+	eng.Run()
+	return d
+}
+
+// chaosTable runs faultDrive over sched's window (10 ms when it has no
+// end) and renders availability through time: one
+// t_ms/issued/ok/err/avail%/p99_us row per bucket. Ops bucket by issue
+// time; an op that spans a bucket boundary counts where it was issued.
+// It returns the table and the totals over all buckets.
+func chaosTable[C kv.KV](id, title string, eng *sim.Engine, clients []C, window int,
+	getFraction float64, seed int64, sched *fault.Schedule) (t *Table, issued, ok, errs uint64) {
 	runFor := sched.End()
 	if runFor == 0 {
 		runFor = 10 * sim.Millisecond
 	}
 	bucketLen := runFor / chaosBuckets
-
-	spec.Faults = sched
-	machines := 1 + (nClients+perMachine-1)/perMachine
-	cl := cluster.New(spec, machines, seed)
-
-	hcfg := core.DefaultConfig()
-	hcfg.NS = 2
-	hcfg.MaxClients = nClients
-	hcfg.RetryTimeout = chaosRetryTimeout
-	hcfg.Mica = mica.Config{
-		IndexBuckets: keys / 4,
-		BucketSlots:  8,
-		LogBytes:     keys * (18 + valueSize) * 2 / hcfg.NS,
-	}
-	srv, err := core.NewServer(cl.Machine(0), hcfg)
-	if err != nil {
-		panic(err)
-	}
-	preloadKeys(keys, valueSize, srv.Preload)
-	if inj := cl.Faults(); inj != nil {
-		inj.SetCrashTarget(0, srv)
-		inj.Arm()
-	}
-
-	clients := make([]*core.Client, nClients)
-	for i := range clients {
-		c, err := srv.ConnectClient(cl.Machine(1 + i/perMachine))
-		if err != nil {
-			panic(err)
-		}
-		clients[i] = c
-	}
-
 	type bucket struct {
 		issued, ok, err uint64
 		lat             *stats.LatencyRecorder
@@ -90,59 +79,30 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 		}
 		return &buckets[i]
 	}
-
-	stopped := false
-	for i, c := range clients {
-		c := c
-		gen := workload.NewGenerator(workload.Config{
-			GetFraction: 0.95,
-			Keys:        keys,
-			ValueSize:   valueSize,
-			Seed:        seed + int64(i)*1000,
-		})
-		issue := func(done func()) {
-			if stopped {
-				return // let the closed loop die out at the cutoff
-			}
-			op := gen.Next()
-			b := bucketOf(cl.Eng.Now())
-			b.issued++
-			fin := func(r core.Result) {
-				if r.Err != nil {
-					b.err++
-				} else {
-					b.ok++
-					b.lat.Record(r.Latency)
-				}
-				done()
-			}
-			if op.IsGet {
-				c.Get(op.Key, fin)
-			} else {
-				c.Put(op.Key, gen.Value(op.Key), fin)
+	d := faultDrive(eng, clients, window, getFraction, seed, runFor, func(ch *chain, r kv.Result) {
+		b := bucketOf(ch.at)
+		b.issued++
+		if r.Err != nil {
+			b.err++
+		} else {
+			b.ok++
+			b.lat.Record(r.Latency)
+		}
+	})
+	for _, cli := range d.clients {
+		for i := range cli.chains {
+			if ch := &cli.chains[i]; ch.inFlight { // hung: issued, never resolved
+				bucketOf(ch.at).issued++
 			}
 		}
-		stagger := sim.Time(i) * sim.Microsecond
-		cl.Eng.At(stagger, func() { pump(hcfg.Window, issue) })
 	}
 
-	// Run the scripted window, stop issuing, then drain: every in-flight
-	// op must resolve — served, or terminal after its retry budget.
-	cl.Eng.RunFor(runFor)
-	stopped = true
-	cl.Eng.Run()
-
-	var issued, okOps, errOps uint64
-	t := &Table{
-		ID:      "chaos",
-		Title:   fmt.Sprintf("Availability through faults — %s", spec.Name),
-		Columns: []string{"t_ms", "issued", "ok", "err", "avail%", "p99_us"},
-	}
+	t = &Table{ID: id, Title: title, Columns: []string{"t_ms", "issued", "ok", "err", "avail%", "p99_us"}}
 	for i := range buckets {
 		b := &buckets[i]
 		issued += b.issued
-		okOps += b.ok
-		errOps += b.err
+		ok += b.ok
+		errs += b.err
 		avail, p99 := "-", "-"
 		if b.ok+b.err > 0 {
 			avail = fmt.Sprintf("%.1f", 100*float64(b.ok)/float64(b.ok+b.err))
@@ -157,6 +117,53 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 			fmt.Sprintf("%d", b.err), avail, p99,
 		)
 	}
+	return t, issued, ok, errs
+}
+
+// Chaos drives a HERD deployment closed-loop while sched injects faults,
+// and reports availability and tail latency through time. Every issued
+// operation is accounted for: it either completes with a served response
+// or fails terminally after its retry budget — the run drains to zero
+// in-flight operations before reporting, and a nonzero hung count is a
+// bug.
+//
+// The run is deterministic: the same (spec, schedule, seed) triple
+// produces a byte-identical table.
+func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
+	spec.Faults = sched
+	machines := 1 + (chaosClients+chaosPerMachine-1)/chaosPerMachine
+	cl := cluster.New(spec, machines, seed)
+
+	hcfg := core.DefaultConfig()
+	hcfg.NS = 2
+	hcfg.MaxClients = chaosClients
+	hcfg.RetryTimeout = chaosRetryTimeout
+	hcfg.Mica = mica.Config{
+		IndexBuckets: chaosKeys / 4,
+		BucketSlots:  8,
+		LogBytes:     chaosKeys * (18 + chaosValueSize) * 2 / hcfg.NS,
+	}
+	srv, err := core.NewServer(cl.Machine(0), hcfg)
+	if err != nil {
+		panic(err)
+	}
+	preloadKeys(chaosKeys, chaosValueSize, srv.Preload)
+	if inj := cl.Faults(); inj != nil {
+		inj.SetCrashTarget(0, srv)
+		inj.Arm()
+	}
+
+	clients := make([]*core.Client, chaosClients)
+	for i := range clients {
+		c, err := srv.ConnectClient(cl.Machine(1 + i/chaosPerMachine))
+		if err != nil {
+			panic(err)
+		}
+		clients[i] = c
+	}
+
+	t, issued, okOps, errOps := chaosTable("chaos", fmt.Sprintf("Availability through faults — %s", spec.Name),
+		cl.Eng, clients, hcfg.Window, 0.95, seed, sched)
 
 	var retries, reconnects, dups, corrupt, inflight uint64
 	for _, c := range clients {
@@ -166,9 +173,8 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 		corrupt += c.CorruptResponses()
 		inflight += uint64(c.Inflight())
 	}
-	hung := inflight
 	t.AddNote("ops: %d issued, %d ok, %d terminal err, %d hung (must be 0)",
-		issued, okOps, errOps, hung)
+		issued, okOps, errOps, inflight)
 	t.AddNote("client recovery: %d retries, %d reconnect handshakes, %d duplicate and %d corrupt responses discarded",
 		retries, reconnects, dups, corrupt)
 	t.AddNote("server: %d requests rejected by integrity checks", srv.Rejected())

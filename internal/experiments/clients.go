@@ -64,14 +64,7 @@ func clientsPoint(spec cluster.Spec, clients int, muxed bool) Metrics {
 	if err != nil {
 		panic(err)
 	}
-	for k := uint64(0); k < clientsKeys; k++ {
-		key := kv.FromUint64(k)
-		v := make([]byte, clientsValueSize)
-		copy(v, key[:])
-		if err := srv.Preload(key, v); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(clientsKeys, clientsValueSize, srv.Preload)
 
 	var kvs []kv.KV
 	serverQPs := 0
@@ -105,37 +98,10 @@ func clientsPoint(spec cluster.Spec, clients int, muxed bool) Metrics {
 		}
 	}
 
-	var served uint64
-	lat := stats.NewLatencyRecorder(0)
-	measuring := false
-	stopped := false
-	for i, c := range kvs {
-		c := c
-		seq := uint64(i) * 977
-		issue := func(done func()) {
-			if stopped {
-				return
-			}
-			seq++
-			key := kv.FromUint64(seq % clientsKeys)
-			mustPost(c.Get(key, func(r kv.Result) {
-				if r.Err == nil && measuring {
-					served++
-					lat.Record(r.Latency)
-				}
-				done()
-			}))
-		}
-		// Spread chain starts across the warmup window so 10k clients
-		// do not ring one synchronized doorbell at t=0.
-		off := Warmup * sim.Time(i) / sim.Time(len(kvs))
-		cl.Eng.At(off, func() { pump(1, issue) })
-	}
-	cl.Eng.RunFor(Warmup)
-	measuring = true
-	cl.Eng.RunFor(Span)
-	measuring = false
-	stopped = true
+	// Spread chain starts across the warmup window so 10k clients do
+	// not ring one synchronized doorbell at t=0.
+	served, lat := measureGets(cl, kvs, 1, clientsKeys,
+		func(i int) sim.Time { return Warmup * sim.Time(i) / sim.Time(len(kvs)) })
 
 	// server_qps is the quantity the RNIC's context cache is sized
 	// against; the receive-context hit rate and evictions are the cliff's

@@ -6,7 +6,6 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
-	"herdkv/internal/workload"
 )
 
 // CPUUse reproduces the Section 5.6 analysis: HERD spends server CPU on
@@ -69,29 +68,10 @@ func runCPUUse(cfg e2eConfig) cpuUseResult {
 
 	var completed uint64
 	var clientBusy sim.Time
-	// Closed-loop clients over the standard generator.
-	stagger := 40 * sim.Microsecond / sim.Time(len(clients)+1)
-	for i, c := range clients {
-		i, c := i, c
-		gen := newGenFor(cfg, i)
-		issue := func(done func()) {
-			op := gen.Next()
-			if op.IsGet {
-				mustPost(c.Get(op.Key, func(kv.Result) {
-					completed++
-					clientBusy += perOp(true)
-					done()
-				}))
-			} else {
-				mustPost(c.Put(op.Key, gen.Value(op.Key), func(kv.Result) {
-					completed++
-					clientBusy += perOp(false)
-					done()
-				}))
-			}
-		}
-		cl.Eng.At(sim.Time(i)*stagger, func() { pump(cfg.window, issue) })
-	}
+	driveE2E(cfg, cl, clients, func(ch *chain, _ kv.Result) {
+		completed++
+		clientBusy += perOp(ch.op.IsGet)
+	})
 
 	cl.Eng.RunFor(Warmup)
 	startOps := completed
@@ -122,15 +102,4 @@ func serverBusy(cpu interface{ Core(int) *sim.Server }, cores int) sim.Time {
 		total += cpu.Core(i).BusyTime()
 	}
 	return total
-}
-
-// newGenFor builds client i's workload generator under cfg.
-func newGenFor(cfg e2eConfig, i int) *workload.Generator {
-	return workload.NewGenerator(workload.Config{
-		GetFraction: cfg.getFraction,
-		Keys:        cfg.keys,
-		ZipfTheta:   ternary(cfg.zipf, 0.99, 0),
-		ValueSize:   cfg.valueSize,
-		Seed:        cfg.seed + int64(i)*1000,
-	})
 }

@@ -46,21 +46,17 @@ func durabilitySchedule() *fault.Schedule {
 // durability mode under the flushcrash schedule.
 func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics {
 	const (
-		nShards    = 4
-		nClients   = 6
-		perMachine = 3
-		keys       = 4096
-		valueSize  = 32
-		runFor     = 8 * sim.Millisecond
+		nShards = 4
+		runFor  = 8 * sim.Millisecond
 	)
 	spec.Faults = durabilitySchedule()
-	machines := nShards + (nClients+perMachine-1)/perMachine
+	machines := nShards + (chaosClients+chaosPerMachine-1)/chaosPerMachine
 	cl := cluster.New(spec, machines, seed)
 
 	fcfg := fleet.DefaultConfig()
 	fcfg.Herd = core.DefaultConfig()
 	fcfg.Herd.NS = 2
-	fcfg.Herd.MaxClients = nClients
+	fcfg.Herd.MaxClients = chaosClients
 	fcfg.Herd.RetryTimeout = chaosRetryTimeout
 	fcfg.Herd.Durability = mode
 	// A low snapshot threshold so the warm arm exercises snapshot
@@ -74,7 +70,7 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 	fcfg.MigrationBatch = 32
 	fcfg.MigrationInterval = 4 * sim.Microsecond
 	fcfg.Herd.Mica = mica.Config{
-		IndexBuckets: keys / 4,
+		IndexBuckets: chaosKeys / 4,
 		BucketSlots:  8,
 		// Sized so the circular log never wraps during the run: cache
 		// eviction would be indistinguishable from crash data loss in
@@ -89,56 +85,29 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 	if err != nil {
 		panic(err)
 	}
-	preloadKeys(keys, valueSize, d.Preload)
+	preloadKeys(chaosKeys, chaosValueSize, d.Preload)
 	if inj := cl.Faults(); inj != nil {
 		d.RegisterCrashTargets(inj)
 		inj.Arm()
 	}
 
-	clients := make([]*fleet.Client, nClients)
+	clients := make([]*fleet.Client, chaosClients)
 	for i := range clients {
-		c, err := d.ConnectClient(cl.Machine(nShards + i/perMachine))
+		c, err := d.ConnectClient(cl.Machine(nShards + i/chaosPerMachine))
 		if err != nil {
 			panic(err)
 		}
 		clients[i] = c
 	}
 
-	var issued, ok uint64
-	stopped := false
-	for i, c := range clients {
-		c := c
-		gen := workload.NewGenerator(workload.Config{
-			GetFraction: 0.50, // heavy writes: the log must keep up under fire
-			Keys:        keys,
-			ValueSize:   valueSize,
-			Seed:        seed + int64(i)*1000,
-		})
-		issue := func(done func()) {
-			if stopped {
-				return
-			}
-			op := gen.Next()
-			issued++
-			fin := func(r kv.Result) {
-				if r.Err == nil {
-					ok++
-				}
-				done()
-			}
-			if op.IsGet {
-				c.Get(op.Key, fin)
-			} else {
-				c.Put(op.Key, gen.Value(op.Key), fin)
-			}
+	// Heavy writes: the log must keep up under fire. The drain after
+	// runFor also covers the recovery catch-up.
+	var ok uint64
+	drv := faultDrive(cl.Eng, clients, fcfg.Herd.Window, 0.50, seed, runFor, func(_ *chain, r kv.Result) {
+		if r.Err == nil {
+			ok++
 		}
-		stagger := sim.Time(i) * sim.Microsecond
-		cl.Eng.At(stagger, func() { pump(fcfg.Herd.Window, issue) })
-	}
-
-	cl.Eng.RunFor(runFor)
-	stopped = true
-	cl.Eng.Run() // drain in-flight ops AND the recovery catch-up
+	})
 
 	// Failed and hung must be zero: R=2 absorbs the outage either way.
 	var failed, hung uint64
@@ -147,7 +116,7 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 		hung += uint64(c.Inflight())
 	}
 	m := Metrics{}
-	m.Set("issued", float64(issued), "ops", "")
+	m.Set("issued", float64(drv.issued), "ops", "")
 	m.Set("ok", float64(ok), "ops", "")
 	m.Set("failed", float64(failed), "ops", "")
 	m.Set("hung", float64(hung), "ops", "")
@@ -182,9 +151,9 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 	// again.
 	lost, missing := 0, 0
 	var want []byte
-	for k := uint64(0); k < keys; k++ {
+	for k := uint64(0); k < chaosKeys; k++ {
 		key := kv.FromUint64(k)
-		want = workload.AppendExpectedValue(want[:0], key, valueSize)
+		want = workload.AppendExpectedValue(want[:0], key, chaosValueSize)
 		part := mica.Partition(key, fcfg.Herd.NS)
 		found, onZero := false, false
 		for _, id := range d.Replicas(key) {

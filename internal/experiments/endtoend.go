@@ -12,6 +12,7 @@ import (
 	"herdkv/internal/pilaf"
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
+	"herdkv/internal/workload"
 )
 
 // System names compared in the end-to-end experiments.
@@ -167,57 +168,55 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 	return cl, clients, perCore
 }
 
+// driveE2E starts cfg's closed-loop clients on the driver: client i
+// keeps cfg.window ops from newGenFor(cfg, i) in flight.
+func driveE2E(cfg e2eConfig, cl *cluster.Cluster, clients []kv.KV, observe func(*chain, kv.Result)) {
+	d := newDriver(cl.Eng, observe)
+	// Stagger client start times: real client fleets do not begin in
+	// lockstep, and a synchronized start puts the closed-loop system into
+	// a long oscillatory transient at high client counts.
+	stagger := 40 * sim.Microsecond / sim.Time(len(clients)+1)
+	for i, c := range clients {
+		d.add(c, newGenFor(cfg, i), cfg.window, sim.Time(i)*stagger)
+	}
+}
+
+// newGenFor builds client i's workload generator under cfg.
+func newGenFor(cfg e2eConfig, i int) *workload.Generator {
+	return workload.NewGenerator(workload.Config{
+		GetFraction: cfg.getFraction,
+		Keys:        cfg.keys,
+		ZipfTheta:   ternary(cfg.zipf, 0.99, 0),
+		ValueSize:   cfg.valueSize,
+		Seed:        cfg.seed + int64(i)*1000,
+	})
+}
+
 // runE2E builds cfg's deployment, drives it closed-loop, and measures
-// steady state.
+// steady state. Every 64th op a client issues is verified, if it is a
+// GET hit, against the value the generator writes.
 func runE2E(cfg e2eConfig) e2eResult {
 	cl, clients, perCore := buildSystem(cfg)
 
 	var completed, hits, gets, verifyErr uint64
 	rec := stats.NewLatencyRecorder(32768)
 	measuring := false
-
-	// Stagger client start times: real client fleets do not begin in
-	// lockstep, and a synchronized start puts the closed-loop system into
-	// a long oscillatory transient at high client counts.
-	stagger := 40 * sim.Microsecond / sim.Time(len(clients)+1)
-	for i, c := range clients {
-		i, c := i, c
-		gen := newGenFor(cfg, i)
-		nop := 0
-		issue := func(done func()) {
-			op := gen.Next()
-			nop++
-			verify := nop%64 == 0
-			if op.IsGet {
-				mustPost(c.Get(op.Key, func(r kv.Result) {
-					completed++
-					if measuring {
-						rec.Record(r.Latency)
-						gets++
-						if r.Status == kv.StatusHit {
-							hits++
-						}
-					}
-					if verify && r.Status == kv.StatusHit {
-						if !bytes.Equal(r.Value, gen.Value(op.Key)) {
-							verifyErr++
-						}
-					}
-					done()
-				}))
-			} else {
-				// gen.Value reuses one buffer; Put copies it.
-				mustPost(c.Put(op.Key, gen.Value(op.Key), func(r kv.Result) {
-					completed++
-					if measuring {
-						rec.Record(r.Latency)
-					}
-					done()
-				}))
+	driveE2E(cfg, cl, clients, func(ch *chain, r kv.Result) {
+		completed++
+		if measuring {
+			rec.Record(r.Latency)
+			if ch.op.IsGet {
+				gets++
+				if r.Status == kv.StatusHit {
+					hits++
+				}
 			}
 		}
-		cl.Eng.At(sim.Time(i)*stagger, func() { pump(cfg.window, issue) })
-	}
+		if ch.op.IsGet && ch.nop%64 == 0 && r.Status == kv.StatusHit &&
+			!bytes.Equal(r.Value, ch.cli.src.Value(ch.op.Key)) {
+			verifyErr++
+		}
+	})
 
 	cl.Eng.RunFor(Warmup)
 	measuring = true

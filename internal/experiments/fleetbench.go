@@ -43,28 +43,14 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 	// drive measures arm's steady-state Mops over clients (any KV system).
 	drive := func(arm string, cl *cluster.Cluster, clients []kv.KV) float64 {
 		var completed uint64
-		stopped := false
+		d := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
 		for i, c := range clients {
-			c := c
 			gen := workload.NewGenerator(workload.ReadIntensive(keys, valueSize, int64(i+1)))
-			issue := func(done func()) {
-				if stopped {
-					return
-				}
-				op := gen.Next()
-				fin := func(kv.Result) { completed++; done() }
-				if op.IsGet {
-					mustPost(c.Get(op.Key, fin))
-				} else {
-					mustPost(c.Put(op.Key, gen.Value(op.Key), fin))
-				}
-			}
-			cl.Eng.At(sim.Time(i)*sim.Microsecond, func() { pump(4, issue) })
+			d.add(c, gen, 4, sim.Time(i)*sim.Microsecond)
 		}
 		cl.Eng.RunFor(Warmup)
 		start := completed
 		cl.Eng.RunFor(Span)
-		stopped = true
 		mops := stats.Throughput(completed-start, Span)
 		rep.Arm(arm).Set("goodput_mops", mops, "Mops", Higher)
 		return mops

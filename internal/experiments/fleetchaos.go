@@ -7,11 +7,7 @@ import (
 	"herdkv/internal/core"
 	"herdkv/internal/fault"
 	"herdkv/internal/fleet"
-	"herdkv/internal/kv"
 	"herdkv/internal/mica"
-	"herdkv/internal/sim"
-	"herdkv/internal/stats"
-	"herdkv/internal/workload"
 )
 
 // FleetChaos drives a replicated fleet closed-loop while sched injects
@@ -24,32 +20,20 @@ import (
 // The run is deterministic: the same (spec, schedule, seed) triple
 // produces a byte-identical table.
 func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
-	const (
-		nShards    = 4
-		nClients   = 6
-		perMachine = 3
-		keys       = 4096
-		valueSize  = 32
-	)
-	runFor := sched.End()
-	if runFor == 0 {
-		runFor = 10 * sim.Millisecond
-	}
-	bucketLen := runFor / chaosBuckets
-
+	const nShards = 4
 	spec.Faults = sched
-	machines := nShards + (nClients+perMachine-1)/perMachine
+	machines := nShards + (chaosClients+chaosPerMachine-1)/chaosPerMachine
 	cl := cluster.New(spec, machines, seed)
 
 	fcfg := fleet.DefaultConfig()
 	fcfg.Herd = core.DefaultConfig()
 	fcfg.Herd.NS = 2
-	fcfg.Herd.MaxClients = nClients
+	fcfg.Herd.MaxClients = chaosClients
 	fcfg.Herd.RetryTimeout = chaosRetryTimeout
 	fcfg.Herd.Mica = mica.Config{
-		IndexBuckets: keys / 4,
+		IndexBuckets: chaosKeys / 4,
 		BucketSlots:  8,
-		LogBytes:     keys * (18 + valueSize) * 2 / fcfg.Herd.NS,
+		LogBytes:     chaosKeys * (18 + chaosValueSize) * 2 / fcfg.Herd.NS,
 	}
 	servers := make([]*cluster.Machine, nShards)
 	for i := range servers {
@@ -59,103 +43,26 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 	if err != nil {
 		panic(err)
 	}
-	preloadKeys(keys, valueSize, d.Preload)
+	preloadKeys(chaosKeys, chaosValueSize, d.Preload)
 	if inj := cl.Faults(); inj != nil {
 		d.RegisterCrashTargets(inj)
 		inj.Arm()
 	}
 
-	clients := make([]*fleet.Client, nClients)
+	clients := make([]*fleet.Client, chaosClients)
 	for i := range clients {
-		c, err := d.ConnectClient(cl.Machine(nShards + i/perMachine))
+		c, err := d.ConnectClient(cl.Machine(nShards + i/chaosPerMachine))
 		if err != nil {
 			panic(err)
 		}
 		clients[i] = c
 	}
 
-	type bucket struct {
-		issued, ok, err uint64
-		lat             *stats.LatencyRecorder
-	}
-	buckets := make([]bucket, chaosBuckets)
-	for i := range buckets {
-		buckets[i] = bucket{lat: stats.NewLatencyRecorder(16384)}
-	}
-	bucketOf := func(t sim.Time) *bucket {
-		i := int(t / bucketLen)
-		if i >= chaosBuckets {
-			i = chaosBuckets - 1
-		}
-		return &buckets[i]
-	}
-
-	stopped := false
-	for i, c := range clients {
-		c := c
-		gen := workload.NewGenerator(workload.Config{
-			GetFraction: 0.50, // mixed workload: fan-out writes under fire
-			Keys:        keys,
-			ValueSize:   valueSize,
-			Seed:        seed + int64(i)*1000,
-		})
-		issue := func(done func()) {
-			if stopped {
-				return // let the closed loop die out at the cutoff
-			}
-			op := gen.Next()
-			b := bucketOf(cl.Eng.Now())
-			b.issued++
-			fin := func(r kv.Result) {
-				if r.Err != nil {
-					b.err++
-				} else {
-					b.ok++
-					b.lat.Record(r.Latency)
-				}
-				done()
-			}
-			if op.IsGet {
-				c.Get(op.Key, fin)
-			} else {
-				c.Put(op.Key, gen.Value(op.Key), fin)
-			}
-		}
-		stagger := sim.Time(i) * sim.Microsecond
-		cl.Eng.At(stagger, func() { pump(fcfg.Herd.Window, issue) })
-	}
-
-	// Run the scripted window, stop issuing, then drain: every in-flight
-	// op must resolve, and none may fail at fleet level.
-	cl.Eng.RunFor(runFor)
-	stopped = true
-	cl.Eng.Run()
-
-	var issued, okOps, errOps uint64
-	t := &Table{
-		ID:      "fleetchaos",
-		Title:   fmt.Sprintf("Fleet availability through faults (R=%d) — %s", d.Replication(), spec.Name),
-		Columns: []string{"t_ms", "issued", "ok", "err", "avail%", "p99_us"},
-	}
-	for i := range buckets {
-		b := &buckets[i]
-		issued += b.issued
-		okOps += b.ok
-		errOps += b.err
-		avail, p99 := "-", "-"
-		if b.ok+b.err > 0 {
-			avail = fmt.Sprintf("%.1f", 100*float64(b.ok)/float64(b.ok+b.err))
-		}
-		if b.ok > 0 {
-			p99 = cell(b.lat.Percentile(99).Microseconds())
-		}
-		t.AddRow(
-			fmt.Sprintf("%.1f-%.1f", (sim.Time(i)*bucketLen).Microseconds()/1000,
-				(sim.Time(i+1)*bucketLen).Microseconds()/1000),
-			fmt.Sprintf("%d", b.issued), fmt.Sprintf("%d", b.ok),
-			fmt.Sprintf("%d", b.err), avail, p99,
-		)
-	}
+	// A mixed workload: fan-out writes under fire. Every in-flight op
+	// must resolve, and none may fail at fleet level.
+	t, issued, okOps, _ := chaosTable("fleetchaos",
+		fmt.Sprintf("Fleet availability through faults (R=%d) — %s", d.Replication(), spec.Name),
+		cl.Eng, clients, fcfg.Herd.Window, 0.50, seed, sched)
 
 	var failed, reroutes, replicaReads, inflight uint64
 	for _, c := range clients {
@@ -170,7 +77,6 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 	if inj := cl.Faults(); inj != nil {
 		t.AddNote("injected: %d crashes, %d restarts", inj.Crashes(), inj.Restarts())
 	}
-	_ = errOps
 	return t
 }
 

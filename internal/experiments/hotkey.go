@@ -94,28 +94,14 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 		}
 
 		var completed uint64
-		stopped := false
+		drv := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
 		for i, c := range clients {
-			c := c
 			gen := workload.NewGenerator(workload.Skewed(hotkeyKeys, hotkeyValueSize, int64(i+1)))
-			issue := func(done func()) {
-				if stopped {
-					return
-				}
-				op := gen.Next()
-				fin := func(kv.Result) { completed++; done() }
-				if op.IsGet {
-					mustPost(c.Get(op.Key, fin))
-				} else {
-					mustPost(c.Put(op.Key, gen.Value(op.Key), fin))
-				}
-			}
-			cl.Eng.At(sim.Time(i)*sim.Microsecond, func() { pump(4, issue) })
+			drv.add(c, gen, 4, sim.Time(i)*sim.Microsecond)
 		}
 		cl.Eng.RunFor(Warmup)
 		start, originStart := completed, originGets(d)
 		cl.Eng.RunFor(Span)
-		stopped = true
 
 		m := Metrics{}
 		m.Set("goodput_mops", stats.Throughput(completed-start, Span), "Mops", Higher)

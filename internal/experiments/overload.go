@@ -5,7 +5,6 @@ import (
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
-	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
 	"herdkv/internal/stats"
@@ -63,12 +62,7 @@ func overloadPoint(spec cluster.Spec, chains int, controlled bool) Metrics {
 	if err != nil {
 		panic(err)
 	}
-	for k := uint64(0); k < overloadKeys; k++ {
-		key := kv.FromUint64(k)
-		if err := srv.Preload(key, valueOf(key)); err != nil {
-			panic(err)
-		}
-	}
+	preloadKeys(overloadKeys, overloadValueSize, srv.Preload)
 	clients := make([]*core.Client, overloadClients)
 	for i := range clients {
 		clients[i], err = srv.ConnectClient(cl.Machine(1 + i))
@@ -77,36 +71,10 @@ func overloadPoint(spec cluster.Spec, chains int, controlled bool) Metrics {
 		}
 	}
 
-	var served uint64
-	lat := stats.NewLatencyRecorder(0)
-	measuring := false
-	stopped := false
-	for i, c := range clients {
-		c := c
-		seq := uint64(i) * 977
-		issue := func(done func()) {
-			if stopped {
-				return
-			}
-			seq++
-			key := kv.FromUint64(seq % overloadKeys)
-			mustPost(c.Get(key, func(r kv.Result) {
-				if r.Err == nil && measuring {
-					served++
-					lat.Record(r.Latency)
-				}
-				done()
-			}))
-		}
-		// Stagger chain starts so the opening burst is not one giant
-		// synchronized doorbell.
-		cl.Eng.At(sim.Time(i)*sim.Microsecond, func() { pump(perClient, issue) })
-	}
-	cl.Eng.RunFor(Warmup)
-	measuring = true
-	cl.Eng.RunFor(Span)
-	measuring = false
-	stopped = true
+	// Stagger chain starts so the opening burst is not one giant
+	// synchronized doorbell.
+	served, lat := measureGets(cl, clients, perClient, overloadKeys,
+		func(i int) sim.Time { return sim.Time(i) * sim.Microsecond })
 
 	// Goodput counts operations that resolved served (hit or miss) during
 	// the span: duplicated service and terminal failures contribute
@@ -130,13 +98,6 @@ func overloadPoint(spec cluster.Spec, chains int, controlled bool) Metrics {
 	m.Set("failed", float64(failed), "count", "")
 	m.Set("retries", float64(retries), "count", "")
 	return m
-}
-
-// valueOf builds key's stored value for the overload sweep.
-func valueOf(key kv.Key) []byte {
-	v := make([]byte, overloadValueSize)
-	copy(v, key[:])
-	return v
 }
 
 // Overload runs the goodput-and-tail-vs-offered-load sweep with and

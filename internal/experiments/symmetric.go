@@ -6,6 +6,7 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
 	"herdkv/internal/farm"
+	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
 	"herdkv/internal/workload"
@@ -104,21 +105,14 @@ func herdPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64) {
 	}
 	preloadKeys(symKeys, 32, srv.Preload)
 	var completed uint64
+	d := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
 	for i := 0; i < nClients; i++ {
 		c, err := srv.ConnectClient(cl.Machine(1 + i/3))
 		if err != nil {
 			panic(err)
 		}
 		gen := workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(i+1)))
-		pump(hcfg.Window, func(done func()) {
-			op := gen.Next()
-			if op.IsGet {
-				c.Get(op.Key, func(core.Result) { completed++; done() })
-			} else {
-				c.Put(op.Key, gen.Value(op.Key),
-					func(core.Result) { completed++; done() })
-			}
-		})
+		d.add(c, gen, hcfg.Window, 0)
 	}
 	cl.Eng.RunFor(Warmup)
 	start := completed

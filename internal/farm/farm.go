@@ -159,6 +159,10 @@ type Client struct {
 	inflight int
 	waiting  []func()
 
+	// vals backs GET-hit values: each is cut from a shared block and
+	// handed to one callback (kv.Slab), so a hit allocates nothing.
+	vals kv.Slab
+
 	issued, completed uint64
 }
 
@@ -406,7 +410,7 @@ func (c *Client) doGet(key kv.Key, cb func(Result)) {
 			v, ok := hopscotch.ParseNeighborhoodInline(raw, key, c.srv.cfg.ValueSize)
 			if ok {
 				res.Status = kv.StatusHit
-				res.Value = append([]byte(nil), v...)
+				res.Value = c.vals.Copy(v)
 			}
 			finish()
 			return
@@ -429,7 +433,7 @@ func (c *Client) doGet(key kv.Key, cb func(Result)) {
 		}
 		c.awaitRead(func() {
 			res.Status = kv.StatusHit
-			res.Value = append([]byte(nil), c.scratch.Bytes()[vlo:vlo+int(vlen)]...)
+			res.Value = c.vals.Copy(c.scratch.Bytes()[vlo : vlo+int(vlen)])
 			finish()
 		})
 	})

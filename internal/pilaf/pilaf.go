@@ -125,6 +125,10 @@ type Client struct {
 	inflight int
 	waiting  []func()
 
+	// vals backs GET-hit values: each is cut from a shared block and
+	// handed to one callback (kv.Slab), so a hit allocates nothing.
+	vals kv.Slab
+
 	issued, completed uint64
 }
 
@@ -408,7 +412,7 @@ func (c *Client) doGet(key kv.Key, cb func(Result)) {
 			v, ok := cuckoo.VerifyExtentEntry(c.scratch.Bytes()[lo:lo+n], key, b)
 			if ok {
 				res.Status = kv.StatusHit
-				res.Value = append([]byte(nil), v...)
+				res.Value = c.vals.Copy(v)
 				finish()
 				return
 			}
