@@ -25,18 +25,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Extension-experiment reports: every target below writes its
-# BENCH_<name>.json here (schema in EXPERIMENTS.md).
-BENCH = $(GO) run ./cmd/herdbench -warmup 50 -span 150 -json . \
-	fleet-bench overload clients-sweep durability hotkey consistency
+# Every target that measures something writes its BENCH_<name>.json
+# here (schema in EXPERIMENTS.md).
+BENCH = $(GO) run ./cmd/herdbench -warmup 50 -span 150 -json . all
 
 bench:
 	$(BENCH)
 
 # Bench ratchet: regenerate every report and compare each gated metric
-# against the committed baselines/ (see cmd/benchcheck). The simulator
-# is deterministic, so a failure is a real regression, not noise.
+# against the committed baselines/ (see cmd/benchcheck). Stale reports
+# go first, since a report without a baseline fails. The simulator is
+# deterministic, so a failure is a real regression, not noise.
 bench-check:
+	rm -f BENCH_*.json
 	$(BENCH)
 	$(GO) run ./cmd/benchcheck baselines .
 

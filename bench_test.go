@@ -1,14 +1,13 @@
 // Benchmarks regenerating every table and figure in the paper's
-// evaluation. Each benchmark runs the corresponding experiment on the
+// evaluation. BenchmarkTargets runs each registered experiment on the
 // simulated Apt cluster (Figure 9 covers Susitna too) with shortened
-// measurement windows, and reports the experiment's headline number as a
-// custom metric so `go test -bench=.` doubles as a quick reproduction
-// pass. cmd/herdbench prints the full tables with default windows.
+// measurement windows, and reports every directed metric of its report
+// as a custom metric named <arm>.<metric>, so `go test -bench=.` doubles
+// as a quick reproduction pass. cmd/herdbench prints the full tables
+// with default windows.
 package herdkv
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -16,241 +15,26 @@ import (
 	"herdkv/internal/sim"
 )
 
-// shorten reduces measurement windows for benchmarking and returns a
-// restore function.
-func shorten() func() {
+func BenchmarkTargets(b *testing.B) {
 	w, s := experiments.Warmup, experiments.Span
-	experiments.Warmup = 50 * sim.Microsecond
-	experiments.Span = 100 * sim.Microsecond
-	return func() { experiments.Warmup, experiments.Span = w, s }
-}
-
-// lastFloat extracts the last numeric cell of a row, for headline
-// metrics.
-func lastFloat(cells []string) float64 {
-	for i := len(cells) - 1; i >= 0; i-- {
-		if v, err := strconv.ParseFloat(strings.TrimSuffix(cells[i], "%"), 64); err == nil {
-			return v
-		}
-	}
-	return 0
-}
-
-// findRow returns the first row whose first cell matches key.
-func findRow(t *experiments.Table, key string) []string {
-	for _, r := range t.Rows {
-		if r[0] == key {
-			return r
-		}
-	}
-	return nil
-}
-
-func BenchmarkTable1Matrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table1Verbs()
-		if len(t.Rows) != 3 {
-			b.Fatal("table1 malformed")
-		}
-	}
-}
-
-func BenchmarkTable2Clusters(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table2Clusters()
-		if len(t.Rows) != 2 {
-			b.Fatal("table2 malformed")
-		}
-	}
-}
-
-func BenchmarkFig2VerbLatency(b *testing.B) {
-	defer shorten()()
-	var readUS float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig2Latency(cluster.Apt())
-		row := findRow(t, "32")
-		readUS, _ = strconv.ParseFloat(row[3], 64)
-	}
-	b.ReportMetric(readUS, "READ-32B-us")
-}
-
-func BenchmarkFig3Inbound(b *testing.B) {
-	defer shorten()()
-	var writeUC float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig3Inbound(cluster.Apt())
-		writeUC, _ = strconv.ParseFloat(findRow(t, "32")[1], 64)
-	}
-	b.ReportMetric(writeUC, "inbound-WRITE-UC-Mops")
-}
-
-func BenchmarkFig4Outbound(b *testing.B) {
-	defer shorten()()
-	var inline float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig4Outbound(cluster.Apt())
-		inline, _ = strconv.ParseFloat(findRow(t, "16")[1], 64)
-	}
-	b.ReportMetric(inline, "outbound-WR-INLINE-Mops")
-}
-
-func BenchmarkFig5Echo(b *testing.B) {
-	defer shorten()()
-	var wrSend float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig5Echo(cluster.Apt())
-		wrSend = lastFloat(findRow(t, "WR/SEND"))
-	}
-	b.ReportMetric(wrSend, "WR-SEND-echo-Mops")
-}
-
-func BenchmarkFig6AllToAll(b *testing.B) {
-	defer shorten()()
-	var out16 float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig6AllToAll(cluster.Apt())
-		out16, _ = strconv.ParseFloat(findRow(t, "16")[2], 64)
-	}
-	b.ReportMetric(out16, "out-WRITE-N16-Mops")
-}
-
-func BenchmarkFig7Prefetch(b *testing.B) {
-	defer shorten()()
-	var n8pf float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig7Prefetch(cluster.Apt())
-		n8pf = lastFloat(findRow(t, "5"))
-	}
-	b.ReportMetric(n8pf, "N8-prefetch-5cores-Mops")
-}
-
-func BenchmarkFig9EndToEnd(b *testing.B) {
-	defer shorten()()
-	var herd float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig9Throughput()
-		herd = lastFloat(t.Rows[0]) // Apt, 5% PUT, HERD column
-	}
-	b.ReportMetric(herd, "HERD-Apt-5putMops")
-}
-
-func BenchmarkFig10ValueSize(b *testing.B) {
-	defer shorten()()
-	var herd32 float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig10ValueSize(cluster.Apt())
-		herd32, _ = strconv.ParseFloat(findRow(t, "32")[1], 64)
-	}
-	b.ReportMetric(herd32, "HERD-32B-Mops")
-}
-
-func BenchmarkFig11LatencyTput(b *testing.B) {
-	defer shorten()()
-	var herdPeakLat float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig11LatencyThroughput(cluster.Apt())
-		for _, r := range t.Rows {
-			if r[0] == experiments.SysHERD && r[1] == "51" {
-				herdPeakLat, _ = strconv.ParseFloat(r[3], 64)
+	experiments.Warmup, experiments.Span = 50*sim.Microsecond, 100*sim.Microsecond
+	defer func() { experiments.Warmup, experiments.Span = w, s }()
+	for _, target := range experiments.Targets {
+		b.Run(target.Name, func(b *testing.B) {
+			var rep *experiments.Report
+			for i := 0; i < b.N; i++ {
+				_, rep = target.Run(cluster.Apt())
 			}
-		}
+			if rep == nil {
+				return
+			}
+			for arm, metrics := range rep.Arms {
+				for name, m := range metrics {
+					if m.Better != "" {
+						b.ReportMetric(m.Value, arm+"."+name)
+					}
+				}
+			}
+		})
 	}
-	b.ReportMetric(herdPeakLat, "HERD-peak-mean-us")
-}
-
-func BenchmarkFig12Clients(b *testing.B) {
-	defer shorten()()
-	var at500ws16 float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig12ClientScaling(cluster.Apt())
-		at500ws16 = lastFloat(findRow(t, "500"))
-	}
-	b.ReportMetric(at500ws16, "500cli-WS16-Mops")
-}
-
-func BenchmarkFig13Cores(b *testing.B) {
-	defer shorten()()
-	var herd5 float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig13CPUCores(cluster.Apt())
-		herd5, _ = strconv.ParseFloat(findRow(t, "5")[1], 64)
-	}
-	b.ReportMetric(herd5, "HERD-5cores-Mops")
-}
-
-func BenchmarkFig1Steps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiments.Fig1Steps().Rows) != 4 {
-			b.Fatal("fig1 malformed")
-		}
-	}
-}
-
-func BenchmarkFig8Layout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiments.Fig8Layout().Rows) < 5 {
-			b.Fatal("fig8 malformed")
-		}
-	}
-}
-
-func BenchmarkAnatomy(b *testing.B) {
-	defer shorten()()
-	var total float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.LatencyAnatomy(cluster.Apt())
-		total = lastFloat(findRow(t, "total")[:2])
-	}
-	b.ReportMetric(total, "idle-GET-us")
-}
-
-func BenchmarkCPUUse(b *testing.B) {
-	defer shorten()()
-	var herdTotal float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.CPUUse(cluster.Apt())
-		herdTotal = lastFloat(findRow(t, experiments.SysHERD))
-	}
-	b.ReportMetric(herdTotal, "HERD-corems-per-Mop")
-}
-
-func BenchmarkSymmetricStudy(b *testing.B) {
-	defer shorten()()
-	var farm16 float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.SymmetricStudy(cluster.Apt())
-		farm16, _ = strconv.ParseFloat(findRow(t, "16")[1], 64)
-	}
-	b.ReportMetric(farm16, "FaRM-sym-16-Mops")
-}
-
-func BenchmarkAblationArch(b *testing.B) {
-	defer shorten()()
-	var dc500 float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationArchitecture(cluster.Apt())
-		dc500 = lastFloat(findRow(t, "500"))
-	}
-	b.ReportMetric(dc500, "DC-500cli-Mops")
-}
-
-func BenchmarkAblationDoorbell(b *testing.B) {
-	defer shorten()()
-	var batch16 float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationDoorbell(cluster.Apt())
-		batch16 = lastFloat(findRow(t, "16"))
-	}
-	b.ReportMetric(batch16, "batch16-Mops")
-}
-
-func BenchmarkFig14Skew(b *testing.B) {
-	defer shorten()()
-	var zipfTotal float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig14Skew(cluster.Apt())
-		zipfTotal, _ = strconv.ParseFloat(findRow(t, "total")[1], 64)
-	}
-	b.ReportMetric(zipfTotal, "zipf-total-Mops")
 }

@@ -7,7 +7,8 @@
 //	benchcheck baselines/ DIR
 //
 // Every baselines/BENCH_*.json must have a DIR/BENCH_*.json of the same
-// name (written by `herdbench -json DIR`). A metric is gated when its
+// name (written by `herdbench -json DIR`), and every DIR/BENCH_*.json a
+// baseline, so a new report cannot stay outside the ratchet. A metric is gated when its
 // baseline `better` field is "higher" or "lower"; it fails when it is
 // worse than the baseline by more than 5% of |baseline| (so a
 // lower-is-better metric with a zero baseline fails on any rise), and
@@ -54,7 +55,8 @@ func main() {
 
 // check compares every baseline report in baseDir against its namesake
 // in freshDir, printing one line per gated metric. It returns false when
-// a file or gated metric is missing or a metric regressed.
+// a file or gated metric is missing, a fresh report has no baseline, or
+// a metric regressed.
 func check(w io.Writer, baseDir, freshDir string) (bool, error) {
 	files, err := filepath.Glob(filepath.Join(baseDir, "BENCH_*.json"))
 	if err != nil {
@@ -99,6 +101,17 @@ func check(w io.Writer, baseDir, freshDir string) (bool, error) {
 			if _, found := base[key]; !found {
 				fmt.Fprintf(w, " new %s %s: %.6g (no baseline yet)\n", file, key, fresh[key].Value)
 			}
+		}
+	}
+	freshFiles, err := filepath.Glob(filepath.Join(freshDir, "BENCH_*.json"))
+	if err != nil {
+		return false, err
+	}
+	for _, path := range freshFiles {
+		file := filepath.Base(path)
+		if _, err := os.Stat(filepath.Join(baseDir, file)); os.IsNotExist(err) {
+			fmt.Fprintf(w, "FAIL %s: in %s but has no baseline in %s\n", file, freshDir, baseDir)
+			ok = false
 		}
 	}
 	return ok, nil

@@ -9,11 +9,11 @@ import (
 	"herdkv/internal/experiments"
 )
 
-// writeReport writes a one-arm BENCH_t.json into dir.
-func writeReport(t *testing.T, dir string, metrics experiments.Metrics) {
+// writeReport writes a one-arm BENCH_<name>.json into dir.
+func writeReport(t *testing.T, dir, name string, metrics experiments.Metrics) {
 	t.Helper()
-	rep := &experiments.Report{Name: "t", Cluster: "Apt", Arms: map[string]experiments.Metrics{"arm": metrics}}
-	f, err := os.Create(filepath.Join(dir, "BENCH_t.json"))
+	rep := &experiments.Report{Name: name, Cluster: "Apt", Arms: map[string]experiments.Metrics{"arm": metrics}}
+	f, err := os.Create(filepath.Join(dir, "BENCH_"+name+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,9 @@ func TestCheck(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseDir, freshDir := t.TempDir(), t.TempDir()
-			writeReport(t, baseDir, base)
+			writeReport(t, baseDir, "t", base)
 			if tc.fresh != nil {
-				writeReport(t, freshDir, tc.fresh)
+				writeReport(t, freshDir, "t", tc.fresh)
 			}
 			var out strings.Builder
 			ok, err := check(&out, baseDir, freshDir)
@@ -85,16 +85,29 @@ func TestCheck(t *testing.T) {
 			}
 		})
 	}
+	t.Run("unbaselined file fails", func(t *testing.T) {
+		baseDir, freshDir := t.TempDir(), t.TempDir()
+		writeReport(t, baseDir, "t", base)
+		writeReport(t, freshDir, "t", base)
+		writeReport(t, freshDir, "u", base)
+		var out strings.Builder
+		if ok, err := check(&out, baseDir, freshDir); err != nil || ok {
+			t.Fatalf("check = %v, %v; want a failure:\n%s", ok, err, out.String())
+		}
+		if want := "FAIL BENCH_u.json: in"; !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	})
 }
 
 func TestCheckNewLinesSorted(t *testing.T) {
 	baseDir, freshDir := t.TempDir(), t.TempDir()
-	writeReport(t, baseDir, experiments.Metrics{"m": {Value: 1, Better: experiments.Higher}})
+	writeReport(t, baseDir, "t", experiments.Metrics{"m": {Value: 1, Better: experiments.Higher}})
 	fresh := experiments.Metrics{"m": {Value: 1, Better: experiments.Higher}}
 	for _, name := range []string{"e", "c", "a", "d", "b"} {
 		fresh[name] = experiments.Metric{Value: 1, Better: experiments.Higher}
 	}
-	writeReport(t, freshDir, fresh)
+	writeReport(t, freshDir, "t", fresh)
 	var out strings.Builder
 	if _, err := check(&out, baseDir, freshDir); err != nil {
 		t.Fatal(err)
@@ -112,7 +125,7 @@ func TestCheckNewLinesSorted(t *testing.T) {
 
 func TestCheckUnknownDirection(t *testing.T) {
 	dir := t.TempDir()
-	writeReport(t, dir, experiments.Metrics{"m": {Value: 1, Better: "up"}})
+	writeReport(t, dir, "t", experiments.Metrics{"m": {Value: 1, Better: "up"}})
 	if _, err := check(&strings.Builder{}, dir, dir); err == nil {
 		t.Fatal("metric with better \"up\" accepted")
 	}

@@ -7,17 +7,14 @@
 //	          [-metrics file] [-trace file] [-perqp]
 //	          [-faults script] [-json dir] [targets...]
 //
-// Targets are table1, table2, fig2..fig7, fig9..fig14, or "all"
-// (default); -list prints every target. Figure 9 always covers both
-// clusters. The "chaos" target runs the packaged crash-restart scenario;
-// -faults replaces its schedule with a chaos script (see
-// docs/ROBUSTNESS.md for the format). The extension experiments —
-// "fleet-bench" (docs/SCALEOUT.md), "overload" (docs/ROBUSTNESS.md),
-// "clients-sweep" (docs/SCALABILITY.md), "durability"
-// (docs/DURABILITY.md), "hotkey" (docs/CACHING.md) and "consistency"
-// (docs/ROBUSTNESS.md) — also return a report: -json DIR writes each
-// one as DIR/BENCH_<name>.json (schema in EXPERIMENTS.md), which
-// cmd/benchcheck ratchets against baselines/.
+// Targets are table1, table2, fig1..fig14, the ablations, the chaos
+// scenarios and the extension experiments, or "all" (default); -list
+// prints every target. Figure 9 always covers both clusters. The "chaos"
+// target runs the packaged crash-restart scenario; -faults replaces its
+// schedule with a chaos script (see docs/ROBUSTNESS.md for the format).
+// Every target that measures something also returns a report: -json DIR
+// writes each one as DIR/BENCH_<name>.json (schema in EXPERIMENTS.md),
+// which cmd/benchcheck ratchets against baselines/.
 //
 // -metrics dumps the cluster-wide metric registry (per-verb posted and
 // completion counters, PCIe transaction counts, NIC cache hit rates,
@@ -47,7 +44,6 @@ func main() {
 	clusterName := flag.String("cluster", "apt", "cluster preset: apt or susitna")
 	warmupUS := flag.Int("warmup", 150, "warmup window (simulated microseconds)")
 	spanUS := flag.Int("span", 400, "measurement window (simulated microseconds)")
-	format := flag.String("format", "text", "output format: text or csv")
 	list := flag.Bool("list", false, "list available targets and exit")
 	metricsFile := flag.String("metrics", "", "write a metrics dump to this file after the targets run")
 	traceFile := flag.String("trace", "", "write request-lifecycle spans as Chrome trace_event JSON to this file")
@@ -116,16 +112,14 @@ func main() {
 
 	for _, t := range targets {
 		if t.Name == "chaos" && faults != nil {
-			t.Table = func(spec cluster.Spec) *experiments.Table { return experiments.Chaos(spec, faults, 1) }
+			t.Run = func(spec cluster.Spec) (*experiments.Table, *experiments.Report) {
+				return experiments.Chaos(spec, faults, 1)
+			}
 		}
 		start := time.Now()
 		tbl, rep := t.Run(spec)
 		if *jsonDir != "" && rep != nil {
 			writeFile(filepath.Join(*jsonDir, "BENCH_"+rep.Name+".json"), rep.WriteJSON)
-		}
-		if *format == "csv" {
-			tbl.FprintCSV(os.Stdout)
-			continue
 		}
 		tbl.Fprint(os.Stdout)
 		fmt.Printf("  [%s generated in %.1fs]\n\n", t.Name, time.Since(start).Seconds())

@@ -16,7 +16,7 @@ import (
 // SEND/SEND alternative of Section 5.5 across client counts: the hybrid
 // is faster at moderate scale but declines past the NIC's context reach,
 // while SEND/SEND trades ~4-5 Mops of peak for flat scaling.
-func AblationArchitecture(spec cluster.Spec) *Table {
+func AblationArchitecture(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "ablation-arch",
 		Title:   fmt.Sprintf("Request architecture vs client count (Mops) — %s", spec.Name),
@@ -30,59 +30,68 @@ func AblationArchitecture(spec cluster.Spec) *Table {
 		Warmup = 200 * sim.Microsecond
 	}
 	defer func() { Warmup, Span = saveW, saveS }()
+	rep := newReport("ablation-arch", spec)
 	for _, nc := range []int{50, 150, 260, 400, 500} {
 		row := []string{fmt.Sprintf("%d", nc)}
-		for _, mode := range []struct{ send, dc bool }{{false, false}, {true, false}, {false, true}} {
+		for _, mode := range []string{"hybrid-uc", "send-send", "hybrid-dc"} {
 			cfg := defaultE2E(spec, SysHERD)
 			cfg.clients = nc
-			cfg.sendMode = mode.send
-			cfg.dcMode = mode.dc
-			row = append(row, cell(runE2E(cfg).Mops))
+			cfg.sendMode = mode == "send-send"
+			cfg.dcMode = mode == "hybrid-dc"
+			row = append(row, rep.Arm(fmt.Sprintf("clients=%d/%s", nc, mode)).e2e(runE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}
 	t.AddNote("SEND/SEND and DC keep no per-client state at the server NIC; DC keeps WRITE semantics (the Connect-IB fix the paper anticipates in Section 5.5)")
-	return t
+	return t, rep
 }
 
 // AblationInlineCutoff sweeps the response inline threshold: inlining
 // small responses is the difference between PIO-rate and DMA-rate
 // responses; inlining big ones wastes PIO bandwidth.
-func AblationInlineCutoff(spec cluster.Spec) *Table {
+func AblationInlineCutoff(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "ablation-inline",
 		Title:   fmt.Sprintf("Response inline cutoff (Mops) — %s", spec.Name),
 		Columns: []string{"cutoff", "SV=32", "SV=192"},
 	}
+	rep := newReport("ablation-inline", spec)
+	arm := func(cutoff, sv int) Metrics { return rep.Arm(fmt.Sprintf("cutoff=%d/sv=%d", cutoff, sv)) }
 	for _, cutoff := range []int{1, 64, 144, 256} {
 		row := []string{fmt.Sprintf("%d", cutoff)}
 		for _, sv := range []int{32, 192} {
 			cfg := defaultE2E(spec, SysHERD)
 			cfg.valueSize = sv
 			cfg.inlineCut = cutoff
-			row = append(row, cell(runE2E(cfg).Mops))
+			row = append(row, arm(cutoff, sv).e2e(runE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}
+	// The inline cliff: small values at the default cutoff vs never
+	// inlining (cutoff 1).
+	cliff := ratio(arm(144, 32)["mops"].Value, arm(1, 32)["mops"].Value)
+	rep.Arm("shape").Set("inline_cliff_sv32", cliff, "x", Higher)
 	t.AddNote("the paper's default is 144 B on Apt: inline below it, DMA above")
-	return t
+	return t, rep
 }
 
 // AblationWindow sweeps the client window: deeper windows raise
 // throughput until the server saturates, then only add latency.
-func AblationWindow(spec cluster.Spec) *Table {
+func AblationWindow(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "ablation-window",
 		Title:   fmt.Sprintf("Client window size (48 B read-intensive, 51 clients) — %s", spec.Name),
 		Columns: []string{"window", "Mops", "mean_us"},
 	}
+	rep := newReport("ablation-window", spec)
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		cfg := defaultE2E(spec, SysHERD)
 		cfg.window = w
 		r := runE2E(cfg)
-		t.AddRow(fmt.Sprintf("%d", w), cell(r.Mops), cell(r.Mean.Microseconds()))
+		m := rep.Arm(fmt.Sprintf("window=%d", w))
+		t.AddRow(fmt.Sprintf("%d", w), m.e2e(r), m.us("mean_us", r.Mean.Microseconds()))
 	}
-	return t
+	return t, rep
 }
 
 // AblationDoorbell measures doorbell batching: posting several WQEs per
@@ -90,18 +99,19 @@ func AblationWindow(spec cluster.Spec) *Table {
 // the outbound message rate well past the BlueFlame path's 64 B
 // write-combining limit — the standard next step after the paper's
 // optimization ladder.
-func AblationDoorbell(spec cluster.Spec) *Table {
+func AblationDoorbell(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "ablation-doorbell",
 		Title:   fmt.Sprintf("Doorbell batching: outbound 32 B inlined WRITEs (Mops) — %s", spec.Name),
 		Columns: []string{"batch", "Mops"},
 	}
+	rep := newReport("ablation-doorbell", spec)
 	for _, batch := range []int{1, 2, 4, 8, 16} {
-		t.AddRow(fmt.Sprintf("%d", batch), cell(doorbellMops(spec, batch)))
+		t.AddRow(fmt.Sprintf("%d", batch), rep.Arm(fmt.Sprintf("batch=%d", batch)).mops("mops", doorbellMops(spec, batch)))
 	}
 	t.AddNote("batch=1 is the BlueFlame (PIO WQE) path the paper's microbenchmarks use")
 	t.AddNote("batched rates extrapolate beyond ConnectX-3's validated envelope; they model the mechanism, not that card's ceiling")
-	return t
+	return t, rep
 }
 
 func doorbellMops(spec cluster.Spec, batch int) float64 {
@@ -148,21 +158,22 @@ func doorbellMops(spec cluster.Spec, batch int) float64 {
 
 // AblationPrefetch disables the request pipeline end to end: Figure 7's
 // microbenchmark, replayed through the full system.
-func AblationPrefetch(spec cluster.Spec) *Table {
+func AblationPrefetch(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "ablation-prefetch",
 		Title:   fmt.Sprintf("Request pipeline prefetching, end to end (Mops) — %s", spec.Name),
 		Columns: []string{"cores", "no-prefetch", "prefetch"},
 	}
+	rep := newReport("ablation-prefetch", spec)
 	for _, cores := range []int{2, 4, 6} {
 		row := []string{fmt.Sprintf("%d", cores)}
-		for _, pf := range []bool{false, true} {
+		for _, mode := range []string{"no-prefetch", "prefetch"} {
 			cfg := defaultE2E(spec, SysHERD)
 			cfg.cores = cores
-			cfg.noPrefetch = !pf
-			row = append(row, cell(runE2E(cfg).Mops))
+			cfg.noPrefetch = mode == "no-prefetch"
+			row = append(row, rep.Arm(fmt.Sprintf("cores=%d/%s", cores, mode)).e2e(runE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}
-	return t
+	return t, rep
 }

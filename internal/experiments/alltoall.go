@@ -15,20 +15,22 @@ import (
 // collapse as N*N queue pairs outgrow the server NIC's context cache;
 // outbound SENDs over UD scale because each server process needs only
 // one UD queue pair.
-func Fig6AllToAll(spec cluster.Spec) *Table {
+func Fig6AllToAll(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig6",
 		Title:   fmt.Sprintf("All-to-all throughput (Mops), 32 B — %s", spec.Name),
 		Columns: []string{"N", "In-WRITE-UC", "Out-WRITE-UC", "Out-SEND-UD"},
 	}
+	rep := newReport("fig6", spec)
 	for _, n := range []int{1, 2, 4, 6, 8, 10, 12, 14, 16} {
-		in := allToAllMops(spec, n, "in-write")
-		outW := allToAllMops(spec, n, "out-write")
-		outS := allToAllMops(spec, n, "out-send")
-		t.AddRow(fmt.Sprintf("%d", n), cell(in), cell(outW), cell(outS))
+		m := rep.Arm(fmt.Sprintf("N=%d", n))
+		in := m.mops("in_write_uc_mops", allToAllMops(spec, n, "in-write"))
+		outW := m.mops("out_write_uc_mops", allToAllMops(spec, n, "out-write"))
+		outS := m.mops("out_send_ud_mops", allToAllMops(spec, n, "out-send"))
+		t.AddRow(fmt.Sprintf("%d", n), in, outW, outS)
 	}
 	t.AddNote("N*N UC queue pairs at the server for WRITE modes; N UD queue pairs for SEND mode")
-	return t
+	return t, rep
 }
 
 const allToAllWindow = 8

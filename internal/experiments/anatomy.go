@@ -24,7 +24,7 @@ import (
 // spans are the response leg. Because the spans of one trace partition
 // [issue, response] with no gaps, the three stages sum exactly to the
 // measured round-trip time.
-func LatencyAnatomy(spec cluster.Spec) *Table {
+func LatencyAnatomy(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "anatomy",
 		Title:   fmt.Sprintf("Anatomy of an idle HERD GET (48 B item) — %s", spec.Name),
@@ -110,14 +110,16 @@ func LatencyAnatomy(spec cluster.Spec) *Table {
 		total += spans[len(spans)-1].End - spans[0].Start
 	}
 
+	rep := newReport("anatomy", spec)
+	m := rep.Arm("idle_get")
 	mean := func(v sim.Time) float64 { return v.Microseconds() / float64(n) }
 	share := func(v sim.Time) string {
 		return fmt.Sprintf("%.0f%%", 100*float64(v)/float64(total))
 	}
-	t.AddRow("request leg (PIO+NIC+wire+DMA)", cell(mean(reqLeg)), share(reqLeg))
-	t.AddRow("server CPU (poll+MICA+post)", cell(mean(serverStage)), share(serverStage))
-	t.AddRow("response leg (SEND+wire+RECV)", cell(mean(respLeg)), share(respLeg))
-	t.AddRow("total", cell(mean(total)), "100%")
+	t.AddRow("request leg (PIO+NIC+wire+DMA)", m.us("request_leg_us", mean(reqLeg)), share(reqLeg))
+	t.AddRow("server CPU (poll+MICA+post)", m.us("server_cpu_us", mean(serverStage)), share(serverStage))
+	t.AddRow("response leg (SEND+wire+RECV)", m.us("response_leg_us", mean(respLeg)), share(respLeg))
+	t.AddRow("total", m.us("total_us", mean(total)), "100%")
 	t.AddNote("one network round trip per operation; READ-based designs pay the legs 2.6x (Pilaf) or 2x (FaRM-VAR)")
-	return t
+	return t, rep
 }

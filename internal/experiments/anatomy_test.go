@@ -7,11 +7,11 @@ import (
 )
 
 func TestAnatomySumsAndShape(t *testing.T) {
-	tbl := LatencyAnatomy(cluster.Apt())
-	req := fval(t, row(t, tbl, "request leg (PIO+NIC+wire+DMA)")[1])
-	srv := fval(t, row(t, tbl, "server CPU (poll+MICA+post)")[1])
-	rsp := fval(t, row(t, tbl, "response leg (SEND+wire+RECV)")[1])
-	total := fval(t, row(t, tbl, "total")[1])
+	_, rep := LatencyAnatomy(cluster.Apt())
+	req := metric(t, rep, "idle_get", "request_leg_us")
+	srv := metric(t, rep, "idle_get", "server_cpu_us")
+	rsp := metric(t, rep, "idle_get", "response_leg_us")
+	total := metric(t, rep, "idle_get", "total_us")
 
 	if sum := req + srv + rsp; sum < total*0.98 || sum > total*1.02 {
 		t.Fatalf("stages (%.2f) do not sum to total (%.2f)", sum, total)

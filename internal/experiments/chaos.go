@@ -54,11 +54,11 @@ func faultDrive[C kv.KV](eng *sim.Engine, clients []C, window int, getFraction f
 
 // chaosTable runs faultDrive over sched's window (10 ms when it has no
 // end) and renders availability through time: one
-// t_ms/issued/ok/err/avail%/p99_us row per bucket. Ops bucket by issue
-// time; an op that spans a bucket boundary counts where it was issued.
-// It returns the table and the totals over all buckets.
-func chaosTable[C kv.KV](id, title string, eng *sim.Engine, clients []C, window int,
-	getFraction float64, seed int64, sched *fault.Schedule) (t *Table, issued, ok, errs uint64) {
+// t_ms/issued/ok/err/avail%/p99_us row per bucket, each also an arm of
+// rep, and rep's "total" arm sums the counts. Ops bucket by issue time;
+// an op that spans a bucket boundary counts where it was issued.
+func chaosTable[C kv.KV](id, title string, rep *Report, eng *sim.Engine, clients []C, window int,
+	getFraction float64, seed int64, sched *fault.Schedule) *Table {
 	runFor := sched.End()
 	if runFor == 0 {
 		runFor = 10 * sim.Millisecond
@@ -97,27 +97,36 @@ func chaosTable[C kv.KV](id, title string, eng *sim.Engine, clients []C, window 
 		}
 	}
 
-	t = &Table{ID: id, Title: title, Columns: []string{"t_ms", "issued", "ok", "err", "avail%", "p99_us"}}
+	t := &Table{ID: id, Title: title, Columns: []string{"t_ms", "issued", "ok", "err", "avail%", "p99_us"}}
+	var issued, ok, errs uint64
+	counts := func(m Metrics, issued, ok, errs uint64) {
+		m.Set("issued", float64(issued), "ops", Higher)
+		m.Set("ok", float64(ok), "ops", Higher)
+		m.Set("err", float64(errs), "ops", Lower)
+	}
 	for i := range buckets {
 		b := &buckets[i]
 		issued += b.issued
 		ok += b.ok
 		errs += b.err
+		span := fmt.Sprintf("%.1f-%.1f", (sim.Time(i)*bucketLen).Microseconds()/1000,
+			(sim.Time(i+1)*bucketLen).Microseconds()/1000)
+		m := rep.Arm("t_ms=" + span)
+		counts(m, b.issued, b.ok, b.err)
 		avail, p99 := "-", "-"
 		if b.ok+b.err > 0 {
-			avail = fmt.Sprintf("%.1f", 100*float64(b.ok)/float64(b.ok+b.err))
+			pct := 100 * float64(b.ok) / float64(b.ok+b.err)
+			m.Set("avail_pct", pct, "%", Higher)
+			avail = fmt.Sprintf("%.1f", pct)
 		}
 		if b.ok > 0 {
-			p99 = cell(b.lat.Percentile(99).Microseconds())
+			p99 = m.us("p99_us", b.lat.Percentile(99).Microseconds())
 		}
-		t.AddRow(
-			fmt.Sprintf("%.1f-%.1f", (sim.Time(i)*bucketLen).Microseconds()/1000,
-				(sim.Time(i+1)*bucketLen).Microseconds()/1000),
-			fmt.Sprintf("%d", b.issued), fmt.Sprintf("%d", b.ok),
-			fmt.Sprintf("%d", b.err), avail, p99,
-		)
+		t.AddRow(span, fmt.Sprintf("%d", b.issued), fmt.Sprintf("%d", b.ok),
+			fmt.Sprintf("%d", b.err), avail, p99)
 	}
-	return t, issued, ok, errs
+	counts(rep.Arm("total"), issued, ok, errs)
+	return t
 }
 
 // Chaos drives a HERD deployment closed-loop while sched injects faults,
@@ -128,8 +137,8 @@ func chaosTable[C kv.KV](id, title string, eng *sim.Engine, clients []C, window 
 // bug.
 //
 // The run is deterministic: the same (spec, schedule, seed) triple
-// produces a byte-identical table.
-func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
+// produces a byte-identical table and report.
+func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) (*Table, *Report) {
 	spec.Faults = sched
 	machines := 1 + (chaosClients+chaosPerMachine-1)/chaosPerMachine
 	cl := cluster.New(spec, machines, seed)
@@ -162,8 +171,9 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 		clients[i] = c
 	}
 
-	t, issued, okOps, errOps := chaosTable("chaos", fmt.Sprintf("Availability through faults — %s", spec.Name),
-		cl.Eng, clients, hcfg.Window, 0.95, seed, sched)
+	rep := newReport("chaos", spec)
+	t := chaosTable("chaos", fmt.Sprintf("Availability through faults — %s", spec.Name),
+		rep, cl.Eng, clients, hcfg.Window, 0.95, seed, sched)
 
 	var retries, reconnects, dups, corrupt, inflight uint64
 	for _, c := range clients {
@@ -173,8 +183,10 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 		corrupt += c.CorruptResponses()
 		inflight += uint64(c.Inflight())
 	}
-	t.AddNote("ops: %d issued, %d ok, %d terminal err, %d hung (must be 0)",
-		issued, okOps, errOps, inflight)
+	total := rep.Arm("total")
+	total.Set("hung", float64(inflight), "ops", Lower)
+	t.AddNote("ops: %s issued, %s ok, %s terminal err, %d hung (must be 0)",
+		total.itoa("issued"), total.itoa("ok"), total.itoa("err"), inflight)
 	t.AddNote("client recovery: %d retries, %d reconnect handshakes, %d duplicate and %d corrupt responses discarded",
 		retries, reconnects, dups, corrupt)
 	t.AddNote("server: %d requests rejected by integrity checks", srv.Rejected())
@@ -182,14 +194,14 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 		t.AddNote("injected: %d drops, %d corruptions, %d crashes, %d restarts",
 			inj.Drops(), inj.Corrupts(), inj.Crashes(), inj.Restarts())
 	}
-	return t
+	return t, rep
 }
 
 // ChaosScenario is the packaged chaos run: 5%% packet loss throughout,
 // with the server crashing at 10 ms and restarting at 20 ms of a 40 ms
 // window. The table shows availability collapse during the outage and
 // recovery after the restart handshakes complete.
-func ChaosScenario(spec cluster.Spec) *Table {
+func ChaosScenario(spec cluster.Spec) (*Table, *Report) {
 	sched, err := fault.ParseSchedule(`
 		loss  from=0 until=40ms rate=0.05
 		crash node=0 at=10ms restart=20ms

@@ -19,7 +19,7 @@ import (
 // Ethernet-based solutions is 10 us"). The kernel-stack model charges
 // per-message syscall/interrupt CPU at both ends and carries packets on
 // a 10 GbE fabric; the RDMA columns are the standard HERD deployment.
-func Classical(spec cluster.Spec) *Table {
+func Classical(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:    "classical",
 		Title: fmt.Sprintf("RDMA (%s) vs classical Ethernet kernel stack, 48 B items", spec.Name),
@@ -27,16 +27,18 @@ func Classical(spec cluster.Spec) *Table {
 			"metric", "HERD/RDMA", "kernel 10GbE",
 		},
 	}
+	rep := newReport("classical", spec)
+	rdma, kernel := rep.Arm("rdma"), rep.Arm("kernel")
 	rd := runE2E(defaultE2E(spec, SysHERD))
 	rdIdle := idleHERDLatency(spec)
 	kt, kIdle := classicalKV(16)
 
-	t.AddRow("idle GET latency (us)", cell(rdIdle.Microseconds()), cell(kIdle.Microseconds()))
-	t.AddRow("throughput, 16 cores (Mops)", cell(rd.Mops), cell(kt))
-	t.AddRow("loaded mean latency (us)", cell(rd.Mean.Microseconds()), "-")
+	t.AddRow("idle GET latency (us)", rdma.us("idle_get_us", rdIdle.Microseconds()), kernel.us("idle_get_us", kIdle.Microseconds()))
+	t.AddRow("throughput, 16 cores (Mops)", rdma.e2e(rd), kernel.mops("mops", kt))
+	t.AddRow("loaded mean latency (us)", rdma.us("loaded_mean_us", rd.Mean.Microseconds()), "-")
 	t.AddNote("kernel stack: ~1.5 us send syscall, ~2 us receive (interrupt+copy+wakeup) per message, both ends")
 	t.AddNote("user-level stacks (DPDK/MICA) recover the throughput gap but not the latency gap (Section 6)")
-	return t
+	return t, rep
 }
 
 // idleHERDLatency measures a single unloaded HERD GET.

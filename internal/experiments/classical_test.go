@@ -8,9 +8,8 @@ import (
 
 func TestClassicalShape(t *testing.T) {
 	defer short(t)()
-	tbl := Classical(cluster.Apt())
-	lat := row(t, tbl, "idle GET latency (us)")
-	rdmaLat, kernelLat := fval(t, lat[1]), fval(t, lat[2])
+	_, rep := Classical(cluster.Apt())
+	rdmaLat, kernelLat := metric(t, rep, "rdma", "idle_get_us"), metric(t, rep, "kernel", "idle_get_us")
 	// Section 2.2.1: ~1 us vs ~10 us half-RTT; as full request-reply
 	// latencies the kernel stack should be several times slower and land
 	// near 8-12 us.
@@ -20,8 +19,7 @@ func TestClassicalShape(t *testing.T) {
 	if kernelLat < 6 || kernelLat > 14 {
 		t.Errorf("kernel GET latency = %.1f us, want ~8-12", kernelLat)
 	}
-	tput := row(t, tbl, "throughput, 16 cores (Mops)")
-	rdmaT, kernelT := fval(t, tput[1]), fval(t, tput[2])
+	rdmaT, kernelT := metric(t, rep, "rdma", "mops"), metric(t, rep, "kernel", "mops")
 	if rdmaT < 4*kernelT {
 		t.Errorf("RDMA throughput (%.1f) should be >=4x the kernel stack (%.1f)", rdmaT, kernelT)
 	}

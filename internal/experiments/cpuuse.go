@@ -15,7 +15,7 @@ import (
 // PUTs. The table reports total busy CPU (server cores plus client-side
 // verb handling) per million operations for the read-intensive 48 B
 // workload.
-func CPUUse(spec cluster.Spec) *Table {
+func CPUUse(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:    "cpuuse",
 		Title: fmt.Sprintf("Total CPU per million ops (core-ms), 48 B read-intensive — %s", spec.Name),
@@ -23,14 +23,20 @@ func CPUUse(spec cluster.Spec) *Table {
 			"system", "Mops", "server core-ms/Mop", "client core-ms/Mop", "total",
 		},
 	}
+	rep := newReport("cpuuse", spec)
 	for _, sys := range AllSystems {
-		cfg := defaultE2E(spec, sys)
-		r := runCPUUse(cfg)
-		t.AddRow(sys, cell(r.mops), cell(r.serverMS), cell(r.clientMS), cell(r.serverMS+r.clientMS))
+		r := runCPUUse(defaultE2E(spec, sys))
+		m := rep.Arm(sys)
+		corems := func(name string, v float64) string {
+			m.Set(name, v, "core-ms/Mop", Lower)
+			return cell(v)
+		}
+		t.AddRow(sys, m.mops("mops", r.mops), corems("server_corems_per_mop", r.serverMS),
+			corems("client_corems_per_mop", r.clientMS), corems("total_corems_per_mop", r.serverMS+r.clientMS))
 	}
 	t.AddNote("client CPU counts post_send and completion-poll work per verb; server CPU is measured core busy time")
 	t.AddNote("provisioning must cover the PUT path even in read-heavy deployments (Section 5.6)")
-	return t
+	return t, rep
 }
 
 type cpuUseResult struct {

@@ -8,11 +8,12 @@ import (
 
 func TestCPUUseShape(t *testing.T) {
 	defer short(t)()
-	tbl := CPUUse(cluster.Apt())
+	_, rep := CPUUse(cluster.Apt())
 	type rowv struct{ mops, server, client, total float64 }
 	vals := map[string]rowv{}
-	for _, r := range tbl.Rows {
-		vals[r[0]] = rowv{fval(t, r[1]), fval(t, r[2]), fval(t, r[3]), fval(t, r[4])}
+	for _, sys := range AllSystems {
+		vals[sys] = rowv{metric(t, rep, sys, "mops"), metric(t, rep, sys, "server_corems_per_mop"),
+			metric(t, rep, sys, "client_corems_per_mop"), metric(t, rep, sys, "total_corems_per_mop")}
 	}
 	herd, pilaf, farmVar := vals[SysHERD], vals[SysPilaf], vals[SysFaRMVar]
 

@@ -15,7 +15,8 @@ func TestDeterminism(t *testing.T) {
 	defer short(t)()
 	runs := make([]string, 2)
 	for i := range runs {
-		runs[i] = Fig5Echo(cluster.Apt()).String()
+		tbl, _ := Fig5Echo(cluster.Apt())
+		runs[i] = tbl.String()
 	}
 	if runs[0] != runs[1] {
 		t.Fatalf("Fig5 not deterministic:\n%s\nvs\n%s", runs[0], runs[1])

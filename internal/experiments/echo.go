@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/sim"
@@ -35,26 +36,28 @@ var echoLadder = []echoOpts{
 
 // Fig5Echo reproduces Figure 5: ECHO throughput for verb combinations
 // under the cumulative optimization ladder, 32-byte messages.
-func Fig5Echo(spec cluster.Spec) *Table {
+func Fig5Echo(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig5",
 		Title:   fmt.Sprintf("ECHO throughput (Mops), 32 B messages — %s", spec.Name),
 		Columns: []string{"combo", "basic", "+unreliable", "+unsignaled", "+inlined"},
 	}
+	rep := newReport("fig5", spec)
 	combos := []echoCombo{
 		{"SEND/SEND", false, false},
 		{"WR/WR", true, true},
 		{"WR/SEND", true, false},
 	}
 	for _, combo := range combos {
+		m := rep.Arm(combo.name)
 		row := []string{combo.name}
 		for _, opts := range echoLadder {
-			row = append(row, cell(echoMops(spec, combo, opts, 32)))
+			row = append(row, m.mops(strings.TrimPrefix(opts.name, "+")+"_mops", echoMops(spec, combo, opts, 32)))
 		}
 		t.AddRow(row...)
 	}
 	t.AddNote("WR/SEND responses go over UD once unreliable; SEND/SEND uses UC (UD is similar)")
-	return t
+	return t, rep
 }
 
 // echoMops measures echoes per second for a combo at one optimization

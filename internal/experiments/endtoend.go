@@ -62,10 +62,10 @@ type e2eResult struct {
 	Mean      sim.Time
 	P5, P95   sim.Time
 	PerCore   []float64 // HERD: per-partition Mops
-	HitRate   float64
-	VerifyErr uint64
-	Completed uint64 // ops completed over warmup and span
-	Events    uint64 // engine events run over warmup and span
+	GetMisses uint64    // measured GETs that found no value
+	VerifyErr uint64    // sampled GET hits whose value was wrong
+	Completed uint64    // ops completed over warmup and span
+	Events    uint64    // engine events run over warmup and span
 }
 
 // buildSystem constructs the server and clients for cfg on a fresh
@@ -232,12 +232,10 @@ func runE2E(cfg e2eConfig) e2eResult {
 		Mean:      rec.Mean(),
 		P5:        rec.Percentile(5),
 		P95:       rec.Percentile(95),
+		GetMisses: gets - hits,
 		VerifyErr: verifyErr,
 		Completed: completed,
 		Events:    cl.Eng.Processed(),
-	}
-	if gets > 0 {
-		res.HitRate = float64(hits) / float64(gets)
 	}
 	if perCore != nil {
 		after := perCore()
@@ -258,35 +256,42 @@ func ternary(c bool, a, b float64) float64 {
 
 // Fig9Throughput reproduces Figure 9: end-to-end throughput for 48 B
 // items under 5%, 50% and 100% PUT workloads, on both clusters.
-func Fig9Throughput() *Table {
+func Fig9Throughput(_ cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig9",
 		Title:   "End-to-end throughput (Mops), 48 B items (SK=16, SV=32)",
 		Columns: []string{"cluster", "PUT%", SysPilaf, SysFaRM, SysFaRMVar, SysHERD},
 	}
+	rep := newReport("fig9", cluster.Spec{Name: "Apt+Susitna"})
 	for _, spec := range []cluster.Spec{cluster.Apt(), cluster.Susitna()} {
 		for _, putPct := range []int{5, 50, 100} {
 			row := []string{spec.Name, fmt.Sprintf("%d%%", putPct)}
 			for _, sys := range AllSystems {
 				cfg := defaultE2E(spec, sys)
 				cfg.getFraction = 1 - float64(putPct)/100
-				row = append(row, cell(runE2E(cfg).Mops))
+				row = append(row, rep.Arm(fmt.Sprintf("%s/put=%d/%s", spec.Name, putPct, sys)).e2e(runE2E(cfg)))
 			}
 			t.AddRow(row...)
 		}
 	}
+	// "over 2X higher than FaRM-KV and Pilaf", read-intensive on Apt.
+	apt := func(sys string) float64 { return rep.Arms["Apt/put=5/"+sys]["mops"].Value }
+	shape := rep.Arm("shape")
+	shape.Set("herd_over_pilaf", ratio(apt(SysHERD), apt(SysPilaf)), "x", Higher)
+	shape.Set("herd_over_farm_var", ratio(apt(SysHERD), apt(SysFaRMVar)), "x", Higher)
 	t.AddNote("51 client processes (3 per machine), 6 server cores, window 4")
-	return t
+	return t, rep
 }
 
 // Fig10ValueSize reproduces Figure 10: read-intensive throughput across
 // value sizes.
-func Fig10ValueSize(spec cluster.Spec) *Table {
+func Fig10ValueSize(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig10",
 		Title:   fmt.Sprintf("Throughput (Mops) vs value size, read-intensive — %s", spec.Name),
 		Columns: []string{"value", SysHERD, SysPilaf, SysFaRM, SysFaRMVar},
 	}
+	rep := newReport("fig10", spec)
 	// The paper sweeps to 1024; HERD's 1 KB slot leaves 1000 B for the
 	// value after LEN and keyhash, so the top point is 1000 here.
 	for _, sv := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1000} {
@@ -295,30 +300,35 @@ func Fig10ValueSize(spec cluster.Spec) *Table {
 			cfg := defaultE2E(spec, sys)
 			cfg.valueSize = sv
 			cfg.keys = 16 * 1024 // keep the largest tables in memory bounds
-			row = append(row, cell(runE2E(cfg).Mops))
+			row = append(row, rep.Arm(fmt.Sprintf("sv=%d/%s", sv, sys)).e2e(runE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}
 	t.AddNote("16 B keys; FaRM-em inlines values so its READ size grows as 6*(16+SV)")
-	return t
+	return t, rep
 }
+
+// fig11Clients is Figure 11's load sweep: client processes per system.
+var fig11Clients = []int{1, 2, 4, 8, 16, 32, 51}
 
 // Fig11LatencyThroughput reproduces Figure 11: mean latency (with 5th
 // and 95th percentiles) as load increases, read-intensive 48 B items.
-func Fig11LatencyThroughput(spec cluster.Spec) *Table {
+func Fig11LatencyThroughput(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig11",
 		Title:   fmt.Sprintf("Latency vs throughput, 48 B read-intensive — %s", spec.Name),
 		Columns: []string{"system", "clients", "Mops", "mean_us", "p5_us", "p95_us"},
 	}
+	rep := newReport("fig11", spec)
 	for _, sys := range AllSystems {
-		for _, nc := range []int{1, 2, 4, 8, 16, 32, 51} {
+		for _, nc := range fig11Clients {
 			cfg := defaultE2E(spec, sys)
 			cfg.clients = nc
 			r := runE2E(cfg)
-			t.AddRow(sys, fmt.Sprintf("%d", nc), cell(r.Mops),
-				cell(r.Mean.Microseconds()), cell(r.P5.Microseconds()), cell(r.P95.Microseconds()))
+			m := rep.Arm(fmt.Sprintf("%s/clients=%d", sys, nc))
+			t.AddRow(sys, fmt.Sprintf("%d", nc), m.e2e(r), m.us("mean_us", r.Mean.Microseconds()),
+				m.us("p5_us", r.P5.Microseconds()), m.us("p95_us", r.P95.Microseconds()))
 		}
 	}
-	return t
+	return t, rep
 }

@@ -1,11 +1,13 @@
 package experiments
 
+import "herdkv/internal/cluster"
+
 // Fig1Steps reproduces Figure 1 — the PCIe/DMA/network steps involved in
 // posting each verb variant — as a table over the model's actual
 // mechanics. Fewer steps is the whole optimization story: inlining
 // removes the requester DMA read, unreliable transports remove the ACK,
 // selective signaling removes the completion DMA.
-func Fig1Steps() *Table {
+func Fig1Steps(_ cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:    "fig1",
 		Title: "Steps involved in posting verbs",
@@ -20,5 +22,5 @@ func Fig1Steps() *Table {
 	t.AddRow("SEND/RECV", "WQE+payload", n, y, "write+CQE", "RC only", "recv side")
 	t.AddNote("resp-DMA 'read' is non-posted (the READ bottleneck); WRITEs use cheaper posted writes")
 	t.AddNote("the fully optimized WRITE touches the PCIe bus once and the wire once — nothing else")
-	return t
+	return t, nil
 }

@@ -3,13 +3,14 @@ package experiments
 import (
 	"fmt"
 
+	"herdkv/internal/cluster"
 	"herdkv/internal/core"
 )
 
 // Fig8Layout renders Figure 8 — the request region layout — as a table:
 // the region's dimensions under the paper's configuration and the slot
 // arithmetic for a few representative (process, client, seq) triples.
-func Fig8Layout() *Table {
+func Fig8Layout(_ cluster.Spec) (*Table, *Report) {
 	cfg := core.Config{NS: 16, MaxClients: 200, Window: 2}
 	t := &Table{
 		ID:      "fig8",
@@ -31,5 +32,5 @@ func Fig8Layout() *Table {
 	}
 	t.AddNote("a request's keyhash occupies the rightmost 16 B of its slot; LEN precedes it; the value sits left")
 	t.AddNote("polling trigger: a nonzero keyhash, valid because the RNIC's DMA writes land left to right")
-	return t
+	return t, nil
 }

@@ -108,10 +108,7 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 
 	singleMops := single()
 	shardedMops, fleetMops := fleetArm("sharded", 1), fleetArm("fleet", 2)
-	speedup := 0.0
-	if singleMops > 0 {
-		speedup = fleetMops / singleMops
-	}
+	speedup := ratio(fleetMops, singleMops)
 	rep.Arm("fleet").Set("speedup_vs_single", speedup, "x", "")
 
 	t := &Table{

@@ -18,8 +18,8 @@ import (
 // replica (reads fail over; writes fan out), with retries allowed.
 //
 // The run is deterministic: the same (spec, schedule, seed) triple
-// produces a byte-identical table.
-func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
+// produces a byte-identical table and report.
+func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) (*Table, *Report) {
 	const nShards = 4
 	spec.Faults = sched
 	machines := nShards + (chaosClients+chaosPerMachine-1)/chaosPerMachine
@@ -60,9 +60,10 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 
 	// A mixed workload: fan-out writes under fire. Every in-flight op
 	// must resolve, and none may fail at fleet level.
-	t, issued, okOps, _ := chaosTable("fleetchaos",
+	rep := newReport("fleet-chaos", spec)
+	t := chaosTable("fleetchaos",
 		fmt.Sprintf("Fleet availability through faults (R=%d) — %s", d.Replication(), spec.Name),
-		cl.Eng, clients, fcfg.Herd.Window, 0.50, seed, sched)
+		rep, cl.Eng, clients, fcfg.Herd.Window, 0.50, seed, sched)
 
 	var failed, reroutes, replicaReads, inflight uint64
 	for _, c := range clients {
@@ -71,20 +72,23 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) *Table {
 		replicaReads += c.ReplicaReads()
 		inflight += uint64(c.Inflight())
 	}
-	t.AddNote("ops: %d issued, %d ok, %d fleet-level failures (must be 0), %d hung (must be 0)",
-		issued, okOps, failed, inflight)
+	total := rep.Arm("total")
+	total.Set("failed", float64(failed), "ops", Lower)
+	total.Set("hung", float64(inflight), "ops", Lower)
+	t.AddNote("ops: %s issued, %s ok, %d fleet-level failures (must be 0), %d hung (must be 0)",
+		total.itoa("issued"), total.itoa("ok"), failed, inflight)
 	t.AddNote("failover: %d reroutes, %d reads served by a non-primary replica", reroutes, replicaReads)
 	if inj := cl.Faults(); inj != nil {
 		t.AddNote("injected: %d crashes, %d restarts", inj.Crashes(), inj.Restarts())
 	}
-	return t
+	return t, rep
 }
 
 // FleetChaosScenario is the packaged fleet chaos run: a 4-shard R=2
 // fleet with shard 0 crashing at 2 ms and restarting at 4 ms of an 8 ms
 // window. Unlike the single-server scenario, availability holds at 100%
 // throughout: replicas absorb the outage.
-func FleetChaosScenario(spec cluster.Spec) *Table {
+func FleetChaosScenario(spec cluster.Spec) (*Table, *Report) {
 	return FleetChaos(spec, fleetChaosSchedule(), 1)
 }
 

@@ -8,7 +8,8 @@ import (
 )
 
 func TestFleetChaosZeroFailuresAndDrains(t *testing.T) {
-	out := FleetChaos(cluster.Apt(), fleetChaosSchedule(), 3).String()
+	tbl, _ := FleetChaos(cluster.Apt(), fleetChaosSchedule(), 3)
+	out := tbl.String()
 	if !strings.Contains(out, "0 fleet-level failures (must be 0)") {
 		t.Fatalf("fleet chaos run had fleet-level failures:\n%s", out)
 	}
@@ -24,9 +25,9 @@ func TestFleetChaosZeroFailuresAndDrains(t *testing.T) {
 }
 
 func TestFleetChaosSeedChangesRun(t *testing.T) {
-	a := FleetChaos(cluster.Apt(), fleetChaosSchedule(), 3).String()
-	b := FleetChaos(cluster.Apt(), fleetChaosSchedule(), 4).String()
-	if a == b {
+	a, _ := FleetChaos(cluster.Apt(), fleetChaosSchedule(), 3)
+	b, _ := FleetChaos(cluster.Apt(), fleetChaosSchedule(), 4)
+	if a.String() == b.String() {
 		t.Fatal("different seeds produced identical fleet chaos tables")
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"herdkv/internal/cluster"
 )
 
 // Golden tests pin the deterministic, simulation-free targets exactly:
@@ -19,13 +21,14 @@ func TestGoldenTable1(t *testing.T) {
   note: UC does not support READs, and UD does not support RDMA at all
 
 `
-	if got := Table1Verbs().String(); got != want {
-		t.Fatalf("table1 drifted:\n%q\nwant\n%q", got, want)
+	if tbl, _ := Table1Verbs(cluster.Apt()); tbl.String() != want {
+		t.Fatalf("table1 drifted:\n%q\nwant\n%q", tbl.String(), want)
 	}
 }
 
 func TestGoldenFig8(t *testing.T) {
-	got := Fig8Layout().String()
+	tbl, _ := Fig8Layout(cluster.Apt())
+	got := tbl.String()
 	for _, want := range []string{
 		"6400 (NS*NC*W)",
 		"6.2 MB (fits in L3)",
@@ -38,7 +41,8 @@ func TestGoldenFig8(t *testing.T) {
 }
 
 func TestGoldenFig1(t *testing.T) {
-	got := Fig1Steps().String()
+	tbl, _ := Fig1Steps(cluster.Apt())
+	got := tbl.String()
 	for _, want := range []string{
 		"WRITE (RC, signaled)",
 		"WRITE (inlined+unrel+unsig)",

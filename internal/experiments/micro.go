@@ -15,27 +15,29 @@ var payloadSizes = []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // Fig2Latency reproduces Figure 2: average latency of WR-INLINE, WRITE,
 // READ (signaled, over RC) and ECHO (inlined unsignaled WRITEs over UC)
 // across payload sizes. Inline-dependent series stop at 256 B.
-func Fig2Latency(spec cluster.Spec) *Table {
+func Fig2Latency(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig2",
 		Title:   fmt.Sprintf("Verb and ECHO latency (us) vs payload size — %s", spec.Name),
 		Columns: []string{"size", "WR-INLINE", "WRITE", "READ", "ECHO", "ECHO/2"},
 	}
+	rep := newReport("fig2", spec)
 	reps := 64
 	for _, size := range payloadSizes {
+		m := rep.Arm(fmt.Sprintf("size=%d", size))
 		wrInline, echo, half := "-", "-", "-"
 		if size <= 256 {
-			wrInline = cell(signaledVerbLatency(spec, verbs.WRITE, size, true, reps).Microseconds())
-			e := echoLatency(spec, size, reps)
-			echo = cell(e.Microseconds())
-			half = cell(e.Microseconds() / 2)
+			wrInline = m.us("wr_inline_us", signaledVerbLatency(spec, verbs.WRITE, size, true, reps).Microseconds())
+			e := echoLatency(spec, size, reps).Microseconds()
+			echo = m.us("echo_us", e)
+			half = cell(e / 2)
 		}
-		write := signaledVerbLatency(spec, verbs.WRITE, size, false, reps)
-		read := signaledVerbLatency(spec, verbs.READ, size, false, reps)
-		t.AddRow(fmt.Sprintf("%d", size), wrInline, cell(write.Microseconds()), cell(read.Microseconds()), echo, half)
+		write := m.us("write_us", signaledVerbLatency(spec, verbs.WRITE, size, false, reps).Microseconds())
+		read := m.us("read_us", signaledVerbLatency(spec, verbs.READ, size, false, reps).Microseconds())
+		t.AddRow(fmt.Sprintf("%d", size), wrInline, write, read, echo, half)
 	}
 	t.AddNote("WR-INLINE and ECHO use inlined payloads (max 256 B); ECHO = two unsignaled inlined WRITEs over UC")
-	return t
+	return t, rep
 }
 
 // signaledVerbLatency measures one signaled verb's completion latency
@@ -120,20 +122,27 @@ func echoLatency(spec cluster.Spec, size int, reps int) sim.Time {
 
 // Fig3Inbound reproduces Figure 3: cumulative throughput of inbound
 // verbs — many client processes issuing to one server machine.
-func Fig3Inbound(spec cluster.Spec) *Table {
+func Fig3Inbound(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig3",
 		Title:   fmt.Sprintf("Inbound verbs throughput (Mops) vs payload size — %s", spec.Name),
 		Columns: []string{"size", "WRITE-UC", "READ-RC", "WRITE-RC"},
 	}
+	rep := newReport("fig3", spec)
 	for _, size := range payloadSizes {
 		wUC := inboundMops(spec, wire.UC, verbs.WRITE, size)
 		rRC := inboundMops(spec, wire.RC, verbs.READ, size)
 		wRC := inboundMops(spec, wire.RC, verbs.WRITE, size)
-		t.AddRow(fmt.Sprintf("%d", size), cell(wUC), cell(rRC), cell(wRC))
+		m := rep.Arm(fmt.Sprintf("size=%d", size))
+		t.AddRow(fmt.Sprintf("%d", size), m.mops("write_uc_mops", wUC), m.mops("read_rc_mops", rRC), m.mops("write_rc_mops", wRC))
+		if size == 32 {
+			// "WRITEs achieve 35 Mops, about 34% higher than the maximum
+			// READ throughput".
+			rep.Arm("shape").Set("write_over_read", ratio(wUC, rRC), "x", Higher)
+		}
 	}
 	t.AddNote("16 client processes on 8 machines, window-gated; WRITEs inlined up to 256 B")
-	return t
+	return t, rep
 }
 
 const (
@@ -207,24 +216,23 @@ func inboundMops(spec cluster.Spec, tr wire.Transport, verb verbs.Verb, size int
 
 // Fig4Outbound reproduces Figure 4: throughput of outbound verbs issued
 // by one server machine to many clients.
-func Fig4Outbound(spec cluster.Spec) *Table {
+func Fig4Outbound(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig4",
 		Title:   fmt.Sprintf("Outbound verbs throughput (Mops) vs payload size — %s", spec.Name),
 		Columns: []string{"size", "WR-UC-INLINE", "SEND-UD", "WRITE-UC", "READ-RC"},
 	}
-	for _, size := range []int{0, 4, 16, 28, 32, 60, 64, 68, 128, 160, 192, 256} {
-		if size == 0 {
-			size = 2
-		}
-		wi := outboundMops(spec, "wr-inline", size)
-		sd := outboundMops(spec, "send-ud", size)
-		wu := outboundMops(spec, "wr", size)
-		rd := outboundMops(spec, "read", size)
-		t.AddRow(fmt.Sprintf("%d", size), cell(wi), cell(sd), cell(wu), cell(rd))
+	rep := newReport("fig4", spec)
+	for _, size := range []int{2, 4, 16, 28, 32, 60, 64, 68, 128, 160, 192, 256} {
+		m := rep.Arm(fmt.Sprintf("size=%d", size))
+		wi := m.mops("wr_uc_inline_mops", outboundMops(spec, "wr-inline", size))
+		sd := m.mops("send_ud_mops", outboundMops(spec, "send-ud", size))
+		wu := m.mops("write_uc_mops", outboundMops(spec, "wr", size))
+		rd := m.mops("read_rc_mops", outboundMops(spec, "read", size))
+		t.AddRow(fmt.Sprintf("%d", size), wi, sd, wu, rd)
 	}
 	t.AddNote("16 server processes, one per client; write-combining steps appear at 64 B intervals")
-	return t
+	return t, rep
 }
 
 // outboundMops drives one server machine issuing to many clients.
@@ -289,10 +297,6 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 				panic(err)
 			}
 			local := srv.Verbs.RegisterMR(4096)
-			n := size
-			if n == 0 {
-				n = 4
-			}
 			var dones []func()
 			sq.SendCQ().SetHandler(func(verbs.Completion) {
 				count++
@@ -305,7 +309,7 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 			pump(inboundWindow, func(done func()) {
 				dones = append(dones, done)
 				mustPost(sq.PostSend(verbs.SendWR{
-					Verb: verbs.READ, Remote: cliMR, Local: local, Len: n, Signaled: true,
+					Verb: verbs.READ, Remote: cliMR, Local: local, Len: size, Signaled: true,
 				}))
 			})
 		}

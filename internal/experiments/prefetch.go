@@ -13,21 +13,23 @@ import (
 // performs N random memory accesses per request, with and without the
 // request pipeline's prefetching, across core counts. Prefetching lets
 // fewer cores deliver peak throughput even at N=8.
-func Fig7Prefetch(spec cluster.Spec) *Table {
+func Fig7Prefetch(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig7",
 		Title:   fmt.Sprintf("Prefetching effect on throughput (Mops) — %s", spec.Name),
 		Columns: []string{"cores", "N=2 no-prefetch", "N=2 prefetch", "N=8 no-prefetch", "N=8 prefetch"},
 	}
+	rep := newReport("fig7", spec)
 	for cores := 1; cores <= 5; cores++ {
+		m := rep.Arm(fmt.Sprintf("cores=%d", cores))
 		t.AddRow(fmt.Sprintf("%d", cores),
-			cell(prefetchEchoMops(spec, cores, 2, false)),
-			cell(prefetchEchoMops(spec, cores, 2, true)),
-			cell(prefetchEchoMops(spec, cores, 8, false)),
-			cell(prefetchEchoMops(spec, cores, 8, true)))
+			m.mops("n2_mops", prefetchEchoMops(spec, cores, 2, false)),
+			m.mops("n2_prefetch_mops", prefetchEchoMops(spec, cores, 2, true)),
+			m.mops("n8_mops", prefetchEchoMops(spec, cores, 8, false)),
+			m.mops("n8_prefetch_mops", prefetchEchoMops(spec, cores, 8, true)))
 	}
 	t.AddNote("WRITE requests + UD SEND responses, 32 B; N random DRAM accesses per request")
-	return t
+	return t, rep
 }
 
 // prefetchEchoMops measures a HERD-style echo (WRITE in, SEND/UD out)

@@ -8,9 +8,9 @@ import (
 	"herdkv/internal/cluster"
 )
 
-// Report is an extension experiment's machine-readable result: herdbench
-// -json DIR writes it as DIR/BENCH_<Name>.json and cmd/benchcheck
-// ratchets it against baselines/. Every field is a map or a scalar, so
+// Report is an experiment's machine-readable result: herdbench -json DIR
+// writes it as DIR/BENCH_<Name>.json and cmd/benchcheck ratchets it
+// against baselines/. Every field is a map or a scalar, so
 // encoding/json emits sorted keys and the bytes are stable across runs.
 type Report struct {
 	// Name names the BENCH_<Name>.json file.
@@ -56,6 +56,34 @@ func (r *Report) Arm(name string) Metrics {
 // Set records a measurement.
 func (m Metrics) Set(name string, value float64, unit, better string) {
 	m[name] = Metric{Value: value, Unit: unit, Better: better}
+}
+
+// mops records a throughput and returns its table cell.
+func (m Metrics) mops(name string, v float64) string {
+	m.Set(name, v, "Mops", Higher)
+	return cell(v)
+}
+
+// us records a latency in microseconds and returns its table cell.
+func (m Metrics) us(name string, v float64) string {
+	m.Set(name, v, "us", Lower)
+	return cell(v)
+}
+
+// e2e records one runE2E point, its goodput and the end-to-end checks
+// that every point must pass, and returns the goodput's table cell.
+func (m Metrics) e2e(r e2eResult) string {
+	m.Set("verify_errors", float64(r.VerifyErr), "count", Lower)
+	m.Set("get_misses", float64(r.GetMisses), "count", Lower)
+	return m.mops("mops", r.Mops)
+}
+
+// ratio is a/b, or 0 when b is 0 (a run that measured nothing).
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }
 
 // itoa formats an integer-valued measurement for a table cell.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -10,12 +11,12 @@ import (
 
 func TestShapeSusitnaFig10(t *testing.T) {
 	defer short(t)()
-	tbl := Fig10ValueSize(cluster.Susitna())
+	_, rep := Fig10ValueSize(cluster.Susitna())
+	mops := func(sv int, sys string) float64 { return metric(t, rep, fmt.Sprintf("sv=%d/%s", sv, sys), "mops") }
 	// "FaRM-em saturates the PCIe 2.0 bandwidth on Susitna with 4 byte
 	// values": its throughput at SV=4 is already well below Apt's READ
 	// ceiling and strictly declines.
-	f4 := fval(t, row(t, tbl, "4")[3])
-	f32 := fval(t, row(t, tbl, "32")[3])
+	f4, f32 := mops(4, SysFaRM), mops(32, SysFaRM)
 	if f4 > 24 {
 		t.Errorf("FaRM-em at SV=4 on Susitna = %.1f Mops; should already be PCIe-bound (<24)", f4)
 	}
@@ -24,8 +25,7 @@ func TestShapeSusitnaFig10(t *testing.T) {
 	}
 	// "HERD achieves high performance for up to 32 byte values on
 	// Susitna" then declines with the PIO limit.
-	h8 := fval(t, row(t, tbl, "8")[1])
-	h128 := fval(t, row(t, tbl, "128")[1])
+	h8, h128 := mops(8, SysHERD), mops(128, SysHERD)
 	if h8 < 17 {
 		t.Errorf("HERD at SV=8 on Susitna = %.1f Mops, want ~19-26", h8)
 	}
@@ -48,10 +48,10 @@ func TestShapeSusitnaBelowApt(t *testing.T) {
 
 func TestShapeSusitnaLatencyHigher(t *testing.T) {
 	defer short(t)()
-	apt := Fig2Latency(cluster.Apt())
-	sus := Fig2Latency(cluster.Susitna())
-	aptRead := fval(t, row(t, apt, "32")[3])
-	susRead := fval(t, row(t, sus, "32")[3])
+	_, apt := Fig2Latency(cluster.Apt())
+	_, sus := Fig2Latency(cluster.Susitna())
+	aptRead := metric(t, apt, "size=32", "read_us")
+	susRead := metric(t, sus, "size=32", "read_us")
 	if susRead <= aptRead {
 		t.Errorf("Susitna READ latency (%.2f) should exceed Apt's (%.2f)", susRead, aptRead)
 	}

@@ -19,7 +19,7 @@ import (
 // only drive load). For each total machine count it reports aggregate
 // read-intensive throughput and mean per-machine server-side CPU
 // utilization.
-func SymmetricStudy(spec cluster.Spec) *Table {
+func SymmetricStudy(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:    "symmetric",
 		Title: fmt.Sprintf("Symmetric FaRM vs client-server HERD, 48 B read-intensive — %s", spec.Name),
@@ -27,15 +27,24 @@ func SymmetricStudy(spec cluster.Spec) *Table {
 			"machines", "FaRM-sym Mops", "FaRM-sym srvCPU", "HERD Mops", "HERD srvCPU",
 		},
 	}
+	rep := newReport("symmetric", spec)
 	for _, n := range []int{4, 8, 12, 16} {
-		fm, fc := symmetricFarmPoint(spec, n)
-		hm, hc := herdPoint(spec, n)
-		t.AddRow(fmt.Sprintf("%d", n), cell(fm), fmt.Sprintf("%.0f%%", fc*100),
-			cell(hm), fmt.Sprintf("%.0f%%", hc*100))
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, design := range []string{"farm-sym", "herd"} {
+			point := symmetricFarmPoint
+			if design == "herd" {
+				point = herdPoint
+			}
+			mops, srvCPU := point(spec, n)
+			m := rep.Arm(fmt.Sprintf("machines=%d/%s", n, design))
+			m.Set("srv_cpu", srvCPU, "ratio", Lower)
+			row = append(row, m.mops("mops", mops), fmt.Sprintf("%.0f%%", srvCPU*100))
+		}
+		t.AddRow(row...)
 	}
 	t.AddNote("srvCPU: busy fraction of server-side cores, averaged over the machines that run them")
 	t.AddNote("symmetric aggregate grows with the cluster (every NIC serves READs); HERD is bound by its one server but spends those machines' cycles nowhere else")
-	return t
+	return t, rep
 }
 
 const symKeys = 16 * 1024

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -9,11 +8,11 @@ import (
 
 func TestSymmetricStudyShape(t *testing.T) {
 	defer short(t)()
-	tbl := SymmetricStudy(cluster.Apt())
-	farm4 := fval(t, row(t, tbl, "4")[1])
-	farm16 := fval(t, row(t, tbl, "16")[1])
-	herd4 := fval(t, row(t, tbl, "4")[3])
-	herd16 := fval(t, row(t, tbl, "16")[3])
+	_, rep := SymmetricStudy(cluster.Apt())
+	farm4 := metric(t, rep, "machines=4/farm-sym", "mops")
+	farm16 := metric(t, rep, "machines=16/farm-sym", "mops")
+	herd4 := metric(t, rep, "machines=4/herd", "mops")
+	herd16 := metric(t, rep, "machines=16/herd", "mops")
 
 	// Symmetric FaRM's aggregate grows with machines; HERD saturates at
 	// its single server.
@@ -32,15 +31,10 @@ func TestSymmetricStudyShape(t *testing.T) {
 	}
 	// Section 2.3's CPU point: the symmetric READ-based design "uses
 	// less CPU" on the serving side.
-	farmCPU := cpuPct(t, row(t, tbl, "16")[2])
-	herdCPU := cpuPct(t, row(t, tbl, "16")[4])
+	farmCPU := 100 * metric(t, rep, "machines=16/farm-sym", "srv_cpu")
+	herdCPU := 100 * metric(t, rep, "machines=16/herd", "srv_cpu")
 	if farmCPU >= herdCPU/4 {
 		t.Errorf("symmetric FaRM server CPU (%.0f%%) should be far below HERD's (%.0f%%)",
 			farmCPU, herdCPU)
 	}
-}
-
-func cpuPct(t *testing.T, cell string) float64 {
-	t.Helper()
-	return fval(t, strings.TrimSuffix(cell, "%"))
 }

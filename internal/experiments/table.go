@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation on the simulated clusters. Each experiment returns a Table
 // whose rows correspond to the paper's plotted series, so the output can
-// be compared shape-for-shape against the original.
+// be compared shape-for-shape against the original, and a Report holding
+// the same values at full precision (nil for the static tables).
 package experiments
 
 import (
@@ -72,30 +73,6 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Fprint(&b)
 	return b.String()
-}
-
-// FprintCSV renders the table as CSV (header row first, notes as
-// comment lines) for plotting pipelines.
-func (t *Table) FprintCSV(w io.Writer) {
-	fmt.Fprintf(w, "# %s: %s\n", t.ID, t.Title)
-	for _, n := range t.Notes {
-		fmt.Fprintf(w, "# %s\n", n)
-	}
-	quote := func(cells []string) string {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			out[i] = c
-		}
-		return strings.Join(out, ",")
-	}
-	fmt.Fprintln(w, quote(t.Columns))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, quote(row))
-	}
-	fmt.Fprintln(w)
 }
 
 // cell formats a float with sensible precision for Mops / microseconds.

@@ -10,7 +10,7 @@ import (
 
 // Table1Verbs reproduces Table 1: operations supported by each transport
 // type, as enforced by the verbs layer.
-func Table1Verbs() *Table {
+func Table1Verbs(_ cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "table1",
 		Title:   "Operations supported by each connection type",
@@ -34,11 +34,11 @@ func Table1Verbs() *Table {
 		t.AddRow(r.name, mark(wire.RC, r.v), mark(wire.UC, r.v), mark(wire.UD, r.v))
 	}
 	t.AddNote("UC does not support READs, and UD does not support RDMA at all")
-	return t
+	return t, nil
 }
 
 // Table2Clusters reproduces Table 2: the evaluation clusters.
-func Table2Clusters() *Table {
+func Table2Clusters(_ cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "table2",
 		Title:   "Cluster configuration",
@@ -47,5 +47,5 @@ func Table2Clusters() *Table {
 	for _, s := range cluster.Table2() {
 		t.AddRow(s.Name, fmt.Sprintf("%d", s.MaxNodes), s.CPUDesc+". "+s.NICDesc)
 	}
-	return t
+	return t, nil
 }
