@@ -55,10 +55,11 @@ tables:
 microbench:
 	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/ ./internal/mux/
 
-# Non-test Go lines per package, so a change that deletes code can
-# report before/after counts (run it on both commits and diff).
+# Non-test Go lines per package, then the module total, so a change
+# that deletes code can report before/after counts (run it on both
+# commits and diff).
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
 	while read pkg dir files; do \
 		[ -z "$$files" ] || printf '%6d %s\n' $$(cd $$dir && cat $$files | wc -l) $$pkg; \
-	done
+	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'

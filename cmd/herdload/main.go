@@ -3,108 +3,167 @@
 // and it reports throughput, latency percentiles and hit rate from a
 // steady-state measurement window.
 //
+// It is a flag front end over internal/experiments' end-to-end runner
+// (RunE2E), the one behind Figures 9–14: the flag defaults are the
+// paper's setup, so a default run measures Fig 9's read-intensive
+// point on Apt.
+//
 //	herdload -system herd -clients 51 -get 0.95 -value 32 -duration 400
 //	herdload -system pilaf -cluster susitna -zipf
 //	herdload -system herd -sendmode -clients 400
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"herdkv"
+	"herdkv/internal/cluster"
+	"herdkv/internal/experiments"
+	"herdkv/internal/mica"
+	"herdkv/internal/sim"
+	"herdkv/internal/telemetry"
 )
 
-func main() {
-	var (
-		system   = flag.String("system", "herd", "herd, pilaf, farm or farm-var")
-		clusterF = flag.String("cluster", "apt", "apt or susitna")
-		clients  = flag.Int("clients", 51, "client processes (3 per machine)")
-		getFrac  = flag.Float64("get", 0.95, "GET fraction of the workload")
-		value    = flag.Int("value", 32, "value size in bytes")
-		keys     = flag.Uint64("keys", 48*1024, "keyspace size (preloaded)")
-		zipf     = flag.Bool("zipf", false, "Zipf(.99) key popularity instead of uniform")
-		window   = flag.Int("window", 4, "outstanding requests per client")
-		cores    = flag.Int("cores", 6, "server processes / cores")
-		sendMode = flag.Bool("sendmode", false, "HERD only: SEND/SEND architecture")
-		loss     = flag.Float64("loss", 0, "uniform packet-loss probability on every link")
-		retryUS  = flag.Int("retry", 0, "HERD only: retry timeout (simulated microseconds; 0 = no retries)")
-		duration = flag.Int("duration", 400, "measurement window (simulated microseconds)")
-		warmup   = flag.Int("warmup", 150, "warmup (simulated microseconds)")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
-		metricsF = flag.String("metrics", "", "write a metrics dump to this file after the run")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var tel *herdkv.Telemetry
-	if *metricsF != "" {
-		tel = herdkv.NewTelemetry()
-		herdkv.SetDefaultTelemetry(tel)
-	}
-
-	var spec herdkv.Spec
-	switch strings.ToLower(*clusterF) {
-	case "apt":
-		spec = herdkv.Apt()
-	case "susitna":
-		spec = herdkv.Susitna()
-	default:
-		fail("unknown cluster %q", *clusterF)
-	}
-
-	r, err := run(options{
-		system: strings.ToLower(*system), spec: spec,
-		clients: *clients, getFrac: *getFrac, value: *value,
-		keys: *keys, zipf: *zipf, window: *window, cores: *cores,
-		sendMode: *sendMode,
-		loss:     *loss,
-		retry:    herdkv.Time(*retryUS) * herdkv.Microsecond,
-		warmup:   herdkv.Time(*warmup) * herdkv.Microsecond,
-		span:     herdkv.Time(*duration) * herdkv.Microsecond,
-		seed:     *seed,
-	})
-	if err != nil {
-		fail("%v", err)
-	}
-
-	fmt.Printf("system      %s on %s\n", *system, spec.Name)
-	fmt.Printf("fleet       %d clients, window %d, %d server cores\n", *clients, *window, *cores)
-	dist := "uniform"
-	if *zipf {
-		dist = "Zipf(.99)"
-	}
-	fmt.Printf("workload    %.0f%% GET, %d B values, %d keys, %s\n",
-		*getFrac*100, *value, *keys, dist)
-	fmt.Printf("throughput  %.2f Mops\n", r.mops)
-	fmt.Printf("latency     mean %.2f us, p5 %.2f, p50 %.2f, p95 %.2f, p99 %.2f\n",
-		r.mean, r.p5, r.p50, r.p95, r.p99)
-	if r.gets > 0 {
-		fmt.Printf("hit rate    %.2f%% over %d GETs\n", r.hitRate*100, r.gets)
-	}
-	if r.haveReliability {
-		fmt.Printf("reliability %d retries, %d duplicate and %d corrupt responses discarded, %d timed-out ops, %d reconnects\n",
-			r.retried, r.dups, r.corrupt, r.failed, r.reconnects)
-	}
-	if *metricsF != "" {
-		f, err := os.Create(*metricsF)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := tel.Registry.WriteText(f); err != nil {
-			fail("%v", err)
-		}
-		f.Close()
-		fmt.Printf("metrics     written to %s\n", *metricsF)
-	}
-	if r.verifyErr > 0 {
-		fmt.Printf("VERIFY FAIL %d mismatched GET values\n", r.verifyErr)
-		os.Exit(1)
-	}
+// systems maps each -system name to the experiments' system name.
+var systems = map[string]string{
+	"herd":     experiments.SysHERD,
+	"pilaf":    experiments.SysPilaf,
+	"farm":     experiments.SysFaRM,
+	"farm-var": experiments.SysFaRMVar,
 }
 
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
+// run parses args, measures one point and prints its report to stdout.
+// It returns the exit status: 2 for a bad flag, 1 for a failed metrics
+// write or a wrong GET value.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg := experiments.DefaultE2E(cluster.Apt(), experiments.SysHERD)
+	fs := flag.NewFlagSet("herdload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	system := fs.String("system", "herd", "herd, pilaf, farm or farm-var")
+	clusterF := fs.String("cluster", "apt", "apt or susitna")
+	fs.IntVar(&cfg.Clients, "clients", cfg.Clients, "client processes (3 per machine)")
+	fs.Float64Var(&cfg.GetFraction, "get", cfg.GetFraction, "GET fraction of the workload")
+	fs.IntVar(&cfg.ValueSize, "value", cfg.ValueSize, "value size in bytes")
+	fs.Uint64Var(&cfg.Keys, "keys", cfg.Keys, "keyspace size (preloaded)")
+	fs.BoolVar(&cfg.Zipf, "zipf", cfg.Zipf, "Zipf(.99) key popularity instead of uniform")
+	fs.IntVar(&cfg.Window, "window", cfg.Window, "outstanding requests per client")
+	fs.IntVar(&cfg.Cores, "cores", cfg.Cores, "server processes / cores")
+	fs.BoolVar(&cfg.SendMode, "sendmode", cfg.SendMode, "HERD only: SEND/SEND architecture")
+	loss := fs.Float64("loss", 0, "uniform packet-loss probability on every link")
+	retryUS := fs.Int("retry", 0, "HERD only: retry timeout (simulated microseconds; 0 = no retries)")
+	duration := fs.Int("duration", 400, "measurement window (simulated microseconds)")
+	warmup := fs.Int("warmup", 150, "warmup (simulated microseconds)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "deterministic seed")
+	metricsF := fs.String("metrics", "", "write a metrics dump to this file after the run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	usage := func(format string, a ...interface{}) int {
+		fmt.Fprintf(stderr, "herdload: "+format+"\n", a...)
+		return 2
+	}
+	var ok bool
+	if cfg.System, ok = systems[strings.ToLower(*system)]; !ok {
+		return usage("unknown system %q (herd, pilaf, farm, farm-var)", *system)
+	}
+	switch strings.ToLower(*clusterF) {
+	case "apt":
+		cfg.Spec = cluster.Apt()
+	case "susitna":
+		cfg.Spec = cluster.Susitna()
+	default:
+		return usage("unknown cluster %q (apt, susitna)", *clusterF)
+	}
+	// The runner panics on a deployment it cannot build, so every
+	// flag is checked here first.
+	for _, c := range []struct {
+		flag string
+		ok   bool
+		want string
+	}{
+		{"clients", cfg.Clients >= 1, "at least 1"},
+		{"window", cfg.Window >= 1, "at least 1"},
+		{"cores", cfg.Cores >= 1 && cfg.Cores <= cfg.Spec.Cores, fmt.Sprintf("in [1, %d]", cfg.Spec.Cores)},
+		{"keys", cfg.Keys >= 1, "at least 1"},
+		{"duration", *duration >= 1, "at least 1"},
+		{"warmup", *warmup >= 0, "at least 0"},
+		{"retry", *retryUS >= 0, "at least 0"},
+		{"get", cfg.GetFraction >= 0 && cfg.GetFraction <= 1, "in [0, 1]"},
+		{"loss", *loss >= 0 && *loss <= 1, "in [0, 1]"},
+		{"value", cfg.ValueSize >= 1 && cfg.ValueSize <= mica.MaxValueSize, fmt.Sprintf("in [1, %d]", mica.MaxValueSize)},
+	} {
+		if !c.ok {
+			return usage("-%s %s: must be %s", c.flag, fs.Lookup(c.flag).Value, c.want)
+		}
+	}
+
+	cfg.Spec.Link.LossRate = *loss
+	cfg.RetryTimeout = sim.Time(*retryUS) * sim.Microsecond
+	experiments.Warmup = sim.Time(*warmup) * sim.Microsecond
+	experiments.Span = sim.Time(*duration) * sim.Microsecond
+	// A metrics-only sink schedules no events, so it is always on: the
+	// reliability line reads its counters, and -metrics only decides
+	// whether the registry is written out.
+	sink := telemetry.New()
+	cluster.SetDefaultTelemetry(sink)
+	defer cluster.SetDefaultTelemetry(nil)
+	r := experiments.RunE2E(cfg)
+
+	fmt.Fprintf(stdout, "system      %s on %s\n", *system, cfg.Spec.Name)
+	fmt.Fprintf(stdout, "fleet       %d clients, window %d, %d server cores\n", cfg.Clients, cfg.Window, cfg.Cores)
+	dist := "uniform"
+	if cfg.Zipf {
+		dist = "Zipf(.99)"
+	}
+	fmt.Fprintf(stdout, "workload    %.0f%% GET, %d B values, %d keys, %s\n",
+		cfg.GetFraction*100, cfg.ValueSize, cfg.Keys, dist)
+	fmt.Fprintf(stdout, "throughput  %.2f Mops\n", r.Mops)
+	fmt.Fprintf(stdout, "latency     all ops: mean %.2f us, p5 %.2f, p50 %.2f, p95 %.2f, p99 %.2f\n",
+		r.Mean.Microseconds(), r.P5.Microseconds(), r.P50.Microseconds(), r.P95.Microseconds(), r.P99.Microseconds())
+	if r.Gets > 0 {
+		fmt.Fprintf(stdout, "hit rate    %.2f%% over %d GETs\n", float64(r.Gets-r.GetMisses)/float64(r.Gets)*100, r.Gets)
+	}
+	if cfg.System == experiments.SysHERD {
+		reg := sink.Registry
+		fmt.Fprintf(stdout, "reliability %d retries, %d duplicate and %d corrupt responses discarded, %d timed-out ops, %d reconnects\n",
+			reg.Counter("herd.retries").Value(), reg.Counter("herd.responses.duplicate").Value(),
+			reg.Counter("herd.responses.corrupt").Value(), reg.Counter("herd.ops.failed").Value(),
+			reg.Counter("herd.reconnects").Value())
+	}
+	if *metricsF != "" {
+		if err := writeFile(*metricsF, sink.Registry.WriteText); err != nil {
+			fmt.Fprintf(stderr, "herdload: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "metrics     written to %s\n", *metricsF)
+	}
+	if r.VerifyErr > 0 {
+		fmt.Fprintf(stdout, "VERIFY FAIL %d mismatched GET values\n", r.VerifyErr)
+		return 1
+	}
+	return 0
+}
+
+// writeFile writes path through write; a create, write or close
+// failure is returned.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

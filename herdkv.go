@@ -354,8 +354,9 @@ var ErrOverloaded = core.ErrOverloaded
 
 // Telemetry (docs/OBSERVABILITY.md).
 
-// Telemetry is a metrics + tracing sink; attach one to a cluster (or
-// install it as the default) to instrument every layer of the stack.
+// Telemetry is a metrics + tracing sink; attach one to a cluster with
+// Cluster.SetTelemetry, before building servers and clients on it, to
+// instrument every layer of the stack.
 type Telemetry = telemetry.Sink
 
 // TelemetryRegistry holds named counters, gauges and latency histograms.
@@ -371,7 +372,3 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // NewTelemetryTracer returns an empty span recorder.
 func NewTelemetryTracer() *TelemetryTracer { return telemetry.NewTracer() }
-
-// SetDefaultTelemetry installs (or, with nil, removes) the sink attached
-// to every cluster NewCluster subsequently builds.
-func SetDefaultTelemetry(s *Telemetry) { cluster.SetDefaultTelemetry(s) }

@@ -34,11 +34,11 @@ func AblationArchitecture(spec cluster.Spec) (*Table, *Report) {
 	for _, nc := range []int{50, 150, 260, 400, 500} {
 		row := []string{fmt.Sprintf("%d", nc)}
 		for _, mode := range []string{"hybrid-uc", "send-send", "hybrid-dc"} {
-			cfg := defaultE2E(spec, SysHERD)
-			cfg.clients = nc
-			cfg.sendMode = mode == "send-send"
-			cfg.dcMode = mode == "hybrid-dc"
-			row = append(row, rep.Arm(fmt.Sprintf("clients=%d/%s", nc, mode)).e2e(runE2E(cfg)))
+			cfg := DefaultE2E(spec, SysHERD)
+			cfg.Clients = nc
+			cfg.SendMode = mode == "send-send"
+			cfg.DCMode = mode == "hybrid-dc"
+			row = append(row, rep.Arm(fmt.Sprintf("clients=%d/%s", nc, mode)).e2e(RunE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}
@@ -60,10 +60,10 @@ func AblationInlineCutoff(spec cluster.Spec) (*Table, *Report) {
 	for _, cutoff := range []int{1, 64, 144, 256} {
 		row := []string{fmt.Sprintf("%d", cutoff)}
 		for _, sv := range []int{32, 192} {
-			cfg := defaultE2E(spec, SysHERD)
-			cfg.valueSize = sv
-			cfg.inlineCut = cutoff
-			row = append(row, arm(cutoff, sv).e2e(runE2E(cfg)))
+			cfg := DefaultE2E(spec, SysHERD)
+			cfg.ValueSize = sv
+			cfg.InlineCut = cutoff
+			row = append(row, arm(cutoff, sv).e2e(RunE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}
@@ -85,9 +85,9 @@ func AblationWindow(spec cluster.Spec) (*Table, *Report) {
 	}
 	rep := newReport("ablation-window", spec)
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		cfg := defaultE2E(spec, SysHERD)
-		cfg.window = w
-		r := runE2E(cfg)
+		cfg := DefaultE2E(spec, SysHERD)
+		cfg.Window = w
+		r := RunE2E(cfg)
 		m := rep.Arm(fmt.Sprintf("window=%d", w))
 		t.AddRow(fmt.Sprintf("%d", w), m.e2e(r), m.us("mean_us", r.Mean.Microseconds()))
 	}
@@ -168,10 +168,10 @@ func AblationPrefetch(spec cluster.Spec) (*Table, *Report) {
 	for _, cores := range []int{2, 4, 6} {
 		row := []string{fmt.Sprintf("%d", cores)}
 		for _, mode := range []string{"no-prefetch", "prefetch"} {
-			cfg := defaultE2E(spec, SysHERD)
-			cfg.cores = cores
-			cfg.noPrefetch = mode == "no-prefetch"
-			row = append(row, rep.Arm(fmt.Sprintf("cores=%d/%s", cores, mode)).e2e(runE2E(cfg)))
+			cfg := DefaultE2E(spec, SysHERD)
+			cfg.Cores = cores
+			cfg.NoPrefetch = mode == "no-prefetch"
+			row = append(row, rep.Arm(fmt.Sprintf("cores=%d/%s", cores, mode)).e2e(RunE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}

@@ -29,7 +29,7 @@ func Classical(spec cluster.Spec) (*Table, *Report) {
 	}
 	rep := newReport("classical", spec)
 	rdma, kernel := rep.Arm("rdma"), rep.Arm("kernel")
-	rd := runE2E(defaultE2E(spec, SysHERD))
+	rd := RunE2E(DefaultE2E(spec, SysHERD))
 	rdIdle := idleHERDLatency(spec)
 	kt, kIdle := classicalKV(16)
 
@@ -43,8 +43,8 @@ func Classical(spec cluster.Spec) (*Table, *Report) {
 
 // idleHERDLatency measures a single unloaded HERD GET.
 func idleHERDLatency(spec cluster.Spec) sim.Time {
-	cfg := defaultE2E(spec, SysHERD)
-	cfg.clients = 1
+	cfg := DefaultE2E(spec, SysHERD)
+	cfg.Clients = 1
 	cl, clients, _ := buildSystem(cfg)
 	var lat sim.Time
 	mustPost(clients[0].Get(kv.FromUint64(1), func(r kv.Result) { lat = r.Latency }))

@@ -25,7 +25,7 @@ func CPUUse(spec cluster.Spec) (*Table, *Report) {
 	}
 	rep := newReport("cpuuse", spec)
 	for _, sys := range AllSystems {
-		r := runCPUUse(defaultE2E(spec, sys))
+		r := runCPUUse(DefaultE2E(spec, sys))
 		m := rep.Arm(sys)
 		corems := func(name string, v float64) string {
 			m.Set(name, v, "core-ms/Mop", Lower)
@@ -63,12 +63,12 @@ func clientVerbWork(sys string, p func() (post, poll sim.Time)) func(isGet bool)
 	}
 }
 
-func runCPUUse(cfg e2eConfig) cpuUseResult {
+func runCPUUse(cfg E2EConfig) cpuUseResult {
 	cl, clients, _ := buildSystem(cfg)
 
 	serverCPU := cl.Machine(0).CPU
-	perOp := clientVerbWork(cfg.system, func() (sim.Time, sim.Time) {
-		p := cfg.spec.Host
+	perOp := clientVerbWork(cfg.System, func() (sim.Time, sim.Time) {
+		p := cfg.Spec.Host
 		return p.PostSend, p.PollCheck
 	})
 
@@ -81,7 +81,7 @@ func runCPUUse(cfg e2eConfig) cpuUseResult {
 
 	cl.Eng.RunFor(Warmup)
 	startOps := completed
-	startBusy := serverBusy(serverCPU, cfg.cores)
+	startBusy := serverBusy(serverCPU, cfg.Cores)
 	startClient := clientBusy
 	cl.Eng.RunFor(Span)
 
@@ -89,7 +89,7 @@ func runCPUUse(cfg e2eConfig) cpuUseResult {
 	if ops == 0 {
 		return cpuUseResult{}
 	}
-	srvBusy := serverBusy(serverCPU, cfg.cores) - startBusy
+	srvBusy := serverBusy(serverCPU, cfg.Cores) - startBusy
 	cliBusy := clientBusy - startClient
 	perMop := func(busy sim.Time) float64 {
 		// core-ms per million ops.

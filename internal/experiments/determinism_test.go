@@ -24,7 +24,7 @@ func TestDeterminism(t *testing.T) {
 
 	e2e := make([]string, 2)
 	for i := range e2e {
-		e2e[i] = fmt.Sprintf("%+v", runE2E(defaultE2E(cluster.Apt(), SysHERD)))
+		e2e[i] = fmt.Sprintf("%+v", RunE2E(DefaultE2E(cluster.Apt(), SysHERD)))
 	}
 	if e2e[0] != e2e[1] {
 		t.Fatalf("end-to-end run not deterministic:\n%s\nvs\n%s", e2e[0], e2e[1])

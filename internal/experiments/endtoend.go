@@ -26,42 +26,49 @@ const (
 // AllSystems lists the paper's four compared systems.
 var AllSystems = []string{SysPilaf, SysFaRM, SysFaRMVar, SysHERD}
 
-// e2eConfig describes one end-to-end measurement point.
-type e2eConfig struct {
-	spec        cluster.Spec
-	system      string
-	clients     int     // client processes
-	perMachine  int     // client processes per machine (paper: 3)
-	valueSize   int     // SV
-	getFraction float64 // 0.95, 0.50 or 0
-	keys        uint64
-	window      int
-	cores       int // server processes / cores
-	zipf        bool
-	seed        int64
+// E2EConfig describes one end-to-end measurement point.
+type E2EConfig struct {
+	Spec        cluster.Spec
+	System      string
+	Clients     int     // client processes
+	PerMachine  int     // client processes per machine (paper: 3)
+	ValueSize   int     // SV
+	GetFraction float64 // 0.95, 0.50 or 0
+	Keys        uint64
+	Window      int
+	Cores       int // server processes / cores
+	Zipf        bool
+	Seed        int64
 
 	// HERD variants (ablation studies).
-	sendMode   bool // SEND/SEND architecture (Section 5.5)
-	dcMode     bool // Dynamically Connected requests (Section 5.5)
-	noPrefetch bool // disable the request pipeline
-	inlineCut  int  // response inline cutoff override (0 = default)
+	SendMode     bool     // SEND/SEND architecture (Section 5.5)
+	DCMode       bool     // Dynamically Connected requests (Section 5.5)
+	NoPrefetch   bool     // disable the request pipeline
+	InlineCut    int      // response inline cutoff override (0 = default)
+	RetryTimeout sim.Time // client retry timeout (0 = no retries)
 }
 
-func defaultE2E(spec cluster.Spec, system string) e2eConfig {
-	return e2eConfig{
-		spec: spec, system: system,
-		clients: 51, perMachine: 3,
-		valueSize: 32, getFraction: 0.95,
-		keys: 48 * 1024, window: 4, cores: 6, seed: 1,
+// DefaultE2E is the paper's end-to-end setup for system on spec: 51
+// closed-loop clients, 3 per machine, window 4, 6 server cores, 48 B
+// items (SV=32) over a preloaded 48 Ki-key space, 95% GET.
+func DefaultE2E(spec cluster.Spec, system string) E2EConfig {
+	return E2EConfig{
+		Spec: spec, System: system,
+		Clients: 51, PerMachine: 3,
+		ValueSize: 32, GetFraction: 0.95,
+		Keys: 48 * 1024, Window: 4, Cores: 6, Seed: 1,
 	}
 }
 
-// e2eResult is one measurement point's output.
-type e2eResult struct {
+// E2EResult is one measurement point's output. Latencies cover every
+// op measured over Span, GETs and PUTs alike.
+type E2EResult struct {
 	Mops      float64
 	Mean      sim.Time
-	P5, P95   sim.Time
+	P5, P50   sim.Time
+	P95, P99  sim.Time
 	PerCore   []float64 // HERD: per-partition Mops
+	Gets      uint64    // GETs measured over Span
 	GetMisses uint64    // measured GETs that found no value
 	VerifyErr uint64    // sampled GET hits whose value was wrong
 	Completed uint64    // ops completed over warmup and span
@@ -72,35 +79,36 @@ type e2eResult struct {
 // cluster, preloading the whole keyspace, and returns a per-partition
 // served-count probe (HERD only). Every system's client is driven
 // through the shared kv.KV interface; no per-system glue is needed.
-func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
-	machines := 1 + (cfg.clients+cfg.perMachine-1)/cfg.perMachine
-	cl := cluster.New(cfg.spec, machines, cfg.seed)
-	clientMachine := func(i int) *cluster.Machine { return cl.Machine(1 + i/cfg.perMachine) }
-	clients := make([]kv.KV, cfg.clients)
+func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
+	machines := 1 + (cfg.Clients+cfg.PerMachine-1)/cfg.PerMachine
+	cl := cluster.New(cfg.Spec, machines, cfg.Seed)
+	clientMachine := func(i int) *cluster.Machine { return cl.Machine(1 + i/cfg.PerMachine) }
+	clients := make([]kv.KV, cfg.Clients)
 	var perCore func() []uint64
 
-	switch cfg.system {
+	switch cfg.System {
 	case SysHERD:
 		hcfg := core.DefaultConfig()
-		hcfg.NS = cfg.cores
-		hcfg.MaxClients = cfg.clients
-		hcfg.Window = cfg.window
-		hcfg.UseSendRequests = cfg.sendMode
-		hcfg.UseDC = cfg.dcMode
-		hcfg.Prefetch = !cfg.noPrefetch
-		if cfg.inlineCut > 0 {
-			hcfg.InlineCutoff = cfg.inlineCut
+		hcfg.NS = cfg.Cores
+		hcfg.MaxClients = cfg.Clients
+		hcfg.Window = cfg.Window
+		hcfg.UseSendRequests = cfg.SendMode
+		hcfg.UseDC = cfg.DCMode
+		hcfg.Prefetch = !cfg.NoPrefetch
+		hcfg.RetryTimeout = cfg.RetryTimeout
+		if cfg.InlineCut > 0 {
+			hcfg.InlineCutoff = cfg.InlineCut
 		}
 		hcfg.Mica = mica.Config{
-			IndexBuckets: int(cfg.keys) / 4,
+			IndexBuckets: int(cfg.Keys) / 4,
 			BucketSlots:  8,
-			LogBytes:     int(cfg.keys) * (18 + cfg.valueSize) * 2 / cfg.cores,
+			LogBytes:     int(cfg.Keys) * (18 + cfg.ValueSize) * 2 / cfg.Cores,
 		}
 		srv, err := core.NewServer(cl.Machine(0), hcfg)
 		if err != nil {
 			panic(err)
 		}
-		preloadKeys(cfg.keys, cfg.valueSize, srv.Preload)
+		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Preload)
 		for i := range clients {
 			c, err := srv.ConnectClient(clientMachine(i))
 			if err != nil {
@@ -109,8 +117,8 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 			clients[i] = c
 		}
 		perCore = func() []uint64 {
-			out := make([]uint64, cfg.cores)
-			for p := 0; p < cfg.cores; p++ {
+			out := make([]uint64, cfg.Cores)
+			for p := 0; p < cfg.Cores; p++ {
 				st := srv.Partition(p).Stats()
 				out[p] = st.Gets + st.Puts
 			}
@@ -119,16 +127,16 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 
 	case SysPilaf:
 		pcfg := pilaf.Config{
-			Buckets:     int(cfg.keys) * 4 / 3, // the paper's 75% fill
-			ExtentBytes: int(cfg.keys) * (18 + cfg.valueSize) * 4,
-			Cores:       cfg.cores,
-			Window:      cfg.window,
+			Buckets:     int(cfg.Keys) * 4 / 3, // the paper's 75% fill
+			ExtentBytes: int(cfg.Keys) * (18 + cfg.ValueSize) * 4,
+			Cores:       cfg.Cores,
+			Window:      cfg.Window,
 		}
 		srv, err := pilaf.NewServer(cl.Machine(0), pcfg)
 		if err != nil {
 			panic(err)
 		}
-		preloadKeys(cfg.keys, cfg.valueSize, srv.Insert)
+		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Insert)
 		for i := range clients {
 			c, err := srv.ConnectClient(clientMachine(i))
 			if err != nil {
@@ -140,20 +148,20 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 	case SysFaRM, SysFaRMVar:
 		fcfg := farm.Config{
 			Mode:        farm.InlineMode,
-			Buckets:     int(cfg.keys) * 4, // stay within hopscotch's comfort zone
-			ValueSize:   cfg.valueSize,
-			ExtentBytes: int(cfg.keys) * (cfg.valueSize + 8) * 4,
-			Cores:       cfg.cores,
-			Window:      cfg.window,
+			Buckets:     int(cfg.Keys) * 4, // stay within hopscotch's comfort zone
+			ValueSize:   cfg.ValueSize,
+			ExtentBytes: int(cfg.Keys) * (cfg.ValueSize + 8) * 4,
+			Cores:       cfg.Cores,
+			Window:      cfg.Window,
 		}
-		if cfg.system == SysFaRMVar {
+		if cfg.System == SysFaRMVar {
 			fcfg.Mode = farm.VarMode
 		}
 		srv, err := farm.NewServer(cl.Machine(0), fcfg)
 		if err != nil {
 			panic(err)
 		}
-		preloadKeys(cfg.keys, cfg.valueSize, srv.Insert)
+		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Insert)
 		for i := range clients {
 			c, err := srv.ConnectClient(clientMachine(i))
 			if err != nil {
@@ -163,39 +171,40 @@ func buildSystem(cfg e2eConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 		}
 
 	default:
-		panic("unknown system " + cfg.system)
+		panic("unknown system " + cfg.System)
 	}
 	return cl, clients, perCore
 }
 
 // driveE2E starts cfg's closed-loop clients on the driver: client i
-// keeps cfg.window ops from newGenFor(cfg, i) in flight.
-func driveE2E(cfg e2eConfig, cl *cluster.Cluster, clients []kv.KV, observe func(*chain, kv.Result)) {
+// keeps cfg.Window ops from newGenFor(cfg, i) in flight.
+func driveE2E(cfg E2EConfig, cl *cluster.Cluster, clients []kv.KV, observe func(*chain, kv.Result)) {
 	d := newDriver(cl.Eng, observe)
 	// Stagger client start times: real client fleets do not begin in
 	// lockstep, and a synchronized start puts the closed-loop system into
 	// a long oscillatory transient at high client counts.
 	stagger := 40 * sim.Microsecond / sim.Time(len(clients)+1)
 	for i, c := range clients {
-		d.add(c, newGenFor(cfg, i), cfg.window, sim.Time(i)*stagger)
+		d.add(c, newGenFor(cfg, i), cfg.Window, sim.Time(i)*stagger)
 	}
 }
 
 // newGenFor builds client i's workload generator under cfg.
-func newGenFor(cfg e2eConfig, i int) *workload.Generator {
+func newGenFor(cfg E2EConfig, i int) *workload.Generator {
 	return workload.NewGenerator(workload.Config{
-		GetFraction: cfg.getFraction,
-		Keys:        cfg.keys,
-		ZipfTheta:   ternary(cfg.zipf, 0.99, 0),
-		ValueSize:   cfg.valueSize,
-		Seed:        cfg.seed + int64(i)*1000,
+		GetFraction: cfg.GetFraction,
+		Keys:        cfg.Keys,
+		ZipfTheta:   ternary(cfg.Zipf, 0.99, 0),
+		ValueSize:   cfg.ValueSize,
+		Seed:        cfg.Seed + int64(i)*1000,
 	})
 }
 
-// runE2E builds cfg's deployment, drives it closed-loop, and measures
-// steady state. Every 64th op a client issues is verified, if it is a
-// GET hit, against the value the generator writes.
-func runE2E(cfg e2eConfig) e2eResult {
+// RunE2E builds cfg's deployment, drives it closed-loop, and measures
+// steady state over Span after Warmup. Every 64th op a client issues
+// is verified, if it is a GET hit, against the value the generator
+// writes. Figs 9–14, their ablations and cmd/herdload all measure here.
+func RunE2E(cfg E2EConfig) E2EResult {
 	cl, clients, perCore := buildSystem(cfg)
 
 	var completed, hits, gets, verifyErr uint64
@@ -227,11 +236,14 @@ func runE2E(cfg e2eConfig) e2eResult {
 	start := completed
 	cl.Eng.RunFor(Span)
 
-	res := e2eResult{
+	res := E2EResult{
 		Mops:      stats.Throughput(completed-start, Span),
 		Mean:      rec.Mean(),
 		P5:        rec.Percentile(5),
+		P50:       rec.Percentile(50),
 		P95:       rec.Percentile(95),
+		P99:       rec.Percentile(99),
+		Gets:      gets,
 		GetMisses: gets - hits,
 		VerifyErr: verifyErr,
 		Completed: completed,
@@ -267,9 +279,9 @@ func Fig9Throughput(_ cluster.Spec) (*Table, *Report) {
 		for _, putPct := range []int{5, 50, 100} {
 			row := []string{spec.Name, fmt.Sprintf("%d%%", putPct)}
 			for _, sys := range AllSystems {
-				cfg := defaultE2E(spec, sys)
-				cfg.getFraction = 1 - float64(putPct)/100
-				row = append(row, rep.Arm(fmt.Sprintf("%s/put=%d/%s", spec.Name, putPct, sys)).e2e(runE2E(cfg)))
+				cfg := DefaultE2E(spec, sys)
+				cfg.GetFraction = 1 - float64(putPct)/100
+				row = append(row, rep.Arm(fmt.Sprintf("%s/put=%d/%s", spec.Name, putPct, sys)).e2e(RunE2E(cfg)))
 			}
 			t.AddRow(row...)
 		}
@@ -297,10 +309,10 @@ func Fig10ValueSize(spec cluster.Spec) (*Table, *Report) {
 	for _, sv := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1000} {
 		row := []string{fmt.Sprintf("%d", sv)}
 		for _, sys := range []string{SysHERD, SysPilaf, SysFaRM, SysFaRMVar} {
-			cfg := defaultE2E(spec, sys)
-			cfg.valueSize = sv
-			cfg.keys = 16 * 1024 // keep the largest tables in memory bounds
-			row = append(row, rep.Arm(fmt.Sprintf("sv=%d/%s", sv, sys)).e2e(runE2E(cfg)))
+			cfg := DefaultE2E(spec, sys)
+			cfg.ValueSize = sv
+			cfg.Keys = 16 * 1024 // keep the largest tables in memory bounds
+			row = append(row, rep.Arm(fmt.Sprintf("sv=%d/%s", sv, sys)).e2e(RunE2E(cfg)))
 		}
 		t.AddRow(row...)
 	}
@@ -322,9 +334,9 @@ func Fig11LatencyThroughput(spec cluster.Spec) (*Table, *Report) {
 	rep := newReport("fig11", spec)
 	for _, sys := range AllSystems {
 		for _, nc := range fig11Clients {
-			cfg := defaultE2E(spec, sys)
-			cfg.clients = nc
-			r := runE2E(cfg)
+			cfg := DefaultE2E(spec, sys)
+			cfg.Clients = nc
+			r := RunE2E(cfg)
 			m := rep.Arm(fmt.Sprintf("%s/clients=%d", sys, nc))
 			t.AddRow(sys, fmt.Sprintf("%d", nc), m.e2e(r), m.us("mean_us", r.Mean.Microseconds()),
 				m.us("p5_us", r.P5.Microseconds()), m.us("p95_us", r.P95.Microseconds()))

@@ -14,7 +14,7 @@ import (
 // on purpose.
 func TestFig9EventCountPinned(t *testing.T) {
 	defer short(t)()
-	res := runE2E(defaultE2E(cluster.Apt(), SysHERD))
+	res := RunE2E(DefaultE2E(cluster.Apt(), SysHERD))
 	const (
 		wantEvents    = 119158
 		wantCompleted = 5072

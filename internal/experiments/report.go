@@ -70,9 +70,9 @@ func (m Metrics) us(name string, v float64) string {
 	return cell(v)
 }
 
-// e2e records one runE2E point, its goodput and the end-to-end checks
+// e2e records one RunE2E point, its goodput and the end-to-end checks
 // that every point must pass, and returns the goodput's table cell.
-func (m Metrics) e2e(r e2eResult) string {
+func (m Metrics) e2e(r E2EResult) string {
 	m.Set("verify_errors", float64(r.VerifyErr), "count", Lower)
 	m.Set("get_misses", float64(r.GetMisses), "count", Lower)
 	return m.mops("mops", r.Mops)

@@ -36,12 +36,12 @@ func Fig12ClientScaling(spec cluster.Spec) (*Table, *Report) {
 	for i, nc := range sweep {
 		row := []string{fmt.Sprintf("%d", nc)}
 		for _, ws := range []int{4, 16} {
-			cfg := defaultE2E(spec, SysHERD)
-			cfg.clients = nc
-			cfg.perMachine = 3 // the paper spreads 3 processes per machine
-			cfg.window = ws
-			cfg.getFraction = 0.95
-			r := runE2E(cfg)
+			cfg := DefaultE2E(spec, SysHERD)
+			cfg.Clients = nc
+			cfg.PerMachine = 3 // the paper spreads 3 processes per machine
+			cfg.Window = ws
+			cfg.GetFraction = 0.95
+			r := RunE2E(cfg)
 			if ws == 4 {
 				ws4[i] = r.Mops
 			}
@@ -77,10 +77,10 @@ func Fig13CPUCores(spec cluster.Spec) (*Table, *Report) {
 	for cores := 1; cores <= 7; cores++ {
 		row := []string{fmt.Sprintf("%d", cores)}
 		for _, sys := range []string{SysHERD, SysPilaf, SysFaRM} {
-			cfg := defaultE2E(spec, sys)
-			cfg.cores = cores
-			cfg.getFraction = 0
-			r := runE2E(cfg)
+			cfg := DefaultE2E(spec, sys)
+			cfg.Cores = cores
+			cfg.GetFraction = 0
+			r := RunE2E(cfg)
 			if sys == SysHERD {
 				herd = append(herd, r.Mops)
 			}
@@ -113,11 +113,11 @@ func Fig14Skew(spec cluster.Spec) (*Table, *Report) {
 		Columns: []string{"core", "Zipf(.99)", "Uniform"},
 	}
 	rep := newReport("fig14", spec)
-	run := func(arm string, zipf bool) e2eResult {
-		cfg := defaultE2E(spec, SysHERD)
-		cfg.zipf = zipf
-		cfg.keys = 1 << 20 // a large keyspace accentuates the skew
-		r := runE2E(cfg)
+	run := func(arm string, zipf bool) E2EResult {
+		cfg := DefaultE2E(spec, SysHERD)
+		cfg.Zipf = zipf
+		cfg.Keys = 1 << 20 // a large keyspace accentuates the skew
+		r := RunE2E(cfg)
 		m := rep.Arm(arm)
 		m.e2e(r)
 		for core, v := range r.PerCore {

@@ -38,8 +38,8 @@ func TestShapeSusitnaBelowApt(t *testing.T) {
 	defer short(t)()
 	// Every system tops out lower on Susitna (PCIe 2.0, 40 Gbps RoCE).
 	for _, sys := range AllSystems {
-		apt := runE2E(defaultE2E(cluster.Apt(), sys)).Mops
-		sus := runE2E(defaultE2E(cluster.Susitna(), sys)).Mops
+		apt := RunE2E(DefaultE2E(cluster.Apt(), sys)).Mops
+		sus := RunE2E(DefaultE2E(cluster.Susitna(), sys)).Mops
 		if sus > apt*1.05 {
 			t.Errorf("%s: Susitna (%.1f) should not beat Apt (%.1f)", sys, sus, apt)
 		}
