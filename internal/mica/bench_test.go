@@ -68,3 +68,23 @@ func BenchmarkPut1000(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPutWrapped measures PUT once the log has wrapped: the small
+// log is filled past its capacity before the timer starts, so every
+// timed append lands in a segment committed on an earlier lap.
+func BenchmarkPutWrapped(b *testing.B) {
+	c := New(Config{IndexBuckets: 1 << 12, BucketSlots: 8, LogBytes: 1 << 20})
+	val := make([]byte, 32)
+	i := uint64(0)
+	for ; c.head < 2<<20; i++ {
+		if err := c.Put(kv.FromUint64(i&0xfff), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := c.Put(kv.FromUint64((i+uint64(n))&0xfff), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

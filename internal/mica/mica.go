@@ -10,7 +10,10 @@
 //   - The index is lossy: inserting into a full bucket evicts the
 //     oldest slot.
 //   - The log is circular with FIFO eviction and no garbage collection;
-//     stale index entries are detected by offset distance.
+//     stale index entries are detected by offset distance. Its memory
+//     is committed one segment at a time, the first time the append
+//     head reaches the segment, so a partition holds only log bytes it
+//     has written.
 //   - Keys are 16-byte keyhashes (HERD requests carry only the keyhash);
 //     a zero keyhash is reserved by the HERD protocol and rejected.
 package mica
@@ -55,9 +58,10 @@ type Config struct {
 	// IndexBuckets is the number of index buckets (rounded up to a power
 	// of two).
 	IndexBuckets int
-	// BucketSlots is the bucket associativity.
+	// BucketSlots is the bucket associativity, at most 256.
 	BucketSlots int
-	// LogBytes is the circular log capacity.
+	// LogBytes is the circular log capacity. Memory for it is committed
+	// one segment at a time as the append head reaches each segment.
 	LogBytes int
 }
 
@@ -67,7 +71,22 @@ func DefaultConfig() Config {
 	return Config{IndexBuckets: 1 << 14, BucketSlots: 8, LogBytes: 1 << 22}
 }
 
+// maxBucketSlots caps BucketSlots: each bucket's FIFO victim counter
+// is one byte.
+const maxBucketSlots = 256
+
 const entryHeader = KeySize + 2 // keyhash + value length
+
+// The log is a table of segments. Segment i covers log positions
+// [i*segStride, (i+1)*segStride) and is allocated segBytes long
+// (clipped at LogBytes), so an entry that starts in it is stored whole
+// there even when it runs past the stride. A 63 KiB stride makes a
+// segment 65,530 bytes: eight 8 KiB runtime pages, with no span
+// rounding lost.
+const (
+	segStride = 63 << 10
+	segBytes  = segStride + entryHeader + MaxValueSize
+)
 
 // slot is one index entry packed into 8 bytes, as in MICA: the top 16
 // bits hold the keyhash tag, the low 48 bits the entry's monotonic log
@@ -118,10 +137,10 @@ type Stats struct {
 type Cache struct {
 	cfg     Config
 	mask    uint64
-	slots   []slot // buckets * associativity, flat
-	log     []byte
-	head    uint64  // total bytes ever appended (monotonic)
-	fifoPos []uint8 // next eviction victim per bucket (FIFO index policy)
+	slots   []slot   // buckets * associativity, flat
+	segs    [][]byte // log segments, nil until the head first reaches one
+	head    uint64   // total bytes ever appended (monotonic)
+	fifoPos []uint8  // next eviction victim per bucket, in [0, BucketSlots)
 	stats   Stats
 }
 
@@ -134,9 +153,7 @@ func New(cfg Config) *Cache {
 	for buckets < cfg.IndexBuckets {
 		buckets <<= 1
 	}
-	if cfg.BucketSlots < 1 {
-		cfg.BucketSlots = 1
-	}
+	cfg.BucketSlots = min(max(cfg.BucketSlots, 1), maxBucketSlots)
 	if cfg.LogBytes < 4*(entryHeader+MaxValueSize) {
 		cfg.LogBytes = 4 * (entryHeader + MaxValueSize)
 	}
@@ -145,7 +162,7 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		mask:    uint64(buckets - 1),
 		slots:   make([]slot, buckets*cfg.BucketSlots),
-		log:     make([]byte, cfg.LogBytes),
+		segs:    make([][]byte, (cfg.LogBytes+segStride-1)/segStride),
 		fifoPos: make([]uint8, buckets),
 	}
 }
@@ -163,29 +180,27 @@ func (c *Cache) bucketOf(h uint64) (base int, tag uint16) {
 	return int(h&c.mask) * c.cfg.BucketSlots, uint16(h >> 48)
 }
 
-// entryAt reads the log entry at monotonic offset off, verifying it has
-// not been overwritten by log wraparound.
+// entry decodes the log entry at monotonic offset off, reporting
+// false if log wraparound has overwritten it. The value aliases the
+// log.
 //
 //herd:hotpath
-func (c *Cache) entryAt(off uint64, key Key) ([]byte, bool) {
-	size := uint64(len(c.log))
+func (c *Cache) entry(off uint64) (key Key, value []byte, ok bool) {
+	size := uint64(c.cfg.LogBytes)
 	if off >= c.head || c.head-off > size {
-		return nil, false
+		return key, nil, false
 	}
 	pos := off % size
 	if pos+entryHeader > size {
-		return nil, false
+		return key, nil, false
 	}
-	var stored Key
-	copy(stored[:], c.log[pos:pos+KeySize])
-	vlen := uint64(binary.LittleEndian.Uint16(c.log[pos+KeySize : pos+entryHeader]))
+	e := c.segs[pos/segStride][pos%segStride:]
+	copy(key[:], e[:KeySize])
+	vlen := uint64(binary.LittleEndian.Uint16(e[KeySize:entryHeader]))
 	if pos+entryHeader+vlen > size || c.head-off < entryHeader+vlen {
-		return nil, false
+		return key, nil, false
 	}
-	if stored != key {
-		return nil, false
-	}
-	return c.log[pos+entryHeader : pos+entryHeader+vlen], true
+	return key, e[entryHeader : entryHeader+vlen], true
 }
 
 // Get returns the value for key. The returned slice aliases the log and
@@ -206,10 +221,10 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 			continue
 		}
 		c.stats.MemAccesses++ // log entry read
-		v, ok := c.entryAt(s.off(), key)
-		if !ok {
+		stored, v, ok := c.entry(s.off())
+		if !ok || stored != key {
 			// Either overwritten by the circular log or a tag collision.
-			if c.head-s.off() > uint64(len(c.log)) {
+			if c.head-s.off() > uint64(c.cfg.LogBytes) {
 				c.stats.StaleIndexEntries++
 				*s = 0
 			} else {
@@ -227,7 +242,7 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 //
 //herd:hotpath
 func (c *Cache) append(key Key, value []byte) uint64 {
-	size := uint64(len(c.log))
+	size := uint64(c.cfg.LogBytes)
 	need := uint64(entryHeader + len(value))
 	pos := c.head % size
 	skip := uint64(0)
@@ -238,9 +253,14 @@ func (c *Cache) append(key Key, value []byte) uint64 {
 	}
 	c.head += skip
 	off := c.head
-	copy(c.log[pos:], key[:])
-	binary.LittleEndian.PutUint16(c.log[pos+KeySize:], uint16(len(value)))
-	copy(c.log[pos+entryHeader:], value)
+	i := pos / segStride
+	if c.segs[i] == nil {
+		c.segs[i] = make([]byte, min(segBytes, size-i*segStride)) //lint:allow hotalloc — commits a segment the first time the head reaches it
+	}
+	e := c.segs[i][pos%segStride:]
+	copy(e, key[:])
+	binary.LittleEndian.PutUint16(e[KeySize:], uint16(len(value)))
+	copy(e[entryHeader:], value)
 	c.head += need
 	c.stats.SequentialAppends++
 	return off
@@ -277,7 +297,7 @@ func (c *Cache) Put(key Key, value []byte) error {
 			continue
 		}
 		if s.tag() == tag {
-			if _, same := c.entryAt(s.off(), key); same {
+			if stored, _, ok := c.entry(s.off()); ok && stored == key {
 				match = i
 				break
 			}
@@ -291,8 +311,9 @@ func (c *Cache) Put(key Key, value []byte) error {
 		c.slots[base+free] = s
 	default:
 		// Full bucket: evict FIFO (the lossy index).
-		v := int(c.fifoPos[base/c.cfg.BucketSlots]) % c.cfg.BucketSlots
-		c.fifoPos[base/c.cfg.BucketSlots]++
+		b := base / c.cfg.BucketSlots
+		v := int(c.fifoPos[b])
+		c.fifoPos[b] = uint8((v + 1) % c.cfg.BucketSlots)
 		c.slots[base+v] = s
 		c.stats.IndexEvictions++
 	}
@@ -313,7 +334,7 @@ func (c *Cache) Delete(key Key) bool {
 	for i := 0; i < c.cfg.BucketSlots; i++ {
 		s := &c.slots[base+i]
 		if s.used() && s.tag() == tag {
-			if _, ok := c.entryAt(s.off(), key); ok {
+			if stored, _, ok := c.entry(s.off()); ok && stored == key {
 				*s = 0
 				return true
 			}
@@ -328,29 +349,15 @@ func (c *Cache) Delete(key Key) bool {
 // Range performs no timing-model accounting: it is a control-plane
 // walk for migration and diagnostics, not a data-path operation.
 func (c *Cache) Range(fn func(key Key, value []byte) bool) {
-	size := uint64(len(c.log))
 	for _, s := range c.slots {
 		if !s.used() {
 			continue
 		}
-		off := s.off()
-		if off >= c.head || c.head-off > size {
+		key, value, ok := c.entry(s.off())
+		if !ok || key.IsZero() {
 			continue // overwritten by log wraparound
 		}
-		pos := off % size
-		if pos+entryHeader > size {
-			continue
-		}
-		var key Key
-		copy(key[:], c.log[pos:pos+KeySize])
-		if key.IsZero() {
-			continue
-		}
-		vlen := uint64(binary.LittleEndian.Uint16(c.log[pos+KeySize : pos+entryHeader]))
-		if pos+entryHeader+vlen > size || c.head-off < entryHeader+vlen {
-			continue
-		}
-		if !fn(key, c.log[pos+entryHeader:pos+entryHeader+vlen]) {
+		if !fn(key, value) {
 			return
 		}
 	}

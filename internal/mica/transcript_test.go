@@ -59,48 +59,61 @@ func TestSlotPacking(t *testing.T) {
 	}
 }
 
-// TestOffsetsNear48Bits runs a partition whose log head starts just
+// TestOffsetsNear48Bits runs partitions whose log head starts just
 // below 2^48: entries there must still round-trip through the packed
-// slots, wrap the log, and go stale, as they do at offset 0.
+// slots, wrap the log, and go stale, as they do at offset 0. The head
+// starts at a multiple of LogBytes, so both partitions see the same
+// positions; the second log spans several segments.
 func TestOffsetsNear48Bits(t *testing.T) {
-	cfg := Config{IndexBuckets: 1 << 6, BucketSlots: 8, LogBytes: 8 << 10}
-	c := New(cfg)
-	c.head = 1<<48 - 1<<20
-	ref := New(cfg)
-	for i := uint64(0); i < 2000; i++ {
-		k := keyOf(i % 300)
-		v := bytes.Repeat([]byte{byte(i)}, int(i%200)+1)
-		if err := c.Put(k, v); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		logBytes, maxVal int
+	}{
+		{8 << 10, 200},
+		{2*segStride + 4321, MaxValueSize},
+	} {
+		cfg := Config{IndexBuckets: 1 << 6, BucketSlots: 8, LogBytes: tc.logBytes}
+		c := New(cfg)
+		c.head = (1<<48 - 1<<22) / uint64(tc.logBytes) * uint64(tc.logBytes)
+		ref := New(cfg)
+		for i := uint64(0); i < 2000; i++ {
+			k := keyOf(i % 300)
+			v := bytes.Repeat([]byte{byte(i)}, int(i)%tc.maxVal+1)
+			if err := c.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			g := keyOf((i * 7) % 300)
+			got, ok := c.Get(g)
+			want, wok := ref.Get(g)
+			if ok != wok || !bytes.Equal(got, want) {
+				t.Fatalf("log %d, op %d: Get near 2^48 = %v %q, at offset 0 = %v %q", tc.logBytes, i, ok, got, wok, want)
+			}
 		}
-		if err := ref.Put(k, v); err != nil {
-			t.Fatal(err)
+		if c.head >= 1<<48-1 {
+			t.Fatalf("log %d: test ran the head past the 48-bit limit (%#x)", tc.logBytes, c.head)
 		}
-		g := keyOf((i * 7) % 300)
-		got, ok := c.Get(g)
-		want, wok := ref.Get(g)
-		if ok != wok || !bytes.Equal(got, want) {
-			t.Fatalf("op %d: Get near 2^48 = %v %q, at offset 0 = %v %q", i, ok, got, wok, want)
+		if ref.head <= uint64(tc.logBytes) {
+			t.Fatalf("log %d: never wrapped (head %d)", tc.logBytes, ref.head)
 		}
-	}
-	if c.head >= 1<<48-1 {
-		t.Fatalf("test ran the head past the 48-bit limit (%#x)", c.head)
-	}
-	if c.Stats() != ref.Stats() {
-		t.Fatalf("stats near 2^48 %+v, at offset 0 %+v", c.Stats(), ref.Stats())
+		if c.Stats() != ref.Stats() {
+			t.Fatalf("log %d: stats near 2^48 %+v, at offset 0 %+v", tc.logBytes, c.Stats(), ref.Stats())
+		}
 	}
 }
 
-// TestTranscriptPinned runs a seeded Put/Get/Delete history on a small
-// partition whose log wraps many times over, whose buckets overflow
-// and whose keys include tag-colliding pairs. A digest of every result
-// (hit, value bytes, error, delete outcome), of the final Range walk in
-// slot order, and the final Stats are pinned, so a change to the index
-// layout that moves any lookup, victim choice or stale detection fails
-// here.
-func TestTranscriptPinned(t *testing.T) {
-	c := New(Config{IndexBuckets: 16, BucketSlots: 4, LogBytes: 8 << 10})
-	keys := transcriptKeys(c.mask, 160, 24)
+// transcript runs a seeded history of 40,000 Put/Get/Delete operations
+// on a partition sized by cfg, with values of up to maxVal-1 bytes over
+// plain keys plus tag-colliding pairs, and returns a digest of every
+// result (hit, value bytes, error, delete outcome) and of the final
+// Range walk in slot order, with the final Stats and the number of
+// entries that straddled a segment stride boundary or followed an
+// end-of-log skip.
+func transcript(t *testing.T, cfg Config, plain, pairs, maxVal int) (digest uint64, stats Stats, straddles, skips int) {
+	t.Helper()
+	c := New(cfg)
+	keys := transcriptKeys(c.mask, plain, pairs)
 	rnd := sim.NewRand(2014)
 	h := fnv.New64a()
 	var word [8]byte
@@ -109,7 +122,7 @@ func TestTranscriptPinned(t *testing.T) {
 		h.Write([]byte{tag})
 		h.Write(word[:])
 	}
-	val := make([]byte, 0, 300)
+	val := make([]byte, 0, maxVal)
 	for i := 0; i < 40000; i++ {
 		k := keys[rnd.Intn(len(keys))]
 		switch p := rnd.Intn(10); {
@@ -122,12 +135,20 @@ func TestTranscriptPinned(t *testing.T) {
 			note('g', uint64(len(v)))
 			h.Write(v)
 		case p < 9:
-			val = val[:rnd.Intn(300)]
+			val = val[:rnd.Intn(maxVal)]
 			for j := range val {
 				val[j] = byte(i + j)
 			}
+			head := c.head
 			if err := c.Put(k, val); err != nil {
 				t.Fatalf("op %d: Put: %v", i, err)
+			}
+			need := uint64(entryHeader + len(val))
+			if c.head-head > need {
+				skips++
+			}
+			if pos := (c.head - need) % uint64(c.cfg.LogBytes); pos/segStride != (pos+need-1)/segStride {
+				straddles++
 			}
 			note('p', uint64(len(val)))
 		default:
@@ -143,15 +164,55 @@ func TestTranscriptPinned(t *testing.T) {
 		h.Write(value)
 		return true
 	})
-	const wantDigest = 0xf64af6ed801cc593
-	if got := h.Sum64(); got != wantDigest {
-		t.Errorf("transcript digest %#x, want %#x", got, uint64(wantDigest))
-	}
-	want := Stats{
-		Gets: 20047, GetHits: 3520, Puts: 15975, IndexEvictions: 10036,
-		MemAccesses: 46675, SequentialAppends: 15975, StaleIndexEntries: 2398, TagFalsePositives: 757,
-	}
-	if got := c.Stats(); got != want {
-		t.Errorf("final stats\n got %+v\nwant %+v", got, want)
+	return h.Sum64(), c.Stats(), straddles, skips
+}
+
+// TestTranscriptPinned runs seeded histories on partitions whose logs
+// wrap many times over, whose buckets overflow and whose keys include
+// tag-colliding pairs, and pins each history's digest and final Stats,
+// so a change to the index or log layout that moves any lookup, victim
+// choice or stale detection fails here. The small log fits in one
+// segment; the large one spans several, is not a multiple of the
+// stride, and carries values up to MaxValueSize, so entries straddle
+// stride boundaries and the end-of-log skip.
+func TestTranscriptPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		plain, pairs int
+		maxVal       int
+		wantDigest   uint64
+		want         Stats
+	}{
+		{
+			name: "one-segment", cfg: Config{IndexBuckets: 16, BucketSlots: 4, LogBytes: 8 << 10},
+			plain: 160, pairs: 24, maxVal: 300, wantDigest: 0xf64af6ed801cc593,
+			want: Stats{
+				Gets: 20047, GetHits: 3520, Puts: 15975, IndexEvictions: 10036,
+				MemAccesses: 46675, SequentialAppends: 15975, StaleIndexEntries: 2398, TagFalsePositives: 757,
+			},
+		},
+		{
+			name: "multi-segment", cfg: Config{IndexBuckets: 64, BucketSlots: 4, LogBytes: 3*segStride + 12345},
+			plain: 400, pairs: 32, maxVal: MaxValueSize + 1, wantDigest: 0xb101e4d32b96864a,
+			want: Stats{
+				Gets: 20047, GetHits: 7977, Puts: 15975, IndexEvictions: 6355,
+				MemAccesses: 50079, SequentialAppends: 15975, StaleIndexEntries: 1275, TagFalsePositives: 827,
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			digest, stats, straddles, skips := transcript(t, tc.cfg, tc.plain, tc.pairs, tc.maxVal)
+			if tc.cfg.LogBytes > segStride && (tc.cfg.LogBytes%segStride == 0 || straddles == 0 || skips == 0) {
+				t.Errorf("multi-segment log of %d bytes: %d straddles, %d end-of-log skips; want a log that is not a multiple of the %d-byte stride, and both",
+					tc.cfg.LogBytes, straddles, skips, segStride)
+			}
+			if digest != tc.wantDigest {
+				t.Errorf("transcript digest %#x, want %#x", digest, tc.wantDigest)
+			}
+			if stats != tc.want {
+				t.Errorf("final stats\n got %+v\nwant %+v", stats, tc.want)
+			}
+		})
 	}
 }

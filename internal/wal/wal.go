@@ -23,6 +23,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
@@ -62,6 +63,10 @@ const (
 	recSum   = 4
 )
 
+// castagnoli is the CRC-32C table frame checksums use; the standard
+// library computes it with CRC instructions where the CPU has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // appendRecord encodes r onto buf. It allocates only when buf's
 // capacity runs out, so flush loops reusing a grown buffer are
 // allocation-free.
@@ -79,7 +84,7 @@ func appendRecord(buf []byte, r Record) []byte {
 	start := len(buf)
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, r.Value...)
-	sum := uint32(kv.Checksum64(buf[start+2:]))
+	sum := crc32.Checksum(buf[start+2:], castagnoli)
 	var s [recSum]byte
 	binary.LittleEndian.PutUint32(s[:], sum)
 	return append(buf, s[:]...)
@@ -100,7 +105,7 @@ func walkFrames(buf []byte, fn func(frame []byte)) (clean int) {
 		}
 		body := buf[off+2 : end-recSum]
 		sum := binary.LittleEndian.Uint32(buf[end-recSum : end])
-		if uint32(kv.Checksum64(body)) != sum {
+		if crc32.Checksum(body, castagnoli) != sum {
 			break
 		}
 		vlen := int(binary.LittleEndian.Uint16(body[recFixed-2 : recFixed]))

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"herdkv/internal/kv"
@@ -68,6 +70,18 @@ func TestDecodeTruncatesTornTail(t *testing.T) {
 	got, clean, _ := decodeAll(damaged)
 	if len(got) != 1 || clean != whole {
 		t.Fatalf("corrupt record not truncated: records=%d clean=%d", len(got), clean)
+	}
+}
+
+// TestFrameChecksumIsCRC32C pins the frame trailer documented in
+// docs/DURABILITY.md: the CRC-32C (Castagnoli) of everything after the
+// length field, little-endian.
+func TestFrameChecksumIsCRC32C(t *testing.T) {
+	frame := appendRecord(nil, Record{Op: OpPut, Key: kv.FromUint64(9), Value: []byte("value"), Epoch: 2, At: 5})
+	body := frame[2 : len(frame)-recSum]
+	want := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))
+	if got := binary.LittleEndian.Uint32(frame[len(frame)-recSum:]); got != want {
+		t.Fatalf("frame checksum %#08x, want CRC-32C %#08x", got, want)
 	}
 }
 
