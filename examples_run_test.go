@@ -38,3 +38,18 @@ func TestExamplesRun(t *testing.T) {
 		})
 	}
 }
+
+// TestBenchModuleBuilds vets the nested benchmark module (bench/, its
+// own go.mod), which `go build ./...` and `go test ./...` here never
+// compile: an internal API the benchmark calls cannot be removed or
+// changed without this test failing.
+func TestBenchModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a second module")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in bench/ failed: %v\n%s", err, out)
+	}
+}

@@ -154,8 +154,8 @@ type MicaConfig = mica.Config
 // (docs/SCALEOUT.md). At Replication 1 a fleet is static sharding.
 
 // FleetDeployment is a rendezvous-hashed fleet of HERD servers with
-// per-key replication, shard add/remove with background migration, and
-// crash failover.
+// per-key replication, online shard addition with background
+// migration, and crash failover.
 type FleetDeployment = fleet.Deployment
 
 // FleetClient is one application host's replicated, failover-capable
@@ -187,8 +187,8 @@ func NewFleet(machines []*Machine, cfg FleetConfig) (*FleetDeployment, error) {
 // server's lease when Config.LeaseTTL grants one, capped by the
 // cache's own TTL), concurrent misses for one key collapse into a
 // single origin fill, and writes through the wrapper invalidate
-// locally at submit. It implements KV and BatchGetter, so it drops in
-// front of a HERD client, a fleet client or a mux channel unchanged.
+// locally at submit. It implements KV, so it drops in front of a HERD
+// client, a fleet client or a mux channel unchanged.
 type NearCache = nearcache.Cache
 
 // NearCacheConfig parameterizes a near cache (TTL, lease mode,
@@ -207,10 +207,6 @@ func NewNearCache(inner KV, clk Clock, tel *Telemetry, cfg NearCacheConfig) *Nea
 
 // Clock is the virtual-time source (Cluster.Eng implements it).
 type Clock = sim.Clock
-
-// BatchGetter is the optional batched-read interface: fleet clients
-// and near caches implement it in addition to KV.
-type BatchGetter = kv.BatchGetter
 
 // Endpoint multiplexing — many logical clients over a small shared QP
 // pool per host (docs/SCALABILITY.md).

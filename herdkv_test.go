@@ -67,7 +67,7 @@ func TestFacadeMux(t *testing.T) {
 
 // TestFacadeNearCache drives the near-cache wrapper through the
 // facade: a leased HERD server behind a NearCache serves the second
-// read locally, and the wrapper satisfies both KV and BatchGetter.
+// read locally, and the wrapper satisfies KV.
 func TestFacadeNearCache(t *testing.T) {
 	cl := herdkv.NewCluster(herdkv.Apt(), 2, 1)
 	cfg := herdkv.DefaultConfig()
@@ -86,7 +86,6 @@ func TestFacadeNearCache(t *testing.T) {
 	nccfg.Leases = true
 	nc := herdkv.NewNearCache(cli, cl.Eng, herdkv.NewTelemetry(), nccfg)
 	var _ herdkv.KV = nc
-	var _ herdkv.BatchGetter = nc
 
 	key := herdkv.KeyFromUint64(3)
 	var fill, cached herdkv.Result

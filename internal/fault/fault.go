@@ -213,16 +213,6 @@ func (in *Injector) SetCrashTarget(node wire.NodeID, t CrashTarget) {
 	in.targets[node] = t
 }
 
-// SetCrashTargets registers a batch of crash targets; a convenience for
-// deployments (a fleet) that own several server processes.
-// Target lookup happens when an event fires, so registering after Arm
-// also works.
-func (in *Injector) SetCrashTargets(targets map[wire.NodeID]CrashTarget) {
-	for node, t := range targets {
-		in.targets[node] = t
-	}
-}
-
 // Arm schedules every Crash event on the engine. Safe to call once;
 // subsequent calls are no-ops. Crash events with no registered target
 // are counted (MissedTargets) and skipped.

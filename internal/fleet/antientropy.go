@@ -18,7 +18,7 @@ import (
 // still quiesces.
 //
 // Repairing a key is a server-side ordered merge: read the stored bytes
-// on every live replica, pick the highest kv.Version stamp, and Preload
+// on every up replica, pick the highest kv.Version stamp, and Preload
 // the winner onto every replica that is behind. The member server's
 // version-ordered apply refuses regressions, so a repair racing a
 // fresher foreground write is harmless.
@@ -35,7 +35,7 @@ func (d *Deployment) EnqueueRepair(key kv.Key) {
 	d.kickAntiEntropy()
 }
 
-// AntiEntropySweep enqueues every key present on any live shard — a
+// AntiEntropySweep enqueues every key present on any up shard — a
 // full-fleet audit, used after a crash recovery completes and by
 // experiments that want certified convergence before checking state.
 func (d *Deployment) AntiEntropySweep() {
@@ -43,7 +43,7 @@ func (d *Deployment) AntiEntropySweep() {
 		return
 	}
 	for _, sh := range d.shards {
-		if !sh.live || sh.srv.Down() {
+		if sh.srv.Down() {
 			continue
 		}
 		for p := 0; p < d.cfg.Herd.NS; p++ {
@@ -106,7 +106,6 @@ func (d *Deployment) repairKey(key kv.Key) (repaired bool) {
 	reps := d.Replicas(key)
 	var winner []byte
 	var winVer kv.Version
-	winTomb := false
 	have := make([]bool, len(reps))
 	vers := make([]kv.Version, len(reps))
 	for i, id := range reps {
@@ -120,20 +119,20 @@ func (d *Deployment) repairKey(key kv.Key) (repaired bool) {
 			continue
 		}
 		have[i] = true
-		v, tomb, _, vok := kv.SplitVersion(stored)
+		v, _, _, vok := kv.SplitVersion(stored)
 		if !vok {
 			continue // unversioned legacy bytes: nothing to order by
 		}
 		vers[i] = v
 		if winner == nil || winVer.Less(v) {
 			winner = append([]byte(nil), stored...)
-			winVer, winTomb = v, tomb
+			winVer = v
 		}
 	}
 	if winner == nil {
 		return false
 	}
-	_ = winTomb // tombstones replicate like any other winning state
+	// A tombstone replicates like any other winning state.
 	for i, id := range reps {
 		srv := d.shards[id].srv
 		if srv.Down() {

@@ -16,6 +16,11 @@ import (
 // stamp travels inside the stored value.
 var ErrValueTooLarge = errors.New("fleet: value exceeds maximum size")
 
+// ErrEmptyValue rejects a PUT with no value at the fleet client, as
+// every member server's client does: were it fanned out, each replica
+// would refuse it and the fleet would suspect healthy shards.
+var ErrEmptyValue = errors.New("fleet: PUT requires a non-empty value")
+
 // ErrPartialWrite reports a versioned write that some replicas applied
 // and others did not: the fleet is divergent on this key until repair
 // reconciles it, so the operation fails (the write may still become
@@ -87,8 +92,6 @@ type Client struct {
 	telReplica    *telemetry.Counter
 	telFanout     *telemetry.Counter
 	telSuspected  *telemetry.Counter
-	telMGOps      *telemetry.Counter
-	telMGKeys     *telemetry.Counter
 	telBrkOpened  *telemetry.Counter
 	telBrkClosed  *telemetry.Counter
 	telBrkProbes  *telemetry.Counter
@@ -131,7 +134,7 @@ type breaker struct {
 
 var _ kv.KV = (*Client)(nil)
 
-// ConnectClient attaches machine m to every live shard and returns the
+// ConnectClient attaches machine m to every shard and returns the
 // fleet client. Clients connected before an AddShard are attached to
 // the new shard automatically.
 func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
@@ -150,8 +153,6 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.telReplica = tel.Counter("fleet.reads.replica")
 	c.telFanout = tel.Counter("fleet.writes.fanout")
 	c.telSuspected = tel.Counter("fleet.suspected")
-	c.telMGOps = tel.Counter("fleet.multiget.ops")
-	c.telMGKeys = tel.Counter("fleet.multiget.keys")
 	c.telBrkOpened = tel.Counter("fleet.breaker.opened")
 	c.telBrkClosed = tel.Counter("fleet.breaker.closed")
 	c.telBrkProbes = tel.Counter("fleet.breaker.probes")
@@ -169,10 +170,7 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 		c.hot = newHotTracker(d.cfg.HotKeyTrack, d.cfg.HotKeyThreshold, hotKeyWindow)
 	}
 	for _, sh := range d.shards {
-		if !sh.live {
-			continue
-		}
-		sub, err := d.dial(m, sh)
+		sub, err := sh.srv.ConnectClient(m)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +182,7 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 
 // attach connects this client to a newly added shard.
 func (c *Client) attach(sh *shard) error {
-	sub, err := c.d.dial(c.machine, sh)
+	sub, err := sh.srv.ConnectClient(c.machine)
 	if err != nil {
 		return err
 	}
@@ -655,6 +653,9 @@ func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Resu
 	if len(value) > limit {
 		return ErrValueTooLarge
 	}
+	if !isDelete && len(value) == 0 {
+		return ErrEmptyValue
+	}
 	reps := c.d.Replicas(key)
 	if len(reps) == 0 {
 		return ErrNoShards
@@ -926,68 +927,4 @@ func (c *Client) onRepairAck(r kv.Result) {
 		c.repairApplied++
 		c.telRepairApplied.Inc()
 	}
-}
-
-// MultiGet reads a batch of keys and delivers all results in one
-// callback, in key order. Issue order is grouped by primary shard so
-// requests to the same shard are batched back-to-back (they share the
-// sub-client's request window and doorbells); each key still gets the
-// full failover treatment of Get.
-func (c *Client) MultiGet(keys []kv.Key, cb func([]kv.Result)) error {
-	results := make([]kv.Result, len(keys))
-	if len(keys) == 0 {
-		if cb != nil {
-			cb(results)
-		}
-		return nil
-	}
-	if c.d.ring.Size() == 0 {
-		return ErrNoShards
-	}
-	for _, k := range keys {
-		if k.IsZero() {
-			return mica.ErrZeroKey
-		}
-	}
-	c.telMGOps.Inc()
-	c.telMGKeys.Add(uint64(len(keys)))
-	// Duplicate keys issue one read; the shared result lands in every
-	// position that asked for it. pos keys first-appearance order via
-	// uniq, so issue order is stable regardless of duplication.
-	pos := make(map[kv.Key][]int)
-	uniq := make([]kv.Key, 0, len(keys))
-	for i, k := range keys {
-		if _, dup := pos[k]; !dup {
-			uniq = append(uniq, k)
-		}
-		pos[k] = append(pos[k], i)
-	}
-	// Stable bucket sort of unique keys by primary shard.
-	byShard := make(map[int][]kv.Key)
-	for _, k := range uniq {
-		p := c.d.ring.Primary(k)
-		byShard[p] = append(byShard[p], k)
-	}
-	remaining := len(uniq)
-	issue := func(k kv.Key) error {
-		return c.Get(k, func(r kv.Result) {
-			for _, idx := range pos[k] {
-				results[idx] = r
-			}
-			remaining--
-			if remaining == 0 && cb != nil {
-				cb(results)
-			}
-		})
-	}
-	// Iterate shards in ring order for determinism (map order is not
-	// deterministic).
-	for _, sid := range c.d.ring.Shards() {
-		for _, k := range byShard[sid] {
-			if err := issue(k); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"herdkv/internal/fault"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
-	"herdkv/internal/mux"
 	"herdkv/internal/sim"
 	"herdkv/internal/telemetry"
 )
@@ -18,9 +17,6 @@ import (
 var (
 	ErrNoShards        = errors.New("fleet: no live shards")
 	ErrMigrating       = errors.New("fleet: a membership change is already in progress")
-	ErrUnknownShard    = errors.New("fleet: unknown shard id")
-	ErrLastReplica     = errors.New("fleet: cannot remove below one live shard")
-	ErrShardNotLive    = errors.New("fleet: shard is not live")
 	ErrAllReplicasDown = errors.New("fleet: all replicas failed")
 )
 
@@ -29,7 +25,7 @@ type Config struct {
 	// Herd configures each member HERD server and its clients.
 	Herd core.Config
 	// Replication is the replica count R per key (default 2, clamped
-	// to the live shard count and to 4). At 1 the fleet is static
+	// to the shard count and to 4). At 1 the fleet is static
 	// sharding: every key lives on one shard.
 	Replication int
 	// MigrationBatch is how many keys one background migration step
@@ -63,14 +59,6 @@ type Config struct {
 	// background anti-entropy sweep (paced by MigrationBatch /
 	// MigrationInterval, like migration). Implies Versioned.
 	ReadRepair bool
-	// Mux, when non-nil, routes each fleet client's per-shard
-	// sub-clients through a shared endpoint (internal/mux) instead of
-	// dialing one connected QP set per client per shard. All fleet
-	// clients on one machine multiplex over one Mux.QPs-wide pool per
-	// shard, so a member server's connected-QP count scales with client
-	// machines, not with application clients — the connection-
-	// scalability story of docs/SCALABILITY.md applied fleet-wide.
-	Mux *mux.Config
 }
 
 // Fixed fleet policy. A client avoids reading from a shard for
@@ -143,30 +131,30 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// shard is one ring member: a HERD server plus its liveness flag.
-// Shard ids are stable for the deployment's lifetime and never reused;
-// a removed shard keeps its id but leaves the ring.
+// shard is one ring member: a HERD server on its machine. A shard's id
+// is its index in Deployment.shards.
 type shard struct {
 	id      int
 	machine *cluster.Machine
 	srv     *core.Server
-	live    bool
 }
 
-// migEntry is one key scheduled for background copying.
-type migEntry struct {
-	key   kv.Key
-	src   int   // source shard id (value re-read at copy time)
-	dests []int // destination shard ids
+// keyCopy is one key scheduled for a background copy onto a shard, by
+// migration or by recovery catch-up. The key's state is re-read from
+// the source shard at copy time, so writes that land after the scan
+// are not lost.
+type keyCopy struct {
+	key kv.Key
+	src int // source shard id
 }
 
-// migration tracks one in-progress membership change.
+// migration tracks one in-progress shard addition.
 type migration struct {
-	target   *Ring
-	queue    []migEntry
-	pos      int
-	removeID int // shard leaving the ring, or -1
-	done     func()
+	target *Ring
+	dest   int // the joining shard's id
+	queue  []keyCopy
+	pos    int
+	done   func()
 }
 
 // Deployment is a rendezvous-hashed fleet of HERD servers with per-key
@@ -180,11 +168,6 @@ type Deployment struct {
 	shards  []*shard
 	clients []*Client
 	mig     *migration
-
-	// endpoints caches the shared mux endpoint per (client machine,
-	// shard) when Config.Mux is set; every fleet client on that machine
-	// opens channels on the same pool.
-	endpoints map[endpointKey]*mux.Endpoint
 
 	// Shard crash recovery (recovery.go): in-progress catch-ups by
 	// shard id, the last completed one, and the experiment hook.
@@ -250,7 +233,7 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 			return nil, err
 		}
 		id := len(d.shards)
-		sh := &shard{id: id, machine: m, srv: srv, live: true}
+		sh := &shard{id: id, machine: m, srv: srv}
 		d.shards = append(d.shards, sh)
 		d.ring = d.ring.WithShard(id)
 		d.watchRecovery(sh)
@@ -258,62 +241,11 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 	return d, nil
 }
 
-// endpointKey identifies one machine's shared endpoint to one shard.
-type endpointKey struct {
-	machine *cluster.Machine
-	shard   int
-}
-
-// dial returns a sub-client transport from machine m to shard sh:
-// a dedicated connected HERD client by default, or a channel on the
-// machine's shared mux endpoint when Config.Mux is set.
-func (d *Deployment) dial(m *cluster.Machine, sh *shard) (kv.KV, error) {
-	if d.cfg.Mux == nil {
-		sub, err := sh.srv.ConnectClient(m)
-		if err != nil {
-			return nil, err
-		}
-		return sub, nil
-	}
-	key := endpointKey{machine: m, shard: sh.id}
-	ep := d.endpoints[key]
-	if ep == nil {
-		var err error
-		ep, err = mux.Connect(sh.srv, m, *d.cfg.Mux)
-		if err != nil {
-			return nil, err
-		}
-		if d.endpoints == nil {
-			d.endpoints = make(map[endpointKey]*mux.Endpoint)
-		}
-		d.endpoints[key] = ep
-	}
-	ch, err := ep.OpenChannel()
-	if err != nil {
-		return nil, err
-	}
-	return ch, nil
-}
-
-// Endpoint returns machine m's shared mux endpoint to shard id, or nil
-// when muxing is off (or no client on m has dialed that shard yet).
-func (d *Deployment) Endpoint(m *cluster.Machine, id int) *mux.Endpoint {
-	return d.endpoints[endpointKey{machine: m, shard: id}]
-}
-
 // Ring returns the current routing ring (immutable snapshot).
 func (d *Deployment) Ring() *Ring { return d.ring }
 
-// Shards returns the number of live shards.
-func (d *Deployment) Shards() int {
-	n := 0
-	for _, sh := range d.shards {
-		if sh.live {
-			n++
-		}
-	}
-	return n
-}
+// Shards returns the number of shards.
+func (d *Deployment) Shards() int { return len(d.shards) }
 
 // Server returns shard id's server (nil for unknown ids).
 func (d *Deployment) Server(id int) *core.Server {
@@ -353,14 +285,12 @@ func (d *Deployment) Preload(key kv.Key, value []byte) error {
 	return nil
 }
 
-// RegisterCrashTargets registers every live shard's server with the
-// fault injector, keyed by its machine's node id, so scripted Crash
-// events take down the right process.
+// RegisterCrashTargets registers every shard's server with the fault
+// injector, keyed by its machine's node id, so scripted Crash events
+// take down the right process.
 func (d *Deployment) RegisterCrashTargets(inj *fault.Injector) {
 	for _, sh := range d.shards {
-		if sh.live {
-			inj.SetCrashTarget(sh.machine.Verbs.Node(), sh.srv)
-		}
+		inj.SetCrashTarget(sh.machine.Verbs.Node(), sh.srv)
 	}
 }
 
@@ -382,7 +312,7 @@ func (d *Deployment) AddShard(m *cluster.Machine, done func()) (int, error) {
 		return 0, err
 	}
 	id := len(d.shards)
-	sh := &shard{id: id, machine: m, srv: srv, live: true}
+	sh := &shard{id: id, machine: m, srv: srv}
 	d.shards = append(d.shards, sh)
 	d.watchRecovery(sh)
 	for _, c := range d.clients {
@@ -393,24 +323,22 @@ func (d *Deployment) AddShard(m *cluster.Machine, done func()) (int, error) {
 	// The new shard must hold every key whose target replica set
 	// includes it.
 	target := d.ring.WithShard(id)
-	var queue []migEntry
-	d.scanReplicaKeys(target, id, func(key kv.Key, src int) {
-		queue = append(queue, migEntry{key: key, src: src, dests: []int{id}})
-	})
-	d.startMigration(&migration{target: target, queue: queue, removeID: -1, done: done})
+	queue := d.scanReplicaKeys(target, id)
+	d.startMigration(&migration{target: target, dest: id, queue: queue, done: done})
 	return id, nil
 }
 
-// scanReplicaKeys calls add once for every key whose replica set on
-// ring includes shard id, naming the first other live, up shard (in id
+// scanReplicaKeys returns one copy for every key whose replica set on
+// ring includes shard id, sourced from the first other up shard (in id
 // order) that holds it. Writes fan out to all replicas, so scanning
 // every such shard's partitions finds each key; a membership set dedupes
 // the replicas holding the same one. Down shards are skipped: a crash
 // wipes their partitions, and a WAL replay may still be refilling them.
-func (d *Deployment) scanReplicaKeys(ring *Ring, id int, add func(key kv.Key, src int)) {
+func (d *Deployment) scanReplicaKeys(ring *Ring, id int) []keyCopy {
 	seen := make(map[kv.Key]struct{})
+	var queue []keyCopy
 	for _, src := range d.shards {
-		if !src.live || src.id == id || src.srv.Down() {
+		if src.id == id || src.srv.Down() {
 			continue
 		}
 		for p := 0; p < d.cfg.Herd.NS; p++ {
@@ -421,7 +349,7 @@ func (d *Deployment) scanReplicaKeys(ring *Ring, id int, add func(key kv.Key, sr
 				for _, rep := range ring.Replicas(key, d.cfg.Replication) {
 					if rep == id {
 						seen[key] = struct{}{}
-						add(key, src.id)
+						queue = append(queue, keyCopy{key: key, src: src.id})
 						break
 					}
 				}
@@ -429,45 +357,7 @@ func (d *Deployment) scanReplicaKeys(ring *Ring, id int, add func(key kv.Key, sr
 			})
 		}
 	}
-}
-
-// RemoveShard drains shard id out of the fleet: its resident keys are
-// copied to their post-removal replica sets in the background, and when
-// the copy completes the ring drops the shard, it stops receiving
-// traffic, and done (if non-nil) runs. The server process itself keeps
-// running (detached) so in-flight operations against it can finish.
-func (d *Deployment) RemoveShard(id int, done func()) error {
-	if d.mig != nil {
-		return ErrMigrating
-	}
-	if id < 0 || id >= len(d.shards) {
-		return ErrUnknownShard
-	}
-	sh := d.shards[id]
-	if !sh.live {
-		return ErrShardNotLive
-	}
-	if d.ring.Size() <= 1 {
-		return ErrLastReplica
-	}
-	target := d.ring.WithoutShard(id)
-	rf := d.cfg.Replication
-	if n := target.Size(); rf > n {
-		rf = n
-	}
-	// Every key with the leaving shard in its replica set is resident on
-	// it (writes fan out), so scanning only the leaving shard finds all
-	// keys whose replica sets change. Copying to the full target set is
-	// idempotent and heals the replica the removal would otherwise lose.
-	var queue []migEntry
-	for p := 0; p < d.cfg.Herd.NS; p++ {
-		sh.srv.Partition(p).Range(func(key mica.Key, _ []byte) bool {
-			queue = append(queue, migEntry{key: key, src: id, dests: target.Replicas(key, rf)})
-			return true
-		})
-	}
-	d.startMigration(&migration{target: target, queue: queue, removeID: id, done: done})
-	return nil
+	return queue
 }
 
 func (d *Deployment) startMigration(m *migration) {
@@ -501,15 +391,9 @@ func (d *Deployment) migrationStep() {
 		if !ok {
 			continue // evicted or deleted since the scan
 		}
-		val := append([]byte(nil), v...)
-		for _, dst := range e.dests {
-			if dst == e.src {
-				continue
-			}
-			// Preload is a control-plane insert; migration treats a
-			// refusal like eviction.
-			_ = d.shards[dst].srv.Preload(e.key, val)
-		}
+		// Preload is a control-plane insert; migration treats a refusal
+		// like eviction.
+		_ = d.shards[m.dest].srv.Preload(e.key, append([]byte(nil), v...))
 		d.migKeys.Inc()
 	}
 	d.migPending.Set(int64(len(m.queue) - m.pos))
@@ -517,11 +401,8 @@ func (d *Deployment) migrationStep() {
 		d.eng.After(d.cfg.MigrationInterval, d.migrationStep)
 		return
 	}
-	// Commit: swap the ring, detach a leaving shard, release.
+	// Commit: swap the ring and release.
 	d.ring = m.target
-	if m.removeID >= 0 {
-		d.shards[m.removeID].live = false
-	}
 	d.mig = nil
 	d.migActive.Set(0)
 	if m.done != nil {

@@ -62,8 +62,8 @@ func TestRingPlacement(t *testing.T) {
 		if len(ra) != 2 || ra[0] == ra[1] {
 			t.Fatalf("replica set %v not 2 distinct shards", ra)
 		}
-		if p := a.Replicas(k, 1); len(p) != 1 || p[0] != ra[0] || a.Primary(k) != ra[0] {
-			t.Fatalf("primary %v / %d is not the head of %v", p, a.Primary(k), ra)
+		if p := a.Replicas(k, 1); len(p) != 1 || p[0] != ra[0] {
+			t.Fatalf("primary %v is not the head of %v", p, ra)
 		}
 		for j := range ra {
 			if ra[j] != rb[j] {
@@ -85,8 +85,8 @@ func TestRingPlacement(t *testing.T) {
 // TestRingMembershipChangeMovesFewKeys checks rendezvous hashing's
 // minimal disruption exactly: growing 4 -> 5 shards changes the replica
 // set of precisely the keys whose top 2 now include shard 4 (and those
-// keep their other replica), and removing a shard changes only the keys
-// it replicated.
+// keep their other replica), and a ring without a shard differs only
+// on the keys that shard replicated.
 func TestRingMembershipChangeMovesFewKeys(t *testing.T) {
 	r4 := ring4(3, 2)
 	r5 := r4.WithShard(4)
@@ -117,13 +117,7 @@ func TestRingMembershipChangeMovesFewKeys(t *testing.T) {
 		t.Fatalf("adding a shard moved %d/%d keys (want ~%d)", moved, n, n*2/5)
 	}
 
-	r3 := r4.WithoutShard(1)
-	if r3.Size() != 3 || r3.Has(1) {
-		t.Fatalf("WithoutShard left %v", r3.Shards())
-	}
-	if got := r5.WithoutShard(4); !slices.Equal(got.Shards(), r4.Shards()) {
-		t.Fatalf("WithoutShard(4) left %v", got.Shards())
-	}
+	r3 := NewRing(3, 2).WithShard(0).WithShard(2).WithShard(3)
 	for i := 1; i <= n; i++ {
 		k := kv.FromUint64(uint64(i))
 		before, after := r4.Replicas(k, 2), r3.Replicas(k, 2)
@@ -160,7 +154,7 @@ func TestRingHotKeysSpreadPrimaries(t *testing.T) {
 	_, d, _ := newFleet(t, 4, 0, 1)
 	count := make([]int, 4)
 	for i := uint64(0); i < 64; i++ {
-		count[d.Ring().Primary(kv.FromUint64(i))]++
+		count[d.Ring().Replicas(kv.FromUint64(i), 1)[0]]++
 	}
 	for s, c := range count {
 		if c == 0 || c > 32 {
@@ -351,71 +345,6 @@ func TestFleetAddShardMigration(t *testing.T) {
 	}
 }
 
-func TestFleetRemoveShard(t *testing.T) {
-	cl, d, clients := newFleet(t, 3, 1, 1)
-	c := clients[0]
-	n := 80
-	for i := 1; i <= n; i++ {
-		c.Put(kv.FromUint64(uint64(i)), []byte{byte(i)}, nil)
-	}
-	cl.Eng.Run()
-	removed := false
-	if err := d.RemoveShard(0, func() { removed = true }); err != nil {
-		t.Fatal(err)
-	}
-	cl.Eng.Run()
-	if !removed || d.Ring().Has(0) || d.Shards() != 2 {
-		t.Fatalf("removal incomplete: removed=%v ring=%v live=%d", removed, d.Ring().Shards(), d.Shards())
-	}
-	gets, _, puts := d.Server(0).Stats()
-	before := gets + puts
-	got := 0
-	for i := 1; i <= n; i++ {
-		c.Get(kv.FromUint64(uint64(i)), func(r kv.Result) {
-			if r.Status == kv.StatusHit {
-				got++
-			}
-		})
-	}
-	cl.Eng.Run()
-	if got != n {
-		t.Fatalf("post-removal gets = %d/%d (failed=%d)", got, n, c.Failed())
-	}
-	gets, _, puts = d.Server(0).Stats()
-	if gets+puts != before {
-		t.Fatal("removed shard still receives traffic")
-	}
-}
-
-func TestFleetMultiGet(t *testing.T) {
-	cl, d, clients := newFleet(t, 3, 1, 1)
-	c := clients[0]
-	n := 24
-	keys := make([]kv.Key, n)
-	for i := range keys {
-		keys[i] = kv.FromUint64(uint64(i + 1))
-		if err := d.Preload(keys[i], []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out []kv.Result
-	if err := c.MultiGet(keys, func(rs []kv.Result) { out = rs }); err != nil {
-		t.Fatal(err)
-	}
-	cl.Eng.Run()
-	if len(out) != n {
-		t.Fatalf("multiget returned %d/%d results", len(out), n)
-	}
-	for i, r := range out {
-		if r.Status != kv.StatusHit || !bytes.Equal(r.Value, []byte{byte(i)}) {
-			t.Fatalf("result %d = %+v", i, r)
-		}
-		if r.Key != keys[i] {
-			t.Fatalf("result %d out of order: %v", i, r.Key)
-		}
-	}
-}
-
 func TestFleetDeterministicReplay(t *testing.T) {
 	run := func() (uint64, uint64, sim.Time) {
 		cl, d, clients := newFleet(t, 3, 2, 5)
@@ -440,7 +369,7 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewDeployment(nil, testConfig()); err == nil {
 		t.Fatal("empty deployment accepted")
 	}
-	cl, d, clients := newFleet(t, 2, 1, 1)
+	cl, _, clients := newFleet(t, 2, 1, 1)
 	c := clients[0]
 	var zero kv.Key
 	if err := c.Get(zero, nil); err == nil {
@@ -452,10 +381,15 @@ func TestFleetValidation(t *testing.T) {
 	if err := c.Put(kv.FromUint64(1), make([]byte, mica.MaxValueSize+1), nil); err != ErrValueTooLarge {
 		t.Fatalf("oversized put: %v", err)
 	}
-	if err := d.RemoveShard(99, nil); err != ErrUnknownShard {
-		t.Fatalf("remove unknown: %v", err)
+	// An empty value is refused before the fan-out: issued to the
+	// replicas, each would reject it and the fleet would suspect them.
+	if err := c.Put(kv.FromUint64(1), nil, nil); err != ErrEmptyValue {
+		t.Fatalf("empty put: %v", err)
 	}
-	_ = cl
+	cl.Eng.Run()
+	if c.Issued() != 0 || c.Suspected() != 0 {
+		t.Fatalf("rejected puts issued %d ops and suspected %d shards", c.Issued(), c.Suspected())
+	}
 	if cfg := (&Config{}); true {
 		cfg.setDefaults()
 		if cfg.Replication != 2 || cfg.MigrationBatch != 64 {

@@ -81,7 +81,6 @@ func TestHotpathAllocFree(t *testing.T) {
 
 	hotgate.Check(t, ".", map[string]func(){
 		"Ring.Replicas":            func() { _ = ring.Replicas(key, 2) },
-		"Ring.Primary":             func() { _ = ring.Primary(key) },
 		"Ring.Size":                func() { _ = ring.Size() },
 		"mix64":                    func() { _ = mix64(uint64(len(order))) },
 		"Deployment.Replication":   func() { _ = d.Replication() },

@@ -192,64 +192,3 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("readOrder = %v after close, want ring order restored", got)
 	}
 }
-
-// TestMultiGetEmpty pins the degenerate batch: the callback fires with
-// an empty result slice and no sub-operation is issued.
-func TestMultiGetEmpty(t *testing.T) {
-	_, _, clients := newFleet(t, 2, 1, 14)
-	c := clients[0]
-	called := false
-	if err := c.MultiGet(nil, func(rs []kv.Result) {
-		called = true
-		if len(rs) != 0 {
-			t.Errorf("got %d results for empty batch", len(rs))
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("callback not invoked for empty batch")
-	}
-	if c.Issued() != 0 {
-		t.Fatalf("empty batch issued %d ops", c.Issued())
-	}
-}
-
-// TestMultiGetDuplicates checks a batch with repeated keys: each
-// unique key is read once, and the shared result lands in every
-// position that asked for it, in key order.
-func TestMultiGetDuplicates(t *testing.T) {
-	cl, d, clients := newFleet(t, 2, 1, 15)
-	c := clients[0]
-	k1, k2 := kv.FromUint64(101), kv.FromUint64(202)
-	v1, v2 := []byte("value one"), []byte("value two")
-	if err := d.Preload(k1, v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Preload(k2, v2); err != nil {
-		t.Fatal(err)
-	}
-
-	keys := []kv.Key{k1, k2, k1, k1, k2}
-	var got []kv.Result
-	if err := c.MultiGet(keys, func(rs []kv.Result) { got = rs }); err != nil {
-		t.Fatal(err)
-	}
-	cl.Eng.Run()
-
-	if len(got) != len(keys) {
-		t.Fatalf("got %d results, want %d", len(got), len(keys))
-	}
-	want := [][]byte{v1, v2, v1, v1, v2}
-	for i, r := range got {
-		if r.Err != nil || !bytes.Equal(r.Value, want[i]) {
-			t.Fatalf("result[%d] = %+v, want value %q", i, r, want[i])
-		}
-		if r.Key != keys[i] {
-			t.Fatalf("result[%d] key mismatch", i)
-		}
-	}
-	if c.Issued() != 2 {
-		t.Fatalf("issued %d fleet ops for 2 unique keys", c.Issued())
-	}
-}

@@ -23,20 +23,11 @@ import (
 // interleaves with foreground traffic instead of stalling it, and a
 // membership change can proceed concurrently.
 
-// recEntry is one key scheduled for recovery catch-up. The state is
-// re-read from the source replica at apply time (like migrationStep),
-// so the recovered shard converges on the survivor's current view:
-// present there → copy, absent there → delete here.
-type recEntry struct {
-	key kv.Key
-	src int // surviving source shard id
-}
-
 // recovery tracks one shard's in-progress catch-up.
 type recovery struct {
 	shardID int
 	info    core.RecoveryInfo
-	queue   []recEntry
+	queue   []keyCopy
 	pos     int
 	keys    int
 }
@@ -75,14 +66,14 @@ func (d *Deployment) watchRecovery(sh *shard) {
 // onShardRecovered fires when shard sh's Restart completes (warm or
 // cold) and starts the fleet-side catch-up.
 func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
-	if !sh.live {
-		return // detached from the ring; nothing to heal
-	}
 	rec := &recovery{shardID: sh.id, info: info}
 	if info.Warm {
 		rec.queue = d.deltaQueue(sh, info.Since)
 	} else {
-		rec.queue = d.fullQueue(sh)
+		// A cold rejoin re-copies every key whose replica set includes
+		// the shard: the AddShard population scan, aimed at an old
+		// member.
+		rec.queue = d.scanReplicaKeys(d.ring, sh.id)
 	}
 	if d.recs == nil {
 		d.recs = make(map[int]*recovery)
@@ -97,11 +88,11 @@ func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
 // shard replicates that a survivor logged at or after since — the
 // writes the shard's own log may be missing (its lost group-commit
 // window plus the whole outage).
-func (d *Deployment) deltaQueue(sh *shard, since sim.Time) []recEntry {
+func (d *Deployment) deltaQueue(sh *shard, since sim.Time) []keyCopy {
 	seen := make(map[kv.Key]struct{})
-	var queue []recEntry
+	var queue []keyCopy
 	for _, src := range d.shards {
-		if !src.live || src.id == sh.id || src.srv.Down() {
+		if src.id == sh.id || src.srv.Down() {
 			continue
 		}
 		for _, r := range src.srv.WALRecordsSince(since) {
@@ -111,7 +102,7 @@ func (d *Deployment) deltaQueue(sh *shard, since sim.Time) []recEntry {
 			for _, rep := range d.Replicas(r.Key) {
 				if rep == sh.id {
 					seen[r.Key] = struct{}{}
-					queue = append(queue, recEntry{key: r.Key, src: src.id})
+					queue = append(queue, keyCopy{key: r.Key, src: src.id})
 					break
 				}
 			}
@@ -120,26 +111,17 @@ func (d *Deployment) deltaQueue(sh *shard, since sim.Time) []recEntry {
 	return queue
 }
 
-// fullQueue builds a cold rejoin's catch-up: every key whose replica
-// set includes the shard (the AddShard population scan, aimed at an old
-// member).
-func (d *Deployment) fullQueue(sh *shard) []recEntry {
-	var queue []recEntry
-	d.scanReplicaKeys(d.ring, sh.id, func(key kv.Key, src int) {
-		queue = append(queue, recEntry{key: key, src: src})
-	})
-	return queue
-}
-
 // recoveryStep applies one batch of catch-up keys to the recovered
-// shard, re-reading each from its survivor at apply time. Aborts if the
-// shard crashes again mid-catch-up (the next recovery starts over).
+// shard, re-reading each from its survivor at apply time, so the shard
+// converges on the survivor's current view: present there → copy,
+// absent there → delete here. Aborts if the shard crashes again
+// mid-catch-up (the next recovery starts over).
 func (d *Deployment) recoveryStep(rec *recovery) {
 	if d.recs[rec.shardID] != rec {
 		return // superseded by a newer recovery of the same shard
 	}
 	sh := d.shards[rec.shardID]
-	if sh.srv.Down() || !sh.live {
+	if sh.srv.Down() {
 		d.finishRecovery(rec, sh, true)
 		return
 	}

@@ -1,7 +1,7 @@
 // Package fleet scales HERD past static sharding: rendezvous hashing
 // places keys on replica sets of HERD servers, clients fail over
-// between replicas when a shard crashes, and shards can join or leave
-// a live deployment with background key migration. This is the fleet
+// between replicas when a shard crashes, and shards can join a live
+// deployment with background key migration. This is the fleet
 // deployment story the paper leaves to "standard practice" (Section 7
 // discusses scale-out only as per-machine throughput times machine
 // count); fleet supplies the routing, replication and failover
@@ -82,11 +82,6 @@ func (r *Ring) WithShard(shard int) *Ring {
 		slices.Sort(shards)
 	}
 	return r.with(shards)
-}
-
-// WithoutShard returns a copy of the ring with shard removed.
-func (r *Ring) WithoutShard(shard int) *Ring {
-	return r.with(slices.DeleteFunc(slices.Clone(r.shards), func(s int) bool { return s == shard }))
 }
 
 // with builds a ring on r's seed and depth over the given ascending
@@ -171,8 +166,3 @@ func (r *Ring) Replicas(key kv.Key, rf int) []int {
 	rf = min(max(rf, 1), k)
 	return r.sets[off : off+rf : off+rf]
 }
-
-// Primary returns the key's first replica.
-//
-//herd:hotpath
-func (r *Ring) Primary(key kv.Key) int { return r.Replicas(key, 1)[0] }

@@ -111,14 +111,3 @@ func (h *Host) RequestService(nAccesses int, prefetch bool) sim.Time {
 	}
 	return t
 }
-
-// LeastLoadedCore returns the index of the core whose queue frees first.
-func (h *Host) LeastLoadedCore() int {
-	best := 0
-	for i := 1; i < len(h.cores); i++ {
-		if h.cores[i].NextFree() < h.cores[best].NextFree() {
-			best = i
-		}
-	}
-	return best
-}

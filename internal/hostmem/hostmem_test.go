@@ -105,17 +105,6 @@ func TestCoresAreIndependent(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedCore(t *testing.T) {
-	eng := sim.New()
-	h := NewHost(eng, DefaultParams(), 3, 1)
-	h.Core(0).Submit(300*sim.Nanosecond, nil)
-	h.Core(1).Submit(100*sim.Nanosecond, nil)
-	h.Core(2).Submit(200*sim.Nanosecond, nil)
-	if got := h.LeastLoadedCore(); got != 1 {
-		t.Fatalf("LeastLoadedCore = %d, want 1", got)
-	}
-}
-
 func TestNewHostPanicsOnZeroCores(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -100,8 +100,7 @@ func TestNearCacheHERDConformance(t *testing.T) {
 }
 
 // TestNearCacheFleetConformance layers the near cache over the
-// replicated fleet, which also exercises the BatchGet subtest through
-// the wrapper's cached/batched MultiGet split.
+// replicated fleet.
 func TestNearCacheFleetConformance(t *testing.T) {
 	Run(t, func(t *testing.T) Harness {
 		cl := cluster.New(cluster.Apt(), 3, 1)

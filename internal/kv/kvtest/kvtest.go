@@ -79,76 +79,6 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("CallbackExactlyOnce", func(t *testing.T) { callbackExactlyOnce(t, mk(t)) })
 	t.Run("CounterInvariants", func(t *testing.T) { counterInvariants(t, mk(t)) })
 	t.Run("BufferOwnership", func(t *testing.T) { bufferOwnership(t, mk(t)) })
-	t.Run("BatchGet", func(t *testing.T) {
-		h := mk(t)
-		if _, ok := h.KV.(kv.BatchGetter); !ok {
-			t.Skipf("%T does not implement kv.BatchGetter", h.KV)
-		}
-		batchGet(t, h)
-	})
-}
-
-// batchGet pins the optional kv.BatchGetter contract: one callback
-// with results aligned to the request slice (duplicates included),
-// and zero keys rejected synchronously before anything is issued.
-func batchGet(t *testing.T, h Harness) {
-	bg := h.KV.(kv.BatchGetter)
-	k1, k2 := kv.FromUint64(21), kv.FromUint64(22)
-	missing := kv.FromUint64(404)
-	v1, v2 := h.value('1'), h.value('2')
-
-	stored := 0
-	var seed1, seed2 kv.Result
-	h.KV.Put(k1, v1, func(r kv.Result) { seed1 = r; stored++ })
-	h.KV.Put(k2, v2, func(r kv.Result) { seed2 = r; stored++ })
-	h.Run()
-	if stored != 2 {
-		t.Fatalf("seeded %d of 2 keys", stored)
-	}
-	seedsOK := !h.anyFailed(t, &seed1, &seed2)
-
-	keys := []kv.Key{k1, missing, k2, k1} // duplicate on purpose
-	calls := 0
-	var got []kv.Result
-	if err := bg.MultiGet(keys, func(rs []kv.Result) { calls++; got = rs }); err != nil {
-		t.Fatalf("MultiGet: %v", err)
-	}
-	h.Run()
-
-	if calls != 1 {
-		t.Fatalf("batch callback ran %d times, want exactly once", calls)
-	}
-	if len(got) != len(keys) {
-		t.Fatalf("got %d results for %d keys", len(got), len(keys))
-	}
-	want := []struct {
-		status kv.Status
-		value  []byte
-	}{{kv.StatusHit, v1}, {kv.StatusMiss, nil}, {kv.StatusHit, v2}, {kv.StatusHit, v1}}
-	for i, w := range want {
-		r := got[i]
-		if r.Key != keys[i] {
-			t.Errorf("result %d keyed %v, want %v", i, r.Key, keys[i])
-		}
-		if !r.IsGet {
-			t.Errorf("result %d not marked IsGet", i)
-		}
-		if h.anyFailed(t, &r) || !seedsOK {
-			continue // structural checks above still ran
-		}
-		if r.Status != w.status || !bytes.Equal(r.Value, w.value) {
-			t.Errorf("result %d = %v (%d B), want %v", i, r.Status, len(r.Value), w.status)
-		}
-	}
-
-	ran := false
-	if err := bg.MultiGet([]kv.Key{k1, {}}, func([]kv.Result) { ran = true }); err == nil {
-		t.Error("MultiGet with a zero key accepted")
-	}
-	h.Run()
-	if ran {
-		t.Fatal("rejected batch still ran its callback")
-	}
 }
 
 func putGetRoundTrip(t *testing.T, h Harness) {
@@ -372,6 +302,11 @@ func zeroKeyRejected(t *testing.T, h Harness) {
 	}
 	if err := h.KV.Delete(zero, cb); err == nil {
 		t.Error("Delete(zero key) accepted")
+	}
+	// An empty PUT value is malformed input too: no backend can store
+	// it, so each must refuse it before issuing anything.
+	if err := h.KV.Put(kv.FromUint64(1), nil, cb); err == nil {
+		t.Error("Put(empty value) accepted")
 	}
 	h.Run()
 	if ran {

@@ -121,17 +121,3 @@ type KV interface {
 	// (timeout or flush).
 	Failed() uint64
 }
-
-// BatchGetter is the optional batch-read extension of KV. Backends
-// that can serve many GETs more efficiently than one-at-a-time — the
-// fleet client groups keys per primary shard, the near cache answers
-// resident keys locally — implement it; callers discover it with a
-// type assertion:
-//
-//	if bg, ok := store.(kv.BatchGetter); ok { bg.MultiGet(keys, cb) }
-//
-// cb receives one Result per requested key, in request order, after
-// every key has resolved. Duplicate keys each get their own slot.
-type BatchGetter interface {
-	MultiGet(keys []Key, cb func([]Result)) error
-}

@@ -129,7 +129,7 @@ func allBlank(exprs []ast.Expr) bool {
 
 // payloadFields are the Completion fields that are only meaningful on a
 // successfully completed (non-flushed) work request.
-var payloadFields = map[string]bool{"Data": true, "Imm": true, "SrcQPN": true}
+var payloadFields = map[string]bool{"Data": true, "SrcQPN": true}
 
 // statusFields are the fields whose inspection counts as checking.
 var statusFields = map[string]bool{"Flushed": true, "Dropped": true}

@@ -110,7 +110,7 @@ type fill struct {
 	resolve func(kv.Result) // bound once to onResult
 }
 
-// Cache is the near cache. It implements kv.KV and kv.BatchGetter.
+// Cache is the near cache. It implements kv.KV.
 // Like every client in this tree it is single-goroutine: all calls and
 // callbacks run on the simulation engine.
 //
@@ -153,10 +153,7 @@ type Cache struct {
 	telSize       *telemetry.Gauge
 }
 
-var (
-	_ kv.KV          = (*Cache)(nil)
-	_ kv.BatchGetter = (*Cache)(nil)
-)
+var _ kv.KV = (*Cache)(nil)
 
 // New wraps inner with a near cache. clk is the deployment's virtual
 // clock (the cluster engine); tel may be nil.
@@ -626,97 +623,5 @@ func (c *Cache) Delete(key kv.Key, cb func(kv.Result)) error {
 	c.invalidate(key)
 	c.issued++
 	c.inflight++
-	return nil
-}
-
-// MultiGet answers resident keys locally and fetches the remainder in
-// one batch: when inner implements kv.BatchGetter (the fleet client
-// groups keys per primary shard) the remainder rides a single inner
-// MultiGet; otherwise each missing key fetches individually. Remainder
-// keys register promises like single-key misses, so concurrent Gets
-// park on the batch instead of re-fetching. cb receives one Result per
-// requested key, in request order; duplicates share one fetch.
-func (c *Cache) MultiGet(keys []kv.Key, cb func([]kv.Result)) error {
-	for _, k := range keys {
-		if k.IsZero() {
-			return kv.ErrZeroKey
-		}
-	}
-	results := make([]kv.Result, len(keys))
-	if len(keys) == 0 {
-		if cb != nil {
-			cb(results)
-		}
-		return nil
-	}
-	// Duplicate keys resolve once; the shared result lands in every
-	// position that asked (same discipline as the fleet client).
-	pos := make(map[kv.Key][]int)
-	uniq := make([]kv.Key, 0, len(keys))
-	for i, k := range keys {
-		if _, dup := pos[k]; !dup {
-			uniq = append(uniq, k)
-		}
-		pos[k] = append(pos[k], i)
-	}
-	remaining := len(uniq)
-	resolve := func(k kv.Key, r kv.Result) {
-		for _, idx := range pos[k] {
-			results[idx] = r
-		}
-		if remaining--; remaining == 0 && cb != nil {
-			cb(results)
-		}
-	}
-	// Keys the batch must actually fetch (not resident, no fill in
-	// flight), discovered before issuing anything so the batch is one
-	// decision, not len(uniq) racing ones.
-	var fetch []kv.Key
-	fetchFills := make(map[kv.Key]*fill)
-	for _, k := range uniq {
-		k := k
-		done := func(r kv.Result) { resolve(k, r) }
-		if e := c.lookup(k); e != nil {
-			c.serveHit(e, done)
-			continue
-		}
-		if f := c.fills[k]; f != nil {
-			c.park(f, done)
-			continue
-		}
-		fetchFills[k] = c.newFill(k, done)
-		fetch = append(fetch, k)
-	}
-	if len(fetch) == 0 {
-		return nil
-	}
-	if bg, ok := c.inner.(kv.BatchGetter); ok {
-		err := bg.MultiGet(fetch, func(rs []kv.Result) {
-			for i, k := range fetch {
-				fetchFills[k].onResult(rs[i])
-			}
-		})
-		if err != nil {
-			return err
-		}
-		for _, k := range fetch {
-			c.telMisses.Inc()
-			c.issued++
-			c.inflight++
-			c.fills[k] = fetchFills[k]
-		}
-		return nil
-	}
-	for _, k := range fetch {
-		f := fetchFills[k]
-		if err := c.inner.Get(k, f.resolve); err != nil {
-			c.putFill(f)
-			return err
-		}
-		c.telMisses.Inc()
-		c.issued++
-		c.inflight++
-		c.fills[k] = f
-	}
 	return nil
 }

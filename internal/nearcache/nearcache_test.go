@@ -17,12 +17,11 @@ type fakeKV struct {
 	latency sim.Time
 	lease   sim.Time // when > 0, GET hits carry a lease of this TTL
 	hang    int      // this many upcoming GETs never resolve
-	batched bool     // implement MultiGet when true
 
-	gets, multigets int
-	issued          uint64
-	completed       uint64
-	inflight        int
+	gets      int
+	issued    uint64
+	completed uint64
+	inflight  int
 }
 
 func newFake(eng *sim.Engine) *fakeKV {
@@ -105,28 +104,6 @@ func (f *fakeKV) Inflight() int     { return f.inflight }
 func (f *fakeKV) Issued() uint64    { return f.issued }
 func (f *fakeKV) Completed() uint64 { return f.completed }
 func (f *fakeKV) Failed() uint64    { return 0 }
-
-// batchFake adds MultiGet so the batch-delegation path is reachable.
-type batchFake struct{ *fakeKV }
-
-func (f batchFake) MultiGet(keys []kv.Key, cb func([]kv.Result)) error {
-	f.multigets++
-	f.fakeKV.multigets = f.multigets
-	results := make([]kv.Result, len(keys))
-	f.issued += uint64(len(keys))
-	f.inflight += len(keys)
-	f.eng.After(f.latency, func() {
-		for i, k := range keys {
-			results[i] = f.get(k)
-		}
-		f.inflight -= len(keys)
-		f.completed += uint64(len(keys))
-		if cb != nil {
-			cb(results)
-		}
-	})
-	return nil
-}
 
 func k(n uint64) kv.Key { return kv.FromUint64(n) }
 
@@ -403,99 +380,12 @@ func TestHerdWaitAbort(t *testing.T) {
 	}
 }
 
-func TestMultiGetMixesLocalAndBatch(t *testing.T) {
-	eng := sim.New()
-	f := newFake(eng)
-	f.batched = true
-	for i := uint64(1); i <= 4; i++ {
-		f.store[k(i)] = []byte{byte(i)}
-	}
-	c := New(batchFake{f}, eng, nil, Config{TTL: sim.Second})
-
-	// Warm keys 1 and 2.
-	c.Get(k(1), nil)
-	c.Get(k(2), nil)
-	eng.Run()
-
-	keys := []kv.Key{k(1), k(3), k(2), k(4), k(99), k(3)}
-	var got []kv.Result
-	if err := c.MultiGet(keys, func(rs []kv.Result) { got = rs }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-
-	if got == nil {
-		t.Fatal("MultiGet callback never ran")
-	}
-	for i, want := range []kv.Status{kv.StatusHit, kv.StatusHit, kv.StatusHit, kv.StatusHit, kv.StatusMiss, kv.StatusHit} {
-		if got[i].Status != want {
-			t.Fatalf("slot %d status %v, want %v", i, got[i].Status, want)
-		}
-	}
-	if !bytes.Equal(got[1].Value, []byte{3}) || !bytes.Equal(got[5].Value, []byte{3}) {
-		t.Fatal("duplicate slots disagree")
-	}
-	if f.multigets != 1 {
-		t.Fatalf("inner MultiGets = %d, want 1 (remainder batched)", f.multigets)
-	}
-	if f.gets != 2 {
-		t.Fatalf("inner GETs = %d, want only the 2 warmup fetches", f.gets)
-	}
-	// The batch populated the cache: everything is now local.
-	before := f.multigets
-	c.MultiGet([]kv.Key{k(3), k(4)}, nil)
-	eng.Run()
-	if f.multigets != before {
-		t.Fatal("fully resident MultiGet still went to the origin")
-	}
-}
-
-func TestMultiGetFallsBackToGets(t *testing.T) {
-	eng := sim.New()
-	f := newFake(eng) // no BatchGetter
-	f.store[k(1)] = []byte("a")
-	f.store[k(2)] = []byte("b")
-	c := New(f, eng, nil, Config{TTL: sim.Second})
-
-	var got []kv.Result
-	if err := c.MultiGet([]kv.Key{k(1), k(2)}, func(rs []kv.Result) { got = rs }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if len(got) != 2 || got[0].Status != kv.StatusHit || got[1].Status != kv.StatusHit {
-		t.Fatalf("fallback MultiGet results %+v", got)
-	}
-	if f.gets != 2 {
-		t.Fatalf("inner GETs = %d, want 2", f.gets)
-	}
-}
-
-func TestMultiGetParksOnInflightFill(t *testing.T) {
-	eng := sim.New()
-	f := newFake(eng)
-	f.store[k(9)] = []byte("shared")
-	c := New(f, eng, nil, Config{TTL: sim.Second})
-
-	var single, batch kv.Result
-	c.Get(k(9), func(r kv.Result) { single = r })
-	if err := c.MultiGet([]kv.Key{k(9)}, func(rs []kv.Result) { batch = rs[0] }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if single.Status != kv.StatusHit || batch.Status != kv.StatusHit {
-		t.Fatalf("statuses %v / %v", single.Status, batch.Status)
-	}
-	if f.gets != 1 {
-		t.Fatalf("origin GETs = %d, want 1 (batch parked on the single fill)", f.gets)
-	}
-}
-
 func TestZeroKeyRejectedEverywhere(t *testing.T) {
 	eng := sim.New()
 	c := New(newFake(eng), eng, nil, Config{})
 	var zero kv.Key
 	if c.Get(zero, nil) == nil || c.Put(zero, []byte("v"), nil) == nil ||
-		c.Delete(zero, nil) == nil || c.MultiGet([]kv.Key{k(1), zero}, nil) == nil {
+		c.Delete(zero, nil) == nil {
 		t.Fatal("zero key accepted")
 	}
 	if c.Issued() != 0 {

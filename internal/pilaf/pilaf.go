@@ -277,10 +277,14 @@ func (c *Client) now() sim.Time { return c.machine.Verbs.NIC().Engine().Now() }
 
 // Put sends a PUT message (SEND over UC, inlined when small). The
 // client window bounds outstanding ops so PUTs never outrun the server's
-// pre-posted RECVs.
+// pre-posted RECVs. Empty values are refused, as the other systems'
+// clients refuse them.
 func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	if key.IsZero() {
 		return kv.ErrZeroKey
+	}
+	if len(value) == 0 {
+		return fmt.Errorf("pilaf: PUT requires a non-empty value")
 	}
 	if len(value) > cuckoo.MaxValueSize {
 		return cuckoo.ErrValueSize

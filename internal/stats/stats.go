@@ -111,28 +111,3 @@ func Throughput(ops uint64, elapsed sim.Time) float64 {
 	}
 	return float64(ops) / elapsed.Seconds() / 1e6
 }
-
-// Counter is a set of named monotonic counters for experiment output.
-type Counter struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{values: make(map[string]uint64)}
-}
-
-// Add increments name by delta, registering it on first use.
-func (c *Counter) Add(name string, delta uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] += delta
-}
-
-// Get returns name's value.
-func (c *Counter) Get(name string) uint64 { return c.values[name] }
-
-// Names returns counter names in first-use order.
-func (c *Counter) Names() []string { return append([]string(nil), c.names...) }

@@ -89,20 +89,3 @@ func TestThroughput(t *testing.T) {
 		t.Fatal("zero elapsed should give 0")
 	}
 }
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("gets", 2)
-	c.Add("puts", 1)
-	c.Add("gets", 3)
-	if c.Get("gets") != 5 || c.Get("puts") != 1 {
-		t.Fatalf("values = %d/%d", c.Get("gets"), c.Get("puts"))
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "gets" || names[1] != "puts" {
-		t.Fatalf("names = %v", names)
-	}
-	if c.Get("absent") != 0 {
-		t.Fatal("absent counter should be 0")
-	}
-}

@@ -10,8 +10,7 @@ import (
 // exactly; above that, each power of two is split into subBuckets
 // log-linear sub-buckets (HDR-histogram style), bounding the relative
 // quantization error of any reported quantile to 1/subBuckets = 6.25%
-// at fixed memory — unlike reservoir sampling, merges and long runs lose
-// nothing.
+// at fixed memory — unlike reservoir sampling, long runs lose nothing.
 const (
 	subBuckets = 16
 	subShift   = 4 // log2(subBuckets)
@@ -151,24 +150,4 @@ func (h *Histogram) Percentile(p float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Merge folds o's samples into h. Merging histograms from different
-// sources is exact for Count/Sum/Min/Max and bucket-exact for
-// percentiles (both sides share one fixed bucket geometry).
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil || o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
 }

@@ -16,6 +16,13 @@ func TestHistogramEmpty(t *testing.T) {
 			t.Fatalf("empty p%.0f = %d, want 0", p, got)
 		}
 	}
+	// A nil histogram is a no-op sink.
+	var nilH *Histogram
+	nilH.Record(1)
+	nilH.RecordTime(sim.Microsecond)
+	if nilH.Count() != 0 || nilH.Percentile(50) != 0 {
+		t.Fatal("nil histogram should be a no-op")
+	}
 }
 
 func TestHistogramSingleSample(t *testing.T) {
@@ -80,56 +87,6 @@ func TestHistogramPercentileClamping(t *testing.T) {
 	}
 	if got := h.Percentile(1); got < 1000 {
 		t.Fatalf("p1 = %d, below min", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 50; i++ {
-		a.Record(100)
-		b.Record(10_000)
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d, want 100", a.Count())
-	}
-	if a.Min() != 100 || a.Max() != 10_000 {
-		t.Fatalf("merged extremes [%d, %d], want [100, 10000]", a.Min(), a.Max())
-	}
-	if want := int64(50*100 + 50*10_000); a.Sum() != want {
-		t.Fatalf("merged sum = %d, want %d", a.Sum(), want)
-	}
-	// Median sits at the boundary between the two populations: the 50th
-	// of 100 samples is still a 100-valued one.
-	if got := a.Percentile(50); got != 100 {
-		t.Fatalf("merged p50 = %d, want 100", got)
-	}
-	if got := a.Percentile(99); got < 9_000 {
-		t.Fatalf("merged p99 = %d, want ~10000", got)
-	}
-
-	// Merging an empty histogram (or into a nil one) is a no-op.
-	before := a.Count()
-	a.Merge(NewHistogram())
-	a.Merge(nil)
-	if a.Count() != before {
-		t.Fatal("empty merge changed count")
-	}
-	var nilH *Histogram
-	nilH.Merge(a) // must not panic
-	nilH.Record(1)
-	nilH.RecordTime(sim.Microsecond)
-	if nilH.Count() != 0 || nilH.Percentile(50) != 0 {
-		t.Fatal("nil histogram should be a no-op")
-	}
-}
-
-func TestHistogramMergeEmptyReceiver(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	b.Record(7)
-	a.Merge(b)
-	if a.Min() != 7 || a.Max() != 7 || a.Count() != 1 {
-		t.Fatalf("merge into empty: min=%d max=%d count=%d", a.Min(), a.Max(), a.Count())
 	}
 }
 

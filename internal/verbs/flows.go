@@ -32,7 +32,7 @@ type sendOp struct {
 	stage opStage
 	lat   sim.Time // context-miss latency the next gated stage waits out
 	rx    []byte   // the payload as delivered (a damaged copy if corrupt)
-	rb    recvBuf  // the RECV an inbound SEND or WRITE-with-immediate took
+	rb    recvBuf  // the RECV an inbound SEND took
 
 	// fire (op.Fire) and arrive are bound once per record, so passing
 	// them as callbacks allocates nothing.
@@ -302,27 +302,22 @@ func (qp *QP) deliver(op *sendOp, corrupt bool) {
 
 // finishInbound starts the DMA of an inbound WRITE or SEND into host
 // memory and ACKs it on a reliable transport. A WRITE moves memory
-// without the responder CPU (memory semantics) — except
-// WRITE-with-immediate, which, like a SEND (channel semantics), consumes
-// the head RECV and raises a completion on the recv CQ. Without a RECV
-// posted, such a message is dropped whole.
+// without the responder CPU (memory semantics); a SEND (channel
+// semantics) consumes the head RECV and raises a completion on the recv
+// CQ. Without a RECV posted, a SEND is dropped whole.
 //
 //herd:hotpath
 func (qp *QP) finishInbound(op *sendOp) {
 	p := qp.host.nic.Params()
 	dmaBytes := len(op.rx)
-	if op.wr.Verb == SEND || op.wr.HasImm {
-		rb, ok := qp.popRecv()
-		if !ok {
+	if op.wr.Verb == SEND {
+		if qp.recvQueue.Len() == 0 {
 			qp.droppedSends++
 			qp.host.telDropped.Inc()
 			return
 		}
-		op.rb = rb
-		if op.wr.Verb == SEND {
-			dmaBytes = min(dmaBytes, rb.len) // a SEND is cut to its RECV
-		}
-		dmaBytes += p.CQEBytes
+		op.rb = qp.recvQueue.Pop()
+		dmaBytes = min(dmaBytes, op.rb.len) + p.CQEBytes // a SEND is cut to its RECV
 	}
 	op.stage = stageRxDMA
 	qp.host.nic.Bus().DMAWrite(dmaBytes, op.fire)
@@ -353,19 +348,9 @@ func (qp *QP) landInbound(op *sendOp, at sim.Time) {
 	}
 	tr.Mark("dma", at)
 	target, off, n := op.wr.Remote, op.wr.RemoteOff, len(op.rx)
-	hasImm, imm := op.wr.HasImm, op.wr.Imm
 	copy(target.buf[off:off+n], op.rx)
 	op.release()
 	target.landed(off, n)
-	if hasImm {
-		qp.host.telCompleted[RECV].Inc()
-		qp.recvCQ.push(Completion{
-			QPN: qp.qpn, WRID: rb.wrid, Verb: RECV,
-			Bytes: n, At: at,
-			SrcQPN: src.qpn, ImmDeliv: true, Imm: imm,
-			Trace: tr,
-		})
-	}
 }
 
 // deliverReadRequest services an inbound READ at the responder NIC: a

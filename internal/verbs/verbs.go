@@ -135,17 +135,15 @@ func (m *MR) landed(off, n int) {
 
 // Completion describes a completed verb.
 type Completion struct {
-	QPN      uint32
-	WRID     uint64
-	Verb     Verb
-	Bytes    int
-	At       sim.Time
-	Data     []byte // RECV: the received payload
-	SrcQPN   uint32 // RECV on UD: the sender's QP number
-	Dropped  bool   // SEND arriving with no posted RECV
-	Flushed  bool   // WR flushed in error when its QP transitioned to error
-	ImmDeliv bool   // RECV completed by a WRITE-with-immediate
-	Imm      uint32 // immediate data (ImmDeliv completions)
+	QPN     uint32
+	WRID    uint64
+	Verb    Verb
+	Bytes   int
+	At      sim.Time
+	Data    []byte // RECV: the received payload
+	SrcQPN  uint32 // RECV on UD: the sender's QP number
+	Dropped bool   // SEND arriving with no posted RECV
+	Flushed bool   // WR flushed in error when its QP transitioned to error
 
 	// Trace carries the lifecycle trace of the SEND that produced this
 	// RECV completion, if the sender attached one — how a traced request
@@ -293,9 +291,6 @@ type QP struct {
 	// lastDest tracks a DC initiator's current peer; switching peers
 	// costs the in-band reconnect.
 	lastDest *QP
-
-	// srq, when set, replaces the per-QP receive queue (AttachSRQ).
-	srq *SRQ
 
 	// txGate and rxGate preserve per-QP FIFO ordering across context-
 	// cache miss stalls: a context fetch stalls this QP's pipeline, so a
@@ -508,14 +503,6 @@ type SendWR struct {
 
 	// Dest is the destination QP for UD SENDs.
 	Dest *QP
-
-	// HasImm turns a WRITE into WRITE-with-immediate: the payload lands
-	// at the remote address as usual, AND a RECV is consumed at the
-	// responder whose completion carries Imm — RDMA's "write plus
-	// doorbell" notification pattern. If no RECV is posted the whole
-	// message is dropped (unreliable-transport semantics).
-	HasImm bool
-	Imm    uint32
 
 	// Trace, when non-nil, records this verb's lifecycle stages (PIO,
 	// NIC processing, wire, DMA, completion) as telemetry spans. Leave

@@ -84,6 +84,27 @@ func TestWriteWatcherFires(t *testing.T) {
 	}
 }
 
+// TestWriteConsumesNoRecv pins memory semantics: a WRITE lands without
+// taking a posted RECV or raising a recv completion.
+func TestWriteConsumesNoRecv(t *testing.T) {
+	tb := newTestbed()
+	qa, qb := connectedPair(tb, wire.UC)
+	mr := tb.b.RegisterMR(64)
+	if err := qb.PostRecv(tb.b.RegisterMR(64), 0, 64, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := qa.PostSend(SendWR{Verb: WRITE, Data: []byte{7}, Remote: mr, Inline: true}); err != nil {
+		t.Fatal(err)
+	}
+	tb.eng.Run()
+	if mr.Bytes()[0] != 7 {
+		t.Fatal("WRITE did not land")
+	}
+	if qb.RecvCQ().Pending() != 0 || qb.RecvQueueLen() != 1 {
+		t.Fatal("WRITE consumed a RECV")
+	}
+}
+
 func TestReadFetchesRemoteBytes(t *testing.T) {
 	tb := newTestbed()
 	qa, _ := connectedPair(tb, wire.RC)
