@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"herdkv/internal/kv"
@@ -42,6 +43,41 @@ func TestPreloadWritesThroughWAL(t *testing.T) {
 	}
 	if !srv.LastRecovery().Warm {
 		t.Fatal("restart was not warm")
+	}
+}
+
+// TestRefusedPreloadNotLogged: a preload the partition refuses (an
+// oversized value, a zero keyhash) must not reach the WAL. A logged
+// 70,000-byte value would also wrap its frame's u16 length, tearing
+// every record after it at recovery.
+func TestRefusedPreloadNotLogged(t *testing.T) {
+	cl, srv, _ := newHERD(t, durableConfig(DurabilityGroupCommit), 1)
+	first, last := kv.FromUint64(1), kv.FromUint64(2)
+	if err := srv.Preload(first, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Preload(kv.FromUint64(3), make([]byte, 70000)); !errors.Is(err, mica.ErrValueTooLarge) {
+		t.Fatalf("oversized preload: err=%v, want %v", err, mica.ErrValueTooLarge)
+	}
+	if err := srv.Preload(kv.Key{}, []byte("zero")); !errors.Is(err, mica.ErrZeroKey) {
+		t.Fatalf("zero-key preload: err=%v, want %v", err, mica.ErrZeroKey)
+	}
+	if err := srv.Preload(last, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.WAL().Appends(); n != 2 {
+		t.Fatalf("WAL appends = %d, want 2 (the accepted preloads only)", n)
+	}
+	srv.Crash()
+	srv.Restart()
+	cl.Eng.Run()
+	if rec := srv.LastRecovery(); !rec.Warm || rec.TornBytes != 0 {
+		t.Fatalf("recovery %+v, want warm with 0 torn bytes", rec)
+	}
+	for key, want := range map[kv.Key]string{first: "first", last: "last"} {
+		if v, ok := lookup(srv, key); !ok || string(v) != want {
+			t.Fatalf("key %v after warm restart: value=%q ok=%v, want %q", key, v, ok, want)
+		}
 	}
 }
 

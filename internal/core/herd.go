@@ -559,7 +559,7 @@ func (s *Server) applyRecord(r wal.Record) {
 			_, _, _ = s.applyVersionedPut(part, r.Key, r.Value)
 			return
 		}
-		_ = part.Put(r.Key, r.Value)
+		_ = part.Load(r.Key, r.Value)
 	case wal.OpDelete:
 		part.Delete(r.Key)
 	}
@@ -703,7 +703,9 @@ func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }
 // shards. With durability on it writes through the WAL as immediately
 // durable (the control-plane path models data loaded before the run):
 // otherwise a crash before the first flush would replay the log to a
-// pre-preload view and silently resurrect deleted or stale state.
+// pre-preload view and silently resurrect deleted or stale state. Only
+// what the partition accepts is logged. Unversioned items go in through
+// mica's bulk-load path (Cache.Load).
 func (s *Server) Preload(key kv.Key, value []byte) error {
 	part := s.parts[mica.Partition(key, s.cfg.NS)]
 	if s.cfg.VersionedValues {
@@ -719,10 +721,13 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 		}
 		return nil
 	}
+	if err := part.Load(key, value); err != nil {
+		return err
+	}
 	if s.wlog != nil {
 		s.wlog.AppendDurable(wal.Record{Op: wal.OpPut, Key: key, Value: value, Epoch: s.epoch})
 	}
-	return part.Put(key, value)
+	return nil
 }
 
 // PreloadDelete removes an item server-side, through the WAL like

@@ -88,3 +88,35 @@ func BenchmarkPutWrapped(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoad compares the two ways to bulk-load a partition sized
+// like one of the herd-read bench's six: 128 Ki buckets × 8 slots and a
+// log twice the size of its 174,763 32-byte items. Each op inserts one
+// fresh key; a full partition is replaced, untimed, by an empty one.
+// put is one Put per key, load is Load, which overlaps each batch's
+// bucket misses.
+func BenchmarkLoad(b *testing.B) {
+	const keys = (1<<20 + 5) / 6
+	cfg := Config{IndexBuckets: 1 << 17, BucketSlots: 8, LogBytes: keys * (entryHeader + 32) * 2}
+	for _, bc := range []struct {
+		name   string
+		insert func(*Cache, Key, []byte) error
+	}{{"put", (*Cache).Put}, {"load", (*Cache).Load}} {
+		b.Run(bc.name, func(b *testing.B) {
+			val := make([]byte, 32)
+			var c *Cache
+			for i := 0; i < b.N; i++ {
+				k := uint64(i % keys)
+				if k == 0 {
+					b.StopTimer()
+					c = New(cfg)
+					b.StartTimer()
+				}
+				if err := bc.insert(c, kv.FromUint64(k), val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c.Stats() // settle the last batch inside the timer
+		})
+	}
+}

@@ -13,7 +13,9 @@ import (
 // commits each segment the first time the append head reaches it, so
 // the gates run on a partition whose log has already wrapped once:
 // from then on the whole GET/PUT/DELETE chain reuses committed
-// segments without touching the heap.
+// segments without touching the heap. Load on that log falls back to
+// Put, so Load's batched path and settle run on a second partition
+// whose first segment is committed and has room for every gate run.
 func TestHotpathAllocFree(t *testing.T) {
 	c := New(Config{IndexBuckets: 1 << 10, BucketSlots: 8, LogBytes: 4*segStride + 4096})
 	fill := make([]byte, MaxValueSize)
@@ -30,6 +32,11 @@ func TestHotpathAllocFree(t *testing.T) {
 	off := c.head - uint64(entryHeader+len(val))
 	h := hash64(key)
 	s := makeSlot(7, 42)
+	base, tag := c.bucketOf(h)
+	fresh := New(Config{IndexBuckets: 1 << 10, BucketSlots: 8, LogBytes: 1 << 20})
+	if err := fresh.Load(key, val); err != nil {
+		t.Fatal(err)
+	}
 	hotgate.Check(t, ".", map[string]func(){
 		"hash64":         func() { _ = hash64(key) },
 		"Partition":      func() { _ = Partition(key, 6) },
@@ -42,6 +49,9 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Cache.Get":      func() { _, _ = c.Get(key) },
 		"Cache.append":   func() { _ = c.append(key, val) },
 		"Cache.Put":      func() { _ = c.Put(key, val) },
+		"Cache.slotFor":  func() { _ = c.slotFor(base, tag, key) },
+		"Cache.Load":     func() { _ = fresh.Load(key, val) },
+		"Cache.settle":   func() { _ = fresh.Load(key, val); fresh.settle() },
 		"Cache.Delete":   func() { _ = c.Delete(key) },
 	})
 }

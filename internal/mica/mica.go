@@ -16,6 +16,12 @@
 //     has written.
 //   - Keys are 16-byte keyhashes (HERD requests carry only the keyhash);
 //     a zero keyhash is reserved by the HERD protocol and rejected.
+//   - A bulk load (Load) appends each entry at once but applies index
+//     inserts a batch at a time, touching the batch's buckets first so
+//     their cache misses overlap, as the paper's server overlaps
+//     requests' memory accesses (Section 4.1.1). Get, Put, Delete,
+//     Range and Stats settle the batch first, so the cache always
+//     reads as if each Load had been a Put.
 package mica
 
 import (
@@ -70,6 +76,11 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{IndexBuckets: 1 << 14, BucketSlots: 8, LogBytes: 1 << 22}
 }
+
+// loadBatch is how many index inserts Load queues before settle
+// applies them: enough independent bucket misses to keep the CPU's
+// outstanding-miss slots busy.
+const loadBatch = 32
 
 // maxBucketSlots caps BucketSlots: each bucket's FIFO victim counter
 // is one byte.
@@ -142,6 +153,21 @@ type Cache struct {
 	head    uint64   // total bytes ever appended (monotonic)
 	fifoPos []uint8  // next eviction victim per bucket, in [0, BucketSlots)
 	stats   Stats
+
+	// Load's queued index inserts, in Load order; queued counts them.
+	// touched keeps settle's bucket touches from being optimised away.
+	queue   [loadBatch]pendingInsert
+	queued  int
+	touched slot
+}
+
+// pendingInsert is one queued Load: the entry Load appended for key at
+// log offset off, waiting to be indexed in the bucket at base.
+type pendingInsert struct {
+	key  Key
+	off  uint64
+	base int
+	tag  uint16
 }
 
 // New returns an empty cache partition.
@@ -171,7 +197,12 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of activity counters.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats {
+	if c.queued != 0 {
+		c.settle()
+	}
+	return c.stats
+}
 
 // bucketOf maps a keyhash to its bucket's slot base and tag.
 //
@@ -208,6 +239,9 @@ func (c *Cache) entry(off uint64) (key Key, value []byte, ok bool) {
 //
 //herd:hotpath
 func (c *Cache) Get(key Key) ([]byte, bool) {
+	if c.queued != 0 {
+		c.settle()
+	}
 	c.stats.Gets++
 	if key.IsZero() {
 		return nil, false
@@ -278,18 +312,31 @@ func (c *Cache) Put(key Key, value []byte) error {
 	if len(value) > MaxValueSize {
 		return ErrValueTooLarge
 	}
+	if c.queued != 0 {
+		c.settle()
+	}
 	c.stats.Puts++
-	h := hash64(key)
-	base, tag := c.bucketOf(h)
+	base, tag := c.bucketOf(hash64(key))
 	c.stats.MemAccesses++ // bucket read/update
+	// Locate the destination slot before appending: stale detection
+	// reads the log head as it stood before this entry.
+	i := c.slotFor(base, tag, key)
+	c.slots[i] = makeSlot(tag, c.append(key, value))
+	return nil
+}
 
-	// Locate the destination slot first. Tags are partial hashes, so a
-	// tag match must be confirmed against the full keyhash stored in the
-	// log before reusing the slot — otherwise two distinct keys sharing
-	// a tag would silently merge.
-	match, free := -1, -1
-	for i := 0; i < c.cfg.BucketSlots; i++ {
-		s := c.slots[base+i]
+// slotFor returns the slot key's entry goes in, within the bucket at
+// base: key's own slot, else the first free one, else the bucket's FIFO
+// victim (the lossy index). Tags are partial hashes, so a tag match
+// must be confirmed against the full keyhash stored in the log before
+// reusing the slot — otherwise two distinct keys sharing a tag would
+// silently merge.
+//
+//herd:hotpath
+func (c *Cache) slotFor(base int, tag uint16, key Key) int {
+	free := -1
+	for i := base; i < base+c.cfg.BucketSlots; i++ {
+		s := c.slots[i]
 		if !s.used() {
 			if free < 0 {
 				free = i
@@ -298,26 +345,69 @@ func (c *Cache) Put(key Key, value []byte) error {
 		}
 		if s.tag() == tag {
 			if stored, _, ok := c.entry(s.off()); ok && stored == key {
-				match = i
-				break
+				return i
 			}
 		}
 	}
-	s := makeSlot(tag, c.append(key, value))
-	switch {
-	case match >= 0:
-		c.slots[base+match] = s
-	case free >= 0:
-		c.slots[base+free] = s
-	default:
-		// Full bucket: evict FIFO (the lossy index).
-		b := base / c.cfg.BucketSlots
-		v := int(c.fifoPos[b])
-		c.fifoPos[b] = uint8((v + 1) % c.cfg.BucketSlots)
-		c.slots[base+v] = s
-		c.stats.IndexEvictions++
+	if free >= 0 {
+		return free
+	}
+	b := base / c.cfg.BucketSlots
+	v := int(c.fifoPos[b])
+	c.fifoPos[b] = uint8((v + 1) % c.cfg.BucketSlots)
+	c.stats.IndexEvictions++
+	return base + v
+}
+
+// Load is the bulk-load form of Put, with the same checks, result and
+// Stats. It appends the log entry at once, so the caller may reuse
+// value, but queues the index insert; every loadBatch queued inserts
+// are applied together by settle, and Get, Put, Delete, Range and Stats
+// settle first.
+// Batching is exact only while the log has not wrapped, since Put's
+// stale detection reads the head at scan time, so an append that
+// could reach the end of the log's first lap falls back to Put.
+//
+//herd:hotpath
+func (c *Cache) Load(key Key, value []byte) error {
+	if key.IsZero() {
+		return ErrZeroKey
+	}
+	if len(value) > MaxValueSize {
+		return ErrValueTooLarge
+	}
+	if c.head+uint64(entryHeader+len(value)) > uint64(c.cfg.LogBytes) {
+		return c.Put(key, value)
+	}
+	c.stats.Puts++
+	base, tag := c.bucketOf(hash64(key))
+	c.stats.MemAccesses++ // bucket read/update, in settle
+	c.queue[c.queued] = pendingInsert{key: key, off: c.append(key, value), base: base, tag: tag}
+	c.queued++
+	if c.queued == loadBatch {
+		c.settle()
 	}
 	return nil
+}
+
+// settle applies the queued Load inserts in Load order, each exactly as
+// Put would have. It first reads every queued bucket: the loads are
+// independent, so the CPU overlaps their misses, and the inserts that
+// follow find their buckets in cache.
+//
+//herd:hotpath
+func (c *Cache) settle() {
+	q := c.queue[:c.queued]
+	t := c.touched
+	for i := range q {
+		t ^= c.slots[q[i].base]
+	}
+	c.touched = t
+	for i := range q {
+		p := &q[i]
+		c.slots[c.slotFor(p.base, p.tag, p.key)] = makeSlot(p.tag, p.off)
+	}
+	c.queued = 0
 }
 
 // Delete removes key from the index. It returns whether the key was
@@ -327,6 +417,9 @@ func (c *Cache) Put(key Key, value []byte) error {
 func (c *Cache) Delete(key Key) bool {
 	if key.IsZero() {
 		return false
+	}
+	if c.queued != 0 {
+		c.settle()
 	}
 	h := hash64(key)
 	base, tag := c.bucketOf(h)
@@ -349,6 +442,9 @@ func (c *Cache) Delete(key Key) bool {
 // Range performs no timing-model accounting: it is a control-plane
 // walk for migration and diagnostics, not a data-path operation.
 func (c *Cache) Range(fn func(key Key, value []byte) bool) {
+	if c.queued != 0 {
+		c.settle()
+	}
 	for _, s := range c.slots {
 		if !s.used() {
 			continue
@@ -380,7 +476,7 @@ func Partition(key Key, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	// Use the upper hash bits so partitioning is independent of the
-	// bucket index bits.
+	// The whole hash mod n: partitionSeed differs from bucketSeed, so
+	// the partition is independent of the bucket index.
 	return int(key.Hash64(partitionSeed) % uint64(n))
 }

@@ -23,7 +23,9 @@ package wal
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math"
 
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
@@ -67,12 +69,19 @@ const (
 // library computes it with CRC instructions where the CPU has them.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// maxValue is the largest value a frame's u16 payload length can hold.
+const maxValue = math.MaxUint16 - recFixed - recSum
+
 // appendRecord encodes r onto buf. It allocates only when buf's
 // capacity runs out, so flush loops reusing a grown buffer are
-// allocation-free.
+// allocation-free. It panics on a value over maxValue bytes, whose
+// frame length would wrap and tear every record logged after it.
 //
 //herd:hotpath
 func appendRecord(buf []byte, r Record) []byte {
+	if len(r.Value) > maxValue {
+		panic(fmt.Sprintf("wal: %d-byte value exceeds the %d-byte frame limit", len(r.Value), maxValue)) //lint:allow hotalloc — a caller bug, never on a running path
+	}
 	payload := recFixed + len(r.Value) + recSum
 	var hdr [2 + recFixed]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], uint16(payload))

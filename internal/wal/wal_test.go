@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"herdkv/internal/kv"
@@ -83,6 +84,24 @@ func TestFrameChecksumIsCRC32C(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(frame[len(frame)-recSum:]); got != want {
 		t.Fatalf("frame checksum %#08x, want CRC-32C %#08x", got, want)
 	}
+}
+
+// TestFrameLengthLimit: the largest value whose frame fits the u16
+// length round-trips, and one byte more panics naming the size instead
+// of writing a wrapped length that tears the rest of the log.
+func TestFrameLengthLimit(t *testing.T) {
+	big := bytes.Repeat([]byte{7}, maxValue)
+	got, clean, torn := decodeAll(appendRecord(nil, Record{Op: OpPut, Key: kv.FromUint64(1), Value: big}))
+	if len(got) != 1 || torn != 0 || clean == 0 || !bytes.Equal(got[0].Value, big) {
+		t.Fatalf("%d-byte value: records=%d clean=%d torn=%d", maxValue, len(got), clean, torn)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if want := fmt.Sprintf("%d-byte value", maxValue+1); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one naming the %s", msg, want)
+		}
+	}()
+	appendRecord(nil, Record{Op: OpPut, Key: kv.FromUint64(2), Value: make([]byte, maxValue+1)})
 }
 
 func TestGroupCommitFlushesOnInterval(t *testing.T) {
