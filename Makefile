@@ -48,11 +48,12 @@ tables:
 	@$(GO) run ./cmd/herdbench -warmup 50 -span 150 all | sed '/ generated in /d'
 
 # Paper-figure benchmarks, plus the simulator substrate's per-event
-# microbenchmarks (engine schedule+step, Server job, PIO write, packet
-# send), the MICA index's Get/Put, its bulk load (BenchmarkLoad: ns per
-# key through Put against Load, on a herd-read-sized partition) and the
-# mux endpoint's scheduler at 64, 2,048 and 65,536 channels, which
-# report allocs/op and should all read 0.
+# microbenchmarks (engine schedule+step, one event against a standing
+# queue shaped like fleet-write's, Server job, PIO write, packet send),
+# the MICA index's Get/Put, its bulk load (BenchmarkLoad: ns per key
+# through Put against Load, on a herd-read-sized partition) and the mux
+# endpoint's scheduler at 64, 2,048 and 65,536 channels, which report
+# allocs/op and should all read 0.
 microbench:
 	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/ ./internal/mux/
 

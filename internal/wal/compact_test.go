@@ -11,15 +11,14 @@ import (
 	"herdkv/internal/sim"
 )
 
-// refFramesAfter is compaction as it is specified: decode the log,
-// keep the records appended after t, and re-encode them.
-func refFramesAfter(log []byte, t sim.Time) []byte {
+// refTail is compaction as it is specified: decode the log, drop the
+// first covered records (the ones the snapshot holds), and re-encode
+// the rest.
+func refTail(log []byte, covered int) []byte {
 	recs, _, _ := decodeAll(log)
 	var out []byte
-	for _, r := range recs {
-		if r.At > t {
-			out = appendRecord(out, r)
-		}
+	for _, r := range recs[covered:] {
+		out = appendRecord(out, r)
 	}
 	return out
 }
@@ -86,30 +85,6 @@ func interleavedLog(t *testing.T) *Log {
 	return l
 }
 
-// TestFramesAfterMatchesReencode: compaction copies surviving frames
-// as they are, into a tail of exactly their size, and that tail equals
-// decoding the log and re-encoding the survivors, at every cut and on
-// a log with a torn end.
-func TestFramesAfterMatchesReencode(t *testing.T) {
-	l := interleavedLog(t)
-	recs, _, _ := decodeAll(l.durable)
-	cuts := []sim.Time{-1, 0, 1 << 40}
-	for _, r := range recs {
-		cuts = append(cuts, r.At-1, r.At, r.At+1)
-	}
-	for _, log := range [][]byte{l.durable, l.durable[:len(l.durable)-3]} {
-		for _, cut := range cuts {
-			got, want := framesAfter(log, cut), refFramesAfter(log, cut)
-			if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
-				t.Fatalf("cut %v: framesAfter gave %d bytes, re-encoding %d", cut, len(got), len(want))
-			}
-			if cap(got) != len(got) {
-				t.Fatalf("cut %v: tail has cap %d for %d bytes", cut, cap(got), len(got))
-			}
-		}
-	}
-}
-
 // TestRecordsSinceMatchesDecode: RecordsSince over durable, in-flight
 // and pending records equals decoding all of them and filtering, at
 // every cut.
@@ -128,16 +103,18 @@ func TestRecordsSinceMatchesDecode(t *testing.T) {
 
 // TestSnapshotTailMatchesReencode runs a real compaction while
 // durable-path records keep arriving, and checks the tail it leaves
-// against decode-and-re-encode of the log it compacted.
+// against decode-and-re-encode of the log it compacted, less the
+// records logged when the snapshot captured the live state.
 func TestSnapshotTailMatchesReencode(t *testing.T) {
 	eng := sim.New()
 	cfg := testConfig()
 	cfg.SnapshotEvery = 256
 	l := New(eng, cfg, nil)
-	var takenAt sim.Time
+	covered := -1
 	var compacted []byte
 	l.SetSnapshotSource(func(emit func(kv.Key, []byte)) {
-		takenAt = eng.Now()
+		recs, _, _ := decodeAll(l.durable)
+		covered = len(recs)
 		emit(kv.FromUint64(1), []byte("live"))
 		for i := 1; i <= 3; i++ {
 			i := i
@@ -155,8 +132,46 @@ func TestSnapshotTailMatchesReencode(t *testing.T) {
 	if l.Snapshots() != 1 {
 		t.Fatalf("snapshots = %d, want 1", l.Snapshots())
 	}
-	want := refFramesAfter(compacted, takenAt)
+	want := refTail(compacted, covered)
 	if len(want) == 0 || !bytes.Equal(l.durable, want) || cap(l.durable) != len(l.durable) {
 		t.Fatalf("compacted tail %d bytes (cap %d), re-encoding gives %d", len(l.durable), cap(l.durable), len(want))
+	}
+}
+
+// TestCompactionKeepsRecordAppendedAtCaptureInstant: a durable-path
+// record (a migration or recovery Preload) appended at the very instant
+// the snapshot captured the live state, but after the capture, is in
+// neither the snapshot nor the state it walked. Compaction must keep it
+// in the log, so a crash after the snapshot lands does not lose it.
+func TestCompactionKeepsRecordAppendedAtCaptureInstant(t *testing.T) {
+	eng := sim.New()
+	cfg := testConfig()
+	cfg.SnapshotEvery = 1
+	l := New(eng, cfg, nil)
+	live := map[kv.Key]string{}
+	l.SetSnapshotSource(func(emit func(kv.Key, []byte)) {
+		for k, v := range live {
+			emit(k, []byte(v))
+		}
+	})
+	live[kv.FromUint64(1)] = "flushed"
+	l.Append(rec(1, "flushed"), nil)
+	l.Flush()
+	for !l.snapInProg {
+		if !eng.Step() {
+			t.Fatal("the flush started no snapshot")
+		}
+	}
+	eng.At(eng.Now(), func() { l.AppendDurable(rec(2, "at-capture")) })
+	eng.Run()
+	if l.Snapshots() != 1 {
+		t.Fatalf("snapshots = %d, want 1", l.Snapshots())
+	}
+	l.Crash()
+	got := map[kv.Key]string{}
+	l.Recover(func(r Record) { got[r.Key] = string(r.Value) }, func(RecoverStats) {})
+	eng.Run()
+	if got[kv.FromUint64(1)] != "flushed" || got[kv.FromUint64(2)] != "at-capture" {
+		t.Fatalf("recovered %q and %q, want \"flushed\" and \"at-capture\"", got[kv.FromUint64(1)], got[kv.FromUint64(2)])
 	}
 }

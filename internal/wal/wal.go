@@ -155,28 +155,6 @@ func decodeAll(buf []byte) (recs []Record, clean int, torn int) {
 	return recs, clean, len(buf) - clean
 }
 
-// framesAfter copies the frames of log appended after t, in log order,
-// into one buffer of exactly their size (nil when none are). Frames are
-// copied as they are: re-encoding a decoded frame gives its bytes back.
-func framesAfter(log []byte, t sim.Time) []byte {
-	n := 0
-	walkFrames(log, func(f []byte) {
-		if frameAt(f) > t {
-			n += len(f)
-		}
-	})
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, 0, n)
-	walkFrames(log, func(f []byte) {
-		if frameAt(f) > t {
-			out = append(out, f...)
-		}
-	})
-	return out
-}
-
 // Config parameterizes the log's group commit and persist device.
 // Zero values take the defaults below (an NVM-class device).
 type Config struct {
@@ -533,6 +511,12 @@ func (l *Log) maybeSnapshot() {
 		return
 	}
 	takenAt := l.clk.Now()
+	// The snapshot covers exactly the durable bytes logged so far. The
+	// log grows only at its end while the snapshot holds the device (no
+	// flush can commit, and a crash cancels the snapshot), so the bytes
+	// past covered are the tail to keep, even those appended later at
+	// this same instant.
+	covered := len(l.durable)
 	epoch := l.maxEpoch
 	if epoch < 0 {
 		epoch = 0
@@ -556,11 +540,16 @@ func (l *Log) maybeSnapshot() {
 		l.snapshots++
 		l.snapshotBytes += uint64(len(buf))
 		l.telSnapshot.Add(uint64(len(buf)))
-		// Drop every durable record the snapshot covers. Records
-		// appended after takenAt (flushed while the snapshot was
-		// persisting, or pending then) survive as the new tail; replay
-		// order (snapshot, then tail) keeps last-writer-wins intact.
-		l.durable = framesAfter(l.durable, takenAt)
+		// Drop every durable record the snapshot covers, and copy the
+		// rest into a tail of exactly its size (nil when empty);
+		// replay order (snapshot, then tail) keeps last-writer-wins
+		// intact.
+		var tail []byte
+		if n := len(l.durable) - covered; n > 0 {
+			tail = make([]byte, n)
+			copy(tail, l.durable[covered:])
+		}
+		l.durable = tail
 		l.snapBase = len(l.durable)
 		if l.flushDue || l.npending >= l.cfg.FlushBatch {
 			l.flushDue = false
