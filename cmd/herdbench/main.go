@@ -52,6 +52,22 @@ func main() {
 	jsonDir := flag.String("json", "", "write each run target's report as BENCH_<name>.json into this directory")
 	flag.Parse()
 
+	// A zero or negative window would run every target and report
+	// all-zero rates (and overwrite BENCH_*.json with them).
+	for _, c := range []struct {
+		flag string
+		ok   bool
+		want string
+	}{
+		{"warmup", *warmupUS >= 0, "at least 0"},
+		{"span", *spanUS >= 1, "at least 1"},
+	} {
+		if !c.ok {
+			fmt.Fprintf(os.Stderr, "herdbench: -%s %s: must be %s\n", c.flag, flag.Lookup(c.flag).Value, c.want)
+			os.Exit(2)
+		}
+	}
+
 	experiments.Warmup = sim.Time(*warmupUS) * sim.Microsecond
 	experiments.Span = sim.Time(*spanUS) * sim.Microsecond
 

@@ -51,7 +51,7 @@ type Key = kv.Key
 type KV = kv.KV
 
 // Status classifies an operation outcome with a vocabulary shared by
-// all systems: hit, miss, timeout, flushed, busy.
+// all systems: hit, miss, timeout, flushed.
 type Status = kv.Status
 
 // Operation outcomes.
@@ -61,7 +61,6 @@ const (
 	StatusMiss    = kv.StatusMiss
 	StatusTimeout = kv.StatusTimeout
 	StatusFlushed = kv.StatusFlushed
-	StatusBusy    = kv.StatusBusy
 )
 
 // KeyFromUint64 derives a well-mixed, non-zero keyhash from n.
@@ -342,11 +341,6 @@ func ParseFaultSchedule(script string) (*FaultSchedule, error) {
 // ErrTimedOut is the terminal error of a HERD operation that exhausted
 // its retry budget without a response.
 var ErrTimedOut = core.ErrTimedOut
-
-// ErrOverloaded is the terminal error of a HERD operation whose
-// Config.OpDeadline expired while the server was pushing back with
-// busy responses (docs/ROBUSTNESS.md, "Overload & admission control").
-var ErrOverloaded = core.ErrOverloaded
 
 // Telemetry (docs/OBSERVABILITY.md).
 

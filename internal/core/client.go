@@ -23,14 +23,6 @@ import (
 // reissue.
 var ErrTimedOut = errors.New("herd: operation timed out after retry budget")
 
-// ErrOverloaded is the terminal error of an operation the server kept
-// shedding (StatusBusy pushback) until the op's deadline
-// (Config.OpDeadline) passed. Unlike ErrTimedOut, the server is alive
-// and answering — it is refusing work faster than it can serve it — so
-// callers should back off or steer to a replica, not treat this as a
-// crash.
-var ErrOverloaded = errors.New("herd: server overloaded; op deadline passed before admission")
-
 // Result is the outcome of one HERD operation, delivered to the caller's
 // callback when the response SEND arrives — or when the op fails
 // terminally, in which case Err is non-nil and Status is
@@ -58,11 +50,10 @@ type pendingOp struct {
 	cb       func(Result)
 
 	// began/begun record the op's FIRST issue: busy pushback reissues
-	// the op as a fresh wire transaction, but latency and the per-op
-	// deadline are measured from the original issue.
-	began    bool
-	begun    sim.Time
-	deadline sim.Time // begun + Config.OpDeadline; zero when disabled
+	// the op as a fresh wire transaction, but latency is measured from
+	// the original issue.
+	began bool
+	begun sim.Time
 
 	// Retry state.
 	proc    int
@@ -148,7 +139,7 @@ type Client struct {
 	failed                     uint64 // terminal retry-budget failures
 	corruptResponses           uint64 // responses rejected by the status check
 	reconnects                 uint64 // completed re-registration handshakes
-	busyRx                     uint64 // StatusBusy pushback responses received
+	busyRx                     uint64 // busy pushback responses received
 	windowShrinks              uint64 // multiplicative-decrease events
 
 	// cwnd is the AIMD congestion window (Config.AdaptiveWindow):
@@ -196,7 +187,7 @@ func (c *Client) CorruptResponses() uint64 { return c.corruptResponses }
 // Reconnects reports completed crash-recovery handshakes.
 func (c *Client) Reconnects() uint64 { return c.reconnects }
 
-// BusyResponses reports StatusBusy pushback responses received from the
+// BusyResponses reports busy pushback responses received from the
 // server's admission controller.
 func (c *Client) BusyResponses() uint64 { return c.busyRx }
 
@@ -328,7 +319,6 @@ func (c *Client) newOp(kind opKind, key kv.Key, cb func(Result)) *pendingOp {
 	op.cb = cb
 	op.began = false
 	op.begun = 0
-	op.deadline = 0
 	op.proc = 0
 	op.r = 0
 	op.payload = nil
@@ -588,13 +578,10 @@ func (c *Client) issue(op *pendingOp) {
 	op.slotOff = slotOff + SlotSize - len(payload)
 	op.issuedAt = c.machine.Verbs.NIC().Engine().Now()
 	if !op.began {
-		// First issue: latency and the per-op deadline are anchored
-		// here; busy-pushback reissues keep the original anchors.
+		// First issue: latency is anchored here; busy-pushback
+		// reissues keep the original anchor.
 		op.began = true
 		op.begun = op.issuedAt
-		if cfg.OpDeadline > 0 {
-			op.deadline = op.begun + cfg.OpDeadline
-		}
 	}
 	c.inflight++
 	c.issued++
@@ -999,13 +986,12 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 	c.recycleOp(op)
 }
 
-// handleBusy processes a StatusBusy pushback: the server shed the
+// handleBusy processes a busy pushback: the server shed the
 // request at poll time and attached a retry-after hint. The op leaves
 // the wire (freeing its window slot) and resubmits after the hinted
-// delay — unless its deadline would pass first, in which case it fails
-// terminally with ErrOverloaded. Busy is a congestion signal, not a
-// crash signal: the AIMD window halves but no reconnect handshake
-// starts and the retry-backoff counter resets.
+// delay, however many times the server sheds it. Busy is a congestion
+// signal, not a crash signal: the AIMD window halves but no reconnect
+// handshake starts and the retry-backoff counter resets.
 func (c *Client) handleBusy(op *pendingOp, hint sim.Time) {
 	op.attempt++ // invalidate the armed retry timer; the op re-arms on reissue
 	c.quarantineSlot(op)
@@ -1018,32 +1004,6 @@ func (c *Client) handleBusy(op *pendingOp, hint sim.Time) {
 	now := c.machine.Verbs.NIC().Engine().Now()
 	op.trace.Mark("busy", now)
 
-	delay := c.jitter(hint)
-	if op.deadline > 0 && now+delay >= op.deadline {
-		c.failBusy(op, now)
-		c.pumpWaiting()
-		return
-	}
-	c.armTimer(now+delay, op, timerResubmit)
+	c.armTimer(now+c.jitter(hint), op, timerResubmit)
 	c.pumpWaiting()
-}
-
-// failBusy terminates an op whose deadline passed while the server kept
-// shedding it. Unlike failOp, no reconnect handshake starts: busy
-// responses prove the server is alive, just refusing work.
-func (c *Client) failBusy(op *pendingOp, now sim.Time) {
-	op.done = true
-	c.failed++
-	c.telFailed.Inc()
-	op.trace.Mark("overloaded", now)
-	if op.cb != nil {
-		op.cb(Result{
-			Key:     op.key,
-			IsGet:   op.kind == opGet,
-			Status:  kv.StatusBusy,
-			Latency: now - op.begun,
-			Err:     ErrOverloaded,
-		})
-	}
-	c.recycleOp(op)
 }

@@ -75,7 +75,7 @@ const (
 	statusBusy = 3
 )
 
-// busyHintBytes is the size of the retry-after hint riding a StatusBusy
+// busyHintBytes is the size of the retry-after hint riding a busy
 // response, encoded as uint32 nanoseconds.
 const busyHintBytes = 4
 
@@ -164,25 +164,15 @@ type Config struct {
 	// requests awaiting CPU service. A request landing while the queue
 	// is full is shed at poll time — before any MICA work, so a
 	// rejected request costs near-zero server CPU — with an explicit
-	// StatusBusy response carrying a retry-after hint derived from the
+	// busy response carrying a retry-after hint derived from the
 	// queue depth and the process's service-time EWMA. 0 disables
 	// admission control (the paper's behavior: unbounded queueing,
 	// overload surfaces only as latency and eventual client timeouts).
 	AdmissionLimit int
 
-	// OpDeadline bounds an operation's total time in flight across
-	// busy retries: when a StatusBusy pushback's retry-after hint
-	// would reschedule the op past its deadline, the op fails
-	// terminally with ErrOverloaded (kv.StatusBusy) instead. 0
-	// disables deadlines — busy retries continue until admitted.
-	// Deadlines govern only the busy path; loss-retry budgets
-	// (MaxRetries) are deliberately decoupled, so pushback never
-	// counts against the crash-detection budget.
-	OpDeadline sim.Time
-
 	// AdaptiveWindow enables the client-side AIMD window: additive
 	// increase on served completions, multiplicative decrease (halve)
-	// on StatusBusy pushback or terminal timeout, floor 1, ceiling
+	// on busy pushback or terminal timeout, floor 1, ceiling
 	// Window. Clients then self-pace under overload instead of
 	// retry-storming. Off by default (the paper's fixed W).
 	AdaptiveWindow bool
@@ -331,7 +321,7 @@ type Server struct {
 
 	// Admission control (Config.AdmissionLimit > 0): per-process count
 	// of admitted requests awaiting CPU service, and an EWMA of
-	// per-request service time. Together they yield the StatusBusy
+	// per-request service time. Together they yield the busy
 	// retry-after hint: depth x EWMA estimates the queue drain time.
 	queued  []int
 	svcEWMA []sim.Time
@@ -750,7 +740,7 @@ func (s *Server) Deletes() uint64 { return s.deletes }
 // checks (corrupted or malformed).
 func (s *Server) Rejected() uint64 { return s.rejected }
 
-// Shed reports requests refused by admission control with a StatusBusy
+// Shed reports requests refused by admission control with a busy
 // pushback (Config.AdmissionLimit).
 func (s *Server) Shed() uint64 { return s.shed }
 
@@ -894,7 +884,7 @@ func (s *Server) retryAfterHint(proc int) sim.Time {
 }
 
 // shedRequest refuses one request under overload: an immediate
-// StatusBusy SEND carrying the retry-after hint, posted without
+// busy SEND carrying the retry-after hint, posted without
 // touching MICA or the process's service queue.
 func (s *Server) shedRequest(proc, client int, rMod uint16, tr *telemetry.Trace) {
 	s.shed++

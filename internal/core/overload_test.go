@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"herdkv/internal/kv"
-	"herdkv/internal/sim"
 	"herdkv/internal/verbs"
 )
 
@@ -81,47 +80,6 @@ func TestAdmissionDisabledNeverSheds(t *testing.T) {
 	}
 }
 
-// TestOpDeadlineFailsBusyTerminally sets a deadline shorter than the
-// minimum busy retry-after hint, so a shed op cannot be retried in
-// time: it must resolve as StatusBusy/ErrOverloaded — and, because
-// busy proves the server alive, without starting a reconnect
-// handshake.
-func TestOpDeadlineFailsBusyTerminally(t *testing.T) {
-	cfg := overloadConfig()
-	cfg.OpDeadline = 1 * sim.Microsecond
-	cl, _, clients := newHERD(t, cfg, 2)
-	var overloaded, servedOK int
-	for i := 0; i < 24; i++ {
-		clients[i%2].Get(kv.FromUint64(uint64(i)+1), func(r Result) {
-			switch r.Status {
-			case kv.StatusBusy:
-				if r.Err != ErrOverloaded {
-					t.Errorf("busy result carries err %v", r.Err)
-				}
-				overloaded++
-			case kv.StatusMiss:
-				servedOK++
-			default:
-				t.Errorf("unexpected status %v (err %v)", r.Status, r.Err)
-			}
-		})
-	}
-	cl.Eng.Run()
-
-	if overloaded == 0 {
-		t.Fatal("no op hit its deadline under a queue cap of one")
-	}
-	if servedOK == 0 {
-		t.Fatal("no op was admitted at all")
-	}
-	if f := clients[0].Failed() + clients[1].Failed(); f != uint64(overloaded) {
-		t.Fatalf("Failed() = %d, want %d (one per ErrOverloaded)", f, overloaded)
-	}
-	if rc := clients[0].Reconnects() + clients[1].Reconnects(); rc != 0 {
-		t.Fatalf("%d reconnects; deadline-on-busy must not trigger crash recovery", rc)
-	}
-}
-
 // TestAdaptiveWindowShrinksUnderBusy checks the AIMD controller reacts
 // to pushback: multiplicative decrease fires, the window never leaves
 // [1, Config.Window], and every op still completes.
@@ -193,7 +151,7 @@ func TestAdaptiveWindowRecovers(t *testing.T) {
 }
 
 // TestBusyResponseRejectedWithoutHint pins the structural check: a
-// response claiming StatusBusy without the fixed-size retry-after hint
+// response claiming statusBusy without the fixed-size retry-after hint
 // is damage, and damage must not complete (or requeue) any op.
 func TestBusyResponseRejectedWithoutHint(t *testing.T) {
 	cl, _, clients := newHERD(t, overloadConfig(), 1)

@@ -30,8 +30,7 @@ const (
 // pre-overload-controller behavior: blind windows, no admission, and a
 // retry budget that turns queueing delay into duplicated service and
 // terminal timeouts. The controlled config adds poll-time shedding and
-// client AIMD; OpDeadline stays off so shed operations wait out the
-// hint instead of failing.
+// client AIMD; shed operations wait out the hint instead of failing.
 func overloadConfig(window int, controlled bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.NS = 1

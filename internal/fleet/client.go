@@ -47,7 +47,6 @@ type Client struct {
 	machine *cluster.Machine
 	subs    []kv.KV     // indexed by shard id; grows with AddShard
 	suspect []sim.Time  // per shard id: avoid reads until this time
-	brk     []breaker   // per shard id: brownout circuit breaker
 	hot     *hotTracker // hot-key detector, nil when HotKeyTrack is 0
 
 	issued    uint64
@@ -59,9 +58,6 @@ type Client struct {
 	replicaReads uint64
 	fanoutPuts   uint64
 	suspected    uint64
-	brkOpens     uint64
-	brkCloses    uint64
-	brkProbes    uint64
 	hotWidened   uint64
 
 	// Versioned-replication state: the write-stamp generator (verID
@@ -92,10 +88,6 @@ type Client struct {
 	telReplica    *telemetry.Counter
 	telFanout     *telemetry.Counter
 	telSuspected  *telemetry.Counter
-	telBrkOpened  *telemetry.Counter
-	telBrkClosed  *telemetry.Counter
-	telBrkProbes  *telemetry.Counter
-	telBrkState   *telemetry.Gauge
 	telHotWidened *telemetry.Counter
 	telHotKeys    *telemetry.Gauge
 
@@ -104,32 +96,6 @@ type Client struct {
 	telStaleReads    *telemetry.Counter
 	telRepairIssued  *telemetry.Counter
 	telRepairApplied *telemetry.Counter
-}
-
-// breakerState is the per-shard brownout circuit-breaker state.
-type breakerState int
-
-const (
-	// breakerClosed: the shard serves normally.
-	breakerClosed breakerState = iota
-	// breakerOpen: consecutive busy pushback tripped the breaker; reads
-	// steer to other replicas until the cooldown lapses.
-	breakerOpen
-	// breakerHalfOpen: the cooldown lapsed and one probe read is
-	// testing the shard; success closes the breaker, busy reopens it.
-	breakerHalfOpen
-)
-
-// breaker tracks one shard's brownout state. Busy pushback means the
-// shard is alive but shedding — a different condition from a suspected
-// crash (probation), so it gets its own state machine: N consecutive
-// busy failures open the breaker, reads steer away for the cooldown,
-// then a single half-open probe decides between restore and re-open.
-type breaker struct {
-	state   breakerState
-	fails   int      // consecutive busy failures while closed
-	until   sim.Time // open until: no probe before this time
-	probing bool     // a half-open probe read is in flight
 }
 
 var _ kv.KV = (*Client)(nil)
@@ -143,7 +109,6 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 		machine: m,
 		subs:    make([]kv.KV, len(d.shards)),
 		suspect: make([]sim.Time, len(d.shards)),
-		brk:     make([]breaker, len(d.shards)),
 	}
 	tel := m.Verbs.Telemetry()
 	c.telIssued = tel.Counter("fleet.ops.issued")
@@ -153,10 +118,6 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.telReplica = tel.Counter("fleet.reads.replica")
 	c.telFanout = tel.Counter("fleet.writes.fanout")
 	c.telSuspected = tel.Counter("fleet.suspected")
-	c.telBrkOpened = tel.Counter("fleet.breaker.opened")
-	c.telBrkClosed = tel.Counter("fleet.breaker.closed")
-	c.telBrkProbes = tel.Counter("fleet.breaker.probes")
-	c.telBrkState = tel.Gauge("fleet.breaker_state")
 	c.telHotWidened = tel.Counter("fleet.hotkey.widened")
 	c.telHotKeys = tel.Gauge("fleet.hotkey.hot")
 	c.telPartial = tel.Counter("fleet.writes.partial")
@@ -189,7 +150,6 @@ func (c *Client) attach(sh *shard) error {
 	for len(c.subs) <= sh.id {
 		c.subs = append(c.subs, nil)
 		c.suspect = append(c.suspect, 0)
-		c.brk = append(c.brk, breaker{})
 	}
 	c.subs[sh.id] = sub
 	return nil
@@ -223,16 +183,10 @@ func (c *Client) ReplicaReads() uint64 { return c.replicaReads }
 // replicas).
 func (c *Client) FanoutPuts() uint64 { return c.fanoutPuts }
 
-// Suspected counts probation starts: terminal (crash-class) failures
-// against a shard. Busy pushback never increments it.
+// Suspected counts probation starts: terminal failures against a
+// shard. Busy pushback never reaches the fleet: the member client
+// absorbs it with hinted resubmits.
 func (c *Client) Suspected() uint64 { return c.suspected }
-
-// BreakerOpens, BreakerCloses and BreakerProbes count the brownout
-// circuit breaker's transitions: trips to open (including half-open
-// probes that failed), restores to closed, and half-open probe reads.
-func (c *Client) BreakerOpens() uint64  { return c.brkOpens }
-func (c *Client) BreakerCloses() uint64 { return c.brkCloses }
-func (c *Client) BreakerProbes() uint64 { return c.brkProbes }
 
 // HotWidened counts reads of a hot key that widening steered to a
 // non-primary start of the replica order.
@@ -256,15 +210,6 @@ func (c *Client) StaleReads() uint64 { return c.staleReads }
 func (c *Client) RepairsIssued() uint64  { return c.repairIssued }
 func (c *Client) RepairsApplied() uint64 { return c.repairApplied }
 
-// BreakerOpen reports whether shard id's breaker is currently steering
-// reads away (open or mid-probe).
-func (c *Client) BreakerOpen(id int) bool {
-	if id < 0 || id >= len(c.brk) {
-		return false
-	}
-	return c.brk[id].state != breakerClosed
-}
-
 // markSuspect starts a read probation for shard id after a terminal
 // failure against it.
 //
@@ -275,91 +220,18 @@ func (c *Client) markSuspect(id int) {
 	c.telSuspected.Inc()
 }
 
-// noteBusy records a StatusBusy (overload pushback) failure against
-// shard id: the brownout path. Consecutive busy failures trip the
-// breaker open; a failed half-open probe re-opens it. Probation is
-// never touched — the shard is alive.
-//
-//herd:hotpath
-func (c *Client) noteBusy(id int) {
-	b := &c.brk[id]
-	b.probing = false
-	switch b.state {
-	case breakerHalfOpen:
-		b.state = breakerOpen
-		b.until = c.now() + breakerCooldown
-		c.brkOpens++
-		c.telBrkOpened.Inc()
-	case breakerClosed:
-		b.fails++
-		if b.fails >= breakerThreshold {
-			b.state = breakerOpen
-			b.until = c.now() + breakerCooldown
-			b.fails = 0
-			c.brkOpens++
-			c.telBrkOpened.Inc()
-			c.telBrkState.Add(1)
-		}
-	case breakerOpen:
-		b.until = c.now() + breakerCooldown
-	}
-}
-
-// noteServed records a successful read or write against shard id: the
-// busy streak resets, and a non-closed breaker (including a half-open
-// probe that just succeeded) fully restores.
-//
-//herd:hotpath
-func (c *Client) noteServed(id int) {
-	b := &c.brk[id]
-	b.fails = 0
-	b.probing = false
-	if b.state != breakerClosed {
-		b.state = breakerClosed
-		c.brkCloses++
-		c.telBrkClosed.Inc()
-		c.telBrkState.Add(-1)
-	}
-}
-
-// noteReadIssue runs before a read is issued to shard id: an open
-// breaker whose cooldown lapsed transitions to half-open, and this
-// read becomes its probe.
-//
-//herd:hotpath
-func (c *Client) noteReadIssue(id int) {
-	b := &c.brk[id]
-	if b.state == breakerOpen && b.until <= c.now() && !b.probing {
-		b.state = breakerHalfOpen
-		b.probing = true
-		c.brkProbes++
-		c.telBrkProbes.Inc()
-	}
-}
-
 // readPreferred reports whether shard id should be in the front tier
-// of a read order: not under probation, and its breaker either closed
-// or due for a half-open probe.
+// of a read order: it is not under probation.
 //
 //herd:hotpath
 func (c *Client) readPreferred(id int, now sim.Time) bool {
-	if c.suspect[id] > now {
-		return false
-	}
-	switch b := &c.brk[id]; b.state {
-	case breakerOpen:
-		return b.until <= now && !b.probing
-	case breakerHalfOpen:
-		return !b.probing
-	}
-	return true
+	return c.suspect[id] <= now
 }
 
 // readOrder writes key's replica set, reordered for a read, into dst
 // and returns it: healthy replicas first (ring order preserved within
-// each group), then probationed or breaker-open ones — so a recently
-// failed or browned-out primary is tried last instead of eating a full
-// retry budget (or another busy round trip) per read.
+// each group), then probationed ones — so a recently failed primary is
+// tried last instead of eating a full retry budget per read.
 //
 //herd:hotpath
 func (c *Client) readOrder(dst, reps []int) []int {
@@ -378,8 +250,8 @@ func (c *Client) readOrder(dst, reps []int) []int {
 	}
 	// The back tier is NOT ring order: when every replica is suspect,
 	// ring order could try a shard that failed moments ago before one
-	// whose probation is about to lapse. Sort by probation expiry, then
-	// breaker cooldown, with the shard id as a deterministic tie-break
+	// whose probation is about to lapse. Sort by probation expiry, with
+	// the shard id as a deterministic tie-break
 	// so replays are stable when several replicas were suspected at the
 	// same instant. (An insertion sort: the tier holds at most R ids.)
 	tail := dst[front:]
@@ -392,15 +264,12 @@ func (c *Client) readOrder(dst, reps []int) []int {
 }
 
 // triesBefore orders the back tier of a read order: earlier probation
-// expiry first, then earlier breaker cooldown, then lower shard id.
+// expiry first, then lower shard id.
 //
 //herd:hotpath
 func (c *Client) triesBefore(a, b int) bool {
 	if c.suspect[a] != c.suspect[b] {
 		return c.suspect[a] < c.suspect[b]
-	}
-	if c.brk[a].until != c.brk[b].until {
-		return c.brk[a].until < c.brk[b].until
 	}
 	return a < b
 }
@@ -541,21 +410,6 @@ func (o *op) resolve(i int, r kv.Result) {
 	}
 }
 
-// noteFailure feeds one failed sub-operation against shard id to the
-// shard's health state. Busy is a brownout: the shard is alive but
-// shedding, so it feeds the circuit breaker and must NOT start a
-// probation — failover churn on overload would amplify the overload.
-// Everything else is a crash-class failure and suspects the shard.
-//
-//herd:hotpath
-func (c *Client) noteFailure(id int, r kv.Result) {
-	if r.Status == kv.StatusBusy {
-		c.noteBusy(id)
-	} else {
-		c.markSuspect(id)
-	}
-}
-
 // Get reads key: primary-first with failover across the replica set in
 // legacy mode, read-all with version arbitration (and optional read
 // repair) in versioned mode.
@@ -591,7 +445,6 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 //herd:hotpath
 func (c *Client) tryGet(o *op, i int) {
 	id := o.order[i]
-	c.noteReadIssue(id)
 	if err := c.subs[id].Get(o.key, o.slot(i)); err != nil {
 		// Sub-client validation errors surface asynchronously as a
 		// fleet failure so accounting stays balanced.
@@ -605,7 +458,6 @@ func (c *Client) tryGet(o *op, i int) {
 func (o *op) resolveGet(i int, r kv.Result) {
 	c, id := o.c, o.order[i]
 	if r.Err == nil {
-		c.noteServed(id)
 		if id != o.reps[0] {
 			c.replicaReads++
 			c.telReplica.Inc()
@@ -613,7 +465,7 @@ func (o *op) resolveGet(i int, r kv.Result) {
 		o.finish(r)
 		return
 	}
-	c.noteFailure(id, r)
+	c.markSuspect(id)
 	if i+1 < len(o.order) {
 		c.reroutes++
 		c.telReroutes.Inc()
@@ -693,12 +545,11 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 	c, id := o.c, o.reps[i]
 	o.outstanding--
 	if r.Err == nil {
-		c.noteServed(id)
 		if !o.have {
 			o.best, o.have = r, true
 		}
 	} else {
-		c.noteFailure(id, r)
+		c.markSuspect(id)
 		o.failures++
 		o.lastErr = r
 	}
@@ -756,7 +607,6 @@ func (o *op) resolveWriteVersioned(i int, r kv.Result) {
 	c, id := o.c, o.reps[i]
 	o.outstanding--
 	if r.Err == nil {
-		c.noteServed(id)
 		// The server answers a tombstone PUT with delete semantics (Hit:
 		// killed a live entry); replicas can only disagree when already
 		// divergent, so prefer the Hit answer.
@@ -764,7 +614,7 @@ func (o *op) resolveWriteVersioned(i int, r kv.Result) {
 			o.best, o.have = r, true
 		}
 	} else {
-		c.noteFailure(id, r)
+		c.markSuspect(id)
 		o.failures++
 		o.lastErr = r
 	}
@@ -818,7 +668,6 @@ func (c *Client) getVersioned(key kv.Key, reps []int, cb func(kv.Result)) error 
 	// As in fanout, only locals are read after each call.
 	for i, id := range reps {
 		done := o.slot(i)
-		c.noteReadIssue(id)
 		if err := c.subs[id].Get(key, done); err != nil {
 			done(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err})
 		}
@@ -836,10 +685,9 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 	c, id := o.c, o.reps[i]
 	o.outstanding--
 	if r.Err != nil {
-		c.noteFailure(id, r)
+		c.markSuspect(id)
 		o.lastErr = r
 	} else {
-		c.noteServed(id)
 		st := replicaState{id: id}
 		if r.Status == kv.StatusHit {
 			st.present = true

@@ -64,19 +64,14 @@ type Config struct {
 // Fixed fleet policy. A client avoids reading from a shard for
 // probation after an operation against it failed terminally; writes
 // still fan out to suspected shards so their caches stay warm for when
-// they return. A shard's brownout circuit breaker opens after
-// breakerThreshold consecutive StatusBusy (overload pushback) failures
-// against it and steers reads away for breakerCooldown before letting a
-// half-open probe read through. Busy is a brownout signal — the shard
-// is alive but refusing work — so the breaker is separate from
-// probation, which marks suspected crashes. hotKeyWindow is the
-// hot-key detector's sliding window: counts age out after at most two
-// windows, so a key that cools stops widening.
+// they return. Busy pushback from an admission-limited shard never
+// reaches this policy: the member client resubmits at the server's
+// hint until the op is admitted. hotKeyWindow is the hot-key
+// detector's sliding window: counts age out after at most two windows,
+// so a key that cools stops widening.
 const (
-	probation        = 200 * sim.Microsecond
-	breakerThreshold = 3
-	breakerCooldown  = 200 * sim.Microsecond
-	hotKeyWindow     = 100 * sim.Microsecond
+	probation    = 200 * sim.Microsecond
+	hotKeyWindow = 100 * sim.Microsecond
 )
 
 // DefaultConfig returns the fleet defaults on top of core's HERD
@@ -120,14 +115,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Versioned {
 		c.Herd.VersionedValues = true
-	}
-	// Brownout handling needs shed sub-operations to resolve: without a
-	// deadline a busy-retried op spins on server hints forever and the
-	// fleet never gets a StatusBusy to steer on. Only ops the server
-	// actually sheds are affected, so this is inert unless a member
-	// server enables admission control.
-	if c.Herd.OpDeadline <= 0 {
-		c.Herd.OpDeadline = 4 * c.Herd.RetryTimeout
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/core"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -402,5 +403,78 @@ func TestFleetValidation(t *testing.T) {
 		if cfg.Replication != maxDepth {
 			t.Fatalf("Replication %d not clamped to %d", cfg.Replication, maxDepth)
 		}
+	}
+}
+
+// TestBusyNeverSuspects pins where overload pushback is handled: a
+// browned-out primary's busy responses are absorbed by the member
+// client's hinted resubmits, so on fleet defaults every read completes
+// served, no probation starts and no read is steered to the replica —
+// busy is backpressure from a live shard, and failing over on it would
+// churn the fleet exactly when it can least afford it.
+func TestBusyNeverSuspects(t *testing.T) {
+	cl, d, clients := newFleet(t, 2, 1, 11)
+	c := clients[0]
+	key := kv.FromUint64(77)
+	val := []byte("brownout value")
+	if err := d.Preload(key, val); err != nil {
+		t.Fatal(err)
+	}
+	primary := d.Replicas(key)[0]
+	// Brown out only the primary: queue cap 1 sheds every request that
+	// arrives while one is in service.
+	d.Server(primary).SetAdmissionLimit(1)
+
+	const n = 16
+	served := 0
+	for i := 0; i < n; i++ {
+		c.Get(key, func(r kv.Result) {
+			if r.Err != nil {
+				t.Errorf("get failed: %v (status %v)", r.Err, r.Status)
+				return
+			}
+			if !bytes.Equal(r.Value, val) {
+				t.Errorf("get value %q", r.Value)
+			}
+			served++
+		})
+	}
+	cl.Eng.Run()
+
+	if served != n {
+		t.Fatalf("served %d of %d reads", served, n)
+	}
+	var busy uint64
+	for _, sub := range c.subs {
+		busy += sub.(*core.Client).BusyResponses()
+	}
+	if busy == 0 {
+		t.Fatal("the browned-out primary never pushed back")
+	}
+	if f, s, rr := c.Failed(), c.Suspected(), c.ReplicaReads(); f != 0 || s != 0 || rr != 0 {
+		t.Fatalf("%d failed, %d suspected, %d replica reads; busy must be absorbed below the fleet", f, s, rr)
+	}
+}
+
+// TestTimeoutStillSuspects pins the blackout path: a terminal timeout
+// against a crashed primary starts a probation and the replica serves.
+func TestTimeoutStillSuspects(t *testing.T) {
+	cl, d, clients := newFleet(t, 2, 1, 12)
+	c := clients[0]
+	key := kv.FromUint64(5)
+	if err := d.Preload(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	primary := d.Replicas(key)[0]
+	d.Server(primary).Crash()
+
+	ok := false
+	c.Get(key, func(r kv.Result) { ok = r.Err == nil })
+	cl.Eng.Run()
+	if !ok {
+		t.Fatal("replica did not serve after primary crash")
+	}
+	if c.Suspected() == 0 {
+		t.Fatal("terminal timeout no longer suspects the shard")
 	}
 }

@@ -129,9 +129,8 @@ func (h *hotTracker) hotKeys() int {
 // widen observes key in the hot tracker and, for a hot key, rotates
 // the healthy front of the read order in place so consecutive reads
 // spread round-robin across replicas instead of hammering the primary.
-// Probationed and breaker-open replicas stay at the back: widening
-// recruits healthy capacity, it never steers load onto a struggling
-// shard.
+// Probationed replicas stay at the back: widening recruits healthy
+// capacity, it never steers load onto a struggling shard.
 //
 //herd:hotpath
 func (c *Client) widen(key kv.Key, order []int) {

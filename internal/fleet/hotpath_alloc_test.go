@@ -87,10 +87,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Deployment.Replicas":      func() { _ = d.Replicas(key) },
 		"Client.now":               func() { _ = poked.now() },
 		"Client.markSuspect":       func() { poked.markSuspect(0) },
-		"Client.noteBusy":          func() { poked.noteBusy(1) },
-		"Client.noteServed":        func() { poked.noteServed(1) },
-		"Client.noteFailure":       func() { poked.noteFailure(2, kv.Result{Status: kv.StatusBusy}) },
-		"Client.noteReadIssue":     func() { poked.noteReadIssue(1) },
 		"Client.readPreferred":     func() { _ = poked.readPreferred(0, 0) },
 		"Client.readOrder":         func() { order = poked.readOrder(order, []int{0, 1, 2}) },
 		"Client.triesBefore":       func() { _ = poked.triesBefore(0, 1) },

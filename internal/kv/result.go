@@ -33,13 +33,6 @@ const (
 	// StatusFlushed: the operation was aborted because its queue pair
 	// flushed in error with no retry machinery to reissue it.
 	StatusFlushed
-	// StatusBusy: the server shed the operation under overload
-	// (admission control pushed back with an explicit busy response)
-	// and the client's busy-retry policy ran out of deadline before
-	// the operation was admitted. Result.Err is non-nil. Unlike
-	// StatusTimeout, the server is alive — callers should back off and
-	// retry, or steer to a replica, rather than treat it as a crash.
-	StatusBusy
 )
 
 // String returns the lowercase status word used in tables and logs.
@@ -53,8 +46,6 @@ func (s Status) String() string {
 		return "timeout"
 	case StatusFlushed:
 		return "flushed"
-	case StatusBusy:
-		return "busy"
 	}
 	return "unknown"
 }

@@ -5,7 +5,9 @@
 // directions. A metric the docs promise but nothing emits, a counter
 // the code added but never cataloged, a config knob renamed without
 // its table row — each is a diagnostic, so the docs stay a contract
-// instead of a snapshot.
+// instead of a snapshot. Every configuration row must also fill its
+// "Moved by" cell: the experiment whose ratcheted metric moves when the
+// knob flips, or why the knob is test-only.
 //
 // The analyzer runs once, anchored to the module's root package, and
 // does its own whole-tree sweep (parse-only, no type checking): the
@@ -26,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -362,8 +365,14 @@ func expandNames(matches [][]string) []string {
 
 var configHeadRE = regexp.MustCompile("`([a-z][a-z0-9]*)\\.Config`")
 
+// MovedByColumn heads the configuration-reference column that names,
+// for each knob, what its flip moves.
+const MovedByColumn = "Moved by"
+
 // checkConfigs parses the "## Configuration reference" tables and
-// diffs each against the package's exported Config fields.
+// diffs each against the package's exported Config fields. A table
+// without a MovedByColumn, or a row whose cell in it is empty, is
+// reported too.
 func (d *drift) checkConfigs() error {
 	doc, err := d.loadDoc(ArchitectureDoc)
 	if err != nil {
@@ -372,6 +381,7 @@ func (d *drift) checkConfigs() error {
 	inSection := false
 	current := "" // package whose table we are inside
 	headerLine := 0
+	movedCol := -1 // index of the current table's MovedByColumn
 	type docField struct{ line int }
 	documented := map[string]map[string]docField{} // pkg -> field -> row
 	tableLine := map[string]int{}
@@ -400,6 +410,10 @@ func (d *drift) checkConfigs() error {
 		if headerLine == 0 {
 			headerLine = i + 1
 			tableLine[current] = headerLine
+			movedCol = slices.Index(splitRow(trimmed), MovedByColumn)
+			if movedCol < 0 {
+				d.reportf(doc.linePos(headerLine), "config table for %s.Config has no %q column", current, MovedByColumn)
+			}
 			continue
 		}
 		if strings.HasPrefix(strings.ReplaceAll(trimmed, " ", ""), "|---") {
@@ -408,6 +422,10 @@ func (d *drift) checkConfigs() error {
 		cells := splitRow(trimmed)
 		if len(cells) == 0 {
 			continue
+		}
+		if movedCol >= 0 && (movedCol >= len(cells) || cells[movedCol] == "") {
+			d.reportf(doc.linePos(i+1), "%s.Config row %s has an empty %q cell: name the experiment whose metric its flip moves, or why it is test-only",
+				current, cells[0], MovedByColumn)
 		}
 		for _, m := range backtickRE.FindAllStringSubmatch(cells[0], -1) {
 			name := strings.TrimSpace(m[1])

@@ -18,6 +18,8 @@ type Config struct {
 	Window int
 	// Depth is not documented: code-side drift.
 	Depth int
+	// Pace is documented, with an empty "Moved by" cell.
+	Pace int
 	// hidden is unexported and outside the contract.
 	hidden int
 }
