@@ -14,7 +14,10 @@
 // schedule with a chaos script (see docs/ROBUSTNESS.md for the format).
 // Every target that measures something also returns a report: -json DIR
 // writes each one as DIR/BENCH_<name>.json (schema in EXPERIMENTS.md),
-// which cmd/benchcheck ratchets against baselines/.
+// which cmd/benchcheck ratchets against baselines/. The -json directory
+// must exist, the -metrics and -trace files are created, and -faults
+// needs the chaos target among those run, all before any target runs;
+// a failed check exits 2.
 //
 // -metrics dumps the cluster-wide metric registry (per-verb posted and
 // completion counters, PCIe transaction counts, NIC cache hit rates,
@@ -30,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,18 +58,11 @@ func main() {
 
 	// A zero or negative window would run every target and report
 	// all-zero rates (and overwrite BENCH_*.json with them).
-	for _, c := range []struct {
-		flag string
-		ok   bool
-		want string
-	}{
-		{"warmup", *warmupUS >= 0, "at least 0"},
-		{"span", *spanUS >= 1, "at least 1"},
-	} {
-		if !c.ok {
-			fmt.Fprintf(os.Stderr, "herdbench: -%s %s: must be %s\n", c.flag, flag.Lookup(c.flag).Value, c.want)
-			os.Exit(2)
-		}
+	if *warmupUS < 0 {
+		flagError("warmup", *warmupUS, "must be at least 0")
+	}
+	if *spanUS < 1 {
+		flagError("span", *spanUS, "must be at least 1")
 	}
 
 	experiments.Warmup = sim.Time(*warmupUS) * sim.Microsecond
@@ -114,6 +111,25 @@ func main() {
 			targets = append(targets, t)
 		}
 	}
+	// Check every output destination, and that -faults has a target,
+	// before running anything: a bad path must not cost a full run.
+	if *jsonDir != "" {
+		if fi, err := os.Stat(*jsonDir); err != nil || !fi.IsDir() {
+			flagError("json", *jsonDir, "not a directory")
+		}
+	}
+	for _, out := range []struct{ flag, path string }{{"metrics", *metricsFile}, {"trace", *traceFile}} {
+		if out.path != "" {
+			f, err := os.Create(out.path)
+			if err != nil {
+				flagError(out.flag, out.path, err.Error())
+			}
+			f.Close()
+		}
+	}
+	if *faultsFile != "" && !slices.ContainsFunc(targets, func(t experiments.Target) bool { return t.Name == "chaos" }) {
+		flagError("faults", *faultsFile, "applies only to the chaos target, which is not run")
+	}
 	var faults *fault.Schedule
 	if *faultsFile != "" {
 		script, err := os.ReadFile(*faultsFile)
@@ -147,6 +163,13 @@ func main() {
 	if *traceFile != "" {
 		writeFile(*traceFile, sink.Tracer.WriteChromeTrace)
 	}
+}
+
+// flagError reports a bad -name flag value on one stderr line and
+// exits 2.
+func flagError(name string, value any, reason string) {
+	fmt.Fprintf(os.Stderr, "herdbench: -%s %v: %s\n", name, value, reason)
+	os.Exit(2)
 }
 
 // writeFile writes one artifact via the given writer function; a write

@@ -129,13 +129,6 @@ type Config struct {
 	// client count (compare Figure 12).
 	UseSendRequests bool
 
-	// ResponseBatch > 1 lets each server process accumulate up to that
-	// many responses and post them behind a single doorbell
-	// (PostSendBatch): the response path stops being PIO-bound, raising
-	// peak throughput at a small latency cost. 0 or 1 posts responses
-	// individually (the paper's behavior).
-	ResponseBatch int
-
 	// LeaseTTL > 0 makes every GET hit carry a freshness lease expiring
 	// LeaseTTL after the serve time: the server promises nothing about
 	// the value past that instant, and a client-side near cache
@@ -304,11 +297,6 @@ type Server struct {
 	// exchange).
 	clientUD [][]*verbs.QP
 
-	// Response batching state (Config.ResponseBatch > 1): per-process
-	// buffered response WRs and whether a flush timer is armed.
-	respBuf   [][]verbs.SendWR
-	respArmed []bool
-
 	// respScratch[proc] is the process's preallocated response build
 	// buffer. Safe whenever the response is posted before the building
 	// event returns (verbs copies WR data at post time); responses that
@@ -451,8 +439,6 @@ func (s *Server) Crash() {
 		s.dcQP.SetError()
 	}
 	s.slotTraces = nil
-	s.respBuf = nil
-	s.respArmed = nil
 	for i := range s.parts {
 		s.parts[i] = mica.New(s.cfg.Mica)
 	}
@@ -1048,14 +1034,10 @@ func (r *serveRec) release() {
 // header-only response goes in the record, which lives until the
 // response posts — after the WAL's group commit under sync durability.
 // A value-carrying GET hit posts before the serving event returns, so
-// the process's scratch is safe. Batched-doorbell responses sit in
-// respBuf past the record's release and get fresh storage.
+// the process's scratch is safe.
 //
 //herd:hotpath
 func (r *serveRec) respBuf(vlen int) []byte {
-	if r.s.cfg.ResponseBatch > 1 {
-		return make([]byte, respHdr+vlen) //lint:allow hotalloc — batched responses outlive the record until the doorbell flush
-	}
 	if vlen == 0 {
 		return r.hdr[:]
 	}
@@ -1188,54 +1170,15 @@ func (r *serveRec) respond() {
 		s.nonInlineResponses++
 	}
 	if dest := s.clientQP(req.client, req.proc); dest != nil {
-		wr := verbs.SendWR{
+		postLossy(s.udQPs[req.proc].PostSend(verbs.SendWR{
 			Verb:   verbs.SEND,
 			Data:   r.resp,
 			Dest:   dest,
 			Inline: inline,
 			Trace:  req.trace,
-		}
-		if s.cfg.ResponseBatch <= 1 {
-			postLossy(s.udQPs[req.proc].PostSend(wr))
-		} else {
-			s.bufferResponse(req.proc, wr) //lint:allow hotalloc — batched doorbells, amortized once per batch
-		}
+		}))
 	}
 	r.release()
-}
-
-// respFlushDelay bounds how long a buffered response waits for batch
-// companions — roughly one polling round.
-const respFlushDelay = 300 * sim.Nanosecond
-
-// bufferResponse queues wr for process proc and flushes when the batch
-// fills or the flush timer expires.
-func (s *Server) bufferResponse(proc int, wr verbs.SendWR) {
-	if s.respBuf == nil {
-		s.respBuf = make([][]verbs.SendWR, s.cfg.NS)
-		s.respArmed = make([]bool, s.cfg.NS)
-	}
-	s.respBuf[proc] = append(s.respBuf[proc], wr)
-	if len(s.respBuf[proc]) >= s.cfg.ResponseBatch {
-		s.flushResponses(proc)
-		return
-	}
-	if !s.respArmed[proc] {
-		s.respArmed[proc] = true
-		s.machine.Verbs.NIC().Engine().After(respFlushDelay, func() {
-			s.flushResponses(proc)
-		})
-	}
-}
-
-func (s *Server) flushResponses(proc int) {
-	s.respArmed[proc] = false
-	if len(s.respBuf[proc]) == 0 {
-		return
-	}
-	batch := s.respBuf[proc]
-	s.respBuf[proc] = nil
-	postLossy(s.udQPs[proc].PostSendBatch(batch))
 }
 
 // sendReqTail is the trailing header of a SEND-mode request:

@@ -127,31 +127,26 @@ func doorbellMops(spec cluster.Spec, batch int) float64 {
 		if err := verbs.Connect(sq, cq); err != nil {
 			panic(err)
 		}
-		var dones []func()
+		wrs := make([]verbs.SendWR, batch)
+		for j := range wrs {
+			wrs[j] = verbs.SendWR{
+				Verb: verbs.WRITE, Data: payload,
+				Remote: cliMR, RemoteOff: j * 64, Inline: true,
+			}
+		}
+		// Each chain posts a whole batch behind one doorbell and reposts
+		// when the batch's last WRITE lands: landings arrive in post
+		// order, so every batch-th landing ends a batch.
+		landed := 0
 		cliMR.Watch(0, 4096, func(off, n int) {
 			count++
-			if len(dones) > 0 {
-				d := dones[0]
-				dones = dones[1:]
-				d()
+			if landed++; landed%batch == 0 {
+				mustPost(sq.PostSendBatch(wrs))
 			}
 		})
-		// Each pump slot posts a whole batch and completes when its last
-		// WRITE lands.
-		pump(inboundWindow/2, func(done func()) {
-			wrs := make([]verbs.SendWR, batch)
-			for j := range wrs {
-				wrs[j] = verbs.SendWR{
-					Verb: verbs.WRITE, Data: payload,
-					Remote: cliMR, RemoteOff: j * 64, Inline: true,
-				}
-			}
-			for j := 0; j < batch-1; j++ {
-				dones = append(dones, func() {})
-			}
-			dones = append(dones, done)
+		for w := 0; w < inboundWindow/2; w++ {
 			mustPost(sq.PostSendBatch(wrs))
-		})
+		}
 	}
 	return measureMops(cl, &count)
 }

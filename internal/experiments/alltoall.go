@@ -43,21 +43,16 @@ func allToAllMops(spec cluster.Spec, n int, mode string) float64 {
 	payload := make([]byte, size)
 	var count uint64
 
+	// post[x] posts one op of process x, the client (in-write) or
+	// server (out-write, out-send) process that drives the op; each
+	// chain reposts from its own op's landing.
+	post := make([]func(), n)
 	switch mode {
 	case "in-write":
 		// Client proc i holds a UC QP to each server proc; each op picks
 		// a random server proc.
 		srvMR := srv.Verbs.RegisterMR(n * n * 64)
-		dones := make([][]func(), n*n)
-		srvMR.Watch(0, n*n*64, func(off, _ int) {
-			count++
-			s := off / 64
-			if len(dones[s]) > 0 {
-				d := dones[s][0]
-				dones[s] = dones[s][1:]
-				d()
-			}
-		})
+		srvMR.Watch(0, n*n*64, func(off, _ int) { count++; post[off/64%n]() }) // off/64 is slot s*n+c
 		for c := 0; c < n; c++ {
 			m := cl.Machine(1 + c)
 			qps := make([]*verbs.QP, n)
@@ -69,35 +64,25 @@ func allToAllMops(spec cluster.Spec, n int, mode string) float64 {
 				}
 			}
 			c := c
-			pump(allToAllWindow, func(done func()) {
+			post[c] = func() {
 				s := rnd.Intn(n)
-				slot := s*n + c
-				dones[slot] = append(dones[slot], done)
 				mustPost(qps[s].PostSend(verbs.SendWR{
 					Verb: verbs.WRITE, Data: payload,
-					Remote: srvMR, RemoteOff: slot * 64, Inline: true,
+					Remote: srvMR, RemoteOff: (s*n + c) * 64, Inline: true,
 				}))
-			})
+			}
+			for w := 0; w < allToAllWindow; w++ {
+				post[c]()
+			}
 		}
 
 	case "out-write":
 		// Server proc j holds a UC QP to each client; each op picks a
 		// random client. N*N send-side QPs at the server NIC.
 		cliMRs := make([]*verbs.MR, n)
-		dones := make([][]func(), n*n)
 		for c := 0; c < n; c++ {
-			c := c
 			cliMRs[c] = cl.Machine(1 + c).Verbs.RegisterMR(n * 64)
-			cliMRs[c].Watch(0, n*64, func(off, _ int) {
-				count++
-				s := off / 64
-				slot := s*n + c
-				if len(dones[slot]) > 0 {
-					d := dones[slot][0]
-					dones[slot] = dones[slot][1:]
-					d()
-				}
-			})
+			cliMRs[c].Watch(0, n*64, func(off, _ int) { count++; post[off/64]() })
 		}
 		for s := 0; s < n; s++ {
 			qps := make([]*verbs.QP, n)
@@ -109,21 +94,22 @@ func allToAllMops(spec cluster.Spec, n int, mode string) float64 {
 				}
 			}
 			s := s
-			pump(allToAllWindow, func(done func()) {
+			post[s] = func() {
 				c := rnd.Intn(n)
-				dones[s*n+c] = append(dones[s*n+c], done)
 				mustPost(qps[c].PostSend(verbs.SendWR{
 					Verb: verbs.WRITE, Data: payload,
 					Remote: cliMRs[c], RemoteOff: s * 64, Inline: true,
 				}))
-			})
+			}
+			for w := 0; w < allToAllWindow; w++ {
+				post[s]()
+			}
 		}
 
 	case "out-send":
 		// Server proc j uses ONE UD QP for all clients (the datagram
 		// advantage); each op picks a random client.
 		cliQPs := make([]*verbs.QP, n)
-		dones := make([][]func(), n*n)
 		for c := 0; c < n; c++ {
 			c := c
 			m := cl.Machine(1 + c)
@@ -138,29 +124,23 @@ func allToAllMops(spec cluster.Spec, n int, mode string) float64 {
 				}
 				count++
 				mustPost(cliQPs[c].PostRecv(mr, 0, 1024, 0))
-				// Match the done by sender process (comp.SrcQPN is the
-				// server proc's UD QP number, allocated sequentially).
-				s := int(comp.SrcQPN) - 1
-				if s >= 0 && s < n {
-					slot := s*n + c
-					if len(dones[slot]) > 0 {
-						d := dones[slot][0]
-						dones[slot] = dones[slot][1:]
-						d()
-					}
+				// The sender process: comp.SrcQPN is the server proc's
+				// UD QP number, allocated sequentially.
+				if s := int(comp.SrcQPN) - 1; s >= 0 && s < n {
+					post[s]()
 				}
 			})
 		}
 		for s := 0; s < n; s++ {
 			udQP := srv.Verbs.CreateQP(wire.UD)
-			s := s
-			pump(allToAllWindow, func(done func()) {
-				c := rnd.Intn(n)
-				dones[s*n+c] = append(dones[s*n+c], done)
+			post[s] = func() {
 				mustPost(udQP.PostSend(verbs.SendWR{
-					Verb: verbs.SEND, Data: payload, Dest: cliQPs[c], Inline: true,
+					Verb: verbs.SEND, Data: payload, Dest: cliQPs[rnd.Intn(n)], Inline: true,
 				}))
-			})
+			}
+			for w := 0; w < allToAllWindow; w++ {
+				post[s]()
+			}
 		}
 	}
 	return measureMops(cl, &count)

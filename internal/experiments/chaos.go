@@ -22,12 +22,36 @@ const chaosBuckets = 10
 const chaosRetryTimeout = 25 * sim.Microsecond
 
 // Shape shared by the fault runs (Chaos, FleetChaos, durability).
+// chaosShards sizes the fleets.
 const (
+	chaosShards     = 4
 	chaosClients    = 6
 	chaosPerMachine = 3
 	chaosKeys       = 4096
 	chaosValueSize  = 32
 )
+
+// chaosDeploy is the fault runs' deployment shape under sched.
+func chaosDeploy(spec cluster.Spec, sched *fault.Schedule, seed int64) deploySpec {
+	spec.Faults = sched
+	return deploySpec{spec: spec, seed: seed, keys: chaosKeys, valueSize: chaosValueSize,
+		clients: chaosClients, perMachine: chaosPerMachine}
+}
+
+// chaosHerdConfig is the HERD server, or fleet member, config of the
+// fault runs: two server processes, the chaos retry timer and a MICA
+// sized for the chaos keyspace.
+func chaosHerdConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.NS = 2
+	cfg.RetryTimeout = chaosRetryTimeout
+	cfg.Mica = mica.Config{
+		IndexBuckets: chaosKeys / 4,
+		BucketSlots:  8,
+		LogBytes:     chaosKeys * (18 + chaosValueSize) * 2 / cfg.NS,
+	}
+	return cfg
+}
 
 // faultDrive drives clients closed-loop through a fault run: client i
 // keeps window ops in flight from i µs, getFraction of them GETs over
@@ -139,37 +163,8 @@ func chaosTable[C kv.KV](id, title string, rep *Report, eng *sim.Engine, clients
 // The run is deterministic: the same (spec, schedule, seed) triple
 // produces a byte-identical table and report.
 func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) (*Table, *Report) {
-	spec.Faults = sched
-	machines := 1 + (chaosClients+chaosPerMachine-1)/chaosPerMachine
-	cl := cluster.New(spec, machines, seed)
-
-	hcfg := core.DefaultConfig()
-	hcfg.NS = 2
-	hcfg.MaxClients = chaosClients
-	hcfg.RetryTimeout = chaosRetryTimeout
-	hcfg.Mica = mica.Config{
-		IndexBuckets: chaosKeys / 4,
-		BucketSlots:  8,
-		LogBytes:     chaosKeys * (18 + chaosValueSize) * 2 / hcfg.NS,
-	}
-	srv, err := core.NewServer(cl.Machine(0), hcfg)
-	if err != nil {
-		panic(err)
-	}
-	preloadKeys(chaosKeys, chaosValueSize, srv.Preload)
-	if inj := cl.Faults(); inj != nil {
-		inj.SetCrashTarget(0, srv)
-		inj.Arm()
-	}
-
-	clients := make([]*core.Client, chaosClients)
-	for i := range clients {
-		c, err := srv.ConnectClient(cl.Machine(1 + i/chaosPerMachine))
-		if err != nil {
-			panic(err)
-		}
-		clients[i] = c
-	}
+	hcfg := chaosHerdConfig()
+	cl, srv, clients := deployHERD(chaosDeploy(spec, sched, seed), hcfg)
 
 	rep := newReport("chaos", spec)
 	t := chaosTable("chaos", fmt.Sprintf("Availability through faults — %s", spec.Name),

@@ -131,16 +131,20 @@ func classicalKV(serverCores int) (float64, sim.Time) {
 	for c := 1; c <= nClients; c++ {
 		c := c
 		gen := workload.NewGenerator(workload.ReadIntensive(keys, 32, int64(c)))
-		pump(8, func(done func()) {
+		var issue func()
+		issue = func() {
 			op := gen.Next()
 			eng.After(kernelTx, func() {
 				net.Send(wire.NodeID(c), 0, wire.UD, 16, func(sim.Time) {
 					serve(wire.NodeID(c), op.IsGet, op.Key, func() {
-						eng.After(kernelRx, done)
+						eng.After(kernelRx, issue)
 					})
 				})
 			})
-		})
+		}
+		for w := 0; w < 8; w++ {
+			issue()
+		}
 	}
 	eng.RunUntil(Warmup)
 	start := served

@@ -79,45 +79,21 @@ func nemesisLine(cfg fault.NemesisConfig) string {
 // recorded history. The stale/repair and anti-entropy counters are zero
 // for the first-ack arm: it has no repair machinery.
 func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair bool) Metrics {
-	spec.Faults = sched
-	cl := cluster.New(spec, consistencyShards+consistencyClients, seed)
-
 	fcfg := fleet.DefaultConfig()
-	fcfg.Herd = core.DefaultConfig()
-	fcfg.Herd.NS = 2
-	fcfg.Herd.MaxClients = consistencyClients
-	fcfg.Herd.RetryTimeout = chaosRetryTimeout
+	fcfg.Herd = chaosHerdConfig()
 	fcfg.Herd.Durability = core.DurabilitySync
 	fcfg.Herd.Mica = mica.Config{IndexBuckets: 1 << 8, BucketSlots: 8, LogBytes: 1 << 20}
 	fcfg.MigrationBatch = 32
 	fcfg.MigrationInterval = 4 * sim.Microsecond
 	fcfg.ReadRepair = repair // implies Versioned
-
-	servers := make([]*cluster.Machine, consistencyShards)
-	for i := range servers {
-		servers[i] = cl.Machine(i)
-	}
-	d, err := fleet.NewDeployment(servers, fcfg)
-	if err != nil {
-		panic(err)
-	}
-	if inj := cl.Faults(); inj != nil {
-		d.RegisterCrashTargets(inj)
-		inj.Arm()
-	}
+	spec.Faults = sched
+	// No preload: the history checker starts every key absent.
+	cl, d, clients := deployFleet(deploySpec{spec: spec, seed: seed,
+		clients: consistencyClients, perMachine: 1}, consistencyShards, fcfg)
 
 	var opsIssued, okOps uint64
 	rec := &histcheck.Recorder{}
 	var nextValue uint64
-
-	clients := make([]*fleet.Client, consistencyClients)
-	for i := range clients {
-		c, err := d.ConnectClient(cl.Machine(consistencyShards + i))
-		if err != nil {
-			panic(err)
-		}
-		clients[i] = c
-	}
 	for i, c := range clients {
 		i, c := i, c
 		rnd := sim.NewRand(seed + int64(i)*7919)

@@ -102,6 +102,7 @@ func runCPUUse(cfg E2EConfig) cpuUseResult {
 	}
 }
 
+// serverBusy sums the busy time of cpu's first cores cores.
 func serverBusy(cpu interface{ Core(int) *sim.Server }, cores int) sim.Time {
 	var total sim.Time
 	for i := 0; i < cores; i++ {

@@ -17,17 +17,6 @@ var (
 	Span   = 400 * sim.Microsecond
 )
 
-// pump launches `window` closed-loop chains of verb-level work, each
-// reissuing through issue(done) when the previous op completes. KV
-// clients run on driver instead.
-func pump(window int, issue func(done func())) {
-	var loop func()
-	loop = func() { issue(loop) }
-	for i := 0; i < window; i++ {
-		loop()
-	}
-}
-
 // driver runs closed-loop KV clients, the way the paper measures every
 // end-to-end figure: each client keeps `window` ops in flight, and a
 // chain reissues as soon as its op completes. Each completion is

@@ -45,19 +45,9 @@ func durabilitySchedule() *fault.Schedule {
 // durabilityArm runs one arm: the fleet-chaos deployment with the given
 // durability mode under the flushcrash schedule.
 func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics {
-	const (
-		nShards = 4
-		runFor  = 8 * sim.Millisecond
-	)
-	spec.Faults = durabilitySchedule()
-	machines := nShards + (chaosClients+chaosPerMachine-1)/chaosPerMachine
-	cl := cluster.New(spec, machines, seed)
-
+	const runFor = 8 * sim.Millisecond
 	fcfg := fleet.DefaultConfig()
-	fcfg.Herd = core.DefaultConfig()
-	fcfg.Herd.NS = 2
-	fcfg.Herd.MaxClients = chaosClients
-	fcfg.Herd.RetryTimeout = chaosRetryTimeout
+	fcfg.Herd = chaosHerdConfig()
 	fcfg.Herd.Durability = mode
 	// A low snapshot threshold so the warm arm exercises snapshot
 	// compaction (and snapshot + tail replay) within the 8 ms window.
@@ -69,36 +59,11 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 	// the scale.
 	fcfg.MigrationBatch = 32
 	fcfg.MigrationInterval = 4 * sim.Microsecond
-	fcfg.Herd.Mica = mica.Config{
-		IndexBuckets: chaosKeys / 4,
-		BucketSlots:  8,
-		// Sized so the circular log never wraps during the run: cache
-		// eviction would be indistinguishable from crash data loss in
-		// the post-drain audit, and this experiment gates on the latter.
-		LogBytes: 2 << 20,
-	}
-	servers := make([]*cluster.Machine, nShards)
-	for i := range servers {
-		servers[i] = cl.Machine(i)
-	}
-	d, err := fleet.NewDeployment(servers, fcfg)
-	if err != nil {
-		panic(err)
-	}
-	preloadKeys(chaosKeys, chaosValueSize, d.Preload)
-	if inj := cl.Faults(); inj != nil {
-		d.RegisterCrashTargets(inj)
-		inj.Arm()
-	}
-
-	clients := make([]*fleet.Client, chaosClients)
-	for i := range clients {
-		c, err := d.ConnectClient(cl.Machine(nShards + i/chaosPerMachine))
-		if err != nil {
-			panic(err)
-		}
-		clients[i] = c
-	}
+	// Sized so the circular log never wraps during the run: cache
+	// eviction would be indistinguishable from crash data loss in the
+	// post-drain audit, and this experiment gates on the latter.
+	fcfg.Herd.Mica.LogBytes = 2 << 20
+	cl, d, clients := deployFleet(chaosDeploy(spec, durabilitySchedule(), seed), chaosShards, fcfg)
 
 	// Heavy writes: the log must keep up under fire. The drain after
 	// runFor also covers the recovery catch-up.

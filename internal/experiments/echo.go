@@ -88,7 +88,6 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 		rspSendQP  *verbs.QP // server-side QP for SEND responses
 		dstQP      *verbs.QP // client-side QP receiving SEND responses
 		cliMR      *verbs.MR
-		dones      []func()
 	}
 	ends := make([]*clientEnd, inboundProcs)
 	payload := make([]byte, size)
@@ -130,12 +129,25 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 		ends[i] = e
 
 		// Request path.
-		var reqQP *verbs.QP
-		var srvReqQP *verbs.QP
-		reqQP = m.Verbs.CreateQP(reqTr)
-		srvReqQP = srv.Verbs.CreateQP(reqTr)
+		reqQP := m.Verbs.CreateQP(reqTr)
+		srvReqQP := srv.Verbs.CreateQP(reqTr)
 		if err := verbs.Connect(reqQP, srvReqQP); err != nil {
 			panic(err)
+		}
+		// post issues one request; each chain reposts from its own
+		// response's arrival.
+		post := func() {
+			if combo.reqWrite {
+				mustPost(reqQP.PostSend(verbs.SendWR{
+					Verb: verbs.WRITE, Data: payload, Remote: srvReqMR, RemoteOff: i * 1024,
+					Inline: inline, Signaled: signaled,
+				}))
+			} else {
+				mustPost(reqQP.PostSend(verbs.SendWR{
+					Verb: verbs.SEND, Data: payload,
+					Inline: inline, Signaled: signaled,
+				}))
+			}
 		}
 		if !combo.reqWrite {
 			// SEND requests: server pre-posts and replenishes RECVs.
@@ -158,14 +170,7 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 			if err := verbs.Connect(e.rspWriteQP, cliRsp); err != nil {
 				panic(err)
 			}
-			e.cliMR.Watch(0, 1024, func(off, n int) {
-				count++
-				if len(e.dones) > 0 {
-					d := e.dones[0]
-					e.dones = e.dones[1:]
-					d()
-				}
-			})
+			e.cliMR.Watch(0, 1024, func(off, n int) { count++; post() })
 		} else {
 			e.rspSendQP = srv.Verbs.CreateQP(rspTr)
 			e.dstQP = m.Verbs.CreateQP(rspTr)
@@ -180,28 +185,13 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 			e.dstQP.RecvCQ().SetHandler(func(verbs.Completion) {
 				count++
 				mustPost(e.dstQP.PostRecv(e.cliMR, 0, 1024, 0))
-				if len(e.dones) > 0 {
-					d := e.dones[0]
-					e.dones = e.dones[1:]
-					d()
-				}
+				post()
 			})
 		}
 
-		pump(inboundWindow, func(done func()) {
-			e.dones = append(e.dones, done)
-			if combo.reqWrite {
-				mustPost(reqQP.PostSend(verbs.SendWR{
-					Verb: verbs.WRITE, Data: payload, Remote: srvReqMR, RemoteOff: i * 1024,
-					Inline: inline, Signaled: signaled,
-				}))
-			} else {
-				mustPost(reqQP.PostSend(verbs.SendWR{
-					Verb: verbs.SEND, Data: payload,
-					Inline: inline, Signaled: signaled,
-				}))
-			}
-		})
+		for w := 0; w < inboundWindow; w++ {
+			post()
+		}
 	}
 	return measureMops(cl, &count)
 }

@@ -80,10 +80,8 @@ type E2EResult struct {
 // served-count probe (HERD only). Every system's client is driven
 // through the shared kv.KV interface; no per-system glue is needed.
 func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
-	machines := 1 + (cfg.Clients+cfg.PerMachine-1)/cfg.PerMachine
-	cl := cluster.New(cfg.Spec, machines, cfg.Seed)
-	clientMachine := func(i int) *cluster.Machine { return cl.Machine(1 + i/cfg.PerMachine) }
-	clients := make([]kv.KV, cfg.Clients)
+	cl := deploySpec{spec: cfg.Spec, seed: cfg.Seed, clients: cfg.Clients, perMachine: cfg.PerMachine}.cluster(1)
+	var clients []kv.KV
 	var perCore func() []uint64
 
 	switch cfg.System {
@@ -109,13 +107,7 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 			panic(err)
 		}
 		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Preload)
-		for i := range clients {
-			c, err := srv.ConnectClient(clientMachine(i))
-			if err != nil {
-				panic(err)
-			}
-			clients[i] = c
-		}
+		clients = asKV(connectAll(cl, 1, cfg.Clients, cfg.PerMachine, srv.ConnectClient))
 		perCore = func() []uint64 {
 			out := make([]uint64, cfg.Cores)
 			for p := 0; p < cfg.Cores; p++ {
@@ -137,13 +129,7 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 			panic(err)
 		}
 		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Insert)
-		for i := range clients {
-			c, err := srv.ConnectClient(clientMachine(i))
-			if err != nil {
-				panic(err)
-			}
-			clients[i] = c
-		}
+		clients = asKV(connectAll(cl, 1, cfg.Clients, cfg.PerMachine, srv.ConnectClient))
 
 	case SysFaRM, SysFaRMVar:
 		fcfg := farm.Config{
@@ -162,13 +148,7 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 			panic(err)
 		}
 		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Insert)
-		for i := range clients {
-			c, err := srv.ConnectClient(clientMachine(i))
-			if err != nil {
-				panic(err)
-			}
-			clients[i] = c
-		}
+		clients = asKV(connectAll(cl, 1, cfg.Clients, cfg.PerMachine, srv.ConnectClient))
 
 	default:
 		panic("unknown system " + cfg.System)

@@ -29,11 +29,14 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		valueSize       = 32
 	)
 
-	herdCfg := func(nClients int) core.Config {
+	herdCfg := func() core.Config {
 		cfg := core.DefaultConfig()
-		cfg.MaxClients = nClients
 		cfg.Mica = mica.Config{IndexBuckets: keys / 2, BucketSlots: 8, LogBytes: keys * 64}
 		return cfg
+	}
+	// deploy sizes an arm for nClients client machines.
+	deploy := func(nClients int) deploySpec {
+		return deploySpec{spec: spec, seed: 1, keys: keys, valueSize: valueSize, clients: nClients, perMachine: 1}
 	}
 
 	rep := newReport("fleet", spec)
@@ -60,50 +63,18 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 	// 4-shard deployments get 4x that, so each measures aggregate
 	// capacity rather than offered load.
 	single := func() float64 {
-		nClients := clientsPerShard * fleetBenchShards
-		cl := cluster.New(spec, 1+nClients, 1)
-		srv, err := core.NewServer(cl.Machine(0), herdCfg(nClients))
-		if err != nil {
-			panic(err)
-		}
-		preloadKeys(keys, valueSize, srv.Preload)
-		clients := make([]kv.KV, nClients)
-		for i := range clients {
-			c, err := srv.ConnectClient(cl.Machine(1 + i))
-			if err != nil {
-				panic(err)
-			}
-			clients[i] = c
-		}
-		return drive("single", cl, clients)
+		cl, _, clients := deployHERD(deploy(clientsPerShard*fleetBenchShards), herdCfg())
+		return drive("single", cl, asKV(clients))
 	}
 
 	// fleetArm runs a 4-shard fleet at replication r: at r=1 it is
 	// static sharding, every key on one shard.
 	fleetArm := func(arm string, r int) float64 {
-		nClients := clientsPerShard * fleetBenchShards * fleetBenchShards
-		cl := cluster.New(spec, fleetBenchShards+nClients, 1)
 		fcfg := fleet.DefaultConfig()
-		fcfg.Herd = herdCfg(nClients)
+		fcfg.Herd = herdCfg()
 		fcfg.Replication = r
-		servers := make([]*cluster.Machine, fleetBenchShards)
-		for i := range servers {
-			servers[i] = cl.Machine(i)
-		}
-		d, err := fleet.NewDeployment(servers, fcfg)
-		if err != nil {
-			panic(err)
-		}
-		preloadKeys(keys, valueSize, d.Preload)
-		clients := make([]kv.KV, nClients)
-		for i := range clients {
-			c, err := d.ConnectClient(cl.Machine(fleetBenchShards + i))
-			if err != nil {
-				panic(err)
-			}
-			clients[i] = c
-		}
-		return drive(arm, cl, clients)
+		cl, _, clients := deployFleet(deploy(clientsPerShard*fleetBenchShards*fleetBenchShards), fleetBenchShards, fcfg)
+		return drive(arm, cl, asKV(clients))
 	}
 
 	singleMops := single()

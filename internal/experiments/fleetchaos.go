@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"herdkv/internal/cluster"
-	"herdkv/internal/core"
 	"herdkv/internal/fault"
 	"herdkv/internal/fleet"
-	"herdkv/internal/mica"
 )
 
 // FleetChaos drives a replicated fleet closed-loop while sched injects
@@ -20,43 +18,9 @@ import (
 // The run is deterministic: the same (spec, schedule, seed) triple
 // produces a byte-identical table and report.
 func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) (*Table, *Report) {
-	const nShards = 4
-	spec.Faults = sched
-	machines := nShards + (chaosClients+chaosPerMachine-1)/chaosPerMachine
-	cl := cluster.New(spec, machines, seed)
-
 	fcfg := fleet.DefaultConfig()
-	fcfg.Herd = core.DefaultConfig()
-	fcfg.Herd.NS = 2
-	fcfg.Herd.MaxClients = chaosClients
-	fcfg.Herd.RetryTimeout = chaosRetryTimeout
-	fcfg.Herd.Mica = mica.Config{
-		IndexBuckets: chaosKeys / 4,
-		BucketSlots:  8,
-		LogBytes:     chaosKeys * (18 + chaosValueSize) * 2 / fcfg.Herd.NS,
-	}
-	servers := make([]*cluster.Machine, nShards)
-	for i := range servers {
-		servers[i] = cl.Machine(i)
-	}
-	d, err := fleet.NewDeployment(servers, fcfg)
-	if err != nil {
-		panic(err)
-	}
-	preloadKeys(chaosKeys, chaosValueSize, d.Preload)
-	if inj := cl.Faults(); inj != nil {
-		d.RegisterCrashTargets(inj)
-		inj.Arm()
-	}
-
-	clients := make([]*fleet.Client, chaosClients)
-	for i := range clients {
-		c, err := d.ConnectClient(cl.Machine(nShards + i/chaosPerMachine))
-		if err != nil {
-			panic(err)
-		}
-		clients[i] = c
-	}
+	fcfg.Herd = chaosHerdConfig()
+	cl, d, clients := deployFleet(chaosDeploy(spec, sched, seed), chaosShards, fcfg)
 
 	// A mixed workload: fan-out writes under fire. Every in-flight op
 	// must resolve, and none may fail at fleet level.

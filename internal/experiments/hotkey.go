@@ -33,13 +33,6 @@ const (
 // uncached arm on goodput while sending the origin shards fewer GETs.
 // The report is BENCH_hotkey.json.
 func Hotkey(spec cluster.Spec) (*Table, *Report) {
-	herdCfg := func() core.Config {
-		cfg := core.DefaultConfig()
-		cfg.MaxClients = hotkeyClients
-		cfg.Mica = mica.Config{IndexBuckets: hotkeyKeys / 2, BucketSlots: 8, LogBytes: hotkeyKeys * 64}
-		return cfg
-	}
-
 	originGets := func(d *fleet.Deployment) uint64 {
 		var sum uint64
 		for i := 0; i < hotkeyShards; i++ {
@@ -54,9 +47,9 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 	// cached arm adds its hit rate and the hot reads the fleet steered
 	// off-primary.
 	arm := func(cached bool) Metrics {
-		cl := cluster.New(spec, hotkeyShards+hotkeyClients, 1)
 		fcfg := fleet.DefaultConfig()
-		fcfg.Herd = herdCfg()
+		fcfg.Herd = core.DefaultConfig()
+		fcfg.Herd.Mica = mica.Config{IndexBuckets: hotkeyKeys / 2, BucketSlots: 8, LogBytes: hotkeyKeys * 64}
 		if cached {
 			fcfg.Herd.LeaseTTL = hotkeyLeaseTTL
 			fcfg.HotKeyTrack = 16
@@ -67,29 +60,14 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 			// TTL, i.e. continuously hot behind the cache.
 			fcfg.HotKeyThreshold = 4
 		}
-		machines := make([]*cluster.Machine, hotkeyShards)
-		for i := range machines {
-			machines[i] = cl.Machine(i)
-		}
-		d, err := fleet.NewDeployment(machines, fcfg)
-		if err != nil {
-			panic(err)
-		}
-		preloadKeys(hotkeyKeys, hotkeyValueSize, d.Preload)
+		cl, d, fleetClients := deployFleet(deploySpec{spec: spec, seed: 1, keys: hotkeyKeys,
+			valueSize: hotkeyValueSize, clients: hotkeyClients, perMachine: 1}, hotkeyShards, fcfg)
 		tel := telemetry.New()
-		fleetClients := make([]*fleet.Client, hotkeyClients)
-		clients := make([]kv.KV, hotkeyClients)
-		for i := range clients {
-			fc, err := d.ConnectClient(cl.Machine(hotkeyShards + i))
-			if err != nil {
-				panic(err)
-			}
-			fleetClients[i] = fc
-			if cached {
+		clients := asKV(fleetClients)
+		if cached {
+			for i, fc := range fleetClients {
 				clients[i] = nearcache.New(fc, cl.Eng, tel,
 					nearcache.Config{TTL: hotkeyLeaseTTL, Leases: true})
-			} else {
-				clients[i] = fc
 			}
 		}
 

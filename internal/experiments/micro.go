@@ -158,18 +158,12 @@ func inboundMops(spec cluster.Spec, tr wire.Transport, verb verbs.Verb, size int
 	srv := cl.Machine(0)
 	srvMR := srv.Verbs.RegisterMR(inboundProcs * 1024)
 
+	// post[p] posts one of process p's verbs. Each chain reposts from
+	// its own completion: its WRITE landing, or its READ's completion.
 	var count uint64
-	procDone := make([][]func(), inboundProcs)
+	post := make([]func(), inboundProcs)
 	if verb == verbs.WRITE {
-		srvMR.Watch(0, inboundProcs*1024, func(off, n int) {
-			count++
-			p := off / 1024
-			if len(procDone[p]) > 0 {
-				d := procDone[p][0]
-				procDone[p] = procDone[p][1:]
-				d()
-			}
-		})
+		srvMR.Watch(0, inboundProcs*1024, func(off, n int) { count++; post[off/1024]() })
 	}
 
 	for p := 0; p < inboundProcs; p++ {
@@ -184,32 +178,25 @@ func inboundMops(spec cluster.Spec, tr wire.Transport, verb verbs.Verb, size int
 		payload := make([]byte, size)
 
 		if verb == verbs.READ {
-			var dones []func()
-			cq.SendCQ().SetHandler(func(verbs.Completion) {
-				count++
-				if len(dones) > 0 {
-					d := dones[0]
-					dones = dones[1:]
-					d()
-				}
-			})
-			pump(inboundWindow, func(done func()) {
-				dones = append(dones, done)
+			post[p] = func() {
 				mustPost(cq.PostSend(verbs.SendWR{
 					Verb: verbs.READ, Remote: srvMR, RemoteOff: p * 1024,
 					Local: local, Len: size, Signaled: true,
 				}))
-			})
-			continue
+			}
+			cq.SendCQ().SetHandler(func(verbs.Completion) { count++; post[p]() })
+		} else {
+			post[p] = func() {
+				mustPost(cq.PostSend(verbs.SendWR{
+					Verb: verbs.WRITE, Data: payload,
+					Remote: srvMR, RemoteOff: p * 1024,
+					Inline: size <= 256,
+				}))
+			}
 		}
-		pump(inboundWindow, func(done func()) {
-			procDone[p] = append(procDone[p], done)
-			mustPost(cq.PostSend(verbs.SendWR{
-				Verb: verbs.WRITE, Data: payload,
-				Remote: srvMR, RemoteOff: p * 1024,
-				Inline: size <= 256,
-			}))
-		})
+		for w := 0; w < inboundWindow; w++ {
+			post[p]()
+		}
 	}
 	return measureMops(cl, &count)
 }
@@ -246,6 +233,9 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 		cliMR := m.Verbs.RegisterMR(4096)
 		payload := make([]byte, size)
 
+		// Each chain reposts from its own completion: its WRITE
+		// landing, its SEND's delivery, or its READ's completion.
+		var post func()
 		switch kind {
 		case "wr-inline", "wr":
 			sq := srv.Verbs.CreateQP(wire.UC)
@@ -253,20 +243,11 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 			if err := verbs.Connect(sq, cq); err != nil {
 				panic(err)
 			}
-			var dones []func()
-			cliMR.Watch(0, 4096, func(off, n int) {
-				count++
-				if len(dones) > 0 {
-					d := dones[0]
-					dones = dones[1:]
-					d()
-				}
-			})
 			inline := kind == "wr-inline" && size <= 256
-			pump(inboundWindow, func(done func()) {
-				dones = append(dones, done)
+			post = func() {
 				mustPost(sq.PostSend(verbs.SendWR{Verb: verbs.WRITE, Data: payload, Remote: cliMR, Inline: inline}))
-			})
+			}
+			cliMR.Watch(0, 4096, func(off, n int) { count++; post() })
 
 		case "send-ud":
 			sq := srv.Verbs.CreateQP(wire.UD)
@@ -275,19 +256,13 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 			for i := 0; i < 2*inboundWindow; i++ {
 				mustPost(cq.PostRecv(cliMR, 0, 4096, 0))
 			}
-			var dones []func()
+			post = func() {
+				mustPost(sq.PostSend(verbs.SendWR{Verb: verbs.SEND, Data: payload, Dest: cq, Inline: size <= 256}))
+			}
 			cq.RecvCQ().SetHandler(func(verbs.Completion) {
 				count++
 				mustPost(cq.PostRecv(cliMR, 0, 4096, 0))
-				if len(dones) > 0 {
-					d := dones[0]
-					dones = dones[1:]
-					d()
-				}
-			})
-			pump(inboundWindow, func(done func()) {
-				dones = append(dones, done)
-				mustPost(sq.PostSend(verbs.SendWR{Verb: verbs.SEND, Data: payload, Dest: cq, Inline: size <= 256}))
+				post()
 			})
 
 		case "read":
@@ -297,21 +272,15 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 				panic(err)
 			}
 			local := srv.Verbs.RegisterMR(4096)
-			var dones []func()
-			sq.SendCQ().SetHandler(func(verbs.Completion) {
-				count++
-				if len(dones) > 0 {
-					d := dones[0]
-					dones = dones[1:]
-					d()
-				}
-			})
-			pump(inboundWindow, func(done func()) {
-				dones = append(dones, done)
+			post = func() {
 				mustPost(sq.PostSend(verbs.SendWR{
 					Verb: verbs.READ, Remote: cliMR, Local: local, Len: size, Signaled: true,
 				}))
-			})
+			}
+			sq.SendCQ().SetHandler(func(verbs.Completion) { count++; post() })
+		}
+		for w := 0; w < inboundWindow; w++ {
+			post()
 		}
 	}
 	return measureMops(cl, &count)

@@ -34,7 +34,6 @@ const (
 func overloadConfig(window int, controlled bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.NS = 1
-	cfg.MaxClients = overloadClients
 	cfg.Window = window
 	cfg.Mica = mica.Config{IndexBuckets: overloadKeys / 2, BucketSlots: 8, LogBytes: overloadKeys * 64}
 	cfg.RetryTimeout = 5 * sim.Microsecond
@@ -56,19 +55,9 @@ func overloadArm(mode string, chains int) string {
 // load knob: one chain sustains roughly 1/RTT ops.
 func overloadPoint(spec cluster.Spec, chains int, controlled bool) Metrics {
 	perClient := (chains + overloadClients - 1) / overloadClients
-	cl := cluster.New(spec, 1+overloadClients, 1)
-	srv, err := core.NewServer(cl.Machine(0), overloadConfig(perClient, controlled))
-	if err != nil {
-		panic(err)
-	}
-	preloadKeys(overloadKeys, overloadValueSize, srv.Preload)
-	clients := make([]*core.Client, overloadClients)
-	for i := range clients {
-		clients[i], err = srv.ConnectClient(cl.Machine(1 + i))
-		if err != nil {
-			panic(err)
-		}
-	}
+	cl, srv, clients := deployHERD(deploySpec{spec: spec, seed: 1, keys: overloadKeys,
+		valueSize: overloadValueSize, clients: overloadClients, perMachine: 1},
+		overloadConfig(perClient, controlled))
 
 	// Stagger chain starts so the opening burst is not one giant
 	// synchronized doorbell.

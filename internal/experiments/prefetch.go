@@ -43,7 +43,6 @@ func prefetchEchoMops(spec cluster.Spec, cores, nAccesses int, prefetch bool) fl
 	type end struct {
 		udSrv *verbs.QP
 		udCli *verbs.QP
-		dones []func()
 	}
 	ends := make([]*end, inboundProcs)
 
@@ -79,21 +78,20 @@ func prefetchEchoMops(spec cluster.Spec, cores, nAccesses int, prefetch bool) fl
 		for w := 0; w < 2*inboundWindow; w++ {
 			mustPost(e.udCli.PostRecv(mr, 0, 1024, 0))
 		}
-		e.udCli.RecvCQ().SetHandler(func(verbs.Completion) {
-			count++
-			mustPost(e.udCli.PostRecv(mr, 0, 1024, 0))
-			if len(e.dones) > 0 {
-				d := e.dones[0]
-				e.dones = e.dones[1:]
-				d()
-			}
-		})
-		pump(inboundWindow, func(done func()) {
-			e.dones = append(e.dones, done)
+		// Each chain reposts from its own response's arrival.
+		post := func() {
 			mustPost(reqQP.PostSend(verbs.SendWR{
 				Verb: verbs.WRITE, Data: payload, Remote: srvMR, RemoteOff: i * 1024, Inline: true,
 			}))
+		}
+		e.udCli.RecvCQ().SetHandler(func(verbs.Completion) {
+			count++
+			mustPost(e.udCli.PostRecv(mr, 0, 1024, 0))
+			post()
 		})
+		for w := 0; w < inboundWindow; w++ {
+			post()
+		}
 	}
 	return measureMops(cl, &count)
 }

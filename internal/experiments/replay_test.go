@@ -32,6 +32,17 @@ var replayDigests = map[string]string{
 	"durability":    "6b716a7fe1826a583c070f0009b4b0038de9303dc3815b2df210e69111074bba",
 	"hotkey":        "1d2a411929210d6eb749e14692aedf725062a7f183fbc16c3493cb58bfb644bd",
 	"consistency":   "a674c00336f927c22ef17c85ad9cf56eae41bd81080dc51b03a18f52ff539059",
+
+	// The verb-level targets: their closed loops repost from their own
+	// completion handlers.
+	"fig3":              "409ae6d9abc08ff2a93a7a50a89b1cd599bf01c361c06ad8f6c31d813d3359d4",
+	"fig4":              "493bfabb63b09dcd8c391e03670c4b917260548719fde074ad34aefb1da937cd",
+	"fig5":              "7e8e92b84ce537a0ab18787cd7953ac4dcfb2fa503c684a557d5e24fdf9e4544",
+	"fig6":              "82bc44f83d227acee8d0f22d5061bfa3f4d7bf1efacfb4a387395d354479eb2d",
+	"fig7":              "e6fb135f8a5242379ebcaa74755b33161ad99421aca76648859098759c01b21b",
+	"ablation-doorbell": "32c3cc0b633b6afb1a415a20910fcd7cbde7c2963fd55eed0f28419cc28525a1",
+	"symmetric":         "a585600f4913b0bea2b06a1f08845e314f5881612c3f6cec94538ce1df150305",
+	"classical":         "900af7c5bb91a01c351ba839cd0f511cf577422048151f46721c63257a261449",
 }
 
 // TestReplayStable pins determinism for every target in replayDigests:

@@ -61,73 +61,59 @@ func symmetricFarmPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64)
 		panic(err)
 	}
 	preloadKeys(symKeys, 32, sym.Preload)
+	// Each machine keeps 4 chains in flight; a chain reissues from its
+	// own completion.
 	var completed uint64
 	for m := 0; m < n; m++ {
 		m := m
 		gen := workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(m+1)))
-		pump(4, func(done func()) {
-			op := gen.Next()
-			if op.IsGet {
-				sym.Get(m, op.Key, func(farm.Result) { completed++; done() })
+		var issue func()
+		done := func(farm.Result) { completed++; issue() }
+		issue = func() {
+			if op := gen.Next(); op.IsGet {
+				sym.Get(m, op.Key, done)
 			} else {
-				sym.Put(m, op.Key, gen.Value(op.Key),
-					func(farm.Result) { completed++; done() })
+				sym.Put(m, op.Key, gen.Value(op.Key), done)
 			}
-		})
+		}
+		for c := 0; c < 4; c++ {
+			issue()
+		}
 	}
 	cl.Eng.RunFor(Warmup)
 	start := completed
 	startBusy := make([]sim.Time, n)
 	for m := 0; m < n; m++ {
-		startBusy[m] = machineServerBusy(cl, m, cfg.Cores)
+		startBusy[m] = serverBusy(cl.Machine(m).CPU, cfg.Cores)
 	}
 	cl.Eng.RunFor(Span)
 	var busy sim.Time
 	for m := 0; m < n; m++ {
-		busy += machineServerBusy(cl, m, cfg.Cores) - startBusy[m]
+		busy += serverBusy(cl.Machine(m).CPU, cfg.Cores) - startBusy[m]
 	}
 	mops = float64(completed-start) / Span.Seconds() / 1e6
 	srvCPU = float64(busy) / float64(Span) / float64(n*cfg.Cores)
 	return mops, srvCPU
 }
 
-func machineServerBusy(cl *cluster.Cluster, m, cores int) sim.Time {
-	var total sim.Time
-	for c := 0; c < cores; c++ {
-		total += cl.Machine(m).CPU.Core(c).BusyTime()
-	}
-	return total
-}
-
 // herdPoint runs client-server HERD on the same machine budget: one
 // server plus n-1 client machines (3 client processes each).
 func herdPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64) {
-	cl := cluster.New(spec, n, 1)
-	nClients := (n - 1) * 3
 	hcfg := core.DefaultConfig()
 	hcfg.NS = 6
-	hcfg.MaxClients = nClients
 	hcfg.Mica = mica.Config{IndexBuckets: symKeys / 4, BucketSlots: 8, LogBytes: symKeys * 64}
-	srv, err := core.NewServer(cl.Machine(0), hcfg)
-	if err != nil {
-		panic(err)
-	}
-	preloadKeys(symKeys, 32, srv.Preload)
+	cl, _, clients := deployHERD(deploySpec{spec: spec, seed: 1, keys: symKeys, valueSize: 32,
+		clients: (n - 1) * 3, perMachine: 3}, hcfg)
 	var completed uint64
 	d := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
-	for i := 0; i < nClients; i++ {
-		c, err := srv.ConnectClient(cl.Machine(1 + i/3))
-		if err != nil {
-			panic(err)
-		}
-		gen := workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(i+1)))
-		d.add(c, gen, hcfg.Window, 0)
+	for i, c := range clients {
+		d.add(c, workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(i+1))), hcfg.Window, 0)
 	}
 	cl.Eng.RunFor(Warmup)
 	start := completed
-	startBusy := machineServerBusy(cl, 0, hcfg.NS)
+	startBusy := serverBusy(cl.Machine(0).CPU, hcfg.NS)
 	cl.Eng.RunFor(Span)
-	busy := machineServerBusy(cl, 0, hcfg.NS) - startBusy
+	busy := serverBusy(cl.Machine(0).CPU, hcfg.NS) - startBusy
 	mops = float64(completed-start) / Span.Seconds() / 1e6
 	srvCPU = float64(busy) / float64(Span) / float64(hcfg.NS)
 	return mops, srvCPU
