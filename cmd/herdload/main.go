@@ -76,6 +76,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.System, ok = systems[strings.ToLower(*system)]; !ok {
 		return usage("unknown system %q (herd, pilaf, farm, farm-var)", *system)
 	}
+	herdOnly := ""
+	fs.Visit(func(f *flag.Flag) {
+		if herdOnly == "" && (f.Name == "sendmode" || f.Name == "retry") {
+			herdOnly = f.Name
+		}
+	})
+	if herdOnly != "" && cfg.System != experiments.SysHERD {
+		return usage("-%s applies to -system herd only", herdOnly)
+	}
 	switch strings.ToLower(*clusterF) {
 	case "apt":
 		cfg.Spec = cluster.Apt()

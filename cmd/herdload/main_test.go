@@ -94,11 +94,17 @@ func TestBadFlags(t *testing.T) {
 		"-loss 1.5", "-keys 0", "-clients 0", "-window 0", "-warmup -1",
 		"-retry -1", "-value 0", "-value 1001", "-system pilaf -value 5000",
 		"-system nope", "-cluster nope",
+		"-system pilaf -retry 5", "-system farm -sendmode", "-system farm-var -retry 0",
 	} {
 		t.Run(args, func(t *testing.T) {
 			f := strings.Fields(args)
 			code, out, errOut := herdload(f...)
+			// The flag at fault comes last; every flag takes a value
+			// except a trailing boolean one.
 			bad := f[len(f)-2]
+			if len(f)%2 == 1 {
+				bad = f[len(f)-1]
+			}
 			if code != 2 || out != "" || strings.Contains(errOut, "goroutine") ||
 				strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, strings.TrimPrefix(bad, "-")) {
 				t.Errorf("exit %d, stdout %q, stderr %q; want exit 2 and one line naming %s", code, out, errOut, bad)

@@ -26,30 +26,6 @@ func Example() {
 	// Output: status=hit value=hello
 }
 
-// ExampleClient_Delete demonstrates the GET/PUT/DELETE interface.
-func ExampleClient_Delete() {
-	cl := herdkv.NewCluster(herdkv.Apt(), 2, 1)
-	cfg := herdkv.DefaultConfig()
-	cfg.NS = 1
-	cfg.MaxClients = 1
-	srv, _ := herdkv.NewServer(cl.Machine(0), cfg)
-	cli, _ := srv.ConnectClient(cl.Machine(1))
-
-	key := herdkv.KeyFromUint64(7)
-	cli.Put(key, []byte("temp"), func(herdkv.Result) {
-		cli.Delete(key, func(r herdkv.Result) {
-			fmt.Printf("delete=%v\n", r.Status)
-			cli.Get(key, func(r herdkv.Result) {
-				fmt.Printf("get=%v\n", r.Status)
-			})
-		})
-	})
-	cl.Eng.Run()
-	// Output:
-	// delete=hit
-	// get=miss
-}
-
 // ExampleNewWorkload drives a HERD client with the paper's
 // read-intensive workload generator.
 func ExampleNewWorkload() {

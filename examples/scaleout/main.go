@@ -6,9 +6,7 @@
 //   - R=1: static sharding, no replication — the classic memcached
 //     fleet.
 //   - R=2: every key on two shards. The demo crashes one shard mid-run
-//     (reads fail over to replicas with zero failed operations) and
-//     then grows the fleet by one shard with live background key
-//     migration.
+//     (reads fail over to replicas with zero failed operations).
 //
 // Both are driven through the same herdkv.KV client interface.
 package main
@@ -38,7 +36,7 @@ func main() {
 		fmt.Printf("%-10s %-8d %12.1f %14.1f\n", "fleet R=2", shards, mops, mops/float64(shards))
 	}
 	fmt.Println("\nFleet replication costs write fan-out but keeps every key readable")
-	fmt.Println("through a shard crash. Failover and migration in action:")
+	fmt.Println("through a shard crash. Failover in action:")
 	failoverDemo()
 }
 
@@ -108,22 +106,17 @@ func runFleet(shards, r int) float64 {
 	return drive(cl, clients, 4)
 }
 
-// failoverDemo crashes one shard of a 4-shard R=2 fleet under load,
-// shows reads surviving via replica failover, then restarts it and
-// grows the fleet by a fifth shard with background migration.
+// failoverDemo crashes one shard of a 4-shard R=2 fleet and shows
+// reads surviving via replica failover.
 func failoverDemo() {
 	const shards = 4
-	cl := herdkv.NewCluster(herdkv.Apt(), shards+2, 1)
+	cl := herdkv.NewCluster(herdkv.Apt(), shards+1, 1)
 	servers := make([]*herdkv.Machine, shards)
 	for i := range servers {
 		servers[i] = cl.Machine(i)
 	}
 	fcfg := herdkv.DefaultFleetConfig()
 	fcfg.Herd = herdConfig(1)
-	// Durability makes the crashed shard's restart warm: its MICA
-	// partitions are DRAM and die with the crash, but the write-ahead
-	// log replays them back before the shard rejoins the ring.
-	fcfg.Herd.Durability = herdkv.DurabilityGroupCommit
 	d, err := herdkv.NewFleet(servers, fcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -147,26 +140,6 @@ func failoverDemo() {
 	cl.Eng.Run()
 	fmt.Printf("  shard 0 down: %d/2048 reads served (reroutes=%d, replica reads=%d, failed=%d)\n",
 		hits, c.Reroutes(), c.ReplicaReads(), c.Failed())
-	d.Server(0).Restart()
-
-	// Grow the fleet: add a fifth shard and wait out the migration.
-	migrated := false
-	id, err := d.AddShard(cl.Machine(shards+1), func() { migrated = true })
-	if err != nil {
-		log.Fatal(err)
-	}
-	cl.Eng.Run()
-	fmt.Printf("  added shard %d: migration complete=%v, ring=%v\n", id, migrated, d.Ring().Shards())
-	hits = 0
-	for k := uint64(0); k < 2048; k++ {
-		c.Get(herdkv.KeyFromUint64(k), func(r herdkv.Result) {
-			if r.Status == herdkv.StatusHit {
-				hits++
-			}
-		})
-	}
-	cl.Eng.Run()
-	fmt.Printf("  post-migration: %d/2048 reads served, failed=%d\n", hits, c.Failed())
 }
 
 // preload inserts every key via the provided deployment preload.

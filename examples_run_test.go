@@ -21,7 +21,7 @@ func TestExamplesRun(t *testing.T) {
 		{"webcache", "cache hit rate"},
 		{"baselines", "HERD's single round trip wins"},
 		{"skewstudy", "core max/min ratio"},
-		{"scaleout", "post-migration: 2048/2048 reads served, failed=0"},
+		{"scaleout", "shard 0 down: 2048/2048 reads served"},
 		{"sequencer", "duplicates: 0"},
 	}
 	for _, c := range cases {

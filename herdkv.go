@@ -132,7 +132,7 @@ const (
 	// DurabilityOff keeps the MICA partitions purely volatile (the
 	// paper's behavior): a crashed server restarts cold.
 	DurabilityOff = core.DurabilityOff
-	// DurabilityGroupCommit logs every successful PUT/DELETE and acks
+	// DurabilityGroupCommit logs every successful PUT and acks
 	// immediately; a batched group commit persists within the flush
 	// window, and a crashed server replays its log to rejoin warm.
 	DurabilityGroupCommit = core.DurabilityGroupCommit
@@ -153,15 +153,15 @@ type MicaConfig = mica.Config
 // (docs/SCALEOUT.md). At Replication 1 a fleet is static sharding.
 
 // FleetDeployment is a rendezvous-hashed fleet of HERD servers with
-// per-key replication, online shard addition with background
-// migration, and crash failover.
+// per-key replication, crash failover and background catch-up of a
+// restarted shard.
 type FleetDeployment = fleet.Deployment
 
 // FleetClient is one application host's replicated, failover-capable
 // view of the fleet.
 type FleetClient = fleet.Client
 
-// FleetConfig parameterizes a fleet (replication factor, migration
+// FleetConfig parameterizes a fleet (replication factor, catch-up
 // pacing, hot-key widening, versioned replication).
 type FleetConfig = fleet.Config
 

@@ -39,7 +39,6 @@ type opKind int
 const (
 	opGet opKind = iota
 	opPut
-	opDelete
 )
 
 type pendingOp struct {
@@ -87,8 +86,6 @@ func (k opKind) kindName() string {
 	switch k {
 	case opPut:
 		return "PUT"
-	case opDelete:
-		return "DELETE"
 	}
 	return "GET"
 }
@@ -164,7 +161,7 @@ type Client struct {
 	telDup, telFailed, telCorrupt       *telemetry.Counter
 	telReconnects, telBusyRx            *telemetry.Counter
 	telWindow                           *telemetry.Gauge
-	latGet, latPut, latDel              *telemetry.Histogram
+	latGet, latPut                      *telemetry.Histogram
 }
 
 // Retries reports how many application-level request rewrites this
@@ -235,7 +232,6 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.telWindow.Set(int64(c.window()))
 	c.latGet = c.tel.Histogram("herd.get.latency")
 	c.latPut = c.tel.Histogram("herd.put.latency")
-	c.latDel = c.tel.Histogram("herd.delete.latency")
 
 	// Request path: one UC QP pair (WRITE mode), a connectionless UD QP
 	// (SEND/SEND mode), or a DC initiator (DC mode) — the latter two
@@ -346,16 +342,6 @@ func (c *Client) Get(key kv.Key, cb func(Result)) error {
 		return mica.ErrZeroKey
 	}
 	c.submit(c.newOp(opGet, key, cb))
-	return nil
-}
-
-// Delete removes key; cb runs when the ack arrives. Result.Status
-// reports whether the key was present (StatusHit) or absent.
-func (c *Client) Delete(key kv.Key, cb func(Result)) error {
-	if key.IsZero() {
-		return mica.ErrZeroKey
-	}
-	c.submit(c.newOp(opDelete, key, cb))
 	return nil
 }
 
@@ -615,10 +601,7 @@ func (c *Client) encodeRequest(op *pendingOp, r int) []byte {
 	if cfg.UseSendRequests {
 		vlen := uint16(0)
 		var val []byte
-		switch op.kind {
-		case opDelete:
-			vlen = lenDelete
-		case opPut:
+		if op.kind == opPut {
 			vlen = uint16(len(op.value))
 			val = op.value
 		}
@@ -635,11 +618,6 @@ func (c *Client) encodeRequest(op *pendingOp, r int) []byte {
 	case opGet:
 		payload := op.buf[:kv.KeySize]
 		copy(payload, op.key[:])
-		return payload
-	case opDelete:
-		payload := op.buf[:2+kv.KeySize]
-		binary.LittleEndian.PutUint16(payload, lenDelete)
-		copy(payload[2:], op.key[:])
 		return payload
 	default: // opPut
 		payload := op.buf[:len(op.value)+2+kv.KeySize]
@@ -956,8 +934,6 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 		c.latGet.RecordTime(res.Latency)
 	case opPut:
 		c.latPut.RecordTime(res.Latency)
-	case opDelete:
-		c.latDel.RecordTime(res.Latency)
 	}
 	res.Status = kv.StatusMiss
 	if status == statusOK {

@@ -8,42 +8,6 @@ import (
 	"herdkv/internal/sim"
 )
 
-func TestDeleteRoundTrip(t *testing.T) {
-	cl, srv, clients := newHERD(t, smallConfig(), 1)
-	c := clients[0]
-	key := kv.FromUint64(5)
-	var delRes, getRes, del2 Result
-	c.Put(key, []byte("doomed"), func(Result) {
-		c.Delete(key, func(r Result) {
-			delRes = r
-			c.Get(key, func(r Result) {
-				getRes = r
-				c.Delete(key, func(r Result) { del2 = r })
-			})
-		})
-	})
-	cl.Eng.Run()
-	if delRes.Status != kv.StatusHit {
-		t.Fatalf("DELETE of present key: %+v", delRes)
-	}
-	if getRes.Status == kv.StatusHit {
-		t.Fatal("key still present after DELETE")
-	}
-	if del2.Status == kv.StatusHit {
-		t.Fatal("second DELETE should report not-found")
-	}
-	if srv.Deletes() != 2 {
-		t.Fatalf("server deletes = %d, want 2", srv.Deletes())
-	}
-}
-
-func TestDeleteValidation(t *testing.T) {
-	_, _, clients := newHERD(t, smallConfig(), 1)
-	if err := clients[0].Delete(kv.Key{}, nil); err == nil {
-		t.Fatal("zero-key DELETE accepted")
-	}
-}
-
 // lossyHERD builds a HERD deployment on a fabric with the given loss
 // rate and retries enabled.
 func lossyHERD(t *testing.T, lossRate float64, cfg Config) (*cluster.Cluster, *Server, *Client) {

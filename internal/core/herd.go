@@ -55,11 +55,6 @@ const (
 	respHdr = 5
 )
 
-// LEN field encoding: zero denotes a GET (the request is the bare
-// keyhash); values up to MaxValueSize denote a PUT of that length;
-// lenDelete marks a DELETE (the GET/PUT/DELETE interface of Section 2.1).
-const lenDelete = 0xffff
-
 // Response status codes.
 const (
 	statusOK       = 1
@@ -174,7 +169,7 @@ type Config struct {
 	// docs/DURABILITY.md). Off (the default, the paper's behavior) keeps
 	// the MICA partitions purely volatile: a crash loses everything and
 	// Restart comes back cold. DurabilityGroupCommit logs every
-	// successful PUT/DELETE and acks before the group commit persists
+	// successful PUT and acks before the group commit persists
 	// (the group-commit window is the exposure). DurabilitySync holds
 	// each mutation's response until its log record is durable.
 	Durability Durability
@@ -187,8 +182,7 @@ type Config struct {
 	// VersionedValues makes the server order mutations by the
 	// kv.Version stamp prefixed to every value (see internal/kv): a
 	// PUT whose stamp does not outrank the stored entry's is refused
-	// (acked, not applied), and DELETEs arrive as tombstone PUTs
-	// rather than removals, so replicas converge to the
+	// (acked, not applied), so replicas converge to the
 	// highest-stamped state no matter the apply order. Off by default
 	// (the paper's unversioned cache); the versioned fleet client
 	// turns it on for every replica it drives.
@@ -316,7 +310,6 @@ type Server struct {
 
 	// Stats
 	gets, puts, getHits uint64
-	deletes             uint64
 	inlineResponses     uint64
 	nonInlineResponses  uint64
 	rejected            uint64 // malformed/corrupt requests refused
@@ -532,7 +525,7 @@ func (s *Server) applyRecord(r wal.Record) {
 	switch r.Op {
 	case wal.OpPut:
 		if s.cfg.VersionedValues {
-			_, _, _ = s.applyVersionedPut(part, r.Key, r.Value)
+			_, _ = s.applyVersionedPut(part, r.Key, r.Value)
 			return
 		}
 		_ = part.Load(r.Key, r.Value)
@@ -545,47 +538,26 @@ func (s *Server) applyRecord(r wal.Record) {
 // ordering: a stamp that does not outrank the stored entry's is refused
 // without touching the partition, which makes replays, repair
 // back-fills, and duplicate retries idempotent in any order. It returns
-// the response status under HERD's delete-as-tombstone convention
-// (statusOK for live writes and for tombstones that killed a live
-// entry, statusNotFound for a tombstone landing on absent-or-dead
-// state), whether the partition changed (and so the mutation must be
-// WAL-logged), and any storage error. Unstamped values fall back to a
-// plain overwrite so legacy preloads keep working.
+// whether the partition changed (and so the mutation must be
+// WAL-logged) and any storage error; a refused stamp is still acked OK.
+// Unstamped values fall back to a plain overwrite so legacy preloads
+// keep working.
 //
 //herd:hotpath
-func (s *Server) applyVersionedPut(part *mica.Cache, key kv.Key, value []byte) (status byte, applied bool, err error) {
-	nv, ntomb, _, ok := kv.SplitVersion(value)
+func (s *Server) applyVersionedPut(part *mica.Cache, key kv.Key, value []byte) (applied bool, err error) {
+	nv, _, _, ok := kv.SplitVersion(value)
 	if !ok {
-		return statusOK, true, part.Put(key, value)
+		return true, part.Put(key, value)
 	}
-	priorLive := false
 	if old, found := part.Get(key); found {
-		ov, otomb, _, ook := kv.SplitVersion(old)
-		if ook {
-			priorLive = !otomb
-			if !ov.Less(nv) {
-				return versionedStatus(ntomb, priorLive), false, nil
-			}
-		} else {
-			priorLive = true
+		if ov, _, _, ook := kv.SplitVersion(old); ook && !ov.Less(nv) {
+			return false, nil
 		}
 	}
 	if err := part.Put(key, value); err != nil {
-		return statusNotFound, false, err
+		return false, err
 	}
-	return versionedStatus(ntomb, priorLive), true, nil
-}
-
-// versionedStatus maps a versioned PUT's outcome to a response status:
-// a tombstone reports what it deleted (kvtest's delete-of-absent = not
-// found), everything else acks OK.
-//
-//herd:hotpath
-func versionedStatus(tombstone, priorLive bool) byte {
-	if tombstone && !priorLive {
-		return statusNotFound
-	}
-	return statusOK
+	return true, nil
 }
 
 // snapshotLiveState walks every partition's live entries for WAL
@@ -675,12 +647,12 @@ func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }
 
 // Preload inserts an item server-side (no network traffic), routing it
 // to the partition that will serve it — used to warm a deployment before
-// an experiment, and by fleet migration/catch-up to copy keys between
-// shards. With durability on it writes through the WAL as immediately
-// durable (the control-plane path models data loaded before the run):
-// otherwise a crash before the first flush would replay the log to a
-// pre-preload view and silently resurrect deleted or stale state. Only
-// what the partition accepts is logged. Unversioned items go in through
+// an experiment, and by fleet recovery catch-up and anti-entropy to
+// copy keys between shards. With durability on it writes through the
+// WAL as immediately durable (the control-plane path models data loaded
+// before the run): otherwise a crash before the first flush would
+// replay the log to a pre-preload view and silently resurrect deleted
+// or stale state. Only what the partition accepts is logged. Unversioned items go in through
 // mica's bulk-load path (Cache.Load).
 func (s *Server) Preload(key kv.Key, value []byte) error {
 	part := s.parts[mica.Partition(key, s.cfg.NS)]
@@ -688,7 +660,7 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 		// Ordered apply: an anti-entropy back-fill racing a fresher
 		// client write must never regress the stored version, and a
 		// refused (stale) copy must not reach the WAL either.
-		_, applied, err := s.applyVersionedPut(part, key, value)
+		applied, err := s.applyVersionedPut(part, key, value)
 		if err != nil || !applied {
 			return err
 		}
@@ -708,7 +680,7 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 
 // PreloadDelete removes an item server-side, through the WAL like
 // Preload — the delete half of a fleet delta catch-up (a recovered
-// shard replaying a survivor's post-crash DELETEs).
+// shard dropping a key its survivor no longer holds).
 func (s *Server) PreloadDelete(key kv.Key) bool {
 	if s.wlog != nil {
 		s.wlog.AppendDurable(wal.Record{Op: wal.OpDelete, Key: key, Epoch: s.epoch})
@@ -718,9 +690,6 @@ func (s *Server) PreloadDelete(key kv.Key) bool {
 
 // Stats reports server-side operation counts.
 func (s *Server) Stats() (gets, getHits, puts uint64) { return s.gets, s.getHits, s.puts }
-
-// Deletes reports served DELETE counts.
-func (s *Server) Deletes() uint64 { return s.deletes }
 
 // Rejected reports requests refused by the length/keyhash validity
 // checks (corrupted or malformed).
@@ -836,7 +805,7 @@ func (s *Server) serve(proc, client, slot int) {
 		rMod: uint16(slot % s.cfg.Window), slotRaw: raw,
 		trace: s.takeTrace(slot),
 	}
-	if vlen > 0 && vlen != lenDelete {
+	if vlen > 0 {
 		req.value = raw[SlotSize-lenTail-vlen : SlotSize-lenTail]
 	}
 	s.execute(req)
@@ -910,14 +879,13 @@ func (s *Server) noteService(proc int, service sim.Time) {
 }
 
 // validLen reports whether a slot LEN field is structurally possible:
-// zero (GET), the DELETE sentinel, or a PUT length that fits both the
+// zero (GET) or a PUT length that fits both the
 // item-size bound and the slot. The check is how corrupt-but-delivered
 // requests are rejected (the paper leaves integrity to the application).
 //
 //herd:hotpath
 func validLen(vlen int) bool {
-	return vlen == 0 || vlen == lenDelete ||
-		(vlen <= mica.MaxValueSize && vlen <= SlotSize-lenTail)
+	return vlen <= mica.MaxValueSize && vlen <= SlotSize-lenTail
 }
 
 // reject counts one refused (malformed or corrupted) request.
@@ -963,11 +931,7 @@ func (s *Server) execute(req request) {
 	}
 	r.kind = opGet
 	accesses := mica.AccessesPerGet
-	switch {
-	case req.vlen == lenDelete:
-		r.kind = opDelete
-		accesses = mica.AccessesPerPut
-	case req.vlen > 0:
+	if req.vlen > 0 {
 		r.kind = opPut
 		accesses = mica.AccessesPerPut
 	}
@@ -997,7 +961,7 @@ type serveRec struct {
 	kind  opKind
 	resp  []byte // the framed response, once built
 
-	// hdr holds a header-only response (PUT/DELETE acks, GET misses),
+	// hdr holds a header-only response (PUT acks, GET misses),
 	// which may wait on the WAL past the serving event; val holds a
 	// SEND-mode request's value.
 	hdr [respHdr]byte
@@ -1066,36 +1030,26 @@ func (r *serveRec) Fire(at sim.Time) {
 	req.trace.SetPrefix("resp.")
 	part := s.parts[req.proc]
 	// logged is set when this request mutated state that the WAL must
-	// record (a successful PUT or DELETE under durability).
+	// record (a successful PUT under durability).
 	var logged wal.Record
 	switch r.kind {
 	case opPut:
 		s.puts++
-		var status byte
 		var applied bool
 		var err error
 		if s.cfg.VersionedValues {
-			status, applied, err = s.applyVersionedPut(part, req.key, req.value)
+			applied, err = s.applyVersionedPut(part, req.key, req.value)
 		} else {
 			err = part.Put(req.key, req.value)
-			status, applied = statusOK, err == nil
+			applied = err == nil
 		}
+		status := byte(statusOK)
 		if err != nil {
 			status = statusNotFound
 		} else if applied && s.wlog != nil {
 			// Append encodes the value into the log before returning, so
 			// the slot may be zeroed and reused after the response.
 			logged = wal.Record{Op: wal.OpPut, Key: req.key, Value: req.value, Epoch: r.epoch}
-		}
-		r.resp = encodeRespHeader(r.respBuf(0), status, 0, req.rMod)
-	case opDelete:
-		s.deletes++
-		status := byte(statusNotFound)
-		if part.Delete(req.key) {
-			status = statusOK
-			if s.wlog != nil {
-				logged = wal.Record{Op: wal.OpDelete, Key: req.key, Epoch: r.epoch}
-			}
 		}
 		r.resp = encodeRespHeader(r.respBuf(0), status, 0, req.rMod)
 	default:
@@ -1224,7 +1178,7 @@ func (s *Server) onSendRequest(proc int, comp verbs.Completion) {
 		proc: proc, client: client, key: key, vlen: vlen,
 		rMod: rMod, viaSend: true, trace: comp.Trace,
 	}
-	if vlen > 0 && vlen != lenDelete {
+	if vlen > 0 {
 		if vlen > n-sendReqTail {
 			s.reject()
 			return

@@ -69,7 +69,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		"zeroTail":                 func() { zeroTail(slotRaw[:]) },
 		"encodeRespHeader":         func() { _ = encodeRespHeader(respBuf, statusOK, 8, 1) },
 		"postLossy":                func() { postLossy(nil) },
-		"versionedStatus":          func() { _ = versionedStatus(true, false) },
 		"Server.applyVersionedPut": roundTrip,
 		"Server.clientQP":          roundTrip,
 		"serveRec.Fire":            roundTrip,

@@ -10,14 +10,14 @@ import (
 	"herdkv/internal/kv"
 )
 
-// TestModelCheckEndToEnd drives random GET/PUT/DELETE sequences through
+// TestModelCheckEndToEnd drives random GET/PUT sequences through
 // the full stack — client windowing, UC WRITEs across the simulated
 // fabric, request-region polling, MICA partitions, UD SEND responses —
 // and checks every completed operation against a model map.
 //
 // Because MICA is lossy, a GET may legitimately miss on a key the model
 // holds (eviction); what must never happen is a GET returning bytes that
-// differ from the model's latest value, a PUT/DELETE acking incorrectly,
+// differ from the model's latest value, a PUT acking incorrectly,
 // or an operation being dropped on a lossless fabric.
 func TestModelCheckEndToEnd(t *testing.T) {
 	f := func(opsRaw []uint16, seed int64) bool {
@@ -59,23 +59,13 @@ func TestModelCheckEndToEnd(t *testing.T) {
 					}
 					step(i + 1)
 				})
-			case 2:
+			default: // PUT x2 weight
 				val := []byte{byte(raw), byte(raw >> 8), byte(i)}
 				c.Put(key, val, func(r Result) {
 					completed++
 					if r.Status == kv.StatusHit {
 						model[key] = val
 					}
-					step(i + 1)
-				})
-			case 3:
-				c.Delete(key, func(r Result) {
-					completed++
-					_, in := model[key]
-					if (r.Status == kv.StatusHit) != in {
-						violations++
-					}
-					delete(model, key)
 					step(i + 1)
 				})
 			}

@@ -34,23 +34,6 @@ func TestSendModeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSendModeDelete(t *testing.T) {
-	cl, _, clients := newHERD(t, sendModeConfig(), 1)
-	c := clients[0]
-	key := kv.FromUint64(2)
-	var del, get Result
-	c.Put(key, []byte("x"), func(Result) {
-		c.Delete(key, func(r Result) {
-			del = r
-			c.Get(key, func(r Result) { get = r })
-		})
-	})
-	cl.Eng.Run()
-	if del.Status != kv.StatusHit || get.Status == kv.StatusHit {
-		t.Fatalf("delete=%+v get=%+v", del, get)
-	}
-}
-
 func TestSendModeManyOps(t *testing.T) {
 	cl, _, clients := newHERD(t, sendModeConfig(), 3)
 	n := 300

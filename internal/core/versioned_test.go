@@ -8,23 +8,24 @@ import (
 )
 
 // stamped builds a version-prefixed value.
-func stamped(epoch int64, seq uint64, tomb bool, payload string) []byte {
-	v := kv.AppendVersion(nil, kv.Version{Epoch: epoch, Seq: seq}, tomb)
+func stamped(epoch int64, seq uint64, payload string) []byte {
+	v := kv.AppendVersion(nil, kv.Version{Epoch: epoch, Seq: seq}, false)
 	return append(v, payload...)
 }
 
 // TestVersionedOrderedApply drives a versioned server end to end: a PUT
 // whose stamp does not outrank the stored entry's must be refused
-// (acked, not applied), regardless of arrival order.
+// (acked, not applied), regardless of arrival order, and Preload obeys
+// the same ordering.
 func TestVersionedOrderedApply(t *testing.T) {
 	cfg := smallConfig()
 	cfg.VersionedValues = true
-	cl, _, clients := newHERD(t, cfg, 1)
+	cl, srv, clients := newHERD(t, cfg, 1)
 	c := clients[0]
 	key := kv.FromUint64(7)
 
-	newer := stamped(200, 1, false, "new")
-	older := stamped(100, 1, false, "old")
+	newer := stamped(200, 1, "new")
+	older := stamped(100, 1, "old")
 
 	var r1, r2, got Result
 	c.Put(key, newer, func(r Result) {
@@ -42,69 +43,13 @@ func TestVersionedOrderedApply(t *testing.T) {
 	if got.Status != kv.StatusHit || !bytes.Equal(got.Value, newer) {
 		t.Fatalf("stale PUT regressed the stored value: GET = %+v", got)
 	}
-}
-
-// TestVersionedTombstoneStatus checks the delete-as-tombstone response
-// contract: killing a live entry acks OK (Hit), a tombstone landing on
-// absent or already-dead state reports not-found (Miss) — and the
-// tombstone itself is stored, so the dead state outranks stale writes.
-func TestVersionedTombstoneStatus(t *testing.T) {
-	cfg := smallConfig()
-	cfg.VersionedValues = true
-	cl, srv, clients := newHERD(t, cfg, 1)
-	c := clients[0]
-	key := kv.FromUint64(9)
-
-	var rAbsent, rPut, rLive, rDead, rStale, got Result
-	c.Put(key, stamped(50, 1, true, ""), func(r Result) {
-		rAbsent = r
-		c.Put(key, stamped(100, 1, false, "live"), func(r Result) {
-			rPut = r
-			c.Put(key, stamped(200, 1, true, ""), func(r Result) {
-				rLive = r
-				c.Put(key, stamped(300, 1, true, ""), func(r Result) {
-					rDead = r
-					// A write stamped before the tombstone must not
-					// resurrect the key.
-					c.Put(key, stamped(150, 1, false, "stale"), func(r Result) {
-						rStale = r
-						c.Get(key, func(r Result) { got = r })
-					})
-				})
-			})
-		})
-	})
-	cl.Eng.Run()
-
-	if rAbsent.Status != kv.StatusMiss {
-		t.Fatalf("tombstone on absent key = %+v, want miss", rAbsent)
-	}
-	if rPut.Status != kv.StatusHit {
-		t.Fatalf("put = %+v", rPut)
-	}
-	if rLive.Status != kv.StatusHit {
-		t.Fatalf("tombstone on live key = %+v, want hit", rLive)
-	}
-	if rDead.Status != kv.StatusMiss {
-		t.Fatalf("tombstone on dead key = %+v, want miss", rDead)
-	}
-	if rStale.Status != kv.StatusHit {
-		t.Fatalf("refused stale put should still ack: %+v", rStale)
-	}
-	if got.Status != kv.StatusHit {
-		t.Fatalf("GET of tombstone should return the stored bytes: %+v", got)
-	}
-	if _, tomb, _, ok := kv.SplitVersion(got.Value); !ok || !tomb {
-		t.Fatalf("stored state is not the tombstone: %x", got.Value)
-	}
-	// Preload obeys the same ordering.
-	if err := srv.Preload(key, stamped(10, 1, false, "ancient")); err != nil {
+	if err := srv.Preload(key, stamped(10, 1, "ancient")); err != nil {
 		t.Fatal(err)
 	}
 	var after Result
 	c.Get(key, func(r Result) { after = r })
 	cl.Eng.Run()
-	if _, tomb, _, ok := kv.SplitVersion(after.Value); !ok || !tomb {
-		t.Fatalf("Preload regressed the stored version: %x", after.Value)
+	if !bytes.Equal(after.Value, newer) {
+		t.Fatalf("Preload regressed the stored version: GET = %+v", after)
 	}
 }

@@ -201,13 +201,6 @@ func (t *Table) writeBucket(i int, frag uint64, ptr uint32, vlen uint16, sum2 ui
 	binary.LittleEndian.PutUint64(raw[offSum2:], sum2)
 }
 
-func (t *Table) clearBucket(i int) {
-	raw := t.rawBucket(i)
-	for j := range raw {
-		raw[j] = 0
-	}
-}
-
 // appendExtent writes key+value into the extent, returning its pointer
 // and entry checksum.
 func (t *Table) appendExtent(key kv.Key, value []byte) (uint32, uint64, error) {
@@ -333,22 +326,6 @@ func (t *Table) Insert(key kv.Key, value []byte) error {
 	// full so callers can resize. The table stays self-consistent.
 	t.writeBucket(idx, curFrag, curPtr, curVLen, curSum2)
 	return ErrTableFull
-}
-
-// Delete removes key, returning whether it was present.
-func (t *Table) Delete(key kv.Key) bool {
-	frag := Frag(key)
-	for _, idx := range t.BucketIndices(key) {
-		if !t.occupied(idx) {
-			continue
-		}
-		b, ok := ParseBucket(t.rawBucket(idx))
-		if ok && b.Frag == frag && t.keyOfBucket(idx) == key {
-			t.clearBucket(idx)
-			return true
-		}
-	}
-	return false
 }
 
 // LoadFactor reports the fraction of occupied buckets.

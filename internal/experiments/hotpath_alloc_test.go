@@ -15,7 +15,6 @@ type stashKV struct{ cb func(kv.Result) }
 
 func (s *stashKV) Get(_ kv.Key, cb func(kv.Result)) error           { s.cb = cb; return nil }
 func (s *stashKV) Put(_ kv.Key, _ []byte, cb func(kv.Result)) error { s.cb = cb; return nil }
-func (s *stashKV) Delete(_ kv.Key, cb func(kv.Result)) error        { s.cb = cb; return nil }
 func (*stashKV) Inflight() int                                      { return 0 }
 func (*stashKV) Issued() uint64                                     { return 0 }
 func (*stashKV) Completed() uint64                                  { return 0 }

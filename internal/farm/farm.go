@@ -37,10 +37,6 @@ const SlotSize = 1024
 const (
 	keyTail = kv.KeySize
 	lenTail = keyTail + 2
-
-	// lenDelete in a request slot's LEN field marks a DELETE (values are
-	// bounded well below it).
-	lenDelete = 0xffff
 )
 
 // statusOf maps a served outcome onto the unified vocabulary.
@@ -86,7 +82,6 @@ type Server struct {
 
 	clients []*Client
 	puts    uint64
-	deletes uint64
 }
 
 // NewServer initializes FaRM-KV on machine m.
@@ -131,7 +126,6 @@ type Result = kv.Result
 
 type pendingPut struct {
 	key      kv.Key
-	isDelete bool
 	issuedAt sim.Time
 	cb       func(Result)
 }
@@ -235,11 +229,7 @@ func (s *Server) onPutLanded(c *Client, off, n int) {
 		return
 	}
 	vlen := int(binary.LittleEndian.Uint16(raw[SlotSize-lenTail : SlotSize-keyTail]))
-	isDelete := vlen == lenDelete
-	var value []byte
-	if !isDelete {
-		value = append([]byte(nil), raw[SlotSize-lenTail-vlen:SlotSize-lenTail]...)
-	}
+	value := append([]byte(nil), raw[SlotSize-lenTail-vlen:SlotSize-lenTail]...)
 
 	// Per-client core affinity keeps each client's PUTs ordered.
 	core := c.id % s.cfg.Cores
@@ -251,12 +241,7 @@ func (s *Server) onPutLanded(c *Client, off, n int) {
 
 	s.machine.CPU.Core(core).Submit(service, func(sim.Time) {
 		status := byte(1)
-		if isDelete {
-			if !s.table.Delete(key) {
-				status = 2
-			}
-			s.deletes++
-		} else if err := s.table.Insert(key, value); err != nil {
+		if err := s.table.Insert(key, value); err != nil {
 			status = 2
 		}
 		s.puts++
@@ -275,10 +260,9 @@ func (s *Server) onPutLanded(c *Client, off, n int) {
 	})
 }
 
-// onNotify completes the oldest outstanding PUT or DELETE (per-client
-// order is preserved end to end: one UC QP, one core, one notification
-// QP). The notification byte carries the outcome: 1 applied, 2 not
-// (store rejection, or DELETE of an absent key).
+// onNotify completes the oldest outstanding PUT (per-client order is
+// preserved end to end: one UC QP, one core, one notification QP). The
+// notification byte carries the outcome: 1 applied, 2 store rejection.
 func (c *Client) onNotify(off int) {
 	if len(c.pendingPuts) == 0 {
 		return
@@ -326,34 +310,17 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	if len(value) == 0 || len(value) > SlotSize-int(lenTail) {
 		return hopscotch.ErrValueSize
 	}
-	c.writeReq(key, append([]byte(nil), value...), uint16(len(value)), false, cb)
-	return nil
-}
-
-// Delete removes key via the circular-buffer request path (a
-// length-sentinel request the server CPU applies to the hopscotch
-// table). Result.Status reports hit (removed) or miss (absent).
-func (c *Client) Delete(key kv.Key, cb func(Result)) error {
-	if key.IsZero() {
-		return kv.ErrZeroKey
-	}
-	c.writeReq(key, nil, lenDelete, true, cb)
-	return nil
-}
-
-// writeReq WRITEs one request — a PUT body or the DELETE sentinel —
-// into the server's circular buffer.
-func (c *Client) writeReq(key kv.Key, val []byte, vlen uint16, isDelete bool, cb func(Result)) {
+	val := append([]byte(nil), value...)
 	c.startOp(func() {
 		c.issued++
 		slot := c.seq % c.srv.cfg.Window
 		c.seq++
 		payload := make([]byte, len(val)+2+kv.KeySize)
 		copy(payload, val)
-		binary.LittleEndian.PutUint16(payload[len(val):], vlen)
+		binary.LittleEndian.PutUint16(payload[len(val):], uint16(len(val)))
 		copy(payload[len(val)+2:], key[:])
 
-		c.pendingPuts = append(c.pendingPuts, &pendingPut{key: key, isDelete: isDelete, issuedAt: c.now(), cb: cb})
+		c.pendingPuts = append(c.pendingPuts, &pendingPut{key: key, issuedAt: c.now(), cb: cb})
 		mustPost(c.ucQP.PostSend(verbs.SendWR{
 			Verb:      verbs.WRITE,
 			Data:      payload,
@@ -362,6 +329,7 @@ func (c *Client) writeReq(key kv.Key, val []byte, vlen uint16, isDelete bool, cb
 			Inline:    len(payload) <= c.machine.Verbs.NIC().Params().InlineMax,
 		}))
 	})
+	return nil
 }
 
 // Get READs the key's neighborhood (and, out-of-table, the value). The

@@ -12,10 +12,9 @@ import (
 // stale replica observed during a read, and a completed crash recovery
 // (everything the restarted shard replicates gets re-audited) — and a
 // background step drains the queue in MigrationBatch-sized chunks every
-// MigrationInterval, the same pacing contract migration and recovery
-// catch-up obey. The step is work-queue driven and self-terminating:
-// once the queue drains no further event is scheduled, so Engine.Run
-// still quiesces.
+// MigrationInterval, the same pacing contract recovery catch-up obeys.
+// The step is work-queue driven and self-terminating: once the queue
+// drains no further event is scheduled, so Engine.Run still quiesces.
 //
 // Repairing a key is a server-side ordered merge: read the stored bytes
 // on every up replica, pick the highest kv.Version stamp, and Preload
@@ -132,7 +131,6 @@ func (d *Deployment) repairKey(key kv.Key) (repaired bool) {
 	if winner == nil {
 		return false
 	}
-	// A tombstone replicates like any other winning state.
 	for i, id := range reps {
 		srv := d.shards[id].srv
 		if srv.Down() {

@@ -45,7 +45,7 @@ var ErrPartialWrite = errors.New("fleet: write applied on only part of the repli
 type Client struct {
 	d       *Deployment
 	machine *cluster.Machine
-	subs    []kv.KV     // indexed by shard id; grows with AddShard
+	subs    []kv.KV     // indexed by shard id
 	suspect []sim.Time  // per shard id: avoid reads until this time
 	hot     *hotTracker // hot-key detector, nil when HotKeyTrack is 0
 
@@ -101,8 +101,7 @@ type Client struct {
 var _ kv.KV = (*Client)(nil)
 
 // ConnectClient attaches machine m to every shard and returns the
-// fleet client. Clients connected before an AddShard are attached to
-// the new shard automatically.
+// fleet client.
 func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c := &Client{
 		d:       d,
@@ -139,20 +138,6 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	}
 	d.clients = append(d.clients, c)
 	return c, nil
-}
-
-// attach connects this client to a newly added shard.
-func (c *Client) attach(sh *shard) error {
-	sub, err := sh.srv.ConnectClient(c.machine)
-	if err != nil {
-		return err
-	}
-	for len(c.subs) <= sh.id {
-		c.subs = append(c.subs, nil)
-		c.suspect = append(c.suspect, 0)
-	}
-	c.subs[sh.id] = sub
-	return nil
 }
 
 //herd:hotpath
@@ -348,7 +333,6 @@ type replicaState struct {
 	id      int
 	present bool
 	ver     kv.Version
-	tomb    bool
 	payload []byte
 	stored  []byte
 }
@@ -483,18 +467,6 @@ func (o *op) resolveGet(i int, r kv.Result) {
 //
 //herd:hotpath
 func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
-	return c.fanout(key, value, false, cb)
-}
-
-// Delete removes key from every replica in its set.
-//
-//herd:hotpath
-func (c *Client) Delete(key kv.Key, cb func(kv.Result)) error {
-	return c.fanout(key, nil, true, cb)
-}
-
-//herd:hotpath
-func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
 	}
@@ -505,7 +477,7 @@ func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Resu
 	if len(value) > limit {
 		return ErrValueTooLarge
 	}
-	if !isDelete && len(value) == 0 {
+	if len(value) == 0 {
 		return ErrEmptyValue
 	}
 	reps := c.d.Replicas(key)
@@ -513,7 +485,7 @@ func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Resu
 		return ErrNoShards
 	}
 	if c.d.cfg.Versioned {
-		return c.fanoutVersioned(key, value, isDelete, reps, cb)
+		return c.putVersioned(key, value, reps, cb)
 	}
 	o := c.getOp(opWrite, key, cb)
 	o.reps, o.outstanding = reps, len(reps)
@@ -525,13 +497,7 @@ func (c *Client) fanout(key kv.Key, value []byte, isDelete bool, cb func(kv.Resu
 	// the loop reads only locals after each call.
 	for i, id := range reps {
 		done := o.slot(i)
-		var err error
-		if isDelete {
-			err = c.subs[id].Delete(key, done)
-		} else {
-			err = c.subs[id].Put(key, value, done)
-		}
-		if err != nil {
+		if err := c.subs[id].Put(key, value, done); err != nil {
 			done(kv.Result{Key: key, Status: kv.StatusTimeout, Err: err})
 		}
 	}
@@ -571,25 +537,25 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 	o.finish(o.best)
 }
 
-// fanoutVersioned is the versioned write path: the value is stamped
-// with a fresh (epoch, seq) version — a tombstone for deletes — and
-// sent to every replica as an ordinary PUT. The op succeeds only when
-// every replica acks; a mixed outcome is a partial write (divergence),
-// which fails the op with ErrPartialWrite and hands the key to the
-// anti-entropy queue when repair is enabled.
+// putVersioned is the versioned write path: the value is stamped with
+// a fresh (epoch, seq) version and sent to every replica as an
+// ordinary PUT. The op succeeds only when every replica acks; a mixed
+// outcome is a partial write (divergence), which fails the op with
+// ErrPartialWrite and hands the key to the anti-entropy queue when
+// repair is enabled.
 //
 //herd:hotpath
-func (c *Client) fanoutVersioned(key kv.Key, value []byte, isDelete bool, reps []int, cb func(kv.Result)) error {
+func (c *Client) putVersioned(key kv.Key, value []byte, reps []int, cb func(kv.Result)) error {
 	c.verSeq++
 	o := c.getOp(opWriteVersioned, key, cb)
 	o.stamp = kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
-	o.stored = append(kv.AppendVersion(o.stored, o.stamp, isDelete), value...)
+	o.stored = append(kv.AppendVersion(o.stored, o.stamp, false), value...)
 	o.reps, o.outstanding = reps, len(reps)
 	c.start()
 	c.fanoutPuts++
 	c.telFanout.Inc()
 	o.begun = c.now()
-	// As in fanout, only locals are read after each call.
+	// As in Put, only locals are read after each call.
 	stored := o.stored
 	for i, id := range reps {
 		done := o.slot(i)
@@ -607,10 +573,7 @@ func (o *op) resolveWriteVersioned(i int, r kv.Result) {
 	c, id := o.c, o.reps[i]
 	o.outstanding--
 	if r.Err == nil {
-		// The server answers a tombstone PUT with delete semantics (Hit:
-		// killed a live entry); replicas can only disagree when already
-		// divergent, so prefer the Hit answer.
-		if !o.have || (r.Status == kv.StatusHit && o.best.Status != kv.StatusHit) {
+		if !o.have {
 			o.best, o.have = r, true
 		}
 	} else {
@@ -654,7 +617,7 @@ func (c *Client) noteFloor(key kv.Key, v kv.Version) {
 
 // getVersioned is the versioned read path: fan the read to every
 // replica, arbitrate by version stamp, and answer with the winner's
-// payload (a tombstone or absent winner is a miss). Replicas caught
+// payload (an absent winner is a miss). Replicas caught
 // behind the winner are counted stale and — with ReadRepair — back-
 // filled inline with the winning bytes; the member server's ordered
 // apply makes a repair racing a fresher write harmless.
@@ -665,7 +628,7 @@ func (c *Client) getVersioned(key kv.Key, reps []int, cb func(kv.Result)) error 
 	o.reps, o.outstanding = reps, len(reps)
 	c.start()
 	o.begun = c.now()
-	// As in fanout, only locals are read after each call.
+	// As in Put, only locals are read after each call.
 	for i, id := range reps {
 		done := o.slot(i)
 		if err := c.subs[id].Get(key, done); err != nil {
@@ -692,8 +655,8 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		if r.Status == kv.StatusHit {
 			st.present = true
 			st.stored = r.Value
-			if v, tomb, payload, ok := kv.SplitVersion(r.Value); ok {
-				st.ver, st.tomb, st.payload = v, tomb, payload
+			if v, _, payload, ok := kv.SplitVersion(r.Value); ok {
+				st.ver, st.payload = v, payload
 			} else {
 				// Unversioned legacy bytes rank at version zero.
 				st.payload = r.Value
@@ -728,10 +691,7 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		return
 	}
 	w := &o.states[win]
-	if !w.tomb {
-		res.Status = kv.StatusHit
-		res.Value = w.payload
-	}
+	res.Status, res.Value = kv.StatusHit, w.payload
 	if f := c.floors[key]; w.ver.Less(f) {
 		// Every replica that answered is behind a write this client
 		// completed: the result is provably stale.

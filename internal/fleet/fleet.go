@@ -8,7 +8,6 @@ import (
 	"herdkv/internal/core"
 	"herdkv/internal/fault"
 	"herdkv/internal/kv"
-	"herdkv/internal/mica"
 	"herdkv/internal/sim"
 	"herdkv/internal/telemetry"
 )
@@ -16,7 +15,6 @@ import (
 // Errors returned by deployment operations.
 var (
 	ErrNoShards        = errors.New("fleet: no live shards")
-	ErrMigrating       = errors.New("fleet: a membership change is already in progress")
 	ErrAllReplicasDown = errors.New("fleet: all replicas failed")
 )
 
@@ -28,10 +26,10 @@ type Config struct {
 	// to the shard count and to 4). At 1 the fleet is static
 	// sharding: every key lives on one shard.
 	Replication int
-	// MigrationBatch is how many keys one background migration step
-	// copies (default 64).
+	// MigrationBatch is how many keys one background step of recovery
+	// catch-up or anti-entropy copies (default 64).
 	MigrationBatch int
-	// MigrationInterval is the virtual-time spacing between migration
+	// MigrationInterval is the virtual-time spacing between those
 	// steps (default 2us), bounding how much control-plane copying can
 	// interleave with foreground traffic.
 	MigrationInterval sim.Time
@@ -47,17 +45,17 @@ type Config struct {
 	// Versioned switches the fleet to version-stamped replication:
 	// every write carries a kv.Version prefix ([epoch 8][seq 8]
 	// [flags 1]) inside the stored value, member servers apply
-	// mutations in stamp order (core.Config.VersionedValues), deletes
-	// become tombstones, writes succeed only when EVERY replica acks
-	// (a straggler failure is a partial write, not a success), and
-	// reads fan to all replicas and return the highest-stamped state.
+	// mutations in stamp order (core.Config.VersionedValues), writes
+	// succeed only when EVERY replica acks (a straggler failure is a
+	// partial write, not a success), and reads fan to all replicas and
+	// return the highest-stamped state.
 	// Off by default — the paper's unversioned first-ack fan-out.
 	Versioned bool
 	// ReadRepair, with Versioned, back-fills divergent replicas: a
 	// read that observes a replica behind the winning version rewrites
 	// the winner to it, and partial writes enqueue their key for the
 	// background anti-entropy sweep (paced by MigrationBatch /
-	// MigrationInterval, like migration). Implies Versioned.
+	// MigrationInterval, like recovery catch-up). Implies Versioned.
 	ReadRepair bool
 }
 
@@ -126,22 +124,12 @@ type shard struct {
 	srv     *core.Server
 }
 
-// keyCopy is one key scheduled for a background copy onto a shard, by
-// migration or by recovery catch-up. The key's state is re-read from
-// the source shard at copy time, so writes that land after the scan
-// are not lost.
+// keyCopy is one key scheduled for a background copy onto a
+// recovering shard. The key's state is re-read from the source shard
+// at copy time, so writes that land after the scan are not lost.
 type keyCopy struct {
 	key kv.Key
 	src int // source shard id
-}
-
-// migration tracks one in-progress shard addition.
-type migration struct {
-	target *Ring
-	dest   int // the joining shard's id
-	queue  []keyCopy
-	pos    int
-	done   func()
 }
 
 // Deployment is a rendezvous-hashed fleet of HERD servers with per-key
@@ -154,7 +142,6 @@ type Deployment struct {
 	ring    *Ring
 	shards  []*shard
 	clients []*Client
-	mig     *migration
 
 	// Shard crash recovery (recovery.go): in-progress catch-ups by
 	// shard id, the last completed one, and the experiment hook.
@@ -163,10 +150,6 @@ type Deployment struct {
 	onRecovered  func(RecoveryResult)
 
 	tel        *telemetry.Sink
-	migKeys    *telemetry.Counter
-	migRounds  *telemetry.Counter
-	migActive  *telemetry.Gauge
-	migPending *telemetry.Gauge
 	recKeys    *telemetry.Counter
 	recRounds  *telemetry.Counter
 	recActive  *telemetry.Gauge
@@ -199,10 +182,6 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 		eng: machines[0].Verbs.NIC().Engine(),
 		tel: machines[0].Verbs.Telemetry(),
 	}
-	d.migKeys = d.tel.Counter("fleet.migration.keys")
-	d.migRounds = d.tel.Counter("fleet.migration.rounds")
-	d.migActive = d.tel.Gauge("fleet.migration.active")
-	d.migPending = d.tel.Gauge("fleet.migration.pending")
 	d.recKeys = d.tel.Counter("fleet.recovery.keys")
 	d.recRounds = d.tel.Counter("fleet.recovery.rounds")
 	d.recActive = d.tel.Gauge("fleet.recovery.active")
@@ -213,22 +192,20 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 	d.aeFixed = d.tel.Counter("fleet.antientropy.repaired")
 	d.aePending = d.tel.Gauge("fleet.antientropy.pending")
 	d.aeQueued = make(map[kv.Key]bool)
-	d.ring = NewRing(PlacementSeed(machines[0]), cfg.Replication)
-	for _, m := range machines {
+	d.ring = NewRing(PlacementSeed(machines[0]), cfg.Replication, len(machines))
+	for id, m := range machines {
 		srv, err := core.NewServer(m, cfg.Herd)
 		if err != nil {
 			return nil, err
 		}
-		id := len(d.shards)
 		sh := &shard{id: id, machine: m, srv: srv}
 		d.shards = append(d.shards, sh)
-		d.ring = d.ring.WithShard(id)
 		d.watchRecovery(sh)
 	}
 	return d, nil
 }
 
-// Ring returns the current routing ring (immutable snapshot).
+// Ring returns the routing ring.
 func (d *Deployment) Ring() *Ring { return d.ring }
 
 // Shards returns the number of shards.
@@ -278,121 +255,5 @@ func (d *Deployment) Preload(key kv.Key, value []byte) error {
 func (d *Deployment) RegisterCrashTargets(inj *fault.Injector) {
 	for _, sh := range d.shards {
 		inj.SetCrashTarget(sh.machine.Verbs.Node(), sh.srv)
-	}
-}
-
-// MigrationActive reports whether a membership change is in progress.
-func (d *Deployment) MigrationActive() bool { return d.mig != nil }
-
-// AddShard grows the fleet: a new HERD server starts on m, every
-// connected client attaches to it, and a background migration copies
-// the keys the new shard now replicates. The routing ring switches to
-// include the shard only when the copy completes (done, if non-nil,
-// runs at that point); until then traffic routes on the old ring.
-// Returns the new shard's id.
-func (d *Deployment) AddShard(m *cluster.Machine, done func()) (int, error) {
-	if d.mig != nil {
-		return 0, ErrMigrating
-	}
-	srv, err := core.NewServer(m, d.cfg.Herd)
-	if err != nil {
-		return 0, err
-	}
-	id := len(d.shards)
-	sh := &shard{id: id, machine: m, srv: srv}
-	d.shards = append(d.shards, sh)
-	d.watchRecovery(sh)
-	for _, c := range d.clients {
-		if err := c.attach(sh); err != nil {
-			return 0, err
-		}
-	}
-	// The new shard must hold every key whose target replica set
-	// includes it.
-	target := d.ring.WithShard(id)
-	queue := d.scanReplicaKeys(target, id)
-	d.startMigration(&migration{target: target, dest: id, queue: queue, done: done})
-	return id, nil
-}
-
-// scanReplicaKeys returns one copy for every key whose replica set on
-// ring includes shard id, sourced from the first other up shard (in id
-// order) that holds it. Writes fan out to all replicas, so scanning
-// every such shard's partitions finds each key; a membership set dedupes
-// the replicas holding the same one. Down shards are skipped: a crash
-// wipes their partitions, and a WAL replay may still be refilling them.
-func (d *Deployment) scanReplicaKeys(ring *Ring, id int) []keyCopy {
-	seen := make(map[kv.Key]struct{})
-	var queue []keyCopy
-	for _, src := range d.shards {
-		if src.id == id || src.srv.Down() {
-			continue
-		}
-		for p := 0; p < d.cfg.Herd.NS; p++ {
-			src.srv.Partition(p).Range(func(key mica.Key, _ []byte) bool {
-				if _, dup := seen[key]; dup {
-					return true
-				}
-				for _, rep := range ring.Replicas(key, d.cfg.Replication) {
-					if rep == id {
-						seen[key] = struct{}{}
-						queue = append(queue, keyCopy{key: key, src: src.id})
-						break
-					}
-				}
-				return true
-			})
-		}
-	}
-	return queue
-}
-
-func (d *Deployment) startMigration(m *migration) {
-	d.mig = m
-	d.migRounds.Inc()
-	d.migActive.Set(1)
-	d.migPending.Set(int64(len(m.queue)))
-	d.eng.After(d.cfg.MigrationInterval, d.migrationStep)
-}
-
-// migrationStep copies one batch of keys. Values are re-read from the
-// source partition at copy time, so writes that land between the scan
-// and the copy are not lost; writes racing the copy itself can still be
-// shadowed on the destination (documented in docs/SCALEOUT.md — the
-// backing store is a lossy cache, so a stale or missing replica entry
-// is within contract).
-func (d *Deployment) migrationStep() {
-	m := d.mig
-	if m == nil {
-		return
-	}
-	end := m.pos + d.cfg.MigrationBatch
-	if end > len(m.queue) {
-		end = len(m.queue)
-	}
-	for ; m.pos < end; m.pos++ {
-		e := m.queue[m.pos]
-		src := d.shards[e.src].srv
-		part := src.Partition(mica.Partition(e.key, d.cfg.Herd.NS))
-		v, ok := part.Get(e.key)
-		if !ok {
-			continue // evicted or deleted since the scan
-		}
-		// Preload is a control-plane insert; migration treats a refusal
-		// like eviction.
-		_ = d.shards[m.dest].srv.Preload(e.key, append([]byte(nil), v...))
-		d.migKeys.Inc()
-	}
-	d.migPending.Set(int64(len(m.queue) - m.pos))
-	if m.pos < len(m.queue) {
-		d.eng.After(d.cfg.MigrationInterval, d.migrationStep)
-		return
-	}
-	// Commit: swap the ring and release.
-	d.ring = m.target
-	d.mig = nil
-	d.migActive.Set(0)
-	if m.done != nil {
-		m.done()
 	}
 }

@@ -59,9 +59,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		if err := c.Get(absent, cb); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Delete(absent, cb); err != nil {
-			t.Fatal(err)
-		}
 		cl.Eng.Run()
 	}
 	versioned := func() {
@@ -105,12 +102,10 @@ func TestHotpathAllocFree(t *testing.T) {
 		"op.resolve":               both,
 		"Client.Get":               both,
 		"Client.Put":               both,
-		"Client.Delete":            firstAck,
-		"Client.fanout":            both,
 		"Client.tryGet":            firstAck,
 		"op.resolveGet":            firstAck,
 		"op.resolveWrite":          firstAck,
-		"Client.fanoutVersioned":   versioned,
+		"Client.putVersioned":      versioned,
 		"op.resolveWriteVersioned": versioned,
 		"Client.getVersioned":      versioned,
 		"op.resolveGetVersioned":   versioned,

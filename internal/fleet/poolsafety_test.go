@@ -95,10 +95,8 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 		}
 		var err error
 		switch id % 5 {
-		case 0, 1:
+		case 0, 1, 2:
 			err = c.Put(key, poolValue(key, id), done)
-		case 2:
-			err = c.Delete(key, done)
 		default:
 			reads++
 			err = c.Get(key, done)

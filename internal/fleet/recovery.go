@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"slices"
+
 	"herdkv/internal/core"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
@@ -15,13 +17,10 @@ import (
 // needed: the writes that landed on the surviving replicas during the
 // outage plus the group-commit window the crashed log may have lost
 // (core.RecoveryInfo.Since bounds both). Without durability the rejoin
-// is cold and the whole replica set must be re-copied, exactly like
-// populating a newly added shard.
+// is cold and the whole replica set must be re-copied.
 //
-// Both paths ride the migration pacing knobs (MigrationBatch,
-// MigrationInterval) on a recovery-specific pacer, so catch-up
-// interleaves with foreground traffic instead of stalling it, and a
-// membership change can proceed concurrently.
+// Both paths are paced by MigrationBatch and MigrationInterval, so
+// catch-up interleaves with foreground traffic instead of stalling it.
 
 // recovery tracks one shard's in-progress catch-up.
 type recovery struct {
@@ -68,12 +67,25 @@ func (d *Deployment) watchRecovery(sh *shard) {
 func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
 	rec := &recovery{shardID: sh.id, info: info}
 	if info.Warm {
-		rec.queue = d.deltaQueue(sh, info.Since)
+		// Every key the shard replicates that a survivor logged at or
+		// after Since: the writes the shard's own log may be missing
+		// (its lost group-commit window plus the whole outage).
+		rec.queue = d.copyQueue(sh.id, func(src *core.Server, emit func(kv.Key)) {
+			for _, r := range src.WALRecordsSince(info.Since) {
+				emit(r.Key)
+			}
+		})
 	} else {
 		// A cold rejoin re-copies every key whose replica set includes
-		// the shard: the AddShard population scan, aimed at an old
-		// member.
-		rec.queue = d.scanReplicaKeys(d.ring, sh.id)
+		// the shard.
+		rec.queue = d.copyQueue(sh.id, func(src *core.Server, emit func(kv.Key)) {
+			for p := 0; p < d.cfg.Herd.NS; p++ {
+				src.Partition(p).Range(func(key kv.Key, _ []byte) bool {
+					emit(key)
+					return true
+				})
+			}
+		})
 	}
 	if d.recs == nil {
 		d.recs = make(map[int]*recovery)
@@ -84,29 +96,25 @@ func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
 	d.eng.After(d.cfg.MigrationInterval, func() { d.recoveryStep(rec) })
 }
 
-// deltaQueue builds a warm rejoin's catch-up: every key the recovered
-// shard replicates that a survivor logged at or after since — the
-// writes the shard's own log may be missing (its lost group-commit
-// window plus the whole outage).
-func (d *Deployment) deltaQueue(sh *shard, since sim.Time) []keyCopy {
+// copyQueue returns one copy for every key that keys emits from an up
+// shard other than id and whose replica set includes id, sourced from
+// the first such shard (in id order) that emits it. Down shards are
+// skipped: a crash wipes their partitions, and a WAL replay may still
+// be refilling them.
+func (d *Deployment) copyQueue(id int, keys func(src *core.Server, emit func(kv.Key))) []keyCopy {
 	seen := make(map[kv.Key]struct{})
 	var queue []keyCopy
 	for _, src := range d.shards {
-		if src.id == sh.id || src.srv.Down() {
+		if src.id == id || src.srv.Down() {
 			continue
 		}
-		for _, r := range src.srv.WALRecordsSince(since) {
-			if _, dup := seen[r.Key]; dup {
-				continue
+		keys(src.srv, func(key kv.Key) {
+			if _, dup := seen[key]; dup || !slices.Contains(d.Replicas(key), id) {
+				return
 			}
-			for _, rep := range d.Replicas(r.Key) {
-				if rep == sh.id {
-					seen[r.Key] = struct{}{}
-					queue = append(queue, keyCopy{key: r.Key, src: src.id})
-					break
-				}
-			}
-		}
+			seen[key] = struct{}{}
+			queue = append(queue, keyCopy{key: key, src: src.id})
+		})
 	}
 	return queue
 }
@@ -139,8 +147,9 @@ func (d *Deployment) recoveryStep(rec *recovery) {
 		if v, ok := part.Get(e.key); ok {
 			_ = sh.srv.Preload(e.key, append([]byte(nil), v...))
 		} else {
-			// Deleted (or evicted) on the survivor since it was logged:
-			// converge by deleting here too, or replay could resurrect it.
+			// Gone from the survivor since it was logged (evicted, or
+			// dropped by its own catch-up): converge by deleting here
+			// too, or replay could resurrect it.
 			sh.srv.PreloadDelete(e.key)
 		}
 		rec.keys++

@@ -20,7 +20,7 @@ func durableFleetConfig() Config {
 // newFleetWith is newFleet with an explicit config.
 func newFleetWith(t *testing.T, cfg Config, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
 	t.Helper()
-	cl := cluster.New(cluster.Apt(), nShards+nClients+1, seed)
+	cl := cluster.New(cluster.Apt(), nShards+nClients, seed)
 	machines := make([]*cluster.Machine, nShards)
 	for i := range machines {
 		machines[i] = cl.Machine(i)
@@ -51,6 +51,8 @@ func shardHolds(d *Deployment, id int, key kv.Key) ([]byte, bool) {
 func TestWarmRejoinDeltaCatchup(t *testing.T) {
 	cl, d, _ := newFleetWith(t, durableFleetConfig(), 2, 0, 3)
 	const old, late, delta = 32, 8, 4
+	// gone is an old key the survivor drops during the outage.
+	const gone = old - 1
 	val := func(tag byte, i uint64) []byte { return []byte{tag, byte(i)} }
 	// Old keys at t=0; a later durable batch moves shard 0's
 	// last-durable instant forward so the catch-up window (last durable
@@ -75,6 +77,9 @@ func TestWarmRejoinDeltaCatchup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if !d.Server(1).PreloadDelete(kv.FromUint64(gone)) {
+			t.Fatal("survivor did not hold the key it drops")
+		}
 	})
 	cl.Eng.At(120*sim.Microsecond, func() { d.Server(0).Restart() })
 	cl.Eng.Run()
@@ -90,8 +95,15 @@ func TestWarmRejoinDeltaCatchup(t *testing.T) {
 		t.Fatalf("catch-up copied %d keys, want a delta in [%d, %d)", rec.CatchupKeys, delta, old+late+delta)
 	}
 	// The rejoined shard holds every key — old ones from its own log,
-	// outage writes from the survivor's delta.
+	// outage writes from the survivor's delta — except the one the
+	// survivor dropped, which the catch-up removes.
+	if v, ok := shardHolds(d, 0, kv.FromUint64(gone)); ok {
+		t.Fatalf("rejoined shard still holds key %d (%v), dropped on the survivor", gone, v)
+	}
 	for i := uint64(0); i < old+late; i++ {
+		if i == gone {
+			continue
+		}
 		want := val('o', i)
 		if i >= old {
 			want = val('l', i)

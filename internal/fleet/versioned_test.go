@@ -65,16 +65,10 @@ func TestVersionedRoundTrip(t *testing.T) {
 	key := kv.FromUint64(42)
 	val := []byte("versioned fleet value")
 
-	var put, got, del, after kv.Result
+	var put, got kv.Result
 	c.Put(key, val, func(r kv.Result) {
 		put = r
-		c.Get(key, func(r kv.Result) {
-			got = r
-			c.Delete(key, func(r kv.Result) {
-				del = r
-				c.Get(key, func(r kv.Result) { after = r })
-			})
-		})
+		c.Get(key, func(r kv.Result) { got = r })
 	})
 	cl.Eng.Run()
 
@@ -83,12 +77,6 @@ func TestVersionedRoundTrip(t *testing.T) {
 	}
 	if got.Err != nil || got.Status != kv.StatusHit || !bytes.Equal(got.Value, val) {
 		t.Fatalf("get = %+v (value %q)", got, got.Value)
-	}
-	if del.Err != nil || del.Status != kv.StatusHit {
-		t.Fatalf("delete of present key = %+v", del)
-	}
-	if after.Err != nil || after.Status != kv.StatusMiss {
-		t.Fatalf("get after delete = %+v", after)
 	}
 }
 

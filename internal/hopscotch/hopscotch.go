@@ -267,16 +267,6 @@ func (t *Table) place(i int, key kv.Key, value []byte) error {
 	return nil
 }
 
-// Delete removes key, returning whether it was present.
-func (t *Table) Delete(key kv.Key) bool {
-	i := t.findSlot(key)
-	if i < 0 {
-		return false
-	}
-	t.clearSlot(i)
-	return true
-}
-
 // LoadFactor reports occupied home-range slots over capacity.
 func (t *Table) LoadFactor() float64 {
 	used := 0

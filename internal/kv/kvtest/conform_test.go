@@ -82,7 +82,7 @@ func TestFleetConformance(t *testing.T) {
 // TestNearCacheHERDConformance runs the full suite against the
 // near-cache wrapper over a single HERD server: caching must be
 // invisible to the kv.KV contract (callback discipline, counters,
-// delete-then-miss) even when reads are served locally.
+// buffer ownership) even when reads are served locally.
 func TestNearCacheHERDConformance(t *testing.T) {
 	Run(t, func(t *testing.T) Harness {
 		cl := cluster.New(cluster.Apt(), 2, 1)

@@ -74,7 +74,6 @@ type Factory func(t *testing.T) Harness
 func Run(t *testing.T, mk Factory) {
 	t.Run("PutGetRoundTrip", func(t *testing.T) { putGetRoundTrip(t, mk(t)) })
 	t.Run("GetMiss", func(t *testing.T) { getMiss(t, mk(t)) })
-	t.Run("DeleteSemantics", func(t *testing.T) { deleteSemantics(t, mk(t)) })
 	t.Run("ZeroKeyRejected", func(t *testing.T) { zeroKeyRejected(t, mk(t)) })
 	t.Run("CallbackExactlyOnce", func(t *testing.T) { callbackExactlyOnce(t, mk(t)) })
 	t.Run("CounterInvariants", func(t *testing.T) { counterInvariants(t, mk(t)) })
@@ -132,48 +131,6 @@ func getMiss(t *testing.T, h Harness) {
 	}
 	if res.Value != nil {
 		t.Fatalf("miss carried a value %q", res.Value)
-	}
-}
-
-func deleteSemantics(t *testing.T, h Harness) {
-	key := kv.FromUint64(9)
-	var seed kv.Result
-	var del1, get1, del2 *kv.Result
-	err := h.KV.Put(key, h.value('d'), func(r kv.Result) {
-		seed = r
-		h.KV.Delete(key, func(r kv.Result) {
-			del1 = &r
-			h.KV.Get(key, func(r kv.Result) {
-				get1 = &r
-				h.KV.Delete(key, func(r kv.Result) { del2 = &r })
-			})
-		})
-	})
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	h.Run()
-
-	if del1 == nil || get1 == nil || del2 == nil {
-		t.Fatal("callbacks did not all run")
-	}
-	// A failed op anywhere in the chain (including the seeding PUT)
-	// leaves the key's state indeterminate; the semantic ladder below
-	// only holds on a clean run.
-	if h.anyFailed(t, &seed, del1, get1, del2) {
-		return
-	}
-	if seed.Err != nil || seed.Status != kv.StatusHit {
-		t.Fatalf("seeding PUT = %+v, want hit", seed)
-	}
-	if del1.Status != kv.StatusHit {
-		t.Fatalf("DELETE of present key = %v, want hit", del1.Status)
-	}
-	if get1.Status != kv.StatusMiss {
-		t.Fatalf("GET after DELETE = %v, want miss", get1.Status)
-	}
-	if del2.Status != kv.StatusMiss {
-		t.Fatalf("DELETE of absent key = %v, want miss", del2.Status)
 	}
 }
 
@@ -300,9 +257,6 @@ func zeroKeyRejected(t *testing.T, h Harness) {
 	if err := h.KV.Put(zero, h.value('z'), cb); err == nil {
 		t.Error("Put(zero key) accepted")
 	}
-	if err := h.KV.Delete(zero, cb); err == nil {
-		t.Error("Delete(zero key) accepted")
-	}
 	// An empty PUT value is malformed input too: no backend can store
 	// it, so each must refuse it before issuing anything.
 	if err := h.KV.Put(kv.FromUint64(1), nil, cb); err == nil {
@@ -319,18 +273,15 @@ func zeroKeyRejected(t *testing.T, h Harness) {
 
 func callbackExactlyOnce(t *testing.T, h Harness) {
 	const n = 12
-	counts := make([]int, 3*n)
+	counts := make([]int, 2*n)
 	for i := 0; i < n; i++ {
 		i := i
 		key := kv.FromUint64(uint64(i) + 1)
-		if err := h.KV.Put(key, h.value(byte(i)), func(kv.Result) { counts[3*i]++ }); err != nil {
+		if err := h.KV.Put(key, h.value(byte(i)), func(kv.Result) { counts[2*i]++ }); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
-		if err := h.KV.Get(key, func(kv.Result) { counts[3*i+1]++ }); err != nil {
+		if err := h.KV.Get(key, func(kv.Result) { counts[2*i+1]++ }); err != nil {
 			t.Fatalf("Get %d: %v", i, err)
-		}
-		if err := h.KV.Delete(key, func(kv.Result) { counts[3*i+2]++ }); err != nil {
-			t.Fatalf("Delete %d: %v", i, err)
 		}
 	}
 	h.Run()
@@ -347,13 +298,10 @@ func counterInvariants(t *testing.T, h Harness) {
 	for i := 0; i < n; i++ {
 		key := kv.FromUint64(uint64(i) + 1)
 		var err error
-		switch i % 3 {
-		case 0:
+		if i%2 == 0 {
 			err = h.KV.Put(key, h.value(byte(i)), func(kv.Result) { resolved++ })
-		case 1:
+		} else {
 			err = h.KV.Get(key, func(kv.Result) { resolved++ })
-		default:
-			err = h.KV.Delete(key, func(kv.Result) { resolved++ })
 		}
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)

@@ -20,11 +20,10 @@ const (
 	// (or a legacy constructor forgot to classify it).
 	StatusUnknown Status = iota
 	// StatusHit: the operation was served and found/applied its key — a
-	// GET that returned a value, a PUT that was stored, a DELETE that
-	// removed a present key.
+	// GET that returned a value or a PUT that was stored.
 	StatusHit
 	// StatusMiss: the operation was served but the key was absent (GET
-	// miss, DELETE of a missing key) or the store refused the update.
+	// miss) or the store refused the update.
 	StatusMiss
 	// StatusTimeout: the operation failed terminally after exhausting
 	// its retry budget — the server is crashed, partitioned away, or
@@ -100,8 +99,6 @@ type KV interface {
 	Get(key Key, cb func(Result)) error
 	// Put stores value under key.
 	Put(key Key, value []byte, cb func(Result)) error
-	// Delete removes key; the result reports whether it was present.
-	Delete(key Key, cb func(Result)) error
 	// Inflight returns the number of unresolved operations.
 	Inflight() int
 	// Issued and Completed count operations submitted to the fabric and

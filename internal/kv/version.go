@@ -46,9 +46,9 @@ func (v Version) IsZero() bool { return v.Epoch == 0 && v.Seq == 0 }
 // format, MICA layout, and WAL records all carry it without change.
 const VersionPrefixLen = 8 + 8 + 1
 
-// versionFlagTombstone marks a deletion: versioned mode never removes
-// entries (a removal could be resurrected by a stale replica), it
-// overwrites them with a tombstoned stamp that outranks the dead value.
+// versionFlagTombstone is the flags bit that marks a stamp as a
+// deletion tombstone. The fleet writes only live values, and its
+// replicas rank a tombstoned stamp like any other.
 const versionFlagTombstone = 0x01
 
 // AppendVersion appends the 17-byte stamp for (v, tombstone) to dst and

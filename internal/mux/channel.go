@@ -15,7 +15,6 @@ type opKind uint8
 const (
 	opGet opKind = iota
 	opPut
-	opDelete
 )
 
 // chanOp is one submission-queue entry: the operation plus the routing
@@ -95,15 +94,6 @@ func (ch *Channel) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	// a recycled entry's capacity makes the copy allocation-free.
 	op.value = append(op.value, value...)
 	ch.ep.submit(ch, op)
-	return nil
-}
-
-// Delete removes key; the result reports whether it was present.
-func (ch *Channel) Delete(key kv.Key, cb func(kv.Result)) error {
-	if key.IsZero() {
-		return mica.ErrZeroKey
-	}
-	ch.ep.submit(ch, ch.ep.getOp(ch, opDelete, key, cb))
 	return nil
 }
 

@@ -13,7 +13,6 @@ type gateClient struct{}
 
 func (gateClient) Get(kv.Key, func(kv.Result)) error         { return nil }
 func (gateClient) Put(kv.Key, []byte, func(kv.Result)) error { return nil }
-func (gateClient) Delete(kv.Key, func(kv.Result)) error      { return nil }
 func (gateClient) Inflight() int                             { return 0 }
 func (gateClient) Issued() uint64                            { return 0 }
 func (gateClient) Completed() uint64                         { return 0 }

@@ -364,12 +364,9 @@ func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
 	ep.telIssued.Inc()
 
 	var err error
-	switch op.kind {
-	case opPut:
+	if op.kind == opPut {
 		err = cli.Put(op.key, op.value, op.done)
-	case opDelete:
-		err = cli.Delete(op.key, op.done)
-	default:
+	} else {
 		err = cli.Get(op.key, op.done)
 	}
 	if err != nil {
@@ -435,11 +432,8 @@ func (ep *Endpoint) submit(ch *Channel, op *chanOp) {
 //
 //herd:hotpath
 func (k opKind) kindName() string {
-	switch k {
-	case opPut:
+	if k == opPut {
 		return "PUT"
-	case opDelete:
-		return "DELETE"
 	}
 	return "GET"
 }

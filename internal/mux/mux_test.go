@@ -57,12 +57,11 @@ func (f *fakeClient) Get(key kv.Key, cb func(kv.Result)) error { return f.accept
 func (f *fakeClient) Put(key kv.Key, v []byte, cb func(kv.Result)) error {
 	return f.accept(key, false, cb)
 }
-func (f *fakeClient) Delete(key kv.Key, cb func(kv.Result)) error { return f.accept(key, false, cb) }
-func (f *fakeClient) Inflight() int                               { return f.inflight }
-func (f *fakeClient) Window() int                                 { return f.window }
-func (f *fakeClient) Issued() uint64                              { return uint64(len(f.order)) }
-func (f *fakeClient) Completed() uint64                           { return 0 }
-func (f *fakeClient) Failed() uint64                              { return 0 }
+func (f *fakeClient) Inflight() int     { return f.inflight }
+func (f *fakeClient) Window() int       { return f.window }
+func (f *fakeClient) Issued() uint64    { return uint64(len(f.order)) }
+func (f *fakeClient) Completed() uint64 { return 0 }
+func (f *fakeClient) Failed() uint64    { return 0 }
 
 // release resolves the oldest unresolved op.
 func (f *fakeClient) release() { f.releaseAt(0) }
@@ -315,9 +314,6 @@ func TestMuxValidationAndLimits(t *testing.T) {
 	var zero kv.Key
 	if err := ch.Get(zero, nil); err != mica.ErrZeroKey {
 		t.Fatalf("zero-key GET: %v", err)
-	}
-	if err := ch.Delete(zero, nil); err != mica.ErrZeroKey {
-		t.Fatalf("zero-key DELETE: %v", err)
 	}
 	if err := ch.Put(zero, []byte("x"), nil); err != mica.ErrZeroKey {
 		t.Fatalf("zero-key PUT: %v", err)

@@ -90,10 +90,8 @@ func runTranscript(t *testing.T, seed int64, cfg Config, poolWindows []int, star
 		}
 		var err error
 		switch rnd.Intn(8) {
-		case 0:
+		case 0, 1:
 			err = ch.Put(key, []byte{1, 2, 3}, cb)
-		case 1:
-			err = ch.Delete(key, cb)
 		default:
 			err = ch.Get(key, cb)
 		}

@@ -18,7 +18,6 @@ func (p *parkedKV) Get(_ kv.Key, cb func(kv.Result)) error {
 	return nil
 }
 func (p *parkedKV) Put(_ kv.Key, _ []byte, cb func(kv.Result)) error { return p.Get(kv.Key{}, cb) }
-func (p *parkedKV) Delete(_ kv.Key, cb func(kv.Result)) error        { return p.Get(kv.Key{}, cb) }
 func (p *parkedKV) Inflight() int                                    { return len(p.pending) }
 func (p *parkedKV) Issued() uint64                                   { return 0 }
 func (p *parkedKV) Completed() uint64                                { return 0 }

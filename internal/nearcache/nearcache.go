@@ -608,20 +608,3 @@ func (c *Cache) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	c.inflight++
 	return nil
 }
-
-// Delete writes through to the origin, invalidating the local entry at
-// submit time.
-func (c *Cache) Delete(key kv.Key, cb func(kv.Result)) error {
-	if key.IsZero() {
-		return kv.ErrZeroKey
-	}
-	w := c.getWrite(cb)
-	if err := c.inner.Delete(key, w.done); err != nil {
-		c.putWrite(w)
-		return err
-	}
-	c.invalidate(key)
-	c.issued++
-	c.inflight++
-	return nil
-}

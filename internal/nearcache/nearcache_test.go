@@ -79,27 +79,6 @@ func (f *fakeKV) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	return nil
 }
 
-func (f *fakeKV) Delete(key kv.Key, cb func(kv.Result)) error {
-	if key.IsZero() {
-		return kv.ErrZeroKey
-	}
-	f.issued++
-	f.inflight++
-	f.eng.After(f.latency, func() {
-		st := kv.StatusMiss
-		if _, ok := f.store[key]; ok {
-			st = kv.StatusHit
-			delete(f.store, key)
-		}
-		f.inflight--
-		f.completed++
-		if cb != nil {
-			cb(kv.Result{Key: key, Status: st, Latency: f.latency})
-		}
-	})
-	return nil
-}
-
 func (f *fakeKV) Inflight() int     { return f.inflight }
 func (f *fakeKV) Issued() uint64    { return f.issued }
 func (f *fakeKV) Completed() uint64 { return f.completed }
@@ -384,8 +363,7 @@ func TestZeroKeyRejectedEverywhere(t *testing.T) {
 	eng := sim.New()
 	c := New(newFake(eng), eng, nil, Config{})
 	var zero kv.Key
-	if c.Get(zero, nil) == nil || c.Put(zero, []byte("v"), nil) == nil ||
-		c.Delete(zero, nil) == nil {
+	if c.Get(zero, nil) == nil || c.Put(zero, []byte("v"), nil) == nil {
 		t.Fatal("zero key accepted")
 	}
 	if c.Issued() != 0 {

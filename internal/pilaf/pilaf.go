@@ -48,10 +48,6 @@ func DefaultConfig() Config {
 const (
 	putHdr  = kv.KeySize + 2 // key + value length
 	ackSize = 1
-
-	// lenDelete in the length field marks a DELETE message on the PUT
-	// channel (values are bounded well below it).
-	lenDelete = 0xffff
 )
 
 // Server is the Pilaf server: a cuckoo table in RDMA-visible memory plus
@@ -65,7 +61,6 @@ type Server struct {
 	nextCore int
 
 	puts, putErrs uint64
-	deletes       uint64
 }
 
 // NewServer initializes Pilaf on machine m.
@@ -83,11 +78,8 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 // Table exposes the underlying cuckoo table (tests, preloading).
 func (s *Server) Table() *cuckoo.Table { return s.table }
 
-// Puts reports served PUT-channel message counts (PUTs and DELETEs).
+// Puts reports served PUT-channel message counts.
 func (s *Server) Puts() uint64 { return s.puts }
-
-// Deletes reports served DELETE counts.
-func (s *Server) Deletes() uint64 { return s.deletes }
 
 // Insert loads a key server-side (warmup without network traffic).
 func (s *Server) Insert(key kv.Key, value []byte) error {
@@ -171,7 +163,6 @@ func (c *Client) finishOp() {
 
 type putOp struct {
 	key      kv.Key
-	isDelete bool
 	issuedAt sim.Time
 	cb       func(Result)
 }
@@ -229,19 +220,11 @@ func (s *Server) handlePut(c *Client, stage *verbs.MR, comp verbs.Completion) {
 		copy(key[:], data[:kv.KeySize])
 		vlen := int(binary.LittleEndian.Uint16(data[kv.KeySize:putHdr]))
 		status := byte(1)
-		switch {
-		case vlen == lenDelete:
-			if !s.table.Delete(key) {
-				status = 0
-			}
-			s.deletes++
-		case putHdr+vlen > len(data):
+		if putHdr+vlen > len(data) {
 			status = 0
-		default:
-			if err := s.table.Insert(key, data[putHdr:putHdr+vlen]); err != nil {
-				status = 0
-				s.putErrs++
-			}
+		} else if err := s.table.Insert(key, data[putHdr:putHdr+vlen]); err != nil {
+			status = 0
+			s.putErrs++
 		}
 		s.puts++
 		// Repost the consumed RECV slot.
@@ -289,24 +272,7 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	if len(value) > cuckoo.MaxValueSize {
 		return cuckoo.ErrValueSize
 	}
-	c.sendPutChannel(key, append([]byte(nil), value...), uint16(len(value)), false, cb)
-	return nil
-}
-
-// Delete removes key via the PUT message channel (a length-sentinel
-// message the server CPU applies to the cuckoo table). Result.Status
-// reports hit (removed) or miss (absent).
-func (c *Client) Delete(key kv.Key, cb func(Result)) error {
-	if key.IsZero() {
-		return kv.ErrZeroKey
-	}
-	c.sendPutChannel(key, nil, lenDelete, true, cb)
-	return nil
-}
-
-// sendPutChannel issues one message on the SEND/RECV channel: a PUT
-// body or the DELETE sentinel.
-func (c *Client) sendPutChannel(key kv.Key, val []byte, vlen uint16, isDelete bool, cb func(Result)) {
+	val := append([]byte(nil), value...)
 	c.startOp(func() {
 		c.issued++
 		// Post the ack RECV before the request.
@@ -314,16 +280,17 @@ func (c *Client) sendPutChannel(key kv.Key, val []byte, vlen uint16, isDelete bo
 
 		msg := make([]byte, putHdr+len(val))
 		copy(msg, key[:])
-		binary.LittleEndian.PutUint16(msg[kv.KeySize:], vlen)
+		binary.LittleEndian.PutUint16(msg[kv.KeySize:], uint16(len(val)))
 		copy(msg[putHdr:], val)
 
-		c.pendingPuts = append(c.pendingPuts, &putOp{key: key, isDelete: isDelete, issuedAt: c.now(), cb: cb})
+		c.pendingPuts = append(c.pendingPuts, &putOp{key: key, issuedAt: c.now(), cb: cb})
 		mustPost(c.ucQP.PostSend(verbs.SendWR{
 			Verb:   verbs.SEND,
 			Data:   msg,
 			Inline: len(msg) <= c.machine.Verbs.NIC().Params().InlineMax,
 		}))
 	})
+	return nil
 }
 
 // Get performs a client-driven GET: bucket READs until the key's

@@ -48,6 +48,9 @@ type AtomicWR struct {
 // PostAtomic posts an atomic operation. Supported on RC and DC
 // transports only (like READ, the responder must acknowledge).
 func (qp *QP) PostAtomic(wr AtomicWR) error {
+	if qp.errored {
+		return ErrQPState
+	}
 	if qp.transport != wire.RC && qp.transport != wire.DC {
 		return ErrVerbNotSupported
 	}
@@ -94,6 +97,11 @@ func (qp *QP) PostAtomic(wr AtomicWR) error {
 // Atomics serialize on the NIC's atomic unit (modeled inside the PU with
 // a hefty per-op cost) and require a non-posted DMA round trip.
 func (qp *QP) deliverAtomic(src *QP, wr AtomicWR) {
+	if qp.errored {
+		qp.droppedSends++
+		qp.host.telDropped.Inc()
+		return
+	}
 	n := qp.host.nic
 	p := n.Params()
 	puExtra, latExtra := n.TouchRecvCtx(qp.recvCtxKey())
@@ -125,6 +133,9 @@ func (qp *QP) deliverAtomic(src *QP, wr AtomicWR) {
 
 // deliverAtomicResponse lands the fetched value and completes.
 func (qp *QP) deliverAtomicResponse(wr AtomicWR, old uint64) {
+	if qp.errored {
+		return // the atomic was flushed in error at crash time
+	}
 	n := qp.host.nic
 	p := n.Params()
 	n.PU(p.RxReadResp, func(sim.Time) {
