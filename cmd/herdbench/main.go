@@ -15,9 +15,9 @@
 // Every target that measures something also returns a report: -json DIR
 // writes each one as DIR/BENCH_<name>.json (schema in EXPERIMENTS.md),
 // which cmd/benchcheck ratchets against baselines/. The -json directory
-// must exist, the -metrics and -trace files are created, and -faults
-// needs the chaos target among those run, all before any target runs;
-// a failed check exits 2.
+// must exist, the -metrics and -trace files are created, -perqp needs
+// -metrics, and -faults needs the chaos target among those run, all
+// before any target runs; a failed check exits 2.
 //
 // -metrics dumps the cluster-wide metric registry (per-verb posted and
 // completion counters, PCIe transaction counts, NIC cache hit rates,
@@ -63,6 +63,10 @@ func main() {
 	}
 	if *spanUS < 1 {
 		flagError("span", *spanUS, "must be at least 1")
+	}
+	// Per-QP counters are visible only in the metrics dump.
+	if *perQP && *metricsFile == "" {
+		flagError("perqp", *perQP, "needs -metrics, the only output that shows per-QP counters")
 	}
 
 	experiments.Warmup = sim.Time(*warmupUS) * sim.Microsecond

@@ -61,9 +61,9 @@ func TestBadWindows(t *testing.T) {
 }
 
 // TestBadDestinations checks that a -json directory that does not
-// exist, a -metrics or -trace file that cannot be created, and -faults
-// without the chaos target each exit 2 with a one-line message naming
-// the flag, before any target runs.
+// exist, a -metrics or -trace file that cannot be created, -perqp
+// without -metrics, and -faults without the chaos target each exit 2
+// with a one-line message naming the flag, before any target runs.
 func TestBadDestinations(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -77,6 +77,7 @@ func TestBadDestinations(t *testing.T) {
 		{"metrics-uncreatable", "-metrics " + filepath.Join(missing, "m.txt") + " fig8"},
 		{"trace-uncreatable", "-trace " + filepath.Join(missing, "t.json") + " fig8"},
 		{"faults-without-chaos", "-faults " + file + " fig8"},
+		{"perqp-without-metrics", "-perqp fig8"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			code, out, errOut := herdbench(t, c.args)

@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.Window, "window", cfg.Window, "outstanding requests per client")
 	fs.IntVar(&cfg.Cores, "cores", cfg.Cores, "server processes / cores")
 	fs.BoolVar(&cfg.SendMode, "sendmode", cfg.SendMode, "HERD only: SEND/SEND architecture")
-	loss := fs.Float64("loss", 0, "uniform packet-loss probability on every link")
+	loss := fs.Float64("loss", 0, "uniform packet-loss probability on every link (-system herd with -retry only)")
 	retryUS := fs.Int("retry", 0, "HERD only: retry timeout (simulated microseconds; 0 = no retries)")
 	duration := fs.Int("duration", 400, "measurement window (simulated microseconds)")
 	warmup := fs.Int("warmup", 150, "warmup (simulated microseconds)")
@@ -114,6 +114,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !c.ok {
 			return usage("-%s %s: must be %s", c.flag, fs.Lookup(c.flag).Value, c.want)
 		}
+	}
+	// Only HERD's client retries, and only with -retry set: without
+	// retries an op whose packet is lost never completes, so its chain
+	// stops and the run measures a shrinking load.
+	if *loss > 0 && (cfg.System != experiments.SysHERD || *retryUS == 0) {
+		return usage("-loss %v needs -system herd and -retry > 0: without retries a lost op never completes", *loss)
 	}
 
 	cfg.Spec.Link.LossRate = *loss

@@ -95,6 +95,7 @@ func TestBadFlags(t *testing.T) {
 		"-retry -1", "-value 0", "-value 1001", "-system pilaf -value 5000",
 		"-system nope", "-cluster nope",
 		"-system pilaf -retry 5", "-system farm -sendmode", "-system farm-var -retry 0",
+		"-loss 0.05", "-system pilaf -loss 0.05",
 	} {
 		t.Run(args, func(t *testing.T) {
 			f := strings.Fields(args)

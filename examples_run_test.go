@@ -22,7 +22,6 @@ func TestExamplesRun(t *testing.T) {
 		{"baselines", "HERD's single round trip wins"},
 		{"skewstudy", "core max/min ratio"},
 		{"scaleout", "shard 0 down: 2048/2048 reads served"},
-		{"sequencer", "duplicates: 0"},
 	}
 	for _, c := range cases {
 		c := c

@@ -131,13 +131,13 @@ type Client struct {
 	// handed to one callback (kv.Slab), so a hit allocates nothing.
 	vals kv.Slab
 
-	issued, completed, retried uint64
-	dupResponses               uint64
-	failed                     uint64 // terminal retry-budget failures
-	corruptResponses           uint64 // responses rejected by the status check
-	reconnects                 uint64 // completed re-registration handshakes
-	busyRx                     uint64 // busy pushback responses received
-	windowShrinks              uint64 // multiplicative-decrease events
+	retried          uint64
+	dupResponses     uint64
+	failed           uint64 // terminal retry-budget failures
+	corruptResponses uint64 // responses rejected by the status check
+	reconnects       uint64 // completed re-registration handshakes
+	busyRx           uint64 // busy pushback responses received
+	windowShrinks    uint64 // multiplicative-decrease events
 
 	// cwnd is the AIMD congestion window (Config.AdaptiveWindow):
 	// fractional so additive increase accumulates 1/cwnd per clean
@@ -291,10 +291,6 @@ func (c *Client) ID() int { return c.id }
 
 // Inflight returns the number of outstanding operations.
 func (c *Client) Inflight() int { return c.inflight }
-
-// Issued and Completed report operation counts.
-func (c *Client) Issued() uint64    { return c.issued }
-func (c *Client) Completed() uint64 { return c.completed }
 
 // newOp returns a pendingOp from the recycling pool (or a fresh one),
 // initialized for a new operation. Every field resets except attempt,
@@ -570,7 +566,6 @@ func (c *Client) issue(op *pendingOp) {
 		op.begun = op.issuedAt
 	}
 	c.inflight++
-	c.issued++
 	c.telIssued.Inc()
 	c.perProc[proc] = append(c.perProc[proc], op)
 
@@ -920,7 +915,6 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 	c.quarantineSlot(op)
 	c.releaseSlot(op.proc)
 	c.inflight--
-	c.completed++
 	c.telCompleted.Inc()
 	c.aimdGrow()
 

@@ -95,15 +95,20 @@ func TestRetryTimerNoOpWhenLossless(t *testing.T) {
 	cfg := smallConfig()
 	cfg.RetryTimeout = 50 * sim.Microsecond
 	cl, _, c := lossyHERD(t, 0, cfg)
+	completed := 0
 	for i := 0; i < 50; i++ {
-		c.Get(kv.FromUint64(uint64(i+1)), nil)
+		c.Get(kv.FromUint64(uint64(i+1)), func(r kv.Result) {
+			if r.Err == nil {
+				completed++
+			}
+		})
 	}
 	cl.Eng.Run()
 	if c.Retries() != 0 {
 		t.Fatalf("lossless run performed %d retries", c.Retries())
 	}
-	if c.Completed() != 50 {
-		t.Fatalf("completed = %d", c.Completed())
+	if completed != 50 {
+		t.Fatalf("completed = %d", completed)
 	}
 }
 

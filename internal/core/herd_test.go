@@ -125,8 +125,13 @@ func TestWindowLimitsInflight(t *testing.T) {
 	cfg.Window = 2
 	cl, _, clients := newHERD(t, cfg, 1)
 	c := clients[0]
+	completed := 0
 	for i := 0; i < 10; i++ {
-		c.Get(kv.FromUint64(uint64(i+1)), nil)
+		c.Get(kv.FromUint64(uint64(i+1)), func(r kv.Result) {
+			if r.Err == nil {
+				completed++
+			}
+		})
 	}
 	if c.Inflight() != 2 {
 		t.Fatalf("inflight = %d, want window 2", c.Inflight())
@@ -135,8 +140,8 @@ func TestWindowLimitsInflight(t *testing.T) {
 		t.Fatalf("waiting = %d, want 8", c.waiting.Len())
 	}
 	cl.Eng.Run()
-	if c.Completed() != 10 {
-		t.Fatalf("completed = %d, want 10", c.Completed())
+	if completed != 10 {
+		t.Fatalf("completed = %d, want 10", completed)
 	}
 	if c.Inflight() != 0 {
 		t.Fatalf("inflight = %d after drain", c.Inflight())
@@ -332,8 +337,8 @@ func TestAccessorsAndConfig(t *testing.T) {
 		t.Fatalf("client ID = %d", c.ID())
 	}
 	c.Get(kv.FromUint64(1), nil)
-	if c.Issued() != 1 {
-		t.Fatalf("Issued = %d", c.Issued())
+	if c.Inflight() != 1 {
+		t.Fatalf("Inflight = %d", c.Inflight())
 	}
 	cl.Eng.Run()
 }

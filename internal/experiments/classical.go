@@ -79,7 +79,7 @@ func classicalKV(serverCores int) (float64, sim.Time) {
 	// Server: cores process requests (kernel rx + KV + kernel tx).
 	cores := make([]*sim.Server, serverCores)
 	for i := range cores {
-		cores[i] = sim.NewServer(eng, 1)
+		cores[i] = sim.NewServer(eng)
 	}
 	cache := mica.New(mica.Config{IndexBuckets: 1 << 12, BucketSlots: 8, LogBytes: 1 << 22})
 	keys := uint64(4096)

@@ -66,13 +66,19 @@ func consistencyNemesis(seed int64) fault.NemesisConfig {
 	}
 }
 
-// nemesisLine renders the config as its re-parseable script line.
+// nemesisLine renders the config as its re-parseable script line. It
+// names flushcrashes only when there are some, so the line for a
+// config without them reads as it always has.
 func nemesisLine(cfg fault.NemesisConfig) string {
 	us := func(t sim.Time) string { return fmt.Sprintf("%gus", t.Microseconds()) }
+	flush := ""
+	if cfg.FlushCrashes > 0 {
+		flush = fmt.Sprintf(" flushcrashes=%d", cfg.FlushCrashes)
+	}
 	return fmt.Sprintf(
-		"nemesis seed=%d until=%s nodes=%d peers=%d crashes=%d blackouts=%d partitions=%d mindown=%s maxdown=%s",
+		"nemesis seed=%d until=%s nodes=%d peers=%d crashes=%d%s blackouts=%d partitions=%d mindown=%s maxdown=%s",
 		cfg.Seed, us(cfg.Until), cfg.Nodes, cfg.Peers,
-		cfg.Crashes, cfg.Blackouts, cfg.Partitions, us(cfg.MinDown), us(cfg.MaxDown))
+		cfg.Crashes, flush, cfg.Blackouts, cfg.Partitions, us(cfg.MinDown), us(cfg.MaxDown))
 }
 
 // consistencyArm runs one arm under the given schedule and checks the

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/fault"
 )
 
 // TestConsistencyGate is the CI consistency gate: the nemesis search
@@ -38,6 +40,24 @@ func TestConsistencyGate(t *testing.T) {
 		}
 		if m(a, "hist_ops") == 0 || m(a, "hist_keys") == 0 {
 			t.Fatalf("%s arm recorded an empty history:\n%s", a, out)
+		}
+	}
+}
+
+// TestNemesisLineReparses checks that the report's schedule param is
+// the re-parseable script line: parsing it regenerates exactly the
+// events of the config it was rendered from, flush crashes included.
+func TestNemesisLineReparses(t *testing.T) {
+	flush := consistencyNemesis(1)
+	flush.FlushCrashes = 1
+	for _, cfg := range []fault.NemesisConfig{consistencyNemesis(1), flush} {
+		line := nemesisLine(cfg)
+		sched, err := fault.ParseSchedule(line)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if want := cfg.Generate().Events; !reflect.DeepEqual(sched.Events, want) {
+			t.Errorf("%q parses to %+v, want %+v", line, sched.Events, want)
 		}
 	}
 }

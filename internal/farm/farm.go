@@ -156,24 +156,10 @@ type Client struct {
 	// vals backs GET-hit values: each is cut from a shared block and
 	// handed to one callback (kv.Slab), so a hit allocates nothing.
 	vals kv.Slab
-
-	issued, completed uint64
 }
 
 // Client implements the shared client interface.
 var _ kv.KV = (*Client)(nil)
-
-// Inflight returns the number of outstanding operations.
-func (c *Client) Inflight() int { return c.inflight }
-
-// Issued and Completed report operation counts.
-func (c *Client) Issued() uint64    { return c.issued }
-func (c *Client) Completed() uint64 { return c.completed }
-
-// Failed is always zero: FaRM-em has no retry machinery, so no
-// operation resolves terminally unserved (errored queue pairs panic
-// instead — crash recovery is unsupported territory here).
-func (c *Client) Failed() uint64 { return 0 }
 
 // ConnectClient attaches a client on machine m.
 func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
@@ -270,7 +256,6 @@ func (c *Client) onNotify(off int) {
 	op := c.pendingPuts[0]
 	c.pendingPuts = c.pendingPuts[1:]
 	ok := c.respMR.Bytes()[off] == 1
-	c.completed++
 	c.finishOp()
 	if op.cb != nil {
 		op.cb(Result{Key: op.key, Status: statusOf(ok), Latency: c.now() - op.issuedAt})
@@ -312,7 +297,6 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	}
 	val := append([]byte(nil), value...)
 	c.startOp(func() {
-		c.issued++
 		slot := c.seq % c.srv.cfg.Window
 		c.seq++
 		payload := make([]byte, len(val)+2+kv.KeySize)
@@ -344,7 +328,6 @@ func (c *Client) Get(key kv.Key, cb func(Result)) error {
 
 func (c *Client) doGet(key kv.Key, cb func(Result)) {
 	start := c.now()
-	c.issued++
 	res := Result{Key: key, IsGet: true}
 	scratchSlot := c.srv.neighborhoodBytes() + 1024
 	lo := (int(c.readSeq) % (c.srv.cfg.Window + 1)) * scratchSlot
@@ -355,7 +338,6 @@ func (c *Client) doGet(key kv.Key, cb func(Result)) {
 		if res.Status == kv.StatusUnknown {
 			res.Status = kv.StatusMiss
 		}
-		c.completed++
 		c.finishOp()
 		if cb != nil {
 			cb(res)

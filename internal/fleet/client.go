@@ -39,9 +39,9 @@ var ErrPartialWrite = errors.New("fleet: write applied on only part of the repli
 //     a fixed probation of virtual time: reads prefer other replicas
 //     until the probation lapses.
 //
-// Counters: Issued/Completed/Failed are fleet-level — an operation
-// counts as Failed only when every replica in its set failed. Per-shard
-// herd.* metrics keep counting underneath.
+// Counters: Inflight/Failed are fleet-level — an operation counts as
+// Failed only when every replica in its set failed. Per-shard herd.*
+// metrics keep counting underneath.
 type Client struct {
 	d       *Deployment
 	machine *cluster.Machine
@@ -49,10 +49,8 @@ type Client struct {
 	suspect []sim.Time  // per shard id: avoid reads until this time
 	hot     *hotTracker // hot-key detector, nil when HotKeyTrack is 0
 
-	issued    uint64
-	completed uint64
-	failed    uint64
-	inflight  int
+	failed   uint64
+	inflight int
 
 	reroutes     uint64
 	replicaReads uint64
@@ -145,13 +143,6 @@ func (c *Client) now() sim.Time { return c.machine.Verbs.NIC().Engine().Now() }
 
 // Inflight returns the number of fleet-level operations in flight.
 func (c *Client) Inflight() int { return c.inflight }
-
-// Issued returns fleet-level operations submitted.
-func (c *Client) Issued() uint64 { return c.issued }
-
-// Completed returns fleet-level operations that resolved successfully
-// (served by at least one replica).
-func (c *Client) Completed() uint64 { return c.completed }
 
 // Failed returns fleet-level failures: operations for which every
 // replica in the set failed terminally.
@@ -261,7 +252,6 @@ func (c *Client) triesBefore(a, b int) bool {
 
 //herd:hotpath
 func (c *Client) start() {
-	c.issued++
 	c.inflight++
 	c.telIssued.Inc()
 }
@@ -271,7 +261,6 @@ func (c *Client) finish(cb func(kv.Result), res kv.Result, begun sim.Time) {
 	res.Latency = c.now() - begun
 	c.inflight--
 	if res.Err == nil {
-		c.completed++
 		c.telCompleted.Inc()
 	} else {
 		c.failed++

@@ -148,8 +148,8 @@ func TestFleetRoundTripAndReplication(t *testing.T) {
 	if got != n {
 		t.Fatalf("gets = %d/%d", got, n)
 	}
-	if c.Failed() != 0 || c.Completed() != uint64(2*n) || c.Issued() != uint64(2*n) {
-		t.Fatalf("counters: issued=%d completed=%d failed=%d", c.Issued(), c.Completed(), c.Failed())
+	if c.Failed() != 0 {
+		t.Fatalf("failed = %d on a healthy fleet", c.Failed())
 	}
 	if c.ReplicaReads() != 0 {
 		t.Fatalf("healthy fleet served %d reads off-primary", c.ReplicaReads())
@@ -219,12 +219,18 @@ func TestFleetDeterministicReplay(t *testing.T) {
 		c0, c1 := clients[0], clients[1]
 		key := kv.FromUint64(3)
 		d.Preload(key, []byte("w"))
+		var served uint64
+		count := func(r kv.Result) {
+			if r.Err == nil {
+				served++
+			}
+		}
 		for i := 1; i <= 40; i++ {
-			c0.Put(kv.FromUint64(uint64(i)), []byte{byte(i)}, nil)
-			c1.Get(kv.FromUint64(uint64(i%7+1)), nil)
+			c0.Put(kv.FromUint64(uint64(i)), []byte{byte(i)}, count)
+			c1.Get(kv.FromUint64(uint64(i%7+1)), count)
 		}
 		cl.Eng.Run()
-		return c0.Completed() + c1.Completed(), c0.Issued() + c1.Issued(), cl.Eng.Now()
+		return served, c0.Failed() + c1.Failed(), cl.Eng.Now()
 	}
 	ca, ia, ta := run()
 	cb, ib, tb := run()
@@ -254,9 +260,10 @@ func TestFleetValidation(t *testing.T) {
 	if err := c.Put(kv.FromUint64(1), nil, nil); err != ErrEmptyValue {
 		t.Fatalf("empty put: %v", err)
 	}
+	issued := c.Inflight()
 	cl.Eng.Run()
-	if c.Issued() != 0 || c.Suspected() != 0 {
-		t.Fatalf("rejected puts issued %d ops and suspected %d shards", c.Issued(), c.Suspected())
+	if issued != 0 || c.Suspected() != 0 {
+		t.Fatalf("rejected puts issued %d ops and suspected %d shards", issued, c.Suspected())
 	}
 	if cfg := (&Config{}); true {
 		cfg.setDefaults()

@@ -62,7 +62,7 @@ func NewHost(eng *sim.Engine, p Params, cores int, seed int64) *Host {
 	h := &Host{eng: eng, p: p, rnd: sim.NewRand(seed)}
 	h.cores = make([]*sim.Server, cores)
 	for i := range h.cores {
-		h.cores[i] = sim.NewServer(eng, 1)
+		h.cores[i] = sim.NewServer(eng)
 	}
 	return h
 }

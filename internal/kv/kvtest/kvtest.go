@@ -1,10 +1,10 @@
 // Package kvtest is a conformance suite for kv.KV implementations.
 // Every backend — HERD, the fleet (sharded at R=1, replicated above),
 // Pilaf-em and FaRM-em — completes operations with the same kv.Result
-// vocabulary and maintains the same Issued/Completed/Failed counter
-// contract; this suite pins that contract in one place, so a new
-// backend (or a refactor of an old one) is checked against the same
-// semantics as every other.
+// vocabulary, runs each callback exactly once and honours the same
+// buffer-ownership rules; this suite pins that contract in one place,
+// so a new backend (or a refactor of an old one) is checked against
+// the same semantics as every other.
 package kvtest
 
 import (
@@ -30,8 +30,8 @@ type Harness struct {
 	// resolve with Err set, and a subtest whose ops failed skips its
 	// value/status assertions — it can no longer conclude anything
 	// about them. Every structural invariant still holds: callbacks
-	// run exactly once, the engine drains to Inflight()==0, and
-	// Issued/Completed/Failed stay balanced.
+	// run exactly once, and a backend that reports Inflight/Failed
+	// drains to zero in flight and counts every failure it resolved.
 	AllowFailures bool
 }
 
@@ -266,9 +266,6 @@ func zeroKeyRejected(t *testing.T, h Harness) {
 	if ran {
 		t.Fatal("a rejected operation still ran its callback")
 	}
-	if got := h.KV.Issued(); got != 0 {
-		t.Fatalf("rejected operations counted as issued (%d)", got)
-	}
 }
 
 func callbackExactlyOnce(t *testing.T, h Harness) {
@@ -292,16 +289,27 @@ func callbackExactlyOnce(t *testing.T, h Harness) {
 	}
 }
 
+// counterInvariants checks the accounting that survives on every
+// backend: each op resolves, no op fails on a clean network, and a
+// backend that still reports Inflight/Failed (the core and fleet
+// clients) drains to zero in flight and counts exactly the failures
+// its callbacks saw.
 func counterInvariants(t *testing.T, h Harness) {
 	const n = 16
-	resolved := 0
+	resolved, failed := 0, 0
+	cb := func(r kv.Result) {
+		resolved++
+		if r.Err != nil {
+			failed++
+		}
+	}
 	for i := 0; i < n; i++ {
 		key := kv.FromUint64(uint64(i) + 1)
 		var err error
 		if i%2 == 0 {
-			err = h.KV.Put(key, h.value(byte(i)), func(kv.Result) { resolved++ })
+			err = h.KV.Put(key, h.value(byte(i)), cb)
 		} else {
-			err = h.KV.Get(key, func(kv.Result) { resolved++ })
+			err = h.KV.Get(key, cb)
 		}
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
@@ -312,17 +320,17 @@ func counterInvariants(t *testing.T, h Harness) {
 	if resolved != n {
 		t.Fatalf("%d of %d callbacks ran", resolved, n)
 	}
-	if got := h.KV.Inflight(); got != 0 {
-		t.Fatalf("Inflight = %d after drain, want 0", got)
+	if c, ok := h.KV.(interface{ Inflight() int }); ok {
+		if got := c.Inflight(); got != 0 {
+			t.Fatalf("Inflight = %d after drain, want 0", got)
+		}
 	}
-	issued, completed, failed := h.KV.Issued(), h.KV.Completed(), h.KV.Failed()
-	if completed+failed != uint64(n) {
-		t.Fatalf("Completed(%d)+Failed(%d) != %d resolved ops", completed, failed, n)
-	}
-	if issued < uint64(n) {
-		t.Fatalf("Issued = %d, want >= %d", issued, n)
+	if c, ok := h.KV.(interface{ Failed() uint64 }); ok {
+		if got := c.Failed(); got != uint64(failed) {
+			t.Fatalf("Failed = %d, but %d callbacks saw an error", got, failed)
+		}
 	}
 	if failed != 0 && !h.AllowFailures {
-		t.Fatalf("Failed = %d on a clean network, want 0", failed)
+		t.Fatalf("%d ops failed on a clean network, want 0", failed)
 	}
 }

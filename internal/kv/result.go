@@ -99,13 +99,4 @@ type KV interface {
 	Get(key Key, cb func(Result)) error
 	// Put stores value under key.
 	Put(key Key, value []byte, cb func(Result)) error
-	// Inflight returns the number of unresolved operations.
-	Inflight() int
-	// Issued and Completed count operations submitted to the fabric and
-	// operations resolved with a served response.
-	Issued() uint64
-	Completed() uint64
-	// Failed counts operations that resolved terminally unserved
-	// (timeout or flush).
-	Failed() uint64
 }

@@ -10,19 +10,19 @@ import "wire"
 // internal/verbs).
 type Verb int
 
-// The verbs of the paper's Table 1, plus ATOMIC.
+// The verbs of the paper's Table 1.
 const (
 	WRITE Verb = iota
 	READ
 	SEND
 	RECV
-	ATOMIC
 )
 
 // MR is a registered memory region.
 type MR struct{ buf []byte }
 
-// Completion describes a completed verb.
+// Completion describes a completed verb (the real one also carries
+// At and Trace, which no analyzer reads).
 type Completion struct {
 	QPN     uint32
 	WRID    uint64
@@ -30,19 +30,11 @@ type Completion struct {
 	Bytes   int
 	Data    []byte
 	SrcQPN  uint32
-	Dropped bool
 	Flushed bool
-	Imm     uint32
 }
 
 // CQ is a completion queue.
-type CQ struct{ queue []Completion }
-
-// Poll removes and returns up to max queued completions.
-func (cq *CQ) Poll(max int) []Completion { return nil }
-
-// Pending returns the number of queued completions.
-func (cq *CQ) Pending() int { return len(cq.queue) }
+type CQ struct{}
 
 // SetHandler delivers future completions to fn.
 func (cq *CQ) SetHandler(fn func(Completion)) {}

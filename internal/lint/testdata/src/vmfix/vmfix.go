@@ -64,10 +64,11 @@ func loops(rc *verbs.QP) {
 	for i := 0; i < 1024; i++ {
 		_ = rc.PostSend(verbs.SendWR{Verb: verbs.WRITE, Signaled: i%64 == 0})
 	}
-	// Polling in the loop bounds outstanding posts: no diagnostic.
+	// Consuming completions in the loop bounds outstanding posts: no
+	// diagnostic.
 	for i := 0; i < 1024; i++ {
 		_ = rc.PostSend(verbs.SendWR{Verb: verbs.WRITE})
-		rc.SendCQ().Poll(16)
+		rc.SendCQ().SetHandler(func(verbs.Completion) {})
 	}
 }
 

@@ -4,9 +4,9 @@
 // errored QPs) — discarding one turns a protocol bug into a silent
 // no-op that only surfaces as a hung experiment. Likewise, since PR 2
 // queue pairs flush in error when their owner crashes: a completion's
-// payload is only meaningful after checking Flushed (and Dropped for
-// responder-side SENDs), so reading Completion.Data without ever
-// looking at the status fields mis-parses garbage during fault runs.
+// payload is only meaningful after checking Flushed, so reading
+// Completion.Data without ever looking at it mis-parses garbage during
+// fault runs.
 package uncheckedpost
 
 import (
@@ -20,10 +20,10 @@ import (
 // Doc is the analyzer's help text.
 const Doc = `flag discarded verbs errors and unchecked completion status
 
-The error returned by PostSend/PostRecv/PostSendBatch/PostAtomic and
-verbs.Connect must be consumed (not dropped as a statement or assigned
-to _), and a function that reads Completion.Data must somewhere consult
-Completion.Flushed or .Dropped. Suppress with
+The error returned by PostSend/PostRecv/PostSendBatch and verbs.Connect
+must be consumed (not dropped as a statement or assigned to _), and a
+function that reads Completion.Data must somewhere consult
+Completion.Flushed. Suppress with
 //lint:allow uncheckedpost — <reason>.`
 
 // Analyzer is the uncheckedpost check.
@@ -37,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 // error results the analyzer tracks.
 var checkedFuncs = map[string]bool{
 	"PostSend": true, "PostRecv": true, "PostSendBatch": true,
-	"PostAtomic": true, "Connect": true, "RegisterMR": true,
+	"Connect": true, "RegisterMR": true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -132,7 +132,7 @@ func allBlank(exprs []ast.Expr) bool {
 var payloadFields = map[string]bool{"Data": true, "SrcQPN": true}
 
 // statusFields are the fields whose inspection counts as checking.
-var statusFields = map[string]bool{"Flushed": true, "Dropped": true}
+var statusFields = map[string]bool{"Flushed": true}
 
 // checkCompletionReads walks one top-level function (closures included)
 // and reports the first payload read if no status field is consulted
@@ -161,7 +161,7 @@ func checkCompletionReads(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 	if firstRead != token.NoPos && !checked {
 		pass.Reportf(firstRead,
-			"Completion.%s read without checking Flushed (or Dropped) anywhere in this function; flushed-in-error completions carry no valid payload", firstField)
+			"Completion.%s read without checking Flushed anywhere in this function; flushed-in-error completions carry no valid payload", firstField)
 	}
 }
 

@@ -9,7 +9,7 @@
 //   - Inline posts whose payload is provably larger than the device
 //     inline limit (256 B on ConnectX-3, the paper's hardware);
 //   - loops that post only unsignaled sends with no signaled post or CQ
-//     poll in the loop — the send queue overflows once the loop outruns
+//     handler in the loop — the send queue overflows once the loop outruns
 //     the device (Section 3.2's selective-signaling discipline).
 package verbsmatrix
 
@@ -30,7 +30,7 @@ constants at the call site, posting a verb the transport does not
 support (READ/WRITE on UD, READ on UC) is reported at compile time
 instead of as a runtime ErrVerbNotSupported. Also flags Inline posts
 with payloads provably above the inline limit, and loops of unsignaled
-posts that never signal or poll. Suppress with
+posts that never signal or consume completions. Suppress with
 //lint:allow verbsmatrix — <reason>.`
 
 // MaxInline is the device inline limit the payload check assumes: the
@@ -46,11 +46,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // Transport and verb encodings, coupled to the constant blocks in
-// internal/wire (RC, UC, UD, DC) and internal/verbs (WRITE..ATOMIC).
+// internal/wire (RC, UC, UD, DC) and internal/verbs (WRITE..RECV).
 // Both files pin the iota order with golden tests.
 var (
 	transportName = [...]string{"RC", "UC", "UD", "DC"}
-	verbName      = [...]string{"WRITE", "READ", "SEND", "RECV", "ATOMIC"}
+	verbName      = [...]string{"WRITE", "READ", "SEND", "RECV"}
 )
 
 const (
@@ -360,8 +360,9 @@ func provableLen(pass *analysis.Pass, e ast.Expr) (int64, bool) {
 }
 
 // checkUnsignaledLoops flags loops whose only resolvable posts are
-// unsignaled and which neither signal nor poll: each iteration consumes
-// a send-queue slot that nothing ever frees (Section 3.2).
+// unsignaled and which neither signal nor consume completions: each
+// iteration takes a send-queue slot that nothing ever frees (Section
+// 3.2).
 func checkUnsignaledLoops(pass *analysis.Pass, body *ast.BlockStmt, wrLits map[types.Object]*ast.CompositeLit, poisoned map[types.Object]bool) {
 	reported := map[token.Pos]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -388,7 +389,7 @@ func checkUnsignaledLoops(pass *analysis.Pass, body *ast.BlockStmt, wrLits map[t
 			}
 			mname, _ := verbsMethod(pass, call)
 			switch mname {
-			case "Poll", "Pending", "SetHandler":
+			case "SetHandler":
 				// Completions are consumed (or will be); the loop can
 				// bound its outstanding posts.
 				safe = true
@@ -419,7 +420,7 @@ func checkUnsignaledLoops(pass *analysis.Pass, body *ast.BlockStmt, wrLits map[t
 		if !safe && len(unsignaled) > 0 && !reported[unsignaled[0]] {
 			reported[unsignaled[0]] = true
 			pass.Reportf(unsignaled[0],
-				"loop posts only unsignaled sends and never signals or polls a CQ; the send queue fills and posting stalls (selective signaling needs a periodic signaled WR, §3.2)")
+				"loop posts only unsignaled sends and never signals or consumes a CQ; the send queue fills and posting stalls (selective signaling needs a periodic signaled WR, §3.2)")
 		}
 		return true
 	})

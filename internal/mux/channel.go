@@ -51,10 +51,6 @@ type Channel struct {
 	queue       fifo.Queue[*chanOp] // accepted, not yet issued to the pool
 	outstanding int                 // issued to the pool, not yet resolved
 	stalled     bool
-
-	issuedOps uint64 // accepted submissions
-	completed uint64
-	failed    uint64
 }
 
 // ID returns the channel's virtual channel id, unique per endpoint.
@@ -96,18 +92,5 @@ func (ch *Channel) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	ch.ep.submit(ch, op)
 	return nil
 }
-
-// Inflight returns the number of unresolved operations (queued at the
-// endpoint plus outstanding on the pool).
-func (ch *Channel) Inflight() int { return ch.queue.Len() + ch.outstanding }
-
-// Issued counts submissions the channel accepted.
-func (ch *Channel) Issued() uint64 { return ch.issuedOps }
-
-// Completed counts operations resolved with a served response.
-func (ch *Channel) Completed() uint64 { return ch.completed }
-
-// Failed counts operations that resolved terminally unserved.
-func (ch *Channel) Failed() uint64 { return ch.failed }
 
 var _ kv.KV = (*Channel)(nil)

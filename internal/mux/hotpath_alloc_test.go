@@ -14,9 +14,6 @@ type gateClient struct{}
 func (gateClient) Get(kv.Key, func(kv.Result)) error         { return nil }
 func (gateClient) Put(kv.Key, []byte, func(kv.Result)) error { return nil }
 func (gateClient) Inflight() int                             { return 0 }
-func (gateClient) Issued() uint64                            { return 0 }
-func (gateClient) Completed() uint64                         { return 0 }
-func (gateClient) Failed() uint64                            { return 0 }
 func (gateClient) Window() int                               { return 4 }
 
 // TestHotpathAllocFree gates the //herd:hotpath functions of the

@@ -48,10 +48,12 @@ import (
 )
 
 // PoolClient is what the endpoint needs from a pooled transport client:
-// the unified kv.KV operations plus the client's current effective
-// request window (which core's AIMD controller may shrink at runtime).
+// the unified kv.KV operations, its unresolved op count, and its
+// current effective request window (which core's AIMD controller may
+// shrink at runtime).
 type PoolClient interface {
 	kv.KV
+	Inflight() int
 	Window() int
 }
 
@@ -106,8 +108,6 @@ type Endpoint struct {
 	// channel's first queue slot from, so a channel's first submission
 	// does not allocate: most channels never queue more than one op.
 	rings []*chanOp
-
-	issued, completed, failed uint64
 
 	tel          *telemetry.Sink
 	telEndpoints *telemetry.Gauge
@@ -200,12 +200,6 @@ func (ep *Endpoint) PoolSize() int { return len(ep.pool) }
 
 // Queued returns how many accepted ops are waiting in channel queues.
 func (ep *Endpoint) Queued() int { return ep.queued }
-
-// Issued, Completed and Failed report endpoint-wide op counts (issued
-// counts hand-offs to the pool, not submissions).
-func (ep *Endpoint) Issued() uint64    { return ep.issued }
-func (ep *Endpoint) Completed() uint64 { return ep.completed }
-func (ep *Endpoint) Failed() uint64    { return ep.failed }
 
 func (ep *Endpoint) now() sim.Time { return ep.eng.Now() }
 
@@ -360,7 +354,6 @@ func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
 	op.started = true
 	ch.outstanding++
 	ep.updateReady(ch)
-	ep.issued++
 	ep.telIssued.Inc()
 
 	var err error
@@ -370,8 +363,9 @@ func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
 		err = cli.Get(op.key, op.done)
 	}
 	if err != nil {
-		// Synchronous rejection: resolve the op as failed so channel
-		// accounting stays balanced (mirrors fleet.Client).
+		// Synchronous rejection: resolve the op as failed so its
+		// channel slot frees and the caller hears back (mirrors
+		// fleet.Client).
 		ep.complete(ch, op, kv.Result{
 			Key: op.key, IsGet: op.kind == opGet, Status: kv.StatusTimeout, Err: err,
 		})
@@ -388,13 +382,9 @@ func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 	ep.updateReady(ch)
 	r.Latency = ep.now() - op.submitted
 	if r.Err == nil {
-		ch.completed++
-		ep.completed++
 		ep.telCompleted.Inc()
 		ep.latOp.RecordTime(r.Latency)
 	} else {
-		ch.failed++
-		ep.failed++
 		ep.telFailed.Inc()
 	}
 	ep.pump()
@@ -408,7 +398,6 @@ func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 // issue, and record a stall if the op could not go out immediately.
 func (ep *Endpoint) submit(ch *Channel, op *chanOp) {
 	op.submitted = ep.now()
-	ch.issuedOps++
 	ch.queue.Push(op)
 	ep.updateReady(ch)
 	ep.queued++

@@ -137,11 +137,6 @@ type Cache struct {
 	// waiters' copies of a shared fill (kv.Slab).
 	vals kv.Slab
 
-	inflight  int
-	issued    uint64
-	completed uint64
-	failed    uint64
-
 	telHits       *telemetry.Counter
 	telMisses     *telemetry.Counter
 	telExpired    *telemetry.Counter
@@ -182,29 +177,10 @@ func New(inner kv.KV, clk sim.Clock, tel *telemetry.Sink, cfg Config) *Cache {
 // Len reports the number of resident entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Inflight returns the number of unresolved operations.
-func (c *Cache) Inflight() int { return c.inflight }
-
-// Issued counts operations accepted by the wrapper (cached hits
-// included — they are served operations, they just never reach inner).
-func (c *Cache) Issued() uint64 { return c.issued }
-
-// Completed counts operations resolved with a served response.
-func (c *Cache) Completed() uint64 { return c.completed }
-
-// Failed counts operations that resolved terminally unserved.
-func (c *Cache) Failed() uint64 { return c.failed }
-
-// deliver resolves one operation: counters, then the callback.
+// deliver resolves one operation by running its callback.
 //
 //herd:hotpath
 func (c *Cache) deliver(r kv.Result, cb func(kv.Result)) {
-	c.inflight--
-	if r.Err != nil {
-		c.failed++
-	} else {
-		c.completed++
-	}
 	if cb != nil {
 		cb(r)
 	}
@@ -337,8 +313,6 @@ func (c *Cache) Get(key kv.Key, cb func(kv.Result)) error {
 // serveHit answers a read from resident entry e.
 func (c *Cache) serveHit(e *entry, cb func(kv.Result)) {
 	c.telHits.Inc()
-	c.issued++
-	c.inflight++
 	c.deliverLater(c.hitResult(e), cb)
 }
 
@@ -389,8 +363,6 @@ func (c *Cache) joinFill(key kv.Key, cb func(kv.Result)) error {
 		return err
 	}
 	c.telMisses.Inc()
-	c.issued++
-	c.inflight++
 	c.fills[key] = f
 	return nil
 }
@@ -424,8 +396,6 @@ func (c *Cache) putFill(f *fill) {
 // herd-wait escape.
 func (c *Cache) park(f *fill, cb func(kv.Result)) {
 	c.telHerdWaits.Inc()
-	c.issued++
-	c.inflight++
 	f.waiters = append(f.waiters, waiter{cb: cb, start: c.clk.Now()})
 	c.armHerdWait(f, len(f.waiters)-1)
 }
@@ -604,7 +574,5 @@ func (c *Cache) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 		return err
 	}
 	c.invalidate(key)
-	c.issued++
-	c.inflight++
 	return nil
 }

@@ -18,10 +18,7 @@ type fakeKV struct {
 	lease   sim.Time // when > 0, GET hits carry a lease of this TTL
 	hang    int      // this many upcoming GETs never resolve
 
-	gets      int
-	issued    uint64
-	completed uint64
-	inflight  int
+	gets int
 }
 
 func newFake(eng *sim.Engine) *fakeKV {
@@ -45,15 +42,11 @@ func (f *fakeKV) Get(key kv.Key, cb func(kv.Result)) error {
 		return kv.ErrZeroKey
 	}
 	f.gets++
-	f.issued++
-	f.inflight++
 	if f.hang > 0 {
 		f.hang--
 		return nil // wedged: never resolves, like a crashed shard with no retries
 	}
 	f.eng.After(f.latency, func() {
-		f.inflight--
-		f.completed++
 		if cb != nil {
 			cb(f.get(key))
 		}
@@ -65,24 +58,15 @@ func (f *fakeKV) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return kv.ErrZeroKey
 	}
-	f.issued++
-	f.inflight++
 	v := append([]byte(nil), value...)
 	f.eng.After(f.latency, func() {
 		f.store[key] = v
-		f.inflight--
-		f.completed++
 		if cb != nil {
 			cb(kv.Result{Key: key, Status: kv.StatusHit, Latency: f.latency})
 		}
 	})
 	return nil
 }
-
-func (f *fakeKV) Inflight() int     { return f.inflight }
-func (f *fakeKV) Issued() uint64    { return f.issued }
-func (f *fakeKV) Completed() uint64 { return f.completed }
-func (f *fakeKV) Failed() uint64    { return 0 }
 
 func k(n uint64) kv.Key { return kv.FromUint64(n) }
 
@@ -127,13 +111,19 @@ func TestCounterInvariantsUnderCachedHits(t *testing.T) {
 	eng := sim.New()
 	f := newFake(eng)
 	f.store[k(1)] = []byte("v")
-	c := New(f, eng, nil, Config{TTL: sim.Second})
+	tel := telemetry.New()
+	c := New(f, eng, tel, Config{TTL: sim.Second})
 
 	const n = 20
 	counts := make([]int, n)
 	for i := 0; i < n; i++ {
 		i := i
-		if err := c.Get(k(1), func(kv.Result) { counts[i]++ }); err != nil {
+		if err := c.Get(k(1), func(r kv.Result) {
+			counts[i]++
+			if r.Err != nil {
+				t.Errorf("GET %d failed: %v", i, r.Err)
+			}
+		}); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -143,12 +133,9 @@ func TestCounterInvariantsUnderCachedHits(t *testing.T) {
 			t.Fatalf("callback %d ran %d times", i, got)
 		}
 	}
-	if c.Issued() != n || c.Completed() != n || c.Failed() != 0 {
-		t.Fatalf("issued/completed/failed = %d/%d/%d, want %d/%d/0",
-			c.Issued(), c.Completed(), c.Failed(), n, n)
-	}
-	if c.Inflight() != 0 {
-		t.Fatalf("inflight = %d after drain", c.Inflight())
+	hits, misses := tel.Counter("cache.hits").Value(), tel.Counter("cache.misses").Value()
+	if hits != n-1 || misses != 1 {
+		t.Fatalf("cache.hits/misses = %d/%d, want %d/1", hits, misses, n-1)
 	}
 	if f.gets != 1 {
 		t.Fatalf("origin GETs = %d, want 1", f.gets)
@@ -363,10 +350,13 @@ func TestZeroKeyRejectedEverywhere(t *testing.T) {
 	eng := sim.New()
 	c := New(newFake(eng), eng, nil, Config{})
 	var zero kv.Key
-	if c.Get(zero, nil) == nil || c.Put(zero, []byte("v"), nil) == nil {
+	ran := false
+	cb := func(kv.Result) { ran = true }
+	if c.Get(zero, cb) == nil || c.Put(zero, []byte("v"), cb) == nil {
 		t.Fatal("zero key accepted")
 	}
-	if c.Issued() != 0 {
-		t.Fatalf("rejected ops counted as issued (%d)", c.Issued())
+	eng.Run()
+	if ran {
+		t.Fatal("a rejected op ran its callback")
 	}
 }

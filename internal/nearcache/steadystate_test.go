@@ -6,6 +6,7 @@ import (
 	"herdkv/internal/kv"
 	"herdkv/internal/kv/kvtest"
 	"herdkv/internal/sim"
+	"herdkv/internal/telemetry"
 )
 
 // TestSteadyStateAllocs pins the near cache's per-hit allocation
@@ -19,7 +20,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(cli, cl.Eng, nil, Config{TTL: sim.Second})
+	tel := telemetry.New()
+	c := New(cli, cl.Eng, tel, Config{TTL: sim.Second})
 	keys := make([]kv.Key, 64)
 	value := []byte("resident value")
 	for i := range keys {
@@ -31,8 +33,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	got := kvtest.SteadyAllocs(t, kvtest.Mix{
 		Clients: []kv.KV{c}, Depth: 4, Keys: keys, Run: cl.Eng.Run,
 	}, 10000, 10000)
-	if got.Hits != got.Gets || got.Failed != 0 || cli.Issued() != uint64(len(keys)) {
-		t.Fatalf("%+v after %d origin GETs: want every GET a hit, and one fill per key", got, cli.Issued())
+	if fills := tel.Counter("cache.misses").Value(); got.Hits != got.Gets || got.Failed != 0 || fills != uint64(len(keys)) {
+		t.Fatalf("%+v after %d origin GETs: want every GET a hit, and one fill per key", got, fills)
 	}
 	if budget := kvtest.SlabRefills(got.Hits, len(value), 1) + kvtest.AllocNoise; got.Mallocs > budget {
 		t.Fatalf("%d allocations over %d cached hits, budget %d (slab refills only, plus runtime noise)",

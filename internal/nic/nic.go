@@ -51,7 +51,7 @@ func New(eng *sim.Engine, p Params, bus *pcie.Bus, net *wire.Network, node wire.
 		bus:     bus,
 		net:     net,
 		node:    node,
-		pu:      sim.NewServer(eng, 1),
+		pu:      sim.NewServer(eng),
 		sendCtx: NewContextCache(p.SendCtxCap),
 		recvCtx: NewContextCache(p.RecvCtxCap),
 	}

@@ -54,12 +54,6 @@ type Params struct {
 	CtxMissPU  sim.Time // PU stall charged when a context misses
 	CtxMissLat sim.Time // added latency of the PCIe context fetch
 
-	// RxAtomic is the responder-side cost of one atomic (CAS/FADD):
-	// the read-modify-write serializes on the NIC's atomic unit, which
-	// is why real RNICs sustain only a few Mops of atomics (~2-3 Mops on
-	// ConnectX-3-era cards).
-	RxAtomic sim.Time
-
 	// DCRetargetPU is the extra requester-side work when a Dynamically
 	// Connected initiator switches to a different peer than its previous
 	// message (the in-band connect/disconnect micro-handshake of
@@ -96,7 +90,6 @@ func ConnectX3() Params {
 		CtxMissPU:  sim.NS(120),
 		CtxMissLat: sim.NS(400),
 
-		RxAtomic:     sim.NS(400),
 		DCRetargetPU: sim.NS(40),
 	}
 }

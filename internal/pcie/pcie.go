@@ -165,9 +165,9 @@ func NewBus(eng *sim.Engine, p Params) *Bus {
 	return &Bus{
 		eng:      eng,
 		p:        p,
-		pio:      sim.NewServer(eng, 1),
-		toHost:   sim.NewServer(eng, 1),
-		fromHost: sim.NewServer(eng, 1),
+		pio:      sim.NewServer(eng),
+		toHost:   sim.NewServer(eng),
+		fromHost: sim.NewServer(eng),
 	}
 }
 

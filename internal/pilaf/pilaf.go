@@ -120,24 +120,10 @@ type Client struct {
 	// vals backs GET-hit values: each is cut from a shared block and
 	// handed to one callback (kv.Slab), so a hit allocates nothing.
 	vals kv.Slab
-
-	issued, completed uint64
 }
 
 // Client implements the shared client interface.
 var _ kv.KV = (*Client)(nil)
-
-// Inflight returns the number of outstanding operations.
-func (c *Client) Inflight() int { return c.inflight }
-
-// Issued and Completed report operation counts.
-func (c *Client) Issued() uint64    { return c.issued }
-func (c *Client) Completed() uint64 { return c.completed }
-
-// Failed is always zero: Pilaf-em has no retry machinery, so no
-// operation resolves terminally unserved (errored queue pairs panic
-// instead — crash recovery is unsupported territory here).
-func (c *Client) Failed() uint64 { return 0 }
 
 // startOp gates an operation on the client window; fn runs when a slot
 // is free.
@@ -242,7 +228,6 @@ func (c *Client) handleAck(comp verbs.Completion) {
 	op := c.pendingPuts[0]
 	c.pendingPuts = c.pendingPuts[1:]
 	ok := len(comp.Data) >= 1 && comp.Data[0] == 1
-	c.completed++
 	c.finishOp()
 	if op.cb != nil {
 		status := kv.StatusMiss
@@ -274,7 +259,6 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	}
 	val := append([]byte(nil), value...)
 	c.startOp(func() {
-		c.issued++
 		// Post the ack RECV before the request.
 		mustPost(c.ucQP.PostRecv(c.ackMR, 0, ackSize, 0))
 
@@ -306,7 +290,6 @@ func (c *Client) Get(key kv.Key, cb func(Result)) error {
 
 func (c *Client) doGet(key kv.Key, cb func(Result)) {
 	start := c.now()
-	c.issued++
 	idxs := c.srv.table.BucketIndices(key)
 	frag := cuckoo.Frag(key)
 	res := Result{Key: key, IsGet: true}
@@ -320,7 +303,6 @@ func (c *Client) doGet(key kv.Key, cb func(Result)) {
 		if res.Status == kv.StatusUnknown {
 			res.Status = kv.StatusMiss
 		}
-		c.completed++
 		c.finishOp()
 		if cb != nil {
 			cb(res)

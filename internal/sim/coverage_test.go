@@ -27,29 +27,3 @@ func TestRandHelpers(t *testing.T) {
 		seen[v] = true
 	}
 }
-
-func TestServerUnitsAndMultiUnitScan(t *testing.T) {
-	e := New()
-	s := NewServer(e, 3)
-	if s.Units() != 3 {
-		t.Fatalf("Units = %d", s.Units())
-	}
-	// Exercise the earliest-unit scan with uneven schedules.
-	s.Submit(30*Nanosecond, nil)
-	s.Submit(10*Nanosecond, nil)
-	s.Submit(20*Nanosecond, nil)
-	// Unit freeing at 10ns should take the next job.
-	end := s.Submit(5*Nanosecond, nil)
-	if end != 15*Nanosecond {
-		t.Fatalf("4th job ends at %v, want 15ns", end)
-	}
-	if nf := s.NextFree(); nf != 15*Nanosecond {
-		t.Fatalf("NextFree = %v, want 15ns", nf)
-	}
-	if bl := s.Backlog(); bl != 30*Nanosecond {
-		t.Fatalf("Backlog = %v, want 30ns", bl)
-	}
-	if u := s.Utilization(); u != 0 {
-		t.Fatalf("utilization at t=0 should be 0, got %v", u)
-	}
-}

@@ -178,7 +178,7 @@ func TestTimeConversions(t *testing.T) {
 
 func TestServerFIFOSingleUnit(t *testing.T) {
 	e := New()
-	s := NewServer(e, 1)
+	s := NewServer(e)
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		s.Submit(10*Nanosecond, func(end Time) { ends = append(ends, end) })
@@ -192,28 +192,10 @@ func TestServerFIFOSingleUnit(t *testing.T) {
 	}
 }
 
-func TestServerParallelUnits(t *testing.T) {
-	e := New()
-	s := NewServer(e, 2)
-	var ends []Time
-	for i := 0; i < 4; i++ {
-		s.Submit(10*Nanosecond, func(end Time) { ends = append(ends, end) })
-	}
-	e.Run()
-	// Two units: jobs finish at 10,10,20,20.
-	want := []Time{10 * Nanosecond, 10 * Nanosecond, 20 * Nanosecond, 20 * Nanosecond}
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-	for i := range want {
-		if ends[i] != want[i] {
-			t.Fatalf("ends = %v, want %v", ends, want)
-		}
-	}
-}
-
 func TestServerSaturationThroughput(t *testing.T) {
 	// A single-unit server with 40ns service must deliver exactly 25 Mops.
 	e := New()
-	s := NewServer(e, 1)
+	s := NewServer(e)
 	done := 0
 	n := 100000
 	for i := 0; i < n; i++ {
@@ -231,8 +213,11 @@ func TestServerSaturationThroughput(t *testing.T) {
 
 func TestServerUtilization(t *testing.T) {
 	e := New()
-	s := NewServer(e, 1)
+	s := NewServer(e)
 	s.Submit(30*Nanosecond, nil)
+	if u := s.Utilization(); u != 0 {
+		t.Fatalf("utilization at t=0 = %v, want 0", u)
+	}
 	e.At(60*Nanosecond, func() {})
 	e.Run()
 	if u := s.Utilization(); u < 0.499 || u > 0.501 {
@@ -242,7 +227,7 @@ func TestServerUtilization(t *testing.T) {
 
 func TestServerZeroAndNegativeService(t *testing.T) {
 	e := New()
-	s := NewServer(e, 1)
+	s := NewServer(e)
 	end := s.Submit(-5*Nanosecond, nil)
 	if end != 0 {
 		t.Fatalf("negative service end = %v, want 0", end)
@@ -251,32 +236,6 @@ func TestServerZeroAndNegativeService(t *testing.T) {
 	if end != 0 {
 		t.Fatalf("zero service end = %v, want 0", end)
 	}
-}
-
-func TestServerNextFreeAndBacklog(t *testing.T) {
-	e := New()
-	s := NewServer(e, 1)
-	s.Submit(100*Nanosecond, nil)
-	s.Submit(50*Nanosecond, nil)
-	if nf := s.NextFree(); nf != 150*Nanosecond {
-		t.Fatalf("NextFree = %v, want 150ns", nf)
-	}
-	if b := s.Backlog(); b != 150*Nanosecond {
-		t.Fatalf("Backlog = %v, want 150ns", b)
-	}
-	e.RunUntil(200 * Nanosecond)
-	if b := s.Backlog(); b != 0 {
-		t.Fatalf("post-run Backlog = %v, want 0", b)
-	}
-}
-
-func TestNewServerPanicsOnZeroUnits(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewServer(0) did not panic")
-		}
-	}()
-	NewServer(New(), 0)
 }
 
 func TestRandDeterminism(t *testing.T) {
@@ -313,18 +272,19 @@ func TestRandDurationBetween(t *testing.T) {
 	}
 }
 
-// Property: a k-unit server never exceeds k-way concurrency and preserves
-// total service time in its busy accounting.
+// Property: the server serves jobs back to back in submission order,
+// and preserves total service time in its busy accounting.
 func TestServerBusyAccountingProperty(t *testing.T) {
-	f := func(raw []uint8, unitsRaw uint8) bool {
-		units := int(unitsRaw%4) + 1
+	f := func(raw []uint8) bool {
 		e := New()
-		s := NewServer(e, units)
+		s := NewServer(e)
 		var total Time
 		for _, v := range raw {
 			svc := Time(v) * Nanosecond
 			total += svc
-			s.Submit(svc, nil)
+			if s.Submit(svc, nil) != total {
+				return false
+			}
 		}
 		e.Run()
 		return s.BusyTime() == total && s.Jobs() == uint64(len(raw))

@@ -18,7 +18,7 @@ func (h *nopHandler) Fire(Time) { h.fired++ }
 // once, during warm-up.
 func TestHotpathAllocFree(t *testing.T) {
 	e := New()
-	s := NewServer(e, 2)
+	s := NewServer(e)
 	fn := func() {}
 	done := func(Time) {}
 	h := &nopHandler{}

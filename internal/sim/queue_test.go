@@ -219,7 +219,7 @@ func FuzzEngineOrder(f *testing.F) {
 // that time — the value Submit returned and the engine's clock.
 func TestSubmitCompletionReceivesNow(t *testing.T) {
 	e := New()
-	s := NewServer(e, 2)
+	s := NewServer(e)
 	runs := 0
 	for i := 0; i < 6; i++ {
 		var want Time
@@ -294,7 +294,7 @@ func BenchmarkEngineAtStep(b *testing.B) {
 // the reservation, the completion event, and the callback.
 func BenchmarkServerSubmit(b *testing.B) {
 	e := New()
-	s := NewServer(e, 1)
+	s := NewServer(e)
 	done := func(Time) {}
 	b.ReportAllocs()
 	b.ResetTimer()

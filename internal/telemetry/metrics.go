@@ -137,7 +137,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // kind (counters, then gauges, then histograms):
 //
 //	counter verbs.WRITE.posted 123456
-//	gauge   verbs.cq.depth.hwm cur=0 max=17
+//	gauge   mux.queue.depth cur=0 max=17
 //	hist    herd.get.latency_us count=200 min=1.52 mean=1.87 p50=1.86 p95=2.01 p99=2.10 max=2.20
 //
 // Histogram statistics are printed in microseconds (values are recorded

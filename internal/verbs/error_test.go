@@ -1,7 +1,6 @@
 package verbs
 
 import (
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -67,58 +66,5 @@ func TestInboundToErroredQPIsDropped(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("WRITE landed in memory behind an errored QP: %q", mr.Bytes()[:5])
 		}
-	}
-}
-
-// TestAtomicOnErroredQPRefused: an atomic posted on an errored QP is
-// refused like every other post and never reaches remote memory.
-func TestAtomicOnErroredQPRefused(t *testing.T) {
-	tb := newTestbed()
-	qa, _, remote, local := atomicPair(tb)
-	qa.SetError()
-	if err := qa.PostAtomic(AtomicWR{Kind: FetchAdd, Remote: remote, Local: local, Add: 7}); !errors.Is(err, ErrQPState) {
-		t.Fatalf("PostAtomic on errored QP: %v, want ErrQPState", err)
-	}
-	tb.eng.Run()
-	if got := binary.LittleEndian.Uint64(remote.Bytes()); got != 0 {
-		t.Fatalf("remote = %d after a refused fetch-add, want 0", got)
-	}
-}
-
-// TestAtomicToErroredQPIsDropped: an atomic reaching an errored
-// responder is discarded before its read-modify-write, and a response
-// reaching a requester errored since the post lands nothing and
-// completes nothing.
-func TestAtomicToErroredQPIsDropped(t *testing.T) {
-	tb := newTestbed()
-	qa, qb, remote, local := atomicPair(tb)
-	var comps []Completion
-	qa.SendCQ().SetHandler(func(c Completion) { comps = append(comps, c) })
-	qb.SetError()
-	if err := qa.PostAtomic(AtomicWR{Kind: FetchAdd, Remote: remote, Local: local, Add: 7}); err != nil {
-		t.Fatal(err)
-	}
-	tb.eng.Run()
-	if got := binary.LittleEndian.Uint64(remote.Bytes()); got != 0 {
-		t.Fatalf("fetch-add applied behind an errored responder: remote = %d", got)
-	}
-	if len(comps) != 0 {
-		t.Fatalf("dropped atomic completed: %+v", comps)
-	}
-
-	tb = newTestbed()
-	qa, _, remote, local = atomicPair(tb)
-	qa.SendCQ().SetHandler(func(c Completion) { comps = append(comps, c) })
-	binary.LittleEndian.PutUint64(remote.Bytes(), 100)
-	if err := qa.PostAtomic(AtomicWR{Kind: FetchAdd, Remote: remote, Local: local, Add: 7}); err != nil {
-		t.Fatal(err)
-	}
-	qa.SetError()
-	tb.eng.Run()
-	if got := binary.LittleEndian.Uint64(local.Bytes()); got != 0 {
-		t.Fatalf("atomic response landed at an errored requester: local = %d", got)
-	}
-	if len(comps) != 0 {
-		t.Fatalf("atomic completed on an errored requester: %+v", comps)
 	}
 }

@@ -24,15 +24,12 @@ import (
 // Verb identifies an RDMA operation type.
 type Verb int
 
-// The verbs relevant to this work (Section 2.2.2), plus ATOMIC
-// (compare-and-swap / fetch-and-add), which the substrate supports for
-// completeness though no compared system uses it.
+// The verbs relevant to this work (Section 2.2.2).
 const (
 	WRITE Verb = iota
 	READ
 	SEND
 	RECV
-	ATOMIC
 )
 
 // String returns the verb's conventional name.
@@ -46,8 +43,6 @@ func (v Verb) String() string {
 		return "SEND"
 	case RECV:
 		return "RECV"
-	case ATOMIC:
-		return "ATOMIC"
 	}
 	return "?"
 }
@@ -142,7 +137,6 @@ type Completion struct {
 	At      sim.Time
 	Data    []byte // RECV: the received payload
 	SrcQPN  uint32 // RECV on UD: the sender's QP number
-	Dropped bool   // SEND arriving with no posted RECV
 	Flushed bool   // WR flushed in error when its QP transitioned to error
 
 	// Trace carries the lifecycle trace of the SEND that produced this
@@ -151,50 +145,23 @@ type Completion struct {
 	Trace *telemetry.Trace
 }
 
-// CQ is a completion queue. Completions may be consumed either by
-// polling or by an event handler (the natural style inside the
-// simulator's event loop).
+// CQ is a completion queue. Completions go to its event handler (the
+// natural style inside the simulator's event loop); a CQ with no
+// handler discards them.
 type CQ struct {
-	queue   []Completion
 	handler func(Completion)
-
-	// depth tracks the queued-completion high-water mark (nil when
-	// un-instrumented). Handler-consumed CQs never queue, so the mark
-	// measures genuine polling backlog.
-	depth *telemetry.Gauge
 }
 
-// NewCQ returns an empty completion queue.
+// NewCQ returns a completion queue with no handler.
 func NewCQ() *CQ { return &CQ{} }
 
-// SetHandler delivers future completions to fn instead of queueing them.
+// SetHandler delivers future completions to fn.
 func (cq *CQ) SetHandler(fn func(Completion)) { cq.handler = fn }
-
-// Poll removes and returns up to max queued completions.
-func (cq *CQ) Poll(max int) []Completion {
-	if max <= 0 || len(cq.queue) == 0 {
-		return nil
-	}
-	n := max
-	if n > len(cq.queue) {
-		n = len(cq.queue)
-	}
-	out := make([]Completion, n)
-	copy(out, cq.queue[:n])
-	cq.queue = cq.queue[n:]
-	return out
-}
-
-// Pending returns the number of queued completions.
-func (cq *CQ) Pending() int { return len(cq.queue) }
 
 func (cq *CQ) push(c Completion) {
 	if cq.handler != nil {
 		cq.handler(c)
-		return
 	}
-	cq.queue = append(cq.queue, c)
-	cq.depth.Set(int64(len(cq.queue)))
 }
 
 // Host is one machine's RDMA endpoint: a NIC plus its registered
@@ -207,18 +174,17 @@ type Host struct {
 	opFree  []*sendOp // recycled work-request records (see sendOp)
 
 	// Telemetry (nil handles when un-instrumented): per-verb posted and
-	// completed counters, inlined-vs-DMA'd and signaled-vs-unsignaled
-	// splits, and the shared CQ-depth high-water gauge. Counter names
-	// are registry-global, so hosts aggregate cluster-wide.
+	// completed counters and the inlined-vs-DMA'd and
+	// signaled-vs-unsignaled splits. Counter names are registry-global,
+	// so hosts aggregate cluster-wide.
 	tel          *telemetry.Sink
-	telPosted    [ATOMIC + 1]*telemetry.Counter
-	telCompleted [ATOMIC + 1]*telemetry.Counter
+	telPosted    [RECV + 1]*telemetry.Counter
+	telCompleted [RECV + 1]*telemetry.Counter
 	telInline    *telemetry.Counter
 	telDMA       *telemetry.Counter
 	telSignaled  *telemetry.Counter
 	telUnsig     *telemetry.Counter
 	telDropped   *telemetry.Counter
-	telCQDepth   *telemetry.Gauge
 }
 
 // NewHost wraps n as a verbs endpoint.
@@ -228,14 +194,14 @@ func NewHost(eng *sim.Engine, n *nic.NIC) *Host {
 
 // SetTelemetry attaches the sink and eagerly registers the per-verb
 // counters (so a metrics dump always lists every verb, used or not).
-// Call it before creating queue pairs: CQ gauges and per-QP counters
-// are bound at CreateQP time.
+// Call it before creating queue pairs: per-QP counters are bound at
+// CreateQP time.
 func (h *Host) SetTelemetry(s *telemetry.Sink) {
 	h.tel = s
-	for v := WRITE; v <= ATOMIC; v++ {
+	for v := WRITE; v <= RECV; v++ {
 		//lint:allow telemnames — per-verb names verbs.<VERB>.posted/.completed are catalogued in docs/OBSERVABILITY.md
 		h.telPosted[v] = s.Counter("verbs." + v.String() + ".posted")
-		//lint:allow telemnames — see above; <VERB> ranges over WRITE..ATOMIC
+		//lint:allow telemnames — see above; <VERB> ranges over WRITE..RECV
 		h.telCompleted[v] = s.Counter("verbs." + v.String() + ".completed")
 	}
 	h.telInline = s.Counter("verbs.payload.inlined")
@@ -243,7 +209,6 @@ func (h *Host) SetTelemetry(s *telemetry.Sink) {
 	h.telSignaled = s.Counter("verbs.posted.signaled")
 	h.telUnsig = s.Counter("verbs.posted.unsignaled")
 	h.telDropped = s.Counter("verbs.send.dropped")
-	h.telCQDepth = s.Gauge("verbs.cq.depth.hwm")
 }
 
 // Telemetry returns the attached sink (nil when un-instrumented).
@@ -313,7 +278,7 @@ type QP struct {
 
 	// qpPosted holds per-QP posted counters when the sink is QP-scoped
 	// (Sink.PerQP); nil entries are no-ops.
-	qpPosted [ATOMIC + 1]*telemetry.Counter
+	qpPosted [RECV + 1]*telemetry.Counter
 }
 
 type pendingAck struct {
@@ -332,10 +297,8 @@ func (h *Host) CreateQP(t wire.Transport) *QP {
 		sendCQ:    NewCQ(),
 		recvCQ:    NewCQ(),
 	}
-	qp.sendCQ.depth = h.telCQDepth
-	qp.recvCQ.depth = h.telCQDepth
 	if h.tel.QPScoped() {
-		for v := WRITE; v <= ATOMIC; v++ {
+		for v := WRITE; v <= RECV; v++ {
 			//lint:allow telemnames — per-QP counters verbs.qp.n<node>.q<qpn>.<VERB>.posted are catalogued in docs/OBSERVABILITY.md
 			qp.qpPosted[v] = h.tel.Counter(fmt.Sprintf(
 				"verbs.qp.n%d.q%d.%s.posted", h.Node(), qp.qpn, v))

@@ -37,6 +37,14 @@ func connectedPair(tb *testbed, t wire.Transport) (*QP, *QP) {
 	return qa, qb
 }
 
+// collect routes cq's completions into a slice the test reads once the
+// engine has run.
+func collect(cq *CQ) *[]Completion {
+	var got []Completion
+	cq.SetHandler(func(c Completion) { got = append(got, c) })
+	return &got
+}
+
 func TestSupportMatrixTable1(t *testing.T) {
 	// Table 1: RC supports everything; UC loses READ; UD loses RDMA.
 	cases := []struct {
@@ -90,6 +98,7 @@ func TestWriteConsumesNoRecv(t *testing.T) {
 	tb := newTestbed()
 	qa, qb := connectedPair(tb, wire.UC)
 	mr := tb.b.RegisterMR(64)
+	recv := collect(qb.RecvCQ())
 	if err := qb.PostRecv(tb.b.RegisterMR(64), 0, 64, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +109,7 @@ func TestWriteConsumesNoRecv(t *testing.T) {
 	if mr.Bytes()[0] != 7 {
 		t.Fatal("WRITE did not land")
 	}
-	if qb.RecvCQ().Pending() != 0 || qb.RecvQueueLen() != 1 {
+	if len(*recv) != 0 || qb.RecvQueueLen() != 1 {
 		t.Fatal("WRITE consumed a RECV")
 	}
 }
@@ -111,6 +120,7 @@ func TestReadFetchesRemoteBytes(t *testing.T) {
 	remote := tb.b.RegisterMR(256)
 	copy(remote.Bytes()[32:], []byte("cuckoo bucket contents"))
 	local := tb.a.RegisterMR(256)
+	sent := collect(qa.SendCQ())
 	err := qa.PostSend(SendWR{Verb: READ, Remote: remote, RemoteOff: 32, Local: local, LocalOff: 0, Len: 22, Signaled: true})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +129,7 @@ func TestReadFetchesRemoteBytes(t *testing.T) {
 	if got := string(local.Bytes()[:22]); got != "cuckoo bucket contents" {
 		t.Fatalf("READ returned %q", got)
 	}
-	comps := qa.SendCQ().Poll(10)
+	comps := *sent
 	if len(comps) != 1 || comps[0].Verb != READ || comps[0].Bytes != 22 {
 		t.Fatalf("completions = %+v", comps)
 	}
@@ -129,6 +139,7 @@ func TestSendRecvChannelSemantics(t *testing.T) {
 	tb := newTestbed()
 	qa, qb := connectedPair(tb, wire.RC)
 	buf := tb.b.RegisterMR(1024)
+	recv, sent := collect(qb.RecvCQ()), collect(qa.SendCQ())
 	if err := qb.PostRecv(buf, 64, 128, 77); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +148,7 @@ func TestSendRecvChannelSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.eng.Run()
-	rc := qb.RecvCQ().Poll(10)
+	rc := *recv
 	if len(rc) != 1 {
 		t.Fatalf("recv completions = %d, want 1", len(rc))
 	}
@@ -147,7 +158,7 @@ func TestSendRecvChannelSemantics(t *testing.T) {
 	if !bytes.Equal(buf.Bytes()[64:64+len(msg)], msg) {
 		t.Fatal("payload not written to the posted RECV buffer")
 	}
-	sc := qa.SendCQ().Poll(10)
+	sc := *sent
 	if len(sc) != 1 || sc[0].Verb != SEND {
 		t.Fatalf("send completions = %+v", sc)
 	}
@@ -156,6 +167,7 @@ func TestSendRecvChannelSemantics(t *testing.T) {
 func TestSendWithoutRecvDropped(t *testing.T) {
 	tb := newTestbed()
 	qa, qb := connectedPair(tb, wire.UC)
+	recv := collect(qb.RecvCQ())
 	if err := qa.PostSend(SendWR{Verb: SEND, Data: []byte("nobody home"), Inline: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +175,7 @@ func TestSendWithoutRecvDropped(t *testing.T) {
 	if qb.DroppedSends() != 1 {
 		t.Fatalf("dropped = %d, want 1", qb.DroppedSends())
 	}
-	if qb.RecvCQ().Pending() != 0 {
+	if len(*recv) != 0 {
 		t.Fatal("unexpected recv completion")
 	}
 }
@@ -185,15 +197,16 @@ func TestUDOneToMany(t *testing.T) {
 	r1 := tb.b.CreateQP(wire.UD)
 	r2 := tb.b.CreateQP(wire.UD)
 	m1, m2 := tb.b.RegisterMR(64), tb.b.RegisterMR(64)
+	c1, c2 := collect(r1.RecvCQ()), collect(r2.RecvCQ())
 	r1.PostRecv(m1, 0, 64, 1)
 	r2.PostRecv(m2, 0, 64, 2)
 	src.PostSend(SendWR{Verb: SEND, Data: []byte("to r1"), Dest: r1, Inline: true})
 	src.PostSend(SendWR{Verb: SEND, Data: []byte("to r2"), Dest: r2, Inline: true})
 	tb.eng.Run()
-	if c := r1.RecvCQ().Poll(1); len(c) != 1 || string(c[0].Data) != "to r1" {
+	if c := *c1; len(c) != 1 || string(c[0].Data) != "to r1" {
 		t.Fatalf("r1 completion = %+v", c)
 	}
-	if c := r2.RecvCQ().Poll(1); len(c) != 1 || string(c[0].Data) != "to r2" {
+	if c := *c2; len(c) != 1 || string(c[0].Data) != "to r2" {
 		t.Fatalf("r2 completion = %+v", c)
 	}
 }
@@ -266,9 +279,10 @@ func TestUnsignaledProducesNoCompletion(t *testing.T) {
 	tb := newTestbed()
 	qa, _ := connectedPair(tb, wire.UC)
 	mr := tb.b.RegisterMR(64)
+	sent := collect(qa.SendCQ())
 	qa.PostSend(SendWR{Verb: WRITE, Data: []byte("quiet"), Remote: mr, Inline: true})
 	tb.eng.Run()
-	if qa.SendCQ().Pending() != 0 {
+	if len(*sent) != 0 {
 		t.Fatal("unsignaled WRITE produced a completion")
 	}
 }
@@ -354,6 +368,7 @@ func TestRecvFIFOOrder(t *testing.T) {
 	tb := newTestbed()
 	qa, qb := connectedPair(tb, wire.RC)
 	mr := tb.b.RegisterMR(1024)
+	recv := collect(qb.RecvCQ())
 	for i := 0; i < 4; i++ {
 		qb.PostRecv(mr, i*16, 16, uint64(i))
 	}
@@ -361,7 +376,7 @@ func TestRecvFIFOOrder(t *testing.T) {
 		qa.PostSend(SendWR{Verb: SEND, Data: []byte{byte(i)}, Inline: true})
 	}
 	tb.eng.Run()
-	comps := qb.RecvCQ().Poll(10)
+	comps := *recv
 	if len(comps) != 4 {
 		t.Fatalf("completions = %d, want 4", len(comps))
 	}
@@ -409,10 +424,11 @@ func TestSendTruncatesToRecvBuffer(t *testing.T) {
 	tb := newTestbed()
 	qa, qb := connectedPair(tb, wire.UC)
 	mr := tb.b.RegisterMR(64)
+	recv := collect(qb.RecvCQ())
 	qb.PostRecv(mr, 0, 4, 0)
 	qa.PostSend(SendWR{Verb: SEND, Data: []byte("longer than four"), Inline: true})
 	tb.eng.Run()
-	comps := qb.RecvCQ().Poll(1)
+	comps := *recv
 	if len(comps) != 1 || comps[0].Bytes != 4 || string(comps[0].Data) != "long" {
 		t.Fatalf("truncated completion = %+v", comps)
 	}
@@ -431,21 +447,22 @@ func TestPostSendCopiesData(t *testing.T) {
 	}
 }
 
-func TestCQPollBatches(t *testing.T) {
+// A CQ hands completions to its handler in push order, and one with
+// no handler discards them.
+func TestCQHandlerDelivery(t *testing.T) {
 	cq := NewCQ()
+	cq.push(Completion{WRID: 99})
+	got := collect(cq)
 	for i := 0; i < 5; i++ {
 		cq.push(Completion{WRID: uint64(i)})
 	}
-	first := cq.Poll(3)
-	if len(first) != 3 || first[0].WRID != 0 || first[2].WRID != 2 {
-		t.Fatalf("first poll = %+v", first)
+	if len(*got) != 5 {
+		t.Fatalf("handler saw %d completions, want 5", len(*got))
 	}
-	rest := cq.Poll(10)
-	if len(rest) != 2 || rest[1].WRID != 4 {
-		t.Fatalf("second poll = %+v", rest)
-	}
-	if cq.Poll(1) != nil {
-		t.Fatal("empty CQ should return nil")
+	for i, c := range *got {
+		if c.WRID != uint64(i) {
+			t.Fatalf("completions = %+v, want WRIDs 0..4 in push order", *got)
+		}
 	}
 }
 

@@ -292,7 +292,7 @@ type Log struct {
 // New returns an empty log on eng. tel may be nil.
 func New(eng *sim.Engine, cfg Config, tel *telemetry.Sink) *Log {
 	l := &Log{clk: eng, cfg: cfg.withDefaults(), maxEpoch: -1}
-	l.dev = sim.NewServer(eng, 1)
+	l.dev = sim.NewServer(eng)
 	l.telAppends = tel.Counter("wal.appends")
 	l.telFlushes = tel.Counter("wal.flushes")
 	l.telReplayed = tel.Counter("wal.replayed")

@@ -255,8 +255,8 @@ func (n *Network) AddNode(id NodeID) {
 		return
 	}
 	n.ports[id] = &port{
-		egress:  sim.NewServer(n.eng, 1),
-		ingress: sim.NewServer(n.eng, 1),
+		egress:  sim.NewServer(n.eng),
+		ingress: sim.NewServer(n.eng),
 	}
 }
 
