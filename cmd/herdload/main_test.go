@@ -26,9 +26,9 @@ func TestGolden(t *testing.T) {
 system      herd on Apt
 fleet       51 clients, window 4, 6 server cores
 workload    95% GET, 32 B values, 49152 keys, uniform
-throughput  27.15 Mops
-latency     all ops: mean 7.51 us, p5 7.09, p50 7.52, p95 7.91, p99 8.25
-hit rate    100.00% over 3881 GETs
+throughput  27.16 Mops
+latency     all ops: mean 7.50 us, p5 7.10, p50 7.51, p95 7.94, p99 8.20
+hit rate    100.00% over 3884 GETs
 reliability 0 retries, 0 duplicate and 0 corrupt responses discarded, 0 timed-out ops, 0 reconnects
 `},
 		{"-system pilaf -cluster susitna -zipf", `
@@ -60,10 +60,10 @@ reliability 0 retries, 0 duplicate and 0 corrupt responses discarded, 0 timed-ou
 system      herd on Apt
 fleet       51 clients, window 4, 6 server cores
 workload    95% GET, 32 B values, 49152 keys, uniform
-throughput  26.48 Mops
-latency     all ops: mean 5.04 us, p5 2.90, p50 3.91, p95 6.27, p99 31.08
-hit rate    100.00% over 3792 GETs
-reliability 174 retries, 0 duplicate and 0 corrupt responses discarded, 0 timed-out ops, 0 reconnects
+throughput  26.62 Mops
+latency     all ops: mean 7.55 us, p5 6.15, p50 6.51, p95 7.35, p99 33.19
+hit rate    100.00% over 3799 GETs
+reliability 184 retries, 0 duplicate and 0 corrupt responses discarded, 0 timed-out ops, 0 reconnects
 `},
 		{"-system farm -value 256 -keys 16384", `
 system      farm on Apt

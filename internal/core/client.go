@@ -108,16 +108,10 @@ type Client struct {
 	waiting  fifo.Queue[*pendingOp] // ops queued for a window slot
 	perProc  [][]*pendingOp         // outstanding ops per server process, in issue order
 
-	// slotFree[proc][r mod W] is the earliest virtual time that window
-	// slot may host a new op. Responses echo only r mod W, so after an op
-	// that retransmitted finishes, its slot is quarantined until any
-	// still-in-flight duplicate response has drained — otherwise the
-	// duplicate would match the slot's next op and deliver a wrong value.
-	slotFree [][]sim.Time
-
 	// slotWait[proc] holds ops whose next window slot is still occupied
 	// by an outstanding op (one that stalled on retries while younger
-	// ops completed around it). They issue as occupants resolve.
+	// ops completed around it): the request slot and the response
+	// buffer are shared per r mod W. They issue as occupants resolve.
 	slotWait []fifo.Queue[*pendingOp]
 
 	// opFree is the pendingOp recycling pool: terminally resolved ops
@@ -210,13 +204,9 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 		machine:  m,
 		reqSeq:   make([]int, s.cfg.NS),
 		perProc:  make([][]*pendingOp, s.cfg.NS),
-		slotFree: make([][]sim.Time, s.cfg.NS),
 		slotWait: make([]fifo.Queue[*pendingOp], s.cfg.NS),
 		rng:      sim.NewRand(m.Seed*4099 + int64(s.nextCli)),
 		cwnd:     float64(s.cfg.Window),
-	}
-	for p := range c.slotFree {
-		c.slotFree[p] = make([]sim.Time, s.cfg.Window)
 	}
 	s.nextCli++
 	c.tel = m.Verbs.Telemetry()
@@ -384,8 +374,6 @@ const (
 	timerRetry timerKind = iota
 	// timerResubmit resubmits an op after a busy pushback's hint.
 	timerResubmit
-	// timerIssue issues an op once its window slot's quarantine ends.
-	timerIssue
 )
 
 // armTimer schedules an opTimer of kind for op at instant at.
@@ -403,22 +391,16 @@ func (c *Client) armTimer(at sim.Time, op *pendingOp, kind timerKind) {
 	c.machine.Verbs.NIC().Engine().AtHandler(at, t)
 }
 
-// Fire releases the record, then acts on its op. Retry and resubmit
-// timers check the attempt generation, not just done: a completion,
-// terminal failure or reissue since arming bumped it, and an op failed
-// and recycled into a new operation has done false again but a moved-on
-// generation. A quarantine wait is the op's only pending event, so it
-// issues unconditionally.
+// Fire releases the record, then acts on its op. It checks the attempt
+// generation, not just done: a completion, terminal failure or reissue
+// since arming bumped it, and an op failed and recycled into a new
+// operation has done false again but a moved-on generation.
 //
 //herd:hotpath
 func (t *opTimer) Fire(sim.Time) {
 	c, op, gen, kind := t.c, t.op, t.gen, t.kind
 	t.op = nil
 	c.timerFree = append(c.timerFree, t)
-	if kind == timerIssue {
-		c.issue(op)
-		return
-	}
 	if op.done || op.attempt != gen {
 		return // stale timer: the op completed, failed, or was reissued
 	}
@@ -493,9 +475,9 @@ func (c *Client) aimdShrink() {
 }
 
 // pumpWaiting issues queued ops while the effective window has room.
-// issue() can defer an op (slot collision or quarantine) without raising
-// inflight; the break keeps one deferred op from draining the whole
-// queue into parked limbo in a single call.
+// issue() can park an op on a slot collision without raising inflight;
+// the break keeps one parked op from draining the whole queue into
+// parked limbo in a single call.
 func (c *Client) pumpWaiting() {
 	for c.waiting.Len() > 0 && c.inflight < c.window() {
 		before := c.inflight
@@ -518,7 +500,7 @@ func (c *Client) submit(op *pendingOp) {
 }
 
 // issue puts op on the wire in its window slot, or parks it while the
-// slot is occupied or quarantined.
+// slot is occupied.
 //
 //herd:hotpath
 func (c *Client) issue(op *pendingOp) {
@@ -529,19 +511,12 @@ func (c *Client) issue(op *pendingOp) {
 		if o.r%cfg.Window == r%cfg.Window {
 			// The slot's previous occupant is still outstanding — it
 			// stalled on a retry while younger ops on this process
-			// completed around it. Responses echo only r mod W, so two
-			// live ops in one slot are indistinguishable and the
-			// occupant would steal this op's response. Park until the
-			// occupant resolves.
+			// completed around it. The two would share one request slot
+			// and one response buffer, so park until the occupant
+			// resolves.
 			c.slotWait[proc].Push(op)
 			return
 		}
-	}
-	if until := c.slotFree[proc][r%cfg.Window]; until > c.machine.Verbs.NIC().Engine().Now() {
-		// The slot is quarantined while duplicates of its previous op may
-		// still arrive; issue once they have drained.
-		c.armTimer(until, op, timerIssue)
-		return
 	}
 	c.reqSeq[proc]++
 
@@ -586,41 +561,21 @@ func (c *Client) issue(op *pendingOp) {
 
 // encodeRequest builds op's request bytes in op.buf and returns the
 // encoded payload (aliasing op.buf, which outlives every
-// retransmission). WRITE/DC layouts end at the slot boundary with the
-// keyhash last; SEND mode appends the [client 2][seq 2][LEN 2]
-// [keyhash 16] tail instead.
+// retransmission): [value][tag 2][LEN 2][keyhash 16], with the keyhash
+// last so a WRITE/DC request ends at the slot boundary. SEND mode puts
+// the client id before the tag.
 //
 //herd:hotpath
 func (c *Client) encodeRequest(op *pendingOp, r int) []byte {
-	cfg := &c.srv.cfg
-	if cfg.UseSendRequests {
-		vlen := uint16(0)
-		var val []byte
-		if op.kind == opPut {
-			vlen = uint16(len(op.value))
-			val = op.value
-		}
-		payload := op.buf[:len(val)+sendReqTail]
-		copy(payload, val)
-		p := len(val)
-		binary.LittleEndian.PutUint16(payload[p:], uint16(c.id))
-		binary.LittleEndian.PutUint16(payload[p+2:], uint16(r%cfg.Window))
-		binary.LittleEndian.PutUint16(payload[p+4:], vlen)
-		copy(payload[p+6:], op.key[:])
-		return payload
+	n := copy(op.buf[:], op.value) // a GET's value is empty
+	if c.srv.cfg.UseSendRequests {
+		binary.LittleEndian.PutUint16(op.buf[n:], uint16(c.id))
+		n += 2
 	}
-	switch op.kind {
-	case opGet:
-		payload := op.buf[:kv.KeySize]
-		copy(payload, op.key[:])
-		return payload
-	default: // opPut
-		payload := op.buf[:len(op.value)+2+kv.KeySize]
-		copy(payload, op.value)
-		binary.LittleEndian.PutUint16(payload[len(op.value):], uint16(len(op.value)))
-		copy(payload[len(op.value)+2:], op.key[:])
-		return payload
-	}
+	binary.LittleEndian.PutUint16(op.buf[n:], uint16(r))
+	binary.LittleEndian.PutUint16(op.buf[n+2:], uint16(len(op.value)))
+	n += 4 + copy(op.buf[n+4:], op.key[:])
+	return op.buf[:n]
 }
 
 // writeRequest posts (or re-posts) op's request: a WRITE into the
@@ -712,24 +667,6 @@ func (c *Client) armRetry(op *pendingOp) {
 	c.armTimer(eng.Now()+c.retryDelay(op.retries), op, timerRetry)
 }
 
-// quarantineSlot delays reuse of op's (proc, r mod W) window slot after
-// an op that retransmitted finishes: a duplicate response may still be
-// in flight. Every retransmission happened strictly before the op
-// finished (finishing invalidates its timers), so the last duplicate
-// arrives within one more response round trip — two timeout spans cover
-// that even when a retry fired spuriously because the true response
-// latency exceeded RetryTimeout.
-func (c *Client) quarantineSlot(op *pendingOp) {
-	if op.retries == 0 || c.srv.cfg.RetryTimeout <= 0 {
-		return
-	}
-	until := c.machine.Verbs.NIC().Engine().Now() + 2*c.srv.cfg.RetryTimeout
-	slot := &c.slotFree[op.proc][op.r%c.srv.cfg.Window]
-	if until > *slot {
-		*slot = until
-	}
-}
-
 // releaseSlot re-issues one op parked on proc's window slots after an
 // occupant resolved. The parked op recomputes its slot on issue and
 // parks again if the next slot is also blocked.
@@ -753,7 +690,6 @@ func (c *Client) failOp(op *pendingOp) {
 			break
 		}
 	}
-	c.quarantineSlot(op)
 	c.releaseSlot(op.proc)
 	c.inflight--
 	c.failed++
@@ -861,7 +797,7 @@ func (c *Client) finishReconnect(at sim.Time) {
 // without one is damage too.
 //
 //herd:hotpath
-func parseRespHeader(data []byte) (status byte, rMod uint16, ok bool) {
+func parseRespHeader(data []byte) (status byte, tag uint16, ok bool) {
 	if len(data) < respHdr {
 		return 0, 0, false
 	}
@@ -880,20 +816,20 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 	if comp.Flushed || len(comp.Data) < respHdr {
 		return
 	}
-	// Reject damaged responses before matching — a corrupt rMod must not
+	// Reject damaged responses before matching — a corrupt tag must not
 	// complete (or fail) the wrong op.
-	status, rMod, ok := parseRespHeader(comp.Data)
+	status, tag, ok := parseRespHeader(comp.Data)
 	if !ok {
 		c.corruptResponses++
 		c.telCorrupt.Inc()
 		return
 	}
-	// Match the response to its operation by the echoed window-slot
-	// sequence; a response whose slot has no outstanding op is a
-	// duplicate from a retried request and is discarded.
+	// Match the response to its operation by the echoed tag; a response
+	// whose tag names no outstanding op is a duplicate from a retried
+	// request and is discarded.
 	idx := -1
 	for i, op := range c.perProc[proc] {
-		if uint16(op.r%c.srv.cfg.Window) == rMod {
+		if uint16(op.r) == tag {
 			idx = i
 			break
 		}
@@ -912,7 +848,6 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 	}
 	op.done = true
 	op.attempt++ // invalidate any armed retry timer
-	c.quarantineSlot(op)
 	c.releaseSlot(op.proc)
 	c.inflight--
 	c.telCompleted.Inc()
@@ -964,7 +899,6 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 // handshake starts and the retry-backoff counter resets.
 func (c *Client) handleBusy(op *pendingOp, hint sim.Time) {
 	op.attempt++ // invalidate the armed retry timer; the op re-arms on reissue
-	c.quarantineSlot(op)
 	op.retries = 0
 	c.releaseSlot(op.proc)
 	c.inflight--

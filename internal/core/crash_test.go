@@ -9,6 +9,7 @@ import (
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
+	"herdkv/internal/wal"
 )
 
 // chaosHERD builds a 1-server, 1-client deployment whose fabric runs
@@ -189,13 +190,13 @@ func TestCrashRecoverySendMode(t *testing.T) {
 	}
 }
 
-// TestSlotCollisionParks: responses echo only r mod Window, so an op
-// whose predecessor in the same window slot is still outstanding
-// (stalled on a retry) must park rather than issue — otherwise the
-// stalled op steals the newcomer's response and completes with the
-// wrong key's value. A brief blackout drops exactly one request;
-// while it awaits its retry, Window more ops cycle through the same
-// server process and the last one lands on the stalled op's slot.
+// TestSlotCollisionParks: ops r and r+Window share one request slot
+// and one response buffer, so an op whose predecessor in the same
+// window slot is still outstanding (stalled on a retry) must park
+// rather than issue — otherwise its request would overwrite the stalled
+// op's slot. A brief blackout drops exactly one request; while it
+// awaits its retry, Window more ops cycle through the same server
+// process and the last one lands on the stalled op's slot.
 func TestSlotCollisionParks(t *testing.T) {
 	cfg := chaosConfig()
 	cl, srv, c := chaosHERD(t, "blackout link=1>0 from=0 until=2us", cfg)
@@ -250,6 +251,97 @@ func TestSlotCollisionParks(t *testing.T) {
 	}
 	if c.Retries() == 0 {
 		t.Fatal("blackout did not force a retry")
+	}
+}
+
+// TestLateDuplicateAckIgnored: under sync durability a PUT's ack
+// waits on the log, so with a slow persist device the client retries
+// the PUT twice and the duplicate acks arrive well after the op
+// completes. A GET issued next reuses the PUT's window slot (Window 1)
+// and must still get its own response: the echoed tag names the op,
+// so a late duplicate ack matches nothing. The GET's start sweeps
+// across the window in which the duplicates land.
+func TestLateDuplicateAckIgnored(t *testing.T) {
+	cfg := chaosConfig()
+	cfg.Window = 1
+	cfg.Durability = DurabilitySync
+	cfg.WAL = wal.Config{PersistLatency: 100 * sim.Microsecond}
+
+	keyA := kv.FromUint64(1)
+	keyB := kv.FromUint64(2)
+	for n := uint64(3); mica.Partition(keyB, cfg.NS) != mica.Partition(keyA, cfg.NS); n++ {
+		keyB = kv.FromUint64(n)
+	}
+	valB := []byte("value of B")
+
+	for start := 150 * sim.Microsecond; start <= 330*sim.Microsecond; start += sim.Microsecond {
+		cl, srv, c := chaosHERD(t, "", cfg)
+		if err := srv.Preload(keyB, valB); err != nil {
+			t.Fatal(err)
+		}
+		var got Result
+		calls := 0
+		c.Put(keyA, []byte("value of A"), nil)
+		cl.Eng.At(start, func() {
+			c.Get(keyB, func(r Result) { got = r; calls++ })
+		})
+		cl.Eng.Run()
+		if c.Retries() < 2 {
+			t.Fatalf("start %dus: PUT retried %d times, want at least 2", start/sim.Microsecond, c.Retries())
+		}
+		if calls != 1 || got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != string(valB) {
+			t.Fatalf("GET at %dus: calls=%d status=%v value=%q err=%v, want %q (late duplicate ack matched the GET)",
+				start/sim.Microsecond, calls, got.Status, got.Value, got.Err, valB)
+		}
+	}
+}
+
+// TestQueuedDuplicateKeepsItsValue: a retry that fires while the
+// original is still in flight queues a duplicate PUT on the server
+// process. If the process is busy, the duplicate is still waiting when
+// the original's ack completes the op and the client's next PUT (Window
+// 1) rewrites the same request slot. The duplicate must apply its own
+// value, not the bytes now in the slot. The stall's start sweeps across
+// the original's service so that some step queues only the duplicate.
+func TestQueuedDuplicateKeepsItsValue(t *testing.T) {
+	cfg := chaosConfig()
+	cfg.Window = 1
+	cfg.RetryTimeout = sim.Microsecond // shorter than a round trip
+
+	keyA := kv.FromUint64(1)
+	proc := mica.Partition(keyA, cfg.NS)
+	keyB := kv.FromUint64(2)
+	for n := uint64(3); mica.Partition(keyB, cfg.NS) != proc; n++ {
+		keyB = kv.FromUint64(n)
+	}
+	valA, valB := []byte("value of A"), []byte("value of B")
+
+	dups := 0 // steps where the server executed a duplicate of A
+	for start := sim.Time(0); start <= 4*sim.Microsecond; start += 50 * sim.Nanosecond {
+		cl, srv, c := chaosHERD(t, "", cfg)
+		var errA, errB error
+		doneB := false
+		c.Put(keyA, valA, func(r Result) {
+			errA = r.Err
+			c.Put(keyB, valB, func(r Result) { errB, doneB = r.Err, true })
+		})
+		cl.Eng.At(start, func() {
+			cl.Machine(0).CPU.Core(proc).Submit(6*sim.Microsecond, nil)
+		})
+		cl.Eng.Run()
+		if errA != nil || !doneB || errB != nil {
+			t.Fatalf("stall at %dns: PUT A err=%v, PUT B done=%v err=%v", start/sim.Nanosecond, errA, doneB, errB)
+		}
+		if _, _, puts := srv.Stats(); puts > 2 {
+			dups++
+		}
+		if got, _ := srv.Partition(proc).Get(keyA); string(got) != string(valA) {
+			t.Fatalf("stall at %dns: key A holds %q, want %q (a queued duplicate read B's bytes from the slot)",
+				start/sim.Nanosecond, got, valA)
+		}
+	}
+	if dups == 0 {
+		t.Fatal("no step executed a duplicate PUT; the retry never fired early")
 	}
 }
 

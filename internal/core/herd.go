@@ -13,9 +13,11 @@
 //   - EREW partitioning: clients steer each request to the server
 //     process that exclusively owns the key's MICA partition by writing
 //     into that process's chunk of the request region.
-//   - Request formats: a GET is exactly a 16-byte keyhash; a PUT is
-//     [value][LEN][keyhash] written as one WRITE ending at the slot
-//     boundary.
+//   - Request formats: a request is [value][tag][LEN][keyhash] written
+//     as one WRITE ending at the slot boundary; a GET has no value and a
+//     zero LEN, so it is 20 bytes. The tag is the low 16 bits of the
+//     client's per-process request sequence number, and the response
+//     echoes it (the paper's header carries no request id).
 //   - Responses are SENDs over UD — one UD QP per server process, NS UD
 //     QPs per client — inlined up to a cutoff (the paper switches to
 //     non-inlined SENDs at 144-byte values on Apt), unsignaled, using
@@ -47,11 +49,12 @@ const SlotSize = 1024
 const (
 	keyTail = kv.KeySize  // keyhash occupies the rightmost 16 bytes
 	lenTail = keyTail + 2 // LEN precedes the keyhash
+	tagTail = lenTail + 2 // the request tag precedes LEN
 	// respHdr is the response header: status byte, 2-byte value length,
-	// and the request's 2-byte window-slot sequence. Echoing the
-	// sequence lets clients match responses explicitly, which makes
-	// application-level retries (lost request OR lost response) safe
-	// with at-least-once, idempotent re-execution.
+	// and the request's 2-byte tag. Echoing the tag lets clients match
+	// responses to the exact op, which makes application-level retries
+	// (lost request OR lost response) safe with at-least-once,
+	// idempotent re-execution: a late duplicate matches no live op.
 	respHdr = 5
 )
 
@@ -718,8 +721,8 @@ func (s *Server) InlineStats() (inline, nonInline uint64) {
 // bytes (rightmost) are visible, the whole request is. The landing that
 // covers a slot's tail is the polling trigger. A slot whose keyhash was
 // rewritten after service (a client retry whose original response was
-// lost) is served again: operations are idempotent, and the echoed slot
-// sequence lets the client discard duplicate responses.
+// lost) is served again: operations are idempotent, and the echoed tag
+// lets the client discard duplicate responses.
 func (s *Server) onRequestLanded(off, n int) {
 	if s.down {
 		return // no process is polling a crashed server's region
@@ -744,7 +747,7 @@ type request struct {
 	key          kv.Key
 	vlen         int
 	value        []byte
-	rMod         uint16
+	tag          uint16
 	slotRaw      []byte // WRITE mode: the slot, whose tail is zeroed after service
 	viaSend      bool   // SEND/SEND mode: charge RECV reposting
 	trace        *telemetry.Trace
@@ -792,21 +795,24 @@ func (s *Server) serve(proc, client, slot int) {
 		zeroTail(raw)
 		return
 	}
+	// Copy the tag out now: a later request may rewrite the slot before
+	// this one's response goes out (a sync ack waits on the WAL).
+	tag := binary.LittleEndian.Uint16(raw[SlotSize-tagTail : SlotSize-lenTail])
 	if s.overloaded(proc) {
 		// Shed at poll time, before any MICA work: the rejected request
 		// costs the process only this check, and the client gets an
 		// explicit pushback instead of silent queueing.
-		s.shedRequest(proc, client, uint16(slot%s.cfg.Window), s.takeTrace(slot))
+		s.shedRequest(proc, client, tag, s.takeTrace(slot))
 		zeroTail(raw)
 		return
 	}
 	req := request{
 		proc: proc, client: client, key: key, vlen: vlen,
-		rMod: uint16(slot % s.cfg.Window), slotRaw: raw,
+		tag: tag, slotRaw: raw,
 		trace: s.takeTrace(slot),
 	}
 	if vlen > 0 {
-		req.value = raw[SlotSize-lenTail-vlen : SlotSize-lenTail]
+		req.value = raw[SlotSize-tagTail-vlen : SlotSize-tagTail]
 	}
 	s.execute(req)
 }
@@ -841,7 +847,7 @@ func (s *Server) retryAfterHint(proc int) sim.Time {
 // shedRequest refuses one request under overload: an immediate
 // busy SEND carrying the retry-after hint, posted without
 // touching MICA or the process's service queue.
-func (s *Server) shedRequest(proc, client int, rMod uint16, tr *telemetry.Trace) {
+func (s *Server) shedRequest(proc, client int, tag uint16, tr *telemetry.Trace) {
 	s.shed++
 	s.telShed.Inc()
 	now := s.machine.Verbs.NIC().Engine().Now()
@@ -851,7 +857,7 @@ func (s *Server) shedRequest(proc, client int, rMod uint16, tr *telemetry.Trace)
 	hintNS := uint32(s.retryAfterHint(proc) / sim.Nanosecond)
 	// Busy pushbacks always post synchronously (never batched, never
 	// deferred behind the WAL), so the process scratch is safe here.
-	resp := encodeRespHeader(s.respScratch[proc], statusBusy, busyHintBytes, rMod)
+	resp := encodeRespHeader(s.respScratch[proc], statusBusy, busyHintBytes, tag)
 	binary.LittleEndian.PutUint32(resp[respHdr:], hintNS)
 	dest := s.clientQP(client, proc)
 	if dest == nil {
@@ -879,13 +885,14 @@ func (s *Server) noteService(proc int, service sim.Time) {
 }
 
 // validLen reports whether a slot LEN field is structurally possible:
-// zero (GET) or a PUT length that fits both the
-// item-size bound and the slot. The check is how corrupt-but-delivered
-// requests are rejected (the paper leaves integrity to the application).
+// zero (GET) or a PUT length that fits both the item-size bound and the
+// slot ahead of the tag, LEN and keyhash. The check is how
+// corrupt-but-delivered requests are rejected (the paper leaves
+// integrity to the application).
 //
 //herd:hotpath
 func validLen(vlen int) bool {
-	return vlen <= mica.MaxValueSize && vlen <= SlotSize-lenTail
+	return vlen <= mica.MaxValueSize && vlen <= SlotSize-tagTail
 }
 
 // reject counts one refused (malformed or corrupted) request.
@@ -909,11 +916,11 @@ func zeroTail(raw []byte) {
 // after the header. dst must have capacity for the full response.
 //
 //herd:hotpath
-func encodeRespHeader(dst []byte, status byte, vlen int, rMod uint16) []byte {
+func encodeRespHeader(dst []byte, status byte, vlen int, tag uint16) []byte {
 	h := dst[:respHdr+vlen]
 	h[0] = status
 	binary.LittleEndian.PutUint16(h[1:3], uint16(vlen))
-	binary.LittleEndian.PutUint16(h[3:5], rMod)
+	binary.LittleEndian.PutUint16(h[3:5], tag)
 	return h
 }
 
@@ -923,9 +930,11 @@ func encodeRespHeader(dst []byte, status byte, vlen int, rMod uint16) []byte {
 func (s *Server) execute(req request) {
 	r := s.getServe()
 	r.req = req
-	if req.viaSend && req.value != nil {
-		// A SEND-mode value sits in a RECV buffer that is reposted before
-		// service completes: keep a copy in the record.
+	if req.value != nil {
+		// The value sits in a request slot or RECV buffer that the
+		// client's next request may overwrite before service completes
+		// (a retried op's duplicate can still be queued after the op
+		// completed): keep a copy in the record.
 		r.val = append(r.val[:0], req.value...)
 		r.req.value = r.val
 	}
@@ -963,7 +972,7 @@ type serveRec struct {
 
 	// hdr holds a header-only response (PUT acks, GET misses),
 	// which may wait on the WAL past the serving event; val holds a
-	// SEND-mode request's value.
+	// copy of a PUT's value.
 	hdr [respHdr]byte
 	val []byte
 
@@ -1048,10 +1057,10 @@ func (r *serveRec) Fire(at sim.Time) {
 			status = statusNotFound
 		} else if applied && s.wlog != nil {
 			// Append encodes the value into the log before returning, so
-			// the slot may be zeroed and reused after the response.
+			// the record's copy may be reused after the response.
 			logged = wal.Record{Op: wal.OpPut, Key: req.key, Value: req.value, Epoch: r.epoch}
 		}
-		r.resp = encodeRespHeader(r.respBuf(0), status, 0, req.rMod)
+		r.resp = encodeRespHeader(r.respBuf(0), status, 0, req.tag)
 	default:
 		v, ok := part.Get(req.key)
 		s.gets++
@@ -1061,7 +1070,7 @@ func (r *serveRec) Fire(at sim.Time) {
 			if s.cfg.LeaseTTL > 0 {
 				ext = leaseBytes
 			}
-			r.resp = encodeRespHeader(r.respBuf(len(v)+ext), statusOK, len(v), req.rMod)
+			r.resp = encodeRespHeader(r.respBuf(len(v)+ext), statusOK, len(v), req.tag)
 			copy(r.resp[respHdr:], v)
 			if ext > 0 {
 				// Grant a lease expiring LeaseTTL from now; the header's
@@ -1070,7 +1079,7 @@ func (r *serveRec) Fire(at sim.Time) {
 				binary.LittleEndian.PutUint64(r.resp[respHdr+len(v):], uint64(at+s.cfg.LeaseTTL))
 			}
 		} else {
-			r.resp = encodeRespHeader(r.respBuf(0), statusNotFound, 0, req.rMod)
+			r.resp = encodeRespHeader(r.respBuf(0), statusNotFound, 0, req.tag)
 		}
 	}
 
@@ -1136,8 +1145,8 @@ func (r *serveRec) respond() {
 }
 
 // sendReqTail is the trailing header of a SEND-mode request:
-// [client 2][seq 2][LEN 2][keyhash 16].
-const sendReqTail = 2 + 2 + 2 + kv.KeySize
+// [client 2][tag 2][LEN 2][keyhash 16].
+const sendReqTail = 2 + tagTail
 
 // onSendRequest handles a SEND/SEND-mode request arriving on process
 // proc's UD queue pair.
@@ -1164,19 +1173,19 @@ func (s *Server) onSendRequest(proc int, comp verbs.Completion) {
 		return
 	}
 	vlen := int(binary.LittleEndian.Uint16(data[n-lenTail : n-keyTail]))
-	rMod := binary.LittleEndian.Uint16(data[n-lenTail-2 : n-lenTail])
-	client := int(binary.LittleEndian.Uint16(data[n-sendReqTail : n-lenTail-2]))
+	tag := binary.LittleEndian.Uint16(data[n-tagTail : n-lenTail])
+	client := int(binary.LittleEndian.Uint16(data[n-sendReqTail : n-tagTail]))
 	if client >= len(s.clientUD) || !validLen(vlen) {
 		s.reject()
 		return
 	}
 	if s.overloaded(proc) {
-		s.shedRequest(proc, client, rMod, comp.Trace)
+		s.shedRequest(proc, client, tag, comp.Trace)
 		return
 	}
 	req := request{
 		proc: proc, client: client, key: key, vlen: vlen,
-		rMod: rMod, viaSend: true, trace: comp.Trace,
+		tag: tag, viaSend: true, trace: comp.Trace,
 	}
 	if vlen > 0 {
 		if vlen > n-sendReqTail {

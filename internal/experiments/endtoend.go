@@ -285,7 +285,7 @@ func Fig10ValueSize(spec cluster.Spec) (*Table, *Report) {
 	}
 	rep := newReport("fig10", spec)
 	// The paper sweeps to 1024; HERD's 1 KB slot leaves 1000 B for the
-	// value after LEN and keyhash, so the top point is 1000 here.
+	// value after the tag, LEN and keyhash, so the top point is 1000 here.
 	for _, sv := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1000} {
 		row := []string{fmt.Sprintf("%d", sv)}
 		for _, sys := range []string{SysHERD, SysPilaf, SysFaRM, SysFaRMVar} {

@@ -17,8 +17,8 @@ func TestFig9EventCountPinned(t *testing.T) {
 	res := RunE2E(DefaultE2E(cluster.Apt(), SysHERD))
 	const (
 		wantEvents    = 119158
-		wantCompleted = 5072
-		wantMops      = 27.14666666666667
+		wantCompleted = 5073
+		wantMops      = 27.160000000000004
 	)
 	if res.Events != wantEvents || res.Completed != wantCompleted || res.Mops != wantMops {
 		t.Fatalf("Fig 9 HERD point: events=%d completed=%d mops=%v, want events=%d completed=%d mops=%v",

@@ -30,7 +30,7 @@ func Fig8Layout(_ cluster.Spec) (*Table, *Report) {
 			fmt.Sprintf("%d  (s*(W*NC) + c*W + r mod W)", cfg.SlotIndex(s, c, r)),
 		)
 	}
-	t.AddNote("a request's keyhash occupies the rightmost 16 B of its slot; LEN precedes it; the value sits left")
+	t.AddNote("a request's keyhash occupies the rightmost 16 B of its slot; LEN precedes it, then the 2 B request tag; the value sits left")
 	t.AddNote("polling trigger: a nonzero keyhash, valid because the RNIC's DMA writes land left to right")
 	return t, nil
 }

@@ -24,14 +24,14 @@ var replayFirst sync.Map
 // drivers or the layers beneath them must leave every digest as it is;
 // a change that moves a modeled number updates its digest on purpose.
 var replayDigests = map[string]string{
-	"chaos":         "2bbb82a00da1d01e6b89f561ac0591dcd0c9c2bfb1de3f497e71a0dd1aeeea3c",
-	"fleet-bench":   "729b65cf168638b2dfb52c9b26ba763ed661f8953c46b486a5e9a96597edaa78",
-	"fleet-chaos":   "b2a76d72c8dc9211867a233ebfc5d35d98ec023c7a98a000b6e353da64d3a828",
-	"overload":      "03920456d751104ddc0e2c59934813805ee1988ed3303c4f7c1618c17d106f41",
-	"clients-sweep": "2717f1ef5ea5300f68cd4ba31db80ea37f232fcbc97cf9ef501fcf47c639103a",
-	"durability":    "6b716a7fe1826a583c070f0009b4b0038de9303dc3815b2df210e69111074bba",
-	"hotkey":        "1d2a411929210d6eb749e14692aedf725062a7f183fbc16c3493cb58bfb644bd",
-	"consistency":   "a674c00336f927c22ef17c85ad9cf56eae41bd81080dc51b03a18f52ff539059",
+	"chaos":         "b31ec8d7985a439d89c013ef9224ba14c70242c6503d0ec6c7f8baee79529eed",
+	"fleet-bench":   "33e1c9860f2581e84f884925148853f15ec8541d3afed7c215585062c67fb21e",
+	"fleet-chaos":   "183c0deb45b4d448aca6745f3d7a393566e116fb0338bd0c01959b6e6fdefa2a",
+	"overload":      "2acb8142174b76f553b012921b0f8ccbe5f016fa3182262a67550ff56c7a234d",
+	"clients-sweep": "063636406816aa0e01c37576c41db15ab5e1bc45c2085591a8468e9b46f97a8f",
+	"durability":    "52cb846077f71c1772bbf3aa782744983d39b57742bed5af4a1c8f3c76531a1d",
+	"hotkey":        "69afc5916cf3a8e7975fea5ab6f08c8cc1286b843dd39a6a3185d341a4bd8dde",
+	"consistency":   "dc8cd1199fd47eb7d6a2f2179e6eb71109d8c7460a7addfe3dfc54e8e08ce3b7",
 
 	// The verb-level targets: their closed loops repost from their own
 	// completion handlers.
@@ -41,8 +41,8 @@ var replayDigests = map[string]string{
 	"fig6":              "82bc44f83d227acee8d0f22d5061bfa3f4d7bf1efacfb4a387395d354479eb2d",
 	"fig7":              "e6fb135f8a5242379ebcaa74755b33161ad99421aca76648859098759c01b21b",
 	"ablation-doorbell": "32c3cc0b633b6afb1a415a20910fcd7cbde7c2963fd55eed0f28419cc28525a1",
-	"symmetric":         "a585600f4913b0bea2b06a1f08845e314f5881612c3f6cec94538ce1df150305",
-	"classical":         "900af7c5bb91a01c351ba839cd0f511cf577422048151f46721c63257a261449",
+	"symmetric":         "3c5f4f8a16c9cc05b26b9704719ac5d758772e0791497674f531d338c4bc0b5c",
+	"classical":         "de04e8929ab874f8c258ad69abbacd2f9084ebe714d0c0204d4de3dbf367021c",
 }
 
 // TestReplayStable pins determinism for every target in replayDigests:
