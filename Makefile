@@ -68,11 +68,13 @@ loc:
 
 # Every internal/ function outside internal/lint that no measured run
 # executes: herdbench and the bench binary are built with coverage into
-# a temp dir, every herdbench target runs on both clusters and every
-# bench workload for a second, and the merged profile's 0.0% functions
-# are printed. The bench/ lines are dropped because `go tool cover`
-# cannot resolve that nested module's files from here. An audit aid for
-# code no figure or workload reaches (about a minute), not a gate.
+# a temp dir, every herdbench target runs on both clusters, one more
+# herdbench pass writes the telemetry outputs (-metrics -trace -perqp on
+# the anatomy target), every bench workload runs for a second, and the
+# merged profile's 0.0% functions are printed. The bench/ lines are
+# dropped because `go tool cover` cannot resolve that nested module's
+# files from here. An audit aid for code no figure or workload reaches
+# (about a minute), not a gate.
 UNRUN_WORKLOADS = herd-read fleet-write hot-cached mux-open
 
 unrun:
@@ -82,6 +84,8 @@ unrun:
 	for c in apt susitna; do \
 		GOCOVERDIR="$$tmp/cov" "$$tmp/herdbench" -cluster $$c -warmup 50 -span 150 all >/dev/null; \
 	done; \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/herdbench" -warmup 50 -span 150 -metrics "$$tmp/metrics.txt" \
+		-trace "$$tmp/trace.json" -perqp anatomy >/dev/null; \
 	for w in $(UNRUN_WORKLOADS); do \
 		GOCOVERDIR="$$tmp/cov" "$$tmp/bench" --workload $$w --seconds 1 >/dev/null; \
 	done; \

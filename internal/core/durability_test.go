@@ -81,26 +81,6 @@ func TestRefusedPreloadNotLogged(t *testing.T) {
 	}
 }
 
-// TestPreloadDeleteWritesThroughWAL: the delete half of the same
-// regression — a logged preload-delete must not be resurrected by
-// replaying the earlier preload-put.
-func TestPreloadDeleteWritesThroughWAL(t *testing.T) {
-	cl, srv, _ := newHERD(t, durableConfig(DurabilityGroupCommit), 1)
-	key := kv.FromUint64(7)
-	if err := srv.Preload(key, []byte("preloaded")); err != nil {
-		t.Fatal(err)
-	}
-	if !srv.PreloadDelete(key) {
-		t.Fatal("PreloadDelete missed a present key")
-	}
-	srv.Crash()
-	srv.Restart()
-	cl.Eng.Run()
-	if _, ok := lookup(srv, key); ok {
-		t.Fatal("replay resurrected a deleted key")
-	}
-}
-
 func TestCrashWipesPartitionsWithoutDurability(t *testing.T) {
 	_, srv, _ := newHERD(t, smallConfig(), 1)
 	key := kv.FromUint64(3)

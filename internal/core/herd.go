@@ -525,16 +525,11 @@ func (s *Server) finishRecovery(info RecoveryInfo) {
 // applyRecord replays one WAL record into the owning MICA partition.
 func (s *Server) applyRecord(r wal.Record) {
 	part := s.parts[mica.Partition(r.Key, s.cfg.NS)]
-	switch r.Op {
-	case wal.OpPut:
-		if s.cfg.VersionedValues {
-			_, _ = s.applyVersionedPut(part, r.Key, r.Value)
-			return
-		}
-		_ = part.Load(r.Key, r.Value)
-	case wal.OpDelete:
-		part.Delete(r.Key)
+	if s.cfg.VersionedValues {
+		_, _ = s.applyVersionedPut(part, r.Key, r.Value)
+		return
 	}
+	_ = part.Load(r.Key, r.Value)
 }
 
 // applyVersionedPut applies a version-stamped PUT with last-writer-wins
@@ -650,17 +645,17 @@ func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }
 
 // Preload inserts an item server-side (no network traffic), routing it
 // to the partition that will serve it — used to warm a deployment before
-// an experiment, and by fleet recovery catch-up and anti-entropy to
-// copy keys between shards. With durability on it writes through the
-// WAL as immediately durable (the control-plane path models data loaded
+// an experiment, and by the fleet's reconciliation merge to copy keys
+// between shards. With durability on it writes through the WAL as
+// immediately durable (the control-plane path models data loaded
 // before the run): otherwise a crash before the first flush would
-// replay the log to a pre-preload view and silently resurrect deleted
-// or stale state. Only what the partition accepts is logged. Unversioned items go in through
-// mica's bulk-load path (Cache.Load).
+// replay the log to a pre-preload view and silently resurrect stale
+// state. Only what the partition accepts is logged. Unversioned items
+// go in through mica's bulk-load path (Cache.Load).
 func (s *Server) Preload(key kv.Key, value []byte) error {
 	part := s.parts[mica.Partition(key, s.cfg.NS)]
 	if s.cfg.VersionedValues {
-		// Ordered apply: an anti-entropy back-fill racing a fresher
+		// Ordered apply: a reconciliation back-fill racing a fresher
 		// client write must never regress the stored version, and a
 		// refused (stale) copy must not reach the WAL either.
 		applied, err := s.applyVersionedPut(part, key, value)
@@ -668,7 +663,7 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 			return err
 		}
 		if s.wlog != nil {
-			s.wlog.AppendDurable(wal.Record{Op: wal.OpPut, Key: key, Value: value, Epoch: s.epoch})
+			s.wlog.AppendDurable(wal.Record{Key: key, Value: value, Epoch: s.epoch})
 		}
 		return nil
 	}
@@ -676,19 +671,9 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 		return err
 	}
 	if s.wlog != nil {
-		s.wlog.AppendDurable(wal.Record{Op: wal.OpPut, Key: key, Value: value, Epoch: s.epoch})
+		s.wlog.AppendDurable(wal.Record{Key: key, Value: value, Epoch: s.epoch})
 	}
 	return nil
-}
-
-// PreloadDelete removes an item server-side, through the WAL like
-// Preload — the delete half of a fleet delta catch-up (a recovered
-// shard dropping a key its survivor no longer holds).
-func (s *Server) PreloadDelete(key kv.Key) bool {
-	if s.wlog != nil {
-		s.wlog.AppendDurable(wal.Record{Op: wal.OpDelete, Key: key, Epoch: s.epoch})
-	}
-	return s.parts[mica.Partition(key, s.cfg.NS)].Delete(key)
 }
 
 // Stats reports server-side operation counts.
@@ -1039,7 +1024,8 @@ func (r *serveRec) Fire(at sim.Time) {
 	req.trace.SetPrefix("resp.")
 	part := s.parts[req.proc]
 	// logged is set when this request mutated state that the WAL must
-	// record (a successful PUT under durability).
+	// record (a successful PUT under durability); a stored key is never
+	// zero, so a zero key means nothing to log.
 	var logged wal.Record
 	switch r.kind {
 	case opPut:
@@ -1058,7 +1044,7 @@ func (r *serveRec) Fire(at sim.Time) {
 		} else if applied && s.wlog != nil {
 			// Append encodes the value into the log before returning, so
 			// the record's copy may be reused after the response.
-			logged = wal.Record{Op: wal.OpPut, Key: req.key, Value: req.value, Epoch: r.epoch}
+			logged = wal.Record{Key: req.key, Value: req.value, Epoch: r.epoch}
 		}
 		r.resp = encodeRespHeader(r.respBuf(0), status, 0, req.tag)
 	default:
@@ -1083,7 +1069,7 @@ func (r *serveRec) Fire(at sim.Time) {
 		}
 	}
 
-	if logged.Op == 0 {
+	if logged.Key.IsZero() {
 		r.respond() // reads and failed mutations: nothing to persist
 		return
 	}

@@ -82,8 +82,10 @@ func nemesisLine(cfg fault.NemesisConfig) string {
 }
 
 // consistencyArm runs one arm under the given schedule and checks the
-// recorded history. The stale/repair and anti-entropy counters are zero
-// for the first-ack arm: it has no repair machinery.
+// recorded history. The stale/repair counters are zero for the
+// first-ack arm, which has no read repair; its anti-entropy counters
+// count only the crashed shard's recovery catch-up, which shares the
+// reconciliation queue.
 func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair bool) Metrics {
 	fcfg := fleet.DefaultConfig()
 	fcfg.Herd = chaosHerdConfig()
@@ -186,7 +188,8 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 	// Replica convergence audit: a key is divergent when two replicas
 	// disagree on its stored bytes (value or presence). The repaired arm
 	// must converge after one full anti-entropy sweep; the first-ack arm
-	// has no repair machinery, so its divergence is permanent.
+	// reconciles only recovery catch-up keys, so a straggler's
+	// divergence is permanent.
 	divergent := func() int {
 		n := 0
 		for k := uint64(1); k <= consistencyKeys; k++ {

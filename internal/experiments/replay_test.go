@@ -31,7 +31,7 @@ var replayDigests = map[string]string{
 	"clients-sweep": "063636406816aa0e01c37576c41db15ab5e1bc45c2085591a8468e9b46f97a8f",
 	"durability":    "52cb846077f71c1772bbf3aa782744983d39b57742bed5af4a1c8f3c76531a1d",
 	"hotkey":        "69afc5916cf3a8e7975fea5ab6f08c8cc1286b843dd39a6a3185d341a4bd8dde",
-	"consistency":   "dc8cd1199fd47eb7d6a2f2179e6eb71109d8c7460a7addfe3dfc54e8e08ce3b7",
+	"consistency":   "b6744a96e6b7d53dcd596076fc2d3b1bd5f071257bd2069698ff8ef83390cf31",
 
 	// The verb-level targets: their closed loops repost from their own
 	// completion handlers.

@@ -5,38 +5,40 @@ import (
 	"herdkv/internal/mica"
 )
 
-// Anti-entropy: the background convergence sweep for versioned
-// replication. Read repair only fixes divergence a read happens to
-// observe; the anti-entropy queue fixes the rest. Keys arrive from
-// three sources — a partial write (some replica missed the fan-out), a
-// stale replica observed during a read, and a completed crash recovery
-// (everything the restarted shard replicates gets re-audited) — and a
-// background step drains the queue in MigrationBatch-sized chunks every
-// MigrationInterval, the same pacing contract recovery catch-up obeys.
-// The step is work-queue driven and self-terminating: once the queue
-// drains no further event is scheduled, so Engine.Run still quiesces.
+// Anti-entropy: the fleet's one reconciliation mechanism. Read repair
+// only fixes divergence a read happens to observe; the reconciliation
+// queue fixes the rest. Keys arrive from four sources — a partial write
+// (some replica missed the fan-out), a stale replica observed during a
+// read, a restarted shard's catch-up (recovery.go), and a full
+// AntiEntropySweep — and are deduplicated while queued. A background
+// step drains the queue in MigrationBatch-sized chunks every
+// MigrationInterval, so reconciliation interleaves with foreground
+// traffic instead of stalling it. The step is work-queue driven and
+// self-terminating: once the queue drains and no catch-up waits on it,
+// no further event is scheduled, so Engine.Run still quiesces.
 //
-// Repairing a key is a server-side ordered merge: read the stored bytes
-// on every up replica, pick the highest kv.Version stamp, and Preload
-// the winner onto every replica that is behind. The member server's
-// version-ordered apply refuses regressions, so a repair racing a
-// fresher foreground write is harmless.
+// Each key is settled by one server-side merge (see merge). A missing
+// key never wins it: MICA's lossy log only loses a key by eviction, so
+// a replica without the key has missed or dropped a write, never
+// applied a delete. Versioned member servers refuse regressions, so a
+// merge racing a fresher foreground write is harmless.
 
-// EnqueueRepair queues key for the background anti-entropy sweep
-// (deduplicated; a no-op unless the deployment is versioned).
+// EnqueueRepair queues key for the background reconciliation step
+// (deduplicated while queued).
 func (d *Deployment) EnqueueRepair(key kv.Key) {
-	if !d.cfg.Versioned || d.aeQueued[key] {
+	if d.aeQueued[key] {
 		return
 	}
 	d.aeQueued[key] = true
 	d.aeQueue = append(d.aeQueue, key)
 	d.aePending.Set(int64(len(d.aeQueue)))
-	d.kickAntiEntropy()
+	d.kickReconcile()
 }
 
 // AntiEntropySweep enqueues every key present on any up shard — a
-// full-fleet audit, used after a crash recovery completes and by
-// experiments that want certified convergence before checking state.
+// full-fleet audit, run by a versioned fleet after each crash recovery
+// completes and by experiments that want certified convergence before
+// checking state. It is a no-op unless the deployment is versioned.
 func (d *Deployment) AntiEntropySweep() {
 	if !d.cfg.Versioned {
 		return
@@ -54,94 +56,99 @@ func (d *Deployment) AntiEntropySweep() {
 	}
 }
 
-// AntiEntropyPending returns the number of keys waiting for a sweep
-// step.
-func (d *Deployment) AntiEntropyPending() int { return len(d.aeQueue) }
-
-// AntiEntropyStats reports how many keys the sweep has audited and how
-// many it back-filled on at least one replica.
+// AntiEntropyStats reports how many keys the step has merged and how
+// many of those merges wrote at least one replica.
 func (d *Deployment) AntiEntropyStats() (audited, repaired uint64) {
-	return d.aeKeysN, d.aeFixedN
+	return uint64(d.aeMerged), d.aeFixedN
 }
 
-// kickAntiEntropy schedules a sweep step if none is pending.
-func (d *Deployment) kickAntiEntropy() {
-	if d.aeRunning || len(d.aeQueue) == 0 {
+// kickReconcile schedules a step if none is pending and there is work:
+// a queued key, or a catch-up waiting to complete.
+func (d *Deployment) kickReconcile() {
+	if d.aeRunning || (len(d.aeQueue) == 0 && len(d.recs) == 0) {
 		return
 	}
 	d.aeRunning = true
-	d.eng.After(d.cfg.MigrationInterval, d.antiEntropyStep)
+	d.eng.After(d.cfg.MigrationInterval, d.reconcile)
 }
 
-// antiEntropyStep repairs one batch of queued keys and reschedules
-// itself while work remains.
-func (d *Deployment) antiEntropyStep() {
+// reconcile merges one batch of queued keys, completes the catch-ups
+// it drained past, and reschedules itself while work remains.
+func (d *Deployment) reconcile() {
 	d.aeSweeps.Inc()
-	n := d.cfg.MigrationBatch
-	if n > len(d.aeQueue) {
-		n = len(d.aeQueue)
-	}
+	n := min(d.cfg.MigrationBatch, len(d.aeQueue))
 	batch := d.aeQueue[:n]
 	d.aeQueue = d.aeQueue[n:]
 	for _, key := range batch {
 		delete(d.aeQueued, key)
+		d.aeMerged++
 		d.aeKeys.Inc()
-		d.aeKeysN++
-		if d.repairKey(key) {
+		if d.merge(key) {
 			d.aeFixed.Inc()
 			d.aeFixedN++
 		}
 	}
 	d.aePending.Set(int64(len(d.aeQueue)))
+	d.settleRecoveries()
 	d.aeRunning = false
-	d.kickAntiEntropy()
+	d.kickReconcile()
 }
 
-// repairKey merges key's replica states to the highest version stamp,
-// reporting whether any replica was back-filled. Down replicas are
-// skipped — the recovery-completion sweep re-audits them once they are
-// back.
-func (d *Deployment) repairKey(key kv.Key) (repaired bool) {
+// replicaRank is one up replica's copy of a key, as merge ranks it.
+type replicaRank struct {
+	present bool
+	ver     kv.Version
+	settled bool // not mid-catch-up
+	stored  []byte
+}
+
+// below reports whether r ranks strictly below o: holding the key
+// beats lacking it, then the higher version stamp wins, then a settled
+// replica beats one still catching up.
+func (r *replicaRank) below(o *replicaRank) bool {
+	if r.present != o.present {
+		return o.present
+	}
+	if c := r.ver.Compare(o.ver); c != 0 {
+		return c < 0
+	}
+	return !r.settled && o.settled
+}
+
+// merge reads key on every up replica, picks the highest-ranked state
+// (the first in replica order among equals) and Preloads its bytes onto
+// every replica ranked below it. It reports whether any Preload
+// succeeded. Stamps are read only in a versioned fleet; first-ack
+// values carry none, so their states tie on version. Down replicas are
+// skipped: their own restart's catch-up brings them back.
+func (d *Deployment) merge(key kv.Key) (wrote bool) {
 	reps := d.Replicas(key)
-	var winner []byte
-	var winVer kv.Version
-	have := make([]bool, len(reps))
-	vers := make([]kv.Version, len(reps))
+	part := mica.Partition(key, d.cfg.Herd.NS)
+	var ranks [maxDepth]replicaRank
+	win := -1
 	for i, id := range reps {
 		srv := d.shards[id].srv
 		if srv.Down() {
 			continue
 		}
-		stored, ok := srv.Partition(mica.Partition(key, d.cfg.Herd.NS)).Get(key)
-		if !ok {
-			have[i] = false
-			continue
+		r := &ranks[i]
+		r.settled = !d.catchingUp(id)
+		r.stored, r.present = srv.Partition(part).Get(key)
+		if r.present && d.cfg.Versioned {
+			r.ver, _, _, _ = kv.SplitVersion(r.stored)
 		}
-		have[i] = true
-		v, _, _, vok := kv.SplitVersion(stored)
-		if !vok {
-			continue // unversioned legacy bytes: nothing to order by
-		}
-		vers[i] = v
-		if winner == nil || winVer.Less(v) {
-			winner = append([]byte(nil), stored...)
-			winVer = v
+		if win < 0 || ranks[win].below(r) {
+			win = i
 		}
 	}
-	if winner == nil {
+	if win < 0 || !ranks[win].present {
 		return false
 	}
 	for i, id := range reps {
 		srv := d.shards[id].srv
-		if srv.Down() {
-			continue
-		}
-		if have[i] && !vers[i].Less(winVer) {
-			continue // already at (or past) the winner
-		}
-		if err := srv.Preload(key, winner); err == nil {
-			repaired = true
+		if !srv.Down() && ranks[i].below(&ranks[win]) && srv.Preload(key, ranks[win].stored) == nil {
+			wrote = true
 		}
 	}
-	return repaired
+	return wrote
 }

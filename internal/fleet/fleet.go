@@ -26,8 +26,9 @@ type Config struct {
 	// to the shard count and to 4). At 1 the fleet is static
 	// sharding: every key lives on one shard.
 	Replication int
-	// MigrationBatch is how many keys one background step of recovery
-	// catch-up or anti-entropy copies (default 64).
+	// MigrationBatch is how many queued keys one background
+	// reconciliation step merges (default 64): recovery catch-up and
+	// anti-entropy share the queue and the step.
 	MigrationBatch int
 	// MigrationInterval is the virtual-time spacing between those
 	// steps (default 2us), bounding how much control-plane copying can
@@ -53,9 +54,9 @@ type Config struct {
 	Versioned bool
 	// ReadRepair, with Versioned, back-fills divergent replicas: a
 	// read that observes a replica behind the winning version rewrites
-	// the winner to it, and partial writes enqueue their key for the
-	// background anti-entropy sweep (paced by MigrationBatch /
-	// MigrationInterval, like recovery catch-up). Implies Versioned.
+	// the winner to it, and partial writes and provably stale reads
+	// enqueue their key for the background reconciliation step that
+	// recovery catch-up also feeds (antientropy.go). Implies Versioned.
 	ReadRepair bool
 }
 
@@ -124,14 +125,6 @@ type shard struct {
 	srv     *core.Server
 }
 
-// keyCopy is one key scheduled for a background copy onto a
-// recovering shard. The key's state is re-read from the source shard
-// at copy time, so writes that land after the scan are not lost.
-type keyCopy struct {
-	key kv.Key
-	src int // source shard id
-}
-
 // Deployment is a rendezvous-hashed fleet of HERD servers with per-key
 // replication. Placement derives from the cluster seed (via
 // PlacementSeed), so a deployment replays identically for a given seed
@@ -143,31 +136,30 @@ type Deployment struct {
 	shards  []*shard
 	clients []*Client
 
-	// Shard crash recovery (recovery.go): in-progress catch-ups by
-	// shard id, the last completed one, and the experiment hook.
-	recs         map[int]*recovery
+	// Shard crash recovery (recovery.go): catch-ups in progress, in
+	// start order, and the last completed one.
+	recs         []*recovery
 	lastRecovery RecoveryResult
-	onRecovered  func(RecoveryResult)
 
-	tel        *telemetry.Sink
-	recKeys    *telemetry.Counter
-	recRounds  *telemetry.Counter
-	recActive  *telemetry.Gauge
-	recPending *telemetry.Gauge
-	recTime    *telemetry.Gauge
+	tel       *telemetry.Sink
+	recKeys   *telemetry.Counter
+	recRounds *telemetry.Counter
+	recActive *telemetry.Gauge
+	recTime   *telemetry.Gauge
 
-	// Anti-entropy (antientropy.go): the repair work queue, its dedup
-	// set, and whether a sweep step is scheduled.
+	// Reconciliation (antientropy.go): the key queue, its dedup set,
+	// how many keys the step has merged, whether a step is scheduled,
+	// and how many merges wrote a replica (a raw mirror of aeFixed for
+	// reports without a sink).
 	aeQueue   []kv.Key
 	aeQueued  map[kv.Key]bool
+	aeMerged  int
 	aeRunning bool
+	aeFixedN  uint64
 	aeSweeps  *telemetry.Counter
 	aeKeys    *telemetry.Counter
 	aeFixed   *telemetry.Counter
 	aePending *telemetry.Gauge
-	// Raw mirrors of the sweep counters, for reports without a sink.
-	aeKeysN  uint64
-	aeFixedN uint64
 }
 
 // NewDeployment builds a fleet with one HERD server per machine. All
@@ -185,7 +177,6 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 	d.recKeys = d.tel.Counter("fleet.recovery.keys")
 	d.recRounds = d.tel.Counter("fleet.recovery.rounds")
 	d.recActive = d.tel.Gauge("fleet.recovery.active")
-	d.recPending = d.tel.Gauge("fleet.recovery.pending")
 	d.recTime = d.tel.Gauge("fleet.recovery.time")
 	d.aeSweeps = d.tel.Counter("fleet.antientropy.sweeps")
 	d.aeKeys = d.tel.Counter("fleet.antientropy.keys")
@@ -200,7 +191,7 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 		}
 		sh := &shard{id: id, machine: m, srv: srv}
 		d.shards = append(d.shards, sh)
-		d.watchRecovery(sh)
+		srv.SetRecoveryHook(func(info core.RecoveryInfo) { d.onShardRecovered(sh, info) })
 	}
 	return d, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"herdkv/internal/core"
 	"herdkv/internal/kv"
-	"herdkv/internal/mica"
 	"herdkv/internal/sim"
 )
 
@@ -19,16 +18,18 @@ import (
 // (core.RecoveryInfo.Since bounds both). Without durability the rejoin
 // is cold and the whole replica set must be re-copied.
 //
-// Both paths are paced by MigrationBatch and MigrationInterval, so
-// catch-up interleaves with foreground traffic instead of stalling it.
+// Either way the catch-up keys go into the reconciliation queue
+// (antientropy.go), whose paced step merges each one across its up
+// replicas; the recovery completes once that step has drained past
+// every key queued when it started.
 
-// recovery tracks one shard's in-progress catch-up.
+// recovery tracks one shard's in-progress catch-up: its result so far,
+// when the shard rejoined, and the reconciliation queue position it
+// waits for (it completes once the step has merged that many keys).
 type recovery struct {
-	shardID int
-	info    core.RecoveryInfo
-	queue   []keyCopy
-	pos     int
-	keys    int
+	res   RecoveryResult
+	at    sim.Time
+	until int
 }
 
 // RecoveryResult summarizes one completed shard recovery.
@@ -43,9 +44,9 @@ type RecoveryResult struct {
 	SnapshotRecords int
 	// TornBytes is how much torn log tail the replay truncated.
 	TornBytes int
-	// CatchupKeys is how many keys the fleet-side catch-up applied:
-	// the outage delta for a warm rejoin, the full replica set for a
-	// cold one.
+	// CatchupKeys is how many keys the fleet-side catch-up queued: the
+	// outage delta for a warm rejoin, the full replica set for a cold
+	// one.
 	CatchupKeys int
 	// ReplayDuration is the shard's own log-replay outage.
 	ReplayDuration sim.Time
@@ -55,142 +56,84 @@ type RecoveryResult struct {
 	Duration sim.Time
 }
 
-// watchRecovery installs the recovery hook on one shard's server.
-func (d *Deployment) watchRecovery(sh *shard) {
-	sh.srv.SetRecoveryHook(func(info core.RecoveryInfo) {
-		d.onShardRecovered(sh, info)
-	})
-}
-
 // onShardRecovered fires when shard sh's Restart completes (warm or
-// cold) and starts the fleet-side catch-up.
+// cold) and queues its catch-up: every key an up shard other than sh
+// emits whose replica set includes sh. Down shards are skipped: a crash
+// wipes their partitions, and a WAL replay may still be refilling them.
 func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
-	rec := &recovery{shardID: sh.id, info: info}
-	if info.Warm {
-		// Every key the shard replicates that a survivor logged at or
-		// after Since: the writes the shard's own log may be missing
-		// (its lost group-commit window plus the whole outage).
-		rec.queue = d.copyQueue(sh.id, func(src *core.Server, emit func(kv.Key)) {
-			for _, r := range src.WALRecordsSince(info.Since) {
-				emit(r.Key)
-			}
-		})
-	} else {
-		// A cold rejoin re-copies every key whose replica set includes
-		// the shard.
-		rec.queue = d.copyQueue(sh.id, func(src *core.Server, emit func(kv.Key)) {
-			for p := 0; p < d.cfg.Herd.NS; p++ {
-				src.Partition(p).Range(func(key kv.Key, _ []byte) bool {
-					emit(key)
-					return true
-				})
-			}
-		})
+	// A newer recovery of the same shard supersedes one still in flight.
+	d.recs = slices.DeleteFunc(d.recs, func(r *recovery) bool { return r.res.ShardID == sh.id })
+	rec := &recovery{at: info.At, res: RecoveryResult{ShardID: sh.id, Warm: info.Warm,
+		Replayed: info.Replayed, SnapshotRecords: info.SnapshotRecords,
+		TornBytes: info.TornBytes, ReplayDuration: info.Duration}}
+	seen := make(map[kv.Key]bool)
+	emit := func(key kv.Key) {
+		if seen[key] || !slices.Contains(d.Replicas(key), sh.id) {
+			return
+		}
+		seen[key] = true
+		rec.res.CatchupKeys++
+		d.recKeys.Inc()
+		d.EnqueueRepair(key)
 	}
-	if d.recs == nil {
-		d.recs = make(map[int]*recovery)
-	}
-	d.recs[sh.id] = rec
-	d.recRounds.Inc()
-	d.recActive.Set(int64(len(d.recs)))
-	d.eng.After(d.cfg.MigrationInterval, func() { d.recoveryStep(rec) })
-}
-
-// copyQueue returns one copy for every key that keys emits from an up
-// shard other than id and whose replica set includes id, sourced from
-// the first such shard (in id order) that emits it. Down shards are
-// skipped: a crash wipes their partitions, and a WAL replay may still
-// be refilling them.
-func (d *Deployment) copyQueue(id int, keys func(src *core.Server, emit func(kv.Key))) []keyCopy {
-	seen := make(map[kv.Key]struct{})
-	var queue []keyCopy
 	for _, src := range d.shards {
-		if src.id == id || src.srv.Down() {
+		if src.id == sh.id || src.srv.Down() {
 			continue
 		}
-		keys(src.srv, func(key kv.Key) {
-			if _, dup := seen[key]; dup || !slices.Contains(d.Replicas(key), id) {
-				return
+		if info.Warm {
+			// Every key a survivor logged at or after Since: the writes
+			// the shard's own log may be missing (its lost group-commit
+			// window plus the whole outage).
+			for _, r := range src.srv.WALRecordsSince(info.Since) {
+				emit(r.Key)
 			}
-			seen[key] = struct{}{}
-			queue = append(queue, keyCopy{key: key, src: src.id})
-		})
-	}
-	return queue
-}
-
-// recoveryStep applies one batch of catch-up keys to the recovered
-// shard, re-reading each from its survivor at apply time, so the shard
-// converges on the survivor's current view: present there → copy,
-// absent there → delete here. Aborts if the shard crashes again
-// mid-catch-up (the next recovery starts over).
-func (d *Deployment) recoveryStep(rec *recovery) {
-	if d.recs[rec.shardID] != rec {
-		return // superseded by a newer recovery of the same shard
-	}
-	sh := d.shards[rec.shardID]
-	if sh.srv.Down() {
-		d.finishRecovery(rec, sh, true)
-		return
-	}
-	end := rec.pos + d.cfg.MigrationBatch
-	if end > len(rec.queue) {
-		end = len(rec.queue)
-	}
-	for ; rec.pos < end; rec.pos++ {
-		e := rec.queue[rec.pos]
-		src := d.shards[e.src].srv
-		if src.Down() {
-			continue // the survivor died too; another recovery will heal it
+			continue
 		}
-		part := src.Partition(mica.Partition(e.key, d.cfg.Herd.NS))
-		if v, ok := part.Get(e.key); ok {
-			_ = sh.srv.Preload(e.key, append([]byte(nil), v...))
-		} else {
-			// Gone from the survivor since it was logged (evicted, or
-			// dropped by its own catch-up): converge by deleting here
-			// too, or replay could resurrect it.
-			sh.srv.PreloadDelete(e.key)
+		// A cold rejoin re-copies every key whose replica set includes
+		// the shard.
+		for p := 0; p < d.cfg.Herd.NS; p++ {
+			src.srv.Partition(p).Range(func(key kv.Key, _ []byte) bool {
+				emit(key)
+				return true
+			})
 		}
-		rec.keys++
-		d.recKeys.Inc()
 	}
-	d.recPending.Set(int64(len(rec.queue) - rec.pos))
-	if rec.pos < len(rec.queue) {
-		d.eng.After(d.cfg.MigrationInterval, func() { d.recoveryStep(rec) })
-		return
-	}
-	d.finishRecovery(rec, sh, false)
-}
-
-// finishRecovery completes (or aborts) one catch-up and records its
-// result.
-func (d *Deployment) finishRecovery(rec *recovery, sh *shard, aborted bool) {
-	delete(d.recs, rec.shardID)
+	rec.until = d.aeMerged + len(d.aeQueue)
+	d.recs = append(d.recs, rec)
+	d.recRounds.Inc()
 	d.recActive.Set(int64(len(d.recs)))
-	if aborted {
-		return
-	}
-	catchup := d.eng.Now() - rec.info.At
-	d.lastRecovery = RecoveryResult{
-		ShardID:         rec.shardID,
-		Warm:            rec.info.Warm,
-		Replayed:        rec.info.Replayed,
-		SnapshotRecords: rec.info.SnapshotRecords,
-		TornBytes:       rec.info.TornBytes,
-		CatchupKeys:     rec.keys,
-		ReplayDuration:  rec.info.Duration,
-		CatchupDuration: catchup,
-		Duration:        rec.info.Duration + catchup,
-	}
-	d.recTime.Set(int64(d.lastRecovery.Duration / sim.Nanosecond))
-	// A versioned fleet re-audits everything once the shard is back:
-	// the delta catch-up replays the survivors' WAL tail, but a write
-	// the survivor itself missed (a partial write during the outage)
-	// is only reconciled by the anti-entropy sweep.
-	d.AntiEntropySweep()
-	if d.onRecovered != nil {
-		d.onRecovered(d.lastRecovery)
+	d.kickReconcile()
+}
+
+// catchingUp reports whether shard id has a catch-up in progress.
+func (d *Deployment) catchingUp(id int) bool {
+	return slices.ContainsFunc(d.recs, func(r *recovery) bool { return r.res.ShardID == id })
+}
+
+// settleRecoveries completes every catch-up the reconciliation step
+// has drained past, in start order, and drops any whose shard crashed
+// again (its next restart starts over).
+func (d *Deployment) settleRecoveries() {
+	for len(d.recs) > 0 {
+		rec := d.recs[0]
+		down := d.shards[rec.res.ShardID].srv.Down()
+		if !down && rec.until > d.aeMerged {
+			break
+		}
+		d.recs = d.recs[1:]
+		d.recActive.Set(int64(len(d.recs)))
+		if down {
+			continue
+		}
+		rec.res.CatchupDuration = d.eng.Now() - rec.at
+		rec.res.Duration = rec.res.ReplayDuration + rec.res.CatchupDuration
+		d.lastRecovery = rec.res
+		d.recTime.Set(int64(d.lastRecovery.Duration / sim.Nanosecond))
+		// A versioned fleet re-audits everything once the shard is back:
+		// the delta catch-up covers the survivors' WAL tail, but a write
+		// the survivor itself missed (a partial write during the outage)
+		// is only reconciled by the full sweep.
+		d.AntiEntropySweep()
 	}
 }
 
@@ -199,7 +142,3 @@ func (d *Deployment) RecoveryActive() bool { return len(d.recs) > 0 }
 
 // LastRecovery returns the most recent completed shard recovery.
 func (d *Deployment) LastRecovery() RecoveryResult { return d.lastRecovery }
-
-// OnRecovery registers fn to run after each completed shard recovery
-// (experiments use it to timestamp fleet-level recovery).
-func (d *Deployment) OnRecovery(fn func(RecoveryResult)) { d.onRecovered = fn }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -51,8 +52,6 @@ func shardHolds(d *Deployment, id int, key kv.Key) ([]byte, bool) {
 func TestWarmRejoinDeltaCatchup(t *testing.T) {
 	cl, d, _ := newFleetWith(t, durableFleetConfig(), 2, 0, 3)
 	const old, late, delta = 32, 8, 4
-	// gone is an old key the survivor drops during the outage.
-	const gone = old - 1
 	val := func(tag byte, i uint64) []byte { return []byte{tag, byte(i)} }
 	// Old keys at t=0; a later durable batch moves shard 0's
 	// last-durable instant forward so the catch-up window (last durable
@@ -77,9 +76,6 @@ func TestWarmRejoinDeltaCatchup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !d.Server(1).PreloadDelete(kv.FromUint64(gone)) {
-			t.Fatal("survivor did not hold the key it drops")
-		}
 	})
 	cl.Eng.At(120*sim.Microsecond, func() { d.Server(0).Restart() })
 	cl.Eng.Run()
@@ -94,16 +90,9 @@ func TestWarmRejoinDeltaCatchup(t *testing.T) {
 	if rec.CatchupKeys < delta || rec.CatchupKeys >= old+late+delta {
 		t.Fatalf("catch-up copied %d keys, want a delta in [%d, %d)", rec.CatchupKeys, delta, old+late+delta)
 	}
-	// The rejoined shard holds every key — old ones from its own log,
-	// outage writes from the survivor's delta — except the one the
-	// survivor dropped, which the catch-up removes.
-	if v, ok := shardHolds(d, 0, kv.FromUint64(gone)); ok {
-		t.Fatalf("rejoined shard still holds key %d (%v), dropped on the survivor", gone, v)
-	}
+	// The rejoined shard holds every key: old ones from its own log,
+	// outage writes from the survivor's delta.
 	for i := uint64(0); i < old+late; i++ {
-		if i == gone {
-			continue
-		}
 		want := val('o', i)
 		if i >= old {
 			want = val('l', i)
@@ -173,6 +162,87 @@ func TestRecoveryAbortsAndRestartsOnSecondCrash(t *testing.T) {
 	for i := uint64(0); i < keys; i++ {
 		if v, ok := shardHolds(d, 0, kv.FromUint64(i)); !ok || !bytes.Equal(v, []byte{byte(i)}) {
 			t.Fatalf("key %d after double crash: value=%v ok=%v", i, v, ok)
+		}
+	}
+}
+
+// TestSharedQueueOverlappingCatchups: two shards' catch-ups and a
+// repair share one reconciliation queue. A second restart lands while
+// the first catch-up is still draining, a rejoining shard takes a
+// higher-stamped write for one of its queued keys, and re-enqueueing
+// that key is absorbed by the queue. The higher stamp wins the merge
+// over the survivor's copy, and both catch-ups complete in start order.
+func TestSharedQueueOverlappingCatchups(t *testing.T) {
+	cfg := durableFleetConfig()
+	cfg.Versioned = true
+	cfg.MigrationInterval = 20 * sim.Microsecond // slow steps: the catch-ups overlap
+	cl, d, _ := newFleetWith(t, cfg, 3, 0, 5)
+	const keys = 256
+	for i := uint64(1); i <= keys; i++ {
+		if err := d.Preload(kv.FromUint64(i), stampedValue(1, i, "old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Eng.At(10*sim.Microsecond, func() { d.Server(0).Crash() })
+	cl.Eng.At(20*sim.Microsecond, func() { d.Server(0).Restart() })
+	cl.Eng.At(30*sim.Microsecond, func() { d.Server(1).Crash() })
+	cl.Eng.At(40*sim.Microsecond, func() { d.Server(1).Restart() })
+	var key kv.Key
+	fresh := stampedValue(2, 1, "fresh")
+	// watch polls until the step has merged the key's queue position.
+	// The survivor must hold the higher stamp from that merge itself,
+	// before the full sweep that follows a versioned catch-up could have
+	// copied it.
+	pos, merged := 0, false
+	var watch func()
+	watch = func() {
+		if d.aeMerged <= pos {
+			cl.Eng.After(sim.Microsecond, watch)
+			return
+		}
+		if v, _ := shardHolds(d, 2, key); !bytes.Equal(v, fresh) {
+			t.Fatalf("after its merge the survivor holds %x, want the rejoining shard's higher stamp %x", v, fresh)
+		}
+		merged = true
+	}
+	cl.Eng.At(60*sim.Microsecond, func() {
+		if !d.catchingUp(0) || !d.catchingUp(1) {
+			t.Fatalf("at 60us shard 0 catching up %v, shard 1 %v; want both", d.catchingUp(0), d.catchingUp(1))
+		}
+		// The last queued key that rejoining shard 0 shares with shard
+		// 2, which never crashes.
+		for i, k := range d.aeQueue {
+			if reps := d.Replicas(k); slices.Contains(reps, 0) && slices.Contains(reps, 2) {
+				key, pos = k, d.aeMerged+i
+			}
+		}
+		if key.IsZero() {
+			t.Fatal("no queued key is replicated on shards 0 and 2")
+		}
+		if err := d.Server(0).Preload(key, fresh); err != nil {
+			t.Fatal(err)
+		}
+		pending := len(d.aeQueue)
+		d.EnqueueRepair(key)
+		if got := len(d.aeQueue); got != pending {
+			t.Fatalf("re-enqueueing a queued key moved the queue from %d to %d keys", pending, got)
+		}
+		cl.Eng.After(sim.Microsecond, watch)
+	})
+	cl.Eng.Run()
+	if !merged {
+		t.Fatal("the queued key was never merged")
+	}
+
+	if d.RecoveryActive() {
+		t.Fatal("a catch-up is still pending after drain")
+	}
+	if rec := d.LastRecovery(); rec.ShardID != 1 || !rec.Warm || rec.CatchupKeys == 0 {
+		t.Fatalf("last recovery = %+v, want shard 1's warm catch-up", rec)
+	}
+	for _, id := range []int{0, 2} {
+		if v, ok := shardHolds(d, id, key); !ok || !bytes.Equal(v, fresh) {
+			t.Fatalf("shard %d holds %x (ok=%v), want the higher stamp %x", id, v, ok, fresh)
 		}
 	}
 }

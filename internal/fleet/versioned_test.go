@@ -243,12 +243,12 @@ func TestAntiEntropySweepConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.EnqueueRepair(key)
-	if d.AntiEntropyPending() != 1 {
-		t.Fatalf("pending = %d, want 1", d.AntiEntropyPending())
+	if len(d.aeQueue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(d.aeQueue))
 	}
 	cl.Eng.Run()
-	if d.AntiEntropyPending() != 0 {
-		t.Fatalf("queue did not drain: %d pending", d.AntiEntropyPending())
+	if len(d.aeQueue) != 0 {
+		t.Fatalf("queue did not drain: %d pending", len(d.aeQueue))
 	}
 	stored, ok := d.Server(1).Partition(mica.Partition(key, d.cfg.Herd.NS)).Get(key)
 	if !ok || !bytes.Equal(stored, fresh) {

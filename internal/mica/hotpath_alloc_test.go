@@ -52,6 +52,5 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Cache.slotFor":  func() { _ = c.slotFor(base, tag, key) },
 		"Cache.Load":     func() { _ = fresh.Load(key, val) },
 		"Cache.settle":   func() { _ = fresh.Load(key, val); fresh.settle() },
-		"Cache.Delete":   func() { _ = c.Delete(key) },
 	})
 }

@@ -44,7 +44,7 @@ func twinConfig(b byte) Config {
 // runTwins drives two partitions with one history: ops[0] picks the
 // config, and each following 3-byte group is an operation (kind, key,
 // value length). The reference partition takes every load as a Put, the
-// other as a Load; Get, Put, Delete, Range and Stats run on both. After
+// other as a Load; Get, Put, Range and Stats run on both. After
 // every operation both must have returned the same result, and settled
 // copies of both must agree on Stats, Range order, a Get of every key
 // and the index, FIFO and log state.
@@ -87,13 +87,9 @@ func runTwins(t testing.TB, ops []byte) (cov twinCoverage) {
 			if rok != bok || !bytes.Equal(rv, bv) {
 				t.Fatalf("op %d: Get = %q,%v on the Put twin, %q,%v on the Load twin", i, rv, rok, bv, bok)
 			}
-		case kind < 252:
+		case kind < 254:
 			if re, be := ref.Put(key, v), bulk.Put(key, v); re != be {
 				t.Fatalf("op %d: Put err %v and %v", i, re, be)
-			}
-		case kind < 254:
-			if rd, bd := ref.Delete(key), bulk.Delete(key); rd != bd {
-				t.Fatalf("op %d: Delete = %v on the Put twin, %v on the Load twin", i, rd, bd)
 			}
 		case kind == 254:
 			if r, b := rangeOf(ref), rangeOf(bulk); !slices.EqualFunc(r, b, bytes.Equal) {

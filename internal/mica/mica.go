@@ -19,8 +19,8 @@
 //   - A bulk load (Load) appends each entry at once but applies index
 //     inserts a batch at a time, touching the batch's buckets first so
 //     their cache misses overlap, as the paper's server overlaps
-//     requests' memory accesses (Section 4.1.1). Get, Put, Delete,
-//     Range and Stats settle the batch first, so the cache always
+//     requests' memory accesses (Section 4.1.1). Get, Put, Range
+//     and Stats settle the batch first, so the cache always
 //     reads as if each Load had been a Put.
 package mica
 
@@ -362,8 +362,8 @@ func (c *Cache) slotFor(base int, tag uint16, key Key) int {
 // Load is the bulk-load form of Put, with the same checks, result and
 // Stats. It appends the log entry at once, so the caller may reuse
 // value, but queues the index insert; every loadBatch queued inserts
-// are applied together by settle, and Get, Put, Delete, Range and Stats
-// settle first.
+// are applied together by settle, and Get, Put, Range and Stats settle
+// first.
 // Batching is exact only while the log has not wrapped, since Put's
 // stale detection reads the head at scan time, so an append that
 // could reach the end of the log's first lap falls back to Put.
@@ -408,32 +408,6 @@ func (c *Cache) settle() {
 		c.slots[c.slotFor(p.base, p.tag, p.key)] = makeSlot(p.tag, p.off)
 	}
 	c.queued = 0
-}
-
-// Delete removes key from the index. It returns whether the key was
-// present.
-//
-//herd:hotpath
-func (c *Cache) Delete(key Key) bool {
-	if key.IsZero() {
-		return false
-	}
-	if c.queued != 0 {
-		c.settle()
-	}
-	h := hash64(key)
-	base, tag := c.bucketOf(h)
-	c.stats.MemAccesses++
-	for i := 0; i < c.cfg.BucketSlots; i++ {
-		s := &c.slots[base+i]
-		if s.used() && s.tag() == tag {
-			if stored, _, ok := c.entry(s.off()); ok && stored == key {
-				*s = 0
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Range calls fn for every live entry in the partition, in index-slot

@@ -61,9 +61,6 @@ func TestZeroKeyRejected(t *testing.T) {
 	if _, ok := c.Get(Key{}); ok {
 		t.Fatal("Get zero key should miss")
 	}
-	if c.Delete(Key{}) {
-		t.Fatal("Delete zero key should be false")
-	}
 }
 
 func TestValueSizeLimit(t *testing.T) {
@@ -83,21 +80,6 @@ func TestEmptyValue(t *testing.T) {
 	v, ok := c.Get(k)
 	if !ok || len(v) != 0 {
 		t.Fatalf("empty value Get = %v, %v", v, ok)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	c := New(DefaultConfig())
-	k := keyOf(4)
-	c.Put(k, []byte("x"))
-	if !c.Delete(k) {
-		t.Fatal("Delete existing = false")
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("key present after delete")
-	}
-	if c.Delete(k) {
-		t.Fatal("Delete missing = true")
 	}
 }
 

@@ -14,16 +14,12 @@ import (
 // one chaos replay) walking identical partitions must emit identical
 // sequences, or snapshots and migrations would diverge across -count=2.
 
-// buildCache applies a seeded Put/Delete history and returns the cache.
+// buildCache applies a seeded Put history and returns the cache.
 func buildCache(seed int64, ops int, cfg Config) *Cache {
 	c := New(cfg)
 	rnd := sim.NewRand(seed)
 	for i := 0; i < ops; i++ {
 		k := kv.FromUint64(uint64(rnd.Intn(ops/2 + 1)))
-		if rnd.Float64() < 0.2 {
-			c.Delete(k)
-			continue
-		}
 		_ = c.Put(k, []byte(fmt.Sprintf("v%d", i)))
 	}
 	return c
@@ -84,7 +80,7 @@ func TestRangeMatchesGet(t *testing.T) {
 	}
 }
 
-// TestRangeWithInterleavedMutation: a Put or Delete landing between
+// TestRangeWithInterleavedMutation: a Put landing between
 // Range callbacks (the WAL snapshot walk interleaves with served
 // writes in sim time) must not corrupt the walk — entries emitted
 // afterward are still well-formed.
@@ -93,10 +89,8 @@ func TestRangeWithInterleavedMutation(t *testing.T) {
 	c := buildCache(13, 1000, cfg)
 	i := 0
 	c.Range(func(key Key, value []byte) bool {
-		// Mutate mid-walk: overwrite this key, delete another, insert a
-		// fresh one.
+		// Mutate mid-walk: overwrite this key and insert a fresh one.
 		_ = c.Put(key, []byte("rewritten"))
-		c.Delete(kv.FromUint64(uint64(i)))
 		_ = c.Put(kv.FromUint64(uint64(90000+i)), []byte("fresh"))
 		i++
 		if len(value) > MaxValueSize {

@@ -57,7 +57,7 @@ func interleavedLog(t *testing.T) *Log {
 			case i%3 == 0:
 				l.AppendDurable(rec(uint64(i+1), fmt.Sprintf("durable-%d", i)))
 			case i%5 == 0:
-				l.Append(Record{Op: OpDelete, Key: kv.FromUint64(uint64(i + 1))}, nil)
+				l.Append(Record{Key: kv.FromUint64(uint64(i + 1))}, nil)
 			default:
 				l.Append(rec(uint64(i+1), strings.Repeat("v", i)), nil)
 			}

@@ -1,6 +1,6 @@
 // Package wal is a deterministic, sim-clock-driven write-ahead log for
-// a HERD shard: an append-only record stream (Put/Delete with key,
-// value and shard epoch) persisted by batched group commit, plus a
+// a HERD shard: an append-only record stream (puts with key, value and
+// shard epoch) persisted by batched group commit, plus a
 // periodic snapshot that compacts the log. It converts the volatile
 // MICA partitions into a recoverable store — a crashed shard replays
 // snapshot + log tail and rejoins warm instead of cold.
@@ -32,20 +32,10 @@ import (
 	"herdkv/internal/telemetry"
 )
 
-// Op is a logged mutation kind.
-type Op byte
-
-// Logged operations.
-const (
-	OpPut    Op = 1
-	OpDelete Op = 2
-)
-
-// Record is one logged mutation. At is the virtual append instant;
-// Epoch is the shard's crash epoch when the record was appended, so a
-// recovering server can restore epoch monotonicity from its log.
+// Record is one logged put. At is the virtual append instant; Epoch is
+// the shard's crash epoch when the record was appended, so a recovering
+// server can restore epoch monotonicity from its log.
 type Record struct {
-	Op    Op
 	Key   kv.Key
 	Value []byte
 	Epoch int
@@ -59,10 +49,13 @@ type Record struct {
 // The leading length frames the stream; the trailing checksum (over
 // everything after the length) is how replay detects a torn tail: a
 // record whose frame runs past the persisted bytes, or whose checksum
-// mismatches, truncates the log there.
+// mismatches, truncates the log there. Every record is a put, so op is
+// always opPut; the byte stays so the frame layout and sizes do not
+// change.
 const (
 	recFixed = 1 + 4 + 8 + kv.KeySize + 2 // op + epoch + at + key + vlen
 	recSum   = 4
+	opPut    = 1
 )
 
 // castagnoli is the CRC-32C table frame checksums use; the standard
@@ -85,7 +78,7 @@ func appendRecord(buf []byte, r Record) []byte {
 	payload := recFixed + len(r.Value) + recSum
 	var hdr [2 + recFixed]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], uint16(payload))
-	hdr[2] = byte(r.Op)
+	hdr[2] = opPut
 	binary.LittleEndian.PutUint32(hdr[3:7], uint32(r.Epoch))
 	binary.LittleEndian.PutUint64(hdr[7:15], uint64(r.At))
 	copy(hdr[15:31], r.Key[:])
@@ -136,7 +129,6 @@ func frameAt(frame []byte) sim.Time {
 func decodeFrame(frame []byte) Record {
 	body := frame[2 : len(frame)-recSum]
 	r := Record{
-		Op:    Op(body[0]),
 		Epoch: int(binary.LittleEndian.Uint32(body[1:5])),
 		At:    sim.Time(binary.LittleEndian.Uint64(body[5:13])),
 	}
@@ -526,7 +518,7 @@ func (l *Log) maybeSnapshot() {
 	// regrowth (append still grows it if the source holds more).
 	buf := make([]byte, 0, len(l.snapshot)+len(l.durable))
 	l.source(func(key kv.Key, value []byte) {
-		buf = appendRecord(buf, Record{Op: OpPut, Key: key, Value: value, Epoch: epoch, At: takenAt})
+		buf = appendRecord(buf, Record{Key: key, Value: value, Epoch: epoch, At: takenAt})
 	})
 	l.snapInProg = true
 	gen := l.gen

@@ -23,18 +23,21 @@ func testConfig() Config {
 }
 
 func rec(n uint64, v string) Record {
-	return Record{Op: OpPut, Key: kv.FromUint64(n), Value: []byte(v)}
+	return Record{Key: kv.FromUint64(n), Value: []byte(v)}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	var buf []byte
 	want := []Record{
-		{Op: OpPut, Key: kv.FromUint64(1), Value: []byte("hello"), Epoch: 3, At: 17 * sim.Microsecond},
-		{Op: OpDelete, Key: kv.FromUint64(2), Epoch: 4, At: 18 * sim.Microsecond},
-		{Op: OpPut, Key: kv.FromUint64(3), Value: nil, Epoch: 4, At: 19 * sim.Microsecond},
+		{Key: kv.FromUint64(1), Value: []byte("hello"), Epoch: 3, At: 17 * sim.Microsecond},
+		{Key: kv.FromUint64(2), Value: []byte("world"), Epoch: 4, At: 18 * sim.Microsecond},
+		{Key: kv.FromUint64(3), Value: nil, Epoch: 4, At: 19 * sim.Microsecond},
 	}
 	for _, r := range want {
 		buf = appendRecord(buf, r)
+	}
+	if buf[2] != opPut {
+		t.Fatalf("op byte = %d, want %d", buf[2], opPut)
 	}
 	got, clean, torn := decodeAll(buf)
 	if clean != len(buf) || torn != 0 {
@@ -44,7 +47,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Op != want[i].Op || got[i].Key != want[i].Key ||
+		if got[i].Key != want[i].Key ||
 			got[i].Epoch != want[i].Epoch || got[i].At != want[i].At ||
 			!bytes.Equal(got[i].Value, want[i].Value) {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
@@ -78,7 +81,7 @@ func TestDecodeTruncatesTornTail(t *testing.T) {
 // docs/DURABILITY.md: the CRC-32C (Castagnoli) of everything after the
 // length field, little-endian.
 func TestFrameChecksumIsCRC32C(t *testing.T) {
-	frame := appendRecord(nil, Record{Op: OpPut, Key: kv.FromUint64(9), Value: []byte("value"), Epoch: 2, At: 5})
+	frame := appendRecord(nil, Record{Key: kv.FromUint64(9), Value: []byte("value"), Epoch: 2, At: 5})
 	body := frame[2 : len(frame)-recSum]
 	want := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))
 	if got := binary.LittleEndian.Uint32(frame[len(frame)-recSum:]); got != want {
@@ -91,7 +94,7 @@ func TestFrameChecksumIsCRC32C(t *testing.T) {
 // of writing a wrapped length that tears the rest of the log.
 func TestFrameLengthLimit(t *testing.T) {
 	big := bytes.Repeat([]byte{7}, maxValue)
-	got, clean, torn := decodeAll(appendRecord(nil, Record{Op: OpPut, Key: kv.FromUint64(1), Value: big}))
+	got, clean, torn := decodeAll(appendRecord(nil, Record{Key: kv.FromUint64(1), Value: big}))
 	if len(got) != 1 || torn != 0 || clean == 0 || !bytes.Equal(got[0].Value, big) {
 		t.Fatalf("%d-byte value: records=%d clean=%d torn=%d", maxValue, len(got), clean, torn)
 	}
@@ -101,7 +104,7 @@ func TestFrameLengthLimit(t *testing.T) {
 			t.Fatalf("panic %q, want one naming the %s", msg, want)
 		}
 	}()
-	appendRecord(nil, Record{Op: OpPut, Key: kv.FromUint64(2), Value: make([]byte, maxValue+1)})
+	appendRecord(nil, Record{Key: kv.FromUint64(2), Value: make([]byte, maxValue+1)})
 }
 
 func TestGroupCommitFlushesOnInterval(t *testing.T) {
@@ -225,7 +228,7 @@ func TestCrashTornDuringSnapshot(t *testing.T) {
 	put := func(n uint64, v string) {
 		k := kv.FromUint64(n)
 		live[k] = []byte(v)
-		l.Append(Record{Op: OpPut, Key: k, Value: []byte(v)}, nil)
+		l.Append(Record{Key: k, Value: []byte(v)}, nil)
 	}
 	// One full batch of 80-byte values crosses SnapshotEvery, so its
 	// commit starts a compaction.
@@ -320,7 +323,7 @@ func TestSnapshotCompactsLog(t *testing.T) {
 	put := func(n uint64, v string) {
 		k := kv.FromUint64(n)
 		live[k] = []byte(v)
-		l.Append(Record{Op: OpPut, Key: k, Value: []byte(v)}, nil)
+		l.Append(Record{Key: k, Value: []byte(v)}, nil)
 	}
 	for round := 0; round < 8; round++ {
 		for i := uint64(1); i <= 8; i++ {
@@ -339,9 +342,7 @@ func TestSnapshotCompactsLog(t *testing.T) {
 	l.Crash()
 	got := map[kv.Key]string{}
 	l.Recover(func(r Record) {
-		if r.Op == OpPut {
-			got[r.Key] = string(r.Value)
-		}
+		got[r.Key] = string(r.Value)
 	}, func(RecoverStats) {})
 	eng.Run()
 	for i := uint64(1); i <= 8; i++ {
@@ -394,7 +395,7 @@ func TestAppendCopiesValue(t *testing.T) {
 func TestEpochRestoredFromLog(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testConfig(), nil)
-	l.Append(Record{Op: OpPut, Key: kv.FromUint64(1), Value: []byte("v"), Epoch: 5}, nil)
+	l.Append(Record{Key: kv.FromUint64(1), Value: []byte("v"), Epoch: 5}, nil)
 	l.Flush()
 	eng.Run()
 	l.Crash()
