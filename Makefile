@@ -66,28 +66,39 @@ loc:
 		[ -z "$$files" ] || printf '%6d %s\n' $$(cd $$dir && cat $$files | wc -l) $$pkg; \
 	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
 
-# Every internal/ function outside internal/lint that no measured run
-# executes: herdbench and the bench binary are built with coverage into
-# a temp dir, every herdbench target runs on both clusters, one more
-# herdbench pass writes the telemetry outputs (-metrics -trace -perqp on
-# the anatomy target), every bench workload runs for a second, and the
-# merged profile's 0.0% functions are printed. The bench/ lines are
-# dropped because `go tool cover` cannot resolve that nested module's
-# files from here. An audit aid for code no figure or workload reaches
-# (about a minute), not a gate.
+# Every internal/ function outside internal/lint that no run of the
+# CLIs, bench or examples executes: herdbench, herdload, the bench
+# binary and every example are built with coverage into a temp dir,
+# every herdbench target runs on both clusters, one more herdbench pass
+# writes the telemetry outputs (-metrics -trace -perqp on the anatomy
+# target), one runs the chaos target under a script that uses every
+# fault keyword, herdload runs once with loss and retries, every bench
+# workload runs for a second, each example runs once, and the merged
+# profile's 0.0% functions are printed. The bench/ lines are dropped
+# because `go tool cover` cannot resolve that nested module's files from
+# here. An audit aid for code nothing reaches (about a minute and a
+# half), not a gate.
 UNRUN_WORKLOADS = herd-read fleet-write hot-cached mux-open
+UNRUN_FAULTS = internal/fault/testdata/every-keyword.faults
 
 unrun:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov"; \
-	$(GO) build -cover -coverpkg=herdkv/... -o "$$tmp/herdbench" ./cmd/herdbench; \
+	for p in ./cmd/herdbench ./cmd/herdload ./examples/*; do \
+		$(GO) build -cover -coverpkg=herdkv/... -o "$$tmp/bin/$$(basename $$p)" $$p; \
+	done; \
 	(cd bench && $(GO) build -cover -coverpkg=herdkv/... -o "$$tmp/bench" .); \
 	for c in apt susitna; do \
-		GOCOVERDIR="$$tmp/cov" "$$tmp/herdbench" -cluster $$c -warmup 50 -span 150 all >/dev/null; \
+		GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -cluster $$c -warmup 50 -span 150 all >/dev/null; \
 	done; \
-	GOCOVERDIR="$$tmp/cov" "$$tmp/herdbench" -warmup 50 -span 150 -metrics "$$tmp/metrics.txt" \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -warmup 50 -span 150 -metrics "$$tmp/metrics.txt" \
 		-trace "$$tmp/trace.json" -perqp anatomy >/dev/null; \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -faults $(UNRUN_FAULTS) chaos >/dev/null; \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdload" -system herd -loss 0.02 -retry 25 >/dev/null; \
 	for w in $(UNRUN_WORKLOADS); do \
 		GOCOVERDIR="$$tmp/cov" "$$tmp/bench" --workload $$w --seconds 1 >/dev/null; \
+	done; \
+	for e in examples/*; do \
+		GOCOVERDIR="$$tmp/cov" "$$tmp/bin/$$(basename $$e)" >/dev/null; \
 	done; \
 	$(GO) tool covdata textfmt -i="$$tmp/cov" -o="$$tmp/all.txt"; \
 	grep -v '^herdkv/bench/' "$$tmp/all.txt" >"$$tmp/herdkv.txt"; \

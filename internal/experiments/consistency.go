@@ -93,7 +93,7 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 	fcfg.Herd.Mica = mica.Config{IndexBuckets: 1 << 8, BucketSlots: 8, LogBytes: 1 << 20}
 	fcfg.MigrationBatch = 32
 	fcfg.MigrationInterval = 4 * sim.Microsecond
-	fcfg.ReadRepair = repair // implies Versioned
+	fcfg.ReadRepair = repair // a synonym for Versioned
 	spec.Faults = sched
 	// No preload: the history checker starts every key absent.
 	cl, d, clients := deployFleet(deploySpec{spec: spec, seed: seed,

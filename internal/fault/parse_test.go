@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"os"
 	"testing"
 
 	"herdkv/internal/sim"
@@ -136,4 +137,35 @@ func FuzzParseSchedule(f *testing.F) {
 			t.Fatalf("accepted schedule rejected by NewInjector: %v", err)
 		}
 	})
+}
+
+// TestEveryKeywordScript keeps the committed every-keyword script
+// complete: it parses, and holds a hand-written event of every kind
+// plus nemesis-generated ones.
+func TestEveryKeywordScript(t *testing.T) {
+	script, err := os.ReadFile("testdata/every-keyword.faults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ParseSchedule(string(script))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripted := map[Kind]bool{}
+	generated := 0
+	for _, e := range s.Events {
+		if e.Nemesis {
+			generated++
+		} else {
+			scripted[e.Kind] = true
+		}
+	}
+	for _, k := range []Kind{Loss, Blackout, Degrade, Corrupt, Partition, Crash, FlushCrash} {
+		if !scripted[k] {
+			t.Errorf("no scripted %v event", k)
+		}
+	}
+	if generated == 0 {
+		t.Error("the nemesis line generated no events")
+	}
 }

@@ -94,8 +94,10 @@ func (d *Deployment) reconcile() {
 	d.kickReconcile()
 }
 
-// replicaRank is one up replica's copy of a key, as merge ranks it.
+// replicaRank is one up replica's copy of a key, as merge and a
+// versioned read rank it.
 type replicaRank struct {
+	id      int // the replica's shard id (set by versioned reads)
 	present bool
 	ver     kv.Version
 	settled bool // not mid-catch-up
@@ -105,6 +107,8 @@ type replicaRank struct {
 // below reports whether r ranks strictly below o: holding the key
 // beats lacking it, then the higher version stamp wins, then a settled
 // replica beats one still catching up.
+//
+//herd:hotpath
 func (r *replicaRank) below(o *replicaRank) bool {
 	if r.present != o.present {
 		return o.present

@@ -34,7 +34,7 @@ var ErrPartialWrite = errors.New("fleet: write applied on only part of the repli
 //     when a sub-operation ends in core.ErrTimedOut, re-arming the full
 //     retry budget against each replica in turn.
 //   - Writes fan out to every replica and succeed when at least one
-//     replica acknowledges.
+//     replica acknowledges (every replica, in a versioned fleet).
 //   - A shard whose operation failed terminally is suspected for
 //     a fixed probation of virtual time: reads prefer other replicas
 //     until the probation lapses.
@@ -54,7 +54,6 @@ type Client struct {
 
 	reroutes     uint64
 	replicaReads uint64
-	fanoutPuts   uint64
 	suspected    uint64
 	hotWidened   uint64
 
@@ -75,7 +74,6 @@ type Client struct {
 
 	partialWrites uint64
 	staleObserved uint64
-	staleReads    uint64
 	repairIssued  uint64
 	repairApplied uint64
 
@@ -155,10 +153,6 @@ func (c *Client) Reroutes() uint64 { return c.reroutes }
 // ReplicaReads counts reads served by a non-primary replica.
 func (c *Client) ReplicaReads() uint64 { return c.replicaReads }
 
-// FanoutPuts counts fleet-level write operations (each fans out to R
-// replicas).
-func (c *Client) FanoutPuts() uint64 { return c.fanoutPuts }
-
 // Suspected counts probation starts: terminal failures against a
 // shard. Busy pushback never reaches the fleet: the member client
 // absorbs it with hinted resubmits.
@@ -174,12 +168,8 @@ func (c *Client) HotWidened() uint64 { return c.hotWidened }
 func (c *Client) PartialWrites() uint64 { return c.partialWrites }
 
 // StaleObserved counts replicas a versioned read round caught behind
-// the winning version (each is a read-repair candidate).
+// the winning version (each is back-filled inline).
 func (c *Client) StaleObserved() uint64 { return c.staleObserved }
-
-// StaleReads counts versioned reads whose winning version was below
-// this client's floor of completed writes — a provably stale result.
-func (c *Client) StaleReads() uint64 { return c.staleReads }
 
 // RepairsIssued and RepairsApplied count read-repair back-fills sent to
 // lagging replicas and those the replica acknowledged.
@@ -275,10 +265,9 @@ func (c *Client) finish(cb func(kv.Result), res kv.Result, begun sim.Time) {
 type opKind uint8
 
 const (
-	opGet            opKind = iota // first-ack read: primary-first with failover
-	opWrite                        // first-ack write: fan-out, one ack suffices
-	opGetVersioned                 // versioned read: every replica, version arbitration
-	opWriteVersioned               // versioned write: stamped fan-out, every ack needed
+	opGet          opKind = iota // first-ack read: primary-first with failover
+	opWrite                      // fan-out write (stamped in a versioned fleet)
+	opGetVersioned               // versioned read: every replica, version arbitration
 )
 
 // op is one fleet-level operation in flight. Ops are pooled per
@@ -309,21 +298,13 @@ type op struct {
 
 	// Versioned writes send every replica stored — stamp then value, in
 	// a buffer the op owns (sub-clients copy a PUT's value before
-	// returning). Versioned reads collect each replica's answer.
+	// returning). Versioned reads collect each replica's answer, in
+	// arrival order.
 	stamp  kv.Version
 	stored []byte
-	states []replicaState
+	states []replicaRank
 
 	slots []func(kv.Result)
-}
-
-// replicaState is one replica's answer to a versioned read.
-type replicaState struct {
-	id      int
-	present bool
-	ver     kv.Version
-	payload []byte
-	stored  []byte
 }
 
 // getOp returns a pooled op (or a fresh one) set up for a new
@@ -376,16 +357,14 @@ func (o *op) resolve(i int, r kv.Result) {
 		o.resolveGet(i, r)
 	case opWrite:
 		o.resolveWrite(i, r)
-	case opGetVersioned:
-		o.resolveGetVersioned(i, r)
 	default:
-		o.resolveWriteVersioned(i, r)
+		o.resolveGetVersioned(i, r)
 	}
 }
 
 // Get reads key: primary-first with failover across the replica set in
-// legacy mode, read-all with version arbitration (and optional read
-// repair) in versioned mode.
+// legacy mode, read-all with version arbitration and read repair in
+// versioned mode.
 //
 //herd:hotpath
 func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
@@ -449,10 +428,15 @@ func (o *op) resolveGet(i int, r kv.Result) {
 	o.finish(r)
 }
 
-// Put writes key to every replica in its set; the operation succeeds
-// when at least one replica acknowledges. The reported Result is the
-// first successful replica's, with fleet-level latency (time to the
-// last replica's resolution, since that is when the outcome is known).
+// Put writes key to every replica in its set. A first-ack fleet sends
+// the value as it is and succeeds when at least one replica
+// acknowledges. A versioned fleet stamps the value with a fresh (epoch,
+// seq) version and succeeds only when every replica acks: a mixed
+// outcome is a partial write (divergence), which fails the op with
+// ErrPartialWrite and hands the key to the reconciliation queue. The
+// reported Result is the first successful replica's, with fleet-level
+// latency (time to the last replica's resolution, since that is when
+// the outcome is known).
 //
 //herd:hotpath
 func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
@@ -473,13 +457,15 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	if len(reps) == 0 {
 		return ErrNoShards
 	}
-	if c.d.cfg.Versioned {
-		return c.putVersioned(key, value, reps, cb)
-	}
 	o := c.getOp(opWrite, key, cb)
+	if c.d.cfg.Versioned {
+		c.verSeq++
+		o.stamp = kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
+		o.stored = append(kv.AppendVersion(o.stored, o.stamp, false), value...)
+		value = o.stored
+	}
 	o.reps, o.outstanding = reps, len(reps)
 	c.start()
-	c.fanoutPuts++
 	c.telFanout.Inc()
 	o.begun = c.now()
 	// The last replica's callback may run inside its call and finish o;
@@ -493,7 +479,7 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	return nil
 }
 
-// resolveWrite handles a first-ack write's replica slot i.
+// resolveWrite handles a write's replica slot i.
 //
 //herd:hotpath
 func (o *op) resolveWrite(i int, r kv.Result) {
@@ -516,78 +502,20 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 		o.finish(o.lastErr)
 		return
 	}
-	if o.failures > 0 {
-		// First-ack semantics swallow straggler failures: the op
-		// succeeds but the replica set is now divergent on this key.
-		// Count it — repair only exists in versioned mode.
-		c.partialWrites++
-		c.telPartial.Inc()
-	}
-	o.finish(o.best)
-}
-
-// putVersioned is the versioned write path: the value is stamped with
-// a fresh (epoch, seq) version and sent to every replica as an
-// ordinary PUT. The op succeeds only when every replica acks; a mixed
-// outcome is a partial write (divergence), which fails the op with
-// ErrPartialWrite and hands the key to the anti-entropy queue when
-// repair is enabled.
-//
-//herd:hotpath
-func (c *Client) putVersioned(key kv.Key, value []byte, reps []int, cb func(kv.Result)) error {
-	c.verSeq++
-	o := c.getOp(opWriteVersioned, key, cb)
-	o.stamp = kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
-	o.stored = append(kv.AppendVersion(o.stored, o.stamp, false), value...)
-	o.reps, o.outstanding = reps, len(reps)
-	c.start()
-	c.fanoutPuts++
-	c.telFanout.Inc()
-	o.begun = c.now()
-	// As in Put, only locals are read after each call.
-	stored := o.stored
-	for i, id := range reps {
-		done := o.slot(i)
-		if err := c.subs[id].Put(key, stored, done); err != nil {
-			done(kv.Result{Key: key, Status: kv.StatusTimeout, Err: err})
-		}
-	}
-	return nil
-}
-
-// resolveWriteVersioned handles a versioned write's replica slot i.
-//
-//herd:hotpath
-func (o *op) resolveWriteVersioned(i int, r kv.Result) {
-	c, id := o.c, o.reps[i]
-	o.outstanding--
-	if r.Err == nil {
-		if !o.have {
-			o.best, o.have = r, true
-		}
-	} else {
-		c.markSuspect(id)
-		o.failures++
-		o.lastErr = r
-	}
-	if o.outstanding != 0 {
-		return
-	}
 	res := o.best
-	res.Key, res.IsGet, res.Value = o.key, false, nil
-	switch {
-	case o.failures == 0:
-		c.noteFloor(o.key, o.stamp)
-	case o.have:
+	if o.failures > 0 {
+		// A straggler missed the write, so the replica set is now
+		// divergent on this key. First-ack semantics swallow it (the op
+		// succeeds); a versioned fleet fails the op and queues the key
+		// for repair.
 		c.partialWrites++
 		c.telPartial.Inc()
-		if c.d.cfg.ReadRepair {
+		if c.d.cfg.Versioned {
 			c.d.EnqueueRepair(o.key) //lint:allow hotalloc — divergence only; the anti-entropy queue
+			res.Err = ErrPartialWrite
 		}
-		res.Err = ErrPartialWrite
-	default:
-		res = o.lastErr
-		res.Err = ErrAllReplicasDown
+	} else if c.d.cfg.Versioned {
+		c.noteFloor(o.key, o.stamp)
 	}
 	o.finish(res)
 }
@@ -605,11 +533,11 @@ func (c *Client) noteFloor(key kv.Key, v kv.Version) {
 }
 
 // getVersioned is the versioned read path: fan the read to every
-// replica, arbitrate by version stamp, and answer with the winner's
-// payload (an absent winner is a miss). Replicas caught
-// behind the winner are counted stale and — with ReadRepair — back-
-// filled inline with the winning bytes; the member server's ordered
-// apply makes a repair racing a fresher write harmless.
+// replica, rank the answers as the reconciliation merge does, and answer
+// with the winner's payload (an absent winner is a miss). Replicas
+// ranked below the winner are counted stale and back-filled inline with
+// the winning bytes; the member server's ordered apply makes a repair
+// racing a fresher write harmless.
 //
 //herd:hotpath
 func (c *Client) getVersioned(key kv.Key, reps []int, cb func(kv.Result)) error {
@@ -627,10 +555,11 @@ func (c *Client) getVersioned(key kv.Key, reps []int, cb func(kv.Result)) error 
 	return nil
 }
 
-// resolveGetVersioned handles a versioned read's replica slot i. The
-// winner's payload is handed to the caller as it is: each replica's
-// Result.Value is already a fresh copy the fleet owns (kv.KV's
-// ownership contract).
+// resolveGetVersioned handles a versioned read's replica slot i. Every
+// answer ranks as settled, so the winner is the first to arrive among
+// the highest-ranked. Its payload is handed to the caller as it is:
+// each replica's Result.Value is already a fresh copy the fleet owns
+// (kv.KV's ownership contract).
 //
 //herd:hotpath
 func (o *op) resolveGetVersioned(i int, r kv.Result) {
@@ -640,18 +569,13 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		c.markSuspect(id)
 		o.lastErr = r
 	} else {
-		st := replicaState{id: id}
-		if r.Status == kv.StatusHit {
-			st.present = true
-			st.stored = r.Value
-			if v, _, payload, ok := kv.SplitVersion(r.Value); ok {
-				st.ver, st.payload = v, payload
-			} else {
-				// Unversioned legacy bytes rank at version zero.
-				st.payload = r.Value
-			}
+		rk := replicaRank{id: id, settled: true, present: r.Status == kv.StatusHit}
+		if rk.present {
+			// Unversioned legacy bytes rank at version zero.
+			rk.stored = r.Value
+			rk.ver, _, _, _ = kv.SplitVersion(r.Value)
 		}
-		o.states = append(o.states, st)
+		o.states = append(o.states, rk)
 	}
 	if o.outstanding != 0 {
 		return
@@ -662,40 +586,34 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		return
 	}
 	key := o.key
-	win := -1
+	win := 0
 	for i := range o.states {
-		if !o.states[i].present {
-			continue
-		}
-		if win < 0 || o.states[win].ver.Less(o.states[i].ver) {
+		if o.states[win].below(&o.states[i]) {
 			win = i
 		}
 	}
-	res := kv.Result{Key: key, IsGet: true, Status: kv.StatusMiss}
-	if win < 0 {
-		if f := c.floors[key]; !f.IsZero() {
-			c.noteStaleRead(key) //lint:allow hotalloc — stale reads only; queues the key for repair
-		}
-		o.finish(res)
-		return
-	}
 	w := &o.states[win]
-	res.Status, res.Value = kv.StatusHit, w.payload
-	if f := c.floors[key]; w.ver.Less(f) {
+	if w.ver.Less(c.floors[key]) {
 		// Every replica that answered is behind a write this client
 		// completed: the result is provably stale.
 		c.noteStaleRead(key) //lint:allow hotalloc — stale reads only; queues the key for repair
 	}
+	res := kv.Result{Key: key, IsGet: true, Status: kv.StatusMiss}
+	if !w.present {
+		o.finish(res)
+		return
+	}
+	res.Status, res.Value = kv.StatusHit, w.stored
+	if _, _, payload, ok := kv.SplitVersion(w.stored); ok {
+		res.Value = payload
+	}
 	for i := range o.states {
 		st := &o.states[i]
-		if i == win || (st.present && !st.ver.Less(w.ver)) {
+		if !st.below(w) {
 			continue
 		}
 		c.staleObserved++
 		c.telStaleObserved.Inc()
-		if !c.d.cfg.ReadRepair {
-			continue
-		}
 		c.repairIssued++
 		c.telRepairIssued.Inc()
 		// The sub-client copies the winning bytes before Put returns.
@@ -711,11 +629,8 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 // noteStaleRead counts a versioned read whose winner is below this
 // client's floor of completed writes, and queues the key for repair.
 func (c *Client) noteStaleRead(key kv.Key) {
-	c.staleReads++
 	c.telStaleReads.Inc()
-	if c.d.cfg.ReadRepair {
-		c.d.EnqueueRepair(key)
-	}
+	c.d.EnqueueRepair(key)
 }
 
 // onRepairAck counts a read-repair back-fill the replica acknowledged.

@@ -43,20 +43,21 @@ type Config struct {
 	// window classify it hot and start widening its reads across the
 	// replica set (default 32 when tracking is on).
 	HotKeyThreshold int
-	// Versioned switches the fleet to version-stamped replication:
-	// every write carries a kv.Version prefix ([epoch 8][seq 8]
+	// Versioned switches the fleet to versioned replication with
+	// repair: every write carries a kv.Version prefix ([epoch 8][seq 8]
 	// [flags 1]) inside the stored value, member servers apply
 	// mutations in stamp order (core.Config.VersionedValues), writes
 	// succeed only when EVERY replica acks (a straggler failure is a
 	// partial write, not a success), and reads fan to all replicas and
-	// return the highest-stamped state.
+	// return the highest-ranked state. Divergence is repaired: a read
+	// back-fills the winner onto every replica it caught behind, and
+	// partial writes and provably stale reads queue their key for the
+	// background reconciliation step that recovery catch-up also feeds
+	// (antientropy.go).
 	// Off by default — the paper's unversioned first-ack fan-out.
 	Versioned bool
-	// ReadRepair, with Versioned, back-fills divergent replicas: a
-	// read that observes a replica behind the winning version rewrites
-	// the winner to it, and partial writes and provably stale reads
-	// enqueue their key for the background reconciliation step that
-	// recovery catch-up also feeds (antientropy.go). Implies Versioned.
+	// ReadRepair is a synonym for Versioned: setting either turns on
+	// both.
 	ReadRepair bool
 }
 
@@ -106,13 +107,10 @@ func (c *Config) setDefaults() {
 	if c.HotKeyTrack > 0 && c.HotKeyThreshold < 1 {
 		c.HotKeyThreshold = 32
 	}
-	// Repair is meaningless without version stamps to order replica
-	// states, and stamps are only applied server-side when the member
-	// config says so.
-	if c.ReadRepair {
+	// ReadRepair is a synonym for Versioned, and stamps are only
+	// applied server-side when the member config says so.
+	if c.Versioned || c.ReadRepair {
 		c.Versioned = true
-	}
-	if c.Versioned {
 		c.Herd.VersionedValues = true
 	}
 }
@@ -198,9 +196,6 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 
 // Ring returns the routing ring.
 func (d *Deployment) Ring() *Ring { return d.ring }
-
-// Shards returns the number of shards.
-func (d *Deployment) Shards() int { return len(d.shards) }
 
 // Server returns shard id's server (nil for unknown ids).
 func (d *Deployment) Server(id int) *core.Server {

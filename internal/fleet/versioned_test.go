@@ -11,14 +11,13 @@ import (
 	"herdkv/internal/sim"
 )
 
-// newVersionedFleet builds a versioned (optionally read-repairing)
-// deployment on the fleet test scaffolding.
-func newVersionedFleet(t *testing.T, nShards, nClients int, seed int64, repair bool) (*cluster.Cluster, *Deployment, []*Client) {
+// newVersionedFleet builds a versioned deployment on the fleet test
+// scaffolding.
+func newVersionedFleet(t *testing.T, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
 	t.Helper()
 	cl := cluster.New(cluster.Apt(), nShards+nClients+1, seed)
 	cfg := testConfig()
 	cfg.Versioned = true
-	cfg.ReadRepair = repair
 	machines := make([]*cluster.Machine, nShards)
 	for i := range machines {
 		machines[i] = cl.Machine(i)
@@ -60,7 +59,7 @@ func stampedValue(epoch int64, seq uint64, payload string) []byte {
 }
 
 func TestVersionedRoundTrip(t *testing.T) {
-	cl, _, clients := newVersionedFleet(t, 3, 1, 11, true)
+	cl, _, clients := newVersionedFleet(t, 3, 1, 11)
 	c := clients[0]
 	key := kv.FromUint64(42)
 	val := []byte("versioned fleet value")
@@ -107,7 +106,7 @@ func TestPartialWriteCounter(t *testing.T) {
 // is successful only when EVERY replica acks; a straggler failure
 // surfaces as ErrPartialWrite.
 func TestVersionedPartialWriteFails(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 21, true)
+	cl, d, clients := newVersionedFleet(t, 3, 1, 21)
 	c := clients[0]
 	key := keyOnShard(t, d, 0, 1)
 
@@ -128,37 +127,51 @@ func TestVersionedPartialWriteFails(t *testing.T) {
 
 // TestReadRepairBackfill pins the read path: a replica caught behind
 // the winning version is back-filled with the winner during the read.
+// Versioned and ReadRepair are one switch, so setting either alone
+// repairs.
 func TestReadRepairBackfill(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 31, true)
-	c := clients[0]
-	key := keyOnShard(t, d, 0, 1)
-	fresh := stampedValue(int64(sim.Millisecond), 1, "fresh")
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"versioned", func(cfg *Config) { cfg.Versioned = true }},
+		{"read_repair", func(cfg *Config) { cfg.ReadRepair = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.set(&cfg)
+			cl, d, clients := newFleetWith(t, cfg, 3, 1, 31)
+			c := clients[0]
+			key := keyOnShard(t, d, 0, 1)
+			fresh := stampedValue(int64(sim.Millisecond), 1, "fresh")
 
-	var put kv.Result
-	c.Put(key, []byte("orig"), func(r kv.Result) { put = r })
-	cl.Eng.Run()
-	if put.Err != nil {
-		t.Fatalf("seed put = %+v", put)
-	}
-	// Inject divergence: shard 0 alone advances to a newer version.
-	if err := d.Server(0).Preload(key, fresh); err != nil {
-		t.Fatal(err)
-	}
+			var put kv.Result
+			c.Put(key, []byte("orig"), func(r kv.Result) { put = r })
+			cl.Eng.Run()
+			if put.Err != nil {
+				t.Fatalf("seed put = %+v", put)
+			}
+			// Inject divergence: shard 0 alone advances to a newer version.
+			if err := d.Server(0).Preload(key, fresh); err != nil {
+				t.Fatal(err)
+			}
 
-	var got kv.Result
-	c.Get(key, func(r kv.Result) { got = r })
-	cl.Eng.Run()
+			var got kv.Result
+			c.Get(key, func(r kv.Result) { got = r })
+			cl.Eng.Run()
 
-	if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "fresh" {
-		t.Fatalf("get = %+v (value %q), want the newest version", got, got.Value)
-	}
-	if c.StaleObserved() == 0 || c.RepairsIssued() == 0 || c.RepairsApplied() == 0 {
-		t.Fatalf("repair counters: stale=%d issued=%d applied=%d",
-			c.StaleObserved(), c.RepairsIssued(), c.RepairsApplied())
-	}
-	stored, ok := d.Server(1).Partition(mica.Partition(key, d.cfg.Herd.NS)).Get(key)
-	if !ok || !bytes.Equal(stored, fresh) {
-		t.Fatalf("replica 1 not back-filled: ok=%v stored=%x", ok, stored)
+			if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "fresh" {
+				t.Fatalf("get = %+v (value %q), want the newest version", got, got.Value)
+			}
+			if c.StaleObserved() == 0 || c.RepairsIssued() == 0 || c.RepairsApplied() == 0 {
+				t.Fatalf("repair counters: stale=%d issued=%d applied=%d",
+					c.StaleObserved(), c.RepairsIssued(), c.RepairsApplied())
+			}
+			stored, ok := shardHolds(d, 1, key)
+			if !ok || !bytes.Equal(stored, fresh) {
+				t.Fatalf("replica 1 not back-filled: ok=%v stored=%x", ok, stored)
+			}
+		})
 	}
 }
 
@@ -194,7 +207,7 @@ func TestCrashedReplicaStaleRead(t *testing.T) {
 	})
 
 	t.Run("repair_converges_before_crash", func(t *testing.T) {
-		cl, d, clients := newVersionedFleet(t, 3, 1, 41, true)
+		cl, d, clients := newVersionedFleet(t, 3, 1, 41)
 		c := clients[0]
 		key := keyOnShard(t, d, 0, 1)
 		var put kv.Result
@@ -228,7 +241,7 @@ func TestCrashedReplicaStaleRead(t *testing.T) {
 // write enqueues its key, and the sweep merges replicas to the highest
 // stamp without any read touching the key.
 func TestAntiEntropySweepConverges(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 51, true)
+	cl, d, clients := newVersionedFleet(t, 3, 1, 51)
 	c := clients[0]
 	key := keyOnShard(t, d, 0, 1)
 	fresh := stampedValue(int64(sim.Millisecond), 1, "fresh")
