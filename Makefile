@@ -53,9 +53,11 @@ tables:
 # the MICA index's Get/Put, its bulk load (BenchmarkLoad: ns per key
 # through Put against Load, on a herd-read-sized partition) and the mux
 # endpoint's scheduler at 64, 2,048 and 65,536 channels, which report
-# allocs/op and should all read 0.
+# allocs/op and should all read 0, and the WAL's durable-path preload
+# (BenchmarkAppendDurable: ns and allocs per record over fleet-write's
+# 131,072-record per-shard preload).
 microbench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/ ./internal/mux/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/ ./internal/mux/ ./internal/wal/
 
 # Non-test Go lines per package, then the module total, so a change
 # that deletes code can report before/after counts (run it on both

@@ -296,6 +296,34 @@ func TestLateDuplicateAckIgnored(t *testing.T) {
 	}
 }
 
+// TestRetriedSyncPutLogsPerExecution answers whether a retransmitted
+// sync PUT appends a second WAL record: it does. Under sync durability
+// with a 100us persist latency the client's retry timer fires while the
+// first execution waits on the device, and every server execution of
+// the PUT, duplicates included, logs its own record. So a retry adds
+// load to the very device it is waiting on.
+func TestRetriedSyncPutLogsPerExecution(t *testing.T) {
+	cfg := chaosConfig()
+	cfg.Window = 1
+	cfg.Durability = DurabilitySync
+	cfg.WAL = wal.Config{PersistLatency: 100 * sim.Microsecond}
+
+	cl, srv, c := chaosHERD(t, "", cfg)
+	var res Result
+	c.Put(kv.FromUint64(1), []byte("value of A"), func(r Result) { res = r })
+	cl.Eng.Run()
+	if res.Err != nil {
+		t.Fatalf("PUT failed: %v", res.Err)
+	}
+	_, _, puts := srv.Stats()
+	if c.Retries() != 2 || puts != 3 {
+		t.Fatalf("PUT retried %d times and executed %d times, want 2 and 3", c.Retries(), puts)
+	}
+	if got := srv.WAL().Appends(); got != puts {
+		t.Fatalf("WAL appended %d records for %d PUT executions, want one each", got, puts)
+	}
+}
+
 // TestQueuedDuplicateKeepsItsValue: a retry that fires while the
 // original is still in flight queues a duplicate PUT on the server
 // process. If the process is busy, the duplicate is still waiting when

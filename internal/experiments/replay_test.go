@@ -29,7 +29,7 @@ var replayDigests = map[string]string{
 	"fleet-chaos":   "183c0deb45b4d448aca6745f3d7a393566e116fb0338bd0c01959b6e6fdefa2a",
 	"overload":      "2acb8142174b76f553b012921b0f8ccbe5f016fa3182262a67550ff56c7a234d",
 	"clients-sweep": "063636406816aa0e01c37576c41db15ab5e1bc45c2085591a8468e9b46f97a8f",
-	"durability":    "52cb846077f71c1772bbf3aa782744983d39b57742bed5af4a1c8f3c76531a1d",
+	"durability":    "9c9f76832b9698e597eb3dfc63804ea457f83b52daee8005d8a119180b1870b7",
 	"hotkey":        "69afc5916cf3a8e7975fea5ab6f08c8cc1286b843dd39a6a3185d341a4bd8dde",
 	"consistency":   "b6744a96e6b7d53dcd596076fc2d3b1bd5f071257bd2069698ff8ef83390cf31",
 

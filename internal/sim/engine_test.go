@@ -218,6 +218,13 @@ func TestServerUtilization(t *testing.T) {
 	if u := s.Utilization(); u != 0 {
 		t.Fatalf("utilization at t=0 = %v, want 0", u)
 	}
+	// At 10ns the 30ns job has served a third of itself; the 20ns
+	// still booked lies in the future and does not count.
+	e.At(10*Nanosecond, func() {
+		if u := s.Utilization(); u != 1 {
+			t.Fatalf("utilization at 10ns = %v, want 1", u)
+		}
+	})
 	e.At(60*Nanosecond, func() {})
 	e.Run()
 	if u := s.Utilization(); u < 0.499 || u > 0.501 {

@@ -19,13 +19,18 @@ func (s *Server) Jobs() uint64 { return s.jobs }
 // BusyTime returns the total busy time accumulated so far.
 func (s *Server) BusyTime() Time { return s.busy }
 
-// Utilization reports the busy fraction of [0, now].
+// Utilization reports the busy fraction of [0, now]: work already
+// served, not work booked past now, so it never exceeds 1.
 func (s *Server) Utilization() float64 {
 	now := s.eng.Now()
 	if now == 0 {
 		return 0
 	}
-	return float64(s.busy) / float64(now)
+	served := s.busy
+	if s.freeAt > now {
+		served -= s.freeAt - now
+	}
+	return float64(served) / float64(now)
 }
 
 // Submit enqueues a job with the given service time. done (if non-nil)

@@ -12,8 +12,8 @@ import (
 // buffer, which keeps its capacity across batches, and a commit cycle —
 // appends with sync-durability callbacks, a forced flush, the device
 // write landing, the interval timer firing — reuses pooled flight and
-// timer records, so once warm only the durable log's amortized growth
-// allocates.
+// timer records, so once warm only a new durable segment allocates,
+// once per segSize bytes logged.
 func TestHotpathAllocFree(t *testing.T) {
 	eng := sim.New()
 	cfg := testConfig()
@@ -27,7 +27,9 @@ func TestHotpathAllocFree(t *testing.T) {
 		l.Append(r, nil)
 	}
 	l.pending, l.npending = l.pending[:0], 0
-	buf := make([]byte, 0, 4*len(appendRecord(nil, r)))
+	frame := appendRecord(nil, r)
+	buf := make([]byte, 0, 4*len(frame))
+	var segs segments
 
 	ceng := sim.New()
 	cl := New(ceng, testConfig(), nil)
@@ -51,6 +53,11 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Log.commitFlush": commit,
 		"flight.Fire":     commit,
 		"flushTimer.Fire": commit,
+		"segments.fit":    func() { _ = segs.fit(len(frame)) },
+		"segments.addFrames": func() {
+			segs.addFrames(frame)
+			segs.truncate(0)
+		},
 	})
 	if acked == 0 || acked%8 != 0 || cl.Pending() != 0 {
 		t.Fatalf("commit cycles acked %d appends with %d still pending", acked, cl.Pending())

@@ -139,14 +139,6 @@ func decodeFrame(frame []byte) Record {
 	return r
 }
 
-// decodeAll decodes the records of buf's longest clean prefix, and
-// returns them with that prefix's byte length and how many trailing
-// bytes were torn.
-func decodeAll(buf []byte) (recs []Record, clean int, torn int) {
-	clean = walkFrames(buf, func(f []byte) { recs = append(recs, decodeFrame(f)) })
-	return recs, clean, len(buf) - clean
-}
-
 // Config parameterizes the log's group commit and persist device.
 // Zero values take the defaults below (an NVM-class device).
 type Config struct {
@@ -162,8 +154,11 @@ type Config struct {
 	// BytesPerSec is the device's sequential write (and recovery read)
 	// bandwidth (default 2 GB/s).
 	BytesPerSec float64
-	// SnapshotEvery triggers snapshot compaction after this many bytes
-	// of durable log growth (default 1 MiB; negative disables).
+	// SnapshotEvery triggers snapshot compaction after the durable log
+	// has grown this many bytes since the last compaction (default 1 MiB;
+	// negative disables). Records made durable before the run starts
+	// (AppendDurable at instant zero) are the starting image and do not
+	// count as growth.
 	SnapshotEvery int
 	// ReplayApply is the CPU cost of re-applying one record into the
 	// MICA partitions during recovery (default 20ns).
@@ -235,9 +230,12 @@ type RecoverStats struct {
 }
 
 // Log is one shard's write-ahead log. Like every model component it is
-// single-goroutine, driven entirely by the sim clock.
+// single-goroutine, driven entirely by the sim clock. The durable log
+// and the snapshot are chains of fixed-size segments (see segments):
+// logging copies each byte once, and compaction releases the segments
+// it covered instead of copying the tail it keeps.
 type Log struct {
-	clk sim.Clock
+	eng *sim.Engine
 	cfg Config
 	dev *sim.Server
 
@@ -251,9 +249,9 @@ type Log struct {
 	npending   int
 	pendingAt  sim.Time
 	pendingCbs []func()
-	durable    []byte
-	snapshot   []byte
-	snapBase   int // len(durable) right after the last compaction
+	durable    segments
+	snapshot   segments
+	snapBase   int // durable bytes that do not count toward SnapshotEvery
 	lastDurAt  sim.Time
 	inflight   *flight
 	snapInProg bool
@@ -283,7 +281,7 @@ type Log struct {
 
 // New returns an empty log on eng. tel may be nil.
 func New(eng *sim.Engine, cfg Config, tel *telemetry.Sink) *Log {
-	l := &Log{clk: eng, cfg: cfg.withDefaults(), maxEpoch: -1}
+	l := &Log{eng: eng, cfg: cfg.withDefaults(), maxEpoch: -1}
 	l.dev = sim.NewServer(eng)
 	l.telAppends = tel.Counter("wal.appends")
 	l.telFlushes = tel.Counter("wal.flushes")
@@ -324,7 +322,7 @@ func (l *Log) Append(r Record, onDurable func()) {
 	if l.crashed {
 		return
 	}
-	r.At = l.clk.Now()
+	r.At = l.eng.Now()
 	if r.Epoch > l.maxEpoch {
 		l.maxEpoch = r.Epoch
 	}
@@ -347,19 +345,26 @@ func (l *Log) Append(r Record, onDurable func()) {
 // group commit and the persist device. This is the control-plane path
 // for Server.Preload: preloaded state models data loaded before the
 // run starts, so it must be in the log from instant zero — otherwise a
-// crash before the first flush would replay to a pre-preload view.
+// crash before the first flush would replay to a pre-preload view. A
+// record logged at instant zero, before any event has run, is part of
+// that starting image, not log growth: it moves the compaction base
+// past itself, so it never triggers a snapshot. It stays in the log,
+// so RecordsSince still returns it.
 func (l *Log) AppendDurable(r Record) {
 	if l.crashed {
 		return
 	}
-	r.At = l.clk.Now()
+	r.At = l.eng.Now()
 	if r.Epoch > l.maxEpoch {
 		l.maxEpoch = r.Epoch
 	}
 	l.appends++
 	l.telAppends.Inc()
-	l.durable = appendRecord(l.durable, r)
+	l.durable.add(r)
 	l.lastDurAt = r.At
+	if r.At == 0 && l.eng.Processed() == 0 {
+		l.snapBase = l.durable.n
+	}
 }
 
 // Flush forces a group commit of everything pending now (sync
@@ -391,7 +396,7 @@ func (l *Log) armTimer() {
 		t = &flushTimer{l: l} //lint:allow hotalloc — pool miss; the pool grows to the timers in flight
 	}
 	t.gen = l.gen
-	l.clk.AfterHandler(l.cfg.FlushInterval, t)
+	l.eng.AfterHandler(l.cfg.FlushInterval, t)
 }
 
 // Fire runs the interval flush, unless a crash since arming made the
@@ -446,7 +451,7 @@ func (l *Log) startFlush() {
 	fl.cbs, l.pendingCbs = l.pendingCbs, fl.cbs
 	fl.n, l.npending = l.npending, 0
 	fl.lastAt = l.pendingAt
-	fl.start = l.clk.Now()
+	fl.start = l.eng.Now()
 	fl.dur = l.xfer(len(fl.buf)) + l.cfg.PersistLatency
 	l.inflight = fl
 	l.dev.SubmitHandler(fl.dur, fl)
@@ -472,7 +477,7 @@ func (fl *flight) Fire(sim.Time) {
 //herd:hotpath
 func (l *Log) commitFlush(fl *flight) {
 	l.inflight = nil
-	l.durable = append(l.durable, fl.buf...)
+	l.durable.addFrames(fl.buf)
 	l.lastDurAt = fl.lastAt
 	l.flushes++
 	l.flushedBytes += uint64(len(fl.buf))
@@ -491,58 +496,49 @@ func (l *Log) commitFlush(fl *flight) {
 
 // maybeSnapshot starts a compaction when the durable log has grown
 // past the threshold: the live state (via the snapshot source) is
-// persisted as a fresh snapshot, and on completion the log truncates
-// every record the snapshot already covers. A crash mid-snapshot
+// persisted as a fresh snapshot, and on completion the log drops every
+// record the snapshot already covers. A crash mid-snapshot
 // cancels it cleanly — the swap is atomic at completion, so recovery
 // always sees either the old (snapshot, log) pair or the new one.
 func (l *Log) maybeSnapshot() {
 	if l.cfg.SnapshotEvery <= 0 || l.source == nil || l.snapInProg || l.inflight != nil {
 		return
 	}
-	if len(l.durable)-l.snapBase < l.cfg.SnapshotEvery {
+	if l.durable.n-l.snapBase < l.cfg.SnapshotEvery {
 		return
 	}
-	takenAt := l.clk.Now()
+	takenAt := l.eng.Now()
 	// The snapshot covers exactly the durable bytes logged so far. The
 	// log grows only at its end while the snapshot holds the device (no
 	// flush can commit, and a crash cancels the snapshot), so the bytes
 	// past covered are the tail to keep, even those appended later at
 	// this same instant.
-	covered := len(l.durable)
+	covered := l.durable.n
 	epoch := l.maxEpoch
 	if epoch < 0 {
 		epoch = 0
 	}
-	// The live state is at most the old snapshot plus every durable
-	// record since, so reserving that much builds the buffer without
-	// regrowth (append still grows it if the source holds more).
-	buf := make([]byte, 0, len(l.snapshot)+len(l.durable))
+	var snap segments
 	l.source(func(key kv.Key, value []byte) {
-		buf = appendRecord(buf, Record{Key: key, Value: value, Epoch: epoch, At: takenAt})
+		snap.add(Record{Key: key, Value: value, Epoch: epoch, At: takenAt})
 	})
 	l.snapInProg = true
 	gen := l.gen
-	dur := l.xfer(len(buf)) + l.cfg.PersistLatency
+	dur := l.xfer(snap.n) + l.cfg.PersistLatency
 	l.dev.Submit(dur, func(sim.Time) {
 		if gen != l.gen {
 			return
 		}
 		l.snapInProg = false
-		l.snapshot = buf
+		l.snapshot = snap
 		l.snapshots++
-		l.snapshotBytes += uint64(len(buf))
-		l.telSnapshot.Add(uint64(len(buf)))
-		// Drop every durable record the snapshot covers, and copy the
-		// rest into a tail of exactly its size (nil when empty);
-		// replay order (snapshot, then tail) keeps last-writer-wins
+		l.snapshotBytes += uint64(snap.n)
+		l.telSnapshot.Add(uint64(snap.n))
+		// Drop every durable record the snapshot covers; replay order
+		// (snapshot, then the rest of the log) keeps last-writer-wins
 		// intact.
-		var tail []byte
-		if n := len(l.durable) - covered; n > 0 {
-			tail = make([]byte, n)
-			copy(tail, l.durable[covered:])
-		}
-		l.durable = tail
-		l.snapBase = len(l.durable)
+		l.durable.drop(covered)
+		l.snapBase = l.durable.n
 		if l.flushDue || l.npending >= l.cfg.FlushBatch {
 			l.flushDue = false
 			l.kick()
@@ -602,7 +598,7 @@ func (l *Log) crashAt(cut int) {
 	if fl := l.inflight; fl != nil {
 		n := cut
 		if n < 0 {
-			elapsed := l.clk.Now() - fl.start
+			elapsed := l.eng.Now() - fl.start
 			if fl.dur > 0 {
 				n = int(float64(len(fl.buf)) * float64(elapsed) / float64(fl.dur))
 			}
@@ -611,7 +607,7 @@ func (l *Log) crashAt(cut int) {
 			n = len(fl.buf)
 		}
 		if n > 0 {
-			l.durable = append(l.durable, fl.buf[:n]...)
+			l.durable.addFrames(fl.buf[:n])
 		}
 		l.inflight = nil
 	}
@@ -626,10 +622,11 @@ func (l *Log) crashAt(cut int) {
 // recovering server stays down for a duration the experiment can
 // measure.
 func (l *Log) Recover(apply func(Record), done func(RecoverStats)) {
-	readBytes := len(l.snapshot) + len(l.durable)
-	snapRecs, _, _ := decodeAll(l.snapshot)
-	logRecs, clean, torn := decodeAll(l.durable)
-	l.durable = l.durable[:clean]
+	readBytes := l.snapshot.n + l.durable.n
+	snapRecs, _ := l.snapshot.decode()
+	logRecs, clean := l.durable.decode()
+	torn := l.durable.n - clean
+	l.durable.truncate(clean)
 	l.snapBase = clean
 	if torn > 0 {
 		l.tornBytes += uint64(torn)
@@ -685,7 +682,7 @@ func (l *Log) RecordsSince(t sim.Time) []Record {
 			out = append(out, decodeFrame(f))
 		}
 	}
-	walkFrames(l.durable, collect)
+	l.durable.walk(collect)
 	if fl := l.inflight; fl != nil {
 		walkFrames(fl.buf, collect)
 	}
@@ -709,10 +706,10 @@ func (l *Log) Pending() int {
 
 // DurableBytes reports the current durable log size (post-compaction
 // tail only).
-func (l *Log) DurableBytes() int { return len(l.durable) }
+func (l *Log) DurableBytes() int { return l.durable.n }
 
 // SnapshotLen reports the current snapshot size in bytes.
-func (l *Log) SnapshotLen() int { return len(l.snapshot) }
+func (l *Log) SnapshotLen() int { return l.snapshot.n }
 
 // Stats snapshot accessors.
 
