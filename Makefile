@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-check tables microbench loc unrun
+.PHONY: all build vet lint lint-fix test race bench bench-check tables microbench loc unrun sensitivity
 
 all: build vet lint test
 
@@ -106,3 +106,12 @@ unrun:
 	grep -v '^herdkv/bench/' "$$tmp/all.txt" >"$$tmp/herdkv.txt"; \
 	$(GO) tool cover -func="$$tmp/herdkv.txt" | \
 		awk '$$NF == "0.0%" && $$1 ~ /^herdkv\/internal\// && $$1 !~ /^herdkv\/internal\/lint\//'
+
+# The parameter sensitivity matrix, docs/SENSITIVITY.md: every report
+# target at the shortened windows on both presets, once as defined and
+# once with each numeric cluster.Spec field scaled x0.9 and x1.1, each
+# metric diffed against the unperturbed run. About 30 minutes on a
+# 2-core host, so not part of `make test`; TestSensitivityRows (tier-1)
+# checks that the committed matrix covers every field.
+sensitivity:
+	$(GO) test -tags sensitivity -run '^TestSensitivity$$' -count=1 -timeout 0 -v ./internal/experiments/

@@ -22,14 +22,7 @@ func AblationArchitecture(spec cluster.Spec) (*Table, *Report) {
 		Title:   fmt.Sprintf("Request architecture vs client count (Mops) — %s", spec.Name),
 		Columns: []string{"clients", "WRITE/SEND (UC)", "SEND/SEND (UD)", "WRITE/SEND (DC)"},
 	}
-	saveW, saveS := Warmup, Span
-	if Span < 600*sim.Microsecond {
-		Span = 600 * sim.Microsecond
-	}
-	if Warmup < 200*sim.Microsecond {
-		Warmup = 200 * sim.Microsecond
-	}
-	defer func() { Warmup, Span = saveW, saveS }()
+	warmup, span := max(Warmup, 200*sim.Microsecond), max(Span, 600*sim.Microsecond)
 	rep := newReport("ablation-arch", spec)
 	for _, nc := range []int{50, 150, 260, 400, 500} {
 		row := []string{fmt.Sprintf("%d", nc)}
@@ -38,7 +31,7 @@ func AblationArchitecture(spec cluster.Spec) (*Table, *Report) {
 			cfg.Clients = nc
 			cfg.SendMode = mode == "send-send"
 			cfg.DCMode = mode == "hybrid-dc"
-			row = append(row, rep.Arm(fmt.Sprintf("clients=%d/%s", nc, mode)).e2e(RunE2E(cfg)))
+			row = append(row, rep.Arm(fmt.Sprintf("clients=%d/%s", nc, mode)).e2e(runE2E(cfg, warmup, span)))
 		}
 		t.AddRow(row...)
 	}

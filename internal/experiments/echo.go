@@ -75,7 +75,7 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 		}
 	}
 	signaled := !opts.unsignaled
-	inline := opts.inlined && size <= 256
+	inline := opts.inlined && size <= spec.NIC.InlineMax
 
 	var count uint64
 	nextCore := 0

@@ -184,7 +184,12 @@ func newGenFor(cfg E2EConfig, i int) *workload.Generator {
 // steady state over Span after Warmup. Every 64th op a client issues
 // is verified, if it is a GET hit, against the value the generator
 // writes. Figs 9–14, their ablations and cmd/herdload all measure here.
-func RunE2E(cfg E2EConfig) E2EResult {
+func RunE2E(cfg E2EConfig) E2EResult { return runE2E(cfg, Warmup, Span) }
+
+// runE2E is RunE2E over the given windows, for the targets that need
+// longer ones; it leaves the package windows alone, so targets can run
+// concurrently.
+func runE2E(cfg E2EConfig, warmup, span sim.Time) E2EResult {
 	cl, clients, perCore := buildSystem(cfg)
 
 	var completed, hits, gets, verifyErr uint64
@@ -207,17 +212,17 @@ func RunE2E(cfg E2EConfig) E2EResult {
 		}
 	})
 
-	cl.Eng.RunFor(Warmup)
+	cl.Eng.RunFor(warmup)
 	measuring = true
 	var beforeCore []uint64
 	if perCore != nil {
 		beforeCore = perCore()
 	}
 	start := completed
-	cl.Eng.RunFor(Span)
+	cl.Eng.RunFor(span)
 
 	res := E2EResult{
-		Mops:      stats.Throughput(completed-start, Span),
+		Mops:      stats.Throughput(completed-start, span),
 		Mean:      rec.Mean(),
 		P5:        rec.Percentile(5),
 		P50:       rec.Percentile(50),
@@ -233,7 +238,7 @@ func RunE2E(cfg E2EConfig) E2EResult {
 		after := perCore()
 		res.PerCore = make([]float64, len(after))
 		for i := range after {
-			res.PerCore[i] = stats.Throughput(after[i]-beforeCore[i], Span)
+			res.PerCore[i] = stats.Throughput(after[i]-beforeCore[i], span)
 		}
 	}
 	return res
@@ -249,13 +254,22 @@ func ternary(c bool, a, b float64) float64 {
 // Fig9Throughput reproduces Figure 9: end-to-end throughput for 48 B
 // items under 5%, 50% and 100% PUT workloads, on both clusters.
 func Fig9Throughput(_ cluster.Spec) (*Table, *Report) {
+	return fig9(cluster.Apt(), cluster.Susitna())
+}
+
+// fig9 runs Figure 9 on each of specs; the report's cluster is their
+// names joined by "+".
+func fig9(specs ...cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig9",
 		Title:   "End-to-end throughput (Mops), 48 B items (SK=16, SV=32)",
 		Columns: []string{"cluster", "PUT%", SysPilaf, SysFaRM, SysFaRMVar, SysHERD},
 	}
-	rep := newReport("fig9", cluster.Spec{Name: "Apt+Susitna"})
-	for _, spec := range []cluster.Spec{cluster.Apt(), cluster.Susitna()} {
+	rep := newReport("fig9", specs[0])
+	for i, spec := range specs {
+		if i > 0 {
+			rep.Cluster += "+" + spec.Name
+		}
 		for _, putPct := range []int{5, 50, 100} {
 			row := []string{spec.Name, fmt.Sprintf("%d%%", putPct)}
 			for _, sys := range AllSystems {
@@ -266,11 +280,12 @@ func Fig9Throughput(_ cluster.Spec) (*Table, *Report) {
 			t.AddRow(row...)
 		}
 	}
-	// "over 2X higher than FaRM-KV and Pilaf", read-intensive on Apt.
-	apt := func(sys string) float64 { return rep.Arms["Apt/put=5/"+sys]["mops"].Value }
+	// "over 2X higher than FaRM-KV and Pilaf", read-intensive on the
+	// first cluster (Apt).
+	first := func(sys string) float64 { return rep.Arms[specs[0].Name+"/put=5/"+sys]["mops"].Value }
 	shape := rep.Arm("shape")
-	shape.Set("herd_over_pilaf", ratio(apt(SysHERD), apt(SysPilaf)), "x", Higher)
-	shape.Set("herd_over_farm_var", ratio(apt(SysHERD), apt(SysFaRMVar)), "x", Higher)
+	shape.Set("herd_over_pilaf", ratio(first(SysHERD), first(SysPilaf)), "x", Higher)
+	shape.Set("herd_over_farm_var", ratio(first(SysHERD), first(SysFaRMVar)), "x", Higher)
 	t.AddNote("51 client processes (3 per machine), 6 server cores, window 4")
 	return t, rep
 }

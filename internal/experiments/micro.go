@@ -14,7 +14,8 @@ var payloadSizes = []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // Fig2Latency reproduces Figure 2: average latency of WR-INLINE, WRITE,
 // READ (signaled, over RC) and ECHO (inlined unsignaled WRITEs over UC)
-// across payload sizes. Inline-dependent series stop at 256 B.
+// across payload sizes. Inline-dependent series stop at the NIC's
+// InlineMax.
 func Fig2Latency(spec cluster.Spec) (*Table, *Report) {
 	t := &Table{
 		ID:      "fig2",
@@ -23,10 +24,11 @@ func Fig2Latency(spec cluster.Spec) (*Table, *Report) {
 	}
 	rep := newReport("fig2", spec)
 	reps := 64
+	inlineMax := spec.NIC.InlineMax
 	for _, size := range payloadSizes {
 		m := rep.Arm(fmt.Sprintf("size=%d", size))
 		wrInline, echo, half := "-", "-", "-"
-		if size <= 256 {
+		if size <= inlineMax {
 			wrInline = m.us("wr_inline_us", signaledVerbLatency(spec, verbs.WRITE, size, true, reps).Microseconds())
 			e := echoLatency(spec, size, reps).Microseconds()
 			echo = m.us("echo_us", e)
@@ -36,7 +38,7 @@ func Fig2Latency(spec cluster.Spec) (*Table, *Report) {
 		read := m.us("read_us", signaledVerbLatency(spec, verbs.READ, size, false, reps).Microseconds())
 		t.AddRow(fmt.Sprintf("%d", size), wrInline, write, read, echo, half)
 	}
-	t.AddNote("WR-INLINE and ECHO use inlined payloads (max 256 B); ECHO = two unsignaled inlined WRITEs over UC")
+	t.AddNote(fmt.Sprintf("WR-INLINE and ECHO use inlined payloads (max %d B); ECHO = two unsignaled inlined WRITEs over UC", inlineMax))
 	return t, rep
 }
 
@@ -141,7 +143,7 @@ func Fig3Inbound(spec cluster.Spec) (*Table, *Report) {
 			rep.Arm("shape").Set("write_over_read", ratio(wUC, rRC), "x", Higher)
 		}
 	}
-	t.AddNote("16 client processes on 8 machines, window-gated; WRITEs inlined up to 256 B")
+	t.AddNote(fmt.Sprintf("16 client processes on 8 machines, window-gated; WRITEs inlined up to %d B", spec.NIC.InlineMax))
 	return t, rep
 }
 
@@ -190,7 +192,7 @@ func inboundMops(spec cluster.Spec, tr wire.Transport, verb verbs.Verb, size int
 				mustPost(cq.PostSend(verbs.SendWR{
 					Verb: verbs.WRITE, Data: payload,
 					Remote: srvMR, RemoteOff: p * 1024,
-					Inline: size <= 256,
+					Inline: size <= spec.NIC.InlineMax,
 				}))
 			}
 		}
@@ -243,7 +245,7 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 			if err := verbs.Connect(sq, cq); err != nil {
 				panic(err)
 			}
-			inline := kind == "wr-inline" && size <= 256
+			inline := kind == "wr-inline" && size <= spec.NIC.InlineMax
 			post = func() {
 				mustPost(sq.PostSend(verbs.SendWR{Verb: verbs.WRITE, Data: payload, Remote: cliMR, Inline: inline}))
 			}
@@ -257,7 +259,7 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 				mustPost(cq.PostRecv(cliMR, 0, 4096, 0))
 			}
 			post = func() {
-				mustPost(sq.PostSend(verbs.SendWR{Verb: verbs.SEND, Data: payload, Dest: cq, Inline: size <= 256}))
+				mustPost(sq.PostSend(verbs.SendWR{Verb: verbs.SEND, Data: payload, Dest: cq, Inline: size <= spec.NIC.InlineMax}))
 			}
 			cq.RecvCQ().SetHandler(func(verbs.Completion) {
 				count++

@@ -35,9 +35,9 @@ var replayDigests = map[string]string{
 
 	// The verb-level targets: their closed loops repost from their own
 	// completion handlers.
-	"fig3":              "409ae6d9abc08ff2a93a7a50a89b1cd599bf01c361c06ad8f6c31d813d3359d4",
+	"fig3":              "cabf09aad1ae4da8d8fa83efb4711bb14e460a3ffbd829aaca009035c6affddc",
 	"fig4":              "493bfabb63b09dcd8c391e03670c4b917260548719fde074ad34aefb1da937cd",
-	"fig5":              "7e8e92b84ce537a0ab18787cd7953ac4dcfb2fa503c684a557d5e24fdf9e4544",
+	"fig5":              "6cbc090b2b03e9912a2be3603edbe5b5fe012a538676e5033c221bbcd8bdbca8",
 	"fig6":              "82bc44f83d227acee8d0f22d5061bfa3f4d7bf1efacfb4a387395d354479eb2d",
 	"fig7":              "e6fb135f8a5242379ebcaa74755b33161ad99421aca76648859098759c01b21b",
 	"ablation-doorbell": "32c3cc0b633b6afb1a415a20910fcd7cbde7c2963fd55eed0f28419cc28525a1",

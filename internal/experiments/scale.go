@@ -22,14 +22,7 @@ func Fig12ClientScaling(spec cluster.Spec) (*Table, *Report) {
 	// Hundreds of closed-loop clients make the system burst-synchronize;
 	// average over a longer steady-state window than the other figures
 	// so the oscillation washes out.
-	saveW, saveS := Warmup, Span
-	if Warmup < 250*sim.Microsecond {
-		Warmup = 250 * sim.Microsecond
-	}
-	if Span < 900*sim.Microsecond {
-		Span = 900 * sim.Microsecond
-	}
-	defer func() { Warmup, Span = saveW, saveS }()
+	warmup, span := max(Warmup, 250*sim.Microsecond), max(Span, 900*sim.Microsecond)
 	rep := newReport("fig12", spec)
 	sweep := []int{50, 100, 150, 200, 260, 320, 400, 500}
 	ws4 := make([]float64, len(sweep))
@@ -41,7 +34,7 @@ func Fig12ClientScaling(spec cluster.Spec) (*Table, *Report) {
 			cfg.PerMachine = 3 // the paper spreads 3 processes per machine
 			cfg.Window = ws
 			cfg.GetFraction = 0.95
-			r := RunE2E(cfg)
+			r := runE2E(cfg, warmup, span)
 			if ws == 4 {
 				ws4[i] = r.Mops
 			}

@@ -25,8 +25,7 @@ type Params struct {
 	RxSend     sim.Time // responder processing of an inbound SEND (includes RECV WQE handling)
 	RxReadReq  sim.Time // responder processing of an inbound READ request
 	RxReadResp sim.Time // requester processing of a returning READ response
-	TxAck      sim.Time // responder cost to emit an RC ACK
-	RxAck      sim.Time // requester cost to absorb an RC ACK
+	RxAck      sim.Time // requester cost to absorb an RC ACK, charged when the WRITE/SEND is issued
 
 	// Optimization deltas (Figure 5's "basic -> +unreliable ->
 	// +unsignaled -> +inlined" ladder).
@@ -36,7 +35,7 @@ type Params struct {
 	// flat rate of small non-inlined outbound WRITEs in Figure 4.
 	NonInlineExtra sim.Time
 	RCReqExtra     sim.Time // extra requester PU work per RC verb (retransmit state)
-	RCRespExtra    sim.Time // extra responder PU work per RC verb
+	RCRespExtra    sim.Time // extra responder PU work per inbound RC WRITE/SEND, including its ACK
 
 	// WQE geometry for the PIO path.
 	WQEBaseRC int // WQE bytes before inline payload, RC/UC transports
@@ -53,12 +52,6 @@ type Params struct {
 	RecvCtxCap int      // responder-side receive contexts cached
 	CtxMissPU  sim.Time // PU stall charged when a context misses
 	CtxMissLat sim.Time // added latency of the PCIe context fetch
-
-	// DCRetargetPU is the extra requester-side work when a Dynamically
-	// Connected initiator switches to a different peer than its previous
-	// message (the in-band connect/disconnect micro-handshake of
-	// Connect-IB's DC transport, Section 5.5).
-	DCRetargetPU sim.Time
 }
 
 // ConnectX3 returns parameters for a ConnectX-3-class RNIC.
@@ -70,13 +63,12 @@ func ConnectX3() Params {
 		RxSend:     sim.NS(40),
 		RxReadReq:  sim.NS(38),
 		RxReadResp: sim.NS(22),
-		TxAck:      sim.NS(2),
 		RxAck:      sim.NS(2),
 
 		SignaledExtra:  sim.NS(25),
 		NonInlineExtra: sim.NS(80),
 		RCReqExtra:     sim.NS(10),
-		RCRespExtra:    sim.NS(2),
+		RCRespExtra:    sim.NS(4),
 
 		WQEBaseRC: 36,
 		WQEBaseUD: 48,
@@ -89,7 +81,5 @@ func ConnectX3() Params {
 		RecvCtxCap: 280,
 		CtxMissPU:  sim.NS(120),
 		CtxMissLat: sim.NS(400),
-
-		DCRetargetPU: sim.NS(40),
 	}
 }

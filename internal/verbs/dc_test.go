@@ -118,30 +118,3 @@ func TestDCSharedResponderContext(t *testing.T) {
 		}
 	}
 }
-
-func TestDCRetargetCostOnlyOnPeerSwitch(t *testing.T) {
-	// Alternating between two peers pays the reconnect each time;
-	// staying with one peer pays it once.
-	elapsed := func(alternate bool) sim.Time {
-		tb := newTestbed()
-		tb.net.AddNode(2)
-		src := tb.a.CreateQP(wire.DC)
-		d1 := tb.b.CreateQP(wire.DC)
-		d2 := tb.b.CreateQP(wire.DC) // same host, different QP — still a retarget
-		mr := tb.b.RegisterMR(4096)
-		n := 200
-		for i := 0; i < n; i++ {
-			dst := d1
-			if alternate && i%2 == 1 {
-				dst = d2
-			}
-			src.PostSend(SendWR{Verb: WRITE, Data: []byte{1}, Dest: dst, Remote: mr, RemoteOff: i, Inline: true})
-		}
-		tb.eng.Run()
-		return tb.eng.Now()
-	}
-	same, alt := elapsed(false), elapsed(true)
-	if alt <= same {
-		t.Fatalf("alternating peers (%v) should cost more than a stable peer (%v)", alt, same)
-	}
-}

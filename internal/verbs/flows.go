@@ -170,11 +170,11 @@ func (qp *QP) issue(op *sendOp) {
 	}
 	if reliable(qp.transport) {
 		work += p.RCReqExtra
-	}
-	if qp.transport == wire.DC && op.dst != qp.lastDest {
-		// DC initiators re-target with an in-band connect handshake.
-		work += p.DCRetargetPU
-		qp.lastDest = op.dst
+		if op.wr.Verb != READ {
+			// The requester's share of the RC ACK that will complete
+			// this WRITE or SEND.
+			work += p.RxAck
+		}
 	}
 	if !op.inline && len(op.payload) > 0 {
 		work += p.NonInlineExtra
@@ -412,28 +412,24 @@ func (qp *QP) deliverReadResponse(op *sendOp, data []byte) {
 	})
 }
 
-// sendAck emits an RC acknowledgement back to the requester.
+// sendAck emits an RC acknowledgement back to the requester. Its NIC
+// work is charged to the verb it acknowledges: RCRespExtra at the
+// responder, RxAck in the requester's post-time job.
 func (qp *QP) sendAck(src *QP) {
 	n := qp.host.nic
-	p := n.Params()
-	n.PU(p.TxAck, func(sim.Time) {
-		n.Net().SendWire(n.Node(), src.host.Node(), n.Net().Params().HdrAck, func(sim.Time) {
-			src.deliverAck()
-		})
+	n.Net().SendWire(n.Node(), src.host.Node(), n.Net().Params().HdrRC, func(sim.Time) {
+		src.deliverAck()
 	})
 }
 
 // deliverAck completes the oldest un-ACKed RC WRITE/SEND at the
 // requester (RC delivers strictly in order).
 func (qp *QP) deliverAck() {
-	n := qp.host.nic
-	n.PU(n.Params().RxAck, func(sim.Time) {
-		if qp.errored || qp.awaitingAck.Len() == 0 {
-			return
-		}
-		pa := qp.awaitingAck.Pop()
-		if pa.wr.Signaled {
-			qp.signalCompletion(pa.wr, pa.bytes)
-		}
-	})
+	if qp.errored || qp.awaitingAck.Len() == 0 {
+		return
+	}
+	pa := qp.awaitingAck.Pop()
+	if pa.wr.Signaled {
+		qp.signalCompletion(pa.wr, pa.bytes)
+	}
 }

@@ -253,10 +253,6 @@ type QP struct {
 	// outstandingReads counts in-flight READs against ReadWindow.
 	outstandingReads int
 
-	// lastDest tracks a DC initiator's current peer; switching peers
-	// costs the in-band reconnect.
-	lastDest *QP
-
 	// txGate and rxGate preserve per-QP FIFO ordering across context-
 	// cache miss stalls: a context fetch stalls this QP's pipeline, so a
 	// later verb never overtakes an earlier one on the same QP.

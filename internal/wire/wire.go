@@ -24,8 +24,6 @@ type Params struct {
 	// UD packets carry a larger header (the paper notes SEND-UD's
 	// throughput drops at smaller payloads than WRITE's because of it).
 	HdrRC, HdrUC, HdrUD int
-	// HdrAck is the size of an RC acknowledgement packet.
-	HdrAck int
 	// MTU is the maximum payload per packet.
 	MTU int
 	// LossRate is the probability a packet is dropped (bit error).
@@ -43,7 +41,6 @@ func InfiniBand56() Params {
 		HdrRC:     36,
 		HdrUC:     36,
 		HdrUD:     68,
-		HdrAck:    30,
 		MTU:       4096,
 	}
 }
@@ -57,7 +54,6 @@ func RoCE40() Params {
 		HdrRC:     58, // RoCE adds Ethernet + GRH framing
 		HdrUC:     58,
 		HdrUD:     90,
-		HdrAck:    52,
 		MTU:       4096,
 	}
 }
