@@ -51,7 +51,8 @@ tables:
 # microbenchmarks (engine schedule+step, one event against a standing
 # queue shaped like fleet-write's, Server job, PIO write, packet send),
 # the MICA index's Get/Put, its bulk load (BenchmarkLoad: ns per key
-# through Put against Load, on a herd-read-sized partition) and the mux
+# through Put against Load, and PutNewer against LoadNewer, on a
+# herd-read-sized partition) and the mux
 # endpoint's scheduler at 64, 2,048 and 65,536 channels, which report
 # allocs/op and should all read 0, and the WAL's durable-path preload
 # (BenchmarkAppendDurable: ns and allocs per record over fleet-write's

@@ -46,6 +46,31 @@ func TestPreloadWritesThroughWAL(t *testing.T) {
 	}
 }
 
+// TestVersionedPreloadWritesThroughWAL is TestPreloadWritesThroughWAL
+// on a versioned server, whose instant-zero preload waits in its
+// partition's bulk-load queue: either crash must log it before the
+// partitions die, so the warm restart restores it.
+func TestVersionedPreloadWritesThroughWAL(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		crash func(*Server)
+	}{{"Crash", (*Server).Crash}, {"CrashMidFlush", (*Server).CrashMidFlush}} {
+		cfg := durableConfig(DurabilityGroupCommit)
+		cfg.VersionedValues = true
+		cl, srv, _ := newHERD(t, cfg, 1)
+		key, value := kv.FromUint64(7), stamped(1, 1, "preloaded")
+		if err := srv.Preload(key, value); err != nil {
+			t.Fatal(err)
+		}
+		tc.crash(srv)
+		srv.Restart()
+		cl.Eng.Run()
+		if v, ok := lookup(srv, key); !ok || !bytes.Equal(v, value) {
+			t.Fatalf("%s, then a warm restart: value=%q ok=%v, want the preloaded value", tc.name, v, ok)
+		}
+	}
+}
+
 // TestRefusedPreloadNotLogged: a preload the partition refuses (an
 // oversized value, a zero keyhash) must not reach the WAL. A logged
 // 70,000-byte value would also wrap its frame's u16 length, tearing
@@ -77,6 +102,113 @@ func TestRefusedPreloadNotLogged(t *testing.T) {
 	for key, want := range map[kv.Key]string{first: "first", last: "last"} {
 		if v, ok := lookup(srv, key); !ok || string(v) != want {
 			t.Fatalf("key %v after warm restart: value=%q ok=%v, want %q", key, v, ok, want)
+		}
+	}
+}
+
+// TestStalePreloadNotLogged: on a versioned server, a preload whose
+// stamp does not outrank the stored one is refused and never reaches
+// the WAL, both at instant zero, where preloads queue in mica's bulk
+// load and the stamp is decided when the batch settles, and at run
+// time, where a preload applies at once. A warm restart restores the
+// newest value.
+func TestStalePreloadNotLogged(t *testing.T) {
+	cfg := durableConfig(DurabilityGroupCommit)
+	cfg.VersionedValues = true
+	cl, srv, clients := newHERD(t, cfg, 1)
+	key := kv.FromUint64(7)
+	if err := srv.Preload(key, stamped(2, 1, "v2")); err != nil {
+		t.Fatal(err)
+	}
+	if recs := srv.WALRecordsSince(0); len(recs) != 1 {
+		t.Fatalf("WAL holds %d records after one preload, want 1", len(recs))
+	}
+	logged := srv.WAL().Appends()
+	for _, stale := range [][]byte{stamped(1, 9, "older"), stamped(2, 1, "same stamp")} {
+		if err := srv.Preload(key, stale); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.WAL().Appends(); n != logged {
+			t.Fatalf("instant zero: stale preload %q logged (appends %d, want %d)", stale, n, logged)
+		}
+	}
+	// Run an event, so later preloads apply at once.
+	var res Result
+	if err := clients[0].Put(kv.FromUint64(8), stamped(1, 1, "other"), func(r Result) { res = r }); err != nil {
+		t.Fatal(err)
+	}
+	cl.Eng.Run()
+	if res.Status != kv.StatusHit {
+		t.Fatalf("PUT: %+v", res)
+	}
+	logged = srv.WAL().Appends()
+	if err := srv.Preload(key, stamped(1, 1, "older")); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.WAL().Appends(); n != logged {
+		t.Fatalf("run time: stale preload logged (appends %d, want %d)", n, logged)
+	}
+	if err := srv.Preload(key, stamped(3, 1, "v3")); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.WAL().Appends(); n != logged+1 {
+		t.Fatalf("run time: newer preload not logged (appends %d, want %d)", n, logged+1)
+	}
+	srv.Crash()
+	srv.Restart()
+	cl.Eng.Run()
+	if v, ok := lookup(srv, key); !ok || !bytes.Equal(v, stamped(3, 1, "v3")) {
+		t.Fatalf("after warm restart: value=%q ok=%v, want the newest preload", v, ok)
+	}
+}
+
+// TestQueuedPreloadIsStartingImage: versioned preloads made at instant
+// zero are logged as the WAL's starting image even when their batch
+// settles only at the first PUT, after events have run: stamped instant
+// zero, logged before the PUT, and no cause of compaction, however
+// many SnapshotEvery they span. A warm restart restores them all.
+func TestQueuedPreloadIsStartingImage(t *testing.T) {
+	const keys = 200 // over a 32-insert batch per partition, and not a multiple
+	cfg := durableConfig(DurabilityGroupCommit)
+	cfg.VersionedValues = true
+	cfg.WAL.SnapshotEvery = 1024
+	cl, srv, clients := newHERD(t, cfg, 1)
+	for k := uint64(1); k <= keys; k++ {
+		if err := srv.Preload(kv.FromUint64(k), stamped(1, k, "preloaded")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var res Result
+	cl.Eng.After(sim.Microsecond, func() {
+		if err := clients[0].Put(kv.FromUint64(keys+1), stamped(1, 1, "run-time"), func(r Result) { res = r }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cl.Eng.Run()
+	if res.Status != kv.StatusHit {
+		t.Fatalf("PUT: %+v", res)
+	}
+	recs := srv.WALRecordsSince(0)
+	if len(recs) != keys+1 {
+		t.Fatalf("WAL holds %d records, want the %d preloads and the PUT", len(recs), keys)
+	}
+	for i, r := range recs[:keys] {
+		if r.At != 0 {
+			t.Fatalf("preload record %d logged at %v, want instant zero", i, r.At)
+		}
+	}
+	if last := recs[keys]; last.Key != kv.FromUint64(keys+1) || last.At == 0 {
+		t.Fatalf("last record %+v, want the run-time PUT", last)
+	}
+	if n := srv.WAL().Snapshots(); n != 0 {
+		t.Fatalf("%d snapshots: the starting image counted as log growth", n)
+	}
+	srv.Crash()
+	srv.Restart()
+	cl.Eng.Run()
+	for k := uint64(1); k <= keys; k++ {
+		if v, ok := lookup(srv, kv.FromUint64(k)); !ok || !bytes.Equal(v, stamped(1, k, "preloaded")) {
+			t.Fatalf("key %d after warm restart: value=%q ok=%v", k, v, ok)
 		}
 	}
 }

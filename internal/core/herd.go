@@ -286,6 +286,11 @@ type Server struct {
 	lastRecovery RecoveryInfo
 	onRecovered  func(RecoveryInfo)
 
+	// imageQueued is set while versioned preloads made at instant zero
+	// may still sit in a partition's bulk-load queue, so their log
+	// records are not yet written (see Preload and settleImage).
+	imageQueued bool
+
 	// telRecoveryTime records each recovery's duration in nanoseconds.
 	telRecoveryTime *telemetry.Gauge
 
@@ -365,6 +370,14 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 		s.wlog = wal.New(m.Verbs.NIC().Engine(), cfg.WAL, tel)
 		s.wlog.SetSnapshotSource(s.snapshotLiveState)
 		s.telRecoveryTime = tel.Gauge("recovery.time")
+		if cfg.VersionedValues {
+			// Only these partitions log. Crash replaces them with ones
+			// that do not: WAL replay must log nothing, and a crashed
+			// log takes no starting-image records anyway.
+			for _, part := range s.parts {
+				part.OnLoadNewer(s.logImage)
+			}
+		}
 	}
 	s.createQPs()
 	if !cfg.UseSendRequests {
@@ -421,6 +434,7 @@ func (s *Server) Crash() {
 	if s.down {
 		return
 	}
+	s.settleImage()
 	s.down = true
 	s.epoch++
 	for _, qp := range s.udQPs {
@@ -451,6 +465,7 @@ func (s *Server) CrashMidFlush() {
 	if s.down {
 		return
 	}
+	s.settleImage()
 	if s.wlog != nil {
 		s.wlog.CrashTorn()
 	}
@@ -522,40 +537,15 @@ func (s *Server) finishRecovery(info RecoveryInfo) {
 	}
 }
 
-// applyRecord replays one WAL record into the owning MICA partition.
+// applyRecord replays one WAL record into the owning MICA partition,
+// through the bulk-load queue (the replay's partitions log nothing).
 func (s *Server) applyRecord(r wal.Record) {
 	part := s.parts[mica.Partition(r.Key, s.cfg.NS)]
 	if s.cfg.VersionedValues {
-		_, _ = s.applyVersionedPut(part, r.Key, r.Value)
+		_ = part.LoadNewer(r.Key, r.Value)
 		return
 	}
 	_ = part.Load(r.Key, r.Value)
-}
-
-// applyVersionedPut applies a version-stamped PUT with last-writer-wins
-// ordering: a stamp that does not outrank the stored entry's is refused
-// without touching the partition, which makes replays, repair
-// back-fills, and duplicate retries idempotent in any order. It returns
-// whether the partition changed (and so the mutation must be
-// WAL-logged) and any storage error; a refused stamp is still acked OK.
-// Unstamped values fall back to a plain overwrite so legacy preloads
-// keep working.
-//
-//herd:hotpath
-func (s *Server) applyVersionedPut(part *mica.Cache, key kv.Key, value []byte) (applied bool, err error) {
-	nv, _, _, ok := kv.SplitVersion(value)
-	if !ok {
-		return true, part.Put(key, value)
-	}
-	if old, found := part.Get(key); found {
-		if ov, _, _, ook := kv.SplitVersion(old); ook && !ov.Less(nv) {
-			return false, nil
-		}
-	}
-	if err := part.Put(key, value); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // snapshotLiveState walks every partition's live entries for WAL
@@ -600,8 +590,12 @@ func (s *Server) SetRecoveryHook(fn func(RecoveryInfo)) { s.onRecovered = fn }
 // LastRecovery returns the most recent completed restart's info.
 func (s *Server) LastRecovery() RecoveryInfo { return s.lastRecovery }
 
-// WAL exposes the server's write-ahead log (nil with durability off).
-func (s *Server) WAL() *wal.Log { return s.wlog }
+// WAL exposes the server's write-ahead log (nil with durability off),
+// with every preload logged.
+func (s *Server) WAL() *wal.Log {
+	s.settleImage()
+	return s.wlog
+}
 
 // WALRecordsSince returns this shard's logged records appended at or
 // after t — the survivor side of a fleet delta catch-up.
@@ -609,6 +603,7 @@ func (s *Server) WALRecordsSince(t sim.Time) []wal.Record {
 	if s.wlog == nil {
 		return nil
 	}
+	s.settleImage()
 	return s.wlog.RecordsSince(t)
 }
 
@@ -650,16 +645,18 @@ func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }
 // immediately durable (the control-plane path models data loaded
 // before the run): otherwise a crash before the first flush would
 // replay the log to a pre-preload view and silently resurrect stale
-// state. Only what the partition accepts is logged. Unversioned items
-// go in through mica's bulk-load path (Cache.Load).
+// state. Only what the partition accepts is logged. Items go in through
+// mica's bulk-load path: Cache.Load, or for versioned values the
+// ordered Cache.LoadNewer, which decides a stamp only when its batch
+// settles. With a log, that is late enough only at instant zero,
+// before any event has run: logImage logs each preload the partition
+// accepts as part of the log's starting image. Later, a versioned
+// preload is logged at its own instant, so it applies at once with
+// PutNewer.
 func (s *Server) Preload(key kv.Key, value []byte) error {
 	part := s.parts[mica.Partition(key, s.cfg.NS)]
-	if s.cfg.VersionedValues {
-		// Ordered apply: a reconciliation back-fill racing a fresher
-		// client write must never regress the stored version, and a
-		// refused (stale) copy must not reach the WAL either.
-		applied, err := s.applyVersionedPut(part, key, value)
-		if err != nil || !applied {
+	if !s.cfg.VersionedValues {
+		if err := part.Load(key, value); err != nil {
 			return err
 		}
 		if s.wlog != nil {
@@ -667,13 +664,48 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 		}
 		return nil
 	}
-	if err := part.Load(key, value); err != nil {
+	if s.wlog == nil {
+		return part.LoadNewer(key, value)
+	}
+	if eng := s.machine.Verbs.NIC().Engine(); eng.Now() == 0 && eng.Processed() == 0 {
+		err := part.LoadNewer(key, value)
+		if err == nil {
+			s.imageQueued = true
+		}
 		return err
 	}
-	if s.wlog != nil {
-		s.wlog.AppendDurable(wal.Record{Key: key, Value: value, Epoch: s.epoch})
+	// A reconciliation back-fill racing a fresher client write must
+	// never regress the stored version, and a refused (stale) copy must
+	// not reach the WAL either.
+	s.settleImage()
+	if applied, err := part.PutNewer(key, value); err != nil || !applied {
+		return err
 	}
+	s.wlog.AppendDurable(wal.Record{Key: key, Value: value, Epoch: s.epoch})
 	return nil
+}
+
+// logImage is the OnLoadNewer hook of a versioned server's first
+// partitions: it logs one accepted instant-zero preload.
+func (s *Server) logImage(key kv.Key, value []byte) {
+	s.wlog.AppendImage(wal.Record{Key: key, Value: value, Epoch: s.epoch})
+}
+
+// settleImage applies every queued instant-zero preload, so logImage
+// has logged each one its partition accepts. Every path that reads the
+// log, appends to it or crashes the server calls it first; the log
+// then still holds nothing but its starting image, which is what
+// wal.Log.AppendImage requires.
+//
+//herd:hotpath
+func (s *Server) settleImage() {
+	if !s.imageQueued {
+		return
+	}
+	s.imageQueued = false
+	for _, part := range s.parts {
+		part.Settle()
+	}
 }
 
 // Stats reports server-side operation counts.
@@ -1032,8 +1064,9 @@ func (r *serveRec) Fire(at sim.Time) {
 		s.puts++
 		var applied bool
 		var err error
+		s.settleImage()
 		if s.cfg.VersionedValues {
-			applied, err = s.applyVersionedPut(part, req.key, req.value)
+			applied, err = part.PutNewer(req.key, req.value)
 		} else {
 			err = part.Put(req.key, req.value)
 			applied = err == nil

@@ -35,7 +35,7 @@ func TestHotpathAllocFree(t *testing.T) {
 	lcfg.VersionedValues = true
 	lcfg.Durability = DurabilityGroupCommit
 	lcfg.RetryTimeout = 12 * sim.Microsecond
-	cl, _, clients := newHERD(t, lcfg, 1)
+	cl, lsrv, clients := newHERD(t, lcfg, 1)
 	lc := clients[0]
 	stamped := kv.AppendVersion(nil, kv.Version{Epoch: 1, Seq: 1}, false)
 	stamped = append(stamped, "gate-value"...)
@@ -56,33 +56,33 @@ func TestHotpathAllocFree(t *testing.T) {
 	}
 
 	hotgate.Check(t, ".", map[string]func(){
-		"opKind.kindName":          func() { _ = opPut.kindName() },
-		"Client.window":            func() { _ = c.window() },
-		"Client.encodeRequest":     func() { _ = c.encodeRequest(op, 5) },
-		"parseRespHeader":          func() { _, _, _ = parseRespHeader(respBuf[:respHdr]) },
-		"Config.SlotIndex":         func() { _ = cfg.SlotIndex(1, 2, 3) },
-		"Config.maxRetries":        func() { _ = lcfg.maxRetries() },
-		"Server.overloaded":        func() { _ = s.overloaded(0) },
-		"Server.retryAfterHint":    func() { _ = s.retryAfterHint(0) },
-		"Server.noteService":       func() { s.noteService(0, 100*sim.Nanosecond) },
-		"validLen":                 func() { _ = validLen(128) },
-		"zeroTail":                 func() { zeroTail(slotRaw[:]) },
-		"encodeRespHeader":         func() { _ = encodeRespHeader(respBuf, statusOK, 8, 1) },
-		"postLossy":                func() { postLossy(nil) },
-		"Server.applyVersionedPut": roundTrip,
-		"Server.clientQP":          roundTrip,
-		"serveRec.Fire":            roundTrip,
-		"serveRec.respBuf":         roundTrip,
-		"serveRec.respond":         roundTrip,
-		"serveRec.release":         roundTrip,
-		"Client.submit":            roundTrip,
-		"Client.issue":             roundTrip,
-		"Client.writeRequest":      roundTrip,
-		"Client.armRetry":          roundTrip,
-		"Client.retryDelay":        roundTrip,
-		"Client.jitter":            roundTrip,
-		"Client.armTimer":          roundTrip,
-		"opTimer.Fire":             roundTrip,
+		"opKind.kindName":       func() { _ = opPut.kindName() },
+		"Client.window":         func() { _ = c.window() },
+		"Client.encodeRequest":  func() { _ = c.encodeRequest(op, 5) },
+		"parseRespHeader":       func() { _, _, _ = parseRespHeader(respBuf[:respHdr]) },
+		"Config.SlotIndex":      func() { _ = cfg.SlotIndex(1, 2, 3) },
+		"Config.maxRetries":     func() { _ = lcfg.maxRetries() },
+		"Server.overloaded":     func() { _ = s.overloaded(0) },
+		"Server.retryAfterHint": func() { _ = s.retryAfterHint(0) },
+		"Server.noteService":    func() { s.noteService(0, 100*sim.Nanosecond) },
+		"validLen":              func() { _ = validLen(128) },
+		"zeroTail":              func() { zeroTail(slotRaw[:]) },
+		"encodeRespHeader":      func() { _ = encodeRespHeader(respBuf, statusOK, 8, 1) },
+		"postLossy":             func() { postLossy(nil) },
+		"Server.settleImage":    func() { lsrv.imageQueued = true; lsrv.settleImage() },
+		"Server.clientQP":       roundTrip,
+		"serveRec.Fire":         roundTrip,
+		"serveRec.respBuf":      roundTrip,
+		"serveRec.respond":      roundTrip,
+		"serveRec.release":      roundTrip,
+		"Client.submit":         roundTrip,
+		"Client.issue":          roundTrip,
+		"Client.writeRequest":   roundTrip,
+		"Client.armRetry":       roundTrip,
+		"Client.retryDelay":     roundTrip,
+		"Client.jitter":         roundTrip,
+		"Client.armTimer":       roundTrip,
+		"opTimer.Fire":          roundTrip,
 	})
 	if served == 0 || lc.Inflight() != 0 || lc.Retries() != 0 {
 		t.Fatalf("gate round trips: %d served, %d in flight, %d retries", served, lc.Inflight(), lc.Retries())

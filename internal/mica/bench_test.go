@@ -89,21 +89,27 @@ func BenchmarkPutWrapped(b *testing.B) {
 	}
 }
 
-// BenchmarkLoad compares the two ways to bulk-load a partition sized
-// like one of the herd-read bench's six: 128 Ki buckets × 8 slots and a
-// log twice the size of its 174,763 32-byte items. Each op inserts one
+// BenchmarkLoad compares the ways to bulk-load a partition sized like
+// one of the herd-read bench's six: 128 Ki buckets × 8 slots and a log
+// twice the size of its 174,763 32-byte items. Each op inserts one
 // fresh key; a full partition is replaced, untimed, by an empty one.
 // put is one Put per key, load is Load, which overlaps each batch's
-// bucket misses.
+// bucket misses; putnewer and loadnewer are their ordered forms, for
+// the version-stamped values a versioned server stores.
 func BenchmarkLoad(b *testing.B) {
 	const keys = (1<<20 + 5) / 6
 	cfg := Config{IndexBuckets: 1 << 17, BucketSlots: 8, LogBytes: keys * (entryHeader + 32) * 2}
+	putNewer := func(c *Cache, k Key, v []byte) error {
+		_, err := c.PutNewer(k, v)
+		return err
+	}
 	for _, bc := range []struct {
 		name   string
 		insert func(*Cache, Key, []byte) error
-	}{{"put", (*Cache).Put}, {"load", (*Cache).Load}} {
+	}{{"put", (*Cache).Put}, {"load", (*Cache).Load}, {"putnewer", putNewer}, {"loadnewer", (*Cache).LoadNewer}} {
 		b.Run(bc.name, func(b *testing.B) {
-			val := make([]byte, 32)
+			val := kv.AppendVersion(nil, kv.Version{Epoch: 1, Seq: 1}, false)
+			val = append(val, make([]byte, 32-len(val))...)
 			var c *Cache
 			for i := 0; i < b.N; i++ {
 				k := uint64(i % keys)

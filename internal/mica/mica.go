@@ -22,6 +22,11 @@
 //     requests' memory accesses (Section 4.1.1). Get, Put, Range
 //     and Stats settle the batch first, so the cache always
 //     reads as if each Load had been a Put.
+//   - Versioned values (a kv.Version stamp prefixed to the value) have
+//     an ordered insert, PutNewer, and its bulk form, LoadNewer: the
+//     stamp comparison runs inside the bucket scan that picks the slot,
+//     and a stamp that does not outrank the stored one neither appends
+//     nor indexes.
 package mica
 
 import (
@@ -159,15 +164,21 @@ type Cache struct {
 	queue   [loadBatch]pendingInsert
 	queued  int
 	touched slot
+
+	// loaded, if set, runs for each LoadNewer insert the partition
+	// accepts (see OnLoadNewer).
+	loaded func(key Key, value []byte)
 }
 
 // pendingInsert is one queued Load: the entry Load appended for key at
-// log offset off, waiting to be indexed in the bucket at base.
+// log offset off, waiting to be indexed in the bucket at base. newer
+// marks a LoadNewer insert, which settle may still refuse.
 type pendingInsert struct {
-	key  Key
-	off  uint64
-	base int
-	tag  uint16
+	key   Key
+	off   uint64
+	base  int
+	tag   uint16
+	newer bool
 }
 
 // New returns an empty cache partition.
@@ -352,6 +363,14 @@ func (c *Cache) slotFor(base int, tag uint16, key Key) int {
 	if free >= 0 {
 		return free
 	}
+	return c.victim(base)
+}
+
+// victim advances the bucket at base's FIFO eviction counter and
+// returns the slot it displaces.
+//
+//herd:hotpath
+func (c *Cache) victim(base int) int {
 	b := base / c.cfg.BucketSlots
 	v := int(c.fifoPos[b])
 	c.fifoPos[b] = uint8((v + 1) % c.cfg.BucketSlots)
@@ -359,11 +378,92 @@ func (c *Cache) slotFor(base int, tag uint16, key Key) int {
 	return base + v
 }
 
+// slotNewer is slotFor for a versioned value, or -1 when key's stored
+// entry carries a stamp that value's does not outrank. An unstamped
+// value takes slotFor's choice, and an unstamped stored entry is
+// overwritten. The one scan both compares and places, and it treats a
+// tag match that is not key as Get does: an entry the log has
+// overwritten frees its slot, any other is a tag false positive. So the
+// index ends as after the Get of the stored stamp and the Put it
+// replaces.
+//
+//herd:hotpath
+func (c *Cache) slotNewer(base int, tag uint16, key Key, value []byte) int {
+	nv, _, _, stamped := kv.SplitVersion(value)
+	if !stamped {
+		return c.slotFor(base, tag, key)
+	}
+	free := -1
+	for i := base; i < base+c.cfg.BucketSlots; i++ {
+		s := c.slots[i]
+		if !s.used() {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if s.tag() != tag {
+			continue
+		}
+		c.stats.MemAccesses++ // log entry read
+		stored, old, ok := c.entry(s.off())
+		if ok && stored == key {
+			if ov, _, _, ook := kv.SplitVersion(old); ook && !ov.Less(nv) {
+				return -1
+			}
+			return i
+		}
+		if c.head-s.off() > uint64(c.cfg.LogBytes) {
+			c.stats.StaleIndexEntries++
+			c.slots[i] = 0
+			if free < 0 {
+				free = i
+			}
+		} else {
+			c.stats.TagFalsePositives++
+		}
+	}
+	if free >= 0 {
+		return free
+	}
+	return c.victim(base)
+}
+
+// PutNewer is the ordered insert for version-stamped values
+// (kv.AppendVersion): it stores value only if its stamp outranks the
+// stored entry's, so replays, repair back-fills and duplicate retries
+// apply idempotently in any order. A refused stamp neither appends nor
+// indexes. An unstamped value, or an unstamped stored entry, is
+// overwritten as by Put. It reports whether value was stored, and
+// refuses what Put refuses.
+//
+//herd:hotpath
+func (c *Cache) PutNewer(key Key, value []byte) (bool, error) {
+	if key.IsZero() {
+		return false, ErrZeroKey
+	}
+	if len(value) > MaxValueSize {
+		return false, ErrValueTooLarge
+	}
+	if c.queued != 0 {
+		c.settle()
+	}
+	base, tag := c.bucketOf(hash64(key))
+	c.stats.MemAccesses++ // bucket read/update
+	i := c.slotNewer(base, tag, key, value)
+	if i < 0 {
+		return false, nil
+	}
+	c.stats.Puts++
+	c.slots[i] = makeSlot(tag, c.append(key, value))
+	return true, nil
+}
+
 // Load is the bulk-load form of Put, with the same checks, result and
 // Stats. It appends the log entry at once, so the caller may reuse
 // value, but queues the index insert; every loadBatch queued inserts
-// are applied together by settle, and Get, Put, Range and Stats settle
-// first.
+// are applied together by settle, and Get, Put, PutNewer, Range, Stats
+// and Settle settle first.
 // Batching is exact only while the log has not wrapped, since Put's
 // stale detection reads the head at scan time, so an append that
 // could reach the end of the log's first lap falls back to Put.
@@ -390,24 +490,119 @@ func (c *Cache) Load(key Key, value []byte) error {
 	return nil
 }
 
-// settle applies the queued Load inserts in Load order, each exactly as
-// Put would have. It first reads every queued bucket: the loads are
-// independent, so the CPU overlaps their misses, and the inserts that
-// follow find their buckets in cache.
+// LoadNewer is the bulk-load form of PutNewer, as Load is of Put: it
+// queues the ordered insert, and settle compares the stamp, so the
+// partition ends exactly as after the same PutNewer calls. The entry is
+// appended at once, so the caller may reuse value; if settle refuses
+// it, the batch's later entries move down over it, so a refused stamp
+// leaves no log bytes behind. An append that could reach the end of
+// the log's first lap falls back to PutNewer. LoadNewer reports only
+// the checks Put makes; the OnLoadNewer hook learns which inserts
+// were accepted.
+//
+//herd:hotpath
+func (c *Cache) LoadNewer(key Key, value []byte) error {
+	if key.IsZero() {
+		return ErrZeroKey
+	}
+	if len(value) > MaxValueSize {
+		return ErrValueTooLarge
+	}
+	if c.head+uint64(entryHeader+len(value)) > uint64(c.cfg.LogBytes) {
+		applied, err := c.PutNewer(key, value)
+		if applied && c.loaded != nil {
+			c.loaded(key, value)
+		}
+		return err
+	}
+	c.stats.Puts++ // until settle refuses it
+	base, tag := c.bucketOf(hash64(key))
+	c.stats.MemAccesses++ // bucket read/update, in settle
+	c.queue[c.queued] = pendingInsert{key: key, off: c.append(key, value), base: base, tag: tag, newer: true}
+	c.queued++
+	if c.queued == loadBatch {
+		c.settle()
+	}
+	return nil
+}
+
+// OnLoadNewer registers fn to run for each LoadNewer insert the
+// partition accepts, in Load order, when it is applied: by settle, or
+// at once on the first-lap fallback. value aliases the log. fn must not
+// call back into the partition.
+func (c *Cache) OnLoadNewer(fn func(key Key, value []byte)) { c.loaded = fn }
+
+// Settle applies every queued Load and LoadNewer insert now, running
+// the OnLoadNewer hook for each one accepted.
+//
+//herd:hotpath
+func (c *Cache) Settle() {
+	if c.queued != 0 {
+		c.settle()
+	}
+}
+
+// settle applies the queued inserts in Load order, each exactly as Put
+// (or, for LoadNewer, PutNewer) would have. It first reads every queued
+// bucket: the loads are independent, so the CPU overlaps their misses,
+// and the inserts that follow find their buckets in cache. The queued
+// entries are the log's last, back to back, as no batch spans a wrap;
+// each one after a refused stamp moves down over the refused bytes, and
+// the head drops by them.
 //
 //herd:hotpath
 func (c *Cache) settle() {
 	q := c.queue[:c.queued]
+	c.queued = 0
 	t := c.touched
 	for i := range q {
 		t ^= c.slots[q[i].base]
 	}
 	c.touched = t
+	var shift uint64 // bytes of the batch's refused entries so far
 	for i := range q {
 		p := &q[i]
-		c.slots[c.slotFor(p.base, p.tag, p.key)] = makeSlot(p.tag, p.off)
+		if shift != 0 {
+			c.moveEntry(p.off, p.off-shift, c.queuedBytes(q, i))
+		}
+		off := p.off - shift
+		if !p.newer {
+			c.slots[c.slotFor(p.base, p.tag, p.key)] = makeSlot(p.tag, off)
+			continue
+		}
+		_, v, _ := c.entry(off)
+		slot := c.slotNewer(p.base, p.tag, p.key, v)
+		if slot < 0 {
+			shift += c.queuedBytes(q, i)
+			c.stats.Puts--
+			c.stats.SequentialAppends--
+			continue
+		}
+		c.slots[slot] = makeSlot(p.tag, off)
+		if c.loaded != nil {
+			c.loaded(p.key, v)
+		}
 	}
-	c.queued = 0
+	c.head -= shift
+}
+
+// queuedBytes is the log size of queued entry i of q: the entries are
+// back to back, so it runs up to the next one, or to the head.
+//
+//herd:hotpath
+func (c *Cache) queuedBytes(q []pendingInsert, i int) uint64 {
+	if i+1 < len(q) {
+		return q[i+1].off - q[i].off
+	}
+	return c.head - q[i].off
+}
+
+// moveEntry copies the n-byte first-lap log entry at offset from down
+// to offset to, in the segment to starts in; to <= from.
+//
+//herd:hotpath
+func (c *Cache) moveEntry(from, to, n uint64) {
+	copy(c.segs[to/segStride][to%segStride:], c.segs[from/segStride][from%segStride:][:n])
 }
 
 // Range calls fn for every live entry in the partition, in index-slot
