@@ -608,6 +608,8 @@ func (s *Server) WALRecordsSince(t sim.Time) []wal.Record {
 }
 
 // Down reports whether the server process is crashed.
+//
+//herd:hotpath
 func (s *Server) Down() bool { return s.down }
 
 // Recovering reports whether a WAL replay is in progress (the server is

@@ -65,6 +65,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Server.overloaded":     func() { _ = s.overloaded(0) },
 		"Server.retryAfterHint": func() { _ = s.retryAfterHint(0) },
 		"Server.noteService":    func() { s.noteService(0, 100*sim.Nanosecond) },
+		"Server.Down":           func() { _ = s.Down() },
 		"validLen":              func() { _ = validLen(128) },
 		"zeroTail":              func() { zeroTail(slotRaw[:]) },
 		"encodeRespHeader":      func() { _ = encodeRespHeader(respBuf, statusOK, 8, 1) },

@@ -16,12 +16,14 @@ import (
 // fleetBenchShards is the deployment size compared against one server.
 const fleetBenchShards = 4
 
-// FleetBench compares the three deployment shapes on the same
+// FleetBench compares the deployment shapes on the same
 // read-intensive closed-loop workload: one HERD server, a 4-shard fleet
-// at R=1 (static sharding), and a 4-shard R=2 fleet. Both fleets place
-// keys by rendezvous hashing; R=2 pays replicated writes. The benchmark
-// quantifies what is left of the 4x machine count. The report is
-// BENCH_fleet.json.
+// at R=1 (static sharding), and a 4-shard R=2 fleet, first-ack and
+// versioned. Every fleet places keys by rendezvous hashing; R=2 pays
+// replicated writes, and the versioned fleet also waits for every
+// replica's ack and reads one replica in the steady state. The
+// benchmark quantifies what is left of the 4x machine count, and what
+// versioning costs on top. The report is BENCH_fleet.json.
 func FleetBench(spec cluster.Spec) (*Table, *Report) {
 	const (
 		clientsPerShard = 4
@@ -69,16 +71,18 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 
 	// fleetArm runs a 4-shard fleet at replication r: at r=1 it is
 	// static sharding, every key on one shard.
-	fleetArm := func(arm string, r int) float64 {
+	fleetArm := func(arm string, r int, versioned bool) float64 {
 		fcfg := fleet.DefaultConfig()
 		fcfg.Herd = herdCfg()
 		fcfg.Replication = r
+		fcfg.Versioned = versioned
 		cl, _, clients := deployFleet(deploy(clientsPerShard*fleetBenchShards*fleetBenchShards), fleetBenchShards, fcfg)
 		return drive(arm, cl, asKV(clients))
 	}
 
 	singleMops := single()
-	shardedMops, fleetMops := fleetArm("sharded", 1), fleetArm("fleet", 2)
+	shardedMops, fleetMops := fleetArm("sharded", 1, false), fleetArm("fleet", 2, false)
+	versionedMops := fleetArm("versioned", 2, true)
 	speedup := ratio(fleetMops, singleMops)
 	rep.Arm("fleet").Set("speedup_vs_single", speedup, "x", "")
 
@@ -92,6 +96,8 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		cell(shardedMops), fmt.Sprintf("%.1fx", shardedMops/singleMops))
 	t.AddRow("fleet (R=2)", fmt.Sprintf("%d", fleetBenchShards),
 		cell(fleetMops), fmt.Sprintf("%.1fx", speedup))
+	t.AddRow("fleet (R=2, versioned)", fmt.Sprintf("%d", fleetBenchShards),
+		cell(versionedMops), fmt.Sprintf("%.1fx", versionedMops/singleMops))
 	t.AddNote("%d clients on the single server, %d on the %d-shard deployments (window 4); R=2 pays replicated writes",
 		clientsPerShard*fleetBenchShards, clientsPerShard*fleetBenchShards*fleetBenchShards, fleetBenchShards)
 	return t, rep

@@ -12,7 +12,7 @@ func TestFleetBenchSpeedup(t *testing.T) {
 	defer short(t)()
 
 	tbl, rep := FleetBench(cluster.Apt())
-	for _, arm := range []string{"single", "sharded", "fleet"} {
+	for _, arm := range []string{"single", "sharded", "fleet", "versioned"} {
 		if metric(t, rep, arm, "goodput_mops") <= 0 {
 			t.Fatalf("zero %s throughput:\n%s", arm, tbl)
 		}
@@ -24,5 +24,10 @@ func TestFleetBenchSpeedup(t *testing.T) {
 	}
 	if s := metric(t, rep, "sharded", "goodput_mops") / metric(t, rep, "single", "goodput_mops"); s < 3 {
 		t.Fatalf("sharded (R=1) speedup %.2fx < 3x over single server:\n%s", s, tbl)
+	}
+	// A versioned fleet reads one replica in the steady state, so it
+	// must keep within 5% of the first-ack fleet.
+	if s := metric(t, rep, "versioned", "goodput_mops") / metric(t, rep, "fleet", "goodput_mops"); s < 0.95 {
+		t.Fatalf("versioned R=2 fleet at %.3fx the first-ack fleet, want at least 0.95x:\n%s", s, tbl)
 	}
 }

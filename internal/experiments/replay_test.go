@@ -25,13 +25,13 @@ var replayFirst sync.Map
 // a change that moves a modeled number updates its digest on purpose.
 var replayDigests = map[string]string{
 	"chaos":         "b31ec8d7985a439d89c013ef9224ba14c70242c6503d0ec6c7f8baee79529eed",
-	"fleet-bench":   "33e1c9860f2581e84f884925148853f15ec8541d3afed7c215585062c67fb21e",
+	"fleet-bench":   "e203f767b4402bd7461cd7943335d0d643ce7b8b0bcaf4f0f0bdc0799c447bad",
 	"fleet-chaos":   "183c0deb45b4d448aca6745f3d7a393566e116fb0338bd0c01959b6e6fdefa2a",
 	"overload":      "2acb8142174b76f553b012921b0f8ccbe5f016fa3182262a67550ff56c7a234d",
 	"clients-sweep": "063636406816aa0e01c37576c41db15ab5e1bc45c2085591a8468e9b46f97a8f",
 	"durability":    "9c9f76832b9698e597eb3dfc63804ea457f83b52daee8005d8a119180b1870b7",
 	"hotkey":        "69afc5916cf3a8e7975fea5ab6f08c8cc1286b843dd39a6a3185d341a4bd8dde",
-	"consistency":   "b6744a96e6b7d53dcd596076fc2d3b1bd5f071257bd2069698ff8ef83390cf31",
+	"consistency":   "bd794e1373e8d2ed154eb11ce66c6645d6ac7cef5d07779b7feb7ddcb9a2da86",
 
 	// The verb-level targets: their closed loops repost from their own
 	// completion handlers.

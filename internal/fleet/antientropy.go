@@ -8,9 +8,10 @@ import (
 // Anti-entropy: the fleet's one reconciliation mechanism. Read repair
 // only fixes divergence a read happens to observe; the reconciliation
 // queue fixes the rest. Keys arrive from four sources — a partial write
-// (some replica missed the fan-out), a stale replica observed during a
-// read, a restarted shard's catch-up (recovery.go), and a full
-// AntiEntropySweep — and are deduplicated while queued. A background
+// (some replica missed the fan-out), a versioned read whose answer the
+// primary did not give, a restarted shard's catch-up (recovery.go), and
+// a full AntiEntropySweep — and are deduplicated while queued. While a
+// key is queued, versioned reads of it ask every replica. A background
 // step drains the queue in MigrationBatch-sized chunks every
 // MigrationInterval, so reconciliation interleaves with foreground
 // traffic instead of stalling it. The step is work-queue driven and

@@ -30,9 +30,14 @@ var ErrPartialWrite = errors.New("fleet: write applied on only part of the repli
 // Client is one application host's handle on the fleet. It implements
 // the kv.KV client interface on top of one HERD sub-client per shard:
 //
-//   - Reads go primary-first and fail over to the remaining replicas
-//     when a sub-operation ends in core.ErrTimedOut, re-arming the full
-//     retry budget against each replica in turn.
+//   - First-ack reads go primary-first and fail over to the remaining
+//     replicas when a sub-operation ends in core.ErrTimedOut, re-arming
+//     the full retry budget against each replica in turn.
+//   - Versioned reads are read-one/write-all: a GET asks the key's
+//     primary alone, and asks every replica when the primary misses or
+//     fails, when this client suspects it, while a replica is down or
+//     any shard is catching up, or while the key is queued for
+//     reconciliation.
 //   - Writes fan out to every replica and succeed when at least one
 //     replica acknowledges (every replica, in a versioned fleet).
 //   - A shard whose operation failed terminally is suspected for
@@ -57,14 +62,10 @@ type Client struct {
 	suspected    uint64
 	hotWidened   uint64
 
-	// Versioned-replication state: the write-stamp generator (verID
-	// breaks same-instant ties between clients, verSeq between this
-	// client's own writes) and the per-key floor of completed write
-	// stamps — a read round whose winner is below the floor is provably
-	// stale.
+	// The versioned write-stamp generator: verID breaks same-instant
+	// ties between clients, verSeq between this client's own writes.
 	verID  uint64
 	verSeq uint64
-	floors map[kv.Key]kv.Version
 
 	// opFree pools the records of in-flight operations (see op);
 	// repairAck is onRepairAck bound once, the callback of every
@@ -89,7 +90,6 @@ type Client struct {
 
 	telPartial       *telemetry.Counter
 	telStaleObserved *telemetry.Counter
-	telStaleReads    *telemetry.Counter
 	telRepairIssued  *telemetry.Counter
 	telRepairApplied *telemetry.Counter
 }
@@ -117,7 +117,6 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.telHotKeys = tel.Gauge("fleet.hotkey.hot")
 	c.telPartial = tel.Counter("fleet.writes.partial")
 	c.telStaleObserved = tel.Counter("fleet.repair.stale")
-	c.telStaleReads = tel.Counter("fleet.reads.stale")
 	c.telRepairIssued = tel.Counter("fleet.repair.issued")
 	c.telRepairApplied = tel.Counter("fleet.repair.applied")
 	c.verID = uint64(len(d.clients))
@@ -147,7 +146,8 @@ func (c *Client) Inflight() int { return c.inflight }
 func (c *Client) Failed() uint64 { return c.failed }
 
 // Reroutes counts read failovers: a sub-operation failed terminally and
-// the read was reissued against the next replica.
+// the read was reissued against the next replica (against every
+// remaining replica, for a versioned read asked of one).
 func (c *Client) Reroutes() uint64 { return c.reroutes }
 
 // ReplicaReads counts reads served by a non-primary replica.
@@ -267,7 +267,7 @@ type opKind uint8
 const (
 	opGet          opKind = iota // first-ack read: primary-first with failover
 	opWrite                      // fan-out write (stamped in a versioned fleet)
-	opGetVersioned               // versioned read: every replica, version arbitration
+	opGetVersioned               // versioned read: the primary, every replica on a miss or error
 )
 
 // op is one fleet-level operation in flight. Ops are pooled per
@@ -293,6 +293,7 @@ type op struct {
 
 	outstanding, failures int
 	have                  bool      // fan-outs: best holds a served result
+	solo                  bool      // versioned reads: one replica asked so far
 	best                  kv.Result // fan-outs: the result to report
 	lastErr               kv.Result
 
@@ -300,7 +301,6 @@ type op struct {
 	// a buffer the op owns (sub-clients copy a PUT's value before
 	// returning). Versioned reads collect each replica's answer, in
 	// arrival order.
-	stamp  kv.Version
 	stored []byte
 	states []replicaRank
 
@@ -363,8 +363,8 @@ func (o *op) resolve(i int, r kv.Result) {
 }
 
 // Get reads key: primary-first with failover across the replica set in
-// legacy mode, read-all with version arbitration and read repair in
-// versioned mode.
+// legacy mode, read-one with version arbitration and read repair on a
+// fan-out in versioned mode (getVersioned).
 //
 //herd:hotpath
 func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
@@ -460,8 +460,8 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	o := c.getOp(opWrite, key, cb)
 	if c.d.cfg.Versioned {
 		c.verSeq++
-		o.stamp = kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
-		o.stored = append(kv.AppendVersion(o.stored, o.stamp, false), value...)
+		stamp := kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
+		o.stored = append(kv.AppendVersion(o.stored, stamp, false), value...)
 		value = o.stored
 	}
 	o.reps, o.outstanding = reps, len(reps)
@@ -514,52 +514,94 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 			c.d.EnqueueRepair(o.key) //lint:allow hotalloc — divergence only; the anti-entropy queue
 			res.Err = ErrPartialWrite
 		}
-	} else if c.d.cfg.Versioned {
-		c.noteFloor(o.key, o.stamp)
 	}
 	o.finish(res)
 }
 
-// noteFloor raises this client's completed-write floor for key.
-//
-//herd:hotpath
-func (c *Client) noteFloor(key kv.Key, v kv.Version) {
-	if c.floors == nil {
-		c.floors = make(map[kv.Key]kv.Version) //lint:allow hotalloc — once per client
-	}
-	if f, ok := c.floors[key]; !ok || f.Less(v) {
-		c.floors[key] = v
-	}
-}
-
-// getVersioned is the versioned read path: fan the read to every
-// replica, rank the answers as the reconciliation merge does, and answer
-// with the winner's payload (an absent winner is a miss). Replicas
-// ranked below the winner are counted stale and back-filled inline with
-// the winning bytes; the member server's ordered apply makes a repair
-// racing a fresher write harmless.
+// getVersioned is the versioned read path, read-one/write-all. It asks
+// the key's primary alone when this client does not suspect it and the
+// deployment allows it (soloReadable), and takes a hit as the answer.
+// Every completed write was acked by every replica and each server
+// applies writes in stamp order, so such a primary holds the newest
+// completed version of every key it has not lost: an eviction reads as
+// a miss, and a crash leaves the shard down and then catching up, which
+// turns every read to read-all. A miss, an error or a timeout asks the
+// remaining replicas; otherwise the read asks every replica at once. A
+// fanned-out read ranks the answers as the reconciliation merge does
+// and answers with the winner's payload (an absent winner is a miss).
+// Replicas ranked below the winner are counted stale and back-filled
+// inline with the winning bytes; the member server's ordered apply
+// makes a repair racing a fresher write harmless.
 //
 //herd:hotpath
 func (c *Client) getVersioned(key kv.Key, reps []int, cb func(kv.Result)) error {
 	o := c.getOp(opGetVersioned, key, cb)
-	o.reps, o.outstanding = reps, len(reps)
+	o.reps = reps
 	c.start()
 	o.begun = c.now()
-	// As in Put, only locals are read after each call.
-	for i, id := range reps {
-		done := o.slot(i)
-		if err := c.subs[id].Get(key, done); err != nil {
-			done(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err})
-		}
+	if c.readPreferred(reps[0], o.begun) && c.d.soloReadable(key, reps) {
+		o.solo, o.outstanding = true, 1
+		c.ask(o, 0, 1)
+		return nil
 	}
+	o.outstanding = len(reps)
+	c.ask(o, 0, len(reps))
 	return nil
 }
 
-// resolveGetVersioned handles a versioned read's replica slot i. Every
-// answer ranks as settled, so the winner is the first to arrive among
-// the highest-ranked. Its payload is handed to the caller as it is:
-// each replica's Result.Value is already a fresh copy the fleet owns
-// (kv.KV's ownership contract).
+// soloReadable reports whether a versioned read of key may ask its
+// primary alone: no replica of key is down, no shard is catching up
+// after a restart, and key is not waiting for reconciliation. A catch-up
+// and a queued key are the two ways a primary can be behind another
+// replica — a restart that lost a group-commit window (its catch-up may
+// miss a key whose other holder was itself down, so every shard's
+// catch-up counts), and a partial write or a read that saw divergence —
+// and each lasts until the reconciliation merge has run, so every
+// client agrees when a key goes back to read-one. A down replica is
+// asked because a client learns of a crash only from a request that
+// burns its retry budget, which starts the member client's reconnect
+// handshake: reads keep that request coming while the shard is down,
+// instead of leaving the client's next write to meet the dead
+// connection after the restart and fail as partial.
+//
+//herd:hotpath
+func (d *Deployment) soloReadable(key kv.Key, reps []int) bool {
+	if len(d.recs) > 0 || d.aeQueued[key] {
+		return false
+	}
+	for _, id := range reps {
+		if d.shards[id].srv.Down() {
+			return false
+		}
+	}
+	return true
+}
+
+// ask issues o's read to replica slots lo..hi-1. As in Put, only
+// locals are read after each call: the last replica's callback may run
+// inside its call and finish o.
+//
+//herd:hotpath
+func (c *Client) ask(o *op, lo, hi int) {
+	key, reps := o.key, o.reps
+	for i := lo; i < hi; i++ {
+		done := o.slot(i)
+		if err := c.subs[reps[i]].Get(key, done); err != nil {
+			done(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err})
+		}
+	}
+}
+
+// resolveGetVersioned handles a versioned read's replica slot i. A
+// solo read's hit is the answer; its miss or error asks the remaining
+// replicas. Every answer ranks as settled, so the winner is the first
+// to arrive among the highest-ranked. Its payload is handed to the
+// caller as it is: each replica's Result.Value is already a fresh copy
+// the fleet owns (kv.KV's ownership contract). When the winner is
+// present and the primary did not answer with it, the key is queued
+// for reconciliation before the read returns, so later reads of it ask
+// every replica until the merge has brought the primary up to the
+// answer this read gave.
 //
 //herd:hotpath
 func (o *op) resolveGetVersioned(i int, r kv.Result) {
@@ -577,6 +619,18 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		}
 		o.states = append(o.states, rk)
 	}
+	if o.solo {
+		o.solo = false
+		if (r.Err != nil || r.Status != kv.StatusHit) && len(o.reps) > 1 {
+			if r.Err != nil {
+				c.reroutes++
+				c.telReroutes.Inc()
+			}
+			o.outstanding = len(o.reps) - 1
+			c.ask(o, 1, len(o.reps))
+			return
+		}
+	}
 	if o.outstanding != 0 {
 		return
 	}
@@ -593,11 +647,6 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		}
 	}
 	w := &o.states[win]
-	if w.ver.Less(c.floors[key]) {
-		// Every replica that answered is behind a write this client
-		// completed: the result is provably stale.
-		c.noteStaleRead(key) //lint:allow hotalloc — stale reads only; queues the key for repair
-	}
 	res := kv.Result{Key: key, IsGet: true, Status: kv.StatusMiss}
 	if !w.present {
 		o.finish(res)
@@ -607,9 +656,11 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 	if _, _, payload, ok := kv.SplitVersion(w.stored); ok {
 		res.Value = payload
 	}
+	primaryHas, dropped := false, false
 	for i := range o.states {
 		st := &o.states[i]
 		if !st.below(w) {
+			primaryHas = primaryHas || st.id == o.reps[0]
 			continue
 		}
 		c.staleObserved++
@@ -618,19 +669,15 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		c.telRepairIssued.Inc()
 		// The sub-client copies the winning bytes before Put returns.
 		if err := c.subs[st.id].Put(key, w.stored, c.repairAck); err != nil {
-			// Validation failures just drop the repair; the anti-entropy
-			// sweep will retry the key.
-			c.d.EnqueueRepair(key) //lint:allow hotalloc — divergence only; the anti-entropy queue
+			// Validation failures just drop the repair; the queue below
+			// retries the key.
+			dropped = true
 		}
 	}
+	if !primaryHas || dropped {
+		c.d.EnqueueRepair(key) //lint:allow hotalloc — divergence only; the anti-entropy queue
+	}
 	o.finish(res)
-}
-
-// noteStaleRead counts a versioned read whose winner is below this
-// client's floor of completed writes, and queues the key for repair.
-func (c *Client) noteStaleRead(key kv.Key) {
-	c.telStaleReads.Inc()
-	c.d.EnqueueRepair(key)
 }
 
 // onRepairAck counts a read-repair back-fill the replica acknowledged.

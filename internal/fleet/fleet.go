@@ -48,11 +48,14 @@ type Config struct {
 	// [flags 1]) inside the stored value, member servers apply
 	// mutations in stamp order (core.Config.VersionedValues), writes
 	// succeed only when EVERY replica acks (a straggler failure is a
-	// partial write, not a success), and reads fan to all replicas and
-	// return the highest-ranked state. Divergence is repaired: a read
-	// back-fills the winner onto every replica it caught behind, and
-	// partial writes and provably stale reads queue their key for the
-	// background reconciliation step that recovery catch-up also feeds
+	// partial write, not a success), and reads are read-one: a GET asks
+	// the key's primary alone, and asks every replica, returning the
+	// highest-ranked state, on a miss or an error and whenever the
+	// primary may be behind (see Client.getVersioned). Divergence is
+	// repaired: a fanned-out read back-fills the winner onto every
+	// replica it caught behind, and partial writes and reads that found
+	// the primary behind queue their key for the background
+	// reconciliation step that recovery catch-up also feeds
 	// (antientropy.go).
 	// Off by default — the paper's unversioned first-ack fan-out.
 	Versioned bool

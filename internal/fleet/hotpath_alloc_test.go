@@ -78,37 +78,38 @@ func TestHotpathAllocFree(t *testing.T) {
 	lacks, holds := replicaRank{settled: true}, replicaRank{present: true, ver: kv.Version{Seq: 1}}
 
 	hotgate.Check(t, ".", map[string]func(){
-		"Ring.Replicas":          func() { _ = ring.Replicas(key, 2) },
-		"Ring.Size":              func() { _ = ring.Size() },
-		"mix64":                  func() { _ = mix64(uint64(len(order))) },
-		"Deployment.Replication": func() { _ = d.Replication() },
-		"Deployment.Replicas":    func() { _ = d.Replicas(key) },
-		"Client.now":             func() { _ = poked.now() },
-		"Client.markSuspect":     func() { poked.markSuspect(0) },
-		"Client.readPreferred":   func() { _ = poked.readPreferred(0, 0) },
-		"Client.readOrder":       func() { order = poked.readOrder(order, []int{0, 1, 2}) },
-		"Client.triesBefore":     func() { _ = poked.triesBefore(0, 1) },
-		"Client.noteFloor":       func() { poked.noteFloor(key, kv.Version{Seq: 1}) },
-		"hotEntry.count":         func() { _ = entry.count() },
-		"hotTracker.rotate":      func() { hot.rotate(0) },
-		"hotTracker.observe":     func() { _ = hot.observe(key, 0) },
-		"hotTracker.isHot":       func() { _ = hot.isHot(entry) },
-		"hotTracker.hotKeys":     func() { _ = hot.hotKeys() },
-		"replicaRank.below":      func() { _ = lacks.below(&holds) },
-		"Client.widen":           firstAck,
-		"Client.start":           both,
-		"Client.finish":          both,
-		"Client.getOp":           both,
-		"op.slot":                both,
-		"op.finish":              both,
-		"op.resolve":             both,
-		"Client.Get":             both,
-		"Client.Put":             both,
-		"Client.tryGet":          firstAck,
-		"op.resolveGet":          firstAck,
-		"op.resolveWrite":        both,
-		"Client.getVersioned":    versioned,
-		"op.resolveGetVersioned": versioned,
+		"Ring.Replicas":           func() { _ = ring.Replicas(key, 2) },
+		"Ring.Size":               func() { _ = ring.Size() },
+		"mix64":                   func() { _ = mix64(uint64(len(order))) },
+		"Deployment.Replication":  func() { _ = d.Replication() },
+		"Deployment.Replicas":     func() { _ = d.Replicas(key) },
+		"Deployment.soloReadable": func() { _ = d.soloReadable(key, d.Replicas(key)) },
+		"Client.now":              func() { _ = poked.now() },
+		"Client.markSuspect":      func() { poked.markSuspect(0) },
+		"Client.readPreferred":    func() { _ = poked.readPreferred(0, 0) },
+		"Client.readOrder":        func() { order = poked.readOrder(order, []int{0, 1, 2}) },
+		"Client.triesBefore":      func() { _ = poked.triesBefore(0, 1) },
+		"hotEntry.count":          func() { _ = entry.count() },
+		"hotTracker.rotate":       func() { hot.rotate(0) },
+		"hotTracker.observe":      func() { _ = hot.observe(key, 0) },
+		"hotTracker.isHot":        func() { _ = hot.isHot(entry) },
+		"hotTracker.hotKeys":      func() { _ = hot.hotKeys() },
+		"replicaRank.below":       func() { _ = lacks.below(&holds) },
+		"Client.widen":            firstAck,
+		"Client.start":            both,
+		"Client.finish":           both,
+		"Client.getOp":            both,
+		"op.slot":                 both,
+		"op.finish":               both,
+		"op.resolve":              both,
+		"Client.Get":              both,
+		"Client.Put":              both,
+		"Client.tryGet":           firstAck,
+		"op.resolveGet":           firstAck,
+		"op.resolveWrite":         both,
+		"Client.getVersioned":     versioned,
+		"Client.ask":              versioned,
+		"op.resolveGetVersioned":  versioned,
 	})
 	if served == 0 || c.Inflight() != 0 || vc.Inflight() != 0 || c.Failed() != 0 || vc.Failed() != 0 {
 		t.Fatalf("gate round trips: %d served; first-ack %d in flight, %d failed; versioned %d in flight, %d failed",

@@ -21,7 +21,13 @@ func durableFleetConfig() Config {
 // newFleetWith is newFleet with an explicit config.
 func newFleetWith(t *testing.T, cfg Config, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
 	t.Helper()
-	cl := cluster.New(cluster.Apt(), nShards+nClients, seed)
+	return newFleetOn(t, cluster.Apt(), cfg, nShards, nClients, seed)
+}
+
+// newFleetOn is newFleetWith on a cluster built from spec.
+func newFleetOn(t *testing.T, spec cluster.Spec, cfg Config, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
+	t.Helper()
+	cl := cluster.New(spec, nShards+nClients, seed)
 	machines := make([]*cluster.Machine, nShards)
 	for i := range machines {
 		machines[i] = cl.Machine(i)
@@ -244,5 +250,172 @@ func TestSharedQueueOverlappingCatchups(t *testing.T) {
 		if v, ok := shardHolds(d, id, key); !ok || !bytes.Equal(v, fresh) {
 			t.Fatalf("shard %d holds %x (ok=%v), want the higher stamp %x", id, v, ok, fresh)
 		}
+	}
+}
+
+// TestCatchingUpPrimaryNotReadAlone pins what read-one relies on in
+// place of a per-client floor of completed writes: a primary that lost
+// a completed write is never read alone. The write completes on both
+// replicas while its WAL record still sits in the primary's unflushed
+// group-commit window; the primary then crashes, so its warm restart
+// replays the older version. A read issued the moment the primary
+// rejoins, with its catch-up still queued, must return the completed
+// write. The reader is a client that connects after the rejoin, so its
+// first request reaches the primary without a reconnect handshake. The
+// group-commit window and the reconciliation step are widened so the
+// crash lands inside the one and the read ahead of the other.
+func TestCatchingUpPrimaryNotReadAlone(t *testing.T) {
+	cfg := durableFleetConfig()
+	cfg.Versioned = true
+	cfg.Herd.WAL.FlushInterval = 50 * sim.Microsecond
+	cfg.MigrationInterval = 100 * sim.Microsecond
+	cl, d, clients := newFleetWith(t, cfg, 3, 1, 71)
+	c := clients[0]
+	key := keyOnShard(t, d, 0, 1)
+	payload := func(id int) string {
+		stored, _ := shardHolds(d, id, key)
+		_, _, p, _ := kv.SplitVersion(stored)
+		return string(p)
+	}
+
+	var put kv.Result
+	c.Put(key, []byte("old"), func(r kv.Result) { put = r })
+	cl.Eng.Run()
+	if put.Err != nil {
+		t.Fatalf("first put = %+v", put)
+	}
+	c.Put(key, []byte("new"), func(r kv.Result) {
+		put = r
+		d.Server(0).Crash()
+	})
+	cl.Eng.Run()
+	if put.Err != nil {
+		t.Fatalf("second put = %+v, want it completed before the crash", put)
+	}
+	d.Server(0).Restart()
+	for d.Server(0).Down() {
+		if !cl.Eng.Step() {
+			t.Fatal("the primary never rejoined")
+		}
+	}
+	if got := payload(0); got != "old" {
+		t.Fatalf("the rejoined primary holds %q, want the replayed \"old\" (the write must have sat in the unflushed window)", got)
+	}
+	if !d.RecoveryActive() {
+		t.Fatal("the primary rejoined with no catch-up in progress")
+	}
+
+	reader, err := d.ConnectClient(cl.AddMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got kv.Result
+	reader.Get(key, func(r kv.Result) { got = r })
+	cl.Eng.Run()
+	if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "new" {
+		t.Fatalf("read during catch-up = %+v (%q), want the completed write", got, got.Value)
+	}
+	if reader.Reroutes() != 0 {
+		t.Fatalf("the read failed over %d times; it must reach the rejoined primary", reader.Reroutes())
+	}
+	if p0, p1 := payload(0), payload(1); p0 != "new" || p1 != "new" {
+		t.Fatalf("replicas hold %q and %q after the catch-up, want \"new\" on both", p0, p1)
+	}
+}
+
+// TestLostWriteWaitsForDownReplica pins read-one across two failures.
+// A write completes on both replicas while its WAL record still sits in
+// the primary's unflushed group-commit window; the primary crashes, and
+// once the secondary has flushed the write it crashes too. The primary
+// rejoins with the older value while the write's only other holder is
+// down, so its catch-up has nothing to copy and settles. When the
+// secondary rejoins and replays the write, a read made during its
+// catch-up must return the completed write: the primary may not be
+// read alone while any shard is catching up. Once the catch-up's sweep
+// has run, both replicas hold the write.
+func TestLostWriteWaitsForDownReplica(t *testing.T) {
+	cfg := durableFleetConfig()
+	cfg.Versioned = true
+	cfg.Herd.WAL.FlushInterval = 50 * sim.Microsecond
+	cfg.MigrationInterval = 100 * sim.Microsecond
+	cl, d, clients := newFleetWith(t, cfg, 3, 1, 73)
+	c := clients[0]
+	key := keyOnShard(t, d, 0, 1)
+	payload := func(id int) string {
+		stored, _ := shardHolds(d, id, key)
+		_, _, p, _ := kv.SplitVersion(stored)
+		return string(p)
+	}
+	rejoin := func(id int) {
+		t.Helper()
+		d.Server(id).Restart()
+		for d.Server(id).Down() {
+			if !cl.Eng.Step() {
+				t.Fatalf("shard %d never rejoined", id)
+			}
+		}
+	}
+	// read reads key through a newly connected client (so its first
+	// request needs no reconnect handshake), and reports whether a
+	// catch-up was still in progress when the read returned.
+	read := func() (got kv.Result, during bool) {
+		t.Helper()
+		reader, err := d.ConnectClient(cl.AddMachine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader.Get(key, func(r kv.Result) { got, during = r, d.RecoveryActive() })
+		cl.Eng.Run()
+		return got, during
+	}
+
+	var put kv.Result
+	c.Put(key, []byte("old"), func(r kv.Result) { put = r })
+	cl.Eng.Run()
+	if put.Err != nil {
+		t.Fatalf("first put = %+v", put)
+	}
+	// The second write lands well past the first's group-commit guard,
+	// so the secondary's catch-up does not re-read the key.
+	cl.Eng.At(cl.Eng.Now()+sim.Millisecond, func() {
+		c.Put(key, []byte("new"), func(r kv.Result) {
+			put = r
+			d.Server(0).Crash()
+		})
+	})
+	cl.Eng.Run()
+	if put.Err != nil {
+		t.Fatalf("second put = %+v, want it completed before the crash", put)
+	}
+	d.Server(1).Crash()
+
+	rejoin(0)
+	if got := payload(0); got != "old" {
+		t.Fatalf("the rejoined primary holds %q, want the replayed \"old\"", got)
+	}
+	cl.Eng.Run()
+	if d.RecoveryActive() {
+		t.Fatal("the primary's catch-up did not settle with the secondary down")
+	}
+
+	rejoin(1)
+	if got := payload(1); got != "new" {
+		t.Fatalf("the rejoined secondary holds %q, want the replayed \"new\"", got)
+	}
+	if !d.RecoveryActive() {
+		t.Fatal("the secondary rejoined with no catch-up in progress")
+	}
+	got, during := read()
+	if !during {
+		t.Fatal("the read finished after the secondary's catch-up; it must run during it")
+	}
+	if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "new" {
+		t.Fatalf("read during the secondary's catch-up = %+v (%q), want the completed write", got, got.Value)
+	}
+	if got, _ := read(); got.Err != nil || string(got.Value) != "new" {
+		t.Fatalf("read after the catch-up = %+v (%q), want the completed write", got, got.Value)
+	}
+	if p0, p1 := payload(0), payload(1); p0 != "new" || p1 != "new" {
+		t.Fatalf("replicas hold %q and %q after the catch-up, want \"new\" on both", p0, p1)
 	}
 }

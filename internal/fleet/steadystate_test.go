@@ -10,10 +10,10 @@ import (
 )
 
 // TestSteadyStateAllocs pins the versioned fleet's per-operation
-// allocation budget on a warm closed loop over a group-commit WAL: the
-// R replica values core copies out for a GET are cut from the
-// sub-clients' value slabs (the winner's is handed to the caller as it
-// is), so GETs allocate only slab refills, and a PUT allocates
+// allocation budget on a warm closed loop over a group-commit WAL: a
+// steady GET reads its primary alone, and the one value core copies
+// out is cut from the sub-client's value slab and handed to the caller
+// as it is, so GETs allocate only slab refills, and a PUT allocates
 // nothing — the op record, its per-replica callbacks and stamp buffer,
 // the precomputed replica sets, and the WAL's pending buffer and flight
 // records are all reused. Snapshot compaction, a periodic background
@@ -55,7 +55,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got.Hits != got.Gets || got.Failed != 0 {
 		t.Fatalf("%+v: want every GET a hit and no failures", got)
 	}
-	if budget := kvtest.SlabRefills(r*got.Gets, len(stored), clients*shards) + kvtest.AllocNoise; got.Mallocs > budget {
+	if budget := kvtest.SlabRefills(got.Gets, len(stored), clients*shards) + kvtest.AllocNoise; got.Mallocs > budget {
 		t.Fatalf("%d allocations over %d GETs and %d PUTs, budget %d (slab refills only, plus runtime noise)",
 			got.Mallocs, got.Gets, got.Puts, budget)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/fault"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -125,10 +126,35 @@ func TestVersionedPartialWriteFails(t *testing.T) {
 	}
 }
 
-// TestReadRepairBackfill pins the read path: a replica caught behind
-// the winning version is back-filled with the winner during the read.
-// Versioned and ReadRepair are one switch, so setting either alone
-// repairs.
+// newScheduledFleet is newFleetWith on a cluster running the fault
+// script, with every shard registered as its node's crash target.
+// Machines 0..nShards-1 are the shards, the clients follow.
+func newScheduledFleet(t *testing.T, cfg Config, script string, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
+	t.Helper()
+	sched, err := fault.ParseSchedule(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cluster.Apt()
+	spec.Faults = sched
+	cl, d, clients := newFleetOn(t, spec, cfg, nShards, nClients, seed)
+	d.RegisterCrashTargets(cl.Faults())
+	cl.Faults().Arm()
+	return cl, d, clients
+}
+
+// TestReadRepairBackfill pins the read path's repair and that a
+// partial write is never observed and then un-observed. The key holds
+// "orig" on both replicas; a PUT of "fresh" made while the primary is
+// cut off applies on the secondary alone, fails as partial and queues
+// the key for reconciliation, whose step is slowed so it has not run
+// when the reads below are made. The writer reads while the primary is
+// on its probation and still cut off, so only the secondary answers
+// and nothing is back-filled. A second client reads once the primary
+// is reachable again, and must not see "orig" after the writer saw
+// "fresh": a queued key is read from every replica, so the primary's
+// "orig" loses and is back-filled during the read. Versioned and
+// ReadRepair are one switch, so setting either alone repairs.
 func TestReadRepairBackfill(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -140,99 +166,195 @@ func TestReadRepairBackfill(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			tc.set(&cfg)
-			cl, d, clients := newFleetWith(t, cfg, 3, 1, 31)
-			c := clients[0]
+			cfg.MigrationInterval = 10 * sim.Millisecond
+			cl, d, clients := newScheduledFleet(t, cfg, "partition a=0 b=1,2,3,4 from=100us until=600us", 3, 2, 31)
+			writer, reader := clients[0], clients[1]
 			key := keyOnShard(t, d, 0, 1)
-			fresh := stampedValue(int64(sim.Millisecond), 1, "fresh")
 
-			var put kv.Result
-			c.Put(key, []byte("orig"), func(r kv.Result) { put = r })
-			cl.Eng.Run()
+			var put, first, second kv.Result
+			writer.Put(key, []byte("orig"), func(r kv.Result) { put = r })
+			cl.Eng.RunUntil(100 * sim.Microsecond)
 			if put.Err != nil {
 				t.Fatalf("seed put = %+v", put)
 			}
-			// Inject divergence: shard 0 alone advances to a newer version.
-			if err := d.Server(0).Preload(key, fresh); err != nil {
-				t.Fatal(err)
-			}
+			writer.Put(key, []byte("fresh"), func(r kv.Result) { put = r })
+			cl.Eng.At(300*sim.Microsecond, func() {
+				if writer.readPreferred(0, cl.Eng.Now()) {
+					t.Error("the writer's read starts with the primary off probation")
+				}
+				writer.Get(key, func(r kv.Result) { first = r })
+			})
+			cl.Eng.At(700*sim.Microsecond, func() {
+				if first.Status == 0 {
+					t.Error("the writer's read has not returned")
+				}
+				reader.Get(key, func(r kv.Result) { second = r })
+			})
+			cl.Eng.RunUntil(3 * sim.Millisecond)
 
-			var got kv.Result
-			c.Get(key, func(r kv.Result) { got = r })
-			cl.Eng.Run()
-
-			if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "fresh" {
-				t.Fatalf("get = %+v (value %q), want the newest version", got, got.Value)
+			if !errors.Is(put.Err, ErrPartialWrite) {
+				t.Fatalf("put = %+v, want ErrPartialWrite", put)
 			}
-			if c.StaleObserved() == 0 || c.RepairsIssued() == 0 || c.RepairsApplied() == 0 {
+			for _, r := range []kv.Result{first, second} {
+				if r.Err != nil || r.Status != kv.StatusHit || string(r.Value) != "fresh" {
+					t.Fatalf("reads = %q then %q (%+v, %+v), want \"fresh\" twice", first.Value, second.Value, first, second)
+				}
+			}
+			if reader.StaleObserved() == 0 || reader.RepairsIssued() == 0 || reader.RepairsApplied() == 0 {
 				t.Fatalf("repair counters: stale=%d issued=%d applied=%d",
-					c.StaleObserved(), c.RepairsIssued(), c.RepairsApplied())
+					reader.StaleObserved(), reader.RepairsIssued(), reader.RepairsApplied())
 			}
-			stored, ok := shardHolds(d, 1, key)
+			if audited, _ := d.AntiEntropyStats(); audited != 0 {
+				t.Fatalf("the reconciliation step merged %d keys before the reads", audited)
+			}
+			fresh, _ := shardHolds(d, 1, key)
+			stored, ok := shardHolds(d, 0, key)
 			if !ok || !bytes.Equal(stored, fresh) {
-				t.Fatalf("replica 1 not back-filled: ok=%v stored=%x", ok, stored)
+				t.Fatalf("primary not back-filled: ok=%v stored=%x, want %x", ok, stored, fresh)
 			}
 		})
 	}
 }
 
-// TestCrashedReplicaStaleRead is the satellite regression pinning
-// read-repair behavior: with a divergent replica set and the fresh
-// replica crashed, the legacy fleet serves the stale survivor as a
-// plain hit, while a read-repairing fleet converged the survivor on
-// the first read and keeps answering fresh after the crash.
-func TestCrashedReplicaStaleRead(t *testing.T) {
-	fresh := stampedValue(int64(sim.Millisecond), 1, "fresh")
+// TestPrimaryMissFansOut pins read-one's miss rule. MICA is lossy, so a
+// quiet primary may lack a key its secondary holds; the key is
+// preloaded onto the secondary alone, as if the primary had evicted it.
+// The read asks the primary alone, and its miss asks the secondary,
+// whose copy is the answer and is back-filled onto the primary. Until
+// the reconciliation step has merged the key, reads of it ask every
+// replica, so no later read can be served by a primary still missing
+// it.
+func TestPrimaryMissFansOut(t *testing.T) {
+	cl, d, clients := newVersionedFleet(t, 3, 1, 53)
+	c := clients[0]
+	key := keyOnShard(t, d, 0, 1)
+	reps := d.Replicas(key)
+	held := stampedValue(int64(sim.Microsecond), 1, "held")
+	if err := d.Server(1).Preload(key, held); err != nil {
+		t.Fatal(err)
+	}
+	if !d.soloReadable(key, reps) {
+		t.Fatal("a quiet replica set is not read-one")
+	}
 
-	t.Run("legacy_serves_stale", func(t *testing.T) {
-		cl, d, clients := newFleet(t, 3, 1, 41)
+	var got kv.Result
+	queued := false
+	c.Get(key, func(r kv.Result) {
+		got = r
+		queued = !d.soloReadable(key, reps)
+	})
+	cl.Eng.Run()
+	if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "held" {
+		t.Fatalf("get = %+v (%q), want the secondary's copy", got, got.Value)
+	}
+	if !queued {
+		t.Fatal("the read returned the secondary's copy with the key still read-one")
+	}
+	if c.StaleObserved() != 1 || c.Reroutes() != 0 {
+		t.Fatalf("stale=%d reroutes=%d, want one stale primary and no failover", c.StaleObserved(), c.Reroutes())
+	}
+	if stored, ok := shardHolds(d, 0, key); !ok || !bytes.Equal(stored, held) {
+		t.Fatalf("primary not back-filled: ok=%v stored=%x", ok, stored)
+	}
+	if !d.soloReadable(key, reps) {
+		t.Fatal("the key stayed read-all after the reconciliation step")
+	}
+}
+
+// TestDownReplicaStillAsked pins why a read asks every replica while
+// one of them is down. A member client learns of a crash only from a
+// request that burns its retry budget, which starts its reconnect
+// handshake. A read of a key whose secondary is down therefore still
+// asks the secondary, so the client notices the crash and starts its
+// handshake. The secondary restarts as the read returns, while the
+// handshake is still retrying, so the same client's next write reaches
+// it and completes instead of failing as partial on the dead
+// connection.
+func TestDownReplicaStillAsked(t *testing.T) {
+	cl, d, clients := newVersionedFleet(t, 3, 1, 59)
+	c := clients[0]
+	key := keyOnShard(t, d, 0, 1)
+	var put, got kv.Result
+	c.Put(key, []byte("orig"), func(r kv.Result) { put = r })
+	cl.Eng.Run()
+	if put.Err != nil {
+		t.Fatalf("seed put = %+v", put)
+	}
+
+	d.Server(1).Crash()
+	c.Get(key, func(r kv.Result) {
+		got = r
+		d.Server(1).Restart()
+	})
+	cl.Eng.Run()
+	if got.Err != nil || string(got.Value) != "orig" {
+		t.Fatalf("get with the secondary down = %+v (%q)", got, got.Value)
+	}
+	if c.Suspected() == 0 {
+		t.Fatal("the read never asked the down secondary")
+	}
+
+	c.Put(key, []byte("next"), func(r kv.Result) { put = r })
+	cl.Eng.Run()
+	if put.Err != nil || c.PartialWrites() != 0 {
+		t.Fatalf("put after the restart = %+v, partial writes %d; want it to reach both replicas", put, c.PartialWrites())
+	}
+}
+
+// TestCrashedReplicaStaleRead pins what a partial write leaves behind
+// when the replica that took it then dies. The key's secondary is cut
+// off while a PUT of "newer" runs, so only the primary applies it, and
+// the primary crashes afterwards. The legacy fleet counts the write a
+// success, never reconciles, and serves the stale survivor as a plain
+// hit. A versioned fleet fails the write as partial and queues the key
+// for reconciliation, which converges the survivor before the crash.
+func TestCrashedReplicaStaleRead(t *testing.T) {
+	const script = "partition a=1 b=0,2,3 from=100us until=1ms"
+	run := func(t *testing.T, cfg Config) (after kv.Result, d *Deployment) {
+		cl, d, clients := newScheduledFleet(t, cfg, script, 3, 1, 41)
 		c := clients[0]
 		key := keyOnShard(t, d, 0, 1)
 		var put kv.Result
 		c.Put(key, []byte("orig"), func(r kv.Result) { put = r })
-		cl.Eng.Run()
+		cl.Eng.RunUntil(100 * sim.Microsecond)
 		if put.Err != nil {
 			t.Fatalf("seed put = %+v", put)
 		}
-		// Shard 0 alone advances, then dies.
-		if err := d.Server(0).Preload(key, []byte("newer")); err != nil {
-			t.Fatal(err)
-		}
-		d.Server(0).Crash()
-		var got kv.Result
-		c.Get(key, func(r kv.Result) { got = r })
+		c.Put(key, []byte("newer"), func(r kv.Result) { put = r })
+		var first kv.Result
+		cl.Eng.At(1500*sim.Microsecond, func() {
+			c.Get(key, func(r kv.Result) { first = r })
+		})
+		cl.Eng.At(2*sim.Millisecond, func() {
+			d.Server(0).Crash()
+			c.Get(key, func(r kv.Result) { after = r })
+		})
 		cl.Eng.Run()
+		if c.PartialWrites() != 1 {
+			t.Fatalf("PartialWrites = %d, want 1", c.PartialWrites())
+		}
+		if first.Err != nil || string(first.Value) != "newer" {
+			t.Fatalf("read before the crash = %+v (%q), want the primary's \"newer\"", first, first.Value)
+		}
+		return after, d
+	}
+
+	t.Run("legacy_serves_stale", func(t *testing.T) {
+		got, _ := run(t, testConfig())
 		if got.Err != nil || string(got.Value) != "orig" {
 			t.Fatalf("expected the legacy fleet to serve the stale survivor, got %+v (%q)", got, got.Value)
 		}
 	})
 
 	t.Run("repair_converges_before_crash", func(t *testing.T) {
-		cl, d, clients := newVersionedFleet(t, 3, 1, 41)
-		c := clients[0]
-		key := keyOnShard(t, d, 0, 1)
-		var put kv.Result
-		c.Put(key, []byte("orig"), func(r kv.Result) { put = r })
-		cl.Eng.Run()
-		if put.Err != nil {
-			t.Fatalf("seed put = %+v", put)
+		cfg := testConfig()
+		cfg.Versioned = true
+		got, d := run(t, cfg)
+		if got.Err != nil || string(got.Value) != "newer" {
+			t.Fatalf("read after crash = %+v (%q), want the reconciled value", got, got.Value)
 		}
-		if err := d.Server(0).Preload(key, fresh); err != nil {
-			t.Fatal(err)
-		}
-		// The read observes the divergence and back-fills shard 1...
-		var first kv.Result
-		c.Get(key, func(r kv.Result) { first = r })
-		cl.Eng.Run()
-		if first.Err != nil || string(first.Value) != "fresh" {
-			t.Fatalf("first get = %+v (%q)", first, first.Value)
-		}
-		// ...so the fresh state survives shard 0's crash.
-		d.Server(0).Crash()
-		var got kv.Result
-		c.Get(key, func(r kv.Result) { got = r })
-		cl.Eng.Run()
-		if got.Err != nil || string(got.Value) != "fresh" {
-			t.Fatalf("read after crash = %+v (%q), want the repaired value", got, got.Value)
+		if _, repaired := d.AntiEntropyStats(); repaired == 0 {
+			t.Fatal("the partial write's reconciliation repaired nothing")
 		}
 	})
 }
