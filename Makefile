@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-check tables microbench loc unrun sensitivity
+.PHONY: all build vet lint lint-fix test race bench bench-check tables microbench loc unrun unrun-check sensitivity
 
 all: build vet lint test
 
@@ -79,8 +79,8 @@ loc:
 # workload runs for a second, each example runs once, and the merged
 # profile's 0.0% functions are printed. The bench/ lines are dropped
 # because `go tool cover` cannot resolve that nested module's files from
-# here. An audit aid for code nothing reaches (about a minute and a
-# half), not a gate.
+# here. An audit of code nothing reaches (about a minute and a half);
+# unrun-check below is the gate.
 UNRUN_WORKLOADS = herd-read fleet-write hot-cached mux-open
 UNRUN_FAULTS = internal/fault/testdata/every-keyword.faults
 
@@ -107,6 +107,18 @@ unrun:
 	grep -v '^herdkv/bench/' "$$tmp/all.txt" >"$$tmp/herdkv.txt"; \
 	$(GO) tool cover -func="$$tmp/herdkv.txt" | \
 		awk '$$NF == "0.0%" && $$1 ~ /^herdkv\/internal\// && $$1 !~ /^herdkv\/internal\/lint\//'
+
+# The unrun ratchet: every function `make unrun` names must be listed,
+# with a reason, in docs/UNRUN.txt, and every function listed there
+# must still be named. Fails naming each file and function out of step.
+unrun-check:
+	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(MAKE) --no-print-directory -s unrun >"$$tmp"; \
+	awk 'FNR == NR { if (NF && $$1 !~ /^#/) listed[$$1 " " $$2] = 1; next } \
+		{ f = $$1; sub(/^herdkv\//, "", f); sub(/:[0-9]+:$$/, "", f); k = f " " $$2; named[k] = 1; \
+		  if (!(k in listed)) { print "unrun: " k " is not in docs/UNRUN.txt (add it with a reason)"; bad = 1 } } \
+		END { for (k in listed) if (!(k in named)) { print "unrun: " k " is listed in docs/UNRUN.txt but no longer unrun (drop it)"; bad = 1 } \
+		      exit bad }' docs/UNRUN.txt "$$tmp"
 
 # The parameter sensitivity matrix, docs/SENSITIVITY.md: every report
 # target at the shortened windows on both presets, once as defined and

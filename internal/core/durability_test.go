@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"herdkv/internal/kv"
@@ -106,12 +107,13 @@ func TestRefusedPreloadNotLogged(t *testing.T) {
 	}
 }
 
-// TestStalePreloadNotLogged: on a versioned server, a preload whose
-// stamp does not outrank the stored one is refused and never reaches
-// the WAL, both at instant zero, where preloads queue in mica's bulk
-// load and the stamp is decided when the batch settles, and at run
-// time, where a preload applies at once. A warm restart restores the
-// newest value.
+// TestStalePreloadNotLogged: on a versioned server, a run-time preload
+// whose stamp does not outrank the stored one applies at once, is
+// refused and never reaches the WAL. At instant zero, where preloads
+// queue in mica's bulk load and the stamp is decided only when the
+// batch settles, each preload is logged as it is made, and replay
+// refuses the stale ones again. A warm restart restores the newest
+// value.
 func TestStalePreloadNotLogged(t *testing.T) {
 	cfg := durableConfig(DurabilityGroupCommit)
 	cfg.VersionedValues = true
@@ -128,8 +130,9 @@ func TestStalePreloadNotLogged(t *testing.T) {
 		if err := srv.Preload(key, stale); err != nil {
 			t.Fatal(err)
 		}
+		logged++
 		if n := srv.WAL().Appends(); n != logged {
-			t.Fatalf("instant zero: stale preload %q logged (appends %d, want %d)", stale, n, logged)
+			t.Fatalf("instant zero: stale preload %q not logged (appends %d, want %d)", stale, n, logged)
 		}
 	}
 	// Run an event, so later preloads apply at once.
@@ -209,6 +212,92 @@ func TestQueuedPreloadIsStartingImage(t *testing.T) {
 	for k := uint64(1); k <= keys; k++ {
 		if v, ok := lookup(srv, kv.FromUint64(k)); !ok || !bytes.Equal(v, stamped(1, k, "preloaded")) {
 			t.Fatalf("key %d after warm restart: value=%q ok=%v", k, v, ok)
+		}
+	}
+}
+
+// TestImageReplayMatchesPreload: versioned preloads made at instant
+// zero are logged as they are made, stale stamps included, and the
+// warm restart's replay re-runs the same bulk loads in the same order.
+// Over several partitions and more than one bulk-load batch each, with
+// newer-then-older and equal-stamp duplicates both inside one batch and
+// across batches, the restarted server must hold exactly the pre-crash
+// state: every partition's Range, in order, and every key's Get.
+func TestImageReplayMatchesPreload(t *testing.T) {
+	const keys = 300 // about 75 per partition: past two 32-insert batches
+	cfg := durableConfig(DurabilityGroupCommit)
+	cfg.VersionedValues = true
+	cl, srv, _ := newHERD(t, cfg, 1)
+	preloads := 0
+	preload := func(k uint64, value []byte) {
+		t.Helper()
+		if err := srv.Preload(kv.FromUint64(k), value); err != nil {
+			t.Fatal(err)
+		}
+		preloads++
+	}
+	for k := uint64(1); k <= keys; k++ {
+		preload(k, stamped(1, 10, "base"))
+		if k%4 == 0 {
+			preload(k, stamped(1, 20, "newer"))
+			preload(k, stamped(1, 5, "older"))
+		}
+		if k%5 == 0 {
+			preload(k, stamped(1, 10, "equal stamp"))
+		}
+	}
+	for k := uint64(6); k <= keys; k += 6 {
+		preload(k, stamped(2, 1, "later epoch"))
+		preload(k, stamped(1, 30, "older epoch"))
+		preload(k, stamped(2, 1, "same stamp"))
+	}
+	if n := srv.WAL().Appends(); n != uint64(preloads) {
+		t.Fatalf("WAL appends = %d, want every one of the %d preloads", n, preloads)
+	}
+	snapshot := func() (ranges [][][]byte, gets [][]byte) {
+		for i := 0; i < cfg.NS; i++ {
+			var r [][]byte
+			srv.Partition(i).Range(func(key kv.Key, value []byte) bool {
+				r = append(r, bytes.Clone(key[:]), bytes.Clone(value))
+				return true
+			})
+			ranges = append(ranges, r)
+		}
+		for k := uint64(1); k <= keys; k++ {
+			v, ok := lookup(srv, kv.FromUint64(k))
+			if !ok {
+				t.Fatalf("key %d missing", k)
+			}
+			gets = append(gets, bytes.Clone(v))
+		}
+		return ranges, gets
+	}
+	wantRanges, wantGets := snapshot()
+	for k, want := range map[uint64][]byte{
+		1:  stamped(1, 10, "base"),
+		4:  stamped(1, 20, "newer"),
+		5:  stamped(1, 10, "base"),
+		12: stamped(2, 1, "later epoch"),
+	} {
+		if got := wantGets[k-1]; !bytes.Equal(got, want) {
+			t.Fatalf("key %d before the crash = %q, want %q", k, got, want)
+		}
+	}
+	srv.Crash()
+	srv.Restart()
+	cl.Eng.Run()
+	if rec := srv.LastRecovery(); !rec.Warm || rec.Replayed+rec.SnapshotRecords != preloads {
+		t.Fatalf("recovery %+v, want a warm replay of the %d logged preloads", rec, preloads)
+	}
+	gotRanges, gotGets := snapshot()
+	for i := range wantRanges {
+		if !slices.EqualFunc(gotRanges[i], wantRanges[i], bytes.Equal) {
+			t.Fatalf("partition %d: Range after the warm restart differs from before the crash", i)
+		}
+	}
+	for i := range wantGets {
+		if !bytes.Equal(gotGets[i], wantGets[i]) {
+			t.Fatalf("key %d after the warm restart = %q, want %q", i+1, gotGets[i], wantGets[i])
 		}
 	}
 }

@@ -286,11 +286,6 @@ type Server struct {
 	lastRecovery RecoveryInfo
 	onRecovered  func(RecoveryInfo)
 
-	// imageQueued is set while versioned preloads made at instant zero
-	// may still sit in a partition's bulk-load queue, so their log
-	// records are not yet written (see Preload and settleImage).
-	imageQueued bool
-
 	// telRecoveryTime records each recovery's duration in nanoseconds.
 	telRecoveryTime *telemetry.Gauge
 
@@ -370,14 +365,6 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 		s.wlog = wal.New(m.Verbs.NIC().Engine(), cfg.WAL, tel)
 		s.wlog.SetSnapshotSource(s.snapshotLiveState)
 		s.telRecoveryTime = tel.Gauge("recovery.time")
-		if cfg.VersionedValues {
-			// Only these partitions log. Crash replaces them with ones
-			// that do not: WAL replay must log nothing, and a crashed
-			// log takes no starting-image records anyway.
-			for _, part := range s.parts {
-				part.OnLoadNewer(s.logImage)
-			}
-		}
 	}
 	s.createQPs()
 	if !cfg.UseSendRequests {
@@ -434,7 +421,6 @@ func (s *Server) Crash() {
 	if s.down {
 		return
 	}
-	s.settleImage()
 	s.down = true
 	s.epoch++
 	for _, qp := range s.udQPs {
@@ -465,7 +451,6 @@ func (s *Server) CrashMidFlush() {
 	if s.down {
 		return
 	}
-	s.settleImage()
 	if s.wlog != nil {
 		s.wlog.CrashTorn()
 	}
@@ -538,7 +523,7 @@ func (s *Server) finishRecovery(info RecoveryInfo) {
 }
 
 // applyRecord replays one WAL record into the owning MICA partition,
-// through the bulk-load queue (the replay's partitions log nothing).
+// through the bulk-load queue.
 func (s *Server) applyRecord(r wal.Record) {
 	part := s.parts[mica.Partition(r.Key, s.cfg.NS)]
 	if s.cfg.VersionedValues {
@@ -590,12 +575,8 @@ func (s *Server) SetRecoveryHook(fn func(RecoveryInfo)) { s.onRecovered = fn }
 // LastRecovery returns the most recent completed restart's info.
 func (s *Server) LastRecovery() RecoveryInfo { return s.lastRecovery }
 
-// WAL exposes the server's write-ahead log (nil with durability off),
-// with every preload logged.
-func (s *Server) WAL() *wal.Log {
-	s.settleImage()
-	return s.wlog
-}
+// WAL exposes the server's write-ahead log (nil with durability off).
+func (s *Server) WAL() *wal.Log { return s.wlog }
 
 // WALRecordsSince returns this shard's logged records appended at or
 // after t — the survivor side of a fleet delta catch-up.
@@ -603,7 +584,6 @@ func (s *Server) WALRecordsSince(t sim.Time) []wal.Record {
 	if s.wlog == nil {
 		return nil
 	}
-	s.settleImage()
 	return s.wlog.RecordsSince(t)
 }
 
@@ -647,67 +627,34 @@ func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }
 // immediately durable (the control-plane path models data loaded
 // before the run): otherwise a crash before the first flush would
 // replay the log to a pre-preload view and silently resurrect stale
-// state. Only what the partition accepts is logged. Items go in through
-// mica's bulk-load path: Cache.Load, or for versioned values the
-// ordered Cache.LoadNewer, which decides a stamp only when its batch
-// settles. With a log, that is late enough only at instant zero,
-// before any event has run: logImage logs each preload the partition
-// accepts as part of the log's starting image. Later, a versioned
-// preload is logged at its own instant, so it applies at once with
-// PutNewer.
+// state. Items go in through mica's bulk-load path: Cache.Load, or for
+// versioned values the ordered Cache.LoadNewer, and each one the
+// partition does not reject outright is logged at once. Replay re-runs
+// the same loads in the same order, so it refuses exactly the stamps
+// the preload refused. Once events have run, a versioned preload on a
+// server with a log applies at once with PutNewer and is logged only if
+// accepted: a reconciliation back-fill racing a fresher client write
+// must never regress the stored version, and a refused (stale) copy
+// must not reach the WAL either.
 func (s *Server) Preload(key kv.Key, value []byte) error {
 	part := s.parts[mica.Partition(key, s.cfg.NS)]
-	if !s.cfg.VersionedValues {
-		if err := part.Load(key, value); err != nil {
+	eng := s.machine.Verbs.NIC().Engine()
+	var err error
+	switch {
+	case !s.cfg.VersionedValues:
+		err = part.Load(key, value)
+	case s.wlog == nil || eng.Now() == 0 && eng.Processed() == 0:
+		err = part.LoadNewer(key, value)
+	default:
+		var applied bool
+		if applied, err = part.PutNewer(key, value); !applied {
 			return err
 		}
-		if s.wlog != nil {
-			s.wlog.AppendDurable(wal.Record{Key: key, Value: value, Epoch: s.epoch})
-		}
-		return nil
 	}
-	if s.wlog == nil {
-		return part.LoadNewer(key, value)
+	if err == nil && s.wlog != nil {
+		s.wlog.AppendDurable(wal.Record{Key: key, Value: value, Epoch: s.epoch})
 	}
-	if eng := s.machine.Verbs.NIC().Engine(); eng.Now() == 0 && eng.Processed() == 0 {
-		err := part.LoadNewer(key, value)
-		if err == nil {
-			s.imageQueued = true
-		}
-		return err
-	}
-	// A reconciliation back-fill racing a fresher client write must
-	// never regress the stored version, and a refused (stale) copy must
-	// not reach the WAL either.
-	s.settleImage()
-	if applied, err := part.PutNewer(key, value); err != nil || !applied {
-		return err
-	}
-	s.wlog.AppendDurable(wal.Record{Key: key, Value: value, Epoch: s.epoch})
-	return nil
-}
-
-// logImage is the OnLoadNewer hook of a versioned server's first
-// partitions: it logs one accepted instant-zero preload.
-func (s *Server) logImage(key kv.Key, value []byte) {
-	s.wlog.AppendImage(wal.Record{Key: key, Value: value, Epoch: s.epoch})
-}
-
-// settleImage applies every queued instant-zero preload, so logImage
-// has logged each one its partition accepts. Every path that reads the
-// log, appends to it or crashes the server calls it first; the log
-// then still holds nothing but its starting image, which is what
-// wal.Log.AppendImage requires.
-//
-//herd:hotpath
-func (s *Server) settleImage() {
-	if !s.imageQueued {
-		return
-	}
-	s.imageQueued = false
-	for _, part := range s.parts {
-		part.Settle()
-	}
+	return err
 }
 
 // Stats reports server-side operation counts.
@@ -720,10 +667,6 @@ func (s *Server) Rejected() uint64 { return s.rejected }
 // Shed reports requests refused by admission control with a busy
 // pushback (Config.AdmissionLimit).
 func (s *Server) Shed() uint64 { return s.shed }
-
-// QueueDepth reports process proc's current admitted-but-unserved
-// request count (tests and experiments).
-func (s *Server) QueueDepth(proc int) int { return s.queued[proc] }
 
 // SetAdmissionLimit adjusts the admission queue cap at runtime (zero
 // disables shedding). Lets tests and experiments brown out a single
@@ -1066,7 +1009,6 @@ func (r *serveRec) Fire(at sim.Time) {
 		s.puts++
 		var applied bool
 		var err error
-		s.settleImage()
 		if s.cfg.VersionedValues {
 			applied, err = part.PutNewer(req.key, req.value)
 		} else {

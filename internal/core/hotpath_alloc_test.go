@@ -35,7 +35,7 @@ func TestHotpathAllocFree(t *testing.T) {
 	lcfg.VersionedValues = true
 	lcfg.Durability = DurabilityGroupCommit
 	lcfg.RetryTimeout = 12 * sim.Microsecond
-	cl, lsrv, clients := newHERD(t, lcfg, 1)
+	cl, _, clients := newHERD(t, lcfg, 1)
 	lc := clients[0]
 	stamped := kv.AppendVersion(nil, kv.Version{Epoch: 1, Seq: 1}, false)
 	stamped = append(stamped, "gate-value"...)
@@ -70,7 +70,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		"zeroTail":              func() { zeroTail(slotRaw[:]) },
 		"encodeRespHeader":      func() { _ = encodeRespHeader(respBuf, statusOK, 8, 1) },
 		"postLossy":             func() { postLossy(nil) },
-		"Server.settleImage":    func() { lsrv.imageQueued = true; lsrv.settleImage() },
 		"Server.clientQP":       roundTrip,
 		"serveRec.Fire":         roundTrip,
 		"serveRec.respBuf":      roundTrip,

@@ -130,15 +130,6 @@ type Stats struct {
 	Probes           uint64 // buckets examined across all lookups
 }
 
-// AvgProbes reports mean buckets probed per lookup (the paper's 1.6 at
-// 75% fill).
-func (s Stats) AvgProbes() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Probes) / float64(s.Lookups)
-}
-
 // Table is a cuckoo hash table over caller-owned memory.
 type Table struct {
 	buckets  []byte // nBuckets * BucketSize
@@ -162,9 +153,6 @@ func New(bucketMem, extentMem []byte, nBuckets int) *Table {
 		seeds:    [K]uint64{0x51ed, 0xbead, 0xfeed},
 	}
 }
-
-// NBuckets returns the bucket count.
-func (t *Table) NBuckets() int { return t.nBuckets }
 
 // Stats returns a snapshot of counters.
 func (t *Table) Stats() Stats { return t.stats }

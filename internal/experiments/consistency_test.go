@@ -44,6 +44,32 @@ func TestConsistencyGate(t *testing.T) {
 	}
 }
 
+// TestConsistencyGateSeeds widens the consistency gate past the one
+// schedule the seed search picks: under each of 64 generated nemesis
+// schedules the versioned arm must certify linearizable with every
+// replica set converged after the anti-entropy sweep. The first-ack arm
+// runs the same schedules as the negative control, and must serve a
+// stale read under at least one of them.
+func TestConsistencyGateSeeds(t *testing.T) {
+	const seeds = 64
+	spec := cluster.Apt()
+	firstAckViolated := 0
+	for s := int64(1); s <= seeds; s++ {
+		sched := consistencyNemesis(s).Generate()
+		m := consistencyArm(spec, s, sched, true)
+		if v, div := m["violations"].Value, m["divergent_after"].Value; v != 0 || div != 0 {
+			t.Errorf("seed %d: versioned arm read %.0f violations, %.0f divergent keys after the sweep; want 0 and 0", s, v, div)
+		}
+		if consistencyArm(spec, s, sched, false)["violations"].Value > 0 {
+			firstAckViolated++
+		}
+	}
+	t.Logf("first-ack violated under %d of %d schedules", firstAckViolated, seeds)
+	if firstAckViolated == 0 {
+		t.Fatalf("the first-ack arm violated under none of the %d schedules: the gate's negative control no longer bites", seeds)
+	}
+}
+
 // TestNemesisLineReparses checks that the report's schedule param is
 // the re-parseable script line: parsing it regenerates exactly the
 // events of the config it was rendered from, flush crashes included.

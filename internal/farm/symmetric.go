@@ -64,9 +64,6 @@ func (s *Symmetric) Owner(key kv.Key) int {
 	return int(key.Hash64(s.seed) % uint64(len(s.shards)))
 }
 
-// Shard exposes machine i's server (tests, preloading).
-func (s *Symmetric) Shard(i int) *Server { return s.shards[i] }
-
 // Preload inserts key on its owner without network traffic.
 func (s *Symmetric) Preload(key kv.Key, value []byte) error {
 	return s.shards[s.Owner(key)].Insert(key, value)

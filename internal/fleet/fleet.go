@@ -37,11 +37,13 @@ type Config struct {
 	// HotKeyTrack is the number of keys each client's hot-key detector
 	// tracks (a space-saving top-k sketch; see hotkey.go). 0, the
 	// default, disables detection and widening entirely — reads stay
-	// primary-first.
+	// primary-first. Widening runs only on first-ack reads: a Versioned
+	// fleet ignores this field and HotKeyThreshold, because only a key's
+	// primary may be read alone.
 	HotKeyTrack int
 	// HotKeyThreshold is how many reads of one key within the sliding
-	// window classify it hot and start widening its reads across the
-	// replica set (default 32 when tracking is on).
+	// window classify it hot and start widening its first-ack reads
+	// across the replica set (default 32 when tracking is on).
 	HotKeyThreshold int
 	// Versioned switches the fleet to versioned replication with
 	// repair: every write carries a kv.Version prefix ([epoch 8][seq 8]

@@ -115,22 +115,44 @@ func TestHotKeyWideningSpreadsReads(t *testing.T) {
 
 // TestHotKeyWideningOffByDefault pins the default: with HotKeyTrack
 // unset the same hammer stays primary-first, so widening can never
-// surprise a deployment that didn't ask for it.
+// surprise a deployment that didn't ask for it. A versioned fleet never
+// widens even with tracking on: only its primary may be read alone.
 func TestHotKeyWideningOffByDefault(t *testing.T) {
-	cl, d, clients := newFleet(t, 3, 1, 1)
-	c := clients[0]
-	key := kv.FromUint64(42)
-	if err := d.Preload(key, []byte("hot")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 24; i++ {
-		if err := c.Get(key, func(kv.Result) {}); err != nil {
+	versioned := testConfig()
+	versioned.Versioned = true
+	versioned.Replication = 3
+	versioned.HotKeyTrack, versioned.HotKeyThreshold = 8, 8
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		value []byte
+	}{
+		{"default", testConfig(), []byte("hot")},
+		{"versioned, tracking on", versioned, append(kv.AppendVersion(nil, kv.Version{}, false), "hot"...)},
+	} {
+		cl, d, clients := newFleetWith(t, tc.cfg, 3, 1, 1)
+		c := clients[0]
+		key := kv.FromUint64(42)
+		if err := d.Preload(key, tc.value); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cl.Eng.Run()
-	if c.HotWidened() != 0 || c.ReplicaReads() != 0 {
-		t.Fatalf("widened=%d replicaReads=%d with detection off, want 0/0",
-			c.HotWidened(), c.ReplicaReads())
+		hits := 0
+		for i := 0; i < 24; i++ {
+			if err := c.Get(key, func(r kv.Result) {
+				if r.Status == kv.StatusHit {
+					hits++
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.Eng.Run()
+		if hits != 24 {
+			t.Fatalf("%s: %d of 24 reads hit", tc.name, hits)
+		}
+		if c.HotWidened() != 0 || c.ReplicaReads() != 0 {
+			t.Fatalf("%s: widened=%d replicaReads=%d, want 0/0",
+				tc.name, c.HotWidened(), c.ReplicaReads())
+		}
 	}
 }

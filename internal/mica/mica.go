@@ -164,10 +164,6 @@ type Cache struct {
 	queue   [loadBatch]pendingInsert
 	queued  int
 	touched slot
-
-	// loaded, if set, runs for each LoadNewer insert the partition
-	// accepts (see OnLoadNewer).
-	loaded func(key Key, value []byte)
 }
 
 // pendingInsert is one queued Load: the entry Load appended for key at
@@ -462,8 +458,8 @@ func (c *Cache) PutNewer(key Key, value []byte) (bool, error) {
 // Load is the bulk-load form of Put, with the same checks, result and
 // Stats. It appends the log entry at once, so the caller may reuse
 // value, but queues the index insert; every loadBatch queued inserts
-// are applied together by settle, and Get, Put, PutNewer, Range, Stats
-// and Settle settle first.
+// are applied together by settle, and Get, Put, PutNewer, Range and
+// Stats settle first.
 // Batching is exact only while the log has not wrapped, since Put's
 // stale detection reads the head at scan time, so an append that
 // could reach the end of the log's first lap falls back to Put.
@@ -497,8 +493,7 @@ func (c *Cache) Load(key Key, value []byte) error {
 // it, the batch's later entries move down over it, so a refused stamp
 // leaves no log bytes behind. An append that could reach the end of
 // the log's first lap falls back to PutNewer. LoadNewer reports only
-// the checks Put makes; the OnLoadNewer hook learns which inserts
-// were accepted.
+// the checks Put makes, not whether the stamp was accepted.
 //
 //herd:hotpath
 func (c *Cache) LoadNewer(key Key, value []byte) error {
@@ -509,10 +504,7 @@ func (c *Cache) LoadNewer(key Key, value []byte) error {
 		return ErrValueTooLarge
 	}
 	if c.head+uint64(entryHeader+len(value)) > uint64(c.cfg.LogBytes) {
-		applied, err := c.PutNewer(key, value)
-		if applied && c.loaded != nil {
-			c.loaded(key, value)
-		}
+		_, err := c.PutNewer(key, value)
 		return err
 	}
 	c.stats.Puts++ // until settle refuses it
@@ -524,22 +516,6 @@ func (c *Cache) LoadNewer(key Key, value []byte) error {
 		c.settle()
 	}
 	return nil
-}
-
-// OnLoadNewer registers fn to run for each LoadNewer insert the
-// partition accepts, in Load order, when it is applied: by settle, or
-// at once on the first-lap fallback. value aliases the log. fn must not
-// call back into the partition.
-func (c *Cache) OnLoadNewer(fn func(key Key, value []byte)) { c.loaded = fn }
-
-// Settle applies every queued Load and LoadNewer insert now, running
-// the OnLoadNewer hook for each one accepted.
-//
-//herd:hotpath
-func (c *Cache) Settle() {
-	if c.queued != 0 {
-		c.settle()
-	}
 }
 
 // settle applies the queued inserts in Load order, each exactly as Put
@@ -579,9 +555,6 @@ func (c *Cache) settle() {
 			continue
 		}
 		c.slots[slot] = makeSlot(p.tag, off)
-		if c.loaded != nil {
-			c.loaded(p.key, v)
-		}
 	}
 	c.head -= shift
 }

@@ -192,9 +192,6 @@ func (ep *Endpoint) OpenChannel() (*Channel, error) {
 // Config returns the endpoint configuration (defaults applied).
 func (ep *Endpoint) Config() Config { return ep.cfg }
 
-// Channels returns how many channels are open.
-func (ep *Endpoint) Channels() int { return len(ep.channels) }
-
 // PoolSize returns the number of pooled transport clients.
 func (ep *Endpoint) PoolSize() int { return len(ep.pool) }
 

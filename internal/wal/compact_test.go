@@ -239,54 +239,6 @@ func TestPreloadDoesNotCompact(t *testing.T) {
 	}
 }
 
-// TestAppendImageAfterEvents: a starting-image record logged once
-// events have run (a preload whose apply was deferred) reads as one
-// logged at instant zero: stamped zero, and no growth, so the first
-// flush after many SnapshotEvery of them starts no compaction, while
-// AppendDurable records after them still count as growth.
-func TestAppendImageAfterEvents(t *testing.T) {
-	eng := sim.New()
-	cfg := testConfig()
-	cfg.SnapshotEvery = 1024
-	l := New(eng, cfg, nil)
-	l.SetSnapshotSource(func(emit func(kv.Key, []byte)) {
-		emit(kv.FromUint64(1), []byte("live"))
-	})
-	eng.After(sim.Microsecond, func() {})
-	eng.Run()
-	const image = 64
-	for i := 0; i < image; i++ {
-		l.AppendImage(rec(uint64(i+1), "image value"))
-	}
-	if l.DurableBytes() < 2*cfg.SnapshotEvery || l.Appends() != image {
-		t.Fatalf("image of %d bytes in %d appends, want several times SnapshotEvery in %d", l.DurableBytes(), l.Appends(), image)
-	}
-	l.Append(rec(1000, "first run-time write"), nil)
-	l.Flush()
-	eng.Run()
-	if l.Snapshots() != 0 {
-		t.Fatalf("the image counted as growth: %d snapshots", l.Snapshots())
-	}
-	recs := l.RecordsSince(0)
-	if len(recs) != image+1 || len(l.RecordsSince(1)) != 1 {
-		t.Fatalf("RecordsSince(0) = %d, RecordsSince(1) = %d; want %d and the flushed one", len(recs), len(l.RecordsSince(1)), image+1)
-	}
-	for _, r := range recs[:image] {
-		if r.At != 0 {
-			t.Fatalf("image record %v stamped %v, want instant zero", r.Key, r.At)
-		}
-	}
-	for n := uint64(0); l.Snapshots() == 0; n++ {
-		if n == 64 {
-			t.Fatalf("%d bytes of durable-path growth started no compaction", l.DurableBytes())
-		}
-		l.AppendDurable(rec(2000+n, strings.Repeat("g", 64)))
-		l.Append(rec(3000+n, "flush"), nil)
-		l.Flush()
-		eng.Run()
-	}
-}
-
 // TestTornTailPastSegmentBoundary crashes a flush whose batch fills the
 // last segment exactly with its first record, so the torn second
 // record is the first frame of a new segment. Recovery truncates

@@ -272,7 +272,7 @@ type Log struct {
 
 	appends, flushes, replayed uint64
 	flushedBytes, tornBytes    uint64
-	snapshotBytes, snapshots   uint64
+	snapshots                  uint64
 
 	telAppends, telFlushes   *telemetry.Counter
 	telReplayed, telSnapshot *telemetry.Counter
@@ -347,44 +347,24 @@ func (l *Log) Append(r Record, onDurable func()) {
 // run starts, so it must be in the log from instant zero — otherwise a
 // crash before the first flush would replay to a pre-preload view. A
 // record logged at instant zero, before any event has run, is part of
-// the starting image (see AppendImage). It stays in the log, so
-// RecordsSince still returns it.
+// that starting image, not log growth: it moves the compaction base
+// past itself, so it never triggers a snapshot. It stays in the log,
+// so RecordsSince still returns it.
 func (l *Log) AppendDurable(r Record) {
-	if l.eng.Now() == 0 && l.eng.Processed() == 0 {
-		l.AppendImage(r)
-		return
-	}
 	if l.crashed {
 		return
 	}
 	r.At = l.eng.Now()
-	l.addDurable(r)
-	l.lastDurAt = r.At
-}
-
-// AppendImage logs r as part of the log's starting image: durable,
-// stamped instant zero, and not log growth, since it moves the
-// compaction base past itself, so it never triggers a snapshot. It is
-// for a preload made at instant zero whose apply decided later whether
-// to log it, and so may be called once events have run, but only while
-// the log holds nothing but the starting image.
-func (l *Log) AppendImage(r Record) {
-	if l.crashed {
-		return
-	}
-	r.At = 0
-	l.addDurable(r)
-	l.snapBase = l.durable.n
-}
-
-// addDurable adds one record to the durable log.
-func (l *Log) addDurable(r Record) {
 	if r.Epoch > l.maxEpoch {
 		l.maxEpoch = r.Epoch
 	}
 	l.appends++
 	l.telAppends.Inc()
 	l.durable.add(r)
+	l.lastDurAt = r.At
+	if r.At == 0 && l.eng.Processed() == 0 {
+		l.snapBase = l.durable.n
+	}
 }
 
 // Flush forces a group commit of everything pending now (sync
@@ -552,7 +532,6 @@ func (l *Log) maybeSnapshot() {
 		l.snapInProg = false
 		l.snapshot = snap
 		l.snapshots++
-		l.snapshotBytes += uint64(snap.n)
 		l.telSnapshot.Add(uint64(snap.n))
 		// Drop every durable record the snapshot covers; replay order
 		// (snapshot, then the rest of the log) keeps last-writer-wins
@@ -728,9 +707,6 @@ func (l *Log) Pending() int {
 // tail only).
 func (l *Log) DurableBytes() int { return l.durable.n }
 
-// SnapshotLen reports the current snapshot size in bytes.
-func (l *Log) SnapshotLen() int { return l.snapshot.n }
-
 // Stats snapshot accessors.
 
 // Appends reports total records appended (durable-path included).
@@ -747,9 +723,6 @@ func (l *Log) TornBytes() uint64 { return l.tornBytes }
 
 // Snapshots reports completed compactions.
 func (l *Log) Snapshots() uint64 { return l.snapshots }
-
-// SnapshotBytes reports total bytes written as snapshots.
-func (l *Log) SnapshotBytes() uint64 { return l.snapshotBytes }
 
 // Utilization reports the persist device's busy fraction so far.
 func (l *Log) Utilization() float64 { return l.dev.Utilization() }
