@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -127,19 +128,21 @@ func failoverDemo() {
 		log.Fatal(err)
 	}
 
-	// Read every key while shard 0 is down: replicas serve its share.
+	// Read every key while shard 0 is down: replicas serve its share. A
+	// read counts as served only when it returns the preloaded bytes.
 	d.Server(0).Crash()
-	hits := 0
+	served := 0
 	for k := uint64(0); k < 2048; k++ {
-		c.Get(herdkv.KeyFromUint64(k), func(r herdkv.Result) {
-			if r.Status == herdkv.StatusHit {
-				hits++
+		key := herdkv.KeyFromUint64(k)
+		c.Get(key, func(r herdkv.Result) {
+			if r.Status == herdkv.StatusHit && bytes.Equal(r.Value, herdkv.ExpectedValue(key, valueSize)) {
+				served++
 			}
 		})
 	}
 	cl.Eng.Run()
 	fmt.Printf("  shard 0 down: %d/2048 reads served (reroutes=%d, replica reads=%d, failed=%d)\n",
-		hits, c.Reroutes(), c.ReplicaReads(), c.Failed())
+		served, c.Reroutes(), c.ReplicaReads(), c.Failed())
 }
 
 // preload inserts every key via the provided deployment preload.

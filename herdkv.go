@@ -162,7 +162,7 @@ type FleetDeployment = fleet.Deployment
 type FleetClient = fleet.Client
 
 // FleetConfig parameterizes a fleet (replication factor, catch-up
-// pacing, hot-key widening, versioned replication).
+// pacing, versioned replication).
 type FleetConfig = fleet.Config
 
 // FleetRing is the fleet's rendezvous-hash placement (per-shard

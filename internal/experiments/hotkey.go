@@ -26,11 +26,10 @@ const (
 
 // Hotkey runs the paper's skewed workload (Zipf .99, 95% GET) against
 // a replicated fleet twice: once with clients reading through plain
-// fleet handles, once with every client behind a leased near cache and
-// fleet-side hot-key widening. The skew concentrates reads on a few
-// keys; the cached arm serves repeats locally inside the lease and
-// spreads the residual hot reads across replicas, so it must beat the
-// uncached arm on goodput while sending the origin shards fewer GETs.
+// fleet handles, once with every client behind a leased near cache.
+// The skew concentrates reads on a few keys; the cached arm serves
+// repeats locally inside the lease, so it must beat the uncached arm
+// on goodput while sending the origin shards fewer GETs.
 // The report is BENCH_hotkey.json.
 func Hotkey(spec cluster.Spec) (*Table, *Report) {
 	originGets := func(d *fleet.Deployment) uint64 {
@@ -44,21 +43,13 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 
 	// arm measures goodput and the GETs the origin shards actually
 	// served during the span (the load the near cache absorbs); the
-	// cached arm adds its hit rate and the hot reads the fleet steered
-	// off-primary.
+	// cached arm adds its hit rate.
 	arm := func(cached bool) Metrics {
 		fcfg := fleet.DefaultConfig()
 		fcfg.Herd = core.DefaultConfig()
 		fcfg.Herd.Mica = mica.Config{IndexBuckets: hotkeyKeys / 2, BucketSlots: 8, LogBytes: hotkeyKeys * 64}
 		if cached {
 			fcfg.Herd.LeaseTTL = hotkeyLeaseTTL
-			fcfg.HotKeyTrack = 16
-			// The near cache absorbs repeat reads, so the fleet tracker
-			// only sees fill traffic — at most one read per key per lease
-			// TTL per client. The threshold counts fills, not raw reads:
-			// 4 fills in a 100us window means the key is re-fetched every
-			// TTL, i.e. continuously hot behind the cache.
-			fcfg.HotKeyThreshold = 4
 		}
 		cl, d, fleetClients := deployFleet(deploySpec{spec: spec, seed: 1, keys: hotkeyKeys,
 			valueSize: hotkeyValueSize, clients: hotkeyClients, perMachine: 1}, hotkeyShards, fcfg)
@@ -92,11 +83,6 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 				hitRate = float64(hits) / float64(hits+misses)
 			}
 			m.Set("cache_hit_rate", hitRate, "ratio", "")
-			var widened uint64
-			for _, fc := range fleetClients {
-				widened += fc.HotWidened()
-			}
-			m.Set("hot_widened", float64(widened), "count", "")
 		}
 		return m
 	}
@@ -120,10 +106,10 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 	}
 	t.AddRow("fleet, uncached", cell(uncached["goodput_mops"].Value),
 		uncached.itoa("origin_gets"), "-")
-	t.AddRow("near cache + leases + widening", cell(cached["goodput_mops"].Value),
+	t.AddRow("near cache + leases", cell(cached["goodput_mops"].Value),
 		cached.itoa("origin_gets"),
 		fmt.Sprintf("%.0f%%", cached["cache_hit_rate"].Value*100))
-	t.AddNote("%d clients over %d shards (R=2); lease TTL %dus; cached arm %.1fx goodput, %s hot reads widened off-primary",
-		hotkeyClients, hotkeyShards, hotkeyLeaseTTL/sim.Microsecond, speedup, cached.itoa("hot_widened"))
+	t.AddNote("%d clients over %d shards (R=2); lease TTL %dus; cached arm %.1fx goodput",
+		hotkeyClients, hotkeyShards, hotkeyLeaseTTL/sim.Microsecond, speedup)
 	return t, rep
 }

@@ -63,7 +63,7 @@ var Targets = []Target{
 	{Name: "durability", Run: DurabilityScenario},
 
 	// Hot-key survival: the skewed workload with and without the client
-	// near cache + leases + hot-key widening (docs/CACHING.md).
+	// near cache + leases (docs/CACHING.md).
 	{Name: "hotkey", Run: Hotkey},
 
 	// Consistency: the nemesis-driven linearizability gate — first-ack

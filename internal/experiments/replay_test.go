@@ -30,7 +30,7 @@ var replayDigests = map[string]string{
 	"overload":      "2acb8142174b76f553b012921b0f8ccbe5f016fa3182262a67550ff56c7a234d",
 	"clients-sweep": "063636406816aa0e01c37576c41db15ab5e1bc45c2085591a8468e9b46f97a8f",
 	"durability":    "9c9f76832b9698e597eb3dfc63804ea457f83b52daee8005d8a119180b1870b7",
-	"hotkey":        "69afc5916cf3a8e7975fea5ab6f08c8cc1286b843dd39a6a3185d341a4bd8dde",
+	"hotkey":        "f1dd69ad7010d03514f4208509d1f2ceff008c1a7b81033addf8a03236de1de6",
 	"consistency":   "bd794e1373e8d2ed154eb11ce66c6645d6ac7cef5d07779b7feb7ddcb9a2da86",
 
 	// The verb-level targets: their closed loops repost from their own

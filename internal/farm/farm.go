@@ -108,9 +108,6 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Table exposes the hopscotch table (tests, preloading).
-func (s *Server) Table() *hopscotch.Table { return s.table }
-
 // Insert loads a key server-side without network traffic.
 func (s *Server) Insert(key kv.Key, value []byte) error {
 	return s.table.Insert(key, value)

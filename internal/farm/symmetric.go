@@ -56,9 +56,6 @@ func NewSymmetric(cl *cluster.Cluster, n int, cfg Config) (*Symmetric, error) {
 	return s, nil
 }
 
-// Machines returns the deployment size.
-func (s *Symmetric) Machines() int { return len(s.shards) }
-
 // Owner returns the machine owning key's shard.
 func (s *Symmetric) Owner(key kv.Key) int {
 	return int(key.Hash64(s.seed) % uint64(len(s.shards)))

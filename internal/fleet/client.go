@@ -50,9 +50,8 @@ var ErrPartialWrite = errors.New("fleet: write applied on only part of the repli
 type Client struct {
 	d       *Deployment
 	machine *cluster.Machine
-	subs    []kv.KV     // indexed by shard id
-	suspect []sim.Time  // per shard id: avoid reads until this time
-	hot     *hotTracker // hot-key detector, nil when HotKeyTrack is 0
+	subs    []kv.KV    // indexed by shard id
+	suspect []sim.Time // per shard id: avoid reads until this time
 
 	failed   uint64
 	inflight int
@@ -60,7 +59,6 @@ type Client struct {
 	reroutes     uint64
 	replicaReads uint64
 	suspected    uint64
-	hotWidened   uint64
 
 	// The versioned write-stamp generator: verID breaks same-instant
 	// ties between clients, verSeq between this client's own writes.
@@ -78,15 +76,13 @@ type Client struct {
 	repairIssued  uint64
 	repairApplied uint64
 
-	telIssued     *telemetry.Counter
-	telCompleted  *telemetry.Counter
-	telFailed     *telemetry.Counter
-	telReroutes   *telemetry.Counter
-	telReplica    *telemetry.Counter
-	telFanout     *telemetry.Counter
-	telSuspected  *telemetry.Counter
-	telHotWidened *telemetry.Counter
-	telHotKeys    *telemetry.Gauge
+	telIssued    *telemetry.Counter
+	telCompleted *telemetry.Counter
+	telFailed    *telemetry.Counter
+	telReroutes  *telemetry.Counter
+	telReplica   *telemetry.Counter
+	telFanout    *telemetry.Counter
+	telSuspected *telemetry.Counter
 
 	telPartial       *telemetry.Counter
 	telStaleObserved *telemetry.Counter
@@ -113,17 +109,12 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.telReplica = tel.Counter("fleet.reads.replica")
 	c.telFanout = tel.Counter("fleet.writes.fanout")
 	c.telSuspected = tel.Counter("fleet.suspected")
-	c.telHotWidened = tel.Counter("fleet.hotkey.widened")
-	c.telHotKeys = tel.Gauge("fleet.hotkey.hot")
 	c.telPartial = tel.Counter("fleet.writes.partial")
 	c.telStaleObserved = tel.Counter("fleet.repair.stale")
 	c.telRepairIssued = tel.Counter("fleet.repair.issued")
 	c.telRepairApplied = tel.Counter("fleet.repair.applied")
 	c.verID = uint64(len(d.clients))
 	c.repairAck = c.onRepairAck
-	if d.cfg.HotKeyTrack > 0 {
-		c.hot = newHotTracker(d.cfg.HotKeyTrack, d.cfg.HotKeyThreshold, hotKeyWindow)
-	}
 	for _, sh := range d.shards {
 		sub, err := sh.srv.ConnectClient(m)
 		if err != nil {
@@ -158,9 +149,10 @@ func (c *Client) ReplicaReads() uint64 { return c.replicaReads }
 // absorbs it with hinted resubmits.
 func (c *Client) Suspected() uint64 { return c.suspected }
 
-// HotWidened counts reads of a hot key that widening steered to a
-// non-primary start of the replica order.
-func (c *Client) HotWidened() uint64 { return c.hotWidened }
+// HotWidened always reads 0: the fleet no longer widens hot reads. It
+// stays only for existing callers, and leaves with the next benchmark
+// change.
+func (c *Client) HotWidened() uint64 { return 0 }
 
 // PartialWrites counts writes that some replicas applied and others
 // did not — in legacy mode a silent divergence (the op still reports
@@ -381,9 +373,6 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 	o := c.getOp(opGet, key, cb)
 	o.reps = reps
 	o.order = c.readOrder(o.order, reps)
-	if c.hot != nil {
-		c.widen(key, o.order)
-	}
 	c.start()
 	o.begun = c.now()
 	c.tryGet(o, 0)

@@ -34,16 +34,11 @@ type Config struct {
 	// steps (default 2us), bounding how much control-plane copying can
 	// interleave with foreground traffic.
 	MigrationInterval sim.Time
-	// HotKeyTrack is the number of keys each client's hot-key detector
-	// tracks (a space-saving top-k sketch; see hotkey.go). 0, the
-	// default, disables detection and widening entirely — reads stay
-	// primary-first. Widening runs only on first-ack reads: a Versioned
-	// fleet ignores this field and HotKeyThreshold, because only a key's
-	// primary may be read alone.
-	HotKeyTrack int
-	// HotKeyThreshold is how many reads of one key within the sliding
-	// window classify it hot and start widening its first-ack reads
-	// across the replica set (default 32 when tracking is on).
+	// HotKeyTrack and HotKeyThreshold are ignored: the fleet no longer
+	// widens hot reads across replicas (the near cache absorbs the
+	// repeats). They stay only so existing configs compile, and leave
+	// with the next benchmark change.
+	HotKeyTrack     int
 	HotKeyThreshold int
 	// Versioned switches the fleet to versioned replication with
 	// repair: every write carries a kv.Version prefix ([epoch 8][seq 8]
@@ -71,13 +66,8 @@ type Config struct {
 // still fan out to suspected shards so their caches stay warm for when
 // they return. Busy pushback from an admission-limited shard never
 // reaches this policy: the member client resubmits at the server's
-// hint until the op is admitted. hotKeyWindow is the hot-key
-// detector's sliding window: counts age out after at most two windows,
-// so a key that cools stops widening.
-const (
-	probation    = 200 * sim.Microsecond
-	hotKeyWindow = 100 * sim.Microsecond
-)
+// hint until the op is admitted.
+const probation = 200 * sim.Microsecond
 
 // DefaultConfig returns the fleet defaults on top of core's HERD
 // defaults (with retries enabled: failover needs terminal timeouts).
@@ -108,9 +98,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MigrationInterval <= 0 {
 		c.MigrationInterval = 2 * sim.Microsecond
-	}
-	if c.HotKeyTrack > 0 && c.HotKeyThreshold < 1 {
-		c.HotKeyThreshold = 32
 	}
 	// ReadRepair is a synonym for Versioned, and stamps are only
 	// applied server-side when the member config says so.

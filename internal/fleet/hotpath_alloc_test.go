@@ -6,7 +6,6 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
 	"herdkv/internal/lint/hotalloc/hotgate"
-	"herdkv/internal/sim"
 )
 
 // gateFleet builds a 3-shard fleet and two clients on it: one for live
@@ -31,15 +30,12 @@ func gateFleet(t *testing.T, cfg Config) (*cluster.Cluster, *Deployment, *Client
 
 // TestHotpathAllocFree gates the fleet's //herd:hotpath functions at 0
 // allocs/op: the precomputed replica lookup, the read-order and
-// health bookkeeping, the hot-key tracker, and both consistency modes'
-// pooled op records from issue to the caller's callback. The round
-// trips write a key and read an absent one, since a hit's value is the
-// caller's copy and allocates by contract; the first-ack fleet tracks
-// hot keys with a threshold of one, so its reads widen.
+// health bookkeeping, and both consistency modes' pooled op records
+// from issue to the caller's callback. The round trips write a key and
+// read an absent one, since a hit's value is the caller's copy and
+// allocates by contract.
 func TestHotpathAllocFree(t *testing.T) {
-	cfg := testConfig()
-	cfg.HotKeyTrack, cfg.HotKeyThreshold = 4, 1
-	cl, d, c, poked := gateFleet(t, cfg)
+	cl, d, c, poked := gateFleet(t, testConfig())
 	vcfg := testConfig()
 	vcfg.Versioned = true
 	vcl, _, vc, _ := gateFleet(t, vcfg)
@@ -73,8 +69,6 @@ func TestHotpathAllocFree(t *testing.T) {
 	both := func() { firstAck(); versioned() }
 	ring := d.Ring()
 	order := make([]int, 0, 3)
-	hot := newHotTracker(4, 1, sim.Millisecond)
-	entry := &hotEntry{cur: 2}
 	lacks, holds := replicaRank{settled: true}, replicaRank{present: true, ver: kv.Version{Seq: 1}}
 
 	hotgate.Check(t, ".", map[string]func(){
@@ -89,13 +83,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Client.readPreferred":    func() { _ = poked.readPreferred(0, 0) },
 		"Client.readOrder":        func() { order = poked.readOrder(order, []int{0, 1, 2}) },
 		"Client.triesBefore":      func() { _ = poked.triesBefore(0, 1) },
-		"hotEntry.count":          func() { _ = entry.count() },
-		"hotTracker.rotate":       func() { hot.rotate(0) },
-		"hotTracker.observe":      func() { _ = hot.observe(key, 0) },
-		"hotTracker.isHot":        func() { _ = hot.isHot(entry) },
-		"hotTracker.hotKeys":      func() { _ = hot.hotKeys() },
 		"replicaRank.below":       func() { _ = lacks.below(&holds) },
-		"Client.widen":            firstAck,
 		"Client.start":            both,
 		"Client.finish":           both,
 		"Client.getOp":            both,
@@ -114,8 +102,5 @@ func TestHotpathAllocFree(t *testing.T) {
 	if served == 0 || c.Inflight() != 0 || vc.Inflight() != 0 || c.Failed() != 0 || vc.Failed() != 0 {
 		t.Fatalf("gate round trips: %d served; first-ack %d in flight, %d failed; versioned %d in flight, %d failed",
 			served, c.Inflight(), c.Failed(), vc.Inflight(), vc.Failed())
-	}
-	if c.HotWidened() == 0 {
-		t.Fatal("the first-ack gate's reads never widened")
 	}
 }

@@ -37,9 +37,6 @@ func (v Version) Compare(o Version) int {
 // Less reports whether v orders strictly before o.
 func (v Version) Less(o Version) bool { return v.Compare(o) < 0 }
 
-// IsZero reports whether v is the zero stamp (no version information).
-func (v Version) IsZero() bool { return v.Epoch == 0 && v.Seq == 0 }
-
 // VersionPrefixLen is the size of the stamp prepended to every stored
 // value when versioned replication is on: [epoch 8][seq 8][flags 1].
 // The prefix travels inside the ordinary HERD value bytes, so the wire

@@ -24,11 +24,12 @@ func TestVersionCompare(t *testing.T) {
 			t.Errorf("Less(%v, %v) = %v, want %v", c.a, c.b, got, c.want < 0)
 		}
 	}
-	if !(Version{}).IsZero() {
-		t.Fatal("zero Version must report IsZero")
-	}
-	if (Version{Epoch: 1}).IsZero() || (Version{Seq: 1}).IsZero() {
-		t.Fatal("non-zero Version reports IsZero")
+	// The zero stamp (no version information) orders before every
+	// written one.
+	for _, v := range []Version{{Epoch: 1}, {Seq: 1}} {
+		if v == (Version{}) || !(Version{}).Less(v) {
+			t.Fatalf("%v must differ from and order after the zero Version", v)
+		}
 	}
 }
 

@@ -75,9 +75,6 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Table exposes the underlying cuckoo table (tests, preloading).
-func (s *Server) Table() *cuckoo.Table { return s.table }
-
 // Puts reports served PUT-channel message counts.
 func (s *Server) Puts() uint64 { return s.puts }
 

@@ -326,18 +326,12 @@ func (qp *QP) countPost(v Verb, payloadLen int, inline, signaled bool) {
 	}
 }
 
-// QPN returns the queue pair number (unique within its host).
-func (qp *QP) QPN() uint32 { return qp.qpn }
-
 // Transport returns the QP's transport type.
 func (qp *QP) Transport() wire.Transport { return qp.transport }
 
 // SendCQ and RecvCQ return the QP's completion queues.
 func (qp *QP) SendCQ() *CQ { return qp.sendCQ }
 func (qp *QP) RecvCQ() *CQ { return qp.recvCQ }
-
-// Host returns the owning host.
-func (qp *QP) Host() *Host { return qp.host }
 
 // DroppedSends reports inbound SENDs discarded because no RECV was
 // posted (possible on UC/UD; see PostRecv).
@@ -395,9 +389,6 @@ func Connect(a, b *QP) error {
 	a.remote, b.remote = b, a
 	return nil
 }
-
-// Remote returns the connected peer, or nil.
-func (qp *QP) Remote() *QP { return qp.remote }
 
 // globalKey identifies a QP across the whole fabric for context caching.
 func (qp *QP) globalKey() uint64 {
