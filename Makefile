@@ -72,7 +72,8 @@ loc:
 # Every internal/ function outside internal/lint that no run of the
 # CLIs, bench or examples executes: herdbench, herdload, the bench
 # binary and every example are built with coverage into a temp dir,
-# every herdbench target runs on both clusters, one more herdbench pass
+# every herdbench target runs on both clusters (the Apt pass writes
+# every BENCH_*.json into the temp dir), one more herdbench pass
 # writes the telemetry outputs (-metrics -trace -perqp on the anatomy
 # target), one runs the chaos target under a script that uses every
 # fault keyword, herdload runs once with loss and retries, every bench
@@ -90,9 +91,9 @@ unrun:
 		$(GO) build -cover -coverpkg=herdkv/... -o "$$tmp/bin/$$(basename $$p)" $$p; \
 	done; \
 	(cd bench && $(GO) build -cover -coverpkg=herdkv/... -o "$$tmp/bench" .); \
-	for c in apt susitna; do \
-		GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -cluster $$c -warmup 50 -span 150 all >/dev/null; \
-	done; \
+	mkdir "$$tmp/json"; \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -cluster apt -warmup 50 -span 150 -json "$$tmp/json" all >/dev/null; \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -cluster susitna -warmup 50 -span 150 all >/dev/null; \
 	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -warmup 50 -span 150 -metrics "$$tmp/metrics.txt" \
 		-trace "$$tmp/trace.json" -perqp anatomy >/dev/null; \
 	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -faults $(UNRUN_FAULTS) chaos >/dev/null; \

@@ -22,14 +22,10 @@
 //
 // Exit status: 0 clean, 1 internal failure, 2 diagnostics reported —
 // the same convention go vet uses. Select a subset of analyzers with
-// -only, e.g. -only simtime,telemnames. The tool also speaks go vet's
-// unitchecker protocol, so `go vet -vettool=$(which herdlint) ./...`
-// works when a built binary is on PATH.
+// -only, e.g. -only simtime,telemnames.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
@@ -66,22 +62,8 @@ func main() {
 		maxInline = flag.Int("maxinline", verbsmatrix.MaxInline, "device inline limit assumed by verbsmatrix")
 		list      = flag.Bool("list", false, "list analyzers and exit")
 		fix       = flag.Bool("fix", false, "apply suggested fixes to the source files")
-		version   = flag.String("V", "", "version flag for go vet -vettool handshake")
 	)
-	if len(os.Args) > 1 && os.Args[1] == "-flags" {
-		// go vet probes the tool with -flags before anything else and
-		// expects a JSON description of the flags it may forward.
-		printFlagDefs()
-		return
-	}
 	flag.Parse()
-	if *version != "" {
-		// go vet probes tools with -V=full and expects a line ending in
-		// a buildID derived from the tool binary, so its cache keys
-		// change when the tool does.
-		printVersion(*version)
-		return
-	}
 	if *list {
 		for _, a := range all {
 			fmt.Printf("%-14s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
@@ -109,9 +91,6 @@ func main() {
 	}
 
 	patterns := flag.Args()
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		os.Exit(unitcheck(patterns[0], analyzers))
-	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -250,47 +229,4 @@ func deleteComment(fset *token.FileSet, al analysis.Allow) []analysis.SuggestedF
 		Message:   "delete the stale //lint:allow comment",
 		TextEdits: []analysis.TextEdit{{Pos: al.Pos, End: al.End}},
 	}}
-}
-
-// printVersion answers go vet's -V probe. For -V=full the line must
-// end in "buildID=<hash>" where the hash identifies this binary's
-// contents (the convention x/tools' unitchecker follows).
-func printVersion(mode string) {
-	if mode != "full" {
-		fmt.Println("herdlint version devel")
-		return
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "herdlint: %v\n", err)
-		os.Exit(1)
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "herdlint: %v\n", err)
-		os.Exit(1)
-	}
-	sum := sha256.Sum256(data)
-	fmt.Printf("herdlint version devel comments-go-here buildID=%02x\n", string(sum[:]))
-}
-
-// printFlagDefs answers go vet's -flags probe (see
-// cmd/go/internal/vet/vetflag.go): a JSON array of the flags the driver
-// may pass through to the tool.
-func printFlagDefs() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var defs []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		isBool := false
-		if bv, ok := f.Value.(interface{ IsBoolFlag() bool }); ok {
-			isBool = bv.IsBoolFlag()
-		}
-		defs = append(defs, jsonFlag{Name: f.Name, Bool: isBool, Usage: f.Usage})
-	})
-	out, _ := json.Marshal(defs)
-	fmt.Printf("%s\n", out)
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
+	"herdkv/internal/sim"
 )
 
 // Anti-entropy: the fleet's one reconciliation mechanism. Read repair
@@ -103,6 +104,7 @@ type replicaRank struct {
 	ver     kv.Version
 	settled bool // not mid-catch-up
 	stored  []byte
+	lease   sim.Time // a versioned read's reply: the server's lease
 }
 
 // below reports whether r ranks strictly below o: holding the key

@@ -30,14 +30,15 @@ var ErrPartialWrite = errors.New("fleet: write applied on only part of the repli
 // Client is one application host's handle on the fleet. It implements
 // the kv.KV client interface on top of one HERD sub-client per shard:
 //
-//   - First-ack reads go primary-first and fail over to the remaining
-//     replicas when a sub-operation ends in core.ErrTimedOut, re-arming
+//   - A read asks one replica at a time. A first-ack read starts at the
+//     first healthy replica in read order and, when a sub-operation
+//     ends in core.ErrTimedOut, fails over to the next one, re-arming
 //     the full retry budget against each replica in turn.
-//   - Versioned reads are read-one/write-all: a GET asks the key's
-//     primary alone, and asks every replica when the primary misses or
-//     fails, when this client suspects it, while a replica is down or
-//     any shard is catching up, or while the key is queued for
-//     reconciliation.
+//   - A versioned read is read-one/write-all: it asks the key's primary
+//     alone, and asks every remaining replica at once when the primary
+//     misses or fails. It asks every replica from the start when this
+//     client suspects the primary, while a replica is down or any shard
+//     is catching up, or while the key is queued for reconciliation.
 //   - Writes fan out to every replica and succeed when at least one
 //     replica acknowledges (every replica, in a versioned fleet).
 //   - A shard whose operation failed terminally is suspected for
@@ -257,19 +258,17 @@ func (c *Client) finish(cb func(kv.Result), res kv.Result, begun sim.Time) {
 type opKind uint8
 
 const (
-	opGet          opKind = iota // first-ack read: primary-first with failover
-	opWrite                      // fan-out write (stamped in a versioned fleet)
-	opGetVersioned               // versioned read: the primary, every replica on a miss or error
+	opGet   opKind = iota // read: one replica at a time, then failover or fan-out
+	opWrite               // fan-out write (stamped in a versioned fleet)
 )
 
 // op is one fleet-level operation in flight. Ops are pooled per
 // Client, and each carries one callback per sub-operation slot, bound
 // on first use and kept across recycling (as mux.Endpoint.getOp does),
 // so issuing a read or write allocates nothing once the pool is warm.
-// A fan-out's slot i is the replica reps[i]; a first-ack read's slot i
-// is its i-th try, order[i]. An op returns to the pool exactly once:
-// when its last sub-operation resolves, just before the caller's
-// callback runs.
+// A write's slot i is the replica reps[i]; a read's slot i is the
+// replica order[i]. An op returns to the pool exactly once: when its
+// last sub-operation resolves, just before the caller's callback runs.
 type op struct {
 	c     *Client
 	kind  opKind
@@ -278,15 +277,15 @@ type op struct {
 	begun sim.Time
 
 	// reps is the key's replica set, a shared read-only ring slice
-	// (Ring.Replicas); order is a first-ack read's try order, in a
-	// buffer the op owns.
+	// (Ring.Replicas); order is a read's replica order, in a buffer the
+	// op owns.
 	reps  []int
 	order []int
 
 	outstanding, failures int
-	have                  bool      // fan-outs: best holds a served result
-	solo                  bool      // versioned reads: one replica asked so far
-	best                  kv.Result // fan-outs: the result to report
+	have                  bool      // writes: best holds a served result
+	solo                  bool      // reads: asking one replica at a time
+	best                  kv.Result // writes: the result to report
 	lastErr               kv.Result
 
 	// Versioned writes send every replica stored — stamp then value, in
@@ -344,19 +343,23 @@ func (o *op) finish(res kv.Result) {
 //
 //herd:hotpath
 func (o *op) resolve(i int, r kv.Result) {
-	switch o.kind {
-	case opGet:
-		o.resolveGet(i, r)
-	case opWrite:
+	if o.kind == opWrite {
 		o.resolveWrite(i, r)
-	default:
-		o.resolveGetVersioned(i, r)
+		return
 	}
+	o.resolveGet(i, r)
 }
 
-// Get reads key: primary-first with failover across the replica set in
-// legacy mode, read-one with version arbitration and read repair on a
-// fan-out in versioned mode (getVersioned).
+// Get reads key. The mode decides how the read starts and what a
+// one-at-a-time read does with a reply that is not its answer (see
+// resolveGet). A first-ack read asks the first replica in readOrder
+// alone. A versioned read asks the key's primary alone when this client
+// does not suspect it and the deployment allows it (soloReadable), and
+// every replica at once otherwise. Every completed versioned write was
+// acked by every replica and each server applies writes in stamp order,
+// so such a primary holds the newest completed version of every key it
+// has not lost: an eviction reads as a miss, and a crash leaves the
+// shard down and then catching up, which turns every read to read-all.
 //
 //herd:hotpath
 func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
@@ -367,54 +370,25 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 	if len(reps) == 0 {
 		return ErrNoShards
 	}
-	if c.d.cfg.Versioned {
-		return c.getVersioned(key, reps, cb)
-	}
 	o := c.getOp(opGet, key, cb)
 	o.reps = reps
-	o.order = c.readOrder(o.order, reps)
 	c.start()
 	o.begun = c.now()
-	c.tryGet(o, 0)
+	if c.d.cfg.Versioned {
+		// A copy: reps is the shared ring slice, and op.finish keeps
+		// order's buffer for the next op.
+		o.order = append(o.order, reps...)
+		o.solo = c.readPreferred(reps[0], o.begun) && c.d.soloReadable(key, reps)
+	} else {
+		o.order = c.readOrder(o.order, reps)
+		o.solo = true
+	}
+	o.outstanding = len(reps)
+	if o.solo {
+		o.outstanding = 1
+	}
+	c.ask(o, 0, o.outstanding)
 	return nil
-}
-
-// tryGet issues a first-ack read against o.order[i]; a terminal error
-// fails over to order[i+1]. Each attempt is a fresh sub-operation with
-// the full retry budget.
-//
-//herd:hotpath
-func (c *Client) tryGet(o *op, i int) {
-	id := o.order[i]
-	if err := c.subs[id].Get(o.key, o.slot(i)); err != nil {
-		// Sub-client validation errors surface asynchronously as a
-		// fleet failure so accounting stays balanced.
-		o.finish(kv.Result{Key: o.key, IsGet: true, Status: kv.StatusTimeout, Err: err})
-	}
-}
-
-// resolveGet handles a first-ack read's try i.
-//
-//herd:hotpath
-func (o *op) resolveGet(i int, r kv.Result) {
-	c, id := o.c, o.order[i]
-	if r.Err == nil {
-		if id != o.reps[0] {
-			c.replicaReads++
-			c.telReplica.Inc()
-		}
-		o.finish(r)
-		return
-	}
-	c.markSuspect(id)
-	if i+1 < len(o.order) {
-		c.reroutes++
-		c.telReroutes.Inc()
-		c.tryGet(o, i+1)
-		return
-	}
-	r.Err = ErrAllReplicasDown
-	o.finish(r)
 }
 
 // Put writes key to every replica in its set. A first-ack fleet sends
@@ -507,37 +481,6 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 	o.finish(res)
 }
 
-// getVersioned is the versioned read path, read-one/write-all. It asks
-// the key's primary alone when this client does not suspect it and the
-// deployment allows it (soloReadable), and takes a hit as the answer.
-// Every completed write was acked by every replica and each server
-// applies writes in stamp order, so such a primary holds the newest
-// completed version of every key it has not lost: an eviction reads as
-// a miss, and a crash leaves the shard down and then catching up, which
-// turns every read to read-all. A miss, an error or a timeout asks the
-// remaining replicas; otherwise the read asks every replica at once. A
-// fanned-out read ranks the answers as the reconciliation merge does
-// and answers with the winner's payload (an absent winner is a miss).
-// Replicas ranked below the winner are counted stale and back-filled
-// inline with the winning bytes; the member server's ordered apply
-// makes a repair racing a fresher write harmless.
-//
-//herd:hotpath
-func (c *Client) getVersioned(key kv.Key, reps []int, cb func(kv.Result)) error {
-	o := c.getOp(opGetVersioned, key, cb)
-	o.reps = reps
-	c.start()
-	o.begun = c.now()
-	if c.readPreferred(reps[0], o.begun) && c.d.soloReadable(key, reps) {
-		o.solo, o.outstanding = true, 1
-		c.ask(o, 0, 1)
-		return nil
-	}
-	o.outstanding = len(reps)
-	c.ask(o, 0, len(reps))
-	return nil
-}
-
 // soloReadable reports whether a versioned read of key may ask its
 // primary alone: no replica of key is down, no shard is catching up
 // after a restart, and key is not waiting for reconciliation. A catch-up
@@ -566,59 +509,74 @@ func (d *Deployment) soloReadable(key kv.Key, reps []int) bool {
 	return true
 }
 
-// ask issues o's read to replica slots lo..hi-1. As in Put, only
+// ask issues o's read to the replicas order[lo..hi-1]. As in Put, only
 // locals are read after each call: the last replica's callback may run
 // inside its call and finish o.
 //
 //herd:hotpath
 func (c *Client) ask(o *op, lo, hi int) {
-	key, reps := o.key, o.reps
+	key, order := o.key, o.order
 	for i := lo; i < hi; i++ {
 		done := o.slot(i)
-		if err := c.subs[reps[i]].Get(key, done); err != nil {
+		if err := c.subs[order[i]].Get(key, done); err != nil {
 			done(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err})
 		}
 	}
 }
 
-// resolveGetVersioned handles a versioned read's replica slot i. A
-// solo read's hit is the answer; its miss or error asks the remaining
-// replicas. Every answer ranks as settled, so the winner is the first
-// to arrive among the highest-ranked. Its payload is handed to the
-// caller as it is: each replica's Result.Value is already a fresh copy
-// the fleet owns (kv.KV's ownership contract). When the winner is
-// present and the primary did not answer with it, the key is queued
-// for reconciliation before the read returns, so later reads of it ask
-// every replica until the merge has brought the primary up to the
-// answer this read gave.
+// resolveGet handles a read's reply from order[i]. An error suspects
+// the replica. A one-at-a-time read answers with a served first-ack
+// reply, hit or miss, and with a versioned hit. Any other reply asks
+// the next replica alone (first-ack: serial failover, each try with the
+// full retry budget) or every remaining replica at once (versioned).
+//
+// A versioned read ranks the replies it collected as the reconciliation
+// merge does; every reply ranks as settled, so the winner is the first
+// to arrive among the highest-ranked. Its payload and lease are handed
+// to the caller as they are: each replica's Result.Value is already a
+// fresh copy the fleet owns (kv.KV's ownership contract). Replicas
+// ranked below the winner are counted stale and back-filled inline with
+// the winning bytes; the member server's ordered apply makes a repair
+// racing a fresher write harmless. When the winner is present and the
+// primary did not answer with it, the key is queued for reconciliation
+// before the read returns, so later reads of it ask every replica until
+// the merge has brought the primary up to the answer this read gave.
 //
 //herd:hotpath
-func (o *op) resolveGetVersioned(i int, r kv.Result) {
-	c, id := o.c, o.reps[i]
+func (o *op) resolveGet(i int, r kv.Result) {
+	c, id, versioned := o.c, o.order[i], o.c.d.cfg.Versioned
 	o.outstanding--
 	if r.Err != nil {
 		c.markSuspect(id)
 		o.lastErr = r
+	} else if o.solo && !versioned {
+		if id != o.reps[0] {
+			c.replicaReads++
+			c.telReplica.Inc()
+		}
+		o.finish(r)
+		return
 	} else {
 		rk := replicaRank{id: id, settled: true, present: r.Status == kv.StatusHit}
 		if rk.present {
+			rk.stored, rk.lease = r.Value, r.Lease
 			// Unversioned legacy bytes rank at version zero.
-			rk.stored = r.Value
 			rk.ver, _, _, _ = kv.SplitVersion(r.Value)
 		}
 		o.states = append(o.states, rk)
 	}
-	if o.solo {
-		o.solo = false
-		if (r.Err != nil || r.Status != kv.StatusHit) && len(o.reps) > 1 {
-			if r.Err != nil {
-				c.reroutes++
-				c.telReroutes.Inc()
-			}
-			o.outstanding = len(o.reps) - 1
-			c.ask(o, 1, len(o.reps))
-			return
+	if o.solo && (r.Err != nil || r.Status != kv.StatusHit) && i+1 < len(o.order) {
+		if r.Err != nil {
+			c.reroutes++
+			c.telReroutes.Inc()
 		}
+		hi := i + 2
+		if versioned {
+			o.solo, hi = false, len(o.order)
+		}
+		o.outstanding = hi - i - 1
+		c.ask(o, i+1, hi)
+		return
 	}
 	if o.outstanding != 0 {
 		return
@@ -641,7 +599,7 @@ func (o *op) resolveGetVersioned(i int, r kv.Result) {
 		o.finish(res)
 		return
 	}
-	res.Status, res.Value = kv.StatusHit, w.stored
+	res.Status, res.Value, res.Lease = kv.StatusHit, w.stored, w.lease
 	if _, _, payload, ok := kv.SplitVersion(w.stored); ok {
 		res.Value = payload
 	}

@@ -48,7 +48,7 @@ type Config struct {
 	// partial write, not a success), and reads are read-one: a GET asks
 	// the key's primary alone, and asks every replica, returning the
 	// highest-ranked state, on a miss or an error and whenever the
-	// primary may be behind (see Client.getVersioned). Divergence is
+	// primary may be behind (see Client.Get). Divergence is
 	// repaired: a fanned-out read back-fills the winner onto every
 	// replica it caught behind, and partial writes and reads that found
 	// the primary behind queue their key for the background

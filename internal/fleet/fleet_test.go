@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"herdkv/internal/cluster"
@@ -21,11 +22,14 @@ func testConfig() Config {
 }
 
 // newFleet builds nShards servers + nClients fleet clients on one
-// cluster.
-func newFleet(t *testing.T, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
+// cluster; each tweak edits the config first.
+func newFleet(t *testing.T, nShards, nClients int, seed int64, tweaks ...func(*Config)) (*cluster.Cluster, *Deployment, []*Client) {
 	t.Helper()
 	cl := cluster.New(cluster.Apt(), nShards+nClients, seed)
 	cfg := testConfig()
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
 	machines := make([]*cluster.Machine, nShards)
 	for i := range machines {
 		machines[i] = cl.Machine(i)
@@ -159,38 +163,56 @@ func TestFleetRoundTripAndReplication(t *testing.T) {
 	}
 }
 
+// TestFleetFailoverOnCrash pins first-ack serial failover: with the
+// primary crashed, a read times out on it and then asks the next
+// replica in read order alone. At R=3 the third replica's server sees
+// no GET, so a read that fanned out past a failed primary would fail
+// here.
 func TestFleetFailoverOnCrash(t *testing.T) {
-	cl, d, clients := newFleet(t, 3, 1, 1)
-	c := clients[0]
-	key := kv.FromUint64(7)
-	if err := d.Preload(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	primary := d.Replicas(key)[0]
-	d.Server(primary).Crash()
-	// Probation: a read issued as soon as the first one fails over skips
-	// the dead primary without a fresh timeout (no additional reroute).
-	var res, again kv.Result
-	var rerouted uint64
-	c.Get(key, func(r kv.Result) {
-		res, rerouted = r, c.Reroutes()
-		c.Get(key, func(r kv.Result) { again = r })
-	})
-	cl.Eng.Run()
-	if res.Err != nil || res.Status != kv.StatusHit || string(res.Value) != "v" {
-		t.Fatalf("failover get = %+v", res)
-	}
-	if rerouted == 0 || c.ReplicaReads() == 0 {
-		t.Fatalf("reroutes=%d replicaReads=%d, want both > 0", rerouted, c.ReplicaReads())
-	}
-	if c.Failed() != 0 {
-		t.Fatalf("failed = %d", c.Failed())
-	}
-	if again.Status != kv.StatusHit {
-		t.Fatalf("probation get = %+v", again)
-	}
-	if c.Reroutes() != rerouted {
-		t.Fatalf("suspected primary was retried: reroutes %d -> %d", rerouted, c.Reroutes())
+	for _, rf := range []int{2, 3} {
+		t.Run(fmt.Sprintf("R=%d", rf), func(t *testing.T) {
+			cl, d, clients := newFleet(t, 3, 1, 1, func(cfg *Config) { cfg.Replication = rf })
+			c := clients[0]
+			key := kv.FromUint64(7)
+			if err := d.Preload(key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			reps := d.Replicas(key)
+			d.Server(reps[0]).Crash()
+			// Probation: a read issued as soon as the first one fails over
+			// skips the dead primary without a fresh timeout (no additional
+			// reroute).
+			var res, again kv.Result
+			var rerouted uint64
+			c.Get(key, func(r kv.Result) {
+				res, rerouted = r, c.Reroutes()
+				c.Get(key, func(r kv.Result) { again = r })
+			})
+			cl.Eng.Run()
+			if res.Err != nil || res.Status != kv.StatusHit || string(res.Value) != "v" {
+				t.Fatalf("failover get = %+v", res)
+			}
+			if rerouted == 0 || c.ReplicaReads() == 0 {
+				t.Fatalf("reroutes=%d replicaReads=%d, want both > 0", rerouted, c.ReplicaReads())
+			}
+			if c.Failed() != 0 {
+				t.Fatalf("failed = %d", c.Failed())
+			}
+			if again.Status != kv.StatusHit {
+				t.Fatalf("probation get = %+v", again)
+			}
+			if c.Reroutes() != rerouted {
+				t.Fatalf("suspected primary was retried: reroutes %d -> %d", rerouted, c.Reroutes())
+			}
+			if gets, _, _ := d.Server(reps[1]).Stats(); gets != 2 {
+				t.Fatalf("second replica served %d GETs, want both reads", gets)
+			}
+			for _, id := range reps[2:] {
+				if gets, _, _ := d.Server(id).Stats(); gets != 0 {
+					t.Fatalf("replica %d past the serving one saw %d GETs: the read fanned out", id, gets)
+				}
+			}
+		})
 	}
 }
 

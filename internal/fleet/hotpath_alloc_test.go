@@ -92,12 +92,9 @@ func TestHotpathAllocFree(t *testing.T) {
 		"op.resolve":              both,
 		"Client.Get":              both,
 		"Client.Put":              both,
-		"Client.tryGet":           firstAck,
-		"op.resolveGet":           firstAck,
+		"Client.ask":              both,
+		"op.resolveGet":           both,
 		"op.resolveWrite":         both,
-		"Client.getVersioned":     versioned,
-		"Client.ask":              versioned,
-		"op.resolveGetVersioned":  versioned,
 	})
 	if served == 0 || c.Inflight() != 0 || vc.Inflight() != 0 || c.Failed() != 0 || vc.Failed() != 0 {
 		t.Fatalf("gate round trips: %d served; first-ack %d in flight, %d failed; versioned %d in flight, %d failed",

@@ -13,12 +13,15 @@ import (
 )
 
 // newVersionedFleet builds a versioned deployment on the fleet test
-// scaffolding.
-func newVersionedFleet(t *testing.T, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
+// scaffolding; each tweak edits the config first.
+func newVersionedFleet(t *testing.T, nShards, nClients int, seed int64, tweaks ...func(*Config)) (*cluster.Cluster, *Deployment, []*Client) {
 	t.Helper()
 	cl := cluster.New(cluster.Apt(), nShards+nClients+1, seed)
 	cfg := testConfig()
 	cfg.Versioned = true
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
 	machines := make([]*cluster.Machine, nShards)
 	for i := range machines {
 		machines[i] = cl.Machine(i)
@@ -59,8 +62,12 @@ func stampedValue(epoch int64, seq uint64, payload string) []byte {
 	return append(v, payload...)
 }
 
+// withLeases makes every member server grant a freshness lease with each
+// GET hit, which a versioned read must hand to its caller.
+func withLeases(cfg *Config) { cfg.Herd.LeaseTTL = 20 * sim.Microsecond }
+
 func TestVersionedRoundTrip(t *testing.T) {
-	cl, _, clients := newVersionedFleet(t, 3, 1, 11)
+	cl, _, clients := newVersionedFleet(t, 3, 1, 11, withLeases)
 	c := clients[0]
 	key := kv.FromUint64(42)
 	val := []byte("versioned fleet value")
@@ -77,6 +84,9 @@ func TestVersionedRoundTrip(t *testing.T) {
 	}
 	if got.Err != nil || got.Status != kv.StatusHit || !bytes.Equal(got.Value, val) {
 		t.Fatalf("get = %+v (value %q)", got, got.Value)
+	}
+	if got.Lease <= 0 {
+		t.Fatalf("get dropped the primary's lease: %+v", got)
 	}
 }
 
@@ -225,7 +235,7 @@ func TestReadRepairBackfill(t *testing.T) {
 // replica, so no later read can be served by a primary still missing
 // it.
 func TestPrimaryMissFansOut(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 53)
+	cl, d, clients := newVersionedFleet(t, 3, 1, 53, withLeases)
 	c := clients[0]
 	key := keyOnShard(t, d, 0, 1)
 	reps := d.Replicas(key)
@@ -246,6 +256,9 @@ func TestPrimaryMissFansOut(t *testing.T) {
 	cl.Eng.Run()
 	if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "held" {
 		t.Fatalf("get = %+v (%q), want the secondary's copy", got, got.Value)
+	}
+	if got.Lease <= 0 {
+		t.Fatalf("get dropped the secondary's lease: %+v", got)
 	}
 	if !queued {
 		t.Fatal("the read returned the secondary's copy with the key still read-one")

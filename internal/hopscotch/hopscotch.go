@@ -91,9 +91,6 @@ func NewVar(mem, extent []byte, nBuckets, h int) *Table {
 // H returns the neighborhood size.
 func (t *Table) H() int { return t.h }
 
-// Mode returns the value mode.
-func (t *Table) Mode() Mode { return t.mode }
-
 // SlotSize returns the serialized slot size.
 func (t *Table) SlotSize() int {
 	if t.mode == Inline {

@@ -326,9 +326,6 @@ func (qp *QP) countPost(v Verb, payloadLen int, inline, signaled bool) {
 	}
 }
 
-// Transport returns the QP's transport type.
-func (qp *QP) Transport() wire.Transport { return qp.transport }
-
 // SendCQ and RecvCQ return the QP's completion queues.
 func (qp *QP) SendCQ() *CQ { return qp.sendCQ }
 func (qp *QP) RecvCQ() *CQ { return qp.recvCQ }
