@@ -11,7 +11,6 @@
 //	uncheckedpost discarded verbs errors, unchecked Completion status
 //	telemnames    literal telemetry names in the documented grammar
 //	hotalloc      //herd:hotpath functions must be allocation-free
-//	lockorder     mutex ordering cycles, callbacks/sends under a lock
 //	docdrift      OBSERVABILITY/ARCHITECTURE tables match the code
 //
 // When the full suite runs, a stale-allow audit also reports every
@@ -38,7 +37,6 @@ import (
 	"herdkv/internal/lint/fixer"
 	"herdkv/internal/lint/hotalloc"
 	"herdkv/internal/lint/loader"
-	"herdkv/internal/lint/lockorder"
 	"herdkv/internal/lint/simtime"
 	"herdkv/internal/lint/telemnames"
 	"herdkv/internal/lint/uncheckedpost"
@@ -52,7 +50,6 @@ var all = []*analysis.Analyzer{
 	uncheckedpost.Analyzer,
 	telemnames.Analyzer,
 	hotalloc.Analyzer,
-	lockorder.Analyzer,
 	docdrift.Analyzer,
 }
 

@@ -141,15 +141,16 @@ func failoverDemo() {
 		})
 	}
 	cl.Eng.Run()
-	fmt.Printf("  shard 0 down: %d/2048 reads served (reroutes=%d, replica reads=%d, failed=%d)\n",
-		served, c.Reroutes(), c.ReplicaReads(), c.Failed())
+	fmt.Printf("  shard 0 down: %d/2048 reads served (reroutes=%d, failed=%d)\n",
+		served, c.Reroutes(), c.Failed())
 }
 
-// preload inserts every key via the provided deployment preload.
+// preload inserts every key, in its stored form, via the deployment's
+// preload.
 func preload(insert func(herdkv.Key, []byte) error) {
 	for k := uint64(0); k < keys; k++ {
 		key := herdkv.KeyFromUint64(k)
-		if err := insert(key, herdkv.ExpectedValue(key, valueSize)); err != nil {
+		if err := insert(key, herdkv.FleetPreloadValue(herdkv.ExpectedValue(key, valueSize))); err != nil {
 			log.Fatal(err)
 		}
 	}

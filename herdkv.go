@@ -173,6 +173,11 @@ type FleetRing = fleet.Ring
 // defaults with retries enabled.
 func DefaultFleetConfig() FleetConfig { return fleet.DefaultConfig() }
 
+// FleetPreloadValue returns value's version-zero stored form, the bytes
+// FleetDeployment.Preload stores for it (the fleet stamps every value
+// with its version).
+func FleetPreloadValue(value []byte) []byte { return fleet.PreloadValue(nil, value) }
+
 // NewFleet builds a fleet with one HERD server per machine.
 func NewFleet(machines []*Machine, cfg FleetConfig) (*FleetDeployment, error) {
 	return fleet.NewDeployment(machines, cfg)

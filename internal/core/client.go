@@ -730,6 +730,16 @@ func (c *Client) startReconnect() {
 	c.tryReconnect(c.reconnGen, 0)
 }
 
+// Reconnect starts a fresh crash-recovery handshake episode, even if
+// one is already running: the running episode's attempts may have
+// backed off past the moment the server came back. A deployment that
+// learns a server restarted calls it, so the client's next request
+// does not meet the dead connection.
+func (c *Client) Reconnect() {
+	c.reconnecting = false
+	c.startReconnect()
+}
+
 // tryReconnect runs one handshake attempt: a control packet to the
 // server asking for re-registration; a live server replaces the errored
 // UC pair and echoes a reply. Attempts time out with the same

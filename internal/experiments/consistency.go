@@ -17,22 +17,20 @@ import (
 )
 
 // Consistency is the nemesis-driven consistency experiment behind
-// BENCH_consistency: the same fleet and workload run twice under one
-// generated chaos schedule — once with the legacy first-ack write path
-// (a straggler replica that misses a write diverges forever) and once
-// with versioned writes plus read repair and anti-entropy. Every client
-// operation is recorded with histcheck and the history is checked for
-// per-key linearizability after the drain.
+// BENCH_consistency: a versioned fleet with read repair and
+// anti-entropy runs a small closed-loop workload under a generated
+// chaos schedule. Every client operation is recorded with histcheck and
+// the history is checked for per-key linearizability after the drain;
+// one anti-entropy sweep must then leave every replica set converged.
 //
-// The schedule is not hand-written: a nemesis seed search runs the
-// legacy arm under generated schedules until the checker finds a stale
-// read, then fault.Minimize shrinks the failing schedule to its
-// essential events. The repaired arm replays the same failing schedule
-// and must certify linearizable with all replica sets converged.
+// The schedule is pinned (consistencyNemesisSeed), and
+// TestConsistencyGateSeeds runs the same gate under 64 more. The
+// checker's own negative control is a mutation test: a recorded
+// history with one read rewritten to an older write's value must fail.
 //
-// Both arms run DurabilitySync so a crashed shard restarts warm: the
-// divergence under test comes from the network (first-ack swallowing a
-// blacked-out straggler), not from crash data loss.
+// The fleet runs DurabilitySync so a crashed shard restarts warm: the
+// divergence under test comes from the network (a blacked-out replica
+// missing a write), not from crash data loss.
 //
 // Everything is virtual-time deterministic: the same (spec, seed) pair
 // produces a byte-identical table and JSON under -count=2 -race.
@@ -51,7 +49,7 @@ const (
 // consistencyNemesis parameterizes one generated schedule: the shard
 // machines are crashable, the client machines join the link-fault peer
 // range so a generated blackout can sever one client from one replica —
-// the divergence-seeding fault first-ack cannot see.
+// the fault that splits a write's fan-out.
 func consistencyNemesis(seed int64) fault.NemesisConfig {
 	return fault.NemesisConfig{
 		Seed:       seed,
@@ -81,19 +79,20 @@ func nemesisLine(cfg fault.NemesisConfig) string {
 		cfg.Crashes, flush, cfg.Blackouts, cfg.Partitions, us(cfg.MinDown), us(cfg.MaxDown))
 }
 
-// consistencyArm runs one arm under the given schedule and checks the
-// recorded history. The stale/repair counters are zero for the
-// first-ack arm, which has no read repair; its anti-entropy counters
-// count only the crashed shard's recovery catch-up, which shares the
-// reconciliation queue.
-func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair bool) Metrics {
+// consistencyNemesisSeed pins the schedule the report runs: the first
+// generated schedule, searching up from seed 1, under which the retired
+// first-ack fleet served a stale read.
+const consistencyNemesisSeed = 9
+
+// consistencyArm runs the fleet under the given schedule, checks the
+// recorded history and returns the metrics with the history.
+func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule) (Metrics, *histcheck.Recorder) {
 	fcfg := fleet.DefaultConfig()
 	fcfg.Herd = chaosHerdConfig()
 	fcfg.Herd.Durability = core.DurabilitySync
 	fcfg.Herd.Mica = mica.Config{IndexBuckets: 1 << 8, BucketSlots: 8, LogBytes: 1 << 20}
 	fcfg.MigrationBatch = 32
 	fcfg.MigrationInterval = 4 * sim.Microsecond
-	fcfg.ReadRepair = repair // a synonym for Versioned
 	spec.Faults = sched
 	// No preload: the history checker starts every key absent.
 	cl, d, clients := deployFleet(deploySpec{spec: spec, seed: seed,
@@ -186,10 +185,8 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 	m.Set("linearizable", linearizable, "bool", "")
 
 	// Replica convergence audit: a key is divergent when two replicas
-	// disagree on its stored bytes (value or presence). The repaired arm
-	// must converge after one full anti-entropy sweep; the first-ack arm
-	// reconciles only recovery catch-up keys, so a straggler's
-	// divergence is permanent.
+	// disagree on its stored bytes (value or presence). The fleet must
+	// converge after one full anti-entropy sweep.
 	divergent := func() int {
 		n := 0
 		for k := uint64(1); k <= consistencyKeys; k++ {
@@ -221,66 +218,35 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule, repair
 	m.Set("ae_audited", float64(audited), "keys", "")
 	m.Set("ae_repaired", float64(repaired), "keys", "")
 	m.Set("goodput_mops", stats.Throughput(okOps, cl.Eng.Now()), "Mops", Higher)
-	return m
+	return m, rec
 }
 
-// Consistency searches nemesis seeds for a schedule under which the
-// first-ack arm serves a provably stale read, minimizes it, replays
-// both arms under the failing schedule, and renders the comparison. The
-// report is BENCH_consistency.json: one arm per write path plus a
-// "search" arm sizing the seed search and the minimization.
+// Consistency runs the fleet under the pinned nemesis schedule and
+// renders the result. The report is BENCH_consistency.json, with one
+// arm, versioned-repair.
 func Consistency(spec cluster.Spec, seed int64) (*Table, *Report) {
-	const maxSeeds = 24
+	cfg := consistencyNemesis(consistencyNemesisSeed)
 	rep := newReport("consistency", spec)
 	rep.Params["seed"] = fmt.Sprint(seed)
-	search := rep.Arm("search")
-	stale := func(s *fault.Schedule) bool {
-		return consistencyArm(spec, seed, s, false)["violations"].Value > 0
-	}
-
-	var failing *fault.Schedule
-	var cfg fault.NemesisConfig
-	for k := 0; k < maxSeeds; k++ {
-		cfg = consistencyNemesis(seed + int64(k))
-		s := cfg.Generate()
-		search.Set("seeds_tried", float64(k+1), "count", "")
-		rep.Params["nemesis_seed"] = fmt.Sprint(cfg.Seed)
-		if stale(s) {
-			failing = s
-			break
-		}
-	}
-	if failing == nil {
-		// No generated schedule broke first-ack within the search
-		// budget: report the last arm pair and let the gate fail loudly.
-		failing = cfg.Generate()
-	}
+	rep.Params["nemesis_seed"] = fmt.Sprint(cfg.Seed)
 	rep.Params["schedule"] = nemesisLine(cfg)
-	search.Set("schedule_events", float64(len(failing.Events)), "count", "")
-	search.Set("minimized_events", float64(len(fault.Minimize(failing, stale).Events)), "count", "")
-	rep.Arms["first-ack"] = consistencyArm(spec, seed, failing, false)
-	rep.Arms["versioned-repair"] = consistencyArm(spec, seed, failing, true)
+	m, _ := consistencyArm(spec, seed, cfg.Generate())
+	rep.Arms["versioned-repair"] = m
 
 	t := &Table{
-		ID: "consistency",
-		Title: fmt.Sprintf(
-			"Nemesis consistency: first-ack divergence vs versioned read repair — %s", spec.Name),
+		ID:    "consistency",
+		Title: fmt.Sprintf("Nemesis consistency: versioned replication with read repair — %s", spec.Name),
 		Columns: []string{"mode", "issued", "ok", "failed", "hist_ops", "keys",
 			"violations", "partial", "stale", "repairs", "ae_fixed", "div_before", "div_after"},
 	}
-	for _, mode := range []string{"first-ack", "versioned-repair"} {
-		row := []string{mode}
-		for _, name := range []string{"issued", "ok", "failed", "hist_ops", "hist_keys",
-			"violations", "partial_writes", "stale_replicas", "repairs_applied", "ae_repaired",
-			"divergent_before", "divergent_after"} {
-			row = append(row, rep.Arms[mode].itoa(name))
-		}
-		t.AddRow(row...)
+	row := []string{"versioned-repair"}
+	for _, name := range []string{"issued", "ok", "failed", "hist_ops", "hist_keys",
+		"violations", "partial_writes", "stale_replicas", "repairs_applied", "ae_repaired",
+		"divergent_before", "divergent_after"} {
+		row = append(row, m.itoa(name))
 	}
-	t.AddNote("gate: first-ack arm non-linearizable (violations>0), versioned arm linearizable with replicas converged (div_after=0), byte-identical replay across -count=2")
-	t.AddNote("nemesis seed %s found in %s tries; failing schedule %s events, %s after minimization",
-		rep.Params["nemesis_seed"], search.itoa("seeds_tried"),
-		search.itoa("schedule_events"), search.itoa("minimized_events"))
+	t.AddRow(row...)
+	t.AddNote("gate: linearizable with replicas converged (div_after=0), byte-identical replay across -count=2")
 	t.AddNote("schedule: %s", rep.Params["schedule"])
 	return t, rep
 }

@@ -49,9 +49,8 @@ func deployHERD(dp deploySpec, cfg core.Config) (*cluster.Cluster, *core.Server,
 // deployFleet builds a fleet with one shard on each of machines
 // 0..shards-1, each member sized for dp.clients, preloads it, arms the
 // fault schedule with every shard as its node's crash target, and
-// connects the clients. A versioned fleet's preload is stamped at
-// version zero: Deployment.Preload stores its bytes verbatim, and an
-// unstamped value would be parsed as a stamp.
+// connects the clients. Each preloaded value is stored in its
+// version-zero stored form (fleet.PreloadValue).
 func deployFleet(dp deploySpec, shards int, cfg fleet.Config) (*cluster.Cluster, *fleet.Deployment, []*fleet.Client) {
 	cl := dp.cluster(shards)
 	cfg.Herd.MaxClients = dp.clients
@@ -63,15 +62,11 @@ func deployFleet(dp deploySpec, shards int, cfg fleet.Config) (*cluster.Cluster,
 	if err != nil {
 		panic(err)
 	}
-	put := d.Preload
-	if cfg.Versioned || cfg.ReadRepair {
-		var stored []byte
-		put = func(key kv.Key, value []byte) error {
-			stored = append(kv.AppendVersion(stored[:0], kv.Version{}, false), value...)
-			return d.Preload(key, stored)
-		}
-	}
-	preloadKeys(dp.keys, dp.valueSize, put)
+	var stored []byte
+	preloadKeys(dp.keys, dp.valueSize, func(key kv.Key, value []byte) error {
+		stored = fleet.PreloadValue(stored[:0], value)
+		return d.Preload(key, stored)
+	})
 	if inj := cl.Faults(); inj != nil {
 		d.RegisterCrashTargets(inj)
 		inj.Arm()

@@ -111,9 +111,9 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 
 	// Post-drain audit. Every client write used the key's fixed
 	// expected value, so data loss is directly checkable: a key is lost
-	// when no live replica serves that value, and the restarted shard
-	// (shard 0, the flushcrash target) must hold its full replica share
-	// again.
+	// when no live replica stores that value after its stamp, and the
+	// restarted shard (shard 0, the flushcrash target) must hold its
+	// full replica share again.
 	lost, missing := 0, 0
 	var want []byte
 	for k := uint64(0); k < chaosKeys; k++ {
@@ -122,7 +122,8 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 		part := mica.Partition(key, fcfg.Herd.NS)
 		found, onZero := false, false
 		for _, id := range d.Replicas(key) {
-			if v, ok := d.Server(id).Partition(part).Get(key); ok && bytes.Equal(v, want) {
+			v, _ := d.Server(id).Partition(part).Get(key)
+			if _, _, payload, ok := kv.SplitVersion(v); ok && bytes.Equal(payload, want) {
 				found = true
 				if id == 0 {
 					onZero = true

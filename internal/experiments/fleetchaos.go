@@ -29,11 +29,10 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) (*Table, *
 		fmt.Sprintf("Fleet availability through faults (R=%d) — %s", d.Replication(), spec.Name),
 		rep, cl.Eng, clients, fcfg.Herd.Window, 0.50, seed, sched)
 
-	var failed, reroutes, replicaReads, inflight uint64
+	var failed, reroutes, inflight uint64
 	for _, c := range clients {
 		failed += c.Failed()
 		reroutes += c.Reroutes()
-		replicaReads += c.ReplicaReads()
 		inflight += uint64(c.Inflight())
 	}
 	total := rep.Arm("total")
@@ -41,7 +40,7 @@ func FleetChaos(spec cluster.Spec, sched *fault.Schedule, seed int64) (*Table, *
 	total.Set("hung", float64(inflight), "ops", Lower)
 	t.AddNote("ops: %s issued, %s ok, %d fleet-level failures (must be 0), %d hung (must be 0)",
 		total.itoa("issued"), total.itoa("ok"), failed, inflight)
-	t.AddNote("failover: %d reroutes, %d reads served by a non-primary replica", reroutes, replicaReads)
+	t.AddNote("failover: %d reroutes", reroutes)
 	if inj := cl.Faults(); inj != nil {
 		t.AddNote("injected: %d crashes, %d restarts", inj.Crashes(), inj.Restarts())
 	}

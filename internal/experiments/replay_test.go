@@ -25,13 +25,13 @@ var replayFirst sync.Map
 // a change that moves a modeled number updates its digest on purpose.
 var replayDigests = map[string]string{
 	"chaos":         "b31ec8d7985a439d89c013ef9224ba14c70242c6503d0ec6c7f8baee79529eed",
-	"fleet-bench":   "e203f767b4402bd7461cd7943335d0d643ce7b8b0bcaf4f0f0bdc0799c447bad",
-	"fleet-chaos":   "183c0deb45b4d448aca6745f3d7a393566e116fb0338bd0c01959b6e6fdefa2a",
+	"fleet-bench":   "917e667534088d08a1855cd350f6427a64ac0889547b2f9fabbea664b7a96adc",
+	"fleet-chaos":   "36aea2e38e1c2ca1a7409f5852c2b430afd405515602def91771cc6e389cf062",
 	"overload":      "2acb8142174b76f553b012921b0f8ccbe5f016fa3182262a67550ff56c7a234d",
 	"clients-sweep": "063636406816aa0e01c37576c41db15ab5e1bc45c2085591a8468e9b46f97a8f",
-	"durability":    "9c9f76832b9698e597eb3dfc63804ea457f83b52daee8005d8a119180b1870b7",
-	"hotkey":        "f1dd69ad7010d03514f4208509d1f2ceff008c1a7b81033addf8a03236de1de6",
-	"consistency":   "bd794e1373e8d2ed154eb11ce66c6645d6ac7cef5d07779b7feb7ddcb9a2da86",
+	"durability":    "87e390bbbbf238ca8c81f14f966ff14c30de23a524c6326cfcc34c5e5bf88bbd",
+	"hotkey":        "3b49c344af62f15716b61ba3c8a4ff314d41898a6ef987d2c31fb00ae784ab35",
+	"consistency":   "f36beac82f9cf2b9fa2ffe9d00e58826d40008b510feb0b7f7bbb9601bf448c6",
 
 	// The verb-level targets: their closed loops repost from their own
 	// completion handlers.

@@ -9,11 +9,11 @@ import (
 // Anti-entropy: the fleet's one reconciliation mechanism. Read repair
 // only fixes divergence a read happens to observe; the reconciliation
 // queue fixes the rest. Keys arrive from four sources — a partial write
-// (some replica missed the fan-out), a versioned read whose answer the
-// primary did not give, a restarted shard's catch-up (recovery.go), and
+// (some replica missed the fan-out), a read whose answer its first
+// replica did not give, a restarted shard's catch-up (recovery.go), and
 // a full AntiEntropySweep — and are deduplicated while queued. While a
-// key is queued, versioned reads of it ask every replica. A background
-// step drains the queue in MigrationBatch-sized chunks every
+// key is queued, reads of it ask every up replica. A background step
+// drains the queue in MigrationBatch-sized chunks every
 // MigrationInterval, so reconciliation interleaves with foreground
 // traffic instead of stalling it. The step is work-queue driven and
 // self-terminating: once the queue drains and no catch-up waits on it,
@@ -22,8 +22,8 @@ import (
 // Each key is settled by one server-side merge (see merge). A missing
 // key never wins it: MICA's lossy log only loses a key by eviction, so
 // a replica without the key has missed or dropped a write, never
-// applied a delete. Versioned member servers refuse regressions, so a
-// merge racing a fresher foreground write is harmless.
+// applied a delete. Member servers refuse regressions, so a merge
+// racing a fresher foreground write is harmless.
 
 // EnqueueRepair queues key for the background reconciliation step
 // (deduplicated while queued).
@@ -38,13 +38,9 @@ func (d *Deployment) EnqueueRepair(key kv.Key) {
 }
 
 // AntiEntropySweep enqueues every key present on any up shard — a
-// full-fleet audit, run by a versioned fleet after each crash recovery
-// completes and by experiments that want certified convergence before
-// checking state. It is a no-op unless the deployment is versioned.
+// full-fleet audit, run after each crash recovery completes and by
+// experiments that want certified convergence before checking state.
 func (d *Deployment) AntiEntropySweep() {
-	if !d.cfg.Versioned {
-		return
-	}
 	for _, sh := range d.shards {
 		if sh.srv.Down() {
 			continue
@@ -96,15 +92,15 @@ func (d *Deployment) reconcile() {
 	d.kickReconcile()
 }
 
-// replicaRank is one up replica's copy of a key, as merge and a
-// versioned read rank it.
+// replicaRank is one up replica's copy of a key, as merge and a read
+// rank it.
 type replicaRank struct {
-	id      int // the replica's shard id (set by versioned reads)
+	id      int // the replica's shard id (set by reads)
 	present bool
 	ver     kv.Version
 	settled bool // not mid-catch-up
 	stored  []byte
-	lease   sim.Time // a versioned read's reply: the server's lease
+	lease   sim.Time // a read's reply: the server's lease
 }
 
 // below reports whether r ranks strictly below o: holding the key
@@ -125,9 +121,8 @@ func (r *replicaRank) below(o *replicaRank) bool {
 // merge reads key on every up replica, picks the highest-ranked state
 // (the first in replica order among equals) and Preloads its bytes onto
 // every replica ranked below it. It reports whether any Preload
-// succeeded. Stamps are read only in a versioned fleet; first-ack
-// values carry none, so their states tie on version. Down replicas are
-// skipped: their own restart's catch-up brings them back.
+// succeeded. Down replicas are skipped: their own restart's catch-up
+// brings them back.
 func (d *Deployment) merge(key kv.Key) (wrote bool) {
 	reps := d.Replicas(key)
 	part := mica.Partition(key, d.cfg.Herd.NS)
@@ -141,7 +136,7 @@ func (d *Deployment) merge(key kv.Key) (wrote bool) {
 		r := &ranks[i]
 		r.settled = !d.catchingUp(id)
 		r.stored, r.present = srv.Partition(part).Get(key)
-		if r.present && d.cfg.Versioned {
+		if r.present {
 			r.ver, _, _, _ = kv.SplitVersion(r.stored)
 		}
 		if win < 0 || ranks[win].below(r) {

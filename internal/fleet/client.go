@@ -11,9 +11,8 @@ import (
 )
 
 // ErrValueTooLarge mirrors the backing cache's value bound at the fleet
-// client, so a fan-out write is rejected before any replica sees it.
-// In versioned mode the bound shrinks by kv.VersionPrefixLen — the
-// stamp travels inside the stored value.
+// client, less kv.VersionPrefixLen (the stamp travels inside the stored
+// value), so a fan-out write is rejected before any replica sees it.
 var ErrValueTooLarge = errors.New("fleet: value exceeds maximum size")
 
 // ErrEmptyValue rejects a PUT with no value at the fleet client, as
@@ -21,29 +20,27 @@ var ErrValueTooLarge = errors.New("fleet: value exceeds maximum size")
 // would refuse it and the fleet would suspect healthy shards.
 var ErrEmptyValue = errors.New("fleet: PUT requires a non-empty value")
 
-// ErrPartialWrite reports a versioned write that some replicas applied
-// and others did not: the fleet is divergent on this key until repair
+// ErrPartialWrite reports a write that a replica in the view (see Put)
+// did not apply: the fleet is divergent on this key until repair
 // reconciles it, so the operation fails (the write may still become
 // visible — callers must treat it as indeterminate, not as a rollback).
 var ErrPartialWrite = errors.New("fleet: write applied on only part of the replica set")
 
 // Client is one application host's handle on the fleet. It implements
-// the kv.KV client interface on top of one HERD sub-client per shard:
+// the kv.KV client interface on top of one HERD sub-client per shard,
+// with versioned replication:
 //
-//   - A read asks one replica at a time. A first-ack read starts at the
-//     first healthy replica in read order and, when a sub-operation
-//     ends in core.ErrTimedOut, fails over to the next one, re-arming
-//     the full retry budget against each replica in turn.
-//   - A versioned read is read-one/write-all: it asks the key's primary
-//     alone, and asks every remaining replica at once when the primary
-//     misses or fails. It asks every replica from the start when this
-//     client suspects the primary, while a replica is down or any shard
-//     is catching up, or while the key is queued for reconciliation.
-//   - Writes fan out to every replica and succeed when at least one
-//     replica acknowledges (every replica, in a versioned fleet).
-//   - A shard whose operation failed terminally is suspected for
-//     a fixed probation of virtual time: reads prefer other replicas
-//     until the probation lapses.
+//   - A write stamps its value with a fresh (epoch, seq) version, fans
+//     it out to every replica and succeeds when every replica in the
+//     view acks (see Put).
+//   - A read asks the key's first up replica alone, and every other up
+//     replica at once when that one misses or fails. It asks every up
+//     replica from the start when this client suspects the first one,
+//     while any shard is catching up, or while the key is queued for
+//     reconciliation (see Get).
+//   - A shard whose operation failed terminally is suspected for a
+//     fixed probation of virtual time: reads that would ask it alone
+//     ask every up replica until the probation lapses.
 //
 // Counters: Inflight/Failed are fleet-level — an operation counts as
 // Failed only when every replica in its set failed. Per-shard herd.*
@@ -57,12 +54,11 @@ type Client struct {
 	failed   uint64
 	inflight int
 
-	reroutes     uint64
-	replicaReads uint64
-	suspected    uint64
+	reroutes  uint64
+	suspected uint64
 
-	// The versioned write-stamp generator: verID breaks same-instant
-	// ties between clients, verSeq between this client's own writes.
+	// The write-stamp generator: verID breaks same-instant ties between
+	// clients, verSeq between this client's own writes.
 	verID  uint64
 	verSeq uint64
 
@@ -81,7 +77,6 @@ type Client struct {
 	telCompleted *telemetry.Counter
 	telFailed    *telemetry.Counter
 	telReroutes  *telemetry.Counter
-	telReplica   *telemetry.Counter
 	telFanout    *telemetry.Counter
 	telSuspected *telemetry.Counter
 
@@ -107,7 +102,6 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c.telCompleted = tel.Counter("fleet.ops.completed")
 	c.telFailed = tel.Counter("fleet.ops.failed")
 	c.telReroutes = tel.Counter("fleet.reroutes")
-	c.telReplica = tel.Counter("fleet.reads.replica")
 	c.telFanout = tel.Counter("fleet.writes.fanout")
 	c.telSuspected = tel.Counter("fleet.suspected")
 	c.telPartial = tel.Counter("fleet.writes.partial")
@@ -137,13 +131,9 @@ func (c *Client) Inflight() int { return c.inflight }
 // replica in the set failed terminally.
 func (c *Client) Failed() uint64 { return c.failed }
 
-// Reroutes counts read failovers: a sub-operation failed terminally and
-// the read was reissued against the next replica (against every
-// remaining replica, for a versioned read asked of one).
+// Reroutes counts read failovers: a read asked of one replica failed
+// terminally there and was reissued against every remaining up replica.
 func (c *Client) Reroutes() uint64 { return c.reroutes }
-
-// ReplicaReads counts reads served by a non-primary replica.
-func (c *Client) ReplicaReads() uint64 { return c.replicaReads }
 
 // Suspected counts probation starts: terminal failures against a
 // shard. Busy pushback never reaches the fleet: the member client
@@ -156,12 +146,12 @@ func (c *Client) Suspected() uint64 { return c.suspected }
 func (c *Client) HotWidened() uint64 { return 0 }
 
 // PartialWrites counts writes that some replicas applied and others
-// did not — in legacy mode a silent divergence (the op still reports
-// success), in versioned mode a failed op with ErrPartialWrite.
+// did not. Each queues its key for reconciliation; it fails with
+// ErrPartialWrite only when a replica in the view missed it.
 func (c *Client) PartialWrites() uint64 { return c.partialWrites }
 
-// StaleObserved counts replicas a versioned read round caught behind
-// the winning version (each is back-filled inline).
+// StaleObserved counts replicas a read round caught behind the winning
+// version (each is back-filled inline).
 func (c *Client) StaleObserved() uint64 { return c.staleObserved }
 
 // RepairsIssued and RepairsApplied count read-repair back-fills sent to
@@ -177,60 +167,6 @@ func (c *Client) markSuspect(id int) {
 	c.suspect[id] = c.now() + probation
 	c.suspected++
 	c.telSuspected.Inc()
-}
-
-// readPreferred reports whether shard id should be in the front tier
-// of a read order: it is not under probation.
-//
-//herd:hotpath
-func (c *Client) readPreferred(id int, now sim.Time) bool {
-	return c.suspect[id] <= now
-}
-
-// readOrder writes key's replica set, reordered for a read, into dst
-// and returns it: healthy replicas first (ring order preserved within
-// each group), then probationed ones — so a recently failed primary is
-// tried last instead of eating a full retry budget per read.
-//
-//herd:hotpath
-func (c *Client) readOrder(dst, reps []int) []int {
-	now := c.now()
-	dst = dst[:0]
-	for _, id := range reps {
-		if c.readPreferred(id, now) {
-			dst = append(dst, id)
-		}
-	}
-	front := len(dst)
-	for _, id := range reps {
-		if !c.readPreferred(id, now) {
-			dst = append(dst, id)
-		}
-	}
-	// The back tier is NOT ring order: when every replica is suspect,
-	// ring order could try a shard that failed moments ago before one
-	// whose probation is about to lapse. Sort by probation expiry, with
-	// the shard id as a deterministic tie-break
-	// so replays are stable when several replicas were suspected at the
-	// same instant. (An insertion sort: the tier holds at most R ids.)
-	tail := dst[front:]
-	for i := 1; i < len(tail); i++ {
-		for j := i; j > 0 && c.triesBefore(tail[j], tail[j-1]); j-- {
-			tail[j], tail[j-1] = tail[j-1], tail[j]
-		}
-	}
-	return dst
-}
-
-// triesBefore orders the back tier of a read order: earlier probation
-// expiry first, then lower shard id.
-//
-//herd:hotpath
-func (c *Client) triesBefore(a, b int) bool {
-	if c.suspect[a] != c.suspect[b] {
-		return c.suspect[a] < c.suspect[b]
-	}
-	return a < b
 }
 
 //herd:hotpath
@@ -258,8 +194,8 @@ func (c *Client) finish(cb func(kv.Result), res kv.Result, begun sim.Time) {
 type opKind uint8
 
 const (
-	opGet   opKind = iota // read: one replica at a time, then failover or fan-out
-	opWrite               // fan-out write (stamped in a versioned fleet)
+	opGet   opKind = iota // read: one replica, or every up replica
+	opWrite               // stamped fan-out write
 )
 
 // op is one fleet-level operation in flight. Ops are pooled per
@@ -284,14 +220,15 @@ type op struct {
 
 	outstanding, failures int
 	have                  bool      // writes: best holds a served result
-	solo                  bool      // reads: asking one replica at a time
+	viewFailed            bool      // writes: a replica in the view failed
+	downAtIssue           uint8     // writes: bit i set when reps[i] was down at issue
+	solo                  bool      // reads: asking one replica alone
 	best                  kv.Result // writes: the result to report
 	lastErr               kv.Result
 
-	// Versioned writes send every replica stored — stamp then value, in
-	// a buffer the op owns (sub-clients copy a PUT's value before
-	// returning). Versioned reads collect each replica's answer, in
-	// arrival order.
+	// Writes send every replica stored — stamp then value, in a buffer
+	// the op owns (sub-clients copy a PUT's value before returning).
+	// Reads collect each replica's answer, in arrival order.
 	stored []byte
 	states []replicaRank
 
@@ -350,16 +287,16 @@ func (o *op) resolve(i int, r kv.Result) {
 	o.resolveGet(i, r)
 }
 
-// Get reads key. The mode decides how the read starts and what a
-// one-at-a-time read does with a reply that is not its answer (see
-// resolveGet). A first-ack read asks the first replica in readOrder
-// alone. A versioned read asks the key's primary alone when this client
-// does not suspect it and the deployment allows it (soloReadable), and
-// every replica at once otherwise. Every completed versioned write was
-// acked by every replica and each server applies writes in stamp order,
-// so such a primary holds the newest completed version of every key it
-// has not lost: an eviction reads as a miss, and a crash leaves the
-// shard down and then catching up, which turns every read to read-all.
+// Get reads key. Its replica order is key's up replicas in ring order
+// (every replica, when none is up). It asks the first of them alone
+// when this client does not suspect it and the deployment allows it
+// (soloReadable), and all of them at once otherwise. Every completed
+// write was acked by every replica in its view (see Put) and each
+// server applies writes in stamp order, so an up replica with no
+// catch-up in progress holds the newest completed version of every key
+// that is not queued for reconciliation, unless it lost the key: an
+// eviction reads as a miss, and a crash leaves the shard down and then
+// catching up, which turns every read to read-all.
 //
 //herd:hotpath
 func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
@@ -371,19 +308,11 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 		return ErrNoShards
 	}
 	o := c.getOp(opGet, key, cb)
-	o.reps = reps
 	c.start()
 	o.begun = c.now()
-	if c.d.cfg.Versioned {
-		// A copy: reps is the shared ring slice, and op.finish keeps
-		// order's buffer for the next op.
-		o.order = append(o.order, reps...)
-		o.solo = c.readPreferred(reps[0], o.begun) && c.d.soloReadable(key, reps)
-	} else {
-		o.order = c.readOrder(o.order, reps)
-		o.solo = true
-	}
-	o.outstanding = len(reps)
+	o.order = c.d.upReplicas(o.order, reps)
+	o.solo = c.suspect[o.order[0]] <= o.begun && c.d.soloReadable(key)
+	o.outstanding = len(o.order)
 	if o.solo {
 		o.outstanding = 1
 	}
@@ -391,26 +320,22 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 	return nil
 }
 
-// Put writes key to every replica in its set. A first-ack fleet sends
-// the value as it is and succeeds when at least one replica
-// acknowledges. A versioned fleet stamps the value with a fresh (epoch,
-// seq) version and succeeds only when every replica acks: a mixed
-// outcome is a partial write (divergence), which fails the op with
-// ErrPartialWrite and hands the key to the reconciliation queue. The
-// reported Result is the first successful replica's, with fleet-level
-// latency (time to the last replica's resolution, since that is when
-// the outcome is known).
+// Put writes key to every replica in its set, stamped with a fresh
+// (epoch, seq) version. It succeeds when every replica in the view acks.
+// A replica is out of the view when it was down when the write was
+// issued, is down when its reply resolves, or is catching up after a
+// restart. Any replica that missed the write queues the key for the
+// reconciliation step, and a miss by a replica in the view fails the op
+// with ErrPartialWrite. The reported Result is the first successful
+// replica's, with fleet-level latency (time to the last replica's
+// resolution, since that is when the outcome is known).
 //
 //herd:hotpath
 func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
 	}
-	limit := mica.MaxValueSize
-	if c.d.cfg.Versioned {
-		limit -= kv.VersionPrefixLen
-	}
-	if len(value) > limit {
+	if len(value) > mica.MaxValueSize-kv.VersionPrefixLen {
 		return ErrValueTooLarge
 	}
 	if len(value) == 0 {
@@ -421,13 +346,16 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 		return ErrNoShards
 	}
 	o := c.getOp(opWrite, key, cb)
-	if c.d.cfg.Versioned {
-		c.verSeq++
-		stamp := kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
-		o.stored = append(kv.AppendVersion(o.stored, stamp, false), value...)
-		value = o.stored
-	}
+	c.verSeq++
+	stamp := kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
+	o.stored = append(kv.AppendVersion(o.stored, stamp, false), value...)
+	stored := o.stored
 	o.reps, o.outstanding = reps, len(reps)
+	for i, id := range reps {
+		if c.d.shards[id].srv.Down() {
+			o.downAtIssue |= 1 << i
+		}
+	}
 	c.start()
 	c.telFanout.Inc()
 	o.begun = c.now()
@@ -435,7 +363,7 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	// the loop reads only locals after each call.
 	for i, id := range reps {
 		done := o.slot(i)
-		if err := c.subs[id].Put(key, value, done); err != nil {
+		if err := c.subs[id].Put(key, stored, done); err != nil {
 			done(kv.Result{Key: key, Status: kv.StatusTimeout, Err: err})
 		}
 	}
@@ -456,6 +384,9 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 		c.markSuspect(id)
 		o.failures++
 		o.lastErr = r
+		if o.downAtIssue&(1<<i) == 0 && c.d.inView(id) {
+			o.viewFailed = true
+		}
 	}
 	if o.outstanding != 0 {
 		return
@@ -467,46 +398,58 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 	}
 	res := o.best
 	if o.failures > 0 {
-		// A straggler missed the write, so the replica set is now
-		// divergent on this key. First-ack semantics swallow it (the op
-		// succeeds); a versioned fleet fails the op and queues the key
-		// for repair.
+		// A replica missed the write, so the replica set is divergent
+		// on this key until the reconciliation step merges it.
 		c.partialWrites++
 		c.telPartial.Inc()
-		if c.d.cfg.Versioned {
-			c.d.EnqueueRepair(o.key) //lint:allow hotalloc — divergence only; the anti-entropy queue
+		c.d.EnqueueRepair(o.key) //lint:allow hotalloc — divergence only; the anti-entropy queue
+		if o.viewFailed {
 			res.Err = ErrPartialWrite
 		}
 	}
 	o.finish(res)
 }
 
-// soloReadable reports whether a versioned read of key may ask its
-// primary alone: no replica of key is down, no shard is catching up
-// after a restart, and key is not waiting for reconciliation. A catch-up
-// and a queued key are the two ways a primary can be behind another
-// replica — a restart that lost a group-commit window (its catch-up may
-// miss a key whose other holder was itself down, so every shard's
-// catch-up counts), and a partial write or a read that saw divergence —
-// and each lasts until the reconciliation merge has run, so every
-// client agrees when a key goes back to read-one. A down replica is
-// asked because a client learns of a crash only from a request that
-// burns its retry budget, which starts the member client's reconnect
-// handshake: reads keep that request coming while the shard is down,
-// instead of leaving the client's next write to meet the dead
-// connection after the restart and fail as partial.
+// upReplicas appends the up replicas of reps to dst, in ring order, and
+// returns it; it appends all of reps when none is up.
 //
 //herd:hotpath
-func (d *Deployment) soloReadable(key kv.Key, reps []int) bool {
-	if len(d.recs) > 0 || d.aeQueued[key] {
-		return false
-	}
+func (d *Deployment) upReplicas(dst, reps []int) []int {
+	n := len(dst)
 	for _, id := range reps {
-		if d.shards[id].srv.Down() {
-			return false
+		if !d.shards[id].srv.Down() {
+			dst = append(dst, id)
 		}
 	}
-	return true
+	if len(dst) == n {
+		dst = append(dst, reps...)
+	}
+	return dst
+}
+
+// inView reports whether shard id is in the view that a write needs the
+// ack of: it is up and has no catch-up in progress. Down() is a perfect
+// failure detector, an oracle a real fleet replaces with a lease-based
+// configuration manager (docs/ROBUSTNESS.md).
+//
+//herd:hotpath
+func (d *Deployment) inView(id int) bool {
+	return !d.shards[id].srv.Down() && !d.catchingUp(id)
+}
+
+// soloReadable reports whether a read of key may ask one up replica
+// alone: no shard is catching up after a restart, and key is not
+// waiting for reconciliation. A catch-up and a queued key are the two
+// ways an up replica can be behind another — a restart that lost a
+// group-commit window or missed writes while out of the view (its
+// catch-up may miss a key whose other holder was itself down, so every
+// shard's catch-up counts), and a partial write or a read that saw
+// divergence — and each lasts until the reconciliation merge has run,
+// so every client agrees when a key goes back to read-one.
+//
+//herd:hotpath
+func (d *Deployment) soloReadable(key kv.Key) bool {
+	return len(d.recs) == 0 && !d.aeQueued[key]
 }
 
 // ask issues o's read to the replicas order[lo..hi-1]. As in Put, only
@@ -525,42 +468,34 @@ func (c *Client) ask(o *op, lo, hi int) {
 }
 
 // resolveGet handles a read's reply from order[i]. An error suspects
-// the replica. A one-at-a-time read answers with a served first-ack
-// reply, hit or miss, and with a versioned hit. Any other reply asks
-// the next replica alone (first-ack: serial failover, each try with the
-// full retry budget) or every remaining replica at once (versioned).
+// the replica. A read asked of one replica answers with its hit; a miss
+// or an error asks every remaining replica at once.
 //
-// A versioned read ranks the replies it collected as the reconciliation
-// merge does; every reply ranks as settled, so the winner is the first
-// to arrive among the highest-ranked. Its payload and lease are handed
-// to the caller as they are: each replica's Result.Value is already a
+// The read ranks the replies it collected as the reconciliation merge
+// does; every reply ranks as settled, so the winner is the first to
+// arrive among the highest-ranked. Its payload and lease are handed to
+// the caller as they are: each replica's Result.Value is already a
 // fresh copy the fleet owns (kv.KV's ownership contract). Replicas
 // ranked below the winner are counted stale and back-filled inline with
 // the winning bytes; the member server's ordered apply makes a repair
 // racing a fresher write harmless. When the winner is present and the
-// primary did not answer with it, the key is queued for reconciliation
-// before the read returns, so later reads of it ask every replica until
-// the merge has brought the primary up to the answer this read gave.
+// first replica in order did not answer with it, the key is queued for
+// reconciliation before the read returns, so later reads of it ask
+// every replica until the merge has brought that replica up to the
+// answer this read gave.
 //
 //herd:hotpath
 func (o *op) resolveGet(i int, r kv.Result) {
-	c, id, versioned := o.c, o.order[i], o.c.d.cfg.Versioned
+	c, id := o.c, o.order[i]
 	o.outstanding--
 	if r.Err != nil {
 		c.markSuspect(id)
 		o.lastErr = r
-	} else if o.solo && !versioned {
-		if id != o.reps[0] {
-			c.replicaReads++
-			c.telReplica.Inc()
-		}
-		o.finish(r)
-		return
 	} else {
 		rk := replicaRank{id: id, settled: true, present: r.Status == kv.StatusHit}
 		if rk.present {
 			rk.stored, rk.lease = r.Value, r.Lease
-			// Unversioned legacy bytes rank at version zero.
+			// A value too short to carry a stamp ranks at version zero.
 			rk.ver, _, _, _ = kv.SplitVersion(r.Value)
 		}
 		o.states = append(o.states, rk)
@@ -570,12 +505,8 @@ func (o *op) resolveGet(i int, r kv.Result) {
 			c.reroutes++
 			c.telReroutes.Inc()
 		}
-		hi := i + 2
-		if versioned {
-			o.solo, hi = false, len(o.order)
-		}
-		o.outstanding = hi - i - 1
-		c.ask(o, i+1, hi)
+		o.solo, o.outstanding = false, len(o.order)-i-1
+		c.ask(o, i+1, len(o.order))
 		return
 	}
 	if o.outstanding != 0 {
@@ -607,7 +538,7 @@ func (o *op) resolveGet(i int, r kv.Result) {
 	for i := range o.states {
 		st := &o.states[i]
 		if !st.below(w) {
-			primaryHas = primaryHas || st.id == o.reps[0]
+			primaryHas = primaryHas || st.id == o.order[0]
 			continue
 		}
 		c.staleObserved++

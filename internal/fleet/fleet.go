@@ -34,39 +34,23 @@ type Config struct {
 	// steps (default 2us), bounding how much control-plane copying can
 	// interleave with foreground traffic.
 	MigrationInterval sim.Time
-	// HotKeyTrack and HotKeyThreshold are ignored: the fleet no longer
-	// widens hot reads across replicas (the near cache absorbs the
-	// repeats). They stay only so existing configs compile, and leave
-	// with the next benchmark change.
+	// HotKeyTrack, HotKeyThreshold, Versioned and ReadRepair are
+	// ignored: the fleet no longer widens hot reads (the near cache
+	// absorbs the repeats), and versioned replication with repair is its
+	// only mode (see Client). They stay only so existing configs
+	// compile, and leave with the next benchmark change.
 	HotKeyTrack     int
 	HotKeyThreshold int
-	// Versioned switches the fleet to versioned replication with
-	// repair: every write carries a kv.Version prefix ([epoch 8][seq 8]
-	// [flags 1]) inside the stored value, member servers apply
-	// mutations in stamp order (core.Config.VersionedValues), writes
-	// succeed only when EVERY replica acks (a straggler failure is a
-	// partial write, not a success), and reads are read-one: a GET asks
-	// the key's primary alone, and asks every replica, returning the
-	// highest-ranked state, on a miss or an error and whenever the
-	// primary may be behind (see Client.Get). Divergence is
-	// repaired: a fanned-out read back-fills the winner onto every
-	// replica it caught behind, and partial writes and reads that found
-	// the primary behind queue their key for the background
-	// reconciliation step that recovery catch-up also feeds
-	// (antientropy.go).
-	// Off by default — the paper's unversioned first-ack fan-out.
-	Versioned bool
-	// ReadRepair is a synonym for Versioned: setting either turns on
-	// both.
-	ReadRepair bool
+	Versioned       bool
+	ReadRepair      bool
 }
 
-// Fixed fleet policy. A client avoids reading from a shard for
-// probation after an operation against it failed terminally; writes
-// still fan out to suspected shards so their caches stay warm for when
-// they return. Busy pushback from an admission-limited shard never
-// reaches this policy: the member client resubmits at the server's
-// hint until the op is admitted.
+// Fixed fleet policy. For probation after an operation against a shard
+// failed terminally, a read that would ask that shard alone asks every
+// up replica instead; writes still fan out to suspected shards so their
+// caches stay warm for when they return. Busy pushback from an
+// admission-limited shard never reaches this policy: the member client
+// resubmits at the server's hint until the op is admitted.
 const probation = 200 * sim.Microsecond
 
 // DefaultConfig returns the fleet defaults on top of core's HERD
@@ -99,12 +83,9 @@ func (c *Config) setDefaults() {
 	if c.MigrationInterval <= 0 {
 		c.MigrationInterval = 2 * sim.Microsecond
 	}
-	// ReadRepair is a synonym for Versioned, and stamps are only
-	// applied server-side when the member config says so.
-	if c.Versioned || c.ReadRepair {
-		c.Versioned = true
-		c.Herd.VersionedValues = true
-	}
+	// Every write carries a kv.Version stamp inside its stored value,
+	// and member servers apply mutations in stamp order.
+	c.Herd.VersionedValues = true
 }
 
 // shard is one ring member: a HERD server on its machine. A shard's id
@@ -217,7 +198,10 @@ func (d *Deployment) Replicas(key kv.Key) []int {
 	return d.ring.Replicas(key, d.Replication())
 }
 
-// Preload inserts key on every replica without network traffic.
+// Preload inserts key on every replica without network traffic. It
+// stores value as given, so a caller passes the stored form that
+// PreloadValue builds: an unstamped value would be parsed as a stamp.
+// The stamp moves inside Preload with the next benchmark change.
 func (d *Deployment) Preload(key kv.Key, value []byte) error {
 	for _, id := range d.Replicas(key) {
 		if err := d.shards[id].srv.Preload(key, value); err != nil {
@@ -225,6 +209,12 @@ func (d *Deployment) Preload(key kv.Key, value []byte) error {
 		}
 	}
 	return nil
+}
+
+// PreloadValue appends value's version-zero stored form, the stamp
+// then the value, to dst and returns it.
+func PreloadValue(dst, value []byte) []byte {
+	return append(kv.AppendVersion(dst, kv.Version{}, false), value...)
 }
 
 // RegisterCrashTargets registers every shard's server with the fault

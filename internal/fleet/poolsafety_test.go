@@ -19,15 +19,16 @@ func poolValue(key kv.Key, op int) []byte {
 	return v
 }
 
-// TestRecordPoolSafetyUnderFaults drives a versioned, read-repairing,
-// group-commit fleet through packet loss, a shard crash and restart,
-// and busy pushback from an admission-limited shard. Every layer pools
-// its per-request records: the fleet's op records, the HERD client's
-// ops and retry/resubmit timers, the server's serve records, the WAL's
-// flights and timers. A record recycled while a sub-operation, a timer,
-// a crashed server or the log still referenced it would run a callback
-// twice or never, answer one op with another's result, or leave work
-// stranded. So every op must resolve exactly once, with a result for
+// TestRecordPoolSafetyUnderFaults drives a group-commit fleet through
+// packet loss, two overlapping shard crashes and restarts (the keys
+// replicated on both crashed shards have no replica up, so their ops
+// fail), and busy pushback from an admission-limited shard. Every
+// layer pools its per-request records: the fleet's op records, the HERD
+// client's ops and retry/resubmit timers, the server's serve records,
+// the WAL's flights and timers. A record recycled while a
+// sub-operation, a timer, a crashed server or the log still referenced
+// it would run a callback twice or never, answer one op with another's
+// result, or leave work stranded. So every op must resolve exactly once, with a result for
 // its own key — a read hit carrying bytes written for that key — and
 // every counter must balance once the engine drains: no stale timer
 // acted on a recycled op.
@@ -35,7 +36,8 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 	const shards, clients, depth, perClient, nKeys = 3, 4, 4, 600, 24
 	sched, err := fault.ParseSchedule(`
 		loss from=0 until=2ms rate=0.03
-		crash node=1 at=150us restart=400us
+		crash node=1 at=150us restart=600us
+		crash node=2 at=160us restart=560us
 	`)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +46,6 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 	spec.Faults = sched
 	cl := cluster.New(spec, shards+clients, 1)
 	cfg := testConfig()
-	cfg.Versioned, cfg.ReadRepair = true, true
 	cfg.Herd.Durability = core.DurabilityGroupCommit
 	machines := make([]*cluster.Machine, shards)
 	for i := range machines {

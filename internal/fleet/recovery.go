@@ -57,10 +57,21 @@ type RecoveryResult struct {
 }
 
 // onShardRecovered fires when shard sh's Restart completes (warm or
-// cold) and queues its catch-up: every key an up shard other than sh
-// emits whose replica set includes sh. Down shards are skipped: a crash
-// wipes their partitions, and a WAL replay may still be refilling them.
+// cold). It tells every client's member client of sh to reconnect, and
+// queues sh's catch-up: every key an up shard other than sh emits whose
+// replica set includes sh. Down shards are skipped: a crash wipes their
+// partitions, and a WAL replay may still be refilling them.
+//
+// Reads skip a down shard, so a client may have sent it nothing during
+// the outage, or its reconnect handshake may have backed off past the
+// restart: without a fresh handshake its next request would meet the
+// dead connection and fail.
 func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
+	for _, c := range d.clients {
+		if sub, ok := c.subs[sh.id].(*core.Client); ok {
+			sub.Reconnect()
+		}
+	}
 	// A newer recovery of the same shard supersedes one still in flight.
 	d.recs = slices.DeleteFunc(d.recs, func(r *recovery) bool { return r.res.ShardID == sh.id })
 	rec := &recovery{at: info.At, res: RecoveryResult{ShardID: sh.id, Warm: info.Warm,
@@ -106,8 +117,15 @@ func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
 }
 
 // catchingUp reports whether shard id has a catch-up in progress.
+//
+//herd:hotpath
 func (d *Deployment) catchingUp(id int) bool {
-	return slices.ContainsFunc(d.recs, func(r *recovery) bool { return r.res.ShardID == id })
+	for _, r := range d.recs {
+		if r.res.ShardID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // settleRecoveries completes every catch-up the reconciliation step
@@ -129,7 +147,7 @@ func (d *Deployment) settleRecoveries() {
 		rec.res.Duration = rec.res.ReplayDuration + rec.res.CatchupDuration
 		d.lastRecovery = rec.res
 		d.recTime.Set(int64(d.lastRecovery.Duration / sim.Nanosecond))
-		// A versioned fleet re-audits everything once the shard is back:
+		// The fleet re-audits everything once the shard is back:
 		// the delta catch-up covers the survivors' WAL tail, but a write
 		// the survivor itself missed (a partial write during the outage)
 		// is only reconciled by the full sweep.

@@ -180,7 +180,6 @@ func TestRecoveryAbortsAndRestartsOnSecondCrash(t *testing.T) {
 // over the survivor's copy, and both catch-ups complete in start order.
 func TestSharedQueueOverlappingCatchups(t *testing.T) {
 	cfg := durableFleetConfig()
-	cfg.Versioned = true
 	cfg.MigrationInterval = 20 * sim.Microsecond // slow steps: the catch-ups overlap
 	cl, d, _ := newFleetWith(t, cfg, 3, 0, 5)
 	const keys = 256
@@ -266,7 +265,6 @@ func TestSharedQueueOverlappingCatchups(t *testing.T) {
 // crash lands inside the one and the read ahead of the other.
 func TestCatchingUpPrimaryNotReadAlone(t *testing.T) {
 	cfg := durableFleetConfig()
-	cfg.Versioned = true
 	cfg.Herd.WAL.FlushInterval = 50 * sim.Microsecond
 	cfg.MigrationInterval = 100 * sim.Microsecond
 	cl, d, clients := newFleetWith(t, cfg, 3, 1, 71)
@@ -335,7 +333,6 @@ func TestCatchingUpPrimaryNotReadAlone(t *testing.T) {
 // has run, both replicas hold the write.
 func TestLostWriteWaitsForDownReplica(t *testing.T) {
 	cfg := durableFleetConfig()
-	cfg.Versioned = true
 	cfg.Herd.WAL.FlushInterval = 50 * sim.Microsecond
 	cfg.MigrationInterval = 100 * sim.Microsecond
 	cl, d, clients := newFleetWith(t, cfg, 3, 1, 73)
@@ -417,5 +414,47 @@ func TestLostWriteWaitsForDownReplica(t *testing.T) {
 	}
 	if p0, p1 := payload(0), payload(1); p0 != "new" || p1 != "new" {
 		t.Fatalf("replicas hold %q and %q after the catch-up, want \"new\" on both", p0, p1)
+	}
+}
+
+// TestReconnectOnRestart pins reconnect on restart. A write made while
+// its secondary is down leaves that replica out of its view and
+// succeeds, but its request to the secondary burns the member client's
+// retry budget and starts a reconnect handshake, whose attempts back
+// off while the shard stays down. The shard restarts between two
+// attempts. Once its catch-up has settled, the client writes the key
+// again: the restart's fresh handshake must have reconnected it, so the
+// write reaches both replicas instead of meeting the dead connection
+// and failing as partial.
+func TestReconnectOnRestart(t *testing.T) {
+	cl, d, clients := newFleet(t, 2, 1, 83)
+	c := clients[0]
+	key := keyOnShard(t, d, 0, 1)
+	sub := c.subs[1].(*core.Client)
+
+	d.Server(1).Crash()
+	var put kv.Result
+	c.Put(key, []byte("during"), func(r kv.Result) { put = r })
+	cl.Eng.RunUntil(sim.Millisecond)
+	if put.Err != nil || c.Suspected() == 0 {
+		t.Fatalf("write during the outage = %+v with %d suspicions; want it served and the down shard's request timed out", put, c.Suspected())
+	}
+	if sub.Reconnects() != 0 {
+		t.Fatal("the client reconnected to a down shard")
+	}
+
+	d.Server(1).Restart()
+	for d.Server(1).Down() || d.RecoveryActive() {
+		if !cl.Eng.Step() {
+			t.Fatal("the shard never rejoined")
+		}
+	}
+	c.Put(key, []byte("after"), func(r kv.Result) { put = r })
+	cl.Eng.Run()
+	if put.Err != nil || c.PartialWrites() != 1 {
+		t.Fatalf("write after the restart = %+v, partial writes %d; want it to reach both replicas", put, c.PartialWrites())
+	}
+	if sub.Reconnects() == 0 {
+		t.Fatal("the client never reconnected to the restarted shard")
 	}
 }

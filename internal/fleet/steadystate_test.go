@@ -23,7 +23,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 	cl := cluster.New(cluster.Apt(), shards+clients, 1)
 	cfg := testConfig()
 	cfg.Replication = r
-	cfg.Versioned, cfg.ReadRepair = true, true
 	cfg.Herd.Durability = core.DurabilityGroupCommit
 	cfg.Herd.WAL.SnapshotEvery = -1
 	machines := make([]*cluster.Machine, shards)

@@ -12,34 +12,6 @@ import (
 	"herdkv/internal/sim"
 )
 
-// newVersionedFleet builds a versioned deployment on the fleet test
-// scaffolding; each tweak edits the config first.
-func newVersionedFleet(t *testing.T, nShards, nClients int, seed int64, tweaks ...func(*Config)) (*cluster.Cluster, *Deployment, []*Client) {
-	t.Helper()
-	cl := cluster.New(cluster.Apt(), nShards+nClients+1, seed)
-	cfg := testConfig()
-	cfg.Versioned = true
-	for _, tweak := range tweaks {
-		tweak(&cfg)
-	}
-	machines := make([]*cluster.Machine, nShards)
-	for i := range machines {
-		machines[i] = cl.Machine(i)
-	}
-	d, err := NewDeployment(machines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := make([]*Client, nClients)
-	for i := range clients {
-		clients[i], err = d.ConnectClient(cl.Machine(nShards + i))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return cl, d, clients
-}
-
 // keyOnShard finds a key whose replica set starts at primary (and, when
 // secondary >= 0, whose second replica is secondary).
 func keyOnShard(t *testing.T, d *Deployment, primary, secondary int) kv.Key {
@@ -63,11 +35,11 @@ func stampedValue(epoch int64, seq uint64, payload string) []byte {
 }
 
 // withLeases makes every member server grant a freshness lease with each
-// GET hit, which a versioned read must hand to its caller.
+// GET hit, which a read must hand to its caller.
 func withLeases(cfg *Config) { cfg.Herd.LeaseTTL = 20 * sim.Microsecond }
 
 func TestVersionedRoundTrip(t *testing.T) {
-	cl, _, clients := newVersionedFleet(t, 3, 1, 11, withLeases)
+	cl, _, clients := newFleet(t, 3, 1, 11, withLeases)
 	c := clients[0]
 	key := kv.FromUint64(42)
 	val := []byte("versioned fleet value")
@@ -90,9 +62,10 @@ func TestVersionedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartialWriteCounter pins satellite fix 1: a legacy (first-ack)
-// write that loses a straggler replica still reports success but must
-// count fleet.writes.partial — divergence becomes visible.
+// TestPartialWriteCounter pins the view rule's excused failure: a write
+// whose other replica was down when it was issued is out of that
+// replica's view, so it reports success, yet it counts
+// fleet.writes.partial and queues its key for reconciliation.
 func TestPartialWriteCounter(t *testing.T) {
 	cl, d, clients := newFleet(t, 3, 1, 21)
 	c := clients[0]
@@ -106,22 +79,25 @@ func TestPartialWriteCounter(t *testing.T) {
 	cl.Eng.Run()
 
 	if put.Err != nil {
-		t.Fatalf("legacy partial write must still succeed: %+v", put)
+		t.Fatalf("a write that only a down replica missed must succeed: %+v", put)
 	}
 	if c.PartialWrites() != 1 {
 		t.Fatalf("PartialWrites = %d, want 1", c.PartialWrites())
 	}
+	if audited, _ := d.AntiEntropyStats(); audited == 0 {
+		t.Fatal("the write's key was never reconciled")
+	}
 }
 
-// TestVersionedPartialWriteFails pins the versioned contract: a write
-// is successful only when EVERY replica acks; a straggler failure
-// surfaces as ErrPartialWrite.
+// TestVersionedPartialWriteFails pins the other half of the view rule:
+// a replica that is up and settled but cut off from the client is in
+// the view, so its terminal timeout fails the write with
+// ErrPartialWrite.
 func TestVersionedPartialWriteFails(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 21)
+	cl, d, clients := newScheduledFleet(t, testConfig(), "blackout link=3>1 from=0 until=1ms both", 3, 1, 21)
 	c := clients[0]
 	key := keyOnShard(t, d, 0, 1)
 
-	d.Server(1).Crash()
 	var put kv.Result
 	if err := c.Put(key, []byte("solo"), func(r kv.Result) { put = r }); err != nil {
 		t.Fatal(err)
@@ -129,7 +105,7 @@ func TestVersionedPartialWriteFails(t *testing.T) {
 	cl.Eng.Run()
 
 	if !errors.Is(put.Err, ErrPartialWrite) {
-		t.Fatalf("versioned partial write = %+v, want ErrPartialWrite", put)
+		t.Fatalf("partial write = %+v, want ErrPartialWrite", put)
 	}
 	if c.PartialWrites() != 1 {
 		t.Fatalf("PartialWrites = %d, want 1", c.PartialWrites())
@@ -164,7 +140,8 @@ func newScheduledFleet(t *testing.T, cfg Config, script string, nShards, nClient
 // is reachable again, and must not see "orig" after the writer saw
 // "fresh": a queued key is read from every replica, so the primary's
 // "orig" loses and is back-filled during the read. Versioned and
-// ReadRepair are one switch, so setting either alone repairs.
+// ReadRepair are ignored fields that the benchmark still sets: setting
+// either changes nothing.
 func TestReadRepairBackfill(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -189,7 +166,7 @@ func TestReadRepairBackfill(t *testing.T) {
 			}
 			writer.Put(key, []byte("fresh"), func(r kv.Result) { put = r })
 			cl.Eng.At(300*sim.Microsecond, func() {
-				if writer.readPreferred(0, cl.Eng.Now()) {
+				if writer.suspect[0] <= cl.Eng.Now() {
 					t.Error("the writer's read starts with the primary off probation")
 				}
 				writer.Get(key, func(r kv.Result) { first = r })
@@ -235,15 +212,14 @@ func TestReadRepairBackfill(t *testing.T) {
 // replica, so no later read can be served by a primary still missing
 // it.
 func TestPrimaryMissFansOut(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 53, withLeases)
+	cl, d, clients := newFleet(t, 3, 1, 53, withLeases)
 	c := clients[0]
 	key := keyOnShard(t, d, 0, 1)
-	reps := d.Replicas(key)
 	held := stampedValue(int64(sim.Microsecond), 1, "held")
 	if err := d.Server(1).Preload(key, held); err != nil {
 		t.Fatal(err)
 	}
-	if !d.soloReadable(key, reps) {
+	if !d.soloReadable(key) {
 		t.Fatal("a quiet replica set is not read-one")
 	}
 
@@ -251,7 +227,7 @@ func TestPrimaryMissFansOut(t *testing.T) {
 	queued := false
 	c.Get(key, func(r kv.Result) {
 		got = r
-		queued = !d.soloReadable(key, reps)
+		queued = !d.soloReadable(key)
 	})
 	cl.Eng.Run()
 	if got.Err != nil || got.Status != kv.StatusHit || string(got.Value) != "held" {
@@ -269,62 +245,20 @@ func TestPrimaryMissFansOut(t *testing.T) {
 	if stored, ok := shardHolds(d, 0, key); !ok || !bytes.Equal(stored, held) {
 		t.Fatalf("primary not back-filled: ok=%v stored=%x", ok, stored)
 	}
-	if !d.soloReadable(key, reps) {
+	if !d.soloReadable(key) {
 		t.Fatal("the key stayed read-all after the reconciliation step")
-	}
-}
-
-// TestDownReplicaStillAsked pins why a read asks every replica while
-// one of them is down. A member client learns of a crash only from a
-// request that burns its retry budget, which starts its reconnect
-// handshake. A read of a key whose secondary is down therefore still
-// asks the secondary, so the client notices the crash and starts its
-// handshake. The secondary restarts as the read returns, while the
-// handshake is still retrying, so the same client's next write reaches
-// it and completes instead of failing as partial on the dead
-// connection.
-func TestDownReplicaStillAsked(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 59)
-	c := clients[0]
-	key := keyOnShard(t, d, 0, 1)
-	var put, got kv.Result
-	c.Put(key, []byte("orig"), func(r kv.Result) { put = r })
-	cl.Eng.Run()
-	if put.Err != nil {
-		t.Fatalf("seed put = %+v", put)
-	}
-
-	d.Server(1).Crash()
-	c.Get(key, func(r kv.Result) {
-		got = r
-		d.Server(1).Restart()
-	})
-	cl.Eng.Run()
-	if got.Err != nil || string(got.Value) != "orig" {
-		t.Fatalf("get with the secondary down = %+v (%q)", got, got.Value)
-	}
-	if c.Suspected() == 0 {
-		t.Fatal("the read never asked the down secondary")
-	}
-
-	c.Put(key, []byte("next"), func(r kv.Result) { put = r })
-	cl.Eng.Run()
-	if put.Err != nil || c.PartialWrites() != 0 {
-		t.Fatalf("put after the restart = %+v, partial writes %d; want it to reach both replicas", put, c.PartialWrites())
 	}
 }
 
 // TestCrashedReplicaStaleRead pins what a partial write leaves behind
 // when the replica that took it then dies. The key's secondary is cut
 // off while a PUT of "newer" runs, so only the primary applies it, and
-// the primary crashes afterwards. The legacy fleet counts the write a
-// success, never reconciles, and serves the stale survivor as a plain
-// hit. A versioned fleet fails the write as partial and queues the key
-// for reconciliation, which converges the survivor before the crash.
+// the primary crashes afterwards. The write fails as partial and queues
+// the key for reconciliation, which converges the survivor before the
+// crash, so the read after the crash is not served the stale "orig".
 func TestCrashedReplicaStaleRead(t *testing.T) {
-	const script = "partition a=1 b=0,2,3 from=100us until=1ms"
-	run := func(t *testing.T, cfg Config) (after kv.Result, d *Deployment) {
-		cl, d, clients := newScheduledFleet(t, cfg, script, 3, 1, 41)
+	t.Run("repair_converges_before_crash", func(t *testing.T) {
+		cl, d, clients := newScheduledFleet(t, testConfig(), "partition a=1 b=0,2,3 from=100us until=1ms", 3, 1, 41)
 		c := clients[0]
 		key := keyOnShard(t, d, 0, 1)
 		var put kv.Result
@@ -334,7 +268,7 @@ func TestCrashedReplicaStaleRead(t *testing.T) {
 			t.Fatalf("seed put = %+v", put)
 		}
 		c.Put(key, []byte("newer"), func(r kv.Result) { put = r })
-		var first kv.Result
+		var first, after kv.Result
 		cl.Eng.At(1500*sim.Microsecond, func() {
 			c.Get(key, func(r kv.Result) { first = r })
 		})
@@ -349,22 +283,8 @@ func TestCrashedReplicaStaleRead(t *testing.T) {
 		if first.Err != nil || string(first.Value) != "newer" {
 			t.Fatalf("read before the crash = %+v (%q), want the primary's \"newer\"", first, first.Value)
 		}
-		return after, d
-	}
-
-	t.Run("legacy_serves_stale", func(t *testing.T) {
-		got, _ := run(t, testConfig())
-		if got.Err != nil || string(got.Value) != "orig" {
-			t.Fatalf("expected the legacy fleet to serve the stale survivor, got %+v (%q)", got, got.Value)
-		}
-	})
-
-	t.Run("repair_converges_before_crash", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.Versioned = true
-		got, d := run(t, cfg)
-		if got.Err != nil || string(got.Value) != "newer" {
-			t.Fatalf("read after crash = %+v (%q), want the reconciled value", got, got.Value)
+		if after.Err != nil || string(after.Value) != "newer" {
+			t.Fatalf("read after crash = %+v (%q), want the reconciled value", after, after.Value)
 		}
 		if _, repaired := d.AntiEntropyStats(); repaired == 0 {
 			t.Fatal("the partial write's reconciliation repaired nothing")
@@ -376,7 +296,7 @@ func TestCrashedReplicaStaleRead(t *testing.T) {
 // write enqueues its key, and the sweep merges replicas to the highest
 // stamp without any read touching the key.
 func TestAntiEntropySweepConverges(t *testing.T) {
-	cl, d, clients := newVersionedFleet(t, 3, 1, 51)
+	cl, d, clients := newFleet(t, 3, 1, 51)
 	c := clients[0]
 	key := keyOnShard(t, d, 0, 1)
 	fresh := stampedValue(int64(sim.Millisecond), 1, "fresh")
@@ -401,45 +321,5 @@ func TestAntiEntropySweepConverges(t *testing.T) {
 	stored, ok := d.Server(1).Partition(mica.Partition(key, d.cfg.Herd.NS)).Get(key)
 	if !ok || !bytes.Equal(stored, fresh) {
 		t.Fatalf("sweep did not back-fill replica 1: ok=%v stored=%x", ok, stored)
-	}
-}
-
-// TestReadOrderSuspectTieBreak pins satellite fix 2: when every replica
-// is suspect, the order is by probation expiry (soonest-recovering
-// first), not ring order, and equal expiries break ties by shard id.
-func TestReadOrderSuspectTieBreak(t *testing.T) {
-	_, _, clients := newFleet(t, 3, 1, 61)
-	c := clients[0]
-	now := c.now()
-
-	// All suspect, distinct expiries out of ring order.
-	c.suspect[0] = now + 30*sim.Microsecond
-	c.suspect[1] = now + 10*sim.Microsecond
-	c.suspect[2] = now + 20*sim.Microsecond
-	got := c.readOrder(nil, []int{0, 1, 2})
-	want := []int{1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("readOrder = %v, want %v (probation expiry order)", got, want)
-		}
-	}
-
-	// Equal expiries: deterministic id order regardless of input order.
-	for i := range c.suspect {
-		c.suspect[i] = now + 10*sim.Microsecond
-	}
-	got = c.readOrder(nil, []int{2, 0, 1})
-	want = []int{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("readOrder = %v, want %v (id tie-break)", got, want)
-		}
-	}
-
-	// A healthy replica still outranks every suspect one.
-	c.suspect[1] = 0
-	got = c.readOrder(nil, []int{0, 1, 2})
-	if got[0] != 1 {
-		t.Fatalf("readOrder = %v, want healthy shard 1 first", got)
 	}
 }

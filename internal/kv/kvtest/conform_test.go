@@ -139,8 +139,6 @@ func TestFleetNemesisConformance(t *testing.T) {
 		cfg := fleet.DefaultConfig()
 		cfg.Herd = herdConfig()
 		cfg.Herd.RetryTimeout = 12 * sim.Microsecond
-		cfg.Versioned = true
-		cfg.ReadRepair = true
 		d, err := fleet.NewDeployment(
 			[]*cluster.Machine{cl.Machine(0), cl.Machine(1)}, cfg)
 		if err != nil {
