@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/core"
 	"herdkv/internal/experiments"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -54,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.Zipf, "zipf", cfg.Zipf, "Zipf(.99) key popularity instead of uniform")
 	fs.IntVar(&cfg.Window, "window", cfg.Window, "outstanding requests per client")
 	fs.IntVar(&cfg.Cores, "cores", cfg.Cores, "server processes / cores")
-	fs.BoolVar(&cfg.SendMode, "sendmode", cfg.SendMode, "HERD only: SEND/SEND architecture")
+	sendMode := fs.Bool("sendmode", false, "HERD only: SEND/SEND architecture")
 	loss := fs.Float64("loss", 0, "uniform packet-loss probability on every link (-system herd with -retry only)")
 	retryUS := fs.Int("retry", 0, "HERD only: retry timeout (simulated microseconds; 0 = no retries)")
 	duration := fs.Int("duration", 400, "measurement window (simulated microseconds)")
@@ -122,6 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-loss %v needs -system herd and -retry > 0: without retries a lost op never completes", *loss)
 	}
 
+	if *sendMode {
+		cfg.RequestPath = core.RequestSend
+	}
 	cfg.Spec.Link.LossRate = *loss
 	cfg.RetryTimeout = sim.Time(*retryUS) * sim.Microsecond
 	experiments.Warmup = sim.Time(*warmup) * sim.Microsecond

@@ -123,6 +123,21 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // NewServer initializes HERD on machine m.
 func NewServer(m *Machine, cfg Config) (*Server, error) { return core.NewServer(m, cfg) }
 
+// RequestPath selects how clients deliver requests (Config.RequestPath).
+type RequestPath = core.RequestPath
+
+// Request paths for Config.RequestPath.
+const (
+	// RequestUC WRITEs requests into the request region over UC (the
+	// paper's design, and the default).
+	RequestUC = core.RequestUC
+	// RequestDC WRITEs requests over the Dynamically Connected
+	// transport: one shared responder context at the server NIC.
+	RequestDC = core.RequestDC
+	// RequestSend SENDs requests over UD (Section 5.5's SEND/SEND).
+	RequestSend = core.RequestSend
+)
+
 // Durability selects the server write-ahead-log mode
 // (docs/DURABILITY.md).
 type Durability = core.Durability

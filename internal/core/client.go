@@ -182,10 +182,6 @@ func (c *Client) Reconnects() uint64 { return c.reconnects }
 // server's admission controller.
 func (c *Client) BusyResponses() uint64 { return c.busyRx }
 
-// WindowShrinks reports multiplicative-decrease events of the AIMD
-// window (busy pushback, terminal timeouts).
-func (c *Client) WindowShrinks() uint64 { return c.windowShrinks }
-
 // Window returns the client's current effective request window: the
 // AIMD window when Config.AdaptiveWindow is set, Config.Window
 // otherwise.
@@ -226,10 +222,10 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 	// Request path: one UC QP pair (WRITE mode), a connectionless UD QP
 	// (SEND/SEND mode), or a DC initiator (DC mode) — the latter two
 	// keep no per-client state at the server NIC.
-	switch {
-	case s.cfg.UseSendRequests:
+	switch s.cfg.RequestPath {
+	case RequestSend:
 		c.sendQP = m.Verbs.CreateQP(wire.UD)
-	case s.cfg.UseDC:
+	case RequestDC:
 		c.dcQP = m.Verbs.CreateQP(wire.DC)
 	default:
 		serverUC := s.machine.Verbs.CreateQP(wire.UC)
@@ -275,9 +271,6 @@ func (s *Server) ConnectClients(m *cluster.Machine, n int) ([]*Client, error) {
 	}
 	return clients, nil
 }
-
-// ID returns the client's index in the request region.
-func (c *Client) ID() int { return c.id }
 
 // Inflight returns the number of outstanding operations.
 func (c *Client) Inflight() int { return c.inflight }
@@ -568,7 +561,7 @@ func (c *Client) issue(op *pendingOp) {
 //herd:hotpath
 func (c *Client) encodeRequest(op *pendingOp, r int) []byte {
 	n := copy(op.buf[:], op.value) // a GET's value is empty
-	if c.srv.cfg.UseSendRequests {
+	if c.srv.cfg.RequestPath == RequestSend {
 		binary.LittleEndian.PutUint16(op.buf[n:], uint16(c.id))
 		n += 2
 	}

@@ -164,7 +164,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 // with no reconnect handshake.
 func TestCrashRecoverySendMode(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.UseSendRequests = true
+	cfg.RequestPath = RequestSend
 	cl, _, c := chaosHERD(t, "crash node=0 at=100us restart=200us", cfg)
 
 	var lateOK, lateCalls int

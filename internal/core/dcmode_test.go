@@ -10,7 +10,7 @@ import (
 
 func dcConfig() Config {
 	cfg := smallConfig()
-	cfg.UseDC = true
+	cfg.RequestPath = RequestDC
 	return cfg
 }
 
@@ -42,16 +42,6 @@ func TestDCModeManyOps(t *testing.T) {
 	cl.Eng.Run()
 	if oks != n {
 		t.Fatalf("put oks = %d/%d", oks, n)
-	}
-}
-
-func TestDCModeExclusiveWithSendMode(t *testing.T) {
-	cl := cluster.New(cluster.Apt(), 1, 1)
-	cfg := smallConfig()
-	cfg.UseDC = true
-	cfg.UseSendRequests = true
-	if _, err := NewServer(cl.Machine(0), cfg); err == nil {
-		t.Fatal("UseDC + UseSendRequests accepted")
 	}
 }
 

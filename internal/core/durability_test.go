@@ -367,7 +367,7 @@ func TestWarmRestartReplaysClientWrites(t *testing.T) {
 	cl.Eng.Run() // all writes served and group-committed
 	srv.Crash()
 	srv.Restart()
-	if !srv.Recovering() {
+	if !srv.recovering {
 		t.Fatal("warm restart did not enter recovery")
 	}
 	if !srv.Down() {

@@ -111,21 +111,10 @@ type Config struct {
 	// Mica configures each per-process cache partition.
 	Mica mica.Config
 
-	// UseDC routes request WRITEs over the Dynamically Connected
-	// transport instead of UC. The paper expects Connect-IB's DC to
-	// resolve Figure 12's client-scaling limit (Section 5.5): all
-	// inbound DC traffic shares one NIC context, so the request path
-	// keeps WRITE semantics and WRITE speed without per-client receive
-	// state. Mutually exclusive with UseSendRequests.
-	UseDC bool
-
-	// UseSendRequests selects the SEND/SEND architecture of Section 5.5:
-	// clients SEND requests over UD instead of WRITEing them into the
-	// request region. This costs ~4-5 Mops of peak throughput (inbound
-	// SEND processing plus RECV reposting) but removes all connected
-	// state from the server NIC, so throughput no longer declines with
-	// client count (compare Figure 12).
-	UseSendRequests bool
+	// RequestPath selects how clients deliver requests: UC WRITEs into
+	// the request region (the default, the paper's design), or one of
+	// Section 5.5's alternatives, DC WRITEs or UD SENDs.
+	RequestPath RequestPath
 
 	// LeaseTTL > 0 makes every GET hit carry a freshness lease expiring
 	// LeaseTTL after the serve time: the server promises nothing about
@@ -191,6 +180,30 @@ type Config struct {
 	// turns it on for every replica it drives.
 	VersionedValues bool
 }
+
+// RequestPath is the Config.RequestPath knob.
+type RequestPath int
+
+// Request paths.
+const (
+	// RequestUC WRITEs each request into the request region over a UC
+	// connection per client: the paper's WRITE/SEND design.
+	RequestUC RequestPath = iota
+	// RequestDC WRITEs requests over the Dynamically Connected
+	// transport instead of UC. The paper expects Connect-IB's DC to
+	// resolve Figure 12's client-scaling limit (Section 5.5): all
+	// inbound DC traffic shares one NIC context, so the request path
+	// keeps WRITE semantics and WRITE speed without per-client receive
+	// state.
+	RequestDC
+	// RequestSend selects the SEND/SEND architecture of Section 5.5:
+	// clients SEND requests over UD instead of WRITEing them into the
+	// request region. This costs ~4-5 Mops of peak throughput (inbound
+	// SEND processing plus RECV reposting) but removes all connected
+	// state from the server NIC, so throughput no longer declines with
+	// client count (compare Figure 12).
+	RequestSend
+)
 
 // Durability is the Config.Durability knob.
 type Durability int
@@ -341,9 +354,6 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 	if cfg.Window < 1 || cfg.MaxClients < 1 {
 		return nil, errors.New("core: Window and MaxClients must be positive")
 	}
-	if cfg.UseDC && cfg.UseSendRequests {
-		return nil, errors.New("core: UseDC and UseSendRequests are mutually exclusive")
-	}
 	s := &Server{cfg: cfg, machine: m}
 	s.region = m.Verbs.RegisterMR(cfg.RegionSize())
 	s.parts = make([]*mica.Cache, cfg.NS)
@@ -367,7 +377,7 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 		s.telRecoveryTime = tel.Gauge("recovery.time")
 	}
 	s.createQPs()
-	if !cfg.UseSendRequests {
+	if cfg.RequestPath != RequestSend {
 		s.region.Watch(0, cfg.RegionSize(), s.onRequestLanded)
 	}
 	return s, nil
@@ -382,7 +392,8 @@ func (s *Server) createQPs() {
 	for i := range s.udQPs {
 		s.udQPs[i] = m.Verbs.CreateQP(wire.UD)
 	}
-	if cfg.UseSendRequests {
+	switch cfg.RequestPath {
+	case RequestSend:
 		// SEND/SEND mode (Section 5.5): each process's UD QP also
 		// receives requests; pre-post a deep pool of RECVs per process.
 		// Every process needs at least the full client window's worth —
@@ -404,7 +415,7 @@ func (s *Server) createQPs() {
 				s.onSendRequest(p, comp)
 			})
 		}
-	} else if cfg.UseDC {
+	case RequestDC:
 		s.dcQP = m.Verbs.CreateQP(wire.DC)
 	}
 }
@@ -592,10 +603,6 @@ func (s *Server) WALRecordsSince(t sim.Time) []wal.Record {
 //herd:hotpath
 func (s *Server) Down() bool { return s.down }
 
-// Recovering reports whether a WAL replay is in progress (the server is
-// down until it completes).
-func (s *Server) Recovering() bool { return s.recovering }
-
 // reregister is the server half of the reconnection handshake: a live
 // server replaces the client's (errored) server-side UC QP with a fresh
 // connected one. Reports whether the handshake succeeded.
@@ -613,9 +620,6 @@ func (s *Server) reregister(c *Client) bool {
 
 // Config returns the server configuration.
 func (s *Server) Config() Config { return s.cfg }
-
-// Region exposes the request region (for tests and layout inspection).
-func (s *Server) Region() *verbs.MR { return s.region }
 
 // Partition returns server process i's cache partition.
 func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }

@@ -155,7 +155,7 @@ func TestSlotZeroedAfterService(t *testing.T) {
 	clients[0].Put(key, []byte("zzz"), nil)
 	cl.Eng.Run()
 	// Every slot tail (LEN + keyhash) must be zero after service.
-	raw := srv.Region().Bytes()
+	raw := srv.region.Bytes()
 	for slot := 0; slot < len(raw)/SlotSize; slot++ {
 		tail := raw[(slot+1)*SlotSize-int(lenTail) : (slot+1)*SlotSize]
 		for _, b := range tail {
@@ -333,8 +333,8 @@ func TestAccessorsAndConfig(t *testing.T) {
 		t.Fatal("Config accessor")
 	}
 	c := clients[0]
-	if c.ID() != 0 {
-		t.Fatalf("client ID = %d", c.ID())
+	if c.id != 0 {
+		t.Fatalf("client ID = %d", c.id)
 	}
 	c.Get(kv.FromUint64(1), nil)
 	if c.Inflight() != 1 {

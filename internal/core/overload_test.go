@@ -101,7 +101,7 @@ func TestAdaptiveWindowShrinksUnderBusy(t *testing.T) {
 	if done != 24 {
 		t.Fatalf("served %d of 24", done)
 	}
-	shrinks := clients[0].WindowShrinks() + clients[1].WindowShrinks()
+	shrinks := clients[0].windowShrinks + clients[1].windowShrinks
 	if shrinks == 0 {
 		t.Fatal("AIMD window never shrank under busy pushback")
 	}
@@ -129,7 +129,7 @@ func TestAdaptiveWindowRecovers(t *testing.T) {
 	if burst != 24 {
 		t.Fatalf("burst served %d of 24", burst)
 	}
-	if c.WindowShrinks() == 0 {
+	if c.windowShrinks == 0 {
 		t.Fatal("burst did not shrink the window; recovery phase proves nothing")
 	}
 

@@ -11,7 +11,7 @@ import (
 
 func sendModeConfig() Config {
 	cfg := smallConfig()
-	cfg.UseSendRequests = true
+	cfg.RequestPath = RequestSend
 	return cfg
 }
 
@@ -133,11 +133,11 @@ func TestSendModeRetryRecovers(t *testing.T) {
 func TestSendModeThroughputPenalty(t *testing.T) {
 	// Section 5.5 predicts a 4-5 Mops penalty for SEND/SEND vs the
 	// WRITE/SEND hybrid at peak.
-	measure := func(sendMode bool) float64 {
+	measure := func(path RequestPath) float64 {
 		cfg := smallConfig()
 		cfg.NS = 6
 		cfg.MaxClients = 16
-		cfg.UseSendRequests = sendMode
+		cfg.RequestPath = path
 		cl := cluster.New(cluster.Apt(), 17, 1)
 		srv, err := NewServer(cl.Machine(0), cfg)
 		if err != nil {
@@ -169,8 +169,8 @@ func TestSendModeThroughputPenalty(t *testing.T) {
 		stop = true
 		return float64(completed-start) / 300e-6 / 1e6
 	}
-	hybrid := measure(false)
-	sendSend := measure(true)
+	hybrid := measure(RequestUC)
+	sendSend := measure(RequestSend)
 	if sendSend >= hybrid {
 		t.Fatalf("SEND/SEND (%.1f) should trail WRITE/SEND (%.1f)", sendSend, hybrid)
 	}

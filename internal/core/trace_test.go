@@ -98,7 +98,7 @@ func TestSendModeTracePropagates(t *testing.T) {
 	cl.SetTelemetry(sink)
 
 	cfg := smallConfig()
-	cfg.UseSendRequests = true
+	cfg.RequestPath = RequestSend
 	srv, err := NewServer(cl.Machine(0), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -154,9 +154,6 @@ func New(bucketMem, extentMem []byte, nBuckets int) *Table {
 	}
 }
 
-// Stats returns a snapshot of counters.
-func (t *Table) Stats() Stats { return t.stats }
-
 // BucketIndices returns the K candidate buckets for key, in probe order.
 // Clients use this to compute READ targets.
 func (t *Table) BucketIndices(key kv.Key) [K]int {
@@ -314,15 +311,4 @@ func (t *Table) Insert(key kv.Key, value []byte) error {
 	// full so callers can resize. The table stays self-consistent.
 	t.writeBucket(idx, curFrag, curPtr, curVLen, curSum2)
 	return ErrTableFull
-}
-
-// LoadFactor reports the fraction of occupied buckets.
-func (t *Table) LoadFactor() float64 {
-	used := 0
-	for i := 0; i < t.nBuckets; i++ {
-		if t.occupied(i) {
-			used++
-		}
-	}
-	return float64(used) / float64(t.nBuckets)
 }

@@ -45,9 +45,20 @@ func TestUpdate(t *testing.T) {
 		t.Fatalf("after update: %q, %v", v, ok)
 	}
 	// An update must not consume a second bucket.
-	if lf := tb.LoadFactor(); lf > 1.5/1024 {
+	if lf := loadFactor(tb); lf > 1.5/1024 {
 		t.Fatalf("load factor %v after updating one key", lf)
 	}
+}
+
+// loadFactor is the fraction of tb's buckets that are occupied.
+func loadFactor(tb *Table) float64 {
+	used := 0
+	for i := 0; i < tb.nBuckets; i++ {
+		if tb.occupied(i) {
+			used++
+		}
+	}
+	return float64(used) / float64(tb.nBuckets)
 }
 
 func TestFillTo75Percent(t *testing.T) {
@@ -61,7 +72,7 @@ func TestFillTo75Percent(t *testing.T) {
 			t.Fatalf("insert %d/%d failed: %v", i, target, err)
 		}
 	}
-	if lf := tb.LoadFactor(); lf < 0.74 || lf > 0.76 {
+	if lf := loadFactor(tb); lf < 0.74 || lf > 0.76 {
 		t.Fatalf("load factor = %v, want ~0.75", lf)
 	}
 	// Everything still retrievable.
@@ -82,11 +93,11 @@ func TestAvgProbesNear1_6(t *testing.T) {
 		tb.Insert(kv.FromUint64(uint64(i)), []byte{1})
 	}
 	// Reset lookup stats by reading a fresh snapshot baseline.
-	before := tb.Stats()
+	before := tb.stats
 	for i := 0; i < target; i++ {
 		tb.Lookup(kv.FromUint64(uint64(i)))
 	}
-	after := tb.Stats()
+	after := tb.stats
 	probes := after.Probes - before.Probes
 	lookups := after.Lookups - before.Lookups
 	avg := float64(probes) / float64(lookups)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/core"
 	"herdkv/internal/sim"
 	"herdkv/internal/verbs"
 	"herdkv/internal/wire"
@@ -26,12 +27,14 @@ func AblationArchitecture(spec cluster.Spec) (*Table, *Report) {
 	rep := newReport("ablation-arch", spec)
 	for _, nc := range []int{50, 150, 260, 400, 500} {
 		row := []string{fmt.Sprintf("%d", nc)}
-		for _, mode := range []string{"hybrid-uc", "send-send", "hybrid-dc"} {
+		for _, arm := range []struct {
+			name string
+			path core.RequestPath
+		}{{"hybrid-uc", core.RequestUC}, {"send-send", core.RequestSend}, {"hybrid-dc", core.RequestDC}} {
 			cfg := DefaultE2E(spec, SysHERD)
 			cfg.Clients = nc
-			cfg.SendMode = mode == "send-send"
-			cfg.DCMode = mode == "hybrid-dc"
-			row = append(row, rep.Arm(fmt.Sprintf("clients=%d/%s", nc, mode)).e2e(runE2E(cfg, warmup, span)))
+			cfg.RequestPath = arm.path
+			row = append(row, rep.Arm(fmt.Sprintf("clients=%d/%s", nc, arm.name)).e2e(runE2E(cfg, warmup, span)))
 		}
 		t.AddRow(row...)
 	}

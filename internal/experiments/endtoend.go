@@ -41,11 +41,10 @@ type E2EConfig struct {
 	Seed        int64
 
 	// HERD variants (ablation studies).
-	SendMode     bool     // SEND/SEND architecture (Section 5.5)
-	DCMode       bool     // Dynamically Connected requests (Section 5.5)
-	NoPrefetch   bool     // disable the request pipeline
-	InlineCut    int      // response inline cutoff override (0 = default)
-	RetryTimeout sim.Time // client retry timeout (0 = no retries)
+	RequestPath  core.RequestPath // UC WRITE, DC WRITE or SEND/SEND (Section 5.5)
+	NoPrefetch   bool             // disable the request pipeline
+	InlineCut    int              // response inline cutoff override (0 = default)
+	RetryTimeout sim.Time         // client retry timeout (0 = no retries)
 }
 
 // DefaultE2E is the paper's end-to-end setup for system on spec: 51
@@ -90,8 +89,7 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 		hcfg.NS = cfg.Cores
 		hcfg.MaxClients = cfg.Clients
 		hcfg.Window = cfg.Window
-		hcfg.UseSendRequests = cfg.SendMode
-		hcfg.UseDC = cfg.DCMode
+		hcfg.RequestPath = cfg.RequestPath
 		hcfg.Prefetch = !cfg.NoPrefetch
 		hcfg.RetryTimeout = cfg.RetryTimeout
 		if cfg.InlineCut > 0 {

@@ -66,9 +66,9 @@ var Targets = []Target{
 	// near cache + leases (docs/CACHING.md).
 	{Name: "hotkey", Run: Hotkey},
 
-	// Consistency: the nemesis-driven linearizability gate — first-ack
-	// divergence vs versioned read repair under a generated chaos
-	// schedule (docs/ROBUSTNESS.md).
+	// Consistency: the nemesis-driven linearizability gate — one
+	// versioned, read-repairing fleet arm under the pinned seed-9
+	// generated chaos schedule (docs/ROBUSTNESS.md).
 	{Name: "consistency", Run: ConsistencyScenario},
 }
 

@@ -113,9 +113,6 @@ func (s *Server) Insert(key kv.Key, value []byte) error {
 	return s.table.Insert(key, value)
 }
 
-// Puts reports served PUTs.
-func (s *Server) Puts() uint64 { return s.puts }
-
 // Result is the outcome of one client operation — an alias of the
 // unified kv.Result. Result.Reads counts READ verbs issued for a GET:
 // 1 inline, 2 out-of-table.

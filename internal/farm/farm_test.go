@@ -121,8 +121,8 @@ func TestManyClientsManyKeys(t *testing.T) {
 	if oks != n {
 		t.Fatalf("put oks = %d/%d", oks, n)
 	}
-	if srv.Puts() != uint64(n) {
-		t.Fatalf("server puts = %d", srv.Puts())
+	if srv.puts != uint64(n) {
+		t.Fatalf("server puts = %d", srv.puts)
 	}
 	got := 0
 	for i := 0; i < n; i++ {

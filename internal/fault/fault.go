@@ -215,7 +215,7 @@ func (in *Injector) SetCrashTarget(node wire.NodeID, t CrashTarget) {
 
 // Arm schedules every Crash event on the engine. Safe to call once;
 // subsequent calls are no-ops. Crash events with no registered target
-// are counted (MissedTargets) and skipped.
+// are counted and skipped.
 func (in *Injector) Arm() {
 	if in.armed {
 		return
@@ -270,10 +270,6 @@ func (in *Injector) Drops() uint64    { return in.drops }
 func (in *Injector) Corrupts() uint64 { return in.corrupts }
 func (in *Injector) Crashes() uint64  { return in.crashes }
 func (in *Injector) Restarts() uint64 { return in.restarts }
-
-// MissedTargets reports Crash events that fired with no registered
-// target.
-func (in *Injector) MissedTargets() uint64 { return in.missedTargets }
 
 // linkMatches reports whether event e's link selector covers a packet
 // src->dst.

@@ -246,8 +246,8 @@ func TestCrashWithoutTargetIsCounted(t *testing.T) {
 	in := inject(t, net, "crash node=1 at=1us")
 	in.Arm()
 	eng.RunUntil(1 * sim.Millisecond)
-	if in.MissedTargets() != 1 {
-		t.Fatalf("missed targets = %d, want 1", in.MissedTargets())
+	if in.missedTargets != 1 {
+		t.Fatalf("missed targets = %d, want 1", in.missedTargets)
 	}
 }
 

@@ -135,11 +135,6 @@ func (c *Client) Failed() uint64 { return c.failed }
 // terminally there and was reissued against every remaining up replica.
 func (c *Client) Reroutes() uint64 { return c.reroutes }
 
-// Suspected counts probation starts: terminal failures against a
-// shard. Busy pushback never reaches the fleet: the member client
-// absorbs it with hinted resubmits.
-func (c *Client) Suspected() uint64 { return c.suspected }
-
 // HotWidened always reads 0: the fleet no longer widens hot reads. It
 // stays only for existing callers, and leaves with the next benchmark
 // change.

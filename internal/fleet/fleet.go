@@ -167,9 +167,6 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 	return d, nil
 }
 
-// Ring returns the routing ring.
-func (d *Deployment) Ring() *Ring { return d.ring }
-
 // Server returns shard id's server (nil for unknown ids).
 func (d *Deployment) Server(id int) *core.Server {
 	if id < 0 || id >= len(d.shards) {

@@ -104,7 +104,7 @@ func TestRingHotKeysSpreadPrimaries(t *testing.T) {
 	_, d, _ := newFleet(t, 4, 0, 1)
 	count := make([]int, 4)
 	for i := uint64(0); i < 64; i++ {
-		count[d.Ring().Replicas(kv.FromUint64(i), 1)[0]]++
+		count[d.ring.Replicas(kv.FromUint64(i), 1)[0]]++
 	}
 	for s, c := range count {
 		if c == 0 || c > 32 {
@@ -278,8 +278,8 @@ func TestFleetValidation(t *testing.T) {
 	}
 	issued := c.Inflight()
 	cl.Eng.Run()
-	if issued != 0 || c.Suspected() != 0 {
-		t.Fatalf("rejected puts issued %d ops and suspected %d shards", issued, c.Suspected())
+	if issued != 0 || c.suspected != 0 {
+		t.Fatalf("rejected puts issued %d ops and suspected %d shards", issued, c.suspected)
 	}
 	if cfg := (&Config{}); true {
 		cfg.setDefaults()
@@ -342,7 +342,7 @@ func TestBusyNeverSuspects(t *testing.T) {
 		t.Fatal("the browned-out primary never pushed back")
 	}
 	secondary, _, _ := d.Server(d.Replicas(key)[1]).Stats()
-	if f, s := c.Failed(), c.Suspected(); f != 0 || s != 0 || secondary != 0 {
+	if f, s := c.Failed(), c.suspected; f != 0 || s != 0 || secondary != 0 {
 		t.Fatalf("%d failed, %d suspected, %d secondary reads; busy must be absorbed below the fleet", f, s, secondary)
 	}
 }
@@ -364,7 +364,7 @@ func TestTimeoutStillSuspects(t *testing.T) {
 	if res.Err != nil || string(res.Value) != "v" {
 		t.Fatalf("replica did not serve with the primary cut off: %+v", res)
 	}
-	if c.Suspected() == 0 || c.Reroutes() == 0 {
-		t.Fatalf("suspected=%d reroutes=%d: the terminal timeout no longer suspects the shard", c.Suspected(), c.Reroutes())
+	if c.suspected == 0 || c.Reroutes() == 0 {
+		t.Fatalf("suspected=%d reroutes=%d: the terminal timeout no longer suspects the shard", c.suspected, c.Reroutes())
 	}
 }

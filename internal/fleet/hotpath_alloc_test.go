@@ -47,7 +47,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 		cl.Eng.Run()
 	}
-	ring := d.Ring()
+	ring := d.ring
 	order := make([]int, 0, 3)
 	lacks, holds := replicaRank{settled: true}, replicaRank{present: true, ver: kv.Version{Seq: 1}}
 

@@ -155,8 +155,5 @@ func (d *Deployment) settleRecoveries() {
 	}
 }
 
-// RecoveryActive reports whether any shard catch-up is in progress.
-func (d *Deployment) RecoveryActive() bool { return len(d.recs) > 0 }
-
 // LastRecovery returns the most recent completed shard recovery.
 func (d *Deployment) LastRecovery() RecoveryResult { return d.lastRecovery }

@@ -158,7 +158,7 @@ func TestRecoveryAbortsAndRestartsOnSecondCrash(t *testing.T) {
 	cl.Eng.At(200*sim.Microsecond, func() { d.Server(0).Restart() })
 	cl.Eng.Run()
 
-	if d.RecoveryActive() {
+	if len(d.recs) > 0 {
 		t.Fatal("a recovery is still pending after drain")
 	}
 	rec := d.LastRecovery()
@@ -239,7 +239,7 @@ func TestSharedQueueOverlappingCatchups(t *testing.T) {
 		t.Fatal("the queued key was never merged")
 	}
 
-	if d.RecoveryActive() {
+	if len(d.recs) > 0 {
 		t.Fatal("a catch-up is still pending after drain")
 	}
 	if rec := d.LastRecovery(); rec.ShardID != 1 || !rec.Warm || rec.CatchupKeys == 0 {
@@ -299,7 +299,7 @@ func TestCatchingUpPrimaryNotReadAlone(t *testing.T) {
 	if got := payload(0); got != "old" {
 		t.Fatalf("the rejoined primary holds %q, want the replayed \"old\" (the write must have sat in the unflushed window)", got)
 	}
-	if !d.RecoveryActive() {
+	if len(d.recs) == 0 {
 		t.Fatal("the primary rejoined with no catch-up in progress")
 	}
 
@@ -361,7 +361,7 @@ func TestLostWriteWaitsForDownReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reader.Get(key, func(r kv.Result) { got, during = r, d.RecoveryActive() })
+		reader.Get(key, func(r kv.Result) { got, during = r, len(d.recs) > 0 })
 		cl.Eng.Run()
 		return got, during
 	}
@@ -391,7 +391,7 @@ func TestLostWriteWaitsForDownReplica(t *testing.T) {
 		t.Fatalf("the rejoined primary holds %q, want the replayed \"old\"", got)
 	}
 	cl.Eng.Run()
-	if d.RecoveryActive() {
+	if len(d.recs) > 0 {
 		t.Fatal("the primary's catch-up did not settle with the secondary down")
 	}
 
@@ -399,7 +399,7 @@ func TestLostWriteWaitsForDownReplica(t *testing.T) {
 	if got := payload(1); got != "new" {
 		t.Fatalf("the rejoined secondary holds %q, want the replayed \"new\"", got)
 	}
-	if !d.RecoveryActive() {
+	if len(d.recs) == 0 {
 		t.Fatal("the secondary rejoined with no catch-up in progress")
 	}
 	got, during := read()
@@ -436,15 +436,15 @@ func TestReconnectOnRestart(t *testing.T) {
 	var put kv.Result
 	c.Put(key, []byte("during"), func(r kv.Result) { put = r })
 	cl.Eng.RunUntil(sim.Millisecond)
-	if put.Err != nil || c.Suspected() == 0 {
-		t.Fatalf("write during the outage = %+v with %d suspicions; want it served and the down shard's request timed out", put, c.Suspected())
+	if put.Err != nil || c.suspected == 0 {
+		t.Fatalf("write during the outage = %+v with %d suspicions; want it served and the down shard's request timed out", put, c.suspected)
 	}
 	if sub.Reconnects() != 0 {
 		t.Fatal("the client reconnected to a down shard")
 	}
 
 	d.Server(1).Restart()
-	for d.Server(1).Down() || d.RecoveryActive() {
+	for d.Server(1).Down() || len(d.recs) > 0 {
 		if !cl.Eng.Step() {
 			t.Fatal("the shard never rejoined")
 		}

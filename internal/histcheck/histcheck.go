@@ -111,9 +111,6 @@ func (r *Recorder) Fail(id int) {
 	r.ops[id].Failed = true
 }
 
-// Len returns the number of recorded operations.
-func (r *Recorder) Len() int { return len(r.ops) }
-
 // Ops returns the recorded history (live slice; callers must not
 // mutate).
 func (r *Recorder) Ops() []Op { return r.ops }

@@ -88,9 +88,6 @@ func NewVar(mem, extent []byte, nBuckets, h int) *Table {
 	return &Table{mem: mem, nBuckets: nBuckets, h: h, mode: OutOfTable, extent: extent, seed: 0x5c0f}
 }
 
-// H returns the neighborhood size.
-func (t *Table) H() int { return t.h }
-
 // SlotSize returns the serialized slot size.
 func (t *Table) SlotSize() int {
 	if t.mode == Inline {
@@ -112,9 +109,6 @@ func (t *Table) Home(key kv.Key) int {
 func (t *Table) NeighborhoodOffset(key kv.Key) (off, n int) {
 	return t.Home(key) * t.SlotSize(), t.NeighborhoodBytes()
 }
-
-// Hops reports total displacement moves performed by inserts.
-func (t *Table) Hops() uint64 { return t.hops }
 
 func (t *Table) slot(i int) []byte {
 	s := t.SlotSize()
@@ -262,17 +256,6 @@ func (t *Table) place(i int, key kv.Key, value []byte) error {
 	t.writeVar(i, key, ptr, uint16(len(value)))
 	t.inserts++
 	return nil
-}
-
-// LoadFactor reports occupied home-range slots over capacity.
-func (t *Table) LoadFactor() float64 {
-	used := 0
-	for i := 0; i < t.totalSlots(); i++ {
-		if !t.slotEmpty(i) {
-			used++
-		}
-	}
-	return float64(used) / float64(t.nBuckets)
 }
 
 // ParseNeighborhoodInline scans raw neighborhood bytes (as READ by a

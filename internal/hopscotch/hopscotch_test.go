@@ -89,11 +89,11 @@ func TestNeighborhoodGuarantee(t *testing.T) {
 		if s < 0 {
 			t.Fatalf("key %d lost", i)
 		}
-		if d := s - tb.Home(k); d < 0 || d >= tb.H() {
-			t.Fatalf("key %d at distance %d, violates H=%d", i, d, tb.H())
+		if d := s - tb.Home(k); d < 0 || d >= tb.h {
+			t.Fatalf("key %d at distance %d, violates H=%d", i, d, tb.h)
 		}
 	}
-	if tb.Hops() == 0 {
+	if tb.hops == 0 {
 		t.Fatal("80% fill should have required displacement hops")
 	}
 }
@@ -170,12 +170,23 @@ func TestExtentFull(t *testing.T) {
 	}
 }
 
+// loadFactor is tb's occupied home-range slots over its capacity.
+func loadFactor(tb *Table) float64 {
+	used := 0
+	for i := 0; i < tb.totalSlots(); i++ {
+		if !tb.slotEmpty(i) {
+			used++
+		}
+	}
+	return float64(used) / float64(tb.nBuckets)
+}
+
 func TestLoadFactorAccounting(t *testing.T) {
 	tb := newInline(100, 32)
 	for i := 0; i < 50; i++ {
 		tb.Insert(kv.FromUint64(uint64(i)), val32(1))
 	}
-	if lf := tb.LoadFactor(); lf < 0.49 || lf > 0.51 {
+	if lf := loadFactor(tb); lf < 0.49 || lf > 0.51 {
 		t.Fatalf("load factor = %v, want 0.5", lf)
 	}
 }

@@ -84,6 +84,14 @@ type Result struct {
 // reports synchronous rejection (malformed key/value) only —
 // asynchronous failures arrive as Result.Status / Result.Err.
 //
+// Completion: an accepted op's callback runs exactly once when the
+// backend has a retry budget (core.Config.RetryTimeout set; a fleet
+// always sets it): the op is served, or it fails with a Result.Err
+// (core.ErrTimedOut once the budget is spent). Layers above rely on
+// this and arm no timer of their own: the near cache's parked readers
+// wait on the filler's Get. Without retries an op lost on the wire
+// never completes.
+//
 // Buffer ownership: Put copies value before it returns, so the caller
 // may reuse or overwrite the buffer at once, and layers above may pass
 // pooled buffers down. A Result's Value belongs to the callback that

@@ -200,9 +200,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the (normalized) configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of activity counters.
 func (c *Cache) Stats() Stats {
 	if c.queued != 0 {

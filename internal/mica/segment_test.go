@@ -95,7 +95,7 @@ func TestFIFOVictimSixSlots(t *testing.T) {
 // the 256 slots is still evicted in turn.
 func TestBucketSlotsClamped(t *testing.T) {
 	c := New(Config{IndexBuckets: 1, BucketSlots: 300, LogBytes: 1 << 20})
-	if got := c.Config().BucketSlots; got != 256 {
+	if got := c.cfg.BucketSlots; got != 256 {
 		t.Fatalf("BucketSlots = %d, want 256", got)
 	}
 	checkFIFO(t, c, 256, 300)

@@ -53,16 +53,6 @@ type Channel struct {
 	stalled     bool
 }
 
-// ID returns the channel's virtual channel id, unique per endpoint.
-func (ch *Channel) ID() int { return ch.id }
-
-// Stalled reports whether the channel currently has backlog the
-// endpoint could not issue immediately (window full or pool saturated).
-func (ch *Channel) Stalled() bool { return ch.stalled }
-
-// Queued returns this channel's backlog depth.
-func (ch *Channel) Queued() int { return ch.queue.Len() }
-
 // Get fetches key; cb receives a hit with the value, or a miss.
 func (ch *Channel) Get(key kv.Key, cb func(kv.Result)) error {
 	if key.IsZero() {

@@ -189,14 +189,8 @@ func (ep *Endpoint) OpenChannel() (*Channel, error) {
 	return ch, nil
 }
 
-// Config returns the endpoint configuration (defaults applied).
-func (ep *Endpoint) Config() Config { return ep.cfg }
-
 // PoolSize returns the number of pooled transport clients.
 func (ep *Endpoint) PoolSize() int { return len(ep.pool) }
-
-// Queued returns how many accepted ops are waiting in channel queues.
-func (ep *Endpoint) Queued() int { return ep.queued }
 
 func (ep *Endpoint) now() sim.Time { return ep.eng.Now() }
 

@@ -103,8 +103,8 @@ func TestMuxDemuxRoundTrip(t *testing.T) {
 		if chans[i], err = ep.OpenChannel(); err != nil {
 			t.Fatal(err)
 		}
-		if chans[i].ID() != i {
-			t.Fatalf("channel %d has vcid %d", i, chans[i].ID())
+		if chans[i].id != i {
+			t.Fatalf("channel %d has vcid %d", i, chans[i].id)
 		}
 	}
 
@@ -149,12 +149,12 @@ func TestMuxDemuxRoundTrip(t *testing.T) {
 				t.Fatalf("channel %d op %d has non-positive latency %v", i, j, r.Latency)
 			}
 		}
-		if served[i] != 2*nOps || chans[i].Queued() != 0 {
-			t.Fatalf("channel %d accounting: served=%d queued=%d", i, served[i], chans[i].Queued())
+		if served[i] != 2*nOps || chans[i].queue.Len() != 0 {
+			t.Fatalf("channel %d accounting: served=%d queued=%d", i, served[i], chans[i].queue.Len())
 		}
 	}
-	if ep.Queued() != 0 {
-		t.Fatalf("endpoint accounting: queued=%d", ep.Queued())
+	if ep.queued != 0 {
+		t.Fatalf("endpoint accounting: queued=%d", ep.queued)
 	}
 }
 
@@ -180,8 +180,8 @@ func TestMuxFairRoundRobin(t *testing.T) {
 			}
 		}
 	}
-	if len(f.order) != 0 || ep.Queued() != nChans*nOps {
-		t.Fatalf("frozen pool issued %d, queued %d", len(f.order), ep.Queued())
+	if len(f.order) != 0 || ep.queued != nChans*nOps {
+		t.Fatalf("frozen pool issued %d, queued %d", len(f.order), ep.queued)
 	}
 	f.window = 1
 	ep.pump()
@@ -237,10 +237,10 @@ func TestMuxChannelWindowFlowControl(t *testing.T) {
 	if f.inflight != 2 {
 		t.Fatalf("pool sees %d outstanding, want ChannelWindow=2", f.inflight)
 	}
-	if ch.Queued() != 4 || ep.Queued() != 4 {
-		t.Fatalf("backlog = %d/%d, want 4/4", ch.Queued(), ep.Queued())
+	if ch.queue.Len() != 4 || ep.queued != 4 {
+		t.Fatalf("backlog = %d/%d, want 4/4", ch.queue.Len(), ep.queued)
 	}
-	if !ch.Stalled() {
+	if !ch.stalled {
 		t.Fatal("channel with backlog not marked stalled")
 	}
 	for i := 0; i < nOps; i++ {
@@ -249,8 +249,8 @@ func TestMuxChannelWindowFlowControl(t *testing.T) {
 			t.Fatalf("window violated after release %d: %d outstanding", i, f.inflight)
 		}
 	}
-	if done != nOps || ch.Queued() != 0 || f.inflight != 0 || ch.Stalled() {
-		t.Fatalf("after drain: done=%d queued=%d inflight=%d stalled=%v", done, ch.Queued(), f.inflight, ch.Stalled())
+	if done != nOps || ch.queue.Len() != 0 || f.inflight != 0 || ch.stalled {
+		t.Fatalf("after drain: done=%d queued=%d inflight=%d stalled=%v", done, ch.queue.Len(), f.inflight, ch.stalled)
 	}
 }
 
@@ -270,25 +270,25 @@ func TestMuxComposesWithShrunkWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.inflight != 4 || ch.Queued() != 2 {
-		t.Fatalf("before shrink: inflight=%d queued=%d, want 4/2", f.inflight, ch.Queued())
+	if f.inflight != 4 || ch.queue.Len() != 2 {
+		t.Fatalf("before shrink: inflight=%d queued=%d, want 4/2", f.inflight, ch.queue.Len())
 	}
 
 	f.window = 1 // AIMD multiplicative decrease under busy pushback
 	f.release()
-	if f.inflight != 3 || ch.Queued() != 2 {
+	if f.inflight != 3 || ch.queue.Len() != 2 {
 		// 3 outstanding >= window 1: nothing new may issue.
-		t.Fatalf("after shrink+release: inflight=%d queued=%d, want 3/2", f.inflight, ch.Queued())
+		t.Fatalf("after shrink+release: inflight=%d queued=%d, want 3/2", f.inflight, ch.queue.Len())
 	}
 	f.release()
 	f.release()
-	if f.inflight != 1 || ch.Queued() != 2 {
+	if f.inflight != 1 || ch.queue.Len() != 2 {
 		// Still one op from the original burst in flight == window 1.
-		t.Fatalf("draining: inflight=%d queued=%d, want 1/2", f.inflight, ch.Queued())
+		t.Fatalf("draining: inflight=%d queued=%d, want 1/2", f.inflight, ch.queue.Len())
 	}
 	f.release() // frees the pool; next op issues on the completion pump
-	if f.inflight != 1 || ch.Queued() != 1 {
-		t.Fatalf("post-drain issue: inflight=%d queued=%d, want 1/1", f.inflight, ch.Queued())
+	if f.inflight != 1 || ch.queue.Len() != 1 {
+		t.Fatalf("post-drain issue: inflight=%d queued=%d, want 1/1", f.inflight, ch.queue.Len())
 	}
 }
 
@@ -307,8 +307,8 @@ func TestMuxValidationAndLimits(t *testing.T) {
 
 	f := &fakeClient{window: 4}
 	ep := newFakeEndpoint(t, f, Config{})
-	if ep.Config() != def {
-		t.Fatalf("withDefaults not applied: %+v", ep.Config())
+	if ep.cfg != def {
+		t.Fatalf("withDefaults not applied: %+v", ep.cfg)
 	}
 	ch, err := ep.OpenChannel()
 	if err != nil {
@@ -327,7 +327,7 @@ func TestMuxValidationAndLimits(t *testing.T) {
 	if err := ch.Put(kv.FromUint64(1), make([]byte, mica.MaxValueSize+1), nil); err != mica.ErrValueTooLarge {
 		t.Fatalf("oversize PUT: %v", err)
 	}
-	if ch.Queued() != 0 || len(f.order) != 0 {
+	if ch.queue.Len() != 0 || len(f.order) != 0 {
 		t.Fatal("rejected ops leaked into accounting")
 	}
 }
@@ -349,8 +349,8 @@ func TestMuxSyncRejection(t *testing.T) {
 	if runs != 1 || res.Err == nil || res.Status != kv.StatusTimeout {
 		t.Fatalf("rejected op resolved %d times, last as %+v", runs, res)
 	}
-	if ch.Queued() != 0 || f.inflight != 0 {
-		t.Fatalf("accounting after rejection: queued=%d inflight=%d", ch.Queued(), f.inflight)
+	if ch.queue.Len() != 0 || f.inflight != 0 {
+		t.Fatalf("accounting after rejection: queued=%d inflight=%d", ch.queue.Len(), f.inflight)
 	}
 	// The channel keeps working afterwards.
 	if err := ch.Get(kv.FromUint64(2), nil); err != nil {

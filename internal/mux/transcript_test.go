@@ -82,7 +82,7 @@ func runTranscript(t *testing.T, seed int64, cfg Config, poolWindows []int, star
 	var submit func(ch *Channel)
 	submit = func(ch *Channel) {
 		seq++
-		key := channelKey(ch.ID(), seq)
+		key := channelKey(ch.id, seq)
 		cb := func(r kv.Result) {
 			resolved++
 			tr.note('c', keyChannel(r.Key), 0)
@@ -158,8 +158,8 @@ func runTranscript(t *testing.T, seed int64, cfg Config, poolWindows []int, star
 	}
 	for releaseOne() {
 	}
-	if ep.Queued() > 0 {
-		t.Fatalf("seed %d: %d ops queued with nothing in flight", seed, ep.Queued())
+	if ep.queued > 0 {
+		t.Fatalf("seed %d: %d ops queued with nothing in flight", seed, ep.queued)
 	}
 	if resolved != submitted {
 		t.Fatalf("seed %d: %d of %d submitted ops resolved", seed, resolved, submitted)

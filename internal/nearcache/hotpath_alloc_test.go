@@ -30,17 +30,15 @@ func (p *parkedKV) answer(r kv.Result) {
 
 // TestHotpathAllocFree gates the near cache's //herd:hotpath functions
 // at 0 allocs/op: a hit's delivery record, a fill resolving into a
-// reused entry, the LRU list, and a herd wait's timer firing after its
-// fill resolved. (Serving a hit copies the value out for the caller,
-// by contract; the gate schedules a prepared Result.)
+// reused entry, and the LRU list. (Serving a hit copies the value out
+// for the caller, by contract; the gate schedules a prepared Result.)
 func TestHotpathAllocFree(t *testing.T) {
 	eng := sim.New()
 	origin := &parkedKV{}
 	c := New(origin, eng, nil, Config{TTL: sim.Millisecond})
-	key, other := k(1), k(2)
+	key := k(1)
 	value := []byte("gate value")
 	hitRes := kv.Result{Key: key, IsGet: true, Status: kv.StatusHit, Value: value}
-	missRes := kv.Result{Key: other, IsGet: true, Status: kv.StatusMiss}
 	delivered := 0
 	cb := func(kv.Result) { delivered++ }
 
@@ -58,17 +56,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		origin.answer(hitRes)
 		eng.Run()
 	}
-	// Two readers of an absent key: the second parks on the first's
-	// fill, and its herd-wait timer fires after the fill resolved.
-	herd := func() {
-		for i := 0; i < 2; i++ {
-			if err := c.Get(other, cb); err != nil {
-				t.Fatal(err)
-			}
-		}
-		origin.answer(missRes)
-		eng.Run()
-	}
 	hotgate.Check(t, ".", map[string]func(){
 		"Cache.deliver":      hit,
 		"Cache.deliverLater": hit,
@@ -81,10 +68,8 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Cache.validity":     fill,
 		"fill.onResult":      fill,
 		"Cache.putFill":      fill,
-		"Cache.putWait":      herd,
-		"herdWait.Fire":      herd,
 	})
-	if delivered == 0 || c.Len() != 1 {
-		t.Fatalf("gates delivered %d with %d resident, want 1 resident", delivered, c.Len())
+	if delivered == 0 || len(c.entries) != 1 {
+		t.Fatalf("gates delivered %d with %d resident, want 1 resident", delivered, len(c.entries))
 	}
 }

@@ -22,10 +22,12 @@
 // justcache 202/409 protocol, adapted to an async client): the first
 // client to miss a key issues the origin fetch and becomes the filler;
 // concurrent missers park on the in-flight promise and share its
-// result instead of dog-piling the origin shard. A parked waiter that
-// stays parked for herdWaitTTLs times Config.TTL gives up on the
-// promise and fetches directly, bounding the damage of a slow or
-// crashed filler.
+// result instead of dog-piling the origin shard. The promise is this
+// client's own inner Get, and kv.KV runs every op's callback exactly
+// once when the backend has a retry budget (a fleet client always
+// does), so a parked waiter needs no timeout of its own: a slow or
+// crashed origin fails the fill with core.ErrTimedOut, and every
+// waiter gets that error.
 //
 // See docs/CACHING.md for the full contract and the cache.* metric
 // rows in docs/OBSERVABILITY.md.
@@ -60,11 +62,6 @@ type Config struct {
 	Capacity int
 }
 
-// herdWaitTTLs bounds, in TTLs, how long a misser stays parked on
-// another client's in-flight fill before giving up and fetching
-// directly.
-const herdWaitTTLs = 4
-
 // DefaultConfig returns the default near-cache parameters.
 func DefaultConfig() Config { return Config{TTL: 25 * sim.Microsecond, Capacity: 1024} }
 
@@ -92,21 +89,18 @@ type entry struct {
 // waiter is one caller parked on an in-flight fill (the filler itself
 // is the first waiter).
 type waiter struct {
-	cb     func(kv.Result)
-	start  sim.Time
-	served bool // delivered, or detached after the herd wait
+	cb    func(kv.Result)
+	start sim.Time
 }
 
 // fill is the in-flight promise for one missed key: a pooled record
 // whose inner-Get callback (resolve) is bound once. A fill returns to
-// the pool when it resolves; gen counts its lives, so a herd-wait timer
-// armed on an earlier life finds a stale generation.
+// the pool when it resolves.
 type fill struct {
 	c       *Cache
 	key     kv.Key
 	waiters []waiter
-	stale   bool // a write raced the fill; don't cache its result
-	gen     int
+	stale   bool            // a write raced the fill; don't cache its result
 	resolve func(kv.Result) // bound once to onResult
 }
 
@@ -115,9 +109,9 @@ type fill struct {
 // callbacks run on the simulation engine.
 //
 // Per-operation state lives in pooled records — fills, hit deliveries,
-// herd-wait timers, write-throughs — each returned to its pool exactly
-// once, and callers' copies of values are cut from a slab, so a steady
-// read mix allocates only a slab refill per 4 KiB of values served.
+// write-throughs — each returned to its pool exactly once, and callers'
+// copies of values are cut from a slab, so a steady read mix allocates
+// only a slab refill per 4 KiB of values served.
 type Cache struct {
 	inner kv.KV
 	clk   sim.Clock
@@ -130,7 +124,6 @@ type Cache struct {
 
 	fillFree  []*fill
 	hitFree   []*hit
-	waitFree  []*herdWait
 	writeFree []*writeThrough
 
 	// vals backs the values handed to callers: hit copies and herd
@@ -142,7 +135,6 @@ type Cache struct {
 	telExpired    *telemetry.Counter
 	telFillsDone  *telemetry.Counter
 	telHerdWaits  *telemetry.Counter
-	telHerdAbort  *telemetry.Counter
 	telInvalidate *telemetry.Counter
 	telEvictions  *telemetry.Counter
 	telSize       *telemetry.Gauge
@@ -167,15 +159,11 @@ func New(inner kv.KV, clk sim.Clock, tel *telemetry.Sink, cfg Config) *Cache {
 	c.telExpired = tel.Counter("cache.lease.expired")
 	c.telFillsDone = tel.Counter("cache.fills")
 	c.telHerdWaits = tel.Counter("cache.herd.waits")
-	c.telHerdAbort = tel.Counter("cache.herd.aborts")
 	c.telInvalidate = tel.Counter("cache.invalidations")
 	c.telEvictions = tel.Counter("cache.evictions")
 	c.telSize = tel.Gauge("cache.size")
 	return c
 }
-
-// Len reports the number of resident entries.
-func (c *Cache) Len() int { return len(c.entries) }
 
 // deliver resolves one operation by running its callback.
 //
@@ -354,7 +342,8 @@ func (h *hit) Fire(sim.Time) {
 func (c *Cache) joinFill(key kv.Key, cb func(kv.Result)) error {
 	if f := c.fills[key]; f != nil {
 		// Herd suppressed: share the promise already in flight.
-		c.park(f, cb)
+		c.telHerdWaits.Inc()
+		f.waiters = append(f.waiters, waiter{cb: cb, start: c.clk.Now()})
 		return nil
 	}
 	f := c.newFill(key, cb)
@@ -388,23 +377,14 @@ func (c *Cache) newFill(key kv.Key, cb func(kv.Result)) *fill {
 func (c *Cache) putFill(f *fill) {
 	clear(f.waiters)
 	f.waiters, f.stale = f.waiters[:0], false
-	f.gen++
 	c.fillFree = append(c.fillFree, f)
-}
-
-// park adds cb as a waiter on the in-flight fill f and arms its
-// herd-wait escape.
-func (c *Cache) park(f *fill, cb func(kv.Result)) {
-	c.telHerdWaits.Inc()
-	f.waiters = append(f.waiters, waiter{cb: cb, start: c.clk.Now()})
-	c.armHerdWait(f, len(f.waiters)-1)
 }
 
 // onResult completes a promise: populate the cache (unless a write
 // raced the fill) and deliver the result to every parked waiter. A
-// Result's Value belongs to its callback, so only the last waiter
-// served gets the origin's copy; every earlier one gets a copy of its
-// own, taken before the origin's is handed out.
+// Result's Value belongs to its callback, so only the last waiter gets
+// the origin's copy; every earlier one gets a copy of its own, taken
+// before the origin's is handed out.
 //
 //herd:hotpath
 func (f *fill) onResult(r kv.Result) {
@@ -415,19 +395,9 @@ func (f *fill) onResult(r kv.Result) {
 	if !f.stale && r.Status == kv.StatusHit {
 		c.insert(f.key, r.Value, c.validity(r))
 	}
-	now := c.clk.Now()
-	last := -1
-	for i := range f.waiters {
-		if !f.waiters[i].served {
-			last = i
-		}
-	}
+	now, last := c.clk.Now(), len(f.waiters)-1
 	for i := range f.waiters {
 		w := &f.waiters[i]
-		if w.served {
-			continue
-		}
-		w.served = true
 		wr := r
 		if i != last && r.Value != nil {
 			wr.Value = c.vals.Copy(r.Value)
@@ -436,76 +406,6 @@ func (f *fill) onResult(r kv.Result) {
 		c.deliver(wr, w.cb)
 	}
 	c.putFill(f)
-}
-
-// herdWait bounds one parked waiter's patience: if the waiter is still
-// parked when the timer fires (the promise has not resolved within
-// herdWaitTTLs TTLs), it detaches and fetches directly — the filler
-// may be wedged behind a crashed shard. The record carries the fill life it
-// was armed on and the waiter's index; it returns to the pool when it
-// fires on a resolved fill, or when its direct fetch resolves.
-type herdWait struct {
-	c      *Cache
-	f      *fill
-	gen    int
-	idx    int
-	key    kv.Key
-	cb     func(kv.Result)
-	start  sim.Time
-	direct func(kv.Result) // bound once to onDirect
-}
-
-// armHerdWait arms the herd-wait escape for f's waiter idx.
-func (c *Cache) armHerdWait(f *fill, idx int) {
-	var h *herdWait
-	if n := len(c.waitFree); n > 0 {
-		h = c.waitFree[n-1]
-		c.waitFree = c.waitFree[:n-1]
-	} else {
-		h = &herdWait{c: c}
-		h.direct = h.onDirect
-	}
-	h.f, h.gen, h.idx = f, f.gen, idx
-	c.clk.AfterHandler(herdWaitTTLs*c.cfg.TTL, h)
-}
-
-// putWait returns a herd-wait record to the pool.
-//
-//herd:hotpath
-func (c *Cache) putWait(h *herdWait) {
-	h.f, h.cb = nil, nil
-	c.waitFree = append(c.waitFree, h)
-}
-
-// Fire detaches a still-parked waiter and fetches its key directly.
-//
-//herd:hotpath
-func (h *herdWait) Fire(sim.Time) {
-	c, f := h.c, h.f
-	if f.gen != h.gen || f.waiters[h.idx].served {
-		c.putWait(h)
-		return
-	}
-	w := &f.waiters[h.idx]
-	w.served = true
-	c.telHerdAbort.Inc()
-	h.f, h.key, h.cb, h.start = nil, f.key, w.cb, w.start
-	if err := c.inner.Get(h.key, h.direct); err != nil {
-		// The inner client rejected the direct fetch synchronously (it
-		// cannot: the key was already validated) — fail the op rather
-		// than strand it.
-		key, cb := h.key, h.cb
-		c.putWait(h)
-		c.deliver(kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: err}, cb)
-	}
-}
-
-// onDirect delivers a detached waiter's direct fetch.
-func (h *herdWait) onDirect(r kv.Result) {
-	c, cb := h.c, h.cb
-	r.Latency = c.clk.Now() - h.start
-	c.putWait(h)
-	c.deliver(r, cb)
 }
 
 // writeThrough relays one write's origin result to its caller: a

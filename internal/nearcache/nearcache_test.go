@@ -2,21 +2,23 @@ package nearcache
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"herdkv/internal/core"
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
 	"herdkv/internal/telemetry"
 )
 
 // fakeKV is a scriptable origin: a map served after a fixed latency,
-// with optional lease grants and a hang count for wedging fills.
+// with optional lease grants and an error that fails upcoming GETs.
 type fakeKV struct {
 	eng     *sim.Engine
 	store   map[kv.Key][]byte
 	latency sim.Time
 	lease   sim.Time // when > 0, GET hits carry a lease of this TTL
-	hang    int      // this many upcoming GETs never resolve
+	fail    error    // when set, GETs resolve as StatusTimeout with this error
 
 	gets int
 }
@@ -42,13 +44,13 @@ func (f *fakeKV) Get(key kv.Key, cb func(kv.Result)) error {
 		return kv.ErrZeroKey
 	}
 	f.gets++
-	if f.hang > 0 {
-		f.hang--
-		return nil // wedged: never resolves, like a crashed shard with no retries
-	}
 	f.eng.After(f.latency, func() {
+		r := f.get(key)
+		if f.fail != nil {
+			r = kv.Result{Key: key, IsGet: true, Status: kv.StatusTimeout, Err: f.fail, Latency: f.latency}
+		}
 		if cb != nil {
-			cb(f.get(key))
+			cb(r)
 		}
 	})
 	return nil
@@ -293,8 +295,8 @@ func TestLRUEviction(t *testing.T) {
 		c.Get(k(i), nil)
 		eng.Run()
 	}
-	if c.Len() != 2 {
-		t.Fatalf("resident = %d, want 2", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("resident = %d, want 2", len(c.entries))
 	}
 	// Key 1 was least recently used: reading it again refetches, while
 	// keys 2 and 3 stay local.
@@ -312,37 +314,59 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestHerdWaitAbort(t *testing.T) {
+// A parked reader waits on the filler's own Get for as long as that
+// Get takes: here the origin answers after many TTLs with the retry
+// budget's terminal timeout, and every parked reader gets that error
+// exactly once, with the latency it waited, while nothing is cached.
+func TestHerdWaitersShareLateTimeout(t *testing.T) {
 	eng := sim.New()
 	f := newFake(eng)
-	f.store[k(8)] = []byte("eventually")
-	f.hang = 1 // the filler's fetch wedges forever
-	const ttl = 5 * sim.Microsecond
-	c := New(f, eng, nil, Config{TTL: ttl})
+	f.store[k(8)] = []byte("never served")
+	f.latency = 200 * sim.Microsecond
+	f.fail = core.ErrTimedOut
+	tel := telemetry.New()
+	c := New(f, eng, tel, Config{TTL: 5 * sim.Microsecond})
 
-	fillerServed := false
-	var waiterServed sim.Time = -1
-	c.Get(k(8), func(kv.Result) { fillerServed = true })
-	c.Get(k(8), func(r kv.Result) {
-		if r.Status != kv.StatusHit {
-			t.Errorf("aborting waiter got %v", r.Status)
-		}
-		waiterServed = eng.Now()
-	})
+	starts := []sim.Time{0, 10 * sim.Microsecond, 30 * sim.Microsecond}
+	got := make([][]kv.Result, len(starts))
+	for i, at := range starts {
+		i := i
+		eng.At(at, func() {
+			if err := c.Get(k(8), func(r kv.Result) { got[i] = append(got[i], r) }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	eng.Run()
 
-	if fillerServed {
-		t.Fatal("wedged fill resolved somehow")
+	if f.gets != 1 {
+		t.Fatalf("origin GETs = %d, want 1 (the filler's)", f.gets)
 	}
-	if waiterServed < 0 {
-		t.Fatal("parked waiter never escaped the wedged fill")
+	if n := tel.Counter("cache.herd.waits").Value(); n != uint64(len(starts)-1) {
+		t.Fatalf("herd.waits = %d, want %d", n, len(starts)-1)
 	}
-	// The waiter stays parked for exactly 4 TTLs, then fetches directly.
-	if waiterServed < herdWaitTTLs*ttl {
-		t.Fatalf("waiter escaped at %v, before the %v herd wait", waiterServed, herdWaitTTLs*ttl)
+	for i, rs := range got {
+		if len(rs) != 1 {
+			t.Fatalf("reader %d called back %d times, want 1", i, len(rs))
+		}
+		r := rs[0]
+		if r.Status != kv.StatusTimeout || !errors.Is(r.Err, core.ErrTimedOut) {
+			t.Fatalf("reader %d got %v / %v, want the fill's timeout", i, r.Status, r.Err)
+		}
+		if want := f.latency - starts[i]; r.Latency != want {
+			t.Fatalf("reader %d latency %v, want %v (its own wait)", i, r.Latency, want)
+		}
 	}
-	if f.gets != 2 {
-		t.Fatalf("origin GETs = %d, want 2 (wedged fill + direct fetch)", f.gets)
+	if len(c.entries) != 0 || len(c.fills) != 0 {
+		t.Fatalf("%d entries and %d fills left after a failed fill, want none", len(c.entries), len(c.fills))
+	}
+	// The next read goes to the origin again.
+	f.fail = nil
+	var next kv.Result
+	c.Get(k(8), func(r kv.Result) { next = r })
+	eng.Run()
+	if f.gets != 2 || next.Status != kv.StatusHit {
+		t.Fatalf("read after the failed fill: origin GETs %d, status %v; want 2 and a hit", f.gets, next.Status)
 	}
 }
 

@@ -21,11 +21,6 @@ type ContextCache struct {
 	misses    uint64
 	evictions uint64
 
-	// Per-key accounting: which QP contexts are thrashing. Keys are the
-	// same global QP keys callers pass to Touch.
-	missByKey  map[uint64]uint64
-	evictByKey map[uint64]uint64
-
 	// onEvict (optional) observes each eviction's victim key; the NIC
 	// hangs telemetry on it.
 	onEvict func(victim uint64)
@@ -35,11 +30,9 @@ type ContextCache struct {
 // A capacity <= 0 means unbounded (never misses after first touch).
 func NewContextCache(capacity int) *ContextCache {
 	return &ContextCache{
-		cap:        capacity,
-		ll:         list.New(),
-		byKey:      make(map[uint64]*list.Element),
-		missByKey:  make(map[uint64]uint64),
-		evictByKey: make(map[uint64]uint64),
+		cap:   capacity,
+		ll:    list.New(),
+		byKey: make(map[uint64]*list.Element),
 	}
 }
 
@@ -56,30 +49,18 @@ func (c *ContextCache) Touch(key uint64) bool {
 		return true
 	}
 	c.misses++
-	c.missByKey[key]++
 	if c.cap > 0 && c.ll.Len() >= c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		victim := oldest.Value.(uint64)
 		delete(c.byKey, victim)
 		c.evictions++
-		c.evictByKey[victim]++
 		if c.onEvict != nil {
 			c.onEvict(victim)
 		}
 	}
 	c.byKey[key] = c.ll.PushFront(key)
 	return false
-}
-
-// Len returns the number of resident contexts.
-func (c *ContextCache) Len() int { return c.ll.Len() }
-
-// Resident reports whether key's context is currently on chip, without
-// recording an access.
-func (c *ContextCache) Resident(key uint64) bool {
-	_, ok := c.byKey[key]
-	return ok
 }
 
 // Hits and Misses report access statistics.
@@ -89,12 +70,6 @@ func (c *ContextCache) Misses() uint64 { return c.misses }
 // Evictions reports how many resident contexts were displaced to make
 // room for missing ones.
 func (c *ContextCache) Evictions() uint64 { return c.evictions }
-
-// MissesFor reports how many accesses to key's context missed.
-func (c *ContextCache) MissesFor(key uint64) uint64 { return c.missByKey[key] }
-
-// EvictionsFor reports how many times key's context was the LRU victim.
-func (c *ContextCache) EvictionsFor(key uint64) uint64 { return c.evictByKey[key] }
 
 // HitRate returns hits / accesses, or 1 if there were no accesses.
 func (c *ContextCache) HitRate() float64 {

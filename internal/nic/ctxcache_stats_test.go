@@ -9,40 +9,50 @@ import (
 	"herdkv/internal/wire"
 )
 
-// TestEvictionOrderAndCounts pins the LRU eviction order and the per-key
-// miss/evict accounting the clients-sweep experiment reads.
+// TestEvictionOrderAndCounts pins the LRU eviction order, the victims
+// OnEvict reports, and which touches miss.
 func TestEvictionOrderAndCounts(t *testing.T) {
 	c := NewContextCache(2)
 	var victims []uint64
 	c.OnEvict(func(v uint64) { victims = append(victims, v) })
-
-	c.Touch(1)
-	c.Touch(2)
-	c.Touch(3) // evicts 1 (LRU)
-	if c.Evictions() != 1 || c.EvictionsFor(1) != 1 {
-		t.Fatalf("evictions=%d evictionsFor(1)=%d, want 1/1", c.Evictions(), c.EvictionsFor(1))
+	resident := func(key uint64) bool { _, ok := c.byKey[key]; return ok }
+	misses := make(map[uint64]int)
+	touch := func(key uint64) {
+		if !c.Touch(key) {
+			misses[key]++
+		}
 	}
-	if c.Resident(1) || !c.Resident(2) || !c.Resident(3) {
+
+	touch(1)
+	touch(2)
+	touch(3) // evicts 1 (LRU)
+	if c.Evictions() != 1 || len(victims) != 1 || victims[0] != 1 {
+		t.Fatalf("evictions=%d victims=%v, want 1 and [1]", c.Evictions(), victims)
+	}
+	if resident(1) || !resident(2) || !resident(3) {
 		t.Fatal("residency after first eviction is wrong")
 	}
-	c.Touch(2) // 2 becomes MRU; 3 is now LRU
-	c.Touch(4) // must evict 3, not the recently touched 2
-	if got := []uint64{victims[0], victims[1]}; got[0] != 1 || got[1] != 3 {
+	touch(2) // 2 becomes MRU; 3 is now LRU
+	touch(4) // must evict 3, not the recently touched 2
+	if len(victims) != 2 || victims[1] != 3 {
 		t.Fatalf("eviction order = %v, want [1 3]", victims)
 	}
-	if !c.Resident(2) || !c.Resident(4) || c.Resident(3) {
+	if !resident(2) || !resident(4) || resident(3) {
 		t.Fatal("residency after second eviction is wrong")
 	}
-	if c.MissesFor(1) != 1 || c.MissesFor(2) != 1 || c.MissesFor(3) != 1 || c.MissesFor(4) != 1 {
-		t.Fatal("per-key miss counts wrong")
+	if misses[1] != 1 || misses[2] != 1 || misses[3] != 1 || misses[4] != 1 {
+		t.Fatalf("per-key misses = %v, want one each", misses)
 	}
-	// Re-touching the evicted key misses again and charges its counter.
-	c.Touch(1)
-	if c.MissesFor(1) != 2 {
-		t.Fatalf("MissesFor(1) = %d after re-miss, want 2", c.MissesFor(1))
+	// Re-touching the evicted key misses again and displaces the LRU (2).
+	touch(1)
+	if misses[1] != 2 {
+		t.Fatalf("key 1 missed %d times after re-miss, want 2", misses[1])
 	}
-	if c.EvictionsFor(2) != 1 { // 1's return displaced the LRU (2)
-		t.Fatalf("EvictionsFor(2) = %d, want 1", c.EvictionsFor(2))
+	if len(victims) != 3 || victims[2] != 2 {
+		t.Fatalf("eviction order = %v, want [1 3 2]", victims)
+	}
+	if c.Misses() != 5 {
+		t.Fatalf("misses = %d, want 5", c.Misses())
 	}
 }
 

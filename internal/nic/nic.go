@@ -147,12 +147,11 @@ func (n *NIC) TouchRecvCtx(qpn uint64) (puExtra, latExtra sim.Time) {
 	return n.p.CtxMissPU, n.p.CtxMissLat
 }
 
-// SendCtxHitRate and RecvCtxHitRate expose cache statistics.
-func (n *NIC) SendCtxHitRate() float64 { return n.sendCtx.HitRate() }
+// RecvCtxHitRate exposes the receive-context cache's hit rate.
 func (n *NIC) RecvCtxHitRate() float64 { return n.recvCtx.HitRate() }
 
 // SendCtxCache and RecvCtxCache expose the context caches themselves
-// (per-QP miss/evict accounting for tests and experiments).
+// (their hit, miss and eviction counts).
 func (n *NIC) SendCtxCache() *ContextCache { return n.sendCtx }
 func (n *NIC) RecvCtxCache() *ContextCache { return n.recvCtx }
 

@@ -32,8 +32,8 @@ func TestLRUBasics(t *testing.T) {
 	if !c.Touch(3) {
 		t.Fatal("3 should be resident")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.ll.Len() != 2 {
+		t.Fatalf("resident = %d, want 2", c.ll.Len())
 	}
 }
 
@@ -136,7 +136,7 @@ func TestTouchRecvCtxAndHitRates(t *testing.T) {
 	n.TouchSendCtx(9)
 	n.TouchSendCtx(9)
 	n.TouchSendCtx(9)
-	if hr := n.SendCtxHitRate(); hr < 0.6 || hr > 0.7 {
+	if hr := n.sendCtx.HitRate(); hr < 0.6 || hr > 0.7 {
 		t.Fatalf("send hit rate = %v, want 2/3", hr)
 	}
 	if hr := n.RecvCtxHitRate(); hr != 0.5 {

@@ -171,9 +171,6 @@ func NewBus(eng *sim.Engine, p Params) *Bus {
 	}
 }
 
-// Params returns the bus parameters.
-func (b *Bus) Params() Params { return b.p }
-
 // SetTelemetry attaches metric counters for PIO and posted/non-posted
 // DMA transactions. Counter names are shared across buses, so a
 // cluster's machines aggregate into one set of pcie.* metrics.
@@ -236,14 +233,6 @@ func (b *Bus) xferTime(n int) sim.Time {
 	total := n + tlps*b.p.TLPHeaderBytes
 	return sim.Time(float64(total) / b.p.BytesPerSec * float64(sim.Second))
 }
-
-// DMAReadCost returns the occupancy a DMA read of n bytes places on the
-// from-host data path (not counting the non-posted round-trip latency).
-func (b *Bus) DMAReadCost(n int) sim.Time { return b.xferTime(n) }
-
-// DMAWriteCost returns the occupancy a DMA write of n bytes places on the
-// to-host data path.
-func (b *Bus) DMAWriteCost(n int) sim.Time { return b.xferTime(n) }
 
 // DMARead submits a device-initiated read of n bytes from host memory.
 // done runs when the completion data has arrived at the device; it

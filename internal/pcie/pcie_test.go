@@ -29,13 +29,13 @@ func TestPIOCostSteps(t *testing.T) {
 		t.Error("crossing a cacheline boundary must increase cost")
 	}
 	step := b.PIOCost(129) - b.PIOCost(65)
-	want := b.Params().PerCacheline + b.Params().PerCachelineWC
+	want := b.p.PerCacheline + b.p.PerCachelineWC
 	if step != want {
 		t.Errorf("step beyond 2 CLs = %v, want %v (incl. WC pressure)", step, want)
 	}
 	// Within the first two cachelines there is no WC pressure.
-	if d := b.PIOCost(65) - b.PIOCost(1); d != b.Params().PerCacheline {
-		t.Errorf("1->2 CL step = %v, want %v", d, b.Params().PerCacheline)
+	if d := b.PIOCost(65) - b.PIOCost(1); d != b.p.PerCacheline {
+		t.Errorf("1->2 CL step = %v, want %v", d, b.p.PerCacheline)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestXferTimeMonotoneProperty(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		return b.DMAWriteCost(x) <= b.DMAWriteCost(y)
+		return b.xferTime(x) <= b.xferTime(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestXferTimeMonotoneProperty(t *testing.T) {
 
 func TestZeroByteTransfersFree(t *testing.T) {
 	b := NewBus(sim.New(), Gen3x8())
-	if b.DMAReadCost(0) != 0 || b.DMAWriteCost(0) != 0 {
+	if b.xferTime(0) != 0 {
 		t.Fatal("zero-byte DMA should have zero occupancy")
 	}
 }

@@ -75,9 +75,6 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Puts reports served PUT-channel message counts.
-func (s *Server) Puts() uint64 { return s.puts }
-
 // Insert loads a key server-side (warmup without network traffic).
 func (s *Server) Insert(key kv.Key, value []byte) error {
 	return s.table.Insert(key, value)

@@ -146,8 +146,8 @@ func TestManyPutsAcrossClients(t *testing.T) {
 	if oks != n {
 		t.Fatalf("oks = %d / %d", oks, n)
 	}
-	if srv.Puts() != uint64(n) {
-		t.Fatalf("server puts = %d", srv.Puts())
+	if srv.puts != uint64(n) {
+		t.Fatalf("server puts = %d", srv.puts)
 	}
 	// Everything readable afterwards.
 	got := 0

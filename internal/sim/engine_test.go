@@ -248,7 +248,7 @@ func TestServerZeroAndNegativeService(t *testing.T) {
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.r.Uint64() != b.r.Uint64() {
 			t.Fatal("same seed produced different streams")
 		}
 	}
@@ -256,7 +256,7 @@ func TestRandDeterminism(t *testing.T) {
 	same := true
 	a2 := NewRand(7)
 	for i := 0; i < 10; i++ {
-		if a2.Uint64() != c.Uint64() {
+		if a2.r.Uint64() != c.r.Uint64() {
 			same = false
 		}
 	}

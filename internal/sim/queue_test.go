@@ -314,7 +314,7 @@ type mixEvent struct {
 }
 
 func (m *mixEvent) Fire(Time) {
-	switch r := m.rng.Uint64(); {
+	switch r := m.rng.r.Uint64(); {
 	case m.timer:
 		m.e.AfterHandler(12*Microsecond+Time(r%uint64(1200*Nanosecond)), m)
 	case r%100 < 17:
@@ -334,9 +334,9 @@ func BenchmarkEngineFleetMix(b *testing.B) {
 	for i := 0; i < 1540; i++ {
 		m := &mixEvent{e: e, rng: rng, timer: i >= 240}
 		if m.timer {
-			e.AfterHandler(Time(rng.Uint64()%uint64(13200*Nanosecond)), m)
+			e.AfterHandler(Time(rng.r.Uint64()%uint64(13200*Nanosecond)), m)
 		} else {
-			e.AfterHandler(Time(rng.Uint64()%uint64(Microsecond)), m)
+			e.AfterHandler(Time(rng.r.Uint64()%uint64(Microsecond)), m)
 		}
 	}
 	for i := 0; i < 100000; i++ {

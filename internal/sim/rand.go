@@ -17,9 +17,6 @@ func NewRand(seed int64) *Rand {
 	return &Rand{r: rand.New(rand.NewSource(seed))} //lint:allow simtime — the blessed construction point for model randomness
 }
 
-// Uint64 returns a pseudo-random 64-bit value.
-func (r *Rand) Uint64() uint64 { return r.r.Uint64() }
-
 // Intn returns a value in [0, n).
 func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
 

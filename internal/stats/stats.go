@@ -22,8 +22,6 @@ type LatencyRecorder struct {
 	cap     int
 	count   uint64
 	sum     sim.Time
-	min     sim.Time
-	max     sim.Time
 	rnd     *sim.Rand
 	sorted  bool
 }
@@ -37,7 +35,6 @@ func NewLatencyRecorder(capacity int) *LatencyRecorder {
 	return &LatencyRecorder{
 		cap: capacity,
 		rnd: sim.NewRand(1),
-		min: 1<<63 - 1,
 	}
 }
 
@@ -45,12 +42,6 @@ func NewLatencyRecorder(capacity int) *LatencyRecorder {
 func (r *LatencyRecorder) Record(t sim.Time) {
 	r.count++
 	r.sum += t
-	if t < r.min {
-		r.min = t
-	}
-	if t > r.max {
-		r.max = t
-	}
 	r.sorted = false
 	if len(r.samples) < r.cap {
 		r.samples = append(r.samples, t)
@@ -63,9 +54,6 @@ func (r *LatencyRecorder) Record(t sim.Time) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (r *LatencyRecorder) Count() uint64 { return r.count }
-
 // Mean returns the exact mean over all recorded samples.
 func (r *LatencyRecorder) Mean() sim.Time {
 	if r.count == 0 {
@@ -73,15 +61,6 @@ func (r *LatencyRecorder) Mean() sim.Time {
 	}
 	return r.sum / sim.Time(r.count)
 }
-
-// Min and Max return exact extremes.
-func (r *LatencyRecorder) Min() sim.Time {
-	if r.count == 0 {
-		return 0
-	}
-	return r.min
-}
-func (r *LatencyRecorder) Max() sim.Time { return r.max }
 
 // Percentile returns the p-th percentile (0 < p <= 100) from the sample
 // set.

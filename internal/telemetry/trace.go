@@ -81,22 +81,6 @@ type Trace struct {
 	last   sim.Time
 }
 
-// ID returns the trace's unique id (its Perfetto thread id).
-func (t *Trace) ID() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.id
-}
-
-// StartAt returns when the trace began.
-func (t *Trace) StartAt() sim.Time {
-	if t == nil {
-		return 0
-	}
-	return t.start
-}
-
 // SetPrefix prepends p to subsequent stage names. The HERD layers use it
 // to distinguish the two network legs ("req." vs "resp.") while the
 // verbs layer marks generic stage names ("pio", "wire", ...).
@@ -124,13 +108,4 @@ func (t *Trace) Mark(stage string, at sim.Time) {
 		TraceID: t.id, Trace: t.name, Name: t.prefix + stage, Start: start, End: at,
 	})
 	t.last = at
-}
-
-// End returns the time of the last mark (the trace's end once the
-// request completed).
-func (t *Trace) End() sim.Time {
-	if t == nil {
-		return 0
-	}
-	return t.last
 }

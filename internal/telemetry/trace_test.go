@@ -28,7 +28,7 @@ func TestTraceContiguousSpans(t *testing.T) {
 		if s.Name != wantNames[i] {
 			t.Fatalf("span %d named %q, want %q", i, s.Name, wantNames[i])
 		}
-		if s.TraceID != g.ID() || s.Trace != "GET" {
+		if s.TraceID != g.id || s.Trace != "GET" {
 			t.Fatalf("span %d misattributed: %+v", i, s)
 		}
 		sum += s.Duration()
@@ -90,9 +90,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	tr.SetPrefix("req.")
 	tr.Mark("pio", 10)
-	if tr.ID() != 0 || tr.End() != 0 || tr.StartAt() != 0 {
-		t.Fatal("nil trace accessors must return zero")
-	}
 
 	var c *Counter
 	c.Add(5)

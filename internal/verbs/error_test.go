@@ -32,7 +32,7 @@ func TestSetErrorFlushesAndRefusesWork(t *testing.T) {
 	qb.SetError()
 	tb.eng.Run()
 
-	if !qa.Errored() || !qb.Errored() {
+	if !qa.errored || !qb.errored {
 		t.Fatal("queue pairs not marked errored")
 	}
 	if len(sendComps) != 1 || !sendComps[0].Flushed {

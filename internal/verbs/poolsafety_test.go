@@ -176,7 +176,7 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 	if ucFlushed == 0 || recvFlushed == 0 {
 		t.Fatalf("SetError flushed %d WRITEs and %d RECVs; the test must catch work in flight", ucFlushed, recvFlushed)
 	}
-	if ucB.DroppedSends()+ucB2.DroppedSends() != 0 {
+	if ucB.droppedSends+ucB2.droppedSends != 0 {
 		t.Fatal("a live WRITE responder dropped a WRITE")
 	}
 	// WRITEs: every verb was flushed or sent one packet, and every packet
@@ -196,7 +196,7 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 	if s[wire.FateDeliver]+s[wire.FateDrop]+s[wire.FateCorrupt] != sendN {
 		t.Fatalf("SENDs: verdicts %v, want %d packets", *s, sendN)
 	}
-	if dropped := int(udB.DroppedSends() + udB2.DroppedSends()); recvDone+dropped != s[wire.FateDeliver]+s[wire.FateCorrupt] {
+	if dropped := int(udB.droppedSends + udB2.droppedSends); recvDone+dropped != s[wire.FateDeliver]+s[wire.FateCorrupt] {
 		t.Fatalf("SENDs: %d completed + %d dropped, fabric passed %d", recvDone, dropped, s[wire.FateDeliver]+s[wire.FateCorrupt])
 	}
 	if recvDone != sends.intact+sends.rejected || sends.rejected == 0 || writes.rejected == 0 {
@@ -204,9 +204,9 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 			recvDone, sends.intact, sends.rejected, writes.rejected)
 	}
 	// RECVs: each was consumed, flushed, or is still posted.
-	if got := recvDone + recvFlushed + udB2.RecvQueueLen(); got != recvN {
+	if got := recvDone + recvFlushed + udB2.recvQueue.Len(); got != recvN {
 		t.Fatalf("RECVs: %d consumed + %d flushed + %d posted = %d, want %d",
-			recvDone, recvFlushed, udB2.RecvQueueLen(), got, recvN)
+			recvDone, recvFlushed, udB2.recvQueue.Len(), got, recvN)
 	}
 	if recvFlushed > udRecvsPhase1 {
 		t.Fatalf("flushed %d RECVs, only %d were posted before the error", recvFlushed, udRecvsPhase1)

@@ -94,7 +94,7 @@ func TestRandomOpStormProperty(t *testing.T) {
 		if readsDone != reads {
 			return false
 		}
-		dropped := int(ucB.DroppedSends() + rcB.DroppedSends() + udB.DroppedSends() + dcB.DroppedSends())
+		dropped := int(ucB.droppedSends + rcB.droppedSends + udB.droppedSends + dcB.droppedSends)
 		return recvd+dropped == sends
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

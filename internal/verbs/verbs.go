@@ -330,13 +330,6 @@ func (qp *QP) countPost(v Verb, payloadLen int, inline, signaled bool) {
 func (qp *QP) SendCQ() *CQ { return qp.sendCQ }
 func (qp *QP) RecvCQ() *CQ { return qp.recvCQ }
 
-// DroppedSends reports inbound SENDs discarded because no RECV was
-// posted (possible on UC/UD; see PostRecv).
-func (qp *QP) DroppedSends() uint64 { return qp.droppedSends }
-
-// Errored reports whether the QP is in the error state.
-func (qp *QP) Errored() bool { return qp.errored }
-
 // SetError transitions the QP to the error state, flushing every
 // outstanding work request — queued sends, un-ACKed RC verbs, and posted
 // RECVs — to its completion queues with Flushed set. Used by the fault
@@ -419,9 +412,6 @@ func (qp *QP) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	qp.recvQueue.Push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
-
-// RecvQueueLen reports how many RECVs are currently posted.
-func (qp *QP) RecvQueueLen() int { return qp.recvQueue.Len() }
 
 // SendWR describes a work request for PostSend.
 type SendWR struct {

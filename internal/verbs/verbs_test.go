@@ -109,7 +109,7 @@ func TestWriteConsumesNoRecv(t *testing.T) {
 	if mr.Bytes()[0] != 7 {
 		t.Fatal("WRITE did not land")
 	}
-	if len(*recv) != 0 || qb.RecvQueueLen() != 1 {
+	if len(*recv) != 0 || qb.recvQueue.Len() != 1 {
 		t.Fatal("WRITE consumed a RECV")
 	}
 }
@@ -172,8 +172,8 @@ func TestSendWithoutRecvDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.eng.Run()
-	if qb.DroppedSends() != 1 {
-		t.Fatalf("dropped = %d, want 1", qb.DroppedSends())
+	if qb.droppedSends != 1 {
+		t.Fatalf("dropped = %d, want 1", qb.droppedSends)
 	}
 	if len(*recv) != 0 {
 		t.Fatal("unexpected recv completion")

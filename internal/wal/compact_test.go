@@ -217,8 +217,8 @@ func TestPreloadDoesNotCompact(t *testing.T) {
 	for i := 0; i < preloaded; i++ {
 		l.AppendDurable(rec(uint64(i+1), "preloaded value"))
 	}
-	if l.DurableBytes() < 8*cfg.SnapshotEvery {
-		t.Fatalf("preloaded %d bytes, want several times SnapshotEvery", l.DurableBytes())
+	if l.durable.n < 8*cfg.SnapshotEvery {
+		t.Fatalf("preloaded %d bytes, want several times SnapshotEvery", l.durable.n)
 	}
 	l.Append(rec(1000, "first run-time write"), nil)
 	l.Flush()
@@ -231,7 +231,7 @@ func TestPreloadDoesNotCompact(t *testing.T) {
 	}
 	for n := uint64(0); l.Snapshots() == 0; n++ {
 		if n == 64 {
-			t.Fatalf("%d bytes of run-time growth started no compaction", l.DurableBytes())
+			t.Fatalf("%d bytes of run-time growth started no compaction", l.durable.n)
 		}
 		l.Append(rec(2000+n, strings.Repeat("g", 64)), nil)
 		l.Flush()
@@ -269,8 +269,8 @@ func TestTornTailPastSegmentBoundary(t *testing.T) {
 	var got []Record
 	l.Recover(func(r Record) { got = append(got, r) }, func(s RecoverStats) { stats = s })
 	eng.Run()
-	if stats.TornBytes != torn || l.DurableBytes() != segSize {
-		t.Fatalf("truncated %d bytes to a %d-byte log, want %d and %d", stats.TornBytes, l.DurableBytes(), torn, segSize)
+	if stats.TornBytes != torn || l.durable.n != segSize {
+		t.Fatalf("truncated %d bytes to a %d-byte log, want %d and %d", stats.TornBytes, l.durable.n, torn, segSize)
 	}
 	if len(got) != preloaded+1 || got[len(got)-1].Key != kv.FromUint64(10000) {
 		t.Fatalf("replayed %d records, want %d ending with the batch's whole record", len(got), preloaded+1)

@@ -703,10 +703,6 @@ func (l *Log) Pending() int {
 	return n
 }
 
-// DurableBytes reports the current durable log size (post-compaction
-// tail only).
-func (l *Log) DurableBytes() int { return l.durable.n }
-
 // Stats snapshot accessors.
 
 // Appends reports total records appended (durable-path included).
@@ -717,9 +713,6 @@ func (l *Log) Flushes() uint64 { return l.flushes }
 
 // Replayed reports records applied across all recoveries.
 func (l *Log) Replayed() uint64 { return l.replayed }
-
-// TornBytes reports bytes truncated as torn tails across recoveries.
-func (l *Log) TornBytes() uint64 { return l.tornBytes }
 
 // Snapshots reports completed compactions.
 func (l *Log) Snapshots() uint64 { return l.snapshots }

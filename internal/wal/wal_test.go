@@ -195,7 +195,7 @@ func TestCrashMidFlushLeavesTornTailTruncatedOnRecover(t *testing.T) {
 	if stats.TornBytes == 0 {
 		t.Fatal("mid-flush crash left no torn tail")
 	}
-	if l.TornBytes() == 0 {
+	if l.tornBytes == 0 {
 		t.Fatal("torn bytes not counted")
 	}
 	for _, r := range got {
@@ -353,8 +353,8 @@ func TestSnapshotCompactsLog(t *testing.T) {
 	if l.Snapshots() == 0 {
 		t.Fatal("no compaction despite durable growth past the threshold")
 	}
-	if l.DurableBytes() >= 8*64*8 {
-		t.Fatalf("durable log not compacted: %d bytes", l.DurableBytes())
+	if l.durable.n >= 8*64*8 {
+		t.Fatalf("durable log not compacted: %d bytes", l.durable.n)
 	}
 	// Recovery through the snapshot yields the latest value per key.
 	l.Crash()

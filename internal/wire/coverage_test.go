@@ -105,7 +105,7 @@ func TestMTUSegmentLossSuppressesDelivery(t *testing.T) {
 	eng.Run()
 	// ~8 segments each at 50% loss: essentially none should deliver
 	// whole, and definitely none may deliver despite a dropped segment.
-	if n.Dropped() == 0 {
+	if n.dropped == 0 {
 		t.Fatal("no drops at 50% loss")
 	}
 	if delivered > attempts/10 {

@@ -274,11 +274,9 @@ func (n *Network) WireBytes(t Transport, payload int) int {
 	return payload + n.p.Header(t)
 }
 
-// Sent reports packets transmitted; Dropped reports injected losses
-// (bit errors, blackouts, partitions); Corrupted reports packets
+// Sent reports packets transmitted; Corrupted reports packets
 // delivered with a damaged payload.
 func (n *Network) Sent() uint64      { return n.sent }
-func (n *Network) Dropped() uint64   { return n.dropped }
 func (n *Network) Corrupted() uint64 { return n.corrupted }
 
 // Send transmits one packet of payload bytes from src to dst over

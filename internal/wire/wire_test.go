@@ -123,13 +123,13 @@ func TestLossInjection(t *testing.T) {
 	if n.Sent() != uint64(total) {
 		t.Fatalf("sent = %d, want %d", n.Sent(), total)
 	}
-	if n.Dropped() == 0 || delivered == 0 {
+	if n.dropped == 0 || delivered == 0 {
 		t.Fatal("expected both drops and deliveries at 50% loss")
 	}
-	if int(n.Dropped())+delivered != total {
-		t.Fatalf("drops (%d) + deliveries (%d) != total (%d)", n.Dropped(), delivered, total)
+	if int(n.dropped)+delivered != total {
+		t.Fatalf("drops (%d) + deliveries (%d) != total (%d)", n.dropped, delivered, total)
 	}
-	frac := float64(n.Dropped()) / float64(total)
+	frac := float64(n.dropped) / float64(total)
 	if frac < 0.4 || frac > 0.6 {
 		t.Fatalf("drop fraction %.2f, want ~0.5", frac)
 	}
@@ -142,8 +142,8 @@ func TestZeroLossByDefault(t *testing.T) {
 		n.Send(0, 1, UC, 32, func(sim.Time) { delivered++ })
 	}
 	eng.Run()
-	if delivered != 1000 || n.Dropped() != 0 {
-		t.Fatalf("delivered=%d dropped=%d, want 1000/0 (lossless fabric)", delivered, n.Dropped())
+	if delivered != 1000 || n.dropped != 0 {
+		t.Fatalf("delivered=%d dropped=%d, want 1000/0 (lossless fabric)", delivered, n.dropped)
 	}
 }
 

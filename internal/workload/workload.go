@@ -75,9 +75,6 @@ func NewGenerator(cfg Config) *Generator {
 	return g
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Next returns the next op.
 func (g *Generator) Next() Op {
 	var rank uint64
