@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-check tables microbench loc unrun unrun-check sensitivity
+.PHONY: all build vet lint test race bench bench-check tables microbench loc unrun unrun-check sensitivity
 
 all: build vet lint test
 
@@ -12,12 +12,6 @@ vet:
 
 lint:
 	$(GO) run ./cmd/herdlint ./...
-
-# Apply the suggested fixes herdlint attaches to its diagnostics
-# (Sprintf-of-a-literal on a hot path, stale //lint:allow comments).
-# CI runs this and requires `git diff --exit-code` afterwards.
-lint-fix:
-	$(GO) run ./cmd/herdlint -fix ./...
 
 test:
 	$(GO) test ./...

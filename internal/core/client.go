@@ -332,7 +332,7 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 		return mica.ErrZeroKey
 	}
 	if len(value) == 0 {
-		return fmt.Errorf("core: PUT requires a non-empty value")
+		return kv.ErrEmptyValue
 	}
 	if len(value) > mica.MaxValueSize {
 		return mica.ErrValueTooLarge

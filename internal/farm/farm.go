@@ -283,10 +283,13 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	if key.IsZero() {
 		return kv.ErrZeroKey
 	}
+	if len(value) == 0 {
+		return kv.ErrEmptyValue
+	}
 	if c.srv.cfg.Mode == InlineMode && len(value) != c.srv.cfg.ValueSize {
 		return hopscotch.ErrValueSize
 	}
-	if len(value) == 0 || len(value) > SlotSize-int(lenTail) {
+	if len(value) > SlotSize-int(lenTail) {
 		return hopscotch.ErrValueSize
 	}
 	val := append([]byte(nil), value...)

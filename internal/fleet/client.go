@@ -15,11 +15,6 @@ import (
 // value), so a fan-out write is rejected before any replica sees it.
 var ErrValueTooLarge = errors.New("fleet: value exceeds maximum size")
 
-// ErrEmptyValue rejects a PUT with no value at the fleet client, as
-// every member server's client does: were it fanned out, each replica
-// would refuse it and the fleet would suspect healthy shards.
-var ErrEmptyValue = errors.New("fleet: PUT requires a non-empty value")
-
 // ErrPartialWrite reports a write that a replica in the view (see Put)
 // did not apply: the fleet is divergent on this key until repair
 // reconciles it, so the operation fails (the write may still become
@@ -333,8 +328,10 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	if len(value) > mica.MaxValueSize-kv.VersionPrefixLen {
 		return ErrValueTooLarge
 	}
+	// Refused here, as every member's client would refuse it: fanned
+	// out, it would make the fleet suspect healthy shards.
 	if len(value) == 0 {
-		return ErrEmptyValue
+		return kv.ErrEmptyValue
 	}
 	reps := c.d.Replicas(key)
 	if len(reps) == 0 {

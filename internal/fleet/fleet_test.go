@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -273,7 +274,7 @@ func TestFleetValidation(t *testing.T) {
 	}
 	// An empty value is refused before the fan-out: issued to the
 	// replicas, each would reject it and the fleet would suspect them.
-	if err := c.Put(kv.FromUint64(1), nil, nil); err != ErrEmptyValue {
+	if err := c.Put(kv.FromUint64(1), nil, nil); !errors.Is(err, kv.ErrEmptyValue) {
 		t.Fatalf("empty put: %v", err)
 	}
 	issued := c.Inflight()

@@ -17,6 +17,11 @@ const KeySize = 16
 // protocol reserves it on the wire), so clients refuse it up front.
 var ErrZeroKey = errors.New("kv: zero keyhash is reserved")
 
+// ErrEmptyValue rejects a PUT with no value: no backend stores one (a
+// zero LEN denotes a GET in HERD's slot format), so every client
+// refuses it before issuing anything.
+var ErrEmptyValue = errors.New("kv: PUT requires a non-empty value")
+
 // Key is a 16-byte keyhash.
 type Key [KeySize]byte
 

@@ -9,6 +9,7 @@ package kvtest
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"herdkv/internal/kv"
@@ -251,16 +252,16 @@ func zeroKeyRejected(t *testing.T, h Harness) {
 	var zero kv.Key
 	ran := false
 	cb := func(kv.Result) { ran = true }
-	if err := h.KV.Get(zero, cb); err == nil {
-		t.Error("Get(zero key) accepted")
+	if err := h.KV.Get(zero, cb); !errors.Is(err, kv.ErrZeroKey) {
+		t.Errorf("Get(zero key) = %v, want kv.ErrZeroKey", err)
 	}
-	if err := h.KV.Put(zero, h.value('z'), cb); err == nil {
-		t.Error("Put(zero key) accepted")
+	if err := h.KV.Put(zero, h.value('z'), cb); !errors.Is(err, kv.ErrZeroKey) {
+		t.Errorf("Put(zero key) = %v, want kv.ErrZeroKey", err)
 	}
 	// An empty PUT value is malformed input too: no backend can store
 	// it, so each must refuse it before issuing anything.
-	if err := h.KV.Put(kv.FromUint64(1), nil, cb); err == nil {
-		t.Error("Put(empty value) accepted")
+	if err := h.KV.Put(kv.FromUint64(1), nil, cb); !errors.Is(err, kv.ErrEmptyValue) {
+		t.Errorf("Put(empty value) = %v, want kv.ErrEmptyValue", err)
 	}
 	h.Run()
 	if ran {

@@ -9,7 +9,7 @@
 // Beyond the x/tools surface it bakes in one repo convention: the
 // `//lint:allow <analyzer> — reason` suppression comment (see
 // docs/STATIC_ANALYSIS.md). Suppression is applied centrally by
-// Pass.Report, so individual analyzers never re-implement it.
+// Pass.Reportf, so individual analyzers never re-implement it.
 package analysis
 
 import (
@@ -54,52 +54,20 @@ type Pass struct {
 	usedAllows map[token.Pos]bool
 }
 
-// TextEdit replaces [Pos, End) with NewText. Pos == End inserts.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// SuggestedFix is one machine-applicable resolution of a diagnostic,
-// applied by `herdlint -fix`.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
 // Diagnostic is one finding at a position.
 type Diagnostic struct {
-	Pos            token.Pos
-	Message        string
-	SuggestedFixes []SuggestedFix
+	Pos     token.Pos
+	Message string
 }
 
 // Reportf reports a formatted diagnostic at pos, unless the line is
 // suppressed by a `//lint:allow <analyzer>` comment on the same line or
 // the line above.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportFixf is Reportf with a suggested fix attached: edits replaces
-// [pos, end) when the diagnostic survives suppression.
-func (p *Pass) ReportFixf(pos, end token.Pos, newText []byte, fixMsg, format string, args ...interface{}) {
-	p.report(Diagnostic{
-		Pos:     pos,
-		Message: fmt.Sprintf(format, args...),
-		SuggestedFixes: []SuggestedFix{{
-			Message:   fixMsg,
-			TextEdits: []TextEdit{{Pos: pos, End: end, NewText: newText}},
-		}},
-	})
-}
-
-func (p *Pass) report(d Diagnostic) {
-	if p.suppressed(d.Pos) {
+	if p.suppressed(pos) {
 		return
 	}
-	p.Report(d)
+	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // suppressed reports whether pos falls on a line covered by an allow

@@ -330,13 +330,11 @@ func (c *checker) checkConversion(call *ast.CallExpr, to types.Type) {
 }
 
 // reportFmt flags any fmt call; a zero-verb fmt.Sprintf of a literal
-// gets a suggested fix replacing the call with the literal itself.
+// gets its own message, since the literal alone would do.
 func (c *checker) reportFmt(call *ast.CallExpr, callee *types.Func, fd *ast.FuncDecl) {
 	if callee.Name() == "Sprintf" && len(call.Args) == 1 {
 		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING && !strings.Contains(lit.Value, "%") {
-			c.pass.ReportFixf(call.Pos(), call.End(), []byte(lit.Value),
-				"replace fmt.Sprintf of a plain literal with the literal",
-				"fmt.Sprintf of a constant string allocates on hot path %s", fd.Name.Name)
+			c.pass.Reportf(call.Pos(), "fmt.Sprintf of a constant string allocates on hot path %s", fd.Name.Name)
 			return
 		}
 	}

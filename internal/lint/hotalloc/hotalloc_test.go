@@ -1,110 +1,21 @@
 package hotalloc_test
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"herdkv/internal/lint/analysis"
 	"herdkv/internal/lint/analysistest"
-	"herdkv/internal/lint/fixer"
 	"herdkv/internal/lint/hotalloc"
-	"herdkv/internal/lint/loader"
 )
 
-// lookupIn rebinds DirLookup so the cross-package callee rule resolves
-// fixture import paths inside a GOPATH-style src tree.
-func lookupIn(t *testing.T, srcDir string) {
-	t.Helper()
+func TestHotAlloc(t *testing.T) {
+	// Rebind DirLookup so the cross-package callee rule resolves
+	// fixture import paths inside the GOPATH-style src tree.
+	srcDir := filepath.Join("..", "testdata", "src")
 	orig := hotalloc.DirLookup
 	hotalloc.DirLookup = func(pkgPath, fromDir string) string {
 		return filepath.Join(srcDir, filepath.FromSlash(pkgPath))
 	}
 	t.Cleanup(func() { hotalloc.DirLookup = orig })
-}
-
-func TestHotAlloc(t *testing.T) {
-	lookupIn(t, filepath.Join("..", "testdata", "src"))
 	analysistest.Run(t, "../testdata", hotalloc.Analyzer, "hafix")
-}
-
-// TestFixRoundTrip copies the fixture into a scratch tree, applies the
-// suggested fixes the way `herdlint -fix` does, and re-runs the
-// analyzer: the fixed findings must be gone and no fixes may remain
-// pending, so -fix converges in one pass.
-func TestFixRoundTrip(t *testing.T) {
-	tmp := t.TempDir()
-	for _, pkg := range []string{"hafix", "hafix/dep"} {
-		src := filepath.Join("..", "testdata", "src", filepath.FromSlash(pkg))
-		dst := filepath.Join(tmp, "src", filepath.FromSlash(pkg))
-		if err := os.MkdirAll(dst, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		entries, err := os.ReadDir(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(src, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	lookupIn(t, filepath.Join(tmp, "src"))
-
-	run := func() ([]analysis.Diagnostic, *loader.Package) {
-		pkgs, err := loader.LoadTestdata(tmp, ".", "hafix")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var diags []analysis.Diagnostic
-		var last *loader.Package
-		for _, pkg := range pkgs {
-			for _, terr := range pkg.TypeErrors {
-				t.Fatalf("fixture type error: %v", terr)
-			}
-			pass := &analysis.Pass{
-				Analyzer:  hotalloc.Analyzer,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			}
-			if _, err := hotalloc.Analyzer.Run(pass); err != nil {
-				t.Fatal(err)
-			}
-			last = pkg
-		}
-		return diags, last
-	}
-
-	before, pkg := run()
-	fixes := fixer.FromDiagnostics(before)
-	if len(fixes) == 0 {
-		t.Fatal("expected at least one suggested fix in the hafix fixture")
-	}
-	applied, err := fixer.Apply(pkg.Fset, fixes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != len(fixes) {
-		t.Errorf("applied %d of %d fixes", applied, len(fixes))
-	}
-
-	after, _ := run()
-	if want := len(before) - applied; len(after) != want {
-		t.Errorf("after -fix: %d diagnostics, want %d", len(after), want)
-	}
-	if pending := fixer.FromDiagnostics(after); len(pending) != 0 {
-		t.Errorf("%d fixes still pending after -fix; it did not converge", len(pending))
-	}
 }

@@ -33,10 +33,10 @@ with payloads provably above the inline limit, and loops of unsignaled
 posts that never signal or consume completions. Suppress with
 //lint:allow verbsmatrix — <reason>.`
 
-// MaxInline is the device inline limit the payload check assumes: the
-// ConnectX-3 value from internal/nic.DefaultParams. A cluster with a
-// different device can raise it via cmd/herdlint -maxinline.
-var MaxInline = 256
+// maxInline is the device inline limit the payload check assumes: the
+// ConnectX-3 value, nic.ConnectX3().InlineMax, which both cluster
+// presets use.
+const maxInline = 256
 
 // Analyzer is the verbsmatrix check.
 var Analyzer = &analysis.Analyzer{
@@ -283,9 +283,9 @@ func checkWR(pass *analysis.Pass, lit *ast.CompositeLit, t int64, tKnown bool) {
 	}
 	if inl, ok := fieldsMap["Inline"]; ok {
 		if v, known := constBoolValue(pass, inl); known && v {
-			if n, ok := provableLen(pass, fieldsMap["Data"]); ok && n > int64(MaxInline) {
+			if n, ok := provableLen(pass, fieldsMap["Data"]); ok && n > maxInline {
 				pass.Reportf(inl.Pos(),
-					"Inline post with a %d-byte payload exceeds the device inline limit (%d B); this returns ErrInlineTooLarge at runtime", n, MaxInline)
+					"Inline post with a %d-byte payload exceeds the device inline limit (%d B); this returns ErrInlineTooLarge at runtime", n, maxInline)
 			}
 		}
 	}

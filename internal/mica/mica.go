@@ -61,7 +61,7 @@ func hash64(k Key) uint64 { return k.Hash64(bucketSeed) }
 // Errors returned by cache operations.
 var (
 	ErrValueTooLarge = errors.New("mica: value exceeds maximum size")
-	ErrZeroKey       = errors.New("mica: zero keyhash is reserved")
+	ErrZeroKey       = kv.ErrZeroKey // the one sentinel every kv.KV backend returns
 )
 
 // Config sizes a cache partition.

@@ -1,8 +1,6 @@
 package mux
 
 import (
-	"fmt"
-
 	"herdkv/internal/fifo"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
@@ -70,7 +68,7 @@ func (ch *Channel) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 		return mica.ErrZeroKey
 	}
 	if len(value) == 0 {
-		return fmt.Errorf("mux: PUT requires a non-empty value")
+		return kv.ErrEmptyValue
 	}
 	if len(value) > mica.MaxValueSize {
 		return mica.ErrValueTooLarge

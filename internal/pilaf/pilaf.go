@@ -60,7 +60,7 @@ type Server struct {
 	extentMR *verbs.MR
 	nextCore int
 
-	puts, putErrs uint64
+	puts uint64
 }
 
 // NewServer initializes Pilaf on machine m.
@@ -204,7 +204,6 @@ func (s *Server) handlePut(c *Client, stage *verbs.MR, comp verbs.Completion) {
 			status = 0
 		} else if err := s.table.Insert(key, data[putHdr:putHdr+vlen]); err != nil {
 			status = 0
-			s.putErrs++
 		}
 		s.puts++
 		// Repost the consumed RECV slot.
@@ -246,7 +245,7 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 		return kv.ErrZeroKey
 	}
 	if len(value) == 0 {
-		return fmt.Errorf("pilaf: PUT requires a non-empty value")
+		return kv.ErrEmptyValue
 	}
 	if len(value) > cuckoo.MaxValueSize {
 		return cuckoo.ErrValueSize

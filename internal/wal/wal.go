@@ -271,8 +271,7 @@ type Log struct {
 	crashed bool
 
 	appends, flushes, replayed uint64
-	flushedBytes, tornBytes    uint64
-	snapshots                  uint64
+	tornBytes, snapshots       uint64
 
 	telAppends, telFlushes   *telemetry.Counter
 	telReplayed, telSnapshot *telemetry.Counter
@@ -480,7 +479,6 @@ func (l *Log) commitFlush(fl *flight) {
 	l.durable.addFrames(fl.buf)
 	l.lastDurAt = fl.lastAt
 	l.flushes++
-	l.flushedBytes += uint64(len(fl.buf))
 	l.telFlushes.Inc()
 	for _, cb := range fl.cbs {
 		cb()
