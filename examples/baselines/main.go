@@ -135,6 +135,13 @@ func run(system string) (mops, meanUS, hitPct float64) {
 	}
 	cl.Eng.Run()
 	elapsed := cl.Eng.Now() - startT
+	// Every client of the three reports its in-flight ops: none may be
+	// left once the engine drains, or the mean would miss them.
+	for i, c := range clients {
+		if n := c.(interface{ Inflight() int }).Inflight(); n != 0 {
+			log.Fatalf("%s client %d: %d ops still in flight after the run", system, i, n)
+		}
+	}
 
 	return float64(s.ops) / elapsed.Seconds() / 1e6,
 		(s.lat / herdkv.Time(s.ops)).Microseconds(),

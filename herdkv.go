@@ -176,8 +176,9 @@ type FleetDeployment = fleet.Deployment
 // view of the fleet.
 type FleetClient = fleet.Client
 
-// FleetConfig parameterizes a fleet (replication factor, catch-up
-// pacing, versioned replication).
+// FleetConfig parameterizes a fleet (per-member HERD config,
+// replication factor, reconciliation pacing); versioned replication
+// with repair is the fleet's only mode.
 type FleetConfig = fleet.Config
 
 // FleetRing is the fleet's rendezvous-hash placement (per-shard
@@ -211,11 +212,11 @@ func NewFleet(machines []*Machine, cfg FleetConfig) (*FleetDeployment, error) {
 type NearCache = nearcache.Cache
 
 // NearCacheConfig parameterizes a near cache (TTL, lease mode,
-// capacity, herd-wait bound).
+// capacity).
 type NearCacheConfig = nearcache.Config
 
 // DefaultNearCacheConfig returns the near-cache defaults (25us TTL,
-// 1024 entries, herd wait 4x TTL, leases off).
+// 1024 entries, leases off).
 func DefaultNearCacheConfig() NearCacheConfig { return nearcache.DefaultConfig() }
 
 // NewNearCache wraps inner with a near cache driven by the cluster's

@@ -90,16 +90,18 @@ func (k opKind) kindName() string {
 	return "GET"
 }
 
-// Client is one HERD client process: a UC QP for writing requests into
-// the server's request region, and NS UD QPs for receiving responses.
+// Client is one HERD client process: one request QP (per
+// Config.RequestPath) for delivering requests to the server, and NS UD
+// QPs for receiving responses.
 type Client struct {
 	srv     *Server
 	id      int
 	machine *cluster.Machine
 
-	ucQP   *verbs.QP
-	sendQP *verbs.QP // SEND/SEND mode: requests as UD SENDs
-	dcQP   *verbs.QP // DC mode: request WRITEs over Dynamically Connected
+	// reqQP carries requests: a UC QP WRITEing into the request region
+	// (RequestUC), a DC initiator doing the same (RequestDC), or a UD QP
+	// SENDing them (RequestSend).
+	reqQP  *verbs.QP
 	udQPs  []*verbs.QP
 	respMR *verbs.MR
 
@@ -224,13 +226,13 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 	// keep no per-client state at the server NIC.
 	switch s.cfg.RequestPath {
 	case RequestSend:
-		c.sendQP = m.Verbs.CreateQP(wire.UD)
+		c.reqQP = m.Verbs.CreateQP(wire.UD)
 	case RequestDC:
-		c.dcQP = m.Verbs.CreateQP(wire.DC)
+		c.reqQP = m.Verbs.CreateQP(wire.DC)
 	default:
 		serverUC := s.machine.Verbs.CreateQP(wire.UC)
-		c.ucQP = m.Verbs.CreateQP(wire.UC)
-		if err := verbs.Connect(c.ucQP, serverUC); err != nil {
+		c.reqQP = m.Verbs.CreateQP(wire.UC)
+		if err := verbs.Connect(c.reqQP, serverUC); err != nil {
 			return nil, err
 		}
 		s.ucByClient[c.id] = serverUC
@@ -542,7 +544,7 @@ func (c *Client) issue(op *pendingOp) {
 			op.trace = c.tel.StartTrace(op.kind.kindName(), op.begun)
 			op.trace.SetPrefix("req.")
 		}
-		if c.sendQP == nil {
+		if cfg.RequestPath != RequestSend {
 			// WRITE/DC mode: hand the trace to the server by slot, since
 			// the request travels only as memory bytes.
 			c.srv.noteTrace(cfg.SlotIndex(proc, c.id, r), op.trace) //lint:allow hotalloc — tracing only
@@ -571,42 +573,28 @@ func (c *Client) encodeRequest(op *pendingOp, r int) []byte {
 	return op.buf[:n]
 }
 
-// writeRequest posts (or re-posts) op's request: a WRITE into the
-// request region, or a UD SEND in SEND/SEND mode.
+// writeRequest posts (or re-posts) op's request on the request QP: a
+// WRITE into the request region, addressed to the server's DC target
+// in DC mode, or a UD SEND to the key's process in SEND/SEND mode.
 //
 //herd:hotpath
 func (c *Client) writeRequest(op *pendingOp) {
-	inline := len(op.payload) <= c.machine.Verbs.NIC().Params().InlineMax
-	if c.sendQP != nil {
-		postLossy(c.sendQP.PostSend(verbs.SendWR{
-			Verb:   verbs.SEND,
-			Data:   op.payload,
-			Dest:   c.srv.udQPs[op.proc],
-			Inline: inline,
-			Trace:  op.trace,
-		}))
-		return
-	}
-	if c.dcQP != nil {
-		postLossy(c.dcQP.PostSend(verbs.SendWR{
-			Verb:      verbs.WRITE,
-			Data:      op.payload,
-			Dest:      c.srv.dcQP,
-			Remote:    c.srv.region,
-			RemoteOff: op.slotOff,
-			Inline:    inline,
-			Trace:     op.trace,
-		}))
-		return
-	}
-	postLossy(c.ucQP.PostSend(verbs.SendWR{
+	wr := verbs.SendWR{
 		Verb:      verbs.WRITE,
 		Data:      op.payload,
 		Remote:    c.srv.region,
 		RemoteOff: op.slotOff,
-		Inline:    inline,
+		Inline:    len(op.payload) <= c.machine.Verbs.NIC().Params().InlineMax,
 		Trace:     op.trace,
-	}))
+	}
+	switch c.srv.cfg.RequestPath {
+	case RequestSend:
+		wr.Verb, wr.Remote, wr.RemoteOff = verbs.SEND, nil, 0
+		wr.Dest = c.srv.udQPs[op.proc]
+	case RequestDC:
+		wr.Dest = c.srv.dcQP
+	}
+	postLossy(c.reqQP.PostSend(wr))
 }
 
 // retryDelay computes the delay before retry number k (0-based): the
@@ -715,7 +703,7 @@ const reconnCtrlBytes = 64
 // the server per-message and need no handshake — their retries recover
 // on their own once the server restarts.
 func (c *Client) startReconnect() {
-	if c.ucQP == nil || c.reconnecting {
+	if c.srv.cfg.RequestPath != RequestUC || c.reconnecting {
 		return
 	}
 	c.reconnecting = true

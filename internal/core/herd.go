@@ -607,11 +607,11 @@ func (s *Server) Down() bool { return s.down }
 // server replaces the client's (errored) server-side UC QP with a fresh
 // connected one. Reports whether the handshake succeeded.
 func (s *Server) reregister(c *Client) bool {
-	if s.down || c.ucQP == nil {
+	if s.down || s.cfg.RequestPath != RequestUC {
 		return false
 	}
 	qp := s.machine.Verbs.CreateQP(wire.UC)
-	if err := verbs.Connect(c.ucQP, qp); err != nil {
+	if err := verbs.Connect(c.reqQP, qp); err != nil {
 		return false
 	}
 	s.ucByClient[c.id] = qp
@@ -739,46 +739,60 @@ func (s *Server) takeTrace(slot int) *telemetry.Trace {
 	return tr
 }
 
-// serve parses the request in `slot` (WRITE mode) and runs it.
+// serve parses the request in `slot` (WRITE and DC mode) and admits
+// it. A refused request's slot tail is zeroed at once; an admitted
+// one's when its response goes out.
 func (s *Server) serve(proc, client, slot int) {
 	base := slot * SlotSize
 	raw := s.region.Bytes()[base : base+SlotSize]
+	req, ok := parseRequest(raw, 0)
+	if !ok {
+		// The client's retry will rewrite the slot.
+		s.reject()
+		zeroTail(raw)
+		return
+	}
+	req.proc, req.client, req.slotRaw = proc, client, raw
+	req.trace = s.takeTrace(slot)
+	s.admit(req)
+}
 
-	var key kv.Key
-	copy(key[:], raw[SlotSize-keyTail:])
-	if key.IsZero() {
-		// A landed WRITE covering the slot tail always carries a client
-		// keyhash, and clients never use a zero one — so this request
-		// was corrupted in flight (injected corruption zeroes packet
-		// tails). Refuse it; the client's retry will rewrite the slot.
-		s.reject()
-		zeroTail(raw)
+// parseRequest parses the request that ends at the end of data:
+// [value][extra bytes][tag 2][LEN 2][keyhash 16]. ok is false for a
+// request the server must refuse. Clients never use a zero keyhash, so
+// a zero one means corruption in flight (injected corruption zeroes
+// packet tails, where the keyhash lives); a LEN that validLen refuses,
+// or that overruns data, is damage too. The tag is copied out: a
+// later request may rewrite the slot before this one's response goes
+// out (a sync ack waits on the WAL). The value aliases data.
+//
+//herd:hotpath
+func parseRequest(data []byte, extra int) (req request, ok bool) {
+	n := len(data)
+	copy(req.key[:], data[n-keyTail:])
+	req.vlen = int(binary.LittleEndian.Uint16(data[n-lenTail : n-keyTail]))
+	req.tag = binary.LittleEndian.Uint16(data[n-tagTail : n-lenTail])
+	head := n - tagTail - extra // bytes ahead of the trailing header
+	if req.key.IsZero() || !validLen(req.vlen) || req.vlen > head {
+		return req, false
+	}
+	if req.vlen > 0 {
+		req.value = data[head-req.vlen : head]
+	}
+	return req, true
+}
+
+// admit sheds a parsed request at poll time, before any MICA work —
+// the rejected request costs the process only this check, and the
+// client gets an explicit pushback instead of silent queueing — or
+// executes it.
+func (s *Server) admit(req request) {
+	if s.overloaded(req.proc) {
+		s.shedRequest(req.proc, req.client, req.tag, req.trace)
+		if req.slotRaw != nil {
+			zeroTail(req.slotRaw)
+		}
 		return
-	}
-	vlen := int(binary.LittleEndian.Uint16(raw[SlotSize-lenTail : SlotSize-keyTail]))
-	if !validLen(vlen) {
-		s.reject()
-		zeroTail(raw)
-		return
-	}
-	// Copy the tag out now: a later request may rewrite the slot before
-	// this one's response goes out (a sync ack waits on the WAL).
-	tag := binary.LittleEndian.Uint16(raw[SlotSize-tagTail : SlotSize-lenTail])
-	if s.overloaded(proc) {
-		// Shed at poll time, before any MICA work: the rejected request
-		// costs the process only this check, and the client gets an
-		// explicit pushback instead of silent queueing.
-		s.shedRequest(proc, client, tag, s.takeTrace(slot))
-		zeroTail(raw)
-		return
-	}
-	req := request{
-		proc: proc, client: client, key: key, vlen: vlen,
-		tag: tag, slotRaw: raw,
-		trace: s.takeTrace(slot),
-	}
-	if vlen > 0 {
-		req.value = raw[SlotSize-tagTail-vlen : SlotSize-tagTail]
 	}
 	s.execute(req)
 }
@@ -1116,7 +1130,8 @@ func (r *serveRec) respond() {
 const sendReqTail = 2 + tagTail
 
 // onSendRequest handles a SEND/SEND-mode request arriving on process
-// proc's UD queue pair.
+// proc's UD queue pair: it reposts the consumed RECV, reads the client
+// id ahead of the tag, and admits the request.
 func (s *Server) onSendRequest(proc int, comp verbs.Completion) {
 	if s.down || comp.Flushed {
 		return
@@ -1131,37 +1146,14 @@ func (s *Server) onSendRequest(proc int, comp verbs.Completion) {
 	postLossy(s.udQPs[proc].PostRecv(s.sendStage, int(comp.WRID)*SlotSize, SlotSize, comp.WRID))
 
 	n := len(data)
-	var key kv.Key
-	copy(key[:], data[n-keyTail:])
-	if key.IsZero() {
-		// Corrupted in flight: injected corruption zeroes the packet
-		// tail, where the keyhash lives.
+	req, ok := parseRequest(data, sendReqTail-tagTail)
+	req.client = int(binary.LittleEndian.Uint16(data[n-sendReqTail : n-tagTail]))
+	if !ok || req.client >= len(s.clientUD) {
 		s.reject()
 		return
 	}
-	vlen := int(binary.LittleEndian.Uint16(data[n-lenTail : n-keyTail]))
-	tag := binary.LittleEndian.Uint16(data[n-tagTail : n-lenTail])
-	client := int(binary.LittleEndian.Uint16(data[n-sendReqTail : n-tagTail]))
-	if client >= len(s.clientUD) || !validLen(vlen) {
-		s.reject()
-		return
-	}
-	if s.overloaded(proc) {
-		s.shedRequest(proc, client, tag, comp.Trace)
-		return
-	}
-	req := request{
-		proc: proc, client: client, key: key, vlen: vlen,
-		tag: tag, viaSend: true, trace: comp.Trace,
-	}
-	if vlen > 0 {
-		if vlen > n-sendReqTail {
-			s.reject()
-			return
-		}
-		req.value = data[n-sendReqTail-vlen : n-sendReqTail]
-	}
-	s.execute(req)
+	req.proc, req.viaSend, req.trace = proc, true, comp.Trace
+	s.admit(req)
 }
 
 // clientQP returns the UD QP on which client receives responses from

@@ -25,7 +25,8 @@ func TestHotpathAllocFree(t *testing.T) {
 	op.value = append(op.value, []byte("payload-bytes")...)
 	respBuf := make([]byte, respHdr+mica.MaxValueSize)
 	encodeRespHeader(respBuf, statusOK, 4, 3) // give parseRespHeader a valid header
-	var slotRaw [SlotSize]byte
+	var slotRaw, reqRaw [SlotSize]byte
+	copy(reqRaw[SlotSize-keyTail:], op.key[:]) // a landed GET
 
 	// A live round trip on a versioned, group-commit server with
 	// retries on: a stamped PUT and a GET miss (a hit's value copy is
@@ -67,6 +68,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Server.noteService":    func() { s.noteService(0, 100*sim.Nanosecond) },
 		"Server.Down":           func() { _ = s.Down() },
 		"validLen":              func() { _ = validLen(128) },
+		"parseRequest":          func() { _, _ = parseRequest(reqRaw[:], 0) },
 		"zeroTail":              func() { zeroTail(slotRaw[:]) },
 		"encodeRespHeader":      func() { _ = encodeRespHeader(respBuf, statusOK, 8, 1) },
 		"postLossy":             func() { postLossy(nil) },

@@ -81,16 +81,16 @@ func TestSendModeLargeValues(t *testing.T) {
 
 func TestSendModeNoConnectedState(t *testing.T) {
 	// The whole point of Section 5.5: no UC connections at the server.
-	cl, _, clients := newHERD(t, sendModeConfig(), 2)
+	_, srv, clients := newHERD(t, sendModeConfig(), 2)
 	for _, c := range clients {
-		if c.ucQP != nil {
-			t.Fatal("SEND/SEND client created a UC QP")
-		}
-		if c.sendQP == nil {
-			t.Fatal("SEND/SEND client missing its UD request QP")
+		if qp := srv.ucByClient[c.id]; qp != nil {
+			t.Fatalf("server holds a UC QP for SEND/SEND client %d", c.id)
 		}
 	}
-	_ = cl
+	// The same field does hold the WRITE/SEND design's connections.
+	if _, srv, _ := newHERD(t, smallConfig(), 1); srv.ucByClient[0] == nil {
+		t.Fatal("WRITE-mode server has no UC QP for its client")
+	}
 }
 
 func TestSendModeRetryRecovers(t *testing.T) {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"herdkv/internal/kv"
+	"herdkv/internal/mica"
 )
 
 // stamped builds a version-prefixed value.
@@ -51,5 +53,43 @@ func TestVersionedOrderedApply(t *testing.T) {
 	cl.Eng.Run()
 	if !bytes.Equal(after.Value, newer) {
 		t.Fatalf("Preload regressed the stored version: GET = %+v", after)
+	}
+}
+
+// TestUnstampedRefused: a versioned store orders values by their
+// stamps, so bytes too short to carry one are refused with
+// kv.ErrUnstamped — by mica's ordered insert and its bulk-load form, by
+// a versioned server's Preload, and by its PUT path, which answers
+// not-found — and never stored, where a stamped value could not outrank
+// them.
+func TestUnstampedRefused(t *testing.T) {
+	cfg := smallConfig()
+	cfg.VersionedValues = true
+	short := []byte("no stamp")
+	key := kv.FromUint64(5)
+
+	part := mica.New(cfg.Mica)
+	if applied, err := part.PutNewer(key, short); applied || !errors.Is(err, kv.ErrUnstamped) {
+		t.Fatalf("PutNewer(unstamped) = %v, %v; want refused with ErrUnstamped", applied, err)
+	}
+	if err := part.LoadNewer(key, short); !errors.Is(err, kv.ErrUnstamped) {
+		t.Fatalf("LoadNewer(unstamped) = %v, want ErrUnstamped", err)
+	}
+	if _, ok := part.Get(key); ok {
+		t.Fatal("the partition stored unstamped bytes")
+	}
+
+	cl, srv, clients := newHERD(t, cfg, 1)
+	if err := srv.Preload(key, short); !errors.Is(err, kv.ErrUnstamped) {
+		t.Fatalf("versioned Preload(unstamped) = %v, want ErrUnstamped", err)
+	}
+	var put, get Result
+	clients[0].Put(key, short, func(r Result) {
+		put = r
+		clients[0].Get(key, func(r Result) { get = r })
+	})
+	cl.Eng.Run()
+	if put.Status != kv.StatusMiss || get.Status != kv.StatusMiss {
+		t.Fatalf("unstamped PUT = %v, then GET = %v; want both misses", put.Status, get.Status)
 	}
 }

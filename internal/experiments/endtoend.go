@@ -26,12 +26,15 @@ const (
 // AllSystems lists the paper's four compared systems.
 var AllSystems = []string{SysPilaf, SysFaRM, SysFaRMVar, SysHERD}
 
+// e2ePerMachine is how many client processes share one client machine
+// at every end-to-end point: the paper spreads 3 per machine.
+const e2ePerMachine = 3
+
 // E2EConfig describes one end-to-end measurement point.
 type E2EConfig struct {
 	Spec        cluster.Spec
 	System      string
-	Clients     int     // client processes
-	PerMachine  int     // client processes per machine (paper: 3)
+	Clients     int     // client processes, e2ePerMachine to a machine
 	ValueSize   int     // SV
 	GetFraction float64 // 0.95, 0.50 or 0
 	Keys        uint64
@@ -53,7 +56,7 @@ type E2EConfig struct {
 func DefaultE2E(spec cluster.Spec, system string) E2EConfig {
 	return E2EConfig{
 		Spec: spec, System: system,
-		Clients: 51, PerMachine: 3,
+		Clients:   51,
 		ValueSize: 32, GetFraction: 0.95,
 		Keys: 48 * 1024, Window: 4, Cores: 6, Seed: 1,
 	}
@@ -79,7 +82,7 @@ type E2EResult struct {
 // served-count probe (HERD only). Every system's client is driven
 // through the shared kv.KV interface; no per-system glue is needed.
 func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
-	cl := deploySpec{spec: cfg.Spec, seed: cfg.Seed, clients: cfg.Clients, perMachine: cfg.PerMachine}.cluster(1)
+	cl := deploySpec{spec: cfg.Spec, seed: cfg.Seed, clients: cfg.Clients, perMachine: e2ePerMachine}.cluster(1)
 	var clients []kv.KV
 	var perCore func() []uint64
 
@@ -105,7 +108,7 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 			panic(err)
 		}
 		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Preload)
-		clients = asKV(connectAll(cl, 1, cfg.Clients, cfg.PerMachine, srv.ConnectClient))
+		clients = asKV(connectAll(cl, 1, cfg.Clients, e2ePerMachine, srv.ConnectClient))
 		perCore = func() []uint64 {
 			out := make([]uint64, cfg.Cores)
 			for p := 0; p < cfg.Cores; p++ {
@@ -127,7 +130,7 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 			panic(err)
 		}
 		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Insert)
-		clients = asKV(connectAll(cl, 1, cfg.Clients, cfg.PerMachine, srv.ConnectClient))
+		clients = asKV(connectAll(cl, 1, cfg.Clients, e2ePerMachine, srv.ConnectClient))
 
 	case SysFaRM, SysFaRMVar:
 		fcfg := farm.Config{
@@ -146,7 +149,7 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 			panic(err)
 		}
 		preloadKeys(cfg.Keys, cfg.ValueSize, srv.Insert)
-		clients = asKV(connectAll(cl, 1, cfg.Clients, cfg.PerMachine, srv.ConnectClient))
+		clients = asKV(connectAll(cl, 1, cfg.Clients, e2ePerMachine, srv.ConnectClient))
 
 	default:
 		panic("unknown system " + cfg.System)

@@ -43,6 +43,11 @@ var replayDigests = map[string]string{
 	"ablation-doorbell": "32c3cc0b633b6afb1a415a20910fcd7cbde7c2963fd55eed0f28419cc28525a1",
 	"symmetric":         "3c5f4f8a16c9cc05b26b9704719ac5d758772e0791497674f531d338c4bc0b5c",
 	"classical":         "de04e8929ab874f8c258ad69abbacd2f9084ebe714d0c0204d4de3dbf367021c",
+
+	// The compared designs: Fig 9's four systems on both clusters, and
+	// §5.5's request paths (UC, DC and SEND) at 50–500 clients.
+	"fig9":          "bc558fe510367844e442143ad1b80a39187f3c0a0685b9c8756ffc00b4d30832",
+	"ablation-arch": "08e27838ab305b2330dbe6c4b8c5f2da94cf6eebd41314575101386b8177a93c",
 }
 
 // TestReplayStable pins determinism for every target in replayDigests:

@@ -31,7 +31,6 @@ func Fig12ClientScaling(spec cluster.Spec) (*Table, *Report) {
 		for _, ws := range []int{4, 16} {
 			cfg := DefaultE2E(spec, SysHERD)
 			cfg.Clients = nc
-			cfg.PerMachine = 3 // the paper spreads 3 processes per machine
 			cfg.Window = ws
 			cfg.GetFraction = 0.95
 			r := runE2E(cfg, warmup, span)

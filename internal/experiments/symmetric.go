@@ -54,7 +54,7 @@ func symmetricFarmPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64)
 	cl := cluster.New(spec, n, 1)
 	cfg := farm.Config{
 		Mode: farm.InlineMode, Buckets: symKeys * 4, ValueSize: 32,
-		ExtentBytes: 1 << 22, H: 6, Cores: 2, Window: 4,
+		ExtentBytes: 1 << 22, Cores: 2, Window: 4,
 	}
 	sym, err := farm.NewSymmetric(cl, n, cfg)
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/hopscotch"
 	"herdkv/internal/kv"
+	"herdkv/internal/readclient"
 	"herdkv/internal/sim"
 	"herdkv/internal/verbs"
 	"herdkv/internal/wire"
@@ -39,14 +40,6 @@ const (
 	lenTail = keyTail + 2
 )
 
-// statusOf maps a served outcome onto the unified vocabulary.
-func statusOf(ok bool) kv.Status {
-	if ok {
-		return kv.StatusHit
-	}
-	return kv.StatusMiss
-}
-
 // Config parameterizes a FaRM-KV deployment.
 type Config struct {
 	Mode Mode
@@ -56,8 +49,6 @@ type Config struct {
 	ValueSize int
 	// ExtentBytes sizes the out-of-table value extent (VarMode).
 	ExtentBytes int
-	// H is the hopscotch neighborhood (the paper's 6).
-	H int
 	// Cores is the number of server cores servicing PUTs.
 	Cores int
 	// Window is the per-client outstanding-op limit.
@@ -68,7 +59,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Mode: InlineMode, Buckets: 1 << 14, ValueSize: 32,
-		ExtentBytes: 1 << 24, H: hopscotch.DefaultH, Cores: 6, Window: 4,
+		ExtentBytes: 1 << 24, Cores: 6, Window: 4,
 	}
 }
 
@@ -81,7 +72,6 @@ type Server struct {
 	extentMR *verbs.MR
 
 	clients []*Client
-	puts    uint64
 }
 
 // NewServer initializes FaRM-KV on machine m.
@@ -89,19 +79,16 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 	if cfg.Cores < 1 || cfg.Cores > m.CPU.Cores() {
 		return nil, fmt.Errorf("farm: Cores=%d out of range", cfg.Cores)
 	}
-	if cfg.H < 1 {
-		cfg.H = hopscotch.DefaultH
-	}
 	s := &Server{cfg: cfg, machine: m}
 	switch cfg.Mode {
 	case InlineMode:
 		slot := kv.KeySize + cfg.ValueSize
-		s.tableMR = m.Verbs.RegisterMR((cfg.Buckets + cfg.H) * slot)
-		s.table = hopscotch.NewInline(s.tableMR.Bytes(), cfg.Buckets, cfg.ValueSize, cfg.H)
+		s.tableMR = m.Verbs.RegisterMR((cfg.Buckets + hopscotch.DefaultH) * slot)
+		s.table = hopscotch.NewInline(s.tableMR.Bytes(), cfg.Buckets, cfg.ValueSize, hopscotch.DefaultH)
 	case VarMode:
-		s.tableMR = m.Verbs.RegisterMR((cfg.Buckets + cfg.H) * hopscotch.PtrSlotSize)
+		s.tableMR = m.Verbs.RegisterMR((cfg.Buckets + hopscotch.DefaultH) * hopscotch.PtrSlotSize)
 		s.extentMR = m.Verbs.RegisterMR(cfg.ExtentBytes)
-		s.table = hopscotch.NewVar(s.tableMR.Bytes(), s.extentMR.Bytes(), cfg.Buckets, cfg.H)
+		s.table = hopscotch.NewVar(s.tableMR.Bytes(), s.extentMR.Bytes(), cfg.Buckets, hopscotch.DefaultH)
 	default:
 		return nil, fmt.Errorf("farm: unknown mode %d", cfg.Mode)
 	}
@@ -118,38 +105,21 @@ func (s *Server) Insert(key kv.Key, value []byte) error {
 // 1 inline, 2 out-of-table.
 type Result = kv.Result
 
-type pendingPut struct {
-	key      kv.Key
-	issuedAt sim.Time
-	cb       func(Result)
-}
-
-// Client is one FaRM-KV client.
+// Client is one FaRM-KV client: the shared baseline core's RC QP for
+// GET READs, a UC QP for PUT request WRITEs and a UC pair for the
+// server's notification WRITEs.
 type Client struct {
-	srv     *Server
-	id      int
-	machine *cluster.Machine
+	readclient.Core
+	srv *Server
+	id  int
 
-	rcQP  *verbs.QP // GET READs
 	ucQP  *verbs.QP // PUT request WRITEs
 	srvUC *verbs.QP // server->client notification WRITEs
 
-	reqMR   *verbs.MR // server-side per-client circular buffer
-	respMR  *verbs.MR // client-side notification region (1 B per window slot)
-	scratch *verbs.MR
+	reqMR  *verbs.MR // server-side per-client circular buffer
+	respMR *verbs.MR // client-side notification region (1 B per window slot)
 
-	seq         int
-	pendingPuts []*pendingPut
-	readWaiters []func()
-	cqArmed     bool
-	readSeq     uint64
-
-	inflight int
-	waiting  []func()
-
-	// vals backs GET-hit values: each is cut from a shared block and
-	// handed to one callback (kv.Slab), so a hit allocates nothing.
-	vals kv.Slab
+	seq int
 }
 
 // Client implements the shared client interface.
@@ -157,12 +127,11 @@ var _ kv.KV = (*Client)(nil)
 
 // ConnectClient attaches a client on machine m.
 func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
-	c := &Client{srv: s, id: len(s.clients), machine: m}
+	c := &Client{srv: s, id: len(s.clients)}
 	s.clients = append(s.clients, c)
 
-	c.rcQP = m.Verbs.CreateQP(wire.RC)
-	srvRC := s.machine.Verbs.CreateQP(wire.RC)
-	if err := verbs.Connect(c.rcQP, srvRC); err != nil {
+	// A landing slot holds a neighborhood, or an out-of-table value.
+	if err := c.Connect(m, s.machine, s.cfg.Window, s.table.NeighborhoodBytes()+1024); err != nil {
 		return nil, err
 	}
 	c.ucQP = m.Verbs.CreateQP(wire.UC)
@@ -180,19 +149,12 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 
 	c.reqMR = s.machine.Verbs.RegisterMR(s.cfg.Window * SlotSize)
 	c.respMR = m.Verbs.RegisterMR(s.cfg.Window)
-	scratchSlot := s.neighborhoodBytes() + 1024
-	c.scratch = m.Verbs.RegisterMR((s.cfg.Window + 1) * scratchSlot)
 
 	c.reqMR.Watch(0, s.cfg.Window*SlotSize, func(off, n int) { s.onPutLanded(c, off, n) })
-	c.respMR.Watch(0, s.cfg.Window, func(off, n int) { c.onNotify(off) })
+	// The notification byte carries the PUT's outcome: 1 applied, 2 a
+	// store rejection.
+	c.respMR.Watch(0, s.cfg.Window, func(off, n int) { c.Ack(c.respMR.Bytes()[off] == 1) })
 	return c, nil
-}
-
-func (s *Server) neighborhoodBytes() int {
-	if s.cfg.Mode == InlineMode {
-		return s.cfg.H * (kv.KeySize + s.cfg.ValueSize)
-	}
-	return s.cfg.H * hopscotch.PtrSlotSize
 }
 
 // onPutLanded polls up a PUT request from client c's circular buffer.
@@ -224,13 +186,12 @@ func (s *Server) onPutLanded(c *Client, off, n int) {
 		if err := s.table.Insert(key, value); err != nil {
 			status = 2
 		}
-		s.puts++
 		// Free the slot.
 		for i := SlotSize - lenTail; i < SlotSize; i++ {
 			raw[i] = 0
 		}
 		// Notify the client: a 1-byte WRITE (FaRM's completion path).
-		mustPost(c.srvUC.PostSend(verbs.SendWR{
+		readclient.MustPost(c.srvUC.PostSend(verbs.SendWR{
 			Verb:      verbs.WRITE,
 			Data:      []byte{status},
 			Remote:    c.respMR,
@@ -238,43 +199,6 @@ func (s *Server) onPutLanded(c *Client, off, n int) {
 			Inline:    true,
 		}))
 	})
-}
-
-// onNotify completes the oldest outstanding PUT (per-client order is
-// preserved end to end: one UC QP, one core, one notification QP). The
-// notification byte carries the outcome: 1 applied, 2 store rejection.
-func (c *Client) onNotify(off int) {
-	if len(c.pendingPuts) == 0 {
-		return
-	}
-	op := c.pendingPuts[0]
-	c.pendingPuts = c.pendingPuts[1:]
-	ok := c.respMR.Bytes()[off] == 1
-	c.finishOp()
-	if op.cb != nil {
-		op.cb(Result{Key: op.key, Status: statusOf(ok), Latency: c.now() - op.issuedAt})
-	}
-}
-
-func (c *Client) now() sim.Time { return c.machine.Verbs.NIC().Engine().Now() }
-
-func (c *Client) startOp(fn func()) {
-	if c.inflight >= c.srv.cfg.Window {
-		c.waiting = append(c.waiting, fn)
-		return
-	}
-	c.inflight++
-	fn()
-}
-
-func (c *Client) finishOp() {
-	c.inflight--
-	if len(c.waiting) > 0 && c.inflight < c.srv.cfg.Window {
-		next := c.waiting[0]
-		c.waiting = c.waiting[1:]
-		c.inflight++
-		next()
-	}
 }
 
 // Put WRITEs the request into the server's circular buffer and waits for
@@ -292,22 +216,21 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	if len(value) > SlotSize-int(lenTail) {
 		return hopscotch.ErrValueSize
 	}
-	val := append([]byte(nil), value...)
-	c.startOp(func() {
+	payload := make([]byte, len(value)+2+kv.KeySize)
+	copy(payload, value)
+	binary.LittleEndian.PutUint16(payload[len(value):], uint16(len(value)))
+	copy(payload[len(value)+2:], key[:])
+	c.Core.Put(key, cb, func() {
+		// Per-client order is preserved end to end (one UC QP, one core,
+		// one notification QP), so acks match PUTs in order.
 		slot := c.seq % c.srv.cfg.Window
 		c.seq++
-		payload := make([]byte, len(val)+2+kv.KeySize)
-		copy(payload, val)
-		binary.LittleEndian.PutUint16(payload[len(val):], uint16(len(val)))
-		copy(payload[len(val)+2:], key[:])
-
-		c.pendingPuts = append(c.pendingPuts, &pendingPut{key: key, issuedAt: c.now(), cb: cb})
-		mustPost(c.ucQP.PostSend(verbs.SendWR{
+		readclient.MustPost(c.ucQP.PostSend(verbs.SendWR{
 			Verb:      verbs.WRITE,
 			Data:      payload,
 			Remote:    c.reqMR,
 			RemoteOff: (slot+1)*SlotSize - len(payload),
-			Inline:    len(payload) <= c.machine.Verbs.NIC().Params().InlineMax,
+			Inline:    c.Inline(len(payload)),
 		}))
 	})
 	return nil
@@ -316,72 +239,24 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 // Get READs the key's neighborhood (and, out-of-table, the value). The
 // server CPU is never involved.
 func (c *Client) Get(key kv.Key, cb func(Result)) error {
-	if key.IsZero() {
-		return kv.ErrZeroKey
-	}
-	c.startOp(func() { c.doGet(key, cb) })
-	return nil
-}
-
-func (c *Client) doGet(key kv.Key, cb func(Result)) {
-	start := c.now()
-	res := Result{Key: key, IsGet: true}
-	scratchSlot := c.srv.neighborhoodBytes() + 1024
-	lo := (int(c.readSeq) % (c.srv.cfg.Window + 1)) * scratchSlot
-	c.readSeq++
-
-	finish := func() {
-		res.Latency = c.now() - start
-		if res.Status == kv.StatusUnknown {
-			res.Status = kv.StatusMiss
-		}
-		c.finishOp()
-		if cb != nil {
-			cb(res)
-		}
-	}
-
-	off, n := c.srv.table.NeighborhoodOffset(key)
-	res.Reads++
-	err := c.rcQP.PostSend(verbs.SendWR{
-		Verb: verbs.READ, Remote: c.srv.tableMR, RemoteOff: off,
-		Local: c.scratch, LocalOff: lo, Len: n, Signaled: true,
-	})
-	if err != nil {
-		finish()
-		return
-	}
-	c.awaitRead(func() {
-		raw := c.scratch.Bytes()[lo : lo+n]
-		if c.srv.cfg.Mode == InlineMode {
-			v, ok := hopscotch.ParseNeighborhoodInline(raw, key, c.srv.cfg.ValueSize)
-			if ok {
-				res.Status = kv.StatusHit
-				res.Value = c.vals.Copy(v)
+	return c.Core.Get(key, cb, func(g *readclient.Get) {
+		off, n := c.srv.table.NeighborhoodOffset(key)
+		g.Read(c.srv.tableMR, off, n, func(raw []byte) {
+			if c.srv.cfg.Mode == InlineMode {
+				if v, ok := hopscotch.ParseNeighborhoodInline(raw, key, c.srv.cfg.ValueSize); ok {
+					g.Hit(v)
+					return
+				}
+				g.Finish()
+				return
 			}
-			finish()
-			return
-		}
-		ptr, vlen, ok := ParseVar(raw, key)
-		if !ok {
-			finish()
-			return
-		}
-		// Second READ for the out-of-table value.
-		res.Reads++
-		vlo := lo + c.srv.neighborhoodBytes()
-		err := c.rcQP.PostSend(verbs.SendWR{
-			Verb: verbs.READ, Remote: c.srv.extentMR, RemoteOff: int(ptr),
-			Local: c.scratch, LocalOff: vlo, Len: int(vlen), Signaled: true,
-		})
-		if err != nil {
-			finish()
-			return
-		}
-		c.awaitRead(func() {
-			res.Status = kv.StatusHit
-			res.Value = c.vals.Copy(c.scratch.Bytes()[vlo : vlo+int(vlen)])
-			finish()
+			ptr, vlen, ok := ParseVar(raw, key)
+			if !ok {
+				g.Finish()
+				return
+			}
+			// Second READ for the out-of-table value.
+			g.Read(c.srv.extentMR, int(ptr), int(vlen), g.Hit)
 		})
 	})
 }
@@ -390,28 +265,4 @@ func (c *Client) doGet(key kv.Key, cb func(Result)) {
 // neighborhoods.
 func ParseVar(raw []byte, key kv.Key) (uint32, uint16, bool) {
 	return hopscotch.ParseNeighborhoodVar(raw, key)
-}
-
-func (c *Client) awaitRead(fn func()) {
-	c.readWaiters = append(c.readWaiters, fn)
-	if !c.cqArmed {
-		c.cqArmed = true
-		c.rcQP.SendCQ().SetHandler(func(verbs.Completion) {
-			if len(c.readWaiters) == 0 {
-				return
-			}
-			next := c.readWaiters[0]
-			c.readWaiters = c.readWaiters[1:]
-			next()
-		})
-	}
-}
-
-// mustPost consumes the synchronous error from a verbs post. FaRM-em
-// implements no crash recovery, so any rejected post — including an
-// errored queue pair — is unsupported territory: fail loudly.
-func mustPost(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

@@ -13,7 +13,7 @@ func newFarm(t *testing.T, mode Mode, nClients int) (*cluster.Cluster, *Server, 
 	t.Helper()
 	cfg := Config{
 		Mode: mode, Buckets: 1 << 12, ValueSize: 32,
-		ExtentBytes: 1 << 22, H: 6, Cores: 4, Window: 4,
+		ExtentBytes: 1 << 22, Cores: 4, Window: 4,
 	}
 	cl := cluster.New(cluster.Apt(), 1+nClients, 1)
 	srv, err := NewServer(cl.Machine(0), cfg)
@@ -121,8 +121,10 @@ func TestManyClientsManyKeys(t *testing.T) {
 	if oks != n {
 		t.Fatalf("put oks = %d/%d", oks, n)
 	}
-	if srv.puts != uint64(n) {
-		t.Fatalf("server puts = %d", srv.puts)
+	for i := 0; i < n; i++ {
+		if _, ok := srv.table.Lookup(kv.FromUint64(uint64(i + 1))); !ok {
+			t.Fatalf("key %d missing from the server's table", i+1)
+		}
 	}
 	got := 0
 	for i := 0; i < n; i++ {
@@ -159,26 +161,27 @@ func TestServerValidation(t *testing.T) {
 func TestWindowThrottlesPuts(t *testing.T) {
 	cl, _, clients := newFarm(t, InlineMode, 1)
 	c := clients[0]
+	acked := 0
 	for i := 0; i < 20; i++ {
-		c.Put(kv.FromUint64(uint64(i+1)), val32(1), nil)
+		c.Put(kv.FromUint64(uint64(i+1)), val32(1), func(Result) { acked++ })
 	}
-	if c.inflight != 4 {
-		t.Fatalf("inflight = %d, want window 4", c.inflight)
+	if c.Inflight() != 4 {
+		t.Fatalf("inflight = %d, want window 4", c.Inflight())
 	}
 	cl.Eng.Run()
-	if c.inflight != 0 || len(c.waiting) != 0 {
-		t.Fatalf("drain incomplete: inflight=%d waiting=%d", c.inflight, len(c.waiting))
+	if c.Inflight() != 0 || acked != 20 {
+		t.Fatalf("drain incomplete: inflight=%d, %d/20 acked", c.Inflight(), acked)
 	}
 }
 
 func TestReadSizesMatchPaperFormulas(t *testing.T) {
 	// FaRM-em GET READ = 6*(16+SV); FaRM-em-VAR first READ = 6*(16+8).
 	_, srvI, _ := newFarm(t, InlineMode, 0)
-	if got := srvI.neighborhoodBytes(); got != 6*(16+32) {
+	if got := srvI.table.NeighborhoodBytes(); got != 6*(16+32) {
 		t.Fatalf("inline neighborhood = %d", got)
 	}
 	_, srvV, _ := newFarm(t, VarMode, 0)
-	if got := srvV.neighborhoodBytes(); got != 6*24 {
+	if got := srvV.table.NeighborhoodBytes(); got != 6*24 {
 		t.Fatalf("var neighborhood = %d", got)
 	}
 }

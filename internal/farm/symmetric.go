@@ -5,6 +5,7 @@ import (
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
+	"herdkv/internal/readclient"
 	"herdkv/internal/sim"
 )
 
@@ -84,7 +85,7 @@ func (s *Symmetric) Get(from int, key kv.Key, cb func(Result)) error {
 		start := s.cl.Eng.Now()
 		s.localAccess(from, func() {
 			v, ok := s.shards[owner].table.Lookup(key)
-			res := Result{Key: key, IsGet: true, Status: statusOf(ok), Latency: s.cl.Eng.Now() - start}
+			res := Result{Key: key, IsGet: true, Status: readclient.StatusOf(ok), Latency: s.cl.Eng.Now() - start}
 			if ok {
 				res.Value = append([]byte(nil), v...)
 			}
@@ -106,7 +107,7 @@ func (s *Symmetric) Put(from int, key kv.Key, value []byte, cb func(Result)) err
 		s.localAccess(from, func() {
 			err := s.shards[owner].table.Insert(key, val)
 			if cb != nil {
-				cb(Result{Key: key, Status: statusOf(err == nil), Latency: s.cl.Eng.Now() - start})
+				cb(Result{Key: key, Status: readclient.StatusOf(err == nil), Latency: s.cl.Eng.Now() - start})
 			}
 		})
 		return nil

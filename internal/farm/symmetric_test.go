@@ -13,7 +13,7 @@ func newSymmetric(t *testing.T, n int) (*cluster.Cluster, *Symmetric) {
 	t.Helper()
 	cfg := Config{
 		Mode: InlineMode, Buckets: 1 << 12, ValueSize: 32,
-		ExtentBytes: 1 << 20, H: 6, Cores: 2, Window: 4,
+		ExtentBytes: 1 << 20, Cores: 2, Window: 4,
 	}
 	cl := cluster.New(cluster.Apt(), n, 1)
 	sym, err := NewSymmetric(cl, n, cfg)

@@ -177,7 +177,6 @@ type Injector struct {
 	injNemesis           *telemetry.Counter
 	drops, corrupts      uint64
 	crashes, restarts    uint64
-	missedTargets        uint64
 }
 
 // NewInjector attaches a validated schedule to the network. The packet
@@ -240,8 +239,7 @@ func (in *Injector) Arm() {
 		in.eng.At(e.At, func() {
 			t, ok := in.targets[e.Node]
 			if !ok {
-				in.missedTargets++
-				return
+				return // no process registered on that node
 			}
 			if fc, ok := t.(FlushCrasher); ok && e.Kind == FlushCrash {
 				fc.CrashMidFlush()

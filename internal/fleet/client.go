@@ -49,8 +49,7 @@ type Client struct {
 	failed   uint64
 	inflight int
 
-	reroutes  uint64
-	suspected uint64
+	reroutes uint64
 
 	// The write-stamp generator: verID breaks same-instant ties between
 	// clients, verSeq between this client's own writes.
@@ -155,7 +154,6 @@ func (c *Client) RepairsApplied() uint64 { return c.repairApplied }
 //herd:hotpath
 func (c *Client) markSuspect(id int) {
 	c.suspect[id] = c.now() + probation
-	c.suspected++
 	c.telSuspected.Inc()
 }
 
@@ -487,7 +485,6 @@ func (o *op) resolveGet(i int, r kv.Result) {
 		rk := replicaRank{id: id, settled: true, present: r.Status == kv.StatusHit}
 		if rk.present {
 			rk.stored, rk.lease = r.Value, r.Lease
-			// A value too short to carry a stamp ranks at version zero.
 			rk.ver, _, _, _ = kv.SplitVersion(r.Value)
 		}
 		o.states = append(o.states, rk)
@@ -522,10 +519,8 @@ func (o *op) resolveGet(i int, r kv.Result) {
 		o.finish(res)
 		return
 	}
-	res.Status, res.Value, res.Lease = kv.StatusHit, w.stored, w.lease
-	if _, _, payload, ok := kv.SplitVersion(w.stored); ok {
-		res.Value = payload
-	}
+	res.Status, res.Lease = kv.StatusHit, w.lease
+	_, _, res.Value, _ = kv.SplitVersion(w.stored)
 	primaryHas, dropped := false, false
 	for i := range o.states {
 		st := &o.states[i]

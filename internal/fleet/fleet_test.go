@@ -11,6 +11,7 @@ import (
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
+	"herdkv/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -27,6 +28,7 @@ func testConfig() Config {
 func newFleet(t *testing.T, nShards, nClients int, seed int64, tweaks ...func(*Config)) (*cluster.Cluster, *Deployment, []*Client) {
 	t.Helper()
 	cl := cluster.New(cluster.Apt(), nShards+nClients, seed)
+	cl.SetTelemetry(telemetry.New()) // for suspicions
 	cfg := testConfig()
 	for _, tweak := range tweaks {
 		tweak(&cfg)
@@ -47,6 +49,17 @@ func newFleet(t *testing.T, nShards, nClients int, seed int64, tweaks ...func(*C
 		}
 	}
 	return cl, d, clients
+}
+
+// suspicions reads the fleet.suspected counter from the sink on c's
+// machine: the read probations its clients started.
+func suspicions(t *testing.T, c *Client) uint64 {
+	t.Helper()
+	tel := c.machine.Verbs.Telemetry()
+	if tel == nil {
+		t.Fatal("no telemetry sink on the client's machine")
+	}
+	return tel.Counter("fleet.suspected").Value()
 }
 
 func TestRingPlacement(t *testing.T) {
@@ -215,7 +228,9 @@ func TestFleetAllReplicasDown(t *testing.T) {
 	cl, d, clients := newFleet(t, 2, 1, 1)
 	c := clients[0]
 	key := kv.FromUint64(11)
-	d.Preload(key, []byte("v"))
+	if err := d.Preload(key, PreloadValue(nil, []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range d.Replicas(key) {
 		d.Server(id).Crash()
 	}
@@ -235,7 +250,9 @@ func TestFleetDeterministicReplay(t *testing.T) {
 		cl, d, clients := newFleet(t, 3, 2, 5)
 		c0, c1 := clients[0], clients[1]
 		key := kv.FromUint64(3)
-		d.Preload(key, []byte("w"))
+		if err := d.Preload(key, PreloadValue(nil, []byte("w"))); err != nil {
+			t.Fatal(err)
+		}
 		var served uint64
 		count := func(r kv.Result) {
 			if r.Err == nil {
@@ -279,8 +296,8 @@ func TestFleetValidation(t *testing.T) {
 	}
 	issued := c.Inflight()
 	cl.Eng.Run()
-	if issued != 0 || c.suspected != 0 {
-		t.Fatalf("rejected puts issued %d ops and suspected %d shards", issued, c.suspected)
+	if s := suspicions(t, c); issued != 0 || s != 0 {
+		t.Fatalf("rejected puts issued %d ops and suspected %d shards", issued, s)
 	}
 	if cfg := (&Config{}); true {
 		cfg.setDefaults()
@@ -308,7 +325,7 @@ func TestBusyNeverSuspects(t *testing.T) {
 	c := clients[0]
 	key := kv.FromUint64(77)
 	val := []byte("brownout value")
-	if err := d.Preload(key, val); err != nil {
+	if err := d.Preload(key, PreloadValue(nil, val)); err != nil {
 		t.Fatal(err)
 	}
 	primary := d.Replicas(key)[0]
@@ -343,7 +360,7 @@ func TestBusyNeverSuspects(t *testing.T) {
 		t.Fatal("the browned-out primary never pushed back")
 	}
 	secondary, _, _ := d.Server(d.Replicas(key)[1]).Stats()
-	if f, s := c.Failed(), c.suspected; f != 0 || s != 0 || secondary != 0 {
+	if f, s := c.Failed(), suspicions(t, c); f != 0 || s != 0 || secondary != 0 {
 		t.Fatalf("%d failed, %d suspected, %d secondary reads; busy must be absorbed below the fleet", f, s, secondary)
 	}
 }
@@ -365,7 +382,7 @@ func TestTimeoutStillSuspects(t *testing.T) {
 	if res.Err != nil || string(res.Value) != "v" {
 		t.Fatalf("replica did not serve with the primary cut off: %+v", res)
 	}
-	if c.suspected == 0 || c.Reroutes() == 0 {
-		t.Fatalf("suspected=%d reroutes=%d: the terminal timeout no longer suspects the shard", c.suspected, c.Reroutes())
+	if s := suspicions(t, c); s == 0 || c.Reroutes() == 0 {
+		t.Fatalf("suspected=%d reroutes=%d: the terminal timeout no longer suspects the shard", s, c.Reroutes())
 	}
 }

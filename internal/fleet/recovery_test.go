@@ -10,6 +10,7 @@ import (
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
+	"herdkv/internal/telemetry"
 )
 
 func durableFleetConfig() Config {
@@ -28,6 +29,7 @@ func newFleetWith(t *testing.T, cfg Config, nShards, nClients int, seed int64) (
 func newFleetOn(t *testing.T, spec cluster.Spec, cfg Config, nShards, nClients int, seed int64) (*cluster.Cluster, *Deployment, []*Client) {
 	t.Helper()
 	cl := cluster.New(spec, nShards+nClients, seed)
+	cl.SetTelemetry(telemetry.New()) // for suspicions
 	machines := make([]*cluster.Machine, nShards)
 	for i := range machines {
 		machines[i] = cl.Machine(i)
@@ -58,7 +60,14 @@ func shardHolds(d *Deployment, id int, key kv.Key) ([]byte, bool) {
 func TestWarmRejoinDeltaCatchup(t *testing.T) {
 	cl, d, _ := newFleetWith(t, durableFleetConfig(), 2, 0, 3)
 	const old, late, delta = 32, 8, 4
-	val := func(tag byte, i uint64) []byte { return []byte{tag, byte(i)} }
+	// Outage writes carry a later stamp than the keys they overwrite.
+	val := func(tag byte, i uint64) []byte {
+		epoch := int64(0)
+		if tag == 'd' {
+			epoch = 1
+		}
+		return stampedValue(epoch, i, string([]byte{tag, byte(i)}))
+	}
 	// Old keys at t=0; a later durable batch moves shard 0's
 	// last-durable instant forward so the catch-up window (last durable
 	// minus the group-commit guard) excludes the old keys.
@@ -118,7 +127,7 @@ func TestColdRejoinFullRecopy(t *testing.T) {
 	cl, d, _ := newFleetWith(t, testConfig(), 2, 0, 3)
 	const keys = 64
 	for i := uint64(0); i < keys; i++ {
-		if err := d.Preload(kv.FromUint64(i), []byte{byte(i)}); err != nil {
+		if err := d.Preload(kv.FromUint64(i), PreloadValue(nil, []byte{byte(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +143,7 @@ func TestColdRejoinFullRecopy(t *testing.T) {
 		t.Fatalf("cold catch-up copied %d keys, want all %d", rec.CatchupKeys, keys)
 	}
 	for i := uint64(0); i < keys; i++ {
-		if v, ok := shardHolds(d, 0, kv.FromUint64(i)); !ok || !bytes.Equal(v, []byte{byte(i)}) {
+		if v, ok := shardHolds(d, 0, kv.FromUint64(i)); !ok || !bytes.Equal(v, PreloadValue(nil, []byte{byte(i)})) {
 			t.Fatalf("key %d on recopied shard: value=%v ok=%v", i, v, ok)
 		}
 	}
@@ -148,7 +157,7 @@ func TestRecoveryAbortsAndRestartsOnSecondCrash(t *testing.T) {
 	cl, d, _ := newFleetWith(t, cfg, 2, 0, 3)
 	const keys = 256
 	for i := uint64(0); i < keys; i++ {
-		if err := d.Preload(kv.FromUint64(i), []byte{byte(i)}); err != nil {
+		if err := d.Preload(kv.FromUint64(i), PreloadValue(nil, []byte{byte(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +175,7 @@ func TestRecoveryAbortsAndRestartsOnSecondCrash(t *testing.T) {
 		t.Fatalf("final recovery = %+v, want warm shard 0", rec)
 	}
 	for i := uint64(0); i < keys; i++ {
-		if v, ok := shardHolds(d, 0, kv.FromUint64(i)); !ok || !bytes.Equal(v, []byte{byte(i)}) {
+		if v, ok := shardHolds(d, 0, kv.FromUint64(i)); !ok || !bytes.Equal(v, PreloadValue(nil, []byte{byte(i)})) {
 			t.Fatalf("key %d after double crash: value=%v ok=%v", i, v, ok)
 		}
 	}
@@ -436,8 +445,8 @@ func TestReconnectOnRestart(t *testing.T) {
 	var put kv.Result
 	c.Put(key, []byte("during"), func(r kv.Result) { put = r })
 	cl.Eng.RunUntil(sim.Millisecond)
-	if put.Err != nil || c.suspected == 0 {
-		t.Fatalf("write during the outage = %+v with %d suspicions; want it served and the down shard's request timed out", put, c.suspected)
+	if s := suspicions(t, c); put.Err != nil || s == 0 {
+		t.Fatalf("write during the outage = %+v with %d suspicions; want it served and the down shard's request timed out", put, s)
 	}
 	if sub.Reconnects() != 0 {
 		t.Fatal("the client reconnected to a down shard")

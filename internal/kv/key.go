@@ -22,6 +22,12 @@ var ErrZeroKey = errors.New("kv: zero keyhash is reserved")
 // refuses it before issuing anything.
 var ErrEmptyValue = errors.New("kv: PUT requires a non-empty value")
 
+// ErrUnstamped rejects a value with no version stamp where the store
+// orders values by their stamps (mica's PutNewer and LoadNewer, and a
+// versioned HERD server): bytes shorter than VersionPrefixLen carry no
+// version, so they could neither outrank nor lose to a stamped entry.
+var ErrUnstamped = errors.New("kv: versioned value carries no stamp")
+
 // Key is a 16-byte keyhash.
 type Key [KeySize]byte
 

@@ -154,6 +154,13 @@ func TestFleetNemesisConformance(t *testing.T) {
 	})
 }
 
+// The baselines report Inflight through their shared client core, so
+// counterInvariants' drain check runs on them too.
+var (
+	_ interface{ Inflight() int } = (*pilaf.Client)(nil)
+	_ interface{ Inflight() int } = (*farm.Client)(nil)
+)
+
 func TestPilafConformance(t *testing.T) {
 	Run(t, func(t *testing.T) Harness {
 		cl := cluster.New(cluster.Apt(), 2, 1)
@@ -175,7 +182,7 @@ func TestFaRMConformance(t *testing.T) {
 		cl := cluster.New(cluster.Apt(), 2, 1)
 		srv, err := farm.NewServer(cl.Machine(0), farm.Config{
 			Mode: farm.InlineMode, Buckets: 1 << 12, ValueSize: 32,
-			ExtentBytes: 1 << 22, H: 6, Cores: 4, Window: 4,
+			ExtentBytes: 1 << 22, Cores: 4, Window: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -292,9 +292,10 @@ func callbackExactlyOnce(t *testing.T, h Harness) {
 
 // counterInvariants checks the accounting that survives on every
 // backend: each op resolves, no op fails on a clean network, and a
-// backend that still reports Inflight/Failed (the core and fleet
-// clients) drains to zero in flight and counts exactly the failures
-// its callbacks saw.
+// backend that reports Inflight (the core, fleet, Pilaf and FaRM
+// clients) drains to zero in flight, and one that reports Failed (the
+// core and fleet clients) counts exactly the failures its callbacks
+// saw.
 func counterInvariants(t *testing.T, h Harness) {
 	const n = 16
 	resolved, failed := 0, 0

@@ -63,7 +63,8 @@ func AppendVersion(dst []byte, v Version, tombstone bool) []byte {
 // SplitVersion decodes the stamp from a stored value. It returns the
 // version, whether the entry is a tombstone, the payload that follows
 // the prefix, and ok=false when the buffer is too short to carry a
-// stamp (callers treat such values as unversioned legacy data).
+// stamp. No versioned store holds such a value: mica's PutNewer and
+// LoadNewer refuse it with ErrUnstamped.
 func SplitVersion(stored []byte) (v Version, tombstone bool, payload []byte, ok bool) {
 	if len(stored) < VersionPrefixLen {
 		return Version{}, false, nil, false

@@ -2,6 +2,7 @@ package mica
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -32,7 +33,7 @@ type twinCoverage struct {
 	tagCollision  uint64
 
 	// LoadNewer cases: a stamp newer, older or equal to the one queued
-	// for the same key in the same batch; unstamped bytes queued; the
+	// for the same key in the same batch; unstamped bytes refused; the
 	// first-lap fallback to PutNewer; stamps refused in all.
 	newerInBatch, olderInBatch, equalInBatch int
 	unstamped, newerFallbacks, refused       int
@@ -119,7 +120,10 @@ func runTwins(t testing.TB, ops []byte) (cov twinCoverage) {
 				var applied bool
 				applied, re = ref.PutNewer(key, v)
 				be = bulk.LoadNewer(key, v)
-				if !applied && re == nil {
+				switch {
+				case errors.Is(re, kv.ErrUnstamped):
+					cov.unstamped++
+				case !applied && re == nil:
 					cov.refused++
 				}
 			}
@@ -168,18 +172,14 @@ func runTwins(t testing.TB, ops []byte) (cov twinCoverage) {
 // noteNewer records which LoadNewer case an ordered load of key and v
 // reaches on the queued twin, before it is applied.
 func (c *twinCoverage) noteNewer(bulk *Cache, key Key, v []byte, wraps bool) {
-	if key.IsZero() || len(v) > MaxValueSize {
+	if key.IsZero() || len(v) > MaxValueSize || len(v) < kv.VersionPrefixLen {
 		return
 	}
 	if wraps {
 		c.newerFallbacks++
 		return
 	}
-	nv, _, _, stamped := kv.SplitVersion(v)
-	if !stamped {
-		c.unstamped++
-		return
-	}
+	nv, _, _, _ := kv.SplitVersion(v)
 	for i := bulk.queued - 1; i >= 0; i-- {
 		p := bulk.queue[i]
 		if p.key != key || !p.newer {
@@ -248,7 +248,7 @@ func sameState(t testing.TB, op int, ref, bulk *Cache, keys []Key) {
 // of Loads and LoadNewers must leave a partition exactly as the same
 // stream of Puts and PutNewers, through full and partial batches,
 // duplicate keys within a batch (for LoadNewer, newer, older and equal
-// stamps), unstamped bytes, refused stamps, tag collisions, full
+// stamps), refused unstamped bytes, refused stamps, tag collisions, full
 // buckets and the log's first wrap. It also checks that the histories
 // reached each of those cases.
 func TestLoadMatchesPut(t *testing.T) {
@@ -323,12 +323,12 @@ func TestPutNewerMatchesGetThenPut(t *testing.T) {
 			if len(v) >= kv.VersionPrefixLen && ops[i] < 240 {
 				kv.AppendVersion(v[:0], kv.Version{Epoch: 1, Seq: uint64(ops[i] % 8)}, false)
 			}
-			want := true
-			if nv, _, _, ok := kv.SplitVersion(v); ok {
-				if old, found := ref.Get(key); found {
-					if ov, _, _, ook := kv.SplitVersion(old); ook && !ov.Less(nv) {
-						want = false
-					}
+			want, wantErr := true, error(nil)
+			if nv, _, _, ok := kv.SplitVersion(v); !ok {
+				want, wantErr = false, kv.ErrUnstamped
+			} else if old, found := ref.Get(key); found {
+				if ov, _, _, _ := kv.SplitVersion(old); !ov.Less(nv) {
+					want = false
 				}
 			}
 			if want {
@@ -336,8 +336,8 @@ func TestPutNewerMatchesGetThenPut(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got, err := one.PutNewer(key, v); err != nil || got != want {
-				t.Fatalf("seed %d op %d: PutNewer = %v,%v, want %v", seed, i, got, err, want)
+			if got, err := one.PutNewer(key, v); err != wantErr || got != want {
+				t.Fatalf("seed %d op %d: PutNewer = %v,%v, want %v,%v", seed, i, got, err, want, wantErr)
 			}
 			if !slices.Equal(ref.slots, one.slots) || !slices.Equal(ref.fifoPos, one.fifoPos) || ref.head != one.head {
 				t.Fatalf("seed %d op %d: index, FIFO victims or log head differ", seed, i)

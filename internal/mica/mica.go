@@ -371,10 +371,9 @@ func (c *Cache) victim(base int) int {
 	return base + v
 }
 
-// slotNewer is slotFor for a versioned value, or -1 when key's stored
-// entry carries a stamp that value's does not outrank. An unstamped
-// value takes slotFor's choice, and an unstamped stored entry is
-// overwritten. The one scan both compares and places, and it treats a
+// slotNewer is slotFor for a stamped value, or -1 when key's stored
+// entry carries a stamp that value's does not outrank. The one scan
+// both compares and places, and it treats a
 // tag match that is not key as Get does: an entry the log has
 // overwritten frees its slot, any other is a tag false positive. So the
 // index ends as after the Get of the stored stamp and the Put it
@@ -382,10 +381,7 @@ func (c *Cache) victim(base int) int {
 //
 //herd:hotpath
 func (c *Cache) slotNewer(base int, tag uint16, key Key, value []byte) int {
-	nv, _, _, stamped := kv.SplitVersion(value)
-	if !stamped {
-		return c.slotFor(base, tag, key)
-	}
+	nv, _, _, _ := kv.SplitVersion(value)
 	free := -1
 	for i := base; i < base+c.cfg.BucketSlots; i++ {
 		s := c.slots[i]
@@ -401,7 +397,7 @@ func (c *Cache) slotNewer(base int, tag uint16, key Key, value []byte) int {
 		c.stats.MemAccesses++ // log entry read
 		stored, old, ok := c.entry(s.off())
 		if ok && stored == key {
-			if ov, _, _, ook := kv.SplitVersion(old); ook && !ov.Less(nv) {
+			if ov, _, _, _ := kv.SplitVersion(old); !ov.Less(nv) {
 				return -1
 			}
 			return i
@@ -426,9 +422,8 @@ func (c *Cache) slotNewer(base int, tag uint16, key Key, value []byte) int {
 // (kv.AppendVersion): it stores value only if its stamp outranks the
 // stored entry's, so replays, repair back-fills and duplicate retries
 // apply idempotently in any order. A refused stamp neither appends nor
-// indexes. An unstamped value, or an unstamped stored entry, is
-// overwritten as by Put. It reports whether value was stored, and
-// refuses what Put refuses.
+// indexes. It reports whether value was stored, and refuses what Put
+// refuses, and a value too short to carry a stamp (kv.ErrUnstamped).
 //
 //herd:hotpath
 func (c *Cache) PutNewer(key Key, value []byte) (bool, error) {
@@ -437,6 +432,9 @@ func (c *Cache) PutNewer(key Key, value []byte) (bool, error) {
 	}
 	if len(value) > MaxValueSize {
 		return false, ErrValueTooLarge
+	}
+	if len(value) < kv.VersionPrefixLen {
+		return false, kv.ErrUnstamped
 	}
 	if c.queued != 0 {
 		c.settle()
@@ -490,7 +488,7 @@ func (c *Cache) Load(key Key, value []byte) error {
 // it, the batch's later entries move down over it, so a refused stamp
 // leaves no log bytes behind. An append that could reach the end of
 // the log's first lap falls back to PutNewer. LoadNewer reports only
-// the checks Put makes, not whether the stamp was accepted.
+// the checks PutNewer makes, not whether the stamp was accepted.
 //
 //herd:hotpath
 func (c *Cache) LoadNewer(key Key, value []byte) error {
@@ -499,6 +497,9 @@ func (c *Cache) LoadNewer(key Key, value []byte) error {
 	}
 	if len(value) > MaxValueSize {
 		return ErrValueTooLarge
+	}
+	if len(value) < kv.VersionPrefixLen {
+		return kv.ErrUnstamped
 	}
 	if c.head+uint64(entryHeader+len(value)) > uint64(c.cfg.LogBytes) {
 		_, err := c.PutNewer(key, value)

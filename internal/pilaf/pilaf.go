@@ -22,6 +22,7 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/cuckoo"
 	"herdkv/internal/kv"
+	"herdkv/internal/readclient"
 	"herdkv/internal/sim"
 	"herdkv/internal/verbs"
 	"herdkv/internal/wire"
@@ -59,8 +60,6 @@ type Server struct {
 	bucketMR *verbs.MR
 	extentMR *verbs.MR
 	nextCore int
-
-	puts uint64
 }
 
 // NewServer initializes Pilaf on machine m.
@@ -85,75 +84,28 @@ func (s *Server) Insert(key kv.Key, value []byte) error {
 // every cuckoo bucket probe plus the extent fetch.
 type Result = kv.Result
 
-// Client is one Pilaf client: an RC QP for READs and a UC QP pair for
-// PUT messages.
+// Client is one Pilaf client: the shared baseline core's RC QP for
+// READs, and a UC QP pair for PUT messages.
 type Client struct {
-	srv     *Server
-	machine *cluster.Machine
+	readclient.Core
+	srv *Server
 
-	rcQP  *verbs.QP // READs (RC only — Table 1)
 	ucQP  *verbs.QP // PUT SENDs
 	srvUC *verbs.QP // server end of the PUT channel
-
-	scratch *verbs.MR // READ landing buffer
-	ackMR   *verbs.MR // PUT ack RECV buffer
-
-	pendingPuts []*putOp
-	readSeq     uint64
-
-	// readWaiters holds one-shot continuations matched FIFO to READ
-	// completions on rcQP.
-	readWaiters []func()
-	cqArmed     bool
-
-	// Window management: at most cfg.Window ops outstanding (PUTs must
-	// not outrun the server's pre-posted RECVs).
-	inflight int
-	waiting  []func()
-
-	// vals backs GET-hit values: each is cut from a shared block and
-	// handed to one callback (kv.Slab), so a hit allocates nothing.
-	vals kv.Slab
+	ackMR *verbs.MR // PUT ack RECV buffer
 }
 
 // Client implements the shared client interface.
 var _ kv.KV = (*Client)(nil)
 
-// startOp gates an operation on the client window; fn runs when a slot
-// is free.
-func (c *Client) startOp(fn func()) {
-	if c.inflight >= c.srv.cfg.Window {
-		c.waiting = append(c.waiting, fn)
-		return
-	}
-	c.inflight++
-	fn()
-}
-
-// finishOp releases a window slot and starts the next queued op.
-func (c *Client) finishOp() {
-	c.inflight--
-	if len(c.waiting) > 0 && c.inflight < c.srv.cfg.Window {
-		next := c.waiting[0]
-		c.waiting = c.waiting[1:]
-		c.inflight++
-		next()
-	}
-}
-
-type putOp struct {
-	key      kv.Key
-	issuedAt sim.Time
-	cb       func(Result)
-}
+// landingSlot is the size of each READ landing slot: a bucket or an
+// extent entry of the largest value.
+const landingSlot = 2 * 1024
 
 // ConnectClient attaches a client on machine m.
 func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
-	c := &Client{srv: s, machine: m}
-
-	c.rcQP = m.Verbs.CreateQP(wire.RC)
-	srvRC := s.machine.Verbs.CreateQP(wire.RC)
-	if err := verbs.Connect(c.rcQP, srvRC); err != nil {
+	c := &Client{srv: s}
+	if err := c.Connect(m, s.machine, s.cfg.Window, landingSlot); err != nil {
 		return nil, err
 	}
 
@@ -162,19 +114,21 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 	if err := verbs.Connect(c.ucQP, c.srvUC); err != nil {
 		return nil, err
 	}
-
-	c.scratch = m.Verbs.RegisterMR((s.cfg.Window + 1) * 2 * 1024)
 	c.ackMR = m.Verbs.RegisterMR(s.cfg.Window * ackSize)
 
 	// Server-side PUT channel: RECVs into a staging region, CPU insert,
 	// SEND ack.
 	stage := s.machine.Verbs.RegisterMR(s.cfg.Window * (putHdr + cuckoo.MaxValueSize))
 	for w := 0; w < s.cfg.Window; w++ {
-		mustPost(c.srvUC.PostRecv(stage, w*(putHdr+cuckoo.MaxValueSize), putHdr+cuckoo.MaxValueSize, uint64(w)))
+		readclient.MustPost(c.srvUC.PostRecv(stage, w*(putHdr+cuckoo.MaxValueSize), putHdr+cuckoo.MaxValueSize, uint64(w)))
 	}
 	c.srvUC.RecvCQ().SetHandler(func(comp verbs.Completion) { s.handlePut(c, stage, comp) })
 
-	c.ucQP.RecvCQ().SetHandler(func(comp verbs.Completion) { c.handleAck(comp) })
+	c.ucQP.RecvCQ().SetHandler(func(comp verbs.Completion) {
+		if !comp.Flushed {
+			c.Ack(len(comp.Data) >= 1 && comp.Data[0] == 1)
+		}
+	})
 	return c, nil
 }
 
@@ -205,36 +159,13 @@ func (s *Server) handlePut(c *Client, stage *verbs.MR, comp verbs.Completion) {
 		} else if err := s.table.Insert(key, data[putHdr:putHdr+vlen]); err != nil {
 			status = 0
 		}
-		s.puts++
 		// Repost the consumed RECV slot.
 		w := comp.WRID
-		mustPost(c.srvUC.PostRecv(stage, int(w)*(putHdr+cuckoo.MaxValueSize), putHdr+cuckoo.MaxValueSize, w))
+		readclient.MustPost(c.srvUC.PostRecv(stage, int(w)*(putHdr+cuckoo.MaxValueSize), putHdr+cuckoo.MaxValueSize, w))
 		// Ack: inlined unsignaled SEND.
-		mustPost(c.srvUC.PostSend(verbs.SendWR{Verb: verbs.SEND, Data: []byte{status}, Inline: true}))
+		readclient.MustPost(c.srvUC.PostSend(verbs.SendWR{Verb: verbs.SEND, Data: []byte{status}, Inline: true}))
 	})
 }
-
-func (c *Client) handleAck(comp verbs.Completion) {
-	if comp.Flushed || len(c.pendingPuts) == 0 {
-		return
-	}
-	op := c.pendingPuts[0]
-	c.pendingPuts = c.pendingPuts[1:]
-	ok := len(comp.Data) >= 1 && comp.Data[0] == 1
-	c.finishOp()
-	if op.cb != nil {
-		status := kv.StatusMiss
-		if ok {
-			status = kv.StatusHit
-		}
-		op.cb(Result{
-			Key: op.key, Status: status,
-			Latency: c.now() - op.issuedAt,
-		})
-	}
-}
-
-func (c *Client) now() sim.Time { return c.machine.Verbs.NIC().Engine().Now() }
 
 // Put sends a PUT message (SEND over UC, inlined when small). The
 // client window bounds outstanding ops so PUTs never outrun the server's
@@ -250,21 +181,17 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 	if len(value) > cuckoo.MaxValueSize {
 		return cuckoo.ErrValueSize
 	}
-	val := append([]byte(nil), value...)
-	c.startOp(func() {
+	msg := make([]byte, putHdr+len(value))
+	copy(msg, key[:])
+	binary.LittleEndian.PutUint16(msg[kv.KeySize:], uint16(len(value)))
+	copy(msg[putHdr:], value)
+	c.Core.Put(key, cb, func() {
 		// Post the ack RECV before the request.
-		mustPost(c.ucQP.PostRecv(c.ackMR, 0, ackSize, 0))
-
-		msg := make([]byte, putHdr+len(val))
-		copy(msg, key[:])
-		binary.LittleEndian.PutUint16(msg[kv.KeySize:], uint16(len(val)))
-		copy(msg[putHdr:], val)
-
-		c.pendingPuts = append(c.pendingPuts, &putOp{key: key, issuedAt: c.now(), cb: cb})
-		mustPost(c.ucQP.PostSend(verbs.SendWR{
+		readclient.MustPost(c.ucQP.PostRecv(c.ackMR, 0, ackSize, 0))
+		readclient.MustPost(c.ucQP.PostSend(verbs.SendWR{
 			Verb:   verbs.SEND,
 			Data:   msg,
-			Inline: len(msg) <= c.machine.Verbs.NIC().Params().InlineMax,
+			Inline: c.Inline(len(msg)),
 		}))
 	})
 	return nil
@@ -274,127 +201,31 @@ func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
 // fragment matches (or K probes fail), then an extent READ verified
 // against the bucket's checksum. The server CPU does no work.
 func (c *Client) Get(key kv.Key, cb func(Result)) error {
-	if key.IsZero() {
-		return kv.ErrZeroKey
-	}
-	c.startOp(func() { c.doGet(key, cb) })
-	return nil
+	return c.Core.Get(key, cb, func(g *readclient.Get) { c.probe(g, key, 0) })
 }
 
-func (c *Client) doGet(key kv.Key, cb func(Result)) {
-	start := c.now()
-	idxs := c.srv.table.BucketIndices(key)
-	frag := cuckoo.Frag(key)
-	res := Result{Key: key, IsGet: true}
-
-	probe := 0
-	var tryProbe func()
-	var fetchValue func(b cuckoo.Bucket)
-
-	finish := func() {
-		res.Latency = c.now() - start
-		if res.Status == kv.StatusUnknown {
-			res.Status = kv.StatusMiss
-		}
-		c.finishOp()
-		if cb != nil {
-			cb(res)
-		}
+// probe READs the key's next candidate bucket; a bucket whose fragment
+// matches has its extent entry fetched.
+func (c *Client) probe(g *readclient.Get, key kv.Key, i int) {
+	if i >= cuckoo.K {
+		g.Finish()
+		return
 	}
-
-	tryProbe = func() {
-		if probe >= cuckoo.K {
-			finish()
+	idx := c.srv.table.BucketIndices(key)[i]
+	g.Read(c.srv.bucketMR, c.srv.table.BucketOffset(idx), cuckoo.BucketSize, func(landed []byte) {
+		b, ok := cuckoo.ParseBucket(landed)
+		if !ok || b.Frag != cuckoo.Frag(key) {
+			c.probe(g, key, i+1)
 			return
 		}
-		idx := idxs[probe]
-		probe++
-		res.Reads++
-		// Each probe lands in its own scratch slot.
-		lo := (int(c.readSeq) % (c.srv.cfg.Window + 1)) * 2 * 1024
-		c.readSeq++
-		err := c.rcQP.PostSend(verbs.SendWR{
-			Verb:      verbs.READ,
-			Remote:    c.srv.bucketMR,
-			RemoteOff: c.srv.table.BucketOffset(idx),
-			Local:     c.scratch,
-			LocalOff:  lo,
-			Len:       cuckoo.BucketSize,
-			Signaled:  true,
-		})
-		if err != nil {
-			finish()
-			return
-		}
-		c.awaitRead(func() {
-			b, ok := cuckoo.ParseBucket(c.scratch.Bytes()[lo : lo+cuckoo.BucketSize])
-			if !ok || b.Frag != frag {
-				tryProbe()
-				return
-			}
-			fetchValue(b)
-		})
-	}
-
-	fetchValue = func(b cuckoo.Bucket) {
-		res.Reads++
-		n := cuckoo.EntryBytes(int(b.VLen))
-		lo := (int(c.readSeq) % (c.srv.cfg.Window + 1)) * 2 * 1024
-		c.readSeq++
-		err := c.rcQP.PostSend(verbs.SendWR{
-			Verb:      verbs.READ,
-			Remote:    c.srv.extentMR,
-			RemoteOff: cuckoo.ExtentOffset(b.Ptr),
-			Local:     c.scratch,
-			LocalOff:  lo,
-			Len:       n,
-			Signaled:  true,
-		})
-		if err != nil {
-			finish()
-			return
-		}
-		c.awaitRead(func() {
-			v, ok := cuckoo.VerifyExtentEntry(c.scratch.Bytes()[lo:lo+n], key, b)
-			if ok {
-				res.Status = kv.StatusHit
-				res.Value = c.vals.Copy(v)
-				finish()
+		g.Read(c.srv.extentMR, cuckoo.ExtentOffset(b.Ptr), cuckoo.EntryBytes(int(b.VLen)), func(landed []byte) {
+			if v, ok := cuckoo.VerifyExtentEntry(landed, key, b); ok {
+				g.Hit(v)
 				return
 			}
 			// Checksum mismatch (torn read under a concurrent PUT):
 			// continue probing, falling back to a miss.
-			tryProbe()
+			c.probe(g, key, i+1)
 		})
-	}
-
-	tryProbe()
-}
-
-// awaitRead registers a one-shot continuation for the next READ
-// completion on this client's RC QP. READs on one QP complete in order,
-// and each client GET issues its READs sequentially, so FIFO matching is
-// exact.
-func (c *Client) awaitRead(fn func()) {
-	c.readWaiters = append(c.readWaiters, fn)
-	if !c.cqArmed {
-		c.cqArmed = true
-		c.rcQP.SendCQ().SetHandler(func(verbs.Completion) {
-			if len(c.readWaiters) == 0 {
-				return
-			}
-			next := c.readWaiters[0]
-			c.readWaiters = c.readWaiters[1:]
-			next()
-		})
-	}
-}
-
-// mustPost consumes the synchronous error from a verbs post. Pilaf-em
-// implements no crash recovery, so any rejected post — including an
-// errored queue pair — is unsupported territory: fail loudly.
-func mustPost(err error) {
-	if err != nil {
-		panic(err)
-	}
+	})
 }

@@ -146,8 +146,10 @@ func TestManyPutsAcrossClients(t *testing.T) {
 	if oks != n {
 		t.Fatalf("oks = %d / %d", oks, n)
 	}
-	if srv.puts != uint64(n) {
-		t.Fatalf("server puts = %d", srv.puts)
+	for i := 0; i < n; i++ {
+		if _, ok := srv.table.Lookup(kv.FromUint64(uint64(i + 1))); !ok {
+			t.Fatalf("key %d missing from the server's table", i+1)
+		}
 	}
 	// Everything readable afterwards.
 	got := 0

@@ -279,7 +279,6 @@ func (qp *QP) signalCompletion(wr SendWR, bytes int) {
 //herd:hotpath
 func (qp *QP) deliver(op *sendOp, corrupt bool) {
 	if qp.errored {
-		qp.droppedSends++
 		qp.host.telDropped.Inc()
 		return
 	}
@@ -312,7 +311,6 @@ func (qp *QP) finishInbound(op *sendOp) {
 	dmaBytes := len(op.rx)
 	if op.wr.Verb == SEND {
 		if qp.recvQueue.Len() == 0 {
-			qp.droppedSends++
 			qp.host.telDropped.Inc()
 			return
 		}
@@ -358,7 +356,6 @@ func (qp *QP) landInbound(op *sendOp, at sim.Time) {
 // response packet. Again no responder CPU involvement.
 func (qp *QP) deliverReadRequest(src *QP, op *sendOp) {
 	if qp.errored {
-		qp.droppedSends++
 		qp.host.telDropped.Inc()
 		return
 	}

@@ -95,6 +95,7 @@ func (c *landingCheck) check(what string, got []byte) int {
 // and every verb and RECV must be accounted for.
 func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 	tb := newTestbed()
+	droppedB := dropCounter(tb.b)
 	bus := pcie.NewBus(tb.eng, pcie.Gen3x8())
 	c := NewHost(tb.eng, nic.New(tb.eng, nic.ConnectX3(), bus, tb.net, 2))
 	faults := &alternatingFaults{verdicts: map[wire.NodeID]*[3]int{}}
@@ -113,7 +114,7 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 
 	// Requesters: ucA on host a (node 0) and udA on host c (node 2), so
 	// the hook's per-node tallies split WRITE and SEND packets.
-	ucA, ucB := connectedPair(tb, wire.UC)
+	ucA, _ := connectedPair(tb, wire.UC)
 	udA := c.CreateQP(wire.UD)
 	var ucFlushed, recvFlushed, recvDone int
 	ucA.SendCQ().SetHandler(func(cq Completion) {
@@ -164,7 +165,7 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 
 	// Phase 2: fresh QPs draw records from the same pools while the
 	// abandoned ones may still be pending.
-	ucA2, ucB2 := connectedPair(tb, wire.UC)
+	ucA2, _ := connectedPair(tb, wire.UC)
 	udB2 := tb.b.CreateQP(wire.UD)
 	udB2.RecvCQ().SetHandler(recvHandler)
 	for wrN < 2*perPhase {
@@ -175,9 +176,6 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 
 	if ucFlushed == 0 || recvFlushed == 0 {
 		t.Fatalf("SetError flushed %d WRITEs and %d RECVs; the test must catch work in flight", ucFlushed, recvFlushed)
-	}
-	if ucB.droppedSends+ucB2.droppedSends != 0 {
-		t.Fatal("a live WRITE responder dropped a WRITE")
 	}
 	// WRITEs: every verb was flushed or sent one packet, and every packet
 	// the fabric did not drop landed once, intact or rejected.
@@ -196,7 +194,9 @@ func TestRecordPoolSafetyUnderFaults(t *testing.T) {
 	if s[wire.FateDeliver]+s[wire.FateDrop]+s[wire.FateCorrupt] != sendN {
 		t.Fatalf("SENDs: verdicts %v, want %d packets", *s, sendN)
 	}
-	if dropped := int(udB.droppedSends + udB2.droppedSends); recvDone+dropped != s[wire.FateDeliver]+s[wire.FateCorrupt] {
+	// The WRITE tally above accounts for every WRITE packet, so every
+	// drop host b counted is a SEND's.
+	if dropped := int(droppedB.Value()); recvDone+dropped != s[wire.FateDeliver]+s[wire.FateCorrupt] {
 		t.Fatalf("SENDs: %d completed + %d dropped, fabric passed %d", recvDone, dropped, s[wire.FateDeliver]+s[wire.FateCorrupt])
 	}
 	if recvDone != sends.intact+sends.rejected || sends.rejected == 0 || writes.rejected == 0 {

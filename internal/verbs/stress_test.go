@@ -21,6 +21,7 @@ func TestRandomOpStormProperty(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		tb := newTestbed()
 		tb.net.AddNode(2)
+		droppedB := dropCounter(tb.b)
 
 		// A small zoo of QPs.
 		ucA, ucB := connectedPair(tb, wire.UC)
@@ -94,8 +95,8 @@ func TestRandomOpStormProperty(t *testing.T) {
 		if readsDone != reads {
 			return false
 		}
-		dropped := int(ucB.droppedSends + rcB.droppedSends + udB.droppedSends + dcB.droppedSends)
-		return recvd+dropped == sends
+		// Every SEND goes to a QP on host b.
+		return recvd+int(droppedB.Value()) == sends
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

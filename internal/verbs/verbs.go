@@ -262,8 +262,6 @@ type QP struct {
 	// RC ordering: ACKed completions pop in post order.
 	awaitingAck fifo.Queue[pendingAck]
 
-	droppedSends uint64 // inbound SENDs discarded for lack of a RECV
-
 	// errored marks the QP as transitioned to the error state: posted
 	// WRs flush with Flushed completions, new posts are rejected, and
 	// inbound traffic is silently discarded (the peer's NIC would see

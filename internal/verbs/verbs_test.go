@@ -8,6 +8,7 @@ import (
 	"herdkv/internal/nic"
 	"herdkv/internal/pcie"
 	"herdkv/internal/sim"
+	"herdkv/internal/telemetry"
 	"herdkv/internal/wire"
 )
 
@@ -35,6 +36,16 @@ func connectedPair(tb *testbed, t wire.Transport) (*QP, *QP) {
 		panic(err)
 	}
 	return qa, qb
+}
+
+// dropCounter attaches a telemetry sink to h and returns its
+// verbs.send.dropped counter: the inbound SENDs (and READ requests)
+// that h's queue pairs discarded, for lack of a RECV or in the error
+// state.
+func dropCounter(h *Host) *telemetry.Counter {
+	s := telemetry.New()
+	h.SetTelemetry(s)
+	return s.Counter("verbs.send.dropped")
 }
 
 // collect routes cq's completions into a slice the test reads once the
@@ -167,13 +178,14 @@ func TestSendRecvChannelSemantics(t *testing.T) {
 func TestSendWithoutRecvDropped(t *testing.T) {
 	tb := newTestbed()
 	qa, qb := connectedPair(tb, wire.UC)
+	dropped := dropCounter(tb.b)
 	recv := collect(qb.RecvCQ())
 	if err := qa.PostSend(SendWR{Verb: SEND, Data: []byte("nobody home"), Inline: true}); err != nil {
 		t.Fatal(err)
 	}
 	tb.eng.Run()
-	if qb.droppedSends != 1 {
-		t.Fatalf("dropped = %d, want 1", qb.droppedSends)
+	if dropped.Value() != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped.Value())
 	}
 	if len(*recv) != 0 {
 		t.Fatal("unexpected recv completion")

@@ -270,8 +270,7 @@ type Log struct {
 	gen     int
 	crashed bool
 
-	appends, flushes, replayed uint64
-	tornBytes, snapshots       uint64
+	appends, flushes, replayed, snapshots uint64
 
 	telAppends, telFlushes   *telemetry.Counter
 	telReplayed, telSnapshot *telemetry.Counter
@@ -626,7 +625,6 @@ func (l *Log) Recover(apply func(Record), done func(RecoverStats)) {
 	l.durable.truncate(clean)
 	l.snapBase = clean
 	if torn > 0 {
-		l.tornBytes += uint64(torn)
 		l.telTorn.Add(uint64(torn))
 	}
 	cost := l.xfer(readBytes) + l.cfg.PersistLatency +

@@ -195,9 +195,6 @@ func TestCrashMidFlushLeavesTornTailTruncatedOnRecover(t *testing.T) {
 	if stats.TornBytes == 0 {
 		t.Fatal("mid-flush crash left no torn tail")
 	}
-	if l.tornBytes == 0 {
-		t.Fatal("torn bytes not counted")
-	}
 	for _, r := range got {
 		if r.Key != kv.FromUint64(1) && r.Key != kv.FromUint64(2) {
 			t.Fatalf("replayed an invented record: %+v", r)
