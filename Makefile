@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-check tables microbench loc unrun unrun-check sensitivity
+.PHONY: all build vet lint test race bench bench-check tables metrics microbench loc unrun unrun-check sensitivity
 
 all: build vet lint test
 
@@ -41,6 +41,14 @@ bench-check:
 tables:
 	@$(GO) run ./cmd/herdbench -warmup 50 -span 150 all | sed '/ generated in /d'
 
+# The -metrics dump of every target at the same windows, so a
+# refactor's "dump unchanged" check is one diff of this output from two
+# commits.
+metrics:
+	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) run ./cmd/herdbench -warmup 50 -span 150 -metrics "$$tmp" all >/dev/null; \
+	cat "$$tmp"
+
 # Paper-figure benchmarks, plus the simulator substrate's per-event
 # microbenchmarks (engine schedule+step, one event against a standing
 # queue shaped like fleet-write's, Server job, PIO write, packet send),
@@ -70,7 +78,7 @@ loc:
 # every BENCH_*.json into the temp dir), one more herdbench pass
 # writes the telemetry outputs (-metrics -trace -perqp on the anatomy
 # target), one runs the chaos target under a script that uses every
-# fault keyword, herdload runs once with loss and retries, every bench
+# fault keyword and writes its metrics dump, herdload runs once with loss and retries, every bench
 # workload runs for a second, each example runs once, and the merged
 # profile's 0.0% functions are printed. The bench/ lines are dropped
 # because `go tool cover` cannot resolve that nested module's files from
@@ -90,7 +98,8 @@ unrun:
 	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -cluster susitna -warmup 50 -span 150 all >/dev/null; \
 	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -warmup 50 -span 150 -metrics "$$tmp/metrics.txt" \
 		-trace "$$tmp/trace.json" -perqp anatomy >/dev/null; \
-	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -faults $(UNRUN_FAULTS) chaos >/dev/null; \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -metrics "$$tmp/chaos-metrics.txt" \
+		-faults $(UNRUN_FAULTS) chaos >/dev/null; \
 	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdload" -system herd -loss 0.02 -retry 25 >/dev/null; \
 	for w in $(UNRUN_WORKLOADS); do \
 		GOCOVERDIR="$$tmp/cov" "$$tmp/bench" --workload $$w --seconds 1 >/dev/null; \

@@ -127,13 +127,15 @@ type Client struct {
 	// handed to one callback (kv.Slab), so a hit allocates nothing.
 	vals kv.Slab
 
-	retried          uint64
-	dupResponses     uint64
-	failed           uint64 // terminal retry-budget failures
-	corruptResponses uint64 // responses rejected by the status check
-	reconnects       uint64 // completed re-registration handshakes
-	busyRx           uint64 // busy pushback responses received
-	windowShrinks    uint64 // multiplicative-decrease events
+	// Per-client event counts, each tracked under its herd.* name
+	// when the machine is instrumented.
+	retried          *telemetry.Counter
+	dupResponses     *telemetry.Counter
+	failed           *telemetry.Counter // terminal retry-budget failures
+	corruptResponses *telemetry.Counter // responses rejected by the status check
+	reconnects       *telemetry.Counter // completed re-registration handshakes
+	busyRx           *telemetry.Counter // busy pushback responses received
+	windowShrinks    uint64             // multiplicative-decrease events
 
 	// cwnd is the AIMD congestion window (Config.AdaptiveWindow):
 	// fractional so additive increase accumulates 1/cwnd per clean
@@ -152,37 +154,35 @@ type Client struct {
 
 	// Telemetry (nil handles when un-instrumented): operation counters
 	// and end-to-end latency histograms, aggregated across clients.
-	tel                                 *telemetry.Sink
-	telIssued, telCompleted, telRetried *telemetry.Counter
-	telDup, telFailed, telCorrupt       *telemetry.Counter
-	telReconnects, telBusyRx            *telemetry.Counter
-	telWindow                           *telemetry.Gauge
-	latGet, latPut                      *telemetry.Histogram
+	tel                     *telemetry.Sink
+	telIssued, telCompleted *telemetry.Counter
+	telWindow               *telemetry.Gauge
+	latGet, latPut          *telemetry.Histogram
 }
 
 // Retries reports how many application-level request rewrites this
 // client has performed (nonzero only under packet loss with
 // Config.RetryTimeout set).
-func (c *Client) Retries() uint64 { return c.retried }
+func (c *Client) Retries() uint64 { return c.retried.Value() }
 
 // Failed reports operations that ended with a terminal ErrTimedOut
 // after exhausting the retry budget.
-func (c *Client) Failed() uint64 { return c.failed }
+func (c *Client) Failed() uint64 { return c.failed.Value() }
 
 // DupResponses reports responses discarded because no outstanding op
 // matched them (duplicates from retried requests).
-func (c *Client) DupResponses() uint64 { return c.dupResponses }
+func (c *Client) DupResponses() uint64 { return c.dupResponses.Value() }
 
 // CorruptResponses reports responses rejected by the status validity
 // check (damaged in flight by injected corruption).
-func (c *Client) CorruptResponses() uint64 { return c.corruptResponses }
+func (c *Client) CorruptResponses() uint64 { return c.corruptResponses.Value() }
 
 // Reconnects reports completed crash-recovery handshakes.
-func (c *Client) Reconnects() uint64 { return c.reconnects }
+func (c *Client) Reconnects() uint64 { return c.reconnects.Value() }
 
 // BusyResponses reports busy pushback responses received from the
 // server's admission controller.
-func (c *Client) BusyResponses() uint64 { return c.busyRx }
+func (c *Client) BusyResponses() uint64 { return c.busyRx.Value() }
 
 // Window returns the client's current effective request window: the
 // AIMD window when Config.AdaptiveWindow is set, Config.Window
@@ -208,14 +208,15 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 	}
 	s.nextCli++
 	c.tel = m.Verbs.Telemetry()
+	telemetry.NewCells(c.tel, &c.retried, &c.dupResponses, &c.failed, &c.corruptResponses, &c.reconnects, &c.busyRx)
 	c.telIssued = c.tel.Counter("herd.ops.issued")
 	c.telCompleted = c.tel.Counter("herd.ops.completed")
-	c.telRetried = c.tel.Counter("herd.retries")
-	c.telDup = c.tel.Counter("herd.responses.duplicate")
-	c.telFailed = c.tel.Counter("herd.ops.failed")
-	c.telCorrupt = c.tel.Counter("herd.responses.corrupt")
-	c.telReconnects = c.tel.Counter("herd.reconnects")
-	c.telBusyRx = c.tel.Counter("herd.busy_rx")
+	c.tel.Counter("herd.retries").Track(c.retried)
+	c.tel.Counter("herd.responses.duplicate").Track(c.dupResponses)
+	c.tel.Counter("herd.ops.failed").Track(c.failed)
+	c.tel.Counter("herd.responses.corrupt").Track(c.corruptResponses)
+	c.tel.Counter("herd.reconnects").Track(c.reconnects)
+	c.tel.Counter("herd.busy_rx").Track(c.busyRx)
 	c.telWindow = c.tel.Gauge("client.window")
 	c.telWindow.Set(int64(c.window()))
 	c.latGet = c.tel.Histogram("herd.get.latency")
@@ -409,8 +410,7 @@ func (t *opTimer) Fire(sim.Time) {
 	}
 	op.retries++
 	op.attempt++
-	c.retried++
-	c.telRetried.Inc()
+	c.retried.Inc()
 	op.trace.Mark("retry", c.machine.Verbs.NIC().Engine().Now())
 	// The retry may produce a duplicate response (if the original
 	// response, not the request, was lost): post a spare RECV so the
@@ -673,8 +673,7 @@ func (c *Client) failOp(op *pendingOp) {
 	}
 	c.releaseSlot(op.proc)
 	c.inflight--
-	c.failed++
-	c.telFailed.Inc()
+	c.failed.Inc()
 	c.aimdShrink()
 	now := c.machine.Verbs.NIC().Engine().Now()
 	op.trace.Mark("failed", now)
@@ -766,8 +765,7 @@ func (c *Client) tryReconnect(gen, attempt int) {
 // pre-reconnect transmission.
 func (c *Client) finishReconnect(at sim.Time) {
 	c.reconnecting = false
-	c.reconnects++
-	c.telReconnects.Inc()
+	c.reconnects.Inc()
 	for proc := range c.perProc {
 		for _, op := range c.perProc[proc] {
 			op.attempt++
@@ -811,8 +809,7 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 	// complete (or fail) the wrong op.
 	status, tag, ok := parseRespHeader(comp.Data)
 	if !ok {
-		c.corruptResponses++
-		c.telCorrupt.Inc()
+		c.corruptResponses.Inc()
 		return
 	}
 	// Match the response to its operation by the echoed tag; a response
@@ -826,8 +823,7 @@ func (c *Client) handleResponse(proc int, comp verbs.Completion) {
 		}
 	}
 	if idx < 0 {
-		c.dupResponses++
-		c.telDup.Inc()
+		c.dupResponses.Inc()
 		return
 	}
 	op := c.perProc[proc][idx]
@@ -893,8 +889,7 @@ func (c *Client) handleBusy(op *pendingOp, hint sim.Time) {
 	op.retries = 0
 	c.releaseSlot(op.proc)
 	c.inflight--
-	c.busyRx++
-	c.telBusyRx.Inc()
+	c.busyRx.Inc()
 	c.aimdShrink()
 	now := c.machine.Verbs.NIC().Engine().Now()
 	op.trace.Mark("busy", now)

@@ -328,13 +328,10 @@ type Server struct {
 	gets, puts, getHits uint64
 	inlineResponses     uint64
 	nonInlineResponses  uint64
-	rejected            uint64 // malformed/corrupt requests refused
-	shed                uint64 // requests refused by admission control
 
-	// telRejected counts refused requests (nil when un-instrumented).
-	telRejected *telemetry.Counter
-	// telShed counts admission-control sheds.
-	telShed *telemetry.Counter
+	// Requests refused as malformed or corrupt, and by admission
+	// control; tracked under herd.* when instrumented.
+	rejected, shed *telemetry.Counter
 
 	// slotTraces carries a request's lifecycle trace from client to
 	// server in WRITE/DC mode, where the request itself travels only as
@@ -355,6 +352,10 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 		return nil, errors.New("core: Window and MaxClients must be positive")
 	}
 	s := &Server{cfg: cfg, machine: m}
+	tel := m.Verbs.Telemetry()
+	telemetry.NewCells(tel, &s.rejected, &s.shed)
+	tel.Counter("herd.requests.rejected").Track(s.rejected)
+	tel.Counter("herd.shed").Track(s.shed)
 	s.region = m.Verbs.RegisterMR(cfg.RegionSize())
 	s.parts = make([]*mica.Cache, cfg.NS)
 	s.udQPs = make([]*verbs.QP, cfg.NS)
@@ -365,13 +366,10 @@ func NewServer(m *cluster.Machine, cfg Config) (*Server, error) {
 	for i := range s.respScratch {
 		s.respScratch[i] = make([]byte, respHdr+mica.MaxValueSize+leaseBytes)
 	}
-	s.telRejected = m.Verbs.Telemetry().Counter("herd.requests.rejected")
-	s.telShed = m.Verbs.Telemetry().Counter("herd.shed")
 	for i := range s.parts {
 		s.parts[i] = mica.New(cfg.Mica)
 	}
 	if cfg.Durability != DurabilityOff {
-		tel := m.Verbs.Telemetry()
 		s.wlog = wal.New(m.Verbs.NIC().Engine(), cfg.WAL, tel)
 		s.wlog.SetSnapshotSource(s.snapshotLiveState)
 		s.telRecoveryTime = tel.Gauge("recovery.time")
@@ -666,11 +664,11 @@ func (s *Server) Stats() (gets, getHits, puts uint64) { return s.gets, s.getHits
 
 // Rejected reports requests refused by the length/keyhash validity
 // checks (corrupted or malformed).
-func (s *Server) Rejected() uint64 { return s.rejected }
+func (s *Server) Rejected() uint64 { return s.rejected.Value() }
 
 // Shed reports requests refused by admission control with a busy
 // pushback (Config.AdmissionLimit).
-func (s *Server) Shed() uint64 { return s.shed }
+func (s *Server) Shed() uint64 { return s.shed.Value() }
 
 // SetAdmissionLimit adjusts the admission queue cap at runtime (zero
 // disables shedding). Lets tests and experiments brown out a single
@@ -748,7 +746,7 @@ func (s *Server) serve(proc, client, slot int) {
 	req, ok := parseRequest(raw, 0)
 	if !ok {
 		// The client's retry will rewrite the slot.
-		s.reject()
+		s.rejected.Inc()
 		zeroTail(raw)
 		return
 	}
@@ -828,8 +826,7 @@ func (s *Server) retryAfterHint(proc int) sim.Time {
 // busy SEND carrying the retry-after hint, posted without
 // touching MICA or the process's service queue.
 func (s *Server) shedRequest(proc, client int, tag uint16, tr *telemetry.Trace) {
-	s.shed++
-	s.telShed.Inc()
+	s.shed.Inc()
 	now := s.machine.Verbs.NIC().Engine().Now()
 	tr.SetPrefix("")
 	tr.Mark("shed", now)
@@ -873,12 +870,6 @@ func (s *Server) noteService(proc int, service sim.Time) {
 //herd:hotpath
 func validLen(vlen int) bool {
 	return vlen <= mica.MaxValueSize && vlen <= SlotSize-tagTail
-}
-
-// reject counts one refused (malformed or corrupted) request.
-func (s *Server) reject() {
-	s.rejected++
-	s.telRejected.Inc()
 }
 
 // zeroTail clears a slot's LEN + keyhash so a rejected slot is not
@@ -1138,7 +1129,7 @@ func (s *Server) onSendRequest(proc int, comp verbs.Completion) {
 	}
 	data := comp.Data
 	if len(data) < sendReqTail {
-		s.reject()
+		s.rejected.Inc()
 		return
 	}
 	// Repost the consumed RECV immediately (its CPU cost is charged in
@@ -1149,7 +1140,7 @@ func (s *Server) onSendRequest(proc int, comp verbs.Completion) {
 	req, ok := parseRequest(data, sendReqTail-tagTail)
 	req.client = int(binary.LittleEndian.Uint16(data[n-sendReqTail : n-tagTail]))
 	if !ok || req.client >= len(s.clientUD) {
-		s.reject()
+		s.rejected.Inc()
 		return
 	}
 	req.proc, req.viaSend, req.trace = proc, true, comp.Trace

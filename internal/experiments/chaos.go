@@ -197,12 +197,18 @@ func Chaos(spec cluster.Spec, sched *fault.Schedule, seed int64) (*Table, *Repor
 // window. The table shows availability collapse during the outage and
 // recovery after the restart handshakes complete.
 func ChaosScenario(spec cluster.Spec) (*Table, *Report) {
-	sched, err := fault.ParseSchedule(`
+	return Chaos(spec, mustSchedule(`
 		loss  from=0 until=40ms rate=0.05
 		crash node=0 at=10ms restart=20ms
-	`)
+	`), 1)
+}
+
+// mustSchedule parses a packaged fault script; an error is a bug in the
+// script.
+func mustSchedule(script string) *fault.Schedule {
+	sched, err := fault.ParseSchedule(script)
 	if err != nil {
 		panic(err)
 	}
-	return Chaos(spec, sched, 1)
+	return sched
 }

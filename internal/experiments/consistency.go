@@ -46,37 +46,13 @@ const (
 	consistencyGap     = 20 * sim.Microsecond
 )
 
-// consistencyNemesis parameterizes one generated schedule: the shard
-// machines are crashable, the client machines join the link-fault peer
-// range so a generated blackout can sever one client from one replica —
-// the fault that splits a write's fan-out.
-func consistencyNemesis(seed int64) fault.NemesisConfig {
-	return fault.NemesisConfig{
-		Seed:       seed,
-		Until:      1200 * sim.Microsecond,
-		Nodes:      consistencyShards,
-		Peers:      consistencyShards + consistencyClients,
-		Crashes:    1,
-		Blackouts:  2,
-		Partitions: 1,
-		MinDown:    150 * sim.Microsecond,
-		MaxDown:    400 * sim.Microsecond,
-	}
-}
-
-// nemesisLine renders the config as its re-parseable script line. It
-// names flushcrashes only when there are some, so the line for a
-// config without them reads as it always has.
-func nemesisLine(cfg fault.NemesisConfig) string {
-	us := func(t sim.Time) string { return fmt.Sprintf("%gus", t.Microseconds()) }
-	flush := ""
-	if cfg.FlushCrashes > 0 {
-		flush = fmt.Sprintf(" flushcrashes=%d", cfg.FlushCrashes)
-	}
-	return fmt.Sprintf(
-		"nemesis seed=%d until=%s nodes=%d peers=%d crashes=%d%s blackouts=%d partitions=%d mindown=%s maxdown=%s",
-		cfg.Seed, us(cfg.Until), cfg.Nodes, cfg.Peers,
-		cfg.Crashes, flush, cfg.Blackouts, cfg.Partitions, us(cfg.MinDown), us(cfg.MaxDown))
+// consistencyScript is the nemesis line for one generated schedule:
+// the shard machines are crashable, the client machines join the
+// link-fault peer range so a generated blackout can sever one client
+// from one replica — the fault that splits a write's fan-out.
+func consistencyScript(seed int64) string {
+	return fmt.Sprintf("nemesis seed=%d until=1200us nodes=%d peers=%d crashes=1 blackouts=2 partitions=1 mindown=150us maxdown=400us",
+		seed, consistencyShards, consistencyShards+consistencyClients)
 }
 
 // consistencyNemesisSeed pins the schedule the report runs: the first
@@ -225,12 +201,11 @@ func consistencyArm(spec cluster.Spec, seed int64, sched *fault.Schedule) (Metri
 // renders the result. The report is BENCH_consistency.json, with one
 // arm, versioned-repair.
 func Consistency(spec cluster.Spec, seed int64) (*Table, *Report) {
-	cfg := consistencyNemesis(consistencyNemesisSeed)
 	rep := newReport("consistency", spec)
 	rep.Params["seed"] = fmt.Sprint(seed)
-	rep.Params["nemesis_seed"] = fmt.Sprint(cfg.Seed)
-	rep.Params["schedule"] = nemesisLine(cfg)
-	m, _ := consistencyArm(spec, seed, cfg.Generate())
+	rep.Params["nemesis_seed"] = fmt.Sprint(consistencyNemesisSeed)
+	rep.Params["schedule"] = consistencyScript(consistencyNemesisSeed)
+	m, _ := consistencyArm(spec, seed, mustSchedule(consistencyScript(consistencyNemesisSeed)))
 	rep.Arms["versioned-repair"] = m
 
 	t := &Table{

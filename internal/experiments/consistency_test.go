@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"herdkv/internal/cluster"
-	"herdkv/internal/fault"
 	"herdkv/internal/histcheck"
 )
 
@@ -42,7 +40,7 @@ func TestConsistencyGateSeeds(t *testing.T) {
 	const seeds = 64
 	spec := cluster.Apt()
 	for s := int64(1); s <= seeds; s++ {
-		m, _ := consistencyArm(spec, s, consistencyNemesis(s).Generate())
+		m, _ := consistencyArm(spec, s, mustSchedule(consistencyScript(s)))
 		if v, div := m["violations"].Value, m["divergent_after"].Value; v != 0 || div != 0 {
 			t.Errorf("seed %d: %.0f violations, %.0f divergent keys after the sweep; want 0 and 0", s, v, div)
 		}
@@ -55,7 +53,7 @@ func TestConsistencyGateSeeds(t *testing.T) {
 // to the value of a write that a later completed write superseded
 // before the read began; histcheck must then flag that key.
 func TestConsistencyCheckerCatchesStaleRead(t *testing.T) {
-	_, rec := consistencyArm(cluster.Apt(), 1, consistencyNemesis(consistencyNemesisSeed).Generate())
+	_, rec := consistencyArm(cluster.Apt(), 1, mustSchedule(consistencyScript(consistencyNemesisSeed)))
 	ops := rec.Ops()
 	done := func(o histcheck.Op) bool { return !o.Failed }
 	for r, read := range ops {
@@ -89,22 +87,4 @@ func TestConsistencyCheckerCatchesStaleRead(t *testing.T) {
 		}
 	}
 	t.Fatal("the recorded history has no read that follows two completed writes of its key")
-}
-
-// TestNemesisLineReparses checks that the report's schedule param is
-// the re-parseable script line: parsing it regenerates exactly the
-// events of the config it was rendered from, flush crashes included.
-func TestNemesisLineReparses(t *testing.T) {
-	flush := consistencyNemesis(1)
-	flush.FlushCrashes = 1
-	for _, cfg := range []fault.NemesisConfig{consistencyNemesis(1), flush} {
-		line := nemesisLine(cfg)
-		sched, err := fault.ParseSchedule(line)
-		if err != nil {
-			t.Fatalf("%q: %v", line, err)
-		}
-		if want := cfg.Generate().Events; !reflect.DeepEqual(sched.Events, want) {
-			t.Errorf("%q parses to %+v, want %+v", line, sched.Events, want)
-		}
-	}
 }

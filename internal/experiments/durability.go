@@ -6,7 +6,6 @@ import (
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
-	"herdkv/internal/fault"
 	"herdkv/internal/fleet"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
@@ -34,14 +33,6 @@ import (
 // as fleetChaosSchedule: the zero-failures invariant.
 const durabilityScript = "flushcrash node=0 at=2ms restart=3ms"
 
-func durabilitySchedule() *fault.Schedule {
-	sched, err := fault.ParseSchedule(durabilityScript)
-	if err != nil {
-		panic(err)
-	}
-	return sched
-}
-
 // durabilityArm runs one arm: the fleet-chaos deployment with the given
 // durability mode under the flushcrash schedule.
 func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics {
@@ -63,7 +54,7 @@ func durabilityArm(spec cluster.Spec, seed int64, mode core.Durability) Metrics 
 	// eviction would be indistinguishable from crash data loss in the
 	// post-drain audit, and this experiment gates on the latter.
 	fcfg.Herd.Mica.LogBytes = 2 << 20
-	cl, d, clients := deployFleet(chaosDeploy(spec, durabilitySchedule(), seed), chaosShards, fcfg)
+	cl, d, clients := deployFleet(chaosDeploy(spec, mustSchedule(durabilityScript), seed), chaosShards, fcfg)
 
 	// Heavy writes: the log must keep up under fire. The drain after
 	// runFor also covers the recovery catch-up.

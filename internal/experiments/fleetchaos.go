@@ -61,11 +61,5 @@ func FleetChaosScenario(spec cluster.Spec) (*Table, *Report) {
 // which is legitimate behavior but breaks the zero-failures invariant
 // this scenario demonstrates.
 func fleetChaosSchedule() *fault.Schedule {
-	sched, err := fault.ParseSchedule(`
-		crash node=0 at=2ms restart=4ms
-	`)
-	if err != nil {
-		panic(err)
-	}
-	return sched
+	return mustSchedule("crash node=0 at=2ms restart=4ms")
 }

@@ -171,12 +171,11 @@ type Injector struct {
 	targets map[wire.NodeID]CrashTarget
 	armed   bool
 
-	// Telemetry (nil-safe): injection counters by outcome.
-	injDrop, injCorrupt  *telemetry.Counter
-	injCrash, injRestart *telemetry.Counter
-	injNemesis           *telemetry.Counter
-	drops, corrupts      uint64
-	crashes, restarts    uint64
+	// Injection counts by outcome, tracked under fault.injected.* once
+	// SetTelemetry runs, and the nemesis event counter (nil-safe).
+	drops, corrupts   *telemetry.Counter
+	crashes, restarts *telemetry.Counter
+	injNemesis        *telemetry.Counter
 }
 
 // NewInjector attaches a validated schedule to the network. The packet
@@ -193,17 +192,23 @@ func NewInjector(net *wire.Network, sched *Schedule, seed int64) (*Injector, err
 		rnd:     sim.NewRand(seed),
 		targets: make(map[wire.NodeID]CrashTarget),
 	}
+	telemetry.NewCells(nil, &in.drops, &in.corrupts, &in.crashes, &in.restarts)
 	net.SetFaultHook(in.fate)
 	return in, nil
 }
 
-// SetTelemetry attaches fault.injected.* counters to sink s.
+// SetTelemetry tracks the injection counts under fault.injected.* in
+// sink s, once per registry.
 func (in *Injector) SetTelemetry(s *telemetry.Sink) {
-	in.injDrop = s.Counter("fault.injected.drop")
-	in.injCorrupt = s.Counter("fault.injected.corrupt")
-	in.injCrash = s.Counter("fault.injected.crash")
-	in.injRestart = s.Counter("fault.injected.restart")
-	in.injNemesis = s.Counter("nemesis.events")
+	nemesis := s.Counter("nemesis.events")
+	if nemesis == in.injNemesis {
+		return
+	}
+	in.injNemesis = nemesis
+	s.Counter("fault.injected.drop").Track(in.drops)
+	s.Counter("fault.injected.corrupt").Track(in.corrupts)
+	s.Counter("fault.injected.crash").Track(in.crashes)
+	s.Counter("fault.injected.restart").Track(in.restarts)
 }
 
 // SetCrashTarget registers the process to kill when a Crash event names
@@ -246,8 +251,7 @@ func (in *Injector) Arm() {
 			} else {
 				t.Crash()
 			}
-			in.crashes++
-			in.injCrash.Inc()
+			in.crashes.Inc()
 		})
 		if e.RestartAt > e.At {
 			in.eng.At(e.RestartAt, func() {
@@ -256,18 +260,17 @@ func (in *Injector) Arm() {
 					return
 				}
 				t.Restart()
-				in.restarts++
-				in.injRestart.Inc()
+				in.restarts.Inc()
 			})
 		}
 	}
 }
 
 // Drops, Corrupts, Crashes and Restarts report injected-fault counts.
-func (in *Injector) Drops() uint64    { return in.drops }
-func (in *Injector) Corrupts() uint64 { return in.corrupts }
-func (in *Injector) Crashes() uint64  { return in.crashes }
-func (in *Injector) Restarts() uint64 { return in.restarts }
+func (in *Injector) Drops() uint64    { return in.drops.Value() }
+func (in *Injector) Corrupts() uint64 { return in.corrupts.Value() }
+func (in *Injector) Crashes() uint64  { return in.crashes.Value() }
+func (in *Injector) Restarts() uint64 { return in.restarts.Value() }
 
 // linkMatches reports whether event e's link selector covers a packet
 // src->dst.
@@ -301,28 +304,24 @@ func (in *Injector) fate(src, dst wire.NodeID, now sim.Time) wire.Fate {
 		switch e.Kind {
 		case Blackout:
 			if linkMatches(e, src, dst) {
-				in.drops++
-				in.injDrop.Inc()
+				in.drops.Inc()
 				return wire.FateDrop
 			}
 		case Partition:
 			aToB := contains(e.A, src) && contains(e.B, dst)
 			bToA := contains(e.B, src) && contains(e.A, dst)
 			if aToB || (bToA && !e.Asym) {
-				in.drops++
-				in.injDrop.Inc()
+				in.drops.Inc()
 				return wire.FateDrop
 			}
 		case Loss:
 			if in.rnd.Float64() < e.Rate {
-				in.drops++
-				in.injDrop.Inc()
+				in.drops.Inc()
 				return wire.FateDrop
 			}
 		case Degrade:
 			if linkMatches(e, src, dst) && in.rnd.Float64() < e.Rate {
-				in.drops++
-				in.injDrop.Inc()
+				in.drops.Inc()
 				return wire.FateDrop
 			}
 		case Corrupt:
@@ -332,8 +331,7 @@ func (in *Injector) fate(src, dst wire.NodeID, now sim.Time) wire.Fate {
 		}
 	}
 	if corrupt {
-		in.corrupts++
-		in.injCorrupt.Inc()
+		in.corrupts.Inc()
 		return wire.FateCorrupt
 	}
 	return wire.FateDeliver

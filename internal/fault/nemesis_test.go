@@ -59,13 +59,14 @@ func TestNemesisCrashNodesDistinct(t *testing.T) {
 }
 
 func TestParseNemesisLine(t *testing.T) {
-	s, err := ParseSchedule("nemesis seed=7 until=8ms nodes=4 peers=10 crashes=1 blackouts=2 partitions=1")
+	s, err := ParseSchedule("nemesis seed=7 until=8ms nodes=4 peers=10 crashes=1 flushcrashes=1 blackouts=2 partitions=1 mindown=150us maxdown=400us")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := NemesisConfig{
 		Seed: 7, Until: 8 * sim.Millisecond, Nodes: 4, Peers: 10,
-		Crashes: 1, Blackouts: 2, Partitions: 1,
+		Crashes: 1, FlushCrashes: 1, Blackouts: 2, Partitions: 1,
+		MinDown: 150 * sim.Microsecond, MaxDown: 400 * sim.Microsecond,
 	}.Generate()
 	if !reflect.DeepEqual(s.Events, want.Events) {
 		t.Fatalf("parsed nemesis differs from generated:\n%+v\n%+v", s.Events, want.Events)

@@ -57,7 +57,7 @@ func (d *Deployment) AntiEntropySweep() {
 // AntiEntropyStats reports how many keys the step has merged and how
 // many of those merges wrote at least one replica.
 func (d *Deployment) AntiEntropyStats() (audited, repaired uint64) {
-	return uint64(d.aeMerged), d.aeFixedN
+	return d.aeMerged.Value(), d.aeFixed.Value()
 }
 
 // kickReconcile schedules a step if none is pending and there is work:
@@ -79,11 +79,9 @@ func (d *Deployment) reconcile() {
 	d.aeQueue = d.aeQueue[n:]
 	for _, key := range batch {
 		delete(d.aeQueued, key)
-		d.aeMerged++
-		d.aeKeys.Inc()
+		d.aeMerged.Inc()
 		if d.merge(key) {
 			d.aeFixed.Inc()
-			d.aeFixedN++
 		}
 	}
 	d.aePending.Set(int64(len(d.aeQueue)))

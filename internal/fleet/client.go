@@ -46,10 +46,7 @@ type Client struct {
 	subs    []kv.KV    // indexed by shard id
 	suspect []sim.Time // per shard id: avoid reads until this time
 
-	failed   uint64
 	inflight int
-
-	reroutes uint64
 
 	// The write-stamp generator: verID breaks same-instant ties between
 	// clients, verSeq between this client's own writes.
@@ -62,22 +59,19 @@ type Client struct {
 	opFree    []*op
 	repairAck func(kv.Result)
 
-	partialWrites uint64
-	staleObserved uint64
-	repairIssued  uint64
-	repairApplied uint64
+	// Per-client event counts, each tracked under its fleet.* name when
+	// the machine is instrumented.
+	failed        *telemetry.Counter
+	reroutes      *telemetry.Counter
+	partialWrites *telemetry.Counter
+	staleObserved *telemetry.Counter
+	repairIssued  *telemetry.Counter
+	repairApplied *telemetry.Counter
 
 	telIssued    *telemetry.Counter
 	telCompleted *telemetry.Counter
-	telFailed    *telemetry.Counter
-	telReroutes  *telemetry.Counter
 	telFanout    *telemetry.Counter
 	telSuspected *telemetry.Counter
-
-	telPartial       *telemetry.Counter
-	telStaleObserved *telemetry.Counter
-	telRepairIssued  *telemetry.Counter
-	telRepairApplied *telemetry.Counter
 }
 
 var _ kv.KV = (*Client)(nil)
@@ -92,16 +86,17 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 		suspect: make([]sim.Time, len(d.shards)),
 	}
 	tel := m.Verbs.Telemetry()
+	telemetry.NewCells(tel, &c.failed, &c.reroutes, &c.partialWrites, &c.staleObserved, &c.repairIssued, &c.repairApplied)
 	c.telIssued = tel.Counter("fleet.ops.issued")
 	c.telCompleted = tel.Counter("fleet.ops.completed")
-	c.telFailed = tel.Counter("fleet.ops.failed")
-	c.telReroutes = tel.Counter("fleet.reroutes")
+	tel.Counter("fleet.ops.failed").Track(c.failed)
+	tel.Counter("fleet.reroutes").Track(c.reroutes)
 	c.telFanout = tel.Counter("fleet.writes.fanout")
 	c.telSuspected = tel.Counter("fleet.suspected")
-	c.telPartial = tel.Counter("fleet.writes.partial")
-	c.telStaleObserved = tel.Counter("fleet.repair.stale")
-	c.telRepairIssued = tel.Counter("fleet.repair.issued")
-	c.telRepairApplied = tel.Counter("fleet.repair.applied")
+	tel.Counter("fleet.writes.partial").Track(c.partialWrites)
+	tel.Counter("fleet.repair.stale").Track(c.staleObserved)
+	tel.Counter("fleet.repair.issued").Track(c.repairIssued)
+	tel.Counter("fleet.repair.applied").Track(c.repairApplied)
 	c.verID = uint64(len(d.clients))
 	c.repairAck = c.onRepairAck
 	for _, sh := range d.shards {
@@ -123,11 +118,11 @@ func (c *Client) Inflight() int { return c.inflight }
 
 // Failed returns fleet-level failures: operations for which every
 // replica in the set failed terminally.
-func (c *Client) Failed() uint64 { return c.failed }
+func (c *Client) Failed() uint64 { return c.failed.Value() }
 
 // Reroutes counts read failovers: a read asked of one replica failed
 // terminally there and was reissued against every remaining up replica.
-func (c *Client) Reroutes() uint64 { return c.reroutes }
+func (c *Client) Reroutes() uint64 { return c.reroutes.Value() }
 
 // HotWidened always reads 0: the fleet no longer widens hot reads. It
 // stays only for existing callers, and leaves with the next benchmark
@@ -137,16 +132,16 @@ func (c *Client) HotWidened() uint64 { return 0 }
 // PartialWrites counts writes that some replicas applied and others
 // did not. Each queues its key for reconciliation; it fails with
 // ErrPartialWrite only when a replica in the view missed it.
-func (c *Client) PartialWrites() uint64 { return c.partialWrites }
+func (c *Client) PartialWrites() uint64 { return c.partialWrites.Value() }
 
 // StaleObserved counts replicas a read round caught behind the winning
 // version (each is back-filled inline).
-func (c *Client) StaleObserved() uint64 { return c.staleObserved }
+func (c *Client) StaleObserved() uint64 { return c.staleObserved.Value() }
 
 // RepairsIssued and RepairsApplied count read-repair back-fills sent to
 // lagging replicas and those the replica acknowledged.
-func (c *Client) RepairsIssued() uint64  { return c.repairIssued }
-func (c *Client) RepairsApplied() uint64 { return c.repairApplied }
+func (c *Client) RepairsIssued() uint64  { return c.repairIssued.Value() }
+func (c *Client) RepairsApplied() uint64 { return c.repairApplied.Value() }
 
 // markSuspect starts a read probation for shard id after a terminal
 // failure against it.
@@ -170,8 +165,7 @@ func (c *Client) finish(cb func(kv.Result), res kv.Result, begun sim.Time) {
 	if res.Err == nil {
 		c.telCompleted.Inc()
 	} else {
-		c.failed++
-		c.telFailed.Inc()
+		c.failed.Inc()
 	}
 	if cb != nil {
 		cb(res)
@@ -390,8 +384,7 @@ func (o *op) resolveWrite(i int, r kv.Result) {
 	if o.failures > 0 {
 		// A replica missed the write, so the replica set is divergent
 		// on this key until the reconciliation step merges it.
-		c.partialWrites++
-		c.telPartial.Inc()
+		c.partialWrites.Inc()
 		c.d.EnqueueRepair(o.key) //lint:allow hotalloc — divergence only; the anti-entropy queue
 		if o.viewFailed {
 			res.Err = ErrPartialWrite
@@ -491,8 +484,7 @@ func (o *op) resolveGet(i int, r kv.Result) {
 	}
 	if o.solo && (r.Err != nil || r.Status != kv.StatusHit) && i+1 < len(o.order) {
 		if r.Err != nil {
-			c.reroutes++
-			c.telReroutes.Inc()
+			c.reroutes.Inc()
 		}
 		o.solo, o.outstanding = false, len(o.order)-i-1
 		c.ask(o, i+1, len(o.order))
@@ -528,10 +520,8 @@ func (o *op) resolveGet(i int, r kv.Result) {
 			primaryHas = primaryHas || st.id == o.order[0]
 			continue
 		}
-		c.staleObserved++
-		c.telStaleObserved.Inc()
-		c.repairIssued++
-		c.telRepairIssued.Inc()
+		c.staleObserved.Inc()
+		c.repairIssued.Inc()
 		// The sub-client copies the winning bytes before Put returns.
 		if err := c.subs[st.id].Put(key, w.stored, c.repairAck); err != nil {
 			// Validation failures just drop the repair; the queue below
@@ -548,7 +538,6 @@ func (o *op) resolveGet(i int, r kv.Result) {
 // onRepairAck counts a read-repair back-fill the replica acknowledged.
 func (c *Client) onRepairAck(r kv.Result) {
 	if r.Err == nil {
-		c.repairApplied++
-		c.telRepairApplied.Inc()
+		c.repairApplied.Inc()
 	}
 }

@@ -119,17 +119,15 @@ type Deployment struct {
 	recTime   *telemetry.Gauge
 
 	// Reconciliation (antientropy.go): the key queue, its dedup set,
-	// how many keys the step has merged, whether a step is scheduled,
-	// and how many merges wrote a replica (a raw mirror of aeFixed for
-	// reports without a sink).
+	// whether a step is scheduled, how many keys the step has merged
+	// and how many merges wrote a replica (the last two tracked under
+	// fleet.antientropy.keys and .repaired when instrumented).
 	aeQueue   []kv.Key
 	aeQueued  map[kv.Key]bool
-	aeMerged  int
 	aeRunning bool
-	aeFixedN  uint64
-	aeSweeps  *telemetry.Counter
-	aeKeys    *telemetry.Counter
+	aeMerged  *telemetry.Counter
 	aeFixed   *telemetry.Counter
+	aeSweeps  *telemetry.Counter
 	aePending *telemetry.Gauge
 }
 
@@ -145,13 +143,14 @@ func NewDeployment(machines []*cluster.Machine, cfg Config) (*Deployment, error)
 		eng: machines[0].Verbs.NIC().Engine(),
 		tel: machines[0].Verbs.Telemetry(),
 	}
+	telemetry.NewCells(d.tel, &d.aeMerged, &d.aeFixed)
 	d.recKeys = d.tel.Counter("fleet.recovery.keys")
 	d.recRounds = d.tel.Counter("fleet.recovery.rounds")
 	d.recActive = d.tel.Gauge("fleet.recovery.active")
 	d.recTime = d.tel.Gauge("fleet.recovery.time")
 	d.aeSweeps = d.tel.Counter("fleet.antientropy.sweeps")
-	d.aeKeys = d.tel.Counter("fleet.antientropy.keys")
-	d.aeFixed = d.tel.Counter("fleet.antientropy.repaired")
+	d.tel.Counter("fleet.antientropy.keys").Track(d.aeMerged)
+	d.tel.Counter("fleet.antientropy.repaired").Track(d.aeFixed)
 	d.aePending = d.tel.Gauge("fleet.antientropy.pending")
 	d.aeQueued = make(map[kv.Key]bool)
 	d.ring = NewRing(PlacementSeed(machines[0]), cfg.Replication, len(machines))

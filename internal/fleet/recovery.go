@@ -29,7 +29,7 @@ import (
 type recovery struct {
 	res   RecoveryResult
 	at    sim.Time
-	until int
+	until uint64
 }
 
 // RecoveryResult summarizes one completed shard recovery.
@@ -109,7 +109,7 @@ func (d *Deployment) onShardRecovered(sh *shard, info core.RecoveryInfo) {
 			})
 		}
 	}
-	rec.until = d.aeMerged + len(d.aeQueue)
+	rec.until = d.aeMerged.Value() + uint64(len(d.aeQueue))
 	d.recs = append(d.recs, rec)
 	d.recRounds.Inc()
 	d.recActive.Set(int64(len(d.recs)))
@@ -135,7 +135,7 @@ func (d *Deployment) settleRecoveries() {
 	for len(d.recs) > 0 {
 		rec := d.recs[0]
 		down := d.shards[rec.res.ShardID].srv.Down()
-		if !down && rec.until > d.aeMerged {
+		if !down && rec.until > d.aeMerged.Value() {
 			break
 		}
 		d.recs = d.recs[1:]

@@ -207,10 +207,11 @@ func TestSharedQueueOverlappingCatchups(t *testing.T) {
 	// The survivor must hold the higher stamp from that merge itself,
 	// before the full sweep that follows a versioned catch-up could have
 	// copied it.
-	pos, merged := 0, false
+	var pos uint64
+	merged := false
 	var watch func()
 	watch = func() {
-		if d.aeMerged <= pos {
+		if d.aeMerged.Value() <= pos {
 			cl.Eng.After(sim.Microsecond, watch)
 			return
 		}
@@ -227,7 +228,7 @@ func TestSharedQueueOverlappingCatchups(t *testing.T) {
 		// 2, which never crashes.
 		for i, k := range d.aeQueue {
 			if reps := d.Replicas(k); slices.Contains(reps, 0) && slices.Contains(reps, 2) {
-				key, pos = k, d.aeMerged+i
+				key, pos = k, d.aeMerged.Value()+uint64(i)
 			}
 		}
 		if key.IsZero() {

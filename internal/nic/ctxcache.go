@@ -1,6 +1,10 @@
 package nic
 
-import "container/list"
+import (
+	"container/list"
+
+	"herdkv/internal/telemetry"
+)
 
 // ContextCache is an LRU cache of queue-pair contexts, modeling the
 // RNIC's small on-chip SRAM (Section 3.3). Each verb posted on (or
@@ -14,12 +18,13 @@ import "container/list"
 // behind Figure 12's client-scaling cliff: past RecvCtxCap concurrently
 // active client QPs, every arrival misses (docs/SCALABILITY.md).
 type ContextCache struct {
-	cap       int
-	ll        *list.List
-	byKey     map[uint64]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	cap   int
+	ll    *list.List
+	byKey map[uint64]*list.Element
+
+	// Access counts; the NIC tracks them under nic.ctxcache.<side>.*
+	// when instrumented.
+	hits, misses, evictions *telemetry.Counter
 
 	// onEvict (optional) observes each eviction's victim key; the NIC
 	// hangs telemetry on it.
@@ -29,11 +34,13 @@ type ContextCache struct {
 // NewContextCache returns a cache holding up to capacity contexts.
 // A capacity <= 0 means unbounded (never misses after first touch).
 func NewContextCache(capacity int) *ContextCache {
-	return &ContextCache{
+	c := &ContextCache{
 		cap:   capacity,
 		ll:    list.New(),
 		byKey: make(map[uint64]*list.Element),
 	}
+	telemetry.NewCells(nil, &c.hits, &c.misses, &c.evictions)
+	return c
 }
 
 // OnEvict registers fn to run with each eviction's victim key.
@@ -45,16 +52,16 @@ func (c *ContextCache) OnEvict(fn func(victim uint64)) { c.onEvict = fn }
 func (c *ContextCache) Touch(key uint64) bool {
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
+		c.hits.Inc()
 		return true
 	}
-	c.misses++
+	c.misses.Inc()
 	if c.cap > 0 && c.ll.Len() >= c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		victim := oldest.Value.(uint64)
 		delete(c.byKey, victim)
-		c.evictions++
+		c.evictions.Inc()
 		if c.onEvict != nil {
 			c.onEvict(victim)
 		}
@@ -64,18 +71,18 @@ func (c *ContextCache) Touch(key uint64) bool {
 }
 
 // Hits and Misses report access statistics.
-func (c *ContextCache) Hits() uint64   { return c.hits }
-func (c *ContextCache) Misses() uint64 { return c.misses }
+func (c *ContextCache) Hits() uint64   { return c.hits.Value() }
+func (c *ContextCache) Misses() uint64 { return c.misses.Value() }
 
 // Evictions reports how many resident contexts were displaced to make
 // room for missing ones.
-func (c *ContextCache) Evictions() uint64 { return c.evictions }
+func (c *ContextCache) Evictions() uint64 { return c.evictions.Value() }
 
 // HitRate returns hits / accesses, or 1 if there were no accesses.
 func (c *ContextCache) HitRate() float64 {
-	total := c.hits + c.misses
+	total := c.Hits() + c.Misses()
 	if total == 0 {
 		return 1
 	}
-	return float64(c.hits) / float64(total)
+	return float64(c.Hits()) / float64(total)
 }

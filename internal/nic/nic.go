@@ -27,13 +27,10 @@ type NIC struct {
 	sendCtx *ContextCache
 	recvCtx *ContextCache
 
-	// Telemetry handles (nil when un-instrumented): QP-context-cache
-	// hits, misses and evictions on each side, the mechanism behind
-	// Figure 12's client-scaling cliff (docs/SCALABILITY.md).
-	tel                        *telemetry.Sink
-	telSendHit, telSendMiss    *telemetry.Counter
-	telRecvHit, telRecvMiss    *telemetry.Counter
-	telSendEvict, telRecvEvict *telemetry.Counter
+	// The attached sink (nil when un-instrumented), whose registry tracks
+	// the context caches' counts: the mechanism behind Figure 12's
+	// client-scaling cliff (docs/SCALABILITY.md).
+	tel *telemetry.Sink
 
 	// Per-QP miss/evict counters, created lazily when the sink is
 	// QP-scoped (Sink.PerQP): a fleet touches thousands of QP contexts
@@ -81,24 +78,26 @@ func (n *NIC) PU(work sim.Time, done func(sim.Time)) {
 // PUUtilization reports processing-unit utilization so far.
 func (n *NIC) PUUtilization() float64 { return n.pu.Utilization() }
 
-// SetTelemetry attaches context-cache hit/miss/evict counters. Counter
-// names are shared across NICs, aggregating cluster-wide; with a
-// QP-scoped sink each NIC additionally maintains per-QP miss and evict
-// counters so the thrashing contexts are identifiable.
+// SetTelemetry tracks the context caches' hit/miss/evict counts under
+// names shared across NICs, once per registry (re-attaching one to add
+// a tracer tracks nothing twice); with a QP-scoped sink each NIC also
+// keeps per-QP miss and evict counters naming the thrashing contexts.
 func (n *NIC) SetTelemetry(s *telemetry.Sink) {
+	sameRegistry := s.Counter("nic.ctxcache.send.hits") == n.tel.Counter("nic.ctxcache.send.hits")
 	n.tel = s
-	n.telSendHit = s.Counter("nic.ctxcache.send.hits")
-	n.telSendMiss = s.Counter("nic.ctxcache.send.misses")
-	n.telRecvHit = s.Counter("nic.ctxcache.recv.hits")
-	n.telRecvMiss = s.Counter("nic.ctxcache.recv.misses")
-	n.telSendEvict = s.Counter("nic.ctxcache.send.evicts")
-	n.telRecvEvict = s.Counter("nic.ctxcache.recv.evicts")
+	if sameRegistry {
+		return
+	}
+	s.Counter("nic.ctxcache.send.hits").Track(n.sendCtx.hits)
+	s.Counter("nic.ctxcache.send.misses").Track(n.sendCtx.misses)
+	s.Counter("nic.ctxcache.send.evicts").Track(n.sendCtx.evictions)
+	s.Counter("nic.ctxcache.recv.hits").Track(n.recvCtx.hits)
+	s.Counter("nic.ctxcache.recv.misses").Track(n.recvCtx.misses)
+	s.Counter("nic.ctxcache.recv.evicts").Track(n.recvCtx.evictions)
 	n.sendCtx.OnEvict(func(victim uint64) {
-		n.telSendEvict.Inc()
 		n.qpCounter(&n.qpSendEvict, "send", "evicts", victim).Inc()
 	})
 	n.recvCtx.OnEvict(func(victim uint64) {
-		n.telRecvEvict.Inc()
 		n.qpCounter(&n.qpRecvEvict, "recv", "evicts", victim).Inc()
 	})
 }
@@ -127,10 +126,8 @@ func (n *NIC) qpCounter(m *map[uint64]*telemetry.Counter, side, kind string, key
 // returns the PU stall and added latency it causes (zero on a hit).
 func (n *NIC) TouchSendCtx(qpn uint64) (puExtra, latExtra sim.Time) {
 	if n.sendCtx.Touch(qpn) {
-		n.telSendHit.Inc()
 		return 0, 0
 	}
-	n.telSendMiss.Inc()
 	n.qpCounter(&n.qpSendMiss, "send", "misses", qpn).Inc()
 	return n.p.CtxMissPU, n.p.CtxMissLat
 }
@@ -139,10 +136,8 @@ func (n *NIC) TouchSendCtx(qpn uint64) (puExtra, latExtra sim.Time) {
 // returns the PU stall and added latency it causes (zero on a hit).
 func (n *NIC) TouchRecvCtx(qpn uint64) (puExtra, latExtra sim.Time) {
 	if n.recvCtx.Touch(qpn) {
-		n.telRecvHit.Inc()
 		return 0, 0
 	}
-	n.telRecvMiss.Inc()
 	n.qpCounter(&n.qpRecvMiss, "recv", "misses", qpn).Inc()
 	return n.p.CtxMissPU, n.p.CtxMissLat
 }

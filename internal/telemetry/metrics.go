@@ -6,10 +6,15 @@ import (
 	"sort"
 )
 
-// Counter is a named monotonic counter. A nil *Counter is a valid no-op,
-// so instrumented code can hold possibly-nil handles and increment them
-// unconditionally.
-type Counter struct{ v uint64 }
+// Counter is a monotonic counter. A nil *Counter is a valid no-op, so
+// instrumented code can hold possibly-nil handles and increment them
+// unconditionally. A layer that reads a count per instance owns it as a
+// cell (a non-nil Counter), which the registry's counter of that name
+// tracks (Track): the event is counted once, and the name reads the sum.
+type Counter struct {
+	v     uint64
+	parts *[]*Counter // the tracked cells; nil until the first Track
+}
 
 // Add increments the counter by d.
 func (c *Counter) Add(d uint64) {
@@ -22,12 +27,50 @@ func (c *Counter) Add(d uint64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count (zero for a nil counter).
+// NewCells points each of cells at a fresh zero counter for an instance
+// tracking them in sink s. With metrics on, they are cut from 4096-cell
+// blocks the registry keeps, so tracked cells, which outlive their
+// instances, stay packed instead of pinning scattered heap pages.
+func NewCells(s *Sink, cells ...**Counter) {
+	var block []Counter
+	if r := s.registry(); r == nil {
+		block = make([]Counter, len(cells))
+	} else {
+		if len(r.cells) < len(cells) {
+			r.cells = make([]Counter, max(4096, len(cells)))
+		}
+		block, r.cells = r.cells[:len(cells):len(cells)], r.cells[len(cells):]
+	}
+	for i, c := range cells {
+		*c = &block[i]
+	}
+}
+
+// Track adds part's count to c's Value. It is a no-op on a nil counter
+// (metrics disabled).
+func (c *Counter) Track(part *Counter) {
+	if c == nil {
+		return
+	}
+	if c.parts == nil {
+		c.parts = new([]*Counter)
+	}
+	*c.parts = append(*c.parts, part)
+}
+
+// Value returns the current count, tracked cells included (zero for a
+// nil counter).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	if c.parts != nil {
+		for _, p := range *c.parts {
+			v += p.Value()
+		}
+	}
+	return v
 }
 
 // Gauge is a named level with a high-water mark: Set records the current
@@ -73,7 +116,9 @@ func (g *Gauge) Max() int64 {
 
 // Registry is an ordered collection of named metrics. Get-or-create
 // accessors make wiring cheap: two layers asking for the same name share
-// one metric, so per-verb counters aggregate across hosts naturally.
+// one metric, so per-verb counters aggregate across hosts naturally. A
+// named counter also sums the cells tracked under it (Counter.Track):
+// the registry holds those cells, never the instances that own them.
 //
 // Like the rest of the simulation the registry is single-threaded; it
 // needs no locks because the whole model runs on one goroutine.
@@ -81,6 +126,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	cells    []Counter // the unused rest of NewCells' current block
 }
 
 // NewRegistry returns an empty registry.

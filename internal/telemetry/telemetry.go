@@ -5,11 +5,14 @@
 // run can be opened in chrome://tracing or Perfetto.
 //
 // The package is zero-dependency (it imports only internal/sim) and is
-// threaded through pcie, nic, verbs, and core behind a nil-safe Sink:
-// every handle type (*Counter, *Gauge, *Histogram, *Trace) is a valid
-// no-op when nil, so un-instrumented runs pay a single nil check per
-// event and allocate nothing. Instrumentation never schedules simulation
-// events, so enabling telemetry cannot perturb a deterministic run.
+// threaded through pcie, nic, verbs, core and the layers above behind a
+// nil-safe Sink: every handle type (*Counter, *Gauge, *Histogram,
+// *Trace) is a valid no-op when nil, so un-instrumented runs pay a
+// single nil check per event and allocate nothing on the hot path. A
+// named counter sums the per-instance counters tracked under it
+// (Counter.Track), so a count a layer also reads per instance is kept
+// once. Instrumentation never schedules simulation events, so enabling
+// telemetry cannot perturb a deterministic run.
 //
 // See docs/OBSERVABILITY.md for the metric name catalog and the trace
 // span reference.
@@ -36,29 +39,28 @@ type Sink struct {
 // New returns a Sink with a metrics registry and no tracer.
 func New() *Sink { return &Sink{Registry: NewRegistry()} }
 
-// Counter returns the named counter, or nil when metrics are disabled.
-func (s *Sink) Counter(name string) *Counter {
-	if s == nil || s.Registry == nil {
+// registry returns the sink's registry, nil when metrics are disabled.
+func (s *Sink) registry() *Registry {
+	if s == nil {
 		return nil
 	}
-	return s.Registry.Counter(name)
+	return s.Registry
+}
+
+// Counter returns the named counter, or nil when metrics are disabled.
+func (s *Sink) Counter(name string) *Counter {
+	return s.registry().Counter(name)
 }
 
 // Gauge returns the named gauge, or nil when metrics are disabled.
 func (s *Sink) Gauge(name string) *Gauge {
-	if s == nil || s.Registry == nil {
-		return nil
-	}
-	return s.Registry.Gauge(name)
+	return s.registry().Gauge(name)
 }
 
 // Histogram returns the named histogram, or nil when metrics are
 // disabled.
 func (s *Sink) Histogram(name string) *Histogram {
-	if s == nil || s.Registry == nil {
-		return nil
-	}
-	return s.Registry.Histogram(name)
+	return s.registry().Histogram(name)
 }
 
 // Tracing reports whether trace spans should be produced.

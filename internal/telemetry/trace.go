@@ -95,17 +95,15 @@ func (t *Trace) SetPrefix(p string) {
 // named prefix+stage that began at the previous mark (or the trace
 // start). Marks must be issued in virtual-time order along the request
 // path; an out-of-order mark records a zero-length span rather than a
-// negative one.
+// negative one and leaves the previous mark in place, so the next span
+// still starts where the last one ended.
 func (t *Trace) Mark(stage string, at sim.Time) {
 	if t == nil {
 		return
 	}
-	start := t.last
-	if at < start {
-		start = at
-	}
+	start := min(t.last, at)
 	t.tr.spans = append(t.tr.spans, Span{
 		TraceID: t.id, Trace: t.name, Name: t.prefix + stage, Start: start, End: at,
 	})
-	t.last = at
+	t.last = max(t.last, at)
 }

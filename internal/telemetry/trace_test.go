@@ -58,6 +58,27 @@ func TestTraceOutOfOrderMarkClamps(t *testing.T) {
 	}
 }
 
+// TestTraceOutOfOrderMarkKeepsPartition checks that an out-of-order mark
+// does not rewind the trace: the next span starts where the latest one
+// ended, so the spans still sum to the request's latency.
+func TestTraceOutOfOrderMarkKeepsPartition(t *testing.T) {
+	tr := NewTracer()
+	g := tr.Start("X", 5)
+	g.Mark("a", 10)
+	g.Mark("b", 8)
+	g.Mark("c", 12)
+	var sum sim.Time
+	for _, s := range tr.Spans() {
+		sum += s.Duration()
+	}
+	if sum != 12-5 {
+		t.Fatalf("spans %+v sum to %d, want %d", tr.Spans(), sum, 12-5)
+	}
+	if c := tr.Spans()[2]; c.Start != 10 {
+		t.Fatalf("span after the out-of-order mark = %+v, want it to start at 10", c)
+	}
+}
+
 func TestTracerSpansSince(t *testing.T) {
 	tr := NewTracer()
 	a := tr.Start("A", 0)
@@ -140,6 +161,40 @@ func TestRegistrySharedHandles(t *testing.T) {
 	g.Set(4)
 	if g.Value() != 4 || g.Max() != 10 {
 		t.Fatalf("gauge cur=%d max=%d, want 4/10", g.Value(), g.Max())
+	}
+}
+
+// TestCounterTrack checks that a named counter reads its own
+// increments plus every tracked cell, that Track on a nil counter is a
+// no-op, and that the dump prints the sum.
+func TestCounterTrack(t *testing.T) {
+	r := NewRegistry()
+	named := r.Counter("herd.retries")
+	a, b := new(Counter), new(Counter)
+	named.Track(a)
+	named.Track(b)
+	named.Add(1)
+	a.Add(2)
+	b.Add(4)
+	if got := named.Value(); got != 7 {
+		t.Fatalf("named counter = %d, want 1 own + 2 + 4 tracked = 7", got)
+	}
+	if a.Value() != 2 || b.Value() != 4 {
+		t.Fatalf("cells read %d and %d, want 2 and 4", a.Value(), b.Value())
+	}
+
+	var off *Counter
+	off.Track(a)
+	if off.Value() != 0 {
+		t.Fatal("a nil counter must ignore Track")
+	}
+
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "counter herd.retries 7\n"; got != want {
+		t.Fatalf("dump = %q, want %q", got, want)
 	}
 }
 

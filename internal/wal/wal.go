@@ -270,20 +270,22 @@ type Log struct {
 	gen     int
 	crashed bool
 
-	appends, flushes, replayed, snapshots uint64
+	// appends, flushes and replayed are tracked under their wal.* names
+	// when the log is instrumented.
+	appends, flushes, replayed *telemetry.Counter
+	snapshots                  uint64
 
-	telAppends, telFlushes   *telemetry.Counter
-	telReplayed, telSnapshot *telemetry.Counter
-	telTorn                  *telemetry.Counter
+	telSnapshot, telTorn *telemetry.Counter
 }
 
 // New returns an empty log on eng. tel may be nil.
 func New(eng *sim.Engine, cfg Config, tel *telemetry.Sink) *Log {
 	l := &Log{eng: eng, cfg: cfg.withDefaults(), maxEpoch: -1}
+	telemetry.NewCells(tel, &l.appends, &l.flushes, &l.replayed)
 	l.dev = sim.NewServer(eng)
-	l.telAppends = tel.Counter("wal.appends")
-	l.telFlushes = tel.Counter("wal.flushes")
-	l.telReplayed = tel.Counter("wal.replayed")
+	tel.Counter("wal.appends").Track(l.appends)
+	tel.Counter("wal.flushes").Track(l.flushes)
+	tel.Counter("wal.replayed").Track(l.replayed)
 	l.telSnapshot = tel.Counter("wal.snapshot.bytes")
 	l.telTorn = tel.Counter("wal.torn.bytes")
 	return l
@@ -324,8 +326,7 @@ func (l *Log) Append(r Record, onDurable func()) {
 	if r.Epoch > l.maxEpoch {
 		l.maxEpoch = r.Epoch
 	}
-	l.appends++
-	l.telAppends.Inc()
+	l.appends.Inc()
 	l.pending = appendRecord(l.pending, r)
 	l.npending++
 	l.pendingAt = r.At
@@ -356,8 +357,7 @@ func (l *Log) AppendDurable(r Record) {
 	if r.Epoch > l.maxEpoch {
 		l.maxEpoch = r.Epoch
 	}
-	l.appends++
-	l.telAppends.Inc()
+	l.appends.Inc()
 	l.durable.add(r)
 	l.lastDurAt = r.At
 	if r.At == 0 && l.eng.Processed() == 0 {
@@ -477,8 +477,7 @@ func (l *Log) commitFlush(fl *flight) {
 	l.inflight = nil
 	l.durable.addFrames(fl.buf)
 	l.lastDurAt = fl.lastAt
-	l.flushes++
-	l.telFlushes.Inc()
+	l.flushes.Inc()
 	for _, cb := range fl.cbs {
 		cb()
 	}
@@ -648,8 +647,7 @@ func (l *Log) Recover(apply func(Record), done func(RecoverStats)) {
 			apply(r)
 		}
 		n := len(snapRecs) + len(logRecs)
-		l.replayed += uint64(n)
-		l.telReplayed.Add(uint64(n))
+		l.replayed.Add(uint64(n))
 		l.crashed = false
 		since := l.lastDurAt - 2*l.cfg.FlushInterval
 		if since < 0 {
@@ -702,13 +700,13 @@ func (l *Log) Pending() int {
 // Stats snapshot accessors.
 
 // Appends reports total records appended (durable-path included).
-func (l *Log) Appends() uint64 { return l.appends }
+func (l *Log) Appends() uint64 { return l.appends.Value() }
 
 // Flushes reports completed group commits.
-func (l *Log) Flushes() uint64 { return l.flushes }
+func (l *Log) Flushes() uint64 { return l.flushes.Value() }
 
 // Replayed reports records applied across all recoveries.
-func (l *Log) Replayed() uint64 { return l.replayed }
+func (l *Log) Replayed() uint64 { return l.replayed.Value() }
 
 // Snapshots reports completed compactions.
 func (l *Log) Snapshots() uint64 { return l.snapshots }
