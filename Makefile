@@ -56,11 +56,13 @@ metrics:
 # through Put against Load, and PutNewer against LoadNewer, on a
 # herd-read-sized partition) and the mux
 # endpoint's scheduler at 64, 2,048 and 65,536 channels, which report
-# allocs/op and should all read 0, and the WAL's durable-path preload
+# allocs/op and should all read 0, the WAL's durable-path preload
 # (BenchmarkAppendDurable: ns and allocs per record over fleet-write's
-# 131,072-record per-shard preload).
+# 131,072-record per-shard preload), and a whole server's preload
+# (BenchmarkPreload: ns per key of 1 Mi keys into herd-read's
+# six-partition server, its partitions loading in parallel).
 microbench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/ ./internal/mux/ ./internal/wal/
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim/ ./internal/pcie/ ./internal/wire/ ./internal/mica/ ./internal/mux/ ./internal/wal/ ./internal/core/
 
 # Non-test Go lines per package, then the module total, so a change
 # that deletes code can report before/after counts (run it on both

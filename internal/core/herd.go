@@ -629,23 +629,29 @@ func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }
 // immediately durable (the control-plane path models data loaded
 // before the run): otherwise a crash before the first flush would
 // replay the log to a pre-preload view and silently resurrect stale
-// state. Items go in through mica's bulk-load path: Cache.Load, or for
-// versioned values the ordered Cache.LoadNewer, and each one the
-// partition does not reject outright is logged at once. Replay re-runs
-// the same loads in the same order, so it refuses exactly the stamps
-// the preload refused. Once events have run, a versioned preload on a
-// server with a log applies at once with PutNewer and is logged only if
+// state. Before any event has run, items go in through mica's
+// bulk-load path: Cache.Load, or for versioned values the ordered
+// Cache.LoadNewer, and each one the partition does not reject outright
+// is logged at once. Replay re-runs the same loads in the same order,
+// so it refuses exactly the stamps the preload refused. Once events
+// have run, a preload is one key between reads (the fleet's merge reads
+// every replica first), so it applies at once with Put or PutNewer,
+// which leave the partition as a load would without starting a
+// handoff batch for one key. A versioned one is logged only if
 // accepted: a reconciliation back-fill racing a fresher client write
 // must never regress the stored version, and a refused (stale) copy
 // must not reach the WAL either.
 func (s *Server) Preload(key kv.Key, value []byte) error {
 	part := s.parts[mica.Partition(key, s.cfg.NS)]
 	eng := s.machine.Verbs.NIC().Engine()
+	bulk := eng.Now() == 0 && eng.Processed() == 0
 	var err error
 	switch {
-	case !s.cfg.VersionedValues:
+	case !s.cfg.VersionedValues && bulk:
 		err = part.Load(key, value)
-	case s.wlog == nil || eng.Now() == 0 && eng.Processed() == 0:
+	case !s.cfg.VersionedValues:
+		err = part.Put(key, value)
+	case bulk:
 		err = part.LoadNewer(key, value)
 	default:
 		var applied bool

@@ -114,6 +114,9 @@ func BenchmarkLoad(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := uint64(i % keys)
 				if k == 0 {
+					if c != nil {
+						c.Stats() // wait for the full partition's loads
+					}
 					b.StopTimer()
 					c = New(cfg)
 					b.StartTimer()

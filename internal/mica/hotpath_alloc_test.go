@@ -13,13 +13,17 @@ import (
 // commits each segment the first time the append head reaches it, so
 // the gates run on a partition whose log has already wrapped once:
 // from then on the whole GET/PUT/DELETE chain reuses committed
-// segments without touching the heap. Load on that log falls back to
-// Put, so Load's batched path and settle run on a second partition
-// whose first segment is committed and has room for every gate run.
-// The ordered gates store a stamp one higher each run, so each run's
-// PutNewer and LoadNewer are accepted, and settle's ordered branch runs
-// a batch whose refused stale stamp the accepted entry after it moves
-// down over.
+// segments without touching the heap. A load on that log falls back to
+// put, so the loader's batched path and settle run on a second
+// partition whose first segment is committed and has room for every
+// gate run. Load, LoadNewer and handOff copy into a third partition's
+// handoff batch, which the gate runs never fill, so they start no
+// loader goroutine: a partition allocates two batches a bulk load, and
+// a channel and a goroutine per handoffBytes of loads. The ordered
+// gates store a stamp one higher each run, so each run's PutNewer and
+// LoadNewer are accepted, and settle's ordered branch runs a batch
+// whose refused stale stamp the accepted entry after it moves down
+// over.
 func TestHotpathAllocFree(t *testing.T) {
 	c := New(Config{IndexBuckets: 1 << 10, BucketSlots: 8, LogBytes: 4*segStride + 4096})
 	fill := make([]byte, MaxValueSize)
@@ -38,9 +42,15 @@ func TestHotpathAllocFree(t *testing.T) {
 	s := makeSlot(7, 42)
 	base, tag := c.bucketOf(h)
 	fresh := New(Config{IndexBuckets: 1 << 10, BucketSlots: 8, LogBytes: 1 << 20})
-	if err := fresh.Load(key, val); err != nil {
+	fresh.load(key, val, false)
+	fresh.settle()
+	handed := New(Config{IndexBuckets: 1 << 10, BucketSlots: 8, LogBytes: 1 << 20})
+	if err := handed.Load(key, val); err != nil {
 		t.Fatal(err)
 	}
+	one := new(handoff)
+	one.n = copy(one.buf[:], handed.loads.buf[:handed.loads.n])
+	batch := new(handoff)
 	seq := uint64(1)
 	stamped := kv.AppendVersion(nil, kv.Version{Epoch: 1, Seq: seq}, false)
 	stamped = append(stamped, "stamped-value"...)
@@ -70,12 +80,22 @@ func TestHotpathAllocFree(t *testing.T) {
 		"Cache.victim":    func() { _ = c.victim(base) },
 		"Cache.slotNewer": func() { _ = c.slotNewer(base, tag, vkey, stale) },
 		"Cache.PutNewer":  func() { _, _ = c.PutNewer(vkey, newer()) },
-		"Cache.Load":      func() { _ = fresh.Load(key, val) },
-		"Cache.LoadNewer": func() { _ = fresh.LoadNewer(vkey, newer()) },
+		"Cache.put":       func() { c.put(key, val) },
+		"Cache.putNewer":  func() { _ = c.putNewer(vkey, newer()) },
+		"Cache.Load":      func() { _ = handed.Load(key, val) },
+		"Cache.LoadNewer": func() { _ = handed.LoadNewer(vkey, newer()) },
+		"Cache.handOff":   func() { handed.handOff(key, val, 0) },
+		"Cache.apply":     func() { fresh.apply(one) },
+		"Cache.await": func() {
+			*batch = *one
+			fresh.loads = batch
+			fresh.await()
+		},
+		"Cache.load": func() { fresh.load(vkey, newer(), true) },
 		"Cache.settle": func() {
-			_ = fresh.Load(key, val)
-			_ = fresh.LoadNewer(vkey, stale)
-			_ = fresh.LoadNewer(vkey, newer())
+			fresh.load(key, val, false)
+			fresh.load(vkey, stale, true)
+			fresh.load(vkey, newer(), true)
 			fresh.settle()
 		},
 		"Cache.moveEntry":   func() { fresh.moveEntry(0, 0, entryHeader) },

@@ -16,12 +16,15 @@
 //     has written.
 //   - Keys are 16-byte keyhashes (HERD requests carry only the keyhash);
 //     a zero keyhash is reserved by the HERD protocol and rejected.
-//   - A bulk load (Load) appends each entry at once but applies index
-//     inserts a batch at a time, touching the batch's buckets first so
-//     their cache misses overlap, as the paper's server overlaps
-//     requests' memory accesses (Section 4.1.1). Get, Put, Range
-//     and Stats settle the batch first, so the cache always
-//     reads as if each Load had been a Put.
+//   - A bulk load (Load) copies each entry into a handoff batch and
+//     returns; each full batch is applied on its own loader goroutine,
+//     one batch in flight per partition, so a server's partitions load
+//     in parallel as its EREW cores would. The loader appends each
+//     entry at once but applies index inserts 32 at a time, touching
+//     their buckets first so the cache misses overlap, as the paper's
+//     server overlaps requests' memory accesses (Section 4.1.1). Get,
+//     Put, Range and Stats wait for the loader and apply the rest
+//     first, so the cache always reads as if each Load had been a Put.
 //   - Versioned values (a kv.Version stamp prefixed to the value) have
 //     an ordered insert, PutNewer, and its bulk form, LoadNewer: the
 //     stamp comparison runs inside the bucket scan that picks the slot,
@@ -87,6 +90,17 @@ func DefaultConfig() Config {
 // outstanding-miss slots busy.
 const loadBatch = 32
 
+// handoffBytes sizes a bulk-load handoff batch. A batch is handed to a
+// loader goroutine once fewer bytes than one maximal entry are left:
+// about 630 of the benchmark's 32-byte items, so a goroutine start and
+// a channel cost a few nanoseconds a key. In core's BenchmarkPreload,
+// 8 KiB batches were about 15% slower, and 16 to 64 KiB ones alike.
+const handoffBytes = 32 << 10
+
+// newerFlag marks a LoadNewer entry in a handoff batch: the top bit of
+// its value length, which stays below MaxValueSize.
+const newerFlag = 1 << 15
+
 // maxBucketSlots caps BucketSlots: each bucket's FIFO victim counter
 // is one byte.
 const maxBucketSlots = 256
@@ -150,6 +164,8 @@ type Stats struct {
 
 // Cache is one EREW partition of the key-value cache. It is not safe for
 // concurrent use: in HERD each core owns one partition exclusively.
+// Its own bulk-load loader is the one exception (see Load), and every
+// method but Load and LoadNewer waits for it first.
 type Cache struct {
 	cfg     Config
 	mask    uint64
@@ -164,9 +180,27 @@ type Cache struct {
 	queue   [loadBatch]pendingInsert
 	queued  int
 	touched slot
+
+	// loads is the handoff batch Load is filling, nil when no load is
+	// pending. Until its prev is applied a loader goroutine owns every
+	// field above but cfg and mask.
+	loads *handoff
 }
 
-// pendingInsert is one queued Load: the entry Load appended for key at
+// handoff is a batch of bulk loads copied on the caller's goroutine.
+// Its entries are laid out as in the log: keyhash, a 2-byte value
+// length (with newerFlag for LoadNewer), then the value. prev is the
+// partition's batch handed to a loader before this one, nil if none;
+// done, made at the handoff, closes once the batch is applied. A
+// partition's two batches take turns until the barrier drops both.
+type handoff struct {
+	prev *handoff
+	done chan struct{}
+	n    int
+	buf  [handoffBytes]byte
+}
+
+// pendingInsert is one queued load: the entry load appended for key at
 // log offset off, waiting to be indexed in the bucket at base. newer
 // marks a LoadNewer insert, which settle may still refuse.
 type pendingInsert struct {
@@ -202,8 +236,8 @@ func New(cfg Config) *Cache {
 
 // Stats returns a snapshot of activity counters.
 func (c *Cache) Stats() Stats {
-	if c.queued != 0 {
-		c.settle()
+	if c.loads != nil {
+		c.await()
 	}
 	return c.stats
 }
@@ -243,8 +277,8 @@ func (c *Cache) entry(off uint64) (key Key, value []byte, ok bool) {
 //
 //herd:hotpath
 func (c *Cache) Get(key Key) ([]byte, bool) {
-	if c.queued != 0 {
-		c.settle()
+	if c.loads != nil {
+		c.await()
 	}
 	c.stats.Gets++
 	if key.IsZero() {
@@ -316,6 +350,18 @@ func (c *Cache) Put(key Key, value []byte) error {
 	if len(value) > MaxValueSize {
 		return ErrValueTooLarge
 	}
+	if c.loads != nil {
+		c.await()
+	}
+	c.put(key, value)
+	return nil
+}
+
+// put is Put past its checks, which the loader also runs as Load's
+// fallback near the log's first wrap.
+//
+//herd:hotpath
+func (c *Cache) put(key Key, value []byte) {
 	if c.queued != 0 {
 		c.settle()
 	}
@@ -326,7 +372,6 @@ func (c *Cache) Put(key Key, value []byte) error {
 	// reads the log head as it stood before this entry.
 	i := c.slotFor(base, tag, key)
 	c.slots[i] = makeSlot(tag, c.append(key, value))
-	return nil
 }
 
 // slotFor returns the slot key's entry goes in, within the bucket at
@@ -436,6 +481,17 @@ func (c *Cache) PutNewer(key Key, value []byte) (bool, error) {
 	if len(value) < kv.VersionPrefixLen {
 		return false, kv.ErrUnstamped
 	}
+	if c.loads != nil {
+		c.await()
+	}
+	return c.putNewer(key, value), nil
+}
+
+// putNewer is PutNewer past its checks, which the loader also runs as
+// LoadNewer's fallback near the log's first wrap.
+//
+//herd:hotpath
+func (c *Cache) putNewer(key Key, value []byte) bool {
 	if c.queued != 0 {
 		c.settle()
 	}
@@ -443,21 +499,25 @@ func (c *Cache) PutNewer(key Key, value []byte) (bool, error) {
 	c.stats.MemAccesses++ // bucket read/update
 	i := c.slotNewer(base, tag, key, value)
 	if i < 0 {
-		return false, nil
+		return false
 	}
 	c.stats.Puts++
 	c.slots[i] = makeSlot(tag, c.append(key, value))
-	return true, nil
+	return true
 }
 
 // Load is the bulk-load form of Put, with the same checks, result and
-// Stats. It appends the log entry at once, so the caller may reuse
-// value, but queues the index insert; every loadBatch queued inserts
-// are applied together by settle, and Get, Put, PutNewer, Range and
-// Stats settle first.
-// Batching is exact only while the log has not wrapped, since Put's
-// stale detection reads the head at scan time, so an append that
-// could reach the end of the log's first lap falls back to Put.
+// Stats. It copies key and value into the partition's handoff batch,
+// so the caller may reuse value, and returns. A full batch is applied
+// on its own loader goroutine, after the partition's previous batch
+// (Load waits for that one first, so one batch is in flight per
+// partition). Get, Put, PutNewer, Range and Stats are the barrier:
+// they wait for the loader and apply the partial batch first. A
+// partition therefore applies its loads in call order, each as the
+// sequential load below does, and partitions load in parallel. The
+// barrier drops the batches, so each stretch of loads between barriers
+// allocates its own: Load is for long streaks, such as a preload or a
+// replay, and a lone key between reads costs less as a Put.
 //
 //herd:hotpath
 func (c *Cache) Load(key Key, value []byte) error {
@@ -467,28 +527,15 @@ func (c *Cache) Load(key Key, value []byte) error {
 	if len(value) > MaxValueSize {
 		return ErrValueTooLarge
 	}
-	if c.head+uint64(entryHeader+len(value)) > uint64(c.cfg.LogBytes) {
-		return c.Put(key, value)
-	}
-	c.stats.Puts++
-	base, tag := c.bucketOf(hash64(key))
-	c.stats.MemAccesses++ // bucket read/update, in settle
-	c.queue[c.queued] = pendingInsert{key: key, off: c.append(key, value), base: base, tag: tag}
-	c.queued++
-	if c.queued == loadBatch {
-		c.settle()
-	}
+	c.handOff(key, value, 0)
 	return nil
 }
 
 // LoadNewer is the bulk-load form of PutNewer, as Load is of Put: it
-// queues the ordered insert, and settle compares the stamp, so the
-// partition ends exactly as after the same PutNewer calls. The entry is
-// appended at once, so the caller may reuse value; if settle refuses
-// it, the batch's later entries move down over it, so a refused stamp
-// leaves no log bytes behind. An append that could reach the end of
-// the log's first lap falls back to PutNewer. LoadNewer reports only
-// the checks PutNewer makes, not whether the stamp was accepted.
+// copies key and value into the handoff batch, and the loader applies
+// the ordered insert, so the partition ends exactly as after the same
+// PutNewer calls. LoadNewer reports only the checks PutNewer makes, not
+// whether the stamp was accepted.
 //
 //herd:hotpath
 func (c *Cache) LoadNewer(key Key, value []byte) error {
@@ -501,19 +548,103 @@ func (c *Cache) LoadNewer(key Key, value []byte) error {
 	if len(value) < kv.VersionPrefixLen {
 		return kv.ErrUnstamped
 	}
-	if c.head+uint64(entryHeader+len(value)) > uint64(c.cfg.LogBytes) {
-		_, err := c.PutNewer(key, value)
-		return err
+	c.handOff(key, value, newerFlag)
+	return nil
+}
+
+// handOff copies one checked load into the batch being filled. A batch
+// with no room left for a maximal entry goes to a loader goroutine once
+// the one before it is applied, and that one, emptied, takes its place.
+//
+//herd:hotpath
+func (c *Cache) handOff(key Key, value []byte, flag uint16) {
+	b := c.loads
+	if b == nil {
+		b = new(handoff) //lint:allow hotalloc — a load streak's first batch, dropped at the barrier
+		c.loads = b
 	}
-	c.stats.Puts++ // until settle refuses it
+	e := b.buf[b.n:]
+	copy(e, key[:])
+	binary.LittleEndian.PutUint16(e[KeySize:], uint16(len(value))|flag)
+	b.n += entryHeader + copy(e[entryHeader:], value)
+	if b.n <= handoffBytes-(entryHeader+MaxValueSize) {
+		return
+	}
+	next := b.prev
+	if next != nil {
+		<-next.done
+	} else {
+		next = new(handoff) //lint:allow hotalloc — a load streak's second batch, dropped at the barrier
+	}
+	b.done = make(chan struct{}) //lint:allow hotalloc — one per handoff batch
+	go c.loader(b)               //lint:allow hotalloc — one goroutine per handoff batch
+	next.prev, next.done, next.n = b, nil, 0
+	c.loads = next
+}
+
+// loader is a handoff batch's goroutine: it applies b, then closes
+// b.done.
+func (c *Cache) loader(b *handoff) {
+	c.apply(b)
+	close(b.done)
+}
+
+// await is the bulk-load barrier: it waits for the batch in flight,
+// applies the partial batch and settles the queued inserts, and drops
+// the loader state.
+//
+//herd:hotpath
+func (c *Cache) await() {
+	b := c.loads
+	c.loads = nil
+	if b.prev != nil {
+		<-b.prev.done
+	}
+	c.apply(b)
+	if c.queued != 0 {
+		c.settle()
+	}
+}
+
+// apply runs a handoff batch's loads in call order.
+//
+//herd:hotpath
+func (c *Cache) apply(b *handoff) {
+	for e := b.buf[:b.n]; len(e) > 0; {
+		n := binary.LittleEndian.Uint16(e[KeySize:entryHeader])
+		vlen := int(n &^ newerFlag)
+		c.load(Key(e[:KeySize]), e[entryHeader:entryHeader+vlen], n&newerFlag != 0)
+		e = e[entryHeader+vlen:]
+	}
+}
+
+// load applies one checked Load, or LoadNewer if newer. It appends the
+// log entry at once but queues the index insert; every loadBatch
+// queued inserts are applied together by settle, which compares a
+// newer insert's stamp and, if it refuses one, moves the batch's later
+// entries down over it, so a refused stamp leaves no log bytes behind.
+// Batching is exact only while the log has not wrapped, since Put's
+// stale detection reads the head at scan time, so an append that could
+// reach the end of the log's first lap falls back to put or putNewer.
+//
+//herd:hotpath
+func (c *Cache) load(key Key, value []byte, newer bool) {
+	if c.head+uint64(entryHeader+len(value)) > uint64(c.cfg.LogBytes) {
+		if newer {
+			c.putNewer(key, value)
+		} else {
+			c.put(key, value)
+		}
+		return
+	}
+	c.stats.Puts++ // for a newer insert, until settle refuses it
 	base, tag := c.bucketOf(hash64(key))
 	c.stats.MemAccesses++ // bucket read/update, in settle
-	c.queue[c.queued] = pendingInsert{key: key, off: c.append(key, value), base: base, tag: tag, newer: true}
+	c.queue[c.queued] = pendingInsert{key: key, off: c.append(key, value), base: base, tag: tag, newer: newer}
 	c.queued++
 	if c.queued == loadBatch {
 		c.settle()
 	}
-	return nil
 }
 
 // settle applies the queued inserts in Load order, each exactly as Put
@@ -582,8 +713,8 @@ func (c *Cache) moveEntry(from, to, n uint64) {
 // Range performs no timing-model accounting: it is a control-plane
 // walk for migration and diagnostics, not a data-path operation.
 func (c *Cache) Range(fn func(key Key, value []byte) bool) {
-	if c.queued != 0 {
-		c.settle()
+	if c.loads != nil {
+		c.await()
 	}
 	for _, s := range c.slots {
 		if !s.used() {
