@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-check tables metrics microbench loc unrun unrun-check sensitivity
+.PHONY: all build vet lint test race bench bench-check tables metrics results results-check microbench loc unrun unrun-check sensitivity
 
 all: build vet lint test
 
@@ -49,6 +49,27 @@ metrics:
 	$(GO) run ./cmd/herdbench -warmup 50 -span 150 -metrics "$$tmp" all >/dev/null; \
 	cat "$$tmp"
 
+# The canonical results files: every target's table at the default
+# windows on each preset, without the wall-clock "generated in" lines.
+# `make results` rewrites them (into RESULTS_DIR, docs/ by default);
+# results-check regenerates them into a temp dir and diffs, so a change
+# that moves a modeled number must commit the files it moves.
+RESULTS_DIR ?= docs
+
+results:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/herdbench" ./cmd/herdbench; \
+	"$$tmp/herdbench" all >"$$tmp/apt.txt"; \
+	"$$tmp/herdbench" -cluster susitna all >"$$tmp/susitna.txt"; \
+	sed '/ generated in /d' "$$tmp/apt.txt" >"$(RESULTS_DIR)/results-apt.txt"; \
+	sed '/ generated in /d' "$$tmp/susitna.txt" >"$(RESULTS_DIR)/results-susitna.txt"
+
+results-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(MAKE) --no-print-directory -s results RESULTS_DIR="$$tmp"; \
+	diff -u docs/results-apt.txt "$$tmp/results-apt.txt"; \
+	diff -u docs/results-susitna.txt "$$tmp/results-susitna.txt"
+
 # Paper-figure benchmarks, plus the simulator substrate's per-event
 # microbenchmarks (engine schedule+step, one event against a standing
 # queue shaped like fleet-write's, Server job, PIO write, packet send),
@@ -74,14 +95,14 @@ loc:
 	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
 
 # Every internal/ function outside internal/lint that no run of the
-# CLIs, bench or examples executes: herdbench, herdload, the bench
-# binary and every example are built with coverage into a temp dir,
+# CLIs, bench or examples executes: herdbench, the bench binary and
+# every example are built with coverage into a temp dir,
 # every herdbench target runs on both clusters (the Apt pass writes
 # every BENCH_*.json into the temp dir), one more herdbench pass
 # writes the telemetry outputs (-metrics -trace -perqp on the anatomy
 # target), one runs the chaos target under a script that uses every
-# fault keyword and writes its metrics dump, herdload runs once with loss and retries, every bench
-# workload runs for a second, each example runs once, and the merged
+# fault keyword and writes its metrics dump, every bench workload runs
+# for a second, each example runs once, and the merged
 # profile's 0.0% functions are printed. The bench/ lines are dropped
 # because `go tool cover` cannot resolve that nested module's files from
 # here. An audit of code nothing reaches (about a minute and a half);
@@ -91,7 +112,7 @@ UNRUN_FAULTS = internal/fault/testdata/every-keyword.faults
 
 unrun:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov"; \
-	for p in ./cmd/herdbench ./cmd/herdload ./examples/*; do \
+	for p in ./cmd/herdbench ./examples/*; do \
 		$(GO) build -cover -coverpkg=herdkv/... -o "$$tmp/bin/$$(basename $$p)" $$p; \
 	done; \
 	(cd bench && $(GO) build -cover -coverpkg=herdkv/... -o "$$tmp/bench" .); \
@@ -102,7 +123,6 @@ unrun:
 		-trace "$$tmp/trace.json" -perqp anatomy >/dev/null; \
 	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdbench" -metrics "$$tmp/chaos-metrics.txt" \
 		-faults $(UNRUN_FAULTS) chaos >/dev/null; \
-	GOCOVERDIR="$$tmp/cov" "$$tmp/bin/herdload" -system herd -loss 0.02 -retry 25 >/dev/null; \
 	for w in $(UNRUN_WORKLOADS); do \
 		GOCOVERDIR="$$tmp/cov" "$$tmp/bench" --workload $$w --seconds 1 >/dev/null; \
 	done; \

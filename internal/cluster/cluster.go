@@ -120,7 +120,7 @@ type Cluster struct {
 // or validate them first to surface errors as errors).
 func New(spec Spec, n int, seed int64) *Cluster {
 	eng := sim.New()
-	net := wire.NewNetwork(eng, spec.Link, seed)
+	net := wire.NewNetwork(eng, spec.Link)
 	c := &Cluster{Eng: eng, Net: net, Spec: spec, seed: seed, tel: defaultTelemetry}
 	if spec.Faults != nil {
 		inj, err := fault.NewInjector(net, spec.Faults, seed+0x7a11)

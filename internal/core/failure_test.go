@@ -3,34 +3,14 @@ package core
 import (
 	"testing"
 
-	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
 )
 
-// lossyHERD builds a HERD deployment on a fabric with the given loss
-// rate and retries enabled.
-func lossyHERD(t *testing.T, lossRate float64, cfg Config) (*cluster.Cluster, *Server, *Client) {
-	t.Helper()
-	spec := cluster.Apt()
-	spec.Link.LossRate = lossRate
-	cl := cluster.New(spec, 2, 3)
-	srv, err := NewServer(cl.Machine(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := srv.ConnectClient(cl.Machine(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl, srv, c
-}
-
 func TestLossWithoutRetriesHangs(t *testing.T) {
 	// Base behavior: with loss and no retries, some ops never complete —
 	// the paper's "sacrifices transport-level retransmission".
-	cfg := smallConfig()
-	cl, _, c := lossyHERD(t, 0.30, cfg)
+	cl, _, c := chaosHERD(t, "loss from=0 until=50ms rate=0.3", smallConfig())
 	n := 100
 	completed := 0
 	for i := 0; i < n; i++ {
@@ -40,13 +20,16 @@ func TestLossWithoutRetriesHangs(t *testing.T) {
 	if completed == n {
 		t.Fatal("all ops completed despite 30% loss and no retries")
 	}
+	if cl.Faults().Drops() == 0 {
+		t.Fatal("the loss window dropped no packet")
+	}
 }
 
 func TestRetriesRecoverFromLoss(t *testing.T) {
 	cfg := smallConfig()
 	cfg.RetryTimeout = 100 * sim.Microsecond
 	cfg.MaxRetries = 25
-	cl, _, c := lossyHERD(t, 0.20, cfg)
+	cl, _, c := chaosHERD(t, "loss from=0 until=400ms rate=0.2", cfg)
 
 	key := kv.FromUint64(77)
 	n := 60
@@ -86,15 +69,15 @@ func TestRetriesRecoverFromLoss(t *testing.T) {
 	if ok != n {
 		t.Fatalf("correct results %d/%d", ok, n)
 	}
-	if c.Retries() == 0 {
-		t.Fatal("no retries recorded despite 20% loss")
+	if c.Retries() == 0 || cl.Faults().Drops() == 0 {
+		t.Fatalf("%d retries and %d dropped packets under 20%% loss, want both nonzero", c.Retries(), cl.Faults().Drops())
 	}
 }
 
 func TestRetryTimerNoOpWhenLossless(t *testing.T) {
 	cfg := smallConfig()
 	cfg.RetryTimeout = 50 * sim.Microsecond
-	cl, _, c := lossyHERD(t, 0, cfg)
+	cl, _, c := chaosHERD(t, "", cfg)
 	completed := 0
 	for i := 0; i < 50; i++ {
 		c.Get(kv.FromUint64(uint64(i+1)), func(r kv.Result) {
@@ -146,25 +129,19 @@ func TestGapRecovery(t *testing.T) {
 	cfg.RetryTimeout = 80 * sim.Microsecond
 	cfg.MaxRetries = 30
 
-	cl := cluster.New(cluster.Apt(), 2, 5)
-	srv, err := NewServer(cl.Machine(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := srv.ConnectClient(cl.Machine(1))
-	if err != nil {
-		t.Fatal(err)
+	// Every packet sent in the first 10 us is lost.
+	cl, srv, c := chaosHERD(t, "loss from=0 until=10us rate=1", cfg)
+	if now := cl.Eng.Now(); now != 0 {
+		t.Fatalf("set-up ran to %v, past the loss window's start", now)
 	}
 
 	var order []int
-	cl.Net.SetLossRate(1.0)
 	c.Put(kv.FromUint64(1), []byte{1}, func(r Result) {
 		if r.Status == kv.StatusHit {
 			order = append(order, 1)
 		}
 	})
 	cl.Eng.RunFor(10 * sim.Microsecond) // request 1 is lost in this window
-	cl.Net.SetLossRate(0)
 	for i := 2; i <= 4; i++ {
 		i := i
 		c.Put(kv.FromUint64(uint64(i)), []byte{byte(i)}, func(r Result) {
@@ -183,8 +160,8 @@ func TestGapRecovery(t *testing.T) {
 	if len(order) != 4 || order[3] != 1 {
 		t.Fatalf("gap not recovered: %v", order)
 	}
-	if c.Retries() == 0 {
-		t.Fatal("no retry recorded")
+	if c.Retries() == 0 || cl.Faults().Drops() == 0 {
+		t.Fatalf("%d retries and %d dropped packets, want both nonzero", c.Retries(), cl.Faults().Drops())
 	}
 	// And the data really landed.
 	if v, ok := srv.Partition(0).Get(kv.FromUint64(1)); !ok || v[0] != 1 {

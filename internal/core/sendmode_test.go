@@ -97,17 +97,7 @@ func TestSendModeRetryRecovers(t *testing.T) {
 	cfg := sendModeConfig()
 	cfg.RetryTimeout = 100 * sim.Microsecond
 	cfg.MaxRetries = 30
-	spec := cluster.Apt()
-	spec.Link.LossRate = 0.2
-	cl := cluster.New(spec, 2, 9)
-	srv, err := NewServer(cl.Machine(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := srv.ConnectClient(cl.Machine(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl, _, c := chaosHERD(t, "loss from=0 until=400ms rate=0.2", cfg)
 	n := 40
 	completed := 0
 	var next func(i int)
@@ -125,8 +115,8 @@ func TestSendModeRetryRecovers(t *testing.T) {
 	if completed != n {
 		t.Fatalf("completed %d/%d under loss in SEND mode", completed, n)
 	}
-	if c.Retries() == 0 {
-		t.Fatal("expected retries under 20% loss")
+	if c.Retries() == 0 || cl.Faults().Drops() == 0 {
+		t.Fatalf("%d retries and %d dropped packets under 20%% loss, want both nonzero", c.Retries(), cl.Faults().Drops())
 	}
 }
 

@@ -70,7 +70,7 @@ func classicalKV(serverCores int) (float64, sim.Time) {
 	net := wire.NewNetwork(eng, wire.Params{
 		Gbps: 10, PropDelay: sim.NS(600),
 		HdrRC: 46, HdrUC: 46, HdrUD: 46, MTU: 1500,
-	}, 1)
+	})
 	nClients := 32
 	for n := 0; n <= nClients; n++ {
 		net.AddNode(wire.NodeID(n))

@@ -74,12 +74,12 @@ func runCPUUse(cfg E2EConfig) cpuUseResult {
 
 	var completed uint64
 	var clientBusy sim.Time
-	driveE2E(cfg, cl, clients, func(ch *chain, _ kv.Result) {
+	d := driveE2E(cfg, cl, clients, func(ch *chain, _ kv.Result) {
 		completed++
 		clientBusy += perOp(ch.op.IsGet)
 	})
 
-	cl.Eng.RunFor(Warmup)
+	d.warm(Warmup)
 	startOps := completed
 	startBusy := serverBusy(serverCPU, cfg.Cores)
 	startClient := clientBusy

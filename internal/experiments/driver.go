@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
@@ -16,6 +18,14 @@ var (
 	Warmup = 150 * sim.Microsecond
 	Span   = 400 * sim.Microsecond
 )
+
+// staggered returns client i of n's start time, spread evenly over
+// 40 µs: real client fleets do not begin in lockstep, and a
+// synchronized start puts the closed-loop system into a long
+// oscillatory transient at high client counts.
+func staggered(i, n int) sim.Time {
+	return sim.Time(i) * (40 * sim.Microsecond / sim.Time(n+1))
+}
 
 // driver runs closed-loop KV clients, the way the paper measures every
 // end-to-end figure: each client keeps `window` ops in flight, and a
@@ -65,6 +75,19 @@ func (d *driver) add(c kv.KV, src opSource, window int, start sim.Time) {
 	}
 	d.clients = append(d.clients, cli)
 	d.eng.AtHandler(start, cli)
+}
+
+// warm runs the engine through warmup w, then panics if a client has
+// issued nothing yet: its start would fall inside the measured span,
+// which would then measure a ramp rather than the steady state.
+func (d *driver) warm(w sim.Time) {
+	d.eng.RunFor(w)
+	for i, cli := range d.clients {
+		if cli.nop == 0 {
+			panic(fmt.Sprintf("experiments: client %d of %d has issued nothing when the measured span opens at %.1f us; "+
+				"start it earlier or lengthen the warmup", i, len(d.clients), d.eng.Now().Microseconds()))
+		}
+	}
 }
 
 // Fire starts the client's chains.
@@ -141,7 +164,7 @@ func measureGets[C kv.KV](cl *cluster.Cluster, clients []C, window int, keys uin
 	for i, c := range clients {
 		d.add(c, &seqGets{seq: uint64(i) * 977, keys: keys}, window, start(i))
 	}
-	cl.Eng.RunFor(Warmup)
+	d.warm(Warmup)
 	measuring = true
 	cl.Eng.RunFor(Span)
 	return served, lat

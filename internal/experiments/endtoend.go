@@ -41,13 +41,11 @@ type E2EConfig struct {
 	Window      int
 	Cores       int // server processes / cores
 	Zipf        bool
-	Seed        int64
 
 	// HERD variants (ablation studies).
-	RequestPath  core.RequestPath // UC WRITE, DC WRITE or SEND/SEND (Section 5.5)
-	NoPrefetch   bool             // disable the request pipeline
-	InlineCut    int              // response inline cutoff override (0 = default)
-	RetryTimeout sim.Time         // client retry timeout (0 = no retries)
+	RequestPath core.RequestPath // UC WRITE, DC WRITE or SEND/SEND (Section 5.5)
+	NoPrefetch  bool             // disable the request pipeline
+	InlineCut   int              // response inline cutoff override (0 = default)
 }
 
 // DefaultE2E is the paper's end-to-end setup for system on spec: 51
@@ -58,7 +56,7 @@ func DefaultE2E(spec cluster.Spec, system string) E2EConfig {
 		Spec: spec, System: system,
 		Clients:   51,
 		ValueSize: 32, GetFraction: 0.95,
-		Keys: 48 * 1024, Window: 4, Cores: 6, Seed: 1,
+		Keys: 48 * 1024, Window: 4, Cores: 6,
 	}
 }
 
@@ -67,10 +65,8 @@ func DefaultE2E(spec cluster.Spec, system string) E2EConfig {
 type E2EResult struct {
 	Mops      float64
 	Mean      sim.Time
-	P5, P50   sim.Time
-	P95, P99  sim.Time
+	P5, P95   sim.Time
 	PerCore   []float64 // HERD: per-partition Mops
-	Gets      uint64    // GETs measured over Span
 	GetMisses uint64    // measured GETs that found no value
 	VerifyErr uint64    // sampled GET hits whose value was wrong
 	Completed uint64    // ops completed over warmup and span
@@ -82,7 +78,7 @@ type E2EResult struct {
 // served-count probe (HERD only). Every system's client is driven
 // through the shared kv.KV interface; no per-system glue is needed.
 func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
-	cl := deploySpec{spec: cfg.Spec, seed: cfg.Seed, clients: cfg.Clients, perMachine: e2ePerMachine}.cluster(1)
+	cl := deploySpec{spec: cfg.Spec, seed: 1, clients: cfg.Clients, perMachine: e2ePerMachine}.cluster(1)
 	var clients []kv.KV
 	var perCore func() []uint64
 
@@ -94,7 +90,6 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 		hcfg.Window = cfg.Window
 		hcfg.RequestPath = cfg.RequestPath
 		hcfg.Prefetch = !cfg.NoPrefetch
-		hcfg.RetryTimeout = cfg.RetryTimeout
 		if cfg.InlineCut > 0 {
 			hcfg.InlineCutoff = cfg.InlineCut
 		}
@@ -157,34 +152,34 @@ func buildSystem(cfg E2EConfig) (*cluster.Cluster, []kv.KV, func() []uint64) {
 	return cl, clients, perCore
 }
 
-// driveE2E starts cfg's closed-loop clients on the driver: client i
-// keeps cfg.Window ops from newGenFor(cfg, i) in flight.
-func driveE2E(cfg E2EConfig, cl *cluster.Cluster, clients []kv.KV, observe func(*chain, kv.Result)) {
+// driveE2E starts cfg's closed-loop clients on a driver, staggered:
+// client i keeps cfg.Window ops from newGenFor(cfg, i) in flight.
+func driveE2E(cfg E2EConfig, cl *cluster.Cluster, clients []kv.KV, observe func(*chain, kv.Result)) *driver {
 	d := newDriver(cl.Eng, observe)
-	// Stagger client start times: real client fleets do not begin in
-	// lockstep, and a synchronized start puts the closed-loop system into
-	// a long oscillatory transient at high client counts.
-	stagger := 40 * sim.Microsecond / sim.Time(len(clients)+1)
 	for i, c := range clients {
-		d.add(c, newGenFor(cfg, i), cfg.Window, sim.Time(i)*stagger)
+		d.add(c, newGenFor(cfg, i), cfg.Window, staggered(i, len(clients)))
 	}
+	return d
 }
 
 // newGenFor builds client i's workload generator under cfg.
 func newGenFor(cfg E2EConfig, i int) *workload.Generator {
-	return workload.NewGenerator(workload.Config{
+	wc := workload.Config{
 		GetFraction: cfg.GetFraction,
 		Keys:        cfg.Keys,
-		ZipfTheta:   ternary(cfg.Zipf, 0.99, 0),
 		ValueSize:   cfg.ValueSize,
-		Seed:        cfg.Seed + int64(i)*1000,
-	})
+		Seed:        1 + int64(i)*1000,
+	}
+	if cfg.Zipf {
+		wc.ZipfTheta = 0.99
+	}
+	return workload.NewGenerator(wc)
 }
 
 // RunE2E builds cfg's deployment, drives it closed-loop, and measures
 // steady state over Span after Warmup. Every 64th op a client issues
 // is verified, if it is a GET hit, against the value the generator
-// writes. Figs 9–14, their ablations and cmd/herdload all measure here.
+// writes. Figs 9–14 and their ablations all measure here.
 func RunE2E(cfg E2EConfig) E2EResult { return runE2E(cfg, Warmup, Span) }
 
 // runE2E is RunE2E over the given windows, for the targets that need
@@ -193,18 +188,15 @@ func RunE2E(cfg E2EConfig) E2EResult { return runE2E(cfg, Warmup, Span) }
 func runE2E(cfg E2EConfig, warmup, span sim.Time) E2EResult {
 	cl, clients, perCore := buildSystem(cfg)
 
-	var completed, hits, gets, verifyErr uint64
+	var completed, misses, verifyErr uint64
 	rec := stats.NewLatencyRecorder(32768)
 	measuring := false
-	driveE2E(cfg, cl, clients, func(ch *chain, r kv.Result) {
+	d := driveE2E(cfg, cl, clients, func(ch *chain, r kv.Result) {
 		completed++
 		if measuring {
 			rec.Record(r.Latency)
-			if ch.op.IsGet {
-				gets++
-				if r.Status == kv.StatusHit {
-					hits++
-				}
+			if ch.op.IsGet && r.Status != kv.StatusHit {
+				misses++
 			}
 		}
 		if ch.op.IsGet && ch.nop%64 == 0 && r.Status == kv.StatusHit &&
@@ -213,7 +205,7 @@ func runE2E(cfg E2EConfig, warmup, span sim.Time) E2EResult {
 		}
 	})
 
-	cl.Eng.RunFor(warmup)
+	d.warm(warmup)
 	measuring = true
 	var beforeCore []uint64
 	if perCore != nil {
@@ -226,11 +218,8 @@ func runE2E(cfg E2EConfig, warmup, span sim.Time) E2EResult {
 		Mops:      stats.Throughput(completed-start, span),
 		Mean:      rec.Mean(),
 		P5:        rec.Percentile(5),
-		P50:       rec.Percentile(50),
 		P95:       rec.Percentile(95),
-		P99:       rec.Percentile(99),
-		Gets:      gets,
-		GetMisses: gets - hits,
+		GetMisses: misses,
 		VerifyErr: verifyErr,
 		Completed: completed,
 		Events:    cl.Eng.Processed(),
@@ -243,13 +232,6 @@ func runE2E(cfg E2EConfig, warmup, span sim.Time) E2EResult {
 		}
 	}
 	return res
-}
-
-func ternary(c bool, a, b float64) float64 {
-	if c {
-		return a
-	}
-	return b
 }
 
 // Fig9Throughput reproduces Figure 9: end-to-end throughput for 48 B

@@ -8,7 +8,6 @@ import (
 	"herdkv/internal/fleet"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
-	"herdkv/internal/sim"
 	"herdkv/internal/stats"
 	"herdkv/internal/workload"
 )
@@ -50,9 +49,9 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 		d := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
 		for i, c := range clients {
 			gen := workload.NewGenerator(workload.ReadIntensive(keys, valueSize, int64(i+1)))
-			d.add(c, gen, 4, sim.Time(i)*sim.Microsecond)
+			d.add(c, gen, 4, staggered(i, len(clients)))
 		}
-		cl.Eng.RunFor(Warmup)
+		d.warm(Warmup)
 		start := completed
 		cl.Eng.RunFor(Span)
 		mops := stats.Throughput(completed-start, Span)

@@ -68,7 +68,7 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 			gen := workload.NewGenerator(workload.Skewed(hotkeyKeys, hotkeyValueSize, int64(i+1)))
 			drv.add(c, gen, 4, sim.Time(i)*sim.Microsecond)
 		}
-		cl.Eng.RunFor(Warmup)
+		drv.warm(Warmup)
 		start, originStart := completed, originGets(d)
 		cl.Eng.RunFor(Span)
 

@@ -25,7 +25,7 @@ var replayFirst sync.Map
 // a change that moves a modeled number updates its digest on purpose.
 var replayDigests = map[string]string{
 	"chaos":         "b31ec8d7985a439d89c013ef9224ba14c70242c6503d0ec6c7f8baee79529eed",
-	"fleet-bench":   "917e667534088d08a1855cd350f6427a64ac0889547b2f9fabbea664b7a96adc",
+	"fleet-bench":   "4212990e60ac1cb7e3934e34cafc9ac5a3e4d520565cda75d5f3a9794b53e6af",
 	"fleet-chaos":   "36aea2e38e1c2ca1a7409f5852c2b430afd405515602def91771cc6e389cf062",
 	"overload":      "2acb8142174b76f553b012921b0f8ccbe5f016fa3182262a67550ff56c7a234d",
 	"clients-sweep": "063636406816aa0e01c37576c41db15ab5e1bc45c2085591a8468e9b46f97a8f",
@@ -53,15 +53,18 @@ var replayDigests = map[string]string{
 // TestReplayStable pins determinism for every target in replayDigests:
 // two in-process runs, and the first run of any earlier -count
 // iteration, must produce the same table and report bytes, and those
-// bytes must match replayDigests.
+// bytes must match replayDigests. The targets run as parallel
+// subtests: each builds its own clusters and only reads the package
+// windows, which the cleanup restores once every subtest is done.
 func TestReplayStable(t *testing.T) {
-	defer short(t)()
+	t.Cleanup(short(t))
 	for _, target := range Targets {
 		if _, pinned := replayDigests[target.Name]; !pinned {
 			continue
 		}
 		target := target
 		t.Run(target.Name, func(t *testing.T) {
+			t.Parallel()
 			run := func() string {
 				tbl, rep := target.Run(cluster.Apt())
 				var sb strings.Builder

@@ -48,7 +48,6 @@ var sensitivityReasons = map[string]string{
 	"MaxNodes":       "Table 2 capacity: the testbed's size, printed by table2; no experiment builds that many machines",
 	"Cores":          "Table 2 capacity: cores per machine; no experiment uses more than 14",
 	"Link.MTU":       "protocol input: payloads above it are segmented (TestMTUSegmentation); only FaRM-em's 6 KB READs at sv=1000 cross 4 KiB, and ±10% moves them 0.69%",
-	"Link.LossRate":  "fault input: 0 in every measured run, so scaling leaves it 0; the loss tests and `herdload -loss` set it",
 	"NIC.ReadWindow": "protocol input: the per-QP fence of 16 outstanding READs (Section 3.2.2); the READ ceilings come from RxReadReq and TxReadReq+RxReadResp",
 	"NIC.RxAck":      "the requester's share of an RC ACK, charged when the WRITE or SEND issues; ±10% of its 2 ns moves no metric by 1%, but at 0 fig5's RC `basic_mops` rise 1.8%",
 }

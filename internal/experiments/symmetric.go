@@ -109,7 +109,7 @@ func herdPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64) {
 	for i, c := range clients {
 		d.add(c, workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(i+1))), hcfg.Window, 0)
 	}
-	cl.Eng.RunFor(Warmup)
+	d.warm(Warmup)
 	start := completed
 	startBusy := serverBusy(cl.Machine(0).CPU, hcfg.NS)
 	cl.Eng.RunFor(Span)

@@ -11,7 +11,7 @@ import (
 func newNet(t *testing.T) (*sim.Engine, *wire.Network) {
 	t.Helper()
 	eng := sim.New()
-	net := wire.NewNetwork(eng, wire.InfiniBand56(), 1)
+	net := wire.NewNetwork(eng, wire.InfiniBand56())
 	for id := wire.NodeID(0); id < 3; id++ {
 		net.AddNode(id)
 	}

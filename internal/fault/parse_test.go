@@ -131,7 +131,7 @@ func FuzzParseSchedule(f *testing.F) {
 		}
 		// An accepted schedule must also bind to a fabric without error.
 		eng := sim.New()
-		net := wire.NewNetwork(eng, wire.InfiniBand56(), 1)
+		net := wire.NewNetwork(eng, wire.InfiniBand56())
 		net.AddNode(wire.NodeID(0))
 		if _, err := NewInjector(net, s, 1); err != nil {
 			t.Fatalf("accepted schedule rejected by NewInjector: %v", err)

@@ -15,7 +15,7 @@ func TestRCAckChargedToItsWrite(t *testing.T) {
 	// signaled, inlined RC WRITE is one PU job at each end, the
 	// requester's carrying RxAck and the responder's RCRespExtra.
 	eng := sim.New()
-	net := wire.NewNetwork(eng, wire.InfiniBand56(), 1)
+	net := wire.NewNetwork(eng, wire.InfiniBand56())
 	p := nic.ConnectX3()
 	nics := [2]*nic.NIC{}
 	hosts := [2]*verbs.Host{}

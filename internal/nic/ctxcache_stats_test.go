@@ -103,7 +103,7 @@ func TestMissStallCharging(t *testing.T) {
 func TestPerQPCtxCounters(t *testing.T) {
 	eng := sim.New()
 	bus := pcie.NewBus(eng, pcie.Gen3x8())
-	net := wire.NewNetwork(eng, wire.InfiniBand56(), 1)
+	net := wire.NewNetwork(eng, wire.InfiniBand56())
 	n := New(eng, ConnectX3(), bus, net, 3)
 	sink := telemetry.New()
 	sink.PerQP = true

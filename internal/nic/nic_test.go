@@ -12,7 +12,7 @@ import (
 func newNIC() (*sim.Engine, *NIC) {
 	eng := sim.New()
 	bus := pcie.NewBus(eng, pcie.Gen3x8())
-	net := wire.NewNetwork(eng, wire.InfiniBand56(), 1)
+	net := wire.NewNetwork(eng, wire.InfiniBand56())
 	return eng, New(eng, ConnectX3(), bus, net, 0)
 }
 

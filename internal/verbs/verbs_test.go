@@ -21,7 +21,7 @@ type testbed struct {
 
 func newTestbed() *testbed {
 	eng := sim.New()
-	net := wire.NewNetwork(eng, wire.InfiniBand56(), 1)
+	net := wire.NewNetwork(eng, wire.InfiniBand56())
 	mk := func(node wire.NodeID) *Host {
 		bus := pcie.NewBus(eng, pcie.Gen3x8())
 		return NewHost(eng, nic.New(eng, nic.ConnectX3(), bus, net, node))

@@ -16,32 +16,16 @@ func TestDCHeaderAndString(t *testing.T) {
 	}
 }
 
-func TestNetworkParamsAndSetLossRate(t *testing.T) {
-	eng := sim.New()
-	n := NewNetwork(eng, InfiniBand56(), 1)
+func TestNetworkParams(t *testing.T) {
+	n := NewNetwork(sim.New(), InfiniBand56())
 	if n.Params().Gbps != 56 {
 		t.Fatal("Params accessor")
-	}
-	n.AddNode(0)
-	n.AddNode(1)
-	n.SetLossRate(1.0)
-	delivered := false
-	n.Send(0, 1, UC, 8, func(sim.Time) { delivered = true })
-	eng.Run()
-	if delivered {
-		t.Fatal("packet survived 100% loss")
-	}
-	n.SetLossRate(0)
-	n.Send(0, 1, UC, 8, func(sim.Time) { delivered = true })
-	eng.Run()
-	if !delivered {
-		t.Fatal("packet lost after healing")
 	}
 }
 
 func TestUtilizationAccessors(t *testing.T) {
 	eng := sim.New()
-	n := NewNetwork(eng, InfiniBand56(), 1)
+	n := NewNetwork(eng, InfiniBand56())
 	n.AddNode(0)
 	n.AddNode(1)
 	for i := 0; i < 100; i++ {
@@ -63,7 +47,7 @@ func TestMTUSegmentation(t *testing.T) {
 	eng := sim.New()
 	p := InfiniBand56()
 	p.MTU = 1024
-	n := NewNetwork(eng, p, 1)
+	n := NewNetwork(eng, p)
 	n.AddNode(0)
 	n.AddNode(1)
 	// A 6 KB message must segment: total wire time exceeds a single
@@ -94,10 +78,17 @@ func TestMTUSegmentLossSuppressesDelivery(t *testing.T) {
 	eng := sim.New()
 	p := InfiniBand56()
 	p.MTU = 256
-	p.LossRate = 0.5
-	n := NewNetwork(eng, p, 3)
+	n := NewNetwork(eng, p)
 	n.AddNode(0)
 	n.AddNode(1)
+	rnd, dropped := sim.NewRand(3), 0
+	n.SetFaultHook(func(_, _ NodeID, _ sim.Time) Fate {
+		if rnd.Float64() < 0.5 {
+			dropped++
+			return FateDrop
+		}
+		return FateDeliver
+	})
 	delivered, attempts := 0, 200
 	for i := 0; i < attempts; i++ {
 		n.SendWire(0, 1, 2000, func(sim.Time) { delivered++ })
@@ -105,7 +96,7 @@ func TestMTUSegmentLossSuppressesDelivery(t *testing.T) {
 	eng.Run()
 	// ~8 segments each at 50% loss: essentially none should deliver
 	// whole, and definitely none may deliver despite a dropped segment.
-	if n.dropped == 0 {
+	if dropped == 0 {
 		t.Fatal("no drops at 50% loss")
 	}
 	if delivered > attempts/10 {

@@ -4,11 +4,10 @@
 //
 // InfiniBand and RoCE employ credit-based / priority flow control, so
 // packets are never lost to congestion (Section 2.2.3); the only loss
-// source is faults. Two fault mechanisms exist: the uniform bit-error
-// Params.LossRate, and a per-packet fault hook (SetFaultHook) through
-// which internal/fault injects link blackouts, asymmetric partitions,
-// degradation windows and corruption bursts. Both feed one decision
-// point (fate) so every packet answers to the same policy.
+// source is faults. A per-packet fault hook (SetFaultHook) is the one
+// fault mechanism: through it internal/fault injects uniform loss,
+// link blackouts, asymmetric partitions, degradation windows and
+// corruption bursts, so every packet answers to one policy.
 package wire
 
 import "herdkv/internal/sim"
@@ -26,10 +25,6 @@ type Params struct {
 	HdrRC, HdrUC, HdrUD int
 	// MTU is the maximum payload per packet.
 	MTU int
-	// LossRate is the probability a packet is dropped (bit error).
-	// Zero in all performance experiments; nonzero only in failure
-	// injection tests.
-	LossRate float64
 }
 
 // InfiniBand56 returns parameters for the Apt cluster's 56 Gbps FDR
@@ -144,11 +139,9 @@ type Network struct {
 	eng   *sim.Engine
 	p     Params
 	ports map[NodeID]*port
-	rnd   *sim.Rand
 	fault FaultHook
 
 	sent      uint64
-	dropped   uint64
 	corrupted uint64
 
 	free []*packet // recycled in-flight packet records
@@ -211,37 +204,28 @@ func (n *Network) release(p *packet) {
 }
 
 // NewNetwork returns an empty fabric.
-func NewNetwork(eng *sim.Engine, p Params, seed int64) *Network {
-	return &Network{eng: eng, p: p, ports: make(map[NodeID]*port), rnd: sim.NewRand(seed)}
+func NewNetwork(eng *sim.Engine, p Params) *Network {
+	return &Network{eng: eng, p: p, ports: make(map[NodeID]*port)}
 }
 
 // Params returns the fabric parameters.
 func (n *Network) Params() Params { return n.p }
 
-// SetLossRate adjusts the bit-error drop probability at runtime (for
-// failure-injection tests that need deterministic loss windows).
-func (n *Network) SetLossRate(r float64) { n.p.LossRate = r }
-
 // SetFaultHook installs (or, with nil, removes) the per-packet fault
-// policy. The hook sees every packet before the uniform LossRate roll;
-// a FateDrop or FateCorrupt verdict preempts it.
+// policy. The hook sees every packet; without one the fabric is
+// lossless.
 func (n *Network) SetFaultHook(fn FaultHook) { n.fault = fn }
 
 // Engine returns the simulation engine driving the fabric.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // fate is the single packet-fate decision point: the injected fault
-// hook first, then the uniform bit-error loss rate.
+// hook's verdict, or delivery when none is installed.
 func (n *Network) fate(src, dst NodeID) Fate {
-	if n.fault != nil {
-		if f := n.fault(src, dst, n.eng.Now()); f != FateDeliver {
-			return f
-		}
+	if n.fault == nil {
+		return FateDeliver
 	}
-	if n.p.LossRate > 0 && n.rnd.Float64() < n.p.LossRate {
-		return FateDrop
-	}
-	return FateDeliver
+	return n.fault(src, dst, n.eng.Now())
 }
 
 // AddNode attaches a node to the fabric. Adding an existing node is a
@@ -356,7 +340,6 @@ func (n *Network) sendOne(src, dst NodeID, wireBytes int, deliver func(Delivery)
 	corrupt := false
 	switch n.fate(src, dst) {
 	case FateDrop:
-		n.dropped++
 		return
 	case FateCorrupt:
 		n.corrupted++

@@ -9,7 +9,7 @@ import (
 
 func newNet() (*sim.Engine, *Network) {
 	eng := sim.New()
-	n := NewNetwork(eng, InfiniBand56(), 1)
+	n := NewNetwork(eng, InfiniBand56())
 	n.AddNode(0)
 	n.AddNode(1)
 	n.AddNode(2)
@@ -107,34 +107,6 @@ func TestLinkBandwidthBound(t *testing.T) {
 	}
 }
 
-func TestLossInjection(t *testing.T) {
-	eng := sim.New()
-	p := InfiniBand56()
-	p.LossRate = 0.5
-	n := NewNetwork(eng, p, 42)
-	n.AddNode(0)
-	n.AddNode(1)
-	delivered := 0
-	total := 2000
-	for i := 0; i < total; i++ {
-		n.Send(0, 1, UD, 32, func(sim.Time) { delivered++ })
-	}
-	eng.Run()
-	if n.Sent() != uint64(total) {
-		t.Fatalf("sent = %d, want %d", n.Sent(), total)
-	}
-	if n.dropped == 0 || delivered == 0 {
-		t.Fatal("expected both drops and deliveries at 50% loss")
-	}
-	if int(n.dropped)+delivered != total {
-		t.Fatalf("drops (%d) + deliveries (%d) != total (%d)", n.dropped, delivered, total)
-	}
-	frac := float64(n.dropped) / float64(total)
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("drop fraction %.2f, want ~0.5", frac)
-	}
-}
-
 func TestZeroLossByDefault(t *testing.T) {
 	eng, n := newNet()
 	delivered := 0
@@ -142,8 +114,8 @@ func TestZeroLossByDefault(t *testing.T) {
 		n.Send(0, 1, UC, 32, func(sim.Time) { delivered++ })
 	}
 	eng.Run()
-	if delivered != 1000 || n.dropped != 0 {
-		t.Fatalf("delivered=%d dropped=%d, want 1000/0 (lossless fabric)", delivered, n.dropped)
+	if delivered != 1000 {
+		t.Fatalf("delivered %d of 1000 packets on a lossless fabric", delivered)
 	}
 }
 
@@ -178,14 +150,14 @@ func TestDeliveryMonotoneProperty(t *testing.T) {
 			x, y = y, x
 		}
 		eng := sim.New()
-		n := NewNetwork(eng, InfiniBand56(), 1)
+		n := NewNetwork(eng, InfiniBand56())
 		n.AddNode(0)
 		n.AddNode(1)
 		var tx, ty sim.Time
 		n.Send(0, 1, UC, x, func(end sim.Time) { tx = end })
 		eng.Run()
 		eng2 := sim.New()
-		n2 := NewNetwork(eng2, InfiniBand56(), 1)
+		n2 := NewNetwork(eng2, InfiniBand56())
 		n2.AddNode(0)
 		n2.AddNode(1)
 		n2.Send(0, 1, UC, y, func(end sim.Time) { ty = end })
