@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-check tables metrics results results-check microbench loc unrun unrun-check sensitivity
+.PHONY: all build vet lint test race bench bench-check tables metrics same results results-check microbench loc unrun unrun-check sensitivity
 
 all: build vet lint test
 
@@ -48,6 +48,33 @@ metrics:
 	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/herdbench -warmup 50 -span 150 -metrics "$$tmp" all >/dev/null; \
 	cat "$$tmp"
+
+# The pure-refactor check in one step: build herdbench from REF
+# (default HEAD, checked out into a temporary git worktree) and from
+# this tree, run every target once on each at the shortened windows
+# with -json and -metrics, then diff the tables (without the
+# "generated in" lines), the -metrics dumps and every BENCH_*.json.
+# Prints each difference and fails on any. About a minute.
+REF ?= HEAD
+
+same:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/tree" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add -q --detach "$$tmp/tree" $(REF); \
+	(cd "$$tmp/tree" && $(GO) build -o "$$tmp/ref.bin" ./cmd/herdbench); \
+	$(GO) build -o "$$tmp/cur.bin" ./cmd/herdbench; \
+	for side in ref cur; do \
+		mkdir "$$tmp/$$side.json"; \
+		"$$tmp/$$side.bin" -warmup 50 -span 150 -json "$$tmp/$$side.json" \
+			-metrics "$$tmp/$$side.metrics" all >"$$tmp/$$side.out"; \
+		sed '/ generated in /d' "$$tmp/$$side.out" >"$$tmp/$$side.tables"; \
+	done; \
+	bad=0; \
+	diff -u "$$tmp/ref.tables" "$$tmp/cur.tables" || bad=1; \
+	diff -u "$$tmp/ref.metrics" "$$tmp/cur.metrics" || bad=1; \
+	diff -r "$$tmp/ref.json" "$$tmp/cur.json" || bad=1; \
+	[ $$bad = 0 ] || { echo "same: output differs from $(REF)"; exit 1; }; \
+	echo "same: tables, metrics dump and $$(ls "$$tmp/cur.json" | wc -l) BENCH files match $(REF)"
 
 # The canonical results files: every target's table at the default
 # windows on each preset, without the wall-clock "generated in" lines.

@@ -255,7 +255,8 @@ func ConnectMux(srv *Server, m *Machine, cfg MuxConfig) (*MuxEndpoint, error) {
 }
 
 // FarmSymmetric is the symmetric FaRM deployment of Section 2.3: every
-// machine hosts a shard and drives load.
+// machine hosts a shard and drives load. Its Client(m) is machine m's
+// view as a KV.
 type FarmSymmetric = farm.Symmetric
 
 // NewFarmSymmetric builds an n-machine symmetric FaRM deployment.

@@ -254,27 +254,6 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 	return c, nil
 }
 
-// ConnectClients attaches n HERD clients on machine m in one call — the
-// endpoint tier's pool construction (internal/mux). Each pooled client
-// is one connected QP set at the server; the mux endpoint carries many
-// logical channels over the pool behind the kv.KV seam, so server-side
-// connected state scales with pools, not with application clients
-// (docs/SCALABILITY.md).
-func (s *Server) ConnectClients(m *cluster.Machine, n int) ([]*Client, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: pool needs at least one client, got %d", n)
-	}
-	clients := make([]*Client, n)
-	for i := range clients {
-		c, err := s.ConnectClient(m)
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = c
-	}
-	return clients, nil
-}
-
 // Inflight returns the number of outstanding operations.
 func (c *Client) Inflight() int { return c.inflight }
 

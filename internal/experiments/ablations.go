@@ -6,8 +6,6 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
 	"herdkv/internal/sim"
-	"herdkv/internal/verbs"
-	"herdkv/internal/wire"
 )
 
 // The ablations quantify the design decisions DESIGN.md calls out, each
@@ -103,48 +101,11 @@ func AblationDoorbell(spec cluster.Spec) (*Table, *Report) {
 	}
 	rep := newReport("ablation-doorbell", spec)
 	for _, batch := range []int{1, 2, 4, 8, 16} {
-		t.AddRow(fmt.Sprintf("%d", batch), rep.Arm(fmt.Sprintf("batch=%d", batch)).mops("mops", doorbellMops(spec, batch)))
+		t.AddRow(fmt.Sprintf("%d", batch), rep.Arm(fmt.Sprintf("batch=%d", batch)).mops("mops", outboundMops(spec, "wr-inline", 32, batch, inboundWindow/2)))
 	}
 	t.AddNote("batch=1 is the BlueFlame (PIO WQE) path the paper's microbenchmarks use")
 	t.AddNote("batched rates extrapolate beyond ConnectX-3's validated envelope; they model the mechanism, not that card's ceiling")
 	return t, rep
-}
-
-func doorbellMops(spec cluster.Spec, batch int) float64 {
-	cl := cluster.New(spec, 1+clientMachines, 1)
-	srv := cl.Machine(0)
-	payload := make([]byte, 32)
-	var count uint64
-	for p := 0; p < inboundProcs; p++ {
-		m := cl.Machine(1 + p%clientMachines)
-		cliMR := m.Verbs.RegisterMR(4096)
-		sq := srv.Verbs.CreateQP(wire.UC)
-		cq := m.Verbs.CreateQP(wire.UC)
-		if err := verbs.Connect(sq, cq); err != nil {
-			panic(err)
-		}
-		wrs := make([]verbs.SendWR, batch)
-		for j := range wrs {
-			wrs[j] = verbs.SendWR{
-				Verb: verbs.WRITE, Data: payload,
-				Remote: cliMR, RemoteOff: j * 64, Inline: true,
-			}
-		}
-		// Each chain posts a whole batch behind one doorbell and reposts
-		// when the batch's last WRITE lands: landings arrive in post
-		// order, so every batch-th landing ends a batch.
-		landed := 0
-		cliMR.Watch(0, 4096, func(off, n int) {
-			count++
-			if landed++; landed%batch == 0 {
-				mustPost(sq.PostSendBatch(wrs))
-			}
-		})
-		for w := 0; w < inboundWindow/2; w++ {
-			mustPost(sq.PostSendBatch(wrs))
-		}
-	}
-	return measureMops(cl, &count)
 }
 
 // AblationPrefetch disables the request pipeline end to end: Figure 7's

@@ -72,20 +72,15 @@ func runCPUUse(cfg E2EConfig) cpuUseResult {
 		return p.PostSend, p.PollCheck
 	})
 
-	var completed uint64
 	var clientBusy sim.Time
 	d := driveE2E(cfg, cl, clients, func(ch *chain, _ kv.Result) {
-		completed++
 		clientBusy += perOp(ch.op.IsGet)
 	})
 
 	d.warm(Warmup)
-	startOps := completed
 	startBusy := serverBusy(serverCPU, cfg.Cores)
 	startClient := clientBusy
-	cl.Eng.RunFor(Span)
-
-	ops := completed - startOps
+	ops := d.measure(Span)
 	if ops == 0 {
 		return cpuUseResult{}
 	}

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/kv"
+	"herdkv/internal/sim"
+	"herdkv/internal/telemetry"
 )
 
 func TestCPUUseShape(t *testing.T) {
@@ -38,5 +42,51 @@ func TestCPUUseShape(t *testing.T) {
 	// And HERD buys far more throughput with it.
 	if herd.mops < 2*pilaf.mops {
 		t.Errorf("HERD (%.1f Mops) should be >2x Pilaf (%.1f)", herd.mops, pilaf.mops)
+	}
+}
+
+// TestClientVerbWorkReads checks cpuuse's client-CPU model against the
+// READs the clients actually post: clientVerbWork charges a GET 2.6
+// READs on Pilaf-em, 2 on FaRM-em-VAR and 1 on FaRM-em, and a HERD GET
+// posts none. The READs posted during the measured span, per GET
+// completed in it, must match within 10%.
+func TestClientVerbWorkReads(t *testing.T) {
+	defer short(t)()
+	// With a post costing 1 ns and polling free, clientVerbWork's GET
+	// cost in ns is its READ count for the READ-based systems.
+	modelReads := func(sys string) float64 {
+		return clientVerbWork(sys, func() (sim.Time, sim.Time) { return sim.Nanosecond, 0 })(true).Nanoseconds()
+	}
+	want := map[string]float64{
+		SysHERD:    0,
+		SysPilaf:   modelReads(SysPilaf),
+		SysFaRM:    modelReads(SysFaRM),
+		SysFaRMVar: modelReads(SysFaRMVar),
+	}
+	for _, sys := range AllSystems {
+		cfg := DefaultE2E(cluster.Apt(), sys)
+		cl, clients, _ := buildSystem(cfg)
+		tel := telemetry.New()
+		cl.SetTelemetry(tel)
+		var gets uint64
+		measuring := false
+		d := driveE2E(cfg, cl, clients, func(ch *chain, r kv.Result) {
+			if measuring && ch.op.IsGet && r.Err == nil {
+				gets++
+			}
+		})
+		d.warm(Warmup)
+		reads := tel.Counter("verbs.READ.posted")
+		start := reads.Value()
+		measuring = true
+		d.measure(Span)
+		if gets == 0 {
+			t.Fatalf("%s: no GET completed in the measured span", sys)
+		}
+		got := float64(reads.Value()-start) / float64(gets)
+		t.Logf("%s: %.2f READs posted per GET, model %.1f", sys, got, want[sys])
+		if math.Abs(got-want[sys]) > 0.1*want[sys] {
+			t.Errorf("%s: %.2f READs posted per GET; clientVerbWork assumes %.1f (want within 10%%)", sys, got, want[sys])
+		}
 	}
 }

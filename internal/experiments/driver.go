@@ -30,14 +30,15 @@ func staggered(i, n int) sim.Time {
 // driver runs closed-loop KV clients, the way the paper measures every
 // end-to-end figure: each client keeps `window` ops in flight, and a
 // chain reissues as soon as its op completes. Each completion is
-// handed to observe before the reissue; setting stopped ends reissue,
-// so the loop dies out as the in-flight ops resolve.
+// counted and handed to observe before the reissue; setting stopped
+// ends reissue, so the loop dies out as the in-flight ops resolve.
 type driver struct {
-	eng     *sim.Engine
-	observe func(*chain, kv.Result)
-	stopped bool
-	issued  uint64
-	clients []*driverClient
+	eng       *sim.Engine
+	observe   func(*chain, kv.Result)
+	stopped   bool
+	issued    uint64
+	completed uint64
+	clients   []*driverClient
 }
 
 // driverClient is one client: its store, op stream and chains.
@@ -60,7 +61,12 @@ type chain struct {
 	inFlight bool        // op has not completed yet
 }
 
+// newDriver returns a driver that hands each completion to observe; a
+// nil observe only counts them.
 func newDriver(eng *sim.Engine, observe func(*chain, kv.Result)) *driver {
+	if observe == nil {
+		observe = func(*chain, kv.Result) {}
+	}
 	return &driver{eng: eng, observe: observe}
 }
 
@@ -88,6 +94,14 @@ func (d *driver) warm(w sim.Time) {
 				"start it earlier or lengthen the warmup", i, len(d.clients), d.eng.Now().Microseconds()))
 		}
 	}
+}
+
+// measure runs the engine through span and returns the ops completed
+// in it.
+func (d *driver) measure(span sim.Time) uint64 {
+	start := d.completed
+	d.eng.RunFor(span)
+	return d.completed - start
 }
 
 // Fire starts the client's chains.
@@ -119,11 +133,13 @@ func (ch *chain) issue() {
 	mustPost(err)
 }
 
-// complete observes the op's result, then reissues unless stopped.
+// complete counts and observes the op's result, then reissues unless
+// stopped.
 //
 //herd:hotpath
 func (ch *chain) complete(r kv.Result) {
 	ch.inFlight = false
+	ch.d.completed++
 	ch.d.observe(ch, r)
 	if !ch.d.stopped {
 		ch.issue()

@@ -34,6 +34,18 @@ var echoLadder = []echoOpts{
 	{name: "+inlined", unreliable: true, unsignaled: true, inlined: true},
 }
 
+// wrSend is HERD's hybrid: WRITE requests, SEND responses.
+var wrSend = echoCombo{"WR/SEND", true, false}
+
+// echoServer is the echo server's work: requests spread round-robin
+// over its cores, each doing accesses random memory lookups before it
+// replies, overlapped by the request pipeline when prefetch is set.
+type echoServer struct {
+	cores    int
+	accesses int
+	prefetch bool
+}
+
 // Fig5Echo reproduces Figure 5: ECHO throughput for verb combinations
 // under the cumulative optimization ladder, 32-byte messages.
 func Fig5Echo(spec cluster.Spec) (*Table, *Report) {
@@ -46,13 +58,13 @@ func Fig5Echo(spec cluster.Spec) (*Table, *Report) {
 	combos := []echoCombo{
 		{"SEND/SEND", false, false},
 		{"WR/WR", true, true},
-		{"WR/SEND", true, false},
+		wrSend,
 	}
 	for _, combo := range combos {
 		m := rep.Arm(combo.name)
 		row := []string{combo.name}
 		for _, opts := range echoLadder {
-			row = append(row, m.mops(strings.TrimPrefix(opts.name, "+")+"_mops", echoMops(spec, combo, opts, 32)))
+			row = append(row, m.mops(strings.TrimPrefix(opts.name, "+")+"_mops", echoMops(spec, combo, opts, 32, echoServer{cores: 8})))
 		}
 		t.AddRow(row...)
 	}
@@ -60,12 +72,39 @@ func Fig5Echo(spec cluster.Spec) (*Table, *Report) {
 	return t, rep
 }
 
+// Fig7Prefetch reproduces Figure 7: Figure 5's fully optimized WR/SEND
+// echo with a server that performs N random memory accesses per
+// request, with and without the request pipeline's prefetching, across
+// core counts. Prefetching lets fewer cores deliver peak throughput even
+// at N=8.
+func Fig7Prefetch(spec cluster.Spec) (*Table, *Report) {
+	t := &Table{
+		ID:      "fig7",
+		Title:   fmt.Sprintf("Prefetching effect on throughput (Mops) — %s", spec.Name),
+		Columns: []string{"cores", "N=2 no-prefetch", "N=2 prefetch", "N=8 no-prefetch", "N=8 prefetch"},
+	}
+	rep := newReport("fig7", spec)
+	inlined := echoLadder[len(echoLadder)-1]
+	for cores := 1; cores <= 5; cores++ {
+		m := rep.Arm(fmt.Sprintf("cores=%d", cores))
+		mops := func(n int, prefetch bool) float64 {
+			return echoMops(spec, wrSend, inlined, 32, echoServer{cores: cores, accesses: n, prefetch: prefetch})
+		}
+		t.AddRow(fmt.Sprintf("%d", cores),
+			m.mops("n2_mops", mops(2, false)),
+			m.mops("n2_prefetch_mops", mops(2, true)),
+			m.mops("n8_mops", mops(8, false)),
+			m.mops("n8_prefetch_mops", mops(8, true)))
+	}
+	t.AddNote("WRITE requests + UD SEND responses, 32 B; N random DRAM accesses per request")
+	return t, rep
+}
+
 // echoMops measures echoes per second for a combo at one optimization
-// level: 16 client processes against one echo server.
-func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float64 {
+// level: 16 client processes against one echo server doing srvWork.
+func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int, srvWork echoServer) float64 {
 	cl := cluster.New(spec, 1+clientMachines, 1)
 	srv := cl.Machine(0)
-	serverCores := 8
 
 	reqTr, rspTr := wire.RC, wire.RC
 	if opts.unreliable {
@@ -82,7 +121,8 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 	p := srv.CPU.Params()
 
 	// respond issues the response for client proc idx once the server CPU
-	// has polled up the request. SEND-based requests cost a RECV repost.
+	// has polled up and served the request. SEND-based requests cost a
+	// RECV repost.
 	type clientEnd struct {
 		rspWriteQP *verbs.QP // server->client UC/RC QP (WRITE responses)
 		rspSendQP  *verbs.QP // server-side QP for SEND responses
@@ -92,12 +132,12 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 	ends := make([]*clientEnd, inboundProcs)
 	payload := make([]byte, size)
 
-	respond := func(idx int, viaSend bool) {
-		cpu := p.PollCheck + p.PostSend
+	respond := func(idx int) {
+		cpu := srv.CPU.RequestService(srvWork.accesses, srvWork.prefetch)
 		if !combo.reqWrite {
 			cpu += p.RecvRepost
 		}
-		core := nextCore % serverCores
+		core := nextCore % srvWork.cores
 		nextCore++
 		srv.CPU.Core(core).Submit(cpu, func(sim.Time) {
 			e := ends[idx]
@@ -118,7 +158,7 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 	srvReqMR := srv.Verbs.RegisterMR(inboundProcs * 1024)
 	if combo.reqWrite {
 		srvReqMR.Watch(0, inboundProcs*1024, func(off, n int) {
-			respond(off/1024, false)
+			respond(off / 1024)
 		})
 	}
 
@@ -159,7 +199,7 @@ func echoMops(spec cluster.Spec, combo echoCombo, opts echoOpts, size int) float
 			}
 			srvReqQP.RecvCQ().SetHandler(func(verbs.Completion) {
 				mustPost(srvReqQP.PostRecv(stage, 0, 1024, 0))
-				respond(i, true)
+				respond(i)
 			})
 		}
 

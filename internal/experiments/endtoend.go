@@ -188,11 +188,10 @@ func RunE2E(cfg E2EConfig) E2EResult { return runE2E(cfg, Warmup, Span) }
 func runE2E(cfg E2EConfig, warmup, span sim.Time) E2EResult {
 	cl, clients, perCore := buildSystem(cfg)
 
-	var completed, misses, verifyErr uint64
+	var misses, verifyErr uint64
 	rec := stats.NewLatencyRecorder(32768)
 	measuring := false
 	d := driveE2E(cfg, cl, clients, func(ch *chain, r kv.Result) {
-		completed++
 		if measuring {
 			rec.Record(r.Latency)
 			if ch.op.IsGet && r.Status != kv.StatusHit {
@@ -211,17 +210,16 @@ func runE2E(cfg E2EConfig, warmup, span sim.Time) E2EResult {
 	if perCore != nil {
 		beforeCore = perCore()
 	}
-	start := completed
-	cl.Eng.RunFor(span)
+	ops := d.measure(span)
 
 	res := E2EResult{
-		Mops:      stats.Throughput(completed-start, span),
+		Mops:      stats.Throughput(ops, span),
 		Mean:      rec.Mean(),
 		P5:        rec.Percentile(5),
 		P95:       rec.Percentile(95),
 		GetMisses: misses,
 		VerifyErr: verifyErr,
-		Completed: completed,
+		Completed: d.completed,
 		Events:    cl.Eng.Processed(),
 	}
 	if perCore != nil {

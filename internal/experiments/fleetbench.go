@@ -45,16 +45,13 @@ func FleetBench(spec cluster.Spec) (*Table, *Report) {
 
 	// drive measures arm's steady-state Mops over clients (any KV system).
 	drive := func(arm string, cl *cluster.Cluster, clients []kv.KV) float64 {
-		var completed uint64
-		d := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
+		d := newDriver(cl.Eng, nil)
 		for i, c := range clients {
 			gen := workload.NewGenerator(workload.ReadIntensive(keys, valueSize, int64(i+1)))
 			d.add(c, gen, 4, staggered(i, len(clients)))
 		}
 		d.warm(Warmup)
-		start := completed
-		cl.Eng.RunFor(Span)
-		mops := stats.Throughput(completed-start, Span)
+		mops := stats.Throughput(d.measure(Span), Span)
 		rep.Arm(arm).Set("goodput_mops", mops, "Mops", Higher)
 		return mops
 	}

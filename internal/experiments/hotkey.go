@@ -62,18 +62,17 @@ func Hotkey(spec cluster.Spec) (*Table, *Report) {
 			}
 		}
 
-		var completed uint64
-		drv := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
+		drv := newDriver(cl.Eng, nil)
 		for i, c := range clients {
 			gen := workload.NewGenerator(workload.Skewed(hotkeyKeys, hotkeyValueSize, int64(i+1)))
 			drv.add(c, gen, 4, sim.Time(i)*sim.Microsecond)
 		}
 		drv.warm(Warmup)
-		start, originStart := completed, originGets(d)
-		cl.Eng.RunFor(Span)
+		originStart := originGets(d)
+		ops := drv.measure(Span)
 
 		m := Metrics{}
-		m.Set("goodput_mops", stats.Throughput(completed-start, Span), "Mops", Higher)
+		m.Set("goodput_mops", stats.Throughput(ops, Span), "Mops", Higher)
 		m.Set("origin_gets", float64(originGets(d)-originStart), "count", "")
 		if cached {
 			hitRate := 0.0

@@ -214,18 +214,21 @@ func Fig4Outbound(spec cluster.Spec) (*Table, *Report) {
 	rep := newReport("fig4", spec)
 	for _, size := range []int{2, 4, 16, 28, 32, 60, 64, 68, 128, 160, 192, 256} {
 		m := rep.Arm(fmt.Sprintf("size=%d", size))
-		wi := m.mops("wr_uc_inline_mops", outboundMops(spec, "wr-inline", size))
-		sd := m.mops("send_ud_mops", outboundMops(spec, "send-ud", size))
-		wu := m.mops("write_uc_mops", outboundMops(spec, "wr", size))
-		rd := m.mops("read_rc_mops", outboundMops(spec, "read", size))
+		wi := m.mops("wr_uc_inline_mops", outboundMops(spec, "wr-inline", size, 1, inboundWindow))
+		sd := m.mops("send_ud_mops", outboundMops(spec, "send-ud", size, 1, inboundWindow))
+		wu := m.mops("write_uc_mops", outboundMops(spec, "wr", size, 1, inboundWindow))
+		rd := m.mops("read_rc_mops", outboundMops(spec, "read", size, 1, inboundWindow))
 		t.AddRow(fmt.Sprintf("%d", size), wi, sd, wu, rd)
 	}
 	t.AddNote("16 server processes, one per client; write-combining steps appear at 64 B intervals")
 	return t, rep
 }
 
-// outboundMops drives one server machine issuing to many clients.
-func outboundMops(spec cluster.Spec, kind string, size int) float64 {
+// outboundMops drives one server machine issuing to many clients, each
+// process keeping `chains` posts in flight. The WRITE arms post `batch`
+// WQEs behind each doorbell (PostSendBatch; a batch of one is a plain
+// PostSend on the BlueFlame path); the SEND and READ arms post singly.
+func outboundMops(spec cluster.Spec, kind string, size, batch, chains int) float64 {
 	cl := cluster.New(spec, 1+clientMachines, 1)
 	srv := cl.Machine(0)
 
@@ -235,8 +238,8 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 		cliMR := m.Verbs.RegisterMR(4096)
 		payload := make([]byte, size)
 
-		// Each chain reposts from its own completion: its WRITE
-		// landing, its SEND's delivery, or its READ's completion.
+		// Each chain reposts from its own completion: its WRITE batch's
+		// last landing, its SEND's delivery, or its READ's completion.
 		var post func()
 		switch kind {
 		case "wr-inline", "wr":
@@ -246,10 +249,20 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 				panic(err)
 			}
 			inline := kind == "wr-inline" && size <= spec.NIC.InlineMax
-			post = func() {
-				mustPost(sq.PostSend(verbs.SendWR{Verb: verbs.WRITE, Data: payload, Remote: cliMR, Inline: inline}))
+			wrs := make([]verbs.SendWR, batch)
+			for j := range wrs {
+				wrs[j] = verbs.SendWR{Verb: verbs.WRITE, Data: payload, Remote: cliMR, RemoteOff: j * 64, Inline: inline}
 			}
-			cliMR.Watch(0, 4096, func(off, n int) { count++; post() })
+			post = func() { mustPost(sq.PostSendBatch(wrs)) }
+			// Landings arrive in post order, so every batch-th one ends
+			// a batch.
+			landed := 0
+			cliMR.Watch(0, 4096, func(off, n int) {
+				count++
+				if landed++; landed%batch == 0 {
+					post()
+				}
+			})
 
 		case "send-ud":
 			sq := srv.Verbs.CreateQP(wire.UD)
@@ -281,7 +294,7 @@ func outboundMops(spec cluster.Spec, kind string, size int) float64 {
 			}
 			sq.SendCQ().SetHandler(func(verbs.Completion) { count++; post() })
 		}
-		for w := 0; w < inboundWindow; w++ {
+		for w := 0; w < chains; w++ {
 			post()
 		}
 	}

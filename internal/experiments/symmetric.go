@@ -6,9 +6,9 @@ import (
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
 	"herdkv/internal/farm"
-	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
+	"herdkv/internal/stats"
 	"herdkv/internal/workload"
 )
 
@@ -49,7 +49,8 @@ func SymmetricStudy(spec cluster.Spec) (*Table, *Report) {
 
 const symKeys = 16 * 1024
 
-// symmetricFarmPoint runs n symmetric machines, each also driving load.
+// symmetricFarmPoint runs n symmetric machines, each also driving load
+// with 4 chains in flight.
 func symmetricFarmPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64) {
 	cl := cluster.New(spec, n, 1)
 	cfg := farm.Config{
@@ -61,37 +62,21 @@ func symmetricFarmPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64)
 		panic(err)
 	}
 	preloadKeys(symKeys, 32, sym.Preload)
-	// Each machine keeps 4 chains in flight; a chain reissues from its
-	// own completion.
-	var completed uint64
+	d := newDriver(cl.Eng, nil)
 	for m := 0; m < n; m++ {
-		m := m
-		gen := workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(m+1)))
-		var issue func()
-		done := func(farm.Result) { completed++; issue() }
-		issue = func() {
-			if op := gen.Next(); op.IsGet {
-				sym.Get(m, op.Key, done)
-			} else {
-				sym.Put(m, op.Key, gen.Value(op.Key), done)
-			}
-		}
-		for c := 0; c < 4; c++ {
-			issue()
-		}
+		d.add(sym.Client(m), workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(m+1))), 4, 0)
 	}
-	cl.Eng.RunFor(Warmup)
-	start := completed
+	d.warm(Warmup)
 	startBusy := make([]sim.Time, n)
 	for m := 0; m < n; m++ {
 		startBusy[m] = serverBusy(cl.Machine(m).CPU, cfg.Cores)
 	}
-	cl.Eng.RunFor(Span)
+	ops := d.measure(Span)
 	var busy sim.Time
 	for m := 0; m < n; m++ {
 		busy += serverBusy(cl.Machine(m).CPU, cfg.Cores) - startBusy[m]
 	}
-	mops = float64(completed-start) / Span.Seconds() / 1e6
+	mops = stats.Throughput(ops, Span)
 	srvCPU = float64(busy) / float64(Span) / float64(n*cfg.Cores)
 	return mops, srvCPU
 }
@@ -104,17 +89,15 @@ func herdPoint(spec cluster.Spec, n int) (mops float64, srvCPU float64) {
 	hcfg.Mica = mica.Config{IndexBuckets: symKeys / 4, BucketSlots: 8, LogBytes: symKeys * 64}
 	cl, _, clients := deployHERD(deploySpec{spec: spec, seed: 1, keys: symKeys, valueSize: 32,
 		clients: (n - 1) * 3, perMachine: 3}, hcfg)
-	var completed uint64
-	d := newDriver(cl.Eng, func(*chain, kv.Result) { completed++ })
+	d := newDriver(cl.Eng, nil)
 	for i, c := range clients {
 		d.add(c, workload.NewGenerator(workload.ReadIntensive(symKeys, 32, int64(i+1))), hcfg.Window, 0)
 	}
 	d.warm(Warmup)
-	start := completed
 	startBusy := serverBusy(cl.Machine(0).CPU, hcfg.NS)
-	cl.Eng.RunFor(Span)
+	ops := d.measure(Span)
 	busy := serverBusy(cl.Machine(0).CPU, hcfg.NS) - startBusy
-	mops = float64(completed-start) / Span.Seconds() / 1e6
+	mops = stats.Throughput(ops, Span)
 	srvCPU = float64(busy) / float64(Span) / float64(hcfg.NS)
 	return mops, srvCPU
 }

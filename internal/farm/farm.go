@@ -201,20 +201,30 @@ func (s *Server) onPutLanded(c *Client, off, n int) {
 	})
 }
 
-// Put WRITEs the request into the server's circular buffer and waits for
-// the notification WRITE.
-func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
+// checkPut refuses, before anything is issued, a PUT the server could
+// not store: a zero key, an empty value, or one that fits neither the
+// table mode nor a request slot.
+func (s *Server) checkPut(key kv.Key, value []byte) error {
 	if key.IsZero() {
 		return kv.ErrZeroKey
 	}
 	if len(value) == 0 {
 		return kv.ErrEmptyValue
 	}
-	if c.srv.cfg.Mode == InlineMode && len(value) != c.srv.cfg.ValueSize {
+	if s.cfg.Mode == InlineMode && len(value) != s.cfg.ValueSize {
 		return hopscotch.ErrValueSize
 	}
 	if len(value) > SlotSize-int(lenTail) {
 		return hopscotch.ErrValueSize
+	}
+	return nil
+}
+
+// Put WRITEs the request into the server's circular buffer and waits for
+// the notification WRITE.
+func (c *Client) Put(key kv.Key, value []byte, cb func(Result)) error {
+	if err := c.srv.checkPut(key, value); err != nil {
+		return err
 	}
 	payload := make([]byte, len(value)+2+kv.KeySize)
 	copy(payload, value)

@@ -18,11 +18,19 @@ import (
 // the symmetric design's appeal — at the cost of every machine also
 // running the server-side PUT poller.
 type Symmetric struct {
-	cl     *cluster.Cluster
-	shards []*Server
-	// conns[i][j] is machine i's client to shard j (nil when i == j).
-	conns [][]*Client
-	seed  uint64
+	cl       *cluster.Cluster
+	shards   []*Server
+	machines []*machineClient
+	seed     uint64
+}
+
+// machineClient is one machine's view of the deployment: its own
+// shard's items are local memory accesses, every other shard's go
+// through the machine's FaRM client to that shard.
+type machineClient struct {
+	s     *Symmetric
+	id    int
+	conns []*Client // conns[j] reaches shard j; nil for the machine's own
 }
 
 // NewSymmetric builds an n-machine symmetric FaRM deployment on cl's
@@ -40,9 +48,9 @@ func NewSymmetric(cl *cluster.Cluster, n int, cfg Config) (*Symmetric, error) {
 		}
 		s.shards[i] = srv
 	}
-	s.conns = make([][]*Client, n)
+	s.machines = make([]*machineClient, n)
 	for i := 0; i < n; i++ {
-		s.conns[i] = make([]*Client, n)
+		m := &machineClient{s: s, id: i, conns: make([]*Client, n)}
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
@@ -51,8 +59,9 @@ func NewSymmetric(cl *cluster.Cluster, n int, cfg Config) (*Symmetric, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.conns[i][j] = c
+			m.conns[j] = c
 		}
+		s.machines[i] = m
 	}
 	return s, nil
 }
@@ -67,50 +76,60 @@ func (s *Symmetric) Preload(key kv.Key, value []byte) error {
 	return s.shards[s.Owner(key)].Insert(key, value)
 }
 
-// localAccess models a same-machine GET: no verbs, just the hash and
+// Client returns machine m's view of the deployment as a kv.KV: each
+// op goes to the key's owner, locally or over the network.
+func (s *Symmetric) Client(m int) kv.KV { return s.machines[m] }
+
+// localAccess models a same-machine op: no verbs, just the hash and
 // table lookups on the local core (FaRM reads its own shared address
 // space directly).
-func (s *Symmetric) localAccess(from int, fn func()) {
-	m := s.cl.Machine(from)
-	p := m.CPU.Params()
-	service := p.PollCheck + 2*m.CPU.DRAMAccess()
-	m.CPU.Core(m.CPU.Cores()-1).Submit(service, func(sim.Time) { fn() })
+func (m *machineClient) localAccess(fn func()) {
+	host := m.s.cl.Machine(m.id).CPU
+	service := host.Params().PollCheck + 2*host.DRAMAccess()
+	host.Core(host.Cores()-1).Submit(service, func(sim.Time) { fn() })
 }
 
-// Get routes a GET issued by machine `from` to the key's owner: a local
-// memory lookup, or the remote neighborhood READ(s).
-func (s *Symmetric) Get(from int, key kv.Key, cb func(Result)) error {
-	owner := s.Owner(key)
-	if owner == from {
-		start := s.cl.Eng.Now()
-		s.localAccess(from, func() {
-			v, ok := s.shards[owner].table.Lookup(key)
-			res := Result{Key: key, IsGet: true, Status: readclient.StatusOf(ok), Latency: s.cl.Eng.Now() - start}
-			if ok {
-				res.Value = append([]byte(nil), v...)
-			}
-			if cb != nil {
-				cb(res)
-			}
-		})
-		return nil
+// Get routes a GET to the key's owner: a local memory lookup, or the
+// remote neighborhood READ(s).
+func (m *machineClient) Get(key kv.Key, cb func(Result)) error {
+	if key.IsZero() {
+		return kv.ErrZeroKey
 	}
-	return s.conns[from][owner].Get(key, cb)
+	owner := m.s.Owner(key)
+	if owner != m.id {
+		return m.conns[owner].Get(key, cb)
+	}
+	start := m.s.cl.Eng.Now()
+	m.localAccess(func() {
+		v, ok := m.s.shards[owner].table.Lookup(key)
+		res := Result{Key: key, IsGet: true, Status: readclient.StatusOf(ok), Latency: m.s.cl.Eng.Now() - start}
+		if ok {
+			res.Value = append([]byte(nil), v...)
+		}
+		if cb != nil {
+			cb(res)
+		}
+	})
+	return nil
 }
 
-// Put routes a PUT issued by machine `from` to the key's owner.
-func (s *Symmetric) Put(from int, key kv.Key, value []byte, cb func(Result)) error {
-	owner := s.Owner(key)
-	if owner == from {
-		start := s.cl.Eng.Now()
-		val := append([]byte(nil), value...)
-		s.localAccess(from, func() {
-			err := s.shards[owner].table.Insert(key, val)
-			if cb != nil {
-				cb(Result{Key: key, Status: readclient.StatusOf(err == nil), Latency: s.cl.Eng.Now() - start})
-			}
-		})
-		return nil
+// Put routes a PUT to the key's owner, refusing what the owner's FaRM
+// client would refuse.
+func (m *machineClient) Put(key kv.Key, value []byte, cb func(Result)) error {
+	owner := m.s.Owner(key)
+	if owner != m.id {
+		return m.conns[owner].Put(key, value, cb)
 	}
-	return s.conns[from][owner].Put(key, value, cb)
+	if err := m.s.shards[owner].checkPut(key, value); err != nil {
+		return err
+	}
+	start := m.s.cl.Eng.Now()
+	val := append([]byte(nil), value...)
+	m.localAccess(func() {
+		err := m.s.shards[owner].table.Insert(key, val)
+		if cb != nil {
+			cb(Result{Key: key, Status: readclient.StatusOf(err == nil), Latency: m.s.cl.Eng.Now() - start})
+		}
+	})
+	return nil
 }

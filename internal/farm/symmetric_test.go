@@ -2,9 +2,11 @@ package farm
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/hopscotch"
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
 )
@@ -56,10 +58,11 @@ func TestSymmetricRemoteAndLocalOps(t *testing.T) {
 	}
 	var localGet, remoteGet Result
 	// Machine 0 writes both, then reads both back.
-	sym.Put(0, localKey, val(1), func(Result) {
-		sym.Put(0, remoteKey, val(2), func(Result) {
-			sym.Get(0, localKey, func(r Result) { localGet = r })
-			sym.Get(0, remoteKey, func(r Result) { remoteGet = r })
+	m0 := sym.Client(0)
+	m0.Put(localKey, val(1), func(Result) {
+		m0.Put(remoteKey, val(2), func(Result) {
+			m0.Get(localKey, func(r Result) { localGet = r })
+			m0.Get(remoteKey, func(r Result) { remoteGet = r })
 		})
 	})
 	cl.Eng.Run()
@@ -82,8 +85,8 @@ func TestSymmetricCrossMachineVisibility(t *testing.T) {
 	cl, sym := newSymmetric(t, 3)
 	key := kv.FromUint64(99)
 	var got Result
-	sym.Put(1, key, val(7), func(Result) {
-		sym.Get(2, key, func(r Result) { got = r })
+	sym.Client(1).Put(key, val(7), func(Result) {
+		sym.Client(2).Get(key, func(r Result) { got = r })
 	})
 	cl.Eng.Run()
 	if got.Status != kv.StatusHit || !bytes.Equal(got.Value, val(7)) {
@@ -107,7 +110,7 @@ func TestSymmetricAggregateScalesWithMachines(t *testing.T) {
 			m := m
 			var loop func(k uint64)
 			loop = func(k uint64) {
-				sym.Get(m, kv.FromUint64(k%2048), func(Result) {
+				sym.Client(m).Get(kv.FromUint64(k%2048), func(Result) {
 					completed++
 					if !stop {
 						loop(k + 7)
@@ -128,6 +131,44 @@ func TestSymmetricAggregateScalesWithMachines(t *testing.T) {
 	if eight < four*1.5 {
 		t.Fatalf("aggregate should scale: %d machines %.1f Mops vs %d machines %.1f Mops",
 			4, four, 8, eight)
+	}
+}
+
+// TestSymmetricRefusesMalformedOps checks that every machine refuses,
+// synchronously and on both paths, what a FaRM client refuses: a zero
+// key, an empty value and a value the inline table cannot hold. The
+// zero key's owner would otherwise take it down the local path, where
+// it named an empty slot.
+func TestSymmetricRefusesMalformedOps(t *testing.T) {
+	cl, sym := newSymmetric(t, 3)
+	ran := false
+	cb := func(Result) { ran = true }
+	for m := 0; m < 3; m++ {
+		c := sym.Client(m)
+		var zero kv.Key
+		if err := c.Get(zero, cb); !errors.Is(err, kv.ErrZeroKey) {
+			t.Errorf("machine %d: Get(zero key) = %v, want kv.ErrZeroKey", m, err)
+		}
+		if err := c.Put(zero, val(1), cb); !errors.Is(err, kv.ErrZeroKey) {
+			t.Errorf("machine %d: Put(zero key) = %v, want kv.ErrZeroKey", m, err)
+		}
+		// One key per owner, so each machine refuses locally and remotely.
+		for owner := 0; owner < 3; owner++ {
+			var key kv.Key
+			for i := uint64(1); sym.Owner(key) != owner || key.IsZero(); i++ {
+				key = kv.FromUint64(i)
+			}
+			if err := c.Put(key, nil, cb); !errors.Is(err, kv.ErrEmptyValue) {
+				t.Errorf("machine %d, owner %d: Put(empty value) = %v, want kv.ErrEmptyValue", m, owner, err)
+			}
+			if err := c.Put(key, make([]byte, 16), cb); !errors.Is(err, hopscotch.ErrValueSize) {
+				t.Errorf("machine %d, owner %d: Put(16 B into a 32 B table) = %v, want hopscotch.ErrValueSize", m, owner, err)
+			}
+		}
+	}
+	cl.Eng.Run()
+	if ran {
+		t.Fatal("a refused op still ran its callback")
 	}
 }
 

@@ -156,8 +156,12 @@ func (t *Table) findSlot(key kv.Key) int {
 	return -1
 }
 
-// Lookup finds key server-side.
+// Lookup finds key server-side. The zero key is never found: it marks
+// an empty slot, so it names no stored item.
 func (t *Table) Lookup(key kv.Key) ([]byte, bool) {
+	if key.IsZero() {
+		return nil, false
+	}
 	i := t.findSlot(key)
 	if i < 0 {
 		return nil, false

@@ -32,6 +32,25 @@ func TestInlineInsertLookup(t *testing.T) {
 	}
 }
 
+// TestLookupZeroKey checks that the zero key, which marks an empty
+// slot, is never found: neither in an empty table nor in a full one.
+func TestLookupZeroKey(t *testing.T) {
+	for _, tb := range []*Table{newInline(64, 32), newVar(64, 4096)} {
+		var zero kv.Key
+		if v, ok := tb.Lookup(zero); ok {
+			t.Fatalf("empty table: Lookup(zero key) = %v, true; want a miss", v)
+		}
+		for i := uint64(0); i < 32; i++ {
+			if err := tb.Insert(kv.FromUint64(i), val32(byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, ok := tb.Lookup(zero); ok {
+			t.Fatalf("loaded table: Lookup(zero key) = %v, true; want a miss", v)
+		}
+	}
+}
+
 func TestInlineSizeStrict(t *testing.T) {
 	tb := newInline(64, 32)
 	if err := tb.Insert(kv.FromUint64(1), make([]byte, 16)); err != ErrValueSize {

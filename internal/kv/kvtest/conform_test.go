@@ -8,6 +8,7 @@ import (
 	"herdkv/internal/farm"
 	"herdkv/internal/fault"
 	"herdkv/internal/fleet"
+	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/nearcache"
 	"herdkv/internal/pilaf"
@@ -192,5 +193,39 @@ func TestFaRMConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		return Harness{KV: c, Run: cl.Eng.Run, ValueSize: 32}
+	})
+}
+
+// symmetricHarness builds a 3-machine symmetric FaRM deployment and
+// tests machine pick's view of it, where pick chooses from the zero
+// key's owner.
+func symmetricHarness(t *testing.T, pick func(zeroOwner, n int) int) Harness {
+	const n = 3
+	cl := cluster.New(cluster.Apt(), n, 1)
+	sym, err := farm.NewSymmetric(cl, n, farm.Config{
+		Mode: farm.InlineMode, Buckets: 1 << 12, ValueSize: 32,
+		ExtentBytes: 1 << 22, Cores: 2, Window: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Harness{KV: sym.Client(pick(sym.Owner(kv.Key{}), n)), Run: cl.Eng.Run, ValueSize: 32}
+}
+
+// TestFaRMSymmetricLocalConformance runs the suite on the machine that
+// owns the zero key, so the zero-key checks take the local path (a
+// memory access on the owner); the other keys spread over both paths.
+func TestFaRMSymmetricLocalConformance(t *testing.T) {
+	Run(t, func(t *testing.T) Harness {
+		return symmetricHarness(t, func(owner, _ int) int { return owner })
+	})
+}
+
+// TestFaRMSymmetricRemoteConformance runs the suite on a machine that
+// does not own the zero key, so its checks take the remote path (the
+// machine's FaRM client to the owner).
+func TestFaRMSymmetricRemoteConformance(t *testing.T) {
+	Run(t, func(t *testing.T) Harness {
+		return symmetricHarness(t, func(owner, n int) int { return (owner + 1) % n })
 	})
 }

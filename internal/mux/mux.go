@@ -157,12 +157,12 @@ func New(m *cluster.Machine, pool []PoolClient, cfg Config) (*Endpoint, error) {
 // of the server's MaxClients request-region columns; the channels do not.
 func Connect(srv *core.Server, m *cluster.Machine, cfg Config) (*Endpoint, error) {
 	cfg = cfg.withDefaults()
-	clients, err := srv.ConnectClients(m, cfg.QPs)
-	if err != nil {
-		return nil, err
-	}
-	pool := make([]PoolClient, len(clients))
-	for i, c := range clients {
+	pool := make([]PoolClient, cfg.QPs)
+	for i := range pool {
+		c, err := srv.ConnectClient(m)
+		if err != nil {
+			return nil, err
+		}
 		pool[i] = c
 	}
 	return New(m, pool, cfg)
