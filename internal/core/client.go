@@ -144,7 +144,9 @@ type Client struct {
 	cwnd float64
 
 	// rng drives backoff jitter; seeded from the machine seed and client
-	// id so retry timing is deterministic per run.
+	// id so retry timing is deterministic per run. jitter builds it at
+	// the first draw: a math/rand source holds about 5 KB, and a client
+	// that never retries or reconnects never draws.
 	rng *sim.Rand
 
 	// Reconnect state: one handshake runs at a time; the generation
@@ -203,7 +205,6 @@ func (s *Server) ConnectClient(m *cluster.Machine) (*Client, error) {
 		reqSeq:   make([]int, s.cfg.NS),
 		perProc:  make([][]*pendingOp, s.cfg.NS),
 		slotWait: make([]fifo.Queue[*pendingOp], s.cfg.NS),
-		rng:      sim.NewRand(m.Seed*4099 + int64(s.nextCli)),
 		cwnd:     float64(s.cfg.Window),
 	}
 	s.nextCli++
@@ -609,6 +610,9 @@ func (c *Client) reconnectTimeout(k int) sim.Time {
 //
 //herd:hotpath
 func (c *Client) jitter(d sim.Time) sim.Time {
+	if c.rng == nil {
+		c.rng = sim.NewRand(c.machine.Seed*4099 + int64(c.id))
+	}
 	return d + sim.Time(c.rng.Float64()*retryJitter*float64(d))
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
 	"herdkv/internal/sim"
 )
@@ -116,6 +117,35 @@ func TestRetrySchedule(t *testing.T) {
 	}
 	for k, mult := range []sim.Time{20, 40, 80, 160, 320, 640} {
 		check("reconnect", k, c.reconnectTimeout(k), mult*cfg.RetryTimeout)
+	}
+}
+
+// TestJitterSeededLazily checks that a client builds its jitter source
+// only at its first draw, and that the draws are those of a source
+// seeded eagerly at connect time from the machine seed and client id.
+func TestJitterSeededLazily(t *testing.T) {
+	cl := cluster.New(cluster.Apt(), 2, 5)
+	srv, err := NewServer(cl.Machine(0), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cl.Machine(1)
+	for id := range 3 {
+		c, err := srv.ConnectClient(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.rng != nil {
+			t.Fatalf("client %d built its jitter source before any draw", id)
+		}
+		ref := sim.NewRand(m.Seed*4099 + int64(id))
+		d := 12 * sim.Microsecond
+		for k := range 64 {
+			want := d + sim.Time(ref.Float64()*retryJitter*float64(d))
+			if got := c.jitter(d); got != want {
+				t.Fatalf("client %d draw %d: %d ps, want %d ps", id, k, got, want)
+			}
+		}
 	}
 }
 

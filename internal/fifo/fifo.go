@@ -1,7 +1,8 @@
 // Package fifo is the first-in first-out queue the model's per-event
 // paths share: a QP's send, receive and ACK queues (internal/verbs), a
-// mux channel's submission backlog (internal/mux), and a HERD client's
-// window and slot-collision waits (internal/core).
+// HERD client's window and slot-collision waits (internal/core), and the
+// READ-based baselines' READ, window and PUT-ack queues
+// (internal/readclient).
 //
 // The queue is a ring buffer. Popping zeroes the vacated slot, so a
 // popped value (and whatever it points at) is not kept reachable, and
@@ -16,17 +17,6 @@ type Queue[T any] struct {
 	buf  []T // ring storage; len(buf) is zero or a power of two
 	head int
 	n    int
-}
-
-// Init hands ring, whose length must be a power of two, to a queue
-// that has never held storage, so its first pushes need not allocate.
-// A caller holding many queues can cut their first slots from one
-// block.
-func (q *Queue[T]) Init(ring []T) {
-	if q.n != 0 || q.buf != nil || len(ring)&(len(ring)-1) != 0 {
-		panic("fifo: Init needs an empty, unused queue and a power-of-two ring")
-	}
-	q.buf = ring
 }
 
 // Len reports the number of queued values.
@@ -50,8 +40,8 @@ func (q *Queue[T]) Front() T { return q.buf[q.head] }
 //herd:hotpath
 func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {
-		// Start at one slot: a mux endpoint holds tens of thousands of
-		// channels whose backlog rarely exceeds one op.
+		// Start at one slot: a HERD client keeps one slot-collision
+		// queue per server process, and most never hold an op.
 		grown := make([]T, max(1, 2*len(q.buf))) //lint:allow hotalloc — the ring grows to the queue's high-water mark once
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.at(i)

@@ -40,37 +40,6 @@ func TestFIFOOrderAndRelease(t *testing.T) {
 	}
 }
 
-// Queues seeded by Init from one block push into their own slot without
-// allocating, and grow off the block without disturbing a neighbour.
-func TestInitFromSharedBlock(t *testing.T) {
-	block := make([]int, 4)
-	qs := make([]Queue[int], 4)
-	for i := range qs {
-		qs[i].Init(block[i : i+1 : i+1])
-	}
-	if n := testing.AllocsPerRun(1, func() {
-		for i := range qs {
-			qs[i].Push(10 + i)
-			qs[i].Pop()
-		}
-	}); n != 0 {
-		t.Fatalf("first pushes into seeded rings: %.0f allocs, want 0", n)
-	}
-	for i := range qs {
-		qs[i].Push(10 + i)
-	}
-	qs[1].Push(99) // outgrows its slot
-	if qs[0].Pop() != 10 || qs[2].Pop() != 12 || qs[3].Pop() != 13 || qs[1].Pop() != 11 || qs[1].Pop() != 99 {
-		t.Fatal("a queue grown off the block disturbed its neighbours")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Init on a used queue did not panic")
-		}
-	}()
-	qs[0].Init(block[:1:1])
-}
-
 // TestHotpathAllocFree gates the queue at 0 allocs/op once the ring has
 // grown to the loop's high-water mark.
 func TestHotpathAllocFree(t *testing.T) {

@@ -1,7 +1,6 @@
 package mux
 
 import (
-	"herdkv/internal/fifo"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -20,9 +19,11 @@ const (
 // echoed through the endpoint's in-flight table). Entries are pooled
 // per endpoint: done — the completion closure handed to the pooled
 // client — is built once per entry and rides through the free list, so
-// steady-state submissions allocate nothing.
+// steady-state submissions allocate nothing. The entries themselves
+// link a channel's backlog, so the backlog needs no storage of its own.
 type chanOp struct {
 	ch        *Channel // owning channel while in flight; nil in the pool
+	next      *chanOp  // the next younger op in ch's backlog, while queued
 	kind      opKind
 	key       kv.Key
 	value     []byte
@@ -41,14 +42,43 @@ type chanOp struct {
 //
 // Channels are free at the server: no connected QP, no request-region
 // column, no NIC context. Only the endpoint's pooled clients cost
-// server-side state.
+// server-side state. At the host a channel is 40 bytes, cut from a block
+// the endpoint owns (OpenChannel).
 type Channel struct {
 	ep *Endpoint
 	id int
 
-	queue       fifo.Queue[*chanOp] // accepted, not yet issued to the pool
-	outstanding int                 // issued to the pool, not yet resolved
+	// head and tail bound the backlog: ops accepted, not yet issued to
+	// the pool, oldest first, linked through chanOp.next.
+	head, tail  *chanOp
+	outstanding int32 // issued to the pool, not yet resolved
 	stalled     bool
+}
+
+// push appends op to the back of ch's backlog.
+//
+//herd:hotpath
+func (ch *Channel) push(op *chanOp) {
+	if ch.tail == nil {
+		ch.head = op
+	} else {
+		ch.tail.next = op
+	}
+	ch.tail = op
+}
+
+// pop removes and returns the oldest op in ch's backlog, which must be
+// non-empty.
+//
+//herd:hotpath
+func (ch *Channel) pop() *chanOp {
+	op := ch.head
+	ch.head = op.next
+	if ch.head == nil {
+		ch.tail = nil
+	}
+	op.next = nil
+	return op
 }
 
 // Get fetches key; cb receives a hit with the value, or a miss.

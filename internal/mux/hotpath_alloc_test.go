@@ -25,7 +25,16 @@ func TestHotpathAllocFree(t *testing.T) {
 		ready: make([]uint64, 3),
 	}
 	ch := &Channel{id: 130}
+	ops := [2]chanOp{}
+	cycle := func() {
+		ch.push(&ops[0])
+		ch.push(&ops[1])
+		ch.pop()
+		ch.pop()
+	}
 	hotgate.Check(t, ".", map[string]func(){
+		"Channel.push":          cycle,
+		"Channel.pop":           cycle,
 		"Endpoint.poolWithRoom": func() { _ = ep.poolWithRoom() },
 		"Endpoint.updateReady":  func() { ep.updateReady(ch) },
 		"Endpoint.nextReady":    func() { _ = ep.nextReady(100, 150) },

@@ -104,10 +104,9 @@ type Endpoint struct {
 	// channel to issue from without visiting the idle ones.
 	ready []uint64
 
-	// rings is the unused rest of the block OpenChannel cuts each
-	// channel's first queue slot from, so a channel's first submission
-	// does not allocate: most channels never queue more than one op.
-	rings []*chanOp
+	// chanBlock is the unused rest of the block OpenChannel cuts
+	// channels from, so opening a channel does not allocate one.
+	chanBlock []Channel
 
 	tel          *telemetry.Sink
 	telEndpoints *telemetry.Gauge
@@ -173,14 +172,14 @@ func Connect(srv *core.Server, m *cluster.Machine, cfg Config) (*Endpoint, error
 // submission-queue entry the channel produces. An endpoint holds any
 // number of channels, so the error is always nil.
 func (ep *Endpoint) OpenChannel() (*Channel, error) {
-	ch := &Channel{ep: ep, id: len(ep.channels)}
-	if len(ep.rings) == 0 {
+	if len(ep.chanBlock) == 0 {
 		// The block doubles with the channel count, so an endpoint's
-		// rings take a logarithmic number of allocations.
-		ep.rings = make([]*chanOp, max(64, len(ep.channels)))
+		// channels take a logarithmic number of allocations.
+		ep.chanBlock = make([]Channel, max(64, len(ep.channels)))
 	}
-	ch.queue.Init(ep.rings[:1:1])
-	ep.rings = ep.rings[1:]
+	ch := &ep.chanBlock[0]
+	ep.chanBlock = ep.chanBlock[1:]
+	ch.ep, ch.id = ep, len(ep.channels)
 	if ch.id%64 == 0 {
 		ep.ready = append(ep.ready, 0)
 	}
@@ -246,12 +245,12 @@ func (ep *Endpoint) poolWithRoom() PoolClient {
 
 // updateReady sets ch's ready bit when it has queued ops and room under
 // its ChannelWindow, and clears it otherwise. Every change to a
-// channel's queue length or outstanding count is followed by a call.
+// channel's backlog or outstanding count is followed by a call.
 //
 //herd:hotpath
 func (ep *Endpoint) updateReady(ch *Channel) {
 	bit := uint64(1) << (ch.id % 64)
-	if ch.queue.Len() > 0 && ch.outstanding < ep.cfg.ChannelWindow {
+	if ch.head != nil && int(ch.outstanding) < ep.cfg.ChannelWindow {
 		ep.ready[ch.id/64] |= bit
 	} else {
 		ep.ready[ch.id/64] &^= bit
@@ -293,7 +292,7 @@ func (ep *Endpoint) nextSet(from, limit int) int {
 }
 
 // pump issues queued ops fairly: channels are visited round-robin, one
-// issue per visit, until every channel is idle (empty queue or at its
+// issue per visit, until every channel is idle (empty backlog or at its
 // ChannelWindow) or the pool is saturated. Idle channels are skipped
 // through the ready bitmap, but the cursor rr still advances by one per
 // channel passed, exactly as a visit to each would, so the issue order
@@ -328,15 +327,15 @@ func (ep *Endpoint) pump() {
 	}
 }
 
-// issue pops the head of ch's queue and hands it to cli. The op's vcid
-// header moves from the submission queue to the in-flight table — here,
-// the completion closure carrying (ch, op) — which demuxes the response
-// back to the owning channel.
+// issue pops the oldest op in ch's backlog and hands it to cli. The
+// op's vcid header moves from the submission queue to the in-flight
+// table — here, the completion closure carrying (ch, op) — which demuxes
+// the response back to the owning channel.
 func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
-	op := ch.queue.Pop()
+	op := ch.pop()
 	ep.queued--
 	ep.telQueued.Add(-1)
-	if ch.stalled && ch.queue.Len() == 0 {
+	if ch.stalled && ch.head == nil {
 		ch.stalled = false
 		ep.telResumes.Inc()
 		ep.telStalled.Add(-1)
@@ -389,7 +388,7 @@ func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 // issue, and record a stall if the op could not go out immediately.
 func (ep *Endpoint) submit(ch *Channel, op *chanOp) {
 	op.submitted = ep.now()
-	ch.queue.Push(op)
+	ch.push(op)
 	ep.updateReady(ch)
 	ep.queued++
 	ep.telQueued.Add(1)

@@ -70,6 +70,15 @@ func (f *fakeClient) releaseAt(i int) {
 	done()
 }
 
+// backlog returns the number of ops queued at ch, not yet issued.
+func backlog(ch *Channel) int {
+	n := 0
+	for op := ch.head; op != nil; op = op.next {
+		n++
+	}
+	return n
+}
+
 func newFakeEndpoint(t *testing.T, f *fakeClient, cfg Config) *Endpoint {
 	t.Helper()
 	cl := cluster.New(cluster.Apt(), 1, 1)
@@ -149,8 +158,8 @@ func TestMuxDemuxRoundTrip(t *testing.T) {
 				t.Fatalf("channel %d op %d has non-positive latency %v", i, j, r.Latency)
 			}
 		}
-		if served[i] != 2*nOps || chans[i].queue.Len() != 0 {
-			t.Fatalf("channel %d accounting: served=%d queued=%d", i, served[i], chans[i].queue.Len())
+		if served[i] != 2*nOps || backlog(chans[i]) != 0 {
+			t.Fatalf("channel %d accounting: served=%d queued=%d", i, served[i], backlog(chans[i]))
 		}
 	}
 	if ep.queued != 0 {
@@ -237,8 +246,8 @@ func TestMuxChannelWindowFlowControl(t *testing.T) {
 	if f.inflight != 2 {
 		t.Fatalf("pool sees %d outstanding, want ChannelWindow=2", f.inflight)
 	}
-	if ch.queue.Len() != 4 || ep.queued != 4 {
-		t.Fatalf("backlog = %d/%d, want 4/4", ch.queue.Len(), ep.queued)
+	if backlog(ch) != 4 || ep.queued != 4 {
+		t.Fatalf("backlog = %d/%d, want 4/4", backlog(ch), ep.queued)
 	}
 	if !ch.stalled {
 		t.Fatal("channel with backlog not marked stalled")
@@ -249,8 +258,8 @@ func TestMuxChannelWindowFlowControl(t *testing.T) {
 			t.Fatalf("window violated after release %d: %d outstanding", i, f.inflight)
 		}
 	}
-	if done != nOps || ch.queue.Len() != 0 || f.inflight != 0 || ch.stalled {
-		t.Fatalf("after drain: done=%d queued=%d inflight=%d stalled=%v", done, ch.queue.Len(), f.inflight, ch.stalled)
+	if done != nOps || backlog(ch) != 0 || f.inflight != 0 || ch.stalled {
+		t.Fatalf("after drain: done=%d queued=%d inflight=%d stalled=%v", done, backlog(ch), f.inflight, ch.stalled)
 	}
 }
 
@@ -270,25 +279,25 @@ func TestMuxComposesWithShrunkWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.inflight != 4 || ch.queue.Len() != 2 {
-		t.Fatalf("before shrink: inflight=%d queued=%d, want 4/2", f.inflight, ch.queue.Len())
+	if f.inflight != 4 || backlog(ch) != 2 {
+		t.Fatalf("before shrink: inflight=%d queued=%d, want 4/2", f.inflight, backlog(ch))
 	}
 
 	f.window = 1 // AIMD multiplicative decrease under busy pushback
 	f.release()
-	if f.inflight != 3 || ch.queue.Len() != 2 {
+	if f.inflight != 3 || backlog(ch) != 2 {
 		// 3 outstanding >= window 1: nothing new may issue.
-		t.Fatalf("after shrink+release: inflight=%d queued=%d, want 3/2", f.inflight, ch.queue.Len())
+		t.Fatalf("after shrink+release: inflight=%d queued=%d, want 3/2", f.inflight, backlog(ch))
 	}
 	f.release()
 	f.release()
-	if f.inflight != 1 || ch.queue.Len() != 2 {
+	if f.inflight != 1 || backlog(ch) != 2 {
 		// Still one op from the original burst in flight == window 1.
-		t.Fatalf("draining: inflight=%d queued=%d, want 1/2", f.inflight, ch.queue.Len())
+		t.Fatalf("draining: inflight=%d queued=%d, want 1/2", f.inflight, backlog(ch))
 	}
 	f.release() // frees the pool; next op issues on the completion pump
-	if f.inflight != 1 || ch.queue.Len() != 1 {
-		t.Fatalf("post-drain issue: inflight=%d queued=%d, want 1/1", f.inflight, ch.queue.Len())
+	if f.inflight != 1 || backlog(ch) != 1 {
+		t.Fatalf("post-drain issue: inflight=%d queued=%d, want 1/1", f.inflight, backlog(ch))
 	}
 }
 
@@ -327,7 +336,7 @@ func TestMuxValidationAndLimits(t *testing.T) {
 	if err := ch.Put(kv.FromUint64(1), make([]byte, mica.MaxValueSize+1), nil); err != mica.ErrValueTooLarge {
 		t.Fatalf("oversize PUT: %v", err)
 	}
-	if ch.queue.Len() != 0 || len(f.order) != 0 {
+	if backlog(ch) != 0 || len(f.order) != 0 {
 		t.Fatal("rejected ops leaked into accounting")
 	}
 }
@@ -349,8 +358,8 @@ func TestMuxSyncRejection(t *testing.T) {
 	if runs != 1 || res.Err == nil || res.Status != kv.StatusTimeout {
 		t.Fatalf("rejected op resolved %d times, last as %+v", runs, res)
 	}
-	if ch.queue.Len() != 0 || f.inflight != 0 {
-		t.Fatalf("accounting after rejection: queued=%d inflight=%d", ch.queue.Len(), f.inflight)
+	if backlog(ch) != 0 || f.inflight != 0 {
+		t.Fatalf("accounting after rejection: queued=%d inflight=%d", backlog(ch), f.inflight)
 	}
 	// The channel keeps working afterwards.
 	if err := ch.Get(kv.FromUint64(2), nil); err != nil {

@@ -13,9 +13,9 @@ import (
 // budget, first submissions on fresh channels included: a warm-up on
 // one set of channels grows the endpoint's and the pool's records to
 // the load's concurrency, then a closed loop runs on as many channels
-// that have never queued an op. Each channel's first push lands in the
-// ring slot OpenChannel cut from the endpoint's block, so the only
-// allocations left are the pool's GET-value slab refills.
+// that have never queued an op. A channel's backlog links the pooled
+// ops themselves, so a first submission needs no queue storage, and the
+// only allocations left are the pool's GET-value slab refills.
 func TestSteadyStateAllocs(t *testing.T) {
 	const chans = 1024
 	cl := cluster.New(cluster.Apt(), 2, 1)

@@ -217,16 +217,15 @@ func TestNextReadyMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ready := func(ch *Channel) bool { return ch.queue.Len() > 0 && ch.outstanding < ep.cfg.ChannelWindow }
+	ready := func(ch *Channel) bool { return backlog(ch) > 0 && int(ch.outstanding) < ep.cfg.ChannelWindow }
 	rnd := sim.NewRand(18)
-	op := &chanOp{}
 	for step := 0; step < 4000; step++ {
 		if step%200 == 0 {
 			// Start over from every channel idle, so sparse bitmaps
 			// with long idle runs are tested as well as dense ones.
 			for _, ch := range ep.channels {
-				for ch.queue.Len() > 0 {
-					ch.queue.Pop()
+				for ch.head != nil {
+					ch.pop()
 				}
 				ep.updateReady(ch)
 			}
@@ -238,13 +237,14 @@ func TestNextReadyMatchesScan(t *testing.T) {
 			ch := ep.channels[(base+rnd.Intn(40))%chans]
 			switch rnd.Intn(4) {
 			case 0:
-				ch.queue.Push(op)
+				// A fresh op each time: an op links into one backlog.
+				ch.push(new(chanOp))
 			case 1:
-				if ch.queue.Len() > 0 {
-					ch.queue.Pop()
+				if ch.head != nil {
+					ch.pop()
 				}
 			default:
-				ch.outstanding = rnd.Intn(ep.cfg.ChannelWindow + 1)
+				ch.outstanding = int32(rnd.Intn(ep.cfg.ChannelWindow + 1))
 			}
 			ep.updateReady(ch)
 		}
