@@ -145,8 +145,10 @@ type Client struct {
 
 	// rng drives backoff jitter; seeded from the machine seed and client
 	// id so retry timing is deterministic per run. jitter builds it at
-	// the first draw: a math/rand source holds about 5 KB, and a client
-	// that never retries or reconnects never draws.
+	// the first draw. With RetryTimeout > 0, armRetry draws on every
+	// issue, so such a client builds it at its first op; only a client
+	// with RetryTimeout 0 that never reconnects holds none (a math/rand
+	// source is about 5 KB).
 	rng *sim.Rand
 
 	// Reconnect state: one handshake runs at a time; the generation

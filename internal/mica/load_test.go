@@ -24,13 +24,50 @@ func (c *Cache) clone() *Cache {
 		b.prev = nil
 		d.loads = &b
 	}
-	d.slots = slices.Clone(c.slots)
-	d.fifoPos = slices.Clone(c.fifoPos)
+	d.buckets = slices.Clone(c.buckets)
+	d.arena = slices.Clone(c.arena)
 	d.segs = make([][]byte, len(c.segs))
 	for i, s := range c.segs {
 		d.segs[i] = slices.Clone(s)
 	}
 	return &d
+}
+
+// index expands a settled partition's index to the flat layout it
+// models: every bucket's slots by position, then each bucket's FIFO
+// victim. It fails t if a bucket record is inconsistent: a used bit
+// without a slot or the reverse (which an inline bucket's bit past its
+// inline slots is), a bit past BucketSlots, or a spilled bucket with
+// inline slots left.
+func (c *Cache) index(t testing.TB) (slots []slot, victims []uint8) {
+	t.Helper()
+	for i := range c.buckets {
+		b := &c.buckets[i]
+		if b.used>>c.cfg.BucketSlots != 0 {
+			t.Fatalf("bucket %d: used mask %08b marks positions past %d", i, b.used, c.cfg.BucketSlots)
+		}
+		for pos := 0; pos < c.cfg.BucketSlots; pos++ {
+			s := c.slotAt(b, pos)
+			if (s != 0) != (b.used>>pos&1 != 0) {
+				t.Fatalf("bucket %d position %d: slot %#x under used mask %08b", i, pos, uint64(s), b.used)
+			}
+			slots = append(slots, s)
+		}
+		if b.spill != 0 && b.inline != [inlineSlots]slot{} {
+			t.Fatalf("bucket %d: spilled with inline slots %x left", i, b.inline)
+		}
+		victims = append(victims, b.victim)
+	}
+	return slots, victims
+}
+
+// sameIndex reports whether two settled partitions hold the same
+// expanded index (see index).
+func sameIndex(t testing.TB, a, b *Cache) bool {
+	t.Helper()
+	as, av := a.index(t)
+	bs, bv := b.index(t)
+	return slices.Equal(as, bs) && slices.Equal(av, bv)
 }
 
 // twinCoverage counts the cases an equivalence run reached, so the
@@ -188,7 +225,7 @@ func (w *twins) check(t testing.TB, op int, keys []Key) {
 	if seq.queued != 0 {
 		seq.settle()
 	}
-	if bulk.Stats() != seq.stats || !slices.Equal(bulk.slots, seq.slots) || !slices.Equal(bulk.fifoPos, seq.fifoPos) ||
+	if bulk.Stats() != seq.stats || !sameIndex(t, bulk, seq) ||
 		bulk.head != seq.head || !slices.EqualFunc(bulk.segs, seq.segs, bytes.Equal) {
 		t.Fatalf("after op %d: the handoff's partition differs from the sequential load's", op)
 	}
@@ -366,7 +403,7 @@ func sameState(t testing.TB, op int, ref, bulk *Cache, keys []Key) {
 			t.Fatalf("after op %d: Get(%x) = %q,%v on the reference, %q,%v on the queued twin", op, k, rv, rok, bv, bok)
 		}
 	}
-	if !slices.Equal(ref.slots, bulk.slots) || !slices.Equal(ref.fifoPos, bulk.fifoPos) || ref.head != bulk.head {
+	if !sameIndex(t, ref, bulk) || ref.head != bulk.head {
 		t.Fatalf("after op %d: index, FIFO victims or log head differ", op)
 	}
 }
@@ -519,7 +556,7 @@ func TestPutNewerMatchesGetThenPut(t *testing.T) {
 			if got, err := one.PutNewer(key, v); err != wantErr || got != want {
 				t.Fatalf("seed %d op %d: PutNewer = %v,%v, want %v,%v", seed, i, got, err, want, wantErr)
 			}
-			if !slices.Equal(ref.slots, one.slots) || !slices.Equal(ref.fifoPos, one.fifoPos) || ref.head != one.head {
+			if !sameIndex(t, ref, one) || ref.head != one.head {
 				t.Fatalf("seed %d op %d: index, FIFO victims or log head differ", seed, i)
 			}
 		}

@@ -30,11 +30,22 @@
 //     stamp comparison runs inside the bucket scan that picks the slot,
 //     and a stamp that does not outrank the stored one neither appends
 //     nor indexes.
+//
+// The modeled index is MICA's: a bucket is one 64-byte cache line of 8
+// slots, and a GET's bucket read is one random access (Stats.MemAccesses,
+// which the server's timing model reads). The host layout is smaller:
+// most buckets hold few keys, so each keeps three slots inline in a
+// 32-byte record and moves them to a spill block when a fourth position
+// fills. Every read and write of a slot goes through slotAt,
+// setSlot and clearSlot, which address slots by position, so slot
+// choice, FIFO victims, stale clears and Range order are those of the
+// flat 8-slot line.
 package mica
 
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 
 	"herdkv/internal/kv"
 )
@@ -72,7 +83,8 @@ type Config struct {
 	// IndexBuckets is the number of index buckets (rounded up to a power
 	// of two).
 	IndexBuckets int
-	// BucketSlots is the bucket associativity, at most 256.
+	// BucketSlots is the bucket associativity, at most 8: a bucket's
+	// used positions are one byte's bits.
 	BucketSlots int
 	// LogBytes is the circular log capacity. Memory for it is committed
 	// one segment at a time as the append head reaches each segment.
@@ -101,9 +113,9 @@ const handoffBytes = 32 << 10
 // its value length, which stays below MaxValueSize.
 const newerFlag = 1 << 15
 
-// maxBucketSlots caps BucketSlots: each bucket's FIFO victim counter
-// is one byte.
-const maxBucketSlots = 256
+// maxBucketSlots caps BucketSlots: a bucket's used-position mask is
+// one byte.
+const maxBucketSlots = 8
 
 const entryHeader = KeySize + 2 // keyhash + value length
 
@@ -135,11 +147,6 @@ const (
 //herd:hotpath
 func makeSlot(tag uint16, off uint64) slot { return slot(tag)<<offBits | slot(off+1) }
 
-// used reports whether the slot holds an entry.
-//
-//herd:hotpath
-func (s slot) used() bool { return s != 0 }
-
 // tag returns a used slot's keyhash tag.
 //
 //herd:hotpath
@@ -149,6 +156,26 @@ func (s slot) tag() uint16 { return uint16(s >> offBits) }
 //
 //herd:hotpath
 func (s slot) off() uint64 { return uint64(s&offMask) - 1 }
+
+// inlineSlots is how many positions a bucket keeps in place.
+const inlineSlots = 3
+
+// bucket is one index bucket's host record, 32 bytes. Bit p of used is
+// set while position p holds a slot, and victim is the next FIFO
+// eviction position. Positions below inlineSlots sit in inline, indexed
+// by position. The first store to a higher one moves them to a
+// BucketSlots-slot block of the partition's spill arena, indexed the
+// same way, and spill holds 1 + the arena index of the block's first
+// slot from then on (0 while inline). A spilled bucket never moves back. A new slot takes
+// the lowest free position, and a victim needs every position used, so
+// a bucket stores to position inlineSlots only once the positions below
+// it are all used: it spills when its fourth position fills.
+type bucket struct {
+	used   uint8
+	victim uint8
+	spill  uint32
+	inline [inlineSlots]slot
+}
 
 // Stats counts cache activity.
 type Stats struct {
@@ -169,10 +196,10 @@ type Stats struct {
 type Cache struct {
 	cfg     Config
 	mask    uint64
-	slots   []slot   // buckets * associativity, flat
+	buckets []bucket
+	arena   []slot   // spill blocks, BucketSlots slots each
 	segs    [][]byte // log segments, nil until the head first reaches one
 	head    uint64   // total bytes ever appended (monotonic)
-	fifoPos []uint8  // next eviction victim per bucket, in [0, BucketSlots)
 	stats   Stats
 
 	// Load's queued index inserts, in Load order; queued counts them.
@@ -201,12 +228,12 @@ type handoff struct {
 }
 
 // pendingInsert is one queued load: the entry load appended for key at
-// log offset off, waiting to be indexed in the bucket at base. newer
-// marks a LoadNewer insert, which settle may still refuse.
+// log offset off, waiting to be indexed in bucket b. newer marks a
+// LoadNewer insert, which settle may still refuse.
 type pendingInsert struct {
 	key   Key
 	off   uint64
-	base  int
+	b     int
 	tag   uint16
 	newer bool
 }
@@ -225,12 +252,14 @@ func New(cfg Config) *Cache {
 		cfg.LogBytes = 4 * (entryHeader + MaxValueSize)
 	}
 	cfg.IndexBuckets = buckets
+	if uint64(buckets)*uint64(cfg.BucketSlots) >= 1<<32 {
+		panic("mica: IndexBuckets*BucketSlots must stay below 2^32, the spill index's range")
+	}
 	return &Cache{
 		cfg:     cfg,
 		mask:    uint64(buckets - 1),
-		slots:   make([]slot, buckets*cfg.BucketSlots),
+		buckets: make([]bucket, buckets),
 		segs:    make([][]byte, (cfg.LogBytes+segStride-1)/segStride),
-		fifoPos: make([]uint8, buckets),
 	}
 }
 
@@ -242,11 +271,62 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// bucketOf maps a keyhash to its bucket's slot base and tag.
+// bucketOf maps a keyhash to its bucket's index and tag.
 //
 //herd:hotpath
-func (c *Cache) bucketOf(h uint64) (base int, tag uint16) {
-	return int(h&c.mask) * c.cfg.BucketSlots, uint16(h >> 48)
+func (c *Cache) bucketOf(h uint64) (b int, tag uint16) {
+	return int(h & c.mask), uint16(h >> 48)
+}
+
+// slotAt returns the slot at position pos of b, zero if it is empty.
+//
+//herd:hotpath
+func (c *Cache) slotAt(b *bucket, pos int) slot {
+	if b.spill != 0 {
+		return c.arena[int(b.spill)-1+pos]
+	}
+	if pos < inlineSlots {
+		return b.inline[pos]
+	}
+	return 0
+}
+
+// setSlot stores the used slot s at position pos of b. An inline
+// bucket spills first if pos is past its inline slots: they move to a
+// fresh block at the arena's end.
+//
+//herd:hotpath
+func (c *Cache) setSlot(b *bucket, pos int, s slot) {
+	b.used |= 1 << pos
+	if b.spill == 0 {
+		if pos < inlineSlots {
+			b.inline[pos] = s
+			return
+		}
+		n, size := len(c.arena), c.cfg.BucketSlots
+		if n+size > cap(c.arena) {
+			grown := make([]slot, n, n+n/4+64*size) //lint:allow hotalloc — spill arena growth, by a quarter, amortized over the spills it makes room for
+			copy(grown, c.arena)
+			c.arena = grown
+		}
+		c.arena = c.arena[:n+size]
+		copy(c.arena[n:], b.inline[:])
+		b.inline = [inlineSlots]slot{}
+		b.spill = uint32(n + 1)
+	}
+	c.arena[int(b.spill)-1+pos] = s
+}
+
+// clearSlot empties the used position pos of b.
+//
+//herd:hotpath
+func (c *Cache) clearSlot(b *bucket, pos int) {
+	b.used &^= 1 << pos
+	if b.spill != 0 {
+		c.arena[int(b.spill)-1+pos] = 0
+	} else {
+		b.inline[pos] = 0
+	}
 }
 
 // entry decodes the log entry at monotonic offset off, reporting
@@ -284,12 +364,13 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 	if key.IsZero() {
 		return nil, false
 	}
-	h := hash64(key)
-	base, tag := c.bucketOf(h)
+	i, tag := c.bucketOf(hash64(key))
+	b := &c.buckets[i]
 	c.stats.MemAccesses++ // bucket read
-	for i := 0; i < c.cfg.BucketSlots; i++ {
-		s := &c.slots[base+i]
-		if !s.used() || s.tag() != tag {
+	for m := b.used; m != 0; m &= m - 1 {
+		pos := bits.TrailingZeros8(m)
+		s := c.slotAt(b, pos)
+		if s.tag() != tag {
 			continue
 		}
 		c.stats.MemAccesses++ // log entry read
@@ -298,7 +379,7 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 			// Either overwritten by the circular log or a tag collision.
 			if c.head-s.off() > uint64(c.cfg.LogBytes) {
 				c.stats.StaleIndexEntries++
-				*s = 0
+				c.clearSlot(b, pos)
 			} else {
 				c.stats.TagFalsePositives++
 			}
@@ -366,54 +447,55 @@ func (c *Cache) put(key Key, value []byte) {
 		c.settle()
 	}
 	c.stats.Puts++
-	base, tag := c.bucketOf(hash64(key))
+	i, tag := c.bucketOf(hash64(key))
+	b := &c.buckets[i]
 	c.stats.MemAccesses++ // bucket read/update
 	// Locate the destination slot before appending: stale detection
 	// reads the log head as it stood before this entry.
-	i := c.slotFor(base, tag, key)
-	c.slots[i] = makeSlot(tag, c.append(key, value))
+	pos := c.slotFor(b, tag, key)
+	c.setSlot(b, pos, makeSlot(tag, c.append(key, value)))
 }
 
-// slotFor returns the slot key's entry goes in, within the bucket at
-// base: key's own slot, else the first free one, else the bucket's FIFO
-// victim (the lossy index). Tags are partial hashes, so a tag match
-// must be confirmed against the full keyhash stored in the log before
-// reusing the slot — otherwise two distinct keys sharing a tag would
-// silently merge.
+// slotFor returns the position key's entry goes in, within b: key's
+// own slot, else the first free one, else the bucket's FIFO victim
+// (the lossy index). Tags are partial hashes, so a tag match must be
+// confirmed against the full keyhash stored in the log before reusing
+// the slot — otherwise two distinct keys sharing a tag would silently
+// merge.
 //
 //herd:hotpath
-func (c *Cache) slotFor(base int, tag uint16, key Key) int {
-	free := -1
-	for i := base; i < base+c.cfg.BucketSlots; i++ {
-		s := c.slots[i]
-		if !s.used() {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if s.tag() == tag {
+func (c *Cache) slotFor(b *bucket, tag uint16, key Key) int {
+	for m := b.used; m != 0; m &= m - 1 {
+		pos := bits.TrailingZeros8(m)
+		if s := c.slotAt(b, pos); s.tag() == tag {
 			if stored, _, ok := c.entry(s.off()); ok && stored == key {
-				return i
+				return pos
 			}
 		}
 	}
-	if free >= 0 {
+	return c.freeOrVictim(b)
+}
+
+// freeOrVictim returns b's first free position, or, in a full bucket,
+// its FIFO victim.
+//
+//herd:hotpath
+func (c *Cache) freeOrVictim(b *bucket) int {
+	if free := bits.TrailingZeros8(^b.used); free < c.cfg.BucketSlots {
 		return free
 	}
-	return c.victim(base)
+	return c.victim(b)
 }
 
-// victim advances the bucket at base's FIFO eviction counter and
-// returns the slot it displaces.
+// victim advances b's FIFO eviction counter and returns the position it
+// displaces.
 //
 //herd:hotpath
-func (c *Cache) victim(base int) int {
-	b := base / c.cfg.BucketSlots
-	v := int(c.fifoPos[b])
-	c.fifoPos[b] = uint8((v + 1) % c.cfg.BucketSlots)
+func (c *Cache) victim(b *bucket) int {
+	v := int(b.victim)
+	b.victim = uint8((v + 1) % c.cfg.BucketSlots)
 	c.stats.IndexEvictions++
-	return base + v
+	return v
 }
 
 // slotNewer is slotFor for a stamped value, or -1 when key's stored
@@ -425,17 +507,11 @@ func (c *Cache) victim(base int) int {
 // replaces.
 //
 //herd:hotpath
-func (c *Cache) slotNewer(base int, tag uint16, key Key, value []byte) int {
+func (c *Cache) slotNewer(b *bucket, tag uint16, key Key, value []byte) int {
 	nv, _, _, _ := kv.SplitVersion(value)
-	free := -1
-	for i := base; i < base+c.cfg.BucketSlots; i++ {
-		s := c.slots[i]
-		if !s.used() {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
+	for m := b.used; m != 0; m &= m - 1 {
+		pos := bits.TrailingZeros8(m)
+		s := c.slotAt(b, pos)
 		if s.tag() != tag {
 			continue
 		}
@@ -445,22 +521,18 @@ func (c *Cache) slotNewer(base int, tag uint16, key Key, value []byte) int {
 			if ov, _, _, _ := kv.SplitVersion(old); !ov.Less(nv) {
 				return -1
 			}
-			return i
+			return pos
 		}
 		if c.head-s.off() > uint64(c.cfg.LogBytes) {
 			c.stats.StaleIndexEntries++
-			c.slots[i] = 0
-			if free < 0 {
-				free = i
-			}
+			c.clearSlot(b, pos)
 		} else {
 			c.stats.TagFalsePositives++
 		}
 	}
-	if free >= 0 {
-		return free
-	}
-	return c.victim(base)
+	// A slot the scan cleared is free now, so the first free position
+	// is the lowest of those and the ones that were free before it.
+	return c.freeOrVictim(b)
 }
 
 // PutNewer is the ordered insert for version-stamped values
@@ -495,14 +567,15 @@ func (c *Cache) putNewer(key Key, value []byte) bool {
 	if c.queued != 0 {
 		c.settle()
 	}
-	base, tag := c.bucketOf(hash64(key))
+	i, tag := c.bucketOf(hash64(key))
+	b := &c.buckets[i]
 	c.stats.MemAccesses++ // bucket read/update
-	i := c.slotNewer(base, tag, key, value)
-	if i < 0 {
+	pos := c.slotNewer(b, tag, key, value)
+	if pos < 0 {
 		return false
 	}
 	c.stats.Puts++
-	c.slots[i] = makeSlot(tag, c.append(key, value))
+	c.setSlot(b, pos, makeSlot(tag, c.append(key, value)))
 	return true
 }
 
@@ -638,9 +711,9 @@ func (c *Cache) load(key Key, value []byte, newer bool) {
 		return
 	}
 	c.stats.Puts++ // for a newer insert, until settle refuses it
-	base, tag := c.bucketOf(hash64(key))
+	b, tag := c.bucketOf(hash64(key))
 	c.stats.MemAccesses++ // bucket read/update, in settle
-	c.queue[c.queued] = pendingInsert{key: key, off: c.append(key, value), base: base, tag: tag, newer: newer}
+	c.queue[c.queued] = pendingInsert{key: key, off: c.append(key, value), b: b, tag: tag, newer: newer}
 	c.queued++
 	if c.queued == loadBatch {
 		c.settle()
@@ -661,7 +734,7 @@ func (c *Cache) settle() {
 	c.queued = 0
 	t := c.touched
 	for i := range q {
-		t ^= c.slots[q[i].base]
+		t ^= c.slotAt(&c.buckets[q[i].b], 0)
 	}
 	c.touched = t
 	var shift uint64 // bytes of the batch's refused entries so far
@@ -671,19 +744,20 @@ func (c *Cache) settle() {
 			c.moveEntry(p.off, p.off-shift, c.queuedBytes(q, i))
 		}
 		off := p.off - shift
+		b := &c.buckets[p.b]
 		if !p.newer {
-			c.slots[c.slotFor(p.base, p.tag, p.key)] = makeSlot(p.tag, off)
+			c.setSlot(b, c.slotFor(b, p.tag, p.key), makeSlot(p.tag, off))
 			continue
 		}
 		_, v, _ := c.entry(off)
-		slot := c.slotNewer(p.base, p.tag, p.key, v)
-		if slot < 0 {
+		pos := c.slotNewer(b, p.tag, p.key, v)
+		if pos < 0 {
 			shift += c.queuedBytes(q, i)
 			c.stats.Puts--
 			c.stats.SequentialAppends--
 			continue
 		}
-		c.slots[slot] = makeSlot(p.tag, off)
+		c.setSlot(b, pos, makeSlot(p.tag, off))
 	}
 	c.head -= shift
 }
@@ -716,16 +790,16 @@ func (c *Cache) Range(fn func(key Key, value []byte) bool) {
 	if c.loads != nil {
 		c.await()
 	}
-	for _, s := range c.slots {
-		if !s.used() {
-			continue
-		}
-		key, value, ok := c.entry(s.off())
-		if !ok || key.IsZero() {
-			continue // overwritten by log wraparound
-		}
-		if !fn(key, value) {
-			return
+	for i := range c.buckets {
+		b := &c.buckets[i]
+		for m := b.used; m != 0; m &= m - 1 {
+			key, value, ok := c.entry(c.slotAt(b, bits.TrailingZeros8(m)).off())
+			if !ok || key.IsZero() {
+				continue // overwritten by log wraparound
+			}
+			if !fn(key, value) {
+				return
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"herdkv/internal/sim"
 )
@@ -38,7 +39,7 @@ func TestLogCommittedLazily(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	c := New(cfg)
 	runtime.ReadMemStats(&after)
-	index := cfg.IndexBuckets*cfg.BucketSlots*8 + cfg.IndexBuckets
+	index := cfg.IndexBuckets * int(unsafe.Sizeof(bucket{}))
 	table := (cfg.LogBytes + segStride - 1) / segStride * 24 // one slice header per segment
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(index+table+4<<10) {
 		t.Fatalf("New allocated %d bytes for a %d-byte index and %d-byte segment table", got, index, table)
@@ -90,13 +91,13 @@ func TestFIFOVictimSixSlots(t *testing.T) {
 	checkFIFO(t, New(Config{IndexBuckets: 1, BucketSlots: 6, LogBytes: 1 << 20}), 6, 310)
 }
 
-// TestBucketSlotsClamped checks that New caps the associativity at
-// 256, the range of the one-byte victim counter, and that every one of
-// the 256 slots is still evicted in turn.
+// TestBucketSlotsClamped checks that New caps the associativity at 8,
+// the width of a bucket's one-byte used-position mask, and that every
+// one of the 8 slots is still evicted in turn.
 func TestBucketSlotsClamped(t *testing.T) {
 	c := New(Config{IndexBuckets: 1, BucketSlots: 300, LogBytes: 1 << 20})
-	if got := c.cfg.BucketSlots; got != 256 {
-		t.Fatalf("BucketSlots = %d, want 256", got)
+	if got := c.cfg.BucketSlots; got != 8 {
+		t.Fatalf("BucketSlots = %d, want 8", got)
 	}
-	checkFIFO(t, c, 256, 300)
+	checkFIFO(t, c, 8, 300)
 }

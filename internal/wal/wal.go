@@ -231,20 +231,24 @@ type RecoverStats struct {
 
 // Log is one shard's write-ahead log. Like every model component it is
 // single-goroutine, driven entirely by the sim clock. The durable log
-// and the snapshot are chains of fixed-size segments (see segments):
-// logging copies each byte once, and compaction releases the segments
-// it covered instead of copying the tail it keeps.
+// and the snapshot are chains of fixed-size segments (see segments).
+// Logging copies each frame twice: Append encodes it into the pending
+// batch, and commitFlush copies the persisted batch into the durable
+// segments. Compaction releases the segments it covered instead of
+// copying the tail it keeps.
 type Log struct {
 	eng *sim.Engine
 	cfg Config
 	dev *sim.Server
 
 	// pending is the batch awaiting group commit, already encoded:
-	// Append frames each record into it as the record buffers, so a
-	// value is copied once, into the log, and startFlush hands the bytes
-	// to the device write as they are. npending counts its records,
-	// pendingAt is the newest one's append instant, and pendingCbs holds
-	// the batch's durable callbacks in append order.
+	// Append frames each record into it as the record buffers, and
+	// startFlush hands the bytes to the device write as they are.
+	// commitFlush then copies them into the durable segments, and the
+	// buffer goes back to the flight pool unless a backlog grew it past
+	// segSize. npending counts its records, pendingAt is the newest
+	// one's append instant, and pendingCbs holds the batch's durable
+	// callbacks in append order.
 	pending    []byte
 	npending   int
 	pendingAt  sim.Time
@@ -309,13 +313,16 @@ func (l *Log) xfer(n int) sim.Time {
 }
 
 // Append buffers one record for the next group commit, encoding it
-// into the pending batch at once: r.Value is copied into the log before
-// Append returns, so the caller may reuse it. onDurable, if non-nil,
-// runs when the record's batch has persisted — the log-before-ack hook
-// for sync durability. Appends on a crashed log are dropped (the
-// process is dead; nothing should be calling). The whole append and
-// group-commit path is allocation-free once warm: the pending buffer
-// and the flight and timer records are reused across batches.
+// into the pending batch at once: r.Value is copied into that batch
+// before Append returns, so the caller may reuse it, and its frame is
+// copied again into the durable log when the batch's flush lands.
+// onDurable, if non-nil, runs when the record's batch has persisted —
+// the log-before-ack hook for sync durability. Appends on a crashed
+// log are dropped (the process is dead; nothing should be calling).
+// The whole append and group-commit path is allocation-free once warm:
+// the pending buffer and the flight and timer records are reused
+// across batches, except a buffer a backlog grew past segSize, which
+// is dropped once flushed.
 //
 //herd:hotpath
 func (l *Log) Append(r Record, onDurable func()) {
@@ -456,7 +463,9 @@ func (l *Log) startFlush() {
 }
 
 // Fire lands the device write, unless a crash since it started made it
-// stale, and returns the flight to the pool.
+// stale, and returns the flight to the pool. A buffer past segSize is a
+// backlog's, built while a snapshot or a long flush held the device:
+// the flight drops it, so no pooled buffer keeps a peak's capacity.
 //
 //herd:hotpath
 func (fl *flight) Fire(sim.Time) {
@@ -466,6 +475,9 @@ func (fl *flight) Fire(sim.Time) {
 	}
 	clear(fl.cbs)
 	fl.buf, fl.cbs = fl.buf[:0], fl.cbs[:0]
+	if cap(fl.buf) > segSize {
+		fl.buf = nil
+	}
 	l.flights = append(l.flights, fl)
 }
 

@@ -367,6 +367,50 @@ func TestSnapshotCompactsLog(t *testing.T) {
 	}
 }
 
+// TestBacklogBufferReleased builds a backlog of several segSize while a
+// snapshot holds the device, lets it drain, and then runs ordinary
+// batches: the pending buffer and the pooled flight buffers must not
+// keep the backlog's capacity, only what a batch of segSize or less
+// needs.
+func TestBacklogBufferReleased(t *testing.T) {
+	eng := sim.New()
+	cfg := testConfig()
+	cfg.SnapshotEvery = 4 << 10
+	l := New(eng, cfg, nil)
+	val := make([]byte, 1000)
+	l.SetSnapshotSource(func(emit func(kv.Key, []byte)) {
+		for i := uint64(1); i <= 64; i++ {
+			emit(kv.FromUint64(i), val)
+		}
+	})
+	for i := uint64(1); !l.snapInProg; i++ {
+		l.Append(Record{Key: kv.FromUint64(i % 64), Value: val}, nil)
+		eng.Step()
+	}
+	for i := uint64(0); len(l.pending) < 4*segSize; i++ {
+		l.Append(Record{Key: kv.FromUint64(i % 64), Value: val}, nil)
+	}
+	peak := cap(l.pending)
+	eng.Run()
+	if l.Pending() != 0 || l.Snapshots() == 0 {
+		t.Fatalf("backlog did not drain: %d pending, %d snapshots", l.Pending(), l.Snapshots())
+	}
+	for round := 0; round < 4; round++ {
+		for i := uint64(0); i < 8; i++ {
+			l.Append(rec(i, "after-the-backlog"), nil)
+		}
+		eng.Run()
+	}
+	retained := cap(l.pending)
+	for _, fl := range l.flights {
+		retained += cap(fl.buf)
+	}
+	t.Logf("backlog buffer %d bytes; %d retained after it drained", peak, retained)
+	if retained > 2*segSize {
+		t.Fatalf("%d bytes of buffer retained after a %d-byte backlog drained, want at most %d", retained, peak, 2*segSize)
+	}
+}
+
 func TestRecordsSinceCoversPendingAndDurable(t *testing.T) {
 	eng := sim.New()
 	l := New(eng, testConfig(), nil)
